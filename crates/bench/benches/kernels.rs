@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks of the compute kernels themselves: the
 //! scalar-reference vs 4x-unrolled vs cache-blocked dense `vecmat_into`
 //! variants at several dims and densities, the density-gated sparse-input
-//! path, CSR SpMV, the flat `matmat_into` batch against the nested
-//! bridge, the bit-sliced vs framed-streamed bit-serial batch engines,
-//! and the compiled circuit against its baselines.
+//! path, CSR SpMV, the per-frame vs weight-stationary CSR batch, the flat
+//! `matmat_into` batch against the nested bridge, the bit-sliced vs
+//! framed-streamed bit-serial batch engines, and the compiled circuit
+//! against its baselines.
 //!
 //! These time the *simulator and software kernels*, not hardware — the
 //! hardware latency numbers come from `reproduce` — but they are the
@@ -98,6 +99,47 @@ fn bench_csr(c: &mut Criterion) {
     group.finish();
 }
 
+/// The CSR batch path on the serving benchmark's batch shape (1024²,
+/// 90 % sparse, 8-bit weights, 64 frames): one `vecmat_into` per frame
+/// vs the weight-stationary `vecmat_block_into`, with 8-bit inputs (the
+/// groups accumulate in `i32`) and 24-bit inputs (`i64`). Outputs are
+/// checked equal before either side is timed.
+fn bench_csr_batch64(c: &mut Criterion) {
+    let (dim, n) = (1024usize, 64usize);
+    let mut rng = seeded(2500);
+    let m = element_sparse_matrix(dim, dim, 8, 0.9, true, &mut rng).unwrap();
+    let csr = Csr::from_dense(&m);
+    let mut group = c.benchmark_group("csr_batch64");
+    for &bits in &[8u32, 24] {
+        let frames = random_vector(n * dim, bits, true, &mut rng).unwrap();
+        let mut per_frame = vec![0i64; n * dim];
+        let mut blocked = vec![0i64; n * dim];
+        let run_per_frame = |out: &mut [i64]| {
+            for (a, o) in frames.chunks_exact(dim).zip(out.chunks_exact_mut(dim)) {
+                csr.vecmat_into(black_box(a), o).unwrap();
+            }
+        };
+        run_per_frame(&mut per_frame);
+        let ran = csr.vecmat_block_into(&frames, n, &mut blocked).unwrap();
+        assert_eq!(per_frame, blocked, "kernels diverged at {bits}-bit inputs");
+        let expect = match bits {
+            8 => (4, 0),
+            _ => (0, 4),
+        };
+        assert_eq!((ran.narrow_groups, ran.wide_groups), expect, "{bits}-bit");
+        group.bench_with_input(BenchmarkId::new("per_frame", bits), &bits, |b, _| {
+            b.iter(|| run_per_frame(&mut per_frame))
+        });
+        group.bench_with_input(BenchmarkId::new("blocked", bits), &bits, |b, _| {
+            b.iter(|| {
+                csr.vecmat_block_into(black_box(&frames), n, &mut blocked)
+                    .unwrap()
+            })
+        });
+    }
+    group.finish();
+}
+
 /// The batch path: nested `matmat` (per-row `Vec`s split out of the
 /// flat compute) vs `matmat_into` into one reused flat buffer — the
 /// per-row allocation the flat API removes.
@@ -157,7 +199,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_dense_variants, bench_input_density_gate, bench_csr,
-        bench_matmat_flat, bench_bitserial_batch
+        bench_csr_batch64, bench_matmat_flat, bench_bitserial_batch
 }
 
 /// One measured kernel run for the recorded trajectory: `rounds`

@@ -58,20 +58,20 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_bytes(buf, s.as_bytes());
 }
 
-/// Appends a length-prefixed `i32` vector.
+/// Appends a length-prefixed `i32` vector: one `reserve`, then the
+/// elements in bulk.
 pub fn put_i32_vec(buf: &mut Vec<u8>, v: &[i32]) {
     put_u32(buf, v.len() as u32);
-    for &x in v {
-        put_i32(buf, x);
-    }
+    buf.reserve(v.len() * 4);
+    buf.extend(v.iter().flat_map(|x| x.to_le_bytes()));
 }
 
-/// Appends a length-prefixed `i64` vector.
+/// Appends a length-prefixed `i64` vector: one `reserve`, then the
+/// elements in bulk.
 pub fn put_i64_vec(buf: &mut Vec<u8>, v: &[i64]) {
     put_u32(buf, v.len() as u32);
-    for &x in v {
-        put_i64(buf, x);
-    }
+    buf.reserve(v.len() * 8);
+    buf.extend(v.iter().flat_map(|x| x.to_le_bytes()));
 }
 
 /// A bounds-checked reader over a received byte slice.
@@ -165,20 +165,29 @@ impl<'a> Cursor<'a> {
 
     /// Reads a length-prefixed `i32` vector.
     pub fn take_i32_vec(&mut self, what: &str) -> Result<Vec<i32>> {
-        let len = self.take_len(what)?;
-        if self.remaining() < len.saturating_mul(4) {
-            return Err(wire_err(format!("truncated {what}: {len} elements promised")));
-        }
-        (0..len).map(|_| self.take_i32(what)).collect()
+        let mut out = Vec::new();
+        self.take_i32_extend(&mut out, what)?;
+        Ok(out)
     }
 
     /// Reads a length-prefixed `i64` vector.
     pub fn take_i64_vec(&mut self, what: &str) -> Result<Vec<i64>> {
+        let mut out = Vec::new();
+        self.take_i64_extend(&mut out, what)?;
+        Ok(out)
+    }
+
+    /// Reads a length prefix and the `len * N` payload bytes behind it,
+    /// as `N`-byte elements. The promised length is checked against the
+    /// bytes actually present before the caller reserves anything.
+    fn take_elems<const N: usize>(&mut self, what: &str) -> Result<&'a [[u8; N]]> {
         let len = self.take_len(what)?;
-        if self.remaining() < len.saturating_mul(8) {
-            return Err(wire_err(format!("truncated {what}: {len} elements promised")));
+        if self.remaining() < len.saturating_mul(N) {
+            return Err(wire_err(format!(
+                "truncated {what}: {len} elements promised"
+            )));
         }
-        (0..len).map(|_| self.take_i64(what)).collect()
+        Ok(self.take(len * N, what)?.as_chunks().0)
     }
 
     /// Reads a length-prefixed `i32` vector by appending its elements to
@@ -186,29 +195,17 @@ impl<'a> Cursor<'a> {
     /// many wire vectors land in one caller-owned buffer instead of one
     /// `Vec` each.
     pub fn take_i32_extend(&mut self, out: &mut Vec<i32>, what: &str) -> Result<usize> {
-        let len = self.take_len(what)?;
-        if self.remaining() < len.saturating_mul(4) {
-            return Err(wire_err(format!("truncated {what}: {len} elements promised")));
-        }
-        out.reserve(len);
-        for _ in 0..len {
-            out.push(self.take_i32(what)?);
-        }
-        Ok(len)
+        let elems = self.take_elems::<4>(what)?;
+        out.extend(elems.iter().map(|b| i32::from_le_bytes(*b)));
+        Ok(elems.len())
     }
 
     /// Reads a length-prefixed `i64` vector by appending its elements to
     /// `out`, returning the element count.
     pub fn take_i64_extend(&mut self, out: &mut Vec<i64>, what: &str) -> Result<usize> {
-        let len = self.take_len(what)?;
-        if self.remaining() < len.saturating_mul(8) {
-            return Err(wire_err(format!("truncated {what}: {len} elements promised")));
-        }
-        out.reserve(len);
-        for _ in 0..len {
-            out.push(self.take_i64(what)?);
-        }
-        Ok(len)
+        let elems = self.take_elems::<8>(what)?;
+        out.extend(elems.iter().map(|b| i64::from_le_bytes(*b)));
+        Ok(elems.len())
     }
 
     /// Fails unless every byte has been consumed.

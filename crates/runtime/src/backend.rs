@@ -24,7 +24,8 @@ use smm_core::error::{Error, Result};
 use smm_core::gemv::{vecmat, vecmat_into};
 use smm_core::matrix::IntMatrix;
 use smm_sigma::{accumulate_tile, map_tiles, SigmaConfig, Tile};
-use smm_sparse::Csr;
+use smm_sparse::{BlockWidths, Csr};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Validates a shard call: `start..end` must lie inside `frames` and
@@ -210,23 +211,51 @@ impl GemvBackend for DenseRef {
     }
 }
 
-/// The executed CSR SpMV kernel.
-#[derive(Debug, Clone)]
+/// The executed CSR SpMV kernel. Singles run the per-frame scatter
+/// ([`Csr::vecmat`]); shards run the weight-stationary blocked kernel
+/// ([`Csr::vecmat_block_into`]).
+#[derive(Debug)]
 pub struct SparseCsr {
     csr: Csr,
+    /// Statistics only — nothing is published through them, so every
+    /// access is `Relaxed`.
+    narrow_groups: AtomicUsize,
+    wide_groups: AtomicUsize,
+    leftover_frames: AtomicUsize,
 }
 
 impl SparseCsr {
     /// Converts a dense matrix to CSR once, up front.
     pub fn new(matrix: &IntMatrix) -> Self {
-        Self {
-            csr: Csr::from_dense(matrix),
-        }
+        Self::from_csr(Csr::from_dense(matrix))
     }
 
     /// Wraps an existing CSR matrix.
     pub fn from_csr(csr: Csr) -> Self {
-        Self { csr }
+        Self {
+            csr,
+            narrow_groups: AtomicUsize::new(0),
+            wide_groups: AtomicUsize::new(0),
+            leftover_frames: AtomicUsize::new(0),
+        }
+    }
+
+    /// What every [`GemvBackend::run_rows`] call on this engine has run
+    /// so far: 16-frame groups by accumulator width (`i32` / `i64`) and
+    /// frames that fell past a shard's last full group.
+    pub fn block_counters(&self) -> BlockWidths {
+        BlockWidths {
+            narrow_groups: self.narrow_groups.load(Ordering::Relaxed),
+            wide_groups: self.wide_groups.load(Ordering::Relaxed),
+            leftover_frames: self.leftover_frames.load(Ordering::Relaxed),
+        }
+    }
+}
+
+impl Clone for SparseCsr {
+    /// A new engine over a copy of the matrix; its counters start at zero.
+    fn clone(&self) -> Self {
+        Self::from_csr(self.csr.clone())
     }
 }
 
@@ -259,8 +288,8 @@ impl GemvBackend for SparseCsr {
         self.csr.vecmat(a)
     }
 
-    /// Writes each product row in place via [`Csr::vecmat_into`] — no
-    /// allocation per row or per shard.
+    /// The whole shard through [`Csr::vecmat_block_into`]: one pass over
+    /// the non-zeros per 16 frames, rows written in place.
     fn run_rows(
         &self,
         frames: &FrameBlock,
@@ -268,12 +297,16 @@ impl GemvBackend for SparseCsr {
         end: usize,
         out: &mut [i64],
     ) -> Result<()> {
-        let cols = self.csr.cols();
-        check_shard(frames, start, end, cols, out.len())?;
-        for (i, frame) in (start..end).enumerate() {
-            self.csr
-                .vecmat_into(frames.frame(frame), &mut out[i * cols..(i + 1) * cols])?;
-        }
+        check_shard(frames, start, end, self.csr.cols(), out.len())?;
+        let width = frames.width();
+        let shard = &frames.as_slice()[start * width..end * width];
+        let ran = self.csr.vecmat_block_into(shard, end - start, out)?;
+        self.narrow_groups
+            .fetch_add(ran.narrow_groups, Ordering::Relaxed);
+        self.wide_groups
+            .fetch_add(ran.wide_groups, Ordering::Relaxed);
+        self.leftover_frames
+            .fetch_add(ran.leftover_frames, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -613,6 +646,39 @@ mod tests {
             let mut out = RowBlock::new();
             assert!(b.run_block(&thin, &mut out).is_err(), "{name}");
         }
+    }
+
+    #[test]
+    fn csr_block_counters_show_the_width_each_group_ran() {
+        // wire-batch's matrix shape: 1024², 90 % sparse, 8-bit weights.
+        let mut rng = seeded(2105);
+        let v = element_sparse_matrix(1024, 1024, 8, 0.9, true, &mut rng).unwrap();
+        let engine = SparseCsr::new(&v);
+        assert_eq!(engine.block_counters(), BlockWidths::default());
+        let mut block = |bits: u32, n: usize| {
+            let data = random_vector(n * 1024, bits, true, &mut rng).unwrap();
+            FrameBlock::from_vec(n, 1024, data).unwrap()
+        };
+        let mut out = RowBlock::new();
+        // 8-bit inputs: column sums of ~100 8-bit weights times 2^7 stay
+        // far inside i32.
+        engine.run_block(&block(8, 35), &mut out).unwrap();
+        let mut expect = BlockWidths {
+            narrow_groups: 2,
+            wide_groups: 0,
+            leftover_frames: 3,
+        };
+        assert_eq!(engine.block_counters(), expect);
+        // 24-bit inputs: the same sums times 2^23 do not.
+        let wide = block(24, 16);
+        engine.run_block(&wide, &mut out).unwrap();
+        expect.wide_groups = 1;
+        assert_eq!(engine.block_counters(), expect);
+        assert_eq!(out.row(15), vecmat(wide.frame(15), &v).unwrap().as_slice());
+        // Singles never reach the blocked kernel; a clone counts from zero.
+        engine.gemv(wide.frame(0)).unwrap();
+        assert_eq!(engine.block_counters(), expect);
+        assert_eq!(engine.clone().block_counters(), BlockWidths::default());
     }
 
     #[test]

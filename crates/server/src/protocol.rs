@@ -602,6 +602,7 @@ impl Reply {
                 wire::put_i64_vec(&mut buf, o);
             }
             Reply::Outputs(rows) => {
+                buf.reserve(5 + rows.rows() * (4 + rows.width() * 8));
                 wire::put_u8(&mut buf, STATUS_OK);
                 wire::put_u32(&mut buf, rows.rows() as u32);
                 for o in rows.iter() {

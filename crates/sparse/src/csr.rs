@@ -5,6 +5,11 @@
 use crate::coo::Coo;
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
+use std::ops::{AddAssign, Mul};
+
+/// Frames per weight-stationary group in [`Csr::vecmat_block_into`]:
+/// one cache line of `i32` lanes per matrix row and per output column.
+const G: usize = 16;
 
 /// A CSR sparse matrix: `row_ptr` (length `rows + 1`), column indices and
 /// values sorted within each row.
@@ -15,6 +20,75 @@ pub struct Csr {
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
     values: Vec<i32>,
+    /// `max_c Σ_r |w_rc|`, derived from the arrays above at construction
+    /// and never serialised: the bound [`Csr::vecmat_block_into`] sizes
+    /// its accumulators from.
+    max_col_abs_sum: u64,
+}
+
+/// The largest column absolute sum of a validated CSR (every column
+/// index `< cols`); saturates instead of wrapping, which only ever
+/// selects the wide accumulator.
+fn max_col_abs_sum(cols: usize, col_idx: &[usize], values: &[i32]) -> u64 {
+    let mut sums = vec![0u64; cols];
+    for (&c, &v) in col_idx.iter().zip(values) {
+        if let Some(s) = sums.get_mut(c) {
+            *s = s.saturating_add(u64::from(v.unsigned_abs()));
+        }
+    }
+    sums.into_iter().max().unwrap_or(0)
+}
+
+/// Transposes `G` row-major frames of `rows` elements into frame-minor
+/// `xt[row * G + frame]`, returning `max|x|` over the group.
+fn transpose_in(x: &[i32], rows: usize, xt: &mut Vec<i32>) -> u32 {
+    xt.resize(rows * G, 0);
+    let mut max_x = 0u32;
+    for f in 0..G {
+        let frame = &x[f * rows..(f + 1) * rows];
+        for (&v, lanes) in frame.iter().zip(xt.chunks_exact_mut(G)) {
+            lanes[f] = v;
+            max_x = max_x.max(v.unsigned_abs());
+        }
+    }
+    max_x
+}
+
+/// What one [`Csr::vecmat_block_into`] call ran: full groups by
+/// accumulator width, and the frames past the last full group that went
+/// through [`Csr::vecmat_into`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BlockWidths {
+    /// Groups accumulated in `i32` lanes.
+    pub narrow_groups: usize,
+    /// Groups accumulated in `i64` lanes.
+    pub wide_groups: usize,
+    /// Frames run one at a time.
+    pub leftover_frames: usize,
+}
+
+/// An accumulator lane of the blocked kernel: `i32` or `i64`.
+trait Lane: Copy + Default + AddAssign + Mul<Output = Self> {
+    fn from_i32(v: i32) -> Self;
+    fn widen(self) -> i64;
+}
+
+impl Lane for i32 {
+    fn from_i32(v: i32) -> Self {
+        v
+    }
+    fn widen(self) -> i64 {
+        i64::from(self)
+    }
+}
+
+impl Lane for i64 {
+    fn from_i32(v: i32) -> Self {
+        i64::from(v)
+    }
+    fn widen(self) -> i64 {
+        self
+    }
 }
 
 impl Csr {
@@ -34,6 +108,7 @@ impl Csr {
         Self {
             rows: coo.rows(),
             cols: coo.cols(),
+            max_col_abs_sum: max_col_abs_sum(coo.cols(), &col_idx, &values),
             row_ptr,
             col_idx,
             values,
@@ -104,6 +179,7 @@ impl Csr {
         Ok(Self {
             rows,
             cols,
+            max_col_abs_sum: max_col_abs_sum(cols, &col_idx, &values),
             row_ptr,
             col_idx,
             values,
@@ -223,6 +299,108 @@ impl Csr {
         }
     }
 
+    /// `n` products at once: `frames` is `n` row-major input vectors of
+    /// [`Csr::rows`] elements, `out` receives `n` row-major rows of
+    /// [`Csr::cols`] elements (stale contents are overwritten), each
+    /// bit-identical to [`Csr::vecmat_into`] on that frame.
+    ///
+    /// Frames run in groups of 16 with the matrix stationary: a group is
+    /// transposed to frame-minor order, the non-zeros are walked **once**
+    /// doing `acc[col][0..16] += v · x[row][0..16]`, and the accumulators
+    /// are transposed back into the caller's rows. The `n mod 16` frames
+    /// past the last full group go through [`Csr::vecmat_into`].
+    ///
+    /// *Addition order.* Rows are walked in ascending order, so each
+    /// output element receives its terms in the order
+    /// [`Csr::vecmat_into`] adds them; the only difference is that a zero
+    /// input contributes an explicit `+ 0` instead of being skipped.
+    ///
+    /// *Accumulator width.* Every partial sum of output column `c` over
+    /// any prefix of the rows satisfies
+    /// `|Σ w_rc · x_r| ≤ Σ_r |w_rc| · max|x| ≤ max_c Σ_r |w_rc| · max|x|`.
+    /// The first factor is a constant of the fixed matrix, computed once
+    /// at construction; the second is read off the group while it is
+    /// transposed. When the product is at most `i32::MAX`, no product and
+    /// no partial sum can leave `i32`, so the group accumulates in `i32`
+    /// lanes and widens on the way out — the same bits as the `i64` sum.
+    /// Any other group accumulates in `i64`, exactly as
+    /// [`Csr::vecmat_into`] does.
+    ///
+    /// Mis-sized `frames` or `out` return [`Error::DimensionMismatch`].
+    pub fn vecmat_block_into(
+        &self,
+        frames: &[i32],
+        n: usize,
+        out: &mut [i64],
+    ) -> Result<BlockWidths> {
+        let (rows, cols) = (self.rows, self.cols);
+        if n.checked_mul(rows) != Some(frames.len()) {
+            return Err(Error::DimensionMismatch {
+                context: format!("{} input elements vs {n} frames of {rows}", frames.len()),
+            });
+        }
+        if n.checked_mul(cols) != Some(out.len()) {
+            return Err(Error::DimensionMismatch {
+                context: format!("{} output elements vs {n} rows of {cols}", out.len()),
+            });
+        }
+        let full = n - n % G;
+        let mut widths = BlockWidths {
+            leftover_frames: n - full,
+            ..BlockWidths::default()
+        };
+        // Scratch for the whole call, sized by the first group that uses it.
+        let (mut xt, mut narrow, mut wide) = (Vec::new(), Vec::<i32>::new(), Vec::<i64>::new());
+        for g in (0..full).step_by(G) {
+            let x = &frames[g * rows..(g + G) * rows];
+            let o = &mut out[g * cols..(g + G) * cols];
+            let max_x = transpose_in(x, rows, &mut xt);
+            let bound = u128::from(self.max_col_abs_sum) * u128::from(max_x);
+            if bound <= i32::MAX as u128 {
+                self.run_group(&xt, &mut narrow, o);
+                widths.narrow_groups += 1;
+            } else {
+                self.run_group(&xt, &mut wide, o);
+                widths.wide_groups += 1;
+            }
+        }
+        for f in full..n {
+            self.vecmat_into(
+                &frames[f * rows..(f + 1) * rows],
+                &mut out[f * cols..(f + 1) * cols],
+            )?;
+        }
+        Ok(widths)
+    }
+
+    /// One group through the blocked kernel in lane type `A`: zeroes
+    /// `acc` (`cols × G`, frame-minor), walks the non-zeros once against
+    /// the transposed inputs `xt` (`rows × G`), and writes the `G` output
+    /// rows.
+    fn run_group<A: Lane>(&self, xt: &[i32], acc: &mut Vec<A>, out: &mut [i64]) {
+        acc.clear();
+        acc.resize(self.cols * G, A::default());
+        for (r, x) in xt.chunks_exact(G).enumerate() {
+            let x: [A; G] = std::array::from_fn(|f| A::from_i32(x[f]));
+            let lo = self.row_ptr[r];
+            let hi = self.row_ptr[r + 1];
+            for (&c, &v) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
+                debug_assert!(c < self.cols, "CSR column invariant violated");
+                let v = A::from_i32(v);
+                if let Some(o) = acc.get_mut(c * G..(c + 1) * G) {
+                    for (o, &x) in o.iter_mut().zip(&x) {
+                        *o += v * x;
+                    }
+                }
+            }
+        }
+        for (f, row) in out.chunks_exact_mut(self.cols.max(1)).enumerate() {
+            for (o, lanes) in row.iter_mut().zip(acc.chunks_exact(G)) {
+                *o = lanes[f].widen();
+            }
+        }
+    }
+
     /// Conventional `o = V·x` SpMV.
     pub fn matvec(&self, x: &[i32]) -> Result<Vec<i64>> {
         if x.len() != self.cols {
@@ -240,20 +418,26 @@ impl Csr {
     }
 
     /// Batched `O = A·V` where each row of `A` is an input vector
-    /// (SpMM with the sparse operand stationary).
+    /// (SpMM with the sparse operand stationary) — the nested-`Vec`
+    /// bridge over [`Csr::vecmat_block_into`].
     pub fn spmm(&self, a: &IntMatrix) -> Result<Vec<Vec<i64>>> {
         if a.cols() != self.rows {
             return Err(Error::DimensionMismatch {
                 context: format!("A cols {} vs V rows {}", a.cols(), self.rows),
             });
         }
-        (0..a.rows()).map(|b| self.vecmat(a.row(b))).collect()
+        let mut flat = vec![0i64; a.rows() * self.cols];
+        self.vecmat_block_into(a.as_slice(), a.rows(), &mut flat)?;
+        Ok((0..a.rows())
+            .map(|b| flat[b * self.cols..(b + 1) * self.cols].to_vec())
+            .collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use smm_core::gemv::{matvec, vecmat};
     use smm_core::generate::{element_sparse_matrix, random_vector};
     use smm_core::rng::seeded;
@@ -340,5 +524,150 @@ mod tests {
         assert_eq!(csr.nnz(), 0);
         assert_eq!(csr.max_row_len(), 0);
         assert_eq!(csr.vecmat(&[1, 1, 1, 1]).unwrap(), vec![0; 4]);
+    }
+
+    /// Runs `n` frames through the blocked kernel into a stale buffer and
+    /// holds every row to `vecmat_into` on that frame; returns what ran.
+    fn assert_block_matches(csr: &Csr, frames: &[i32], n: usize) -> BlockWidths {
+        let (rows, cols) = (csr.rows(), csr.cols());
+        let mut expect = vec![0i64; n * cols];
+        for f in 0..n {
+            let o = &mut expect[f * cols..(f + 1) * cols];
+            csr.vecmat_into(&frames[f * rows..(f + 1) * rows], o)
+                .unwrap();
+        }
+        let mut got = vec![-77i64; n * cols];
+        let ran = csr.vecmat_block_into(frames, n, &mut got).unwrap();
+        assert_eq!(got, expect);
+        assert_eq!(ran.narrow_groups + ran.wide_groups, n / G);
+        assert_eq!(ran.leftover_frames, n % G);
+        ran
+    }
+
+    /// The widths the rule in the rustdoc prescribes, worked out from the
+    /// dense matrix rather than from the kernel's own field.
+    fn expected_widths(d: &IntMatrix, frames: &[i32], n: usize) -> BlockWidths {
+        let col_sum =
+            |c: usize| -> u128 { d.col(c).iter().map(|w| u128::from(w.unsigned_abs())).sum() };
+        let bound = (0..d.cols()).map(col_sum).max().unwrap_or(0);
+        let mut expect = BlockWidths {
+            leftover_frames: n % G,
+            ..BlockWidths::default()
+        };
+        for group in frames[..(n - n % G) * d.rows()].chunks(G * d.rows()) {
+            let max_x = group.iter().map(|x| x.unsigned_abs()).max().unwrap_or(0);
+            if bound * u128::from(max_x) <= i32::MAX as u128 {
+                expect.narrow_groups += 1;
+            } else {
+                expect.wide_groups += 1;
+            }
+        }
+        expect
+    }
+
+    const BLOCK_SIZES: [usize; 6] = [0, 1, G - 1, G, G + 1, 2 * G + 3];
+
+    proptest! {
+        /// The blocked kernel is the per-frame kernel, bit for bit, at
+        /// every group boundary, over shapes from 1×1 up, densities from
+        /// empty to full (so empty rows and columns occur), operand widths
+        /// on both sides of the `i32` rule, and with an all-zero frame in
+        /// the block; the width each group ran at is the rule's.
+        #[test]
+        fn block_kernel_matches_per_frame_kernel(
+            seed in any::<u64>(),
+            rows in 1usize..24,
+            cols in 1usize..24,
+            sparsity in 0.0f64..=1.0,
+            weight_bits in 2u32..=24,
+            input_bits in 2u32..=24,
+            size in 0usize..BLOCK_SIZES.len(),
+        ) {
+            let n = BLOCK_SIZES[size];
+            let mut rng = seeded(seed);
+            let d = element_sparse_matrix(rows, cols, weight_bits, sparsity, true, &mut rng).unwrap();
+            let csr = Csr::from_dense(&d);
+            let mut frames = random_vector(n * rows, input_bits, true, &mut rng).unwrap();
+            if n > 0 {
+                let zeroed = seed as usize % n;
+                frames[zeroed * rows..(zeroed + 1) * rows].fill(0);
+            }
+            let ran = assert_block_matches(&csr, &frames, n);
+            prop_assert_eq!(ran, expected_widths(&d, &frames, n));
+        }
+    }
+
+    #[test]
+    fn block_kernel_degenerate_shapes() {
+        let n = 2 * G + 3;
+        let one = Csr::from_dense(&IntMatrix::from_vec(1, 1, vec![-3]).unwrap());
+        let frames: Vec<i32> = (0..n as i32).map(|i| i - 7).collect();
+        assert_block_matches(&one, &frames, n);
+        // No non-zeros at all, and no non-zero inputs at all.
+        let empty = Csr::from_dense(&IntMatrix::zeros(5, 3).unwrap());
+        assert_block_matches(&empty, &vec![9; n * 5], n);
+        let d = IntMatrix::from_vec(2, 3, vec![1, 0, -2, 0, 0, 4]).unwrap();
+        let ran = assert_block_matches(&Csr::from_dense(&d), &vec![0; n * 2], n);
+        assert_eq!(ran.narrow_groups, 2, "a zero group is bounded by zero");
+    }
+
+    #[test]
+    fn block_width_boundary_is_exact() {
+        // One column summing to exactly i32::MAX in absolute value, and one
+        // summing to one more; with every input 1 those are the true sums.
+        let at = IntMatrix::from_vec(2, 1, vec![i32::MAX - 5, 5]).unwrap();
+        let over = IntMatrix::from_vec(2, 1, vec![i32::MAX - 5, 6]).unwrap();
+        let ones = vec![1i32; G * 2];
+        let ran = assert_block_matches(&Csr::from_dense(&at), &ones, G);
+        assert_eq!((ran.narrow_groups, ran.wide_groups), (1, 0));
+        let ran = assert_block_matches(&Csr::from_dense(&over), &ones, G);
+        assert_eq!((ran.narrow_groups, ran.wide_groups), (0, 1));
+        // The same boundary from the input side: |x| = i32::MAX against a
+        // unit column is in, i32::MIN (|x| = 2^31, no `abs()` overflow) is out.
+        let unit = Csr::from_dense(&IntMatrix::from_vec(1, 1, vec![1]).unwrap());
+        let mut x = vec![3i32; G];
+        x[G - 1] = i32::MAX;
+        assert_eq!(assert_block_matches(&unit, &x, G).narrow_groups, 1);
+        x[0] = i32::MIN;
+        assert_eq!(assert_block_matches(&unit, &x, G).wide_groups, 1);
+        // i32::MIN as a weight: wide for any non-zero input.
+        let min = Csr::from_dense(&IntMatrix::from_vec(2, 2, vec![i32::MIN, 1, 1, 0]).unwrap());
+        let x: Vec<i32> = (0..2 * G as i32).map(|i| i % 3 - 1).collect();
+        assert_eq!(assert_block_matches(&min, &x, G).wide_groups, 1);
+    }
+
+    #[test]
+    fn block_groups_pick_their_own_width() {
+        let mut rng = seeded(44);
+        let d = element_sparse_matrix(20, 14, 8, 0.5, true, &mut rng).unwrap();
+        let csr = Csr::from_dense(&d);
+        let n = 2 * G + 3;
+        let mut frames = random_vector(n * 20, 8, true, &mut rng).unwrap();
+        // One 31-bit input in the second group only.
+        frames[(G + 2) * 20 + 7] = i32::MIN;
+        let ran = assert_block_matches(&csr, &frames, n);
+        let mixed = BlockWidths {
+            narrow_groups: 1,
+            wide_groups: 1,
+            leftover_frames: 3,
+        };
+        assert_eq!(ran, mixed);
+    }
+
+    #[test]
+    fn block_kernel_rejects_mis_sized_buffers() {
+        let d = IntMatrix::from_vec(2, 3, vec![1, 0, -2, 0, 0, 4]).unwrap();
+        let csr = Csr::from_dense(&d);
+        let frames = vec![1i32; 2 * G];
+        let mut out = vec![0i64; 3 * G];
+        let mismatch = |r: Result<BlockWidths>| matches!(r, Err(Error::DimensionMismatch { .. }));
+        assert!(mismatch(csr.vecmat_block_into(&frames[1..], G, &mut out)));
+        assert!(mismatch(csr.vecmat_block_into(&frames, G - 1, &mut out)));
+        assert!(mismatch(csr.vecmat_block_into(&frames, G, &mut out[1..])));
+        assert!(mismatch(csr.vecmat_block_into(&frames, G, &mut [])));
+        let huge = usize::MAX;
+        assert!(mismatch(csr.vecmat_block_into(&frames, huge, &mut out)));
+        assert!(mismatch(csr.vecmat_block_into(&[], 1, &mut [])));
+        csr.vecmat_block_into(&frames, G, &mut out).unwrap();
     }
 }

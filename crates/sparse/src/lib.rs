@@ -26,5 +26,5 @@ pub mod csr;
 pub mod stats;
 
 pub use coo::Coo;
-pub use csr::Csr;
+pub use csr::{BlockWidths, Csr};
 pub use stats::SparsityProfile;

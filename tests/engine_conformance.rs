@@ -43,65 +43,87 @@ fn all_four_builtin_engines_are_registered() {
     assert_eq!(kinds.len(), 4);
 }
 
+/// The conformance contract for one generated case, per registered
+/// engine kind: every submission surface produces the dense reference's
+/// exact bits, with the output buffers reused across engines so stale
+/// rows from one would be caught by the next.
+fn assert_conformance(
+    seed: u64,
+    rows: usize,
+    cols: usize,
+    sparsity: f64,
+    batch_size: usize,
+    threads: usize,
+) {
+    let mut rng = seeded(seed);
+    let v = element_sparse_matrix(rows, cols, 8, sparsity, true, &mut rng).unwrap();
+    let batch: Vec<Vec<i32>> = (0..batch_size)
+        .map(|_| random_vector(rows, 8, true, &mut rng).unwrap())
+        .collect();
+    let single = random_vector(rows, 8, true, &mut rng).unwrap();
+    let expect: Vec<Vec<i64>> = batch.iter().map(|a| vecmat(a, &v).unwrap()).collect();
+    let expect_single = vecmat(&single, &v).unwrap();
+    let frames = Arc::new(FrameBlock::try_from(batch.as_slice()).unwrap());
+
+    let cache = Arc::new(MultiplierCache::new());
+    let mut out = RowBlock::new();
+    let mut streamed = Vec::new();
+    for kind in registered_kinds() {
+        let session = Session::builder(v.clone())
+            .spec(EngineSpec::new(kind.clone()).threads(threads))
+            .cache(Arc::clone(&cache))
+            .build()
+            .unwrap();
+        assert_eq!(session.engine().name(), kind.as_str());
+        assert_eq!((session.rows(), session.cols()), (rows, cols), "{kind}");
+
+        // run: the single-vector fast path.
+        assert_eq!(session.run(&single).unwrap(), expect_single, "run, {kind}");
+        // run_batch: the nested bridge.
+        let served = session.run_batch(&batch).unwrap();
+        assert_eq!(served.outputs, expect, "run_batch, {kind}");
+        assert_eq!(served.stats.batch, batch_size, "{kind}");
+        // run_block: the flat hot path, into a reused block.
+        let stats = session.run_block(Arc::clone(&frames), &mut out).unwrap();
+        assert_eq!(stats.batch, batch_size, "{kind}");
+        assert_eq!(Vec::<Vec<i64>>::from(&out), expect, "run_block, {kind}");
+        // stream: framed pipelining into a reused buffer.
+        session.stream(&batch, &mut streamed).unwrap();
+        assert_eq!(streamed, expect, "stream, {kind}");
+    }
+    // One spatial compile, shared: only the bitserial kind touches
+    // the cache.
+    assert_eq!(cache.stats().misses, 1);
+}
+
+/// Engines that batch in fixed groups (csr: 16 frames, bitserial: 64)
+/// change path at a group boundary, and a random batch size rarely
+/// lands on one: these shards are exactly 15, 16, 17 and 35 frames on
+/// one thread, 17 + 16 on two, and 17 + 17 + 16 on three.
+#[test]
+fn every_registered_engine_serves_identical_bits_at_group_boundaries() {
+    let cases = [(1, 15), (1, 16), (1, 17), (1, 35), (2, 33), (3, 50)];
+    for (i, (threads, batch_size)) in cases.into_iter().enumerate() {
+        assert_conformance(7100 + i as u64, 21, 13, 0.6, batch_size, threads);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The conformance contract, per registered engine kind: every
-    /// submission surface produces the dense reference's exact bits on
-    /// matrices spanning the density range (empty through full) and
-    /// non-square shapes, with the output buffers reused across engines
-    /// so stale rows from one would be caught by the next.
+    /// The conformance contract on matrices spanning the density range
+    /// (empty through full), non-square shapes, and batches from empty
+    /// to several groups per shard.
     #[test]
     fn every_registered_engine_serves_identical_bits(
         seed in any::<u64>(),
         rows in 1usize..22,
         cols in 1usize..16,
         sparsity in 0.0f64..=1.0,
-        batch_size in 0usize..10,
+        batch_size in 0usize..70,
         threads in 1usize..4,
     ) {
-        let mut rng = seeded(seed);
-        let v = element_sparse_matrix(rows, cols, 8, sparsity, true, &mut rng).unwrap();
-        let batch: Vec<Vec<i32>> = (0..batch_size)
-            .map(|_| random_vector(rows, 8, true, &mut rng).unwrap())
-            .collect();
-        let single = random_vector(rows, 8, true, &mut rng).unwrap();
-        let expect: Vec<Vec<i64>> =
-            batch.iter().map(|a| vecmat(a, &v).unwrap()).collect();
-        let expect_single = vecmat(&single, &v).unwrap();
-        let frames = Arc::new(FrameBlock::try_from(batch.as_slice()).unwrap());
-
-        let cache = Arc::new(MultiplierCache::new());
-        let mut out = RowBlock::new();
-        let mut streamed = Vec::new();
-        for kind in registered_kinds() {
-            let session = Session::builder(v.clone())
-                .spec(EngineSpec::new(kind.clone()).threads(threads))
-                .cache(Arc::clone(&cache))
-                .build()
-                .unwrap();
-            prop_assert_eq!(session.engine().name(), kind.as_str());
-            prop_assert_eq!((session.rows(), session.cols()), (rows, cols), "{}", &kind);
-
-            // run: the single-vector fast path.
-            prop_assert_eq!(&session.run(&single).unwrap(), &expect_single, "run, {}", &kind);
-            // run_batch: the nested bridge.
-            let served = session.run_batch(&batch).unwrap();
-            prop_assert_eq!(&served.outputs, &expect, "run_batch, {}", &kind);
-            prop_assert_eq!(served.stats.batch, batch_size, "{}", &kind);
-            // run_block: the flat hot path, into a reused block.
-            let stats = session.run_block(Arc::clone(&frames), &mut out).unwrap();
-            prop_assert_eq!(stats.batch, batch_size, "{}", &kind);
-            prop_assert_eq!(
-                &Vec::<Vec<i64>>::from(&out), &expect, "run_block, {}", &kind
-            );
-            // stream: framed pipelining into a reused buffer.
-            session.stream(&batch, &mut streamed).unwrap();
-            prop_assert_eq!(&streamed, &expect, "stream, {}", &kind);
-        }
-        // One spatial compile, shared: only the bitserial kind touches
-        // the cache.
-        prop_assert_eq!(cache.stats().misses, 1);
+        assert_conformance(seed, rows, cols, sparsity, batch_size, threads);
     }
 
     /// Dimension errors surface as errors — never panics, never silent
