@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks of the compute kernels themselves: the
-//! scalar-reference vs 4x-unrolled vs cache-blocked dense `vecmat_into`
-//! variants at several dims and densities, the density-gated sparse-input
-//! path, CSR SpMV, the per-frame vs weight-stationary CSR batch, the flat
-//! `matmat_into` batch against the nested bridge, the bit-sliced vs
-//! framed-streamed bit-serial batch engines, and the compiled circuit
-//! against its baselines.
+//! scalar-reference vs cache-blocked dense `vecmat_into` at several dims
+//! and densities, CSR SpMV, the per-frame vs weight-stationary CSR
+//! batch, the flat `matmat_into` batch against the nested bridge, and
+//! the bit-sliced vs framed-streamed bit-serial batch engines. Each race
+//! between a production kernel and its oracle checks the two outputs
+//! equal before either side is timed.
 //!
 //! These time the *simulator and software kernels*, not hardware — the
 //! hardware latency numbers come from `reproduce` — but they are the
@@ -19,18 +19,15 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
 use smm_core::block::FrameBlock;
 use smm_core::generate::{element_sparse_matrix, random_vector};
-use smm_core::gemv::{
-    matmat, matmat_into, vecmat_into, vecmat_into_scalar, vecmat_into_unrolled, vecmat_into_with,
-    InputDensity,
-};
+use smm_core::gemv::{matmat, matmat_into, vecmat_into, vecmat_into_scalar};
 use smm_core::matrix::IntMatrix;
 use smm_core::rng::seeded;
 use smm_sparse::Csr;
 use std::hint::black_box;
 
-/// The dense kernel ladder: scalar reference, unrolled, and blocked
-/// (production) at several dims and densities. All three are
-/// bit-identical; the spread is pure kernel shape.
+/// The dense race: scalar reference vs blocked (production) at several
+/// dims and densities. The two are bit-identical; the spread is pure
+/// kernel shape.
 fn bench_dense_variants(c: &mut Criterion) {
     let mut group = c.benchmark_group("vecmat_kernels");
     for &dim in &[64usize, 256, 512] {
@@ -39,44 +36,19 @@ fn bench_dense_variants(c: &mut Criterion) {
             let m = element_sparse_matrix(dim, dim, 8, sparsity, true, &mut rng).unwrap();
             let a = random_vector(dim, 8, true, &mut rng).unwrap();
             let mut out = vec![0i64; dim];
+            let mut blocked = vec![0i64; dim];
+            vecmat_into_scalar(&a, &m, &mut out).unwrap();
+            vecmat_into(&a, &m, &mut blocked).unwrap();
+            assert_eq!(out, blocked, "dense kernels diverged at {dim}");
             let tag = format!("{dim}@{:.0}%", sparsity * 100.0);
             group.bench_with_input(BenchmarkId::new("scalar", &tag), &dim, |b, _| {
                 b.iter(|| vecmat_into_scalar(black_box(&a), black_box(&m), &mut out).unwrap())
-            });
-            group.bench_with_input(BenchmarkId::new("unrolled", &tag), &dim, |b, _| {
-                b.iter(|| vecmat_into_unrolled(black_box(&a), black_box(&m), &mut out).unwrap())
             });
             group.bench_with_input(BenchmarkId::new("blocked", &tag), &dim, |b, _| {
                 b.iter(|| vecmat_into(black_box(&a), black_box(&m), &mut out).unwrap())
             });
         }
     }
-    group.finish();
-}
-
-/// The density gate: a 95%-zero input vector through the branch-free
-/// dense path vs the row-skipping sparse path (bit-identical results;
-/// the skip must only win when the input really is sparse).
-fn bench_input_density_gate(c: &mut Criterion) {
-    let dim = 256usize;
-    let mut rng = seeded(1500);
-    let m = element_sparse_matrix(dim, dim, 8, 0.0, true, &mut rng).unwrap();
-    let mut sparse_a = vec![0i32; dim];
-    for i in (0..dim).step_by(20) {
-        sparse_a[i] = 77;
-    }
-    let mut out = vec![0i64; dim];
-    let mut group = c.benchmark_group("vecmat_input_density");
-    group.bench_function("dense_path", |b| {
-        b.iter(|| {
-            vecmat_into_with(black_box(&sparse_a), &m, &mut out, InputDensity::Dense).unwrap()
-        })
-    });
-    group.bench_function("sparse_path", |b| {
-        b.iter(|| {
-            vecmat_into_with(black_box(&sparse_a), &m, &mut out, InputDensity::Sparse).unwrap()
-        })
-    });
     group.finish();
 }
 
@@ -171,6 +143,22 @@ fn bench_bitserial_batch(c: &mut Criterion) {
         .collect();
     let frames = FrameBlock::try_from(inputs.as_slice()).unwrap();
     let mut out = vec![0i64; 64 * dim];
+    let mut streamed = vec![0i64; 64 * dim];
+    let run_streamed = |out: &mut [i64]| {
+        smm_bitserial::sim::run_stream_into_flat(
+            mul.circuit(),
+            black_box(&frames),
+            0,
+            64,
+            mul.input_bits(),
+            mul.output_bits(),
+            mul.batch_interval_cycles(),
+            out,
+        )
+    };
+    mul.run_frames_block(&frames, 0, 64, &mut out).unwrap();
+    run_streamed(&mut streamed);
+    assert_eq!(out, streamed, "bit-serial engines diverged");
     let mut group = c.benchmark_group("bitserial_batch");
     group.bench_function("bit_sliced", |b| {
         b.iter(|| {
@@ -179,18 +167,7 @@ fn bench_bitserial_batch(c: &mut Criterion) {
         })
     });
     group.bench_function("framed_stream", |b| {
-        b.iter(|| {
-            smm_bitserial::sim::run_stream_into_flat(
-                mul.circuit(),
-                black_box(&frames),
-                0,
-                64,
-                mul.input_bits(),
-                mul.output_bits(),
-                mul.batch_interval_cycles(),
-                &mut out,
-            )
-        })
+        b.iter(|| run_streamed(&mut streamed))
     });
     group.finish();
 }
@@ -198,8 +175,8 @@ fn bench_bitserial_batch(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_dense_variants, bench_input_density_gate, bench_csr,
-        bench_csr_batch64, bench_matmat_flat, bench_bitserial_batch
+    targets = bench_dense_variants, bench_csr, bench_csr_batch64, bench_matmat_flat,
+        bench_bitserial_batch
 }
 
 /// One measured kernel run for the recorded trajectory: `rounds`
@@ -235,9 +212,9 @@ fn measure_run(
     }
 }
 
-/// The recorded-trajectory pass: the dense kernel ladder
-/// (scalar/unrolled/blocked) at 256 and 512, CSR, and the two
-/// bit-serial batch engines, head-to-head in one `smm-bench-v1` report.
+/// The recorded-trajectory pass: the dense kernels (scalar/blocked) at
+/// 256 and 512, CSR, and the two bit-serial batch engines, head-to-head
+/// in one `smm-bench-v1` report.
 fn emit_bench_report(path: &str) {
     use smm_telemetry::BenchReport;
 
@@ -250,9 +227,6 @@ fn emit_bench_report(path: &str) {
         let rounds = 2000;
         report.push(measure_run("dense_scalar", &m, 1, rounds, || {
             vecmat_into_scalar(black_box(&a), &m, &mut out).unwrap()
-        }));
-        report.push(measure_run("dense_unrolled", &m, 1, rounds, || {
-            vecmat_into_unrolled(black_box(&a), &m, &mut out).unwrap()
         }));
         report.push(measure_run("dense_blocked", &m, 1, rounds, || {
             vecmat_into(black_box(&a), &m, &mut out).unwrap()

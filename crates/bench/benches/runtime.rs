@@ -1,7 +1,5 @@
 //! Benchmarks of the serving runtime: backend × thread-count throughput
-//! on one fixed matrix (driven through the flat block path), the flat
-//! `FrameBlock` pipeline against the nested `Vec<Vec<_>>` bridge (the
-//! per-row-allocation overhead the block types exist to remove), and the
+//! on one fixed matrix (driven through the flat block path) and the
 //! compiled-multiplier cache against cold recompilation (the
 //! amortization the runtime exists for — the cached path must be orders
 //! of magnitude cheaper than compiling per batch).
@@ -19,21 +17,18 @@ use smm_runtime::{EngineSpec, FrameBlock, MultiplierCache, RowBlock, Session};
 use std::hint::black_box;
 use std::sync::Arc;
 
-/// A deterministic request batch, nested and flat.
-fn request_batch(dim: usize, n: usize, seed: u64) -> (Vec<Vec<i32>>, Arc<FrameBlock>) {
+/// A deterministic request batch.
+fn request_batch(dim: usize, n: usize, seed: u64) -> Arc<FrameBlock> {
     let mut rng = seeded(seed);
-    let nested: Vec<Vec<i32>> = (0..n)
-        .map(|_| random_vector(dim, 8, true, &mut rng).unwrap())
-        .collect();
-    let frames = FrameBlock::try_from(nested.as_slice()).unwrap();
-    (nested, Arc::new(frames))
+    let data = random_vector(n * dim, 8, true, &mut rng).unwrap();
+    Arc::new(FrameBlock::from_vec(n, dim, data).unwrap())
 }
 
 fn bench_backend_dispatch(c: &mut Criterion) {
     let mut rng = seeded(6001);
     let dim = 96usize;
     let v = element_sparse_matrix(dim, dim, 8, 0.9, true, &mut rng).unwrap();
-    let (_, frames) = request_batch(dim, 64, 6003);
+    let frames = request_batch(dim, 64, 6003);
 
     // One shared cache (the bit-serial sessions compile once) and one
     // output block reused by every dispatch.
@@ -59,35 +54,6 @@ fn bench_backend_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-/// The headline comparison: the same traffic through the flat block
-/// path (`run_block`, zero per-row allocations) and through the nested
-/// `Vec<Vec<_>>` bridge (`run_batch`, which flattens the input and
-/// re-nests the output every call).
-fn bench_block_vs_vecvec(c: &mut Criterion) {
-    let mut rng = seeded(6004);
-    let dim = 96usize;
-    let v = element_sparse_matrix(dim, dim, 8, 0.9, true, &mut rng).unwrap();
-    let (nested, frames) = request_batch(dim, 256, 6005);
-
-    let session = Session::builder(v)
-        .spec(EngineSpec::csr().threads(4))
-        .build()
-        .unwrap();
-    let mut out = RowBlock::new();
-    let mut group = c.benchmark_group("runtime_batch_path");
-    group.bench_function("block", |b| {
-        b.iter(|| {
-            session
-                .run_block(black_box(Arc::clone(&frames)), &mut out)
-                .unwrap()
-        })
-    });
-    group.bench_function("vecvec", |b| {
-        b.iter(|| session.run_batch(black_box(nested.as_slice())).unwrap())
-    });
-    group.finish();
-}
-
 fn bench_cache_vs_recompile(c: &mut Criterion) {
     let mut rng = seeded(6002);
     let v = element_sparse_matrix(96, 96, 8, 0.9, true, &mut rng).unwrap();
@@ -107,7 +73,7 @@ fn bench_cache_vs_recompile(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_backend_dispatch, bench_block_vs_vecvec, bench_cache_vs_recompile
+    targets = bench_backend_dispatch, bench_cache_vs_recompile
 }
 
 /// The recorded-trajectory pass: every engine kind over the same fixed
@@ -122,7 +88,7 @@ fn emit_bench_report(path: &str) {
     let dim = 96usize;
     let v = element_sparse_matrix(dim, dim, 8, 0.9, true, &mut rng).unwrap();
     let density = v.nnz() as f64 / (dim * dim) as f64;
-    let (_, frames) = request_batch(dim, 64, 6003);
+    let frames = request_batch(dim, 64, 6003);
     let cache = Arc::new(MultiplierCache::new());
 
     let mut report = BenchReport::new("bench", 6);

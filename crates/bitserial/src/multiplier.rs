@@ -185,6 +185,19 @@ impl FixedMatrixMultiplier {
             + (batch as u64 - 1) * u64::from(self.batch_interval_cycles())
     }
 
+    /// Refuses any element outside the signed `input_bits` operand range.
+    fn check_range(&self, xs: &[i32]) -> Result<()> {
+        let (lo, hi) = smm_core::matrix::signed_range(self.input_bits)?;
+        match xs.iter().find(|&&x| !(lo..=hi).contains(&x)) {
+            Some(&bad) => Err(Error::ValueOutOfRange {
+                value: bad,
+                bits: self.input_bits,
+                signed: true,
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Computes `o = aᵀV` through the cycle-accurate simulator.
     pub fn mul(&self, a: &[i32]) -> Result<Vec<i64>> {
         if a.len() != self.rows {
@@ -192,14 +205,7 @@ impl FixedMatrixMultiplier {
                 context: format!("input length {} vs matrix rows {}", a.len(), self.rows),
             });
         }
-        let (lo, hi) = smm_core::matrix::signed_range(self.input_bits)?;
-        if let Some(&bad) = a.iter().find(|&&x| !(lo..=hi).contains(&x)) {
-            return Err(Error::ValueOutOfRange {
-                value: bad,
-                bits: self.input_bits,
-                signed: true,
-            });
-        }
+        self.check_range(a)?;
         Ok(crate::sim::run_vecmat(
             &self.circuit,
             a,
@@ -222,72 +228,34 @@ impl FixedMatrixMultiplier {
     /// through one continuous simulation**, one new vector every
     /// [`FixedMatrixMultiplier::batch_interval_cycles`] cycles — the
     /// hardware batching mode whose latency
-    /// [`FixedMatrixMultiplier::batch_latency_cycles`] models. Results are
-    /// identical to [`FixedMatrixMultiplier::mul_batch`]; the total cycle
-    /// count is what differs.
+    /// [`FixedMatrixMultiplier::batch_latency_cycles`] models
+    /// ([`crate::sim::run_stream_into_flat`]). Results are identical to
+    /// [`FixedMatrixMultiplier::mul_batch`]; the total cycle count is
+    /// what differs.
     pub fn mul_batch_streamed(&self, a: &IntMatrix) -> Result<Vec<Vec<i64>>> {
         if a.cols() != self.rows {
             return Err(Error::DimensionMismatch {
                 context: format!("batch cols {} vs matrix rows {}", a.cols(), self.rows),
             });
         }
-        // Range-check before copying the batch into rows so a bad element
-        // errors without cloning anything.
-        let (lo, hi) = smm_core::matrix::signed_range(self.input_bits)?;
-        if let Some(&bad) = a.as_slice().iter().find(|&&x| !(lo..=hi).contains(&x)) {
-            return Err(Error::ValueOutOfRange {
-                value: bad,
-                bits: self.input_bits,
-                signed: true,
-            });
-        }
-        let inputs: Vec<Vec<i32>> = (0..a.rows()).map(|b| a.row(b).to_vec()).collect();
-        let mut out = Vec::new();
-        self.run_frames(&inputs, &mut out)?;
-        Ok(out)
-    }
-
-    /// The buffer-reusing form of [`FixedMatrixMultiplier::mul_batch_streamed`]:
-    /// streams `inputs` back-to-back through one continuous framed
-    /// simulation, decoding each result directly into `out`.
-    ///
-    /// `out` is resized to `inputs.len()` rows of `cols()` elements;
-    /// row allocations from previous calls are reused, so a serving loop
-    /// that drives many batches through one compiled circuit performs no
-    /// per-vector allocation in steady state. An empty batch is valid and
-    /// clears `out`.
-    ///
-    /// Results are bit-identical to calling
-    /// [`FixedMatrixMultiplier::mul`] per vector.
-    pub fn run_frames(&self, inputs: &[Vec<i32>], out: &mut Vec<Vec<i64>>) -> Result<()> {
-        let (lo, hi) = smm_core::matrix::signed_range(self.input_bits)?;
-        for v in inputs {
-            if v.len() != self.rows {
-                return Err(Error::DimensionMismatch {
-                    context: format!("input length {} vs matrix rows {}", v.len(), self.rows),
-                });
-            }
-            if let Some(&bad) = v.iter().find(|&&x| !(lo..=hi).contains(&x)) {
-                return Err(Error::ValueOutOfRange {
-                    value: bad,
-                    bits: self.input_bits,
-                    signed: true,
-                });
-            }
-        }
-        crate::sim::run_stream_into(
+        self.check_range(a.as_slice())?;
+        let frames =
+            smm_core::block::FrameBlock::from_vec(a.rows(), a.cols(), a.as_slice().to_vec())?;
+        let mut flat = vec![0i64; a.rows() * self.cols()];
+        crate::sim::run_stream_into_flat(
             &self.circuit,
-            inputs,
+            &frames,
+            0,
+            a.rows(),
             self.input_bits,
             self.out_width,
             self.batch_interval_cycles(),
-            out,
+            &mut flat,
         );
-        Ok(())
+        Ok(flat.chunks_exact(self.cols()).map(<[i64]>::to_vec).collect())
     }
 
-    /// The flat-batch form of [`FixedMatrixMultiplier::run_frames`]:
-    /// simulates frames `start..end` of a
+    /// The serving batch kernel: simulates frames `start..end` of a
     /// [`FrameBlock`](smm_core::block::FrameBlock) through the
     /// **word-level bit-sliced** engine
     /// ([`crate::slice::run_frames_block_sliced`]) — up to 64 frames
@@ -298,8 +266,9 @@ impl FixedMatrixMultiplier {
     ///
     /// Results are bit-identical to calling
     /// [`FixedMatrixMultiplier::mul`] per frame (and to the framed
-    /// streaming path behind [`FixedMatrixMultiplier::run_frames`]);
-    /// only the schedule differs — a 64-lane chunk finishes in one
+    /// streaming path behind
+    /// [`FixedMatrixMultiplier::mul_batch_streamed`]); only the schedule
+    /// differs — a 64-lane chunk finishes in one
     /// pipeline depth instead of one streaming interval per frame.
     pub fn run_frames_block(
         &self,
@@ -331,16 +300,8 @@ impl FixedMatrixMultiplier {
                 ),
             });
         }
-        let (lo, hi) = smm_core::matrix::signed_range(self.input_bits)?;
-        for i in start..end {
-            if let Some(&bad) = frames.frame(i).iter().find(|&&x| !(lo..=hi).contains(&x)) {
-                return Err(Error::ValueOutOfRange {
-                    value: bad,
-                    bits: self.input_bits,
-                    signed: true,
-                });
-            }
-        }
+        let width = frames.width();
+        self.check_range(&frames.as_slice()[start * width..end * width])?;
         crate::slice::run_frames_block_sliced(
             &self.circuit,
             frames,
@@ -453,48 +414,6 @@ mod tests {
         assert!(mul.mul_batch_streamed(&wrong_shape).is_err());
         let out_of_range = IntMatrix::from_vec(1, 4, vec![0, 0, 0, 99]).unwrap();
         assert!(mul.mul_batch_streamed(&out_of_range).is_err());
-    }
-
-    #[test]
-    fn run_frames_matches_single_shot_and_reuses_buffers() {
-        let mut rng = seeded(107);
-        for (dim, sparsity) in [(9usize, 0.4), (18, 0.8)] {
-            let v = element_sparse_matrix(dim, dim, 8, sparsity, true, &mut rng).unwrap();
-            for encoding in [
-                WeightEncoding::Pn,
-                WeightEncoding::Csd {
-                    policy: ChainPolicy::CoinFlip,
-                    seed: 21,
-                },
-            ] {
-                let mul = FixedMatrixMultiplier::compile(&v, 8, encoding).unwrap();
-                let mut out = Vec::new();
-                // Drive three batches of different sizes through the same
-                // buffer; every result must equal the single-shot path.
-                for batch in [4usize, 1, 3] {
-                    let inputs: Vec<Vec<i32>> = (0..batch)
-                        .map(|_| random_vector(dim, 8, true, &mut rng).unwrap())
-                        .collect();
-                    mul.run_frames(&inputs, &mut out).unwrap();
-                    assert_eq!(out.len(), batch);
-                    for (a, got) in inputs.iter().zip(&out) {
-                        assert_eq!(got, &mul.mul(a).unwrap(), "dim {dim}");
-                    }
-                }
-                // Empty batches are legal and clear the buffer.
-                mul.run_frames(&[], &mut out).unwrap();
-                assert!(out.is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn run_frames_rejects_bad_input() {
-        let v = IntMatrix::identity(4).unwrap();
-        let mul = FixedMatrixMultiplier::compile(&v, 4, WeightEncoding::Pn).unwrap();
-        let mut out = Vec::new();
-        assert!(mul.run_frames(&[vec![1, 2, 3]], &mut out).is_err());
-        assert!(mul.run_frames(&[vec![0, 0, 0, 99]], &mut out).is_err());
     }
 
     #[test]

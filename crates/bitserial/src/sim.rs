@@ -200,73 +200,20 @@ pub fn run_vecmat(
         .collect()
 }
 
-/// Streams a whole batch of input vectors back-to-back through the circuit
-/// — one new vector every `interval` cycles, no pipeline drain between
-/// them — and decodes every output. This is the paper's batching mode
-/// ("we have to stream the columns of the input matrix in one-by-one"),
-/// simulated rather than modelled.
-///
-/// `interval` must be at least `out_width` so each result finishes
-/// streaming before the next frame's bits reach the capture window.
-pub fn run_stream(
-    circuit: &crate::builder::BuiltCircuit,
-    inputs: &[Vec<i32>],
-    input_bits: u32,
-    out_width: u32,
-    interval: u32,
-) -> Vec<Vec<i64>> {
-    assert!(!inputs.is_empty(), "need at least one input vector");
-    let mut out = Vec::new();
-    run_stream_into(circuit, inputs, input_bits, out_width, interval, &mut out);
-    out
-}
-
-/// [`run_stream`], but decoding into a caller-provided buffer.
+/// Streams frames `start..end` of a flat
+/// [`FrameBlock`](smm_core::block::FrameBlock) back-to-back through the
+/// circuit — one new vector every `interval` cycles, no pipeline drain
+/// between them — and decodes every output straight into one row-major
+/// slice (`(end - start) * cols` elements). This is the paper's batching
+/// mode ("we have to stream the columns of the input matrix in
+/// one-by-one"), simulated rather than modelled: the hardware-faithful
+/// reference the bit-sliced engine ([`crate::slice`]) is checked against.
 ///
 /// Output words accumulate *in place* as the bits stream past the capture
-/// window (two's-complement, LSB first, the final bit weighted negatively)
-/// — no per-vector bit buffers are allocated, and `out`'s rows are reused
-/// across calls, so a long-lived server driving many batches through one
-/// compiled circuit reaches a steady state with no per-vector allocation.
-///
-/// `out` is resized to one row of `circuit` outputs per input vector;
-/// existing capacity is kept. An empty `inputs` clears `out` and returns.
-pub fn run_stream_into(
-    circuit: &crate::builder::BuiltCircuit,
-    inputs: &[Vec<i32>],
-    input_bits: u32,
-    out_width: u32,
-    interval: u32,
-    out: &mut Vec<Vec<i64>>,
-) {
-    let rows = circuit.netlist.num_rows();
-    for v in inputs {
-        assert_eq!(v.len(), rows, "one input element per matrix row");
-    }
-    let cols = circuit.netlist.outputs().len();
-    out.truncate(inputs.len());
-    for row in out.iter_mut() {
-        row.clear();
-        row.resize(cols, 0);
-    }
-    out.resize_with(inputs.len(), || vec![0; cols]);
-    run_stream_with(
-        circuit,
-        inputs.len(),
-        &|i| inputs[i].as_slice(),
-        input_bits,
-        out_width,
-        interval,
-        &mut |v, col, weight| out[v][col] |= weight,
-    );
-}
-
-/// [`run_stream_into`] over a range of a flat
-/// [`FrameBlock`](smm_core::block::FrameBlock), decoding
-/// straight into one row-major output slice (`(end - start) * cols`
-/// elements) — the zero-per-row-allocation drive path behind the serving
-/// stack's block pipeline. The slice is zeroed and then accumulated in
-/// place, exactly like the per-row decode.
+/// window (two's-complement, LSB first, the final bit weighted
+/// negatively); the slice is zeroed first. `interval` must be at least
+/// `out_width` so each result finishes streaming before the next frame's
+/// bits reach the capture window.
 #[allow(clippy::too_many_arguments)]
 pub fn run_stream_into_flat(
     circuit: &crate::builder::BuiltCircuit,
@@ -283,52 +230,21 @@ pub fn run_stream_into_flat(
         "frame range {start}..{end} of {}",
         frames.frames()
     );
+    assert!(
+        interval >= out_width,
+        "interval {interval} shorter than output window {out_width}"
+    );
     let n = end - start;
-    let cols = circuit.netlist.outputs().len();
+    let net = &circuit.netlist;
+    let rows = net.num_rows();
+    let outputs = net.outputs();
+    let cols = outputs.len();
     assert_eq!(out.len(), n * cols, "one output row per frame");
     out.fill(0);
     if n == 0 {
         return;
     }
-    assert_eq!(
-        frames.width(),
-        circuit.netlist.num_rows(),
-        "one input element per matrix row"
-    );
-    run_stream_with(
-        circuit,
-        n,
-        &|i| frames.frame(start + i),
-        input_bits,
-        out_width,
-        interval,
-        &mut |v, col, weight| out[v * cols + col] |= weight,
-    );
-}
-
-/// The shared framed-streaming engine: simulates `n` back-to-back frames
-/// (fetched by index via `frame_at`) and reports every set output bit to
-/// `store(frame, col, weight)`. Both decode layouts — per-row `Vec`s and
-/// one flat block — are closures over this loop.
-fn run_stream_with<'f>(
-    circuit: &crate::builder::BuiltCircuit,
-    n: usize,
-    frame_at: &dyn Fn(usize) -> &'f [i32],
-    input_bits: u32,
-    out_width: u32,
-    interval: u32,
-    store: &mut dyn FnMut(usize, usize, i64),
-) {
-    assert!(
-        interval >= out_width,
-        "interval {interval} shorter than output window {out_width}"
-    );
-    if n == 0 {
-        return;
-    }
-    let net = &circuit.netlist;
-    let rows = net.num_rows();
-    let outputs = net.outputs();
+    assert_eq!(frames.width(), rows, "one input element per matrix row");
     let anchor = u64::from(circuit.output_anchor);
     let interval = u64::from(interval);
     let batch = n as u64;
@@ -344,7 +260,7 @@ fn run_stream_with<'f>(
         } else {
             (t % interval).min(u64::from(u32::MAX)) as u32
         };
-        for (r, &a) in frame_at(frame).iter().enumerate() {
+        for (r, &a) in frames.frame(start + frame).iter().enumerate() {
             bits[r] = crate::bits::stream_bit(i64::from(a), input_bits, j);
         }
         sim.step_framed(&bits, &circuit.anchors, &circuit.mask_at_start, interval);
@@ -362,11 +278,10 @@ fn run_stream_with<'f>(
                 } else {
                     1i64 << k
                 };
-                for (col, o) in outputs.iter().enumerate() {
-                    if let Some(id) = o {
-                        if sim.value(*id) {
-                            store(v as usize, col, weight);
-                        }
+                let row = &mut out[v as usize * cols..(v as usize + 1) * cols];
+                for (o, slot) in outputs.iter().zip(row) {
+                    if o.is_some_and(|id| sim.value(id)) {
+                        *slot |= weight;
                     }
                 }
             }

@@ -66,13 +66,13 @@ command-specific:
   verilog:  --module NAME  --output FILE
   dot:      --output FILE
   compare:  --batch B  (default 1)
-  throughput: --backend auto|dense|csr|bitserial  (default bitserial;
+  throughput: --backend auto|dense|csr|bitserial|sigma  (default bitserial;
               auto plans from the matrix: dims, density, cache residency)
               --threads N  (default 0 = all cores)
               --batch B    (default 64)   --repeat R  (default 3)
   serve:    --addr A          (default 127.0.0.1:7878; port 0 = auto)
-            --backend auto|dense|csr|bitserial  (default csr; auto plans
-                              per loaded matrix)
+            --backend auto|dense|csr|bitserial|sigma  (default csr; auto
+                              plans per loaded matrix)
             --threads N       session workers per matrix (default 0 = all cores)
             --queue-depth Q   concurrent compute budget before Busy (default 64)
             --cache-capacity C  compiled-circuit LRU bound (default 0 = unbounded)
@@ -85,8 +85,8 @@ command-specific:
             --max-matrices N  hot-tier bound (compiled sessions, default 64)
             --max-warm N      warm-tier bound (decoded matrices, default 256)
   loadgen:  --addr A          (default 127.0.0.1:7878)
-            --backend auto|dense|csr|bitserial  requested in LoadMatrix
-                              (default: the server's own default)
+            --backend auto|dense|csr|bitserial|sigma  requested in
+                              LoadMatrix (default: the server's own default)
             --clients C       concurrent connections (default 4)
             --batch B         vectors per request (default 16)
             --duration S      seconds of traffic (default 2)

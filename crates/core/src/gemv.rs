@@ -8,26 +8,20 @@
 //!
 //! # Kernel variants
 //!
-//! Three implementations of the same accumulation are exposed, all
-//! bit-identical (integer math — no rounding, no reassociation hazard):
+//! Two implementations of the same accumulation are exposed, bit-identical
+//! (integer math — no rounding, no reassociation hazard):
 //!
 //! * [`vecmat_into_scalar`] — the plain nested loop. Ground truth for the
 //!   differential tests and the baseline the `kernels` bench measures
 //!   against.
-//! * [`vecmat_into_unrolled`] — rows processed four at a time with four
-//!   independent product terms per output lane and a 4-wide unrolled
-//!   column loop (the shape of the CLIF matmul exemplar: independent
-//!   accumulators so the compiler can keep them in SIMD registers),
-//!   with scalar tail loops for the row and column remainders.
-//! * [`vecmat_into`] — the production kernel: the unrolled loop applied
-//!   per cache-blocked column tile ([`COL_BLOCK`] wide), so the output
-//!   tile and the four active row segments stay L1-resident no matter
-//!   how wide the matrix is.
-//!
-//! Zero-skipping of input elements is *density-gated*: the production
-//! kernels run branch-free over dense inputs, and callers that know the
-//! input vector is mostly zeros opt into row skipping via
-//! [`vecmat_into_with`] with [`InputDensity::Sparse`].
+//! * [`vecmat_into`] — the production kernel: rows processed four at a
+//!   time with four independent product terms per output lane and a
+//!   4-wide unrolled column loop (the shape of the CLIF matmul exemplar:
+//!   independent accumulators so the compiler can keep them in SIMD
+//!   registers), applied per cache-blocked column tile ([`COL_BLOCK`]
+//!   wide) so the output tile and the four active row segments stay
+//!   L1-resident no matter how wide the matrix is. It runs branch-free
+//!   over every row: a zero input contributes exact zeros.
 
 use crate::error::{Error, Result};
 use crate::matrix::IntMatrix;
@@ -36,24 +30,6 @@ use crate::matrix::IntMatrix;
 /// (8 KiB) plus four `i32` row segments (16 KiB) stay L1-resident while
 /// every matrix element streams through exactly once.
 pub const COL_BLOCK: usize = 1024;
-
-/// Caller's knowledge about the input *vector*'s density, gating the
-/// zero-skip branch in the production kernels.
-///
-/// Skipping `a[i] == 0` rows saves a whole row traversal when most
-/// inputs are zero, but on dense inputs the data-dependent branch only
-/// obstructs the vectorized inner loop. Results are bit-identical
-/// either way (a zero input contributes exact zeros).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InputDensity {
-    /// Most input elements are non-zero (the serving default): run the
-    /// branch-free unrolled kernel over every row.
-    #[default]
-    Dense,
-    /// Most input elements are zero (sparse activations): skip whole
-    /// rows whose input element is zero.
-    Sparse,
-}
 
 /// Computes `o = aᵀV`: `o[j] = Σ_i a[i] · V[i][j]`.
 pub fn vecmat(a: &[i32], v: &IntMatrix) -> Result<Vec<i64>> {
@@ -68,30 +44,11 @@ pub fn vecmat(a: &[i32], v: &IntMatrix) -> Result<Vec<i64>> {
 /// The slice is zeroed first, so stale contents are overwritten.
 ///
 /// This is the production kernel: cache-blocked column tiles with the
-/// 4x-unrolled, four-independent-accumulator inner loop. For sparse
-/// input vectors see [`vecmat_into_with`].
+/// 4x-unrolled, four-independent-accumulator inner loop.
 pub fn vecmat_into(a: &[i32], v: &IntMatrix, out: &mut [i64]) -> Result<()> {
     check_vecmat_into_dims(a, v, out.len())?;
     out.fill(0);
     accumulate_blocked(a, v.as_slice(), v.cols(), out);
-    Ok(())
-}
-
-/// [`vecmat_into`] with the zero-skip branch gated by the caller's
-/// knowledge of the input vector's density. Bit-identical to
-/// [`vecmat_into`] for every input; only the traversal differs.
-pub fn vecmat_into_with(
-    a: &[i32],
-    v: &IntMatrix,
-    out: &mut [i64],
-    density: InputDensity,
-) -> Result<()> {
-    check_vecmat_into_dims(a, v, out.len())?;
-    out.fill(0);
-    match density {
-        InputDensity::Dense => accumulate_blocked(a, v.as_slice(), v.cols(), out),
-        InputDensity::Sparse => accumulate_blocked_skip_zeros(a, v.as_slice(), v.cols(), out),
-    }
     Ok(())
 }
 
@@ -107,17 +64,6 @@ pub fn vecmat_into_scalar(a: &[i32], v: &IntMatrix, out: &mut [i64]) -> Result<(
             *o += ai * i64::from(w);
         }
     }
-    Ok(())
-}
-
-/// The unrolled kernel without column blocking: rows four at a time,
-/// four independent products per output lane, full-width passes over
-/// `out`. Exposed so the `kernels` bench can price blocking separately
-/// from unrolling; [`vecmat_into`] is this loop per column tile.
-pub fn vecmat_into_unrolled(a: &[i32], v: &IntMatrix, out: &mut [i64]) -> Result<()> {
-    check_vecmat_into_dims(a, v, out.len())?;
-    out.fill(0);
-    accumulate_col_range(a, v.as_slice(), v.cols(), 0, v.cols(), out);
     Ok(())
 }
 
@@ -148,24 +94,6 @@ fn accumulate_blocked(a: &[i32], data: &[i32], cols: usize, out: &mut [i64]) {
     while c0 < cols {
         let c1 = (c0 + COL_BLOCK).min(cols);
         accumulate_col_range(a, data, cols, c0, c1, &mut out[c0..c1]);
-        c0 = c1;
-    }
-}
-
-/// [`accumulate_blocked`] with whole-row skipping for zero inputs — the
-/// [`InputDensity::Sparse`] traversal. The surviving rows still run the
-/// unrolled column loop.
-fn accumulate_blocked_skip_zeros(a: &[i32], data: &[i32], cols: usize, out: &mut [i64]) {
-    let mut c0 = 0;
-    while c0 < cols {
-        let c1 = (c0 + COL_BLOCK).min(cols);
-        let tile = &mut out[c0..c1];
-        for (i, &ai) in a.iter().enumerate() {
-            if ai == 0 {
-                continue;
-            }
-            accumulate_axpy(i64::from(ai), &data[i * cols + c0..i * cols + c1], tile);
-        }
         c0 = c1;
     }
 }
@@ -382,34 +310,7 @@ mod tests {
             let mut got = vec![-1i64; cols];
             vecmat_into(&a, &v, &mut got).unwrap();
             assert_eq!(got, reference, "blocked {rows}x{cols}");
-            got.fill(-1);
-            vecmat_into_unrolled(&a, &v, &mut got).unwrap();
-            assert_eq!(got, reference, "unrolled {rows}x{cols}");
-            for density in [InputDensity::Dense, InputDensity::Sparse] {
-                got.fill(-1);
-                vecmat_into_with(&a, &v, &mut got, density).unwrap();
-                assert_eq!(got, reference, "{density:?} {rows}x{cols}");
-            }
         }
-    }
-
-    #[test]
-    fn sparse_hint_skips_zero_rows_bit_identically() {
-        // A mostly-zero input vector: the skip path must produce the
-        // same bits as the branch-free path.
-        let mut rng = seeded(34);
-        let v = element_sparse_matrix(40, 23, 8, 0.3, true, &mut rng).unwrap();
-        let mut a = vec![0i32; 40];
-        a[3] = -17;
-        a[21] = 90;
-        let mut dense_out = vec![0i64; 23];
-        let mut sparse_out = vec![0i64; 23];
-        vecmat_into_with(&a, &v, &mut dense_out, InputDensity::Dense).unwrap();
-        vecmat_into_with(&a, &v, &mut sparse_out, InputDensity::Sparse).unwrap();
-        assert_eq!(dense_out, sparse_out);
-        let mut reference = vec![0i64; 23];
-        vecmat_into_scalar(&a, &v, &mut reference).unwrap();
-        assert_eq!(dense_out, reference);
     }
 
     #[test]

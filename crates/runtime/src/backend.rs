@@ -5,23 +5,25 @@
 //!
 //! * [`DenseRef`] — the dense reference kernel ([`smm_core::gemv::vecmat`]);
 //! * [`SparseCsr`] — the executed CSR SpMV kernel ([`smm_sparse::Csr`]);
-//! * [`BitSerial`] — the compiled spatial circuit, driven in framed
-//!   back-to-back streaming mode so a whole batch pipelines through one
-//!   continuous cycle-accurate simulation;
+//! * [`BitSerial`] — the compiled spatial circuit, simulated by the
+//!   word-level bit-sliced engine (up to 64 frames per machine word);
 //! * [`SigmaEngine`] — the SIGMA accelerator baseline executed through
 //!   its PE-grid tile mapping ([`smm_sigma::map_tiles`]), weight-stationary
 //!   across a batch.
 //!
-//! All four are bit-identical on every valid input; which one to serve
-//! with is purely a throughput/fidelity trade (the bit-serial engine is a
-//! *simulation* of the hardware and therefore the slowest and the most
-//! faithful; the sigma engine executes the exact dataflow the SIGMA
-//! timing model prices).
+//! Each implements one compute method, [`GemvBackend::run_rows`] — a
+//! range of a flat [`FrameBlock`] into a flat output slice — and a single
+//! vector ([`GemvBackend::gemv`]) is a one-frame block through the same
+//! kernel. All four are bit-identical on every valid input; which one to
+//! serve with is purely a throughput/fidelity trade (the bit-serial
+//! engine is a *simulation* of the hardware and therefore the slowest and
+//! the most faithful; the sigma engine executes the exact dataflow the
+//! SIGMA timing model prices).
 
 use smm_bitserial::multiplier::FixedMatrixMultiplier;
-use smm_core::block::{FrameBlock, RowBlock};
+use smm_core::block::FrameBlock;
 use smm_core::error::{Error, Result};
-use smm_core::gemv::{vecmat, vecmat_into};
+use smm_core::gemv::vecmat_into;
 use smm_core::matrix::IntMatrix;
 use smm_sigma::{accumulate_tile, map_tiles, SigmaConfig, Tile};
 use smm_sparse::{BlockWidths, Csr};
@@ -68,73 +70,31 @@ pub trait GemvBackend: Send + Sync {
     /// Matrix columns — the produced output-vector length.
     fn cols(&self) -> usize;
 
-    /// Computes one product `o = aᵀV`.
-    fn gemv(&self, a: &[i32]) -> Result<Vec<i64>>;
-
-    /// Computes a batch of products, one output row per input vector, in
-    /// input order. The default maps [`GemvBackend::gemv`] over the batch;
-    /// engines with a cheaper batched mode override it.
-    fn gemv_batch(&self, batch: &[Vec<i32>]) -> Result<Vec<Vec<i64>>> {
-        batch.iter().map(|a| self.gemv(a)).collect()
-    }
-
-    /// Streams `frames` into a caller-owned output buffer, reusing its
-    /// row allocations across calls (`out` is resized to `frames.len()`).
-    /// The default computes frame-by-frame; the bit-serial engine
-    /// overrides it to pipeline the whole stream through one continuous
-    /// simulation ([`FixedMatrixMultiplier::run_frames`]).
-    fn stream_into(&self, frames: &[Vec<i32>], out: &mut Vec<Vec<i64>>) -> Result<()> {
-        out.truncate(frames.len());
-        out.resize_with(frames.len(), Vec::new);
-        for (frame, slot) in frames.iter().zip(out.iter_mut()) {
-            let row = self.gemv(frame)?;
-            slot.clear();
-            slot.extend_from_slice(&row);
-        }
-        Ok(())
-    }
-
     /// Computes frames `start..end` of a flat [`FrameBlock`] into a
     /// row-major output slice of `(end - start) * cols()` elements — the
-    /// shard hook the [`crate::Dispatcher`] drives, and the kernel behind
-    /// [`GemvBackend::run_block`].
+    /// engine's one compute primitive: the shard hook the
+    /// [`crate::Dispatcher`] drives, and the kernel behind
+    /// [`GemvBackend::gemv`].
     ///
-    /// The default bridges to [`GemvBackend::gemv`] per frame (one
-    /// allocation per row); all four built-in engines override it to
-    /// write rows in place with no per-row allocation. Implementations
-    /// must validate the shard (see the built-ins) rather than panic on a
-    /// mis-sized `out`.
+    /// Implementations write rows in place with no per-row allocation,
+    /// and must validate the shard and the frame width (see the
+    /// built-ins) rather than panic on a mis-sized `out`.
     fn run_rows(
         &self,
         frames: &FrameBlock,
         start: usize,
         end: usize,
         out: &mut [i64],
-    ) -> Result<()> {
-        let cols = self.cols();
-        check_shard(frames, start, end, cols, out.len())?;
-        for (i, frame) in (start..end).enumerate() {
-            let row = self.gemv(frames.frame(frame))?;
-            if row.len() != cols {
-                return Err(Error::Runtime {
-                    context: format!(
-                        "backend returned {} elements for a {cols}-column row",
-                        row.len()
-                    ),
-                });
-            }
-            out[i * cols..(i + 1) * cols].copy_from_slice(&row);
-        }
-        Ok(())
-    }
+    ) -> Result<()>;
 
-    /// Computes a whole [`FrameBlock`] into a caller-owned [`RowBlock`],
-    /// which is reshaped to `frames.frames() x cols()` (reusing its
-    /// allocation) and filled in place. Bit-identical to mapping
-    /// [`GemvBackend::gemv`] over the frames.
-    fn run_block(&self, frames: &FrameBlock, out: &mut RowBlock) -> Result<()> {
-        out.reset(frames.frames(), self.cols())?;
-        self.run_rows(frames, 0, frames.frames(), out.as_mut_slice())
+    /// Computes one product `o = aᵀV`: a one-frame block through
+    /// [`GemvBackend::run_rows`], so a single reaches the same kernel a
+    /// batch does.
+    fn gemv(&self, a: &[i32]) -> Result<Vec<i64>> {
+        let frame = FrameBlock::from_vec(1, a.len(), a.to_vec())?;
+        let mut out = vec![0i64; self.cols()];
+        self.run_rows(&frame, 0, 1, &mut out)?;
+        Ok(out)
     }
 }
 
@@ -145,30 +105,11 @@ pub struct DenseRef {
 }
 
 impl DenseRef {
-    /// Wraps a copy of a dense matrix. (Callers that already own the
-    /// matrix move it in via `From<IntMatrix>` instead.)
+    /// Wraps a copy of a dense matrix.
     pub fn new(matrix: &IntMatrix) -> Self {
         Self {
             matrix: matrix.clone(),
         }
-    }
-
-    /// The wrapped matrix.
-    pub fn matrix(&self) -> &IntMatrix {
-        &self.matrix
-    }
-}
-
-impl From<IntMatrix> for DenseRef {
-    /// Moves an owned matrix in without copying.
-    fn from(matrix: IntMatrix) -> Self {
-        Self { matrix }
-    }
-}
-
-impl From<&IntMatrix> for DenseRef {
-    fn from(matrix: &IntMatrix) -> Self {
-        Self::new(matrix)
     }
 }
 
@@ -183,10 +124,6 @@ impl GemvBackend for DenseRef {
 
     fn cols(&self) -> usize {
         self.matrix.cols()
-    }
-
-    fn gemv(&self, a: &[i32]) -> Result<Vec<i64>> {
-        vecmat(a, &self.matrix)
     }
 
     /// Writes each product row in place via [`vecmat_into`] — no
@@ -211,9 +148,9 @@ impl GemvBackend for DenseRef {
     }
 }
 
-/// The executed CSR SpMV kernel. Singles run the per-frame scatter
-/// ([`Csr::vecmat`]); shards run the weight-stationary blocked kernel
-/// ([`Csr::vecmat_block_into`]).
+/// The executed CSR SpMV kernel: every shard runs the weight-stationary
+/// blocked kernel ([`Csr::vecmat_block_into`]), whose leftover path (and
+/// so every single) is the per-frame scatter.
 #[derive(Debug)]
 pub struct SparseCsr {
     csr: Csr,
@@ -230,8 +167,7 @@ impl SparseCsr {
         Self::from_csr(Csr::from_dense(matrix))
     }
 
-    /// Wraps an existing CSR matrix.
-    pub fn from_csr(csr: Csr) -> Self {
+    fn from_csr(csr: Csr) -> Self {
         Self {
             csr,
             narrow_groups: AtomicUsize::new(0),
@@ -259,18 +195,6 @@ impl Clone for SparseCsr {
     }
 }
 
-impl From<&IntMatrix> for SparseCsr {
-    fn from(matrix: &IntMatrix) -> Self {
-        Self::new(matrix)
-    }
-}
-
-impl From<Csr> for SparseCsr {
-    fn from(csr: Csr) -> Self {
-        Self::from_csr(csr)
-    }
-}
-
 impl GemvBackend for SparseCsr {
     fn name(&self) -> &'static str {
         "csr"
@@ -282,10 +206,6 @@ impl GemvBackend for SparseCsr {
 
     fn cols(&self) -> usize {
         self.csr.cols()
-    }
-
-    fn gemv(&self, a: &[i32]) -> Result<Vec<i64>> {
-        self.csr.vecmat(a)
     }
 
     /// The whole shard through [`Csr::vecmat_block_into`]: one pass over
@@ -311,12 +231,10 @@ impl GemvBackend for SparseCsr {
     }
 }
 
-/// The compiled bit-serial spatial circuit, simulated cycle-accurately.
-///
-/// Batches stream through the circuit back-to-back (one new vector every
-/// [`FixedMatrixMultiplier::batch_interval_cycles`] cycles) in a single
-/// continuous simulation — the hardware's batching mode — via the
-/// buffer-reusing [`FixedMatrixMultiplier::run_frames`] drive path.
+/// The compiled bit-serial spatial circuit, simulated cycle-accurately
+/// by the word-level bit-sliced engine
+/// ([`FixedMatrixMultiplier::run_frames_block`]) — singles and batches
+/// alike.
 #[derive(Debug, Clone)]
 pub struct BitSerial {
     mul: Arc<FixedMatrixMultiplier>,
@@ -327,33 +245,6 @@ impl BitSerial {
     /// [`crate::MultiplierCache`]).
     pub fn new(mul: Arc<FixedMatrixMultiplier>) -> Self {
         Self { mul }
-    }
-
-    /// The compiled multiplier.
-    pub fn multiplier(&self) -> &Arc<FixedMatrixMultiplier> {
-        &self.mul
-    }
-}
-
-impl From<Arc<FixedMatrixMultiplier>> for BitSerial {
-    fn from(mul: Arc<FixedMatrixMultiplier>) -> Self {
-        Self::new(mul)
-    }
-}
-
-impl TryFrom<&IntMatrix> for BitSerial {
-    type Error = smm_core::error::Error;
-
-    /// Compiles the matrix with default parameters (8-bit operands,
-    /// plain `Pn` weights) — uncached; serving paths compile through the
-    /// [`crate::MultiplierCache`] instead.
-    fn try_from(matrix: &IntMatrix) -> Result<Self> {
-        use smm_bitserial::multiplier::WeightEncoding;
-        Ok(Self::new(Arc::new(FixedMatrixMultiplier::compile(
-            matrix,
-            8,
-            WeightEncoding::Pn,
-        )?)))
     }
 }
 
@@ -368,31 +259,6 @@ impl GemvBackend for BitSerial {
 
     fn cols(&self) -> usize {
         self.mul.cols()
-    }
-
-    fn gemv(&self, a: &[i32]) -> Result<Vec<i64>> {
-        self.mul.mul(a)
-    }
-
-    /// One continuous framed simulation for the whole shard: compared to
-    /// per-vector [`FixedMatrixMultiplier::mul`] calls this pays the
-    /// simulator construction and pipeline fill once per batch and skips
-    /// the per-vector bit-capture buffers. The returned rows themselves
-    /// are necessarily freshly allocated — ownership transfers to the
-    /// caller; serving loops that want full steady-state buffer reuse
-    /// should call [`FixedMatrixMultiplier::run_frames`] directly with a
-    /// long-lived output buffer.
-    fn gemv_batch(&self, batch: &[Vec<i32>]) -> Result<Vec<Vec<i64>>> {
-        let mut out = Vec::new();
-        self.mul.run_frames(batch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Full steady-state buffer reuse: the frames pipeline back-to-back
-    /// through one continuous simulation and land in the caller's
-    /// long-lived buffer.
-    fn stream_into(&self, frames: &[Vec<i32>], out: &mut Vec<Vec<i64>>) -> Result<()> {
-        self.mul.run_frames(frames, out)
     }
 
     /// The whole shard runs through the word-level bit-sliced engine
@@ -418,59 +284,27 @@ impl GemvBackend for BitSerial {
 /// the dataflow [`smm_sigma::Sigma`] prices. Bit-identical to the dense
 /// reference (pure integer math through the reduction network).
 ///
-/// Batch entry points ([`GemvBackend::run_rows`],
-/// [`GemvBackend::stream_into`], [`GemvBackend::gemv_batch`]) iterate
-/// tiles in the outer loop so each tile's weights stay stationary while
-/// the whole batch streams by — the accelerator's SpMM mode, and one
-/// tile-map traversal per batch instead of one per vector.
+/// [`GemvBackend::run_rows`] iterates tiles in the outer loop so each
+/// tile's weights stay stationary while the whole shard streams by — the
+/// accelerator's SpMM mode, and one tile-map traversal per shard instead
+/// of one per vector.
 #[derive(Debug, Clone)]
 pub struct SigmaEngine {
     tiles: Vec<Tile>,
-    config: SigmaConfig,
     rows: usize,
     cols: usize,
 }
 
 impl SigmaEngine {
-    /// Maps the matrix onto the paper's default 128×128 PE grid.
+    /// Maps the matrix onto the paper's default 128×128 PE grid. The
+    /// tile map is computed here, once, and reused by every product the
+    /// engine ever serves.
     pub fn new(matrix: &IntMatrix) -> Self {
-        Self::with_config(matrix, SigmaConfig::default())
-    }
-
-    /// Maps the matrix onto a custom grid. The tile map is computed here,
-    /// once, and reused by every product the engine ever serves.
-    pub fn with_config(matrix: &IntMatrix, config: SigmaConfig) -> Self {
         Self {
-            tiles: map_tiles(matrix, &config),
-            config,
+            tiles: map_tiles(matrix, &SigmaConfig::default()),
             rows: matrix.rows(),
             cols: matrix.cols(),
         }
-    }
-
-    /// PE-grid tiles the matrix's non-zeros occupy.
-    pub fn tiles(&self) -> usize {
-        self.tiles.len()
-    }
-
-    /// The modelled hardware configuration.
-    pub fn config(&self) -> &SigmaConfig {
-        &self.config
-    }
-
-    fn check_width(&self, got: usize) -> Result<()> {
-        if got != self.rows {
-            return Err(Error::DimensionMismatch {
-                context: format!("vector length {got} vs matrix rows {}", self.rows),
-            });
-        }
-        Ok(())
-    }
-}
-
-impl From<&IntMatrix> for SigmaEngine {
-    fn from(matrix: &IntMatrix) -> Self {
-        Self::new(matrix)
     }
 }
 
@@ -487,15 +321,6 @@ impl GemvBackend for SigmaEngine {
         self.cols
     }
 
-    fn gemv(&self, a: &[i32]) -> Result<Vec<i64>> {
-        self.check_width(a.len())?;
-        let mut out = vec![0i64; self.cols];
-        for tile in &self.tiles {
-            accumulate_tile(tile, a, &mut out);
-        }
-        Ok(out)
-    }
-
     /// Weight-stationary over the shard: tiles outer, frames inner, rows
     /// accumulated in place — one tile-map traversal for the whole shard
     /// and no per-row allocation.
@@ -507,8 +332,10 @@ impl GemvBackend for SigmaEngine {
         out: &mut [i64],
     ) -> Result<()> {
         check_shard(frames, start, end, self.cols, out.len())?;
-        if end > start {
-            self.check_width(frames.width())?;
+        if end > start && frames.width() != self.rows {
+            return Err(Error::DimensionMismatch {
+                context: format!("frame width {} vs matrix rows {}", frames.width(), self.rows),
+            });
         }
         out.fill(0);
         for tile in &self.tiles {
@@ -522,41 +349,14 @@ impl GemvBackend for SigmaEngine {
         }
         Ok(())
     }
-
-    /// Weight-stationary batching via [`GemvBackend::stream_into`] — the
-    /// tile map is traversed once for the whole batch.
-    fn gemv_batch(&self, batch: &[Vec<i32>]) -> Result<Vec<Vec<i64>>> {
-        let mut out = Vec::new();
-        self.stream_into(batch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Streams frames through the resident tile map into the caller's
-    /// long-lived buffer, reusing its row allocations; tiles stay
-    /// stationary across the whole stream.
-    fn stream_into(&self, frames: &[Vec<i32>], out: &mut Vec<Vec<i64>>) -> Result<()> {
-        for frame in frames {
-            self.check_width(frame.len())?;
-        }
-        out.truncate(frames.len());
-        out.resize_with(frames.len(), Vec::new);
-        for slot in out.iter_mut() {
-            slot.clear();
-            slot.resize(self.cols, 0);
-        }
-        for tile in &self.tiles {
-            for (frame, slot) in frames.iter().zip(out.iter_mut()) {
-                accumulate_tile(tile, frame, slot);
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use smm_bitserial::multiplier::WeightEncoding;
+    use smm_core::block::RowBlock;
+    use smm_core::gemv::vecmat;
     use smm_core::generate::{element_sparse_matrix, random_vector};
     use smm_core::rng::seeded;
 
@@ -568,6 +368,12 @@ mod tests {
             Box::new(BitSerial::new(Arc::new(mul))),
             Box::new(SigmaEngine::new(v)),
         ]
+    }
+
+    /// A whole block through `run_rows`, into a reshaped `out`.
+    fn run_block(b: &dyn GemvBackend, frames: &FrameBlock, out: &mut RowBlock) -> Result<()> {
+        out.reset(frames.frames(), b.cols())?;
+        b.run_rows(frames, 0, frames.frames(), out.as_mut_slice())
     }
 
     #[test]
@@ -590,10 +396,17 @@ mod tests {
         let batch: Vec<Vec<i32>> = (0..5)
             .map(|_| random_vector(12, 8, true, &mut rng).unwrap())
             .collect();
-        let expect: Vec<Vec<i64>> = batch.iter().map(|a| vecmat(a, &v).unwrap()).collect();
+        let frames = FrameBlock::from_rows(&batch).unwrap();
+        let mut out = RowBlock::new();
         for b in backends(&v) {
-            assert_eq!(b.gemv_batch(&batch).unwrap(), expect, "{}", b.name());
-            assert!(b.gemv_batch(&[]).unwrap().is_empty(), "{}", b.name());
+            run_block(b.as_ref(), &frames, &mut out).unwrap();
+            for (i, a) in batch.iter().enumerate() {
+                // A single is a one-frame block through the same kernel.
+                assert_eq!(out.row(i), b.gemv(a).unwrap(), "{}", b.name());
+                assert_eq!(out.row(i), vecmat(a, &v).unwrap(), "{}", b.name());
+            }
+            run_block(b.as_ref(), &FrameBlock::default(), &mut out).unwrap();
+            assert!(out.is_empty(), "{}", b.name());
         }
     }
 
@@ -601,9 +414,10 @@ mod tests {
     fn dimension_errors_propagate() {
         let mut rng = seeded(2102);
         let v = element_sparse_matrix(6, 6, 8, 0.5, true, &mut rng).unwrap();
+        let thin = FrameBlock::from_rows(&[vec![1, 2], vec![3, 4]]).unwrap();
         for b in backends(&v) {
             assert!(b.gemv(&[1, 2, 3]).is_err(), "{}", b.name());
-            assert!(b.gemv_batch(&[vec![0; 6], vec![1, 2]]).is_err(), "{}", b.name());
+            assert!(run_block(b.as_ref(), &thin, &mut RowBlock::new()).is_err(), "{}", b.name());
         }
     }
 
@@ -619,7 +433,7 @@ mod tests {
         for b in backends(&v) {
             // Whole block, into a stale reused buffer.
             let mut out = RowBlock::zeros(1, 1).unwrap();
-            b.run_block(&frames, &mut out).unwrap();
+            run_block(b.as_ref(), &frames, &mut out).unwrap();
             assert_eq!(Vec::<Vec<i64>>::from(&out), expect, "{}", b.name());
             // An interior shard lands rows 2..5 exactly.
             let mut shard = vec![-9i64; 3 * 8];
@@ -627,9 +441,6 @@ mod tests {
             for (i, frame) in (2..5).enumerate() {
                 assert_eq!(&shard[i * 8..(i + 1) * 8], expect[frame].as_slice(), "{}", b.name());
             }
-            // Empty blocks are valid.
-            b.run_block(&FrameBlock::default(), &mut out).unwrap();
-            assert!(out.is_empty(), "{}", b.name());
         }
     }
 
@@ -643,8 +454,7 @@ mod tests {
             let name = b.name();
             assert!(b.run_rows(&frames, 0, 3, &mut [0; 12]).is_err(), "{name}");
             assert!(b.run_rows(&frames, 0, 2, &mut [0; 7]).is_err(), "{name}");
-            let mut out = RowBlock::new();
-            assert!(b.run_block(&thin, &mut out).is_err(), "{name}");
+            assert!(b.run_rows(&thin, 0, 1, &mut [0; 4]).is_err(), "{name}");
         }
     }
 
@@ -662,7 +472,7 @@ mod tests {
         let mut out = RowBlock::new();
         // 8-bit inputs: column sums of ~100 8-bit weights times 2^7 stay
         // far inside i32.
-        engine.run_block(&block(8, 35), &mut out).unwrap();
+        run_block(&engine, &block(8, 35), &mut out).unwrap();
         let mut expect = BlockWidths {
             narrow_groups: 2,
             wide_groups: 0,
@@ -671,37 +481,15 @@ mod tests {
         assert_eq!(engine.block_counters(), expect);
         // 24-bit inputs: the same sums times 2^23 do not.
         let wide = block(24, 16);
-        engine.run_block(&wide, &mut out).unwrap();
+        run_block(&engine, &wide, &mut out).unwrap();
         expect.wide_groups = 1;
         assert_eq!(engine.block_counters(), expect);
         assert_eq!(out.row(15), vecmat(wide.frame(15), &v).unwrap().as_slice());
-        // Singles never reach the blocked kernel; a clone counts from zero.
+        // A single is a one-frame shard: one leftover frame. A clone
+        // counts from zero.
         engine.gemv(wide.frame(0)).unwrap();
+        expect.leftover_frames += 1;
         assert_eq!(engine.block_counters(), expect);
         assert_eq!(engine.clone().block_counters(), BlockWidths::default());
-    }
-
-    #[test]
-    fn default_run_rows_holds_gemv_to_the_row_length_contract() {
-        /// A broken backend whose rows are one element short.
-        struct ShortRow;
-        impl GemvBackend for ShortRow {
-            fn name(&self) -> &'static str {
-                "short-row"
-            }
-            fn rows(&self) -> usize {
-                2
-            }
-            fn cols(&self) -> usize {
-                2
-            }
-            fn gemv(&self, _a: &[i32]) -> Result<Vec<i64>> {
-                Ok(vec![0])
-            }
-        }
-        let frames = FrameBlock::from_rows(&[vec![0, 0]]).unwrap();
-        let mut out = RowBlock::new();
-        let err = ShortRow.run_block(&frames, &mut out).unwrap_err();
-        assert!(matches!(err, Error::Runtime { .. }), "{err:?}");
     }
 }

@@ -8,8 +8,6 @@
 //! order** in one caller-owned preallocated [`RowBlock`] — no per-row
 //! `Vec`, no `Option<Vec>` reassembly buffer, a constant number of
 //! allocations per batch regardless of batch size.
-//! [`Dispatcher::dispatch`] keeps the nested `Vec<Vec<_>>` surface as a
-//! thin bridge over the block path.
 //!
 //! Plain `std` threads and channels, no unsafe; workers park on the job
 //! channel between batches, so an idle dispatcher costs nothing but
@@ -135,26 +133,19 @@ pub struct DispatcherStats {
     pub threads: usize,
 }
 
-/// A completed batch: outputs in submission order plus timing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchResult {
-    /// One output vector per input vector, in input order.
-    pub outputs: Vec<Vec<i64>>,
-    /// Timing of this batch.
-    pub stats: BatchStats,
-}
-
 /// A multi-threaded, order-preserving batch executor over one backend.
 ///
 /// ```
 /// use smm_core::matrix::IntMatrix;
-/// use smm_runtime::{DenseRef, Dispatcher, DispatcherConfig};
+/// use smm_runtime::{DenseRef, Dispatcher, DispatcherConfig, FrameBlock, RowBlock};
 /// use std::sync::Arc;
 ///
 /// let v = IntMatrix::identity(3).unwrap();
 /// let d = Dispatcher::new(Arc::new(DenseRef::new(&v)), DispatcherConfig::new(2)).unwrap();
-/// let out = d.dispatch(&[vec![1, 2, 3], vec![4, 5, 6]]).unwrap();
-/// assert_eq!(out.outputs, vec![vec![1, 2, 3], vec![4, 5, 6]]);
+/// let frames = FrameBlock::from_vec(2, 3, vec![1, 2, 3, 4, 5, 6]).unwrap();
+/// let mut out = RowBlock::new();
+/// d.dispatch_block(frames, &mut out).unwrap();
+/// assert_eq!(out.as_slice(), [1, 2, 3, 4, 5, 6]);
 /// ```
 pub struct Dispatcher {
     backend: Arc<dyn GemvBackend>,
@@ -256,25 +247,6 @@ impl Dispatcher {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-    }
-
-    /// Executes one batch through the flat block path, returning nested
-    /// outputs in submission order.
-    ///
-    /// A thin bridge: the batch is copied once into a [`FrameBlock`]
-    /// (rejecting ragged batches), dispatched via
-    /// [`Dispatcher::dispatch_block`], and the output block is split back
-    /// into per-row `Vec`s. Callers on the hot path should hold blocks
-    /// themselves and call `dispatch_block` directly — it performs no
-    /// per-row allocation at all.
-    pub fn dispatch(&self, batch: &[Vec<i32>]) -> Result<BatchResult> {
-        let frames = FrameBlock::try_from(batch)?;
-        let mut out = RowBlock::new();
-        let stats = self.dispatch_block(frames, &mut out)?;
-        Ok(BatchResult {
-            outputs: out.into(),
-            stats,
-        })
     }
 
     /// Executes one flat batch, sharded by contiguous row ranges across
@@ -472,6 +444,13 @@ mod tests {
     use smm_core::matrix::IntMatrix;
     use smm_core::rng::seeded;
 
+    /// Nested rows through [`Dispatcher::dispatch_block`] and back.
+    fn dispatch(d: &Dispatcher, batch: &[Vec<i32>]) -> Result<(Vec<Vec<i64>>, BatchStats)> {
+        let mut out = RowBlock::new();
+        let stats = d.dispatch_block(FrameBlock::from_rows(batch)?, &mut out)?;
+        Ok((out.into(), stats))
+    }
+
     fn random_batch(n: usize, dim: usize, seed: u64) -> Vec<Vec<i32>> {
         let mut rng = seeded(seed);
         (0..n)
@@ -495,11 +474,11 @@ mod tests {
             .iter()
             .map(|a| a.iter().map(|&x| i64::from(x)).collect())
             .collect();
-        let got = d.dispatch(&batch).unwrap();
-        assert_eq!(got.outputs, expect);
-        assert_eq!(got.stats.batch, 97);
-        assert_eq!(got.stats.shards, 4);
-        assert!(got.stats.vectors_per_sec() > 0.0);
+        let (outputs, stats) = dispatch(&d, &batch).unwrap();
+        assert_eq!(outputs, expect);
+        assert_eq!(stats.batch, 97);
+        assert_eq!(stats.shards, 4);
+        assert!(stats.vectors_per_sec() > 0.0);
     }
 
     #[test]
@@ -517,9 +496,9 @@ mod tests {
         for backend in backends {
             for threads in [1usize, 2, 5] {
                 let d = Dispatcher::new(Arc::clone(&backend), DispatcherConfig::new(threads)).unwrap();
-                let got = d.dispatch(&batch).unwrap();
+                let (outputs, _) = dispatch(&d, &batch).unwrap();
                 assert_eq!(
-                    got.outputs,
+                    outputs,
                     expect,
                     "{} @ {threads} threads",
                     backend.name()
@@ -536,14 +515,14 @@ mod tests {
             DispatcherConfig::new(3),
         )
         .unwrap();
-        let empty = d.dispatch(&[]).unwrap();
-        assert!(empty.outputs.is_empty());
-        assert_eq!(empty.stats.batch, 0);
-        assert_eq!(empty.stats.vectors_per_sec(), 0.0);
-        assert_eq!(empty.stats.mean_latency(), Duration::ZERO);
-        let one = d.dispatch(&[vec![9, 8, 7, 6]]).unwrap();
-        assert_eq!(one.outputs, vec![vec![9, 8, 7, 6]]);
-        assert_eq!(one.stats.shards, 1);
+        let (outputs, stats) = dispatch(&d, &[]).unwrap();
+        assert!(outputs.is_empty());
+        assert_eq!(stats.batch, 0);
+        assert_eq!(stats.vectors_per_sec(), 0.0);
+        assert_eq!(stats.mean_latency(), Duration::ZERO);
+        let (outputs, stats) = dispatch(&d, &[vec![9, 8, 7, 6]]).unwrap();
+        assert_eq!(outputs, vec![vec![9, 8, 7, 6]]);
+        assert_eq!(stats.shards, 1);
     }
 
     #[test]
@@ -555,43 +534,12 @@ mod tests {
             DispatcherConfig::new(2),
         )
         .unwrap();
-        // One malformed vector anywhere in the batch fails the batch...
-        let mut bad = random_batch(6, 8, 2303);
-        bad[4] = vec![1, 2, 3];
-        assert!(d.dispatch(&bad).is_err());
+        // A batch of the wrong width fails...
+        assert!(dispatch(&d, &random_batch(6, 3, 2303)).is_err());
         // ...but the pool keeps serving afterwards.
         let good = random_batch(6, 8, 2304);
         let expect: Vec<Vec<i64>> = good.iter().map(|a| vecmat(a, &v).unwrap()).collect();
-        assert_eq!(d.dispatch(&good).unwrap().outputs, expect);
-    }
-
-    #[test]
-    fn miscounting_backend_is_an_error_not_a_panic() {
-        /// A broken `GemvBackend` whose rows are one element short —
-        /// the default `run_rows` must hold it to the row-length
-        /// contract instead of panicking in a slice copy.
-        struct ShortRow;
-        impl GemvBackend for ShortRow {
-            fn name(&self) -> &'static str {
-                "short-row"
-            }
-            fn rows(&self) -> usize {
-                2
-            }
-            fn cols(&self) -> usize {
-                2
-            }
-            fn gemv(&self, _a: &[i32]) -> Result<Vec<i64>> {
-                Ok(vec![0])
-            }
-        }
-        let d = Dispatcher::new(Arc::new(ShortRow), DispatcherConfig::new(2)).unwrap();
-        let err = d.dispatch(&vec![vec![0, 0]; 5]).unwrap_err();
-        assert!(matches!(err, Error::Runtime { .. }), "{err:?}");
-        // The pool is still healthy for a follow-up: a broken shard
-        // poisons only its own batch.
-        let err2 = d.dispatch(&vec![vec![0, 0]; 3]).unwrap_err();
-        assert!(matches!(err2, Error::Runtime { .. }));
+        assert_eq!(dispatch(&d, &good).unwrap().0, expect);
     }
 
     #[test]
@@ -638,9 +586,6 @@ mod tests {
             fn cols(&self) -> usize {
                 2
             }
-            fn gemv(&self, _a: &[i32]) -> Result<Vec<i64>> {
-                Ok(vec![0, 0])
-            }
             fn run_rows(
                 &self,
                 frames: &FrameBlock,
@@ -678,16 +623,15 @@ mod tests {
             DispatcherConfig::new(3),
         )
         .unwrap();
-        let got = d.dispatch(&vec![vec![1, 2, 3, 4, 5, 6]; 50]).unwrap();
-        let s = got.stats;
+        let (_, s) = dispatch(&d, &vec![vec![1, 2, 3, 4, 5, 6]; 50]).unwrap();
         assert!(s.p50_latency > Duration::ZERO);
         assert!(s.p50_latency <= s.p99_latency, "{s:?}");
         // Completion latencies are measured inside the batch window.
         assert!(s.p99_latency <= s.elapsed, "{s:?}");
         // Empty batches report zeros.
-        let empty = d.dispatch(&[]).unwrap();
-        assert_eq!(empty.stats.p50_latency, Duration::ZERO);
-        assert_eq!(empty.stats.p99_latency, Duration::ZERO);
+        let (_, empty) = dispatch(&d, &[]).unwrap();
+        assert_eq!(empty.p50_latency, Duration::ZERO);
+        assert_eq!(empty.p99_latency, Duration::ZERO);
     }
 
     #[test]
@@ -702,8 +646,8 @@ mod tests {
             rec.clone(),
         )
         .unwrap();
-        d.dispatch(&vec![vec![1, 2, 3, 4, 5, 6]; 12]).unwrap();
-        d.dispatch(&vec![vec![1, 2, 3, 4, 5, 6]; 2]).unwrap();
+        dispatch(&d, &vec![vec![1, 2, 3, 4, 5, 6]; 12]).unwrap();
+        dispatch(&d, &vec![vec![1, 2, 3, 4, 5, 6]; 2]).unwrap();
         let stats = rec.stage_stats();
         // 3 shards + 2 shards; one reassembly and one compute per batch.
         assert_eq!(stats[Stage::Shard.idx()].count, 5);
@@ -711,7 +655,7 @@ mod tests {
         assert_eq!(stats[Stage::Compute.idx()].count, 2);
         assert!(stats[Stage::Compute.idx()].p99_ns > 0);
         // Failed batches record nothing.
-        assert!(d.dispatch(&[vec![1]]).is_err());
+        assert!(dispatch(&d, &[vec![1]]).is_err());
         assert_eq!(rec.stage_stats()[Stage::Compute.idx()].count, 2);
         // A recorder-less dispatcher still serves (the default path).
         let plain = Dispatcher::new(
@@ -719,7 +663,7 @@ mod tests {
             DispatcherConfig::new(2),
         )
         .unwrap();
-        plain.dispatch(&vec![vec![0; 6]; 4]).unwrap();
+        dispatch(&plain, &vec![vec![0; 6]; 4]).unwrap();
     }
 
     #[test]
@@ -731,10 +675,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(d.snapshot(), DispatcherStats { batches: 0, vectors: 0, threads: 2 });
-        d.dispatch(&vec![vec![1, 2, 3, 4]; 7]).unwrap();
-        d.dispatch(&vec![vec![1, 2, 3, 4]; 3]).unwrap();
+        dispatch(&d, &vec![vec![1, 2, 3, 4]; 7]).unwrap();
+        dispatch(&d, &vec![vec![1, 2, 3, 4]; 3]).unwrap();
         // Failed dispatches are not served work.
-        assert!(d.dispatch(&[vec![1]]).is_err());
+        assert!(dispatch(&d, &[vec![1]]).is_err());
         let s = d.snapshot();
         assert_eq!((s.batches, s.vectors), (2, 10));
     }
@@ -764,8 +708,7 @@ mod tests {
                         .map(|a| a.iter().map(|&x| i64::from(x)).collect())
                         .collect();
                     for _ in 0..10 {
-                        let got = d.dispatch(&batch).unwrap();
-                        assert_eq!(got.outputs, expect);
+                        assert_eq!(dispatch(&d, &batch).unwrap().0, expect);
                     }
                 })
             })
@@ -790,9 +733,6 @@ mod tests {
         let v = IntMatrix::identity(2).unwrap();
         let d = Dispatcher::new(Arc::new(DenseRef::new(&v)), cfg).unwrap();
         assert!(d.threads() >= 1);
-        assert_eq!(
-            d.dispatch(&[vec![1, 2]]).unwrap().outputs,
-            vec![vec![1, 2]]
-        );
+        assert_eq!(dispatch(&d, &[vec![1, 2]]).unwrap().0, vec![vec![1, 2]]);
     }
 }

@@ -15,9 +15,9 @@
 //!   backend choice scored from the matrix itself ([`plan`]);
 //! * [`Session`] — the resolved engine + [`MultiplierCache`] +
 //!   [`Dispatcher`] behind one submission surface ([`session`]);
-//! * [`GemvBackend`] — the engine trait with the four built-ins:
-//!   [`DenseRef`], [`SparseCsr`], [`BitSerial`], and [`SigmaEngine`]
-//!   ([`backend`]);
+//! * [`GemvBackend`] — the engine trait (one compute method,
+//!   `run_rows`) with the four built-ins: [`DenseRef`], [`SparseCsr`],
+//!   [`BitSerial`], and [`SigmaEngine`] ([`backend`]);
 //! * [`MultiplierCache`] — content-digest-keyed compile memoization with
 //!   an optional LRU bound ([`cache`]);
 //! * [`Dispatcher`] — the sharding, order-preserving worker pool
@@ -30,22 +30,10 @@
 //!
 //! Batches travel flat: [`FrameBlock`] (row-major input frames, one
 //! allocation per batch) in, [`RowBlock`] (row-major output rows,
-//! caller-owned and reused) out — [`Session::run_block`] is the hot
-//! path, and the nested `Vec<Vec<_>>` surfaces bridge onto it.
+//! caller-owned and reused) out — [`Session::run_block`] is the one
+//! batch path, [`Session::run`] the one single-vector path.
 //!
-//! ## Serving in three lines
-//!
-//! ```
-//! use smm_core::matrix::IntMatrix;
-//! use smm_runtime::Session;
-//!
-//! let v = IntMatrix::from_vec(2, 2, vec![1, -2, 3, 4]).unwrap();
-//! let session = Session::auto(v).unwrap();
-//! assert_eq!(session.run_batch(&[vec![5, 6], vec![1, 0]]).unwrap().outputs,
-//!            vec![vec![23, 14], vec![1, -2]]);
-//! ```
-//!
-//! The same batch through the flat block path, reusing the output block:
+//! ## Serving in a few lines
 //!
 //! ```
 //! use smm_core::matrix::IntMatrix;
@@ -53,6 +41,7 @@
 //!
 //! let v = IntMatrix::from_vec(2, 2, vec![1, -2, 3, 4]).unwrap();
 //! let session = Session::auto(v).unwrap();
+//! assert_eq!(session.run(&[5, 6]).unwrap(), vec![23, 14]);
 //! let frames = FrameBlock::try_from(vec![vec![5, 6], vec![1, 0]]).unwrap();
 //! let mut out = RowBlock::new();
 //! session.run_block(frames, &mut out).unwrap();
@@ -78,7 +67,7 @@ pub mod tiered;
 
 pub use backend::{BitSerial, DenseRef, GemvBackend, SigmaEngine, SparseCsr};
 pub use cache::{CacheStats, MultiplierCache};
-pub use dispatch::{BatchResult, BatchStats, Dispatcher, DispatcherConfig, DispatcherStats};
+pub use dispatch::{BatchStats, Dispatcher, DispatcherConfig, DispatcherStats};
 pub use smm_core::block::{FrameBlock, RowBlock};
 pub use plan::{AutoOptions, EnginePlan, PlanCandidate, PlanPolicy, Planner};
 pub use session::{Session, SessionBuilder, SessionStats};

@@ -10,23 +10,15 @@
 //! * [`Session::run`] — one product `o = aᵀV`, computed directly on the
 //!   engine (no dispatcher round trip: a single vector should not pay
 //!   batch overhead);
-//! * [`Session::run_block`] — the hot batch path: a flat
-//!   [`FrameBlock`] sharded across the pool into a caller-owned
-//!   [`RowBlock`], with per-batch timing and no per-row allocation;
-//! * [`Session::run_batch`] — the nested `Vec<Vec<_>>` surface, kept as
-//!   a thin bridge over the block path;
-//! * [`Session::stream`] — framed streaming into a caller-owned buffer
-//!   (the bit-serial engine pipelines the frames back-to-back through one
-//!   continuous simulation via
-//!   [`FixedMatrixMultiplier::run_frames`](smm_bitserial::multiplier::FixedMatrixMultiplier::run_frames));
+//! * [`Session::run_block`] — a batch: a flat [`FrameBlock`] sharded
+//!   across the pool into a caller-owned [`RowBlock`], with per-batch
+//!   timing and no per-row allocation;
 //! * [`Session::stats`] — cache, dispatcher, and fast-path counters in
 //!   one struct.
 //!
-//! Rule of thumb: `run` for one vector, `run_block` for batches on the
-//! hot path (hold the blocks, reuse them), `run_batch` when the data
-//! already lives in nested `Vec`s and a copy is acceptable, `stream`
-//! when frames should pipeline through one continuous bit-serial
-//! simulation with per-row buffer reuse.
+//! Rule of thumb: `run` for one vector, `run_block` for batches (hold
+//! the blocks, reuse them). Both reach the same engine kernel
+//! ([`GemvBackend::run_rows`]).
 //!
 //! Construction is a builder ([`Session::builder`]): pick a
 //! [`PlanPolicy`] (default: auto-plan from the matrix itself), optionally
@@ -46,7 +38,7 @@
 
 use crate::backend::GemvBackend;
 use crate::cache::{CacheStats, MultiplierCache};
-use crate::dispatch::{BatchResult, BatchStats, Dispatcher, DispatcherConfig, DispatcherStats};
+use crate::dispatch::{BatchStats, Dispatcher, DispatcherConfig, DispatcherStats};
 use crate::plan::{EnginePlan, PlanPolicy, Planner};
 use crate::spec::{EngineRegistry, EngineSpec};
 use smm_core::block::{FrameBlock, RowBlock};
@@ -254,22 +246,6 @@ impl Session {
         self.dispatcher.dispatch_block(frames, out)
     }
 
-    /// Executes one nested batch, outputs in submission order with
-    /// timing — a thin bridge that copies the batch into a
-    /// [`FrameBlock`], serves through [`Session::run_block`], and splits
-    /// the output block back into rows. Prefer `run_block` on hot paths.
-    pub fn run_batch(&self, batch: &[Vec<i32>]) -> Result<BatchResult> {
-        self.dispatcher.dispatch(batch)
-    }
-
-    /// Streams `frames` through the engine into a caller-owned output
-    /// buffer, reusing its allocations across calls. On the bit-serial
-    /// engine the frames pipeline back-to-back through one continuous
-    /// cycle-accurate simulation; other engines compute frame-by-frame.
-    pub fn stream(&self, frames: &[Vec<i32>], out: &mut Vec<Vec<i64>>) -> Result<()> {
-        self.engine().stream_into(frames, out)
-    }
-
     /// Cache, dispatcher, and fast-path counters in one struct.
     pub fn stats(&self) -> SessionStats {
         SessionStats {
@@ -307,6 +283,13 @@ mod tests {
     use smm_core::gemv::vecmat;
     use smm_core::rng::seeded;
 
+    /// Nested rows through [`Session::run_block`] and back.
+    fn run_rows_of(session: &Session, batch: &[Vec<i32>]) -> Result<Vec<Vec<i64>>> {
+        let mut out = RowBlock::new();
+        session.run_block(FrameBlock::from_rows(batch)?, &mut out)?;
+        Ok(out.into())
+    }
+
     fn sparse(seed: u64, dim: usize, sparsity: f64) -> IntMatrix {
         let mut rng = seeded(seed);
         element_sparse_matrix(dim, dim, 8, sparsity, true, &mut rng).unwrap()
@@ -324,8 +307,7 @@ mod tests {
             .map(|_| random_vector(20, 8, true, &mut rng).unwrap())
             .collect();
         let expect: Vec<Vec<i64>> = batch.iter().map(|a| vecmat(a, &v).unwrap()).collect();
-        let served = session.run_batch(&batch).unwrap();
-        assert_eq!(served.outputs, expect);
+        assert_eq!(run_rows_of(&session, &batch).unwrap(), expect);
         let stats = session.stats();
         // The single went down the fast path; only the batch hit the pool.
         assert_eq!((stats.dispatcher.batches, stats.dispatcher.vectors), (1, 7));
@@ -349,7 +331,6 @@ mod tests {
 
     #[test]
     fn run_block_serves_bit_identically_and_reuses_the_output() {
-        use smm_core::block::{FrameBlock, RowBlock};
         let v = sparse(2907, 16, 0.7);
         let mut rng = seeded(2908);
         let batch: Vec<Vec<i32>> = (0..10)
@@ -385,32 +366,7 @@ mod tests {
         ] {
             let session = Session::with_spec(v.clone(), spec.clone()).unwrap();
             assert_eq!(session.engine().name(), spec.kind());
-            assert_eq!(
-                session.run_batch(&batch).unwrap().outputs,
-                expect,
-                "{spec}"
-            );
-        }
-    }
-
-    #[test]
-    fn stream_reuses_the_output_buffer() {
-        let v = sparse(2904, 10, 0.5);
-        let frames: Vec<Vec<i32>> = {
-            let mut rng = seeded(2905);
-            (0..6)
-                .map(|_| random_vector(10, 8, true, &mut rng).unwrap())
-                .collect()
-        };
-        let expect: Vec<Vec<i64>> = frames.iter().map(|a| vecmat(a, &v).unwrap()).collect();
-        for spec in [EngineSpec::dense(), EngineSpec::csr(), EngineSpec::bitserial()] {
-            let session = Session::with_spec(v.clone(), spec.clone()).unwrap();
-            let mut out = Vec::new();
-            session.stream(&frames, &mut out).unwrap();
-            assert_eq!(out, expect, "{spec}");
-            // Second pass into the same buffer: same result, no stale rows.
-            session.stream(&frames[..3], &mut out).unwrap();
-            assert_eq!(out, expect[..3], "{spec} (reused buffer)");
+            assert_eq!(run_rows_of(&session, &batch).unwrap(), expect, "{spec}");
         }
     }
 
@@ -446,7 +402,7 @@ mod tests {
             .build()
             .unwrap();
         session.run(&[1, 2, 3, 4]).unwrap();
-        session.run_batch(&vec![vec![1, 2, 3, 4]; 6]).unwrap();
+        run_rows_of(&session, &vec![vec![1, 2, 3, 4]; 6]).unwrap();
         let stats = rec.stage_stats();
         // One compute from the single's fast path, one from the batch.
         assert_eq!(stats[Stage::Compute.idx()].count, 2);
@@ -476,9 +432,7 @@ mod tests {
     fn dimension_errors_propagate_through_run() {
         let session = Session::auto(IntMatrix::identity(4).unwrap()).unwrap();
         assert!(session.run(&[1, 2]).is_err());
-        assert!(session.run_batch(&[vec![1; 4], vec![1; 3]]).is_err());
-        let mut out = Vec::new();
-        assert!(session.stream(&[vec![1; 3]], &mut out).is_err());
+        assert!(run_rows_of(&session, &[vec![1; 3]]).is_err());
         // The pool survives the error.
         assert_eq!(session.run(&[1, 2, 3, 4]).unwrap(), vec![1, 2, 3, 4]);
     }

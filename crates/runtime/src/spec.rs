@@ -394,8 +394,16 @@ mod tests {
             fn cols(&self) -> usize {
                 self.0.cols()
             }
-            fn gemv(&self, a: &[i32]) -> Result<Vec<i64>> {
-                Ok(self.0.gemv(a)?.into_iter().map(|x| -x).collect())
+            fn run_rows(
+                &self,
+                frames: &smm_core::block::FrameBlock,
+                start: usize,
+                end: usize,
+                out: &mut [i64],
+            ) -> Result<()> {
+                self.0.run_rows(frames, start, end, out)?;
+                out.iter_mut().for_each(|x| *x = -*x);
+                Ok(())
             }
         }
         let mut registry = EngineRegistry::builtin();

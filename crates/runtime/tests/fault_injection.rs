@@ -44,15 +44,6 @@ impl GemvBackend for PanicOnShard {
         self.dim
     }
 
-    fn gemv(&self, a: &[i32]) -> Result<Vec<i64>> {
-        if a.len() != self.dim {
-            return Err(Error::DimensionMismatch {
-                context: "bad input length".into(),
-            });
-        }
-        Ok(a.iter().map(|&x| i64::from(x)).collect())
-    }
-
     fn run_rows(
         &self,
         frames: &FrameBlock,

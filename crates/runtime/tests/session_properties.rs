@@ -8,13 +8,13 @@ use proptest::prelude::*;
 use smm_core::generate::{element_sparse_matrix, random_vector};
 use smm_core::gemv::vecmat;
 use smm_core::rng::seeded;
-use smm_runtime::{EngineSpec, MultiplierCache, PlanPolicy, Session};
+use smm_runtime::{EngineSpec, FrameBlock, MultiplierCache, PlanPolicy, RowBlock, Session};
 use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `Session::run_batch` is bit-identical to the dense reference under
+    /// `Session::run_block` is bit-identical to the dense reference under
     /// every engine spec, and under the auto plan, for any shape,
     /// sparsity, batch size, and thread count.
     #[test]
@@ -33,6 +33,8 @@ proptest! {
             .collect();
         let expect: Vec<Vec<i64>> =
             batch.iter().map(|a| vecmat(a, &v).unwrap()).collect();
+        let frames = Arc::new(FrameBlock::from_rows(&batch).unwrap());
+        let mut out = RowBlock::new();
 
         let cache = Arc::new(MultiplierCache::new());
         let mut specs = vec![
@@ -47,7 +49,8 @@ proptest! {
             .build()
             .unwrap();
         specs.push(auto.plan().spec.clone());
-        prop_assert_eq!(auto.run_batch(&batch).unwrap().outputs, expect.clone());
+        auto.run_block(Arc::clone(&frames), &mut out).unwrap();
+        prop_assert_eq!(Vec::<Vec<i64>>::from(&out), expect.clone());
 
         for spec in specs {
             let session = Session::builder(v.clone())
@@ -55,15 +58,15 @@ proptest! {
                 .cache(Arc::clone(&cache))
                 .build()
                 .unwrap();
-            let served = session.run_batch(&batch).unwrap();
-            prop_assert_eq!(&served.outputs, &expect, "spec {}", spec);
-            prop_assert_eq!(served.stats.batch, batch_size);
+            let stats = session.run_block(Arc::clone(&frames), &mut out).unwrap();
+            prop_assert_eq!(&Vec::<Vec<i64>>::from(&out), &expect, "spec {}", spec);
+            prop_assert_eq!(stats.batch, batch_size);
         }
         // One matrix, one compile: every bit-serial session shared it.
         prop_assert!(cache.stats().misses <= 1);
     }
 
-    // The run == run_batch == run_block == stream cross-engine identity
+    // The run == run_block == run_rows == wire cross-engine identity
     // property lives in the workspace-level conformance harness
     // (`tests/engine_conformance.rs`), which drives every registered
     // engine kind through one table.

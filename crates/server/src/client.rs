@@ -1,6 +1,4 @@
-//! The blocking client side of the wire protocol (speaks v5: typed
-//! capacity refusals, and `Stats` snapshots carrying the per-stage
-//! latency block plus the matrix-fleet tier block).
+//! The blocking client side of the wire protocol.
 
 use crate::protocol::{
     read_frame, write_frame, BackendKind, FrameError, LoadedInfo, Opcode, Reply, Request,
@@ -25,9 +23,6 @@ pub enum ServeError {
     },
     /// The server answered with an error message.
     Remote(String),
-    /// The request was malformed client-side (e.g. a ragged batch) and
-    /// was never sent; the connection is still healthy.
-    Invalid(String),
     /// The connection or the protocol itself failed; the client is dead.
     Transport(String),
 }
@@ -40,7 +35,6 @@ impl std::fmt::Display for ServeError {
                 write!(f, "matrix registry full ({loaded} loaded)")
             }
             ServeError::Remote(message) => write!(f, "server error: {message}"),
-            ServeError::Invalid(context) => write!(f, "invalid request (not sent): {context}"),
             ServeError::Transport(context) => write!(f, "transport failure: {context}"),
         }
     }
@@ -177,16 +171,6 @@ impl Client {
         }
     }
 
-    /// A batch of products, returned in request order — a bridge over
-    /// [`Client::gemv_block`] for callers holding nested `Vec`s. A
-    /// ragged batch is refused client-side ([`ServeError::Invalid`])
-    /// instead of burning a round trip the server would reject anyway.
-    pub fn gemv_batch(&mut self, digest: u64, vectors: &[Vec<i32>]) -> ServeResult<Vec<Vec<i64>>> {
-        let frames =
-            FrameBlock::try_from(vectors).map_err(|e| ServeError::Invalid(e.to_string()))?;
-        Ok(self.gemv_block(digest, &frames)?.into())
-    }
-
     /// A batch of products as flat blocks: one [`FrameBlock`] request
     /// in, one [`RowBlock`] of output rows back, in request order. The
     /// frames are serialized straight from the borrow — no clone.
@@ -203,7 +187,7 @@ impl Client {
                 }
                 Ok(rows)
             }
-            _ => self.protocol_breach("gemv_batch"),
+            _ => self.protocol_breach("gemv_block"),
         }
     }
 
@@ -232,11 +216,6 @@ mod tests {
     fn serve_error_displays() {
         assert!(ServeError::Busy.to_string().contains("busy"));
         assert!(ServeError::Remote("x".into()).to_string().contains("x"));
-        assert!(ServeError::Invalid("ragged".into())
-            .to_string()
-            .contains("not sent"));
-        // The typed capacity error renders the same sentence v1–v4
-        // peers receive as a stringly error, so log grep lines match.
         assert_eq!(
             ServeError::Capacity { loaded: 64 }.to_string(),
             "matrix registry full (64 loaded)"

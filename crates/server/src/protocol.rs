@@ -1,11 +1,11 @@
-//! The versioned binary wire protocol spoken between [`crate::Client`]
-//! and the server.
+//! The binary wire protocol spoken between [`crate::Client`] and the
+//! server.
 //!
 //! Every message is one *frame*:
 //!
 //! ```text
 //! magic  "SMM1"      4 bytes
-//! version            1 byte   (1 through 4)
+//! version            1 byte   (5, nothing else)
 //! opcode             1 byte
 //! request id         8 bytes  little-endian
 //! payload length     4 bytes  little-endian
@@ -13,45 +13,23 @@
 //! ```
 //!
 //! Requests and replies share the frame shape; a reply echoes its
-//! request's opcode, id, **and version**, and its payload begins with a
-//! status byte ([`STATUS_OK`] / [`STATUS_BUSY`] / [`STATUS_ERROR`]). All
-//! multi-byte integers are little-endian via [`smm_core::wire`]; matrices
-//! travel as MatrixMarket text via [`smm_core::io::matrix_to_bytes`]. The
-//! payload length is capped ([`MAX_FRAME_PAYLOAD`]) so a hostile peer
-//! cannot drive unbounded allocation.
+//! request's opcode and id, and its payload begins with a status byte
+//! ([`STATUS_OK`] / [`STATUS_BUSY`] / [`STATUS_ERROR`] /
+//! [`STATUS_CAPACITY`]). All multi-byte integers are little-endian via
+//! [`smm_core::wire`]; matrices travel as MatrixMarket text via
+//! [`smm_core::io::matrix_to_bytes`]. The payload length is capped
+//! ([`MAX_FRAME_PAYLOAD`]) so a hostile peer cannot drive unbounded
+//! allocation.
 //!
-//! ## Version negotiation
+//! ## One layout per message
 //!
-//! The version byte is per-frame and the server answers in whatever
-//! version the request arrived under, so v1 and v2 clients keep working
-//! against a v3 server unchanged. The differences:
-//!
-//! * **v1** — `LoadMatrix` carries only the matrix; the `Loaded` reply is
-//!   `digest/rows/cols/already_loaded`.
-//! * **v2** — `LoadMatrix` additionally carries a [`BackendKind`] choice
-//!   byte (`auto|dense|csr|bitserial`, or *unspecified* to take the
-//!   server's default), and the `Loaded` reply names the engine the
-//!   server actually planned for the matrix.
-//! * **v3** — the choice byte additionally admits `sigma`
-//!   ([`BackendKind::Sigma`], wire byte 5). The layout is byte-identical
-//!   to v2; the version bump exists so a v2 frame can never smuggle a
-//!   choice its own generation of peers would reject — byte 5 in a v2
-//!   frame is a decode error, exactly as it was before the engine
-//!   existed.
-//! * **v4** — the `Stats` reply appends per-stage latency summaries
-//!   ([`StatsSnapshot::stages`]): for each pipeline stage in
-//!   [`Stage::ALL`] order, three `u64`s (count, p50 ns, p99 ns). A v3
-//!   or older `Stats` reply is byte-identical to before — the stage
-//!   block is simply absent, and decoding leaves the field zeroed.
-//! * **v5** — capacity pressure becomes machine-matchable: a refused
-//!   `LoadMatrix` answers with status byte [`STATUS_CAPACITY`] and the
-//!   resident count ([`Reply::CapacityFull`]) instead of a stringly
-//!   error. To a v1–v4 peer the same condition encodes as
-//!   [`STATUS_ERROR`] with the exact legacy message (`"matrix registry
-//!   full (N loaded)"`), so old matchers keep working. The `Stats`
-//!   reply additionally appends the matrix-fleet tier block: six
-//!   `u64`s (hot/warm/cold resident counts, promotions, demotions,
-//!   store hits). Pre-v5 `Stats` bodies are byte-identical to v4.
+//! Every client of this protocol lives in this repository and writes
+//! [`VERSION`], so each message has exactly one layout. The version byte
+//! stays so that a peer from another revision is *refused*, never
+//! misread: the frame reader rejects any other value, the server answers
+//! with one `protocol violation: unsupported protocol version` error
+//! frame and closes the socket, and [`Request::decode`] /
+//! [`Reply::decode`] refuse a foreign version with [`Error::Wire`].
 
 use smm_core::block::{FrameBlock, RowBlock};
 use smm_core::error::{Error, Result};
@@ -63,12 +41,8 @@ use std::io::{self, Read, Write};
 
 /// Frame preamble: the protocol's on-wire signature.
 pub const MAGIC: [u8; 4] = *b"SMM1";
-/// Current protocol version: v5 (typed capacity replies and fleet tier
-/// counts in `Stats`; v4 added per-stage latency summaries, v3 the
-/// `sigma` backend choice, v2 the choice byte itself).
+/// The one protocol version both ends speak.
 pub const VERSION: u8 = 5;
-/// Oldest version the server still speaks.
-pub const MIN_VERSION: u8 = 1;
 /// Fixed frame header size in bytes.
 pub const HEADER_LEN: usize = 18;
 /// Upper bound on a frame payload; larger length prefixes are rejected
@@ -81,15 +55,23 @@ pub const STATUS_OK: u8 = 0;
 pub const STATUS_BUSY: u8 = 1;
 /// Reply status byte: request failed; payload carries the message.
 pub const STATUS_ERROR: u8 = 2;
-/// Reply status byte (v5+): the matrix fleet has no room for a new
-/// digest; payload carries the resident count. v1–v4 peers receive the
-/// same condition as [`STATUS_ERROR`] with the legacy message.
+/// Reply status byte: the matrix fleet has no room for a new digest;
+/// payload carries the resident count.
 pub const STATUS_CAPACITY: u8 = 3;
 
+/// Refuses a payload that travelled under any version but [`VERSION`].
+fn check_version(version: u8) -> Result<()> {
+    if version != VERSION {
+        return Err(Error::Wire {
+            context: format!("unsupported protocol version {version} (speaking {VERSION})"),
+        });
+    }
+    Ok(())
+}
+
 /// Which compute engine the server builds for a loaded matrix — the
-/// server-wide default ([`crate::ServerConfig::backend`]) and, since
-/// protocol v2, a per-`LoadMatrix` request choice (`sigma` requires
-/// protocol v3).
+/// server-wide default ([`crate::ServerConfig::backend`]) and a
+/// per-`LoadMatrix` request choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum BackendKind {
@@ -106,7 +88,7 @@ pub enum BackendKind {
     /// [`smm_runtime::MultiplierCache`].
     BitSerial,
     /// The SIGMA accelerator baseline executed through its PE-grid tile
-    /// mapping (protocol v3; a v2 frame cannot carry this choice).
+    /// mapping.
     Sigma,
 }
 
@@ -135,20 +117,18 @@ impl BackendKind {
         }
     }
 
-    /// Decodes a choice byte as `version` defines it: byte 5 (`sigma`)
-    /// exists only from v3 on, so a v2 frame carrying it is rejected the
-    /// same way a v2-era peer would reject it.
-    fn option_from_u8(raw: u8, version: u8) -> Result<Option<BackendKind>> {
+    /// Decodes a choice byte.
+    fn option_from_u8(raw: u8) -> Result<Option<BackendKind>> {
         Ok(match raw {
             0 => None,
             1 => Some(BackendKind::Auto),
             2 => Some(BackendKind::Dense),
             3 => Some(BackendKind::Csr),
             4 => Some(BackendKind::BitSerial),
-            5 if version >= 3 => Some(BackendKind::Sigma),
+            5 => Some(BackendKind::Sigma),
             other => {
                 return Err(Error::Wire {
-                    context: format!("unknown backend choice byte {other} for protocol v{version}"),
+                    context: format!("unknown backend choice byte {other}"),
                 })
             }
         })
@@ -216,8 +196,7 @@ pub enum Request {
     LoadMatrix {
         /// The matrix to serve.
         matrix: IntMatrix,
-        /// Requested engine (v2 and later; `sigma` needs v3; `None`
-        /// takes the server default — and is all a v1 frame can say).
+        /// Requested engine (`None` takes the server default).
         backend: Option<BackendKind>,
     },
     /// One product against the matrix with this digest.
@@ -232,10 +211,9 @@ pub enum Request {
         /// [`IntMatrix::digest`] of the loaded matrix.
         digest: u64,
         /// The input frames, served in order. Decoded straight off the
-        /// wire into one flat block; the unchanged wire layout (count,
-        /// then per-vector length-prefixed `i32`s) requires every vector
-        /// of a batch to have the same length, which was already the
-        /// only shape a batch could compute.
+        /// wire into one flat block; the wire layout (count, then
+        /// per-vector length-prefixed `i32`s) requires every vector of a
+        /// batch to have the same length.
         frames: FrameBlock,
     },
     /// Server-wide metrics snapshot.
@@ -254,18 +232,15 @@ impl Request {
         }
     }
 
-    /// Serializes the request payload (header excluded) as `version`
-    /// lays it out. A v1 `LoadMatrix` cannot carry a backend choice; the
-    /// field is silently dropped (the server default applies).
-    pub fn encode(&self, version: u8) -> Vec<u8> {
+    /// Serializes the request payload (header excluded). There is one
+    /// layout; `_version` selects nothing.
+    pub fn encode(&self, _version: u8) -> Vec<u8> {
         let mut buf = Vec::new();
         match self {
             Request::Ping | Request::Stats => {}
             Request::LoadMatrix { matrix, backend } => {
                 wire::put_bytes(&mut buf, &matrix_to_bytes(matrix));
-                if version >= 2 {
-                    wire::put_u8(&mut buf, BackendKind::option_to_u8(*backend));
-                }
+                wire::put_u8(&mut buf, BackendKind::option_to_u8(*backend));
             }
             Request::Gemv { digest, vector } => {
                 wire::put_u64(&mut buf, *digest);
@@ -280,8 +255,7 @@ impl Request {
 
     /// Encodes a `GemvBatch` payload straight from a borrowed block —
     /// the client's batch hot path serializes without cloning the
-    /// frames into an owned [`Request`]. The layout is identical in
-    /// every protocol version.
+    /// frames into an owned [`Request`].
     pub fn encode_gemv_batch(digest: u64, frames: &FrameBlock) -> Vec<u8> {
         let mut buf = Vec::with_capacity(12 + frames.frames() * (4 + frames.width() * 4));
         wire::put_u64(&mut buf, digest);
@@ -292,19 +266,17 @@ impl Request {
         buf
     }
 
-    /// Decodes a request payload for `opcode` as `version` laid it out.
+    /// Decodes a request payload for `opcode`; any `version` but
+    /// [`VERSION`] is refused.
     pub fn decode(version: u8, opcode: Opcode, payload: &[u8]) -> Result<Request> {
+        check_version(version)?;
         let mut c = Cursor::new(payload);
         let request = match opcode {
             Opcode::Ping => Request::Ping,
             Opcode::Stats => Request::Stats,
             Opcode::LoadMatrix => Request::LoadMatrix {
                 matrix: matrix_from_bytes(c.take_bytes("matrix payload")?)?,
-                backend: if version >= 2 {
-                    BackendKind::option_from_u8(c.take_u8("backend choice")?, version)?
-                } else {
-                    None
-                },
+                backend: BackendKind::option_from_u8(c.take_u8("backend choice")?)?,
             },
             Opcode::Gemv => Request::Gemv {
                 digest: c.take_u64("matrix digest")?,
@@ -380,26 +352,21 @@ pub struct StatsSnapshot {
     /// 99th-percentile compute-request latency, in nanoseconds (bucketed).
     pub p99_latency_ns: u64,
     /// Per-stage latency summaries in [`Stage::ALL`] order (decode,
-    /// queue, plan, shard, reassemble, compute, encode). Carried on the
-    /// wire from protocol v4; a snapshot decoded off a pre-v4 reply
-    /// leaves every entry zeroed.
+    /// queue, plan, shard, reassemble, compute, encode).
     pub stages: [StageStats; STAGES],
     /// Digests resident in the hot tier (compiled session in memory).
-    /// Carried on the wire from protocol v5, like every field below; a
-    /// snapshot decoded off a pre-v5 reply leaves them zeroed.
     pub tier_hot: u64,
     /// Digests resident in the warm tier (raw matrix in memory,
-    /// compiled on demand). v5+.
+    /// compiled on demand).
     pub tier_warm: u64,
     /// Digests resident only in the cold tier (serialized on disk).
-    /// v5+.
     pub tier_cold: u64,
-    /// Warm/cold entries promoted back to a hotter tier. v5+.
+    /// Warm/cold entries promoted back to a hotter tier.
     pub store_promotions: u64,
-    /// Entries demoted to a colder tier under pressure. v5+.
+    /// Entries demoted to a colder tier under pressure.
     pub store_demotions: u64,
     /// Requests answered from the on-disk store instead of a fresh
-    /// compile. v5+.
+    /// compile.
     pub store_hits: u64,
 }
 
@@ -450,30 +417,24 @@ impl StatsSnapshot {
         self.stages[stage.idx()]
     }
 
-    /// Serializes the snapshot as `version` lays it out: 15 `u64`s,
-    /// plus (from v4) the per-stage summary block, plus (from v5) the
-    /// six-`u64` fleet tier block. A pre-v5 encoding is byte-identical
-    /// to what those versions always produced.
-    pub fn encode(&self, version: u8, buf: &mut Vec<u8>) {
+    /// Serializes the snapshot: 15 `u64`s, the per-stage summary block
+    /// (three `u64`s per stage), then the six-`u64` fleet tier block.
+    pub fn encode(&self, buf: &mut Vec<u8>) {
         for v in self.fields() {
             wire::put_u64(buf, v);
         }
-        if version >= 4 {
-            for s in &self.stages {
-                wire::put_u64(buf, s.count);
-                wire::put_u64(buf, s.p50_ns);
-                wire::put_u64(buf, s.p99_ns);
-            }
+        for s in &self.stages {
+            wire::put_u64(buf, s.count);
+            wire::put_u64(buf, s.p50_ns);
+            wire::put_u64(buf, s.p99_ns);
         }
-        if version >= 5 {
-            for v in self.tier_fields() {
-                wire::put_u64(buf, v);
-            }
+        for v in self.tier_fields() {
+            wire::put_u64(buf, v);
         }
     }
 
-    /// Decodes a snapshot as `version` laid it out.
-    pub fn decode(version: u8, c: &mut Cursor<'_>) -> Result<StatsSnapshot> {
+    /// Decodes a snapshot.
+    pub fn decode(c: &mut Cursor<'_>) -> Result<StatsSnapshot> {
         let mut s = StatsSnapshot::default();
         let fields: [&mut u64; 15] = [
             &mut s.requests,
@@ -495,25 +456,21 @@ impl StatsSnapshot {
         for f in fields {
             *f = c.take_u64("stats field")?;
         }
-        if version >= 4 {
-            for stage in &mut s.stages {
-                stage.count = c.take_u64("stage count")?;
-                stage.p50_ns = c.take_u64("stage p50")?;
-                stage.p99_ns = c.take_u64("stage p99")?;
-            }
+        for stage in &mut s.stages {
+            stage.count = c.take_u64("stage count")?;
+            stage.p50_ns = c.take_u64("stage p50")?;
+            stage.p99_ns = c.take_u64("stage p99")?;
         }
-        if version >= 5 {
-            let tier: [&mut u64; 6] = [
-                &mut s.tier_hot,
-                &mut s.tier_warm,
-                &mut s.tier_cold,
-                &mut s.store_promotions,
-                &mut s.store_demotions,
-                &mut s.store_hits,
-            ];
-            for f in tier {
-                *f = c.take_u64("tier field")?;
-            }
+        let tier: [&mut u64; 6] = [
+            &mut s.tier_hot,
+            &mut s.tier_warm,
+            &mut s.tier_cold,
+            &mut s.store_promotions,
+            &mut s.store_demotions,
+            &mut s.store_hits,
+        ];
+        for f in tier {
+            *f = c.take_u64("tier field")?;
         }
         Ok(s)
     }
@@ -530,8 +487,7 @@ pub struct LoadedInfo {
     pub cols: u64,
     /// `true` if the matrix was already loaded.
     pub already_loaded: bool,
-    /// Name of the engine the server planned for this matrix (v2 only;
-    /// empty over a v1 connection).
+    /// Name of the engine the server planned for this matrix.
     pub engine: String,
 }
 
@@ -546,8 +502,8 @@ pub enum Reply {
     /// [`Request::Gemv`] result.
     Output(Vec<i64>),
     /// [`Request::GemvBatch`] results, in request order — one flat
-    /// block, encoded straight onto the wire (layout unchanged: count,
-    /// then per-row length-prefixed `i64`s).
+    /// block, encoded straight onto the wire (count, then per-row
+    /// length-prefixed `i64`s).
     Outputs(RowBlock),
     /// [`Request::Stats`] snapshot (boxed: the per-stage latency block
     /// would otherwise dominate every `Reply`'s size).
@@ -557,9 +513,7 @@ pub enum Reply {
     /// Request failed.
     Error(String),
     /// [`Request::LoadMatrix`] refused: the matrix fleet is at
-    /// capacity across every tier. Wire status [`STATUS_CAPACITY`]
-    /// from v5; encoded to v1–v4 peers as [`STATUS_ERROR`] with the
-    /// legacy `"matrix registry full (N loaded)"` message.
+    /// capacity across every tier. Wire status [`STATUS_CAPACITY`].
     CapacityFull {
         /// Digests currently resident across all tiers.
         loaded: u64,
@@ -567,9 +521,9 @@ pub enum Reply {
 }
 
 impl Reply {
-    /// Serializes the reply payload (status byte, then the body) as
-    /// `version` lays it out. A v1 `Loaded` omits the engine name.
-    pub fn encode(&self, version: u8) -> Vec<u8> {
+    /// Serializes the reply payload (status byte, then the body). There
+    /// is one layout; `_version` selects nothing.
+    pub fn encode(&self, _version: u8) -> Vec<u8> {
         let mut buf = Vec::new();
         match self {
             Reply::Busy => wire::put_u8(&mut buf, STATUS_BUSY),
@@ -578,13 +532,8 @@ impl Reply {
                 wire::put_str(&mut buf, message);
             }
             Reply::CapacityFull { loaded } => {
-                if version >= 5 {
-                    wire::put_u8(&mut buf, STATUS_CAPACITY);
-                    wire::put_u64(&mut buf, *loaded);
-                } else {
-                    wire::put_u8(&mut buf, STATUS_ERROR);
-                    wire::put_str(&mut buf, &format!("matrix registry full ({loaded} loaded)"));
-                }
+                wire::put_u8(&mut buf, STATUS_CAPACITY);
+                wire::put_u64(&mut buf, *loaded);
             }
             Reply::Pong => wire::put_u8(&mut buf, STATUS_OK),
             Reply::Loaded(info) => {
@@ -593,9 +542,7 @@ impl Reply {
                 wire::put_u64(&mut buf, info.rows);
                 wire::put_u64(&mut buf, info.cols);
                 wire::put_u8(&mut buf, u8::from(info.already_loaded));
-                if version >= 2 {
-                    wire::put_str(&mut buf, &info.engine);
-                }
+                wire::put_str(&mut buf, &info.engine);
             }
             Reply::Output(o) => {
                 wire::put_u8(&mut buf, STATUS_OK);
@@ -611,21 +558,22 @@ impl Reply {
             }
             Reply::Stats(s) => {
                 wire::put_u8(&mut buf, STATUS_OK);
-                s.encode(version, &mut buf);
+                s.encode(&mut buf);
             }
         }
         buf
     }
 
     /// Decodes a reply payload; the body shape is determined by the
-    /// opcode of the request being answered and the frame version it
-    /// travelled under.
+    /// opcode of the request being answered. Any `version` but
+    /// [`VERSION`] is refused.
     pub fn decode(version: u8, request_opcode: Opcode, payload: &[u8]) -> Result<Reply> {
+        check_version(version)?;
         let mut c = Cursor::new(payload);
         let reply = match c.take_u8("status byte")? {
             STATUS_BUSY => Reply::Busy,
             STATUS_ERROR => Reply::Error(c.take_str("error message")?.to_string()),
-            STATUS_CAPACITY if version >= 5 => Reply::CapacityFull {
+            STATUS_CAPACITY => Reply::CapacityFull {
                 loaded: c.take_u64("loaded count")?,
             },
             STATUS_OK => match request_opcode {
@@ -635,11 +583,7 @@ impl Reply {
                     rows: c.take_u64("rows")?,
                     cols: c.take_u64("cols")?,
                     already_loaded: c.take_u8("already-loaded flag")? != 0,
-                    engine: if version >= 2 {
-                        c.take_str("engine name")?.to_string()
-                    } else {
-                        String::new()
-                    },
+                    engine: c.take_str("engine name")?.to_string(),
                 }),
                 Opcode::Gemv => Reply::Output(c.take_i64_vec("output vector")?),
                 Opcode::GemvBatch => {
@@ -666,7 +610,7 @@ impl Reply {
                     }
                     Reply::Outputs(RowBlock::from_vec(count, width, data)?)
                 }
-                Opcode::Stats => Reply::Stats(Box::new(StatsSnapshot::decode(version, &mut c)?)),
+                Opcode::Stats => Reply::Stats(Box::new(StatsSnapshot::decode(&mut c)?)),
             },
             other => {
                 return Err(Error::Wire {
@@ -682,9 +626,8 @@ impl Reply {
 /// A raw frame off the wire: version, opcode byte, request id, payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
-    /// Protocol version the frame travelled under (within
-    /// [`MIN_VERSION`]..=[`VERSION`]); replies echo it so old clients
-    /// get answers they can parse.
+    /// Protocol version the frame travelled under — always [`VERSION`]
+    /// once [`read_frame`] has accepted it.
     pub version: u8,
     /// Raw opcode byte (validated by [`Opcode::from_u8`] at decode time).
     pub opcode: u8,
@@ -832,9 +775,9 @@ pub fn read_frame_idle_abort(
         )));
     }
     let version = header[4];
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(FrameError::Malformed(format!(
-            "unsupported protocol version {version} (speaking {MIN_VERSION}..={VERSION})"
+            "unsupported protocol version {version} (speaking {VERSION})"
         )));
     }
     let opcode = header[5];
@@ -887,21 +830,9 @@ mod tests {
     use smm_core::rng::seeded;
 
     fn round_trip_request(req: Request) {
-        for version in [MIN_VERSION, VERSION] {
-            let payload = req.encode(version);
-            let back = Request::decode(version, req.opcode(), &payload).unwrap();
-            match (&back, &req) {
-                // v1 cannot carry a backend choice; it decodes as None.
-                (
-                    Request::LoadMatrix { matrix: b, backend },
-                    Request::LoadMatrix { matrix: m, .. },
-                ) if version == 1 => {
-                    assert_eq!(b, m);
-                    assert_eq!(*backend, None);
-                }
-                _ => assert_eq!(back, req, "v{version}"),
-            }
-        }
+        let payload = req.encode(VERSION);
+        let back = Request::decode(VERSION, req.opcode(), &payload).unwrap();
+        assert_eq!(back, req);
     }
 
     fn round_trip_reply(opcode: Opcode, reply: Reply) {
@@ -996,119 +927,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_v4_stats_replies_carry_no_stage_block() {
-        let mut stats = StatsSnapshot {
-            requests: 5,
-            vectors: 40,
-            ..Default::default()
-        };
-        stats.stages[Stage::Queue.idx()] = StageStats { count: 5, p50_ns: 100, p99_ns: 900 };
-        let full = Reply::Stats(Box::new(stats));
-        // v3 encoding: exactly status byte + 15 u64s — the stage data is
-        // dropped, and the body is what a v3 server always produced.
-        let v3 = full.encode(3);
-        assert_eq!(v3.len(), 1 + 15 * 8);
-        let Reply::Stats(back) = Reply::decode(3, Opcode::Stats, &v3).unwrap() else {
-            panic!("wrong reply kind");
-        };
-        assert_eq!(back.requests, 5);
-        assert_eq!(back.vectors, 40);
-        assert_eq!(back.stages, [StageStats::default(); STAGES]);
-        // v4 encoding appends 7 stages x 3 u64s and round-trips whole.
-        let v4 = full.encode(4);
-        assert_eq!(v4.len(), 1 + 15 * 8 + STAGES * 3 * 8);
-        let Reply::Stats(back) = Reply::decode(4, Opcode::Stats, &v4).unwrap() else {
-            panic!("wrong reply kind");
-        };
-        assert_eq!(back.stage(Stage::Queue), StageStats { count: 5, p50_ns: 100, p99_ns: 900 });
-        // A v4 body under a v3 header has trailing garbage: rejected.
-        assert!(Reply::decode(3, Opcode::Stats, &v4).is_err());
-    }
-
-    #[test]
-    fn v5_stats_append_the_tier_block_and_older_encodings_drop_it() {
-        let stats = StatsSnapshot {
-            requests: 5,
-            tier_hot: 3,
-            tier_warm: 2,
-            tier_cold: 11,
-            store_promotions: 7,
-            store_demotions: 13,
-            store_hits: 4,
-            ..Default::default()
-        };
-        let full = Reply::Stats(Box::new(stats));
-        // v4 encoding is byte-identical to what v4 servers always
-        // produced: 15 fields + the stage block, no tier block.
-        let v4 = full.encode(4);
-        assert_eq!(v4.len(), 1 + 15 * 8 + STAGES * 3 * 8);
-        let Reply::Stats(back) = Reply::decode(4, Opcode::Stats, &v4).unwrap() else {
-            panic!("wrong reply kind");
-        };
-        assert_eq!(back.tier_hot, 0);
-        assert_eq!(back.store_hits, 0);
-        // v5 appends exactly six u64s and round-trips whole.
-        let v5 = full.encode(5);
-        assert_eq!(v5.len(), 1 + 15 * 8 + STAGES * 3 * 8 + 6 * 8);
-        let Reply::Stats(back) = Reply::decode(5, Opcode::Stats, &v5).unwrap() else {
-            panic!("wrong reply kind");
-        };
-        assert_eq!(back.tier_hot, 3);
-        assert_eq!(back.tier_warm, 2);
-        assert_eq!(back.tier_cold, 11);
-        assert_eq!(back.store_promotions, 7);
-        assert_eq!(back.store_demotions, 13);
-        assert_eq!(back.store_hits, 4);
-        // A v5 body under a v4 header has trailing garbage: rejected.
-        assert!(Reply::decode(4, Opcode::Stats, &v5).is_err());
-    }
-
-    #[test]
-    fn capacity_reply_is_typed_at_v5_and_the_legacy_string_below() {
-        let reply = Reply::CapacityFull { loaded: 64 };
-        // v5: status byte 3 + the resident count, machine-matchable.
-        let v5 = reply.encode(5);
-        assert_eq!(v5[0], STATUS_CAPACITY);
-        assert_eq!(v5.len(), 1 + 8);
-        assert_eq!(
-            Reply::decode(5, Opcode::LoadMatrix, &v5).unwrap(),
-            Reply::CapacityFull { loaded: 64 }
-        );
-        // v1–v4 peers see the exact string their matchers grew up on.
-        for version in 1..5u8 {
-            let old = reply.encode(version);
-            assert_eq!(old[0], STATUS_ERROR);
-            let Reply::Error(message) = Reply::decode(version, Opcode::LoadMatrix, &old).unwrap()
-            else {
-                panic!("wrong reply kind");
-            };
-            assert_eq!(message, "matrix registry full (64 loaded)");
-            // Status byte 3 is not in a v4 decoder's vocabulary.
-            assert!(Reply::decode(version, Opcode::LoadMatrix, &v5).is_err());
-        }
-    }
-
-    #[test]
-    fn v1_loaded_reply_omits_the_engine_name() {
-        let full = Reply::Loaded(LoadedInfo {
-            digest: 7,
-            rows: 2,
-            cols: 3,
-            already_loaded: false,
-            engine: "bitserial".into(),
-        });
-        let v1 = full.encode(1);
-        let back = Reply::decode(1, Opcode::LoadMatrix, &v1).unwrap();
-        let Reply::Loaded(info) = back else {
-            panic!("wrong reply kind");
-        };
-        assert_eq!((info.digest, info.rows, info.cols), (7, 2, 3));
-        assert_eq!(info.engine, "");
-        // And the v1 body is shorter than the v2 body.
-        assert!(v1.len() < full.encode(2).len());
-    }
-
-    #[test]
     fn backend_kind_parses_names_and_wire_bytes() {
         for (text, kind) in [
             ("auto", BackendKind::Auto),
@@ -1133,33 +951,9 @@ mod tests {
             Some(BackendKind::Sigma),
         ] {
             let byte = BackendKind::option_to_u8(kind);
-            assert_eq!(BackendKind::option_from_u8(byte, VERSION).unwrap(), kind);
+            assert_eq!(BackendKind::option_from_u8(byte).unwrap(), kind);
         }
-        assert!(BackendKind::option_from_u8(99, VERSION).is_err());
-        // The sigma byte is a v3 citizen only: a v2 frame carrying it is
-        // rejected exactly as a v2-era decoder would.
-        assert!(BackendKind::option_from_u8(5, 2).is_err());
-        assert_eq!(
-            BackendKind::option_from_u8(4, 2).unwrap(),
-            Some(BackendKind::BitSerial)
-        );
-    }
-
-    #[test]
-    fn sigma_choice_round_trips_at_v3_and_is_rejected_at_v2() {
-        let request = Request::LoadMatrix {
-            matrix: IntMatrix::identity(3).unwrap(),
-            backend: Some(BackendKind::Sigma),
-        };
-        let payload = request.encode(3);
-        assert_eq!(
-            Request::decode(3, Opcode::LoadMatrix, &payload).unwrap(),
-            request
-        );
-        // The same bytes under a v2 frame header: decode error, because
-        // byte 5 does not exist in v2's vocabulary.
-        let err = Request::decode(2, Opcode::LoadMatrix, &payload).unwrap_err();
-        assert!(err.to_string().contains("choice byte 5"), "{err}");
+        assert!(BackendKind::option_from_u8(99).is_err());
     }
 
     #[test]
@@ -1211,7 +1005,7 @@ mod tests {
             Err(FrameError::Malformed(_))
         ));
 
-        for bad in [0u8, VERSION + 1, 99] {
+        for bad in [0u8, VERSION - 1, VERSION + 1, 99] {
             let mut bad_version = good.clone();
             bad_version[4] = bad;
             assert!(matches!(
@@ -1229,12 +1023,14 @@ mod tests {
     }
 
     #[test]
-    fn both_supported_versions_read_back() {
-        for version in [MIN_VERSION, VERSION] {
-            let mut buf = Vec::new();
-            write_frame(&mut buf, version, Opcode::Ping as u8, 5, &[]).unwrap();
-            let frame = read_frame(&mut buf.as_slice()).unwrap();
-            assert_eq!(frame.version, version);
+    fn decode_refuses_every_version_but_the_one_spoken() {
+        let ping = Request::Ping.encode(VERSION);
+        let pong = Reply::Pong.encode(VERSION);
+        for version in (0..=u8::MAX).filter(|&v| v != VERSION) {
+            let err = Request::decode(version, Opcode::Ping, &ping).unwrap_err();
+            assert!(matches!(err, Error::Wire { .. }), "v{version}: {err}");
+            let err = Reply::decode(version, Opcode::Ping, &pong).unwrap_err();
+            assert!(matches!(err, Error::Wire { .. }), "v{version}: {err}");
         }
     }
 
@@ -1265,7 +1061,7 @@ mod tests {
         let mut reply = Reply::Pong.encode(VERSION);
         reply.push(0xEE);
         assert!(Reply::decode(VERSION, Opcode::Ping, &reply).is_err());
-        // A v2 LoadMatrix with a garbage backend byte is rejected.
+        // A LoadMatrix with a garbage backend byte is rejected.
         let mut load = Request::LoadMatrix {
             matrix: IntMatrix::identity(2).unwrap(),
             backend: None,

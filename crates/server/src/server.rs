@@ -18,7 +18,7 @@
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
     read_frame_idle_abort, write_frame, BackendKind, FrameError, LoadedInfo, Opcode, Reply,
-    Request, StatsSnapshot, STATUS_CAPACITY, STATUS_ERROR,
+    Request, StatsSnapshot, STATUS_CAPACITY, STATUS_ERROR, VERSION,
 };
 use smm_bitserial::multiplier::WeightEncoding;
 use smm_core::error::{Error, Result};
@@ -232,7 +232,7 @@ impl Shared {
     }
 
     /// The plan policy for one load: the request's backend choice when
-    /// given (v2), else the server-wide default.
+    /// given, else the server-wide default.
     fn policy_for(&self, requested: Option<BackendKind>) -> PlanPolicy {
         let config = &self.config;
         match requested.unwrap_or(config.backend) {
@@ -651,18 +651,9 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
                 // desynchronized so the connection must close either way.
                 // There is no trustworthy request opcode to echo, so the
                 // frame goes out under Ping (Error replies decode under
-                // any opcode) and under MIN_VERSION: error payloads are
-                // layout-identical across versions and every client,
-                // v1 included, can read the oldest framing.
-                let reply = Reply::Error(format!("protocol violation: {context}"))
-                    .encode(crate::protocol::MIN_VERSION);
-                let _ = write_frame(
-                    &mut stream,
-                    crate::protocol::MIN_VERSION,
-                    Opcode::Ping as u8,
-                    0,
-                    &reply,
-                );
+                // any opcode).
+                let reply = Reply::Error(format!("protocol violation: {context}")).encode(VERSION);
+                let _ = write_frame(&mut stream, VERSION, Opcode::Ping as u8, 0, &reply);
                 return;
             }
         };
@@ -674,9 +665,6 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
         // The span clock starts once the frame is fully off the wire —
         // blocking read time is client idle time, not pipeline latency.
         let mut span = shared.metrics.stages.span();
-        // Version negotiation: decode the request and encode the reply
-        // under the version the frame arrived with, so v1 and v2 clients
-        // keep working against this v4 server.
         let reply = match Opcode::from_u8(frame.opcode)
             .and_then(|op| Request::decode(frame.version, op, &frame.payload))
         {
@@ -691,29 +679,22 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
         // Reset the span clock: the compute stages were stamped by the
         // session, and `encode` must measure only encode + write.
         span.skip();
-        let mut payload = reply.encode(frame.version);
+        let mut payload = reply.encode(VERSION);
         if payload.len() > crate::protocol::MAX_FRAME_PAYLOAD {
             // A maximal batch of i32 inputs can widen into i64 outputs
             // past the frame cap; refuse rather than ship an unreadable
             // frame.
-            payload = Reply::Error("reply exceeds frame capacity; split the batch".into())
-                .encode(frame.version);
+            payload =
+                Reply::Error("reply exceeds frame capacity; split the batch".into()).encode(VERSION);
         }
         if matches!(
             payload.first(),
             Some(&STATUS_ERROR) | Some(&STATUS_CAPACITY)
         ) {
-            // Capacity refusals count as errors whatever the peer's
-            // version, so `Stats.errors` is version-independent.
+            // Capacity refusals count as errors.
             shared.metrics.errors.inc();
         }
-        match write_frame(
-            &mut stream,
-            frame.version,
-            frame.opcode,
-            frame.request_id,
-            &payload,
-        ) {
+        match write_frame(&mut stream, VERSION, frame.opcode, frame.request_id, &payload) {
             Ok(n) => {
                 span.mark(Stage::Encode);
                 shared.metrics.bytes_out.add(n);

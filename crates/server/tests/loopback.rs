@@ -1,12 +1,19 @@
 //! End-to-end loopback tests: a real server on 127.0.0.1, real TCP
 //! clients, every reply checked bit-for-bit against the dense reference.
 
+use smm_core::block::FrameBlock;
 use smm_core::generate::{element_sparse_matrix, random_vector};
 use smm_core::gemv::vecmat;
 use smm_core::matrix::IntMatrix;
 use smm_core::rng::seeded;
 use smm_server::{BackendKind, Client, LoadgenConfig, ServeError, ServerConfig};
 use std::time::Duration;
+
+/// Nested rows through [`Client::gemv_block`] and back.
+fn gemv_rows(client: &mut Client, digest: u64, batch: &[Vec<i32>]) -> Vec<Vec<i64>> {
+    let frames = FrameBlock::from_rows(batch).unwrap();
+    client.gemv_block(digest, &frames).unwrap().into()
+}
 
 fn test_matrix(seed: u64, rows: usize, cols: usize) -> IntMatrix {
     let mut rng = seeded(seed);
@@ -41,7 +48,7 @@ fn four_concurrent_clients_are_bit_identical_to_the_reference() {
                         let batch: Vec<Vec<i32>> = (0..9)
                             .map(|_| random_vector(24, 8, true, &mut rng).unwrap())
                             .collect();
-                        let served = client.gemv_batch(digest, &batch).unwrap();
+                        let served = gemv_rows(&mut client, digest, &batch);
                         let expect: Vec<Vec<i64>> =
                             batch.iter().map(|a| vecmat(a, &matrix).unwrap()).collect();
                         assert_eq!(served, expect, "client {c}");
@@ -153,7 +160,7 @@ fn bitserial_backend_serves_through_the_shared_cache() {
     let batch: Vec<Vec<i32>> = (0..5)
         .map(|_| random_vector(12, 8, true, &mut rng).unwrap())
         .collect();
-    let served = client.gemv_batch(digest, &batch).unwrap();
+    let served = gemv_rows(&mut client, digest, &batch);
     let expect: Vec<Vec<i64>> = batch.iter().map(|a| vecmat(a, &matrix).unwrap()).collect();
     assert_eq!(served, expect);
     let stats = client.stats().unwrap();

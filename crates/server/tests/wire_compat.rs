@@ -1,459 +1,287 @@
-//! Wire-protocol backward compatibility: v1 clients (no backend field
-//! in `LoadMatrix`, no engine name in `Loaded`), v2 clients (backend
-//! choice byte, but no `sigma` in its vocabulary), v3 clients (no
-//! per-stage block in `Stats`), and v4 clients (no capacity status
-//! byte, no fleet tier block in `Stats`) against the v5 server.
+//! Byte-level pins of the wire protocol's one layout, and the proof that
+//! a peer from any other revision is refused cleanly.
 //!
-//! These tests speak raw v1/v2/v3 frames over a real TCP connection —
-//! exactly the bytes a binary built before each protocol rev would
-//! send — and assert the round trips are unchanged: same payload
-//! layouts, replies echoed under the request's version, and served
-//! results bit-identical.
+//! Every `Request` and `Reply` variant, the frame header, and every
+//! status / version constant is written out here as raw bytes — built
+//! from `to_le_bytes` and literals, deliberately *not* from the
+//! `smm_core::wire` helpers the codec itself uses — so an encoder that
+//! drifts names the exact variant that moved. The loopback test then
+//! speaks raw frames under version bytes the server does not speak
+//! (0, 1–4, 6) and checks each gets one typed error frame and a closed
+//! socket while a current client keeps being served.
 
-use smm_core::block::RowBlock;
+use smm_core::block::{FrameBlock, RowBlock};
 use smm_core::generate::{element_sparse_matrix, random_vector};
 use smm_core::gemv::vecmat;
 use smm_core::matrix::IntMatrix;
 use smm_core::rng::seeded;
-use smm_core::wire::{self, Cursor};
 use smm_server::protocol::{
-    read_frame, write_frame, LoadedInfo, Opcode, Reply, MIN_VERSION, STATUS_BUSY, STATUS_CAPACITY,
-    STATUS_ERROR, STATUS_OK, VERSION,
+    read_frame, write_frame, LoadedInfo, Opcode, Reply, Request, StatsSnapshot, HEADER_LEN,
+    STATUS_BUSY, STATUS_CAPACITY, STATUS_ERROR, STATUS_OK, VERSION,
 };
-use smm_server::ServerConfig;
+use smm_server::{BackendKind, ServerConfig};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 
-/// A minimal v1 client: hand-rolled payloads, frames pinned to
-/// version 1. Deliberately *not* built on `Request`/`Reply` so the v1
-/// layouts stay written out literally.
-struct V1Client {
-    stream: TcpStream,
-    next_id: u64,
+/// Concatenates byte pieces.
+fn cat(parts: &[&[u8]]) -> Vec<u8> {
+    parts.concat()
 }
 
-impl V1Client {
-    fn connect(addr: std::net::SocketAddr) -> Self {
-        Self {
-            stream: TcpStream::connect(addr).unwrap(),
-            next_id: 1,
-        }
-    }
-
-    /// Sends a v1 frame and returns the reply payload, asserting the
-    /// reply frame echoes version 1, the opcode, and the id.
-    fn call(&mut self, opcode: Opcode, payload: &[u8]) -> Vec<u8> {
-        let id = self.next_id;
-        self.next_id += 1;
-        write_frame(&mut self.stream, 1, opcode as u8, id, payload).unwrap();
-        let frame = read_frame(&mut self.stream).unwrap();
-        assert_eq!(frame.version, 1, "server must answer a v1 frame in v1");
-        assert_eq!(frame.opcode, opcode as u8);
-        assert_eq!(frame.request_id, id);
-        frame.payload
-    }
-
-    /// v1 `Ping`: empty payload; the `Pong` reply is the bare OK
-    /// status byte, at every rev.
-    fn ping(&mut self) {
-        let reply = self.call(Opcode::Ping, &[]);
-        assert_eq!(reply, vec![STATUS_OK], "v1 Pong is the lone status byte");
-    }
-
-    /// v1 `LoadMatrix`: matrix bytes only — no backend field.
-    fn load_matrix(&mut self, matrix: &IntMatrix) -> u64 {
-        let mut payload = Vec::new();
-        wire::put_bytes(&mut payload, &smm_core::io::matrix_to_bytes(matrix));
-        let reply = self.call(Opcode::LoadMatrix, &payload);
-        let mut c = Cursor::new(&reply);
-        assert_eq!(c.take_u8("status").unwrap(), STATUS_OK, "load must succeed");
-        let digest = c.take_u64("digest").unwrap();
-        assert_eq!(c.take_u64("rows").unwrap(), matrix.rows() as u64);
-        assert_eq!(c.take_u64("cols").unwrap(), matrix.cols() as u64);
-        let _already = c.take_u8("already").unwrap();
-        // The v1 Loaded body ends here: no engine-name field follows.
-        c.expect_end("v1 loaded reply").unwrap();
-        digest
-    }
-
-    /// v1 `Gemv`: digest + vector (unchanged in v2).
-    fn gemv(&mut self, digest: u64, a: &[i32]) -> Vec<i64> {
-        let mut payload = Vec::new();
-        wire::put_u64(&mut payload, digest);
-        wire::put_i32_vec(&mut payload, a);
-        let reply = self.call(Opcode::Gemv, &payload);
-        let mut c = Cursor::new(&reply);
-        assert_eq!(c.take_u8("status").unwrap(), STATUS_OK, "gemv must succeed");
-        let o = c.take_i64_vec("output").unwrap();
-        c.expect_end("v1 gemv reply").unwrap();
-        o
-    }
-
-    /// v1 `GemvBatch`: digest + count + per-vector `i32` vectors, the
-    /// reply a count + per-row `i64` vectors (both unchanged in v2, and
-    /// unchanged by the server's flat-block internals).
-    fn gemv_batch(&mut self, digest: u64, batch: &[Vec<i32>]) -> Vec<Vec<i64>> {
-        let mut payload = Vec::new();
-        wire::put_u64(&mut payload, digest);
-        wire::put_u32(&mut payload, batch.len() as u32);
-        for a in batch {
-            wire::put_i32_vec(&mut payload, a);
-        }
-        let reply = self.call(Opcode::GemvBatch, &payload);
-        let mut c = Cursor::new(&reply);
-        assert_eq!(c.take_u8("status").unwrap(), STATUS_OK, "batch must succeed");
-        let count = c.take_u32("count").unwrap() as usize;
-        assert_eq!(count, batch.len(), "one output row per input vector");
-        let rows: Vec<Vec<i64>> = (0..count)
-            .map(|_| c.take_i64_vec("output row").unwrap())
-            .collect();
-        c.expect_end("v1 batch reply").unwrap();
-        rows
-    }
+fn le32(x: u32) -> [u8; 4] {
+    x.to_le_bytes()
 }
 
-#[test]
-fn v1_client_round_trips_load_and_gemv_unchanged() {
-    assert_eq!(VERSION, 5, "this test pins the v1-against-current story");
-    let server = smm_server::start(ServerConfig::default()).unwrap();
-    let mut rng = seeded(5000);
-    let matrix = element_sparse_matrix(12, 9, 8, 0.6, true, &mut rng).unwrap();
-
-    let mut v1 = V1Client::connect(server.local_addr());
-    v1.ping();
-    let digest = v1.load_matrix(&matrix);
-    assert_eq!(digest, matrix.digest(), "digest agreement across versions");
-    for _ in 0..5 {
-        let a = random_vector(12, 8, true, &mut rng).unwrap();
-        assert_eq!(v1.gemv(digest, &a), vecmat(&a, &matrix).unwrap());
-    }
-    // The batch opcode's raw layout is also unchanged.
-    let batch: Vec<Vec<i32>> = (0..4)
-        .map(|_| random_vector(12, 8, true, &mut rng).unwrap())
-        .collect();
-    let expect: Vec<Vec<i64>> = batch.iter().map(|a| vecmat(a, &matrix).unwrap()).collect();
-    assert_eq!(v1.gemv_batch(digest, &batch), expect);
-
-    // A load without the backend field lands on the server default —
-    // visible to a v2 peer as the configured engine (csr).
-    let mut v2 = smm_server::Client::connect(server.local_addr()).unwrap();
-    let info = v2.load_matrix_with(&matrix, None).unwrap();
-    assert!(info.already_loaded, "v1 load is the same registry entry");
-    assert_eq!(info.engine, "csr");
-    server.shutdown();
+fn le64(x: u64) -> [u8; 8] {
+    x.to_le_bytes()
 }
 
-/// A minimal v2 client: hand-rolled payloads pinned to version 2 — the
-/// backend choice byte exists, the `sigma` value does not.
-struct V2Client {
-    stream: TcpStream,
-    next_id: u64,
-}
-
-impl V2Client {
-    fn connect(addr: std::net::SocketAddr) -> Self {
-        Self {
-            stream: TcpStream::connect(addr).unwrap(),
-            next_id: 1,
-        }
-    }
-
-    /// Sends a v2 frame and returns the reply payload, asserting the
-    /// reply frame echoes version 2, the opcode, and the id.
-    fn call(&mut self, opcode: Opcode, payload: &[u8]) -> Vec<u8> {
-        let id = self.next_id;
-        self.next_id += 1;
-        write_frame(&mut self.stream, 2, opcode as u8, id, payload).unwrap();
-        let frame = read_frame(&mut self.stream).unwrap();
-        assert_eq!(frame.version, 2, "server must answer a v2 frame in v2");
-        assert_eq!(frame.opcode, opcode as u8);
-        assert_eq!(frame.request_id, id);
-        frame.payload
-    }
-
-    /// v2 `LoadMatrix`: matrix bytes + one backend choice byte; the
-    /// `Loaded` reply carries the engine name (unlike v1).
-    fn load_matrix(&mut self, matrix: &IntMatrix, backend_byte: u8) -> Result<(u64, String), String> {
-        let mut payload = Vec::new();
-        wire::put_bytes(&mut payload, &smm_core::io::matrix_to_bytes(matrix));
-        wire::put_u8(&mut payload, backend_byte);
-        let reply = self.call(Opcode::LoadMatrix, &payload);
-        let mut c = Cursor::new(&reply);
-        match c.take_u8("status").unwrap() {
-            STATUS_OK => {}
-            STATUS_ERROR => return Err(c.take_str("error").unwrap().to_string()),
-            other => return Err(format!("unexpected status {other}")),
-        }
-        let digest = c.take_u64("digest").unwrap();
-        assert_eq!(c.take_u64("rows").unwrap(), matrix.rows() as u64);
-        assert_eq!(c.take_u64("cols").unwrap(), matrix.cols() as u64);
-        let _already = c.take_u8("already").unwrap();
-        let engine = c.take_str("engine").unwrap().to_string();
-        c.expect_end("v2 loaded reply").unwrap();
-        Ok((digest, engine))
-    }
-
-    /// v2 `Gemv`: digest + vector (layout unchanged since v1).
-    fn gemv(&mut self, digest: u64, a: &[i32]) -> Vec<i64> {
-        let mut payload = Vec::new();
-        wire::put_u64(&mut payload, digest);
-        wire::put_i32_vec(&mut payload, a);
-        let reply = self.call(Opcode::Gemv, &payload);
-        let mut c = Cursor::new(&reply);
-        assert_eq!(c.take_u8("status").unwrap(), STATUS_OK, "gemv must succeed");
-        let o = c.take_i64_vec("output").unwrap();
-        c.expect_end("v2 gemv reply").unwrap();
-        o
-    }
-}
-
-#[test]
-fn v2_client_round_trips_unchanged_and_cannot_say_sigma() {
-    let server = smm_server::start(ServerConfig::default()).unwrap();
-    let mut rng = seeded(5002);
-    let matrix = element_sparse_matrix(10, 8, 8, 0.6, true, &mut rng).unwrap();
-
-    let mut v2 = V2Client::connect(server.local_addr());
-    // Choice byte 1 = auto: the v2 layout is untouched by the v3 rev,
-    // and the Loaded reply still names the planned engine.
-    let (digest, engine) = v2.load_matrix(&matrix, 1).unwrap();
-    assert_eq!(digest, matrix.digest());
-    assert!(!engine.is_empty(), "v2 Loaded names the engine");
-    for _ in 0..3 {
-        let a = random_vector(10, 8, true, &mut rng).unwrap();
-        assert_eq!(v2.gemv(digest, &a), vecmat(&a, &matrix).unwrap());
-    }
-    // Byte 5 (sigma) does not exist in v2's vocabulary: the server must
-    // answer with a decode error, not silently build an engine a v2-era
-    // peer could never have asked for. The connection survives — the
-    // frame boundary was intact.
-    let other = element_sparse_matrix(6, 6, 8, 0.5, true, &mut rng).unwrap();
-    let err = v2.load_matrix(&other, 5).unwrap_err();
-    assert!(err.contains("choice byte 5"), "{err}");
-    let a = random_vector(10, 8, true, &mut rng).unwrap();
-    assert_eq!(v2.gemv(digest, &a), vecmat(&a, &matrix).unwrap());
-    server.shutdown();
-}
-
-#[test]
-fn v3_client_requests_sigma_end_to_end() {
-    let server = smm_server::start(ServerConfig::default()).unwrap();
-    let mut rng = seeded(5003);
-    let matrix = element_sparse_matrix(14, 11, 8, 0.5, true, &mut rng).unwrap();
-
-    // The stock client speaks v3; requesting sigma loads a session
-    // served by the tile-mapped engine, and the reply names it.
-    let mut client = smm_server::Client::connect(server.local_addr()).unwrap();
-    let info = client
-        .load_matrix_with(&matrix, Some(smm_server::BackendKind::Sigma))
-        .unwrap();
-    assert_eq!(info.engine, "sigma");
-    for _ in 0..4 {
-        let a = random_vector(14, 8, true, &mut rng).unwrap();
-        assert_eq!(
-            client.gemv(info.digest, &a).unwrap(),
-            vecmat(&a, &matrix).unwrap()
-        );
-    }
-    let batch: Vec<Vec<i32>> = (0..5)
-        .map(|_| random_vector(14, 8, true, &mut rng).unwrap())
-        .collect();
-    let expect: Vec<Vec<i64>> = batch.iter().map(|a| vecmat(a, &matrix).unwrap()).collect();
-    assert_eq!(client.gemv_batch(info.digest, &batch).unwrap(), expect);
-
-    // A v1 peer can still serve products against the sigma-backed
-    // session it could never have asked for by name.
-    let mut v1 = V1Client::connect(server.local_addr());
-    let a = random_vector(14, 8, true, &mut rng).unwrap();
-    assert_eq!(v1.gemv(info.digest, &a), vecmat(&a, &matrix).unwrap());
-    server.shutdown();
-}
-
-#[test]
-fn pre_v4_stats_reply_bytes_are_pinned() {
-    // A v3-era peer asking for stats must get back *exactly* the v3
-    // body — status byte plus fifteen u64 fields — with no per-stage
-    // block appended. The lengths are written out literally on purpose:
-    // this is a byte-level pin, not a round trip through the current
-    // codec.
-    let server = smm_server::start(ServerConfig::default()).unwrap();
-    let mut rng = seeded(5004);
-    let matrix = element_sparse_matrix(9, 7, 8, 0.5, true, &mut rng).unwrap();
-    let mut client = smm_server::Client::connect(server.local_addr()).unwrap();
-    let digest = client.load_matrix(&matrix).unwrap();
-    let a = random_vector(9, 8, true, &mut rng).unwrap();
-    client.gemv(digest, &a).unwrap();
-
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    write_frame(&mut stream, 3, Opcode::Stats as u8, 7, &[]).unwrap();
-    let frame = read_frame(&mut stream).unwrap();
-    assert_eq!(frame.version, 3, "v3 request answered in v3");
-    assert_eq!(
-        frame.payload.len(),
-        1 + 15 * 8,
-        "v3 Stats body is the status byte plus fifteen u64s, nothing more"
-    );
-    let mut c = Cursor::new(&frame.payload);
-    assert_eq!(c.take_u8("status").unwrap(), STATUS_OK);
-    assert!(c.take_u64("requests").unwrap() >= 2, "load + gemv counted");
-    for field in [
-        "rejected",
-        "errors",
-        "bytes_in",
-        "bytes_out",
-        "vectors",
-        "batches",
-        "matrices",
-        "cache_hits",
-        "cache_misses",
-        "cache_entries",
-        "cache_evictions",
-        "latency_count",
-        "p50_latency_ns",
-        "p99_latency_ns",
-    ] {
-        c.take_u64(field).unwrap();
-    }
-    c.expect_end("v3 stats reply").unwrap();
-
-    // The same request under v4 grows by exactly the stage block —
-    // seven stages × (count, p50_ns, p99_ns) — and nothing else: the
-    // v5 tier block must not leak into a v4 reply.
-    write_frame(&mut stream, 4, Opcode::Stats as u8, 8, &[]).unwrap();
-    let frame = read_frame(&mut stream).unwrap();
-    assert_eq!(frame.version, 4);
-    assert_eq!(frame.payload.len(), 1 + 15 * 8 + 7 * 3 * 8);
-
-    // And under v5 it grows by exactly the fleet tier block — six u64s
-    // (hot, warm, cold, promotions, demotions, store hits).
-    write_frame(&mut stream, 5, Opcode::Stats as u8, 9, &[]).unwrap();
-    let frame = read_frame(&mut stream).unwrap();
-    assert_eq!(frame.version, 5);
-    assert_eq!(frame.payload.len(), 1 + 15 * 8 + 7 * 3 * 8 + 6 * 8);
-    server.shutdown();
-}
-
-#[test]
-fn capacity_refusal_is_the_legacy_string_to_old_peers() {
-    // Fill a storeless server (hot bound 1, warm bound 0), then ask for
-    // one matrix too many from a v2-era client: it must see status byte
-    // 2 with the exact sentence its log matchers grew up on, while the
-    // stock v5 client gets the typed status-3 reply.
-    let server = smm_server::start(ServerConfig {
-        max_matrices: 1,
-        max_warm: 0,
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let mut rng = seeded(5005);
-    let first = element_sparse_matrix(6, 6, 8, 0.5, true, &mut rng).unwrap();
-    let mut client = smm_server::Client::connect(server.local_addr()).unwrap();
-    client.load_matrix(&first).unwrap();
-
-    let overflow = element_sparse_matrix(7, 5, 8, 0.5, true, &mut rng).unwrap();
-    let mut v2 = V2Client::connect(server.local_addr());
-    let err = v2.load_matrix(&overflow, 1).unwrap_err();
-    assert_eq!(err, "matrix registry full (1 loaded)");
-
-    match client.load_matrix(&overflow).unwrap_err() {
-        smm_server::ServeError::Capacity { loaded } => assert_eq!(loaded, 1),
-        other => panic!("expected a typed capacity error, got {other}"),
-    }
-    server.shutdown();
-}
-
-#[test]
-fn v1_and_v2_clients_interleave_on_one_server() {
-    let server = smm_server::start(ServerConfig::default()).unwrap();
-    let mut rng = seeded(5001);
-    let matrix = element_sparse_matrix(8, 8, 8, 0.5, true, &mut rng).unwrap();
-    let mut v2 = smm_server::Client::connect(server.local_addr()).unwrap();
-    let digest = v2.load_matrix(&matrix).unwrap();
-    let mut v1 = V1Client::connect(server.local_addr());
-    for round in 0..4 {
-        let a = random_vector(8, 8, true, &mut rng).unwrap();
-        let expect = vecmat(&a, &matrix).unwrap();
-        assert_eq!(v1.gemv(digest, &a), expect, "v1 round {round}");
-        assert_eq!(v2.gemv(digest, &a).unwrap(), expect, "v2 round {round}");
-    }
-    let stats = v2.stats().unwrap();
-    assert!(stats.requests >= 9, "{stats:?}");
-    server.shutdown();
-}
-
-/// The status bytes and version range ARE the wire: renumbering any of
-/// them breaks every deployed peer, so their literal values are pinned
-/// here, next to the raw-frame tests that depend on them.
+/// The status bytes and the version ARE the wire: renumbering any of
+/// them breaks every peer, so their literal values are pinned here. The
+/// version "range" is exactly one value — every other byte is refused.
 #[test]
 fn status_bytes_and_version_range_are_pinned() {
-    assert_eq!(MIN_VERSION, 1, "v1 peers must stay served");
     assert_eq!(VERSION, 5);
     assert_eq!(STATUS_OK, 0);
     assert_eq!(STATUS_BUSY, 1);
     assert_eq!(STATUS_ERROR, 2);
-    assert_eq!(STATUS_CAPACITY, 3, "the v5 capacity status");
+    assert_eq!(STATUS_CAPACITY, 3);
+    assert_eq!(HEADER_LEN, 18);
+    let ping = Request::Ping.encode(VERSION);
+    let pong = Reply::Pong.encode(VERSION);
+    for version in (0..=u8::MAX).filter(|&v| v != 5) {
+        assert!(Request::decode(version, Opcode::Ping, &ping).is_err(), "v{version}");
+        assert!(Reply::decode(version, Opcode::Ping, &pong).is_err(), "v{version}");
+    }
 }
 
-/// Byte-level pins for every `Reply` variant's body, hand-rolled the
-/// same way the legacy clients above write their requests: if any
-/// encoder drifts, the mismatch names the exact variant.
 #[test]
-fn reply_body_layouts_are_pinned() {
-    // Pong and Busy are bare status bytes under every rev.
-    for version in MIN_VERSION..=VERSION {
-        assert_eq!(Reply::Pong.encode(version), vec![STATUS_OK]);
-        assert_eq!(Reply::Busy.encode(version), vec![STATUS_BUSY]);
+fn frame_header_layout_is_pinned() {
+    let mut frame = Vec::new();
+    write_frame(&mut frame, VERSION, Opcode::Gemv as u8, 0x0102_0304_0506_0708, &[0xAA, 0xBB])
+        .unwrap();
+    assert_eq!(
+        frame,
+        cat(&[
+            b"SMM1",
+            &[5],                                              // version
+            &[2],                                              // opcode: Gemv
+            &[0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01], // request id, LE
+            &[2, 0, 0, 0],                                     // payload length, LE
+            &[0xAA, 0xBB],
+        ])
+    );
+    // Opcode numbering.
+    assert_eq!(
+        [
+            Opcode::Ping as u8,
+            Opcode::LoadMatrix as u8,
+            Opcode::Gemv as u8,
+            Opcode::GemvBatch as u8,
+            Opcode::Stats as u8
+        ],
+        [0, 1, 2, 3, 4]
+    );
+}
+
+/// Every `Request` variant's payload, byte for byte.
+#[test]
+fn request_body_layouts_are_pinned() {
+    assert_eq!(Request::Ping.encode(VERSION), Vec::<u8>::new());
+    assert_eq!(Request::Stats.encode(VERSION), Vec::<u8>::new());
+
+    // LoadMatrix: length-prefixed MatrixMarket text, then one backend
+    // choice byte (0 = server default, 1 auto, 2 dense, 3 csr,
+    // 4 bitserial, 5 sigma).
+    let matrix = IntMatrix::from_vec(2, 2, vec![1, 0, -3, 4]).unwrap();
+    let text = smm_core::io::matrix_to_bytes(&matrix);
+    for (backend, byte) in [
+        (None, 0u8),
+        (Some(BackendKind::Auto), 1),
+        (Some(BackendKind::Dense), 2),
+        (Some(BackendKind::Csr), 3),
+        (Some(BackendKind::BitSerial), 4),
+        (Some(BackendKind::Sigma), 5),
+    ] {
+        let request = Request::LoadMatrix {
+            matrix: matrix.clone(),
+            backend,
+        };
+        let expect = cat(&[&le32(text.len() as u32), &text, &[byte]]);
+        assert_eq!(request.encode(VERSION), expect, "{backend:?}");
+        assert_eq!(
+            Request::decode(VERSION, Opcode::LoadMatrix, &expect).unwrap(),
+            request
+        );
     }
 
-    // Error: status + length-prefixed UTF-8, unchanged since v1.
-    let mut expect = vec![STATUS_ERROR];
-    wire::put_str(&mut expect, "boom");
-    assert_eq!(Reply::Error("boom".into()).encode(1), expect);
-    assert_eq!(Reply::Error("boom".into()).encode(VERSION), expect);
+    // Gemv: digest, then a count-prefixed i32 vector.
+    let gemv = Request::Gemv {
+        digest: 0xABCD,
+        vector: vec![1, -2],
+    };
+    let expect = cat(&[
+        &le64(0xABCD),
+        &le32(2),
+        &[1, 0, 0, 0],
+        &[0xFE, 0xFF, 0xFF, 0xFF],
+    ]);
+    assert_eq!(gemv.encode(VERSION), expect);
+    assert_eq!(Request::decode(VERSION, Opcode::Gemv, &expect).unwrap(), gemv);
 
-    // Loaded: digest, rows, cols, already-loaded flag; the engine name
-    // only from v2.
-    let info = LoadedInfo {
+    // GemvBatch: digest, frame count, then one count-prefixed i32
+    // vector per frame.
+    let frames = FrameBlock::from_vec(2, 2, vec![1, 2, 3, -1]).unwrap();
+    let expect = cat(&[
+        &le64(7),
+        &le32(2),
+        &le32(2),
+        &[1, 0, 0, 0, 2, 0, 0, 0],
+        &le32(2),
+        &[3, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF],
+    ]);
+    assert_eq!(Request::encode_gemv_batch(7, &frames), expect);
+    let batch = Request::GemvBatch { digest: 7, frames };
+    assert_eq!(batch.encode(VERSION), expect);
+    assert_eq!(Request::decode(VERSION, Opcode::GemvBatch, &expect).unwrap(), batch);
+}
+
+/// Every `Reply` variant's payload, byte for byte.
+#[test]
+fn reply_body_layouts_are_pinned() {
+    // Pong and Busy are bare status bytes.
+    assert_eq!(Reply::Pong.encode(VERSION), [0]);
+    assert_eq!(Reply::Busy.encode(VERSION), [1]);
+
+    // Error: status + length-prefixed UTF-8.
+    assert_eq!(
+        Reply::Error("boom".into()).encode(VERSION),
+        cat(&[&[2], &le32(4), b"boom"])
+    );
+
+    // CapacityFull: status + resident count.
+    assert_eq!(
+        Reply::CapacityFull { loaded: 64 }.encode(VERSION),
+        cat(&[&[3], &le64(64)])
+    );
+
+    // Loaded: digest, rows, cols, already-loaded flag, engine name.
+    let loaded = Reply::Loaded(LoadedInfo {
         digest: 0xABCD,
         rows: 4,
         cols: 3,
         already_loaded: true,
         engine: "sigma".into(),
+    });
+    let expect = cat(&[&[0], &le64(0xABCD), &le64(4), &le64(3), &[1], &le32(5), b"sigma"]);
+    assert_eq!(loaded.encode(VERSION), expect);
+    assert_eq!(Reply::decode(VERSION, Opcode::LoadMatrix, &expect).unwrap(), loaded);
+
+    // Output: status + one count-prefixed i64 vector.
+    assert_eq!(
+        Reply::Output(vec![-1, 2]).encode(VERSION),
+        cat(&[&[0], &le32(2), &[0xFF; 8], &le64(2)])
+    );
+
+    // Outputs: status + row count + one count-prefixed i64 vector per row.
+    let rows = RowBlock::from_vec(2, 2, vec![1, 2, 3, 4]).unwrap();
+    assert_eq!(
+        Reply::Outputs(rows).encode(VERSION),
+        cat(&[
+            &[0],
+            &le32(2),
+            &le32(2),
+            &le64(1),
+            &le64(2),
+            &le32(2),
+            &le64(3),
+            &le64(4),
+        ])
+    );
+}
+
+/// The `Stats` reply: status byte, fifteen `u64` counters, seven stages
+/// of (count, p50 ns, p99 ns), six fleet tier counters — 42 `u64`s in
+/// this order and nothing else.
+#[test]
+fn stats_reply_bytes_are_pinned() {
+    let mut snapshot = StatsSnapshot {
+        requests: 1,
+        rejected: 2,
+        errors: 3,
+        bytes_in: 4,
+        bytes_out: 5,
+        vectors: 6,
+        batches: 7,
+        matrices: 8,
+        cache_hits: 9,
+        cache_misses: 10,
+        cache_entries: 11,
+        cache_evictions: 12,
+        latency_count: 13,
+        p50_latency_ns: 14,
+        p99_latency_ns: 15,
+        tier_hot: 37,
+        tier_warm: 38,
+        tier_cold: 39,
+        store_promotions: 40,
+        store_demotions: 41,
+        store_hits: 42,
+        ..Default::default()
     };
-    let mut v1_body = vec![STATUS_OK];
-    wire::put_u64(&mut v1_body, 0xABCD);
-    wire::put_u64(&mut v1_body, 4);
-    wire::put_u64(&mut v1_body, 3);
-    wire::put_u8(&mut v1_body, 1);
-    assert_eq!(Reply::Loaded(info.clone()).encode(1), v1_body);
-    let mut v2_body = v1_body.clone();
-    wire::put_str(&mut v2_body, "sigma");
-    assert_eq!(Reply::Loaded(info).encode(2), v2_body);
-
-    // Output: status + one i64 vector.
-    let mut out_body = vec![STATUS_OK];
-    wire::put_i64_vec(&mut out_body, &[-1, 0, i64::MAX]);
-    assert_eq!(Reply::Output(vec![-1, 0, i64::MAX]).encode(1), out_body);
-
-    // Outputs: status + row count + per-row i64 vectors.
-    let rows = RowBlock::try_from(vec![vec![1i64, 2], vec![3, 4]]).unwrap();
-    let mut rows_body = vec![STATUS_OK];
-    wire::put_u32(&mut rows_body, 2);
-    wire::put_i64_vec(&mut rows_body, &[1, 2]);
-    wire::put_i64_vec(&mut rows_body, &[3, 4]);
-    assert_eq!(Reply::Outputs(rows).encode(1), rows_body);
-
-    // CapacityFull: typed status + count at v5; the legacy string as
-    // STATUS_ERROR to every earlier peer.
-    let mut v5_cap = vec![STATUS_CAPACITY];
-    wire::put_u64(&mut v5_cap, 64);
-    assert_eq!(Reply::CapacityFull { loaded: 64 }.encode(5), v5_cap);
-    let mut legacy_cap = vec![STATUS_ERROR];
-    wire::put_str(&mut legacy_cap, "matrix registry full (64 loaded)");
-    for version in MIN_VERSION..5 {
-        assert_eq!(
-            Reply::CapacityFull { loaded: 64 }.encode(version),
-            legacy_cap,
-            "v{version} peers get the legacy capacity string"
-        );
+    assert_eq!(snapshot.stages.len(), 7);
+    for (i, stage) in snapshot.stages.iter_mut().enumerate() {
+        stage.count = 16 + 3 * i as u64;
+        stage.p50_ns = 17 + 3 * i as u64;
+        stage.p99_ns = 18 + 3 * i as u64;
     }
+    let mut expect = vec![0u8];
+    for field in 1..=42u64 {
+        expect.extend_from_slice(&le64(field));
+    }
+    assert_eq!(expect.len(), 1 + 15 * 8 + 7 * 3 * 8 + 6 * 8);
+    let reply = Reply::Stats(Box::new(snapshot));
+    assert_eq!(reply.encode(VERSION), expect);
+    assert_eq!(Reply::decode(VERSION, Opcode::Stats, &expect).unwrap(), reply);
+}
+
+/// Peers from another revision — v0, the retired v1–v4, a future v6 —
+/// each get exactly one `STATUS_ERROR` frame naming the unsupported
+/// version, then EOF; a v5 client on another connection to the same
+/// server keeps being served, and the refusals are not request errors.
+#[test]
+fn other_versions_are_refused_while_a_current_client_keeps_being_served() {
+    let server = smm_server::start(ServerConfig::default()).unwrap();
+    let mut rng = seeded(5000);
+    let matrix = element_sparse_matrix(12, 9, 8, 0.6, true, &mut rng).unwrap();
+    let mut client = smm_server::Client::connect(server.local_addr()).unwrap();
+    let digest = client.load_matrix(&matrix).unwrap();
+    let errors_before = client.stats().unwrap().errors;
+
+    for version in [0u8, 1, 2, 3, 4, 6] {
+        // A raw Ping frame under the foreign version byte.
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let ping = cat(&[b"SMM1", &[version], &[0], &le64(9), &le32(0)]);
+        stream.write_all(&ping).unwrap();
+
+        let frame = read_frame(&mut stream).unwrap();
+        assert_eq!(frame.version, 5, "the refusal travels under the one version");
+        let mut c = smm_core::wire::Cursor::new(&frame.payload);
+        assert_eq!(c.take_u8("status").unwrap(), STATUS_ERROR, "v{version}");
+        let message = c.take_str("message").unwrap();
+        assert!(
+            message.contains(&format!("unsupported protocol version {version}")),
+            "v{version}: {message}"
+        );
+        assert!(message.starts_with("protocol violation"), "{message}");
+        c.expect_end("refusal").unwrap();
+        // ...and then the socket is closed: no second frame.
+        assert_eq!(stream.read(&mut [0u8; 1]).unwrap(), 0, "v{version}: EOF expected");
+
+        // The current client is undisturbed.
+        let a = random_vector(12, 8, true, &mut rng).unwrap();
+        assert_eq!(client.gemv(digest, &a).unwrap(), vecmat(&a, &matrix).unwrap());
+    }
+    assert_eq!(client.stats().unwrap().errors, errors_before);
+    server.shutdown();
 }

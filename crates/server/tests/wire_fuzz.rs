@@ -1,11 +1,12 @@
 //! Wire-decoder fuzzing: arbitrary, truncated, and length-lying byte
-//! streams against the v1–v5 `Request`/`Reply` decoders and the frame
-//! reader must come back as `Err` — never a panic, never an allocation
-//! driven by a lying length prefix. Every protocol rev is covered,
-//! including the v4 per-stage `Stats` block and the v5 `CapacityFull`
-//! status and fleet tier counters. The generator is the workspace's
-//! seeded ChaCha stream, so every run explores the same inputs and any
-//! failure reproduces exactly.
+//! streams against the `Request`/`Reply` decoders and the frame reader
+//! must come back as `Err` — never a panic, never an allocation driven
+//! by a lying length prefix. The one protocol rev is covered whole —
+//! the per-stage `Stats` block, the `CapacityFull` status, the fleet
+//! tier counters — and so is the decoders' version argument: anything
+//! but `VERSION` is refused. The generator is the workspace's seeded
+//! ChaCha stream, so every run explores the same inputs and any failure
+//! reproduces exactly.
 
 use rand::RngCore;
 use smm_core::block::{FrameBlock, RowBlock};
@@ -14,7 +15,7 @@ use smm_core::rng::seeded;
 use smm_core::wire;
 use smm_server::protocol::{
     read_frame, write_frame, FrameError, LoadedInfo, Opcode, Reply, Request, StatsSnapshot,
-    MAX_FRAME_PAYLOAD, MIN_VERSION, STATUS_BUSY, STATUS_CAPACITY, STATUS_ERROR, VERSION,
+    MAX_FRAME_PAYLOAD, STATUS_BUSY, STATUS_CAPACITY, STATUS_ERROR, VERSION,
 };
 
 const OPCODES: [Opcode; 5] = [
@@ -55,15 +56,23 @@ fn sample_requests() -> Vec<Request> {
 #[test]
 fn random_request_payloads_never_panic() {
     let mut rng = seeded(7100);
-    for version in MIN_VERSION..=VERSION {
-        for opcode in OPCODES {
-            for _ in 0..400 {
-                let len = (rng.next_u32() % 96) as usize;
-                let payload = random_bytes(&mut rng, len);
-                // Err or an accidental decode are both fine; a panic or
-                // a runaway allocation is the only failure mode.
-                let _ = Request::decode(version, opcode, &payload);
-                let _ = Reply::decode(version, opcode, &payload);
+    for opcode in OPCODES {
+        for _ in 0..2000 {
+            let len = (rng.next_u32() % 96) as usize;
+            let payload = random_bytes(&mut rng, len);
+            // The version argument is fuzzed too: half the draws are the
+            // one spoken version, the rest are arbitrary bytes.
+            let version = match rng.next_u32() % 2 {
+                0 => VERSION,
+                _ => rng.next_u32() as u8,
+            };
+            // Under `VERSION`, Err or an accidental decode are both
+            // fine; a panic or a runaway allocation is the only failure
+            // mode. Under anything else the answer must be Err.
+            let request = Request::decode(version, opcode, &payload);
+            let reply = Reply::decode(version, opcode, &payload);
+            if version != VERSION {
+                assert!(request.is_err() && reply.is_err(), "v{version} decoded");
             }
         }
     }
@@ -71,22 +80,20 @@ fn random_request_payloads_never_panic() {
 
 #[test]
 fn truncated_request_payloads_are_errors() {
-    for version in MIN_VERSION..=VERSION {
-        for request in sample_requests() {
-            let full = request.encode(version);
-            let decoded = Request::decode(version, request.opcode(), &full);
-            assert!(decoded.is_ok(), "sanity: full payload decodes at v{version}");
-            // Every strict prefix must fail: the decoders consume the
-            // payload exactly, so a cut anywhere leaves either a short
-            // read or trailing-garbage detection.
-            for cut in 0..full.len() {
-                assert!(
-                    Request::decode(version, request.opcode(), &full[..cut]).is_err(),
-                    "v{version} {:?} cut at {cut} of {}",
-                    request.opcode(),
-                    full.len()
-                );
-            }
+    for request in sample_requests() {
+        let full = request.encode(VERSION);
+        let decoded = Request::decode(VERSION, request.opcode(), &full);
+        assert!(decoded.is_ok(), "sanity: full payload decodes");
+        // Every strict prefix must fail: the decoders consume the
+        // payload exactly, so a cut anywhere leaves either a short
+        // read or trailing-garbage detection.
+        for cut in 0..full.len() {
+            assert!(
+                Request::decode(VERSION, request.opcode(), &full[..cut]).is_err(),
+                "{:?} cut at {cut} of {}",
+                request.opcode(),
+                full.len()
+            );
         }
     }
 }
@@ -128,9 +135,11 @@ fn truncated_replies_are_errors() {
     }
 }
 
-/// The v4/v5 `Stats` body — the 15 legacy counters plus the v4 stage
-/// block and the v5 fleet tier counters — survives the same truncation
-/// and corruption discipline as the v1-era shapes.
+/// The `Stats` body — 15 counters, the stage block, the fleet tier
+/// counters — survives the same truncation and corruption discipline as
+/// the other shapes. The retired v4-shaped body (no tier block) is one
+/// of those truncations: it must be rejected, not read with zeroed
+/// tiers.
 #[test]
 fn v4_and_v5_stats_bodies_fuzz_clean() {
     let mut snapshot = StatsSnapshot {
@@ -149,52 +158,39 @@ fn v4_and_v5_stats_bodies_fuzz_clean() {
         stage.p50_ns = 1_000;
         stage.p99_ns = 9_000;
     }
-    let reply = Reply::Stats(Box::new(snapshot));
-
-    // v3 carries the bare counters; v4 appends the stage block; v5 the
-    // fleet counters. Pin the growth, then truncate everywhere.
-    let v3 = reply.encode(3);
-    let v4 = reply.encode(4);
-    let v5 = reply.encode(5);
-    assert_eq!(v4.len(), v3.len() + 7 * 3 * 8, "v4 adds the stage block");
-    assert_eq!(v5.len(), v4.len() + 6 * 8, "v5 adds the fleet counters");
-    for (version, full) in [(4u8, &v4), (5u8, &v5)] {
-        let decoded = Reply::decode(version, Opcode::Stats, full).unwrap();
-        let Reply::Stats(back) = decoded else {
-            panic!("stats reply decodes as stats");
-        };
-        assert_eq!(back.stages[0].count, 11);
-        if version >= 5 {
-            assert_eq!((back.tier_hot, back.tier_warm, back.tier_cold), (2, 5, 9));
-            assert_eq!(back.store_hits, 7);
-        }
-        for cut in 0..full.len() {
-            assert!(
-                Reply::decode(version, Opcode::Stats, &full[..cut]).is_err(),
-                "v{version} stats cut at {cut} of {}",
-                full.len()
-            );
-        }
+    let full = Reply::Stats(Box::new(snapshot)).encode(VERSION);
+    assert_eq!(full.len(), 1 + 15 * 8 + 7 * 3 * 8 + 6 * 8);
+    let Reply::Stats(back) = Reply::decode(VERSION, Opcode::Stats, &full).unwrap() else {
+        panic!("stats reply decodes as stats");
+    };
+    assert_eq!(back.stages[0].count, 11);
+    assert_eq!((back.tier_hot, back.tier_warm, back.tier_cold), (2, 5, 9));
+    assert_eq!(back.store_hits, 7);
+    for cut in 0..full.len() {
+        assert!(
+            Reply::decode(VERSION, Opcode::Stats, &full[..cut]).is_err(),
+            "stats cut at {cut} of {}",
+            full.len()
+        );
     }
-    // A v4 decoder handed a v5-length body must reject the trailing
-    // tier block rather than silently ignoring bytes.
-    assert!(Reply::decode(4, Opcode::Stats, &v5).is_err());
+    let v4_shaped = &full[..full.len() - 6 * 8];
+    assert!(Reply::decode(VERSION, Opcode::Stats, v4_shaped).is_err());
 
     // Random corruption of the numeric fields never panics (the body is
     // all fixed-width integers, so most flips still decode — the only
     // failure mode is a panic or runaway allocation).
     let mut rng = seeded(7103);
     for _ in 0..500 {
-        let mut bad = v5.clone();
+        let mut bad = full.clone();
         let pos = (rng.next_u32() as usize) % bad.len();
         bad[pos] ^= 1 + (rng.next_u32() % 255) as u8;
-        let _ = Reply::decode(5, Opcode::Stats, &bad);
-        let _ = Reply::decode(4, Opcode::Stats, &bad);
+        let _ = Reply::decode(VERSION, Opcode::Stats, &bad);
     }
 }
 
-/// The v5 `CapacityFull` status byte: well-formed at v5, hostile
-/// variants rejected, and unknown to every pre-v5 decoder.
+/// The `CapacityFull` status byte: well-formed under `VERSION`, hostile
+/// variants rejected, and — like every reply — refused under any other
+/// version argument.
 #[test]
 fn capacity_status_fuzzes_clean_and_stays_v5_only() {
     let full = Reply::CapacityFull { loaded: 64 }.encode(VERSION);
@@ -207,28 +203,22 @@ fn capacity_status_fuzzes_clean_and_stays_v5_only() {
     for cut in 0..full.len() {
         assert!(Reply::decode(VERSION, Opcode::LoadMatrix, &full[..cut]).is_err());
     }
-    // Pre-v5 decoders do not know status byte 3: the same bytes must be
-    // rejected, exactly as a v4-era binary would reject them.
-    for version in MIN_VERSION..VERSION {
-        assert!(
-            Reply::decode(version, Opcode::LoadMatrix, &full).is_err(),
-            "status {STATUS_CAPACITY} must be unknown at v{version}"
-        );
+    let mut err = vec![STATUS_ERROR];
+    wire::put_str(&mut err, "nope");
+    for version in (0..=u8::MAX).filter(|&v| v != VERSION) {
+        assert!(Reply::decode(version, Opcode::LoadMatrix, &full).is_err(), "v{version}");
+        assert!(Reply::decode(version, Opcode::Gemv, &[STATUS_BUSY]).is_err(), "v{version}");
+        assert!(Reply::decode(version, Opcode::Gemv, &err).is_err(), "v{version}");
     }
-    // Busy and Error still decode under every rev — the v5 status byte
-    // did not disturb their layouts.
-    for version in MIN_VERSION..=VERSION {
-        assert!(matches!(
-            Reply::decode(version, Opcode::Gemv, &[STATUS_BUSY]),
-            Ok(Reply::Busy)
-        ));
-        let mut err = vec![STATUS_ERROR];
-        wire::put_str(&mut err, "nope");
-        assert!(matches!(
-            Reply::decode(version, Opcode::Gemv, &err),
-            Ok(Reply::Error(message)) if message == "nope"
-        ));
-    }
+    // Busy and Error decode under any opcode.
+    assert!(matches!(
+        Reply::decode(VERSION, Opcode::Gemv, &[STATUS_BUSY]),
+        Ok(Reply::Busy)
+    ));
+    assert!(matches!(
+        Reply::decode(VERSION, Opcode::Gemv, &err),
+        Ok(Reply::Error(message)) if message == "nope"
+    ));
 }
 
 #[test]

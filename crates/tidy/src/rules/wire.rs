@@ -1,17 +1,17 @@
-//! `wire-pinning`: every wire rev stays pinned and fuzzed.
+//! `wire-pinning`: one wire rev, pinned and fuzzed.
 //!
-//! PR 8 shipped protocol v5 while the fuzz harness still said v1–v3 —
-//! two revisions of attacker-facing decode surface with no adversarial
+//! PR 8 shipped a protocol rev while the fuzz harness still described
+//! an older one — attacker-facing decode surface with no adversarial
 //! coverage. This rule makes that structurally impossible to repeat:
 //! every variant of the `Request` / `Reply` enums in
 //! `crates/server/src/protocol.rs`, and every protocol-revision or
 //! status constant there (`*VERSION`, `STATUS_*`), must be mentioned
-//! in **both** `crates/server/tests/wire_compat.rs` (byte-level
-//! backward-compat pins) and `crates/server/tests/wire_fuzz.rs`
+//! in **both** `crates/server/tests/wire_compat.rs` (byte-level pins of
+//! the one layout) and `crates/server/tests/wire_fuzz.rs`
 //! (hostile-input fuzzing). A mention is an identifier use, or — for
-//! the compat tests, which hand-roll legacy bytes on purpose — the
-//! name appearing in a comment or string. Add a new wire construct and
-//! the build goes red until both harnesses know about it.
+//! the pin tests, which write raw bytes on purpose — the name appearing
+//! in a comment or string. Add a new wire construct and the build goes
+//! red until both harnesses know about it.
 
 use crate::workspace::SourceFile;
 use crate::{Finding, WIRE_PINNING};

@@ -2,7 +2,7 @@
 //! `wire_compat.rs` / `wire_fuzz.rs`, some deliberately are not.
 //! Line numbers are asserted exactly by `tests/corpus.rs`.
 
-/// Current protocol version (pinned in both test files).
+/// The one protocol version (pinned in both test files).
 pub const WIRE_VERSION: u8 = 2;
 /// OK status (pinned in both).
 pub const STATUS_OK: u8 = 0;

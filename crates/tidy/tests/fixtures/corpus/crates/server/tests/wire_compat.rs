@@ -1,4 +1,4 @@
-//! Fixture compat pins: mentions WIRE_VERSION, STATUS_OK, Ping, Load,
+//! Fixture layout pins: mentions WIRE_VERSION, STATUS_OK, Ping, Load,
 //! and Pong — but never the ghost status or the unpinned reply.
 
 #[test]

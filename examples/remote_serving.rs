@@ -5,15 +5,14 @@
 //!    loaded matrix gets its own planned `Session` (bit-serial compiles
 //!    go through the shared `MultiplierCache`).
 //! 2. Upload a weight matrix, requesting the bit-serial engine
-//!    explicitly in the v2 `LoadMatrix`; the reply names the engine.
+//!    explicitly in the `LoadMatrix`; the reply names the engine.
 //! 3. Serve single products and batches, verifying against the dense
 //!    reference locally.
 //! 4. Hammer the server with the self-checking load generator.
-//! 5. Load a second matrix on the SIGMA-modelled engine via the v3
+//! 5. Load a second matrix on the SIGMA-modelled engine via the
 //!    backend choice byte and verify it serves bit-identically.
-//! 6. Read the server's own metrics over the wire — the v4 `Stats`
-//!    reply carries the per-stage latency table — then shut down
-//!    gracefully.
+//! 6. Read the server's own metrics over the wire — the `Stats` reply
+//!    carries the per-stage latency table — then shut down gracefully.
 //!
 //! Run with: `cargo run --release --example remote_serving`
 
@@ -39,7 +38,7 @@ fn main() {
     println!("serving on {addr} (auto backend, queue depth 8)");
 
     // -- 2. Upload the paper's fixed matrix V ----------------------------
-    // The v2 `LoadMatrix` carries a backend choice; ask for the spatial
+    // `LoadMatrix` carries a backend choice; ask for the spatial
     // circuit explicitly and the reply names the engine that serves.
     let mut rng = seeded(7);
     let v = element_sparse_matrix(32, 24, 8, 0.85, true, &mut rng).expect("generating V");
@@ -109,8 +108,8 @@ fn main() {
         report.server.p99_latency_ns as f64 / 1e3,
     );
 
-    // -- 5. A second matrix on the SIGMA-modelled engine (protocol v3) ---
-    // The v3 choice byte admits `sigma`: the server builds the
+    // -- 5. A second matrix on the SIGMA-modelled engine -----------------
+    // The choice byte admits `sigma`: the server builds the
     // tile-mapped accelerator engine for this matrix, and the replies
     // are still bit-identical to the dense reference.
     let w = element_sparse_matrix(24, 24, 8, 0.5, true, &mut rng).expect("generating W");

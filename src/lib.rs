@@ -65,10 +65,10 @@
 //!    worker-stamped latency statistics (p50/p99 included) — while
 //!    single vectors ride a direct fast path past the pool.
 //! 3. [`server`] puts a `Session` per loaded matrix behind a TCP
-//!    boundary: a versioned length-prefixed binary protocol
-//!    (`Ping`/`LoadMatrix`/`Gemv`/`GemvBatch`/`Stats`; v2 adds a
-//!    per-load backend choice, v3 adds `sigma` to it, with v1/v2
-//!    clients still served), per-connection sessions resolving matrices
+//!    boundary: a length-prefixed binary protocol
+//!    (`Ping`/`LoadMatrix`/`Gemv`/`GemvBatch`/`Stats`, one layout per
+//!    message, a per-load backend choice; peers of another protocol
+//!    revision are refused), per-connection sessions resolving matrices
 //!    by digest, a bounded admission queue that answers `Busy` instead
 //!    of buffering under overload, graceful shutdown with connection
 //!    drain, and a self-checking load generator. One compiled circuit is

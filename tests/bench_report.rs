@@ -41,10 +41,11 @@ fn bench_10_records_the_dense_kernel_ladder() {
     )
     .expect("BENCH_10.json must be committed at the repo root");
     BenchReport::validate_json(&body).unwrap();
-    // The kernel trajectory compares the scalar reference against the
-    // unrolled and blocked kernels (the bench emits them at 256 and
-    // 512), and pits the bit-sliced batch engine against the framed
-    // stream.
+    // The committed PR 10 snapshot compares the scalar reference
+    // against the unrolled and blocked kernels at 256 and 512 (the
+    // unrolled rung has since been retired; fresh reports carry scalar
+    // and blocked), and pits the bit-sliced batch engine against the
+    // framed stream.
     for engine in [
         "dense_scalar",
         "dense_unrolled",

@@ -73,25 +73,17 @@ fn runtime_backends_agree_for_all_shapes() {
             let expect: Vec<Vec<i64>> =
                 batch.iter().map(|a| vecmat(a, &v).unwrap()).collect();
             for session in &sessions {
-                let served = session.run_batch(&batch).unwrap();
+                // Every engine and thread count serves the identical
+                // bits into a reused output block.
+                let stats = session.run_block(Arc::clone(&frames), &mut block_out).unwrap();
+                assert_eq!(stats.batch, batch_size);
+                assert!(stats.shards <= session.threads().min(batch_size.max(1)));
                 assert_eq!(
-                    served.outputs,
+                    Vec::<Vec<i64>>::from(&block_out),
                     expect,
                     "{} dim {dim} batch {batch_size} threads {}",
                     session.engine().name(),
                     session.threads()
-                );
-                assert_eq!(served.stats.batch, batch_size);
-                assert!(served.stats.shards <= session.threads().min(batch_size.max(1)));
-                // The flat block path serves the identical bits into a
-                // reused output block.
-                let stats = session.run_block(Arc::clone(&frames), &mut block_out).unwrap();
-                assert_eq!(stats.batch, batch_size);
-                assert_eq!(
-                    Vec::<Vec<i64>>::from(&block_out),
-                    expect,
-                    "block path, {} dim {dim} batch {batch_size}",
-                    session.engine().name()
                 );
             }
         }

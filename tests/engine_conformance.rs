@@ -4,23 +4,42 @@
 //! across densities and dimensions:
 //!
 //! ```text
-//! run == run_batch == run_block == stream == dense reference
+//! run == run_block == engine().run_rows(interior shard)
+//!     == Client::gemv == Client::gemv_block == dense reference
 //! ```
 //!
-//! bit for bit, through the same `Session` front door every entry point
-//! serves through. The suite is table-driven off
-//! [`EngineRegistry::kinds`], so registering a fifth engine
-//! automatically pins it here; per-engine identity checks elsewhere can
-//! stay focused on engine-specific behavior.
+//! bit for bit: through the `Session` front door every entry point
+//! serves through, through the engine's one compute primitive, and over
+//! a real loopback server that was asked for that engine by name. The
+//! suite is table-driven off [`EngineRegistry::kinds`], so registering a
+//! fifth engine automatically pins it here; per-engine identity checks
+//! elsewhere can stay focused on engine-specific behavior.
 
 use proptest::prelude::*;
 use spatial_smm::core::block::{FrameBlock, RowBlock};
 use spatial_smm::core::generate::{element_sparse_matrix, random_vector};
 use spatial_smm::core::gemv::vecmat;
+use spatial_smm::core::matrix::IntMatrix;
 use spatial_smm::core::rng::seeded;
 use spatial_smm::runtime::{MultiplierCache, BUILTIN_KINDS};
+use spatial_smm::server::{BackendKind, Client, ServerConfig, ServerHandle};
 use spatial_smm::{EngineRegistry, EngineSpec, Session};
 use std::sync::Arc;
+
+/// A loopback server with `v` loaded under exactly the engine `kind`
+/// (asserted from the `Loaded` reply), and a client connected to it.
+fn serve_over_loopback(v: &IntMatrix, kind: &str, threads: usize) -> (ServerHandle, Client, u64) {
+    let server = spatial_smm::server::start(ServerConfig {
+        threads,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let backend: BackendKind = kind.parse().expect("every engine kind has a wire name");
+    let info = client.load_matrix_with(v, Some(backend)).unwrap();
+    assert_eq!(info.engine, kind, "the server planned another engine");
+    (server, client, info.digest)
+}
 
 /// Every registered kind, snapshotted from the live registry so the
 /// suite cannot silently fall out of sync with `builtin()`.
@@ -67,7 +86,10 @@ fn assert_conformance(
 
     let cache = Arc::new(MultiplierCache::new());
     let mut out = RowBlock::new();
-    let mut streamed = Vec::new();
+    // The interior shard: every frame but the first, so it starts off
+    // the block's origin and is one short of the dispatcher's shards.
+    let (start, end) = (batch_size.min(1), batch_size);
+    let mut shard = vec![0i64; (end - start) * cols];
     for kind in registered_kinds() {
         let session = Session::builder(v.clone())
             .spec(EngineSpec::new(kind.clone()).threads(threads))
@@ -77,22 +99,28 @@ fn assert_conformance(
         assert_eq!(session.engine().name(), kind.as_str());
         assert_eq!((session.rows(), session.cols()), (rows, cols), "{kind}");
 
-        // run: the single-vector fast path.
+        // run: the single-vector path.
         assert_eq!(session.run(&single).unwrap(), expect_single, "run, {kind}");
-        // run_batch: the nested bridge.
-        let served = session.run_batch(&batch).unwrap();
-        assert_eq!(served.outputs, expect, "run_batch, {kind}");
-        assert_eq!(served.stats.batch, batch_size, "{kind}");
-        // run_block: the flat hot path, into a reused block.
+        // run_block: the batch path, into a reused block.
         let stats = session.run_block(Arc::clone(&frames), &mut out).unwrap();
         assert_eq!(stats.batch, batch_size, "{kind}");
         assert_eq!(Vec::<Vec<i64>>::from(&out), expect, "run_block, {kind}");
-        // stream: framed pipelining into a reused buffer.
-        session.stream(&batch, &mut streamed).unwrap();
-        assert_eq!(streamed, expect, "stream, {kind}");
+        // run_rows: the engine's one primitive, into a reused slice.
+        shard.fill(-1);
+        session.engine().run_rows(&frames, start, end, &mut shard).unwrap();
+        for (i, frame) in (start..end).enumerate() {
+            let row = &shard[i * cols..(i + 1) * cols];
+            assert_eq!(row, expect[frame].as_slice(), "run_rows frame {frame}, {kind}");
+        }
+        // The wire: the same engine behind a real server.
+        let (server, mut client, digest) = serve_over_loopback(&v, &kind, threads);
+        assert_eq!(client.gemv(digest, &single).unwrap(), expect_single, "gemv, {kind}");
+        let served = client.gemv_block(digest, &frames).unwrap();
+        assert_eq!(Vec::<Vec<i64>>::from(&served), expect, "gemv_block, {kind}");
+        server.shutdown();
     }
-    // One spatial compile, shared: only the bitserial kind touches
-    // the cache.
+    // One spatial compile in-process, shared: only the bitserial kind
+    // touches the cache (each server compiles through its own).
     assert_eq!(cache.stats().misses, 1);
 }
 
@@ -143,23 +171,26 @@ proptest! {
                 .build()
                 .unwrap();
             prop_assert!(session.run(&short).is_err(), "run, {}", &kind);
-            prop_assert!(
-                session.run_batch(&[vec![1; rows], short.clone()]).is_err(),
-                "run_batch, {}", &kind
-            );
             let mut out = RowBlock::new();
             let thin = FrameBlock::from_rows(std::slice::from_ref(&short)).unwrap();
-            prop_assert!(session.run_block(thin, &mut out).is_err(), "run_block, {}", &kind);
-            let mut streamed = Vec::new();
             prop_assert!(
-                session.stream(std::slice::from_ref(&short), &mut streamed).is_err(),
-                "stream, {}", &kind
+                session.run_block(thin.clone(), &mut out).is_err(),
+                "run_block, {}", &kind
             );
-            // The session survives and still serves a valid product.
+            prop_assert!(
+                session.engine().run_rows(&thin, 0, 1, &mut vec![0; cols]).is_err(),
+                "run_rows, {}", &kind
+            );
+            let (server, mut client, digest) = serve_over_loopback(&v, &kind, 1);
+            prop_assert!(client.gemv(digest, &short).is_err(), "gemv, {}", &kind);
+            prop_assert!(client.gemv_block(digest, &thin).is_err(), "gemv_block, {}", &kind);
+            // The session and the connection survive and still serve a
+            // valid product.
             let a = random_vector(rows, 8, true, &mut rng).unwrap();
-            prop_assert_eq!(
-                session.run(&a).unwrap(), vecmat(&a, &v).unwrap(), "{}", &kind
-            );
+            let expect = vecmat(&a, &v).unwrap();
+            prop_assert_eq!(session.run(&a).unwrap(), expect.clone(), "{}", &kind);
+            prop_assert_eq!(client.gemv(digest, &a).unwrap(), expect, "wire, {}", &kind);
+            server.shutdown();
         }
     }
 }
