@@ -294,7 +294,7 @@ pub fn throughput(args: &Args, out: &mut impl Write) -> CmdResult {
 
     writeln!(
         out,
-        "serving {batch} vectors x {repeat} batches through '{}' on {} worker thread(s)",
+        "serving {batch} vectors x {repeat} batches through '{}' in up to {} shard(s) each",
         session.engine().name(),
         session.threads()
     )
@@ -357,7 +357,7 @@ pub fn throughput(args: &Args, out: &mut impl Write) -> CmdResult {
     writeln!(
         out,
         "session: {} batches = {} vectors served; cache {} compile(s)",
-        stats.dispatcher.batches, stats.dispatcher.vectors, stats.cache.misses,
+        stats.batches, stats.vectors, stats.cache.misses,
     )
     .map_err(|e| e.to_string())?;
 
@@ -942,14 +942,14 @@ mod tests {
             "1",
         ])
         .unwrap();
-        assert!(text.contains("through 'dense' on 2 worker thread(s)"), "{text}");
+        assert!(text.contains("through 'dense' in up to 2 shard(s) each"), "{text}");
         // An explicit flag still wins over the spec's own option.
         let text = run_cmd(&[
             "throughput", "--dim", "8", "--backend", "dense@8b/pn/t2", "--threads", "1",
             "--batch", "2", "--repeat", "1",
         ])
         .unwrap();
-        assert!(text.contains("on 1 worker thread(s)"), "{text}");
+        assert!(text.contains("in up to 1 shard(s) each"), "{text}");
     }
 
     #[test]

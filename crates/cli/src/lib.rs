@@ -44,7 +44,7 @@ commands:
   trace     VCD waveform dump of one product (small circuits)
   system    memory-to-memory product through the SRAM wrapper
   cgra      Section VIII CGRA estimate (density, swap time)
-  throughput  serve batches via the runtime worker pool (checked)
+  throughput  serve batches via a runtime session (checked)
   serve     run the TCP serving frontend (wire protocol on --addr)
   loadgen   hammer a running server with self-checking clients
   stats     print a running server's counters and per-stage latencies
@@ -68,12 +68,13 @@ command-specific:
   compare:  --batch B  (default 1)
   throughput: --backend auto|dense|csr|bitserial|sigma  (default bitserial;
               auto plans from the matrix: dims, density, cache residency)
-              --threads N  (default 0 = all cores)
+              --threads N  most shards per batch (default 0 = one per core)
               --batch B    (default 64)   --repeat R  (default 3)
   serve:    --addr A          (default 127.0.0.1:7878; port 0 = auto)
             --backend auto|dense|csr|bitserial|sigma  (default csr; auto
                               plans per loaded matrix)
-            --threads N       session workers per matrix (default 0 = all cores)
+            --threads N       most shards one batch is cut into for the shared
+                              worker pool (default 0 = one per core)
             --queue-depth Q   concurrent compute budget before Busy (default 64)
             --cache-capacity C  compiled-circuit LRU bound (default 0 = unbounded)
             --duration S      seconds to run, 0 = until killed (default 0)

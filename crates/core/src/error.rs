@@ -39,8 +39,8 @@ pub enum Error {
     },
     /// A matrix dimension of zero was requested where it is not meaningful.
     EmptyDimension,
-    /// A serving-runtime failure (worker pool shut down, backend
-    /// misconfigured, ...).
+    /// A serving-runtime failure (a worker thread the OS refused, an
+    /// engine that panicked, a backend misconfigured, ...).
     Runtime {
         /// Human-readable description of the failure.
         context: String,

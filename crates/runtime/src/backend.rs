@@ -72,13 +72,17 @@ pub trait GemvBackend: Send + Sync {
 
     /// Computes frames `start..end` of a flat [`FrameBlock`] into a
     /// row-major output slice of `(end - start) * cols()` elements — the
-    /// engine's one compute primitive: the shard hook the
-    /// [`crate::Dispatcher`] drives, and the kernel behind
-    /// [`GemvBackend::gemv`].
+    /// engine's one compute primitive: what the process's pool workers
+    /// call for each shard of a [`crate::Session::run_block`] batch,
+    /// and the kernel behind [`GemvBackend::gemv`].
     ///
     /// Implementations write rows in place with no per-row allocation,
     /// and must validate the shard and the frame width (see the
-    /// built-ins) rather than panic on a mis-sized `out`.
+    /// built-ins) rather than panic on a mis-sized `out`. They must not
+    /// submit a batch (`Session::run_block`, on any session) from
+    /// inside this call: every session's shards share one queue, so a
+    /// worker waiting here on shards queued behind it is a deadlock as
+    /// soon as every worker does it — at once, with one worker.
     fn run_rows(
         &self,
         frames: &FrameBlock,

@@ -13,17 +13,19 @@
 //!   descriptions resolved through pluggable factories ([`spec`]);
 //! * [`Planner`] / [`PlanPolicy`] / [`EnginePlan`] — policy-driven
 //!   backend choice scored from the matrix itself ([`plan`]);
-//! * [`Session`] — the resolved engine + [`MultiplierCache`] +
-//!   [`Dispatcher`] behind one submission surface ([`session`]);
+//! * [`Session`] — the plan + a handle to the resolved engine + the
+//!   shared [`MultiplierCache`] behind one submission surface, batches
+//!   sharded in submission order across the one worker pool of the
+//!   process ([`session`]; the pool itself is private);
 //! * [`GemvBackend`] — the engine trait (one compute method,
 //!   `run_rows`) with the four built-ins: [`DenseRef`], [`SparseCsr`],
 //!   [`BitSerial`], and [`SigmaEngine`] ([`backend`]);
 //! * [`MultiplierCache`] — content-digest-keyed compile memoization with
 //!   an optional LRU bound ([`cache`]);
-//! * [`Dispatcher`] — the sharding, order-preserving worker pool
-//!   ([`dispatch`]).
+//! * [`TieredRegistry`] — the hot / warm / cold matrix fleet
+//!   ([`tiered`]).
 //!
-//! Sessions and dispatchers optionally carry a [`SpanRecorder`] (from
+//! Sessions optionally carry a [`SpanRecorder`] (from
 //! `smm-telemetry`, re-exported here) so every served batch stamps its
 //! per-shard, reassembly, and whole-compute stage latencies —
 //! [`SessionBuilder::recorder`] attaches one.
@@ -59,18 +61,17 @@
 
 pub mod backend;
 pub mod cache;
-pub mod dispatch;
 pub mod plan;
+mod pool;
 pub mod session;
 pub mod spec;
 pub mod tiered;
 
 pub use backend::{BitSerial, DenseRef, GemvBackend, SigmaEngine, SparseCsr};
 pub use cache::{CacheStats, MultiplierCache};
-pub use dispatch::{BatchStats, Dispatcher, DispatcherConfig, DispatcherStats};
 pub use smm_core::block::{FrameBlock, RowBlock};
 pub use plan::{AutoOptions, EnginePlan, PlanCandidate, PlanPolicy, Planner};
-pub use session::{Session, SessionBuilder, SessionStats};
+pub use session::{BatchStats, Session, SessionBuilder, SessionStats};
 pub use tiered::{circuit_meta_for, FleetSnapshot, InsertOutcome, TieredConfig, TieredRegistry};
 pub use smm_telemetry::{SpanRecorder, Stage, StageStats};
 pub use spec::{EngineContext, EngineFactory, EngineRegistry, EngineSpec, BUILTIN_KINDS};

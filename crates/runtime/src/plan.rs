@@ -56,7 +56,7 @@ pub struct AutoOptions {
     /// Weight encoding for circuit engines (also the cache-residency
     /// probe key).
     pub encoding: WeightEncoding,
-    /// Dispatcher worker threads (0 = all cores).
+    /// Most shards one batch is cut into (0 = one per core).
     pub threads: usize,
 }
 

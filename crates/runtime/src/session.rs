@@ -2,19 +2,22 @@
 //!
 //! A [`Session`] is the unit every entry point in the repo serves
 //! through — the CLI's `throughput`/`serve`/`loadgen`, the TCP server's
-//! per-matrix state, the examples, and the tests. It owns the resolved
-//! engine (built through an [`EngineRegistry`]), the shared
-//! [`MultiplierCache`], and a [`Dispatcher`] worker pool, and exposes one
-//! submission surface:
+//! per-matrix state, the examples, and the tests. It is a value: the
+//! plan, a handle to the resolved engine (built through an
+//! [`EngineRegistry`]), the shared [`MultiplierCache`], and its served
+//! counters. It owns no threads — batches are cut into row-range shards
+//! and served by the one worker pool of the process, which every session
+//! shares — so building one spawns nothing and dropping one joins
+//! nothing. One submission surface:
 //!
 //! * [`Session::run`] — one product `o = aᵀV`, computed directly on the
-//!   engine (no dispatcher round trip: a single vector should not pay
-//!   batch overhead);
+//!   engine (no pool round trip: a single vector should not pay batch
+//!   overhead);
 //! * [`Session::run_block`] — a batch: a flat [`FrameBlock`] sharded
 //!   across the pool into a caller-owned [`RowBlock`], with per-batch
 //!   timing and no per-row allocation;
-//! * [`Session::stats`] — cache, dispatcher, and fast-path counters in
-//!   one struct.
+//! * [`Session::stats`] — cache, batch, and fast-path counters in one
+//!   struct.
 //!
 //! Rule of thumb: `run` for one vector, `run_block` for batches (hold
 //! the blocks, reuse them). Both reach the same engine kernel
@@ -38,27 +41,70 @@
 
 use crate::backend::GemvBackend;
 use crate::cache::{CacheStats, MultiplierCache};
-use crate::dispatch::{BatchStats, Dispatcher, DispatcherConfig, DispatcherStats};
 use crate::plan::{EnginePlan, PlanPolicy, Planner};
+use crate::pool::{self, Job};
 use crate::spec::{EngineRegistry, EngineSpec};
 use smm_core::block::{FrameBlock, RowBlock};
-use smm_core::error::Result;
+use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
-use smm_telemetry::{SpanRecorder, Stage};
+use smm_telemetry::{weighted_percentile, SpanRecorder, Stage};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Cache + dispatcher + fast-path counters of one session, in one struct.
+/// Timing of one served batch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BatchStats {
+    /// Vectors in the batch.
+    pub batch: usize,
+    /// Shards the batch was split into.
+    pub shards: usize,
+    /// Wall-clock time from submission to full reassembly.
+    pub elapsed: Duration,
+    /// Median per-vector completion latency (submission to the vector's
+    /// shard finishing, stamped worker-side), nearest-rank over the
+    /// batch.
+    pub p50_latency: Duration,
+    /// 99th-percentile per-vector completion latency. For batches under
+    /// 100 vectors this is the slowest shard's latency.
+    pub p99_latency: Duration,
+}
+
+impl BatchStats {
+    /// Served vectors per wall-clock second (0 for an empty batch).
+    pub fn vectors_per_sec(&self) -> f64 {
+        let secs = self.elapsed.as_secs_f64();
+        if secs <= 0.0 || self.batch == 0 {
+            0.0
+        } else {
+            self.batch as f64 / secs
+        }
+    }
+
+    /// Mean per-vector latency.
+    pub fn mean_latency(&self) -> Duration {
+        if self.batch == 0 {
+            Duration::ZERO
+        } else {
+            self.elapsed / self.batch as u32
+        }
+    }
+}
+
+/// Cache, batch, and fast-path counters of one session, in one struct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionStats {
     /// Compiled-multiplier cache counters (shared across sessions when
     /// the cache is).
     pub cache: CacheStats,
-    /// Served-work counters of this session's worker pool (batches only;
-    /// single-vector products never enter the pool).
-    pub dispatcher: DispatcherStats,
-    /// Single-vector products served on the [`Session::run`] fast path.
+    /// Batches fully served by [`Session::run_block`] (failed and empty
+    /// batches are not counted).
+    pub batches: u64,
+    /// Vectors fully served across those batches.
+    pub vectors: u64,
+    /// Single-vector products served on the [`Session::run`] fast path
+    /// (these never enter the pool, so they are not in `vectors`).
     pub singles: u64,
 }
 
@@ -98,39 +144,44 @@ impl SessionBuilder {
         self
     }
 
-    /// A per-stage telemetry sink: batches record shard / reassembly /
-    /// compute stage latencies through the dispatcher, and the
-    /// single-vector fast path records [`Stage::Compute`] around its
-    /// `gemv`. The TCP server hands every session its one shared
-    /// recorder; the default is no recording (and no timing overhead on
-    /// the fast path).
+    /// A per-stage telemetry sink: every served batch records its
+    /// per-shard completion latencies ([`Stage::Shard`]), the
+    /// straggler-to-whole-batch tail ([`Stage::Reassemble`]), and the
+    /// whole compute wall time ([`Stage::Compute`]); the single-vector
+    /// fast path records [`Stage::Compute`] around its `gemv`. The TCP
+    /// server hands every session its one shared recorder; the default
+    /// is no recording (and no timing overhead on the fast path).
     pub fn recorder(mut self, recorder: SpanRecorder) -> Self {
         self.recorder = Some(recorder);
         self
     }
 
-    /// Plans, resolves, and spawns the session.
+    /// Plans and resolves the session. No thread is spawned here: the
+    /// process's worker pool starts with the first batch any session
+    /// submits.
     pub fn build(self) -> Result<Session> {
         let cache = self.cache.unwrap_or_default();
         let plan = Planner::new(&self.registry).plan(&self.matrix, &self.policy, &cache)?;
         let engine = self.registry.build(&self.matrix, &plan.spec, &cache)?;
-        let config = DispatcherConfig::new(plan.spec.threads);
-        let dispatcher = match self.recorder.clone() {
-            Some(rec) => Dispatcher::with_recorder(Arc::clone(&engine), config, rec)?,
-            None => Dispatcher::new(Arc::clone(&engine), config)?,
+        let threads = match plan.spec.threads {
+            0 => pool::cores(),
+            n => n,
         };
         Ok(Session {
             plan,
             cache,
-            dispatcher,
+            engine,
+            threads,
             recorder: self.recorder,
+            batches: AtomicU64::new(0),
+            vectors: AtomicU64::new(0),
             singles: AtomicU64::new(0),
         })
     }
 }
 
-/// One matrix behind one planned engine and worker pool — the unified
-/// serving surface. See the [module docs](crate::session).
+/// One matrix behind one planned engine — the unified serving surface.
+/// See the [module docs](crate::session).
 ///
 /// The matrix itself is not retained: the engine holds whatever
 /// representation it needs (dense copy, CSR, compiled circuit), so a
@@ -139,10 +190,15 @@ impl SessionBuilder {
 pub struct Session {
     plan: EnginePlan,
     cache: Arc<MultiplierCache>,
-    dispatcher: Dispatcher,
-    /// Per-stage telemetry sink shared with the dispatcher, used by the
-    /// single-vector fast path to time its compute.
+    engine: Arc<dyn GemvBackend>,
+    /// The plan's `threads`, resolved (0 = one per core): the most
+    /// shards one batch is cut into.
+    threads: usize,
+    /// Per-stage telemetry sink (see [`SessionBuilder::recorder`]).
     recorder: Option<SpanRecorder>,
+    /// Batches and their vectors fully served by [`Session::run_block`].
+    batches: AtomicU64,
+    vectors: AtomicU64,
     /// Single-vector products served on the [`Session::run`] fast path.
     singles: AtomicU64,
 }
@@ -193,7 +249,7 @@ impl Session {
     /// `Arc<dyn GemvBackend>` (e.g. the integer reservoir's
     /// `attach_backend`).
     pub fn engine(&self) -> &Arc<dyn GemvBackend> {
-        self.dispatcher.backend()
+        &self.engine
     }
 
     /// The plan that chose the engine, rationale included.
@@ -206,16 +262,17 @@ impl Session {
         &self.cache
     }
 
-    /// Worker threads in the session's pool.
+    /// The most shards one batch is cut into (the spec's `threads`,
+    /// with 0 resolved to one per core).
     pub fn threads(&self) -> usize {
-        self.dispatcher.threads()
+        self.threads
     }
 
     /// Computes one product `o = aᵀV` directly on the engine — the
     /// single-vector fast path. No `Arc`, no channel hop, no worker
     /// wakeup: a lone vector (the server's single `Gemv` opcode) must
-    /// not pay batch-dispatch overhead. Counted in
-    /// [`SessionStats::singles`]; the dispatcher counters do not move.
+    /// not pay batch overhead. Counted in [`SessionStats::singles`];
+    /// the batch counters do not move.
     pub fn run(&self, a: &[i32]) -> Result<Vec<i64>> {
         let out = match &self.recorder {
             // With telemetry attached the single pays one Instant pair
@@ -232,47 +289,139 @@ impl Session {
         Ok(out)
     }
 
-    /// Executes one flat batch, sharded by row ranges across the pool,
-    /// writing outputs in submission order into the caller-owned `out`
-    /// block (reshaped and reused across calls) — the serving hot path,
-    /// with no per-row allocation. Accepts a [`FrameBlock`] or an
-    /// `Arc<FrameBlock>`; pass `Arc::clone(&frames)` to re-dispatch
-    /// without copying request data.
+    /// Executes one flat batch, sharded by contiguous row ranges across
+    /// the process's worker pool, writing the outputs in submission
+    /// order into the caller-owned `out` block (reshaped to
+    /// `frames x cols`, reusing its allocation) — the serving hot path.
+    ///
+    /// Accepts a [`FrameBlock`] or an `Arc<FrameBlock>` — callers that
+    /// re-submit the same batch should pass `Arc::clone(&frames)` so no
+    /// request data is copied per call. Excluding the caller-owned
+    /// blocks, the whole call performs a constant number of heap
+    /// allocations (one flat row buffer per shard), independent of batch
+    /// size.
+    ///
+    /// The batch is split into [`Session::threads`] balanced shards
+    /// (fewer for small batches). The first shard error, if any, is
+    /// returned after all shards settle; `out` holds unspecified
+    /// contents on error. An empty batch is valid and produces an empty
+    /// block.
     pub fn run_block(
         &self,
         frames: impl Into<Arc<FrameBlock>>,
         out: &mut RowBlock,
     ) -> Result<BatchStats> {
-        self.dispatcher.dispatch_block(frames, out)
+        let start = Instant::now();
+        let frames: Arc<FrameBlock> = frames.into();
+        let n = frames.frames();
+        out.reset(n, self.cols())?;
+        if n == 0 {
+            return Ok(BatchStats {
+                batch: 0,
+                shards: 0,
+                elapsed: start.elapsed(),
+                p50_latency: Duration::ZERO,
+                p99_latency: Duration::ZERO,
+            });
+        }
+        // One uniform width makes the whole-batch shape check O(1); the
+        // engines still validate value ranges shard-side.
+        if frames.width() != self.rows() {
+            return Err(Error::DimensionMismatch {
+                context: format!(
+                    "frame width {} vs matrix rows {}",
+                    frames.width(),
+                    self.rows()
+                ),
+            });
+        }
+        let queue = pool::queue()?;
+        let shards = self.threads.min(n);
+        let (reply_tx, reply_rx) = channel();
+        // Balanced contiguous shards: the first `n % shards` get one
+        // extra vector.
+        let base = n / shards;
+        let extra = n % shards;
+        let mut cursor = 0usize;
+        for s in 0..shards {
+            let len = base + usize::from(s < extra);
+            let job = Job {
+                engine: Arc::clone(&self.engine),
+                frames: Arc::clone(&frames),
+                start: cursor,
+                end: cursor + len,
+                submitted: start,
+                reply: reply_tx.clone(),
+            };
+            cursor += len;
+            queue.send(job).map_err(|_| pool_gone())?;
+        }
+        drop(reply_tx);
+
+        let mut first_error: Option<Error> = None;
+        // A vector's completion latency is stamped by its worker, so a
+        // shard that finishes while the reassembler is copying another
+        // reply still reports its true latency.
+        let mut latencies: Vec<(Duration, usize)> = Vec::with_capacity(shards);
+        for _ in 0..shards {
+            let reply = reply_rx.recv().map_err(|_| pool_gone())?;
+            latencies.push((reply.completed, reply.end - reply.start));
+            match reply.rows {
+                Ok(rows) => out.rows_mut(reply.start, reply.end).copy_from_slice(&rows),
+                Err(e) => first_error = first_error.or(Some(e)),
+            }
+        }
+        if let Some(e) = first_error {
+            return Err(e);
+        }
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.vectors.fetch_add(n as u64, Ordering::Relaxed);
+        let elapsed = start.elapsed();
+        if let Some(rec) = &self.recorder {
+            // The interior of the pipeline's compute stage, recorded
+            // here because only the session sees the shard boundaries.
+            let mut slowest = Duration::ZERO;
+            for &(completed, _) in &latencies {
+                rec.record(Stage::Shard, completed);
+                slowest = slowest.max(completed);
+            }
+            rec.record(Stage::Reassemble, elapsed.saturating_sub(slowest));
+            rec.record(Stage::Compute, elapsed);
+        }
+        Ok(BatchStats {
+            batch: n,
+            shards,
+            elapsed,
+            p50_latency: weighted_percentile(&mut latencies, 0.50),
+            p99_latency: weighted_percentile(&mut latencies, 0.99),
+        })
     }
 
-    /// Cache, dispatcher, and fast-path counters in one struct.
+    /// Cache, batch, and fast-path counters in one struct.
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             cache: self.cache.stats(),
-            dispatcher: self.dispatcher_stats(),
-            singles: self.singles(),
+            batches: self.batches.load(Ordering::Relaxed),
+            vectors: self.vectors.load(Ordering::Relaxed),
+            singles: self.singles.load(Ordering::Relaxed),
         }
     }
 
-    /// Single-vector products served on the [`Session::run`] fast path
-    /// (these never enter the dispatcher, so they are not in
-    /// [`DispatcherStats::vectors`]).
-    pub fn singles(&self) -> u64 {
-        self.singles.load(Ordering::Relaxed)
+    /// Just the served work, `(batches, vectors)` with the fast-path
+    /// singles counted as vectors — no cache lock. Aggregators over many
+    /// sessions sharing one cache read the cache once and sum these.
+    pub fn served(&self) -> (u64, u64) {
+        let s = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        (s(&self.batches), s(&self.vectors) + s(&self.singles))
     }
+}
 
-    /// Just the served-work counters — no cache lock. Aggregators over
-    /// many sessions sharing one cache read the cache once and sum
-    /// these.
-    pub fn dispatcher_stats(&self) -> DispatcherStats {
-        self.dispatcher.snapshot()
-    }
-
-    /// Graceful teardown: joins the worker pool. `Drop` does the same;
-    /// this makes a drain explicit.
-    pub fn shutdown(self) {
-        self.dispatcher.shutdown();
+/// A job or a reply could not be delivered. Workers never exit while the
+/// process lives, so this is unreachable short of a bug; it is typed so
+/// that such a bug is an error reply, not a panic or a hung caller.
+fn pool_gone() -> Error {
+    Error::Runtime {
+        context: "worker pool is not serving".into(),
     }
 }
 
@@ -284,15 +433,33 @@ mod tests {
     use smm_core::rng::seeded;
 
     /// Nested rows through [`Session::run_block`] and back.
-    fn run_rows_of(session: &Session, batch: &[Vec<i32>]) -> Result<Vec<Vec<i64>>> {
+    fn serve(session: &Session, batch: &[Vec<i32>]) -> Result<(Vec<Vec<i64>>, BatchStats)> {
         let mut out = RowBlock::new();
-        session.run_block(FrameBlock::from_rows(batch)?, &mut out)?;
-        Ok(out.into())
+        let stats = session.run_block(FrameBlock::from_rows(batch)?, &mut out)?;
+        Ok((out.into(), stats))
     }
 
     fn sparse(seed: u64, dim: usize, sparsity: f64) -> IntMatrix {
         let mut rng = seeded(seed);
         element_sparse_matrix(dim, dim, 8, sparsity, true, &mut rng).unwrap()
+    }
+
+    fn random_batch(n: usize, dim: usize, seed: u64) -> Vec<Vec<i32>> {
+        let mut rng = seeded(seed);
+        (0..n)
+            .map(|_| random_vector(dim, 8, true, &mut rng).unwrap())
+            .collect()
+    }
+
+    fn reference(batch: &[Vec<i32>], v: &IntMatrix) -> Vec<Vec<i64>> {
+        batch.iter().map(|a| vecmat(a, v).unwrap()).collect()
+    }
+
+    /// A dense session over the `dim x dim` identity, which echoes its
+    /// inputs, cutting batches into at most `threads` shards.
+    fn echo(dim: usize, threads: usize) -> Session {
+        let v = IntMatrix::identity(dim).unwrap();
+        Session::with_spec(v, EngineSpec::dense().threads(threads)).unwrap()
     }
 
     #[test]
@@ -303,15 +470,13 @@ mod tests {
         let mut rng = seeded(2901);
         let a = random_vector(20, 8, true, &mut rng).unwrap();
         assert_eq!(session.run(&a).unwrap(), vecmat(&a, &v).unwrap());
-        let batch: Vec<Vec<i32>> = (0..7)
-            .map(|_| random_vector(20, 8, true, &mut rng).unwrap())
-            .collect();
-        let expect: Vec<Vec<i64>> = batch.iter().map(|a| vecmat(a, &v).unwrap()).collect();
-        assert_eq!(run_rows_of(&session, &batch).unwrap(), expect);
+        let batch = random_batch(7, 20, 2911);
+        assert_eq!(serve(&session, &batch).unwrap().0, reference(&batch, &v));
         let stats = session.stats();
         // The single went down the fast path; only the batch hit the pool.
-        assert_eq!((stats.dispatcher.batches, stats.dispatcher.vectors), (1, 7));
+        assert_eq!((stats.batches, stats.vectors), (1, 7));
         assert_eq!(stats.singles, 1);
+        assert_eq!(session.served(), (1, 8));
     }
 
     #[test]
@@ -321,8 +486,8 @@ mod tests {
             assert_eq!(session.run(&[1, 2, 3, 4]).unwrap(), vec![1, 2, 3, 4]);
             let stats = session.stats();
             assert_eq!(stats.singles, round);
-            // Regression: singles must not move the dispatcher counters.
-            assert_eq!((stats.dispatcher.batches, stats.dispatcher.vectors), (0, 0));
+            // Regression: singles must not move the batch counters.
+            assert_eq!((stats.batches, stats.vectors), (0, 0));
         }
         // A failed single is not counted as served.
         assert!(session.run(&[1]).is_err());
@@ -332,11 +497,8 @@ mod tests {
     #[test]
     fn run_block_serves_bit_identically_and_reuses_the_output() {
         let v = sparse(2907, 16, 0.7);
-        let mut rng = seeded(2908);
-        let batch: Vec<Vec<i32>> = (0..10)
-            .map(|_| random_vector(16, 8, true, &mut rng).unwrap())
-            .collect();
-        let expect: Vec<Vec<i64>> = batch.iter().map(|a| vecmat(a, &v).unwrap()).collect();
+        let batch = random_batch(10, 16, 2908);
+        let expect = reference(&batch, &v);
         let frames = Arc::new(FrameBlock::try_from(batch.as_slice()).unwrap());
         let mut out = RowBlock::new();
         for spec in [EngineSpec::dense(), EngineSpec::csr(), EngineSpec::bitserial().threads(2)] {
@@ -347,18 +509,15 @@ mod tests {
                 assert_eq!(stats.batch, 10);
                 assert_eq!(Vec::<Vec<i64>>::from(&out), expect, "{spec}");
             }
-            assert_eq!(session.stats().dispatcher.vectors, 20, "{spec}");
+            assert_eq!(session.stats().vectors, 20, "{spec}");
         }
     }
 
     #[test]
     fn every_spec_serves_the_same_outputs() {
         let v = sparse(2902, 14, 0.6);
-        let mut rng = seeded(2903);
-        let batch: Vec<Vec<i32>> = (0..9)
-            .map(|_| random_vector(14, 8, true, &mut rng).unwrap())
-            .collect();
-        let expect: Vec<Vec<i64>> = batch.iter().map(|a| vecmat(a, &v).unwrap()).collect();
+        let batch = random_batch(9, 14, 2903);
+        let expect = reference(&batch, &v);
         for spec in [
             EngineSpec::dense(),
             EngineSpec::csr(),
@@ -366,7 +525,7 @@ mod tests {
         ] {
             let session = Session::with_spec(v.clone(), spec.clone()).unwrap();
             assert_eq!(session.engine().name(), spec.kind());
-            assert_eq!(run_rows_of(&session, &batch).unwrap(), expect, "{spec}");
+            assert_eq!(serve(&session, &batch).unwrap().0, expect, "{spec}");
         }
     }
 
@@ -402,7 +561,7 @@ mod tests {
             .build()
             .unwrap();
         session.run(&[1, 2, 3, 4]).unwrap();
-        run_rows_of(&session, &vec![vec![1, 2, 3, 4]; 6]).unwrap();
+        serve(&session, &vec![vec![1, 2, 3, 4]; 6]).unwrap();
         let stats = rec.stage_stats();
         // One compute from the single's fast path, one from the batch.
         assert_eq!(stats[Stage::Compute.idx()].count, 2);
@@ -432,8 +591,206 @@ mod tests {
     fn dimension_errors_propagate_through_run() {
         let session = Session::auto(IntMatrix::identity(4).unwrap()).unwrap();
         assert!(session.run(&[1, 2]).is_err());
-        assert!(run_rows_of(&session, &[vec![1; 3]]).is_err());
-        // The pool survives the error.
+        assert!(serve(&session, &[vec![1; 3]]).is_err());
+        // The session survives the error.
         assert_eq!(session.run(&[1, 2, 3, 4]).unwrap(), vec![1, 2, 3, 4]);
+    }
+
+    // The batch path: sharding, reassembly, timing, counters.
+
+    #[test]
+    fn preserves_submission_order_across_threads() {
+        // An identity matrix echoes inputs, making order mistakes visible.
+        let session = echo(8, 4);
+        let batch: Vec<Vec<i32>> = (0..97i32)
+            .map(|i| (0..8).map(|j| (i * 8 + j) % 128).collect())
+            .collect();
+        let expect: Vec<Vec<i64>> = batch
+            .iter()
+            .map(|a| a.iter().map(|&x| i64::from(x)).collect())
+            .collect();
+        let (outputs, stats) = serve(&session, &batch).unwrap();
+        assert_eq!(outputs, expect);
+        assert_eq!(stats.batch, 97);
+        assert_eq!(stats.shards, 4);
+        assert!(stats.vectors_per_sec() > 0.0);
+    }
+
+    #[test]
+    fn all_backends_and_thread_counts_agree() {
+        let mut rng = seeded(2300);
+        let v = element_sparse_matrix(16, 12, 8, 0.6, true, &mut rng).unwrap();
+        let batch = random_batch(13, 16, 2301);
+        let expect = reference(&batch, &v);
+        for kind in crate::spec::BUILTIN_KINDS {
+            for threads in [1usize, 2, 5] {
+                let spec = EngineSpec::new(kind).threads(threads);
+                let session = Session::with_spec(v.clone(), spec.clone()).unwrap();
+                let (outputs, stats) = serve(&session, &batch).unwrap();
+                assert_eq!(outputs, expect, "{spec}");
+                assert_eq!(stats.shards, threads, "{spec}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_singleton_batches() {
+        let session = echo(4, 3);
+        let (outputs, stats) = serve(&session, &[]).unwrap();
+        assert!(outputs.is_empty());
+        assert_eq!(stats.batch, 0);
+        assert_eq!(stats.vectors_per_sec(), 0.0);
+        assert_eq!(stats.mean_latency(), Duration::ZERO);
+        let (outputs, stats) = serve(&session, &[vec![9, 8, 7, 6]]).unwrap();
+        assert_eq!(outputs, vec![vec![9, 8, 7, 6]]);
+        assert_eq!(stats.shards, 1);
+    }
+
+    #[test]
+    fn errors_surface_and_pool_survives() {
+        let v = sparse(2302, 8, 0.5);
+        let session = Session::with_spec(v.clone(), EngineSpec::dense().threads(2)).unwrap();
+        // A batch of the wrong width fails...
+        assert!(serve(&session, &random_batch(6, 3, 2303)).is_err());
+        // ...but the session keeps serving afterwards.
+        let good = random_batch(6, 8, 2304);
+        assert_eq!(serve(&session, &good).unwrap().0, reference(&good, &v));
+    }
+
+    #[test]
+    fn dispatch_block_reuses_the_output_block_across_batches() {
+        let mut rng = seeded(2305);
+        let v = element_sparse_matrix(12, 7, 8, 0.5, true, &mut rng).unwrap();
+        let session = Session::with_spec(v.clone(), EngineSpec::csr().threads(3)).unwrap();
+        let mut out = RowBlock::new();
+        for batch_size in [11usize, 4, 0, 9] {
+            let batch = random_batch(batch_size, 12, 2306 + batch_size as u64);
+            let frames = Arc::new(FrameBlock::try_from(batch.as_slice()).unwrap());
+            let stats = session.run_block(Arc::clone(&frames), &mut out).unwrap();
+            assert_eq!(stats.batch, batch_size);
+            assert_eq!((out.rows(), out.width()), (batch_size, 7));
+            for (i, a) in batch.iter().enumerate() {
+                assert_eq!(out.row(i), vecmat(a, &v).unwrap(), "row {i} of {batch_size}");
+            }
+        }
+        // A width mismatch is refused before any shard is submitted.
+        let wrong = FrameBlock::from_rows(&[vec![1; 5]]).unwrap();
+        assert!(session.run_block(wrong, &mut out).is_err());
+        let s = session.stats();
+        // The empty batch is not served work.
+        assert_eq!((s.batches, s.vectors), (3, 24));
+    }
+
+    #[test]
+    fn shard_latency_is_stamped_at_worker_completion() {
+        /// Sleeps only for the shard holding the batch's last row, so
+        /// every earlier shard finishes at once while the batch as a
+        /// whole waits. (The last, not the first: the workers are shared
+        /// and may be one, and a fast shard queued behind the sleeper
+        /// would measure the queue, not the stamp.)
+        struct SlowLastShard;
+        impl GemvBackend for SlowLastShard {
+            fn name(&self) -> &'static str {
+                "slow-last-shard"
+            }
+            fn rows(&self) -> usize {
+                2
+            }
+            fn cols(&self) -> usize {
+                2
+            }
+            fn run_rows(
+                &self,
+                frames: &FrameBlock,
+                start: usize,
+                end: usize,
+                out: &mut [i64],
+            ) -> Result<()> {
+                crate::backend::check_shard(frames, start, end, 2, out.len())?;
+                if end == frames.frames() {
+                    std::thread::sleep(Duration::from_millis(200));
+                }
+                Ok(())
+            }
+        }
+        let mut registry = EngineRegistry::empty();
+        registry.register("slow", |_| Ok(Arc::new(SlowLastShard) as Arc<dyn GemvBackend>));
+        let session = Session::builder(IntMatrix::identity(2).unwrap())
+            .registry(Arc::new(registry))
+            .spec(EngineSpec::new("slow").threads(2))
+            .build()
+            .unwrap();
+        let frames = Arc::new(FrameBlock::from_rows(&vec![vec![0, 0]; 10]).unwrap());
+        let mut out = RowBlock::new();
+        let stats = session.run_block(frames, &mut out).unwrap();
+        assert_eq!(stats.shards, 2);
+        // The fast shard carries half the batch and its latency is its
+        // own completion time, not the time the batch was reassembled:
+        // the weighted p50 stays far below the slow shard's sleep even
+        // though the whole batch took at least that long. The margin
+        // (half the sleep) is what a sibling test's shards ahead of it
+        // in the shared queue may cost.
+        assert!(stats.elapsed >= Duration::from_millis(200), "{stats:?}");
+        assert!(stats.p50_latency < Duration::from_millis(100), "{stats:?}");
+        assert!(stats.p99_latency >= Duration::from_millis(200), "{stats:?}");
+        assert!(stats.p99_latency <= stats.elapsed, "{stats:?}");
+    }
+
+    #[test]
+    fn latency_percentiles_are_ordered_and_bounded() {
+        let session = echo(6, 3);
+        let (_, s) = serve(&session, &vec![vec![1, 2, 3, 4, 5, 6]; 50]).unwrap();
+        assert!(s.p50_latency > Duration::ZERO);
+        assert!(s.p50_latency <= s.p99_latency, "{s:?}");
+        // Completion latencies are measured inside the batch window.
+        assert!(s.p99_latency <= s.elapsed, "{s:?}");
+        // Empty batches report zeros.
+        let (_, empty) = serve(&session, &[]).unwrap();
+        assert_eq!(empty.p50_latency, Duration::ZERO);
+        assert_eq!(empty.p99_latency, Duration::ZERO);
+    }
+
+    #[test]
+    fn recorder_sees_shard_reassembly_and_compute_stages() {
+        // (The nearest-rank percentile math itself is pinned by
+        // smm-telemetry's own tests; this covers the session's use.)
+        let rec = SpanRecorder::new();
+        let session = Session::builder(IntMatrix::identity(6).unwrap())
+            .spec(EngineSpec::dense().threads(3))
+            .recorder(rec.clone())
+            .build()
+            .unwrap();
+        serve(&session, &vec![vec![1, 2, 3, 4, 5, 6]; 12]).unwrap();
+        serve(&session, &vec![vec![1, 2, 3, 4, 5, 6]; 2]).unwrap();
+        let stats = rec.stage_stats();
+        // 3 shards + 2 shards; one reassembly and one compute per batch.
+        assert_eq!(stats[Stage::Shard.idx()].count, 5);
+        assert_eq!(stats[Stage::Reassemble.idx()].count, 2);
+        assert_eq!(stats[Stage::Compute.idx()].count, 2);
+        assert!(stats[Stage::Compute.idx()].p99_ns > 0);
+        // Failed batches record nothing.
+        assert!(serve(&session, &[vec![1]]).is_err());
+        assert_eq!(rec.stage_stats()[Stage::Compute.idx()].count, 2);
+    }
+
+    #[test]
+    fn snapshot_counts_served_work() {
+        let session = echo(4, 2);
+        assert_eq!(session.served(), (0, 0));
+        serve(&session, &vec![vec![1, 2, 3, 4]; 7]).unwrap();
+        serve(&session, &vec![vec![1, 2, 3, 4]; 3]).unwrap();
+        // Failed batches are not served work.
+        assert!(serve(&session, &[vec![1]]).is_err());
+        let s = session.stats();
+        assert_eq!((s.batches, s.vectors, s.singles), (2, 10, 0));
+        assert_eq!(session.served(), (2, 10));
+    }
+
+    #[test]
+    fn zero_threads_resolves_to_available_parallelism() {
+        let session = echo(2, 0);
+        assert_eq!(session.plan().spec.threads, 0);
+        assert_eq!(session.threads(), pool::cores());
+        assert_eq!(serve(&session, &[vec![1, 2]]).unwrap().0, vec![vec![1, 2]]);
     }
 }

@@ -4,7 +4,7 @@
 //! An [`EngineSpec`] is a plain, serializable *description* of a compute
 //! engine: which kind ("dense", "csr", "bitserial", "sigma", or anything
 //! a custom factory registers) plus the options every engine family understands —
-//! operand width, weight encoding, and dispatcher thread count. Specs are
+//! operand width, weight encoding, and batch shard count. Specs are
 //! cheap values: they can be compared, printed, parsed back, stored in a
 //! config file, or shipped over a wire long before any matrix exists.
 //!
@@ -44,7 +44,9 @@ pub struct EngineSpec {
     pub input_bits: u32,
     /// Weight encoding compiled into circuit engines.
     pub encoding: WeightEncoding,
-    /// Dispatcher worker threads (0 = all cores).
+    /// Most shards one batch is cut into for the process's worker pool
+    /// (0 = one per core). Spawns nothing: the pool's size is the
+    /// machine's, not the spec's.
     pub threads: usize,
 }
 
@@ -98,8 +100,8 @@ impl EngineSpec {
         self
     }
 
-    /// Returns the spec with this dispatcher thread count (0 = all
-    /// cores).
+    /// Returns the spec with this many shards per batch at most (0 =
+    /// one per core).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

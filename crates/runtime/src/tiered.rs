@@ -3,18 +3,20 @@
 //! [`TieredRegistry`] replaces a flat `digest → Session` map with the
 //! three-tier residency model of `smm-store` (see [`Tier`]):
 //!
-//! * **hot** — a live [`Session`] (compiled engine + worker pool);
-//! * **warm** — the raw [`IntMatrix`] (+ CSR) resident in memory, the
-//!   engine rebuilt on demand through the shared multiplier cache;
+//! * **hot** — a live [`Session`] (plan + compiled engine; it owns no
+//!   threads, so residency costs the engine's memory and nothing else);
+//! * **warm** — the raw [`IntMatrix`] resident in memory, the engine
+//!   rebuilt on demand through the shared multiplier cache;
 //! * **cold** — checksummed artifact bytes in an attached [`Store`].
 //!
 //! Promotion happens on request ([`TieredRegistry::acquire`]): a warm
 //! or cold digest is rebuilt into a session the moment traffic asks for
 //! it, and the read from disk is counted as a *store hit*. Demotion
 //! happens under pressure: when the hot tier exceeds its bound the
-//! least-recently-used session is demoted to warm (its served-request
-//! counters are retired into registry totals first, so `Stats` stays
-//! monotone), and when the warm tier overflows entries spill to cold —
+//! least-recently-used session is demoted to warm — its served-request
+//! counters are retired into registry totals, so `Stats` stays monotone,
+//! and its `Arc` is dropped: a free, with nothing to join — and when the
+//! warm tier overflows entries spill to cold —
 //! which requires an attached store; without one the registry reports
 //! capacity instead, typed, so callers can tell pressure from failure.
 //!
@@ -22,7 +24,6 @@
 //! counters and LRU clock of [`smm_store::TierPolicy`], mirroring the
 //! compiled-multiplier cache's eviction discipline.
 
-use crate::cache::MultiplierCache;
 use crate::session::Session;
 use smm_core::error::Result;
 use smm_core::matrix::IntMatrix;
@@ -80,10 +81,10 @@ pub struct FleetSnapshot {
     pub store_hits: u64,
 }
 
+#[derive(Default)]
 struct Entry {
     session: Option<Arc<Session>>,
     matrix: Option<IntMatrix>,
-    csr: Option<Csr>,
     on_disk: bool,
 }
 
@@ -102,10 +103,19 @@ impl Entry {
 struct Inner {
     entries: HashMap<u64, Entry>,
     policy: TierPolicy,
-    /// Dispatcher batches/vectors served by sessions that have since
-    /// been demoted — folded in so `Stats` totals never move backwards.
+    /// Batches/vectors served by sessions that have since been demoted
+    /// — folded in so `Stats` totals never move backwards.
     retired_batches: u64,
     retired_vectors: u64,
+}
+
+impl Inner {
+    /// Folds a departing session's served counters into the totals.
+    fn retire(&mut self, session: &Session) {
+        let (batches, vectors) = session.served();
+        self.retired_batches += batches;
+        self.retired_vectors += vectors;
+    }
 }
 
 /// The tiered, digest-addressed session registry (see module docs).
@@ -150,15 +160,8 @@ impl TieredRegistry {
             let inner = get_mut_or_recover(&mut registry.inner);
             for e in entries {
                 if e.kinds.contains(&ArtifactKind::Matrix) {
-                    inner.entries.insert(
-                        e.digest,
-                        Entry {
-                            session: None,
-                            matrix: None,
-                            csr: None,
-                            on_disk: true,
-                        },
-                    );
+                    let cold = Entry { on_disk: true, ..Entry::default() };
+                    inner.entries.insert(e.digest, cold);
                 }
             }
         }
@@ -214,20 +217,18 @@ impl TieredRegistry {
         }
     }
 
-    /// Total dispatcher batches and vectors served across the fleet's
-    /// lifetime: live hot sessions plus counters retired at demotion.
+    /// Total batches and vectors (singles included) served across the
+    /// fleet's lifetime: live hot sessions plus counters retired at
+    /// demotion.
     pub fn served_totals(&self) -> (u64, u64) {
         let inner = lock_or_recover(&self.inner);
-        let mut batches = inner.retired_batches;
-        let mut vectors = inner.retired_vectors;
-        for e in inner.entries.values() {
-            if let Some(session) = &e.session {
-                let s = session.dispatcher_stats();
-                batches += s.batches;
-                vectors += s.vectors + session.singles();
-            }
+        let mut totals = (inner.retired_batches, inner.retired_vectors);
+        for session in inner.entries.values().filter_map(|e| e.session.as_ref()) {
+            let (batches, vectors) = session.served();
+            totals.0 += batches;
+            totals.1 += vectors;
         }
-        (batches, vectors)
+        totals
     }
 
     /// `Some(loaded)` when a *new* digest cannot be admitted: no store
@@ -256,10 +257,14 @@ impl TieredRegistry {
     ) -> Result<Option<Arc<Session>>> {
         let matrix = {
             let mut inner = lock_or_recover(&self.inner);
-            inner.policy.touch(digest);
+            let inner = &mut *inner;
             let Some(entry) = inner.entries.get(&digest) else {
                 return Ok(None);
             };
+            // Only a digest with an entry is touched: the policy keeps a
+            // record per digest it has seen, and unknown digests arrive
+            // straight off the wire.
+            inner.policy.touch(digest);
             match (&entry.session, &entry.matrix) {
                 (Some(session), _) => return Ok(Some(Arc::clone(session))),
                 (None, Some(matrix)) => Some(matrix.clone()),
@@ -277,12 +282,7 @@ impl TieredRegistry {
         };
         let session = build(matrix.clone())?;
         let mut inner = lock_or_recover(&self.inner);
-        let entry = inner.entries.entry(digest).or_insert_with(|| Entry {
-            session: None,
-            matrix: None,
-            csr: None,
-            on_disk: false,
-        });
+        let entry = inner.entries.entry(digest).or_default();
         if let Some(existing) = &entry.session {
             // A racing promoter won; serve its session.
             return Ok(Some(Arc::clone(existing)));
@@ -358,12 +358,7 @@ impl TieredRegistry {
         }
         inner.policy.touch(digest);
         let session = Arc::new(session);
-        let entry = inner.entries.entry(digest).or_insert_with(|| Entry {
-            session: None,
-            matrix: None,
-            csr: None,
-            on_disk: false,
-        });
+        let entry = inner.entries.entry(digest).or_default();
         entry.session = Some(Arc::clone(&session));
         entry.matrix = Some(matrix);
         entry.on_disk = entry.on_disk || on_disk;
@@ -411,12 +406,8 @@ impl TieredRegistry {
             let mut inner = lock_or_recover(&self.inner);
             let removed = inner.entries.remove(&digest);
             inner.policy.forget(digest);
-            if let Some(entry) = &removed {
-                if let Some(session) = &entry.session {
-                    let s = session.dispatcher_stats();
-                    inner.retired_batches += s.batches;
-                    inner.retired_vectors += s.vectors + session.singles();
-                }
+            if let Some(session) = removed.as_ref().and_then(|e| e.session.as_ref()) {
+                inner.retire(session);
             }
             removed.is_some()
         };
@@ -432,21 +423,12 @@ impl TieredRegistry {
         let entry = inner.entries.get_mut(&digest)?;
         match entry.tier() {
             Tier::Hot => {
-                // Retire the pool's counters before dropping it so the
-                // fleet's served totals stay monotone across demotion.
+                // Retire the session's counters before dropping it so
+                // the fleet's served totals stay monotone across
+                // demotion. The drop is a free: a session owns no
+                // threads, so nothing is joined under the lock.
                 if let Some(session) = entry.session.take() {
-                    let s = session.dispatcher_stats();
-                    inner.retired_batches += s.batches;
-                    inner.retired_vectors += s.vectors + session.singles();
-                }
-                // A hot entry retains its matrix by construction; if
-                // that invariant ever breaks, demote without a CSR (the
-                // warm tier rebuilds on promotion) instead of panicking
-                // under the registry lock.
-                if entry.csr.is_none() {
-                    if let Some(matrix) = entry.matrix.as_ref() {
-                        entry.csr = Some(Csr::from_dense(matrix));
-                    }
+                    inner.retire(&session);
                 }
                 self.demotions.fetch_add(1, Ordering::Relaxed);
                 Some(Tier::Warm)
@@ -458,7 +440,6 @@ impl TieredRegistry {
                     return None;
                 }
                 entry.matrix = None;
-                entry.csr = None;
                 self.demotions.fetch_add(1, Ordering::Relaxed);
                 Some(Tier::Cold)
             }
@@ -510,9 +491,8 @@ impl TieredRegistry {
 
 /// Builds the [`CircuitMeta`] artifact describing what a session
 /// compiled for its matrix — the store's record of the engine choice.
-pub fn circuit_meta_for(session: &Session, matrix: &IntMatrix, cache: &MultiplierCache) -> CircuitMeta {
+pub fn circuit_meta_for(session: &Session, matrix: &IntMatrix) -> CircuitMeta {
     let plan = session.plan();
-    let _ = cache; // the compile itself is reproduced via the cache
     CircuitMeta {
         engine: session.engine().name().to_string(),
         input_bits: plan.spec.input_bits,
@@ -747,5 +727,51 @@ mod tests {
         assert_eq!(registry.tier_of(digest), Some(Tier::Warm));
         // The single served before demotion is still counted.
         assert_eq!(registry.served_totals().1, 1);
+    }
+
+    #[test]
+    fn unknown_digests_leave_no_trace_in_the_policy() {
+        let registry = TieredRegistry::new(TieredConfig::default());
+        let m = matrix(4);
+        let known = m.digest();
+        registry.insert(m.clone(), csr_session(m), None);
+        let requests = |d| lock_or_recover(&registry.inner).policy.requests(d);
+        let before = requests(known);
+        // A peer sending frames with made-up digests: each is refused,
+        // and none of them is remembered.
+        let unknown = (0..1000u64).map(|i| 0xdead_0000 + i).filter(|&d| d != known);
+        for d in unknown.clone() {
+            assert!(registry.acquire(d, |_| panic!("unknown digest")).unwrap().is_none());
+        }
+        assert!(unknown.clone().all(|d| requests(d) == 0));
+        assert_eq!(registry.scan(), vec![(known, Tier::Hot, before)]);
+        // A known digest still advances by exactly one per acquire.
+        for n in 1..=3 {
+            registry.acquire(known, |_| panic!("hot hit")).unwrap().unwrap();
+            assert_eq!(requests(known), before + n);
+        }
+    }
+
+    #[test]
+    fn demotion_frees_the_engine_with_nothing_to_join() {
+        let registry = TieredRegistry::new(TieredConfig::default());
+        let m = matrix(6);
+        let digest = m.digest();
+        let InsertOutcome::Installed(session) = registry.insert(m.clone(), csr_session(m), None)
+        else {
+            panic!("insert must install");
+        };
+        // A batch, so the shared workers have held the engine too.
+        let mut out = smm_core::block::RowBlock::new();
+        let frames = smm_core::block::FrameBlock::from_rows(&[vec![1, 2], vec![3, 4]]).unwrap();
+        session.run_block(frames, &mut out).unwrap();
+        let engine = Arc::downgrade(session.engine());
+        drop(session);
+        assert!(engine.upgrade().is_some(), "the hot tier holds the session");
+        assert_eq!(registry.demote(digest), Some(Tier::Warm));
+        // No pool to shut down, no thread still holding a clone: the
+        // registry's `Arc` was the last one.
+        assert!(engine.upgrade().is_none(), "demotion must free the engine");
+        assert_eq!(registry.served_totals(), (1, 2));
     }
 }

@@ -1,14 +1,16 @@
-//! Dispatcher fault injection: a backend whose `run_rows` panics on a
+//! Worker-pool fault injection: an engine whose `run_rows` panics on a
 //! chosen shard must surface an ordinary error to the caller — no
 //! deadlock, no lost sibling requests, counters consistent. This extends
 //! the guard-the-guards pattern of `smm-bitserial`'s fault-injection
 //! suite up to the runtime layer: if a panicking shard took its worker
-//! thread down, shards queued behind it would never be served and their
-//! callers would wait forever.
+//! thread down, shards queued behind it — the pool is shared, so any
+//! session's — would never be served and their callers would wait
+//! forever.
 
 use smm_core::block::{FrameBlock, RowBlock};
 use smm_core::error::{Error, Result};
-use smm_runtime::{Dispatcher, DispatcherConfig, GemvBackend};
+use smm_core::matrix::IntMatrix;
+use smm_runtime::{EngineRegistry, EngineSpec, GemvBackend, Session};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -78,6 +80,21 @@ fn quiet_panics() {
     }
 }
 
+/// A session serving through `engine`, reached the way any custom engine
+/// is: registered under a kind name, asked for by an explicit spec.
+fn session_over(engine: &Arc<PanicOnShard>, threads: usize) -> Session {
+    let mut registry = EngineRegistry::empty();
+    let handle = Arc::clone(engine);
+    registry.register("panic-on-shard", move |_| {
+        Ok(Arc::clone(&handle) as Arc<dyn GemvBackend>)
+    });
+    Session::builder(IntMatrix::identity(engine.dim).unwrap())
+        .registry(Arc::new(registry))
+        .spec(EngineSpec::new("panic-on-shard").threads(threads))
+        .build()
+        .unwrap()
+}
+
 fn frames(dim: usize, n: usize) -> Arc<FrameBlock> {
     let rows: Vec<Vec<i32>> = (0..n as i32)
         .map(|i| (0..dim as i32).map(|j| i * dim as i32 + j).collect())
@@ -85,89 +102,112 @@ fn frames(dim: usize, n: usize) -> Arc<FrameBlock> {
     Arc::new(FrameBlock::try_from(rows.as_slice()).unwrap())
 }
 
+/// `out` holds exactly `batch` echoed, in order.
+fn assert_echoed(batch: &FrameBlock, out: &RowBlock) {
+    assert_eq!(out.rows(), batch.frames());
+    for (i, frame) in batch.iter().enumerate() {
+        let expect: Vec<i64> = frame.iter().map(|&x| i64::from(x)).collect();
+        assert_eq!(out.row(i), expect.as_slice(), "row {i}");
+    }
+}
+
 #[test]
 fn panicking_shard_surfaces_an_error_without_deadlock() {
     quiet_panics();
-    let backend = Arc::new(PanicOnShard::new(4, 5));
-    let d = Dispatcher::new(
-        Arc::clone(&backend) as Arc<dyn GemvBackend>,
-        DispatcherConfig::new(3),
-    )
-    .unwrap();
+    let engine = Arc::new(PanicOnShard::new(4, 5));
+    let session = session_over(&engine, 3);
     let batch = frames(4, 9);
     let mut out = RowBlock::new();
 
-    // The poisoned shard panics; the dispatch must come back (no
+    // The poisoned shard panics; the batch must come back (no
     // deadlock) with a runtime error naming the fault.
-    let err = d.dispatch_block(Arc::clone(&batch), &mut out).unwrap_err();
+    let err = session.run_block(Arc::clone(&batch), &mut out).unwrap_err();
     assert!(matches!(err, Error::Runtime { .. }), "{err:?}");
     assert!(err.to_string().contains("panicked"), "{err}");
     assert!(err.to_string().contains("injected fault"), "{err}");
 
     // A failed batch is not served work.
-    let s = d.snapshot();
-    assert_eq!((s.batches, s.vectors), (0, 0));
+    assert_eq!(session.served(), (0, 0));
 
     // Every worker survived the unwind: disarm the fault and the same
-    // pool serves the same batch completely and in order.
-    backend.armed.store(false, Ordering::SeqCst);
-    let stats = d.dispatch_block(Arc::clone(&batch), &mut out).unwrap();
-    assert_eq!(stats.batch, 9);
-    for (i, frame) in batch.iter().enumerate() {
-        let expect: Vec<i64> = frame.iter().map(|&x| i64::from(x)).collect();
-        assert_eq!(out.row(i), expect.as_slice(), "row {i}");
-    }
-    let s = d.snapshot();
-    assert_eq!((s.batches, s.vectors, s.threads), (1, 9, 3));
+    // session serves the same batch completely and in order.
+    engine.armed.store(false, Ordering::SeqCst);
+    let stats = session.run_block(Arc::clone(&batch), &mut out).unwrap();
+    assert_eq!((stats.batch, stats.shards), (9, 3));
+    assert_echoed(&batch, &out);
+    assert_eq!(session.served(), (1, 9));
 }
 
 #[test]
 fn sibling_requests_survive_a_panicking_batch() {
     quiet_panics();
-    // One dispatcher, one poisoned batch racing many healthy ones: the
+    // One session, one poisoned batch racing many healthy ones: the
     // poison fails its own caller only. Every healthy submission gets
     // its full, ordered result, and the books count exactly them.
-    let backend = Arc::new(PanicOnShard::new(4, 2));
-    let d = Arc::new(
-        Dispatcher::new(
-            Arc::clone(&backend) as Arc<dyn GemvBackend>,
-            DispatcherConfig::new(4),
-        )
-        .unwrap(),
-    );
+    let engine = Arc::new(PanicOnShard::new(4, 2));
+    let session = session_over(&engine, 4);
     // Healthy batches are 2 frames wide, so frame index 2 never exists
     // in them; the 8-frame poison batch always covers it.
     let healthy = frames(4, 2);
     let poison = frames(4, 8);
 
-    let siblings: Vec<_> = (0..4)
-        .map(|_| {
-            let d = Arc::clone(&d);
-            let healthy = Arc::clone(&healthy);
-            std::thread::spawn(move || {
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| {
                 let mut out = RowBlock::new();
                 for _ in 0..20 {
-                    d.dispatch_block(Arc::clone(&healthy), &mut out).unwrap();
-                    for (i, frame) in healthy.iter().enumerate() {
-                        let expect: Vec<i64> = frame.iter().map(|&x| i64::from(x)).collect();
-                        assert_eq!(out.row(i), expect.as_slice());
-                    }
+                    session.run_block(Arc::clone(&healthy), &mut out).unwrap();
+                    assert_echoed(&healthy, &out);
                 }
-            })
-        })
-        .collect();
-
-    let mut out = RowBlock::new();
-    for _ in 0..10 {
-        let err = d.dispatch_block(Arc::clone(&poison), &mut out).unwrap_err();
-        assert!(err.to_string().contains("panicked"), "{err}");
-    }
-    for s in siblings {
-        s.join().unwrap();
-    }
+            });
+        }
+        let mut out = RowBlock::new();
+        for _ in 0..10 {
+            let err = session.run_block(Arc::clone(&poison), &mut out).unwrap_err();
+            assert!(err.to_string().contains("panicked"), "{err}");
+        }
+    });
 
     // Only the healthy work was counted: 4 siblings x 20 batches x 2
     // vectors; none of the 10 poisoned batches moved the counters.
-    let s = d.snapshot();
-    assert_eq!((s.batches, s.vectors), (80, 160));
+    assert_eq!(session.served(), (80, 160));
+}
+
+#[test]
+fn a_panicking_session_leaves_its_neighbours_on_the_pool_untouched() {
+    quiet_panics();
+    // Two sessions share the process's workers. A's engine panics on
+    // every batch while B serves concurrently: the unwind is caught in
+    // the worker that both depend on, so A gets its typed error and B
+    // never sees a wrong, missing or reordered row.
+    let faulty = Arc::new(PanicOnShard::new(4, 2));
+    let a = session_over(&faulty, 4);
+    let sound = Arc::new(PanicOnShard::new(4, 0));
+    sound.armed.store(false, Ordering::SeqCst);
+    let b = session_over(&sound, 4);
+    let batch = frames(4, 8);
+
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut out = RowBlock::new();
+            for _ in 0..40 {
+                b.run_block(Arc::clone(&batch), &mut out).unwrap();
+                assert_echoed(&batch, &out);
+            }
+        });
+        let mut out = RowBlock::new();
+        for _ in 0..20 {
+            let err = a.run_block(Arc::clone(&batch), &mut out).unwrap_err();
+            assert!(matches!(err, Error::Runtime { .. }), "{err:?}");
+            assert!(err.to_string().contains("injected fault"), "{err}");
+        }
+    });
+    assert_eq!((a.served(), b.served()), ((0, 0), (40, 320)));
+
+    // Disarmed, A serves again on the same workers.
+    faulty.armed.store(false, Ordering::SeqCst);
+    let mut out = RowBlock::new();
+    a.run_block(Arc::clone(&batch), &mut out).unwrap();
+    assert_echoed(&batch, &out);
+    assert_eq!(a.served(), (1, 8));
 }

@@ -2,11 +2,13 @@
 //! sparsity, and batch, every `EngineSpec` — and the auto plan — serves
 //! bit-identical results. The session is the one front door every entry
 //! point uses, so cross-backend agreement here is the serving stack's
-//! correctness contract.
+//! correctness contract. Sessions own no threads, so the same holds
+//! under concurrent submitters, whether they share a session or not.
 
 use proptest::prelude::*;
 use smm_core::generate::{element_sparse_matrix, random_vector};
 use smm_core::gemv::vecmat;
+use smm_core::matrix::IntMatrix;
 use smm_core::rng::seeded;
 use smm_runtime::{EngineSpec, FrameBlock, MultiplierCache, PlanPolicy, RowBlock, Session};
 use std::sync::Arc;
@@ -84,5 +86,49 @@ proptest! {
             prop_assert_eq!(session.engine().name(), kind);
             prop_assert_eq!(session.plan().score, 1.0);
         }
+    }
+}
+
+/// One submitter thread per listed session, 10 batches each over an
+/// identity matrix (which echoes its input, making a lost or reordered
+/// row visible): every batch must come back complete and in order.
+fn hammer(sessions: &[Arc<Session>]) {
+    std::thread::scope(|submitters| {
+        for (t, session) in sessions.iter().enumerate() {
+            submitters.spawn(move || {
+                let t = t as i32;
+                let batch: Vec<Vec<i32>> = (0..25i32)
+                    .map(|i| (0..8).map(|j| t * 1000 + i * 8 + j).collect())
+                    .collect();
+                let expect: Vec<Vec<i64>> = batch
+                    .iter()
+                    .map(|a| a.iter().map(|&x| i64::from(x)).collect())
+                    .collect();
+                let frames = Arc::new(FrameBlock::from_rows(&batch).unwrap());
+                let mut out = RowBlock::new();
+                for _ in 0..10 {
+                    session.run_block(Arc::clone(&frames), &mut out).unwrap();
+                    assert_eq!(Vec::<Vec<i64>>::from(&out), expect);
+                }
+            });
+        }
+    });
+}
+
+#[test]
+fn concurrent_submitters_lose_and_reorder_nothing() {
+    let echo = || {
+        let spec = EngineSpec::dense().threads(4);
+        Arc::new(Session::with_spec(IntMatrix::identity(8).unwrap(), spec).unwrap())
+    };
+    // Four submitters over one session, then over four: both shapes
+    // queue on the same workers.
+    let shared = echo();
+    hammer(&vec![Arc::clone(&shared); 4]);
+    assert_eq!(shared.served(), (40, 1000));
+    let own: Vec<Arc<Session>> = (0..4).map(|_| echo()).collect();
+    hammer(&own);
+    for session in &own {
+        assert_eq!(session.served(), (10, 250));
     }
 }

@@ -16,8 +16,8 @@
 //!   [`ServerConfig::store_dir`] store — a restarted server reloads its
 //!   fleet without recompiling), a bounded [`AdmissionQueue`] that
 //!   answers `Busy` instead of buffering under overload, per-matrix
-//!   dispatcher worker pools over a shared
-//!   [`smm_runtime::MultiplierCache`], and graceful shutdown with
+//!   sessions over a shared [`smm_runtime::MultiplierCache`] and the
+//!   process's one worker pool, and graceful shutdown with
 //!   connection drain;
 //! * [`metrics`] — the server's metric wiring on the shared
 //!   `smm-telemetry` spine: every counter, gauge, and latency histogram

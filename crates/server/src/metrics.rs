@@ -2,7 +2,7 @@
 //!
 //! The log-bucket [`LatencyHistogram`] and its quantile math used to
 //! live here; they moved to `smm-telemetry` (one implementation for the
-//! server, the runtime dispatcher, the load generator, and the bench
+//! server, the runtime sessions, the load generator, and the bench
 //! harness) and are re-exported for existing callers. What remains is
 //! the server's own metric *wiring*: every counter, gauge, and
 //! histogram the server maintains is registered by name in a
@@ -39,13 +39,13 @@ pub struct ServerMetrics {
     /// Per-compute-request end-to-end latencies.
     pub latency: Arc<LatencyHistogram>,
     /// Per-stage pipeline latencies (decode → … → encode), shared with
-    /// every session's request span and the dispatchers.
+    /// every connection's request span and every session.
     pub stages: SpanRecorder,
     /// Scrape-time gauge: open client connections.
     pub connections: Arc<Gauge>,
     /// Scrape-time gauge: matrices resident in the session registry.
     pub matrices: Arc<Gauge>,
-    /// Scrape-time gauge: vectors served (dispatcher + single products).
+    /// Scrape-time gauge: vectors served (batch + single products).
     pub vectors: Arc<Gauge>,
     /// Scrape-time gauge: compile-cache hits.
     pub cache_hits: Arc<Gauge>,

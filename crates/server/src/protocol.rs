@@ -333,7 +333,7 @@ pub struct StatsSnapshot {
     pub bytes_out: u64,
     /// Vectors served across all matrices (a batch of `n` counts `n`).
     pub vectors: u64,
-    /// Batches served through the dispatchers.
+    /// Batches served through the worker pool.
     pub batches: u64,
     /// Matrices currently loaded.
     pub matrices: u64,

@@ -2,8 +2,10 @@
 //! graceful shutdown.
 //!
 //! One OS thread per connection reads frames, decodes requests, and
-//! computes inline; each loaded matrix is served by a [`Session`]
-//! (planned engine + sharding worker pool). Compute requests must first
+//! computes inline; each loaded matrix is served by a [`Session`] (a
+//! plan and an engine handle). A single `Gemv` runs on the connection's
+//! own thread; a `GemvBatch` is cut into shards for the one worker pool
+//! the process shares across every matrix. Compute requests must first
 //! clear a server-wide [`AdmissionQueue`] — a bounded concurrency budget.
 //! When the budget is spent the server answers `Busy` *immediately*
 //! instead of buffering: under overload, callers get a clear backpressure
@@ -44,15 +46,16 @@ pub struct ServerConfig {
     pub addr: String,
     /// Engine built for each loaded matrix.
     pub backend: BackendKind,
-    /// Dispatcher worker threads per loaded matrix (0 = all cores).
+    /// Most shards one batch is cut into for the process-wide worker
+    /// pool (0 = one per core). Loading a matrix spawns no thread.
     pub threads: usize,
     /// Admission budget: compute requests allowed in flight at once
     /// before the server answers `Busy`. Minimum 1.
     pub queue_depth: usize,
     /// LRU capacity of the compiled-multiplier cache (0 = unbounded).
     pub cache_capacity: usize,
-    /// Hot-tier bound: sessions (compiled engine + worker pool)
-    /// resident at once. Pressure past the bound demotes the
+    /// Hot-tier bound: sessions (plan + compiled engine) resident at
+    /// once. Pressure past the bound demotes the
     /// least-recently-used session to the warm tier instead of
     /// refusing the load.
     pub max_matrices: usize,
@@ -152,9 +155,9 @@ impl Drop for AdmissionPermit<'_> {
 }
 
 /// State shared by the accept loop and every connection thread. Each
-/// loaded matrix is served by one [`Session`] (engine + worker pool,
-/// planned per the request's or the server's backend choice); every
-/// request — singles included — flows through its pool.
+/// loaded matrix is served by one [`Session`] (planned per the
+/// request's or the server's backend choice): singles compute on the
+/// connection thread, batches on the process's shared workers.
 struct Shared {
     config: ServerConfig,
     /// The tiered matrix fleet: hot sessions, warm matrices, cold
@@ -173,7 +176,7 @@ struct Shared {
 
 impl Shared {
     fn stats(&self) -> StatsSnapshot {
-        // Dispatcher counters plus the single-vector fast path (singles
+        // Batch counters plus the single-vector fast path (singles
         // never enter the pool), including totals retired when sessions
         // were demoted out of the hot tier.
         let (batches, vectors) = self.registry.served_totals();
@@ -273,8 +276,8 @@ impl Shared {
             Request::Ping => Reply::Pong,
             Request::Stats => Reply::Stats(Box::new(self.stats())),
             Request::LoadMatrix { matrix, backend } => self.serve_load(matrix, backend, span),
-            // A single rides the session's fast path (no dispatcher
-            // round trip); it is still counted — `Stats` sums the pool
+            // A single rides the session's fast path (no pool round
+            // trip); it is still counted — `Stats` sums the batch
             // counters plus the fast-path singles.
             Request::Gemv { digest, vector } => self.serve_compute(digest, span, |session| {
                 Ok(Reply::Output(session.run(&vector)?))
@@ -329,7 +332,7 @@ impl Shared {
             Err(e) => return Reply::Error(format!("loading matrix: {e}")),
         }
         // Refuse *before* building: a rejected load must not burn a
-        // compile, grow the shared cache, or spin up a worker pool.
+        // compile or grow the shared cache.
         if let Some(resident) = self.registry.full_capacity() {
             return Reply::CapacityFull { loaded: resident };
         }
@@ -341,7 +344,7 @@ impl Shared {
             Ok(session) => session,
             Err(e) => return Reply::Error(format!("loading matrix: {e}")),
         };
-        let meta = circuit_meta_for(&session, &matrix, &self.cache);
+        let meta = circuit_meta_for(&session, &matrix);
         span.mark(Stage::Plan);
         match self.registry.insert(matrix, session, Some(meta)) {
             InsertOutcome::Installed(session) => loaded(&session, false),

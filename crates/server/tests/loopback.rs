@@ -68,7 +68,7 @@ fn four_concurrent_clients_are_bit_identical_to_the_reference() {
     // Per client: 5 batches x 9 vectors + 5 singles = 50 vectors; the
     // singles ride the fast path but are still counted.
     assert_eq!(stats.vectors, 200);
-    assert_eq!(stats.batches, 20, "singles do not enter the dispatcher");
+    assert_eq!(stats.batches, 20, "singles do not enter the pool");
     assert!(stats.latency_count >= 40);
     assert!(stats.p50_latency_ns > 0);
     assert!(stats.p50_latency_ns <= stats.p99_latency_ns);

@@ -10,9 +10,9 @@
 //! tiers (see [`Tier`]):
 //!
 //! ```text
-//!        hot   compiled engine + worker pool, in memory
+//!        hot   compiled engine, in memory
 //!         ↑↓   promote on request / demote on pressure
-//!        warm  raw matrix + CSR, in memory, compile on demand
+//!        warm  raw matrix, in memory, compile on demand
 //!         ↑↓   promote on request / demote on pressure
 //!        cold  versioned, checksummed artifact bytes on disk
 //! ```

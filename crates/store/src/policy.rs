@@ -5,7 +5,7 @@
 //! The policy is deliberately separated from the registry that acts on
 //! it: this module only answers *which digest is coldest* and *how busy
 //! is this digest*; the tiered registry decides what a demotion means
-//! (drop the worker pool, drop the resident matrix, spill to disk).
+//! (drop the compiled engine, drop the resident matrix, spill to disk).
 
 use std::collections::HashMap;
 

@@ -3,8 +3,8 @@
 //! A digest-addressed matrix is always in exactly one tier:
 //!
 //! * [`Tier::Hot`] — a compiled engine (bit-serial circuit, sigma tile
-//!   map, CSR kernel) behind a live worker pool; answers immediately.
-//! * [`Tier::Warm`] — raw matrix + CSR resident in memory; serving it
+//!   map, CSR kernel) behind a live session; answers immediately.
+//! * [`Tier::Warm`] — raw matrix resident in memory; serving it
 //!   costs one engine build (a cache-memoized compile at worst).
 //! * [`Tier::Cold`] — checksummed artifact bytes on disk only; serving
 //!   it costs one store read plus the warm cost.
@@ -12,9 +12,9 @@
 /// Where a digest currently resides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Tier {
-    /// Compiled engine + worker pool in memory.
+    /// Compiled engine in memory.
     Hot,
-    /// Raw matrix + CSR in memory, engine built on demand.
+    /// Raw matrix in memory, engine built on demand.
     Warm,
     /// Serialized bytes on disk only.
     Cold,

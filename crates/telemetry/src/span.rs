@@ -250,7 +250,7 @@ mod tests {
         let rec = SpanRecorder::new();
         let mut span = rec.span();
         span.mark(Stage::Decode);
-        // Dispatcher-side recordings against the same recorder, out of
+        // Session-side recordings against the same recorder, out of
         // band from the span clock.
         rec.record(Stage::Shard, Duration::from_micros(10));
         rec.record(Stage::Shard, Duration::from_micros(12));

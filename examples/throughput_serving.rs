@@ -5,9 +5,9 @@
 //!
 //! This is the serving-side counterpart of `quickstart.rs`: where that
 //! example synthesizes one circuit and checks one product, this one runs
-//! the production path — [`spatial_smm::runtime::Session`] owning the
-//! planned engine, the shared [`spatial_smm::runtime::MultiplierCache`],
-//! and the sharding worker pool.
+//! the production path — [`spatial_smm::runtime::Session`] holding the
+//! planned engine and the shared [`spatial_smm::runtime::MultiplierCache`],
+//! its batches sharded across the process's one worker pool.
 //!
 //! Run with: `cargo run --release --example throughput_serving`
 
@@ -72,18 +72,18 @@ fn main() {
             session.engine().name()
         );
         println!(
-            "{:<10} {} vectors in {:>8.2} ms over {} threads = {:>9.0} vectors/sec (bit-exact)",
+            "{:<10} {} vectors in {:>8.2} ms in {} shards = {:>9.0} vectors/sec (bit-exact)",
             session.engine().name(),
             stats.batch,
             stats.elapsed.as_secs_f64() * 1e3,
-            session.threads(),
+            stats.shards,
             stats.vectors_per_sec()
         );
     }
 
     // The bit-serial session above compiled through the shared cache, so
     // a *replan* now picks the circuit: the compile is already paid. This
-    // session also carries a telemetry recorder — the dispatcher stamps
+    // session also carries a telemetry recorder — each batch stamps
     // shard/reassemble/compute durations into per-stage histograms.
     let recorder = spatial_smm::runtime::SpanRecorder::new();
     let replanned = Session::builder(v.clone())
@@ -102,7 +102,7 @@ fn main() {
     let stats = replanned.stats();
     println!(
         "replanned session served {} vectors; cache: {} compile(s), {} hit(s)",
-        stats.dispatcher.vectors, stats.cache.misses, stats.cache.hits
+        stats.vectors, stats.cache.misses, stats.cache.hits
     );
     for s in spatial_smm::telemetry::stage_summaries(&recorder.stage_stats()) {
         println!(

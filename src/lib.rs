@@ -59,11 +59,11 @@
 //!    matrix under a [`PlanPolicy`], fed by the gpu/sigma/cgra
 //!    accelerator cost models; a [`runtime::MultiplierCache`]
 //!    that memoizes spatial compilation by matrix content digest (with
-//!    an optional LRU bound); and a [`runtime::Dispatcher`] worker pool
-//!    that shards flat batch blocks by row range across threads into
-//!    one preallocated output block, in submission order with
-//!    worker-stamped latency statistics (p50/p99 included) — while
-//!    single vectors ride a direct fast path past the pool.
+//!    an optional LRU bound); and one process-wide worker pool, shared
+//!    by every session, across which [`Session::run_block`] shards flat
+//!    batch blocks by row range into one preallocated output block, in
+//!    submission order with worker-stamped latency statistics (p50/p99
+//!    included) — while single vectors ride a direct fast path past it.
 //! 3. [`server`] puts a `Session` per loaded matrix behind a TCP
 //!    boundary: a length-prefixed binary protocol
 //!    (`Ping`/`LoadMatrix`/`Gemv`/`GemvBatch`/`Stats`, one layout per

@@ -87,7 +87,7 @@ fn assert_conformance(
     let cache = Arc::new(MultiplierCache::new());
     let mut out = RowBlock::new();
     // The interior shard: every frame but the first, so it starts off
-    // the block's origin and is one short of the dispatcher's shards.
+    // the block's origin and is one short of the session's shards.
     let (start, end) = (batch_size.min(1), batch_size);
     let mut shard = vec![0i64; (end - start) * cols];
     for kind in registered_kinds() {
