@@ -9,18 +9,14 @@
 //! These time the *simulator and software kernels*, not hardware — the
 //! hardware latency numbers come from `reproduce` — but they are the
 //! numbers that decide how fast the serving stack runs on real CPUs.
-//!
-//! With `SMM_BENCH_JSON=<path>` set, an explicit measurement pass also
-//! runs after the criterion groups and writes the `BENCH_*.json` perf
-//! report comparing the kernel variants head-to-head (the recorded
-//! trajectory the repo commits and CI schema-checks).
+//! The recorded, comparable numbers for the same kernels are the
+//! per-layer rungs of `benchmark/run.sh`; this file keeps the races.
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
 use smm_core::block::FrameBlock;
 use smm_core::generate::{element_sparse_matrix, random_vector};
 use smm_core::gemv::{matmat, matmat_into, vecmat_into, vecmat_into_scalar};
-use smm_core::matrix::IntMatrix;
 use smm_core::rng::seeded;
 use smm_sparse::Csr;
 use std::hint::black_box;
@@ -178,106 +174,4 @@ criterion_group! {
     targets = bench_dense_variants, bench_csr, bench_csr_batch64, bench_matmat_flat,
         bench_bitserial_batch
 }
-
-/// One measured kernel run for the recorded trajectory: `rounds`
-/// repetitions of `kernel`, reported as an
-/// [`EngineRun`](smm_telemetry::EngineRun) in vectors/sec.
-fn measure_run(
-    engine: &str,
-    m: &IntMatrix,
-    vectors_per_round: u64,
-    rounds: u64,
-    mut kernel: impl FnMut(),
-) -> smm_telemetry::EngineRun {
-    use std::time::Instant;
-    kernel(); // warm
-    let start = Instant::now();
-    for _ in 0..rounds {
-        kernel();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    let vectors = rounds * vectors_per_round;
-    smm_telemetry::EngineRun {
-        engine: engine.to_string(),
-        rows: m.rows(),
-        cols: m.cols(),
-        density: m.nnz() as f64 / m.len() as f64,
-        vectors,
-        vectors_per_sec: if elapsed > 0.0 {
-            vectors as f64 / elapsed
-        } else {
-            0.0
-        },
-        stages: Vec::new(),
-    }
-}
-
-/// The recorded-trajectory pass: the dense kernels (scalar/blocked) at
-/// 256 and 512, CSR, and the two bit-serial batch engines, head-to-head
-/// in one `smm-bench-v1` report.
-fn emit_bench_report(path: &str) {
-    use smm_telemetry::BenchReport;
-
-    let mut report = BenchReport::new("bench-kernels", 10);
-    for &dim in &[256usize, 512] {
-        let mut rng = seeded(9000 + dim as u64);
-        let m = element_sparse_matrix(dim, dim, 8, 0.0, true, &mut rng).unwrap();
-        let a = random_vector(dim, 8, true, &mut rng).unwrap();
-        let mut out = vec![0i64; dim];
-        let rounds = 2000;
-        report.push(measure_run("dense_scalar", &m, 1, rounds, || {
-            vecmat_into_scalar(black_box(&a), &m, &mut out).unwrap()
-        }));
-        report.push(measure_run("dense_blocked", &m, 1, rounds, || {
-            vecmat_into(black_box(&a), &m, &mut out).unwrap()
-        }));
-    }
-    {
-        let mut rng = seeded(9900);
-        let m = element_sparse_matrix(256, 256, 8, 0.9, true, &mut rng).unwrap();
-        let a = random_vector(256, 8, true, &mut rng).unwrap();
-        let csr = Csr::from_dense(&m);
-        let mut out = vec![0i64; 256];
-        report.push(measure_run("csr", &m, 1, 2000, || {
-            csr.vecmat_into(black_box(&a), &mut out).unwrap()
-        }));
-    }
-    {
-        let dim = 32usize;
-        let mut rng = seeded(9950);
-        let m = element_sparse_matrix(dim, dim, 8, 0.9, true, &mut rng).unwrap();
-        let mul = FixedMatrixMultiplier::compile(&m, 8, WeightEncoding::Pn).unwrap();
-        let inputs: Vec<Vec<i32>> = (0..64)
-            .map(|_| random_vector(dim, 8, true, &mut rng).unwrap())
-            .collect();
-        let frames = FrameBlock::try_from(inputs.as_slice()).unwrap();
-        let mut out = vec![0i64; 64 * dim];
-        report.push(measure_run("bitserial_sliced", &m, 64, 20, || {
-            mul.run_frames_block(&frames, 0, 64, &mut out).unwrap()
-        }));
-        report.push(measure_run("bitserial_streamed", &m, 64, 20, || {
-            smm_bitserial::sim::run_stream_into_flat(
-                mul.circuit(),
-                &frames,
-                0,
-                64,
-                mul.input_bits(),
-                mul.output_bits(),
-                mul.batch_interval_cycles(),
-                &mut out,
-            )
-        }));
-    }
-
-    let json = report.to_json();
-    BenchReport::validate_json(&json).expect("bench report must match its own schema");
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("wrote kernel bench report to {path}");
-}
-
-fn main() {
-    benches();
-    if let Ok(path) = std::env::var("SMM_BENCH_JSON") {
-        emit_bench_report(&path);
-    }
-}
+criterion_main!(benches);

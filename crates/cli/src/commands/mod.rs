@@ -13,10 +13,6 @@ use std::io::Write;
 
 type CmdResult = Result<(), String>;
 
-/// The PR/issue number stamped into `--bench-json` reports (the `6` in
-/// `BENCH_6.json`).
-const BENCH_ISSUE: u32 = 6;
-
 fn encoding_of(args: &Args) -> Result<WeightEncoding, String> {
     if !args.flag("csd") {
         return Ok(WeightEncoding::Pn);
@@ -630,18 +626,12 @@ pub fn loadgen(args: &Args, out: &mut impl Write) -> CmdResult {
             .map_err(|e| e.to_string())?;
         }
     }
-    // Reports are written before the self-check verdict can fail the
+    // The report is written before the self-check verdict can fail the
     // command: a machine-readable record of a bad run is exactly what
     // the caller asked for.
     if let Some(path) = args.get("json") {
         std::fs::write(path, report.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
         writeln!(out, "wrote self-check report to {path}").map_err(|e| e.to_string())?;
-    }
-    if let Some(path) = args.get("bench-json") {
-        let mut bench = smm_telemetry::BenchReport::new("loadgen", BENCH_ISSUE);
-        bench.push(report.engine_run());
-        std::fs::write(path, bench.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
-        writeln!(out, "wrote bench report to {path}").map_err(|e| e.to_string())?;
     }
     let verdict = if report.mismatches == 0 {
         "MATCHES"
@@ -1196,7 +1186,6 @@ mod tests {
     fn loadgen_writes_json_reports() {
         let server = smm_server::start(smm_server::ServerConfig::default()).unwrap();
         let json_path = std::env::temp_dir().join("smm_loadgen_selfcheck.json");
-        let bench_path = std::env::temp_dir().join("smm_loadgen_bench.json");
         let text = run_cmd(&[
             "loadgen",
             "--addr",
@@ -1211,18 +1200,13 @@ mod tests {
             "0.2",
             "--json",
             json_path.to_str().unwrap(),
-            "--bench-json",
-            bench_path.to_str().unwrap(),
         ])
         .unwrap();
         assert!(text.contains("wrote self-check report"), "{text}");
-        assert!(text.contains("wrote bench report"), "{text}");
         assert!(text.contains("server stages"), "{text}");
         let self_check = std::fs::read_to_string(&json_path).unwrap();
         assert!(self_check.contains("\"schema\": \"smm-loadgen-v1\""), "{self_check}");
         assert!(self_check.contains("\"ok\": true"), "{self_check}");
-        let bench = std::fs::read_to_string(&bench_path).unwrap();
-        smm_telemetry::BenchReport::validate_json(&bench).expect(&bench);
         server.shutdown();
     }
 

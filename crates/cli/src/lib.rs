@@ -15,7 +15,7 @@
 //! smm serve    [--addr A] [--backend B] [--threads N] [--queue-depth Q] [--duration S]
 //!              [--metrics-addr M]
 //! smm loadgen  [matrix opts] [--addr A] [--clients C] [--batch B] [--duration S]
-//!              [--json F] [--bench-json F]
+//!              [--json F]
 //! smm stats    [--addr A]                               # per-stage latency table
 //! smm store    [ls|gc|warm] --store-dir DIR             # persistent matrix fleet
 //! smm tidy     [--root DIR] [--list]                    # workspace static analysis
@@ -92,7 +92,6 @@ command-specific:
             --batch B         vectors per request (default 16)
             --duration S      seconds of traffic (default 2)
             --json F          write the machine-readable self-check report to F
-            --bench-json F    write a BENCH_*.json perf report to F
             plus matrix opts: the loadgen uploads this matrix, then
             verifies every reply against the dense reference
   stats:    --addr A          (default 127.0.0.1:7878); prints request totals,

@@ -11,7 +11,7 @@ use crate::protocol::{BackendKind, StatsSnapshot};
 use smm_core::block::FrameBlock;
 use smm_core::gemv::vecmat;
 use smm_core::matrix::IntMatrix;
-use smm_telemetry::{stage_summaries, EngineRun, StageSummary};
+use smm_telemetry::{stage_summaries, StageSummary};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -95,20 +95,6 @@ impl LoadgenReport {
     /// only), from the post-run `Stats` snapshot.
     pub fn stage_summaries(&self) -> Vec<StageSummary> {
         stage_summaries(&self.server.stages)
-    }
-
-    /// This run as one `BENCH_*.json` engine run, for
-    /// [`smm_telemetry::BenchReport`].
-    pub fn engine_run(&self) -> EngineRun {
-        EngineRun {
-            engine: self.engine.clone(),
-            rows: self.rows,
-            cols: self.cols,
-            density: self.density,
-            vectors: self.vectors,
-            vectors_per_sec: self.vectors_per_sec(),
-            stages: self.stage_summaries(),
-        }
     }
 
     /// The machine-readable self-check report behind `loadgen --json`:
@@ -390,17 +376,10 @@ mod tests {
         );
         let dirty = LoadgenReport {
             mismatches: 1,
-            ..report.clone()
+            ..report
         };
         assert!(dirty.to_json().contains("\"ok\": false"));
         assert!(!dirty.clean());
-        // The engine run view feeds straight into a BenchReport.
-        let run = report.engine_run();
-        assert_eq!(run.engine, "csr");
-        assert_eq!(run.stages.len(), 1);
-        let mut bench = smm_telemetry::BenchReport::new("loadgen", 6);
-        bench.push(run);
-        smm_telemetry::BenchReport::validate_json(&bench.to_json()).unwrap();
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! Server metrics, assembled on the shared `smm-telemetry` spine.
 //!
-//! The log-bucket [`LatencyHistogram`] and its quantile math used to
-//! live here; they moved to `smm-telemetry` (one implementation for the
-//! server, the runtime sessions, the load generator, and the bench
-//! harness) and are re-exported for existing callers. What remains is
-//! the server's own metric *wiring*: every counter, gauge, and
+//! The log-bucket [`LatencyHistogram`] lives in `smm-telemetry` (one
+//! implementation for the server, the runtime sessions and the load
+//! generator) and is re-exported for existing callers. What lives here
+//! is the server's own metric *wiring*: every counter, gauge, and
 //! histogram the server maintains is registered by name in a
 //! [`MetricsRegistry`] at construction, so the `--metrics-addr`
 //! listener can render the whole set as a Prometheus exposition while
 //! the hot path keeps touching nothing but relaxed atomics through the
 //! returned handles.
 
-pub use smm_telemetry::{weighted_percentile, LatencyHistogram};
+pub use smm_telemetry::LatencyHistogram;
 
 use smm_telemetry::{Counter, Gauge, MetricsRegistry, SpanRecorder, Stage};
 use std::sync::Arc;

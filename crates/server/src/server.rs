@@ -172,6 +172,8 @@ struct Shared {
     shutdown: AtomicBool,
     /// Connections ever accepted (names session threads).
     connections: AtomicU64,
+    /// Connections open now (the `smm_connections` gauge).
+    open_connections: AtomicU64,
 }
 
 impl Shared {
@@ -214,7 +216,7 @@ impl Shared {
         let stats = self.stats();
         self.metrics
             .connections
-            .set(self.connections.load(Ordering::Relaxed));
+            .set(self.open_connections.load(Ordering::Relaxed));
         self.metrics.matrices.set(stats.matrices);
         self.metrics.vectors.set(stats.vectors);
         self.metrics.cache_hits.set(stats.cache_hits);
@@ -499,6 +501,7 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle> {
         metrics: ServerMetrics::new(),
         shutdown: AtomicBool::new(false),
         connections: AtomicU64::new(0),
+        open_connections: AtomicU64::new(0),
     });
     // Bind the optional metrics listener before spawning anything, so a
     // bad metrics address fails `start` cleanly with no thread leaked.
@@ -636,7 +639,18 @@ fn serve_scrape(mut stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.write_all(response.as_bytes());
 }
 
+/// Counts one connection as open until its session ends, by return or panic.
+struct OpenConnection<'a>(&'a AtomicU64);
+
+impl Drop for OpenConnection<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
+    shared.open_connections.fetch_add(1, Ordering::Relaxed);
+    let _open = OpenConnection(&shared.open_connections);
     if stream.set_read_timeout(Some(SESSION_POLL)).is_err() {
         return;
     }
@@ -777,6 +791,7 @@ mod tests {
             metrics: ServerMetrics::new(),
             shutdown: AtomicBool::new(false),
             connections: AtomicU64::new(0),
+            open_connections: AtomicU64::new(0),
         };
         // No request choice: the server default, as an explicit spec
         // carrying the server's options.

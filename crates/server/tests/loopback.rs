@@ -340,3 +340,37 @@ fn registry_bound_is_enforced() {
         vecmat(&a, &m).unwrap()
     );
 }
+
+#[test]
+fn connections_gauge_counts_open_connections_not_accepted_ones() {
+    let server = smm_server::start(ServerConfig::default()).unwrap();
+    let open = || -> u64 {
+        let text = server.render_metrics();
+        text.lines()
+            .find_map(|l| l.strip_prefix("smm_connections "))
+            .unwrap_or_else(|| panic!("no smm_connections sample in:\n{text}"))
+            .trim()
+            .parse()
+            .unwrap()
+    };
+    // An answered ping proves the session thread is up and counted.
+    let mut first = Client::connect(server.local_addr()).unwrap();
+    let mut second = Client::connect(server.local_addr()).unwrap();
+    first.ping().unwrap();
+    second.ping().unwrap();
+    assert_eq!(open(), 2);
+    // The session notices the hang-up on its own; poll, bounded.
+    drop(second);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while open() != 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "gauge still reads {} after a client hung up",
+            open()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Two were accepted and one is open: the gauge is not the id counter.
+    first.ping().unwrap();
+    assert_eq!(open(), 1);
+}

@@ -13,6 +13,7 @@ use smm_core::error::{Error, Result};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn io_err(context: String) -> Error {
     Error::Runtime { context }
@@ -71,7 +72,12 @@ impl Store {
     pub fn put(&self, digest: u64, artifact: &Artifact) -> Result<()> {
         let bytes = artifact::encode(digest, artifact);
         let path = self.path_for(digest, artifact.kind());
-        let tmp = path.with_extension("smma.tmp");
+        // A temp name of this write's own: two writers of one artifact
+        // (racing loaders of one matrix) must not truncate each other's
+        // file. It still ends `.smma.tmp`, which is what `gc` sweeps.
+        static WRITES: AtomicU64 = AtomicU64::new(0);
+        let nth = WRITES.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("{}-{nth}.smma.tmp", std::process::id()));
         let write = |tmp: &Path| -> std::io::Result<()> {
             let mut f = fs::File::create(tmp)?;
             f.write_all(&bytes)?;
@@ -225,7 +231,6 @@ mod tests {
     use super::*;
     use smm_core::matrix::IntMatrix;
     use smm_sparse::Csr;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_store() -> Store {
         static N: AtomicU64 = AtomicU64::new(0);

@@ -1,12 +1,11 @@
 //! The log-bucketed latency histogram and weighted-percentile helper —
 //! the one home for every quantile computed in the workspace.
 //!
-//! [`LatencyHistogram`] lived in `smm-server` and
-//! [`weighted_percentile`] in `smm-runtime`'s dispatcher before this
-//! crate existed; both moved here so the server, the runtime, the load
-//! generator, and the bench harness share a single implementation (and a
-//! single set of regression tests — the top-bucket wrap fix in
-//! particular).
+//! The server's request and stage latencies, the load generator's
+//! client-side latencies ([`LatencyHistogram`]) and the runtime
+//! sessions' per-shard batch report ([`weighted_percentile`]) share this
+//! single implementation (and a single set of regression tests — the
+//! top-bucket wrap fix in particular).
 //!
 //! Every hot-path touch is a relaxed atomic increment — recording never
 //! contends on a lock. The histogram trades precision for that:

@@ -3,23 +3,20 @@
 //!
 //! Every latency number the workspace reports flows through this crate:
 //!
-//! - [`hist`] — the lock-free log-bucket [`LatencyHistogram`] (moved
-//!   out of `smm-server`) and the exact-valued [`weighted_percentile`]
-//!   (moved out of `smm-runtime`'s dispatcher), so the server, runtime,
-//!   load generator, and bench harness share one quantile
-//!   implementation and one set of regression tests.
+//! - [`hist`] — the lock-free log-bucket [`LatencyHistogram`] and the
+//!   exact-valued [`weighted_percentile`], so the server, the runtime
+//!   sessions and the load generator share one quantile implementation
+//!   and one set of regression tests.
 //! - [`span`] — per-request trace [`Span`]s over the fixed pipeline
 //!   [`Stage`]s (decode → queue → plan → shard → reassemble → compute →
 //!   encode), recorded through a cloneable [`SpanRecorder`] at one
-//!   `Instant::now()` per stage boundary.
+//!   `Instant::now()` per stage boundary, and the named per-stage
+//!   [`StageSummary`] rows behind every stage table.
 //! - [`registry`] — a [`MetricsRegistry`] of named [`Counter`]s,
 //!   [`Gauge`]s, and histograms; registration returns lock-free `Arc`
 //!   handles, the registry itself is cold-path only.
 //! - [`prometheus`] — hand-rolled Prometheus text exposition of a
 //!   registry snapshot, served by `smm-server` on `--metrics-addr`.
-//! - [`report`] — the `BENCH_*.json` writer/validator
-//!   ([`BenchReport`]) recording the perf trajectory that future PRs
-//!   measure themselves against.
 //! - [`sync`] — the poison-recovering [`lock_or_recover`] /
 //!   [`get_mut_or_recover`] helpers every crate takes its shared-state
 //!   guards through, so one panicking worker cannot cascade into every
@@ -34,12 +31,10 @@
 pub mod hist;
 pub mod prometheus;
 pub mod registry;
-pub mod report;
 pub mod span;
 pub mod sync;
 
 pub use hist::{weighted_percentile, LatencyHistogram};
 pub use registry::{Counter, Gauge, MetricSample, MetricValue, MetricsRegistry};
 pub use sync::{get_mut_or_recover, lock_or_recover};
-pub use report::{stage_summaries, BenchReport, EngineRun, StageSummary, SCHEMA};
-pub use span::{Span, SpanRecorder, Stage, StageStats, STAGES};
+pub use span::{stage_summaries, Span, SpanRecorder, Stage, StageStats, StageSummary, STAGES};

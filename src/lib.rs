@@ -15,8 +15,7 @@
 //! * [`reservoir`] — echo state networks (float and integer)
 //! * [`cgra`] — Section VIII's proposed custom device, modelled
 //! * [`telemetry`] — metrics registry, log-bucket latency histograms,
-//!   per-stage request spans, Prometheus text exposition, and the
-//!   `BENCH_*.json` report writer
+//!   per-stage request spans and Prometheus text exposition
 //! * [`runtime`] — the batched, multi-threaded GEMV serving runtime
 //! * [`store`] — the persistent, digest-addressed matrix artifact store
 //!   behind the server's tiered (hot/warm/cold) fleet registry
