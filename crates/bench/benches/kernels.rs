@@ -1,10 +1,11 @@
 //! Criterion micro-benchmarks of the compute kernels themselves: the
 //! scalar-reference vs cache-blocked dense `vecmat_into` at several dims
 //! and densities, CSR SpMV, the per-frame vs weight-stationary CSR
-//! batch, the flat `matmat_into` batch against the nested bridge, and
-//! the bit-sliced vs framed-streamed bit-serial batch engines. Each race
-//! between a production kernel and its oracle checks the two outputs
-//! equal before either side is timed.
+//! batch, the flat `matmat_into` batch against the nested bridge, the
+//! bit-sliced vs framed-streamed bit-serial batch engines, and the three
+//! loops of a cold promotion (CRC-32, content digest, CSR build). Each
+//! race between a production kernel and its oracle checks the two
+//! outputs equal before either side is timed.
 //!
 //! These time the *simulator and software kernels*, not hardware — the
 //! hardware latency numbers come from `reproduce` — but they are the
@@ -18,7 +19,8 @@ use smm_core::block::FrameBlock;
 use smm_core::generate::{element_sparse_matrix, random_vector};
 use smm_core::gemv::{matmat, matmat_into, vecmat_into, vecmat_into_scalar};
 use smm_core::rng::seeded;
-use smm_sparse::Csr;
+use smm_sparse::{Coo, Csr};
+use smm_store::artifact::{crc32, crc32_bitwise};
 use std::hint::black_box;
 
 /// The dense race: scalar reference vs blocked (production) at several
@@ -168,10 +170,56 @@ fn bench_bitserial_batch(c: &mut Criterion) {
     group.finish();
 }
 
+/// What a cold promotion runs over a matrix's bytes, each against the
+/// body it replaced: the slice-by-8 CRC-32 vs the bit-at-a-time one on
+/// a 256² artifact payload (262 KB), the zero-folding digest vs the
+/// byte-serial one at 256² with no, half and all zeros (folding must
+/// not cost the dense case), and the direct CSR build vs the route
+/// through COO triples at 256² and 1024², 90 % sparse.
+fn bench_store_checksums(c: &mut Criterion) {
+    let mut rng = seeded(5000);
+    let mut group = c.benchmark_group("store_checksums");
+
+    let payload: Vec<u8> = random_vector(256 * 256, 31, true, &mut rng)
+        .unwrap()
+        .into_iter()
+        .flat_map(i32::to_le_bytes)
+        .collect();
+    assert_eq!(crc32(&payload), crc32_bitwise(&payload), "CRCs diverged");
+    group.bench_function("crc32/slice_by_8", |b| b.iter(|| crc32(black_box(&payload))));
+    group.bench_function("crc32/bitwise", |b| {
+        b.iter(|| crc32_bitwise(black_box(&payload)))
+    });
+
+    for &pct in &[0u32, 50, 100] {
+        let m = element_sparse_matrix(256, 256, 8, f64::from(pct) / 100.0, true, &mut rng).unwrap();
+        assert_eq!(m.digest(), m.digest_bytewise(), "digests diverged at {pct}% zeros");
+        group.bench_with_input(BenchmarkId::new("digest/zero_folding", pct), &pct, |b, _| {
+            b.iter(|| black_box(&m).digest())
+        });
+        group.bench_with_input(BenchmarkId::new("digest/bytewise", pct), &pct, |b, _| {
+            b.iter(|| black_box(&m).digest_bytewise())
+        });
+    }
+
+    for &dim in &[256usize, 1024] {
+        let m = element_sparse_matrix(dim, dim, 8, 0.9, true, &mut rng).unwrap();
+        let via_coo = |m| Csr::from_coo(&Coo::from_dense(m));
+        assert_eq!(Csr::from_dense(&m), via_coo(&m), "CSR builds diverged at {dim}");
+        group.bench_with_input(BenchmarkId::new("csr_build/direct", dim), &dim, |b, _| {
+            b.iter(|| Csr::from_dense(black_box(&m)))
+        });
+        group.bench_with_input(BenchmarkId::new("csr_build/via_coo", dim), &dim, |b, _| {
+            b.iter(|| via_coo(black_box(&m)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_dense_variants, bench_csr, bench_csr_batch64, bench_matmat_flat,
-        bench_bitserial_batch
+        bench_bitserial_batch, bench_store_checksums
 }
 criterion_main!(benches);

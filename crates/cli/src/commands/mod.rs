@@ -504,7 +504,6 @@ pub fn store(args: &Args, out: &mut impl Write) -> CmdResult {
             let digest = matrix.digest();
             store
                 .put(digest, &Artifact::Matrix(matrix.clone()))
-                .and_then(|_| store.put(digest, &Artifact::Csr(Csr::from_dense(&matrix))))
                 .map_err(|e| format!("persisting into {dir}: {e}"))?;
             writeln!(
                 out,
@@ -1029,7 +1028,7 @@ mod tests {
         // … ls sees it …
         let text = run_cmd(&["store", "ls", "--store-dir", &dir_s]).unwrap();
         assert!(text.contains("1 digest(s)"), "{text}");
-        assert!(text.contains("[matrix, csr]"), "{text}");
+        assert!(text.contains("[matrix]"), "{text}");
 
         // … and a clean store survives gc untouched. `ls` is the default
         // action; bogus actions and a missing --store-dir are refused.

@@ -57,21 +57,25 @@ pub fn parse_matrix_market(text: &str) -> Result<IntMatrix> {
     let mut m = IntMatrix::zeros(rows, cols)?;
     let mut seen = 0usize;
     for line in data_lines {
-        let parts: Vec<&str> = line.split_whitespace().collect();
-        if parts.len() != 3 {
+        // Exactly three fields, taken off the iterator: this loop is the
+        // whole cost of decoding a `LoadMatrix`, so no `Vec` per line.
+        let mut parts = line.split_ascii_whitespace();
+        let (Some(r), Some(c), Some(value), None) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
+        else {
             return Err(malformed(format!("bad entry line: {line}")));
-        }
-        let r: usize = parts[0].parse().map_err(|_| malformed("bad row index"))?;
-        let c: usize = parts[1].parse().map_err(|_| malformed("bad col index"))?;
+        };
+        let r: usize = r.parse().map_err(|_| malformed("bad row index"))?;
+        let c: usize = c.parse().map_err(|_| malformed("bad col index"))?;
         if r == 0 || c == 0 || r > rows || c > cols {
             return Err(malformed(format!("index out of range: {line}")));
         }
         let value = if field == "integer" {
-            parts[2]
+            value
                 .parse::<i64>()
                 .map_err(|_| malformed("bad integer value"))?
         } else {
-            parts[2]
+            value
                 .parse::<f64>()
                 .map_err(|_| malformed("bad real value"))?
                 .round() as i64

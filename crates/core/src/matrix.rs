@@ -34,6 +34,17 @@ pub fn unsigned_bits_for(value: u32) -> u32 {
     (32 - value.leading_zeros()).max(1)
 }
 
+const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// Continues a 64-bit FNV-1a hash over `bytes`.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
 /// A dense row-major matrix of `i32` elements.
 ///
 /// Invariant: `data.len() == rows * cols`, both dimensions non-zero.
@@ -243,20 +254,42 @@ impl IntMatrix {
     /// cross-process contract used by compiled-multiplier caches: it
     /// depends only on the matrix content, never on pointer identity, and
     /// will not change between runs or releases.
+    ///
+    /// Zeros are folded: FNV-1a's step is `h ← (h ^ b)·P` and `h ^ 0 = h`,
+    /// so the four zero bytes of a zero element are one multiply by the
+    /// constant `P⁴` instead of four dependent ones — the serial multiply
+    /// chain shrinks towards the non-zeros. The value is
+    /// [`IntMatrix::digest_bytewise`]'s for every matrix.
     pub fn digest(&self) -> u64 {
-        const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut hash = OFFSET_BASIS;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(PRIME);
-            }
+        const PRIME_POW4: u64 = {
+            let squared = FNV_PRIME.wrapping_mul(FNV_PRIME);
+            squared.wrapping_mul(squared)
         };
-        eat(&(self.rows as u64).to_le_bytes());
-        eat(&(self.cols as u64).to_le_bytes());
+        let mut hash = self.shape_digest();
         for &v in &self.data {
-            eat(&v.to_le_bytes());
+            hash = if v == 0 {
+                hash.wrapping_mul(PRIME_POW4)
+            } else {
+                fnv1a(hash, &v.to_le_bytes())
+            };
+        }
+        hash
+    }
+
+    /// The digest's prefix: FNV-1a over the two dimensions.
+    fn shape_digest(&self) -> u64 {
+        let hash = fnv1a(FNV_OFFSET_BASIS, &(self.rows as u64).to_le_bytes());
+        fnv1a(hash, &(self.cols as u64).to_le_bytes())
+    }
+
+    /// The byte-at-a-time FNV-1a digest — the reference
+    /// [`IntMatrix::digest`] is tested and raced against
+    /// (`store_checksums` in the `kernels` bench). Nothing serves
+    /// through it.
+    pub fn digest_bytewise(&self) -> u64 {
+        let mut hash = self.shape_digest();
+        for &v in &self.data {
+            hash = fnv1a(hash, &v.to_le_bytes());
         }
         hash
     }

@@ -1,6 +1,7 @@
 //! Property-based tests for the smm-core invariants.
 
 use proptest::prelude::*;
+use rand::{Rng, RngCore};
 use smm_core::csd::{csd_digits, csd_split, ChainPolicy};
 use smm_core::generate::{bit_sparse_matrix, element_sparse_matrix};
 use smm_core::gemv::{matvec, vecmat};
@@ -103,4 +104,48 @@ proptest! {
         prop_assert_eq!(m.transpose().transpose(), m.clone());
         prop_assert_eq!(m.transpose().nnz(), m.nnz());
     }
+
+    /// The zero-folding digest is the byte-at-a-time FNV-1a digest: every
+    /// shape up to 40×40, from no zeros to all zeros, elements over the
+    /// whole `i32` range (negative values carry 0xFF bytes, small ones
+    /// carry zero bytes inside a non-zero element).
+    #[test]
+    fn digest_matches_the_bytewise_reference(
+        seed in any::<u64>(),
+        rows in 1usize..=40,
+        cols in 1usize..=40,
+        sparsity in 0.0f64..=1.0,
+    ) {
+        let mut rng = seeded(seed);
+        let m = IntMatrix::from_fn(rows, cols, |_, _| {
+            if rng.gen_bool(sparsity) {
+                return 0;
+            }
+            match rng.gen_range(0..4) {
+                0 => rng.gen_range(-128..=127),
+                1 => i32::MIN,
+                _ => rng.next_u32() as i32,
+            }
+        })
+        .unwrap();
+        prop_assert_eq!(m.digest(), m.digest_bytewise());
+    }
+}
+
+#[test]
+fn digest_matches_the_bytewise_reference_at_the_edges() {
+    let agree = |m: &IntMatrix| assert_eq!(m.digest(), m.digest_bytewise(), "{m:?}");
+    // All zeros, in one long run (longer than any table of powers a
+    // run-skipping digest could reasonably hold).
+    agree(&IntMatrix::zeros(40, 40).unwrap());
+    agree(&IntMatrix::zeros(1, 100_000).unwrap());
+    // A zero only at the very start, only at the very end, and the
+    // other way round.
+    let n = 37;
+    for zero_at in [0, n - 1] {
+        agree(&IntMatrix::from_fn(1, n, |_, c| if c == zero_at { 0 } else { -1 }).unwrap());
+        agree(&IntMatrix::from_fn(n, 1, |r, _| if r == zero_at { i32::MIN } else { 0 }).unwrap());
+    }
+    // Zero *bytes* that are not zero elements fold nowhere.
+    agree(&IntMatrix::from_vec(2, 2, vec![0x0100_0000, 0x0000_0100, 0x00FF_0000, 1]).unwrap());
 }

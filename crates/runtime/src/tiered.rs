@@ -27,7 +27,6 @@
 use crate::session::Session;
 use smm_core::error::Result;
 use smm_core::matrix::IntMatrix;
-use smm_sparse::Csr;
 use smm_telemetry::{get_mut_or_recover, lock_or_recover};
 use smm_store::{Artifact, ArtifactKind, CircuitMeta, Store, Tier, TierCounts, TierPolicy};
 use std::collections::HashMap;
@@ -84,7 +83,9 @@ pub struct FleetSnapshot {
 #[derive(Default)]
 struct Entry {
     session: Option<Arc<Session>>,
-    matrix: Option<IntMatrix>,
+    /// Shared, so a promotion takes a handle under the fleet lock and
+    /// copies the elements outside it.
+    matrix: Option<Arc<IntMatrix>>,
     on_disk: bool,
 }
 
@@ -255,7 +256,7 @@ impl TieredRegistry {
         digest: u64,
         build: impl FnOnce(IntMatrix) -> Result<Session>,
     ) -> Result<Option<Arc<Session>>> {
-        let matrix = {
+        let warm = {
             let mut inner = lock_or_recover(&self.inner);
             let inner = &mut *inner;
             let Some(entry) = inner.entries.get(&digest) else {
@@ -265,22 +266,23 @@ impl TieredRegistry {
             // record per digest it has seen, and unknown digests arrive
             // straight off the wire.
             inner.policy.touch(digest);
-            match (&entry.session, &entry.matrix) {
-                (Some(session), _) => return Ok(Some(Arc::clone(session))),
-                (None, Some(matrix)) => Some(matrix.clone()),
-                (None, None) => None,
+            if let Some(session) = &entry.session {
+                return Ok(Some(Arc::clone(session)));
             }
+            entry.matrix.clone()
         };
         // Warm or cold: resolve the matrix bytes outside the lock (disk
-        // reads and engine builds must not stall hot-path lookups).
-        let matrix = match matrix {
+        // reads, element copies and engine builds must not stall
+        // hot-path lookups). `build` consumes a matrix, so it gets the
+        // one copy; the entry keeps (warm) or receives (cold) the other.
+        let matrix = match warm {
             Some(matrix) => matrix,
             None => match self.read_cold_matrix(digest) {
-                Some(matrix) => matrix,
+                Some(matrix) => Arc::new(matrix),
                 None => return Ok(None),
             },
         };
-        let session = build(matrix.clone())?;
+        let session = build(IntMatrix::clone(&matrix))?;
         let mut inner = lock_or_recover(&self.inner);
         let entry = inner.entries.entry(digest).or_default();
         if let Some(existing) = &entry.session {
@@ -360,24 +362,20 @@ impl TieredRegistry {
         let session = Arc::new(session);
         let entry = inner.entries.entry(digest).or_default();
         entry.session = Some(Arc::clone(&session));
-        entry.matrix = Some(matrix);
+        entry.matrix = Some(Arc::new(matrix));
         entry.on_disk = entry.on_disk || on_disk;
         self.rebalance(&mut inner);
         InsertOutcome::Installed(session)
     }
 
-    /// Writes matrix + CSR (+ circuit metadata) artifacts for `digest`.
+    /// Writes the artifacts a restart reads back for `digest`: the
+    /// matrix, and the circuit metadata when the caller has one.
     fn persist(&self, digest: u64, matrix: &IntMatrix, meta: Option<&CircuitMeta>) -> bool {
         let Some(store) = &self.store else {
             return false;
         };
-        let mut artifacts = vec![
-            Artifact::Matrix(matrix.clone()),
-            Artifact::Csr(Csr::from_dense(matrix)),
-        ];
-        if let Some(meta) = meta {
-            artifacts.push(Artifact::Circuit(meta.clone()));
-        }
+        let artifacts = std::iter::once(Artifact::Matrix(matrix.clone()))
+            .chain(meta.map(|meta| Artifact::Circuit(meta.clone())));
         for artifact in artifacts {
             if let Err(e) = store.put(digest, &artifact) {
                 eprintln!(
@@ -636,6 +634,53 @@ mod tests {
             .unwrap();
         assert_eq!(got.run(&[2, 3]).unwrap().len(), 2);
         assert!(registry.snapshot().store_hits >= 1);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn insert_persists_exactly_what_a_restart_reads() {
+        let store = temp_store();
+        let dir = store.dir().to_path_buf();
+        let registry = TieredRegistry::with_store(TieredConfig::default(), store).unwrap();
+        let (bare, described) = (matrix(13), matrix(17));
+        registry.insert(bare.clone(), csr_session(bare.clone()), None);
+        let session = csr_session(described.clone());
+        let meta = circuit_meta_for(&session, &described);
+        registry.insert(described.clone(), session, Some(meta));
+        let kinds = |m: &IntMatrix| {
+            let entries = registry.store().unwrap().scan().unwrap();
+            entries.into_iter().find(|e| e.digest == m.digest()).unwrap().kinds
+        };
+        assert_eq!(kinds(&bare), vec![ArtifactKind::Matrix]);
+        assert_eq!(kinds(&described), vec![ArtifactKind::Matrix, ArtifactKind::Circuit]);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn legacy_csr_artifact_beside_the_matrix_is_tolerated() {
+        // A directory written before loads stopped persisting a CSR.
+        let store = temp_store();
+        let dir = store.dir().to_path_buf();
+        let m = matrix(19);
+        let digest = m.digest();
+        store.put(digest, &Artifact::Matrix(m.clone())).unwrap();
+        let legacy = Artifact::Csr(smm_sparse::Csr::from_dense(&m));
+        store.put(digest, &legacy).unwrap();
+        let registry = TieredRegistry::with_store(TieredConfig::default(), store).unwrap();
+        assert_eq!(registry.tier_of(digest), Some(Tier::Cold));
+        let got = registry
+            .acquire(digest, |loaded| Ok(csr_session(loaded)))
+            .unwrap()
+            .unwrap();
+        assert_eq!(got.run(&[1, 0]).unwrap(), vec![19, 0]);
+        let store = registry.store().unwrap();
+        // `gc` validates it like any artifact and keeps it; `evict`
+        // takes it with the rest of the digest's files.
+        let report = store.gc().unwrap();
+        assert_eq!((report.kept, report.removed), (2, 0));
+        assert!(store.contains(digest, ArtifactKind::Csr));
+        assert!(registry.evict(digest, true));
+        assert!(store.scan().unwrap().is_empty());
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -9,7 +9,8 @@ use smm_core::generate::{element_sparse_matrix, random_vector};
 use smm_core::gemv::vecmat;
 use smm_core::rng::seeded;
 use smm_server::{Client, ServerConfig};
-use smm_store::{ArtifactKind, Store};
+use smm_sparse::Csr;
+use smm_store::{Artifact, ArtifactKind, Store};
 use std::path::PathBuf;
 
 fn temp_store_dir(tag: &str) -> PathBuf {
@@ -32,8 +33,8 @@ fn restart_serves_the_fleet_from_the_store_without_recompiling() {
     let a = random_vector(11, 8, true, &mut rng).unwrap();
     let expect = vecmat(&a, &matrix).unwrap();
 
-    // First life: load, serve, shut down. The load persisted matrix +
-    // CSR + circuit-metadata artifacts.
+    // First life: load, serve, shut down. The load persisted the matrix
+    // and circuit-metadata artifacts — what a restart reads — and no CSR.
     let digest = {
         let server = smm_server::start(config(&dir)).unwrap();
         let mut client = Client::connect(server.local_addr()).unwrap();
@@ -46,9 +47,10 @@ fn restart_serves_the_fleet_from_the_store_without_recompiling() {
         info.digest
     };
     let store = Store::open(&dir).unwrap();
-    for kind in [ArtifactKind::Matrix, ArtifactKind::Csr, ArtifactKind::Circuit] {
+    for kind in [ArtifactKind::Matrix, ArtifactKind::Circuit] {
         assert!(store.contains(digest, kind), "missing {} artifact", kind.ext());
     }
+    assert!(!store.contains(digest, ArtifactKind::Csr), "a load writes no .csr.smma");
 
     // Second life, same directory: the digest is addressable before any
     // client uploads it, the load answers from the store (already
@@ -79,6 +81,33 @@ fn restart_serves_the_fleet_from_the_store_without_recompiling() {
         assert!(stats.store_hits >= 1, "{stats:?}");
         assert_eq!(stats.cache_misses, 0, "{stats:?}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_store_with_legacy_csr_artifacts_boots_cold_and_serves() {
+    let dir = temp_store_dir("legacy");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut rng = seeded(6004);
+    let matrix = element_sparse_matrix(9, 10, 8, 0.5, true, &mut rng).unwrap();
+    let a = random_vector(9, 8, true, &mut rng).unwrap();
+    let digest = matrix.digest();
+
+    // A directory as a server from before this artifact was dropped left
+    // it: `<digest>.csr.smma` beside the matrix.
+    let store = Store::open(&dir).unwrap();
+    store.put(digest, &Artifact::Matrix(matrix.clone())).unwrap();
+    store.put(digest, &Artifact::Csr(Csr::from_dense(&matrix))).unwrap();
+
+    let server = smm_server::start(config(&dir)).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(client.stats().unwrap().tier_cold, 1);
+    assert_eq!(client.gemv(digest, &a).unwrap(), vecmat(&a, &matrix).unwrap());
+    let stats = server.shutdown();
+    assert!(stats.store_hits >= 1, "{stats:?}");
+    // Serving neither read nor rewrote the legacy file (what `gc` and
+    // `evict` do with it is pinned beside the fleet, in `tiered.rs`).
+    assert!(store.contains(digest, ArtifactKind::Csr));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -115,9 +115,40 @@ impl Csr {
         }
     }
 
-    /// Converts the non-zeros of a dense matrix.
+    /// Converts the non-zeros of a dense matrix: the three arrays are
+    /// written directly, at their exact size, in one row-major pass —
+    /// the arrays [`Csr::from_coo`] builds from [`Coo::from_dense`],
+    /// without the triples in between.
     pub fn from_dense(dense: &IntMatrix) -> Self {
-        Self::from_coo(&Coo::from_dense(dense))
+        let (rows, cols) = (dense.rows(), dense.cols());
+        let nnz = dense.nnz();
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        row_ptr.push(0);
+        // Every element is written at the cursor and only a non-zero
+        // advances it (a zero is overwritten by whatever comes next), so
+        // the loop has no data-dependent branch; the one slot of slack
+        // takes the zeros after the last non-zero.
+        let mut col_idx = vec![0usize; nnz + 1];
+        let mut values = vec![0i32; nnz + 1];
+        let mut at = 0;
+        for row in dense.as_slice().chunks_exact(cols) {
+            for (c, &v) in row.iter().enumerate() {
+                col_idx[at] = c;
+                values[at] = v;
+                at += usize::from(v != 0);
+            }
+            row_ptr.push(at);
+        }
+        col_idx.truncate(nnz);
+        values.truncate(nnz);
+        Self {
+            rows,
+            cols,
+            max_col_abs_sum: max_col_abs_sum(cols, &col_idx, &values),
+            row_ptr,
+            col_idx,
+            values,
+        }
     }
 
     /// Reassembles a CSR from its raw arrays, validating every
@@ -450,6 +481,48 @@ mod tests {
         assert_eq!(csr.nnz(), 4);
         assert_eq!(csr.max_row_len(), 2);
         assert_eq!(csr.to_dense().unwrap(), d);
+    }
+
+    /// The direct build against the route it replaced: same three
+    /// arrays, same derived bound.
+    fn assert_direct_build_matches_coo_route(d: &IntMatrix) {
+        let direct = Csr::from_dense(d);
+        let via_coo = Csr::from_coo(&Coo::from_dense(d));
+        assert_eq!(direct.max_col_abs_sum, via_coo.max_col_abs_sum, "{d:?}");
+        assert_eq!(direct, via_coo, "{d:?}");
+    }
+
+    #[test]
+    fn from_dense_matches_the_coo_route_on_edge_shapes() {
+        let cases = [
+            // Empty rows at the top, in the middle and at the bottom.
+            IntMatrix::from_vec(5, 3, vec![0, 0, 0, 1, 0, -2, 0, 0, 0, 0, 3, 0, 0, 0, 0]).unwrap(),
+            IntMatrix::zeros(4, 7).unwrap(),
+            IntMatrix::from_fn(6, 5, |r, c| (r * 5 + c) as i32 - 40).unwrap(),
+            // 1×n and n×1, with the zeros first and last.
+            IntMatrix::from_vec(1, 6, vec![0, 4, 0, 0, i32::MIN, 0]).unwrap(),
+            IntMatrix::from_vec(6, 1, vec![7, 0, 0, -7, 0, i32::MAX]).unwrap(),
+            IntMatrix::from_vec(1, 1, vec![0]).unwrap(),
+            IntMatrix::from_vec(1, 1, vec![9]).unwrap(),
+        ];
+        for d in &cases {
+            assert_direct_build_matches_coo_route(d);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn from_dense_matches_the_coo_route(
+            seed in any::<u64>(),
+            rows in 1usize..24,
+            cols in 1usize..24,
+            sparsity in 0.0f64..=1.0,
+            weight_bits in 2u32..=31,
+        ) {
+            let mut rng = seeded(seed);
+            let d = element_sparse_matrix(rows, cols, weight_bits, sparsity, true, &mut rng).unwrap();
+            assert_direct_build_matches_coo_route(&d);
+        }
     }
 
     #[test]

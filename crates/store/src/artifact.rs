@@ -1,8 +1,10 @@
 //! The on-disk artifact format: versioned, checksummed, digest-stamped.
 //!
-//! One artifact file holds one serialized value — a dense [`IntMatrix`],
-//! a [`Csr`], or the [`CircuitMeta`] describing a compiled engine — in a
-//! std-only little-endian layout:
+//! One artifact file holds one serialized value — a dense [`IntMatrix`]
+//! or the [`CircuitMeta`] describing a compiled engine, the two a load
+//! persists, or a [`Csr`], which loads used to persist and which stays
+//! decodable for the directories that hold one — in a std-only
+//! little-endian layout:
 //!
 //! ```text
 //! magic "SMMA" (4) · format rev u32 · kind u8 · digest u64
@@ -13,6 +15,11 @@
 //! ([`IntMatrix::digest`]), so a file can be verified against the name
 //! it was stored under without decoding the payload. The CRC-32 (IEEE)
 //! covers the payload bytes; the format revision gates layout changes.
+//! Both checks run on every cold read, so neither walks its input a bit
+//! or a zero byte at a time: [`crc32`] is slice-by-8 over compile-time
+//! tables and the digest folds zero elements, each pinned to its serial
+//! reference ([`crc32_bitwise`], [`IntMatrix::digest_bytewise`]) — same
+//! bytes on disk, same values.
 //!
 //! Decoding follows the same discipline as the network wire: bytes on
 //! disk are treated as hostile. Every malformed input — truncation, a
@@ -37,15 +44,78 @@ fn format_err(context: impl Into<String>) -> Error {
     }
 }
 
+/// The reflected IEEE 802.3 generator polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// `CRC_TABLES[k][b]` is the CRC register after byte `b` followed by `k`
+/// zero bytes: table 0 is the classic byte-at-a-time table, and table
+/// `k` advances table `k - 1` by one more zero byte.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
 /// CRC-32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`) over
 /// `bytes` — the checksum guarding every artifact payload.
+///
+/// Slice-by-8: eight bytes per step through eight 256-entry tables
+/// derived at compile time from the same polynomial, so the value is
+/// [`crc32_bitwise`]'s for every input and every artifact already on
+/// disk stays valid.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let (words, tail) = bytes.as_chunks::<8>();
+    for w in words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(w[4])]
+            ^ t[2][usize::from(w[5])]
+            ^ t[1][usize::from(w[6])]
+            ^ t[0][usize::from(w[7])];
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    !crc
+}
+
+/// The bit-at-a-time CRC-32 — the reference [`crc32`] is tested and
+/// raced against (`store_checksums` in the `kernels` bench). Nothing
+/// serves through it.
+pub fn crc32_bitwise(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
         crc ^= u32::from(b);
         for _ in 0..8 {
             let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            crc = (crc >> 1) ^ (CRC_POLY & mask);
         }
     }
     !crc
@@ -56,7 +126,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 pub enum ArtifactKind {
     /// A dense [`IntMatrix`].
     Matrix,
-    /// A [`Csr`] sparse structure.
+    /// A [`Csr`] sparse structure. Read-only legacy: loads stopped
+    /// writing it because no serving path ever read it back.
     Csr,
     /// [`CircuitMeta`]: what was compiled for this matrix, and why.
     Circuit,
@@ -321,6 +392,30 @@ mod tests {
         // The classic IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+    }
+
+    /// `encode(sample_matrix())` as the commit before the table-driven
+    /// CRC and the zero-folding digest wrote it (44 payload bytes: five
+    /// full CRC strides and a four-byte tail).
+    const PARENT_WRITTEN_MATRIX_ARTIFACT: [u8; 69] = [
+        0x53, 0x4d, 0x4d, 0x41, 0x01, 0x00, 0x00, 0x00, 0x01, 0x17, 0x3d, 0xdb, //
+        0x9c, 0xf4, 0xf8, 0x25, 0x83, 0xd3, 0x66, 0xdd, 0x72, 0x2c, 0x00, 0x00, //
+        0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0xfe, 0xff, 0xff, 0xff, 0x03, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+    ];
+
+    #[test]
+    fn artifacts_written_before_the_table_driven_crc_still_decode() {
+        let m = sample_matrix();
+        let (digest, artifact) = decode(&PARENT_WRITTEN_MATRIX_ARTIFACT).unwrap();
+        assert_eq!(digest, 0x8325_f8f4_9cdb_3d17);
+        assert_eq!(artifact, Artifact::Matrix(m.clone()));
+        // And the same bytes are still what gets written.
+        assert_eq!(encode(m.digest(), &Artifact::Matrix(m)), PARENT_WRITTEN_MATRIX_ARTIFACT);
     }
 
     #[test]

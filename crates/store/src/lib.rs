@@ -19,7 +19,11 @@
 //!
 //! * [`artifact`] — the std-only binary file format (magic + format
 //!   rev + FNV digest + payload CRC-32) with serializers for dense
-//!   matrices, CSR structures, and compiled-circuit metadata.
+//!   matrices and compiled-circuit metadata — the two artifacts a load
+//!   persists — and for CSR structures, which older store directories
+//!   hold and nothing writes any more. The CRC is table-driven
+//!   (slice-by-8) and the digest zero-folding, so verifying a cold
+//!   matrix costs about what copying it does.
 //! * [`store`] — the [`Store`] directory API: `put` / `get` /
 //!   `contains` / `evict` / `scan` / `gc`, with atomic writes and
 //!   hostile-input decoding.

@@ -99,6 +99,35 @@ proptest! {
     fn garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = artifact::decode(&bytes);
     }
+
+    /// The slice-by-8 CRC is the bit-at-a-time CRC at every length from
+    /// the empty slice to past eight full strides — every remainder
+    /// mod 8, one stride exactly, one byte either side of it.
+    #[test]
+    fn crc32_matches_the_bitwise_reference_at_every_length(
+        bytes in prop::collection::vec(any::<u8>(), 70..71),
+    ) {
+        for len in 0..=bytes.len() {
+            prop_assert_eq!(
+                artifact::crc32(&bytes[..len]),
+                artifact::crc32_bitwise(&bytes[..len]),
+                "prefix of {} bytes", len
+            );
+        }
+    }
+}
+
+#[test]
+fn crc32_matches_the_bitwise_reference_on_a_mebibyte() {
+    let mut rng = seeded(0xC4C);
+    let words = (1 << 20) / 4;
+    let bytes: Vec<u8> = smm_core::generate::random_vector(words, 31, true, &mut rng)
+        .unwrap()
+        .into_iter()
+        .flat_map(i32::to_le_bytes)
+        .collect();
+    assert_eq!(bytes.len(), 1 << 20);
+    assert_eq!(artifact::crc32(&bytes), artifact::crc32_bitwise(&bytes));
 }
 
 #[test]

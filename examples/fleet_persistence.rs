@@ -5,8 +5,10 @@
 //! pointed at a `store_dir` extends that across process lifetimes:
 //!
 //! 1. Start a server with a store directory; load a matrix and serve a
-//!    product. The load persisted matrix + CSR + circuit-metadata
-//!    artifacts (digest-addressed, CRC-checked) under the directory.
+//!    product. The load persisted two artifacts under the directory —
+//!    the matrix and its circuit metadata, what a restart reads back —
+//!    digest-addressed (zero-folding FNV-1a) and checked by a
+//!    table-driven CRC-32.
 //! 2. Shut the server down and start a *new* one on the same directory.
 //!    The scan rediscovers the fleet as cold entries.
 //! 3. Serve the same digest without any client re-uploading it: the
