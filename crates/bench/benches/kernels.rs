@@ -1,11 +1,12 @@
 //! Criterion micro-benchmarks of the compute kernels themselves: the
 //! scalar-reference vs cache-blocked dense `vecmat_into` at several dims
-//! and densities, CSR SpMV, the per-frame vs weight-stationary CSR
-//! batch, the flat `matmat_into` batch against the nested bridge, the
-//! bit-sliced vs framed-streamed bit-serial batch engines, and the three
-//! loops of a cold promotion (CRC-32, content digest, CSR build). Each
-//! race between a production kernel and its oracle checks the two
-//! outputs equal before either side is timed.
+//! and densities, CSR SpMV, the CSR single-vector kernel (column-slice
+//! gather vs the row scatter it is held to), the per-frame vs
+//! weight-stationary CSR batch, the flat `matmat_into` batch against the
+//! nested bridge, the bit-sliced vs framed-streamed bit-serial batch
+//! engines, and the three loops of a cold promotion (CRC-32, content
+//! digest, CSR build). Each race between a production kernel and its
+//! oracle checks the two outputs equal before either side is timed.
 //!
 //! These time the *simulator and software kernels*, not hardware — the
 //! hardware latency numbers come from `reproduce` — but they are the
@@ -65,6 +66,46 @@ fn bench_csr(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("dense", pct), &pct, |b, _| {
             b.iter(|| vecmat_into(black_box(&a), &m, &mut out).unwrap())
         });
+    }
+    group.finish();
+}
+
+/// The CSR single-vector kernel against its oracle: `vecmat_into`
+/// (a dense frame gathered through the column slices, a sparse one
+/// scattered through the rows) vs `vecmat_scatter_into` (the scatter
+/// alone), on `reservoir-step`'s matrix (1024², 95 % sparse, 4-bit) with
+/// a dense 8-bit frame and with a one-hot frame — where the dispatch
+/// must make the two equal — and on `wire-single`'s (256², 90 %, 8-bit)
+/// with a dense frame. Outputs are checked equal before either side is
+/// timed.
+fn bench_csr_single(c: &mut Criterion) {
+    let mut rng = seeded(2300);
+    let mut group = c.benchmark_group("csr_single");
+    let cases: [(usize, f64, u32, &[&str]); 2] = [
+        (1024, 0.95, 4, &["dense", "one_hot"]),
+        (256, 0.9, 8, &["dense"]),
+    ];
+    for (dim, sparsity, weight_bits, frames) in cases {
+        let m = element_sparse_matrix(dim, dim, weight_bits, sparsity, true, &mut rng).unwrap();
+        let csr = Csr::from_dense(&m);
+        for &frame in frames {
+            let mut a = vec![0i32; dim];
+            match frame {
+                "one_hot" => a[dim / 3] = -77,
+                _ => a = random_vector(dim, 8, true, &mut rng).unwrap(),
+            }
+            let (mut out, mut oracle) = (vec![0i64; dim], vec![0i64; dim]);
+            csr.vecmat_into(&a, &mut out).unwrap();
+            csr.vecmat_scatter_into(&a, &mut oracle).unwrap();
+            let tag = format!("{dim}/{frame}");
+            assert_eq!(out, oracle, "single-vector kernels diverged on {tag}");
+            group.bench_with_input(BenchmarkId::new("gather", &tag), &dim, |b, _| {
+                b.iter(|| csr.vecmat_into(black_box(&a), &mut out).unwrap())
+            });
+            group.bench_with_input(BenchmarkId::new("scatter_oracle", &tag), &dim, |b, _| {
+                b.iter(|| csr.vecmat_scatter_into(black_box(&a), &mut oracle).unwrap())
+            });
+        }
     }
     group.finish();
 }
@@ -175,7 +216,9 @@ fn bench_bitserial_batch(c: &mut Criterion) {
 /// a 256² artifact payload (262 KB), the zero-folding digest vs the
 /// byte-serial one at 256² with no, half and all zeros (folding must
 /// not cost the dense case), and the direct CSR build vs the route
-/// through COO triples at 256² and 1024², 90 % sparse.
+/// through COO triples at 256² and 1024², 90 % sparse — both sides
+/// finish by deriving the accumulator bound and the column slices, so
+/// the race includes them.
 fn bench_store_checksums(c: &mut Criterion) {
     let mut rng = seeded(5000);
     let mut group = c.benchmark_group("store_checksums");
@@ -219,7 +262,7 @@ fn bench_store_checksums(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_dense_variants, bench_csr, bench_csr_batch64, bench_matmat_flat,
+    targets = bench_dense_variants, bench_csr, bench_csr_single, bench_csr_batch64, bench_matmat_flat,
         bench_bitserial_batch, bench_store_checksums
 }
 criterion_main!(benches);

@@ -8,7 +8,7 @@ use smm_core::csd::ChainPolicy;
 use smm_fpga::flow::{report_for, FlowOptions};
 use smm_gpu::GpuKernelModel;
 use smm_sigma::Sigma;
-use smm_sparse::{Csr, SparsityProfile};
+use smm_sparse::SparsityProfile;
 use std::io::Write;
 
 type CmdResult = Result<(), String>;
@@ -145,7 +145,7 @@ pub fn compare(args: &Args, out: &mut impl Write) -> CmdResult {
         return Err("--batch must be at least 1".into());
     }
     let report = report_for(&mul, &FlowOptions::default());
-    let profile = SparsityProfile::of(&Csr::from_dense(&matrix));
+    let profile = SparsityProfile::of_dense(&matrix);
     let fpga_ns = mul.batch_latency_cycles(batch) as f64 * 1000.0 / report.fmax_mhz;
     let cusparse = GpuKernelModel::cusparse().spmm_latency_ns(&profile, batch);
     let optimized = GpuKernelModel::optimized_kernel().spmm_latency_ns(&profile, batch);

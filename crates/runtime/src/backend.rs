@@ -152,9 +152,12 @@ impl GemvBackend for DenseRef {
     }
 }
 
-/// The executed CSR SpMV kernel: every shard runs the weight-stationary
-/// blocked kernel ([`Csr::vecmat_block_into`]), whose leftover path (and
-/// so every single) is the per-frame scatter.
+/// The executed CSR SpMV kernel: every shard runs
+/// [`Csr::vecmat_block_into`] — full groups of 16 frames through the
+/// weight-stationary kernel over the rows, and the frames past the last
+/// full group (so every single) one at a time through
+/// [`Csr::vecmat_into`], which gathers a dense frame through the column
+/// slices and scatters a sparse one through the rows.
 #[derive(Debug)]
 pub struct SparseCsr {
     csr: Csr,
@@ -162,7 +165,8 @@ pub struct SparseCsr {
     /// access is `Relaxed`.
     narrow_groups: AtomicUsize,
     wide_groups: AtomicUsize,
-    leftover_frames: AtomicUsize,
+    gathered_frames: AtomicUsize,
+    scattered_frames: AtomicUsize,
 }
 
 impl SparseCsr {
@@ -176,18 +180,24 @@ impl SparseCsr {
             csr,
             narrow_groups: AtomicUsize::new(0),
             wide_groups: AtomicUsize::new(0),
-            leftover_frames: AtomicUsize::new(0),
+            gathered_frames: AtomicUsize::new(0),
+            scattered_frames: AtomicUsize::new(0),
         }
     }
 
     /// What every [`GemvBackend::run_rows`] call on this engine has run
-    /// so far: 16-frame groups by accumulator width (`i32` / `i64`) and
-    /// frames that fell past a shard's last full group.
+    /// so far: 16-frame groups by accumulator width (`i32` / `i64`), and
+    /// the frames that fell past a shard's last full group by the layout
+    /// that served them (gathered when dense, scattered when sparse).
     pub fn block_counters(&self) -> BlockWidths {
+        let gathered_frames = self.gathered_frames.load(Ordering::Relaxed);
+        let scattered_frames = self.scattered_frames.load(Ordering::Relaxed);
         BlockWidths {
             narrow_groups: self.narrow_groups.load(Ordering::Relaxed),
             wide_groups: self.wide_groups.load(Ordering::Relaxed),
-            leftover_frames: self.leftover_frames.load(Ordering::Relaxed),
+            leftover_frames: gathered_frames + scattered_frames,
+            gathered_frames,
+            scattered_frames,
         }
     }
 }
@@ -225,12 +235,17 @@ impl GemvBackend for SparseCsr {
         let width = frames.width();
         let shard = &frames.as_slice()[start * width..end * width];
         let ran = self.csr.vecmat_block_into(shard, end - start, out)?;
-        self.narrow_groups
-            .fetch_add(ran.narrow_groups, Ordering::Relaxed);
-        self.wide_groups
-            .fetch_add(ran.wide_groups, Ordering::Relaxed);
-        self.leftover_frames
-            .fetch_add(ran.leftover_frames, Ordering::Relaxed);
+        for (counter, ran) in [
+            (&self.narrow_groups, ran.narrow_groups),
+            (&self.wide_groups, ran.wide_groups),
+            (&self.gathered_frames, ran.gathered_frames),
+            (&self.scattered_frames, ran.scattered_frames),
+        ] {
+            // A single is one frame of one kind: one atomic, not four.
+            if ran != 0 {
+                counter.fetch_add(ran, Ordering::Relaxed);
+            }
+        }
         Ok(())
     }
 }
@@ -476,11 +491,14 @@ mod tests {
         let mut out = RowBlock::new();
         // 8-bit inputs: column sums of ~100 8-bit weights times 2^7 stay
         // far inside i32.
+        // 35 frames are 2 groups and 3 leftovers, dense, so gathered.
         run_block(&engine, &block(8, 35), &mut out).unwrap();
         let mut expect = BlockWidths {
             narrow_groups: 2,
             wide_groups: 0,
             leftover_frames: 3,
+            gathered_frames: 3,
+            scattered_frames: 0,
         };
         assert_eq!(engine.block_counters(), expect);
         // 24-bit inputs: the same sums times 2^23 do not.
@@ -489,11 +507,20 @@ mod tests {
         expect.wide_groups = 1;
         assert_eq!(engine.block_counters(), expect);
         assert_eq!(out.row(15), vecmat(wide.frame(15), &v).unwrap().as_slice());
-        // A single is a one-frame shard: one leftover frame. A clone
-        // counts from zero.
+        // A single is a one-frame shard: one leftover frame, gathered
+        // when dense and scattered when sparse (here one-hot).
         engine.gemv(wide.frame(0)).unwrap();
         expect.leftover_frames += 1;
+        expect.gathered_frames += 1;
         assert_eq!(engine.block_counters(), expect);
+        let mut one_hot = vec![0i32; 1024];
+        one_hot[700] = -5;
+        let expect_out = vecmat(&one_hot, &v).unwrap();
+        assert_eq!(engine.gemv(&one_hot).unwrap(), expect_out);
+        expect.leftover_frames += 1;
+        expect.scattered_frames += 1;
+        assert_eq!(engine.block_counters(), expect);
+        // A clone counts from zero.
         assert_eq!(engine.clone().block_counters(), BlockWidths::default());
     }
 }

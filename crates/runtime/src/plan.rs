@@ -46,7 +46,7 @@ use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
 use smm_gpu::GpuKernelModel;
 use smm_sigma::Sigma;
-use smm_sparse::{Csr, SparsityProfile};
+use smm_sparse::SparsityProfile;
 
 /// Options the auto-planner stamps into whichever spec wins.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -191,7 +191,7 @@ impl<'a> Planner<'a> {
         options: AutoOptions,
         cache: &MultiplierCache,
     ) -> Result<EnginePlan> {
-        let profile = SparsityProfile::of(&Csr::from_dense(matrix));
+        let profile = SparsityProfile::of_dense(matrix);
         let sparsity = profile.element_sparsity;
         let sparse_pct = 100.0 * sparsity;
         // The accelerator cost models, evaluated once on the profile:

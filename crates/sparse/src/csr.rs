@@ -1,8 +1,20 @@
 //! Compressed sparse row (CSR) format — the layout cuSPARSE-style SpMV
 //! kernels operate on, and the source of the indexing overhead the paper's
 //! spatial approach eliminates.
+//!
+//! A [`Csr`] holds its non-zeros twice, both layouts derived from the
+//! fixed matrix at construction: **rows for blocks and sparse frames,
+//! column slices for dense frames.** The row-major arrays are the format
+//! itself; the 16-frame group kernel of [`Csr::vecmat_block_into`] walks
+//! them once per group with the weights stationary, and
+//! [`Csr::vecmat_scatter_into`] walks only the rows of a frame's non-zero
+//! inputs. The column slices (`slices.rs`) are the same non-zeros cut
+//! into four-column slices for the output-stationary gather.
+//! [`Csr::vecmat_into`] chooses between scatter and gather per frame,
+//! from the frame.
 
 use crate::coo::Coo;
+use crate::slices::ColumnSlices;
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
 use std::ops::{AddAssign, Mul};
@@ -21,22 +33,13 @@ pub struct Csr {
     col_idx: Vec<usize>,
     values: Vec<i32>,
     /// `max_c Σ_r |w_rc|`, derived from the arrays above at construction
-    /// and never serialised: the bound [`Csr::vecmat_block_into`] sizes
-    /// its accumulators from.
+    /// and never serialised: the bound both kernels size their
+    /// accumulators from.
     max_col_abs_sum: u64,
-}
-
-/// The largest column absolute sum of a validated CSR (every column
-/// index `< cols`); saturates instead of wrapping, which only ever
-/// selects the wide accumulator.
-fn max_col_abs_sum(cols: usize, col_idx: &[usize], values: &[i32]) -> u64 {
-    let mut sums = vec![0u64; cols];
-    for (&c, &v) in col_idx.iter().zip(values) {
-        if let Some(s) = sums.get_mut(c) {
-            *s = s.saturating_add(u64::from(v.unsigned_abs()));
-        }
-    }
-    sums.into_iter().max().unwrap_or(0)
+    /// The same non-zeros as column slices, derived with the bound; `None`
+    /// when the matrix is too large for the slices' `u32` indices, and
+    /// every frame then takes the scatter.
+    slices: Option<ColumnSlices>,
 }
 
 /// Transposes `G` row-major frames of `rows` elements into frame-minor
@@ -56,19 +59,51 @@ fn transpose_in(x: &[i32], rows: usize, xt: &mut Vec<i32>) -> u32 {
 
 /// What one [`Csr::vecmat_block_into`] call ran: full groups by
 /// accumulator width, and the frames past the last full group that went
-/// through [`Csr::vecmat_into`].
+/// through [`Csr::vecmat_into`], by the layout that served them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BlockWidths {
     /// Groups accumulated in `i32` lanes.
     pub narrow_groups: usize,
     /// Groups accumulated in `i64` lanes.
     pub wide_groups: usize,
-    /// Frames run one at a time.
+    /// Frames run one at a time: `gathered_frames + scattered_frames`.
     pub leftover_frames: usize,
+    /// Leftover frames gathered through the column slices.
+    pub gathered_frames: usize,
+    /// Leftover frames scattered through the rows.
+    pub scattered_frames: usize,
 }
 
-/// An accumulator lane of the blocked kernel: `i32` or `i64`.
-trait Lane: Copy + Default + AddAssign + Mul<Output = Self> {
+/// The layout that served one frame of [`Csr::vecmat_into`].
+enum Single {
+    Gathered,
+    Scattered,
+}
+
+/// Whether fewer than half the inputs of a frame are non-zero
+/// (`2 · nonzero(a) < len`, counted as `2 · zeros > len`), read block by
+/// block and stopping as soon as the rest of the frame cannot change the
+/// answer — halfway through a one-hot frame, and halfway through a full
+/// one.
+fn mostly_zero(a: &[i32]) -> bool {
+    let (blocks, tail) = a.as_chunks::<64>();
+    let (mut zeros, mut unread) = (0, a.len());
+    for block in blocks {
+        zeros += block.iter().map(|&v| u32::from(v == 0)).sum::<u32>() as usize;
+        unread -= block.len();
+        if 2 * zeros > a.len() {
+            return true;
+        }
+        if 2 * (zeros + unread) <= a.len() {
+            return false;
+        }
+    }
+    zeros += tail.iter().filter(|&&v| v == 0).count();
+    2 * zeros > a.len()
+}
+
+/// An accumulator lane of the group and gather kernels: `i32` or `i64`.
+pub(crate) trait Lane: Copy + Default + AddAssign + Mul<Output = Self> {
     fn from_i32(v: i32) -> Self;
     fn widen(self) -> i64;
 }
@@ -105,10 +140,32 @@ impl Csr {
         for i in 0..coo.rows() {
             row_ptr[i + 1] += row_ptr[i];
         }
+        Self::finish(coo.rows(), coo.cols(), row_ptr, col_idx, values)
+    }
+
+    /// The one exit of every constructor: derives the accumulator bound
+    /// and the column slices from validated arrays (every column index
+    /// `< cols`, rows ascending), in work proportional to the non-zeros.
+    fn finish(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<i32>,
+    ) -> Self {
+        let mut col_len = vec![0usize; cols];
+        // Saturating instead of wrapping, which only ever selects the
+        // wide accumulator.
+        let mut col_abs_sum = vec![0u64; cols];
+        for (&c, &v) in col_idx.iter().zip(&values) {
+            col_len[c] += 1;
+            col_abs_sum[c] = col_abs_sum[c].saturating_add(u64::from(v.unsigned_abs()));
+        }
         Self {
-            rows: coo.rows(),
-            cols: coo.cols(),
-            max_col_abs_sum: max_col_abs_sum(coo.cols(), &col_idx, &values),
+            rows,
+            cols,
+            max_col_abs_sum: col_abs_sum.into_iter().max().unwrap_or(0),
+            slices: ColumnSlices::build(&col_len, &row_ptr, &col_idx, &values),
             row_ptr,
             col_idx,
             values,
@@ -116,39 +173,49 @@ impl Csr {
     }
 
     /// Converts the non-zeros of a dense matrix: the three arrays are
-    /// written directly, at their exact size, in one row-major pass —
-    /// the arrays [`Csr::from_coo`] builds from [`Coo::from_dense`],
-    /// without the triples in between.
+    /// written directly, at their exact size — the arrays
+    /// [`Csr::from_coo`] builds from [`Coo::from_dense`], without the
+    /// triples in between.
     pub fn from_dense(dense: &IntMatrix) -> Self {
+        /// Elements per group; an all-zero group costs one OR-reduction.
+        const GROUP: usize = 8;
         let (rows, cols) = (dense.rows(), dense.cols());
         let nnz = dense.nnz();
         let mut row_ptr = Vec::with_capacity(rows + 1);
         row_ptr.push(0);
-        // Every element is written at the cursor and only a non-zero
-        // advances it (a zero is overwritten by whatever comes next), so
-        // the loop has no data-dependent branch; the one slot of slack
-        // takes the zeros after the last non-zero.
+        // Both loops write at a cursor that only a hit advances (a miss
+        // is overwritten by whatever comes next), so neither has a
+        // data-dependent branch; the one slot of slack takes the misses
+        // after the last hit.
         let mut col_idx = vec![0usize; nnz + 1];
         let mut values = vec![0i32; nnz + 1];
         let mut at = 0;
+        let mut live = vec![0usize; cols / GROUP + 1];
         for row in dense.as_slice().chunks_exact(cols) {
-            for (c, &v) in row.iter().enumerate() {
+            let (groups, tail) = row.as_chunks::<GROUP>();
+            let mut n_live = 0;
+            for (g, group) in groups.iter().enumerate() {
+                live[n_live] = g * GROUP;
+                n_live += usize::from(group.iter().fold(0, |any, &v| any | v) != 0);
+            }
+            let mut keep = |c: usize, v: i32| {
                 col_idx[at] = c;
                 values[at] = v;
                 at += usize::from(v != 0);
+            };
+            for &c0 in &live[..n_live] {
+                for (c, &v) in (c0..).zip(&row[c0..c0 + GROUP]) {
+                    keep(c, v);
+                }
+            }
+            for (c, &v) in (cols - tail.len()..).zip(tail) {
+                keep(c, v);
             }
             row_ptr.push(at);
         }
         col_idx.truncate(nnz);
         values.truncate(nnz);
-        Self {
-            rows,
-            cols,
-            max_col_abs_sum: max_col_abs_sum(cols, &col_idx, &values),
-            row_ptr,
-            col_idx,
-            values,
-        }
+        Self::finish(rows, cols, row_ptr, col_idx, values)
     }
 
     /// Reassembles a CSR from its raw arrays, validating every
@@ -207,14 +274,7 @@ impl Csr {
         if values.contains(&0) {
             return Err(invalid("explicit zero stored in CSR values".into()));
         }
-        Ok(Self {
-            rows,
-            cols,
-            max_col_abs_sum: max_col_abs_sum(cols, &col_idx, &values),
-            row_ptr,
-            col_idx,
-            values,
-        })
+        Ok(Self::finish(rows, cols, row_ptr, col_idx, values))
     }
 
     /// Number of rows.
@@ -267,53 +327,102 @@ impl Csr {
             .unwrap_or(0)
     }
 
-    /// `o = aᵀV` through the CSR structure (row-major traversal scales each
-    /// row by `a[r]` — the natural access pattern for CSR with a transposed
-    /// product).
+    /// `o = aᵀV`, allocating the output: [`Csr::vecmat_into`] into a
+    /// fresh vector.
     pub fn vecmat(&self, a: &[i32]) -> Result<Vec<i64>> {
-        self.check_vecmat_len(a)?;
         let mut out = vec![0i64; self.cols];
-        self.accumulate_vecmat(a, &mut out);
+        self.vecmat_into(a, &mut out)?;
         Ok(out)
     }
 
-    /// [`Csr::vecmat`] into a caller-owned output slice of exactly
-    /// [`Csr::cols`] elements — the allocation-free kernel behind the
-    /// flat batch path. The slice is zeroed first, so stale contents
-    /// are overwritten.
+    /// `o = aᵀV` into a caller-owned output slice of exactly
+    /// [`Csr::cols`] elements — the single-vector kernel behind every
+    /// engine call that is not a full group of
+    /// [`Csr::vecmat_block_into`]. Stale contents of `out` are
+    /// overwritten.
+    ///
+    /// *Two layouts, chosen per frame from the frame.* A frame at least
+    /// half of whose inputs are non-zero is **gathered** through the
+    /// column slices: four output columns at a time, one register
+    /// accumulator each, `acc[l] += w · a[row]` down the slice and one
+    /// store per column at the end. A sparser frame
+    /// (`2 · nonzero(a) < rows`: a one-hot probe, a sparse drive) is
+    /// **scattered** by [`Csr::vecmat_scatter_into`], which skips a zero
+    /// input's whole row where the gather would still walk every
+    /// non-zero.
+    ///
+    /// *Addition order.* A lane of the gather is one output column with
+    /// its terms added in ascending row order, so each output receives
+    /// exactly the additions the scatter gives it, plus an explicit `+ 0`
+    /// for every zero input and every padding entry — the same bits,
+    /// including wherever an `i64` sum would wrap.
+    ///
+    /// *Accumulator width.* By the bound of [`Csr::vecmat_block_into`],
+    /// applied to this one frame: the lanes are `i32` iff
+    /// `max_col_abs_sum × max|a| ≤ i32::MAX`, and `i64` otherwise.
     pub fn vecmat_into(&self, a: &[i32], out: &mut [i64]) -> Result<()> {
-        self.check_vecmat_len(a)?;
-        if out.len() != self.cols {
-            return Err(Error::DimensionMismatch {
-                context: format!("output length {} vs cols {}", out.len(), self.cols),
-            });
-        }
-        out.fill(0);
-        self.accumulate_vecmat(a, out);
+        self.single_into(a, out, &mut Vec::new()).map(drop)
+    }
+
+    /// [`Csr::vecmat_into`] by the row-major scatter alone,
+    /// `out[col] += v · a[row]` over the rows of the non-zero inputs:
+    /// the reference the gather is held to, and the kernel a sparse frame
+    /// runs.
+    pub fn vecmat_scatter_into(&self, a: &[i32], out: &mut [i64]) -> Result<()> {
+        self.check_single(a, out)?;
+        self.scatter(a, out);
         Ok(())
     }
 
-    fn check_vecmat_len(&self, a: &[i32]) -> Result<()> {
+    fn check_single(&self, a: &[i32], out: &[i64]) -> Result<()> {
         if a.len() != self.rows {
             return Err(Error::DimensionMismatch {
                 context: format!("vector length {} vs rows {}", a.len(), self.rows),
             });
         }
+        if out.len() != self.cols {
+            return Err(Error::DimensionMismatch {
+                context: format!("output length {} vs cols {}", out.len(), self.cols),
+            });
+        }
         Ok(())
     }
 
-    /// Accumulates `aᵀV` into an already-zeroed `out` of `cols` elements.
+    /// One frame through the layout its density picks; `padded` is the
+    /// gather's scratch, reused across the leftovers of a block.
+    fn single_into(&self, a: &[i32], out: &mut [i64], padded: &mut Vec<i32>) -> Result<Single> {
+        self.check_single(a, out)?;
+        let Some(slices) = self.slices.as_ref().filter(|_| !mostly_zero(a)) else {
+            self.scatter(a, out);
+            return Ok(Single::Scattered);
+        };
+        padded.clear();
+        padded.extend_from_slice(a);
+        padded.resize(a.len().next_power_of_two(), 0);
+        let max_a = a.iter().fold(0, |max, v| v.unsigned_abs().max(max));
+        if self.fits_i32(max_a) {
+            slices.gather::<i32>(padded, out);
+        } else {
+            slices.gather::<i64>(padded, out);
+        }
+        Ok(Single::Gathered)
+    }
+
+    /// Whether no partial sum of any output can leave `i32` when every
+    /// input is at most `max_x` in absolute value.
+    fn fits_i32(&self, max_x: u32) -> bool {
+        u128::from(self.max_col_abs_sum) * u128::from(max_x) <= i32::MAX as u128
+    }
+
+    /// Zeroes `out` (`cols` elements) and accumulates `aᵀV` into it row
+    /// by row, skipping zero inputs.
     ///
-    /// The hot loop iterates `(col, val)` pairs straight off the CSR
-    /// arrays against a pre-checked `out` length: every constructor
-    /// (`from_coo` over bounds-validated COO triples, `from_raw_parts`
-    /// with its explicit column check) guarantees `col < self.cols`, so
-    /// with `out.len() == self.cols` asserted once up front the
-    /// per-element access is checked via `get_mut` with no panic path
-    /// inside the loop — the branch the optimizer can hoist, unlike the
-    /// old `out[c]` indexing whose unwind edge blocked vectorization.
-    fn accumulate_vecmat(&self, a: &[i32], out: &mut [i64]) {
+    /// Every constructor guarantees `col < self.cols`, so with
+    /// `out.len() == self.cols` asserted once up front the per-element
+    /// `get_mut` never misses; it is there so the loop has no panic path.
+    fn scatter(&self, a: &[i32], out: &mut [i64]) {
         assert_eq!(out.len(), self.cols, "output length vs cols");
+        out.fill(0);
         for (r, &ar) in a.iter().enumerate() {
             if ar == 0 {
                 continue;
@@ -343,8 +452,9 @@ impl Csr {
     ///
     /// *Addition order.* Rows are walked in ascending order, so each
     /// output element receives its terms in the order
-    /// [`Csr::vecmat_into`] adds them; the only difference is that a zero
-    /// input contributes an explicit `+ 0` instead of being skipped.
+    /// [`Csr::vecmat_scatter_into`] adds them; the only difference is that
+    /// a zero input contributes an explicit `+ 0` instead of being
+    /// skipped.
     ///
     /// *Accumulator width.* Every partial sum of output column `c` over
     /// any prefix of the rows satisfies
@@ -355,7 +465,7 @@ impl Csr {
     /// no partial sum can leave `i32`, so the group accumulates in `i32`
     /// lanes and widens on the way out — the same bits as the `i64` sum.
     /// Any other group accumulates in `i64`, exactly as
-    /// [`Csr::vecmat_into`] does.
+    /// [`Csr::vecmat_scatter_into`] does.
     ///
     /// Mis-sized `frames` or `out` return [`Error::DimensionMismatch`].
     pub fn vecmat_block_into(
@@ -386,8 +496,7 @@ impl Csr {
             let x = &frames[g * rows..(g + G) * rows];
             let o = &mut out[g * cols..(g + G) * cols];
             let max_x = transpose_in(x, rows, &mut xt);
-            let bound = u128::from(self.max_col_abs_sum) * u128::from(max_x);
-            if bound <= i32::MAX as u128 {
+            if self.fits_i32(max_x) {
                 self.run_group(&xt, &mut narrow, o);
                 widths.narrow_groups += 1;
             } else {
@@ -395,11 +504,14 @@ impl Csr {
                 widths.wide_groups += 1;
             }
         }
+        let mut padded = Vec::new();
         for f in full..n {
-            self.vecmat_into(
-                &frames[f * rows..(f + 1) * rows],
-                &mut out[f * cols..(f + 1) * cols],
-            )?;
+            let a = &frames[f * rows..(f + 1) * rows];
+            let o = &mut out[f * cols..(f + 1) * cols];
+            match self.single_into(a, o, &mut padded)? {
+                Single::Gathered => widths.gathered_frames += 1,
+                Single::Scattered => widths.scattered_frames += 1,
+            }
         }
         Ok(widths)
     }
@@ -471,7 +583,7 @@ mod tests {
     use proptest::prelude::*;
     use smm_core::gemv::{matvec, vecmat};
     use smm_core::generate::{element_sparse_matrix, random_vector};
-    use smm_core::rng::seeded;
+    use smm_core::rng::{seeded, Rng};
 
     #[test]
     fn csr_structure_small() {
@@ -599,6 +711,190 @@ mod tests {
         assert_eq!(csr.vecmat(&[1, 1, 1, 1]).unwrap(), vec![0; 4]);
     }
 
+    /// One frame through both single-vector kernels, each into a stale
+    /// buffer: the outputs must be the same bits, and the layout that
+    /// served `vecmat_into` the one the density rule picks.
+    fn assert_gather_matches_scatter(csr: &Csr, a: &[i32]) -> BlockWidths {
+        let mut oracle = vec![-77i64; csr.cols()];
+        csr.vecmat_scatter_into(a, &mut oracle).unwrap();
+        let mut got = vec![77i64; csr.cols()];
+        csr.vecmat_into(a, &mut got).unwrap();
+        assert_eq!(got, oracle, "{csr:?} × {a:?}");
+        // The same frame as a one-frame block, to see which layout ran.
+        got.fill(-1);
+        let ran = csr.vecmat_block_into(a, 1, &mut got).unwrap();
+        assert_eq!(got, oracle);
+        let sparse = 2 * a.iter().filter(|&&x| x != 0).count() < csr.rows();
+        let expect = BlockWidths {
+            leftover_frames: 1,
+            gathered_frames: usize::from(!sparse),
+            scattered_frames: usize::from(sparse),
+            ..BlockWidths::default()
+        };
+        assert_eq!(ran, expect, "{a:?}");
+        ran
+    }
+
+    /// A frame of `len` inputs with exactly `nonzero` of them non-zero,
+    /// in one run (cyclically) from index `first`.
+    fn frame_with_nonzeros(
+        len: usize,
+        nonzero: usize,
+        first: usize,
+        bits: u32,
+        rng: &mut Rng,
+    ) -> Vec<i32> {
+        let mut a = random_vector(len, bits, true, rng).unwrap();
+        for (i, x) in a.iter_mut().enumerate() {
+            if (i + len - first) % len >= nonzero {
+                *x = 0;
+            } else if *x == 0 {
+                *x = -1;
+            }
+        }
+        a
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The gather is the scatter, bit for bit: every `cols mod 4`,
+        /// fewer than four columns, a single row, matrices from empty to
+        /// full, operands on both sides of the `i32` rule, and frames on
+        /// both sides of the density rule — all-zero, one-hot, one short
+        /// of half, exactly half (rounded up), all but one, and full.
+        #[test]
+        fn gather_matches_scatter(
+            seed in any::<u64>(),
+            rows in 1usize..=40,
+            cols in 1usize..=40,
+            sparsity in 0.0f64..=1.0,
+            weight_bits in 2u32..=31,
+            input_bits in 2u32..=31,
+            density in 0usize..6,
+        ) {
+            // 40 products of a `w`-bit weight and an `x`-bit input stay
+            // inside `i64` (no overflow panic in a debug build) while
+            // `w + x ≤ 59`.
+            let input_bits = input_bits.min(59 - weight_bits);
+            let mut rng = seeded(seed);
+            let d = element_sparse_matrix(rows, cols, weight_bits, sparsity, true, &mut rng).unwrap();
+            let csr = Csr::from_dense(&d);
+            let nonzero = [0, 1, (rows - 1) / 2, rows.div_ceil(2), rows - 1, rows][density];
+            let a = frame_with_nonzeros(rows, nonzero, seed as usize % rows, input_bits, &mut rng);
+            assert_gather_matches_scatter(&csr, &a);
+            prop_assert_eq!(csr.vecmat(&a).unwrap(), vecmat(&a, &d).unwrap());
+        }
+
+        #[test]
+        fn mostly_zero_is_the_majority_rule(
+            seed in any::<u64>(),
+            len in 0usize..300,
+            zero_share in 0.0f64..=1.0,
+        ) {
+            let mut rng = seeded(seed);
+            let coins = random_vector(len, 8, false, &mut rng).unwrap();
+            let a: Vec<i32> = coins
+                .iter()
+                .map(|&coin| i32::from(f64::from(coin) >= 256.0 * zero_share))
+                .collect();
+            let nonzero = a.iter().filter(|&&x| x != 0).count();
+            prop_assert_eq!(mostly_zero(&a), 2 * nonzero < len, "{:?}", a);
+        }
+    }
+
+    #[test]
+    fn single_width_boundary_is_exact() {
+        // The matrices and inputs of `block_width_boundary_is_exact`, one
+        // frame at a time: a lane that chose `i32` one step too far would
+        // overflow (a panic in a debug build, wrong bits in release).
+        let at = Csr::from_dense(&IntMatrix::from_vec(2, 1, vec![i32::MAX - 5, 5]).unwrap());
+        let over = Csr::from_dense(&IntMatrix::from_vec(2, 1, vec![i32::MAX - 5, 6]).unwrap());
+        assert!(at.fits_i32(1) && !over.fits_i32(1));
+        for csr in [&at, &over] {
+            let ran = assert_gather_matches_scatter(csr, &[1, 1]);
+            assert_eq!(ran.gathered_frames, 1);
+            assert_gather_matches_scatter(csr, &[-1, -1]);
+        }
+        let unit = Csr::from_dense(&IntMatrix::from_vec(1, 1, vec![1]).unwrap());
+        assert!(unit.fits_i32(i32::MAX.unsigned_abs()) && !unit.fits_i32(i32::MIN.unsigned_abs()));
+        assert_gather_matches_scatter(&unit, &[i32::MAX]);
+        assert_gather_matches_scatter(&unit, &[i32::MIN]);
+        // `i32::MIN` as a weight, against `i32::MIN` as an input.
+        let min = Csr::from_dense(&IntMatrix::from_vec(2, 2, vec![i32::MIN, 1, 1, 0]).unwrap());
+        for a in [[i32::MIN, 1], [1, -1], [0, i32::MIN], [0, 0]] {
+            assert_gather_matches_scatter(&min, &a);
+        }
+    }
+
+    /// Entries the column slices store beyond the non-zeros.
+    fn padding(csr: &Csr) -> usize {
+        csr.slices.as_ref().unwrap().padded_len() - csr.nnz()
+    }
+
+    #[test]
+    fn slice_padding_is_bounded_by_the_longest_column() {
+        // One full column of 80 beside eight columns of two: the full
+        // sort puts the long column with the three next longest, so the
+        // padding is three columns' worth of one slice and no more.
+        let lopsided = IntMatrix::from_fn(80, 9, |r, c| {
+            i32::from(c == 0 || r / 2 == c) * (1 + (r % 5) as i32)
+        })
+        .unwrap();
+        let csr = Csr::from_dense(&lopsided);
+        assert_eq!(csr.nnz(), 80 + 8 * 2);
+        assert!(padding(&csr) <= 3 * 80, "{}", padding(&csr));
+        // 4 lanes × 80 steps, then 4 × 2, then one column of 2 alone.
+        assert_eq!(padding(&csr) + csr.nnz(), 4 * 80 + 4 * 2 + 4 * 2);
+        let a: Vec<i32> = (0..80).map(|r| r % 7 - 3).collect();
+        assert_gather_matches_scatter(&csr, &a);
+
+        // Every column the same length, a multiple of four of them: no
+        // padding at all.
+        let banded = IntMatrix::from_fn(12, 8, |r, c| i32::from((r + c) % 4 == 0) * 3).unwrap();
+        let csr = Csr::from_dense(&banded);
+        assert_eq!(csr.nnz(), 8 * 3);
+        assert_eq!(padding(&csr), 0);
+        assert_gather_matches_scatter(&csr, &[5; 12]);
+
+        // No non-zeros: nothing stored, every output still written.
+        let empty = Csr::from_dense(&IntMatrix::zeros(5, 6).unwrap());
+        assert_eq!(empty.slices.as_ref().unwrap().padded_len(), 0);
+        assert_gather_matches_scatter(&empty, &[9; 5]);
+    }
+
+    #[test]
+    fn every_constructor_derives_the_same_slices() {
+        let mut rng = seeded(45);
+        let d = element_sparse_matrix(30, 25, 8, 0.8, true, &mut rng).unwrap();
+        let csr = Csr::from_dense(&d);
+        assert!(csr.slices.is_some());
+        // The artifact decode path.
+        let decoded = Csr::from_raw_parts(
+            30,
+            25,
+            csr.row_ptr().to_vec(),
+            (0..30).flat_map(|r| csr.row(r).map(|(c, _)| c)).collect(),
+            (0..30).flat_map(|r| csr.row(r).map(|(_, v)| v)).collect(),
+        )
+        .unwrap();
+        assert_eq!(decoded.slices, csr.slices);
+        assert_eq!(Csr::from_coo(&Coo::from_dense(&d)).slices, csr.slices);
+    }
+
+    #[test]
+    fn a_csr_without_slices_serves_through_the_scatter() {
+        let mut rng = seeded(46);
+        let d = element_sparse_matrix(12, 9, 8, 0.5, true, &mut rng).unwrap();
+        let mut csr = Csr::from_dense(&d);
+        csr.slices = None;
+        let a = frame_with_nonzeros(12, 12, 0, 8, &mut rng);
+        let mut out = vec![-77i64; 9];
+        let ran = csr.vecmat_block_into(&a, 1, &mut out).unwrap();
+        assert_eq!(out, vecmat(&a, &d).unwrap());
+        assert_eq!((ran.gathered_frames, ran.scattered_frames), (0, 1));
+    }
+
     /// Runs `n` frames through the blocked kernel into a stale buffer and
     /// holds every row to `vecmat_into` on that frame; returns what ran.
     fn assert_block_matches(csr: &Csr, frames: &[i32], n: usize) -> BlockWidths {
@@ -614,11 +910,13 @@ mod tests {
         assert_eq!(got, expect);
         assert_eq!(ran.narrow_groups + ran.wide_groups, n / G);
         assert_eq!(ran.leftover_frames, n % G);
+        assert_eq!(ran.gathered_frames + ran.scattered_frames, n % G);
         ran
     }
 
-    /// The widths the rule in the rustdoc prescribes, worked out from the
-    /// dense matrix rather than from the kernel's own field.
+    /// What the rules in the rustdoc prescribe — a width per group, a
+    /// layout per leftover frame — worked out from the dense matrix and
+    /// the frames rather than from the kernel's own fields.
     fn expected_widths(d: &IntMatrix, frames: &[i32], n: usize) -> BlockWidths {
         let col_sum =
             |c: usize| -> u128 { d.col(c).iter().map(|w| u128::from(w.unsigned_abs())).sum() };
@@ -627,12 +925,20 @@ mod tests {
             leftover_frames: n % G,
             ..BlockWidths::default()
         };
-        for group in frames[..(n - n % G) * d.rows()].chunks(G * d.rows()) {
+        let (groups, leftovers) = frames.split_at((n - n % G) * d.rows());
+        for group in groups.chunks(G * d.rows()) {
             let max_x = group.iter().map(|x| x.unsigned_abs()).max().unwrap_or(0);
             if bound * u128::from(max_x) <= i32::MAX as u128 {
                 expect.narrow_groups += 1;
             } else {
                 expect.wide_groups += 1;
+            }
+        }
+        for frame in leftovers.chunks(d.rows()) {
+            if 2 * frame.iter().filter(|&&x| x != 0).count() < d.rows() {
+                expect.scattered_frames += 1;
+            } else {
+                expect.gathered_frames += 1;
             }
         }
         expect
@@ -723,6 +1029,8 @@ mod tests {
             narrow_groups: 1,
             wide_groups: 1,
             leftover_frames: 3,
+            gathered_frames: 3,
+            scattered_frames: 0,
         };
         assert_eq!(ran, mixed);
     }

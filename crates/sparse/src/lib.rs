@@ -8,6 +8,10 @@
 //! performance side of those baselines is modelled in `smm-gpu`; this crate
 //! provides the math and the structural statistics that model consumes.
 //!
+//! [`Csr`] is also the serving stack's sparse engine, and keeps two
+//! layouts of the fixed matrix for it: rows for blocks and sparse
+//! frames, column slices for dense frames (see [`csr`]).
+//!
 //! ```
 //! use smm_core::matrix::IntMatrix;
 //! use smm_sparse::csr::Csr;
@@ -23,6 +27,7 @@
 
 pub mod coo;
 pub mod csr;
+mod slices;
 pub mod stats;
 
 pub use coo::Coo;

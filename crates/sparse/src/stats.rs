@@ -1,6 +1,7 @@
 //! Sparse-structure statistics consumed by the baseline performance models.
 
 use crate::csr::Csr;
+use smm_core::matrix::IntMatrix;
 
 /// Shape/statistics summary of a sparse matrix, the inputs to the GPU and
 /// SIGMA latency models.
@@ -25,11 +26,23 @@ pub struct SparsityProfile {
 impl SparsityProfile {
     /// Profiles a CSR matrix.
     pub fn of(csr: &Csr) -> Self {
-        let rows = csr.rows();
-        let lens: Vec<usize> = (0..rows)
-            .map(|r| csr.row_ptr()[r + 1] - csr.row_ptr()[r])
-            .collect();
-        let nnz = csr.nnz();
+        let lens = csr.row_ptr().windows(2).map(|span| span[1] - span[0]);
+        Self::from_row_lens(csr.cols(), lens.collect())
+    }
+
+    /// Profiles a dense matrix: the profile [`SparsityProfile::of`] gives
+    /// its CSR, from one counting pass and without building the CSR.
+    pub fn of_dense(dense: &IntMatrix) -> Self {
+        let lens = dense
+            .as_slice()
+            .chunks_exact(dense.cols())
+            .map(|row| row.iter().filter(|&&v| v != 0).count());
+        Self::from_row_lens(dense.cols(), lens.collect())
+    }
+
+    fn from_row_lens(cols: usize, lens: Vec<usize>) -> Self {
+        let rows = lens.len();
+        let nnz: usize = lens.iter().sum();
         let mean = nnz as f64 / rows as f64;
         let var = lens
             .iter()
@@ -42,11 +55,11 @@ impl SparsityProfile {
         let cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
         Self {
             rows,
-            cols: csr.cols(),
+            cols,
             nnz,
-            element_sparsity: 1.0 - nnz as f64 / (rows * csr.cols()) as f64,
+            element_sparsity: 1.0 - nnz as f64 / (rows * cols) as f64,
             mean_row_len: mean,
-            max_row_len: csr.max_row_len(),
+            max_row_len: lens.into_iter().max().unwrap_or(0),
             row_len_cv: cv,
         }
     }
@@ -55,8 +68,8 @@ impl SparsityProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use smm_core::generate::element_sparse_matrix;
-    use smm_core::matrix::IntMatrix;
     use smm_core::rng::seeded;
 
     #[test]
@@ -86,5 +99,22 @@ mod tests {
         assert_eq!(p.nnz, 0);
         assert_eq!(p.element_sparsity, 1.0);
         assert_eq!(p.row_len_cv, 0.0);
+        assert_eq!(SparsityProfile::of_dense(&d), p);
+    }
+
+    proptest! {
+        /// The dense profile is the CSR profile, field for field, from
+        /// the all-zero matrix (and so empty rows) to the full one.
+        #[test]
+        fn dense_profile_is_the_csr_profile(
+            seed in any::<u64>(),
+            rows in 1usize..24,
+            cols in 1usize..24,
+            sparsity in 0.0f64..=1.0,
+        ) {
+            let mut rng = seeded(seed);
+            let d = element_sparse_matrix(rows, cols, 8, sparsity, true, &mut rng).unwrap();
+            prop_assert_eq!(SparsityProfile::of_dense(&d), SparsityProfile::of(&Csr::from_dense(&d)));
+        }
     }
 }
