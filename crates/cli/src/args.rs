@@ -34,7 +34,7 @@ impl std::error::Error for ParseError {}
 const VALUED: &[&str] = &[
     "seed", "dim", "rows", "cols", "sparsity", "bits", "input-bits", "input", "output",
     "vector", "batch", "module", "policy", "backend", "threads", "repeat", "addr",
-    "clients", "duration", "queue-depth", "cache-capacity", "metrics-addr", "json",
+    "clients", "duration", "queue-depth", "metrics-addr", "json",
     "store-dir", "max-warm", "max-matrices", "root",
 ];
 

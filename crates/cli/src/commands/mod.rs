@@ -383,7 +383,6 @@ pub fn serve(args: &Args, out: &mut impl Write) -> CmdResult {
     let backend: BackendKind = args.get("backend").unwrap_or("csr").parse()?;
     let threads: usize = args.get_or("threads", 0).map_err(|e| e.0)?;
     let queue_depth: usize = args.get_or("queue-depth", 64).map_err(|e| e.0)?;
-    let cache_capacity: usize = args.get_or("cache-capacity", 0).map_err(|e| e.0)?;
     let input_bits: u32 = args.get_or("input-bits", 8).map_err(|e| e.0)?;
     let duration: f64 = args.get_or("duration", 0.0).map_err(|e| e.0)?;
     if duration < 0.0 {
@@ -396,7 +395,6 @@ pub fn serve(args: &Args, out: &mut impl Write) -> CmdResult {
         backend,
         threads,
         queue_depth,
-        cache_capacity,
         input_bits,
         encoding: encoding_of(args)?,
         metrics_addr: args.get("metrics-addr").map(str::to_string),

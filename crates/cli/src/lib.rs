@@ -76,7 +76,6 @@ command-specific:
             --threads N       most shards one batch is cut into for the shared
                               worker pool (default 0 = one per core)
             --queue-depth Q   concurrent compute budget before Busy (default 64)
-            --cache-capacity C  compiled-circuit LRU bound (default 0 = unbounded)
             --duration S      seconds to run, 0 = until killed (default 0)
             --metrics-addr M  also serve Prometheus text on GET M/metrics
                               (default: no metrics listener; port 0 = auto)
@@ -84,7 +83,8 @@ command-specific:
                               artifacts; a restart on the same DIR serves
                               the fleet without recompiling
             --max-matrices N  hot-tier bound (compiled sessions, default 64)
-            --max-warm N      warm-tier bound (decoded matrices, default 256)
+            --max-warm N      warm-tier bound (decoded matrices, default 256);
+                              the two together also bound cached circuits
   loadgen:  --addr A          (default 127.0.0.1:7878)
             --backend auto|dense|csr|bitserial|sigma  requested in
                               LoadMatrix (default: the server's own default)

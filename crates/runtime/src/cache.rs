@@ -70,18 +70,6 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-impl CacheStats {
-    /// Hit fraction in `[0, 1]` (0 when empty).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// One cached circuit plus its LRU bookkeeping.
 #[derive(Debug)]
 struct CacheEntry {
@@ -153,26 +141,13 @@ impl MultiplierCache {
         }
     }
 
-    /// The configured capacity (`None` = unbounded).
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Whether a circuit for `(matrix, input_bits, encoding)` is
-    /// currently resident — a read-only probe (no compile, no LRU touch,
-    /// no counter bump) used by the planner to tell whether serving
-    /// bit-serially would cost a lookup or a compile. Content-verified
-    /// like a hit, so a digest collision reads as absent.
-    pub fn contains(&self, matrix: &IntMatrix, input_bits: u32, encoding: WeightEncoding) -> bool {
-        self.peek(matrix, input_bits, encoding).is_some()
-    }
-
     /// Returns the resident circuit for `(matrix, input_bits, encoding)`
-    /// without compiling — a read-only probe like
-    /// [`MultiplierCache::contains`] (no LRU touch, no counter bump),
-    /// but handing back the circuit itself so the planner can price the
-    /// already-paid compile (e.g. through the CGRA cost model) without
-    /// perturbing the cache's books.
+    /// without compiling — a read-only probe (no LRU touch, no counter
+    /// bump; content-verified like a hit, so a digest collision reads as
+    /// absent) the planner uses to tell whether serving bit-serially
+    /// would cost a lookup or a compile, and to price the already-paid
+    /// compile (e.g. through the CGRA cost model) without perturbing
+    /// the cache's books.
     pub fn peek(
         &self,
         matrix: &IntMatrix,
@@ -276,19 +251,6 @@ impl MultiplierCache {
             evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
-
-    /// Drops every cached circuit (outstanding `Arc`s stay valid) and
-    /// zeroes the counters — hits, misses, and evictions all reset, so
-    /// [`CacheStats::hit_rate`] after a clear reflects post-clear
-    /// traffic only, never a blend with the previous epoch.
-    pub fn clear(&self) {
-        let mut table = lock_or_recover(&self.table);
-        table.entries.clear();
-        table.clock = 0;
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Evicts least-recently-used entries until `entries` fits `cap`,
@@ -329,7 +291,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -376,36 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_after_clear_reflects_only_new_traffic() {
-        // Regression: pre-clear hits must not pollute the post-clear
-        // rate. Build a 100% hit epoch, clear, then take one miss —
-        // the rate must read 0.0, not a blend of the two epochs.
-        let cache = MultiplierCache::new();
-        let v = IntMatrix::identity(4).unwrap();
-        cache.get_or_compile(&v, 4, WeightEncoding::Pn).unwrap();
-        cache.get_or_compile(&v, 4, WeightEncoding::Pn).unwrap();
-        cache.get_or_compile(&v, 4, WeightEncoding::Pn).unwrap();
-        assert!((cache.stats().hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-        cache.clear();
-        assert_eq!(cache.stats().hit_rate(), 0.0);
-        cache.get_or_compile(&v, 4, WeightEncoding::Pn).unwrap();
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 1));
-        assert_eq!(s.hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn clear_resets_but_keeps_outstanding_arcs() {
-        let cache = MultiplierCache::new();
-        let v = IntMatrix::identity(4).unwrap();
-        let kept = cache.get_or_compile(&v, 4, WeightEncoding::Pn).unwrap();
-        cache.clear();
-        assert_eq!(cache.stats(), CacheStats::default());
-        // The circuit is still usable.
-        assert_eq!(kept.mul(&[1, 2, 3, 4]).unwrap(), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
     fn errors_are_not_cached() {
         let cache = MultiplierCache::new();
         let v = IntMatrix::identity(4).unwrap();
@@ -416,7 +347,6 @@ mod tests {
     #[test]
     fn lru_eviction_respects_capacity_and_recency() {
         let cache = MultiplierCache::with_capacity(2);
-        assert_eq!(cache.capacity(), Some(2));
         let matrices: Vec<IntMatrix> = (0..3)
             .map(|i| {
                 let mut rng = seeded(2400 + i);
@@ -472,7 +402,6 @@ mod tests {
     #[test]
     fn zero_capacity_means_unbounded() {
         let cache = MultiplierCache::with_capacity(0);
-        assert_eq!(cache.capacity(), None);
         for i in 0..4 {
             let mut rng = seeded(2600 + i);
             let m = element_sparse_matrix(4, 4, 8, 0.5, true, &mut rng).unwrap();

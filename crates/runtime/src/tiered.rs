@@ -20,15 +20,15 @@
 //! which requires an attached store; without one the registry reports
 //! capacity instead, typed, so callers can tell pressure from failure.
 //!
-//! The promotion/demotion choice is driven by the per-digest request
-//! counters and LRU clock of [`smm_store::TierPolicy`], mirroring the
-//! compiled-multiplier cache's eviction discipline.
+//! The demotion victim is the least-recently-used member of the tier:
+//! every entry carries its own request count and the stamp of a logical
+//! clock that `acquire` and `insert` advance under the fleet lock.
 
 use crate::session::Session;
 use smm_core::error::Result;
 use smm_core::matrix::IntMatrix;
 use smm_telemetry::{get_mut_or_recover, lock_or_recover};
-use smm_store::{Artifact, ArtifactKind, CircuitMeta, Store, Tier, TierCounts, TierPolicy};
+use smm_store::{Artifact, ArtifactKind, CircuitMeta, Store, Tier, TierCounts};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -87,9 +87,21 @@ struct Entry {
     /// copies the elements outside it.
     matrix: Option<Arc<IntMatrix>>,
     on_disk: bool,
+    /// Lookups and installs that found this entry.
+    requests: u64,
+    /// [`Inner::clock`] at the last of them; 0 = never touched, which
+    /// sorts before every touched entry when a tier picks its victim.
+    last_used: u64,
 }
 
 impl Entry {
+    /// Counts one request and stamps the entry most recently used.
+    fn touch(&mut self, clock: &mut u64) {
+        *clock += 1;
+        self.requests += 1;
+        self.last_used = *clock;
+    }
+
     fn tier(&self) -> Tier {
         if self.session.is_some() {
             Tier::Hot
@@ -103,7 +115,8 @@ impl Entry {
 
 struct Inner {
     entries: HashMap<u64, Entry>,
-    policy: TierPolicy,
+    /// Logical LRU clock: one tick per touch, so stamps are unique.
+    clock: u64,
     /// Batches/vectors served by sessions that have since been demoted
     /// — folded in so `Stats` totals never move backwards.
     retired_batches: u64,
@@ -140,7 +153,7 @@ impl TieredRegistry {
             store: None,
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
-                policy: TierPolicy::new(),
+                clock: 0,
                 retired_batches: 0,
                 retired_vectors: 0,
             }),
@@ -188,7 +201,7 @@ impl TieredRegistry {
         let mut rows: Vec<(u64, Tier, u64)> = inner
             .entries
             .iter()
-            .map(|(&d, e)| (d, e.tier(), inner.policy.requests(d)))
+            .map(|(&d, e)| (d, e.tier(), e.requests))
             .collect();
         rows.sort_by_key(|&(d, tier, requests)| (tier, std::cmp::Reverse(requests), d));
         rows
@@ -259,13 +272,12 @@ impl TieredRegistry {
         let warm = {
             let mut inner = lock_or_recover(&self.inner);
             let inner = &mut *inner;
-            let Some(entry) = inner.entries.get(&digest) else {
+            // An unknown digest — they arrive straight off the wire —
+            // leaves no trace: only an entry that exists is stamped.
+            let Some(entry) = inner.entries.get_mut(&digest) else {
                 return Ok(None);
             };
-            // Only a digest with an entry is touched: the policy keeps a
-            // record per digest it has seen, and unknown digests arrive
-            // straight off the wire.
-            inner.policy.touch(digest);
+            entry.touch(&mut inner.clock);
             if let Some(session) = &entry.session {
                 return Ok(Some(Arc::clone(session)));
             }
@@ -284,7 +296,13 @@ impl TieredRegistry {
         };
         let session = build(IntMatrix::clone(&matrix))?;
         let mut inner = lock_or_recover(&self.inner);
-        let entry = inner.entries.entry(digest).or_default();
+        let Some(entry) = inner.entries.get_mut(&digest) else {
+            // Evicted while this promotion was building: the request in
+            // hand is served and the digest stays gone. (Re-creating the
+            // entry here would bring it back memory-only, and a warm
+            // entry that cannot spill stalls the tier's rebalance.)
+            return Ok(Some(Arc::new(session)));
+        };
         if let Some(existing) = &entry.session {
             // A racing promoter won; serve its session.
             return Ok(Some(Arc::clone(existing)));
@@ -324,9 +342,7 @@ impl TieredRegistry {
     }
 
     fn forget(&self, digest: u64) {
-        let mut inner = lock_or_recover(&self.inner);
-        inner.entries.remove(&digest);
-        inner.policy.forget(digest);
+        lock_or_recover(&self.inner).entries.remove(&digest);
     }
 
     /// Installs a freshly built session for `digest`, persisting its
@@ -358,13 +374,14 @@ impl TieredRegistry {
                 loaded: inner.entries.len() as u64,
             };
         }
-        inner.policy.touch(digest);
+        let inner = &mut *inner;
         let session = Arc::new(session);
         let entry = inner.entries.entry(digest).or_default();
+        entry.touch(&mut inner.clock);
         entry.session = Some(Arc::clone(&session));
         entry.matrix = Some(Arc::new(matrix));
         entry.on_disk = entry.on_disk || on_disk;
-        self.rebalance(&mut inner);
+        self.rebalance(inner);
         InsertOutcome::Installed(session)
     }
 
@@ -403,7 +420,6 @@ impl TieredRegistry {
         let removed = {
             let mut inner = lock_or_recover(&self.inner);
             let removed = inner.entries.remove(&digest);
-            inner.policy.forget(digest);
             if let Some(session) = removed.as_ref().and_then(|e| e.session.as_ref()) {
                 inner.retire(session);
             }
@@ -448,40 +464,24 @@ impl TieredRegistry {
     /// Enforces the tier bounds after an install or promotion: LRU hot
     /// sessions demote to warm, LRU warm entries spill to cold.
     fn rebalance(&self, inner: &mut Inner) {
-        loop {
-            let hot: Vec<u64> = inner
-                .entries
-                .iter()
-                .filter(|(_, e)| e.tier() == Tier::Hot)
-                .map(|(&d, _)| d)
-                .collect();
-            if hot.len() <= self.config.max_hot {
-                break;
-            }
-            let Some(victim) = inner.policy.coldest(hot.into_iter()) else {
-                break;
-            };
-            if self.demote_locked(inner, victim).is_none() {
-                break;
-            }
-        }
-        loop {
-            let warm: Vec<u64> = inner
-                .entries
-                .iter()
-                .filter(|(_, e)| e.tier() == Tier::Warm)
-                .map(|(&d, _)| d)
-                .collect();
-            if warm.len() <= self.config.max_warm {
-                break;
-            }
-            let Some(victim) = inner.policy.coldest(warm.into_iter()) else {
-                break;
-            };
-            if self.demote_locked(inner, victim).is_none() {
-                // Warm with no store: nothing can spill; admission
-                // control keeps this bounded instead.
-                break;
+        for (tier, bound) in [(Tier::Hot, self.config.max_hot), (Tier::Warm, self.config.max_warm)] {
+            loop {
+                // One pass: the tier's occupancy and its coldest member.
+                let (mut count, mut coldest) = (0, None::<(u64, u64)>);
+                for (&digest, e) in inner.entries.iter().filter(|(_, e)| e.tier() == tier) {
+                    count += 1;
+                    if coldest.is_none_or(|(_, stamp)| e.last_used < stamp) {
+                        coldest = Some((digest, e.last_used));
+                    }
+                }
+                let Some((victim, _)) = coldest.filter(|_| count > bound) else {
+                    break;
+                };
+                if self.demote_locked(inner, victim).is_none() {
+                    // Warm with no store: nothing can spill; admission
+                    // control keeps this bounded instead.
+                    break;
+                }
             }
         }
     }
@@ -780,21 +780,186 @@ mod tests {
         let m = matrix(4);
         let known = m.digest();
         registry.insert(m.clone(), csr_session(m), None);
-        let requests = |d| lock_or_recover(&registry.inner).policy.requests(d);
-        let before = requests(known);
+        assert_eq!(registry.scan(), vec![(known, Tier::Hot, 1)]);
         // A peer sending frames with made-up digests: each is refused,
-        // and none of them is remembered.
-        let unknown = (0..1000u64).map(|i| 0xdead_0000 + i).filter(|&d| d != known);
-        for d in unknown.clone() {
+        // and none of them is remembered or moves the LRU clock.
+        let clock = || lock_or_recover(&registry.inner).clock;
+        let before = clock();
+        for d in (0..1000u64).map(|i| 0xdead_0000 + i).filter(|&d| d != known) {
             assert!(registry.acquire(d, |_| panic!("unknown digest")).unwrap().is_none());
         }
-        assert!(unknown.clone().all(|d| requests(d) == 0));
-        assert_eq!(registry.scan(), vec![(known, Tier::Hot, before)]);
+        assert_eq!(clock(), before);
+        assert_eq!(registry.scan(), vec![(known, Tier::Hot, 1)]);
         // A known digest still advances by exactly one per acquire.
         for n in 1..=3 {
             registry.acquire(known, |_| panic!("hot hit")).unwrap().unwrap();
-            assert_eq!(requests(known), before + n);
+            assert_eq!(registry.scan(), vec![(known, Tier::Hot, 1 + n)]);
         }
+    }
+
+    #[test]
+    fn coldest_is_lru_not_lfu() {
+        let registry = TieredRegistry::new(TieredConfig { max_hot: 2, max_warm: 8 });
+        let (early, late, newcomer) = (matrix(1), matrix(5), matrix(9));
+        registry.insert(early.clone(), csr_session(early.clone()), None);
+        // `early` is asked for ten times, then `late` arrives and is
+        // asked for once: more requests, but the older stamp.
+        for _ in 0..10 {
+            registry.acquire(early.digest(), |_| panic!("hot hit")).unwrap().unwrap();
+        }
+        registry.insert(late.clone(), csr_session(late.clone()), None);
+        registry.acquire(late.digest(), |_| panic!("hot hit")).unwrap().unwrap();
+        registry.insert(newcomer.clone(), csr_session(newcomer), None);
+        assert_eq!(registry.tier_of(early.digest()), Some(Tier::Warm));
+        assert_eq!(registry.tier_of(late.digest()), Some(Tier::Hot));
+        // Promoting `early` back makes `late` the stalest of three.
+        registry.acquire(early.digest(), |m| Ok(csr_session(m))).unwrap().unwrap();
+        assert_eq!(registry.tier_of(late.digest()), Some(Tier::Warm));
+        let requests = |d| registry.scan().into_iter().find(|r| r.0 == d).unwrap().2;
+        assert_eq!((requests(early.digest()), requests(late.digest())), (12, 2));
+    }
+
+    #[test]
+    fn untouched_digests_are_coldest() {
+        let registry = TieredRegistry::new(TieredConfig { max_hot: 3, max_warm: 8 });
+        let members = [matrix(1), matrix(5), matrix(9)];
+        for m in &members {
+            registry.insert(m.clone(), csr_session(m.clone()), None);
+        }
+        // The newest member, as if no request had ever stamped it (a
+        // digest registered from a store scan starts this way): stamp 0
+        // sorts before the oldest real stamp.
+        let newest = members[2].digest();
+        lock_or_recover(&registry.inner).entries.get_mut(&newest).unwrap().last_used = 0;
+        registry.insert(matrix(13), csr_session(matrix(13)), None);
+        assert_eq!(registry.tier_of(newest), Some(Tier::Warm));
+        assert_eq!(registry.tier_of(members[0].digest()), Some(Tier::Hot));
+    }
+
+    #[test]
+    fn evict_then_reinsert_starts_from_zero_requests() {
+        let registry = TieredRegistry::new(TieredConfig::default());
+        let m = matrix(21);
+        let digest = m.digest();
+        registry.insert(m.clone(), csr_session(m.clone()), None);
+        for _ in 0..4 {
+            registry.acquire(digest, |_| panic!("hot hit")).unwrap().unwrap();
+        }
+        assert_eq!(registry.scan(), vec![(digest, Tier::Hot, 5)]);
+        assert!(registry.evict(digest, false));
+        assert!(registry.scan().is_empty());
+        // Nothing of the old entry is kept anywhere: the re-insert's own
+        // touch is the only request on the books.
+        registry.insert(m.clone(), csr_session(m), None);
+        assert_eq!(registry.scan(), vec![(digest, Tier::Hot, 1)]);
+    }
+
+    #[test]
+    fn a_promotion_that_loses_to_an_evict_does_not_bring_the_digest_back() {
+        let registry = TieredRegistry::new(TieredConfig::default());
+        let m = matrix(23);
+        let digest = m.digest();
+        registry.insert(m.clone(), csr_session(m), None);
+        registry.demote(digest);
+        // The evict lands between the lookup and the install (the build
+        // runs outside the fleet lock, so it can be forced from there).
+        let session = registry
+            .acquire(digest, |loaded| {
+                assert!(registry.evict(digest, false));
+                Ok(csr_session(loaded))
+            })
+            .unwrap()
+            .expect("the request in hand is still served");
+        assert_eq!(session.run(&[1, 0]).unwrap(), vec![23, 0]);
+        assert_eq!(registry.tier_of(digest), None);
+        assert_eq!(registry.snapshot().promotions, 0);
+    }
+
+    /// Seeded stress of the one-map bookkeeping: four threads mix
+    /// `acquire` / `insert` / `demote` / `evict` over twelve digests on a
+    /// 2-hot / 3-warm store-backed registry. Each digest has one owner
+    /// thread (the only one to insert or evict it, so the owner knows
+    /// whether it should be resident at the end); every thread acquires
+    /// and demotes every digest.
+    #[test]
+    fn concurrent_acquire_insert_demote_evict_keep_the_books_straight() {
+        use std::time::{Duration, Instant};
+        const THREADS: usize = 4;
+        const DIGESTS: usize = 12;
+        const OPS: usize = 1500;
+        const PROBE: [i32; 2] = [1, 2];
+        // A session, however it was come by, computes its own matrix.
+        fn check(m: &IntMatrix, session: &Session) {
+            let expect = smm_core::gemv::vecmat(&PROBE, m).unwrap();
+            assert_eq!(session.run(&PROBE).unwrap(), expect, "served by another matrix");
+        }
+        let store = temp_store();
+        let dir = store.dir().to_path_buf();
+        let config = TieredConfig { max_hot: 2, max_warm: 3 };
+        let registry = Arc::new(TieredRegistry::with_store(config, store).unwrap());
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        // Plain threads, not a scope: a scope would wait for a hung one.
+        let threads: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (registry, done) = (Arc::clone(&registry), done_tx.clone());
+                std::thread::spawn(move || {
+                    let mut rng = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t as u64 + 1);
+                    let mut owned_resident = [false; DIGESTS];
+                    for _ in 0..OPS {
+                        rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        let (k, op) = ((rng >> 33) as usize % DIGESTS, (rng >> 20) % 8);
+                        let (m, owned) = (matrix(3 * k as i32 + 1), k % THREADS == t);
+                        let digest = m.digest();
+                        match op {
+                            5 if owned => match registry.insert(m.clone(), csr_session(m.clone()), None) {
+                                InsertOutcome::Installed(s) | InsertOutcome::AlreadyLoaded(s) => {
+                                    check(&m, &s);
+                                    owned_resident[k] = true;
+                                }
+                                InsertOutcome::Capacity { .. } => panic!("a store-backed fleet is never full"),
+                            },
+                            // The files stay: deleting them under a cold
+                            // read is the disk-fault path, tested above.
+                            6 if owned => {
+                                registry.evict(digest, false);
+                                owned_resident[k] = false;
+                            }
+                            7 => drop(registry.demote(digest)),
+                            _ => {
+                                if let Some(s) = registry.acquire(digest, |v| Ok(csr_session(v))).unwrap() {
+                                    check(&m, &s);
+                                }
+                            }
+                        }
+                        // An explicit demote moves an entry down without
+                        // rebalancing, so warm may run over by what hot
+                        // gave up — never the two together.
+                        let counts = registry.tier_counts();
+                        assert!(counts.hot <= 2 && counts.hot + counts.warm <= 5, "{counts:?}");
+                    }
+                    done.send(owned_resident.iter().filter(|&&r| r).count()).unwrap();
+                })
+            })
+            .collect();
+        // No call may hang: every thread reports within the deadline (a
+        // panicked one drops its sender, so the wait ends early).
+        drop(done_tx);
+        let deadline = Instant::now() + Duration::from_secs(120);
+        let resident: usize = (0..THREADS)
+            .map(|_| {
+                let left = deadline.saturating_duration_since(Instant::now());
+                done_rx.recv_timeout(left).expect("a stress thread hung or panicked")
+            })
+            .sum();
+        for thread in threads {
+            thread.join().unwrap();
+        }
+        // Quiescent. One more install rebalances after the last demote.
+        registry.insert(matrix(100), csr_session(matrix(100)), None);
+        let counts = registry.tier_counts();
+        assert!(counts.hot <= 2 && counts.warm <= 3, "{counts:?}");
+        assert_eq!(counts.total(), resident as u64 + 1, "{counts:?}");
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

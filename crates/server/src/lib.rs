@@ -16,14 +16,14 @@
 //!   [`ServerConfig::store_dir`] store — a restarted server reloads its
 //!   fleet without recompiling), a bounded [`AdmissionQueue`] that
 //!   answers `Busy` instead of buffering under overload, per-matrix
-//!   sessions over a shared [`smm_runtime::MultiplierCache`] and the
-//!   process's one worker pool, and graceful shutdown with
-//!   connection drain;
-//! * [`metrics`] — the server's metric wiring on the shared
-//!   `smm-telemetry` spine: every counter, gauge, and latency histogram
-//!   registered by name, per-stage request spans (decode → queue → plan
-//!   → compute → encode) behind the `Stats` opcode, and a hand-rolled
-//!   Prometheus `/metrics` endpoint on [`ServerConfig::metrics_addr`];
+//!   sessions over a shared [`smm_runtime::MultiplierCache`] (bounded
+//!   by the same two tier sizes) and the process's one worker pool, and
+//!   graceful shutdown with connection drain;
+//! * [`metrics`] — the five counters the hot path writes, the per-stage
+//!   request spans (decode → queue → plan → compute → encode), and the
+//!   Prometheus text served on [`ServerConfig::metrics_addr`], rendered
+//!   by one function from the same [`StatsSnapshot`] the `Stats` opcode
+//!   returns;
 //! * [`client`] — the blocking [`Client`] used by tests, examples, and
 //!   the load generator;
 //! * [`loadgen`] — a multi-client load generator that verifies every

@@ -1,206 +1,219 @@
-//! Server metrics, assembled on the shared `smm-telemetry` spine.
+//! The server's hot-path metrics and its Prometheus exposition.
 //!
-//! The log-bucket [`LatencyHistogram`] lives in `smm-telemetry` (one
-//! implementation for the server, the runtime sessions and the load
-//! generator) and is re-exported for existing callers. What lives here
-//! is the server's own metric *wiring*: every counter, gauge, and
-//! histogram the server maintains is registered by name in a
-//! [`MetricsRegistry`] at construction, so the `--metrics-addr`
-//! listener can render the whole set as a Prometheus exposition while
-//! the hot path keeps touching nothing but relaxed atomics through the
-//! returned handles.
+//! [`ServerMetrics`] holds only what the serving hot path writes: five
+//! relaxed-atomic counters and the per-stage [`SpanRecorder`]. Every
+//! other exported number — fleet occupancy, cache and store counters,
+//! vectors served — has its owner elsewhere, and [`StatsSnapshot`] reads
+//! them all in one place. [`render`] is a pure function of that
+//! snapshot, so the wire `Stats` opcode, `smm stats` and `GET /metrics`
+//! cannot disagree: there is no second copy to fall behind.
 
 pub use smm_telemetry::LatencyHistogram;
 
-use smm_telemetry::{Counter, Gauge, MetricsRegistry, SpanRecorder, Stage};
-use std::sync::Arc;
+use self::Samples::{Counter, Gauge};
+use crate::protocol::StatsSnapshot;
+use smm_telemetry::{SpanRecorder, Stage};
+use std::fmt::Write;
+use std::sync::atomic::AtomicU64;
 
-/// The server's metric set: named handles into one [`MetricsRegistry`].
-///
-/// Counter/histogram fields are written by the serving hot path; the
-/// gauge fields are *scrape-time* values that [`crate::server`] refreshes
-/// from its own state (registry size, cache counters) just before
-/// rendering an exposition, so the hot path never maintains them.
-#[derive(Debug)]
+/// What the serving hot path counts, one relaxed atomic per touch.
+#[derive(Debug, Default)]
 pub struct ServerMetrics {
-    /// The registry behind every field, walked by the exposition.
-    pub registry: MetricsRegistry,
     /// Frames decoded into requests.
-    pub requests: Arc<Counter>,
+    pub requests: AtomicU64,
     /// Compute requests refused with `Busy`.
-    pub rejected: Arc<Counter>,
+    pub rejected: AtomicU64,
     /// Requests answered with an error status.
-    pub errors: Arc<Counter>,
+    pub errors: AtomicU64,
     /// Bytes read off the wire.
-    pub bytes_in: Arc<Counter>,
+    pub bytes_in: AtomicU64,
     /// Bytes written to the wire.
-    pub bytes_out: Arc<Counter>,
-    /// Per-compute-request end-to-end latencies.
-    pub latency: Arc<LatencyHistogram>,
+    pub bytes_out: AtomicU64,
     /// Per-stage pipeline latencies (decode → … → encode), shared with
     /// every connection's request span and every session.
     pub stages: SpanRecorder,
-    /// Scrape-time gauge: open client connections.
-    pub connections: Arc<Gauge>,
-    /// Scrape-time gauge: matrices resident in the session registry.
-    pub matrices: Arc<Gauge>,
-    /// Scrape-time gauge: vectors served (batch + single products).
-    pub vectors: Arc<Gauge>,
-    /// Scrape-time gauge: compile-cache hits.
-    pub cache_hits: Arc<Gauge>,
-    /// Scrape-time gauge: compile-cache misses (compiles).
-    pub cache_misses: Arc<Gauge>,
-    /// Scrape-time gauges: digests resident per tier, in
-    /// hot/warm/cold order.
-    pub tier_resident: [Arc<Gauge>; 3],
-    /// Warm/cold entries promoted back to a hotter tier (scrape-time
-    /// catch-up from the registry's own counter).
-    pub store_promotions: Arc<Counter>,
-    /// Entries demoted to a colder tier under pressure (scrape-time
-    /// catch-up from the registry's own counter).
-    pub store_demotions: Arc<Counter>,
-    /// Requests answered from the on-disk store instead of a fresh
-    /// compile (scrape-time catch-up from the registry's own counter).
-    pub store_hits: Arc<Counter>,
 }
 
-impl ServerMetrics {
-    /// Zeroed metrics, fully registered.
-    pub fn new() -> Self {
-        let registry = MetricsRegistry::new();
-        let requests = registry.counter("smm_requests_total", "Frames decoded into requests.");
-        let rejected =
-            registry.counter("smm_rejected_total", "Compute requests refused with Busy.");
-        let errors =
-            registry.counter("smm_errors_total", "Requests answered with an error status.");
-        let bytes_in = registry.counter("smm_bytes_in_total", "Bytes read off the wire.");
-        let bytes_out = registry.counter("smm_bytes_out_total", "Bytes written to the wire.");
-        let latency = registry.histogram(
-            "smm_request_latency_ns",
-            "End-to-end compute request latency.",
-        );
-        let stages = SpanRecorder::new();
-        for stage in Stage::ALL {
-            registry.register_histogram(
-                &format!("smm_stage_latency_ns{{stage=\"{}\"}}", stage.name()),
-                "Per-stage request latency (decode, queue, plan, shard, reassemble, compute, encode).",
-                Arc::clone(stages.histogram(stage)),
-            );
-        }
-        let connections = registry.gauge("smm_connections", "Open client connections.");
-        let matrices =
-            registry.gauge("smm_matrices_loaded", "Matrices resident in the registry.");
-        let vectors = registry.gauge("smm_vectors_served", "Vectors served so far.");
-        let cache_hits = registry.gauge("smm_cache_hits", "Compile-cache hits so far.");
-        let cache_misses =
-            registry.gauge("smm_cache_misses", "Compile-cache misses (compiles) so far.");
-        let tier_resident = ["hot", "warm", "cold"].map(|tier| {
-            registry.gauge(
-                &format!("smm_store_tier_resident{{tier=\"{tier}\"}}"),
-                "Matrix digests resident per fleet tier.",
-            )
-        });
-        let store_promotions = registry.counter(
-            "smm_store_promotions_total",
-            "Fleet entries promoted back to a hotter tier.",
-        );
-        let store_demotions = registry.counter(
-            "smm_store_demotions_total",
-            "Fleet entries demoted to a colder tier under pressure.",
-        );
-        let store_hits = registry.counter(
-            "smm_store_hits_total",
-            "Requests answered from the on-disk store instead of a fresh compile.",
-        );
-        Self {
-            registry,
-            requests,
-            rejected,
-            errors,
-            bytes_in,
-            bytes_out,
-            latency,
-            stages,
-            connections,
-            matrices,
-            vectors,
-            cache_hits,
-            cache_misses,
-            tier_resident,
-            store_promotions,
-            store_demotions,
-            store_hits,
-        }
-    }
+/// Where one metric family's samples come from.
+enum Samples {
+    /// One sample read off the snapshot (or the open-connection count).
+    Counter(fn(&StatsSnapshot, u64) -> u64),
+    /// As `Counter`, typed `gauge` — the monotone ones included, which
+    /// were first exported that way; retyping them breaks dashboards.
+    Gauge(fn(&StatsSnapshot, u64) -> u64),
+    /// One gauge per fleet tier, `tier` labels in sorted order.
+    Tiers,
+    /// The compute stage's histogram, unlabelled: a request's latency is
+    /// the interval its session times as [`Stage::Compute`].
+    RequestLatency,
+    /// One summary per stage, `stage` labels in sorted order.
+    StageLatency,
 }
 
-impl Default for ServerMetrics {
-    fn default() -> Self {
-        Self::new()
+/// Every exported family — name, HELP text, samples — in exposition
+/// (byte-sorted) order. Dashboards address these names; none changes.
+const FAMILIES: [(&str, &str, Samples); 16] = [
+    ("smm_bytes_in_total", "Bytes read off the wire.", Counter(|s, _| s.bytes_in)),
+    ("smm_bytes_out_total", "Bytes written to the wire.", Counter(|s, _| s.bytes_out)),
+    ("smm_cache_hits", "Compile-cache hits so far.", Gauge(|s, _| s.cache_hits)),
+    ("smm_cache_misses", "Compile-cache misses (compiles) so far.", Gauge(|s, _| s.cache_misses)),
+    ("smm_connections", "Open client connections.", Gauge(|_, open| open)),
+    ("smm_errors_total", "Requests answered with an error status.", Counter(|s, _| s.errors)),
+    ("smm_matrices_loaded", "Matrices resident in the registry.", Gauge(|s, _| s.matrices)),
+    ("smm_rejected_total", "Compute requests refused with Busy.", Counter(|s, _| s.rejected)),
+    ("smm_request_latency_ns", "End-to-end compute request latency.", Samples::RequestLatency),
+    ("smm_requests_total", "Frames decoded into requests.", Counter(|s, _| s.requests)),
+    (
+        "smm_stage_latency_ns",
+        "Per-stage request latency (decode, queue, plan, shard, reassemble, compute, encode).",
+        Samples::StageLatency,
+    ),
+    (
+        "smm_store_demotions_total",
+        "Fleet entries demoted to a colder tier under pressure.",
+        Counter(|s, _| s.store_demotions),
+    ),
+    (
+        "smm_store_hits_total",
+        "Requests answered from the on-disk store instead of a fresh compile.",
+        Counter(|s, _| s.store_hits),
+    ),
+    (
+        "smm_store_promotions_total",
+        "Fleet entries promoted back to a hotter tier.",
+        Counter(|s, _| s.store_promotions),
+    ),
+    ("smm_store_tier_resident", "Matrix digests resident per fleet tier.", Samples::Tiers),
+    ("smm_vectors_served", "Vectors served so far.", Gauge(|s, _| s.vectors)),
+];
+
+/// Renders the Prometheus text exposition of one [`StatsSnapshot`].
+/// Histograms render as constant-size *summaries*; their p90 is not in
+/// the snapshot, so quantiles are read straight off the stage histograms.
+pub fn render(stats: &StatsSnapshot, open_connections: u64, metrics: &ServerMetrics) -> String {
+    let mut out = String::new();
+    // Writing into a `String` cannot fail, hence the discarded results.
+    for (name, help, samples) in &FAMILIES {
+        let kind = match samples {
+            Counter(_) => "counter",
+            Gauge(_) | Samples::Tiers => "gauge",
+            Samples::RequestLatency | Samples::StageLatency => "summary",
+        };
+        let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+        match samples {
+            Counter(read) | Gauge(read) => {
+                let _ = writeln!(out, "{name} {}", read(stats, open_connections));
+            }
+            Samples::Tiers => {
+                let resident = [stats.tier_cold, stats.tier_hot, stats.tier_warm];
+                for (tier, resident) in ["cold", "hot", "warm"].iter().zip(resident) {
+                    let _ = writeln!(out, "{name}{{tier=\"{tier}\"}} {resident}");
+                }
+            }
+            Samples::RequestLatency => {
+                summary(&mut out, name, "", metrics.stages.histogram(Stage::Compute));
+            }
+            Samples::StageLatency => {
+                let mut stages = Stage::ALL;
+                stages.sort_by_key(|stage| stage.name());
+                for stage in stages {
+                    let label = format!("stage=\"{}\"", stage.name());
+                    summary(&mut out, name, &label, metrics.stages.histogram(stage));
+                }
+            }
+        }
     }
+    out
+}
+
+/// One summary series: p50/p90/p99 (0 while empty) and `_count`, with
+/// `quantile` merged after the series' own `label`, if it has one.
+fn summary(out: &mut String, name: &str, label: &str, hist: &LatencyHistogram) {
+    let (comma, count_labels) = match label {
+        "" => ("", String::new()),
+        _ => (",", format!("{{{label}}}")),
+    };
+    for (q, quantile) in [(0.50, "0.5"), (0.90, "0.9"), (0.99, "0.99")] {
+        let ns = hist.quantile_ns(q);
+        let _ = writeln!(out, "{name}{{{label}{comma}quantile=\"{quantile}\"}} {ns}");
+    }
+    let _ = writeln!(out, "{name}_count{count_labels} {}", hist.count());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
     use std::time::Duration;
 
     #[test]
-    fn hot_path_handles_feed_the_registry() {
-        let m = ServerMetrics::new();
-        m.requests.add(3);
-        m.rejected.inc();
-        m.latency.record(Duration::from_micros(3));
-        m.stages.record(Stage::Decode, Duration::from_micros(1));
-        let text = smm_telemetry::prometheus::render(&m.registry);
-        assert!(text.contains("smm_requests_total 3"), "{text}");
-        assert!(text.contains("smm_rejected_total 1"), "{text}");
-        assert!(
-            text.contains("smm_request_latency_ns{quantile=\"0.5\"} 3072"),
-            "{text}"
-        );
-        assert!(
-            text.contains("smm_stage_latency_ns_count{stage=\"decode\"} 1"),
-            "{text}"
-        );
+    fn family_names_share_the_namespace_and_never_repeat() {
+        // What the retired `metrics-naming` tidy rule enforced over
+        // registration call sites, checked on the table itself.
+        let names: Vec<&str> = FAMILIES.iter().map(|&(name, ..)| name).collect();
+        assert!(names.iter().all(|n| n.starts_with("smm_")), "{names:?}");
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "sorted, so unique: {names:?}");
+    }
+
+    fn assert_has_lines(text: &str, lines: &[&str]) {
+        for line in lines {
+            assert!(text.lines().any(|l| l == *line), "missing `{line}` in:\n{text}");
+        }
+    }
+
+    #[test]
+    fn snapshot_counters_and_stage_histograms_feed_the_text() {
+        let metrics = ServerMetrics::default();
+        metrics.rejected.fetch_add(1, Ordering::Relaxed);
+        metrics.stages.record(Stage::Decode, Duration::from_micros(1));
+        metrics.stages.record(Stage::Compute, Duration::from_micros(3));
+        let stats = StatsSnapshot { requests: 3, ..StatsSnapshot::default() };
+        let text = render(&stats, 7, &metrics);
+        let expected = [
+            // The snapshot is the source, not the hot-path atomics.
+            "smm_requests_total 3",
+            "smm_rejected_total 0",
+            "smm_connections 7",
+            // 3 µs lands in [2048, 4096): midpoint 3072.
+            "smm_request_latency_ns{quantile=\"0.5\"} 3072",
+            "smm_request_latency_ns_count 1",
+            "smm_stage_latency_ns{stage=\"compute\",quantile=\"0.99\"} 3072",
+            "smm_stage_latency_ns_count{stage=\"decode\"} 1",
+            "smm_stage_latency_ns{stage=\"encode\",quantile=\"0.9\"} 0",
+        ];
+        assert_has_lines(&text, &expected);
     }
 
     #[test]
     fn tier_gauges_and_store_counters_render() {
-        let m = ServerMetrics::new();
-        m.tier_resident[0].set(2);
-        m.tier_resident[2].set(9);
-        m.store_promotions.add(4);
-        m.store_hits.inc();
-        let text = smm_telemetry::prometheus::render(&m.registry);
-        assert!(
-            text.contains("smm_store_tier_resident{tier=\"hot\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("smm_store_tier_resident{tier=\"warm\"} 0"),
-            "{text}"
-        );
-        assert!(
-            text.contains("smm_store_tier_resident{tier=\"cold\"} 9"),
-            "{text}"
-        );
-        assert!(text.contains("smm_store_promotions_total 4"), "{text}");
-        assert!(text.contains("smm_store_demotions_total 0"), "{text}");
-        assert!(text.contains("smm_store_hits_total 1"), "{text}");
+        let stats = StatsSnapshot {
+            tier_hot: 2,
+            tier_cold: 9,
+            store_promotions: 4,
+            store_hits: 1,
+            ..StatsSnapshot::default()
+        };
+        let text = render(&stats, 0, &ServerMetrics::default());
+        let expected = [
+            "smm_store_tier_resident{tier=\"hot\"} 2",
+            "smm_store_tier_resident{tier=\"warm\"} 0",
+            "smm_store_tier_resident{tier=\"cold\"} 9",
+            "smm_store_promotions_total 4",
+            "smm_store_demotions_total 0",
+            "smm_store_hits_total 1",
+        ];
+        assert_has_lines(&text, &expected);
     }
 
     #[test]
     fn every_stage_is_registered() {
-        let m = ServerMetrics::new();
-        let text = smm_telemetry::prometheus::render(&m.registry);
+        let text = render(&StatsSnapshot::default(), 0, &ServerMetrics::default());
         for stage in Stage::ALL {
-            assert!(
-                text.contains(&format!("stage=\"{}\"", stage.name())),
-                "missing {}: {text}",
-                stage.name()
-            );
+            let count = format!("smm_stage_latency_ns_count{{stage=\"{}\"}} 0", stage.name());
+            assert_has_lines(&text, &[&count]);
         }
+        // Seven labelled series, one HELP/TYPE header.
+        assert_eq!(text.matches("# TYPE smm_stage_latency_ns summary").count(), 1);
     }
 
     #[test]

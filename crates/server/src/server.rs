@@ -17,7 +17,7 @@
 //! always answered before its connection drains — a request accepted is
 //! a request served.
 
-use crate::metrics::ServerMetrics;
+use crate::metrics::{self, ServerMetrics};
 use crate::protocol::{
     read_frame_idle_abort, write_frame, BackendKind, FrameError, LoadedInfo, Opcode, Reply,
     Request, StatsSnapshot, STATUS_CAPACITY, STATUS_ERROR, VERSION,
@@ -30,13 +30,13 @@ use smm_runtime::{
     PlanPolicy, Session, TieredConfig, TieredRegistry,
 };
 use smm_store::Store;
-use smm_telemetry::{prometheus, Counter, Span, Stage};
+use smm_telemetry::{Span, Stage};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Server configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,8 +52,6 @@ pub struct ServerConfig {
     /// Admission budget: compute requests allowed in flight at once
     /// before the server answers `Busy`. Minimum 1.
     pub queue_depth: usize,
-    /// LRU capacity of the compiled-multiplier cache (0 = unbounded).
-    pub cache_capacity: usize,
     /// Hot-tier bound: sessions (plan + compiled engine) resident at
     /// once. Pressure past the bound demotes the
     /// least-recently-used session to the warm tier instead of
@@ -88,7 +86,6 @@ impl Default for ServerConfig {
             backend: BackendKind::default(),
             threads: 0,
             queue_depth: 64,
-            cache_capacity: 0,
             max_matrices: 64,
             max_warm: 256,
             input_bits: 8,
@@ -163,7 +160,13 @@ struct Shared {
     /// The tiered matrix fleet: hot sessions, warm matrices, cold
     /// artifact bytes in the optional store.
     registry: TieredRegistry,
-    /// One compiled-multiplier cache shared by every session.
+    /// One compiled-multiplier cache shared by every session, bounded to
+    /// as many circuits as the in-memory tiers hold matrices
+    /// (`max_matrices + max_warm`), so the tier bounds bound bit-serial
+    /// memory too. A hot session keeps its own `Arc`, so an LRU miss
+    /// costs a warm promotion the one compile the tier docs promise.
+    /// Interim: ROADMAP "Collapse the surface" (d) folds the cache into
+    /// the fleet entry, and this second residency bound goes with it.
     cache: Arc<MultiplierCache>,
     /// Engine factories every session resolves through.
     engines: Arc<EngineRegistry>,
@@ -184,12 +187,17 @@ impl Shared {
         let (batches, vectors) = self.registry.served_totals();
         let fleet = self.registry.snapshot();
         let cache = self.cache.stats();
+        let stages = self.metrics.stages.stage_stats();
+        // A compute request's latency is the interval the session times
+        // as the compute stage; one clock serves both.
+        let compute = stages[Stage::Compute.idx()];
+        let counter = |c: &AtomicU64| c.load(Ordering::Relaxed);
         StatsSnapshot {
-            requests: self.metrics.requests.get(),
-            rejected: self.metrics.rejected.get(),
-            errors: self.metrics.errors.get(),
-            bytes_in: self.metrics.bytes_in.get(),
-            bytes_out: self.metrics.bytes_out.get(),
+            requests: counter(&self.metrics.requests),
+            rejected: counter(&self.metrics.rejected),
+            errors: counter(&self.metrics.errors),
+            bytes_in: counter(&self.metrics.bytes_in),
+            bytes_out: counter(&self.metrics.bytes_out),
             vectors,
             batches,
             matrices: fleet.counts.total(),
@@ -197,10 +205,10 @@ impl Shared {
             cache_misses: cache.misses,
             cache_entries: cache.entries as u64,
             cache_evictions: cache.evictions,
-            latency_count: self.metrics.latency.count(),
-            p50_latency_ns: self.metrics.latency.quantile_ns(0.50),
-            p99_latency_ns: self.metrics.latency.quantile_ns(0.99),
-            stages: self.metrics.stages.stage_stats(),
+            latency_count: compute.count,
+            p50_latency_ns: compute.p50_ns,
+            p99_latency_ns: compute.p99_ns,
+            stages,
             tier_hot: fleet.counts.hot,
             tier_warm: fleet.counts.warm,
             tier_cold: fleet.counts.cold,
@@ -210,30 +218,11 @@ impl Shared {
         }
     }
 
-    /// Renders the Prometheus exposition, refreshing the scrape-time
-    /// gauges from the same snapshot the wire `Stats` opcode serves.
+    /// The Prometheus exposition of the same snapshot the wire `Stats`
+    /// opcode serves.
     fn render_metrics(&self) -> String {
-        let stats = self.stats();
-        self.metrics
-            .connections
-            .set(self.open_connections.load(Ordering::Relaxed));
-        self.metrics.matrices.set(stats.matrices);
-        self.metrics.vectors.set(stats.vectors);
-        self.metrics.cache_hits.set(stats.cache_hits);
-        self.metrics.cache_misses.set(stats.cache_misses);
-        self.metrics.tier_resident[0].set(stats.tier_hot);
-        self.metrics.tier_resident[1].set(stats.tier_warm);
-        self.metrics.tier_resident[2].set(stats.tier_cold);
-        // The registry owns the authoritative transition counters;
-        // catch the exposition's monotone counters up to them (scrapes
-        // are serialized on the metrics thread).
-        let catch_up = |counter: &Counter, total: u64| {
-            counter.add(total.saturating_sub(counter.get()));
-        };
-        catch_up(&self.metrics.store_promotions, stats.store_promotions);
-        catch_up(&self.metrics.store_demotions, stats.store_demotions);
-        catch_up(&self.metrics.store_hits, stats.store_hits);
-        prometheus::render(&self.metrics.registry)
+        let open = self.open_connections.load(Ordering::Relaxed);
+        metrics::render(&self.stats(), open, &self.metrics)
     }
 
     /// The plan policy for one load: the request's backend choice when
@@ -369,7 +358,7 @@ impl Shared {
         // one-atomic admission check, and a `Busy` reply never touches
         // the registry lock.
         let Some(_permit) = self.admission.try_enter() else {
-            self.metrics.rejected.inc();
+            self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
             return Reply::Busy;
         };
         span.mark(Stage::Queue);
@@ -389,13 +378,7 @@ impl Shared {
         span.mark(Stage::Plan);
         // The compute stages (shard / reassemble / compute) are stamped
         // inside the session, which shares this span's recorder.
-        let start = Instant::now();
-        let reply = match compute(&session) {
-            Ok(reply) => reply,
-            Err(e) => return Reply::Error(format!("computing: {e}")),
-        };
-        self.metrics.latency.record(start.elapsed());
-        reply
+        compute(&session).unwrap_or_else(|e| Reply::Error(format!("computing: {e}")))
     }
 }
 
@@ -492,13 +475,16 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle> {
         }
         None => TieredRegistry::new(tiers),
     };
+    // As many circuits as the in-memory tiers hold matrices (the
+    // registry raises a hot bound of 0 to 1 the same way).
+    let circuits = tiers.max_hot.max(1).saturating_add(tiers.max_warm);
     let shared = Arc::new(Shared {
-        cache: Arc::new(MultiplierCache::with_capacity(config.cache_capacity)),
+        cache: Arc::new(MultiplierCache::with_capacity(circuits)),
         engines: Arc::new(EngineRegistry::builtin()),
         admission: AdmissionQueue::new(config.queue_depth),
         config,
         registry,
-        metrics: ServerMetrics::new(),
+        metrics: ServerMetrics::default(),
         shutdown: AtomicBool::new(false),
         connections: AtomicU64::new(0),
         open_connections: AtomicU64::new(0),
@@ -674,11 +660,9 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
                 return;
             }
         };
-        shared
-            .metrics
-            .bytes_in
-            .add((crate::protocol::HEADER_LEN + frame.payload.len()) as u64);
-        shared.metrics.requests.inc();
+        let frame_len = (crate::protocol::HEADER_LEN + frame.payload.len()) as u64;
+        shared.metrics.bytes_in.fetch_add(frame_len, Ordering::Relaxed);
+        shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
         // The span clock starts once the frame is fully off the wire —
         // blocking read time is client idle time, not pipeline latency.
         let mut span = shared.metrics.stages.span();
@@ -709,12 +693,12 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
             Some(&STATUS_ERROR) | Some(&STATUS_CAPACITY)
         ) {
             // Capacity refusals count as errors.
-            shared.metrics.errors.inc();
+            shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
         }
         match write_frame(&mut stream, VERSION, frame.opcode, frame.request_id, &payload) {
             Ok(n) => {
                 span.mark(Stage::Encode);
-                shared.metrics.bytes_out.add(n);
+                shared.metrics.bytes_out.fetch_add(n, Ordering::Relaxed);
             }
             Err(_) => return,
         }
@@ -788,7 +772,7 @@ mod tests {
                 ..ServerConfig::default()
             },
             registry: TieredRegistry::new(TieredConfig::default()),
-            metrics: ServerMetrics::new(),
+            metrics: ServerMetrics::default(),
             shutdown: AtomicBool::new(false),
             connections: AtomicU64::new(0),
             open_connections: AtomicU64::new(0),

@@ -146,7 +146,6 @@ fn bitserial_backend_serves_through_the_shared_cache() {
     let server = smm_server::start(ServerConfig {
         backend: BackendKind::BitSerial,
         threads: 2,
-        cache_capacity: 8,
         ..ServerConfig::default()
     })
     .unwrap();

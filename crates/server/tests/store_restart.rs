@@ -8,7 +8,7 @@
 use smm_core::generate::{element_sparse_matrix, random_vector};
 use smm_core::gemv::vecmat;
 use smm_core::rng::seeded;
-use smm_server::{Client, ServerConfig};
+use smm_server::{BackendKind, Client, ServerConfig};
 use smm_sparse::Csr;
 use smm_store::{Artifact, ArtifactKind, Store};
 use std::path::PathBuf;
@@ -194,6 +194,46 @@ fn pressure_spills_to_the_store_instead_of_refusing() {
             vecmat(&a, m).unwrap()
         );
     }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_tier_bounds_also_bound_resident_bit_serial_circuits() {
+    // The circuit cache keeps, beside each compiled circuit, a copy of
+    // the matrix it was compiled from. Sized apart from the tiers (and
+    // unbounded by default) it kept all eight of these after six had
+    // been demoted, so `max_matrices`/`max_warm` bounded nothing for
+    // the bit-serial engine.
+    let dir = temp_store_dir("circuits");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut rng = seeded(6004);
+    let server = smm_server::start(ServerConfig {
+        backend: BackendKind::BitSerial,
+        max_matrices: 2,
+        max_warm: 2,
+        ..config(&dir)
+    })
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mats: Vec<_> = (0..8)
+        .map(|_| element_sparse_matrix(8, 8, 8, 0.5, true, &mut rng).unwrap())
+        .collect();
+    for m in &mats {
+        client.load_matrix(m).unwrap();
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!((stats.tier_hot, stats.tier_warm, stats.tier_cold), (2, 2, 4), "{stats:?}");
+    assert!(stats.cache_entries <= 4, "{stats:?}");
+    // Every digest still serves bit-identically, recompiled or not, and
+    // the bound holds through the promotions that takes.
+    for m in &mats {
+        let a = random_vector(8, 8, true, &mut rng).unwrap();
+        assert_eq!(client.gemv(m.digest(), &a).unwrap(), vecmat(&a, m).unwrap());
+    }
+    let stats = client.stats().unwrap();
+    assert!(stats.cache_entries <= 4, "{stats:?}");
+    assert!(stats.cache_evictions >= 4, "{stats:?}");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -27,22 +27,19 @@
 //! * [`store`] — the [`Store`] directory API: `put` / `get` /
 //!   `contains` / `evict` / `scan` / `gc`, with atomic writes and
 //!   hostile-input decoding.
-//! * [`policy`] — [`TierPolicy`]: per-digest request counters and the
-//!   LRU clock that picks demotion victims.
 //! * [`tier`] — the [`Tier`] enum and per-tier occupancy counts.
 //!
-//! The in-memory side of the fleet — sessions, promotion, demotion —
-//! lives in `smm-runtime`'s `TieredRegistry`, which drives this crate.
+//! The in-memory side of the fleet — sessions, promotion, demotion, and
+//! the LRU stamp each entry carries to pick demotion victims — lives in
+//! `smm-runtime`'s `TieredRegistry`, which drives this crate.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod artifact;
-pub mod policy;
 pub mod store;
 pub mod tier;
 
 pub use artifact::{Artifact, ArtifactKind, CircuitMeta};
-pub use policy::TierPolicy;
 pub use store::{GcReport, Store, StoreEntry};
 pub use tier::{Tier, TierCounts};

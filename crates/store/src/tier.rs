@@ -5,7 +5,8 @@
 //! * [`Tier::Hot`] — a compiled engine (bit-serial circuit, sigma tile
 //!   map, CSR kernel) behind a live session; answers immediately.
 //! * [`Tier::Warm`] — raw matrix resident in memory; serving it
-//!   costs one engine build (a cache-memoized compile at worst).
+//!   costs one engine build (for the bit-serial engine, one compile
+//!   unless the circuit is still in the runtime's cache).
 //! * [`Tier::Cold`] — checksummed artifact bytes on disk only; serving
 //!   it costs one store read plus the warm cost.
 

@@ -12,15 +12,14 @@
 //!   encode), recorded through a cloneable [`SpanRecorder`] at one
 //!   `Instant::now()` per stage boundary, and the named per-stage
 //!   [`StageSummary`] rows behind every stage table.
-//! - [`registry`] — a [`MetricsRegistry`] of named [`Counter`]s,
-//!   [`Gauge`]s, and histograms; registration returns lock-free `Arc`
-//!   handles, the registry itself is cold-path only.
-//! - [`prometheus`] — hand-rolled Prometheus text exposition of a
-//!   registry snapshot, served by `smm-server` on `--metrics-addr`.
 //! - [`sync`] — the poison-recovering [`lock_or_recover`] /
 //!   [`get_mut_or_recover`] helpers every crate takes its shared-state
 //!   guards through, so one panicking worker cannot cascade into every
 //!   thread that shares a mutex.
+//!
+//! There is no metric directory and no exposition here: a server's
+//! counters and its Prometheus text live with the state they describe
+//! (`smm-server`'s `metrics` module renders them from one snapshot).
 //!
 //! The crate is std-only with zero dependencies, `forbid(unsafe_code)`,
 //! and every hot-path operation is a relaxed atomic.
@@ -29,12 +28,9 @@
 #![forbid(unsafe_code)]
 
 pub mod hist;
-pub mod prometheus;
-pub mod registry;
 pub mod span;
 pub mod sync;
 
 pub use hist::{weighted_percentile, LatencyHistogram};
-pub use registry::{Counter, Gauge, MetricSample, MetricValue, MetricsRegistry};
 pub use sync::{get_mut_or_recover, lock_or_recover};
 pub use span::{stage_summaries, Span, SpanRecorder, Stage, StageStats, StageSummary, STAGES};

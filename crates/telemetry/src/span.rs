@@ -166,8 +166,8 @@ impl SpanRecorder {
         self.stages[stage.idx()].record(latency);
     }
 
-    /// The histogram behind a stage, for registry registration or
-    /// direct quantile queries.
+    /// The histogram behind a stage, for direct quantile queries (the
+    /// server's exposition reads its p50/p90/p99 here).
     pub fn histogram(&self, stage: Stage) -> &Arc<LatencyHistogram> {
         &self.stages[stage.idx()]
     }

@@ -11,7 +11,7 @@
 //! The pass is driven by a small Rust lexer ([`lexer`]), not regex
 //! over raw text, so `.unwrap()` inside a string, a char-literal
 //! quote, a `r#""#` raw string, or a nested block comment never
-//! produces a false positive. Five rules run over the scanned
+//! produces a false positive. Four rules run over the scanned
 //! workspace:
 //!
 //! | rule | invariant |
@@ -19,7 +19,6 @@
 //! | `hot-path-panic` | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` on the request path (`smm-server`, `smm-runtime`, `smm-store`, `smm-core::wire`/`block`) outside `#[cfg(test)]` |
 //! | `safety-comment` | every `unsafe` carries a `// SAFETY:` comment |
 //! | `wire-pinning` | every `Request`/`Reply` variant and `*VERSION`/`STATUS_*` constant is exercised by both `wire_compat.rs` and `wire_fuzz.rs` |
-//! | `metrics-naming` | every registered metric name starts with `smm_` and no name is registered twice |
 //! | `doc-deny-drift` | the `#![deny(missing_docs)]` crate roster neither loses nor silently gains members |
 //!
 //! A finding can be silenced at a genuinely justified site with an
@@ -53,8 +52,6 @@ pub const HOT_PATH_PANIC: &str = "hot-path-panic";
 pub const SAFETY_COMMENT: &str = "safety-comment";
 /// Rule name: wire enums/constants unpinned in the compat/fuzz tests.
 pub const WIRE_PINNING: &str = "wire-pinning";
-/// Rule name: metric names off the `smm_` namespace or registered twice.
-pub const METRICS_NAMING: &str = "metrics-naming";
 /// Rule name: drift against the `#![deny(missing_docs)]` roster.
 pub const DOC_DENY_DRIFT: &str = "doc-deny-drift";
 /// Rule name: malformed or unjustified allow directives. Not
@@ -71,7 +68,7 @@ pub struct RuleInfo {
     pub summary: &'static str,
 }
 
-/// The five workspace rules, in the order they run.
+/// The four workspace rules, in the order they run.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: HOT_PATH_PANIC,
@@ -84,10 +81,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: WIRE_PINNING,
         summary: "every wire enum variant and rev/status constant is pinned in wire_compat.rs and wire_fuzz.rs",
-    },
-    RuleInfo {
-        name: METRICS_NAMING,
-        summary: "registered metric names start with smm_ and are registered once",
     },
     RuleInfo {
         name: DOC_DENY_DRIFT,
@@ -133,7 +126,6 @@ pub fn check_files(files: &[workspace::SourceFile]) -> Vec<Finding> {
     raw.extend(rules::hot_path::check(files));
     raw.extend(rules::safety::check(files));
     raw.extend(rules::wire::check(files));
-    raw.extend(rules::metrics::check(files));
     raw.extend(rules::docs::check(files));
 
     let mut findings: Vec<Finding> = raw
@@ -252,13 +244,7 @@ mod tests {
         let names: Vec<&str> = RULES.iter().map(|r| r.name).collect();
         assert_eq!(
             names,
-            vec![
-                HOT_PATH_PANIC,
-                SAFETY_COMMENT,
-                WIRE_PINNING,
-                METRICS_NAMING,
-                DOC_DENY_DRIFT
-            ]
+            vec![HOT_PATH_PANIC, SAFETY_COMMENT, WIRE_PINNING, DOC_DENY_DRIFT]
         );
     }
 }

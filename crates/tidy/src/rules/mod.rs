@@ -8,6 +8,5 @@
 
 pub mod docs;
 pub mod hot_path;
-pub mod metrics;
 pub mod safety;
 pub mod wire;

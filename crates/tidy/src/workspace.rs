@@ -319,10 +319,10 @@ mod tests {
     fn multi_rule_directives_and_trailing_comments_cover_their_line() {
         let file = SourceFile::parse(
             "x.rs".into(),
-            "foo.unwrap(); // smm-tidy: allow(hot-path-panic, metrics-naming) - both fine here\n",
+            "foo.unwrap(); // smm-tidy: allow(hot-path-panic, wire-pinning) - both fine here\n",
         );
         assert!(file.is_allowed("hot-path-panic", 1));
-        assert!(file.is_allowed("metrics-naming", 1));
+        assert!(file.is_allowed("wire-pinning", 1));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! right next to the violations they must not be confused with.
 
 use smm_tidy::{
-    check_workspace, Finding, ALLOW_HYGIENE, DOC_DENY_DRIFT, HOT_PATH_PANIC, METRICS_NAMING,
-    SAFETY_COMMENT, WIRE_PINNING,
+    check_workspace, Finding, ALLOW_HYGIENE, DOC_DENY_DRIFT, HOT_PATH_PANIC, SAFETY_COMMENT,
+    WIRE_PINNING,
 };
 use std::path::Path;
 
@@ -37,8 +37,6 @@ fn corpus_findings_match_exactly() {
     let expected: Vec<(&str, &str, usize)> = vec![
         (ALLOW_HYGIENE, "crates/cli/src/allow_hygiene.rs", 4),
         (ALLOW_HYGIENE, "crates/cli/src/allow_hygiene.rs", 7),
-        (METRICS_NAMING, "crates/cli/src/metrics_fixture.rs", 8),
-        (METRICS_NAMING, "crates/cli/src/metrics_fixture.rs", 10),
         (SAFETY_COMMENT, "crates/core/src/buffers.rs", 12),
         (DOC_DENY_DRIFT, "crates/rogue/src/lib.rs", 1),
         (HOT_PATH_PANIC, "crates/server/src/hot_path.rs", 18),
@@ -91,15 +89,13 @@ fn lexer_traps_stay_quiet() {
 #[test]
 fn allow_directives_silence_their_sites() {
     let findings = scan();
-    // hot_path.rs:34 (unwrap below a directive), buffers.rs:18 (unsafe
-    // below a directive), metrics_fixture.rs:12 (off-namespace name
-    // below a directive) are all violations by content, silenced by
+    // hot_path.rs:34 (unwrap below a directive) and buffers.rs:18
+    // (unsafe below a directive) are violations by content, silenced by
     // the escape hatch. Test code (hot_path.rs:41) is exempt wholesale.
     let silenced = [
         ("crates/server/src/hot_path.rs", 34),
         ("crates/server/src/hot_path.rs", 41),
         ("crates/core/src/buffers.rs", 18),
-        ("crates/cli/src/metrics_fixture.rs", 12),
     ];
     for (file, line) in silenced {
         assert!(

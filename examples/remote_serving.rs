@@ -30,7 +30,6 @@ fn main() {
         backend: BackendKind::Auto,
         threads: 2,
         queue_depth: 8,
-        cache_capacity: 16,
         ..ServerConfig::default()
     })
     .expect("starting server");

@@ -14,16 +14,16 @@
 //!   serving engine via [`runtime::SigmaEngine`])
 //! * [`reservoir`] — echo state networks (float and integer)
 //! * [`cgra`] — Section VIII's proposed custom device, modelled
-//! * [`telemetry`] — metrics registry, log-bucket latency histograms,
-//!   per-stage request spans and Prometheus text exposition
+//! * [`telemetry`] — log-bucket latency histograms, per-stage request
+//!   spans and the poison-recovering lock helpers
 //! * [`runtime`] — the batched, multi-threaded GEMV serving runtime
 //! * [`store`] — the persistent, digest-addressed matrix artifact store
 //!   behind the server's tiered (hot/warm/cold) fleet registry
 //! * [`server`] — the networked serving frontend (wire protocol, TCP
-//!   server, client, load generator)
+//!   server, `/metrics` exposition, client, load generator)
 //! * [`tidy`] — the workspace's own static-analysis pass (`smm tidy`):
-//!   hot-path panic bans, `SAFETY:` comments, wire pinning, metric
-//!   naming, and `#![deny(missing_docs)]` roster drift
+//!   hot-path panic bans, `SAFETY:` comments, wire pinning, and
+//!   `#![deny(missing_docs)]` roster drift
 //!
 //! ## Serving: start with [`Session`]
 //!
