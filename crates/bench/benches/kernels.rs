@@ -4,9 +4,11 @@
 //! gather vs the row scatter it is held to), the per-frame vs
 //! weight-stationary CSR batch, the flat `matmat_into` batch against the
 //! nested bridge, the bit-sliced vs framed-streamed bit-serial batch
-//! engines, and the three loops of a cold promotion (CRC-32, content
-//! digest, CSR build). Each race between a production kernel and its
-//! oracle checks the two outputs equal before either side is timed.
+//! engines, the three loops of a cold promotion (CRC-32, content
+//! digest, CSR build), and the planner's regret (the auto-planned
+//! engine's one-frame time over the fastest engine's). Each race between
+//! a production kernel and its oracle checks the two outputs equal
+//! before either side is timed.
 //!
 //! These time the *simulator and software kernels*, not hardware — the
 //! hardware latency numbers come from `reproduce` — but they are the
@@ -18,11 +20,14 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
 use smm_core::block::FrameBlock;
 use smm_core::generate::{element_sparse_matrix, random_vector};
-use smm_core::gemv::{matmat, matmat_into, vecmat_into, vecmat_into_scalar};
+use smm_core::gemv::{matmat, matmat_into, vecmat, vecmat_into, vecmat_into_scalar};
 use smm_core::rng::seeded;
+use smm_runtime::{EngineSpec, MultiplierCache, Session};
 use smm_sparse::{Coo, Csr};
 use smm_store::artifact::{crc32, crc32_bitwise};
 use std::hint::black_box;
+use std::sync::Arc;
+use std::time::Instant;
 
 /// The dense race: scalar reference vs blocked (production) at several
 /// dims and densities. The two are bit-identical; the spread is pure
@@ -259,10 +264,86 @@ fn bench_store_checksums(c: &mut Criterion) {
     group.finish();
 }
 
+/// The planner's regret: every engine's one-frame `run_rows` on one
+/// matrix, and the auto-planned engine's time over the fastest one's, on
+/// a grid that straddles the dense/csr crossover (256² from fully dense
+/// to 99 % sparse), the benchmark's own shapes (1024² at 50, 90 and
+/// 95 %) and the one size where the bit-serial simulation is cheap
+/// enough to compile here (32²; its circuit is resident in the cache the
+/// auto session plans over). Every engine's output is checked against
+/// the dense reference before anything is timed. An engine's time is its
+/// fastest sample, so the ratio compares kernels, not scheduler noise.
+fn bench_plan_regret(c: &mut Criterion) {
+    let timed = !std::env::args().any(|a| a == "--test");
+    let grid: [(usize, &[u32]); 3] = [
+        (256, &[0, 25, 50, 75, 90, 99]),
+        (1024, &[50, 90, 95]),
+        (32, &[50, 90]),
+    ];
+    let mut group = c.benchmark_group("plan_regret");
+    for (dim, sparsities) in grid {
+        for &pct in sparsities {
+            let mut rng = seeded(6000 + dim as u64 + u64::from(pct));
+            let m = element_sparse_matrix(dim, dim, 8, f64::from(pct) / 100.0, true, &mut rng)
+                .unwrap();
+            let a = random_vector(dim, 8, true, &mut rng).unwrap();
+            let expect = vecmat(&a, &m).unwrap();
+            let frame = FrameBlock::try_from([a].as_slice()).unwrap();
+            let kinds: &[&str] = match dim {
+                32 => &["dense", "csr", "sigma", "bitserial"],
+                _ => &["dense", "csr", "sigma"],
+            };
+            let cache = Arc::new(MultiplierCache::new());
+            let session = |spec: Option<&str>| {
+                let builder = Session::builder(m.clone()).cache(Arc::clone(&cache));
+                match spec {
+                    Some(kind) => builder.spec(EngineSpec::new(kind)),
+                    None => builder,
+                }
+                .build()
+                .unwrap()
+            };
+            let tag = format!("{dim}@{pct}%");
+            let mut out = vec![0i64; dim];
+            let mut times = Vec::with_capacity(kinds.len());
+            for &kind in kinds {
+                let engine = Arc::clone(session(Some(kind)).engine());
+                engine.run_rows(&frame, 0, 1, &mut out).unwrap();
+                assert_eq!(out, expect, "{kind} diverged from the dense reference on {tag}");
+                let mut best = f64::INFINITY;
+                group.bench_function(BenchmarkId::new(kind, &tag), |b| {
+                    let mut calls = 0u32;
+                    let start = Instant::now();
+                    b.iter(|| {
+                        calls += 1;
+                        engine.run_rows(black_box(&frame), 0, 1, &mut out).unwrap()
+                    });
+                    best = best.min(start.elapsed().as_secs_f64() / f64::from(calls));
+                });
+                times.push((kind, best));
+            }
+            // Planned last, so at 32² the compiled circuit is resident.
+            let picked = session(None).engine().name();
+            let (_, auto_s) = *times.iter().find(|(kind, _)| *kind == picked).unwrap();
+            let (fastest, fastest_s) = *times.iter().min_by(|x, y| x.1.total_cmp(&y.1)).unwrap();
+            if timed {
+                println!(
+                    "plan_regret/{tag:<9} auto={picked} {:.2} µs  fastest={fastest} {:.2} µs  \
+                     regret {:.2}x",
+                    auto_s * 1e6,
+                    fastest_s * 1e6,
+                    auto_s / fastest_s,
+                );
+            }
+        }
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_dense_variants, bench_csr, bench_csr_single, bench_csr_batch64, bench_matmat_flat,
-        bench_bitserial_batch, bench_store_checksums
+        bench_bitserial_batch, bench_store_checksums, bench_plan_regret
 }
 criterion_main!(benches);

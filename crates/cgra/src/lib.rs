@@ -28,9 +28,9 @@
 //! assert!(report.swap.fpga_ns / report.swap.cgra_ns > 10_000.0);
 //! ```
 
-// A public planner input (the serving runtime prices cache-resident
-// circuits through `estimate_compiled`), so the API surface must stay
-// fully documented.
+// A public evaluation model (`reproduce`'s figures and `smm cgra` price
+// compiled circuits through `estimate_compiled`), so the API surface
+// must stay fully documented.
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 

@@ -67,7 +67,7 @@ command-specific:
   dot:      --output FILE
   compare:  --batch B  (default 1)
   throughput: --backend auto|dense|csr|bitserial|sigma  (default bitserial;
-              auto plans from the matrix: dims, density, cache residency)
+              auto plans from the matrix: ns per frame from rows, cols, nnz)
               --threads N  most shards per batch (default 0 = one per core)
               --batch B    (default 64)   --repeat R  (default 3)
   serve:    --addr A          (default 127.0.0.1:7878; port 0 = auto)

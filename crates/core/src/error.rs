@@ -39,6 +39,13 @@ pub enum Error {
     },
     /// A matrix dimension of zero was requested where it is not meaningful.
     EmptyDimension,
+    /// `rows * cols` does not fit in `usize`.
+    DimensionOverflow {
+        /// The requested row count.
+        rows: usize,
+        /// The requested column count.
+        cols: usize,
+    },
     /// A serving-runtime failure (a worker thread the OS refused, an
     /// engine that panicked, a backend misconfigured, ...).
     Runtime {
@@ -78,6 +85,9 @@ impl fmt::Display for Error {
                 write!(f, "probability/sparsity {value} is outside [0, 1]")
             }
             Error::EmptyDimension => write!(f, "matrix dimensions must be non-zero"),
+            Error::DimensionOverflow { rows, cols } => {
+                write!(f, "matrix size {rows}x{cols} overflows the element count")
+            }
             Error::Runtime { context } => write!(f, "runtime failure: {context}"),
             Error::Wire { context } => write!(f, "wire decode failure: {context}"),
         }

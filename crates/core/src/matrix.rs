@@ -45,6 +45,16 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
+/// `rows * cols` for a matrix shape: a typed error, never a panic or a
+/// wrapped product, when a dimension is zero or the count overflows.
+fn element_count(rows: usize, cols: usize) -> Result<usize> {
+    if rows == 0 || cols == 0 {
+        return Err(Error::EmptyDimension);
+    }
+    rows.checked_mul(cols)
+        .ok_or(Error::DimensionOverflow { rows, cols })
+}
+
 /// A dense row-major matrix of `i32` elements.
 ///
 /// Invariant: `data.len() == rows * cols`, both dimensions non-zero.
@@ -62,13 +72,7 @@ pub struct IntMatrix {
 impl IntMatrix {
     /// Creates a matrix from row-major `data`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<i32>) -> Result<Self> {
-        if rows == 0 || cols == 0 {
-            return Err(Error::EmptyDimension);
-        }
-        let expected = rows
-            .checked_mul(cols)
-            .ok_or(Error::EmptyDimension)
-            .expect("dimension overflow");
+        let expected = element_count(rows, cols)?;
         if data.len() != expected {
             return Err(Error::DataLength {
                 expected,
@@ -80,15 +84,13 @@ impl IntMatrix {
 
     /// Creates a matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Result<Self> {
-        Self::from_vec(rows, cols, vec![0; rows * cols])
+        let len = element_count(rows, cols)?;
+        Self::from_vec(rows, cols, vec![0; len])
     }
 
     /// Creates a matrix by evaluating `f(row, col)` for every element.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> i32) -> Result<Self> {
-        if rows == 0 || cols == 0 {
-            return Err(Error::EmptyDimension);
-        }
-        let mut data = Vec::with_capacity(rows * cols);
+        let mut data = Vec::with_capacity(element_count(rows, cols)?);
         for r in 0..rows {
             for c in 0..cols {
                 data.push(f(r, c));
@@ -396,6 +398,13 @@ mod tests {
             IntMatrix::zeros(3, 0),
             Err(Error::EmptyDimension)
         ));
+        // A product that wraps `usize` is an error from every
+        // constructor, before anything is allocated.
+        let huge = usize::MAX / 2 + 1;
+        let overflow = Err(Error::DimensionOverflow { rows: huge, cols: 2 });
+        assert_eq!(IntMatrix::from_vec(huge, 2, vec![]), overflow);
+        assert_eq!(IntMatrix::zeros(huge, 2), overflow);
+        assert_eq!(IntMatrix::from_fn(huge, 2, |_, _| 0), overflow);
     }
 
     #[test]

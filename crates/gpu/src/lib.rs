@@ -19,8 +19,8 @@
 //! assert!(ns > 1000.0); // the GPU cannot break the microsecond barrier
 //! ```
 
-// A public planner input (the serving runtime scores engines against
-// these latencies), so the API surface must stay fully documented.
+// A public evaluation model (`reproduce`'s figures and `smm compare`
+// read these latencies), so the API surface must stay fully documented.
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 

@@ -141,34 +141,6 @@ impl MultiplierCache {
         }
     }
 
-    /// Returns the resident circuit for `(matrix, input_bits, encoding)`
-    /// without compiling — a read-only probe (no LRU touch, no counter
-    /// bump; content-verified like a hit, so a digest collision reads as
-    /// absent) the planner uses to tell whether serving bit-serially
-    /// would cost a lookup or a compile, and to price the already-paid
-    /// compile (e.g. through the CGRA cost model) without perturbing
-    /// the cache's books.
-    pub fn peek(
-        &self,
-        matrix: &IntMatrix,
-        input_bits: u32,
-        encoding: WeightEncoding,
-    ) -> Option<Arc<FixedMatrixMultiplier>> {
-        let key = CacheKey {
-            digest: matrix.digest(),
-            rows: matrix.rows(),
-            cols: matrix.cols(),
-            input_bits,
-            encoding: encoding_key(encoding),
-        };
-        let table = lock_or_recover(&self.table);
-        table
-            .entries
-            .get(&key)
-            .filter(|entry| entry.matrix == *matrix)
-            .map(|entry| Arc::clone(&entry.circuit))
-    }
-
     /// Returns the compiled circuit for `(matrix, input_bits, encoding)`,
     /// compiling at most once per distinct key.
     ///
@@ -319,21 +291,6 @@ mod tests {
         assert!(!Arc::ptr_eq(&base, &csd));
         assert_eq!(cache.stats().entries, 4);
         assert_eq!(cache.stats().hits, 0);
-    }
-
-    #[test]
-    fn peek_returns_the_resident_circuit_without_touching_the_books() {
-        let cache = MultiplierCache::new();
-        let v = IntMatrix::identity(4).unwrap();
-        assert!(cache.peek(&v, 4, WeightEncoding::Pn).is_none());
-        let compiled = cache.get_or_compile(&v, 4, WeightEncoding::Pn).unwrap();
-        let peeked = cache.peek(&v, 4, WeightEncoding::Pn).unwrap();
-        assert!(Arc::ptr_eq(&compiled, &peeked));
-        // Other compile keys still read as absent.
-        assert!(cache.peek(&v, 8, WeightEncoding::Pn).is_none());
-        // Peeks moved no counter.
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 1));
     }
 
     #[test]

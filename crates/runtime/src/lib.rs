@@ -12,7 +12,7 @@
 //! * [`EngineSpec`] / [`EngineRegistry`] — serializable engine
 //!   descriptions resolved through pluggable factories ([`spec`]);
 //! * [`Planner`] / [`PlanPolicy`] / [`EnginePlan`] — policy-driven
-//!   backend choice scored from the matrix itself ([`plan`]);
+//!   backend choice priced from the matrix's own counts ([`plan`]);
 //! * [`Session`] — the plan + a handle to the resolved engine + the
 //!   shared [`MultiplierCache`] behind one submission surface, batches
 //!   sharded in submission order across the one worker pool of the
@@ -51,9 +51,9 @@
 //! assert_eq!(out.row(1), &[1, -2]);
 //! ```
 //!
-//! The session auto-planned an engine from the matrix (dimensions,
-//! density, circuit cache-residency — see [`Session::plan`] for the
-//! rationale); pass an explicit [`EngineSpec`] via
+//! The session auto-planned an engine from the matrix (the cheapest
+//! kernel per frame on its rows, columns and non-zeros — see
+//! [`Session::plan`] for the rationale); pass an explicit [`EngineSpec`] via
 //! [`Session::with_spec`] to overrule it.
 
 #![warn(missing_docs)]

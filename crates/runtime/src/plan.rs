@@ -1,60 +1,100 @@
 //! Backend planning: choosing the right engine for a matrix.
 //!
 //! Backend choice used to be a manual flag at every call site. This
-//! module makes it a *property of the matrix*: a [`Planner`] inspects the
-//! matrix the caller wants served — its dimensions, its element density
-//! (via [`smm_sparse::stats::SparsityProfile`]), and whether a compiled
-//! spatial circuit for it is already resident in the
-//! [`MultiplierCache`] — and emits a scored [`EnginePlan`] naming the
-//! winning [`EngineSpec`] with a human-readable rationale.
+//! module makes it a *property of the matrix*: a [`Planner`] prices each
+//! auto candidate in nanoseconds per frame from the matrix's own counts
+//! — rows, columns and non-zeros, nothing else — and emits an
+//! [`EnginePlan`] naming the cheapest [`EngineSpec`] with a
+//! human-readable rationale that carries the numbers.
 //!
 //! Callers that know better say so with [`PlanPolicy::Explicit`], which
 //! always wins: the planner validates the requested kind against the
-//! registry and skips scoring entirely.
+//! registry and prices nothing.
 //!
-//! The scoring model is deterministic (the rationale strings are pinned
-//! by golden tests) and **model-driven**: the accelerator cost models
-//! that used to be report-only crates are live planning inputs.
+//! The costs describe the kernels that will run, at the rates the
+//! committed benchmark report measured them (`BENCH_18.json`; each
+//! constant below names its rung):
 //!
-//! * `dense` scores `0.9 × density` — the reference kernel pays for every
-//!   element, zero or not;
-//! * `csr` scores `0.9 × sparsity` — SpMV work shrinks with the zeros;
-//!   its rationale quotes the calibrated GPU baseline
-//!   ([`smm_gpu::GpuKernelModel::spmv_latency_ns`]), the library kernel
-//!   whose math the CSR engine executes;
-//! * `bitserial` scores `0.95` when the compiled circuit is already
-//!   cache-resident (serving costs a lookup; the rationale prices the
-//!   resident netlist through the CGRA estimate,
-//!   [`smm_cgra::estimate_compiled`]) and `0.10` otherwise (the spatial
-//!   compile dominates until it has been paid once);
-//! * `sigma` scores `0.6 × gpu_ns / (gpu_ns + sigma_ns)` — the SIGMA
-//!   timing model ([`smm_sigma::Sigma`]) against the GPU baseline on the
-//!   same sparsity profile. Matrices whose non-zeros fit the PE grid sit
-//!   near `0.6` (the accelerator's nanosecond regime) and win the
-//!   mid-density band where neither the dense nor the CSR kernel is
-//!   strong; deep tiling pushes the score toward zero.
+//! * `dense` costs `rows · cols × DENSE_NS_PER_MAC` — the reference
+//!   kernel pays for every element, zero or not;
+//! * `csr` costs `nnz × CSR_NS_PER_NNZ` — the gather touches each
+//!   non-zero once;
+//! * `sigma` costs `nnz × SIGMA_NS_PER_NNZ` — the tile-mapped
+//!   dataflow also touches each non-zero once, at twice the price, so
+//!   as priced it only ever ties `csr` (on an all-zero matrix).
 //!
-//! Candidates are evaluated in [`BUILTIN_KINDS`] order and ties keep the
-//! earliest candidate, so planning is reproducible across runs. Custom
-//! registry entries are reachable through [`PlanPolicy::Explicit`].
+//! `bitserial` is explicit-only: it is a cycle-accurate simulation of
+//! the spatial circuit, hundreds of times slower than any kernel above
+//! on the same matrix whether or not its circuit is already compiled.
+//!
+//! The cheapest candidate wins. Candidates are priced in
+//! [`BUILTIN_KINDS`] order and ties keep the earliest, so planning is a
+//! pure, reproducible function of the matrix. Custom registry entries
+//! are reachable through [`PlanPolicy::Explicit`].
 
-use crate::cache::MultiplierCache;
 use crate::spec::{EngineRegistry, EngineSpec, BUILTIN_KINDS};
 use smm_bitserial::multiplier::WeightEncoding;
-use smm_cgra::{estimate_compiled, CgraOptions};
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
-use smm_gpu::GpuKernelModel;
-use smm_sigma::Sigma;
-use smm_sparse::SparsityProfile;
+
+/// The dense kernel, per multiply-accumulate: rung
+/// `core.gemv.dense_ns_per_mac.{256,1024}` (0.28 and 0.32).
+const DENSE_NS_PER_MAC: f64 = 0.30;
+/// The CSR gather, per non-zero: rung `sparse.csr.ns_per_nnz_single`
+/// (0.40).
+const CSR_NS_PER_NNZ: f64 = 0.40;
+/// The sigma tile walk, per non-zero: rung
+/// `runtime.backend.run_rows_us.sigma`, 5.15 µs over the 6.5k non-zeros
+/// of its 256² / 90 %-sparse matrix.
+const SIGMA_NS_PER_NNZ: f64 = 0.80;
+
+/// Everything a cost is computed from.
+struct Counts {
+    rows: usize,
+    cols: usize,
+    nnz: usize,
+}
+
+/// One engine auto planning may choose: its cost per frame is
+/// `work(counts) × ns_per_unit`.
+struct AutoCandidate {
+    kind: &'static str,
+    work: fn(&Counts) -> usize,
+    unit: &'static str,
+    ns_per_unit: f64,
+}
+
+/// The auto candidates, a subsequence of [`BUILTIN_KINDS`] in its order.
+/// A kind is a candidate exactly when it has a row here, so none can be
+/// planned without a cost.
+const AUTO_CANDIDATES: [AutoCandidate; 3] = [
+    AutoCandidate {
+        kind: "dense",
+        work: |m| m.rows * m.cols,
+        unit: "MACs",
+        ns_per_unit: DENSE_NS_PER_MAC,
+    },
+    AutoCandidate {
+        kind: "csr",
+        work: |m| m.nnz,
+        unit: "nnz",
+        ns_per_unit: CSR_NS_PER_NNZ,
+    },
+    AutoCandidate {
+        kind: "sigma",
+        work: |m| m.nnz,
+        unit: "nnz",
+        ns_per_unit: SIGMA_NS_PER_NNZ,
+    },
+];
 
 /// Options the auto-planner stamps into whichever spec wins.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoOptions {
     /// Signed input operand width for the planned engine.
     pub input_bits: u32,
-    /// Weight encoding for circuit engines (also the cache-residency
-    /// probe key).
+    /// Weight encoding stamped into the spec; only circuit engines
+    /// read it.
     pub encoding: WeightEncoding,
     /// Most shards one batch is cut into (0 = one per core).
     pub threads: usize,
@@ -75,8 +115,8 @@ impl Default for AutoOptions {
 pub enum PlanPolicy {
     /// The caller picked; planning only validates the kind exists.
     Explicit(EngineSpec),
-    /// Score the built-in candidates against the matrix and pick the
-    /// best.
+    /// Price the auto candidates on the matrix's counts and pick the
+    /// cheapest.
     Auto(AutoOptions),
 }
 
@@ -108,32 +148,33 @@ impl std::str::FromStr for PlanPolicy {
     }
 }
 
-/// One scored contender from an auto plan.
+/// One priced contender from an auto plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanCandidate {
     /// Engine kind name.
     pub kind: String,
-    /// Score in `[0, 1]`; highest wins.
-    pub score: f64,
-    /// Why this candidate scored what it did.
+    /// Modelled cost of one frame, in nanoseconds; lowest wins.
+    pub cost_ns: f64,
+    /// The work count and rate the cost is the product of.
     pub reason: String,
 }
 
-/// The planner's verdict: the winning spec, its score, the human-readable
+/// The planner's verdict: the winning spec, its cost, the human-readable
 /// rationale, and every candidate considered.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnginePlan {
     /// The spec the session will resolve through the registry.
     pub spec: EngineSpec,
-    /// The winner's score (1.0 for explicit policies).
-    pub score: f64,
+    /// The winner's cost per frame in nanoseconds (0.0 for explicit
+    /// policies, which price nothing).
+    pub cost_ns: f64,
     /// One sentence a human can read in a log and believe.
     pub rationale: String,
     /// All candidates considered, in evaluation order.
     pub candidates: Vec<PlanCandidate>,
 }
 
-/// Scores engine candidates for a matrix against a registry.
+/// Prices engine candidates for a matrix against a registry.
 #[derive(Debug, Clone, Copy)]
 pub struct Planner<'a> {
     registry: &'a EngineRegistry,
@@ -145,17 +186,12 @@ impl<'a> Planner<'a> {
         Self { registry }
     }
 
-    /// Plans an engine for `matrix` under `policy`, probing `cache` for
-    /// circuit residency. Fails when the policy names an unregistered
-    /// kind; auto planning over a registry with none of the built-in
-    /// kinds fails likewise.
-    pub fn plan(
-        &self,
-        matrix: &IntMatrix,
-        policy: &PlanPolicy,
-        cache: &MultiplierCache,
-    ) -> Result<EnginePlan> {
-        let options = match policy {
+    /// Plans an engine for `matrix` under `policy` — a pure function of
+    /// the two. Fails when the policy names an unregistered kind; auto
+    /// planning over a registry with none of the auto candidates fails
+    /// likewise.
+    pub fn plan(&self, matrix: &IntMatrix, policy: &PlanPolicy) -> Result<EnginePlan> {
+        match policy {
             PlanPolicy::Explicit(spec) => {
                 if !self.registry.contains(spec.kind()) {
                     return Err(Error::Runtime {
@@ -166,136 +202,89 @@ impl<'a> Planner<'a> {
                         ),
                     });
                 }
-                return Ok(EnginePlan {
+                Ok(EnginePlan {
                     candidates: vec![PlanCandidate {
                         kind: spec.kind().to_string(),
-                        score: 1.0,
+                        cost_ns: 0.0,
                         reason: "explicitly requested".into(),
                     }],
                     rationale: format!(
                         "explicit policy: {} requested, planning skipped",
                         spec.kind()
                     ),
-                    score: 1.0,
+                    cost_ns: 0.0,
                     spec: spec.clone(),
-                });
+                })
             }
-            PlanPolicy::Auto(options) => *options,
-        };
-        self.auto_plan(matrix, options, cache)
+            PlanPolicy::Auto(options) => self.auto_plan(matrix, *options),
+        }
     }
 
-    fn auto_plan(
-        &self,
-        matrix: &IntMatrix,
-        options: AutoOptions,
-        cache: &MultiplierCache,
-    ) -> Result<EnginePlan> {
-        let profile = SparsityProfile::of_dense(matrix);
-        let sparsity = profile.element_sparsity;
-        let sparse_pct = 100.0 * sparsity;
-        // The accelerator cost models, evaluated once on the profile:
-        // the GPU baseline is the latency every candidate is priced
-        // against, the SIGMA model prices the tile-mapped dataflow, and
-        // a cache-resident circuit is priced through the CGRA estimate.
-        let gpu_ns = GpuKernelModel::cusparse().spmv_latency_ns(&profile);
-        let sigma = Sigma::default();
-        let sigma_run = sigma.run_gemv(&profile);
-        let sigma_ns = sigma.config().cycles_to_ns(sigma_run.total_cycles());
-        let resident = cache.peek(matrix, options.input_bits, options.encoding);
-        let cached = resident.is_some();
-
-        let candidates: Vec<PlanCandidate> = BUILTIN_KINDS
+    fn auto_plan(&self, matrix: &IntMatrix, options: AutoOptions) -> Result<EnginePlan> {
+        let counts = Counts {
+            rows: matrix.rows(),
+            cols: matrix.cols(),
+            nnz: matrix.nnz(),
+        };
+        let candidates: Vec<PlanCandidate> = AUTO_CANDIDATES
             .iter()
-            .filter(|kind| self.registry.contains(kind))
-            .map(|&kind| {
-                let (score, reason) = match kind {
-                    "dense" => (
-                        0.9 * (1.0 - sparsity),
-                        "dense gemv pays for every element".to_string(),
-                    ),
-                    "csr" => (
-                        0.9 * sparsity,
-                        format!(
-                            "CSR SpMV skips the {sparse_pct:.1}% zero elements \
-                             (cuSPARSE model: {gpu_ns:.0} ns/product)"
-                        ),
-                    ),
-                    "sigma" => (
-                        0.6 * gpu_ns / (gpu_ns + sigma_ns),
-                        format!(
-                            "SIGMA model maps {} nnz onto {} tile(s): {sigma_ns:.0} ns \
-                             vs GPU {gpu_ns:.0} ns",
-                            profile.nnz, sigma_run.tiles
-                        ),
-                    ),
-                    "bitserial" => match &resident {
-                        Some(circuit) => {
-                            let report = estimate_compiled(circuit, &CgraOptions::default());
-                            (
-                                0.95,
-                                format!(
-                                    "compiled circuit is cache-resident (CGRA model: \
-                                     {:.0} ns/product, swap-in {:.0} ns); serving costs \
-                                     a lookup",
-                                    report.latency_ns, report.swap.cgra_ns
-                                ),
-                            )
-                        }
-                        None => (0.10, "spatial compile not yet paid".to_string()),
-                    },
-                    // Every BUILTIN_KINDS entry must be scored above; a
-                    // new kind reaching this arm is a planner bug. Score
-                    // it out of contention with a rationale that names
-                    // the bug — a visible planning gap on one kind beats
-                    // tearing down the request thread for all of them.
-                    other => (
-                        0.0,
-                        format!("BUG: built-in kind '{other}' has no score model; update Planner::auto_plan"),
-                    ),
-                };
+            .filter(|c| self.registry.contains(c.kind))
+            .map(|c| {
+                let work = (c.work)(&counts);
                 PlanCandidate {
-                    kind: kind.to_string(),
-                    score,
-                    reason,
+                    kind: c.kind.to_string(),
+                    cost_ns: work as f64 * c.ns_per_unit,
+                    reason: format!("{work} {} × {:.2} ns", c.unit, c.ns_per_unit),
                 }
             })
             .collect();
 
-        // Strict max in evaluation order: ties keep the earliest.
+        // Strict min in evaluation order: ties keep the earliest.
         let winner = candidates
             .iter()
-            .reduce(|best, c| if c.score > best.score { c } else { best })
+            .reduce(|best, c| if c.cost_ns < best.cost_ns { c } else { best })
             .ok_or_else(|| Error::Runtime {
-                context: "auto planning needs at least one built-in engine registered".into(),
+                context: "auto planning needs at least one auto candidate registered".into(),
             })?;
 
-        let runners_up: Vec<String> = candidates
-            .iter()
-            .filter(|c| c.kind != winner.kind)
-            .map(|c| format!("{} {:.2} ({})", c.kind, c.score, c.reason))
-            .collect();
-        let rationale = format!(
-            "auto plan for {}x{} ({sparse_pct:.1}% sparse, circuit {}): {} scored {:.2} — {}; \
-             runners-up: {}",
-            matrix.rows(),
-            matrix.cols(),
-            if cached { "cached" } else { "not cached" },
-            winner.kind,
-            winner.score,
-            winner.reason,
-            if runners_up.is_empty() {
+        let list = |items: Vec<String>| {
+            if items.is_empty() {
                 "none".to_string()
             } else {
-                runners_up.join(", ")
-            },
+                items.join(", ")
+            }
+        };
+        let runners_up = candidates
+            .iter()
+            .filter(|c| c.kind != winner.kind)
+            .map(|c| format!("{} {:.1} ns ({})", c.kind, c.cost_ns, c.reason))
+            .collect();
+        let explicit_only = BUILTIN_KINDS
+            .iter()
+            .filter(|kind| {
+                self.registry.contains(kind) && AUTO_CANDIDATES.iter().all(|c| c.kind != **kind)
+            })
+            .map(|kind| kind.to_string())
+            .collect();
+        let rationale = format!(
+            "auto plan for {}x{} ({} nnz, {:.1}% sparse): {} costs {:.1} ns/frame — {}; \
+             runners-up: {}; explicit-only: {}",
+            counts.rows,
+            counts.cols,
+            counts.nnz,
+            100.0 * (1.0 - counts.nnz as f64 / matrix.len() as f64),
+            winner.kind,
+            winner.cost_ns,
+            winner.reason,
+            list(runners_up),
+            list(explicit_only),
         );
         Ok(EnginePlan {
             spec: EngineSpec::new(winner.kind.clone())
                 .input_bits(options.input_bits)
                 .encoding(options.encoding)
                 .threads(options.threads),
-            score: winner.score,
+            cost_ns: winner.cost_ns,
             rationale,
             candidates,
         })
@@ -305,12 +294,16 @@ impl<'a> Planner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::MultiplierCache;
+    use crate::session::Session;
+    use proptest::prelude::*;
     use smm_core::generate::element_sparse_matrix;
     use smm_core::rng::seeded;
+    use std::sync::Arc;
 
-    fn plan(matrix: &IntMatrix, policy: &PlanPolicy, cache: &MultiplierCache) -> EnginePlan {
+    fn plan(matrix: &IntMatrix, policy: &PlanPolicy) -> EnginePlan {
         let registry = EngineRegistry::builtin();
-        Planner::new(&registry).plan(matrix, policy, cache).unwrap()
+        Planner::new(&registry).plan(matrix, policy).unwrap()
     }
 
     /// 4x5 with exactly 4 zeros: 20% sparse, so dense must win.
@@ -325,59 +318,103 @@ mod tests {
 
     #[test]
     fn dense_matrix_plans_dense() {
-        let plan = plan(&mostly_dense(), &PlanPolicy::default(), &MultiplierCache::new());
+        let plan = plan(&mostly_dense(), &PlanPolicy::default());
         assert_eq!(plan.spec.kind(), "dense");
-        assert!(plan.score > 0.7, "{plan:?}");
-        assert_eq!(plan.candidates.len(), 4);
+        assert_eq!(plan.cost_ns, 20.0 * DENSE_NS_PER_MAC);
+        assert_eq!(plan.candidates.len(), AUTO_CANDIDATES.len());
     }
 
     #[test]
-    fn mid_density_band_plans_sigma() {
-        // At ~50% sparsity neither the dense kernel (0.9 × density) nor
-        // CSR (0.9 × sparsity) clears ~0.45, while a single-tile SIGMA
-        // mapping sits near its 0.6 ceiling — the accelerator's
-        // nanosecond regime wins the band the software kernels split.
+    fn half_sparse_plans_csr() {
+        // The band the accelerator models used to hand to `sigma`: at
+        // 50 % sparse the gather pays 0.40 ns for half the elements, the
+        // dense kernel 0.30 ns for all of them, sigma twice the gather.
         let mut rng = seeded(2804);
         let v = element_sparse_matrix(24, 24, 8, 0.5, true, &mut rng).unwrap();
-        let plan = plan(&v, &PlanPolicy::default(), &MultiplierCache::new());
-        assert_eq!(plan.spec.kind(), "sigma", "{}", plan.rationale);
-        assert!(plan.rationale.contains("SIGMA model maps"), "{}", plan.rationale);
-        assert!(plan.rationale.contains("1 tile(s)"), "{}", plan.rationale);
+        let plan = plan(&v, &PlanPolicy::default());
+        assert_eq!(plan.spec.kind(), "csr", "{}", plan.rationale);
+        assert!(plan.rationale.contains("nnz × 0.40 ns"), "{}", plan.rationale);
     }
 
     #[test]
     fn high_sparsity_plans_csr() {
         let mut rng = seeded(2800);
         let v = element_sparse_matrix(40, 40, 8, 0.95, true, &mut rng).unwrap();
-        let plan = plan(&v, &PlanPolicy::default(), &MultiplierCache::new());
+        let plan = plan(&v, &PlanPolicy::default());
         assert_eq!(plan.spec.kind(), "csr", "{}", plan.rationale);
-        assert!(plan.rationale.contains("CSR SpMV"), "{}", plan.rationale);
     }
 
     #[test]
-    fn cache_resident_circuit_plans_bitserial() {
-        let mut rng = seeded(2801);
-        let v = element_sparse_matrix(16, 16, 8, 0.9, true, &mut rng).unwrap();
-        let cache = MultiplierCache::new();
-        // Before the compile: csr. After: the paid-for circuit wins.
-        assert_eq!(plan(&v, &PlanPolicy::default(), &cache).spec.kind(), "csr");
-        cache.get_or_compile(&v, 8, WeightEncoding::Pn).unwrap();
-        let replanned = plan(&v, &PlanPolicy::default(), &cache);
-        assert_eq!(replanned.spec.kind(), "bitserial");
-        assert!(replanned.rationale.contains("cache-resident"), "{}", replanned.rationale);
-        // Residency is probed per compile key: other options still miss.
-        let other_bits = Planner::new(&EngineRegistry::builtin())
-            .plan(
-                &v,
-                &PlanPolicy::Auto(AutoOptions {
-                    input_bits: 12,
-                    ..AutoOptions::default()
-                }),
-                &cache,
-            )
-            .unwrap();
-        assert_eq!(other_bits.spec.kind(), "csr");
-        assert_eq!(other_bits.spec.input_bits, 12);
+    fn the_table_follows_builtin_order_and_leaves_bitserial_explicit_only() {
+        let mut builtin = BUILTIN_KINDS.iter();
+        for candidate in &AUTO_CANDIDATES {
+            assert!(
+                builtin.any(|kind| *kind == candidate.kind),
+                "{} is out of BUILTIN_KINDS order",
+                candidate.kind
+            );
+        }
+        assert!(AUTO_CANDIDATES.iter().all(|c| c.kind != "bitserial"));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// For any `(rows, cols, nnz)` the winner is the arg-min of the
+        /// table with ties to the earliest row, the options ride through
+        /// untouched, and a compiled circuit in the session's cache
+        /// changes nothing.
+        #[test]
+        fn auto_plan_is_the_arg_min_of_the_table(
+            seed in any::<u64>(),
+            rows in 1usize..14,
+            cols in 1usize..14,
+            sparsity in 0.0f64..=1.0,
+            edge in 0u32..4,
+            input_bits in 2u32..12,
+        ) {
+            // A quarter of the cases each sit on the fully dense and the
+            // all-zero edge, where the exact tie lives.
+            let sparsity = match edge {
+                0 => 0.0,
+                1 => 1.0,
+                _ => sparsity,
+            };
+            let mut rng = seeded(seed);
+            let v = element_sparse_matrix(rows, cols, 8, sparsity, true, &mut rng).unwrap();
+            let nnz = v.nnz() as f64;
+            let costs = [
+                (rows * cols) as f64 * DENSE_NS_PER_MAC,
+                nnz * CSR_NS_PER_NNZ,
+                nnz * SIGMA_NS_PER_NNZ,
+            ];
+            let policy = PlanPolicy::Auto(AutoOptions { input_bits, ..AutoOptions::default() });
+            let planned = plan(&v, &policy);
+            prop_assert_eq!(
+                planned.candidates.iter().map(|c| c.cost_ns).collect::<Vec<_>>(),
+                costs.to_vec()
+            );
+            let cheapest = costs.iter().copied().fold(f64::INFINITY, f64::min);
+            let first = costs.iter().position(|&c| c == cheapest).unwrap();
+            prop_assert_eq!(planned.spec.kind(), AUTO_CANDIDATES[first].kind);
+            prop_assert_eq!(planned.cost_ns, cheapest);
+            prop_assert_eq!(planned.spec.input_bits, input_bits);
+            // An all-zero matrix is the one exact tie: csr and sigma
+            // both cost nothing, and the earlier row keeps it.
+            if nnz == 0.0 {
+                prop_assert_eq!(planned.spec.kind(), "csr");
+            }
+
+            let cache = Arc::new(MultiplierCache::new());
+            let session = |cache: &Arc<MultiplierCache>| {
+                Session::builder(v.clone()).policy(policy.clone()).cache(Arc::clone(cache)).build()
+            };
+            let before = session(&cache).unwrap();
+            cache.get_or_compile(&v, input_bits, WeightEncoding::Pn).unwrap();
+            let after = session(&cache).unwrap();
+            prop_assert_eq!(before.plan(), &planned);
+            prop_assert_eq!(after.plan(), &planned);
+        }
     }
 
     #[test]
@@ -386,9 +423,9 @@ mod tests {
         // A 95%-sparse matrix auto-plans csr; explicit dense overrides.
         let v = element_sparse_matrix(30, 30, 8, 0.95, true, &mut rng).unwrap();
         let spec = EngineSpec::dense().threads(2);
-        let plan = plan(&v, &PlanPolicy::Explicit(spec.clone()), &MultiplierCache::new());
+        let plan = plan(&v, &PlanPolicy::Explicit(spec.clone()));
         assert_eq!(plan.spec, spec);
-        assert_eq!(plan.score, 1.0);
+        assert_eq!(plan.cost_ns, 0.0);
         assert_eq!(
             plan.rationale,
             "explicit policy: dense requested, planning skipped"
@@ -402,7 +439,6 @@ mod tests {
             .plan(
                 &IntMatrix::identity(2).unwrap(),
                 &PlanPolicy::Explicit(EngineSpec::new("tpu")),
-                &MultiplierCache::new(),
             )
             .unwrap_err();
         assert!(err.to_string().contains("tpu"), "{err}");
@@ -412,38 +448,34 @@ mod tests {
     fn golden_rationale_is_pinned() {
         // The rationale is part of the operator-facing surface (logs, the
         // CLI, the serve reply); pin it exactly so drift is deliberate.
-        // The model inputs are named: the cuSPARSE baseline latency and
-        // the SIGMA tile mapping are live planning inputs.
-        let plan = plan(&mostly_dense(), &PlanPolicy::default(), &MultiplierCache::new());
+        // Every number in it is a count of the matrix times a named rate.
+        let plan = plan(&mostly_dense(), &PlanPolicy::default());
         assert_eq!(
             plan.rationale,
-            "auto plan for 4x5 (20.0% sparse, circuit not cached): dense scored 0.72 — \
-             dense gemv pays for every element; runners-up: \
-             csr 0.18 (CSR SpMV skips the 20.0% zero elements (cuSPARSE model: 3005 ns/product)), \
-             bitserial 0.10 (spatial compile not yet paid), \
-             sigma 0.59 (SIGMA model maps 16 nnz onto 1 tile(s): 34 ns vs GPU 3005 ns)"
+            "auto plan for 4x5 (16 nnz, 20.0% sparse): dense costs 6.0 ns/frame — \
+             20 MACs × 0.30 ns; runners-up: \
+             csr 6.4 ns (16 nnz × 0.40 ns), \
+             sigma 12.8 ns (16 nnz × 0.80 ns); explicit-only: bitserial"
         );
     }
 
     #[test]
-    fn golden_cached_rationale_names_the_cgra_model() {
-        // Once the circuit is resident, the bitserial candidate's reason
-        // prices the compiled netlist through the CGRA estimate — pinned
-        // exactly, like the uncached rationale above.
-        let cache = MultiplierCache::new();
-        cache
-            .get_or_compile(&mostly_dense(), 8, WeightEncoding::Pn)
-            .unwrap();
-        let plan = plan(&mostly_dense(), &PlanPolicy::default(), &cache);
-        assert_eq!(plan.spec.kind(), "bitserial");
+    fn golden_sparse_rationale_is_pinned() {
+        // The same pin on the other side of the crossover (75 % sparse),
+        // where the winner is not the first row of the table.
+        let v = IntMatrix::from_vec(
+            4,
+            5,
+            vec![0, 2, 0, 0, 0, 0, 0, -7, 0, 0, 9, 0, 0, 0, 12, 0, 0, 0, 15, 0],
+        )
+        .unwrap();
+        let plan = plan(&v, &PlanPolicy::default());
         assert_eq!(
             plan.rationale,
-            "auto plan for 4x5 (20.0% sparse, circuit cached): bitserial scored 0.95 — \
-             compiled circuit is cache-resident (CGRA model: 17 ns/product, swap-in \
-             9 ns); serving costs a lookup; runners-up: \
-             dense 0.72 (dense gemv pays for every element), \
-             csr 0.18 (CSR SpMV skips the 20.0% zero elements (cuSPARSE model: 3005 ns/product)), \
-             sigma 0.59 (SIGMA model maps 16 nnz onto 1 tile(s): 34 ns vs GPU 3005 ns)"
+            "auto plan for 4x5 (5 nnz, 75.0% sparse): csr costs 2.0 ns/frame — \
+             5 nnz × 0.40 ns; runners-up: \
+             dense 6.0 ns (20 MACs × 0.30 ns), \
+             sigma 4.0 ns (5 nnz × 0.80 ns); explicit-only: bitserial"
         );
     }
 
@@ -468,18 +500,18 @@ mod tests {
             Ok(std::sync::Arc::new(crate::DenseRef::new(ctx.matrix))
                 as std::sync::Arc<dyn crate::GemvBackend>)
         });
-        let cache = MultiplierCache::new();
         let mut rng = seeded(2803);
         let v = element_sparse_matrix(10, 10, 8, 0.95, true, &mut rng).unwrap();
         // csr would win, but only dense is registered.
         let plan = Planner::new(&registry)
-            .plan(&v, &PlanPolicy::default(), &cache)
+            .plan(&v, &PlanPolicy::default())
             .unwrap();
         assert_eq!(plan.spec.kind(), "dense");
         assert_eq!(plan.candidates.len(), 1);
+        assert!(plan.rationale.ends_with("runners-up: none; explicit-only: none"));
         let empty = EngineRegistry::empty();
         assert!(Planner::new(&empty)
-            .plan(&v, &PlanPolicy::default(), &cache)
+            .plan(&v, &PlanPolicy::default())
             .is_err());
     }
 }

@@ -161,7 +161,7 @@ impl SessionBuilder {
     /// submits.
     pub fn build(self) -> Result<Session> {
         let cache = self.cache.unwrap_or_default();
-        let plan = Planner::new(&self.registry).plan(&self.matrix, &self.policy, &cache)?;
+        let plan = Planner::new(&self.registry).plan(&self.matrix, &self.policy)?;
         let engine = self.registry.build(&self.matrix, &plan.spec, &cache)?;
         let threads = match plan.spec.threads {
             0 => pool::cores(),
@@ -543,14 +543,14 @@ mod tests {
         }
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.hits), (1, 2));
-        // A *fresh* auto session over the same cache now plans bitserial:
-        // the circuit is resident, so the compile is free.
+        // A fresh auto session over the same cache plans from the matrix
+        // alone: the resident circuit is neither chosen nor looked up.
         let session = Session::builder(v)
             .cache(Arc::clone(&cache))
             .build()
             .unwrap();
-        assert_eq!(session.engine().name(), "bitserial");
-        assert_eq!(session.stats().cache.misses, 1);
+        assert_eq!(session.engine().name(), "csr");
+        assert_eq!(session.stats().cache, stats);
     }
 
     #[test]

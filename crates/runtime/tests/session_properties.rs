@@ -84,7 +84,7 @@ proptest! {
                 .build()
                 .unwrap();
             prop_assert_eq!(session.engine().name(), kind);
-            prop_assert_eq!(session.plan().score, 1.0);
+            prop_assert_eq!(session.plan().cost_ns, 0.0);
         }
     }
 }

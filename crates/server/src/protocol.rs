@@ -75,8 +75,8 @@ fn check_version(version: u8) -> Result<()> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum BackendKind {
-    /// Let the planner score the matrix (dims, density, circuit
-    /// cache-residency) and pick.
+    /// Let the planner price the kernels on the matrix's own counts
+    /// (rows, cols, nnz) and pick the cheapest.
     Auto,
     /// Dense reference gemv.
     Dense,

@@ -305,3 +305,36 @@ fn truncated_and_corrupted_frames_are_errors() {
         Err(FrameError::Malformed(_))
     ));
 }
+
+#[test]
+fn hostile_matrix_size_lines_get_an_error_frame_and_a_live_server() {
+    // A `LoadMatrix` is sized by its payload's own size line, so ~70
+    // bytes can declare any shape: `rows * cols` wrapping `usize` to 0,
+    // or a 36 TB dense matrix with no entries behind it. Both must come
+    // back as a typed `Error` frame on a connection that keeps serving.
+    let server = smm_server::start(smm_server::ServerConfig::default()).unwrap();
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    let mut exchange = |opcode: Opcode, payload: &[u8], id: u64| {
+        write_frame(&mut raw, VERSION, opcode as u8, id, payload).unwrap();
+        let frame = read_frame(&mut raw).expect("the connection survives");
+        assert_eq!(frame.request_id, id);
+        Reply::decode(frame.version, opcode, &frame.payload).unwrap()
+    };
+    for (id, size) in ["4294967296 4294967296 0", "3000000 3000000 0"]
+        .into_iter()
+        .enumerate()
+    {
+        let text = format!("%%MatrixMarket matrix coordinate integer general\n{size}\n");
+        let mut payload = Vec::new();
+        wire::put_bytes(&mut payload, text.as_bytes());
+        wire::put_u8(&mut payload, 0); // server-default backend
+        let id = id as u64 * 2;
+        let reply = exchange(Opcode::LoadMatrix, &payload, id);
+        assert!(
+            matches!(&reply, Reply::Error(m) if m.contains("exceeds")),
+            "{size}: {reply:?}"
+        );
+        assert!(matches!(exchange(Opcode::Ping, &[], id + 1), Reply::Pong));
+    }
+    assert_eq!(server.shutdown().errors, 2);
+}

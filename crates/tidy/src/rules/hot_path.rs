@@ -7,9 +7,11 @@
 //! (`.unwrap()` / `.expect(..)` calls and the `panic!` /
 //! `unreachable!` / `todo!` / `unimplemented!` macros) in the request
 //! path: all of `smm-server`, `smm-runtime`, and `smm-store` sources,
-//! plus the two `smm-core` modules the wire decoder is built on
-//! (`wire.rs`, `block.rs`). Code under `#[cfg(test)]` / `#[test]` is
-//! exempt; `assert!` (documented index-contract panics) is not banned.
+//! plus the `smm-core` modules the wire decoder is built on and runs
+//! through (`wire.rs`, `block.rs`, and the `io.rs` / `matrix.rs` pair
+//! every `LoadMatrix` payload is parsed by). Code under `#[cfg(test)]` /
+//! `#[test]` is exempt; `assert!` (documented index-contract panics) is
+//! not banned.
 //!
 //! Fix sites by returning a typed error, or — for shared-state locks —
 //! by taking the guard through `smm_telemetry::lock_or_recover`, which
@@ -27,7 +29,12 @@ const SCOPE_PREFIXES: &[&str] = &[
 ];
 
 /// Individual `smm-core` modules on the request path.
-const SCOPE_FILES: &[&str] = &["crates/core/src/wire.rs", "crates/core/src/block.rs"];
+const SCOPE_FILES: &[&str] = &[
+    "crates/core/src/wire.rs",
+    "crates/core/src/block.rs",
+    "crates/core/src/io.rs",
+    "crates/core/src/matrix.rs",
+];
 
 /// Methods that panic on the error/none arm.
 const PANIC_METHODS: &[&str] = &["unwrap", "expect", "unwrap_err", "expect_err"];

@@ -17,3 +17,9 @@ pub fn silenced(p: *const u8) -> u8 {
     // smm-tidy: allow(safety-comment): fixture demonstrates the silenced form
     unsafe { *p }
 }
+
+/// Off the decoder path: the rest of `smm-core` is out of the
+/// `hot-path-panic` scope, so this stays quiet.
+pub fn first(bytes: &[u8]) -> u8 {
+    *bytes.first().unwrap()
+}

@@ -25,7 +25,7 @@ use std::time::Duration;
 fn main() {
     // -- 1. A server on a kernel-assigned loopback port ------------------
     // The server default is `auto`: each loaded matrix is planned from
-    // its own dimensions, density, and circuit cache-residency.
+    // its own rows, columns and non-zero count.
     let server = spatial_smm::server::start(ServerConfig {
         backend: BackendKind::Auto,
         threads: 2,

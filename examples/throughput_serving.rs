@@ -1,7 +1,7 @@
 //! Throughput serving through the `Session` front door: let the planner
 //! pick an engine for a fixed sparse matrix, compare it against every
-//! explicit engine spec, and watch the plan flip once the compiled
-//! circuit is cache-resident.
+//! explicit engine spec, and see that the plan is a function of the
+//! matrix alone — a compiled circuit in the cache does not change it.
 //!
 //! This is the serving-side counterpart of `quickstart.rs`: where that
 //! example synthesizes one circuit and checks one product, this one runs
@@ -41,8 +41,8 @@ fn main() {
     let cache = Arc::new(MultiplierCache::new());
     let mut outputs = RowBlock::new();
 
-    // Let the planner choose: at 90% sparsity with no compiled circuit
-    // in the cache, that is the CSR engine — and it says so.
+    // Let the planner choose: at 90% sparsity the CSR gather is the
+    // cheapest kernel per frame — and the rationale says by how much.
     let auto = Session::builder(v.clone())
         .cache(Arc::clone(&cache))
         .build()
@@ -81,9 +81,10 @@ fn main() {
         );
     }
 
-    // The bit-serial session above compiled through the shared cache, so
-    // a *replan* now picks the circuit: the compile is already paid. This
-    // session also carries a telemetry recorder — each batch stamps
+    // The bit-serial session above compiled through the shared cache.
+    // A *replan* does not care: the plan prices the kernels on the
+    // matrix's own counts, so it is the plan from before the compile.
+    // This session also carries a telemetry recorder — each batch stamps
     // shard/reassemble/compute durations into per-stage histograms.
     let recorder = spatial_smm::runtime::SpanRecorder::new();
     let replanned = Session::builder(v.clone())
@@ -92,7 +93,7 @@ fn main() {
         .build()
         .unwrap();
     println!("{}", replanned.plan().rationale);
-    assert_eq!(replanned.engine().name(), "bitserial");
+    assert_eq!(replanned.plan(), auto.plan());
     replanned.run_block(Arc::clone(&batch), &mut outputs).unwrap();
     assert_eq!(
         Vec::<Vec<i64>>::from(&outputs),

@@ -28,10 +28,10 @@
 //! ## Serving: start with [`Session`]
 //!
 //! The serving API's front door is [`Session`], re-exported here: give
-//! it a matrix and it plans an engine (dimensions, density, circuit
-//! cache-residency — the rationale is attached), builds it through the
-//! pluggable [`EngineRegistry`], and serves through a sharding worker
-//! pool:
+//! it a matrix and it plans an engine (the cheapest kernel per frame on
+//! the matrix's rows, columns and non-zeros — the rationale carries the
+//! numbers), builds it through the pluggable [`EngineRegistry`], and
+//! serves through a sharding worker pool:
 //!
 //! ```
 //! use spatial_smm::{core::matrix::IntMatrix, Session};
@@ -54,9 +54,11 @@
 //!    [`runtime::GemvBackend`] trait with dense-reference, CSR,
 //!    compiled bit-serial, and SIGMA tile-mapped engines resolved
 //!    through an [`EngineRegistry`] of factories (the extension point
-//!    for future fpga engines); a [`Planner`] that scores engines per
-//!    matrix under a [`PlanPolicy`], fed by the gpu/sigma/cgra
-//!    accelerator cost models; a [`runtime::MultiplierCache`]
+//!    for future fpga engines); a [`Planner`] that prices the dense,
+//!    CSR and sigma kernels per matrix under a [`PlanPolicy`], in
+//!    nanoseconds per frame at their measured rates (the gpu, cgra and
+//!    sigma timing models are evaluation models, not planner inputs); a
+//!    [`runtime::MultiplierCache`]
 //!    that memoizes spatial compilation by matrix content digest (with
 //!    an optional LRU bound); and one process-wide worker pool, shared
 //!    by every session, across which [`Session::run_block`] shards flat

@@ -13,7 +13,9 @@
 //! a real loopback server that was asked for that engine by name. The
 //! suite is table-driven off [`EngineRegistry::kinds`], so registering a
 //! fifth engine automatically pins it here; per-engine identity checks
-//! elsewhere can stay focused on engine-specific behavior.
+//! elsewhere can stay focused on engine-specific behavior. One more
+//! column, `auto`, holds whatever the planner picks to the same contract
+//! and the pick itself to the arg-min of the plan's own cost table.
 
 use proptest::prelude::*;
 use spatial_smm::core::block::{FrameBlock, RowBlock};
@@ -21,23 +23,40 @@ use spatial_smm::core::generate::{element_sparse_matrix, random_vector};
 use spatial_smm::core::gemv::vecmat;
 use spatial_smm::core::matrix::IntMatrix;
 use spatial_smm::core::rng::seeded;
-use spatial_smm::runtime::{MultiplierCache, BUILTIN_KINDS};
+use spatial_smm::runtime::{AutoOptions, MultiplierCache, BUILTIN_KINDS};
 use spatial_smm::server::{BackendKind, Client, ServerConfig, ServerHandle};
-use spatial_smm::{EngineRegistry, EngineSpec, Session};
+use spatial_smm::{EnginePlan, EngineRegistry, EngineSpec, PlanPolicy, Session};
 use std::sync::Arc;
 
-/// A loopback server with `v` loaded under exactly the engine `kind`
-/// (asserted from the `Loaded` reply), and a client connected to it.
-fn serve_over_loopback(v: &IntMatrix, kind: &str, threads: usize) -> (ServerHandle, Client, u64) {
+/// The conformance table's `auto` column, beside the registered kinds.
+const AUTO: &str = "auto";
+
+/// The cheapest candidate of an auto plan, ties to the earliest: what
+/// the planner must have picked.
+fn arg_min(plan: &EnginePlan) -> &str {
+    let cheapest = plan.candidates.iter().map(|c| c.cost_ns).fold(f64::INFINITY, f64::min);
+    let first = plan.candidates.iter().find(|c| c.cost_ns == cheapest);
+    &first.expect("an auto plan prices at least one candidate").kind
+}
+
+/// A loopback server asked to load `v` under the backend `column` (an
+/// engine kind or `auto`) that answered with exactly `engine` (asserted
+/// from the `Loaded` reply), and a client connected to it.
+fn serve_over_loopback(
+    v: &IntMatrix,
+    column: &str,
+    engine: &str,
+    threads: usize,
+) -> (ServerHandle, Client, u64) {
     let server = spatial_smm::server::start(ServerConfig {
         threads,
         ..ServerConfig::default()
     })
     .unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
-    let backend: BackendKind = kind.parse().expect("every engine kind has a wire name");
+    let backend: BackendKind = column.parse().expect("every column has a wire name");
     let info = client.load_matrix_with(v, Some(backend)).unwrap();
-    assert_eq!(info.engine, kind, "the server planned another engine");
+    assert_eq!(info.engine, engine, "the server planned another engine");
     (server, client, info.digest)
 }
 
@@ -63,9 +82,9 @@ fn all_four_builtin_engines_are_registered() {
 }
 
 /// The conformance contract for one generated case, per registered
-/// engine kind: every submission surface produces the dense reference's
-/// exact bits, with the output buffers reused across engines so stale
-/// rows from one would be caught by the next.
+/// engine kind and for the auto plan: every submission surface produces
+/// the dense reference's exact bits, with the output buffers reused
+/// across engines so stale rows from one would be caught by the next.
 fn assert_conformance(
     seed: u64,
     rows: usize,
@@ -90,13 +109,28 @@ fn assert_conformance(
     // the block's origin and is one short of the session's shards.
     let (start, end) = (batch_size.min(1), batch_size);
     let mut shard = vec![0i64; (end - start) * cols];
-    for kind in registered_kinds() {
+    for kind in registered_kinds().into_iter().chain([AUTO.to_string()]) {
+        let policy = if kind == AUTO {
+            PlanPolicy::Auto(AutoOptions {
+                threads,
+                ..AutoOptions::default()
+            })
+        } else {
+            PlanPolicy::Explicit(EngineSpec::new(kind.clone()).threads(threads))
+        };
         let session = Session::builder(v.clone())
-            .spec(EngineSpec::new(kind.clone()).threads(threads))
+            .policy(policy)
             .cache(Arc::clone(&cache))
             .build()
             .unwrap();
-        assert_eq!(session.engine().name(), kind.as_str());
+        let engine = if kind == AUTO {
+            let picked = arg_min(session.plan());
+            assert_ne!(picked, "bitserial", "auto never plans the simulation");
+            picked
+        } else {
+            kind.as_str()
+        };
+        assert_eq!(session.engine().name(), engine, "{kind}: {}", session.plan().rationale);
         assert_eq!((session.rows(), session.cols()), (rows, cols), "{kind}");
 
         // run: the single-vector path.
@@ -113,15 +147,25 @@ fn assert_conformance(
             assert_eq!(row, expect[frame].as_slice(), "run_rows frame {frame}, {kind}");
         }
         // The wire: the same engine behind a real server.
-        let (server, mut client, digest) = serve_over_loopback(&v, &kind, threads);
+        let (server, mut client, digest) = serve_over_loopback(&v, &kind, engine, threads);
         assert_eq!(client.gemv(digest, &single).unwrap(), expect_single, "gemv, {kind}");
         let served = client.gemv_block(digest, &frames).unwrap();
         assert_eq!(Vec::<Vec<i64>>::from(&served), expect, "gemv_block, {kind}");
         server.shutdown();
     }
     // One spatial compile in-process, shared: only the bitserial kind
-    // touches the cache (each server compiles through its own).
+    // touches the cache (each server compiles through its own), and the
+    // auto column plans the same with that circuit resident.
     assert_eq!(cache.stats().misses, 1);
+}
+
+/// The auto column on the planner's own grid: fully dense, the middle
+/// band, and the two sparse regimes the benchmark serves.
+#[test]
+fn the_auto_plan_serves_identical_bits_across_the_density_grid() {
+    for (i, sparsity) in [0.0, 0.5, 0.9, 0.99].into_iter().enumerate() {
+        assert_conformance(7200 + i as u64, 40, 32, sparsity, 20, 2);
+    }
 }
 
 /// Engines that batch in fixed groups (csr: 16 frames, bitserial: 64)
@@ -181,7 +225,7 @@ proptest! {
                 session.engine().run_rows(&thin, 0, 1, &mut vec![0; cols]).is_err(),
                 "run_rows, {}", &kind
             );
-            let (server, mut client, digest) = serve_over_loopback(&v, &kind, 1);
+            let (server, mut client, digest) = serve_over_loopback(&v, &kind, &kind, 1);
             prop_assert!(client.gemv(digest, &short).is_err(), "gemv, {}", &kind);
             prop_assert!(client.gemv_block(digest, &thin).is_err(), "gemv_block, {}", &kind);
             // The session and the connection survive and still serve a
