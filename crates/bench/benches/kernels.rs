@@ -4,8 +4,8 @@
 //! gather vs the row scatter it is held to), the per-frame vs
 //! weight-stationary CSR batch, the flat `matmat_into` batch against the
 //! nested bridge, the bit-sliced vs framed-streamed bit-serial batch
-//! engines, the three loops of a cold promotion (CRC-32, content
-//! digest, CSR build), and the planner's regret (the auto-planned
+//! engines, the loops of a cold promotion (CRC-32, content digest,
+//! artifact decode, CSR build), and the planner's regret (the auto-planned
 //! engine's one-frame time over the fastest engine's). Each race between
 //! a production kernel and its oracle checks the two outputs equal
 //! before either side is timed.
@@ -24,7 +24,9 @@ use smm_core::gemv::{matmat, matmat_into, vecmat, vecmat_into, vecmat_into_scala
 use smm_core::rng::seeded;
 use smm_runtime::{EngineSpec, MultiplierCache, Session};
 use smm_sparse::{Coo, Csr};
-use smm_store::artifact::{crc32, crc32_bitwise};
+use smm_core::matrix::IntMatrix;
+use smm_core::wire::Cursor;
+use smm_store::artifact::{self, crc32, crc32_bitwise, Artifact};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -220,10 +222,12 @@ fn bench_bitserial_batch(c: &mut Criterion) {
 /// body it replaced: the slice-by-8 CRC-32 vs the bit-at-a-time one on
 /// a 256² artifact payload (262 KB), the zero-folding digest vs the
 /// byte-serial one at 256² with no, half and all zeros (folding must
-/// not cost the dense case), and the direct CSR build vs the route
-/// through COO triples at 256² and 1024², 90 % sparse — both sides
-/// finish by deriving the accumulator bound and the column slices, so
-/// the race includes them.
+/// not cost the dense case), `artifact::decode` of a 256²/90 % matrix
+/// artifact — verified once, by its digest — vs the three passes a cold
+/// read used to make over the same bytes, and the direct CSR build vs
+/// the route through COO triples at 256² and 1024², 90 % sparse — both
+/// sides finish by deriving the accumulator bound and the column
+/// slices, so the race includes them.
 fn bench_store_checksums(c: &mut Criterion) {
     let mut rng = seeded(5000);
     let mut group = c.benchmark_group("store_checksums");
@@ -250,6 +254,18 @@ fn bench_store_checksums(c: &mut Criterion) {
         });
     }
 
+    let m = element_sparse_matrix(256, 256, 8, 0.9, true, &mut rng).unwrap();
+    let file = artifact::encode(m.digest(), &Artifact::Matrix(m.clone()));
+    let decoded = artifact::decode(&file).unwrap();
+    assert_eq!(decoded, (m.digest(), Artifact::Matrix(m)), "decode lost the matrix");
+    assert_eq!(decode_in_three_passes(&file), decoded, "cold decodes diverged");
+    group.bench_function("cold_decode/digest_only", |b| {
+        b.iter(|| artifact::decode(black_box(&file)).unwrap())
+    });
+    group.bench_function("cold_decode/crc_decode_digest", |b| {
+        b.iter(|| decode_in_three_passes(black_box(&file)))
+    });
+
     for &dim in &[256usize, 1024] {
         let m = element_sparse_matrix(dim, dim, 8, 0.9, true, &mut rng).unwrap();
         let via_coo = |m| Csr::from_coo(&Coo::from_dense(m));
@@ -262,6 +278,26 @@ fn bench_store_checksums(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// A rev-1 matrix artifact read the way every cold read ran before the
+/// digest became the payload's only check: CRC-32 over the payload,
+/// element decode, content digest — the oracle `artifact::decode` is
+/// held to (same value out of the same bytes).
+fn decode_in_three_passes(file: &[u8]) -> (u64, Artifact) {
+    // Past magic (4), format rev (4) and kind (1).
+    let mut header = Cursor::new(&file[9..]);
+    let digest = header.take_u64("digest").unwrap();
+    let crc = header.take_u32("crc").unwrap();
+    let payload = header.take_bytes("payload").unwrap();
+    assert_eq!(crc32(payload), crc, "payload CRC");
+    let mut body = Cursor::new(payload);
+    let rows = body.take_u64("rows").unwrap() as usize;
+    let cols = body.take_u64("cols").unwrap() as usize;
+    let data = body.take_i32_vec("data").unwrap();
+    let m = IntMatrix::from_vec(rows, cols, data).unwrap();
+    assert_eq!(m.digest(), digest, "content digest");
+    (digest, Artifact::Matrix(m))
 }
 
 /// The planner's regret: every engine's one-frame `run_rows` on one

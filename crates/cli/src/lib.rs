@@ -97,7 +97,7 @@ command-specific:
   stats:    --addr A          (default 127.0.0.1:7878); prints request totals,
                               cache behavior, and the per-stage latency table
   store:    ls (default)      list resident digests, kinds, and bytes
-            gc                remove files that fail checksum validation
+            gc                remove files that fail digest/CRC validation
             warm              persist a matrix (matrix opts) into the store
             --store-dir DIR   the store directory (required)
   tidy:     --root DIR        workspace root to scan (default .)

@@ -7,7 +7,8 @@
 //!   threads, so residency costs the engine's memory and nothing else);
 //! * **warm** — the raw [`IntMatrix`] resident in memory, the engine
 //!   rebuilt on demand through the shared multiplier cache;
-//! * **cold** — checksummed artifact bytes in an attached [`Store`].
+//! * **cold** — artifact bytes in an attached [`Store`], verified on the
+//!   way back in by the content digest they are filed under.
 //!
 //! Promotion happens on request ([`TieredRegistry::acquire`]): a warm
 //! or cold digest is rebuilt into a session the moment traffic asks for
@@ -316,6 +317,8 @@ impl TieredRegistry {
     }
 
     /// Reads a cold digest's matrix artifact, counting the store hit.
+    /// The store hands back only content that hashes to `digest` — one
+    /// pass over the bytes, the only verification a promotion pays for.
     /// Corruption warns and forgets the entry instead of failing.
     fn read_cold_matrix(&self, digest: u64) -> Option<IntMatrix> {
         let store = self.store.as_ref()?;
@@ -408,10 +411,15 @@ impl TieredRegistry {
 
     /// Demotes `digest` one tier (hot→warm, warm→cold), returning its
     /// new tier. `None` when the digest is unknown or cannot move down
-    /// (already cold, or warm with no store to spill to).
+    /// (already cold, or warm with no store to spill to). The tier it
+    /// lands in is held to its bound like after any install, so a full
+    /// warm tier spills its LRU member — which may be `digest` itself,
+    /// and then the tier returned is cold.
     pub fn demote(&self, digest: u64) -> Option<Tier> {
         let mut inner = lock_or_recover(&self.inner);
-        self.demote_locked(&mut inner, digest)
+        self.demote_locked(&mut inner, digest)?;
+        self.rebalance(&mut inner);
+        inner.entries.get(&digest).map(Entry::tier)
     }
 
     /// Drops `digest` from every in-memory tier; with `from_disk`, its
@@ -461,8 +469,9 @@ impl TieredRegistry {
         }
     }
 
-    /// Enforces the tier bounds after an install or promotion: LRU hot
-    /// sessions demote to warm, LRU warm entries spill to cold.
+    /// Enforces the tier bounds after an install, promotion or explicit
+    /// demotion: LRU hot sessions demote to warm, LRU warm entries spill
+    /// to cold.
     fn rebalance(&self, inner: &mut Inner) {
         for (tier, bound) in [(Tier::Hot, self.config.max_hot), (Tier::Warm, self.config.max_warm)] {
             loop {
@@ -717,39 +726,74 @@ mod tests {
 
     #[test]
     fn corrupt_cold_entry_warns_and_degrades() {
+        // Each fault is caught by the digest pass or the structure
+        // around it — no CRC is consulted for a matrix.
+        type Fault = fn(&mut Vec<u8>);
+        let faults: [(&str, Fault); 3] = [
+            ("payload byte", |bytes| *bytes.last_mut().unwrap() ^= 0x80),
+            ("stamped digest", |bytes| bytes[9] ^= 0x01),
+            ("truncation", |bytes| bytes.truncate(bytes.len() - 3)),
+        ];
+        for (what, fault) in faults {
+            let store = temp_store();
+            let dir = store.dir().to_path_buf();
+            let m = matrix(11);
+            let digest = m.digest();
+            {
+                let registry =
+                    TieredRegistry::with_store(TieredConfig::default(), store).unwrap();
+                registry.insert(m.clone(), csr_session(m.clone()), None);
+            }
+            let store = Store::open(&dir).unwrap();
+            let path = store.path_for(digest, ArtifactKind::Matrix);
+            let mut bytes = std::fs::read(&path).unwrap();
+            fault(&mut bytes);
+            std::fs::write(&path, &bytes).unwrap();
+            let registry = TieredRegistry::with_store(TieredConfig::default(), store).unwrap();
+            assert_eq!(registry.tier_of(digest), Some(Tier::Cold), "{what}");
+            // The acquire degrades to "unknown" — no panic, no Err, no
+            // session built from whatever the bytes now say — and the
+            // entry is forgotten, so the caller is free to rebuild from
+            // its own bytes.
+            let served = registry
+                .acquire(digest, |_| panic!("{what}: a corrupt artifact reached the builder"))
+                .unwrap();
+            assert!(served.is_none(), "{what}");
+            assert_eq!(registry.tier_of(digest), None, "{what}");
+            assert_eq!(registry.snapshot().store_hits, 0, "{what}");
+            match registry.insert(m.clone(), csr_session(m.clone()), None) {
+                InsertOutcome::Installed(_) => {}
+                _ => panic!("{what}: reinsert after corruption must install"),
+            }
+            // The reinsert rewrote good bytes.
+            assert_eq!(
+                Store::open(&dir).unwrap().get(digest, ArtifactKind::Matrix).unwrap(),
+                Some(Artifact::Matrix(m)),
+                "{what}"
+            );
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn explicit_demote_holds_the_warm_bound() {
         let store = temp_store();
         let dir = store.dir().to_path_buf();
-        let m = matrix(11);
-        let digest = m.digest();
-        {
-            let registry =
-                TieredRegistry::with_store(TieredConfig::default(), store).unwrap();
-            registry.insert(m.clone(), csr_session(m.clone()), None);
-        }
-        // Flip a payload byte in the matrix artifact.
-        let store = Store::open(&dir).unwrap();
-        let path = store.path_for(digest, ArtifactKind::Matrix);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x80;
-        std::fs::write(&path, &bytes).unwrap();
-        let registry = TieredRegistry::with_store(TieredConfig::default(), store).unwrap();
-        assert_eq!(registry.tier_of(digest), Some(Tier::Cold));
-        // The acquire degrades to "unknown" — no panic, no Err — and
-        // the caller is free to rebuild from its own bytes.
-        assert!(registry
-            .acquire(digest, |m| Ok(csr_session(m)))
-            .unwrap()
-            .is_none());
-        match registry.insert(m.clone(), csr_session(m), None) {
-            InsertOutcome::Installed(_) => {}
-            _ => panic!("reinsert after corruption must install"),
-        }
-        // The reinsert rewrote good bytes.
-        assert!(matches!(
-            Store::open(&dir).unwrap().get(digest, ArtifactKind::Matrix),
-            Ok(Some(_))
-        ));
+        let config = TieredConfig { max_hot: 1, max_warm: 1 };
+        let registry = TieredRegistry::with_store(config, store).unwrap();
+        let (a, b) = (matrix(1), matrix(5));
+        registry.insert(a.clone(), csr_session(a.clone()), None);
+        registry.insert(b.clone(), csr_session(b.clone()), None);
+        assert_eq!(registry.tier_of(a.digest()), Some(Tier::Warm));
+        // b joins a full warm tier, and the tier's LRU member spills in
+        // the same call — not at whatever install comes next.
+        assert_eq!(registry.demote(b.digest()), Some(Tier::Warm));
+        let counts = registry.tier_counts();
+        assert_eq!((counts.hot, counts.warm, counts.cold), (0, 1, 1));
+        assert_eq!(registry.tier_of(a.digest()), Some(Tier::Cold));
+        let back = registry.acquire(a.digest(), |m| Ok(csr_session(m))).unwrap().unwrap();
+        assert_eq!(back.run(&[1, 0]).unwrap(), vec![1, 0]);
+        assert_eq!(registry.snapshot().store_hits, 1);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -931,11 +975,10 @@ mod tests {
                                 }
                             }
                         }
-                        // An explicit demote moves an entry down without
-                        // rebalancing, so warm may run over by what hot
-                        // gave up — never the two together.
+                        // Every call that moves an entry rebalances
+                        // before it unlocks, so both bounds hold at once.
                         let counts = registry.tier_counts();
-                        assert!(counts.hot <= 2 && counts.hot + counts.warm <= 5, "{counts:?}");
+                        assert!(counts.hot <= 2 && counts.warm <= 3, "{counts:?}");
                     }
                     done.send(owned_resident.iter().filter(|&&r| r).count()).unwrap();
                 })
@@ -954,11 +997,10 @@ mod tests {
         for thread in threads {
             thread.join().unwrap();
         }
-        // Quiescent. One more install rebalances after the last demote.
-        registry.insert(matrix(100), csr_session(matrix(100)), None);
+        // Quiescent: the books add up with no further call to settle them.
         let counts = registry.tier_counts();
         assert!(counts.hot <= 2 && counts.warm <= 3, "{counts:?}");
-        assert_eq!(counts.total(), resident as u64 + 1, "{counts:?}");
+        assert_eq!(counts.total(), resident as u64, "{counts:?}");
         let _ = std::fs::remove_dir_all(dir);
     }
 

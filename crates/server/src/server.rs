@@ -316,7 +316,7 @@ impl Shared {
                 span.mark(Stage::Plan);
                 return loaded(&session, true);
             }
-            // Unknown digest — or cold bytes that failed their checksum,
+            // Unknown digest — or cold bytes that failed their digest check,
             // already warned about and dropped; the upload in hand
             // rebuilds (and re-persists) the entry either way.
             Ok(None) => {}

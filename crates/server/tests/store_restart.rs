@@ -1,5 +1,5 @@
 //! Restart-without-recompile: a server pointed at a `store_dir`
-//! persists every loaded matrix as checksummed artifacts, and a fresh
+//! persists every loaded matrix as digest-addressed artifacts, and a fresh
 //! server over the same directory answers `LoadMatrix` from the store —
 //! store-hit counter up, compile counter still zero — with bit-identical
 //! serving. Corrupt artifacts degrade to recompilation with a logged
@@ -126,8 +126,9 @@ fn corrupt_store_files_degrade_to_recompilation() {
         client.load_matrix(&matrix).unwrap()
     };
 
-    // Flip a payload byte in the matrix artifact: the CRC no longer
-    // matches.
+    // Flip a payload byte in the matrix artifact: its content no longer
+    // hashes to the digest it is stamped with and filed under (the one
+    // check a cold matrix gets; the CRC beside it is not consulted).
     let path = Store::open(&dir)
         .unwrap()
         .path_for(digest, ArtifactKind::Matrix);
@@ -141,6 +142,7 @@ fn corrupt_store_files_degrade_to_recompilation() {
     // the client's own bytes, and serving is correct.
     let server = smm_server::start(config(&dir)).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(client.stats().unwrap().tier_cold, 1, "boot lists names, it decodes nothing");
     let info = client.load_matrix_with(&matrix, None).unwrap();
     assert!(
         !info.already_loaded,
@@ -148,14 +150,17 @@ fn corrupt_store_files_degrade_to_recompilation() {
     );
     assert_eq!(client.gemv(info.digest, &a).unwrap(), expect);
     let stats = server.shutdown();
+    // Warned and forgotten, then rebuilt: the one digest is hot from the
+    // upload, nothing cold is left behind and the store answered nothing.
+    assert_eq!((stats.tier_hot, stats.tier_cold), (1, 0), "{stats:?}");
     assert_eq!(stats.store_hits, 0, "{stats:?}");
 
     // The rebuild re-persisted good bytes over the bad file.
     let store = Store::open(&dir).unwrap();
-    assert!(matches!(
-        store.get(digest, ArtifactKind::Matrix),
-        Ok(Some(_))
-    ));
+    assert_eq!(
+        store.get(digest, ArtifactKind::Matrix).unwrap(),
+        Some(Artifact::Matrix(matrix))
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

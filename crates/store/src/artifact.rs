@@ -1,4 +1,5 @@
-//! The on-disk artifact format: versioned, checksummed, digest-stamped.
+//! The on-disk artifact format: versioned, digest-stamped, checksummed
+//! where no digest covers the content.
 //!
 //! One artifact file holds one serialized value — a dense [`IntMatrix`]
 //! or the [`CircuitMeta`] describing a compiled engine, the two a load
@@ -12,18 +13,51 @@
 //! ```
 //!
 //! The digest is the owning matrix's stable FNV content digest
-//! ([`IntMatrix::digest`]), so a file can be verified against the name
-//! it was stored under without decoding the payload. The CRC-32 (IEEE)
-//! covers the payload bytes; the format revision gates layout changes.
-//! Both checks run on every cold read, so neither walks its input a bit
-//! or a zero byte at a time: [`crc32`] is slice-by-8 over compile-time
-//! tables and the digest folds zero elements, each pinned to its serial
-//! reference ([`crc32_bitwise`], [`IntMatrix::digest_bytewise`]) — same
-//! bytes on disk, same values.
+//! ([`IntMatrix::digest`]) and the name the store files the artifact
+//! under; the format revision gates layout changes.
+//!
+//! # What makes a file valid
+//!
+//! Each payload is verified **once**, by the strongest check its kind
+//! has:
+//!
+//! * A `Matrix` artifact is valid iff its decoded content hashes to the
+//!   digest stamped in its header. The store is content-addressed, so
+//!   that check has to run anyway (it is what ties the bytes to the
+//!   file name, see `Store::get`), and it covers everything the CRC
+//!   did. [`encode`] still stamps the CRC-32 (IEEE) of the payload —
+//!   the field is *written for rev-1 readers, not read for `Matrix`*:
+//!   builds from before this rule verify it, so a directory moves
+//!   between the two in both directions, and store rev 2 drops it.
+//! * `Csr` and `Circuit` payloads have no content address — the digest
+//!   in their header names the matrix they belong to, not their own
+//!   bytes — so the CRC-32 over the payload is their integrity check
+//!   and [`decode`] verifies it.
+//!
+//! Why the digest covers a matrix payload (`rows u64 · cols u64 ·
+//! count u32 · count × i32`): every payload byte is either hashed by
+//! [`IntMatrix::digest`] — both dimensions and every element, in the
+//! byte order they are stored in — or checked structurally: the element
+//! count must equal `rows × cols`, the outer length prefix must account
+//! for exactly the bytes present, and nothing may trail either. A
+//! corruption confined to one byte is caught with certainty: a
+//! structural byte fails its check, and for a hashed byte an FNV-1a
+//! step `h ← (h ^ b)·P` is a bijection of the state for a fixed byte
+//! and injective in the byte for a fixed state, so the states differ
+//! from that byte on. Any other corruption escapes with probability
+//! 2⁻⁶⁴, where the CRC offered 2⁻³² (what is given up is the CRC's
+//! guarantee for bursts of up to 32 bits that span bytes). The header
+//! outside the payload is checked field by field, as it always was.
+//!
+//! Neither check walks its input a bit or a zero byte at a time:
+//! [`crc32`] is slice-by-8 over compile-time tables and the digest
+//! folds zero elements, each pinned to its serial reference
+//! ([`crc32_bitwise`], [`IntMatrix::digest_bytewise`]) — same bytes on
+//! disk, same values.
 //!
 //! Decoding follows the same discipline as the network wire: bytes on
 //! disk are treated as hostile. Every malformed input — truncation, a
-//! lying length prefix, a wrong magic/revision/kind, a CRC or digest
+//! lying length prefix, a wrong magic/revision/kind, a digest or CRC
 //! mismatch, trailing garbage — returns an [`Error`], never panics, and
 //! never allocates more than the bytes actually present justify.
 
@@ -79,7 +113,9 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 }
 
 /// CRC-32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`) over
-/// `bytes` — the checksum guarding every artifact payload.
+/// `bytes` — the checksum [`encode`] stamps on every payload and
+/// [`decode`] verifies for the kinds no digest covers (`Csr`,
+/// `Circuit`).
 ///
 /// Slice-by-8: eight bytes per step through eight 256-entry tables
 /// derived at compile time from the same polynomial, so the value is
@@ -320,7 +356,8 @@ fn take_usize_vec(c: &mut Cursor<'_>, what: &str) -> Result<Vec<usize>> {
 }
 
 /// Serializes `artifact` under the matrix content `digest` into the
-/// versioned, checksummed file layout.
+/// versioned file layout. The payload CRC is stamped for every kind —
+/// rev-1 bytes do not depend on who will read them.
 pub fn encode(digest: u64, artifact: &Artifact) -> Vec<u8> {
     let payload = artifact.encode_payload();
     let mut buf = Vec::with_capacity(payload.len() + 32);
@@ -335,8 +372,10 @@ pub fn encode(digest: u64, artifact: &Artifact) -> Vec<u8> {
 
 /// Decodes one artifact file, returning the digest it was stamped with
 /// and the value. Every malformed input is an `Err`:
-/// truncation, wrong magic, unknown revision or kind, payload CRC
-/// mismatch, trailing bytes, or an invalid decoded value.
+/// truncation, wrong magic, unknown revision or kind, trailing bytes, an
+/// invalid decoded value, and a payload that fails its kind's integrity
+/// check — the content digest for `Matrix`, the CRC-32 for `Csr` and
+/// `Circuit` (see the module docs).
 pub fn decode(bytes: &[u8]) -> Result<(u64, Artifact)> {
     let mut c = Cursor::new(bytes);
     let mut magic = [0u8; 4];
@@ -359,20 +398,23 @@ pub fn decode(bytes: &[u8]) -> Result<(u64, Artifact)> {
     let crc = c.take_u32("artifact payload crc")?;
     let payload = c.take_bytes("artifact payload")?;
     c.expect_end("artifact file")?;
-    let actual = crc32(payload);
-    if actual != crc {
-        return Err(format_err(format!(
-            "artifact payload CRC mismatch: header {crc:#010x}, computed {actual:#010x}"
-        )));
+    if kind != ArtifactKind::Matrix {
+        let actual = crc32(payload);
+        if actual != crc {
+            return Err(format_err(format!(
+                "artifact payload CRC mismatch: header {crc:#010x}, computed {actual:#010x}"
+            )));
+        }
     }
     let artifact = Artifact::decode_payload(kind, payload)?;
     // A matrix artifact must actually hash to the digest it claims —
-    // the content address is the contract the whole store rests on.
+    // the content address is the contract the whole store rests on, and
+    // the one pass that verifies these bytes.
     if let Artifact::Matrix(m) = &artifact {
-        if m.digest() != digest {
+        let actual = m.digest();
+        if actual != digest {
             return Err(format_err(format!(
-                "matrix content digest {:#018x} does not match stamped digest {digest:#018x}",
-                m.digest()
+                "matrix content digest {actual:#018x} does not match stamped digest {digest:#018x}"
             )));
         }
     }
@@ -385,6 +427,18 @@ mod tests {
 
     fn sample_matrix() -> IntMatrix {
         IntMatrix::from_vec(2, 3, vec![1, 0, -2, 3, 0, 4]).unwrap()
+    }
+
+    fn sample_meta() -> CircuitMeta {
+        CircuitMeta {
+            engine: "bitserial".into(),
+            input_bits: 8,
+            encoding: "csd".into(),
+            rows: 24,
+            cols: 24,
+            nnz: 57,
+            rationale: "small and sparse enough to fit".into(),
+        }
     }
 
     #[test]
@@ -408,6 +462,20 @@ mod tests {
         0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
     ];
 
+    /// `encode(42, sample_meta())` as the commit before a matrix's
+    /// digest became its only payload check wrote it.
+    const PARENT_WRITTEN_CIRCUIT_ARTIFACT: [u8; 107] = [
+        0x53, 0x4d, 0x4d, 0x41, 0x01, 0x00, 0x00, 0x00, 0x03, 0x2a, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0xd1, 0xe4, 0x1d, 0xda, 0x52, 0x00, 0x00, //
+        0x00, 0x09, 0x00, 0x00, 0x00, 0x62, 0x69, 0x74, 0x73, 0x65, 0x72, 0x69, //
+        0x61, 0x6c, 0x08, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x63, 0x73, //
+        0x64, 0x18, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x18, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x39, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x00, 0x1e, 0x00, 0x00, 0x00, 0x73, 0x6d, 0x61, 0x6c, 0x6c, 0x20, 0x61, //
+        0x6e, 0x64, 0x20, 0x73, 0x70, 0x61, 0x72, 0x73, 0x65, 0x20, 0x65, 0x6e, //
+        0x6f, 0x75, 0x67, 0x68, 0x20, 0x74, 0x6f, 0x20, 0x66, 0x69, 0x74,
+    ];
+
     #[test]
     fn artifacts_written_before_the_table_driven_crc_still_decode() {
         let m = sample_matrix();
@@ -416,6 +484,18 @@ mod tests {
         assert_eq!(artifact, Artifact::Matrix(m.clone()));
         // And the same bytes are still what gets written.
         assert_eq!(encode(m.digest(), &Artifact::Matrix(m)), PARENT_WRITTEN_MATRIX_ARTIFACT);
+    }
+
+    /// The other kind a load writes, pinned the same way in both
+    /// directions, so between them the two tests fix every rev-1 byte —
+    /// the CRC field included, for the kind that no longer reads it —
+    /// until `FORMAT_REV` moves.
+    #[test]
+    fn circuit_artifacts_are_the_same_rev1_bytes_in_both_directions() {
+        assert_eq!(FORMAT_REV, 1);
+        let artifact = Artifact::Circuit(sample_meta());
+        assert_eq!(encode(42, &artifact), PARENT_WRITTEN_CIRCUIT_ARTIFACT);
+        assert_eq!(decode(&PARENT_WRITTEN_CIRCUIT_ARTIFACT).unwrap(), (42, artifact));
     }
 
     #[test]
@@ -438,15 +518,7 @@ mod tests {
 
     #[test]
     fn circuit_meta_round_trips() {
-        let meta = CircuitMeta {
-            engine: "bitserial".into(),
-            input_bits: 8,
-            encoding: "csd".into(),
-            rows: 24,
-            cols: 24,
-            nnz: 57,
-            rationale: "small and sparse enough to fit".into(),
-        };
+        let meta = sample_meta();
         let bytes = encode(42, &Artifact::Circuit(meta.clone()));
         let (digest, artifact) = decode(&bytes).unwrap();
         assert_eq!(digest, 42);
@@ -470,13 +542,22 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_payload_fails_crc() {
+    fn corrupt_matrix_payload_fails_the_digest() {
         let m = sample_matrix();
         let mut bytes = encode(m.digest(), &Artifact::Matrix(m));
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
-        let err = decode(&bytes).unwrap_err();
-        assert!(err.to_string().contains("CRC"), "{err}");
+        let err = decode(&bytes).unwrap_err().to_string();
+        assert!(err.contains("digest") && !err.contains("CRC"), "{err}");
+    }
+
+    #[test]
+    fn corrupt_circuit_payload_fails_the_crc() {
+        let mut bytes = encode(42, &Artifact::Circuit(sample_meta()));
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x40;
+        let err = decode(&bytes).unwrap_err().to_string();
+        assert!(err.contains("CRC"), "{err}");
     }
 
     #[test]

@@ -14,16 +14,18 @@
 //!         ↑↓   promote on request / demote on pressure
 //!        warm  raw matrix, in memory, compile on demand
 //!         ↑↓   promote on request / demote on pressure
-//!        cold  versioned, checksummed artifact bytes on disk
+//!        cold  versioned, digest-verified artifact bytes on disk
 //! ```
 //!
 //! * [`artifact`] — the std-only binary file format (magic + format
 //!   rev + FNV digest + payload CRC-32) with serializers for dense
 //!   matrices and compiled-circuit metadata — the two artifacts a load
 //!   persists — and for CSR structures, which older store directories
-//!   hold and nothing writes any more. The CRC is table-driven
-//!   (slice-by-8) and the digest zero-folding, so verifying a cold
-//!   matrix costs about what copying it does.
+//!   hold and nothing writes any more. A matrix is verified once, by
+//!   the content digest it is filed under (zero-folding, so the pass
+//!   costs about what reading the file does); the CRC (table-driven,
+//!   slice-by-8) is still written for every kind and verified for the
+//!   kinds no digest covers.
 //! * [`store`] — the [`Store`] directory API: `put` / `get` /
 //!   `contains` / `evict` / `scan` / `gc`, with atomic writes and
 //!   hostile-input decoding.

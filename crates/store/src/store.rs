@@ -5,8 +5,10 @@
 //! `00000f4a139ac2b1.matrix.smma`. Writes go through a temporary file
 //! and an atomic rename, so a crash mid-`put` never leaves a partial
 //! artifact under a valid name. Reads verify the full format contract
-//! (magic, revision, CRC, stamped digest) before returning a value —
-//! a corrupt file is a recoverable [`Error`], never a panic.
+//! (magic, revision, and the payload against its kind's integrity check
+//! — a matrix against its content digest, the other kinds against their
+//! CRC; see [`artifact`]) before returning a value — a corrupt file is a
+//! recoverable [`Error`], never a panic.
 
 use crate::artifact::{self, Artifact, ArtifactKind};
 use smm_core::error::{Error, Result};
@@ -93,8 +95,11 @@ impl Store {
     /// Loads the artifact of `kind` stored under `digest`.
     ///
     /// Returns `Ok(None)` when no such file exists; a file that exists
-    /// but fails any format check (truncation, CRC, stamped digest not
-    /// matching the requested one) is an `Err`.
+    /// but fails any format check is an `Err`. A matrix is verified by
+    /// one pass over its bytes: [`artifact::decode`] holds the content
+    /// to the stamped digest and this holds the stamp to the requested
+    /// one, so the value returned is the matrix the name promises. The
+    /// other kinds are held to their payload CRC and to the same stamp.
     pub fn get(&self, digest: u64, kind: ArtifactKind) -> Result<Option<Artifact>> {
         let path = self.path_for(digest, kind);
         let bytes = match fs::read(&path) {
@@ -170,9 +175,11 @@ impl Store {
         Ok(entries)
     }
 
-    /// Validates every artifact file end to end (full decode, CRC and
-    /// digest checks) and deletes the ones that fail — the recovery
-    /// path after a crash or disk corruption.
+    /// Validates every artifact file end to end — the same
+    /// [`artifact::decode`] and name checks as [`Store::get`], so the
+    /// same rule decides what a cold read accepts and what a sweep
+    /// keeps — and deletes the ones that fail: the recovery path after
+    /// a crash or disk corruption.
     pub fn gc(&self) -> Result<GcReport> {
         let mut report = GcReport::default();
         let dir = fs::read_dir(&self.dir)

@@ -7,8 +7,9 @@
 //! * [`Tier::Warm`] — raw matrix resident in memory; serving it
 //!   costs one engine build (for the bit-serial engine, one compile
 //!   unless the circuit is still in the runtime's cache).
-//! * [`Tier::Cold`] — checksummed artifact bytes on disk only; serving
-//!   it costs one store read plus the warm cost.
+//! * [`Tier::Cold`] — artifact bytes on disk only; serving it costs one
+//!   store read (verified by one pass of the content digest) plus the
+//!   warm cost.
 
 /// Where a digest currently resides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

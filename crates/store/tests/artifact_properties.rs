@@ -11,6 +11,20 @@ use smm_core::wire::put_u32;
 use smm_sparse::Csr;
 use smm_store::artifact::{self, Artifact, ArtifactKind, CircuitMeta, FORMAT_REV, MAGIC};
 
+/// Header offsets of the rev-1 layout: `magic (4) · rev (4) · kind (1)
+/// · digest (8) · payload CRC-32 (4) · payload length (4) · payload`.
+const DIGEST_FIELD: std::ops::Range<usize> = 9..17;
+const CRC_FIELD: std::ops::Range<usize> = 17..21;
+
+/// `bytes` with one bit flipped, for every bit of every byte in turn.
+fn single_bit_flips(bytes: &[u8]) -> impl Iterator<Item = (usize, Vec<u8>)> + '_ {
+    (0..bytes.len() * 8).map(move |n| {
+        let mut flipped = bytes.to_vec();
+        flipped[n / 8] ^= 1 << (n % 8);
+        (n / 8, flipped)
+    })
+}
+
 proptest! {
     /// Dense matrix → bytes → equal matrix, digest stamp included.
     #[test]
@@ -69,10 +83,12 @@ proptest! {
     }
 
     /// A single flipped bit anywhere in the file is caught (by the
-    /// magic, revision, kind, digest, CRC, or payload validation) —
-    /// decode either errs or, in the one benign spot (a flipped bit in
-    /// the CRC'd-but-unused padding does not exist in this layout),
-    /// never returns a value different from the original silently.
+    /// magic, revision, kind, digest or payload validation) or lands in
+    /// the one benign spot — the CRC field, which a matrix artifact
+    /// carries for rev-1 readers and does not read — and decode never
+    /// returns a value different from the original silently. Sampled
+    /// over random matrices; `every_single_bit_flip_*` below walks one
+    /// file exhaustively.
     #[test]
     fn bit_flips_never_decode_to_a_different_value(seed in any::<u64>(),
                                                    pos in any::<u64>(),
@@ -85,9 +101,7 @@ proptest! {
         match artifact::decode(&bytes) {
             Err(_) => {}
             Ok((digest, decoded)) => {
-                // Only reachable if the flip was undone by aliasing —
-                // impossible for a single flip, so decode must have
-                // returned the original value.
+                prop_assert!(CRC_FIELD.contains(&i), "flip at byte {} decoded", i);
                 prop_assert_eq!(digest, m.digest());
                 prop_assert_eq!(decoded, Artifact::Matrix(m));
             }
@@ -130,6 +144,59 @@ fn crc32_matches_the_bitwise_reference_on_a_mebibyte() {
     assert_eq!(artifact::crc32(&bytes), artifact::crc32_bitwise(&bytes));
 }
 
+/// The digest is a matrix payload's whole integrity check, so it has to
+/// hold alone: every single-bit corruption of the file is refused,
+/// except in the four CRC bytes no `Matrix` read looks at, where the
+/// file still decodes to exactly what was written.
+#[test]
+fn every_single_bit_flip_of_a_matrix_artifact_is_refused_or_harmless() {
+    // Zeros included: the digest folds them, and a flip may create or
+    // destroy one.
+    let m = smm_core::matrix::IntMatrix::from_vec(3, 4, vec![7, 0, -3, 0, 0, 0, 120, -128, 1, 0, 0, 5])
+        .unwrap();
+    let good = artifact::encode(m.digest(), &Artifact::Matrix(m.clone()));
+    let original = (m.digest(), Artifact::Matrix(m));
+    for (byte, flipped) in single_bit_flips(&good) {
+        match artifact::decode(&flipped) {
+            Ok(decoded) => {
+                assert!(CRC_FIELD.contains(&byte), "flip in byte {byte} decoded");
+                assert_eq!(decoded, original, "flip in byte {byte}");
+            }
+            Err(_) => assert!(!CRC_FIELD.contains(&byte), "the CRC field of a matrix is not read"),
+        }
+    }
+}
+
+/// The kinds with no content address still verify through the CRC: a
+/// circuit artifact refuses every single-bit corruption of its payload,
+/// its CRC and every checked header field. Only the stamped digest is
+/// free — it names the owning matrix, not these bytes, and `Store::get`
+/// holds it against the file name — and a flip there changes nothing
+/// else.
+#[test]
+fn every_single_bit_flip_of_a_circuit_artifact_is_refused_outside_the_digest() {
+    let meta = CircuitMeta {
+        engine: "csr".into(),
+        input_bits: 8,
+        encoding: "Pn".into(),
+        rows: 3,
+        cols: 4,
+        nnz: 6,
+        rationale: "sparse: 6 of 12".into(),
+    };
+    let good = artifact::encode(0x5eed, &Artifact::Circuit(meta.clone()));
+    for (byte, flipped) in single_bit_flips(&good) {
+        match artifact::decode(&flipped) {
+            Ok((digest, decoded)) => {
+                assert!(DIGEST_FIELD.contains(&byte), "flip in byte {byte} decoded");
+                assert_ne!(digest, 0x5eed);
+                assert_eq!(decoded, Artifact::Circuit(meta.clone()));
+            }
+            Err(_) => assert!(!DIGEST_FIELD.contains(&byte), "flip in byte {byte}"),
+        }
+    }
+}
+
 #[test]
 fn wrong_rev_and_wrong_kind_are_rejected() {
     let m = element_sparse_matrix(4, 4, 8, 0.5, true, &mut seeded(7)).unwrap();
@@ -149,9 +216,8 @@ fn wrong_rev_and_wrong_kind_are_rejected() {
     assert!(artifact::decode(&kind).is_err());
 
     // A known-but-wrong kind byte: header says CSR, payload is a dense
-    // matrix. The payload decode (or CRC-covered structure) must fail —
-    // and with the kind byte outside the CRC, the payload parse is the
-    // line of defense.
+    // matrix. The CRC still matches (the kind byte is outside it), so
+    // the payload parse is the line of defense.
     let mut cross = good;
     cross[8] = ArtifactKind::Csr.as_u8();
     assert!(artifact::decode(&cross).is_err());

@@ -7,8 +7,9 @@
 //! 1. Start a server with a store directory; load a matrix and serve a
 //!    product. The load persisted two artifacts under the directory —
 //!    the matrix and its circuit metadata, what a restart reads back —
-//!    digest-addressed (zero-folding FNV-1a) and checked by a
-//!    table-driven CRC-32.
+//!    digest-addressed (zero-folding FNV-1a): the digest a matrix is
+//!    filed under is also the check its bytes must pass on the way back
+//!    in; the metadata, which has no digest of its own, carries a CRC-32.
 //! 2. Shut the server down and start a *new* one on the same directory.
 //!    The scan rediscovers the fleet as cold entries.
 //! 3. Serve the same digest without any client re-uploading it: the
@@ -105,7 +106,7 @@ fn main() {
     let store = Store::open(&dir).expect("opening store");
     let entries = store.scan().expect("scanning");
     let bytes: u64 = entries.iter().map(|e| e.bytes).sum();
-    println!("on disk: {} digest(s), {} bytes of checksummed artifacts", entries.len(), bytes);
+    println!("on disk: {} digest(s), {} bytes of digest-addressed artifacts", entries.len(), bytes);
     let report = store.gc().expect("collecting");
     println!(
         "gc: kept {} file(s), removed {} — a clean store survives gc untouched",

@@ -76,7 +76,7 @@
 //!    thereby amortized across many remote callers — the paper's
 //!    fixed-matrix economics at serving scale. The loaded fleet lives in
 //!    a [`runtime::TieredRegistry`] — hot compiled sessions, warm decoded
-//!    matrices, cold checksummed [`store`] artifacts on disk — so
+//!    matrices, cold digest-verified [`store`] artifacts on disk — so
 //!    capacity pressure demotes instead of refusing (when a
 //!    `store_dir` is configured) and a restarted server re-serves
 //!    yesterday's fleet without recompiling anything.
