@@ -10,8 +10,7 @@ use smm_core::signsplit::{split_pn, SignSplit};
 
 /// How the signed weight matrix is decomposed into unsigned halves before
 /// spatial compilation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WeightEncoding {
     /// Plain positive/negative magnitude split (the paper's "PN").
     #[default]

@@ -216,34 +216,24 @@ pub fn stream(args: &Args, out: &mut impl Write) -> CmdResult {
     Ok(())
 }
 
-/// The plan policy named by `--backend` (default `default_backend`),
-/// carrying the common engine options. `--backend` accepts a bare kind
-/// or full engine-spec syntax (`bitserial@12b/csd-c7/t4`); separate
-/// flags (`--input-bits`, `--threads`, `--csd`) override a full spec's
-/// options only when explicitly given.
+/// The plan policy named by `--backend` (default `default_backend`):
+/// `auto`, or an engine kind. The engine options ride in their own
+/// flags (`--input-bits`, `--threads`, `--csd`) either way.
 fn policy_of(args: &Args, default_backend: &str) -> Result<smm_runtime::PlanPolicy, String> {
     use smm_runtime::{AutoOptions, EngineSpec, PlanPolicy};
-    let input_bits: u32 = args.get_or("input-bits", 8).map_err(|e| e.0)?;
-    let threads: usize = args.get_or("threads", 0).map_err(|e| e.0)?;
+    let options = AutoOptions {
+        input_bits: args.get_or("input-bits", 8).map_err(|e| e.0)?,
+        encoding: encoding_of(args)?,
+        threads: args.get_or("threads", 0).map_err(|e| e.0)?,
+    };
     Ok(match args.get("backend").unwrap_or(default_backend) {
-        "auto" => PlanPolicy::Auto(AutoOptions {
-            input_bits,
-            encoding: encoding_of(args)?,
-            threads,
-        }),
-        kind => {
-            let mut spec = kind.parse::<EngineSpec>().map_err(|e| e.to_string())?;
-            if args.get("input-bits").is_some() {
-                spec = spec.input_bits(input_bits);
-            }
-            if args.flag("csd") {
-                spec = spec.encoding(encoding_of(args)?);
-            }
-            if args.get("threads").is_some() {
-                spec = spec.threads(threads);
-            }
-            PlanPolicy::Explicit(spec)
-        }
+        "auto" => PlanPolicy::Auto(options),
+        kind => PlanPolicy::Explicit(
+            EngineSpec::new(kind)
+                .input_bits(options.input_bits)
+                .encoding(options.encoding)
+                .threads(options.threads),
+        ),
     })
 }
 
@@ -337,13 +327,10 @@ pub fn throughput(args: &Args, out: &mut impl Write) -> CmdResult {
         best = best.max(rate);
         writeln!(
             out,
-            "  batch {round}: {} vectors in {:.2} ms over {} shard(s) = {rate:.0} vectors/sec \
-             (p50 {:.1} µs, p99 {:.1} µs per vector)",
+            "  batch {round}: {} vectors in {:.2} ms over {} shard(s) = {rate:.0} vectors/sec",
             stats.batch,
             stats.elapsed.as_secs_f64() * 1e3,
             stats.shards,
-            stats.p50_latency.as_secs_f64() * 1e6,
-            stats.p99_latency.as_secs_f64() * 1e6,
         )
         .map_err(|e| e.to_string())?;
     }
@@ -518,8 +505,8 @@ pub fn store(args: &Args, out: &mut impl Write) -> CmdResult {
 }
 
 /// `smm tidy` — run the workspace's own static-analysis pass
-/// (hot-path panic bans, `SAFETY:` comments, wire pinning, metric
-/// naming, doc-roster drift) and exit nonzero on any finding, so CI
+/// (hot-path panic bans, `SAFETY:` comments, wire pinning,
+/// doc-roster drift) and exit nonzero on any finding, so CI
 /// can gate on it. `--list` prints the rule table instead.
 pub fn tidy(args: &Args, out: &mut impl Write) -> CmdResult {
     if args.flag("list") {
@@ -922,21 +909,21 @@ mod tests {
 
     #[test]
     fn throughput_accepts_full_engine_spec_syntax() {
-        // Options inside the spec survive; the thread count is visible
-        // in the header line.
-        let text = run_cmd(&[
-            "throughput", "--dim", "8", "--backend", "dense@8b/pn/t2", "--batch", "2", "--repeat",
-            "1",
-        ])
-        .unwrap();
-        assert!(text.contains("through 'dense' in up to 2 shard(s) each"), "{text}");
-        // An explicit flag still wins over the spec's own option.
-        let text = run_cmd(&[
-            "throughput", "--dim", "8", "--backend", "dense@8b/pn/t2", "--threads", "1",
-            "--batch", "2", "--repeat", "1",
-        ])
-        .unwrap();
-        assert!(text.contains("in up to 1 shard(s) each"), "{text}");
+        // A full spec is a kind plus the option flags; the thread count
+        // is visible in the header line.
+        for threads in ["2", "1"] {
+            let text = run_cmd(&[
+                "throughput", "--dim", "8", "--backend", "dense", "--threads", threads,
+                "--batch", "2", "--repeat", "1",
+            ])
+            .unwrap();
+            let header = format!("through 'dense' in up to {threads} shard(s) each");
+            assert!(text.contains(&header), "{text}");
+        }
+        // `--backend` takes a kind and nothing else: the retired text
+        // form is an unknown kind like any other.
+        let err = run_cmd(&["throughput", "--dim", "8", "--backend", "dense@8b/pn/t2"]).unwrap_err();
+        assert!(err.contains("dense@8b/pn/t2") && err.contains("bitserial"), "{err}");
     }
 
     #[test]
@@ -963,16 +950,6 @@ mod tests {
         ])
         .unwrap();
         assert!(!dense.contains("cached"), "{dense}");
-    }
-
-    #[test]
-    fn throughput_reports_latency_percentiles() {
-        let text = run_cmd(&[
-            "throughput", "--dim", "8", "--backend", "dense", "--batch", "4", "--repeat", "1",
-        ])
-        .unwrap();
-        assert!(text.contains("p50"), "{text}");
-        assert!(text.contains("p99"), "{text}");
     }
 
     #[test]

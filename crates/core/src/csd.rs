@@ -21,7 +21,7 @@ use rand::Rng;
 
 /// What to do with a run ("chain") of exactly two consecutive one bits,
 /// where substitution neither helps nor hurts the set-bit count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ChainPolicy {
     /// Flip a fair coin, as in the paper's Listing 1 (balances the P and N
     /// matrices on average).

@@ -417,7 +417,7 @@ mod tests {
             .get_or_compile(&wt, cfg.state_bits, WeightEncoding::Pn)
             .unwrap();
         let backends: Vec<Arc<dyn GemvBackend>> = vec![
-            Arc::new(DenseRef::new(&wt)),
+            Arc::new(DenseRef::new(wt.clone())),
             Arc::new(SparseCsr::new(&wt)),
             Arc::new(BitSerial::new(circuit)),
         ];
@@ -447,7 +447,7 @@ mod tests {
         let mut esn = IntEsn::new(small(), EngineKind::Reference).unwrap();
         let wrong = IntMatrix::identity(7).unwrap();
         assert!(esn
-            .attach_backend(Arc::new(DenseRef::new(&wrong)))
+            .attach_backend(Arc::new(DenseRef::new(wrong)))
             .is_err());
     }
 
@@ -460,11 +460,11 @@ mod tests {
         // probe check must catch what the shape check cannot.
         let untransposed = esn.reservoir_matrix().clone();
         assert!(esn
-            .attach_backend(Arc::new(DenseRef::new(&untransposed)))
+            .attach_backend(Arc::new(DenseRef::new(untransposed)))
             .is_err());
         // The correct orientation attaches fine.
         let correct = esn.recurrence_matrix();
-        assert!(esn.attach_backend(Arc::new(DenseRef::new(&correct))).is_ok());
+        assert!(esn.attach_backend(Arc::new(DenseRef::new(correct))).is_ok());
     }
 
     #[test]

@@ -109,11 +109,9 @@ pub struct DenseRef {
 }
 
 impl DenseRef {
-    /// Wraps a copy of a dense matrix.
-    pub fn new(matrix: &IntMatrix) -> Self {
-        Self {
-            matrix: matrix.clone(),
-        }
+    /// Serves `matrix` itself: the engine keeps it, nothing is copied.
+    pub fn new(matrix: IntMatrix) -> Self {
+        Self { matrix }
     }
 }
 
@@ -382,7 +380,7 @@ mod tests {
     fn backends(v: &IntMatrix) -> Vec<Box<dyn GemvBackend>> {
         let mul = FixedMatrixMultiplier::compile(v, 8, WeightEncoding::Pn).unwrap();
         vec![
-            Box::new(DenseRef::new(v)),
+            Box::new(DenseRef::new(v.clone())),
             Box::new(SparseCsr::new(v)),
             Box::new(BitSerial::new(Arc::new(mul))),
             Box::new(SigmaEngine::new(v)),

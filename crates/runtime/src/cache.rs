@@ -15,7 +15,6 @@
 //! [`Arc`]; only the cache's reference is dropped.
 
 use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
-use smm_core::csd::ChainPolicy;
 use smm_core::error::Result;
 use smm_core::matrix::IntMatrix;
 use std::collections::HashMap;
@@ -32,29 +31,7 @@ struct CacheKey {
     rows: usize,
     cols: usize,
     input_bits: u32,
-    encoding: EncodingKey,
-}
-
-/// A hashable projection of [`WeightEncoding`] (which itself derives
-/// neither `Hash` nor `Ord` upstream).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum EncodingKey {
-    Pn,
-    Csd { policy: u8, seed: u64 },
-}
-
-fn encoding_key(encoding: WeightEncoding) -> EncodingKey {
-    match encoding {
-        WeightEncoding::Pn => EncodingKey::Pn,
-        WeightEncoding::Csd { policy, seed } => EncodingKey::Csd {
-            policy: match policy {
-                ChainPolicy::CoinFlip => 0,
-                ChainPolicy::Always => 1,
-                ChainPolicy::Never => 2,
-            },
-            seed,
-        },
-    }
+    encoding: WeightEncoding,
 }
 
 /// Hit/miss counters of a [`MultiplierCache`].
@@ -162,7 +139,7 @@ impl MultiplierCache {
             rows: matrix.rows(),
             cols: matrix.cols(),
             input_bits,
-            encoding: encoding_key(encoding),
+            encoding,
         };
         let mut collided = false;
         {
@@ -248,6 +225,7 @@ fn evict_to_capacity(entries: &mut HashMap<CacheKey, CacheEntry>, cap: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smm_core::csd::ChainPolicy;
     use smm_core::generate::element_sparse_matrix;
     use smm_core::rng::seeded;
     use std::time::Instant;

@@ -9,11 +9,11 @@
 //! follows. This crate makes the amortization explicit end to end, and
 //! [`Session`] is the front door every consumer serves through:
 //!
-//! * [`EngineSpec`] / [`EngineRegistry`] — serializable engine
-//!   descriptions resolved through pluggable factories ([`spec`]);
-//! * [`Planner`] / [`PlanPolicy`] / [`EnginePlan`] — policy-driven
+//! * [`EngineSpec`] / [`spec::build`] — engine descriptions and the
+//!   one `match` over [`BUILTIN_KINDS`] that builds them ([`spec`]);
+//! * [`plan::plan`] / [`PlanPolicy`] / [`EnginePlan`] — policy-driven
 //!   backend choice priced from the matrix's own counts ([`plan`]);
-//! * [`Session`] — the plan + a handle to the resolved engine + the
+//! * [`Session`] — the plan + a handle to the built engine + the
 //!   shared [`MultiplierCache`] behind one submission surface, batches
 //!   sharded in submission order across the one worker pool of the
 //!   process ([`session`]; the pool itself is private);
@@ -70,8 +70,8 @@ pub mod tiered;
 pub use backend::{BitSerial, DenseRef, GemvBackend, SigmaEngine, SparseCsr};
 pub use cache::{CacheStats, MultiplierCache};
 pub use smm_core::block::{FrameBlock, RowBlock};
-pub use plan::{AutoOptions, EnginePlan, PlanCandidate, PlanPolicy, Planner};
+pub use plan::{AutoOptions, EnginePlan, PlanCandidate, PlanPolicy};
 pub use session::{BatchStats, Session, SessionBuilder, SessionStats};
 pub use tiered::{circuit_meta_for, FleetSnapshot, InsertOutcome, TieredConfig, TieredRegistry};
 pub use smm_telemetry::{SpanRecorder, Stage, StageStats};
-pub use spec::{EngineContext, EngineFactory, EngineRegistry, EngineSpec, BUILTIN_KINDS};
+pub use spec::{EngineSpec, BUILTIN_KINDS};

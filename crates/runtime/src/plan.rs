@@ -1,15 +1,15 @@
 //! Backend planning: choosing the right engine for a matrix.
 //!
 //! Backend choice used to be a manual flag at every call site. This
-//! module makes it a *property of the matrix*: a [`Planner`] prices each
-//! auto candidate in nanoseconds per frame from the matrix's own counts
-//! — rows, columns and non-zeros, nothing else — and emits an
+//! module makes it a *property of the matrix*: [`plan`] prices each auto
+//! candidate in nanoseconds per frame from the matrix's own counts —
+//! rows, columns and non-zeros, nothing else — and emits an
 //! [`EnginePlan`] naming the cheapest [`EngineSpec`] with a
 //! human-readable rationale that carries the numbers.
 //!
 //! Callers that know better say so with [`PlanPolicy::Explicit`], which
-//! always wins: the planner validates the requested kind against the
-//! registry and prices nothing.
+//! always wins: [`plan`] checks the requested kind against
+//! [`BUILTIN_KINDS`] and prices nothing.
 //!
 //! The costs describe the kernels that will run, at the rates the
 //! committed benchmark report measured them (`BENCH_18.json`; each
@@ -29,12 +29,11 @@
 //!
 //! The cheapest candidate wins. Candidates are priced in
 //! [`BUILTIN_KINDS`] order and ties keep the earliest, so planning is a
-//! pure, reproducible function of the matrix. Custom registry entries
-//! are reachable through [`PlanPolicy::Explicit`].
+//! pure, reproducible function of the matrix.
 
-use crate::spec::{EngineRegistry, EngineSpec, BUILTIN_KINDS};
+use crate::spec::{unknown_kind, EngineSpec, BUILTIN_KINDS};
 use smm_bitserial::multiplier::WeightEncoding;
-use smm_core::error::{Error, Result};
+use smm_core::error::Result;
 use smm_core::matrix::IntMatrix;
 
 /// The dense kernel, per multiply-accumulate: rung
@@ -110,7 +109,7 @@ impl Default for AutoOptions {
     }
 }
 
-/// How a [`Planner`] chooses the engine.
+/// How [`plan`] chooses the engine.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanPolicy {
     /// The caller picked; planning only validates the kind exists.
@@ -124,27 +123,6 @@ impl Default for PlanPolicy {
     /// Auto planning with default options.
     fn default() -> Self {
         PlanPolicy::Auto(AutoOptions::default())
-    }
-}
-
-impl PlanPolicy {
-    /// The policy named by CLI/config text: `"auto"`, or any engine spec
-    /// accepted by [`EngineSpec`]'s parser (`"csr"`, `"bitserial@8b/pn/t2"`,
-    /// `"sparse"`, ...).
-    pub fn parse(text: &str) -> Result<PlanPolicy> {
-        if text == "auto" {
-            Ok(PlanPolicy::default())
-        } else {
-            Ok(PlanPolicy::Explicit(text.parse()?))
-        }
-    }
-}
-
-impl std::str::FromStr for PlanPolicy {
-    type Err = Error;
-
-    fn from_str(s: &str) -> Result<Self> {
-        PlanPolicy::parse(s)
     }
 }
 
@@ -163,7 +141,7 @@ pub struct PlanCandidate {
 /// rationale, and every candidate considered.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnginePlan {
-    /// The spec the session will resolve through the registry.
+    /// The spec the session will build through [`crate::spec::build`].
     pub spec: EngineSpec,
     /// The winner's cost per frame in nanoseconds (0.0 for explicit
     /// policies, which price nothing).
@@ -174,120 +152,84 @@ pub struct EnginePlan {
     pub candidates: Vec<PlanCandidate>,
 }
 
-/// Prices engine candidates for a matrix against a registry.
-#[derive(Debug, Clone, Copy)]
-pub struct Planner<'a> {
-    registry: &'a EngineRegistry,
+/// Plans an engine for `matrix` under `policy` — a pure function of the
+/// two. Fails when the policy names a kind that is not one of
+/// [`BUILTIN_KINDS`].
+pub fn plan(matrix: &IntMatrix, policy: &PlanPolicy) -> Result<EnginePlan> {
+    match policy {
+        PlanPolicy::Explicit(spec) => {
+            if !BUILTIN_KINDS.contains(&spec.kind()) {
+                return Err(unknown_kind(spec.kind()));
+            }
+            Ok(EnginePlan {
+                candidates: vec![PlanCandidate {
+                    kind: spec.kind().to_string(),
+                    cost_ns: 0.0,
+                    reason: "explicitly requested".into(),
+                }],
+                rationale: format!(
+                    "explicit policy: {} requested, planning skipped",
+                    spec.kind()
+                ),
+                cost_ns: 0.0,
+                spec: spec.clone(),
+            })
+        }
+        PlanPolicy::Auto(options) => Ok(auto_plan(matrix, *options)),
+    }
 }
 
-impl<'a> Planner<'a> {
-    /// A planner over this registry's engine kinds.
-    pub fn new(registry: &'a EngineRegistry) -> Self {
-        Self { registry }
-    }
-
-    /// Plans an engine for `matrix` under `policy` — a pure function of
-    /// the two. Fails when the policy names an unregistered kind; auto
-    /// planning over a registry with none of the auto candidates fails
-    /// likewise.
-    pub fn plan(&self, matrix: &IntMatrix, policy: &PlanPolicy) -> Result<EnginePlan> {
-        match policy {
-            PlanPolicy::Explicit(spec) => {
-                if !self.registry.contains(spec.kind()) {
-                    return Err(Error::Runtime {
-                        context: format!(
-                            "explicit plan names unregistered engine '{}' (have: {})",
-                            spec.kind(),
-                            self.registry.kinds().collect::<Vec<_>>().join(", ")
-                        ),
-                    });
-                }
-                Ok(EnginePlan {
-                    candidates: vec![PlanCandidate {
-                        kind: spec.kind().to_string(),
-                        cost_ns: 0.0,
-                        reason: "explicitly requested".into(),
-                    }],
-                    rationale: format!(
-                        "explicit policy: {} requested, planning skipped",
-                        spec.kind()
-                    ),
-                    cost_ns: 0.0,
-                    spec: spec.clone(),
-                })
-            }
-            PlanPolicy::Auto(options) => self.auto_plan(matrix, *options),
+fn auto_plan(matrix: &IntMatrix, options: AutoOptions) -> EnginePlan {
+    let counts = Counts {
+        rows: matrix.rows(),
+        cols: matrix.cols(),
+        nnz: matrix.nnz(),
+    };
+    let candidates = AUTO_CANDIDATES.map(|c| {
+        let work = (c.work)(&counts);
+        PlanCandidate {
+            kind: c.kind.to_string(),
+            cost_ns: work as f64 * c.ns_per_unit,
+            reason: format!("{work} {} × {:.2} ns", c.unit, c.ns_per_unit),
         }
-    }
+    });
 
-    fn auto_plan(&self, matrix: &IntMatrix, options: AutoOptions) -> Result<EnginePlan> {
-        let counts = Counts {
-            rows: matrix.rows(),
-            cols: matrix.cols(),
-            nnz: matrix.nnz(),
-        };
-        let candidates: Vec<PlanCandidate> = AUTO_CANDIDATES
-            .iter()
-            .filter(|c| self.registry.contains(c.kind))
-            .map(|c| {
-                let work = (c.work)(&counts);
-                PlanCandidate {
-                    kind: c.kind.to_string(),
-                    cost_ns: work as f64 * c.ns_per_unit,
-                    reason: format!("{work} {} × {:.2} ns", c.unit, c.ns_per_unit),
-                }
-            })
-            .collect();
+    // Strict min in evaluation order: ties keep the earliest.
+    let [first, rest @ ..] = &candidates;
+    let winner = rest
+        .iter()
+        .fold(first, |best, c| if c.cost_ns < best.cost_ns { c } else { best });
 
-        // Strict min in evaluation order: ties keep the earliest.
-        let winner = candidates
-            .iter()
-            .reduce(|best, c| if c.cost_ns < best.cost_ns { c } else { best })
-            .ok_or_else(|| Error::Runtime {
-                context: "auto planning needs at least one auto candidate registered".into(),
-            })?;
-
-        let list = |items: Vec<String>| {
-            if items.is_empty() {
-                "none".to_string()
-            } else {
-                items.join(", ")
-            }
-        };
-        let runners_up = candidates
-            .iter()
-            .filter(|c| c.kind != winner.kind)
-            .map(|c| format!("{} {:.1} ns ({})", c.kind, c.cost_ns, c.reason))
-            .collect();
-        let explicit_only = BUILTIN_KINDS
-            .iter()
-            .filter(|kind| {
-                self.registry.contains(kind) && AUTO_CANDIDATES.iter().all(|c| c.kind != **kind)
-            })
-            .map(|kind| kind.to_string())
-            .collect();
-        let rationale = format!(
-            "auto plan for {}x{} ({} nnz, {:.1}% sparse): {} costs {:.1} ns/frame — {}; \
-             runners-up: {}; explicit-only: {}",
-            counts.rows,
-            counts.cols,
-            counts.nnz,
-            100.0 * (1.0 - counts.nnz as f64 / matrix.len() as f64),
-            winner.kind,
-            winner.cost_ns,
-            winner.reason,
-            list(runners_up),
-            list(explicit_only),
-        );
-        Ok(EnginePlan {
-            spec: EngineSpec::new(winner.kind.clone())
-                .input_bits(options.input_bits)
-                .encoding(options.encoding)
-                .threads(options.threads),
-            cost_ns: winner.cost_ns,
-            rationale,
-            candidates,
-        })
+    let runners_up: Vec<String> = candidates
+        .iter()
+        .filter(|c| c.kind != winner.kind)
+        .map(|c| format!("{} {:.1} ns ({})", c.kind, c.cost_ns, c.reason))
+        .collect();
+    let explicit_only: Vec<&str> = BUILTIN_KINDS
+        .into_iter()
+        .filter(|kind| AUTO_CANDIDATES.iter().all(|c| c.kind != *kind))
+        .collect();
+    let rationale = format!(
+        "auto plan for {}x{} ({} nnz, {:.1}% sparse): {} costs {:.1} ns/frame — {}; \
+         runners-up: {}; explicit-only: {}",
+        counts.rows,
+        counts.cols,
+        counts.nnz,
+        100.0 * (1.0 - counts.nnz as f64 / matrix.len() as f64),
+        winner.kind,
+        winner.cost_ns,
+        winner.reason,
+        runners_up.join(", "),
+        explicit_only.join(", "),
+    );
+    EnginePlan {
+        spec: EngineSpec::new(winner.kind.clone())
+            .input_bits(options.input_bits)
+            .encoding(options.encoding)
+            .threads(options.threads),
+        cost_ns: winner.cost_ns,
+        rationale,
+        candidates: candidates.into(),
     }
 }
 
@@ -302,8 +244,7 @@ mod tests {
     use std::sync::Arc;
 
     fn plan(matrix: &IntMatrix, policy: &PlanPolicy) -> EnginePlan {
-        let registry = EngineRegistry::builtin();
-        Planner::new(&registry).plan(matrix, policy).unwrap()
+        super::plan(matrix, policy).unwrap()
     }
 
     /// 4x5 with exactly 4 zeros: 20% sparse, so dense must win.
@@ -434,13 +375,11 @@ mod tests {
 
     #[test]
     fn explicit_unknown_kind_fails_cleanly() {
-        let registry = EngineRegistry::builtin();
-        let err = Planner::new(&registry)
-            .plan(
-                &IntMatrix::identity(2).unwrap(),
-                &PlanPolicy::Explicit(EngineSpec::new("tpu")),
-            )
-            .unwrap_err();
+        let err = super::plan(
+            &IntMatrix::identity(2).unwrap(),
+            &PlanPolicy::Explicit(EngineSpec::new("tpu")),
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("tpu"), "{err}");
     }
 
@@ -477,41 +416,5 @@ mod tests {
              dense 6.0 ns (20 MACs × 0.30 ns), \
              sigma 4.0 ns (5 nnz × 0.80 ns); explicit-only: bitserial"
         );
-    }
-
-    #[test]
-    fn policies_parse_from_text() {
-        assert_eq!(PlanPolicy::parse("auto").unwrap(), PlanPolicy::default());
-        assert_eq!(
-            PlanPolicy::parse("csr").unwrap(),
-            PlanPolicy::Explicit(EngineSpec::csr())
-        );
-        assert_eq!(
-            "bitserial@8b/pn/t2".parse::<PlanPolicy>().unwrap(),
-            PlanPolicy::Explicit(EngineSpec::bitserial().threads(2))
-        );
-        assert!(PlanPolicy::parse("").is_err());
-    }
-
-    #[test]
-    fn trimmed_registry_still_plans_and_empty_fails() {
-        let mut registry = EngineRegistry::empty();
-        registry.register("dense", |ctx| {
-            Ok(std::sync::Arc::new(crate::DenseRef::new(ctx.matrix))
-                as std::sync::Arc<dyn crate::GemvBackend>)
-        });
-        let mut rng = seeded(2803);
-        let v = element_sparse_matrix(10, 10, 8, 0.95, true, &mut rng).unwrap();
-        // csr would win, but only dense is registered.
-        let plan = Planner::new(&registry)
-            .plan(&v, &PlanPolicy::default())
-            .unwrap();
-        assert_eq!(plan.spec.kind(), "dense");
-        assert_eq!(plan.candidates.len(), 1);
-        assert!(plan.rationale.ends_with("runners-up: none; explicit-only: none"));
-        let empty = EngineRegistry::empty();
-        assert!(Planner::new(&empty)
-            .plan(&v, &PlanPolicy::default())
-            .is_err());
     }
 }

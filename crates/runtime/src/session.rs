@@ -3,8 +3,8 @@
 //! A [`Session`] is the unit every entry point in the repo serves
 //! through — the CLI's `throughput`/`serve`/`loadgen`, the TCP server's
 //! per-matrix state, the examples, and the tests. It is a value: the
-//! plan, a handle to the resolved engine (built through an
-//! [`EngineRegistry`]), the shared [`MultiplierCache`], and its served
+//! plan, a handle to the engine [`spec::build`] made for it, the shared
+//! [`MultiplierCache`], and its served
 //! counters. It owns no threads — batches are cut into row-range shards
 //! and served by the one worker pool of the process, which every session
 //! shares — so building one spawns nothing and dropping one joins
@@ -25,8 +25,8 @@
 //!
 //! Construction is a builder ([`Session::builder`]): pick a
 //! [`PlanPolicy`] (default: auto-plan from the matrix itself), optionally
-//! share a cache or a custom registry, and `build()`. The plan that chose
-//! the engine stays attached ([`Session::plan`]) so operators can always
+//! share a cache, and `build()`. The plan that chose the engine stays
+//! attached ([`Session::plan`]) so operators can always
 //! ask *why* this engine is serving.
 //!
 //! ```
@@ -41,13 +41,13 @@
 
 use crate::backend::GemvBackend;
 use crate::cache::{CacheStats, MultiplierCache};
-use crate::plan::{EnginePlan, PlanPolicy, Planner};
+use crate::plan::{self, EnginePlan, PlanPolicy};
 use crate::pool::{self, Job};
-use crate::spec::{EngineRegistry, EngineSpec};
+use crate::spec::{self, EngineSpec};
 use smm_core::block::{FrameBlock, RowBlock};
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
-use smm_telemetry::{weighted_percentile, SpanRecorder, Stage};
+use smm_telemetry::{SpanRecorder, Stage};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
@@ -62,13 +62,6 @@ pub struct BatchStats {
     pub shards: usize,
     /// Wall-clock time from submission to full reassembly.
     pub elapsed: Duration,
-    /// Median per-vector completion latency (submission to the vector's
-    /// shard finishing, stamped worker-side), nearest-rank over the
-    /// batch.
-    pub p50_latency: Duration,
-    /// 99th-percentile per-vector completion latency. For batches under
-    /// 100 vectors this is the slowest shard's latency.
-    pub p99_latency: Duration,
 }
 
 impl BatchStats {
@@ -79,15 +72,6 @@ impl BatchStats {
             0.0
         } else {
             self.batch as f64 / secs
-        }
-    }
-
-    /// Mean per-vector latency.
-    pub fn mean_latency(&self) -> Duration {
-        if self.batch == 0 {
-            Duration::ZERO
-        } else {
-            self.elapsed / self.batch as u32
         }
     }
 }
@@ -109,13 +93,22 @@ pub struct SessionStats {
 }
 
 /// Configures and builds a [`Session`].
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SessionBuilder {
     matrix: IntMatrix,
     policy: PlanPolicy,
-    registry: Arc<EngineRegistry>,
+    engine: Option<Arc<dyn GemvBackend>>,
     cache: Option<Arc<MultiplierCache>>,
     recorder: Option<SpanRecorder>,
+}
+
+impl std::fmt::Debug for SessionBuilder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SessionBuilder")
+            .field("matrix", &(self.matrix.rows(), self.matrix.cols()))
+            .field("policy", &self.policy)
+            .finish_non_exhaustive()
+    }
 }
 
 impl SessionBuilder {
@@ -130,9 +123,11 @@ impl SessionBuilder {
         self.policy(PlanPolicy::Explicit(spec))
     }
 
-    /// The engine factories to resolve through (default: the built-ins).
-    pub fn registry(mut self, registry: Arc<EngineRegistry>) -> Self {
-        self.registry = registry;
+    /// Serves through this engine instead of building the planned one —
+    /// the seam for a test's fake. The policy still plans (and supplies
+    /// `threads`); the matrix is not consulted again.
+    pub fn engine(mut self, engine: Arc<dyn GemvBackend>) -> Self {
+        self.engine = Some(engine);
         self
     }
 
@@ -161,8 +156,11 @@ impl SessionBuilder {
     /// submits.
     pub fn build(self) -> Result<Session> {
         let cache = self.cache.unwrap_or_default();
-        let plan = Planner::new(&self.registry).plan(&self.matrix, &self.policy)?;
-        let engine = self.registry.build(&self.matrix, &plan.spec, &cache)?;
+        let plan = plan::plan(&self.matrix, &self.policy)?;
+        let engine = match self.engine {
+            Some(engine) => engine,
+            None => spec::build(self.matrix, &plan.spec, &cache)?,
+        };
         let threads = match plan.spec.threads {
             0 => pool::cores(),
             n => n,
@@ -219,7 +217,7 @@ impl Session {
         SessionBuilder {
             matrix,
             policy: PlanPolicy::default(),
-            registry: Arc::new(EngineRegistry::builtin()),
+            engine: None,
             cache: None,
             recorder: None,
         }
@@ -320,8 +318,6 @@ impl Session {
                 batch: 0,
                 shards: 0,
                 elapsed: start.elapsed(),
-                p50_latency: Duration::ZERO,
-                p99_latency: Duration::ZERO,
             });
         }
         // One uniform width makes the whole-batch shape check O(1); the
@@ -359,13 +355,13 @@ impl Session {
         drop(reply_tx);
 
         let mut first_error: Option<Error> = None;
-        // A vector's completion latency is stamped by its worker, so a
-        // shard that finishes while the reassembler is copying another
-        // reply still reports its true latency.
-        let mut latencies: Vec<(Duration, usize)> = Vec::with_capacity(shards);
+        // A shard's completion latency is stamped by its worker, so one
+        // that finishes while the reassembler is copying another reply
+        // still reports its true latency.
+        let mut completed: Vec<Duration> = Vec::with_capacity(shards);
         for _ in 0..shards {
             let reply = reply_rx.recv().map_err(|_| pool_gone())?;
-            latencies.push((reply.completed, reply.end - reply.start));
+            completed.push(reply.completed);
             match reply.rows {
                 Ok(rows) => out.rows_mut(reply.start, reply.end).copy_from_slice(&rows),
                 Err(e) => first_error = first_error.or(Some(e)),
@@ -381,9 +377,9 @@ impl Session {
             // The interior of the pipeline's compute stage, recorded
             // here because only the session sees the shard boundaries.
             let mut slowest = Duration::ZERO;
-            for &(completed, _) in &latencies {
-                rec.record(Stage::Shard, completed);
-                slowest = slowest.max(completed);
+            for &shard in &completed {
+                rec.record(Stage::Shard, shard);
+                slowest = slowest.max(shard);
             }
             rec.record(Stage::Reassemble, elapsed.saturating_sub(slowest));
             rec.record(Stage::Compute, elapsed);
@@ -392,8 +388,6 @@ impl Session {
             batch: n,
             shards,
             elapsed,
-            p50_latency: weighted_percentile(&mut latencies, 0.50),
-            p99_latency: weighted_percentile(&mut latencies, 0.99),
         })
     }
 
@@ -507,9 +501,9 @@ mod tests {
             for _ in 0..2 {
                 let stats = session.run_block(Arc::clone(&frames), &mut out).unwrap();
                 assert_eq!(stats.batch, 10);
-                assert_eq!(Vec::<Vec<i64>>::from(&out), expect, "{spec}");
+                assert_eq!(Vec::<Vec<i64>>::from(&out), expect, "{spec:?}");
             }
-            assert_eq!(session.stats().vectors, 20, "{spec}");
+            assert_eq!(session.stats().vectors, 20, "{spec:?}");
         }
     }
 
@@ -525,7 +519,7 @@ mod tests {
         ] {
             let session = Session::with_spec(v.clone(), spec.clone()).unwrap();
             assert_eq!(session.engine().name(), spec.kind());
-            assert_eq!(serve(&session, &batch).unwrap().0, expect, "{spec}");
+            assert_eq!(serve(&session, &batch).unwrap().0, expect, "{spec:?}");
         }
     }
 
@@ -627,8 +621,8 @@ mod tests {
                 let spec = EngineSpec::new(kind).threads(threads);
                 let session = Session::with_spec(v.clone(), spec.clone()).unwrap();
                 let (outputs, stats) = serve(&session, &batch).unwrap();
-                assert_eq!(outputs, expect, "{spec}");
-                assert_eq!(stats.shards, threads, "{spec}");
+                assert_eq!(outputs, expect, "{spec:?}");
+                assert_eq!(stats.shards, threads, "{spec:?}");
             }
         }
     }
@@ -640,7 +634,6 @@ mod tests {
         assert!(outputs.is_empty());
         assert_eq!(stats.batch, 0);
         assert_eq!(stats.vectors_per_sec(), 0.0);
-        assert_eq!(stats.mean_latency(), Duration::ZERO);
         let (outputs, stats) = serve(&session, &[vec![9, 8, 7, 6]]).unwrap();
         assert_eq!(outputs, vec![vec![9, 8, 7, 6]]);
         assert_eq!(stats.shards, 1);
@@ -713,41 +706,48 @@ mod tests {
                 Ok(())
             }
         }
-        let mut registry = EngineRegistry::empty();
-        registry.register("slow", |_| Ok(Arc::new(SlowLastShard) as Arc<dyn GemvBackend>));
+        let rec = SpanRecorder::new();
         let session = Session::builder(IntMatrix::identity(2).unwrap())
-            .registry(Arc::new(registry))
-            .spec(EngineSpec::new("slow").threads(2))
+            .engine(Arc::new(SlowLastShard))
+            .spec(EngineSpec::dense().threads(2))
+            .recorder(rec.clone())
             .build()
             .unwrap();
         let frames = Arc::new(FrameBlock::from_rows(&vec![vec![0, 0]; 10]).unwrap());
         let mut out = RowBlock::new();
         let stats = session.run_block(frames, &mut out).unwrap();
         assert_eq!(stats.shards, 2);
-        // The fast shard carries half the batch and its latency is its
-        // own completion time, not the time the batch was reassembled:
-        // the weighted p50 stays far below the slow shard's sleep even
+        // The fast shard's latency is its own completion time, not the
+        // time the batch was reassembled: of the two `Stage::Shard`
+        // stamps the lower stays far below the slow shard's sleep even
         // though the whole batch took at least that long. The margin
-        // (half the sleep) is what a sibling test's shards ahead of it
-        // in the shared queue may cost.
+        // (half the sleep, read at a log₂ bucket's midpoint) is what a
+        // sibling test's shards ahead of it in the shared queue may cost.
         assert!(stats.elapsed >= Duration::from_millis(200), "{stats:?}");
-        assert!(stats.p50_latency < Duration::from_millis(100), "{stats:?}");
-        assert!(stats.p99_latency >= Duration::from_millis(200), "{stats:?}");
-        assert!(stats.p99_latency <= stats.elapsed, "{stats:?}");
+        let shard = rec.stage_stats()[Stage::Shard.idx()];
+        assert_eq!(shard.count, 2);
+        assert!(shard.p50_ns < 100_000_000, "{shard:?}");
+        assert!(shard.p99_ns >= 200_000_000, "{shard:?}");
     }
 
     #[test]
     fn latency_percentiles_are_ordered_and_bounded() {
-        let session = echo(6, 3);
-        let (_, s) = serve(&session, &vec![vec![1, 2, 3, 4, 5, 6]; 50]).unwrap();
-        assert!(s.p50_latency > Duration::ZERO);
-        assert!(s.p50_latency <= s.p99_latency, "{s:?}");
+        let rec = SpanRecorder::new();
+        let session = Session::builder(IntMatrix::identity(6).unwrap())
+            .spec(EngineSpec::dense().threads(3))
+            .recorder(rec.clone())
+            .build()
+            .unwrap();
+        serve(&session, &vec![vec![1, 2, 3, 4, 5, 6]; 50]).unwrap();
+        let stats = rec.stage_stats();
+        let (shard, compute) = (stats[Stage::Shard.idx()], stats[Stage::Compute.idx()]);
+        assert!(shard.p50_ns > 0);
+        assert!(shard.p50_ns <= shard.p99_ns, "{shard:?}");
         // Completion latencies are measured inside the batch window.
-        assert!(s.p99_latency <= s.elapsed, "{s:?}");
-        // Empty batches report zeros.
-        let (_, empty) = serve(&session, &[]).unwrap();
-        assert_eq!(empty.p50_latency, Duration::ZERO);
-        assert_eq!(empty.p99_latency, Duration::ZERO);
+        assert!(shard.p99_ns <= compute.p99_ns, "{shard:?} vs {compute:?}");
+        // Empty batches stamp nothing.
+        serve(&session, &[]).unwrap();
+        assert_eq!(rec.stage_stats()[Stage::Shard.idx()].count, 3);
     }
 
     #[test]

@@ -475,20 +475,23 @@ impl TieredRegistry {
     fn rebalance(&self, inner: &mut Inner) {
         for (tier, bound) in [(Tier::Hot, self.config.max_hot), (Tier::Warm, self.config.max_warm)] {
             loop {
-                // One pass: the tier's occupancy and its coldest member.
+                // One pass: the tier's occupancy and the coldest member
+                // that can move down — a warm entry whose persist failed
+                // cannot spill, and must not shield the ones behind it.
                 let (mut count, mut coldest) = (0, None::<(u64, u64)>);
                 for (&digest, e) in inner.entries.iter().filter(|(_, e)| e.tier() == tier) {
                     count += 1;
-                    if coldest.is_none_or(|(_, stamp)| e.last_used < stamp) {
+                    let movable = tier == Tier::Hot || e.on_disk;
+                    if movable && coldest.is_none_or(|(_, stamp)| e.last_used < stamp) {
                         coldest = Some((digest, e.last_used));
                     }
                 }
+                // Within bound, or nothing can move (warm with no store:
+                // admission control keeps that bounded instead).
                 let Some((victim, _)) = coldest.filter(|_| count > bound) else {
                     break;
                 };
                 if self.demote_locked(inner, victim).is_none() {
-                    // Warm with no store: nothing can spill; admission
-                    // control keeps this bounded instead.
                     break;
                 }
             }
@@ -794,6 +797,31 @@ mod tests {
         let back = registry.acquire(a.digest(), |m| Ok(csr_session(m))).unwrap().unwrap();
         assert_eq!(back.run(&[1, 0]).unwrap(), vec![1, 0]);
         assert_eq!(registry.snapshot().store_hits, 1);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn an_unspillable_warm_entry_does_not_stall_the_tier() {
+        let store = temp_store();
+        let dir = store.dir().to_path_buf();
+        let config = TieredConfig { max_hot: 1, max_warm: 1 };
+        let registry = TieredRegistry::with_store(config, store).unwrap();
+        let [b, c, d] = [1, 5, 9].map(matrix);
+        // b's persist fails (no directory to write into), so b can
+        // never spill; the disk is back before c and d arrive.
+        std::fs::remove_dir_all(&dir).unwrap();
+        registry.insert(b.clone(), csr_session(b.clone()), None);
+        std::fs::create_dir_all(&dir).unwrap();
+        registry.insert(c.clone(), csr_session(c.clone()), None);
+        registry.insert(d.clone(), csr_session(d.clone()), None);
+        // b is the warm tier's LRU member and stays (memory-only, over
+        // nothing); c, behind it and on disk, is the one that spills.
+        let counts = registry.tier_counts();
+        assert_eq!((counts.hot, counts.warm, counts.cold), (1, 1, 1), "{counts:?}");
+        assert_eq!(registry.tier_of(b.digest()), Some(Tier::Warm));
+        assert_eq!(registry.tier_of(c.digest()), Some(Tier::Cold));
+        let back = registry.acquire(c.digest(), |m| Ok(csr_session(m))).unwrap().unwrap();
+        assert_eq!(back.run(&[1, 0]).unwrap(), vec![5, 0]);
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -10,7 +10,7 @@
 use smm_core::block::{FrameBlock, RowBlock};
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
-use smm_runtime::{EngineRegistry, EngineSpec, GemvBackend, Session};
+use smm_runtime::{EngineSpec, GemvBackend, Session};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -80,17 +80,12 @@ fn quiet_panics() {
     }
 }
 
-/// A session serving through `engine`, reached the way any custom engine
-/// is: registered under a kind name, asked for by an explicit spec.
+/// A session serving through `engine`, reached the way any fake is:
+/// handed to the builder, the spec supplying only the shard count.
 fn session_over(engine: &Arc<PanicOnShard>, threads: usize) -> Session {
-    let mut registry = EngineRegistry::empty();
-    let handle = Arc::clone(engine);
-    registry.register("panic-on-shard", move |_| {
-        Ok(Arc::clone(&handle) as Arc<dyn GemvBackend>)
-    });
     Session::builder(IntMatrix::identity(engine.dim).unwrap())
-        .registry(Arc::new(registry))
-        .spec(EngineSpec::new("panic-on-shard").threads(threads))
+        .engine(Arc::clone(engine) as Arc<dyn GemvBackend>)
+        .spec(EngineSpec::dense().threads(threads))
         .build()
         .unwrap()
 }

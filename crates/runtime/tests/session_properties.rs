@@ -61,7 +61,7 @@ proptest! {
                 .build()
                 .unwrap();
             let stats = session.run_block(Arc::clone(&frames), &mut out).unwrap();
-            prop_assert_eq!(&Vec::<Vec<i64>>::from(&out), &expect, "spec {}", spec);
+            prop_assert_eq!(&Vec::<Vec<i64>>::from(&out), &expect, "spec {:?}", spec);
             prop_assert_eq!(stats.batch, batch_size);
         }
         // One matrix, one compile: every bit-serial session shared it.

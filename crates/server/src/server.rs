@@ -26,8 +26,8 @@ use smm_bitserial::multiplier::WeightEncoding;
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
 use smm_runtime::{
-    circuit_meta_for, AutoOptions, EngineRegistry, EngineSpec, InsertOutcome, MultiplierCache,
-    PlanPolicy, Session, TieredConfig, TieredRegistry,
+    circuit_meta_for, AutoOptions, EngineSpec, InsertOutcome, MultiplierCache, PlanPolicy,
+    Session, TieredConfig, TieredRegistry,
 };
 use smm_store::Store;
 use smm_telemetry::{Span, Stage};
@@ -168,8 +168,6 @@ struct Shared {
     /// Interim: ROADMAP "Collapse the surface" (d) folds the cache into
     /// the fleet entry, and this second residency bound goes with it.
     cache: Arc<MultiplierCache>,
-    /// Engine factories every session resolves through.
-    engines: Arc<EngineRegistry>,
     admission: AdmissionQueue,
     metrics: ServerMetrics,
     shutdown: AtomicBool,
@@ -244,12 +242,11 @@ impl Shared {
         }
     }
 
-    /// Builds the session serving `matrix` (engine resolved through the
-    /// shared registry, compilations through the shared cache).
+    /// Builds the session serving `matrix` (compilations go through the
+    /// shared cache).
     fn build_session(&self, matrix: IntMatrix, requested: Option<BackendKind>) -> Result<Session> {
         Session::builder(matrix)
             .policy(self.policy_for(requested))
-            .registry(Arc::clone(&self.engines))
             .cache(Arc::clone(&self.cache))
             // Every session shares the server's stage histograms, so
             // shard/reassemble/compute timings from any matrix land in
@@ -480,7 +477,6 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle> {
     let circuits = tiers.max_hot.max(1).saturating_add(tiers.max_warm);
     let shared = Arc::new(Shared {
         cache: Arc::new(MultiplierCache::with_capacity(circuits)),
-        engines: Arc::new(EngineRegistry::builtin()),
         admission: AdmissionQueue::new(config.queue_depth),
         config,
         registry,
@@ -764,7 +760,6 @@ mod tests {
     fn policy_for_maps_backend_choices() {
         let shared = Shared {
             cache: Arc::new(MultiplierCache::new()),
-            engines: Arc::new(EngineRegistry::builtin()),
             admission: AdmissionQueue::new(1),
             config: ServerConfig {
                 backend: BackendKind::Csr,

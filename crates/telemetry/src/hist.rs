@@ -1,11 +1,10 @@
-//! The log-bucketed latency histogram and weighted-percentile helper —
-//! the one home for every quantile computed in the workspace.
+//! The log-bucketed latency histogram — the one home for every quantile
+//! computed in the workspace.
 //!
-//! The server's request and stage latencies, the load generator's
-//! client-side latencies ([`LatencyHistogram`]) and the runtime
-//! sessions' per-shard batch report ([`weighted_percentile`]) share this
-//! single implementation (and a single set of regression tests — the
-//! top-bucket wrap fix in particular).
+//! The server's request and stage latencies (the sessions' per-shard
+//! stamps among them) and the load generator's client-side latencies
+//! share this single implementation (and a single set of regression
+//! tests — the top-bucket wrap fix in particular).
 //!
 //! Every hot-path touch is a relaxed atomic increment — recording never
 //! contends on a lock. The histogram trades precision for that:
@@ -90,29 +89,6 @@ impl LatencyHistogram {
     pub fn quantile(&self, q: f64) -> Duration {
         Duration::from_nanos(self.quantile_ns(q))
     }
-}
-
-/// Nearest-rank percentile over `(latency, weight)` samples: the
-/// smallest latency such that at least `q` of the total weight completed
-/// within it. `q` is a fraction in `(0, 1]`. This is the exact-valued
-/// counterpart of [`LatencyHistogram::quantile_ns`], for callers that
-/// hold a small bounded sample set (e.g. one entry per dispatch shard)
-/// rather than a stream.
-pub fn weighted_percentile(samples: &mut [(Duration, usize)], q: f64) -> Duration {
-    let total: usize = samples.iter().map(|&(_, n)| n).sum();
-    if total == 0 {
-        return Duration::ZERO;
-    }
-    samples.sort_unstable_by_key(|&(d, _)| d);
-    let target = ((q * total as f64).ceil() as usize).clamp(1, total);
-    let mut covered = 0usize;
-    for &(latency, n) in samples.iter() {
-        covered += n;
-        if covered >= target {
-            return latency;
-        }
-    }
-    samples.last().map(|&(d, _)| d).unwrap_or(Duration::ZERO)
 }
 
 #[cfg(test)]
@@ -211,19 +187,5 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(h.count(), 4000);
-    }
-
-    #[test]
-    fn weighted_percentile_nearest_rank() {
-        let ms = Duration::from_millis;
-        let samples = vec![(ms(30), 1), (ms(10), 98), (ms(20), 1)];
-        assert_eq!(weighted_percentile(&mut samples.clone(), 0.50), ms(10));
-        assert_eq!(weighted_percentile(&mut samples.clone(), 0.98), ms(10));
-        assert_eq!(weighted_percentile(&mut samples.clone(), 0.99), ms(20));
-        assert_eq!(weighted_percentile(&mut samples.clone(), 1.0), ms(30));
-        assert_eq!(weighted_percentile(&mut [], 0.5), Duration::ZERO);
-        // A single shard is every percentile.
-        assert_eq!(weighted_percentile(&mut [(ms(7), 5)], 0.01), ms(7));
-        assert_eq!(weighted_percentile(&mut [(ms(7), 5)], 0.99), ms(7));
     }
 }

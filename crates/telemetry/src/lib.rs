@@ -3,10 +3,9 @@
 //!
 //! Every latency number the workspace reports flows through this crate:
 //!
-//! - [`hist`] — the lock-free log-bucket [`LatencyHistogram`] and the
-//!   exact-valued [`weighted_percentile`], so the server, the runtime
-//!   sessions and the load generator share one quantile implementation
-//!   and one set of regression tests.
+//! - [`hist`] — the lock-free log-bucket [`LatencyHistogram`], so the
+//!   server, the runtime sessions and the load generator share one
+//!   quantile implementation and one set of regression tests.
 //! - [`span`] — per-request trace [`Span`]s over the fixed pipeline
 //!   [`Stage`]s (decode → queue → plan → shard → reassemble → compute →
 //!   encode), recorded through a cloneable [`SpanRecorder`] at one
@@ -31,6 +30,6 @@ pub mod hist;
 pub mod span;
 pub mod sync;
 
-pub use hist::{weighted_percentile, LatencyHistogram};
+pub use hist::LatencyHistogram;
 pub use sync::{get_mut_or_recover, lock_or_recover};
 pub use span::{stage_summaries, Span, SpanRecorder, Stage, StageStats, StageSummary, STAGES};

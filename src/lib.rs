@@ -30,8 +30,8 @@
 //! The serving API's front door is [`Session`], re-exported here: give
 //! it a matrix and it plans an engine (the cheapest kernel per frame on
 //! the matrix's rows, columns and non-zeros — the rationale carries the
-//! numbers), builds it through the pluggable [`EngineRegistry`], and
-//! serves through a sharding worker pool:
+//! numbers), builds it ([`runtime::spec::build`], one `match` over the
+//! built-in kinds), and serves through a sharding worker pool:
 //!
 //! ```
 //! use spatial_smm::{core::matrix::IntMatrix, Session};
@@ -52,19 +52,20 @@
 //!    the binary wire primitives ([`core::wire`]).
 //! 2. [`runtime`] is the in-process serving layer: [`Session`] over a
 //!    [`runtime::GemvBackend`] trait with dense-reference, CSR,
-//!    compiled bit-serial, and SIGMA tile-mapped engines resolved
-//!    through an [`EngineRegistry`] of factories (the extension point
-//!    for future fpga engines); a [`Planner`] that prices the dense,
-//!    CSR and sigma kernels per matrix under a [`PlanPolicy`], in
-//!    nanoseconds per frame at their measured rates (the gpu, cgra and
+//!    compiled bit-serial, and SIGMA tile-mapped engines built by
+//!    [`runtime::spec::build`] from an [`EngineSpec`] (a new engine
+//!    family is one more arm there); [`runtime::plan::plan`], which
+//!    prices the dense, CSR and sigma kernels per matrix under a
+//!    [`PlanPolicy`], in nanoseconds per frame at their measured rates
+//!    (the gpu, cgra and
 //!    sigma timing models are evaluation models, not planner inputs); a
 //!    [`runtime::MultiplierCache`]
 //!    that memoizes spatial compilation by matrix content digest (with
 //!    an optional LRU bound); and one process-wide worker pool, shared
 //!    by every session, across which [`Session::run_block`] shards flat
 //!    batch blocks by row range into one preallocated output block, in
-//!    submission order with worker-stamped latency statistics (p50/p99
-//!    included) — while single vectors ride a direct fast path past it.
+//!    submission order, each shard's completion stamped by its worker —
+//!    while single vectors ride a direct fast path past it.
 //! 3. [`server`] puts a `Session` per loaded matrix behind a TCP
 //!    boundary: a length-prefixed binary protocol
 //!    (`Ping`/`LoadMatrix`/`Gemv`/`GemvBatch`/`Stats`, one layout per
@@ -109,6 +110,5 @@ pub use smm_tidy as tidy;
 // The serving API, re-exported at the crate root as the documented
 // entry point.
 pub use smm_runtime::{
-    EnginePlan, EngineRegistry, EngineSpec, PlanPolicy, Planner, Session, SessionBuilder,
-    SessionStats,
+    EnginePlan, EngineSpec, PlanPolicy, Session, SessionBuilder, SessionStats,
 };

@@ -1,6 +1,6 @@
-//! The shared engine conformance harness: every engine kind in the
-//! built-in registry — dense, csr, bitserial, sigma, and whatever joins
-//! them later — is held to one contract on proptest-generated matrices
+//! The shared engine conformance harness: every built-in engine kind —
+//! dense, csr, bitserial, sigma, and whatever joins them later — is
+//! held to one contract on proptest-generated matrices
 //! across densities and dimensions:
 //!
 //! ```text
@@ -11,8 +11,8 @@
 //! bit for bit: through the `Session` front door every entry point
 //! serves through, through the engine's one compute primitive, and over
 //! a real loopback server that was asked for that engine by name. The
-//! suite is table-driven off [`EngineRegistry::kinds`], so registering a
-//! fifth engine automatically pins it here; per-engine identity checks
+//! suite is table-driven off [`BUILTIN_KINDS`], so a fifth entry there
+//! is automatically pinned here; per-engine identity checks
 //! elsewhere can stay focused on engine-specific behavior. One more
 //! column, `auto`, holds whatever the planner picks to the same contract
 //! and the pick itself to the arg-min of the plan's own cost table.
@@ -25,10 +25,10 @@ use spatial_smm::core::matrix::IntMatrix;
 use spatial_smm::core::rng::seeded;
 use spatial_smm::runtime::{AutoOptions, MultiplierCache, BUILTIN_KINDS};
 use spatial_smm::server::{BackendKind, Client, ServerConfig, ServerHandle};
-use spatial_smm::{EnginePlan, EngineRegistry, EngineSpec, PlanPolicy, Session};
+use spatial_smm::{EnginePlan, EngineSpec, PlanPolicy, Session};
 use std::sync::Arc;
 
-/// The conformance table's `auto` column, beside the registered kinds.
+/// The conformance table's `auto` column, beside the built-in kinds.
 const AUTO: &str = "auto";
 
 /// The cheapest candidate of an auto plan, ties to the earliest: what
@@ -60,28 +60,14 @@ fn serve_over_loopback(
     (server, client, info.digest)
 }
 
-/// Every registered kind, snapshotted from the live registry so the
-/// suite cannot silently fall out of sync with `builtin()`.
-fn registered_kinds() -> Vec<String> {
-    let registry = EngineRegistry::builtin();
-    let kinds: Vec<String> = registry.kinds().map(str::to_string).collect();
-    // The registry and the planning order must name the same engines.
-    let mut expected: Vec<&str> = BUILTIN_KINDS.to_vec();
-    expected.sort_unstable();
-    assert_eq!(kinds, expected, "registry drifted from BUILTIN_KINDS");
-    kinds
-}
-
 #[test]
 fn all_four_builtin_engines_are_registered() {
-    let kinds = registered_kinds();
-    for kind in ["bitserial", "csr", "dense", "sigma"] {
-        assert!(kinds.iter().any(|k| k == kind), "missing {kind}");
-    }
-    assert_eq!(kinds.len(), 4);
+    let mut kinds = BUILTIN_KINDS.to_vec();
+    kinds.sort_unstable();
+    assert_eq!(kinds, ["bitserial", "csr", "dense", "sigma"]);
 }
 
-/// The conformance contract for one generated case, per registered
+/// The conformance contract for one generated case, per built-in
 /// engine kind and for the auto plan: every submission surface produces
 /// the dense reference's exact bits, with the output buffers reused
 /// across engines so stale rows from one would be caught by the next.
@@ -109,14 +95,14 @@ fn assert_conformance(
     // the block's origin and is one short of the session's shards.
     let (start, end) = (batch_size.min(1), batch_size);
     let mut shard = vec![0i64; (end - start) * cols];
-    for kind in registered_kinds().into_iter().chain([AUTO.to_string()]) {
+    for kind in BUILTIN_KINDS.into_iter().chain([AUTO]) {
         let policy = if kind == AUTO {
             PlanPolicy::Auto(AutoOptions {
                 threads,
                 ..AutoOptions::default()
             })
         } else {
-            PlanPolicy::Explicit(EngineSpec::new(kind.clone()).threads(threads))
+            PlanPolicy::Explicit(EngineSpec::new(kind).threads(threads))
         };
         let session = Session::builder(v.clone())
             .policy(policy)
@@ -128,7 +114,7 @@ fn assert_conformance(
             assert_ne!(picked, "bitserial", "auto never plans the simulation");
             picked
         } else {
-            kind.as_str()
+            kind
         };
         assert_eq!(session.engine().name(), engine, "{kind}: {}", session.plan().rationale);
         assert_eq!((session.rows(), session.cols()), (rows, cols), "{kind}");
@@ -147,7 +133,7 @@ fn assert_conformance(
             assert_eq!(row, expect[frame].as_slice(), "run_rows frame {frame}, {kind}");
         }
         // The wire: the same engine behind a real server.
-        let (server, mut client, digest) = serve_over_loopback(&v, &kind, engine, threads);
+        let (server, mut client, digest) = serve_over_loopback(&v, kind, engine, threads);
         assert_eq!(client.gemv(digest, &single).unwrap(), expect_single, "gemv, {kind}");
         let served = client.gemv_block(digest, &frames).unwrap();
         assert_eq!(Vec::<Vec<i64>>::from(&served), expect, "gemv_block, {kind}");
@@ -199,7 +185,7 @@ proptest! {
     }
 
     /// Dimension errors surface as errors — never panics, never silent
-    /// truncation — on every registered engine and every surface.
+    /// truncation — on every built-in engine and every surface.
     #[test]
     fn every_registered_engine_rejects_bad_widths(
         seed in any::<u64>(),
@@ -209,31 +195,31 @@ proptest! {
         let mut rng = seeded(seed);
         let v = element_sparse_matrix(rows, cols, 8, 0.5, true, &mut rng).unwrap();
         let short = vec![1i32; rows - 1];
-        for kind in registered_kinds() {
+        for kind in BUILTIN_KINDS {
             let session = Session::builder(v.clone())
-                .spec(EngineSpec::new(kind.clone()))
+                .spec(EngineSpec::new(kind))
                 .build()
                 .unwrap();
-            prop_assert!(session.run(&short).is_err(), "run, {}", &kind);
+            prop_assert!(session.run(&short).is_err(), "run, {}", kind);
             let mut out = RowBlock::new();
             let thin = FrameBlock::from_rows(std::slice::from_ref(&short)).unwrap();
             prop_assert!(
                 session.run_block(thin.clone(), &mut out).is_err(),
-                "run_block, {}", &kind
+                "run_block, {}", kind
             );
             prop_assert!(
                 session.engine().run_rows(&thin, 0, 1, &mut vec![0; cols]).is_err(),
-                "run_rows, {}", &kind
+                "run_rows, {}", kind
             );
-            let (server, mut client, digest) = serve_over_loopback(&v, &kind, &kind, 1);
-            prop_assert!(client.gemv(digest, &short).is_err(), "gemv, {}", &kind);
-            prop_assert!(client.gemv_block(digest, &thin).is_err(), "gemv_block, {}", &kind);
+            let (server, mut client, digest) = serve_over_loopback(&v, kind, kind, 1);
+            prop_assert!(client.gemv(digest, &short).is_err(), "gemv, {}", kind);
+            prop_assert!(client.gemv_block(digest, &thin).is_err(), "gemv_block, {}", kind);
             // The session and the connection survive and still serve a
             // valid product.
             let a = random_vector(rows, 8, true, &mut rng).unwrap();
             let expect = vecmat(&a, &v).unwrap();
-            prop_assert_eq!(session.run(&a).unwrap(), expect.clone(), "{}", &kind);
-            prop_assert_eq!(client.gemv(digest, &a).unwrap(), expect, "wire, {}", &kind);
+            prop_assert_eq!(session.run(&a).unwrap(), expect.clone(), "{}", kind);
+            prop_assert_eq!(client.gemv(digest, &a).unwrap(), expect, "wire, {}", kind);
             server.shutdown();
         }
     }
