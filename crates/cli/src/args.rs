@@ -35,12 +35,12 @@ const VALUED: &[&str] = &[
     "seed", "dim", "rows", "cols", "sparsity", "bits", "input-bits", "input", "output",
     "vector", "batch", "module", "policy", "backend", "threads", "repeat", "addr",
     "clients", "duration", "queue-depth", "metrics-addr", "json",
-    "store-dir", "max-warm", "max-matrices", "root",
+    "store-dir", "max-warm", "max-matrices",
 ];
 
 /// The boolean flags. Anything else starting with `--` is refused, so a
 /// mistyped or retired switch cannot quietly run with the default.
-const FLAGS: &[&str] = &["csd", "list"];
+const FLAGS: &[&str] = &["csd"];
 
 impl Args {
     /// Parses raw arguments (without the program name).
@@ -114,8 +114,7 @@ mod tests {
         assert_eq!(a.get_or("dim", 0usize).unwrap(), 64);
         assert_eq!(a.get_or("seed", 42u64).unwrap(), 42);
         assert!(a.flag("csd"));
-        assert!(!a.flag("list"));
-        assert!(parse(&["tidy", "--list"]).unwrap().flag("list"));
+        assert!(!parse(&["synth", "--dim", "64"]).unwrap().flag("csd"));
     }
 
     #[test]

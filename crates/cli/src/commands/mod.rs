@@ -504,32 +504,6 @@ pub fn store(args: &Args, out: &mut impl Write) -> CmdResult {
     }
 }
 
-/// `smm tidy` — run the workspace's own static-analysis pass
-/// (hot-path panic bans, `SAFETY:` comments, wire pinning,
-/// doc-roster drift) and exit nonzero on any finding, so CI
-/// can gate on it. `--list` prints the rule table instead.
-pub fn tidy(args: &Args, out: &mut impl Write) -> CmdResult {
-    if args.flag("list") {
-        for rule in smm_tidy::RULES {
-            writeln!(out, "{:<16} {}", rule.name, rule.summary).map_err(|e| e.to_string())?;
-        }
-        return Ok(());
-    }
-    let root = args.get("root").unwrap_or(".");
-    let findings = smm_tidy::check_workspace(std::path::Path::new(root))
-        .map_err(|e| format!("scanning {root}: {e}"))?;
-    for finding in &findings {
-        writeln!(out, "{finding}").map_err(|e| e.to_string())?;
-    }
-    if findings.is_empty() {
-        writeln!(out, "smm-tidy: clean ({} rules)", smm_tidy::RULES.len())
-            .map_err(|e| e.to_string())?;
-        Ok(())
-    } else {
-        Err(format!("smm-tidy: {} finding(s)", findings.len()))
-    }
-}
-
 /// `smm loadgen` — hammer a running server with concurrent
 /// self-checking clients and report throughput/latency.
 pub fn loadgen(args: &Args, out: &mut impl Write) -> CmdResult {
@@ -795,7 +769,6 @@ mod tests {
             "compare" => compare(&args, &mut out)?,
             "cgra" => cgra(&args, &mut out)?,
             "store" => store(&args, &mut out)?,
-            "tidy" => tidy(&args, &mut out)?,
             _ => unreachable!(),
         }
         Ok(String::from_utf8(out).unwrap())
@@ -1239,39 +1212,5 @@ mod tests {
         assert!(text.contains("wrote Verilog"));
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.contains("endmodule"));
-    }
-
-    #[test]
-    fn tidy_lists_rules_and_gates_on_findings() {
-        let listing = run_cmd(&["tidy", "--list"]).unwrap();
-        assert!(listing.contains("hot-path-panic"));
-        assert!(listing.contains("doc-deny-drift"));
-
-        // A tree with a request-path unwrap: nonzero (Err) with a
-        // file:line diagnostic.
-        let dir = std::env::temp_dir().join(format!("smm-cli-tidy-{}", std::process::id()));
-        let hot = dir.join("crates/server/src");
-        std::fs::create_dir_all(&hot).unwrap();
-        std::fs::write(hot.join("bad.rs"), "fn f() { x.unwrap(); }\n").unwrap();
-        let err = run_cmd(&["tidy", "--root", dir.to_str().unwrap()]).unwrap_err();
-        assert!(err.contains("1 finding"), "{err}");
-
-        // Fix the file: the same tree is clean and exits zero.
-        std::fs::write(hot.join("bad.rs"), "fn f() -> Option<()> { x.ok() }\n").unwrap();
-        let text = run_cmd(&["tidy", "--root", dir.to_str().unwrap()]).unwrap();
-        assert!(text.contains("clean"), "{text}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn tidy_gates_nonzero_on_the_fixture_corpus() {
-        // The smm-tidy fixture corpus trips every rule; through the
-        // CLI that must surface as a nonzero exit (Err).
-        let corpus = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../tidy/tests/fixtures/corpus"
-        );
-        let err = run_cmd(&["tidy", "--root", corpus]).unwrap_err();
-        assert!(err.contains("finding"), "{err}");
     }
 }

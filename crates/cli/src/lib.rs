@@ -18,7 +18,6 @@
 //!              [--json F]
 //! smm stats    [--addr A]                               # per-stage latency table
 //! smm store    [ls|gc|warm] --store-dir DIR             # persistent matrix fleet
-//! smm tidy     [--root DIR] [--list]                    # workspace static analysis
 //! ```
 
 #![warn(missing_docs)]
@@ -49,7 +48,6 @@ commands:
   loadgen   hammer a running server with self-checking clients
   stats     print a running server's counters and per-stage latencies
   store     list, garbage-collect, or pre-warm a persistent matrix store
-  tidy      run the workspace static-analysis pass (nonzero exit on findings)
 
 matrix options (all commands):
   --input FILE      MatrixMarket .mtx or dense text file
@@ -100,8 +98,6 @@ command-specific:
             gc                remove files that fail digest/CRC validation
             warm              persist a matrix (matrix opts) into the store
             --store-dir DIR   the store directory (required)
-  tidy:     --root DIR        workspace root to scan (default .)
-            --list            print the rule table instead of scanning
 ";
 
 /// Runs the CLI. Returns the process exit code; all normal output goes to
@@ -123,7 +119,6 @@ pub fn run(raw_args: &[String], out: &mut impl std::io::Write) -> Result<(), Str
         "system" => commands::system(&args, out),
         "cgra" => commands::cgra(&args, out),
         "store" => commands::store(&args, out),
-        "tidy" => commands::tidy(&args, out),
         "help" | "--help" | "-h" => {
             let _ = writeln!(out, "{USAGE}");
             Ok(())
@@ -153,6 +148,9 @@ mod tests {
     fn unknown_command_errors() {
         let e = run_str(&["frobnicate"]).unwrap_err();
         assert!(e.contains("unknown command"));
+        // A retired subcommand is an unknown one, answered with the usage.
+        let e = run_str(&["tidy"]).unwrap_err();
+        assert!(e.contains("unknown command 'tidy'") && e.contains("usage: smm"), "{e}");
     }
 
     #[test]

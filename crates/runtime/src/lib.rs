@@ -58,6 +58,22 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// The request path's lint levels (README "Static analysis"): outside
+// `#[cfg(test)]` nothing panics by shortcut or prints past its caller.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::print_stderr,
+        clippy::print_stdout,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod backend;
 pub mod cache;

@@ -334,11 +334,11 @@ impl TieredRegistry {
                 None
             }
             Err(e) => {
-                eprintln!(
-                    "smm-store: cold artifact for digest {digest:#018x} failed to load \
-                     ({e}); dropping the entry and serving without it"
-                );
                 self.forget(digest);
+                warn(format_args!(
+                    "cold artifact for digest {digest:#018x} failed to load \
+                     ({e}); dropping the entry and serving without it"
+                ));
                 None
             }
         }
@@ -398,11 +398,11 @@ impl TieredRegistry {
             .chain(meta.map(|meta| Artifact::Circuit(meta.clone())));
         for artifact in artifacts {
             if let Err(e) = store.put(digest, &artifact) {
-                eprintln!(
-                    "smm-store: persisting {} artifact for digest {digest:#018x} failed ({e}); \
+                warn(format_args!(
+                    "persisting {} artifact for digest {digest:#018x} failed ({e}); \
                      entry stays memory-only",
                     artifact.kind().ext()
-                );
+                ));
                 return false;
             }
         }
@@ -512,6 +512,14 @@ pub fn circuit_meta_for(session: &Session, matrix: &IntMatrix) -> CircuitMeta {
         nnz: matrix.nnz() as u64,
         rationale: plan.rationale.clone(),
     }
+}
+
+/// Writes one warning line to stderr and drops the write's error:
+/// `eprintln!` panics when stderr is a closed pipe (`smm serve … 2>&1 |
+/// head -1`), and a warning must not kill the thread that raised it.
+fn warn(line: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let _ = writeln!(std::io::stderr(), "smm-store: {line}");
 }
 
 #[cfg(test)]

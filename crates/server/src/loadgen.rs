@@ -258,7 +258,10 @@ pub fn run(config: &LoadgenConfig) -> ServeResult<LoadgenReport> {
     })
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one client thread's whole state, passed once from the closure that spawns it"
+)]
 fn client_loop(
     addr: &str,
     digest: u64,

@@ -148,8 +148,7 @@ mod tests {
 
     #[test]
     fn family_names_share_the_namespace_and_never_repeat() {
-        // What the retired `metrics-naming` tidy rule enforced over
-        // registration call sites, checked on the table itself.
+        // The naming rule, checked on the table itself.
         let names: Vec<&str> = FAMILIES.iter().map(|&(name, ..)| name).collect();
         assert!(names.iter().all(|n| n.starts_with("smm_")), "{names:?}");
         assert!(names.windows(2).all(|w| w[0] < w[1]), "sorted, so unique: {names:?}");

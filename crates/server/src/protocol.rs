@@ -186,9 +186,10 @@ impl Opcode {
     }
 }
 
-/// A client request, decoded.
+/// A client request, decoded. Exhaustive on purpose: a new variant is
+/// a wire revision, and `tests/wire_compat.rs` and `tests/wire_fuzz.rs`
+/// each `match` on this without a wildcard so that it stops their build.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum Request {
     /// Liveness probe.
     Ping,
@@ -491,9 +492,9 @@ pub struct LoadedInfo {
     pub engine: String,
 }
 
-/// A server reply, decoded.
+/// A server reply, decoded. Exhaustive for the same reason as
+/// [`Request`].
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum Reply {
     /// [`Request::Ping`] answered.
     Pong,

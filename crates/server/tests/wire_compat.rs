@@ -5,7 +5,9 @@
 //! status / version constant is written out here as raw bytes — built
 //! from `to_le_bytes` and literals, deliberately *not* from the
 //! `smm_core::wire` helpers the codec itself uses — so an encoder that
-//! drifts names the exact variant that moved. The loopback test then
+//! drifts names the exact variant that moved. That "every" is checked,
+//! not promised: the pins run through wildcard-free `match`es, and the
+//! constants are read out of `protocol.rs` itself. The loopback test then
 //! speaks raw frames under version bytes the server does not speak
 //! (0, 1–4, 6) and checks each gets one typed error frame and a closed
 //! socket while a current client keeps being served.
@@ -34,6 +36,35 @@ fn le32(x: u32) -> [u8; 4] {
 
 fn le64(x: u64) -> [u8; 8] {
     x.to_le_bytes()
+}
+
+/// Pins one request: it encodes to exactly `expect` and decodes back
+/// from it. The `match` has no wildcard arm on purpose — a new `Request`
+/// variant stops this file building until its layout is pinned here.
+fn pin_request(request: Request, expect: &[u8]) {
+    let opcode = match &request {
+        Request::Ping => Opcode::Ping,
+        Request::LoadMatrix { .. } => Opcode::LoadMatrix,
+        Request::Gemv { .. } => Opcode::Gemv,
+        Request::GemvBatch { .. } => Opcode::GemvBatch,
+        Request::Stats => Opcode::Stats,
+    };
+    assert_eq!(request.encode(VERSION), expect, "{request:?}");
+    assert_eq!(Request::decode(VERSION, opcode, expect).unwrap(), request);
+}
+
+/// [`pin_request`] for a reply, under the opcode of the request it
+/// answers (`Busy` and `Error` answer any; `Gemv` stands for them).
+fn pin_reply(reply: Reply, expect: &[u8]) {
+    let opcode = match &reply {
+        Reply::Pong => Opcode::Ping,
+        Reply::Loaded(_) | Reply::CapacityFull { .. } => Opcode::LoadMatrix,
+        Reply::Output(_) | Reply::Busy | Reply::Error(_) => Opcode::Gemv,
+        Reply::Outputs(_) => Opcode::GemvBatch,
+        Reply::Stats(_) => Opcode::Stats,
+    };
+    assert_eq!(reply.encode(VERSION), expect, "{reply:?}");
+    assert_eq!(Reply::decode(VERSION, opcode, expect).unwrap(), reply);
 }
 
 /// The status bytes and the version ARE the wire: renumbering any of
@@ -87,8 +118,8 @@ fn frame_header_layout_is_pinned() {
 /// Every `Request` variant's payload, byte for byte.
 #[test]
 fn request_body_layouts_are_pinned() {
-    assert_eq!(Request::Ping.encode(VERSION), Vec::<u8>::new());
-    assert_eq!(Request::Stats.encode(VERSION), Vec::<u8>::new());
+    pin_request(Request::Ping, &[]);
+    pin_request(Request::Stats, &[]);
 
     // LoadMatrix: length-prefixed MatrixMarket text, then one backend
     // choice byte (0 = server default, 1 auto, 2 dense, 3 csr,
@@ -107,12 +138,7 @@ fn request_body_layouts_are_pinned() {
             matrix: matrix.clone(),
             backend,
         };
-        let expect = cat(&[&le32(text.len() as u32), &text, &[byte]]);
-        assert_eq!(request.encode(VERSION), expect, "{backend:?}");
-        assert_eq!(
-            Request::decode(VERSION, Opcode::LoadMatrix, &expect).unwrap(),
-            request
-        );
+        pin_request(request, &cat(&[&le32(text.len() as u32), &text, &[byte]]));
     }
 
     // Gemv: digest, then a count-prefixed i32 vector.
@@ -126,8 +152,7 @@ fn request_body_layouts_are_pinned() {
         &[1, 0, 0, 0],
         &[0xFE, 0xFF, 0xFF, 0xFF],
     ]);
-    assert_eq!(gemv.encode(VERSION), expect);
-    assert_eq!(Request::decode(VERSION, Opcode::Gemv, &expect).unwrap(), gemv);
+    pin_request(gemv, &expect);
 
     // GemvBatch: digest, frame count, then one count-prefixed i32
     // vector per frame.
@@ -141,29 +166,21 @@ fn request_body_layouts_are_pinned() {
         &[3, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF],
     ]);
     assert_eq!(Request::encode_gemv_batch(7, &frames), expect);
-    let batch = Request::GemvBatch { digest: 7, frames };
-    assert_eq!(batch.encode(VERSION), expect);
-    assert_eq!(Request::decode(VERSION, Opcode::GemvBatch, &expect).unwrap(), batch);
+    pin_request(Request::GemvBatch { digest: 7, frames }, &expect);
 }
 
 /// Every `Reply` variant's payload, byte for byte.
 #[test]
 fn reply_body_layouts_are_pinned() {
     // Pong and Busy are bare status bytes.
-    assert_eq!(Reply::Pong.encode(VERSION), [0]);
-    assert_eq!(Reply::Busy.encode(VERSION), [1]);
+    pin_reply(Reply::Pong, &[0]);
+    pin_reply(Reply::Busy, &[1]);
 
     // Error: status + length-prefixed UTF-8.
-    assert_eq!(
-        Reply::Error("boom".into()).encode(VERSION),
-        cat(&[&[2], &le32(4), b"boom"])
-    );
+    pin_reply(Reply::Error("boom".into()), &cat(&[&[2], &le32(4), b"boom"]));
 
     // CapacityFull: status + resident count.
-    assert_eq!(
-        Reply::CapacityFull { loaded: 64 }.encode(VERSION),
-        cat(&[&[3], &le64(64)])
-    );
+    pin_reply(Reply::CapacityFull { loaded: 64 }, &cat(&[&[3], &le64(64)]));
 
     // Loaded: digest, rows, cols, already-loaded flag, engine name.
     let loaded = Reply::Loaded(LoadedInfo {
@@ -174,20 +191,19 @@ fn reply_body_layouts_are_pinned() {
         engine: "sigma".into(),
     });
     let expect = cat(&[&[0], &le64(0xABCD), &le64(4), &le64(3), &[1], &le32(5), b"sigma"]);
-    assert_eq!(loaded.encode(VERSION), expect);
-    assert_eq!(Reply::decode(VERSION, Opcode::LoadMatrix, &expect).unwrap(), loaded);
+    pin_reply(loaded, &expect);
 
     // Output: status + one count-prefixed i64 vector.
-    assert_eq!(
-        Reply::Output(vec![-1, 2]).encode(VERSION),
-        cat(&[&[0], &le32(2), &[0xFF; 8], &le64(2)])
+    pin_reply(
+        Reply::Output(vec![-1, 2]),
+        &cat(&[&[0], &le32(2), &[0xFF; 8], &le64(2)]),
     );
 
     // Outputs: status + row count + one count-prefixed i64 vector per row.
     let rows = RowBlock::from_vec(2, 2, vec![1, 2, 3, 4]).unwrap();
-    assert_eq!(
-        Reply::Outputs(rows).encode(VERSION),
-        cat(&[
+    pin_reply(
+        Reply::Outputs(rows),
+        &cat(&[
             &[0],
             &le32(2),
             &le32(2),
@@ -196,7 +212,7 @@ fn reply_body_layouts_are_pinned() {
             &le32(2),
             &le64(3),
             &le64(4),
-        ])
+        ]),
     );
 }
 
@@ -240,9 +256,36 @@ fn stats_reply_bytes_are_pinned() {
         expect.extend_from_slice(&le64(field));
     }
     assert_eq!(expect.len(), 1 + 15 * 8 + 7 * 3 * 8 + 6 * 8);
-    let reply = Reply::Stats(Box::new(snapshot));
-    assert_eq!(reply.encode(VERSION), expect);
-    assert_eq!(Reply::decode(VERSION, Opcode::Stats, &expect).unwrap(), reply);
+    pin_reply(Reply::Stats(Box::new(snapshot)), &expect);
+}
+
+/// Every protocol-revision and status constant of `protocol.rs` (a
+/// `pub const` whose name ends `VERSION` or starts `STATUS_`) is named,
+/// as a whole word, in this file and in `wire_fuzz.rs`: a new status
+/// byte ships with a layout pin and with hostile-input coverage, or
+/// this fails naming the constant and the file that lacks it.
+#[test]
+fn every_version_and_status_constant_is_named_in_both_wire_test_files() {
+    let names: Vec<&str> = include_str!("../src/protocol.rs")
+        .lines()
+        .filter_map(|line| line.trim_start().strip_prefix("pub const ")?.split_once(':'))
+        .map(|(name, _)| name.trim())
+        .filter(|name| name.ends_with("VERSION") || name.starts_with("STATUS_"))
+        .collect();
+    assert!(names.contains(&"VERSION") && names.contains(&"STATUS_OK"), "{names:?}");
+    let mut unpinned = Vec::new();
+    for (file, text) in [
+        ("wire_compat.rs", include_str!("wire_compat.rs")),
+        ("wire_fuzz.rs", include_str!("wire_fuzz.rs")),
+    ] {
+        let words: Vec<&str> = text
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .collect();
+        for name in names.iter().filter(|name| !words.contains(name)) {
+            unpinned.push(format!("{name} is not named in {file}"));
+        }
+    }
+    assert!(unpinned.is_empty(), "{unpinned:#?}");
 }
 
 /// Peers from another revision — v0, the retired v1–v4, a future v6 —

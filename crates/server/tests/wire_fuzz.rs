@@ -26,6 +26,32 @@ const OPCODES: [Opcode; 5] = [
     Opcode::Stats,
 ];
 
+/// The opcode a request's payload is decoded under, spelt out here so
+/// the sweeps do not ask the code under test — and, with no wildcard
+/// arm, so a new `Request` variant stops this file building until the
+/// fuzz cases below know it.
+fn request_opcode(request: &Request) -> Opcode {
+    match request {
+        Request::Ping => Opcode::Ping,
+        Request::LoadMatrix { .. } => Opcode::LoadMatrix,
+        Request::Gemv { .. } => Opcode::Gemv,
+        Request::GemvBatch { .. } => Opcode::GemvBatch,
+        Request::Stats => Opcode::Stats,
+    }
+}
+
+/// [`request_opcode`] for a reply: the opcode of the request it answers
+/// (`Busy` and `Error` answer any; `Gemv` stands for them).
+fn reply_opcode(reply: &Reply) -> Opcode {
+    match reply {
+        Reply::Pong => Opcode::Ping,
+        Reply::Loaded(_) | Reply::CapacityFull { .. } => Opcode::LoadMatrix,
+        Reply::Output(_) | Reply::Busy | Reply::Error(_) => Opcode::Gemv,
+        Reply::Outputs(_) => Opcode::GemvBatch,
+        Reply::Stats(_) => Opcode::Stats,
+    }
+}
+
 fn random_bytes(rng: &mut impl RngCore, len: usize) -> Vec<u8> {
     let mut buf = vec![0u8; len];
     rng.fill_bytes(&mut buf);
@@ -81,17 +107,17 @@ fn random_request_payloads_never_panic() {
 #[test]
 fn truncated_request_payloads_are_errors() {
     for request in sample_requests() {
+        let opcode = request_opcode(&request);
         let full = request.encode(VERSION);
-        let decoded = Request::decode(VERSION, request.opcode(), &full);
+        let decoded = Request::decode(VERSION, opcode, &full);
         assert!(decoded.is_ok(), "sanity: full payload decodes");
         // Every strict prefix must fail: the decoders consume the
         // payload exactly, so a cut anywhere leaves either a short
         // read or trailing-garbage detection.
         for cut in 0..full.len() {
             assert!(
-                Request::decode(VERSION, request.opcode(), &full[..cut]).is_err(),
-                "{:?} cut at {cut} of {}",
-                request.opcode(),
+                Request::decode(VERSION, opcode, &full[..cut]).is_err(),
+                "{opcode:?} cut at {cut} of {}",
                 full.len()
             );
         }
@@ -101,28 +127,23 @@ fn truncated_request_payloads_are_errors() {
 #[test]
 fn truncated_replies_are_errors() {
     let replies = vec![
-        (Opcode::Ping, Reply::Pong),
-        (
-            Opcode::LoadMatrix,
-            Reply::Loaded(LoadedInfo {
-                digest: 0xFEED,
-                rows: 3,
-                cols: 2,
-                already_loaded: false,
-                engine: "csr".into(),
-            }),
-        ),
-        (Opcode::Gemv, Reply::Output(vec![i64::MIN, 7, i64::MAX])),
-        (
-            Opcode::GemvBatch,
-            Reply::Outputs(RowBlock::try_from(vec![vec![1, 2], vec![3, 4]]).unwrap()),
-        ),
-        (Opcode::Stats, Reply::Stats(Default::default())),
-        (Opcode::Gemv, Reply::Error("boom".into())),
-        (Opcode::Gemv, Reply::Busy),
-        (Opcode::LoadMatrix, Reply::CapacityFull { loaded: 9 }),
+        Reply::Pong,
+        Reply::Loaded(LoadedInfo {
+            digest: 0xFEED,
+            rows: 3,
+            cols: 2,
+            already_loaded: false,
+            engine: "csr".into(),
+        }),
+        Reply::Output(vec![i64::MIN, 7, i64::MAX]),
+        Reply::Outputs(RowBlock::try_from(vec![vec![1, 2], vec![3, 4]]).unwrap()),
+        Reply::Stats(Default::default()),
+        Reply::Error("boom".into()),
+        Reply::Busy,
+        Reply::CapacityFull { loaded: 9 },
     ];
-    for (opcode, reply) in replies {
+    for reply in replies {
+        let opcode = reply_opcode(&reply);
         let full = reply.encode(VERSION);
         assert!(Reply::decode(VERSION, opcode, &full).is_ok());
         for cut in 0..full.len() {

@@ -70,19 +70,23 @@ impl LatencyHistogram {
             return 0;
         }
         let target = ((q * total as f64).ceil() as u64).clamp(1, total);
+        // The first bucket at which the running count reaches the target.
+        // It reaches `total >= target` by the last bucket at the latest,
+        // so the fallback names that bucket and is never taken.
         let mut covered = 0;
-        for (i, &n) in counts.iter().enumerate() {
-            covered += n;
-            if covered >= target {
-                // Midpoint of [2^i, 2^(i+1)): 1.5 * 2^i, written as
-                // 2^i + 2^(i-1). The naive `(3 << i) >> 1` wraps for the
-                // last bucket (3 << 63 overflows u64) and reported 2^62 —
-                // *below* that bucket's own 2^63 lower bound; this form
-                // stays exact for every bucket, i = 63 included.
-                return (1u64 << i) + ((1u64 << i) >> 1);
-            }
-        }
-        unreachable!("covered reaches total");
+        let i = counts
+            .iter()
+            .position(|&n| {
+                covered += n;
+                covered >= target
+            })
+            .unwrap_or(BUCKETS - 1);
+        // Midpoint of [2^i, 2^(i+1)): 1.5 * 2^i, written as
+        // 2^i + 2^(i-1). The naive `(3 << i) >> 1` wraps for the
+        // last bucket (3 << 63 overflows u64) and reported 2^62 —
+        // *below* that bucket's own 2^63 lower bound; this form
+        // stays exact for every bucket, i = 63 included.
+        (1u64 << i) + ((1u64 << i) >> 1)
     }
 
     /// [`LatencyHistogram::quantile_ns`] as a [`Duration`].

@@ -14,8 +14,8 @@
 //! guards — registries, caches, and maps whose invariants hold at
 //! every panic site (`std` collections never leave themselves torn) —
 //! and it is exactly what `Mutex::clear_poison` was stabilized for.
-//! The `smm-tidy` `hot-path-panic` rule bans the panicking idiom on
-//! the request path and points here.
+//! `clippy::unwrap_used`, denied at the serving crates' roots, bans the
+//! panicking idiom on the request path; this is where it points.
 
 use std::sync::{Mutex, MutexGuard};
 

@@ -21,9 +21,6 @@
 //!   behind the server's tiered (hot/warm/cold) fleet registry
 //! * [`server`] — the networked serving frontend (wire protocol, TCP
 //!   server, `/metrics` exposition, client, load generator)
-//! * [`tidy`] — the workspace's own static-analysis pass (`smm tidy`):
-//!   hot-path panic bans, `SAFETY:` comments, wire pinning, and
-//!   `#![deny(missing_docs)]` roster drift
 //!
 //! ## Serving: start with [`Session`]
 //!
@@ -105,7 +102,6 @@ pub use smm_sigma as sigma;
 pub use smm_sparse as sparse;
 pub use smm_store as store;
 pub use smm_telemetry as telemetry;
-pub use smm_tidy as tidy;
 
 // The serving API, re-exported at the crate root as the documented
 // entry point.
