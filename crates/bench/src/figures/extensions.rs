@@ -22,7 +22,7 @@ use smm_core::sparsity::ones_in_signed_matrix;
 use smm_fpga::flow::{report_for, synthesize, FlowOptions};
 use smm_reservoir::capacity::memory_capacity;
 use smm_reservoir::esn::{Esn, EsnConfig};
-use smm_reservoir::int_esn::{EngineKind, IntEsn, IntEsnConfig};
+use smm_reservoir::int_esn::{IntEsn, IntEsnConfig};
 use smm_reservoir::linalg::MatF64;
 use smm_reservoir::metrics::nrmse;
 use smm_reservoir::readout::Readout;
@@ -44,7 +44,7 @@ fn narma_score(weight_bits: u32, reservoir_size: usize, quick: bool) -> (f64, u6
         weight_bits,
         state_bits: 10,
     };
-    let mut esn = IntEsn::new(cfg, EngineKind::Reference).unwrap();
+    let mut esn = IntEsn::new(cfg).unwrap();
     let len = if quick { 800 } else { 1600 };
     let split_at = len * 3 / 4;
     let task = tasks::narma10(len, 7);
@@ -104,7 +104,7 @@ pub fn ext2(quick: bool) -> Figure {
         let len = if quick { 1200 } else { 2000 };
         let mc = memory_capacity(&mut esn, 20, len, SEED + 2).unwrap();
         // Cost of the quantized reservoir on the FPGA.
-        let int = IntEsn::from_float(&esn, 4, 8, EngineKind::Reference).unwrap();
+        let int = IntEsn::from_float(&esn, 4, 8).unwrap();
         let (_, report) = synthesize(
             &int.reservoir_matrix().transpose(),
             &FlowOptions::default(),
@@ -296,7 +296,7 @@ pub fn ext5(quick: bool) -> Figure {
     fig.row(vec!["chance".into(), "0.25".into()]);
 
     // Hardware for this exact fixed reservoir, quantized to int8.
-    let int = IntEsn::from_float(&esn, 8, 8, EngineKind::Reference).unwrap();
+    let int = IntEsn::from_float(&esn, 8, 8).unwrap();
     let (_, report) = synthesize(
         &int.reservoir_matrix().transpose(),
         &FlowOptions::default(),

@@ -315,7 +315,7 @@ pub fn throughput(args: &Args, out: &mut impl Write) -> CmdResult {
         .map_err(|e| e.to_string())?;
     }
 
-    let mut best = 0.0f64;
+    let (mut best, mut served) = (0.0f64, 0usize);
     // One output block reused across rounds: the steady state performs
     // no per-row allocation at all.
     let mut outputs = RowBlock::new();
@@ -325,6 +325,7 @@ pub fn throughput(args: &Args, out: &mut impl Write) -> CmdResult {
             .map_err(|e| format!("dispatching: {e}"))?;
         let rate = stats.vectors_per_sec();
         best = best.max(rate);
+        served += stats.batch;
         writeln!(
             out,
             "  batch {round}: {} vectors in {:.2} ms over {} shard(s) = {rate:.0} vectors/sec",
@@ -336,11 +337,10 @@ pub fn throughput(args: &Args, out: &mut impl Write) -> CmdResult {
     }
     // Report compiles only: the timing probe above is itself a cache
     // hit, so a hit count here would overstate what requests saw.
-    let stats = session.stats();
     writeln!(
         out,
-        "session: {} batches = {} vectors served; cache {} compile(s)",
-        stats.batches, stats.vectors, stats.cache.misses,
+        "session: {repeat} batches = {served} vectors served; cache {} compile(s)",
+        session.cache().stats().misses,
     )
     .map_err(|e| e.to_string())?;
 

@@ -23,13 +23,11 @@
 #![forbid(unsafe_code)]
 
 pub mod device;
-pub mod floorplan;
 pub mod flow;
 pub mod power;
 pub mod resources;
 pub mod timing;
 
 pub use device::Device;
-pub use floorplan::{floorplan, Floorplan, SlrRegion};
 pub use flow::{synthesize, FlowOptions, SynthesisReport};
 pub use resources::ResourceReport;

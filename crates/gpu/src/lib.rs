@@ -25,7 +25,5 @@
 #![forbid(unsafe_code)]
 
 pub mod model;
-pub mod warp_sim;
 
 pub use model::GpuKernelModel;
-pub use warp_sim::{run_spmv, WarpGpuConfig, WarpRun};

@@ -3,40 +3,24 @@
 //! integers, with a clipping activation — exactly the arithmetic the
 //! spatial bit-serial multiplier accelerates.
 //!
-//! The recurrent product `W·x` can run on either compute engine:
-//!
-//! * [`EngineKind::Reference`] — plain integer gemv (ground truth);
-//! * [`EngineKind::Circuit`] — the compiled bit-serial netlist, simulated
-//!   cycle-accurately.
-//!
-//! The two are **bit-exact**: an integration test drives whole tasks
-//! through both and compares every state.
-//!
-//! Additionally, [`IntEsn::attach_backend`] routes the recurrence through
-//! any [`smm_runtime::GemvBackend`] — e.g. a cached compiled circuit or a
-//! CSR kernel served by the runtime — overriding the built-in engines.
-//! Because every backend is bit-identical to reference arithmetic, the
-//! state trajectory is unchanged.
+//! The recurrent product `W·x` is the reference integer `matvec` until
+//! [`IntEsn::attach_backend`] routes it through a
+//! [`smm_runtime::GemvBackend`] built over
+//! [`IntEsn::recurrence_matrix`] — the compiled bit-serial circuit
+//! ([`smm_runtime::BitSerial`], simulated cycle-accurately), a CSR
+//! kernel, whatever the runtime serves. Every backend is **bit-exact**
+//! with reference arithmetic, so the state trajectory is unchanged: an
+//! integration test drives whole tasks through reference and circuit
+//! and compares every state.
 
 use crate::esn::{Esn, EsnConfig};
 use crate::linalg::MatF64;
 use rand::Rng;
-use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
 use smm_runtime::GemvBackend;
 use std::fmt;
 use std::sync::Arc;
-
-/// Which engine executes the recurrent `W·x`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// Reference integer gemv.
-    #[default]
-    Reference,
-    /// The compiled bit-serial spatial circuit (cycle-accurate simulation).
-    Circuit,
-}
 
 /// Hyperparameters of an integer ESN.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,9 +54,7 @@ pub struct IntEsn {
     /// Weight scale exponent: `w_float ≈ w_int · 2^−shift`.
     shift: u32,
     state: Vec<i32>,
-    engine: EngineKind,
-    circuit: Option<FixedMatrixMultiplier>,
-    /// When set, overrides `engine` for the recurrent product.
+    /// When set, computes the recurrent product in place of `matvec`.
     backend: Option<Arc<dyn GemvBackend>>,
 }
 
@@ -81,7 +63,6 @@ impl fmt::Debug for IntEsn {
         f.debug_struct("IntEsn")
             .field("config", &self.config)
             .field("shift", &self.shift)
-            .field("engine", &self.engine)
             .field("backend", &self.backend.as_ref().map(|b| b.name()))
             .finish_non_exhaustive()
     }
@@ -90,9 +71,9 @@ impl fmt::Debug for IntEsn {
 impl IntEsn {
     /// Builds a fresh integer ESN from hyperparameters (generates the float
     /// reservoir, then quantizes it).
-    pub fn new(config: IntEsnConfig, engine: EngineKind) -> Result<Self> {
+    pub fn new(config: IntEsnConfig) -> Result<Self> {
         let float = Esn::new(config.esn.clone())?;
-        Self::from_float(&float, config.weight_bits, config.state_bits, engine)
+        Self::from_float(&float, config.weight_bits, config.state_bits)
     }
 
     /// Quantizes an existing float ESN.
@@ -100,12 +81,7 @@ impl IntEsn {
     /// The weight scale is forced to a power of two so the activation
     /// renormalization is an exact arithmetic shift — no gain drift between
     /// the float and integer reservoirs beyond rounding.
-    pub fn from_float(
-        float: &Esn,
-        weight_bits: u32,
-        state_bits: u32,
-        engine: EngineKind,
-    ) -> Result<Self> {
+    pub fn from_float(float: &Esn, weight_bits: u32, state_bits: u32) -> Result<Self> {
         if !(2..=8).contains(&weight_bits) {
             return Err(Error::InvalidBitWidth { bits: weight_bits });
         }
@@ -133,14 +109,6 @@ impl IntEsn {
         };
         let w_q = quantize(w, n, n)?;
         let w_in_q = quantize(w_in, n, k)?;
-        let circuit = match engine {
-            EngineKind::Reference => None,
-            EngineKind::Circuit => Some(FixedMatrixMultiplier::compile(
-                &w_q.transpose(),
-                state_bits,
-                WeightEncoding::Pn,
-            )?),
-        };
         Ok(Self {
             config: IntEsnConfig {
                 esn: float.config().clone(),
@@ -151,14 +119,12 @@ impl IntEsn {
             w_in_q,
             shift,
             state: vec![0; n],
-            engine,
-            circuit,
             backend: None,
         })
     }
 
-    /// Routes the recurrent product through a serving-runtime backend,
-    /// overriding the built-in engine.
+    /// Routes the recurrent product through a serving-runtime backend
+    /// in place of the reference `matvec`.
     ///
     /// A [`GemvBackend`] computes `o = aᵀV`, so the backend must be built
     /// over the **transposed** reservoir — exactly what
@@ -204,7 +170,7 @@ impl IntEsn {
         Ok(())
     }
 
-    /// Removes an attached backend, returning to the built-in engine.
+    /// Removes an attached backend, returning to the reference `matvec`.
     pub fn detach_backend(&mut self) -> Option<Arc<dyn GemvBackend>> {
         self.backend.take()
     }
@@ -226,19 +192,9 @@ impl IntEsn {
         &self.config
     }
 
-    /// The engine in use.
-    pub fn engine(&self) -> EngineKind {
-        self.engine
-    }
-
     /// The quantized reservoir matrix (e.g. for FPGA synthesis reports).
     pub fn reservoir_matrix(&self) -> &IntMatrix {
         &self.w_q
-    }
-
-    /// The compiled circuit, when the engine is [`EngineKind::Circuit`].
-    pub fn circuit(&self) -> Option<&FixedMatrixMultiplier> {
-        self.circuit.as_ref()
     }
 
     /// Fixed-point saturation bound of the state.
@@ -282,13 +238,9 @@ impl IntEsn {
             .iter()
             .map(|&u| ((u * f64::from(qmax)).round() as i64).clamp(-(qmax as i64) - 1, qmax as i64) as i32)
             .collect();
-        let recur: Vec<i64> = if let Some(backend) = &self.backend {
-            backend.gemv(&self.state)?
-        } else {
-            match (&self.circuit, self.engine) {
-                (Some(circuit), EngineKind::Circuit) => circuit.mul(&self.state)?,
-                _ => smm_core::gemv::matvec(&self.w_q, &self.state)?,
-            }
+        let recur: Vec<i64> = match &self.backend {
+            Some(backend) => backend.gemv(&self.state)?,
+            None => smm_core::gemv::matvec(&self.w_q, &self.state)?,
         };
         let drive = smm_core::gemv::matvec(&self.w_in_q, &u_q)?;
         let half = 1i64 << (self.shift.max(1) - 1);
@@ -330,6 +282,7 @@ impl IntEsn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
 
     fn small() -> IntEsnConfig {
         IntEsnConfig {
@@ -346,14 +299,14 @@ mod tests {
 
     #[test]
     fn weights_fit_declared_bits() {
-        let esn = IntEsn::new(small(), EngineKind::Reference).unwrap();
+        let esn = IntEsn::new(small()).unwrap();
         assert!(esn.reservoir_matrix().fits_signed(4).unwrap());
     }
 
     #[test]
     fn quantization_preserves_sparsity_pattern_zeroes() {
         let float = Esn::new(small().esn).unwrap();
-        let int = IntEsn::from_float(&float, 4, 8, EngineKind::Reference).unwrap();
+        let int = IntEsn::from_float(&float, 4, 8).unwrap();
         // Every zero float weight stays exactly zero.
         for (r, c, v) in int.reservoir_matrix().iter() {
             if float.reservoir_matrix().get(r, c) == 0.0 {
@@ -364,7 +317,7 @@ mod tests {
 
     #[test]
     fn state_saturates_not_overflows() {
-        let mut esn = IntEsn::new(small(), EngineKind::Reference).unwrap();
+        let mut esn = IntEsn::new(small()).unwrap();
         for _ in 0..100 {
             esn.update(&[1.0]).unwrap();
         }
@@ -385,9 +338,13 @@ mod tests {
             weight_bits: 3,
             state_bits: 6,
         };
-        let mut reference = IntEsn::new(cfg.clone(), EngineKind::Reference).unwrap();
-        let mut circuit = IntEsn::new(cfg, EngineKind::Circuit).unwrap();
-        assert!(circuit.circuit().is_some());
+        let mut reference = IntEsn::new(cfg.clone()).unwrap();
+        let mut circuit = IntEsn::new(cfg.clone()).unwrap();
+        let compiled =
+            FixedMatrixMultiplier::compile(&circuit.recurrence_matrix(), cfg.state_bits, WeightEncoding::Pn)
+                .unwrap();
+        circuit.attach_backend(Arc::new(smm_runtime::BitSerial::new(Arc::new(compiled)))).unwrap();
+        assert_eq!(circuit.backend_name(), Some("bitserial"));
         for t in 0..25 {
             let u = vec![(t as f64 * 0.37).sin() * 0.4];
             let a = reference.update(&u).unwrap().to_vec();
@@ -410,7 +367,7 @@ mod tests {
             weight_bits: 3,
             state_bits: 6,
         };
-        let mut reference = IntEsn::new(cfg.clone(), EngineKind::Reference).unwrap();
+        let mut reference = IntEsn::new(cfg.clone()).unwrap();
         let wt = reference.recurrence_matrix();
         let cache = MultiplierCache::new();
         let circuit = cache
@@ -423,7 +380,7 @@ mod tests {
         ];
         for backend in backends {
             let name = backend.name();
-            let mut routed = IntEsn::new(cfg.clone(), EngineKind::Reference).unwrap();
+            let mut routed = IntEsn::new(cfg.clone()).unwrap();
             routed.attach_backend(backend).unwrap();
             assert_eq!(routed.backend_name(), Some(name));
             reference.reset();
@@ -444,7 +401,7 @@ mod tests {
     fn attach_backend_validates_shape() {
         use smm_runtime::DenseRef;
 
-        let mut esn = IntEsn::new(small(), EngineKind::Reference).unwrap();
+        let mut esn = IntEsn::new(small()).unwrap();
         let wrong = IntMatrix::identity(7).unwrap();
         assert!(esn
             .attach_backend(Arc::new(DenseRef::new(wrong)))
@@ -455,7 +412,7 @@ mod tests {
     fn attach_backend_rejects_untransposed_matrix() {
         use smm_runtime::DenseRef;
 
-        let mut esn = IntEsn::new(small(), EngineKind::Reference).unwrap();
+        let mut esn = IntEsn::new(small()).unwrap();
         // Same (square) shape, but built over W_q instead of W_qᵀ: the
         // probe check must catch what the shape check cannot.
         let untransposed = esn.reservoir_matrix().clone();
@@ -469,7 +426,7 @@ mod tests {
 
     #[test]
     fn dequantized_state_in_unit_range() {
-        let mut esn = IntEsn::new(small(), EngineKind::Reference).unwrap();
+        let mut esn = IntEsn::new(small()).unwrap();
         for t in 0..50 {
             esn.update(&[(t as f64 * 0.2).cos() * 0.5]).unwrap();
         }
@@ -478,7 +435,7 @@ mod tests {
 
     #[test]
     fn harvest_shapes() {
-        let mut esn = IntEsn::new(small(), EngineKind::Reference).unwrap();
+        let mut esn = IntEsn::new(small()).unwrap();
         let inputs: Vec<Vec<f64>> = (0..30).map(|t| vec![f64::from(t % 4) * 0.1]).collect();
         let states = esn.harvest_states(&inputs, 5).unwrap();
         assert_eq!(states.rows(), 25);
@@ -488,8 +445,8 @@ mod tests {
     #[test]
     fn rejects_bad_widths() {
         let float = Esn::new(small().esn).unwrap();
-        assert!(IntEsn::from_float(&float, 1, 8, EngineKind::Reference).is_err());
-        assert!(IntEsn::from_float(&float, 4, 16, EngineKind::Reference).is_err());
+        assert!(IntEsn::from_float(&float, 1, 8).is_err());
+        assert!(IntEsn::from_float(&float, 4, 16).is_err());
     }
 
     #[test]
@@ -498,7 +455,7 @@ mod tests {
         // float one (quantization is lossy but not destructive).
         let float_cfg = small().esn;
         let mut float = Esn::new(float_cfg.clone()).unwrap();
-        let mut int = IntEsn::new(small(), EngineKind::Reference).unwrap();
+        let mut int = IntEsn::new(small()).unwrap();
         let mut dots = 0.0;
         let mut nf = 0.0;
         let mut ni = 0.0;

@@ -5,9 +5,10 @@
 //! ridge-regression readouts and the classic reservoir benchmark tasks
 //! (NARMA-10, Mackey–Glass, channel equalization, delayed memory).
 //!
-//! The integer reservoir can execute its recurrent `W·x` directly on the
-//! compiled bit-serial spatial circuit of `smm-bitserial`, closing the loop
-//! from the paper's motivation to its hardware.
+//! The integer reservoir can execute its recurrent `W·x` on any engine
+//! `smm-runtime` serves ([`IntEsn::attach_backend`]) — the compiled
+//! bit-serial spatial circuit included, closing the loop from the
+//! paper's motivation to its hardware.
 //!
 //! ```
 //! use smm_reservoir::esn::{Esn, EsnConfig};
@@ -28,17 +29,13 @@
 pub mod capacity;
 pub mod classify;
 pub mod esn;
-pub mod generation;
 pub mod int_esn;
 pub mod linalg;
 pub mod metrics;
-pub mod online;
 pub mod readout;
 pub mod tasks;
-pub mod tuning;
 
 pub use esn::{Esn, EsnConfig};
-pub use int_esn::{EngineKind, IntEsn, IntEsnConfig};
+pub use int_esn::{IntEsn, IntEsnConfig};
 pub use capacity::{memory_capacity, MemoryCapacity};
-pub use online::RlsReadout;
 pub use readout::Readout;

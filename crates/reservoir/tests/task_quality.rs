@@ -3,7 +3,8 @@
 //! benchmark tasks, in float and in integer arithmetic.
 
 use smm_reservoir::esn::{Esn, EsnConfig};
-use smm_reservoir::int_esn::{EngineKind, IntEsn, IntEsnConfig};
+use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
+use smm_reservoir::int_esn::{IntEsn, IntEsnConfig};
 use smm_reservoir::linalg::MatF64;
 use smm_reservoir::metrics::{nrmse, symbol_error_rate};
 use smm_reservoir::readout::Readout;
@@ -152,7 +153,6 @@ fn integer_esn_solves_narma10() {
             weight_bits: 5,
             state_bits: 10,
         },
-        EngineKind::Reference,
     )
     .unwrap();
     let task = tasks::narma10(1600, 7);
@@ -183,8 +183,15 @@ fn circuit_engine_runs_a_real_task_bit_exact() {
         weight_bits: 4,
         state_bits: 8,
     };
-    let mut reference = IntEsn::new(cfg.clone(), EngineKind::Reference).unwrap();
-    let mut circuit = IntEsn::new(cfg, EngineKind::Circuit).unwrap();
+    let mut reference = IntEsn::new(cfg.clone()).unwrap();
+    let mut circuit = IntEsn::new(cfg.clone()).unwrap();
+    // The circuit the server serves: compiled over the transposed
+    // reservoir, attached in place of the reference `matvec`.
+    let compiled =
+        FixedMatrixMultiplier::compile(&circuit.recurrence_matrix(), cfg.state_bits, WeightEncoding::Pn)
+            .unwrap();
+    let backend = smm_runtime::BitSerial::new(std::sync::Arc::new(compiled));
+    circuit.attach_backend(std::sync::Arc::new(backend)).unwrap();
     let task = tasks::narma10(40, 11);
     for (t, u) in task.inputs.iter().enumerate() {
         let a = reference.update(u).unwrap().to_vec();

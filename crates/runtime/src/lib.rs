@@ -23,7 +23,9 @@
 //! * [`MultiplierCache`] — content-digest-keyed compile memoization with
 //!   an optional LRU bound ([`cache`]);
 //! * [`TieredRegistry`] — the hot / warm / cold matrix fleet
-//!   ([`tiered`]).
+//!   ([`tiered`]): a lock, a store and three counters around the pure
+//!   tier table of the private `tiers` module, which decides every
+//!   promotion, demotion and refusal.
 //!
 //! Sessions optionally carry a [`SpanRecorder`] (from
 //! `smm-telemetry`, re-exported here) so every served batch stamps its
@@ -82,12 +84,13 @@ mod pool;
 pub mod session;
 pub mod spec;
 pub mod tiered;
+mod tiers;
 
 pub use backend::{BitSerial, DenseRef, GemvBackend, SigmaEngine, SparseCsr};
 pub use cache::{CacheStats, MultiplierCache};
 pub use smm_core::block::{FrameBlock, RowBlock};
 pub use plan::{AutoOptions, EnginePlan, PlanCandidate, PlanPolicy};
-pub use session::{BatchStats, Session, SessionBuilder, SessionStats};
-pub use tiered::{circuit_meta_for, FleetSnapshot, InsertOutcome, TieredConfig, TieredRegistry};
+pub use session::{BatchStats, Session, SessionBuilder};
+pub use tiered::{FleetSnapshot, InsertOutcome, TieredConfig, TieredRegistry};
 pub use smm_telemetry::{SpanRecorder, Stage, StageStats};
 pub use spec::{EngineSpec, BUILTIN_KINDS};

@@ -3,9 +3,10 @@
 //! A [`Session`] is the unit every entry point in the repo serves
 //! through — the CLI's `throughput`/`serve`/`loadgen`, the TCP server's
 //! per-matrix state, the examples, and the tests. It is a value: the
-//! plan, a handle to the engine [`spec::build`] made for it, the shared
-//! [`MultiplierCache`], and its served
-//! counters. It owns no threads — batches are cut into row-range shards
+//! plan, a handle to the engine [`spec::build`] made for it, and the
+//! shared [`MultiplierCache`]. It counts nothing — whoever serves
+//! through it counts what it served, as the TCP server does in its
+//! `Stats`. It owns no threads — batches are cut into row-range shards
 //! and served by the one worker pool of the process, which every session
 //! shares — so building one spawns nothing and dropping one joins
 //! nothing. One submission surface:
@@ -15,9 +16,7 @@
 //!   overhead);
 //! * [`Session::run_block`] — a batch: a flat [`FrameBlock`] sharded
 //!   across the pool into a caller-owned [`RowBlock`], with per-batch
-//!   timing and no per-row allocation;
-//! * [`Session::stats`] — cache, batch, and fast-path counters in one
-//!   struct.
+//!   timing and no per-row allocation.
 //!
 //! Rule of thumb: `run` for one vector, `run_block` for batches (hold
 //! the blocks, reuse them). Both reach the same engine kernel
@@ -40,7 +39,7 @@
 //! ```
 
 use crate::backend::GemvBackend;
-use crate::cache::{CacheStats, MultiplierCache};
+use crate::cache::MultiplierCache;
 use crate::plan::{self, EnginePlan, PlanPolicy};
 use crate::pool::{self, Job};
 use crate::spec::{self, EngineSpec};
@@ -48,7 +47,6 @@ use smm_core::block::{FrameBlock, RowBlock};
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
 use smm_telemetry::{SpanRecorder, Stage};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -74,22 +72,6 @@ impl BatchStats {
             self.batch as f64 / secs
         }
     }
-}
-
-/// Cache, batch, and fast-path counters of one session, in one struct.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SessionStats {
-    /// Compiled-multiplier cache counters (shared across sessions when
-    /// the cache is).
-    pub cache: CacheStats,
-    /// Batches fully served by [`Session::run_block`] (failed and empty
-    /// batches are not counted).
-    pub batches: u64,
-    /// Vectors fully served across those batches.
-    pub vectors: u64,
-    /// Single-vector products served on the [`Session::run`] fast path
-    /// (these never enter the pool, so they are not in `vectors`).
-    pub singles: u64,
 }
 
 /// Configures and builds a [`Session`].
@@ -171,9 +153,6 @@ impl SessionBuilder {
             engine,
             threads,
             recorder: self.recorder,
-            batches: AtomicU64::new(0),
-            vectors: AtomicU64::new(0),
-            singles: AtomicU64::new(0),
         })
     }
 }
@@ -194,11 +173,6 @@ pub struct Session {
     threads: usize,
     /// Per-stage telemetry sink (see [`SessionBuilder::recorder`]).
     recorder: Option<SpanRecorder>,
-    /// Batches and their vectors fully served by [`Session::run_block`].
-    batches: AtomicU64,
-    vectors: AtomicU64,
-    /// Single-vector products served on the [`Session::run`] fast path.
-    singles: AtomicU64,
 }
 
 impl std::fmt::Debug for Session {
@@ -269,22 +243,19 @@ impl Session {
     /// Computes one product `o = aᵀV` directly on the engine — the
     /// single-vector fast path. No `Arc`, no channel hop, no worker
     /// wakeup: a lone vector (the server's single `Gemv` opcode) must
-    /// not pay batch overhead. Counted in [`SessionStats::singles`];
-    /// the batch counters do not move.
+    /// not pay batch overhead.
     pub fn run(&self, a: &[i32]) -> Result<Vec<i64>> {
-        let out = match &self.recorder {
+        match &self.recorder {
             // With telemetry attached the single pays one Instant pair
             // around the engine call — its whole compute is one stage.
             Some(rec) => {
                 let started = Instant::now();
                 let out = self.engine().gemv(a)?;
                 rec.record(Stage::Compute, started.elapsed());
-                out
+                Ok(out)
             }
-            None => self.engine().gemv(a)?,
-        };
-        self.singles.fetch_add(1, Ordering::Relaxed);
-        Ok(out)
+            None => self.engine().gemv(a),
+        }
     }
 
     /// Executes one flat batch, sharded by contiguous row ranges across
@@ -370,8 +341,6 @@ impl Session {
         if let Some(e) = first_error {
             return Err(e);
         }
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.vectors.fetch_add(n as u64, Ordering::Relaxed);
         let elapsed = start.elapsed();
         if let Some(rec) = &self.recorder {
             // The interior of the pipeline's compute stage, recorded
@@ -389,24 +358,6 @@ impl Session {
             shards,
             elapsed,
         })
-    }
-
-    /// Cache, batch, and fast-path counters in one struct.
-    pub fn stats(&self) -> SessionStats {
-        SessionStats {
-            cache: self.cache.stats(),
-            batches: self.batches.load(Ordering::Relaxed),
-            vectors: self.vectors.load(Ordering::Relaxed),
-            singles: self.singles.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Just the served work, `(batches, vectors)` with the fast-path
-    /// singles counted as vectors — no cache lock. Aggregators over many
-    /// sessions sharing one cache read the cache once and sum these.
-    pub fn served(&self) -> (u64, u64) {
-        let s = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        (s(&self.batches), s(&self.vectors) + s(&self.singles))
     }
 }
 
@@ -466,26 +417,23 @@ mod tests {
         assert_eq!(session.run(&a).unwrap(), vecmat(&a, &v).unwrap());
         let batch = random_batch(7, 20, 2911);
         assert_eq!(serve(&session, &batch).unwrap().0, reference(&batch, &v));
-        let stats = session.stats();
-        // The single went down the fast path; only the batch hit the pool.
-        assert_eq!((stats.batches, stats.vectors), (1, 7));
-        assert_eq!(stats.singles, 1);
-        assert_eq!(session.served(), (1, 8));
     }
 
     #[test]
     fn single_vector_fast_path_skips_the_dispatcher() {
-        let session = Session::auto(IntMatrix::identity(4).unwrap()).unwrap();
+        let rec = SpanRecorder::new();
+        let session = Session::builder(IntMatrix::identity(4).unwrap())
+            .recorder(rec.clone())
+            .build()
+            .unwrap();
         for round in 1..=3u64 {
             assert_eq!(session.run(&[1, 2, 3, 4]).unwrap(), vec![1, 2, 3, 4]);
-            let stats = session.stats();
-            assert_eq!(stats.singles, round);
-            // Regression: singles must not move the batch counters.
-            assert_eq!((stats.batches, stats.vectors), (0, 0));
+            let stats = rec.stage_stats();
+            assert_eq!(stats[Stage::Compute.idx()].count, round);
+            // A single is one compute: no shard was cut, none reassembled.
+            assert_eq!(stats[Stage::Shard.idx()].count, 0);
+            assert_eq!(stats[Stage::Reassemble.idx()].count, 0);
         }
-        // A failed single is not counted as served.
-        assert!(session.run(&[1]).is_err());
-        assert_eq!(session.stats().singles, 3);
     }
 
     #[test]
@@ -497,13 +445,12 @@ mod tests {
         let mut out = RowBlock::new();
         for spec in [EngineSpec::dense(), EngineSpec::csr(), EngineSpec::bitserial().threads(2)] {
             let session = Session::with_spec(v.clone(), spec.clone()).unwrap();
-            // Two rounds into the same block: no stale rows, stats count.
+            // Two rounds into the same block: no stale rows.
             for _ in 0..2 {
                 let stats = session.run_block(Arc::clone(&frames), &mut out).unwrap();
                 assert_eq!(stats.batch, 10);
                 assert_eq!(Vec::<Vec<i64>>::from(&out), expect, "{spec:?}");
             }
-            assert_eq!(session.stats().vectors, 20, "{spec:?}");
         }
     }
 
@@ -544,7 +491,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(session.engine().name(), "csr");
-        assert_eq!(session.stats().cache, stats);
+        assert_eq!(session.cache().stats(), stats);
     }
 
     #[test]
@@ -590,7 +537,7 @@ mod tests {
         assert_eq!(session.run(&[1, 2, 3, 4]).unwrap(), vec![1, 2, 3, 4]);
     }
 
-    // The batch path: sharding, reassembly, timing, counters.
+    // The batch path: sharding, reassembly, timing.
 
     #[test]
     fn preserves_submission_order_across_threads() {
@@ -669,9 +616,6 @@ mod tests {
         // A width mismatch is refused before any shard is submitted.
         let wrong = FrameBlock::from_rows(&[vec![1; 5]]).unwrap();
         assert!(session.run_block(wrong, &mut out).is_err());
-        let s = session.stats();
-        // The empty batch is not served work.
-        assert_eq!((s.batches, s.vectors), (3, 24));
     }
 
     #[test]
@@ -771,19 +715,6 @@ mod tests {
         // Failed batches record nothing.
         assert!(serve(&session, &[vec![1]]).is_err());
         assert_eq!(rec.stage_stats()[Stage::Compute.idx()].count, 2);
-    }
-
-    #[test]
-    fn snapshot_counts_served_work() {
-        let session = echo(4, 2);
-        assert_eq!(session.served(), (0, 0));
-        serve(&session, &vec![vec![1, 2, 3, 4]; 7]).unwrap();
-        serve(&session, &vec![vec![1, 2, 3, 4]; 3]).unwrap();
-        // Failed batches are not served work.
-        assert!(serve(&session, &[vec![1]]).is_err());
-        let s = session.stats();
-        assert_eq!((s.batches, s.vectors, s.singles), (2, 10, 0));
-        assert_eq!(session.served(), (2, 10));
     }
 
     #[test]

@@ -10,29 +10,26 @@
 //! * **cold** — artifact bytes in an attached [`Store`], verified on the
 //!   way back in by the content digest they are filed under.
 //!
-//! Promotion happens on request ([`TieredRegistry::acquire`]): a warm
-//! or cold digest is rebuilt into a session the moment traffic asks for
-//! it, and the read from disk is counted as a *store hit*. Demotion
-//! happens under pressure: when the hot tier exceeds its bound the
-//! least-recently-used session is demoted to warm — its served-request
-//! counters are retired into registry totals, so `Stats` stays monotone,
-//! and its `Arc` is dropped: a free, with nothing to join — and when the
-//! warm tier overflows entries spill to cold —
-//! which requires an attached store; without one the registry reports
-//! capacity instead, typed, so callers can tell pressure from failure.
-//!
-//! The demotion victim is the least-recently-used member of the tier:
-//! every entry carries its own request count and the stamp of a logical
-//! clock that `acquire` and `insert` advance under the fleet lock.
+//! Which tier an entry is in, who is demoted under pressure and when a
+//! load is refused are decided by the pure table in `tiers.rs`
+//! (`Tiers<Arc<Session>, Arc<IntMatrix>>`); this module is the shell
+//! around it. Every call here takes the fleet lock, asks the table for
+//! one transition, and does what the answer needs *outside* the lock:
+//! the store read of a cold digest (counted as a *store hit*), the
+//! engine build of a promotion ([`TieredRegistry::acquire`]), the one
+//! `<digest>.matrix.smma` file a load writes ([`TieredRegistry::insert`]).
+//! A demoted session's `Arc` is simply dropped — a free, nothing to join.
+//! Without a store nothing can go cold, and a load that finds both
+//! in-memory tiers full is refused, typed: pressure, not failure.
 
 use crate::session::Session;
+use crate::tiers::{Installation, Lookup, Promotion, Tiers};
 use smm_core::error::Result;
 use smm_core::matrix::IntMatrix;
-use smm_telemetry::{get_mut_or_recover, lock_or_recover};
 use smm_store::{Artifact, ArtifactKind, CircuitMeta, Store, Tier, TierCounts};
-use std::collections::HashMap;
+use smm_telemetry::lock_or_recover;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Capacity bounds of the in-memory tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,10 +45,7 @@ pub struct TieredConfig {
 
 impl Default for TieredConfig {
     fn default() -> Self {
-        Self {
-            max_hot: 64,
-            max_warm: 256,
-        }
+        Self { max_hot: 64, max_warm: 256 }
     }
 }
 
@@ -81,63 +75,12 @@ pub struct FleetSnapshot {
     pub store_hits: u64,
 }
 
-#[derive(Default)]
-struct Entry {
-    session: Option<Arc<Session>>,
-    /// Shared, so a promotion takes a handle under the fleet lock and
-    /// copies the elements outside it.
-    matrix: Option<Arc<IntMatrix>>,
-    on_disk: bool,
-    /// Lookups and installs that found this entry.
-    requests: u64,
-    /// [`Inner::clock`] at the last of them; 0 = never touched, which
-    /// sorts before every touched entry when a tier picks its victim.
-    last_used: u64,
-}
-
-impl Entry {
-    /// Counts one request and stamps the entry most recently used.
-    fn touch(&mut self, clock: &mut u64) {
-        *clock += 1;
-        self.requests += 1;
-        self.last_used = *clock;
-    }
-
-    fn tier(&self) -> Tier {
-        if self.session.is_some() {
-            Tier::Hot
-        } else if self.matrix.is_some() {
-            Tier::Warm
-        } else {
-            Tier::Cold
-        }
-    }
-}
-
-struct Inner {
-    entries: HashMap<u64, Entry>,
-    /// Logical LRU clock: one tick per touch, so stamps are unique.
-    clock: u64,
-    /// Batches/vectors served by sessions that have since been demoted
-    /// — folded in so `Stats` totals never move backwards.
-    retired_batches: u64,
-    retired_vectors: u64,
-}
-
-impl Inner {
-    /// Folds a departing session's served counters into the totals.
-    fn retire(&mut self, session: &Session) {
-        let (batches, vectors) = session.served();
-        self.retired_batches += batches;
-        self.retired_vectors += vectors;
-    }
-}
-
 /// The tiered, digest-addressed session registry (see module docs).
 pub struct TieredRegistry {
-    config: TieredConfig,
+    /// A matrix is shared, so a promotion takes a handle under the lock
+    /// and copies the elements outside it.
+    tiers: Mutex<Tiers<Arc<Session>, Arc<IntMatrix>>>,
     store: Option<Store>,
-    inner: Mutex<Inner>,
     promotions: AtomicU64,
     demotions: AtomicU64,
     store_hits: AtomicU64,
@@ -146,22 +89,7 @@ pub struct TieredRegistry {
 impl TieredRegistry {
     /// An empty, memory-only registry (no cold tier).
     pub fn new(config: TieredConfig) -> Self {
-        Self {
-            config: TieredConfig {
-                max_hot: config.max_hot.max(1),
-                max_warm: config.max_warm,
-            },
-            store: None,
-            inner: Mutex::new(Inner {
-                entries: HashMap::new(),
-                clock: 0,
-                retired_batches: 0,
-                retired_vectors: 0,
-            }),
-            promotions: AtomicU64::new(0),
-            demotions: AtomicU64::new(0),
-            store_hits: AtomicU64::new(0),
-        }
+        Self::over(config, None)
     }
 
     /// A registry backed by `store`: every digest already on disk is
@@ -169,19 +97,26 @@ impl TieredRegistry {
     /// addressable (and promoted on first request, without recompiling
     /// what the store can answer).
     pub fn with_store(config: TieredConfig, store: Store) -> Result<Self> {
-        let mut registry = Self::new(config);
-        let entries = store.scan()?;
-        {
-            let inner = get_mut_or_recover(&mut registry.inner);
-            for e in entries {
-                if e.kinds.contains(&ArtifactKind::Matrix) {
-                    let cold = Entry { on_disk: true, ..Entry::default() };
-                    inner.entries.insert(e.digest, cold);
-                }
-            }
+        let on_disk = store.scan()?;
+        let registry = Self::over(config, Some(store));
+        for e in on_disk.iter().filter(|e| e.kinds.contains(&ArtifactKind::Matrix)) {
+            registry.lock().register_cold(e.digest);
         }
-        registry.store = Some(store);
         Ok(registry)
+    }
+
+    fn over(config: TieredConfig, store: Option<Store>) -> Self {
+        Self {
+            tiers: Mutex::new(Tiers::new(config.max_hot, config.max_warm, store.is_some())),
+            store,
+            promotions: AtomicU64::new(0),
+            demotions: AtomicU64::new(0),
+            store_hits: AtomicU64::new(0),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Tiers<Arc<Session>, Arc<IntMatrix>>> {
+        lock_or_recover(&self.tiers)
     }
 
     /// The attached store, if any.
@@ -191,35 +126,12 @@ impl TieredRegistry {
 
     /// The tier `digest` currently resides in, if known at all.
     pub fn tier_of(&self, digest: u64) -> Option<Tier> {
-        let inner = lock_or_recover(&self.inner);
-        inner.entries.get(&digest).map(Entry::tier)
-    }
-
-    /// Every known digest with its current tier and request count,
-    /// sorted hottest-tier first.
-    pub fn scan(&self) -> Vec<(u64, Tier, u64)> {
-        let inner = lock_or_recover(&self.inner);
-        let mut rows: Vec<(u64, Tier, u64)> = inner
-            .entries
-            .iter()
-            .map(|(&d, e)| (d, e.tier(), e.requests))
-            .collect();
-        rows.sort_by_key(|&(d, tier, requests)| (tier, std::cmp::Reverse(requests), d));
-        rows
+        self.lock().tier_of(digest)
     }
 
     /// Resident digests per tier.
     pub fn tier_counts(&self) -> TierCounts {
-        let inner = lock_or_recover(&self.inner);
-        let mut counts = TierCounts::default();
-        for e in inner.entries.values() {
-            match e.tier() {
-                Tier::Hot => counts.hot += 1,
-                Tier::Warm => counts.warm += 1,
-                Tier::Cold => counts.cold += 1,
-            }
-        }
-        counts
+        self.lock().counts()
     }
 
     /// Occupancy plus the promotion/demotion/store-hit counters.
@@ -232,30 +144,11 @@ impl TieredRegistry {
         }
     }
 
-    /// Total batches and vectors (singles included) served across the
-    /// fleet's lifetime: live hot sessions plus counters retired at
-    /// demotion.
-    pub fn served_totals(&self) -> (u64, u64) {
-        let inner = lock_or_recover(&self.inner);
-        let mut totals = (inner.retired_batches, inner.retired_vectors);
-        for session in inner.entries.values().filter_map(|e| e.session.as_ref()) {
-            let (batches, vectors) = session.served();
-            totals.0 += batches;
-            totals.1 += vectors;
-        }
-        totals
-    }
-
     /// `Some(loaded)` when a *new* digest cannot be admitted: no store
     /// is attached and both in-memory tiers are at their bounds. With a
     /// store, pressure always demotes instead, so admission never fails.
     pub fn full_capacity(&self) -> Option<u64> {
-        if self.store.is_some() {
-            return None;
-        }
-        let inner = lock_or_recover(&self.inner);
-        let loaded = inner.entries.len() as u64;
-        (loaded >= (self.config.max_hot + self.config.max_warm) as u64).then_some(loaded)
+        self.lock().full()
     }
 
     /// Looks up `digest`, promoting it to hot if it is resident in any
@@ -270,143 +163,98 @@ impl TieredRegistry {
         digest: u64,
         build: impl FnOnce(IntMatrix) -> Result<Session>,
     ) -> Result<Option<Arc<Session>>> {
-        let warm = {
-            let mut inner = lock_or_recover(&self.inner);
-            let inner = &mut *inner;
-            // An unknown digest — they arrive straight off the wire —
-            // leaves no trace: only an entry that exists is stamped.
-            let Some(entry) = inner.entries.get_mut(&digest) else {
-                return Ok(None);
-            };
-            entry.touch(&mut inner.clock);
-            if let Some(session) = &entry.session {
-                return Ok(Some(Arc::clone(session)));
-            }
-            entry.matrix.clone()
+        let warm = match self.lock().lookup(digest) {
+            Lookup::Hit(session) => return Ok(Some(session)),
+            Lookup::Unknown => return Ok(None),
+            Lookup::Build { warm } => warm,
         };
         // Warm or cold: resolve the matrix bytes outside the lock (disk
         // reads, element copies and engine builds must not stall
         // hot-path lookups). `build` consumes a matrix, so it gets the
         // one copy; the entry keeps (warm) or receives (cold) the other.
-        let matrix = match warm {
-            Some(matrix) => matrix,
-            None => match self.read_cold_matrix(digest) {
-                Some(matrix) => Arc::new(matrix),
-                None => return Ok(None),
-            },
+        let Some(matrix) = warm.or_else(|| self.read_cold_matrix(digest)) else {
+            return Ok(None);
         };
-        let session = build(IntMatrix::clone(&matrix))?;
-        let mut inner = lock_or_recover(&self.inner);
-        let Some(entry) = inner.entries.get_mut(&digest) else {
-            // Evicted while this promotion was building: the request in
-            // hand is served and the digest stays gone. (Re-creating the
-            // entry here would bring it back memory-only, and a warm
-            // entry that cannot spill stalls the tier's rebalance.)
-            return Ok(Some(Arc::new(session)));
-        };
-        if let Some(existing) = &entry.session {
-            // A racing promoter won; serve its session.
-            return Ok(Some(Arc::clone(existing)));
-        }
-        let session = Arc::new(session);
-        entry.session = Some(Arc::clone(&session));
-        entry.matrix.get_or_insert(matrix);
-        self.promotions.fetch_add(1, Ordering::Relaxed);
-        self.rebalance(&mut inner);
-        Ok(Some(session))
+        let session = Arc::new(build(IntMatrix::clone(&matrix))?);
+        let promoted = self.lock().promote(digest, Arc::clone(&session), matrix);
+        Ok(Some(match promoted {
+            Promotion::Installed { demoted } => {
+                self.promotions.fetch_add(1, Ordering::Relaxed);
+                self.demotions.fetch_add(demoted, Ordering::Relaxed);
+                session
+            }
+            Promotion::LostTo(existing) => existing,
+            // Forgotten while this promotion was building: the request
+            // in hand is served and the digest stays gone.
+            Promotion::Gone => session,
+        }))
     }
 
     /// Reads a cold digest's matrix artifact, counting the store hit.
     /// The store hands back only content that hashes to `digest` — one
     /// pass over the bytes, the only verification a promotion pays for.
     /// Corruption warns and forgets the entry instead of failing.
-    fn read_cold_matrix(&self, digest: u64) -> Option<IntMatrix> {
-        let store = self.store.as_ref()?;
-        match store.get(digest, ArtifactKind::Matrix) {
-            Ok(Some(Artifact::Matrix(matrix))) => {
-                self.store_hits.fetch_add(1, Ordering::Relaxed);
-                Some(matrix)
-            }
-            Ok(_) => {
-                // The file vanished (or holds the wrong payload kind);
-                // the cold entry is stale either way.
-                self.forget(digest);
-                None
-            }
-            Err(e) => {
-                self.forget(digest);
-                warn(format_args!(
-                    "cold artifact for digest {digest:#018x} failed to load \
-                     ({e}); dropping the entry and serving without it"
-                ));
-                None
-            }
+    fn read_cold_matrix(&self, digest: u64) -> Option<Arc<IntMatrix>> {
+        let read = self.store.as_ref()?.get(digest, ArtifactKind::Matrix);
+        if let Ok(Some(Artifact::Matrix(matrix))) = read {
+            self.store_hits.fetch_add(1, Ordering::Relaxed);
+            return Some(Arc::new(matrix));
         }
+        // Corrupt, vanished, or the wrong payload kind: the cold entry
+        // is stale either way. Forget first, then say why.
+        self.lock().forget(digest);
+        if let Err(e) = read {
+            warn(format_args!(
+                "cold artifact for digest {digest:#018x} failed to load \
+                 ({e}); dropping the entry and serving without it"
+            ));
+        }
+        None
     }
 
-    fn forget(&self, digest: u64) {
-        lock_or_recover(&self.inner).entries.remove(&digest);
-    }
-
-    /// Installs a freshly built session for `digest`, persisting its
-    /// artifacts to the attached store and demoting under pressure.
+    /// Installs a freshly built session for `digest`, persisting the
+    /// matrix to the attached store and demoting under pressure.
     /// First insert wins: if another loader raced this one, the
     /// existing session is returned and the new one is dropped.
+    /// `_meta` is accepted and ignored (nothing ever read the artifact
+    /// it became); the parameter leaves with store rev 2.
     pub fn insert(
         &self,
         matrix: IntMatrix,
         session: Session,
-        meta: Option<CircuitMeta>,
+        _meta: Option<CircuitMeta>,
     ) -> InsertOutcome {
         let digest = matrix.digest();
         // Persist outside the lock: disk writes must not stall lookups.
         // A write failure degrades to memory-only residency (warned,
         // not fatal — serving beats persistence).
-        let on_disk = self.persist(digest, &matrix, meta.as_ref());
-        let mut inner = lock_or_recover(&self.inner);
-        if let Some(entry) = inner.entries.get_mut(&digest) {
-            if let Some(existing) = &entry.session {
-                return InsertOutcome::AlreadyLoaded(Arc::clone(existing));
-            }
-        }
-        if self.store.is_none()
-            && inner.entries.len() >= self.config.max_hot + self.config.max_warm
-            && !inner.entries.contains_key(&digest)
-        {
-            return InsertOutcome::Capacity {
-                loaded: inner.entries.len() as u64,
-            };
-        }
-        let inner = &mut *inner;
+        let on_disk = self.persist(digest, &matrix);
         let session = Arc::new(session);
-        let entry = inner.entries.entry(digest).or_default();
-        entry.touch(&mut inner.clock);
-        entry.session = Some(Arc::clone(&session));
-        entry.matrix = Some(Arc::new(matrix));
-        entry.on_disk = entry.on_disk || on_disk;
-        self.rebalance(inner);
-        InsertOutcome::Installed(session)
+        let installed =
+            self.lock().install(digest, Arc::clone(&session), Arc::new(matrix), on_disk);
+        match installed {
+            Installation::Installed { demoted } => {
+                self.demotions.fetch_add(demoted, Ordering::Relaxed);
+                InsertOutcome::Installed(session)
+            }
+            Installation::AlreadyHot(existing) => InsertOutcome::AlreadyLoaded(existing),
+            Installation::Full { loaded } => InsertOutcome::Capacity { loaded },
+        }
     }
 
-    /// Writes the artifacts a restart reads back for `digest`: the
-    /// matrix, and the circuit metadata when the caller has one.
-    fn persist(&self, digest: u64, matrix: &IntMatrix, meta: Option<&CircuitMeta>) -> bool {
+    /// Writes the one file a restart reads back for `digest`.
+    fn persist(&self, digest: u64, matrix: &IntMatrix) -> bool {
         let Some(store) = &self.store else {
             return false;
         };
-        let artifacts = std::iter::once(Artifact::Matrix(matrix.clone()))
-            .chain(meta.map(|meta| Artifact::Circuit(meta.clone())));
-        for artifact in artifacts {
-            if let Err(e) = store.put(digest, &artifact) {
-                warn(format_args!(
-                    "persisting {} artifact for digest {digest:#018x} failed ({e}); \
-                     entry stays memory-only",
-                    artifact.kind().ext()
-                ));
-                return false;
-            }
+        let written = store.put(digest, &Artifact::Matrix(matrix.clone()));
+        if let Err(e) = &written {
+            warn(format_args!(
+                "persisting matrix artifact for digest {digest:#018x} failed ({e}); \
+                 entry stays memory-only"
+            ));
         }
-        true
+        written.is_ok()
     }
 
     /// Demotes `digest` one tier (hot→warm, warm→cold), returning its
@@ -416,101 +264,9 @@ impl TieredRegistry {
     /// warm tier spills its LRU member — which may be `digest` itself,
     /// and then the tier returned is cold.
     pub fn demote(&self, digest: u64) -> Option<Tier> {
-        let mut inner = lock_or_recover(&self.inner);
-        self.demote_locked(&mut inner, digest)?;
-        self.rebalance(&mut inner);
-        inner.entries.get(&digest).map(Entry::tier)
-    }
-
-    /// Drops `digest` from every in-memory tier; with `from_disk`, its
-    /// artifact files too. Returns whether anything was removed.
-    pub fn evict(&self, digest: u64, from_disk: bool) -> bool {
-        let removed = {
-            let mut inner = lock_or_recover(&self.inner);
-            let removed = inner.entries.remove(&digest);
-            if let Some(session) = removed.as_ref().and_then(|e| e.session.as_ref()) {
-                inner.retire(session);
-            }
-            removed.is_some()
-        };
-        if from_disk {
-            if let Some(store) = &self.store {
-                let _ = store.evict(digest);
-            }
-        }
-        removed
-    }
-
-    fn demote_locked(&self, inner: &mut Inner, digest: u64) -> Option<Tier> {
-        let entry = inner.entries.get_mut(&digest)?;
-        match entry.tier() {
-            Tier::Hot => {
-                // Retire the session's counters before dropping it so
-                // the fleet's served totals stay monotone across
-                // demotion. The drop is a free: a session owns no
-                // threads, so nothing is joined under the lock.
-                if let Some(session) = entry.session.take() {
-                    inner.retire(&session);
-                }
-                self.demotions.fetch_add(1, Ordering::Relaxed);
-                Some(Tier::Warm)
-            }
-            Tier::Warm => {
-                if !entry.on_disk {
-                    // Nothing durable to fall back on; refuse rather
-                    // than silently dropping a loaded matrix.
-                    return None;
-                }
-                entry.matrix = None;
-                self.demotions.fetch_add(1, Ordering::Relaxed);
-                Some(Tier::Cold)
-            }
-            Tier::Cold => None,
-        }
-    }
-
-    /// Enforces the tier bounds after an install, promotion or explicit
-    /// demotion: LRU hot sessions demote to warm, LRU warm entries spill
-    /// to cold.
-    fn rebalance(&self, inner: &mut Inner) {
-        for (tier, bound) in [(Tier::Hot, self.config.max_hot), (Tier::Warm, self.config.max_warm)] {
-            loop {
-                // One pass: the tier's occupancy and the coldest member
-                // that can move down — a warm entry whose persist failed
-                // cannot spill, and must not shield the ones behind it.
-                let (mut count, mut coldest) = (0, None::<(u64, u64)>);
-                for (&digest, e) in inner.entries.iter().filter(|(_, e)| e.tier() == tier) {
-                    count += 1;
-                    let movable = tier == Tier::Hot || e.on_disk;
-                    if movable && coldest.is_none_or(|(_, stamp)| e.last_used < stamp) {
-                        coldest = Some((digest, e.last_used));
-                    }
-                }
-                // Within bound, or nothing can move (warm with no store:
-                // admission control keeps that bounded instead).
-                let Some((victim, _)) = coldest.filter(|_| count > bound) else {
-                    break;
-                };
-                if self.demote_locked(inner, victim).is_none() {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// Builds the [`CircuitMeta`] artifact describing what a session
-/// compiled for its matrix — the store's record of the engine choice.
-pub fn circuit_meta_for(session: &Session, matrix: &IntMatrix) -> CircuitMeta {
-    let plan = session.plan();
-    CircuitMeta {
-        engine: session.engine().name().to_string(),
-        input_bits: plan.spec.input_bits,
-        encoding: format!("{:?}", plan.spec.encoding),
-        rows: matrix.rows() as u64,
-        cols: matrix.cols() as u64,
-        nnz: matrix.nnz() as u64,
-        rationale: plan.rationale.clone(),
+        let (tier, moved) = self.lock().demote(digest)?;
+        self.demotions.fetch_add(moved, Ordering::Relaxed);
+        Some(tier)
     }
 }
 
@@ -664,15 +420,27 @@ mod tests {
         let registry = TieredRegistry::with_store(TieredConfig::default(), store).unwrap();
         let (bare, described) = (matrix(13), matrix(17));
         registry.insert(bare.clone(), csr_session(bare.clone()), None);
-        let session = csr_session(described.clone());
-        let meta = circuit_meta_for(&session, &described);
-        registry.insert(described.clone(), session, Some(meta));
-        let kinds = |m: &IntMatrix| {
-            let entries = registry.store().unwrap().scan().unwrap();
-            entries.into_iter().find(|e| e.digest == m.digest()).unwrap().kinds
+        // A caller that still describes its engine is heard out and
+        // writes nothing more: one file per load, the matrix.
+        let meta = CircuitMeta {
+            engine: "csr".into(),
+            input_bits: 8,
+            encoding: "Pn".into(),
+            rows: 2,
+            cols: 2,
+            nnz: 3,
+            rationale: String::new(),
         };
-        assert_eq!(kinds(&bare), vec![ArtifactKind::Matrix]);
-        assert_eq!(kinds(&described), vec![ArtifactKind::Matrix, ArtifactKind::Circuit]);
+        registry.insert(described.clone(), csr_session(described.clone()), Some(meta));
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|f| f.unwrap().path())
+            .collect();
+        files.sort();
+        let store = registry.store().unwrap();
+        let mut expect = [&bare, &described].map(|m| store.path_for(m.digest(), ArtifactKind::Matrix));
+        expect.sort();
+        assert_eq!(files, expect);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -694,12 +462,12 @@ mod tests {
             .unwrap();
         assert_eq!(got.run(&[1, 0]).unwrap(), vec![19, 0]);
         let store = registry.store().unwrap();
-        // `gc` validates it like any artifact and keeps it; `evict`
-        // takes it with the rest of the digest's files.
+        // `gc` validates it like any artifact and keeps it; the store's
+        // own eviction takes it with the rest of the digest's files.
         let report = store.gc().unwrap();
         assert_eq!((report.kept, report.removed), (2, 0));
         assert!(store.contains(digest, ArtifactKind::Csr));
-        assert!(registry.evict(digest, true));
+        assert_eq!(store.evict(digest).unwrap(), 2);
         assert!(store.scan().unwrap().is_empty());
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -834,47 +602,21 @@ mod tests {
     }
 
     #[test]
-    fn served_totals_survive_demotion() {
-        let registry = TieredRegistry::new(TieredConfig {
-            max_hot: 1,
-            max_warm: 4,
-        });
-        let m = matrix(2);
-        let digest = m.digest();
-        let outcome = registry.insert(m.clone(), csr_session(m), None);
-        let InsertOutcome::Installed(session) = outcome else {
-            panic!("insert must install");
-        };
-        session.run(&[4, 5]).unwrap();
-        drop(session);
-        assert_eq!(registry.served_totals().1, 1);
-        registry.demote(digest);
-        assert_eq!(registry.tier_of(digest), Some(Tier::Warm));
-        // The single served before demotion is still counted.
-        assert_eq!(registry.served_totals().1, 1);
-    }
-
-    #[test]
     fn unknown_digests_leave_no_trace_in_the_policy() {
         let registry = TieredRegistry::new(TieredConfig::default());
         let m = matrix(4);
         let known = m.digest();
         registry.insert(m.clone(), csr_session(m), None);
-        assert_eq!(registry.scan(), vec![(known, Tier::Hot, 1)]);
-        // A peer sending frames with made-up digests: each is refused,
-        // and none of them is remembered or moves the LRU clock.
-        let clock = || lock_or_recover(&registry.inner).clock;
-        let before = clock();
+        // A peer sending frames with made-up digests: each is refused
+        // and none of them is remembered. (That the LRU clock does not
+        // move either is pinned on the table itself, in `tiers.rs`.)
         for d in (0..1000u64).map(|i| 0xdead_0000 + i).filter(|&d| d != known) {
             assert!(registry.acquire(d, |_| panic!("unknown digest")).unwrap().is_none());
+            assert_eq!(registry.tier_of(d), None);
         }
-        assert_eq!(clock(), before);
-        assert_eq!(registry.scan(), vec![(known, Tier::Hot, 1)]);
-        // A known digest still advances by exactly one per acquire.
-        for n in 1..=3 {
-            registry.acquire(known, |_| panic!("hot hit")).unwrap().unwrap();
-            assert_eq!(registry.scan(), vec![(known, Tier::Hot, 1 + n)]);
-        }
+        let counts = registry.tier_counts();
+        assert_eq!((counts.hot, counts.total()), (1, 1));
+        registry.acquire(known, |_| panic!("hot hit")).unwrap().unwrap();
     }
 
     #[test]
@@ -895,57 +637,21 @@ mod tests {
         // Promoting `early` back makes `late` the stalest of three.
         registry.acquire(early.digest(), |m| Ok(csr_session(m))).unwrap().unwrap();
         assert_eq!(registry.tier_of(late.digest()), Some(Tier::Warm));
-        let requests = |d| registry.scan().into_iter().find(|r| r.0 == d).unwrap().2;
-        assert_eq!((requests(early.digest()), requests(late.digest())), (12, 2));
     }
 
     #[test]
-    fn untouched_digests_are_coldest() {
-        let registry = TieredRegistry::new(TieredConfig { max_hot: 3, max_warm: 8 });
-        let members = [matrix(1), matrix(5), matrix(9)];
-        for m in &members {
-            registry.insert(m.clone(), csr_session(m.clone()), None);
-        }
-        // The newest member, as if no request had ever stamped it (a
-        // digest registered from a store scan starts this way): stamp 0
-        // sorts before the oldest real stamp.
-        let newest = members[2].digest();
-        lock_or_recover(&registry.inner).entries.get_mut(&newest).unwrap().last_used = 0;
-        registry.insert(matrix(13), csr_session(matrix(13)), None);
-        assert_eq!(registry.tier_of(newest), Some(Tier::Warm));
-        assert_eq!(registry.tier_of(members[0].digest()), Some(Tier::Hot));
-    }
-
-    #[test]
-    fn evict_then_reinsert_starts_from_zero_requests() {
-        let registry = TieredRegistry::new(TieredConfig::default());
-        let m = matrix(21);
-        let digest = m.digest();
-        registry.insert(m.clone(), csr_session(m.clone()), None);
-        for _ in 0..4 {
-            registry.acquire(digest, |_| panic!("hot hit")).unwrap().unwrap();
-        }
-        assert_eq!(registry.scan(), vec![(digest, Tier::Hot, 5)]);
-        assert!(registry.evict(digest, false));
-        assert!(registry.scan().is_empty());
-        // Nothing of the old entry is kept anywhere: the re-insert's own
-        // touch is the only request on the books.
-        registry.insert(m.clone(), csr_session(m), None);
-        assert_eq!(registry.scan(), vec![(digest, Tier::Hot, 1)]);
-    }
-
-    #[test]
-    fn a_promotion_that_loses_to_an_evict_does_not_bring_the_digest_back() {
+    fn a_promotion_that_loses_to_a_forget_does_not_bring_the_digest_back() {
         let registry = TieredRegistry::new(TieredConfig::default());
         let m = matrix(23);
         let digest = m.digest();
         registry.insert(m.clone(), csr_session(m), None);
         registry.demote(digest);
-        // The evict lands between the lookup and the install (the build
-        // runs outside the fleet lock, so it can be forced from there).
+        // The forget (a racing request found the cold bytes corrupt)
+        // lands between the lookup and the install: the build runs
+        // outside the fleet lock, so it can be forced from there.
         let session = registry
             .acquire(digest, |loaded| {
-                assert!(registry.evict(digest, false));
+                assert_eq!(registry.lock().forget(digest), Some(Tier::Warm));
                 Ok(csr_session(loaded))
             })
             .unwrap()
@@ -955,10 +661,11 @@ mod tests {
         assert_eq!(registry.snapshot().promotions, 0);
     }
 
-    /// Seeded stress of the one-map bookkeeping: four threads mix
-    /// `acquire` / `insert` / `demote` / `evict` over twelve digests on a
-    /// 2-hot / 3-warm store-backed registry. Each digest has one owner
-    /// thread (the only one to insert or evict it, so the owner knows
+    /// Seeded stress of the shell around the table: four threads mix
+    /// `acquire` / `insert` / `demote` / forget (what a corrupt cold
+    /// read does) over twelve digests on a 2-hot / 3-warm store-backed
+    /// registry. Each digest has one owner
+    /// thread (the only one to insert or forget it, so the owner knows
     /// whether it should be resident at the end); every thread acquires
     /// and demotes every digest.
     #[test]
@@ -1001,7 +708,7 @@ mod tests {
                             // The files stay: deleting them under a cold
                             // read is the disk-fault path, tested above.
                             6 if owned => {
-                                registry.evict(digest, false);
+                                registry.lock().forget(digest);
                                 owned_resident[k] = false;
                             }
                             7 => drop(registry.demote(digest)),
@@ -1011,8 +718,8 @@ mod tests {
                                 }
                             }
                         }
-                        // Every call that moves an entry rebalances
-                        // before it unlocks, so both bounds hold at once.
+                        // Every transition enforces both bounds before
+                        // the lock is released, so both hold at once.
                         let counts = registry.tier_counts();
                         assert!(counts.hot <= 2 && counts.warm <= 3, "{counts:?}");
                     }
@@ -1060,6 +767,5 @@ mod tests {
         // No pool to shut down, no thread still holding a clone: the
         // registry's `Arc` was the last one.
         assert!(engine.upgrade().is_none(), "demotion must free the engine");
-        assert_eq!(registry.served_totals(), (1, 2));
     }
 }

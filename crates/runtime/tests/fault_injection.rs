@@ -121,16 +121,12 @@ fn panicking_shard_surfaces_an_error_without_deadlock() {
     assert!(err.to_string().contains("panicked"), "{err}");
     assert!(err.to_string().contains("injected fault"), "{err}");
 
-    // A failed batch is not served work.
-    assert_eq!(session.served(), (0, 0));
-
     // Every worker survived the unwind: disarm the fault and the same
     // session serves the same batch completely and in order.
     engine.armed.store(false, Ordering::SeqCst);
     let stats = session.run_block(Arc::clone(&batch), &mut out).unwrap();
     assert_eq!((stats.batch, stats.shards), (9, 3));
     assert_echoed(&batch, &out);
-    assert_eq!(session.served(), (1, 9));
 }
 
 #[test]
@@ -138,7 +134,7 @@ fn sibling_requests_survive_a_panicking_batch() {
     quiet_panics();
     // One session, one poisoned batch racing many healthy ones: the
     // poison fails its own caller only. Every healthy submission gets
-    // its full, ordered result, and the books count exactly them.
+    // its full, ordered result.
     let engine = Arc::new(PanicOnShard::new(4, 2));
     let session = session_over(&engine, 4);
     // Healthy batches are 2 frames wide, so frame index 2 never exists
@@ -162,10 +158,6 @@ fn sibling_requests_survive_a_panicking_batch() {
             assert!(err.to_string().contains("panicked"), "{err}");
         }
     });
-
-    // Only the healthy work was counted: 4 siblings x 20 batches x 2
-    // vectors; none of the 10 poisoned batches moved the counters.
-    assert_eq!(session.served(), (80, 160));
 }
 
 #[test]
@@ -197,12 +189,10 @@ fn a_panicking_session_leaves_its_neighbours_on_the_pool_untouched() {
             assert!(err.to_string().contains("injected fault"), "{err}");
         }
     });
-    assert_eq!((a.served(), b.served()), ((0, 0), (40, 320)));
 
     // Disarmed, A serves again on the same workers.
     faulty.armed.store(false, Ordering::SeqCst);
     let mut out = RowBlock::new();
     a.run_block(Arc::clone(&batch), &mut out).unwrap();
     assert_echoed(&batch, &out);
-    assert_eq!(a.served(), (1, 8));
 }

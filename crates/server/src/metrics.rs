@@ -1,9 +1,10 @@
 //! The server's hot-path metrics and its Prometheus exposition.
 //!
-//! [`ServerMetrics`] holds only what the serving hot path writes: five
-//! relaxed-atomic counters and the per-stage [`SpanRecorder`]. Every
-//! other exported number — fleet occupancy, cache and store counters,
-//! vectors served — has its owner elsewhere, and [`StatsSnapshot`] reads
+//! [`ServerMetrics`] holds only what the serving hot path writes: seven
+//! relaxed-atomic counters — the served `vectors` and `batches` among
+//! them, bumped where a product is answered — and the per-stage
+//! [`SpanRecorder`]. Every other exported number — fleet occupancy,
+//! cache and store counters — has its owner elsewhere, and [`StatsSnapshot`] reads
 //! them all in one place. [`render`] is a pure function of that
 //! snapshot, so the wire `Stats` opcode, `smm stats` and `GET /metrics`
 //! cannot disagree: there is no second copy to fall behind.
@@ -29,6 +30,10 @@ pub struct ServerMetrics {
     pub bytes_in: AtomicU64,
     /// Bytes written to the wire.
     pub bytes_out: AtomicU64,
+    /// Products answered: one per `Gemv`, one per frame of a `GemvBatch`.
+    pub vectors: AtomicU64,
+    /// Non-empty `GemvBatch` requests answered.
+    pub batches: AtomicU64,
     /// Per-stage pipeline latencies (decode → … → encode), shared with
     /// every connection's request span and every session.
     pub stages: SpanRecorder,

@@ -26,8 +26,8 @@ use smm_bitserial::multiplier::WeightEncoding;
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
 use smm_runtime::{
-    circuit_meta_for, AutoOptions, EngineSpec, InsertOutcome, MultiplierCache, PlanPolicy,
-    Session, TieredConfig, TieredRegistry,
+    AutoOptions, EngineSpec, InsertOutcome, MultiplierCache, PlanPolicy, Session, TieredConfig,
+    TieredRegistry,
 };
 use smm_store::Store;
 use smm_telemetry::{Span, Stage};
@@ -179,10 +179,8 @@ struct Shared {
 
 impl Shared {
     fn stats(&self) -> StatsSnapshot {
-        // Batch counters plus the single-vector fast path (singles
-        // never enter the pool), including totals retired when sessions
-        // were demoted out of the hot tier.
-        let (batches, vectors) = self.registry.served_totals();
+        // One fleet lock per snapshot (the tier counts); every other
+        // number here is an atomic or the cache's own counters.
         let fleet = self.registry.snapshot();
         let cache = self.cache.stats();
         let stages = self.metrics.stages.stage_stats();
@@ -196,8 +194,8 @@ impl Shared {
             errors: counter(&self.metrics.errors),
             bytes_in: counter(&self.metrics.bytes_in),
             bytes_out: counter(&self.metrics.bytes_out),
-            vectors,
-            batches,
+            vectors: counter(&self.metrics.vectors),
+            batches: counter(&self.metrics.batches),
             matrices: fleet.counts.total(),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
@@ -264,17 +262,23 @@ impl Shared {
             Request::Ping => Reply::Pong,
             Request::Stats => Reply::Stats(Box::new(self.stats())),
             Request::LoadMatrix { matrix, backend } => self.serve_load(matrix, backend, span),
-            // A single rides the session's fast path (no pool round
-            // trip); it is still counted — `Stats` sums the batch
-            // counters plus the fast-path singles.
+            // Served work is counted here, where it is served — after the
+            // product succeeded, whatever happens to the session next. A
+            // single rides the session's fast path (no pool round trip)
+            // and counts as one vector.
             Request::Gemv { digest, vector } => self.serve_compute(digest, span, |session| {
-                Ok(Reply::Output(session.run(&vector)?))
+                let out = session.run(&vector)?;
+                self.metrics.vectors.fetch_add(1, Ordering::Relaxed);
+                Ok(Reply::Output(out))
             }),
             // The batch arrives as a flat block straight off the wire
             // and the reply is encoded straight out of the output block.
+            // An empty batch is answered but is not served work.
             Request::GemvBatch { digest, frames } => self.serve_compute(digest, span, |session| {
                 let mut out = smm_runtime::RowBlock::new();
-                session.run_block(frames, &mut out)?;
+                let served = session.run_block(frames, &mut out)?.batch as u64;
+                self.metrics.batches.fetch_add(u64::from(served > 0), Ordering::Relaxed);
+                self.metrics.vectors.fetch_add(served, Ordering::Relaxed);
                 Ok(Reply::Outputs(out))
             }),
         }
@@ -332,9 +336,8 @@ impl Shared {
             Ok(session) => session,
             Err(e) => return Reply::Error(format!("loading matrix: {e}")),
         };
-        let meta = circuit_meta_for(&session, &matrix);
         span.mark(Stage::Plan);
-        match self.registry.insert(matrix, session, Some(meta)) {
+        match self.registry.insert(matrix, session, None) {
             InsertOutcome::Installed(session) => loaded(&session, false),
             InsertOutcome::AlreadyLoaded(session) => loaded(&session, true),
             InsertOutcome::Capacity { loaded: resident } => {

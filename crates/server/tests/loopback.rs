@@ -373,3 +373,61 @@ fn connections_gauge_counts_open_connections_not_accepted_ones() {
     first.ping().unwrap();
     assert_eq!(open(), 1);
 }
+
+/// What the removed per-session counters pinned, where the numbers now
+/// live: `Stats.vectors` / `Stats.batches` count answered products only.
+#[test]
+fn stats_count_exactly_the_products_that_were_answered() {
+    let server = smm_server::start(ServerConfig {
+        backend: BackendKind::Dense,
+        threads: 4,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    let echo = IntMatrix::identity(8).unwrap();
+    let mut client = Client::connect(addr).unwrap();
+    let digest = client.load_matrix(&echo).unwrap();
+    let served = |client: &mut Client| {
+        let stats = client.stats().unwrap();
+        (stats.batches, stats.vectors)
+    };
+    // A failed batch (wrong width) and a failed single count nothing,
+    // and neither does an empty batch, which is answered.
+    let narrow = FrameBlock::from_rows(&[vec![1; 3], vec![2; 3]]).unwrap();
+    assert!(client.gemv_block(digest, &narrow).is_err());
+    assert!(client.gemv(digest, &[1]).is_err());
+    assert!(client.gemv(0xDEAD_BEEF, &[1; 8]).is_err());
+    let empty = FrameBlock::from_rows(&[]).unwrap();
+    assert_eq!(client.gemv_block(digest, &empty).unwrap().rows(), 0);
+    assert_eq!(served(&mut client), (0, 0));
+    // Singles count as vectors and move no batch; a batch counts once.
+    for round in 1..=3 {
+        assert_eq!(client.gemv(digest, &[7; 8]).unwrap(), vec![7; 8]);
+        assert_eq!(served(&mut client), (0, round));
+    }
+    assert_eq!(gemv_rows(&mut client, digest, &vec![vec![5; 8]; 9]).len(), 9);
+    assert_eq!(served(&mut client), (1, 12));
+    // Concurrent submitters are counted exactly: 4 connections x 10
+    // batches x 25 frames, none lost and none counted twice.
+    let submitters: Vec<_> = (0..4i32)
+        .map(|t| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                let batch: Vec<Vec<i32>> =
+                    (0..25).map(|i| (0..8).map(|j| t * 1000 + i * 8 + j).collect()).collect();
+                let expect: Vec<Vec<i64>> =
+                    batch.iter().map(|a| a.iter().map(|&x| i64::from(x)).collect()).collect();
+                for _ in 0..10 {
+                    assert_eq!(gemv_rows(&mut client, digest, &batch), expect);
+                }
+            })
+        })
+        .collect();
+    for submitter in submitters {
+        submitter.join().unwrap();
+    }
+    assert_eq!(served(&mut client), (41, 1012));
+    let stats = server.shutdown();
+    assert_eq!((stats.batches, stats.vectors), (41, 1012));
+}

@@ -34,7 +34,7 @@ fn restart_serves_the_fleet_from_the_store_without_recompiling() {
     let expect = vecmat(&a, &matrix).unwrap();
 
     // First life: load, serve, shut down. The load persisted the matrix
-    // and circuit-metadata artifacts — what a restart reads — and no CSR.
+    // — what a restart reads — and nothing else: one file.
     let digest = {
         let server = smm_server::start(config(&dir)).unwrap();
         let mut client = Client::connect(server.local_addr()).unwrap();
@@ -47,10 +47,8 @@ fn restart_serves_the_fleet_from_the_store_without_recompiling() {
         info.digest
     };
     let store = Store::open(&dir).unwrap();
-    for kind in [ArtifactKind::Matrix, ArtifactKind::Circuit] {
-        assert!(store.contains(digest, kind), "missing {} artifact", kind.ext());
-    }
-    assert!(!store.contains(digest, ArtifactKind::Csr), "a load writes no .csr.smma");
+    let files: Vec<PathBuf> = std::fs::read_dir(&dir).unwrap().map(|f| f.unwrap().path()).collect();
+    assert_eq!(files, [store.path_for(digest, ArtifactKind::Matrix)], "a load writes one file");
 
     // Second life, same directory: the digest is addressable before any
     // client uploads it, the load answers from the store (already
@@ -240,5 +238,66 @@ fn the_tier_bounds_also_bound_resident_bit_serial_circuits() {
     assert!(stats.cache_entries <= 4, "{stats:?}");
     assert!(stats.cache_evictions >= 4, "{stats:?}");
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn served_work_is_counted_exactly_while_sessions_are_demoted_under_it() {
+    // One hot slot, two digests, two connections: every request for one
+    // digest demotes the other's session, often while a request still
+    // holds it. Counted where they are served, the totals equal the
+    // replies the clients got; folded in at demotion, they fell short.
+    let dir = temp_store_dir("churn");
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = smm_server::start(ServerConfig {
+        max_matrices: 1,
+        max_warm: 1,
+        ..config(&dir)
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    let mut rng = seeded(6005);
+    let mats: Vec<_> = (0..2)
+        .map(|_| element_sparse_matrix(6, 6, 8, 0.5, true, &mut rng).unwrap())
+        .collect();
+    let mut control = Client::connect(addr).unwrap();
+    for m in &mats {
+        control.load_matrix(m).unwrap();
+    }
+    let clients: Vec<_> = mats
+        .iter()
+        .cloned()
+        .enumerate()
+        .map(|(c, m)| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                let mut rng = seeded(6100 + c as u64);
+                let (mut vectors, mut blocks) = (0u64, 0u64);
+                for round in 0..150 {
+                    if round % 3 == 0 {
+                        let rows: Vec<_> =
+                            (0..4).map(|_| random_vector(6, 8, true, &mut rng).unwrap()).collect();
+                        let frames = smm_core::block::FrameBlock::from_rows(&rows).unwrap();
+                        let out = client.gemv_block(m.digest(), &frames).unwrap();
+                        for (i, a) in rows.iter().enumerate() {
+                            assert_eq!(out.row(i), vecmat(a, &m).unwrap());
+                        }
+                        (vectors, blocks) = (vectors + 4, blocks + 1);
+                    } else {
+                        let a = random_vector(6, 8, true, &mut rng).unwrap();
+                        assert_eq!(client.gemv(m.digest(), &a).unwrap(), vecmat(&a, &m).unwrap());
+                        vectors += 1;
+                    }
+                }
+                (vectors, blocks)
+            })
+        })
+        .collect();
+    let replies = clients.into_iter().map(|c| c.join().unwrap());
+    let (vectors, blocks) = replies.fold((0, 0), |sum, got| (sum.0 + got.0, sum.1 + got.1));
+    let stats = server.shutdown();
+    assert_eq!((stats.vectors, stats.batches), (vectors, blocks), "{stats:?}");
+    assert!(stats.store_demotions > 2, "the two digests never displaced each other: {stats:?}");
+    assert!(stats.tier_hot <= 1 && stats.tier_warm <= 1, "{stats:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,10 +1,10 @@
 //! The on-disk artifact format: versioned, digest-stamped, checksummed
 //! where no digest covers the content.
 //!
-//! One artifact file holds one serialized value — a dense [`IntMatrix`]
-//! or the [`CircuitMeta`] describing a compiled engine, the two a load
-//! persists, or a [`Csr`], which loads used to persist and which stays
-//! decodable for the directories that hold one — in a std-only
+//! One artifact file holds one serialized value — a dense [`IntMatrix`],
+//! the one a load persists, or a [`Csr`] or the [`CircuitMeta`]
+//! describing a compiled engine, which loads used to persist and which
+//! stay decodable for the directories that hold one — in a std-only
 //! little-endian layout:
 //!
 //! ```text
@@ -166,6 +166,7 @@ pub enum ArtifactKind {
     /// writing it because no serving path ever read it back.
     Csr,
     /// [`CircuitMeta`]: what was compiled for this matrix, and why.
+    /// Read-only legacy like `Csr`: no promotion ever read it.
     Circuit,
 }
 

@@ -19,9 +19,9 @@
 //!
 //! * [`artifact`] — the std-only binary file format (magic + format
 //!   rev + FNV digest + payload CRC-32) with serializers for dense
-//!   matrices and compiled-circuit metadata — the two artifacts a load
-//!   persists — and for CSR structures, which older store directories
-//!   hold and nothing writes any more. A matrix is verified once, by
+//!   matrices — the one artifact a load persists — and for CSR
+//!   structures and compiled-circuit metadata, which older store
+//!   directories hold and no load writes any more. A matrix is verified once, by
 //!   the content digest it is filed under (zero-folding, so the pass
 //!   costs about what reading the file does); the CRC (table-driven,
 //!   slice-by-8) is still written for every kind and verified for the

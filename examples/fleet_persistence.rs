@@ -5,11 +5,10 @@
 //! pointed at a `store_dir` extends that across process lifetimes:
 //!
 //! 1. Start a server with a store directory; load a matrix and serve a
-//!    product. The load persisted two artifacts under the directory —
-//!    the matrix and its circuit metadata, what a restart reads back —
-//!    digest-addressed (zero-folding FNV-1a): the digest a matrix is
-//!    filed under is also the check its bytes must pass on the way back
-//!    in; the metadata, which has no digest of its own, carries a CRC-32.
+//!    product. The load persisted one file under the directory — the
+//!    matrix, what a restart reads back — digest-addressed (zero-folding
+//!    FNV-1a): the digest a matrix is filed under is also the check its
+//!    bytes must pass on the way back in.
 //! 2. Shut the server down and start a *new* one on the same directory.
 //!    The scan rediscovers the fleet as cold entries.
 //! 3. Serve the same digest without any client re-uploading it: the

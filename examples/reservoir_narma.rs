@@ -4,13 +4,16 @@
 //!
 //! Run with: `cargo run --release --example reservoir_narma`
 
+use spatial_smm::bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
 use spatial_smm::fpga::flow::{report_for, FlowOptions};
 use spatial_smm::reservoir::esn::EsnConfig;
-use spatial_smm::reservoir::int_esn::{EngineKind, IntEsn, IntEsnConfig};
+use spatial_smm::reservoir::int_esn::{IntEsn, IntEsnConfig};
 use spatial_smm::reservoir::linalg::MatF64;
 use spatial_smm::reservoir::metrics::nrmse;
 use spatial_smm::reservoir::readout::Readout;
 use spatial_smm::reservoir::tasks;
+use spatial_smm::runtime::BitSerial;
+use std::sync::Arc;
 
 fn main() {
     let config = IntEsnConfig {
@@ -26,8 +29,8 @@ fn main() {
         state_bits: 10,
     };
 
-    // Train with the fast reference engine (bit-exact with the circuit).
-    let mut esn = IntEsn::new(config.clone(), EngineKind::Reference).unwrap();
+    // Train on the fast reference arithmetic (bit-exact with the circuit).
+    let mut esn = IntEsn::new(config.clone()).unwrap();
     let task = tasks::narma10(1600, 7);
     let (train, test) = task.split(1200);
     let washout = 100;
@@ -50,15 +53,11 @@ fn main() {
 
     // The recurrent matrix is fixed — synthesize it spatially and report
     // the per-step hardware latency the paper targets.
-    let report = {
-        let mul = spatial_smm::bitserial::multiplier::FixedMatrixMultiplier::compile(
-            &esn.reservoir_matrix().transpose(),
-            config.state_bits,
-            spatial_smm::bitserial::multiplier::WeightEncoding::Pn,
-        )
-        .unwrap();
-        report_for(&mul, &FlowOptions::default())
-    };
+    let circuit = Arc::new(
+        FixedMatrixMultiplier::compile(&esn.recurrence_matrix(), config.state_bits, WeightEncoding::Pn)
+            .unwrap(),
+    );
+    let report = report_for(&circuit, &FlowOptions::default());
     println!("\nspatial implementation of the reservoir matrix:");
     println!(
         "  {} ones -> {} LUT @ {:.0} MHz, recurrence latency {:.1} ns/step",
@@ -66,9 +65,11 @@ fn main() {
     );
 
     // Prove the hardware would compute the same reservoir: run a short
-    // segment on the cycle-accurate circuit engine and compare states.
-    let mut ref_esn = IntEsn::new(config.clone(), EngineKind::Reference).unwrap();
-    let mut circ_esn = IntEsn::new(config, EngineKind::Circuit).unwrap();
+    // segment on that circuit, simulated cycle-accurately behind the
+    // backend the server serves through, and compare states.
+    let mut ref_esn = IntEsn::new(config.clone()).unwrap();
+    let mut circ_esn = IntEsn::new(config).unwrap();
+    circ_esn.attach_backend(Arc::new(BitSerial::new(circuit))).unwrap();
     for u in task.inputs.iter().take(20) {
         let a = ref_esn.update(u).unwrap().to_vec();
         let b = circ_esn.update(u).unwrap().to_vec();

@@ -94,16 +94,16 @@ fn main() {
         .unwrap();
     println!("{}", replanned.plan().rationale);
     assert_eq!(replanned.plan(), auto.plan());
-    replanned.run_block(Arc::clone(&batch), &mut outputs).unwrap();
+    let served = replanned.run_block(Arc::clone(&batch), &mut outputs).unwrap();
     assert_eq!(
         Vec::<Vec<i64>>::from(&outputs),
         reference,
         "replanned session diverged"
     );
-    let stats = replanned.stats();
+    let compiles = replanned.cache().stats();
     println!(
         "replanned session served {} vectors; cache: {} compile(s), {} hit(s)",
-        stats.vectors, stats.cache.misses, stats.cache.hits
+        served.batch, compiles.misses, compiles.hits
     );
     for s in spatial_smm::telemetry::stage_summaries(&recorder.stage_stats()) {
         println!(

@@ -105,6 +105,4 @@ pub use smm_telemetry as telemetry;
 
 // The serving API, re-exported at the crate root as the documented
 // entry point.
-pub use smm_runtime::{
-    EnginePlan, EngineSpec, PlanPolicy, Session, SessionBuilder, SessionStats,
-};
+pub use smm_runtime::{EnginePlan, EngineSpec, PlanPolicy, Session, SessionBuilder};

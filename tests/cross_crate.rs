@@ -164,7 +164,8 @@ fn csd_is_transparent_to_results() {
 #[test]
 fn reservoir_on_circuit_with_synthesis() {
     use spatial_smm::reservoir::esn::EsnConfig;
-    use spatial_smm::reservoir::int_esn::{EngineKind, IntEsn, IntEsnConfig};
+    use spatial_smm::reservoir::int_esn::{IntEsn, IntEsnConfig};
+    use spatial_smm::runtime::BitSerial;
 
     let cfg = IntEsnConfig {
         esn: EsnConfig {
@@ -176,8 +177,13 @@ fn reservoir_on_circuit_with_synthesis() {
         weight_bits: 4,
         state_bits: 8,
     };
-    let mut reference = IntEsn::new(cfg.clone(), EngineKind::Reference).unwrap();
-    let mut on_circuit = IntEsn::new(cfg, EngineKind::Circuit).unwrap();
+    let mut reference = IntEsn::new(cfg.clone()).unwrap();
+    let mut on_circuit = IntEsn::new(cfg.clone()).unwrap();
+    let compiled = Arc::new(
+        FixedMatrixMultiplier::compile(&on_circuit.recurrence_matrix(), cfg.state_bits, WeightEncoding::Pn)
+            .unwrap(),
+    );
+    on_circuit.attach_backend(Arc::new(BitSerial::new(Arc::clone(&compiled)))).unwrap();
     for t in 0..30 {
         let u = vec![(t as f64 * 0.21).sin() * 0.5];
         assert_eq!(
@@ -186,16 +192,8 @@ fn reservoir_on_circuit_with_synthesis() {
             "step {t}"
         );
     }
-    // Synthesize the very matrix the circuit engine runs.
-    let report = {
-        let mul = FixedMatrixMultiplier::compile(
-            &reference.reservoir_matrix().transpose(),
-            8,
-            WeightEncoding::Pn,
-        )
-        .unwrap();
-        spatial_smm::fpga::flow::report_for(&mul, &FlowOptions::default())
-    };
+    // Synthesize the very circuit that just ran.
+    let report = spatial_smm::fpga::flow::report_for(&compiled, &FlowOptions::default());
     assert!(report.fits);
     assert!(report.latency_ns < 120.0);
 }
