@@ -120,15 +120,17 @@ fn bench_csr_single(c: &mut Criterion) {
 /// The CSR batch path on the serving benchmark's batch shape (1024²,
 /// 90 % sparse, 8-bit weights, 64 frames): one `vecmat_into` per frame
 /// vs the weight-stationary `vecmat_block_into`, with 8-bit inputs (the
-/// groups accumulate in `i32`) and 24-bit inputs (`i64`). Outputs are
-/// checked equal before either side is timed.
+/// groups multiply in 16 bits and accumulate in `i32`), 17-bit inputs
+/// (`i32 × i32` into `i32`: `blocked/8` against `blocked/17` is the
+/// multiply form alone) and 24-bit inputs (`i64`). Outputs are checked
+/// equal to both single-frame kernels before anything is timed.
 fn bench_csr_batch64(c: &mut Criterion) {
     let (dim, n) = (1024usize, 64usize);
     let mut rng = seeded(2500);
     let m = element_sparse_matrix(dim, dim, 8, 0.9, true, &mut rng).unwrap();
     let csr = Csr::from_dense(&m);
     let mut group = c.benchmark_group("csr_batch64");
-    for &bits in &[8u32, 24] {
+    for &bits in &[8u32, 17, 24] {
         let frames = random_vector(n * dim, bits, true, &mut rng).unwrap();
         let mut per_frame = vec![0i64; n * dim];
         let mut blocked = vec![0i64; n * dim];
@@ -137,11 +139,17 @@ fn bench_csr_batch64(c: &mut Criterion) {
                 csr.vecmat_into(black_box(a), o).unwrap();
             }
         };
+        let mut scattered = vec![0i64; n * dim];
+        for (f, a) in frames.chunks_exact(dim).enumerate() {
+            csr.vecmat_scatter_into(a, &mut scattered[f * dim..(f + 1) * dim])
+                .unwrap();
+        }
         run_per_frame(&mut per_frame);
         let ran = csr.vecmat_block_into(&frames, n, &mut blocked).unwrap();
         assert_eq!(per_frame, blocked, "kernels diverged at {bits}-bit inputs");
+        assert_eq!(scattered, blocked, "scatter diverged at {bits}-bit inputs");
         let expect = match bits {
-            8 => (4, 0),
+            8 | 17 => (4, 0),
             _ => (0, 4),
         };
         assert_eq!((ran.narrow_groups, ran.wide_groups), expect, "{bits}-bit");

@@ -12,6 +12,21 @@
 //! into four-column slices for the output-stationary gather.
 //! [`Csr::vecmat_into`] chooses between scatter and gather per frame,
 //! from the frame.
+//!
+//! **Multiply width.** The operands take the width they need, decided
+//! per 16-frame group from two numbers: a group whose inputs are `|x| <
+//! 2^14`, against a matrix whose weights are all `|w| ≤ i16::MAX`,
+//! multiplies 16 × 16 → 32 bits (four products per SSE2 `pmaddwd`
+//! instead of an emulated 32-bit multiply per lane); any other group
+//! multiplies at its accumulator's width. The bits are equal because the
+//! 16-bit form is exact: its inputs are offset into non-negative `i16`s,
+//! the offset is cancelled by where each column's lanes start, and
+//! wrapping `i32` addition is exact for sums the accumulator rule already
+//! keeps inside `i32` (the rule and the argument are in
+//! [`Csr::vecmat_block_into`]). Which instruction the compiler picks is
+//! codegen, seen in the `kernels` bench; the contract is the oracle
+//! tests, which hold every kernel to the per-frame one and the scatter on
+//! both sides of every rule.
 
 use crate::coo::Coo;
 use crate::slices::ColumnSlices;
@@ -22,6 +37,10 @@ use std::ops::{AddAssign, Mul};
 /// Frames per weight-stationary group in [`Csr::vecmat_block_into`]:
 /// one cache line of `i32` lanes per matrix row and per output column.
 const G: usize = 16;
+
+/// The 16-bit multiply's input offset: an input `|x| < BIAS` becomes
+/// `x + BIAS` in `1..2^15`, a non-negative `i16`.
+const BIAS: i32 = 1 << 14;
 
 /// A CSR sparse matrix: `row_ptr` (length `rows + 1`), column indices and
 /// values sorted within each row.
@@ -36,6 +55,11 @@ pub struct Csr {
     /// and never serialised: the bound both kernels size their
     /// accumulators from.
     max_col_abs_sum: u64,
+    /// Where the 16-bit multiply of [`Csr::vecmat_block_into`] starts the
+    /// lanes of each column, `−BIAS · Σ_r w_rc` (wrapping), derived with
+    /// the bound and never serialised; `None` unless every weight fits
+    /// `|w| ≤ i16::MAX`.
+    i16_start: Option<Vec<i32>>,
     /// The same non-zeros as column slices, derived with the bound; `None`
     /// when the matrix is too large for the slices' `u32` indices, and
     /// every frame then takes the scatter.
@@ -55,6 +79,16 @@ fn transpose_in(x: &[i32], rows: usize, xt: &mut Vec<i32>) -> u32 {
         }
     }
     max_x
+}
+
+/// Writes the `G` output rows of `cols` elements each from frame-minor
+/// accumulators `acc[col * G + frame]`.
+fn transpose_out<A: Lane>(acc: &[A], cols: usize, out: &mut [i64]) {
+    for (f, row) in out.chunks_exact_mut(cols.max(1)).enumerate() {
+        for (o, lanes) in row.iter_mut().zip(acc.chunks_exact(G)) {
+            *o = lanes[f].widen();
+        }
+    }
 }
 
 /// What one [`Csr::vecmat_block_into`] call ran: full groups by
@@ -143,9 +177,10 @@ impl Csr {
         Self::finish(coo.rows(), coo.cols(), row_ptr, col_idx, values)
     }
 
-    /// The one exit of every constructor: derives the accumulator bound
-    /// and the column slices from validated arrays (every column index
-    /// `< cols`, rows ascending), in work proportional to the non-zeros.
+    /// The one exit of every constructor: derives the accumulator bound,
+    /// the 16-bit multiply's starting lanes and the column slices from
+    /// validated arrays (every column index `< cols`, rows ascending), in
+    /// work proportional to the non-zeros.
     fn finish(
         rows: usize,
         cols: usize,
@@ -157,14 +192,19 @@ impl Csr {
         // Saturating instead of wrapping, which only ever selects the
         // wide accumulator.
         let mut col_abs_sum = vec![0u64; cols];
+        let mut start = vec![0i32; cols];
+        let mut weights_fit_i16 = true;
         for (&c, &v) in col_idx.iter().zip(&values) {
             col_len[c] += 1;
             col_abs_sum[c] = col_abs_sum[c].saturating_add(u64::from(v.unsigned_abs()));
+            start[c] = start[c].wrapping_sub(BIAS.wrapping_mul(v));
+            weights_fit_i16 &= v.unsigned_abs() <= i16::MAX as u32;
         }
         Self {
             rows,
             cols,
             max_col_abs_sum: col_abs_sum.into_iter().max().unwrap_or(0),
+            i16_start: weights_fit_i16.then_some(start),
             slices: ColumnSlices::build(&col_len, &row_ptr, &col_idx, &values),
             row_ptr,
             col_idx,
@@ -467,6 +507,24 @@ impl Csr {
     /// Any other group accumulates in `i64`, exactly as
     /// [`Csr::vecmat_scatter_into`] does.
     ///
+    /// *Multiply width.* An `i32` group whose operands are narrow also
+    /// multiplies in 16 bits: when every weight of the matrix fits
+    /// `|w| ≤ i16::MAX` (checked once, at construction) and every input
+    /// of the group fits `|x| < 2^14` (read off the same `max|x|`; the
+    /// rule is on `|x|`, so `−2^14` is out), each input is offset to
+    /// `x + 2^14`, a non-negative `i16`, so each product is a 16 × 16 →
+    /// 32-bit multiply, and the lanes of column `c` start at
+    /// `−2^14 · Σ_r w_rc` instead of 0. The offset terms cancel that start
+    /// exactly: the lanes add in
+    /// wrapping `i32`, which is exact modulo 2^32, and the true sum of
+    /// every output fits `i32` by the accumulator rule above, so the same
+    /// bits come out as from the `i32 × i32` kernel — which every other
+    /// `i32` group runs, and which stays the oracle. That the compiler
+    /// turns the 16-bit form into `pmaddwd` (four products and their
+    /// widening per instruction, on baseline SSE2) is codegen, not
+    /// contract; the contract is the oracle tests. Which multiply ran is
+    /// not counted: [`BlockWidths::narrow_groups`] counts both.
+    ///
     /// Mis-sized `frames` or `out` return [`Error::DimensionMismatch`].
     pub fn vecmat_block_into(
         &self,
@@ -496,12 +554,15 @@ impl Csr {
             let x = &frames[g * rows..(g + G) * rows];
             let o = &mut out[g * cols..(g + G) * cols];
             let max_x = transpose_in(x, rows, &mut xt);
-            if self.fits_i32(max_x) {
-                self.run_group(&xt, &mut narrow, o);
-                widths.narrow_groups += 1;
-            } else {
+            if !self.fits_i32(max_x) {
                 self.run_group(&xt, &mut wide, o);
                 widths.wide_groups += 1;
+            } else if let Some(start) = self.i16_start(max_x) {
+                self.run_group_i16(&xt, start, &mut narrow, o);
+                widths.narrow_groups += 1;
+            } else {
+                self.run_group(&xt, &mut narrow, o);
+                widths.narrow_groups += 1;
             }
         }
         let mut padded = Vec::new();
@@ -537,11 +598,41 @@ impl Csr {
                 }
             }
         }
-        for (f, row) in out.chunks_exact_mut(self.cols.max(1)).enumerate() {
-            for (o, lanes) in row.iter_mut().zip(acc.chunks_exact(G)) {
-                *o = lanes[f].widen();
+        transpose_out(acc, self.cols, out);
+    }
+
+    /// The starting lanes of the 16-bit multiply, if a group whose inputs
+    /// are at most `max_x` in absolute value may take it (the *Multiply
+    /// width* rule of [`Csr::vecmat_block_into`]; the caller has already
+    /// checked the `i32` rule).
+    fn i16_start(&self, max_x: u32) -> Option<&[i32]> {
+        self.i16_start.as_deref().filter(|_| max_x < BIAS as u32)
+    }
+
+    /// [`Csr::run_group`] in `i32` lanes with the 16-bit multiply: lanes
+    /// start at `start` (one value per column) and every input is offset
+    /// by `BIAS`; the walk, the order and the output are the same.
+    fn run_group_i16(&self, xt: &[i32], start: &[i32], acc: &mut Vec<i32>, out: &mut [i64]) {
+        acc.clear();
+        acc.extend(start.iter().flat_map(|&s| [s; G]));
+        for (r, x) in xt.chunks_exact(G).enumerate() {
+            // The mask changes no bit of an offset input; it shows the
+            // compiler a non-negative `i16`, which is what lets it use
+            // `pmaddwd`.
+            let x: [i32; G] = std::array::from_fn(|f| (x[f] + BIAS) & 0x7FFF);
+            let lo = self.row_ptr[r];
+            let hi = self.row_ptr[r + 1];
+            for (&c, &v) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
+                debug_assert!(c < self.cols, "CSR column invariant violated");
+                let v = i32::from(v as i16);
+                if let Some(o) = acc.get_mut(c * G..(c + 1) * G) {
+                    for (o, &x) in o.iter_mut().zip(&x) {
+                        *o = o.wrapping_add(v * x);
+                    }
+                }
             }
         }
+        transpose_out(acc, self.cols, out);
     }
 
     /// Conventional `o = V·x` SpMV.
@@ -896,15 +987,19 @@ mod tests {
     }
 
     /// Runs `n` frames through the blocked kernel into a stale buffer and
-    /// holds every row to `vecmat_into` on that frame; returns what ran.
+    /// holds every row to `vecmat_into` and to `vecmat_scatter_into` on
+    /// that frame; returns what ran.
     fn assert_block_matches(csr: &Csr, frames: &[i32], n: usize) -> BlockWidths {
         let (rows, cols) = (csr.rows(), csr.cols());
-        let mut expect = vec![0i64; n * cols];
+        let (mut expect, mut scattered) = (vec![0i64; n * cols], vec![0i64; n * cols]);
         for f in 0..n {
-            let o = &mut expect[f * cols..(f + 1) * cols];
-            csr.vecmat_into(&frames[f * rows..(f + 1) * rows], o)
+            let a = &frames[f * rows..(f + 1) * rows];
+            csr.vecmat_into(a, &mut expect[f * cols..(f + 1) * cols])
+                .unwrap();
+            csr.vecmat_scatter_into(a, &mut scattered[f * cols..(f + 1) * cols])
                 .unwrap();
         }
+        assert_eq!(expect, scattered);
         let mut got = vec![-77i64; n * cols];
         let ran = csr.vecmat_block_into(frames, n, &mut got).unwrap();
         assert_eq!(got, expect);
@@ -951,7 +1046,10 @@ mod tests {
         /// every group boundary, over shapes from 1×1 up, densities from
         /// empty to full (so empty rows and columns occur), operand widths
         /// on both sides of the `i32` rule, and with an all-zero frame in
-        /// the block; the width each group ran at is the rule's.
+        /// the block; the width each group ran at is the rule's. The 2- to
+        /// 24-bit operands fall on both sides of the 16-bit multiply's
+        /// rule too (weights at 16 bits, inputs at 15), so both `i32`
+        /// kernels are held to the per-frame one here.
         #[test]
         fn block_kernel_matches_per_frame_kernel(
             seed in any::<u64>(),
@@ -1013,6 +1111,71 @@ mod tests {
         let min = Csr::from_dense(&IntMatrix::from_vec(2, 2, vec![i32::MIN, 1, 1, 0]).unwrap());
         let x: Vec<i32> = (0..2 * G as i32).map(|i| i % 3 - 1).collect();
         assert_eq!(assert_block_matches(&min, &x, G).wide_groups, 1);
+    }
+
+    #[test]
+    fn block_multiply_width_boundary_is_exact() {
+        // Weights: ±i16::MAX are in; i16::MIN is out too, because the rule
+        // is on |w|, and so are 32768 and −32769.
+        let x: Vec<i32> = (0..2 * G as i32).map(|i| i % 7 - 3).collect();
+        let max = i32::from(i16::MAX);
+        let weights = [
+            (max, true),
+            (-max, true),
+            (-max - 1, false),
+            (max + 1, false),
+            (-max - 2, false),
+        ];
+        for (w, in_i16) in weights {
+            let csr = Csr::from_dense(&IntMatrix::from_vec(2, 2, vec![w, 1, -1, w]).unwrap());
+            assert_eq!(csr.i16_start(3).is_some(), in_i16, "weight {w}");
+            let ran = assert_block_matches(&csr, &x, G);
+            assert_eq!(ran.narrow_groups, 1, "weight {w}");
+        }
+        // Inputs: |x| ≤ 2^14 − 1 are in; −2^14 is out too, and so are 2^14
+        // and −2^14 − 1.
+        let d = IntMatrix::from_vec(2, 3, vec![max, -5, 0, -max, 0, 7]).unwrap();
+        let csr = Csr::from_dense(&d);
+        let inputs = [
+            (BIAS - 1, true),
+            (1 - BIAS, true),
+            (-BIAS, false),
+            (BIAS, false),
+            (-BIAS - 1, false),
+        ];
+        for (edge, in_i16) in inputs {
+            let mut x = x.clone();
+            x[G + 3] = edge;
+            let took_i16 = csr.i16_start(edge.unsigned_abs()).is_some();
+            assert_eq!(took_i16, in_i16, "input {edge}");
+            let ran = assert_block_matches(&csr, &x, G);
+            assert_eq!(ran, expected_widths(&d, &x, G), "input {edge}");
+            assert_eq!(ran.narrow_groups, 1, "input {edge}");
+        }
+        // Where the lanes wrap: 64 weights of i16::MAX in one column under
+        // inputs of ±1024, the largest the `i32` rule admits here. The true
+        // sums, ±2,147,418,112, are inside `i32`; the start,
+        // −2^14 · 64 · 32767 ≈ −3.4 · 10^10, wraps eight times, and the
+        // outputs are still exact.
+        let tall = Csr::from_dense(&IntMatrix::from_vec(64, 1, vec![max; 64]).unwrap());
+        assert!(tall.fits_i32(1024) && !tall.fits_i32(1025));
+        assert!(tall.i16_start(1024).is_some());
+        for edge in [1024, -1024] {
+            let x = vec![edge; 64 * G];
+            assert_eq!(assert_block_matches(&tall, &x, G).narrow_groups, 1);
+            let mut out = vec![0i64; G];
+            tall.vecmat_block_into(&x, G, &mut out).unwrap();
+            assert_eq!(out, vec![64 * i64::from(max) * i64::from(edge); G]);
+        }
+        // One block, the first group inside the 16-bit rule and the second
+        // (one input of 2^14) outside it: both `i32`, both exact.
+        let mut frames: Vec<i32> = (0..2 * G as i32 * 2).map(|i| i % 5 - 2).collect();
+        frames[(G + 1) * 2] = BIAS;
+        let (first, second) = frames.split_at(G * 2);
+        let max_of = |g: &[i32]| g.iter().map(|v| v.unsigned_abs()).max().unwrap();
+        assert!(csr.i16_start(max_of(first)).is_some() && csr.i16_start(max_of(second)).is_none());
+        let ran = assert_block_matches(&csr, &frames, 2 * G);
+        assert_eq!((ran.narrow_groups, ran.wide_groups), (2, 0));
     }
 
     #[test]
