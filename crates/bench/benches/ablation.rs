@@ -8,7 +8,7 @@ use smm_bitserial::multiplier::WeightEncoding;
 use smm_core::csd::ChainPolicy;
 use smm_core::generate::element_sparse_matrix;
 use smm_core::rng::seeded;
-use smm_fpga::flow::{synthesize, FlowOptions};
+use smm_models::fpga::flow::{synthesize, FlowOptions};
 use std::hint::black_box;
 
 fn bench_encoding_ablation(c: &mut Criterion) {

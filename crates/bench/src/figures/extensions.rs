@@ -13,13 +13,13 @@
 use crate::table::{fmt_f, Figure};
 use smm_bitserial::builder::{build_circuit_with, BuildOptions, TreeShape};
 use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
-use smm_cgra::{estimate_compiled, CgraOptions};
 use smm_core::csd::{csd_split, ChainPolicy};
 use smm_core::generate::element_sparse_matrix;
 use smm_core::rng::derived;
 use smm_core::signsplit::split_pn;
 use smm_core::sparsity::ones_in_signed_matrix;
-use smm_fpga::flow::{report_for, synthesize, FlowOptions};
+use smm_models::cgra::{estimate_compiled, CgraOptions};
+use smm_models::fpga::flow::{report_for, synthesize, FlowOptions};
 use smm_reservoir::capacity::memory_capacity;
 use smm_reservoir::esn::{Esn, EsnConfig};
 use smm_reservoir::int_esn::{IntEsn, IntEsnConfig};
@@ -317,8 +317,8 @@ pub fn ext5(quick: bool) -> Figure {
 /// platforms — the reciprocal view of Figures 17/23, making the crossover
 /// points explicit.
 pub fn ext6(quick: bool) -> Figure {
-    use smm_gpu::GpuKernelModel;
-    use smm_sigma::Sigma;
+    use smm_models::gpu::GpuKernelModel;
+    use smm_models::sigma::Sigma;
     use smm_sparse::{Csr, SparsityProfile};
 
     let dim = 1024;

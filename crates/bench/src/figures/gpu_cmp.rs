@@ -5,8 +5,8 @@ use crate::table::{fmt_f, Figure};
 use smm_core::generate::element_sparse_matrix;
 use smm_core::matrix::IntMatrix;
 use smm_core::rng::derived;
-use smm_fpga::flow::{synthesize, FlowOptions};
-use smm_gpu::GpuKernelModel;
+use smm_models::fpga::flow::{synthesize, FlowOptions};
+use smm_models::gpu::GpuKernelModel;
 use smm_sparse::{Csr, SparsityProfile};
 
 const SEED: u64 = 0x6713;

@@ -7,7 +7,7 @@ use smm_bitserial::multiplier::WeightEncoding;
 use smm_core::csd::ChainPolicy;
 use smm_core::generate::element_sparse_matrix;
 use smm_core::rng::derived;
-use smm_fpga::flow::{synthesize, FlowOptions, SynthesisReport};
+use smm_models::fpga::flow::{synthesize, FlowOptions, SynthesisReport};
 
 const SEED: u64 = 0x1A26;
 

@@ -8,8 +8,8 @@ use smm_core::matrix::IntMatrix;
 use smm_core::rng::derived;
 use smm_core::signsplit::split_pn;
 use smm_core::sparsity::bit_sparsity_of;
-use smm_fpga::resources::map_netlist;
-use smm_fpga::ResourceReport;
+use smm_models::fpga::resources::map_netlist;
+use smm_models::fpga::ResourceReport;
 
 const SEED: u64 = 0x5151;
 

@@ -3,11 +3,11 @@
 use crate::args::Args;
 use crate::matrix_source::resolve;
 use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
-use smm_cgra::{estimate_compiled, CgraOptions};
 use smm_core::csd::ChainPolicy;
-use smm_fpga::flow::{report_for, FlowOptions};
-use smm_gpu::GpuKernelModel;
-use smm_sigma::Sigma;
+use smm_models::cgra::{estimate_compiled, CgraOptions};
+use smm_models::fpga::flow::{report_for, FlowOptions};
+use smm_models::gpu::GpuKernelModel;
+use smm_models::sigma::Sigma;
 use smm_sparse::SparsityProfile;
 use std::io::Write;
 
@@ -372,9 +372,11 @@ pub fn serve(args: &Args, out: &mut impl Write) -> CmdResult {
     let queue_depth: usize = args.get_or("queue-depth", 64).map_err(|e| e.0)?;
     let input_bits: u32 = args.get_or("input-bits", 8).map_err(|e| e.0)?;
     let duration: f64 = args.get_or("duration", 0.0).map_err(|e| e.0)?;
-    if duration < 0.0 {
+    // Also refuses NaN, infinities and spans past `Duration::MAX`, before
+    // the listener is up rather than by a panic after it.
+    let Ok(run_for) = std::time::Duration::try_from_secs_f64(duration) else {
         return Err("--duration must be >= 0".into());
-    }
+    };
     let defaults = ServerConfig::default();
     let store_dir = args.get("store-dir").map(str::to_string);
     let handle = smm_server::start(ServerConfig {
@@ -414,7 +416,7 @@ pub fn serve(args: &Args, out: &mut impl Write) -> CmdResult {
             std::thread::park();
         }
     }
-    std::thread::sleep(std::time::Duration::from_secs_f64(duration));
+    std::thread::sleep(run_for);
     let stats = handle.shutdown();
     writeln!(
         out,
@@ -520,14 +522,15 @@ pub fn loadgen(args: &Args, out: &mut impl Write) -> CmdResult {
         None => None,
         Some(text) => Some(text.parse()?),
     };
-    if duration <= 0.0 {
-        return Err("--duration must be > 0".into());
-    }
+    let duration = match std::time::Duration::try_from_secs_f64(duration) {
+        Ok(span) if duration > 0.0 => span,
+        _ => return Err("--duration must be > 0".into()),
+    };
     let report = smm_server::loadgen::run(&LoadgenConfig {
         addr: addr.to_string(),
         clients,
         batch,
-        duration: std::time::Duration::from_secs_f64(duration),
+        duration,
         matrix,
         input_bits,
         seed,
@@ -940,7 +943,12 @@ mod tests {
     #[test]
     fn serve_rejects_bad_flags() {
         assert!(run_cmd(&["serve", "--backend", "tpu"]).is_err());
-        assert!(run_cmd(&["serve", "--duration", "-1"]).is_err());
+        // Negative, non-finite or past `Duration::MAX`: refused before
+        // the listener binds.
+        for bad in ["-1", "nan", "inf", "1e30"] {
+            let e = run_cmd(&["serve", "--duration", bad]).unwrap_err();
+            assert!(e.contains("--duration must be"), "{bad}: {e}");
+        }
         // Unbindable address.
         assert!(run_cmd(&["serve", "--addr", "999.0.0.1:1", "--duration", "0.1"]).is_err());
     }
@@ -1179,7 +1187,10 @@ mod tests {
         ])
         .unwrap_err();
         assert!(e.contains("load generation"), "{e}");
-        assert!(run_cmd(&["loadgen", "--dim", "4", "--duration", "0"]).is_err());
+        for bad in ["0", "nan", "inf", "1e30"] {
+            let e = run_cmd(&["loadgen", "--dim", "4", "--duration", bad]).unwrap_err();
+            assert!(e.contains("--duration must be"), "{bad}: {e}");
+        }
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //! smm verilog  [matrix opts] [--module NAME] [--output F.v]
 //! smm dot      [matrix opts] [--output F.dot]
 //! smm compare  [matrix opts] [--batch B]                # vs cuSPARSE/OptKernel/SIGMA
+//! smm stream   [matrix opts] [--batch B]                # back-to-back batch (checked)
+//! smm trace    [matrix opts] [--vector "..."] [--output F.vcd]  # VCD of one product
+//! smm system   [matrix opts]                            # via the SRAM wrapper
 //! smm cgra     [matrix opts]                            # Section VIII device estimate
 //! smm throughput [matrix opts] [--backend B] [--threads N] [--batch B]
 //! smm serve    [--addr A] [--backend B] [--threads N] [--queue-depth Q] [--duration S]

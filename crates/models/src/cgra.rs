@@ -1,12 +1,10 @@
-//! # smm-cgra
-//!
 //! Section VIII of the paper, made concrete: the proposed custom CGRA —
 //! a grid of full adders and flip-flops with a pipelined broadcast and a
 //! tree interconnect — modelled at the transistor level, plus the
 //! PipeRench-style **pipeline reconfiguration** timeline that would let
 //! the spatial approach handle *dynamic* sparse matrices.
 //!
-//! Two questions this crate answers quantitatively:
+//! Two questions this module answers quantitatively:
 //!
 //! 1. how much denser a full-adder fabric is than 6-LUT fabric for this
 //!    workload (the paper's raw 32× claim, discounted by flip-flops,
@@ -17,7 +15,7 @@
 //!    matrices feasible.
 //!
 //! ```
-//! use smm_cgra::{estimate, CgraOptions};
+//! use smm_models::cgra::{estimate, CgraOptions};
 //! use smm_core::generate::element_sparse_matrix;
 //! use smm_core::rng::seeded;
 //!
@@ -28,15 +26,8 @@
 //! assert!(report.swap.fpga_ns / report.swap.cgra_ns > 10_000.0);
 //! ```
 
-// A public evaluation model (`reproduce`'s figures and `smm cgra` price
-// compiled circuits through `estimate_compiled`), so the API surface
-// must stay fully documented.
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
-pub mod cost;
-pub mod estimate;
-pub mod reconfig;
+#[doc(inline)]
+pub use crate::{cost, estimate, reconfig};
 
 pub use cost::{FabricComparison, TransistorModel};
 pub use estimate::{estimate, estimate_compiled, CgraOptions, CgraReport};

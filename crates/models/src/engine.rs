@@ -14,6 +14,11 @@
 //!
 //! Batching (weight-stationary SpMM) re-uses each tile's fill across the
 //! batch, so the per-tile input streaming becomes the asymptotic cost.
+//!
+//! This model only prices that dataflow. The one executor of it is the
+//! serving runtime's `sigma` engine (`smm_runtime::SigmaEngine`): the
+//! non-zeros packed row-major, [`SigmaConfig::pes`] to a tile, tiles
+//! outer and frames inner.
 
 use crate::config::SigmaConfig;
 use smm_sparse::SparsityProfile;

@@ -1,5 +1,3 @@
-//! # smm-fpga
-//!
 //! The Vivado-flow substitute: maps compiled bit-serial netlists onto FPGA
 //! resources (LUT/FF/LUTRAM), estimates achievable frequency from SLR
 //! occupancy and broadcast fanout, estimates power, and checks device fit —
@@ -7,7 +5,7 @@
 //! (Sections IV and VI, Figures 5–12).
 //!
 //! ```
-//! use smm_fpga::flow::{synthesize, FlowOptions};
+//! use smm_models::fpga::flow::{synthesize, FlowOptions};
 //! use smm_core::generate::element_sparse_matrix;
 //! use smm_core::rng::seeded;
 //!
@@ -19,14 +17,8 @@
 //! assert_eq!(mul.mul(&vec![1; 64]).unwrap().len(), 64);
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
-pub mod device;
-pub mod flow;
-pub mod power;
-pub mod resources;
-pub mod timing;
+#[doc(inline)]
+pub use crate::{device, flow, power, resources, timing};
 
 pub use device::Device;
 pub use flow::{synthesize, FlowOptions, SynthesisReport};

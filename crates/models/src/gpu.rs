@@ -1,13 +1,11 @@
-//! # smm-gpu
-//!
 //! The V100 baseline substitute: calibrated analytic latency models of the
 //! two sparse GPU libraries the paper benchmarks (cuSPARSE and the
 //! "optimized kernel" of Gale et al.), over the structural profiles of
 //! `smm-sparse` matrices. The executable math of those kernels lives in
-//! `smm-sparse`; this crate supplies their *time*.
+//! `smm-sparse`; this module supplies their *time*.
 //!
 //! ```
-//! use smm_gpu::GpuKernelModel;
+//! use smm_models::gpu::GpuKernelModel;
 //! use smm_sparse::{Csr, SparsityProfile};
 //! use smm_core::generate::element_sparse_matrix;
 //! use smm_core::rng::seeded;
@@ -19,11 +17,7 @@
 //! assert!(ns > 1000.0); // the GPU cannot break the microsecond barrier
 //! ```
 
-// A public evaluation model (`reproduce`'s figures and `smm compare`
-// read these latencies), so the API surface must stay fully documented.
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
-pub mod model;
+#[doc(inline)]
+pub use crate::model;
 
 pub use model::GpuKernelModel;

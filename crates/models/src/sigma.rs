@@ -1,5 +1,3 @@
-//! # smm-sigma
-//!
 //! Cycle-level model of the SIGMA sparse DNN accelerator (Qin et al.,
 //! HPCA 2020), the paper's accelerator baseline: a 128×128 PE grid with a
 //! flexible Benes distribution network and forwarding reduction tree, run
@@ -10,7 +8,7 @@
 //! tile is nanoseconds; tiling is SRAM-bandwidth-bound microseconds.
 //!
 //! ```
-//! use smm_sigma::{Sigma, SigmaConfig};
+//! use smm_models::sigma::{Sigma, SigmaConfig};
 //! use smm_sparse::{Csr, SparsityProfile};
 //! use smm_core::generate::element_sparse_matrix;
 //! use smm_core::rng::seeded;
@@ -23,15 +21,8 @@
 //! assert!(sigma.gemv_latency_ns(&profile) < 200.0);
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
-pub mod config;
-pub mod engine;
-pub mod functional;
+#[doc(inline)]
+pub use crate::{config, engine};
 
 pub use config::SigmaConfig;
 pub use engine::{Sigma, SigmaRun};
-pub use functional::{
-    accumulate_tile, execute_gemm, execute_gemv, map_tiles, mapping_stats, MappingStats, Tile,
-};

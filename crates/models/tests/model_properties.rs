@@ -4,11 +4,11 @@
 use proptest::prelude::*;
 use smm_core::generate::element_sparse_matrix;
 use smm_core::rng::seeded;
-use smm_fpga::device::Device;
-use smm_fpga::flow::{synthesize, FlowOptions};
-use smm_fpga::power::PowerModel;
-use smm_fpga::resources::ResourceReport;
-use smm_fpga::timing::TimingModel;
+use smm_models::fpga::device::Device;
+use smm_models::fpga::flow::{synthesize, FlowOptions};
+use smm_models::fpga::power::PowerModel;
+use smm_models::fpga::resources::ResourceReport;
+use smm_models::fpga::timing::TimingModel;
 
 proptest! {
     /// Fmax never increases with design size, for any fanout.

@@ -7,9 +7,8 @@
 //! * [`SparseCsr`] — the executed CSR SpMV kernel ([`smm_sparse::Csr`]);
 //! * [`BitSerial`] — the compiled spatial circuit, simulated by the
 //!   word-level bit-sliced engine (up to 64 frames per machine word);
-//! * [`SigmaEngine`] — the SIGMA accelerator baseline executed through
-//!   its PE-grid tile mapping ([`smm_sigma::map_tiles`]), weight-stationary
-//!   across a batch.
+//! * [`SigmaEngine`] — the SIGMA accelerator baseline executed tile by
+//!   tile over its PE grid, weight-stationary across a batch.
 //!
 //! Each implements one compute method, [`GemvBackend::run_rows`] — a
 //! range of a flat [`FrameBlock`] into a flat output slice — and a single
@@ -25,7 +24,6 @@ use smm_core::block::FrameBlock;
 use smm_core::error::{Error, Result};
 use smm_core::gemv::vecmat_into;
 use smm_core::matrix::IntMatrix;
-use smm_sigma::{accumulate_tile, map_tiles, SigmaConfig, Tile};
 use smm_sparse::{BlockWidths, Csr};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -295,30 +293,37 @@ impl GemvBackend for BitSerial {
 }
 
 /// The SIGMA accelerator baseline (Qin et al., HPCA 2020) as a live
-/// serving engine: the matrix's non-zeros are packed onto the modelled
-/// PE grid **once** at construction ([`map_tiles`]), and every product
-/// executes through that resident tile map — weight-stationary, exactly
-/// the dataflow [`smm_sigma::Sigma`] prices. Bit-identical to the dense
-/// reference (pure integer math through the reduction network).
+/// serving engine: the matrix's non-zeros are kept row-major **once** at
+/// construction, and every product walks them in tiles of
+/// [`SigmaEngine::TILE`], one fill of the modelled PE grid each —
+/// weight-stationary, exactly the dataflow `smm-models`' `Sigma` timing
+/// model prices. Bit-identical to the dense reference (pure integer math
+/// through the reduction network).
 ///
 /// [`GemvBackend::run_rows`] iterates tiles in the outer loop so each
 /// tile's weights stay stationary while the whole shard streams by — the
-/// accelerator's SpMM mode, and one tile-map traversal per shard instead
-/// of one per vector.
+/// accelerator's SpMM mode, and one pass over the non-zeros per shard
+/// instead of one per vector.
 #[derive(Debug, Clone)]
 pub struct SigmaEngine {
-    tiles: Vec<Tile>,
+    /// `(row, col, weight)` of every non-zero, row-major: the order they
+    /// fill the PE grid.
+    nonzeros: Vec<(usize, usize, i32)>,
     rows: usize,
     cols: usize,
 }
 
 impl SigmaEngine {
-    /// Maps the matrix onto the paper's default 128×128 PE grid. The
-    /// tile map is computed here, once, and reused by every product the
+    /// Non-zeros per tile: the PEs of the paper's 128×128 grid.
+    pub const TILE: usize = 128 * 128;
+
+    /// Keeps the matrix's non-zeros, row-major, for every product the
     /// engine ever serves.
     pub fn new(matrix: &IntMatrix) -> Self {
+        let mut nonzeros = Vec::with_capacity(matrix.nnz());
+        nonzeros.extend(matrix.iter_nonzero());
         Self {
-            tiles: map_tiles(matrix, &SigmaConfig::default()),
+            nonzeros,
             rows: matrix.rows(),
             cols: matrix.cols(),
         }
@@ -339,8 +344,8 @@ impl GemvBackend for SigmaEngine {
     }
 
     /// Weight-stationary over the shard: tiles outer, frames inner, rows
-    /// accumulated in place — one tile-map traversal for the whole shard
-    /// and no per-row allocation.
+    /// accumulated in place — one pass over the non-zeros for the whole
+    /// shard and no per-row allocation.
     fn run_rows(
         &self,
         frames: &FrameBlock,
@@ -355,13 +360,15 @@ impl GemvBackend for SigmaEngine {
             });
         }
         out.fill(0);
-        for tile in &self.tiles {
+        for tile in self.nonzeros.chunks(Self::TILE) {
             for (i, frame) in (start..end).enumerate() {
-                accumulate_tile(
-                    tile,
-                    frames.frame(frame),
-                    &mut out[i * self.cols..(i + 1) * self.cols],
-                );
+                let a = frames.frame(frame);
+                let row_out = &mut out[i * self.cols..(i + 1) * self.cols];
+                // Every PE multiplies its stationary weight by its input
+                // element; the reduction network sums per output column.
+                for &(row, col, weight) in tile {
+                    row_out[col] += i64::from(weight) * i64::from(a[row]);
+                }
             }
         }
         Ok(())
@@ -472,6 +479,28 @@ mod tests {
             assert!(b.run_rows(&frames, 0, 3, &mut [0; 12]).is_err(), "{name}");
             assert!(b.run_rows(&frames, 0, 2, &mut [0; 7]).is_err(), "{name}");
             assert!(b.run_rows(&thin, 0, 1, &mut [0; 4]).is_err(), "{name}");
+        }
+    }
+
+    #[test]
+    fn sigma_walks_several_tiles_bit_identically() {
+        // 256² at 40 % sparse: ~39k non-zeros, so three tiles of the grid.
+        let mut rng = seeded(2106);
+        let v = element_sparse_matrix(256, 256, 8, 0.4, true, &mut rng).unwrap();
+        assert!(v.nnz() > 2 * SigmaEngine::TILE, "{} non-zeros", v.nnz());
+        let engine = SigmaEngine::new(&v);
+        let batch: Vec<Vec<i32>> = (0..7)
+            .map(|_| random_vector(256, 8, true, &mut rng).unwrap())
+            .collect();
+        let frames = FrameBlock::from_rows(&batch).unwrap();
+        let expect: Vec<Vec<i64>> = batch.iter().map(|a| vecmat(a, &v).unwrap()).collect();
+        let mut out = RowBlock::new();
+        run_block(&engine, &frames, &mut out).unwrap();
+        assert_eq!(Vec::<Vec<i64>>::from(&out), expect);
+        let mut shard = vec![-9i64; 3 * 256];
+        engine.run_rows(&frames, 2, 5, &mut shard).unwrap();
+        for (i, frame) in (2..5).enumerate() {
+            assert_eq!(&shard[i * 256..(i + 1) * 256], expect[frame].as_slice());
         }
     }
 

@@ -5,8 +5,9 @@
 //! This is the *functional* content of the GPU sparse libraries the paper
 //! benchmarks against (cuSPARSE and the optimized Sputnik-style kernel):
 //! the same indexing structures and traversal order, minus the GPU. The
-//! performance side of those baselines is modelled in `smm-gpu`; this crate
-//! provides the math and the structural statistics that model consumes.
+//! performance side of those baselines is modelled in `smm-models`'
+//! `gpu`; this crate provides the math and the structural statistics that
+//! model consumes.
 //!
 //! [`Csr`] is also the serving stack's sparse engine, and keeps two
 //! layouts of the fixed matrix for it: rows for blocks and sparse

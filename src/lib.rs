@@ -8,12 +8,13 @@
 //! * [`core`] — integer matrices, sparsity generators, CSD, reference gemv
 //! * [`sparse`] — COO/CSR formats and executed SpMV kernels
 //! * [`bitserial`] — the spatial bit-serial multiplier (netlist + simulator)
-//! * [`fpga`] — area/frequency/power models and the synthesis flow
-//! * [`gpu`] — calibrated V100 sparse-library latency models
-//! * [`sigma`] — the SIGMA accelerator baseline model (also a live
-//!   serving engine via [`runtime::SigmaEngine`])
+//! * the evaluation models, one module each of `smm-models`:
+//!   * [`fpga`] — area/frequency/power models and the synthesis flow
+//!   * [`gpu`] — calibrated V100 sparse-library latency models
+//!   * [`sigma`] — the SIGMA accelerator timing model (the tile walk it
+//!     prices is the live [`runtime::SigmaEngine`])
+//!   * [`cgra`] — Section VIII's proposed custom device, modelled
 //! * [`reservoir`] — echo state networks (float and integer)
-//! * [`cgra`] — Section VIII's proposed custom device, modelled
 //! * [`telemetry`] — log-bucket latency histograms, per-stage request
 //!   spans and the poison-recovering lock helpers
 //! * [`runtime`] — the batched, multi-threaded GEMV serving runtime
@@ -91,14 +92,11 @@
 #![forbid(unsafe_code)]
 
 pub use smm_bitserial as bitserial;
-pub use smm_cgra as cgra;
 pub use smm_core as core;
-pub use smm_fpga as fpga;
-pub use smm_gpu as gpu;
+pub use smm_models::{cgra, fpga, gpu, sigma};
 pub use smm_reservoir as reservoir;
 pub use smm_runtime as runtime;
 pub use smm_server as server;
-pub use smm_sigma as sigma;
 pub use smm_sparse as sparse;
 pub use smm_store as store;
 pub use smm_telemetry as telemetry;

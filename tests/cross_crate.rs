@@ -136,6 +136,15 @@ fn section_seven_story() {
     assert!(ratio_b64 < ratio_b1 / 4.0, "{ratio_b1} -> {ratio_b64}");
 }
 
+/// The live `sigma` engine walks the grid the SIGMA timing model prices:
+/// one tile is the model's PE count.
+#[test]
+fn sigma_engine_tiles_the_modelled_grid() {
+    use spatial_smm::runtime::SigmaEngine;
+    use spatial_smm::sigma::SigmaConfig;
+    assert_eq!(SigmaEngine::TILE, SigmaConfig::default().pes());
+}
+
 /// CSD reduces hardware but never changes results (Equation 6 end to end).
 #[test]
 fn csd_is_transparent_to_results() {
