@@ -184,9 +184,10 @@ fn bench_matmat_flat(c: &mut Criterion) {
     group.finish();
 }
 
-/// The bit-serial batch engines: the word-level bit-sliced path (64
-/// frames per machine word, the production `run_frames_block` engine)
-/// vs the framed back-to-back stream, on the same compiled circuit.
+/// The bit-serial batch schedules of the one simulator: the lockstep
+/// driver (64 frames per machine word, the production
+/// `run_frames_block` engine) vs the framed back-to-back stream, on the
+/// same compiled circuit.
 fn bench_bitserial_batch(c: &mut Criterion) {
     let dim = 32usize;
     let mut rng = seeded(4000);
@@ -201,9 +202,7 @@ fn bench_bitserial_batch(c: &mut Criterion) {
     let run_streamed = |out: &mut [i64]| {
         smm_bitserial::sim::run_stream_into_flat(
             mul.circuit(),
-            black_box(&frames),
-            0,
-            64,
+            black_box(frames.as_slice()),
             mul.input_bits(),
             mul.output_bits(),
             mul.batch_interval_cycles(),

@@ -389,6 +389,15 @@ mod tests {
         build_circuit(&split_pn(&m)).unwrap()
     }
 
+    /// One 8-bit product through the lockstep driver.
+    fn simulate(circuit: &BuiltCircuit, a: &[i32]) -> Vec<i64> {
+        let rows = circuit.netlist.num_rows();
+        let width = crate::bits::result_width(8, circuit.weight_bits, rows);
+        let mut out = vec![0; circuit.netlist.num_outputs()];
+        crate::sim::run_lockstep_into_flat(circuit, a, 8, width, &mut out, |_| {});
+        out
+    }
+
     #[test]
     fn ceil_log2_values() {
         assert_eq!(ceil_log2(1), 0);
@@ -526,9 +535,8 @@ mod tests {
         );
         // And the shared circuit still computes the right thing.
         let a = random_vector(32, 8, true, &mut rng).unwrap();
-        let width = crate::bits::result_width(8, shared.weight_bits, 32);
         assert_eq!(
-            crate::sim::run_vecmat(&shared, &a, 8, width),
+            simulate(&shared, &a),
             smm_core::gemv::vecmat(&a, &repeated).unwrap()
         );
     }
@@ -567,9 +575,8 @@ mod tests {
         assert!(shared.netlist.stats().input_taps <= plain.netlist.stats().input_taps);
         // Still functionally exact.
         let a = random_vector(48, 8, true, &mut rng).unwrap();
-        let width = crate::bits::result_width(8, shared.weight_bits, 48);
         assert_eq!(
-            crate::sim::run_vecmat(&shared, &a, 8, width),
+            simulate(&shared, &a),
             smm_core::gemv::vecmat(&a, &m).unwrap()
         );
     }

@@ -10,6 +10,13 @@
 //! compiled circuit computes `o = aᵀV` in `BWi + BWw + ceil(log2 R) + 2`
 //! cycles (Equation 5 of the paper).
 //!
+//! One simulator runs it: [`sim::Simulator`] holds every register as a
+//! `u64` word of 64 independent lanes. Every product — a single `mul`, a
+//! batch, a served block, the SRAM wrapper's run, a VCD trace — goes
+//! through its lockstep driver, one frame per lane; the framed
+//! back-to-back stream ([`sim::run_stream_into_flat`]) is the
+//! hardware-faithful reference it is checked against.
+//!
 //! ```
 //! use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
 //! use smm_core::matrix::IntMatrix;
@@ -36,7 +43,6 @@ pub mod multiplier;
 pub mod netlist;
 pub mod primitive;
 pub mod sim;
-pub mod slice;
 pub mod system;
 pub mod trace;
 pub mod verify;

@@ -197,7 +197,31 @@ impl FixedMatrixMultiplier {
         }
     }
 
-    /// Computes `o = aᵀV` through the cycle-accurate simulator.
+    /// Refuses a batch whose rows are not input vectors of this circuit.
+    fn check_batch(&self, a: &IntMatrix) -> Result<()> {
+        if a.cols() != self.rows {
+            return Err(Error::DimensionMismatch {
+                context: format!("batch cols {} vs matrix rows {}", a.cols(), self.rows),
+            });
+        }
+        self.check_range(a.as_slice())
+    }
+
+    /// Runs validated row-major input frames through the lockstep driver
+    /// ([`crate::sim::run_lockstep_into_flat`]), one output row per frame.
+    fn run_lockstep(&self, inputs: &[i32], out: &mut [i64]) {
+        crate::sim::run_lockstep_into_flat(
+            &self.circuit,
+            inputs,
+            self.input_bits,
+            self.out_width,
+            out,
+            |_| {},
+        );
+    }
+
+    /// Computes `o = aᵀV` through the cycle-accurate simulator, as a
+    /// one-frame block.
     pub fn mul(&self, a: &[i32]) -> Result<Vec<i64>> {
         if a.len() != self.rows {
             return Err(Error::DimensionMismatch {
@@ -205,22 +229,22 @@ impl FixedMatrixMultiplier {
             });
         }
         self.check_range(a)?;
-        Ok(crate::sim::run_vecmat(
-            &self.circuit,
-            a,
-            self.input_bits,
-            self.out_width,
-        ))
+        let mut out = vec![0; self.cols];
+        self.run_lockstep(a, &mut out);
+        Ok(out)
     }
 
     /// Computes a batch product: each row of `a` (shape `batch × R`) is one
     /// input vector; returns one output row per input row.
     ///
-    /// Each vector runs through a fresh simulation; see
+    /// The vectors run as one block, 64 independent lanes per pass; see
     /// [`FixedMatrixMultiplier::mul_batch_streamed`] for the pipelined
     /// back-to-back mode the batching latency model assumes.
     pub fn mul_batch(&self, a: &IntMatrix) -> Result<Vec<Vec<i64>>> {
-        (0..a.rows()).map(|b| self.mul(a.row(b))).collect()
+        self.check_batch(a)?;
+        let mut flat = vec![0i64; a.rows() * self.cols];
+        self.run_lockstep(a.as_slice(), &mut flat);
+        Ok(flat.chunks_exact(self.cols).map(<[i64]>::to_vec).collect())
     }
 
     /// Computes a batch product by streaming the vectors **back-to-back
@@ -232,41 +256,29 @@ impl FixedMatrixMultiplier {
     /// [`FixedMatrixMultiplier::mul_batch`]; the total cycle count is
     /// what differs.
     pub fn mul_batch_streamed(&self, a: &IntMatrix) -> Result<Vec<Vec<i64>>> {
-        if a.cols() != self.rows {
-            return Err(Error::DimensionMismatch {
-                context: format!("batch cols {} vs matrix rows {}", a.cols(), self.rows),
-            });
-        }
-        self.check_range(a.as_slice())?;
-        let frames =
-            smm_core::block::FrameBlock::from_vec(a.rows(), a.cols(), a.as_slice().to_vec())?;
-        let mut flat = vec![0i64; a.rows() * self.cols()];
+        self.check_batch(a)?;
+        let mut flat = vec![0i64; a.rows() * self.cols];
         crate::sim::run_stream_into_flat(
             &self.circuit,
-            &frames,
-            0,
-            a.rows(),
+            a.as_slice(),
             self.input_bits,
             self.out_width,
             self.batch_interval_cycles(),
             &mut flat,
         );
-        Ok(flat.chunks_exact(self.cols()).map(<[i64]>::to_vec).collect())
+        Ok(flat.chunks_exact(self.cols).map(<[i64]>::to_vec).collect())
     }
 
     /// The serving batch kernel: simulates frames `start..end` of a
-    /// [`FrameBlock`](smm_core::block::FrameBlock) through the
-    /// **word-level bit-sliced** engine
-    /// ([`crate::slice::run_frames_block_sliced`]) — up to 64 frames
+    /// [`FrameBlock`](smm_core::block::FrameBlock) through the lockstep
+    /// driver ([`crate::sim::run_lockstep_into_flat`]) — up to 64 frames
     /// packed one-per-bit into machine words so a single gate
     /// evaluation serves the whole shard — and decodes the results
     /// straight into a row-major `i64` slice of `(end - start) * cols()`
     /// elements. No per-frame or per-row allocation at all.
     ///
-    /// Results are bit-identical to calling
-    /// [`FixedMatrixMultiplier::mul`] per frame (and to the framed
-    /// streaming path behind
-    /// [`FixedMatrixMultiplier::mul_batch_streamed`]); only the schedule
+    /// Results are bit-identical to the framed streaming path behind
+    /// [`FixedMatrixMultiplier::mul_batch_streamed`]; only the schedule
     /// differs — a 64-lane chunk finishes in one
     /// pipeline depth instead of one streaming interval per frame.
     pub fn run_frames_block(
@@ -300,16 +312,9 @@ impl FixedMatrixMultiplier {
             });
         }
         let width = frames.width();
-        self.check_range(&frames.as_slice()[start * width..end * width])?;
-        crate::slice::run_frames_block_sliced(
-            &self.circuit,
-            frames,
-            start,
-            end,
-            self.input_bits,
-            self.out_width,
-            out,
-        );
+        let inputs = &frames.as_slice()[start * width..end * width];
+        self.check_range(inputs)?;
+        self.run_lockstep(inputs, out);
         Ok(())
     }
 }
@@ -435,47 +440,6 @@ mod tests {
                     mul.mul(&inputs[frame]).unwrap().as_slice(),
                     "frame {frame} of shard {start}..{end}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn run_frames_block_bit_sliced_equals_framed_streaming() {
-        // The word-level bit-sliced engine behind `run_frames_block` and
-        // the framed back-to-back stream must produce the same bits as
-        // each other and as single-shot `mul` — across encodings and
-        // across the 64-lane word boundary.
-        use smm_core::block::FrameBlock;
-        let mut rng = seeded(111);
-        let v = element_sparse_matrix(6, 5, 8, 0.5, true, &mut rng).unwrap();
-        for encoding in [
-            WeightEncoding::Pn,
-            WeightEncoding::Csd {
-                policy: ChainPolicy::CoinFlip,
-                seed: 4,
-            },
-        ] {
-            let mul = FixedMatrixMultiplier::compile(&v, 8, encoding).unwrap();
-            let inputs: Vec<Vec<i32>> = (0..67)
-                .map(|_| random_vector(6, 8, true, &mut rng).unwrap())
-                .collect();
-            let frames = FrameBlock::try_from(inputs.as_slice()).unwrap();
-            let mut sliced = vec![-1i64; 67 * 5];
-            mul.run_frames_block(&frames, 0, 67, &mut sliced).unwrap();
-            let mut streamed = vec![-1i64; 67 * 5];
-            crate::sim::run_stream_into_flat(
-                mul.circuit(),
-                &frames,
-                0,
-                67,
-                mul.input_bits(),
-                mul.output_bits(),
-                mul.batch_interval_cycles(),
-                &mut streamed,
-            );
-            assert_eq!(sliced, streamed);
-            for (i, input) in inputs.iter().enumerate() {
-                assert_eq!(&sliced[i * 5..(i + 1) * 5], mul.mul(input).unwrap().as_slice());
             }
         }
     }

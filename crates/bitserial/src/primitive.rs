@@ -1,9 +1,10 @@
-//! The hardware primitives of Figure 1: full adder, bit-serial
-//! adder/subtractor state machines, and shift registers.
+//! The hardware primitives of Figure 1: the full adder and the bit-serial
+//! adder state machine.
 //!
-//! These standalone models document the microarchitecture and back the
-//! Table I reproduction; the netlist simulator in [`crate::sim`] re-derives
-//! the same next-state functions over whole circuits.
+//! These standalone models back the Table I reproduction; the netlist
+//! simulator in [`crate::sim`] is the one model of whole circuits (and of
+//! the subtractor), re-deriving the same next-state functions 64 lanes
+//! at a time.
 
 /// Combinational full adder: returns `(sum, carry_out)`.
 #[inline]
@@ -40,81 +41,6 @@ impl BitSerialAdder {
     /// Current carry register value (exposed for trace reproduction).
     pub fn carry(&self) -> bool {
         self.carry
-    }
-
-    /// Clears the carry, ready for a new operand pair.
-    pub fn reset(&mut self) {
-        self.carry = false;
-    }
-}
-
-/// A bit-serial subtractor computing `a − b`: the carry initializes to 1 and
-/// `b` is inverted, i.e. two's-complement negation folded into the adder.
-#[derive(Debug, Clone)]
-pub struct BitSerialSubtractor {
-    carry: bool,
-}
-
-impl Default for BitSerialSubtractor {
-    fn default() -> Self {
-        Self { carry: true }
-    }
-}
-
-impl BitSerialSubtractor {
-    /// A fresh subtractor with the borrow-cancelling carry preset to 1.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advances one clock, returning one bit of `a − b`.
-    pub fn step(&mut self, a: bool, b: bool) -> bool {
-        let (diff, cout) = full_adder(a, !b, self.carry);
-        self.carry = cout;
-        diff
-    }
-
-    /// Resets the carry to 1 for a new operand pair.
-    pub fn reset(&mut self) {
-        self.carry = true;
-    }
-}
-
-/// A serial-in, serial-out shift register of fixed depth (the LUTRAM/SRL
-/// resource on the target FPGA).
-#[derive(Debug, Clone)]
-pub struct ShiftRegister {
-    bits: Vec<bool>,
-    head: usize,
-}
-
-impl ShiftRegister {
-    /// A zero-initialized register of the given non-zero depth.
-    pub fn new(depth: usize) -> Self {
-        assert!(depth > 0, "shift register depth must be non-zero");
-        Self {
-            bits: vec![false; depth],
-            head: 0,
-        }
-    }
-
-    /// Shifts `input` in and returns the bit falling out the far end.
-    pub fn shift(&mut self, input: bool) -> bool {
-        let out = self.bits[self.head];
-        self.bits[self.head] = input;
-        self.head = (self.head + 1) % self.bits.len();
-        out
-    }
-
-    /// The register depth.
-    pub fn depth(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// Contents oldest-first (the order they will shift out).
-    pub fn snapshot(&self) -> Vec<bool> {
-        let n = self.bits.len();
-        (0..n).map(|i| self.bits[(self.head + i) % n]).collect()
     }
 }
 
@@ -160,7 +86,7 @@ pub fn addition_trace(a: i64, b: i64, cycles: u32) -> Vec<AdditionTraceRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bits::{from_bits_lsb, to_bits_lsb};
+    use crate::bits::from_bits_lsb;
 
     #[test]
     fn full_adder_truth_table() {
@@ -222,61 +148,5 @@ mod tests {
                 assert_eq!(from_bits_lsb(&bits), a + b, "{a} + {b}");
             }
         }
-    }
-
-    #[test]
-    fn serial_subtraction_exhaustive_6bit() {
-        for a in -32i64..32 {
-            for b in -32i64..32 {
-                let mut sub = BitSerialSubtractor::new();
-                let bits: Vec<bool> = (0..8)
-                    .map(|i| {
-                        sub.step(
-                            crate::bits::stream_bit(a, 8, i),
-                            crate::bits::stream_bit(b, 8, i),
-                        )
-                    })
-                    .collect();
-                assert_eq!(from_bits_lsb(&bits), a - b, "{a} - {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn adder_reset_clears_state() {
-        let mut adder = BitSerialAdder::new();
-        adder.step(true, true); // sets carry
-        assert!(adder.carry());
-        adder.reset();
-        assert!(!adder.carry());
-    }
-
-    #[test]
-    fn shift_register_delays_by_depth() {
-        let mut sr = ShiftRegister::new(3);
-        let input = to_bits_lsb(0b10110, 5);
-        let mut out = Vec::new();
-        for &b in &input {
-            out.push(sr.shift(b));
-        }
-        // First three outputs are the zero initialization.
-        assert_eq!(out[..3], [false, false, false]);
-        assert_eq!(out[3..], input[..2]);
-        assert_eq!(sr.depth(), 3);
-    }
-
-    #[test]
-    fn shift_register_snapshot_order() {
-        let mut sr = ShiftRegister::new(4);
-        for &b in &[true, false, true, true] {
-            sr.shift(b);
-        }
-        assert_eq!(sr.snapshot(), vec![true, false, true, true]);
-    }
-
-    #[test]
-    #[should_panic(expected = "depth")]
-    fn zero_depth_shift_register_panics() {
-        ShiftRegister::new(0);
     }
 }

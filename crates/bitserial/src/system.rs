@@ -14,7 +14,7 @@
 //! 4. **Store** — result words move back to SRAM, `ports` words per cycle.
 
 use crate::builder::BuiltCircuit;
-use crate::sim::run_vecmat;
+use crate::sim::run_lockstep_into_flat;
 use smm_core::error::{Error, Result};
 
 /// A word-addressable scratchpad SRAM.
@@ -172,8 +172,9 @@ impl SmmSystem {
     }
 
     /// Executes one memory-to-memory product: reads the input vector from
-    /// SRAM, streams it through the cycle-accurate circuit, writes the
-    /// outputs back, and returns the cycle breakdown.
+    /// SRAM, streams it through the cycle-accurate circuit (a one-frame
+    /// lockstep block), writes the outputs back, and returns the cycle
+    /// breakdown.
     ///
     /// Fails if any staged input word exceeds the signed input width.
     pub fn run(&mut self) -> Result<SystemRun> {
@@ -192,8 +193,16 @@ impl SmmSystem {
             }
             input.push(word as i32);
         }
-        let outputs = run_vecmat(&self.circuit, &input, self.input_bits, self.out_width);
-        for (c, &o) in outputs.iter().enumerate().take(cols) {
+        let mut outputs = vec![0; cols];
+        run_lockstep_into_flat(
+            &self.circuit,
+            &input,
+            self.input_bits,
+            self.out_width,
+            &mut outputs,
+            |_| {},
+        );
+        for (c, &o) in outputs.iter().enumerate() {
             self.sram.write(self.config.output_base + c, o);
         }
         Ok(self.predicted_cycles())

@@ -1,10 +1,14 @@
 //! VCD (Value Change Dump) waveform tracing of circuit simulations, for
 //! inspecting small circuits in GTKWave-style viewers and for debugging
 //! the builder's timing (anchors, chain shifts, frame masks).
+//!
+//! A trace is the ordinary lockstep run of one frame
+//! ([`crate::sim::run_lockstep_into_flat`]) with an observer that writes
+//! lane 0's changed nodes after every clock edge.
 
 use crate::builder::BuiltCircuit;
 use crate::netlist::NodeKind;
-use crate::sim::Simulator;
+use crate::sim::run_lockstep_into_flat;
 use std::fmt::Write as _;
 
 /// A VCD identifier code: printable ASCII `!`..`~`, extended to multiple
@@ -46,10 +50,11 @@ pub fn trace_vecmat(
     out_width: u32,
 ) -> (Vec<i64>, String) {
     let net = &circuit.netlist;
-    let rows = net.num_rows();
-    assert_eq!(input.len(), rows, "one input element per matrix row");
-    let anchor = u64::from(circuit.output_anchor);
-    let total_cycles = anchor + u64::from(out_width);
+    assert_eq!(
+        input.len(),
+        net.num_rows(),
+        "one input element per matrix row"
+    );
 
     let mut vcd = String::new();
     let _ = writeln!(vcd, "$version spatial-smm bit-serial trace $end");
@@ -66,51 +71,23 @@ pub fn trace_vecmat(
     let _ = writeln!(vcd, "$upscope $end");
     let _ = writeln!(vcd, "$enddefinitions $end");
 
-    let mut sim = Simulator::new(net);
     let mut last: Vec<Option<bool>> = vec![None; net.len()];
-    let mut bits = vec![false; rows];
-    let outputs = net.outputs();
-    let mut captured: Vec<Vec<bool>> = vec![Vec::new(); outputs.len()];
-
-    for t in 0..total_cycles {
-        for (r, &a) in input.iter().enumerate() {
-            bits[r] = crate::bits::stream_bit(i64::from(a), input_bits, t.min(u64::from(u32::MAX)) as u32);
-        }
-        sim.step(&bits);
+    let mut outputs = vec![0; net.num_outputs()];
+    run_lockstep_into_flat(circuit, input, input_bits, out_width, &mut outputs, |sim| {
         let mut changes = String::new();
         for (i, slot) in last.iter_mut().enumerate() {
-            let v = sim.value(net.node_id(i));
+            let v = sim.value(net.node_id(i)) & 1 == 1;
             if *slot != Some(v) {
                 let _ = writeln!(changes, "{}{}", u8::from(v), vcd_id(i));
                 *slot = Some(v);
             }
         }
         if !changes.is_empty() {
-            let _ = writeln!(vcd, "#{}", t + 1);
+            let _ = writeln!(vcd, "#{}", sim.cycle());
             vcd.push_str(&changes);
         }
-        let now = t + 1;
-        if now >= anchor && now < anchor + u64::from(out_width) {
-            for (col, out) in outputs.iter().enumerate() {
-                if let Some(id) = out {
-                    captured[col].push(sim.value(*id));
-                }
-            }
-        }
-    }
-
-    let decoded = captured
-        .into_iter()
-        .enumerate()
-        .map(|(col, bits)| {
-            if outputs[col].is_some() {
-                crate::bits::from_bits_lsb(&bits)
-            } else {
-                0
-            }
-        })
-        .collect();
-    (decoded, vcd)
+    });
+    (outputs, vcd)
 }
 
 #[cfg(test)]

@@ -3,17 +3,25 @@
 
 use proptest::prelude::*;
 use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
+use smm_core::block::FrameBlock;
 use smm_core::csd::ChainPolicy;
 use smm_core::gemv::vecmat;
 use smm_core::generate::{bit_sparse_matrix, element_sparse_matrix, random_vector};
+use smm_core::matrix::IntMatrix;
 use smm_core::rng::seeded;
 use smm_core::signsplit::split_pn;
+
+/// Block sizes on either side of the 64-lane word boundaries.
+const FRAME_COUNTS: [usize; 6] = [1, 2, 63, 64, 65, 129];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The simulated circuit equals the reference product for arbitrary
-    /// shapes, sparsities, weight widths, input widths and encodings.
+    /// shapes, sparsities, weight widths, input widths and both
+    /// encodings, whichever way it runs: one `mul`, a lockstep block
+    /// (`run_frames_block`) and the framed back-to-back stream
+    /// (`mul_batch_streamed`), across the 64-lane word boundaries.
     #[test]
     fn circuit_equals_reference(
         seed in any::<u64>(),
@@ -22,18 +30,30 @@ proptest! {
         weight_bits in 1u32..9,
         input_bits in 2u32..9,
         sparsity in 0.0f64..1.0,
-        use_csd in any::<bool>(),
+        pick in 0usize..FRAME_COUNTS.len(),
     ) {
+        let frames = FRAME_COUNTS[pick];
         let mut rng = seeded(seed);
         let v = element_sparse_matrix(rows, cols, weight_bits, sparsity, true, &mut rng).unwrap();
-        let a = random_vector(rows, input_bits, true, &mut rng).unwrap();
-        let encoding = if use_csd {
-            WeightEncoding::Csd { policy: ChainPolicy::CoinFlip, seed }
-        } else {
-            WeightEncoding::Pn
-        };
-        let mul = FixedMatrixMultiplier::compile(&v, input_bits, encoding).unwrap();
-        prop_assert_eq!(mul.mul(&a).unwrap(), vecmat(&a, &v).unwrap());
+        let data: Vec<i32> = (0..frames)
+            .flat_map(|_| random_vector(rows, input_bits, true, &mut rng).unwrap())
+            .collect();
+        let batch = IntMatrix::from_vec(frames, rows, data.clone()).unwrap();
+        let block = FrameBlock::from_vec(frames, rows, data).unwrap();
+        let expect: Vec<Vec<i64>> =
+            (0..frames).map(|f| vecmat(batch.row(f), &v).unwrap()).collect();
+        for encoding in [WeightEncoding::Pn, WeightEncoding::Csd { policy: ChainPolicy::CoinFlip, seed }] {
+            let mul = FixedMatrixMultiplier::compile(&v, input_bits, encoding).unwrap();
+            prop_assert_eq!(&mul.mul(batch.row(0)).unwrap(), &expect[0], "{:?}", encoding);
+            let mut lockstep = vec![-1; frames * cols];
+            mul.run_frames_block(&block, 0, frames, &mut lockstep).unwrap();
+            let streamed = mul.mul_batch_streamed(&batch).unwrap();
+            for (f, want) in expect.iter().enumerate() {
+                prop_assert_eq!(&lockstep[f * cols..(f + 1) * cols], want.as_slice(),
+                    "lockstep frame {} of {}, {:?}", f, frames, encoding);
+                prop_assert_eq!(&streamed[f], want, "streamed frame {} of {}, {:?}", f, frames, encoding);
+            }
+        }
     }
 
     /// Same equivalence for the bit-sparse (unsigned) generator used by the
@@ -75,20 +95,21 @@ proptest! {
 
     /// Output anchor (pipeline fill) never depends on sparsity, only on the
     /// row count — the paper's "latency in cycles does not depend on
-    /// sparsity". (Equation 5 additionally charges the nominal operand
-    /// widths, which are sparsity-independent by definition.)
+    /// sparsity". With one full-magnitude weight pinned in each matrix,
+    /// both realize the same weight width, so Equation 5 and the exact
+    /// latency agree between them too.
     #[test]
     fn anchor_independent_of_sparsity(seed in any::<u64>(), rows in 2usize..40) {
         let mut rng = seeded(seed);
-        let dense = element_sparse_matrix(rows, 8, 8, 0.0, true, &mut rng).unwrap();
-        let sparse = element_sparse_matrix(rows, 8, 8, 0.95, true, &mut rng).unwrap();
+        let mut dense = element_sparse_matrix(rows, 8, 8, 0.0, true, &mut rng).unwrap();
+        let mut sparse = element_sparse_matrix(rows, 8, 8, 0.95, true, &mut rng).unwrap();
+        dense.set(0, 0, -128);
+        sparse.set(0, 0, -128);
         let md = FixedMatrixMultiplier::compile(&dense, 8, WeightEncoding::Pn).unwrap();
         let ms = FixedMatrixMultiplier::compile(&sparse, 8, WeightEncoding::Pn).unwrap();
         prop_assert_eq!(md.circuit().output_anchor, ms.circuit().output_anchor);
-        prop_assert_eq!(
-            smm_bitserial::latency::equation5(8, 8, rows),
-            smm_bitserial::latency::equation5(8, 8, rows)
-        );
+        prop_assert_eq!(md.paper_latency_cycles(), ms.paper_latency_cycles());
+        prop_assert_eq!(md.exact_latency_cycles(), ms.exact_latency_cycles());
     }
 }
 

@@ -40,7 +40,8 @@ fn build(fault: Fault) -> Netlist {
     net
 }
 
-/// Runs the hand-built circuit on inputs (a, b) and decodes 12 output bits.
+/// Runs the hand-built circuit on inputs (a, b) in lane 0 and decodes 12
+/// output bits.
 fn run(net: &Netlist, a: i64, b: i64) -> i64 {
     let mut sim = Simulator::new(net);
     let anchor = 3; // adder level + chain dff + output dff
@@ -48,11 +49,11 @@ fn run(net: &Netlist, a: i64, b: i64) -> i64 {
     let mut bits = Vec::new();
     for t in 0..(anchor + width) {
         sim.step(&[
-            stream_bit(a, 8, t as u32),
-            stream_bit(b, 8, t as u32),
+            u64::from(stream_bit(a, 8, t as u32)),
+            u64::from(stream_bit(b, 8, t as u32)),
         ]);
         if t + 1 >= anchor && (t + 1) < anchor + width {
-            bits.push(sim.value(net.outputs()[0].unwrap()));
+            bits.push(sim.value(net.outputs()[0].unwrap()) & 1 == 1);
         }
     }
     from_bits_lsb(&bits)
