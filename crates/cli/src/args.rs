@@ -30,20 +30,42 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Option keys that take a value.
-const VALUED: &[&str] = &[
-    "seed", "dim", "rows", "cols", "sparsity", "bits", "input-bits", "input", "output",
-    "vector", "batch", "module", "policy", "backend", "threads", "repeat", "addr",
-    "clients", "duration", "queue-depth", "metrics-addr", "json",
-    "store-dir", "max-warm", "max-matrices",
-];
+/// The options of every command that resolves a matrix
+/// ([`crate::matrix_source::resolve`]).
+const MATRIX: &[&str] = &["input", "dim", "rows", "cols", "sparsity", "bits", "seed"];
 
-/// The boolean flags. Anything else starting with `--` is refused, so a
-/// mistyped or retired switch cannot quietly run with the default.
+/// The options of every command that compiles a circuit.
+const CIRCUIT: &[&str] = &["input-bits", "policy", "csd"];
+
+/// The options that are bare flags; every other option takes a value.
 const FLAGS: &[&str] = &["csd"];
 
+/// The options each command reads, as groups, or `None` for no such
+/// command. Anything else starting with `--` is refused, so a mistyped,
+/// retired or misplaced switch cannot quietly run with the default.
+fn options_of(command: &str) -> Option<&'static [&'static [&'static str]]> {
+    Some(match command {
+        "synth" | "system" | "cgra" => &[MATRIX, CIRCUIT],
+        "mul" => &[MATRIX, CIRCUIT, &["vector"]],
+        "trace" => &[MATRIX, CIRCUIT, &["vector", "output"]],
+        "verilog" => &[MATRIX, CIRCUIT, &["module", "output"]],
+        "dot" => &[MATRIX, CIRCUIT, &["output"]],
+        "compare" | "stream" => &[MATRIX, CIRCUIT, &["batch"]],
+        "serve" => &[&[
+            "addr", "backend", "threads", "queue-depth", "duration", "metrics-addr",
+            "store-dir", "max-matrices", "max-warm",
+        ]],
+        "loadgen" => &[MATRIX, &["addr", "backend", "clients", "batch", "duration"]],
+        "stats" => &[&["addr"]],
+        "store" => &[MATRIX, &["store-dir"]],
+        "help" => &[],
+        _ => return None,
+    })
+}
+
 impl Args {
-    /// Parses raw arguments (without the program name).
+    /// Parses raw arguments (without the program name), refusing an
+    /// unknown command and any option the command does not read.
     pub fn parse(raw: &[String]) -> Result<Args, ParseError> {
         let mut args = Args::default();
         let mut it = raw.iter().peekable();
@@ -52,6 +74,9 @@ impl Args {
             Some(other) => return Err(ParseError(format!("expected a subcommand, got {other}"))),
             None => return Err(ParseError("missing subcommand".into())),
         }
+        let Some(groups) = options_of(&args.command) else {
+            return Err(ParseError(format!("unknown command '{}'", args.command)));
+        };
         while let Some(arg) = it.next() {
             let Some(key) = arg.strip_prefix("--") else {
                 if args.command == "store" && args.action.is_none() {
@@ -60,17 +85,21 @@ impl Args {
                 }
                 return Err(ParseError(format!("unexpected positional argument: {arg}")));
             };
-            if VALUED.contains(&key) {
-                let value = it
-                    .next()
-                    .ok_or_else(|| ParseError(format!("--{key} needs a value")))?;
-                if args.options.insert(key.to_string(), value.clone()).is_some() {
-                    return Err(ParseError(format!("--{key} given twice")));
-                }
-            } else if FLAGS.contains(&key) {
+            if !groups.iter().any(|group| group.contains(&key)) {
+                return Err(ParseError(format!(
+                    "unknown option --{key} for smm {}",
+                    args.command
+                )));
+            }
+            if FLAGS.contains(&key) {
                 args.flags.push(key.to_string());
-            } else {
-                return Err(ParseError(format!("unknown option --{key}")));
+                continue;
+            }
+            let value = it
+                .next()
+                .ok_or_else(|| ParseError(format!("--{key} needs a value")))?;
+            if args.options.insert(key.to_string(), value.clone()).is_some() {
+                return Err(ParseError(format!("--{key} given twice")));
             }
         }
         Ok(args)
@@ -121,12 +150,34 @@ mod tests {
     fn unknown_options_are_errors_that_name_them() {
         // A mistyped flag must not run with the default encoding.
         let e = parse(&["synth", "--cds"]).unwrap_err();
-        assert_eq!(e.0, "unknown option --cds");
+        assert_eq!(e.0, "unknown option --cds for smm synth");
         // A retired valued option is named itself, not its value (spelt
         // in halves: a grep for the retired name must find nothing).
         let retired = concat!("--bench", "-json");
         let e = parse(&["loadgen", retired, "F"]).unwrap_err();
-        assert_eq!(e.0, format!("unknown option {retired}"));
+        assert_eq!(e.0, format!("unknown option {retired} for smm loadgen"));
+    }
+
+    #[test]
+    fn options_of_another_command_are_refused() {
+        // Each is a real option of some command, so only the per-command
+        // table can refuse it; before, each ran with the option dropped.
+        for words in [
+            &["serve", "--clients", "4"][..],
+            &["serve", "--csd"],
+            &["serve", "--input-bits", "12"],
+            &["loadgen", "--json", "F"],
+            &["loadgen", "--queue-depth", "1"],
+            &["synth", "--addr", "x"],
+        ] {
+            let e = parse(words).unwrap_err();
+            let (command, option) = (words[0], words[1]);
+            assert_eq!(e.0, format!("unknown option {option} for smm {command}"));
+        }
+        // The groups still reach every command that reads them.
+        assert!(parse(&["stream", "--csd", "--input-bits", "6", "--seed", "3"]).is_ok());
+        assert!(parse(&["loadgen", "--dim", "8", "--batch", "2"]).is_ok());
+        assert!(parse(&["store", "warm", "--store-dir", "d", "--dim", "8"]).is_ok());
     }
 
     #[test]

@@ -2,7 +2,11 @@
 //!
 //! The command-line face of the reproduction: synthesize a fixed sparse
 //! matrix, simulate products through it, export Verilog/DOT, and compare
-//! against the GPU/SIGMA baselines — all from one binary.
+//! against the GPU/SIGMA baselines — all from one binary. Nine circuit
+//! commands ([`commands::circuit`]) compile one matrix and read the
+//! models; four serving commands ([`commands::serving`]) run, drive,
+//! read and maintain the TCP server. Each command refuses every option
+//! it does not read.
 //!
 //! ```text
 //! smm synth    [--dim N | --input F.mtx] [--sparsity P] [--bits B] [--seed S] [--csd]
@@ -14,12 +18,10 @@
 //! smm trace    [matrix opts] [--vector "..."] [--output F.vcd]  # VCD of one product
 //! smm system   [matrix opts]                            # via the SRAM wrapper
 //! smm cgra     [matrix opts]                            # Section VIII device estimate
-//! smm throughput [matrix opts] [--backend B] [--threads N] [--batch B]
 //! smm serve    [--addr A] [--backend B] [--threads N] [--queue-depth Q] [--duration S]
-//!              [--metrics-addr M]
+//!              [--metrics-addr M] [--store-dir DIR]
 //! smm loadgen  [matrix opts] [--addr A] [--clients C] [--batch B] [--duration S]
-//!              [--json F]
-//! smm stats    [--addr A]                               # per-stage latency table
+//! smm stats    [--addr A]                               # the server's whole snapshot
 //! smm store    [ls|gc|warm] --store-dir DIR             # persistent matrix fleet
 //! ```
 
@@ -46,31 +48,33 @@ commands:
   trace     VCD waveform dump of one product (small circuits)
   system    memory-to-memory product through the SRAM wrapper
   cgra      Section VIII CGRA estimate (density, swap time)
-  throughput  serve batches via a runtime session (checked)
   serve     run the TCP serving frontend (wire protocol on --addr)
   loadgen   hammer a running server with self-checking clients
-  stats     print a running server's counters and per-stage latencies
+  stats     print a running server's counters, fleet and per-stage latencies
   store     list, garbage-collect, or pre-warm a persistent matrix store
 
-matrix options (all commands):
+Each command refuses any option it does not read.
+
+matrix options (circuit commands, loadgen, store warm):
   --input FILE      MatrixMarket .mtx or dense text file
   --dim N           square dimension for a generated matrix (default 64)
   --rows N --cols N rectangular generation
   --sparsity P      element sparsity in [0,1] (default 0.9)
   --bits B          signed weight bits (default 8)
   --seed S          generator seed (default 42)
-  --csd             compile with canonical-signed-digit weights
+
+circuit options (synth through cgra):
   --input-bits B    signed input operand bits (default 8)
+  --csd             compile with canonical-signed-digit weights
+  --policy P        CSD chain policy: coinflip (default), always, never
 
 command-specific:
   mul:      --vector \"v0 v1 ...\"  (defaults to all ones)
   verilog:  --module NAME  --output FILE
   dot:      --output FILE
   compare:  --batch B  (default 1)
-  throughput: --backend auto|dense|csr|bitserial|sigma  (default bitserial;
-              auto plans from the matrix: ns per frame from rows, cols, nnz)
-              --threads N  most shards per batch (default 0 = one per core)
-              --batch B    (default 64)   --repeat R  (default 3)
+  stream:   --batch B  (default 4)
+  trace:    --vector \"v0 v1 ...\"  --output FILE
   serve:    --addr A          (default 127.0.0.1:7878; port 0 = auto)
             --backend auto|dense|csr|bitserial|sigma  (default csr; auto
                               plans per loaded matrix)
@@ -92,11 +96,12 @@ command-specific:
             --clients C       concurrent connections (default 4)
             --batch B         vectors per request (default 16)
             --duration S      seconds of traffic (default 2)
-            --json F          write the machine-readable self-check report to F
-            plus matrix opts: the loadgen uploads this matrix, then
-            verifies every reply against the dense reference
+            plus matrix opts: the loadgen uploads this matrix, sends 8-bit
+            frames, and verifies every reply against the dense reference;
+            it exits non-zero on a mismatch, an error or no reply at all
   stats:    --addr A          (default 127.0.0.1:7878); prints request totals,
-                              cache behavior, and the per-stage latency table
+                              cache, fleet, and the per-stage latency table
+                              (serve prints the same at shutdown)
   store:    ls (default)      list resident digests, kinds, and bytes
             gc                remove files that fail digest/CRC validation
             warm              persist a matrix (matrix opts) into the store
@@ -114,19 +119,18 @@ pub fn run(raw_args: &[String], out: &mut impl std::io::Write) -> Result<(), Str
         "dot" => commands::dot(&args, out),
         "compare" => commands::compare(&args, out),
         "stream" => commands::stream(&args, out),
-        "throughput" => commands::throughput(&args, out),
-        "serve" => commands::serve(&args, out),
-        "loadgen" => commands::loadgen(&args, out),
-        "stats" => commands::stats(&args, out),
         "trace" => commands::trace(&args, out),
         "system" => commands::system(&args, out),
         "cgra" => commands::cgra(&args, out),
+        "serve" => commands::serve(&args, out),
+        "loadgen" => commands::loadgen(&args, out),
+        "stats" => commands::stats(&args, out),
         "store" => commands::store(&args, out),
-        "help" | "--help" | "-h" => {
+        "help" => {
             let _ = writeln!(out, "{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'\n\n{USAGE}")),
+        other => unreachable!("Args::parse admitted unknown command '{other}'"),
     }
 }
 
@@ -152,8 +156,11 @@ mod tests {
         let e = run_str(&["frobnicate"]).unwrap_err();
         assert!(e.contains("unknown command"));
         // A retired subcommand is an unknown one, answered with the usage.
-        let e = run_str(&["tidy"]).unwrap_err();
-        assert!(e.contains("unknown command 'tidy'") && e.contains("usage: smm"), "{e}");
+        for retired in ["tidy", "throughput"] {
+            let e = run_str(&[retired, "--dim", "8"]).unwrap_err();
+            let named = format!("unknown command '{retired}'");
+            assert!(e.contains(&named) && e.contains("usage: smm"), "{e}");
+        }
     }
 
     #[test]

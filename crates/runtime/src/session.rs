@@ -1,8 +1,8 @@
 //! The serving session: one matrix, one planned engine, one front door.
 //!
 //! A [`Session`] is the unit every entry point in the repo serves
-//! through — the CLI's `throughput`/`serve`/`loadgen`, the TCP server's
-//! per-matrix state, the examples, and the tests. It is a value: the
+//! through — the TCP server's per-matrix state (and so the CLI's
+//! `serve`), the examples, the benchmark, and the tests. It is a value: the
 //! plan, a handle to the engine [`spec::build`] made for it, and the
 //! shared [`MultiplierCache`]. It counts nothing — whoever serves
 //! through it counts what it served, as the TCP server does in its

@@ -27,7 +27,8 @@
 //! * [`client`] — the blocking [`Client`] used by tests, examples, and
 //!   the load generator;
 //! * [`loadgen`] — a multi-client load generator that verifies every
-//!   reply against the dense reference while measuring throughput.
+//!   reply against the dense reference while measuring client-side
+//!   throughput and latency (the server's own view is `Stats`).
 //!
 //! ## A round trip
 //!

@@ -7,12 +7,11 @@
 
 use crate::client::{Client, ServeError, ServeResult};
 use crate::metrics::LatencyHistogram;
-use crate::protocol::{BackendKind, StatsSnapshot};
+use crate::protocol::BackendKind;
 use smm_core::block::FrameBlock;
 use smm_core::gemv::vecmat;
 use smm_core::matrix::IntMatrix;
-use smm_telemetry::{stage_summaries, StageSummary};
-use std::fmt::Write as _;
+use smm_runtime::AutoOptions;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,8 +29,6 @@ pub struct LoadgenConfig {
     pub duration: Duration,
     /// The matrix to serve against (loaded by the loadgen itself).
     pub matrix: IntMatrix,
-    /// Input operand bit width for generated request vectors.
-    pub input_bits: u32,
     /// Base seed for request generation (each client derives its own
     /// stream).
     pub seed: u64,
@@ -45,12 +42,6 @@ pub struct LoadgenConfig {
 pub struct LoadgenReport {
     /// Client connections that ran.
     pub clients: usize,
-    /// Rows of the served matrix.
-    pub rows: usize,
-    /// Columns of the served matrix.
-    pub cols: usize,
-    /// Fraction of nonzero entries in the served matrix.
-    pub density: f64,
     /// Successful batch requests across all clients.
     pub requests: u64,
     /// Vectors served (and verified) across all clients.
@@ -69,9 +60,6 @@ pub struct LoadgenReport {
     pub p99_latency_ns: u64,
     /// Name of the engine the server planned for the matrix.
     pub engine: String,
-    /// The server's own metrics snapshot, fetched over the wire after
-    /// the run — cache hit rate and server-side p50/p99 in one struct.
-    pub server: StatsSnapshot,
 }
 
 impl LoadgenReport {
@@ -84,98 +72,6 @@ impl LoadgenReport {
             self.vectors as f64 / secs
         }
     }
-
-    /// Whether the run self-checked clean: every reply matched the
-    /// dense reference and no client died early.
-    pub fn clean(&self) -> bool {
-        self.mismatches == 0 && self.errors == 0
-    }
-
-    /// The server's per-stage latency summaries (stages with samples
-    /// only), from the post-run `Stats` snapshot.
-    pub fn stage_summaries(&self) -> Vec<StageSummary> {
-        stage_summaries(&self.server.stages)
-    }
-
-    /// The machine-readable self-check report behind `loadgen --json`:
-    /// run totals, client-observed latency, and the server's own
-    /// counters and per-stage summaries, as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n  \"schema\": \"smm-loadgen-v1\",\n  \"engine\": \"{}\",\n  \
-             \"ok\": {},\n  \"clients\": {},\n  \"rows\": {},\n  \"cols\": {},\n  \
-             \"density\": {:.3},\n  \"requests\": {},\n  \"vectors\": {},\n  \
-             \"vectors_per_sec\": {:.3},\n  \"busy_rejections\": {},\n  \
-             \"mismatches\": {},\n  \"errors\": {},\n  \"elapsed_ns\": {},\n  \
-             \"p50_latency_ns\": {},\n  \"p99_latency_ns\": {},\n  \"server\": {{\n    \
-             \"requests\": {},\n    \"rejected\": {},\n    \"errors\": {},\n    \
-             \"cache_hits\": {},\n    \"cache_misses\": {},\n    \
-             \"p50_latency_ns\": {},\n    \"p99_latency_ns\": {},\n    \"stages\": [",
-            json_escape(&self.engine),
-            self.clean(),
-            self.clients,
-            self.rows,
-            self.cols,
-            if self.density.is_finite() { self.density } else { 0.0 },
-            self.requests,
-            self.vectors,
-            if self.vectors_per_sec().is_finite() { self.vectors_per_sec() } else { 0.0 },
-            self.busy_rejections,
-            self.mismatches,
-            self.errors,
-            self.elapsed_ns,
-            self.p50_latency_ns,
-            self.p99_latency_ns,
-            self.server.requests,
-            self.server.rejected,
-            self.server.errors,
-            self.server.cache_hits,
-            self.server.cache_misses,
-            self.server.p50_latency_ns,
-            self.server.p99_latency_ns,
-        );
-        let stages = self.stage_summaries();
-        for (i, s) in stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n      {{ \"stage\": \"{}\", \"count\": {}, \"p50_ns\": {}, \"p99_ns\": {} }}",
-                json_escape(&s.stage),
-                s.count,
-                s.p50_ns,
-                s.p99_ns
-            );
-        }
-        if !stages.is_empty() {
-            out.push_str("\n    ");
-        }
-        out.push_str("]\n  }\n}\n");
-        out
-    }
-}
-
-/// Minimal JSON string escaping for the names embedded in the report
-/// (engine and stage names are plain ASCII in practice).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[derive(Default)]
@@ -201,10 +97,9 @@ pub fn run(config: &LoadgenConfig) -> ServeResult<LoadgenReport> {
     if config.batch == 0 {
         return Err(ServeError::Transport("loadgen needs --batch >= 1".into()));
     }
-    // Load (or find already loaded) the matrix before spawning traffic,
-    // keeping one client around to read the server's stats afterwards.
-    let mut control = Client::connect(config.addr.as_str())?;
-    let loaded = control.load_matrix_with(&config.matrix, config.backend)?;
+    // Load (or find already loaded) the matrix before spawning traffic.
+    let loaded =
+        Client::connect(config.addr.as_str())?.load_matrix_with(&config.matrix, config.backend)?;
     let digest = loaded.digest;
 
     let tally = Arc::new(Tally::default());
@@ -215,7 +110,6 @@ pub fn run(config: &LoadgenConfig) -> ServeResult<LoadgenReport> {
     for i in 0..config.clients {
         let addr = config.addr.clone();
         let matrix = config.matrix.clone();
-        let input_bits = config.input_bits;
         let batch = config.batch;
         let seed = config.seed;
         let tally = Arc::clone(&tally);
@@ -224,8 +118,7 @@ pub fn run(config: &LoadgenConfig) -> ServeResult<LoadgenReport> {
             .name(format!("smm-loadgen-{i}"))
             .spawn(move || {
                 client_loop(
-                    &addr, digest, &matrix, input_bits, batch, seed, i as u64, deadline,
-                    &tally, &latency,
+                    &addr, digest, &matrix, batch, seed, i as u64, deadline, &tally, &latency,
                 )
             })
             .map_err(|e| ServeError::Transport(format!("spawning loadgen client {i}: {e}")))?;
@@ -234,17 +127,8 @@ pub fn run(config: &LoadgenConfig) -> ServeResult<LoadgenReport> {
     for w in workers {
         let _ = w.join();
     }
-    let server = control.stats()?;
-    let cells = config.matrix.rows() * config.matrix.cols();
     Ok(LoadgenReport {
         clients: config.clients,
-        rows: config.matrix.rows(),
-        cols: config.matrix.cols(),
-        density: if cells == 0 {
-            0.0
-        } else {
-            config.matrix.nnz() as f64 / cells as f64
-        },
         requests: tally.requests.load(Ordering::Relaxed),
         vectors: tally.vectors.load(Ordering::Relaxed),
         busy_rejections: tally.busy.load(Ordering::Relaxed),
@@ -254,7 +138,6 @@ pub fn run(config: &LoadgenConfig) -> ServeResult<LoadgenReport> {
         p50_latency_ns: latency.quantile_ns(0.50),
         p99_latency_ns: latency.quantile_ns(0.99),
         engine: loaded.engine,
-        server,
     })
 }
 
@@ -266,7 +149,6 @@ fn client_loop(
     addr: &str,
     digest: u64,
     matrix: &IntMatrix,
-    input_bits: u32,
     batch: usize,
     seed: u64,
     stream_id: u64,
@@ -282,6 +164,9 @@ fn client_loop(
         }
     };
     let mut rng = smm_core::rng::derived(seed, stream_id.wrapping_add(1));
+    // Frames at the engines' default operand width, which every engine
+    // the server builds is compiled for.
+    let input_bits = AutoOptions::default().input_bits;
     // One flat request block, refilled in place every round.
     let mut frames = FrameBlock::with_capacity(matrix.rows(), batch);
     while Instant::now() < deadline {
@@ -329,12 +214,10 @@ fn client_loop(
 mod tests {
     use super::*;
 
-    fn sample_report() -> LoadgenReport {
-        LoadgenReport {
+    #[test]
+    fn report_rates() {
+        let report = LoadgenReport {
             clients: 2,
-            rows: 16,
-            cols: 12,
-            density: 0.5,
             requests: 10,
             vectors: 1000,
             busy_rejections: 3,
@@ -344,45 +227,13 @@ mod tests {
             p50_latency_ns: 1000,
             p99_latency_ns: 2000,
             engine: "csr".into(),
-            server: StatsSnapshot::default(),
-        }
-    }
-
-    #[test]
-    fn report_rates() {
-        let report = sample_report();
+        };
         assert!((report.vectors_per_sec() - 2000.0).abs() < 1e-9);
-        assert!(report.clean());
         let zero = LoadgenReport {
             elapsed_ns: 0,
             ..report
         };
         assert_eq!(zero.vectors_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn json_report_carries_the_self_check() {
-        use smm_telemetry::{Stage, StageStats};
-        let mut report = sample_report();
-        report.server.stages[Stage::Compute.idx()] = StageStats {
-            count: 10,
-            p50_ns: 3072,
-            p99_ns: 6144,
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"smm-loadgen-v1\""), "{json}");
-        assert!(json.contains("\"ok\": true"), "{json}");
-        assert!(json.contains("\"vectors_per_sec\": 2000.000"), "{json}");
-        assert!(
-            json.contains("\"stage\": \"compute\", \"count\": 10"),
-            "{json}"
-        );
-        let dirty = LoadgenReport {
-            mismatches: 1,
-            ..report
-        };
-        assert!(dirty.to_json().contains("\"ok\": false"));
-        assert!(!dirty.clean());
     }
 
     #[test]
@@ -393,7 +244,6 @@ mod tests {
             batch: 4,
             duration: Duration::from_millis(1),
             matrix: IntMatrix::identity(2).unwrap(),
-            input_bits: 8,
             seed: 1,
             backend: None,
         };

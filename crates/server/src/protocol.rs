@@ -382,35 +382,42 @@ impl StatsSnapshot {
         }
     }
 
-    fn fields(&self) -> [u64; 15] {
+    /// Every `u64` of the snapshot in wire order: the 15 request and
+    /// cache counters, three per stage, then the six fleet counters. The
+    /// one listing of the fields: `decode` fills it, `encode` reads it
+    /// off a copy.
+    fn wire_fields(&mut self) -> impl Iterator<Item = &mut u64> + '_ {
         [
-            self.requests,
-            self.rejected,
-            self.errors,
-            self.bytes_in,
-            self.bytes_out,
-            self.vectors,
-            self.batches,
-            self.matrices,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_entries,
-            self.cache_evictions,
-            self.latency_count,
-            self.p50_latency_ns,
-            self.p99_latency_ns,
+            &mut self.requests,
+            &mut self.rejected,
+            &mut self.errors,
+            &mut self.bytes_in,
+            &mut self.bytes_out,
+            &mut self.vectors,
+            &mut self.batches,
+            &mut self.matrices,
+            &mut self.cache_hits,
+            &mut self.cache_misses,
+            &mut self.cache_entries,
+            &mut self.cache_evictions,
+            &mut self.latency_count,
+            &mut self.p50_latency_ns,
+            &mut self.p99_latency_ns,
         ]
-    }
-
-    fn tier_fields(&self) -> [u64; 6] {
-        [
-            self.tier_hot,
-            self.tier_warm,
-            self.tier_cold,
-            self.store_promotions,
-            self.store_demotions,
-            self.store_hits,
-        ]
+        .into_iter()
+        .chain(
+            self.stages
+                .iter_mut()
+                .flat_map(|s| [&mut s.count, &mut s.p50_ns, &mut s.p99_ns]),
+        )
+        .chain([
+            &mut self.tier_hot,
+            &mut self.tier_warm,
+            &mut self.tier_cold,
+            &mut self.store_promotions,
+            &mut self.store_demotions,
+            &mut self.store_hits,
+        ])
     }
 
     /// The [`StageStats`] for one pipeline stage, by name.
@@ -421,57 +428,17 @@ impl StatsSnapshot {
     /// Serializes the snapshot: 15 `u64`s, the per-stage summary block
     /// (three `u64`s per stage), then the six-`u64` fleet tier block.
     pub fn encode(&self, buf: &mut Vec<u8>) {
-        for v in self.fields() {
-            wire::put_u64(buf, v);
-        }
-        for s in &self.stages {
-            wire::put_u64(buf, s.count);
-            wire::put_u64(buf, s.p50_ns);
-            wire::put_u64(buf, s.p99_ns);
-        }
-        for v in self.tier_fields() {
-            wire::put_u64(buf, v);
+        let mut copy = *self;
+        for v in copy.wire_fields() {
+            wire::put_u64(buf, *v);
         }
     }
 
     /// Decodes a snapshot.
     pub fn decode(c: &mut Cursor<'_>) -> Result<StatsSnapshot> {
         let mut s = StatsSnapshot::default();
-        let fields: [&mut u64; 15] = [
-            &mut s.requests,
-            &mut s.rejected,
-            &mut s.errors,
-            &mut s.bytes_in,
-            &mut s.bytes_out,
-            &mut s.vectors,
-            &mut s.batches,
-            &mut s.matrices,
-            &mut s.cache_hits,
-            &mut s.cache_misses,
-            &mut s.cache_entries,
-            &mut s.cache_evictions,
-            &mut s.latency_count,
-            &mut s.p50_latency_ns,
-            &mut s.p99_latency_ns,
-        ];
-        for f in fields {
+        for f in s.wire_fields() {
             *f = c.take_u64("stats field")?;
-        }
-        for stage in &mut s.stages {
-            stage.count = c.take_u64("stage count")?;
-            stage.p50_ns = c.take_u64("stage p50")?;
-            stage.p99_ns = c.take_u64("stage p99")?;
-        }
-        let tier: [&mut u64; 6] = [
-            &mut s.tier_hot,
-            &mut s.tier_warm,
-            &mut s.tier_cold,
-            &mut s.store_promotions,
-            &mut s.store_demotions,
-            &mut s.store_hits,
-        ];
-        for f in tier {
-            *f = c.take_u64("tier field")?;
         }
         Ok(s)
     }

@@ -22,7 +22,6 @@ use crate::protocol::{
     read_frame_idle_abort, write_frame, BackendKind, FrameError, LoadedInfo, Opcode, Reply,
     Request, StatsSnapshot, STATUS_CAPACITY, STATUS_ERROR, VERSION,
 };
-use smm_bitserial::multiplier::WeightEncoding;
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
 use smm_runtime::{
@@ -68,10 +67,6 @@ pub struct ServerConfig {
     /// capacity pressure demotes to disk instead of erroring. `None`
     /// (the default) keeps the fleet memory-only.
     pub store_dir: Option<String>,
-    /// Input operand width compiled into bit-serial circuits.
-    pub input_bits: u32,
-    /// Weight encoding compiled into bit-serial circuits.
-    pub encoding: WeightEncoding,
     /// Optional bind address for the Prometheus `/metrics` HTTP
     /// listener (port 0 picks a free port; see
     /// [`ServerHandle::metrics_addr`]). `None` (the default) serves no
@@ -88,8 +83,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             max_matrices: 64,
             max_warm: 256,
-            input_bits: 8,
-            encoding: WeightEncoding::Pn,
             metrics_addr: None,
             store_dir: None,
         }
@@ -222,21 +215,17 @@ impl Shared {
     }
 
     /// The plan policy for one load: the request's backend choice when
-    /// given, else the server-wide default.
+    /// given, else the server-wide default. Operand width and weight
+    /// encoding are the engine defaults (8-bit, `Pn`); only the shard
+    /// count is the server's.
     fn policy_for(&self, requested: Option<BackendKind>) -> PlanPolicy {
-        let config = &self.config;
-        match requested.unwrap_or(config.backend) {
+        let threads = self.config.threads;
+        match requested.unwrap_or(self.config.backend) {
             BackendKind::Auto => PlanPolicy::Auto(AutoOptions {
-                input_bits: config.input_bits,
-                encoding: config.encoding,
-                threads: config.threads,
+                threads,
+                ..AutoOptions::default()
             }),
-            explicit => PlanPolicy::Explicit(
-                EngineSpec::new(explicit.name())
-                    .input_bits(config.input_bits)
-                    .encoding(config.encoding)
-                    .threads(config.threads),
-            ),
+            explicit => PlanPolicy::Explicit(EngineSpec::new(explicit.name()).threads(threads)),
         }
     }
 
@@ -776,23 +765,23 @@ mod tests {
             open_connections: AtomicU64::new(0),
         };
         // No request choice: the server default, as an explicit spec
-        // carrying the server's options.
-        match shared.policy_for(None) {
-            PlanPolicy::Explicit(spec) => {
-                assert_eq!(spec.kind(), "csr");
-                assert_eq!(spec.threads, 3);
-            }
-            other => panic!("unexpected policy {other:?}"),
-        }
+        // with the engine defaults and the server's shard count.
+        assert_eq!(
+            shared.policy_for(None),
+            PlanPolicy::Explicit(EngineSpec::new("csr").threads(3))
+        );
         // A request choice overrides the default.
-        match shared.policy_for(Some(BackendKind::BitSerial)) {
-            PlanPolicy::Explicit(spec) => assert_eq!(spec.kind(), "bitserial"),
-            other => panic!("unexpected policy {other:?}"),
-        }
-        assert!(matches!(
+        assert_eq!(
+            shared.policy_for(Some(BackendKind::BitSerial)),
+            PlanPolicy::Explicit(EngineSpec::new("bitserial").threads(3))
+        );
+        assert_eq!(
             shared.policy_for(Some(BackendKind::Auto)),
-            PlanPolicy::Auto(AutoOptions { threads: 3, .. })
-        ));
+            PlanPolicy::Auto(AutoOptions {
+                threads: 3,
+                ..AutoOptions::default()
+            })
+        );
     }
 
     #[test]

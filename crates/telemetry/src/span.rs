@@ -107,7 +107,7 @@ pub struct StageStats {
 }
 
 /// One recorded stage's latency summary under its stable name, as
-/// printed in stage tables and carried in `loadgen --json`.
+/// printed in stage tables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageSummary {
     /// Stage name (one of the [`Stage::name`] values).

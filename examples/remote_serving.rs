@@ -83,7 +83,6 @@ fn main() {
         batch: 8,
         duration: Duration::from_millis(500),
         matrix: v,
-        input_bits: 8,
         seed: 11,
         backend: None, // already loaded; the bit-serial session serves
     })
@@ -100,11 +99,6 @@ fn main() {
         report.p50_latency_ns as f64 / 1e3,
         report.p99_latency_ns as f64 / 1e3,
         report.busy_rejections,
-    );
-    println!(
-        "loadgen's one-struct server view: cache {:.0}% hits, p99 {:.1} µs",
-        100.0 * report.server.cache_hit_rate(),
-        report.server.p99_latency_ns as f64 / 1e3,
     );
 
     // -- 5. A second matrix on the SIGMA-modelled engine -----------------

@@ -83,7 +83,7 @@
 //! See `examples/throughput_serving.rs` (in-process),
 //! `examples/remote_serving.rs` (over TCP),
 //! `examples/fleet_persistence.rs` (restart without recompiling), and
-//! the CLI's `throughput`, `serve`, `loadgen`, and `store` subcommands
+//! the CLI's `serve`, `loadgen`, `stats`, and `store` subcommands
 //! for end-to-end uses; the integer
 //! reservoir ([`reservoir::int_esn::IntEsn`]) can route its recurrent
 //! product through any [`Session::engine`].
