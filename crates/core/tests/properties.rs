@@ -105,7 +105,7 @@ proptest! {
         prop_assert_eq!(m.transpose().nnz(), m.nnz());
     }
 
-    /// The zero-folding digest is the byte-at-a-time FNV-1a digest: every
+    /// The run-skipping digest is the byte-at-a-time FNV-1a digest: every
     /// shape up to 40×40, from no zeros to all zeros, elements over the
     /// whole `i32` range (negative values carry 0xFF bytes, small ones
     /// carry zero bytes inside a non-zero element).
@@ -148,4 +148,30 @@ fn digest_matches_the_bytewise_reference_at_the_edges() {
     }
     // Zero *bytes* that are not zero elements fold nowhere.
     agree(&IntMatrix::from_vec(2, 2, vec![0x0100_0000, 0x0000_0100, 0x00FF_0000, 1]).unwrap());
+    // The digest reads 16-element non-zero masks and owes each run one
+    // power (a table up to 63, square-and-multiply past it): runs on
+    // either side of a chunk and table boundary, starting at every
+    // offset inside a chunk, between non-zeros whose bytes look like
+    // zeros or like all-ones.
+    let neighbours = [-1, 255, 256, i32::MIN];
+    for run in [15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129] {
+        for offset in 0..16 {
+            let before = neighbours[offset % 4];
+            let after = neighbours[(offset + run) % 4];
+            let mut data = vec![before; offset];
+            data.resize(offset + run, 0);
+            data.push(after);
+            data.extend([3, 0, after]);
+            agree(&IntMatrix::from_vec(1, data.len(), data.clone()).unwrap());
+            // The same run ending at the last element.
+            data.truncate(offset + run);
+            agree(&IntMatrix::from_vec(1, data.len(), data).unwrap());
+        }
+    }
+    // Dense and half-zero matrices at lengths around the chunk size,
+    // so every tail length is covered with and without a zero in it.
+    for len in (1..=50).chain([255, 257]) {
+        agree(&IntMatrix::from_fn(1, len, |_, c| neighbours[c % 4]).unwrap());
+        agree(&IntMatrix::from_fn(len, 1, |r, _| if r % 2 == 0 { 0 } else { neighbours[r % 4] }).unwrap());
+    }
 }

@@ -51,7 +51,7 @@
 //!
 //! Neither check walks its input a bit or a zero byte at a time:
 //! [`crc32`] is slice-by-8 over compile-time tables and the digest
-//! folds zero elements, each pinned to its serial reference
+//! multiplies each zero run in at once, each pinned to its serial reference
 //! ([`crc32_bitwise`], [`IntMatrix::digest_bytewise`]) — same bytes on
 //! disk, same values.
 //!

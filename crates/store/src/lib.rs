@@ -22,7 +22,7 @@
 //!   matrices — the one artifact a load persists — and for CSR
 //!   structures and compiled-circuit metadata, which older store
 //!   directories hold and no load writes any more. A matrix is verified once, by
-//!   the content digest it is filed under (zero-folding, so the pass
+//!   the content digest it is filed under (one multiply per zero run, so the pass
 //!   costs about what reading the file does); the CRC (table-driven,
 //!   slice-by-8) is still written for every kind and verified for the
 //!   kinds no digest covers.

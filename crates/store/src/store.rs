@@ -217,15 +217,20 @@ impl Store {
     }
 }
 
-/// Parses `<16 hex digits>.<kind>.smma` file names; anything else is
-/// not ours.
+/// Parses `<16 lowercase hex digits>.<kind>.smma` file names — exactly
+/// what [`Store::path_for`] writes; anything else (uppercase digits, a
+/// sign) is not ours, since no read would ever look for it.
 fn parse_file_name(name: &std::ffi::OsStr) -> Option<(u64, ArtifactKind)> {
     let name = name.to_str()?;
     let mut parts = name.split('.');
     let digest_part = parts.next()?;
     let kind_part = parts.next()?;
     let ext = parts.next()?;
-    if parts.next().is_some() || ext != "smma" || digest_part.len() != 16 {
+    if parts.next().is_some()
+        || ext != "smma"
+        || digest_part.len() != 16
+        || !digest_part.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+    {
         return None;
     }
     let digest = u64::from_str_radix(digest_part, 16).ok()?;
@@ -318,6 +323,37 @@ mod tests {
         assert!(report.reclaimed_bytes > 0);
         assert!(store.dir().join("README.txt").is_file());
         assert!(store.contains(digest, ArtifactKind::Matrix));
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn only_the_names_path_for_writes_are_artifacts() {
+        let store = temp_store();
+        let m = sample();
+        let digest = m.digest();
+        store.put(digest, &Artifact::Matrix(m)).unwrap();
+        // `from_str_radix` would read both of these as digests, but no
+        // `get` ever opens them: they are foreign files.
+        let valid = fs::read(store.path_for(digest, ArtifactKind::Matrix)).unwrap();
+        let foreign = ["00000000000000AB.matrix.smma", "+00000000000000a.matrix.smma"];
+        for name in foreign {
+            fs::write(store.dir().join(name), &valid).unwrap();
+        }
+        let entries = store.scan().unwrap();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].digest, digest);
+        let report = store.gc().unwrap();
+        assert_eq!((report.kept, report.removed), (1, 0));
+        for name in foreign {
+            assert!(store.dir().join(name).is_file(), "gc touched {name}");
+        }
+        // Every name `path_for` writes parses back to what it names.
+        for d in [0, 0xab, digest, u64::MAX] {
+            for kind in ArtifactKind::ALL {
+                let path = store.path_for(d, kind);
+                assert_eq!(parse_file_name(path.file_name().unwrap()), Some((d, kind)));
+            }
+        }
         let _ = fs::remove_dir_all(store.dir());
     }
 

@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 use smm_core::generate::element_sparse_matrix;
+use smm_core::matrix::IntMatrix;
 use smm_core::rng::seeded;
 use smm_core::wire::put_u32;
 use smm_sparse::Csr;
@@ -152,10 +153,27 @@ fn crc32_matches_the_bitwise_reference_on_a_mebibyte() {
 fn every_single_bit_flip_of_a_matrix_artifact_is_refused_or_harmless() {
     // Zeros included: the digest folds them, and a flip may create or
     // destroy one.
-    let m = smm_core::matrix::IntMatrix::from_vec(3, 4, vec![7, 0, -3, 0, 0, 0, 120, -128, 1, 0, 0, 5])
+    let m = IntMatrix::from_vec(3, 4, vec![7, 0, -3, 0, 0, 0, 120, -128, 1, 0, 0, 5])
         .unwrap();
+    flips_are_refused_or_harmless(&m);
+    // A run of 75 zeros: longer than the digest's 64-entry power table
+    // and across four of its 16-element chunk boundaries. A flip inside
+    // it splits the run the digest multiplies in at once.
+    let m = IntMatrix::from_fn(1, 80, |_, c| match c {
+        0 => -1,
+        3 => 256,
+        79 => 5,
+        _ => 0,
+    })
+    .unwrap();
+    flips_are_refused_or_harmless(&m);
+}
+
+/// Walks every single-bit flip of `m`'s matrix artifact: each is an
+/// `Err`, or lands in the unread CRC field and decodes to `m` unchanged.
+fn flips_are_refused_or_harmless(m: &IntMatrix) {
     let good = artifact::encode(m.digest(), &Artifact::Matrix(m.clone()));
-    let original = (m.digest(), Artifact::Matrix(m));
+    let original = (m.digest(), Artifact::Matrix(m.clone()));
     for (byte, flipped) in single_bit_flips(&good) {
         match artifact::decode(&flipped) {
             Ok(decoded) => {

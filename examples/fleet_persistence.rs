@@ -6,8 +6,8 @@
 //!
 //! 1. Start a server with a store directory; load a matrix and serve a
 //!    product. The load persisted one file under the directory — the
-//!    matrix, what a restart reads back — digest-addressed (zero-folding
-//!    FNV-1a): the digest a matrix is filed under is also the check its
+//!    matrix, what a restart reads back — digest-addressed (FNV-1a,
+//!    one multiply per zero run): the digest a matrix is filed under is also the check its
 //!    bytes must pass on the way back in.
 //! 2. Shut the server down and start a *new* one on the same directory.
 //!    The scan rediscovers the fleet as cold entries.
