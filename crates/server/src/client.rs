@@ -1,8 +1,8 @@
 //! The blocking client side of the wire protocol.
 
 use crate::protocol::{
-    read_frame, write_frame, BackendKind, FrameError, LoadedInfo, Opcode, Reply, Request,
-    StatsSnapshot, VERSION,
+    put_gemv, put_gemv_batch, BackendKind, Connection, FrameError, LoadedInfo, Opcode, Reply,
+    Request, StatsSnapshot,
 };
 use smm_core::block::{FrameBlock, RowBlock};
 use smm_core::matrix::IntMatrix;
@@ -56,10 +56,12 @@ pub type ServeResult<T> = std::result::Result<T, ServeError>;
 /// One request is in flight at a time (send, then wait for the echoed
 /// request id); open several clients for concurrency. All methods map a
 /// `Busy` reply to [`ServeError::Busy`] so callers can implement their
-/// own backoff.
+/// own backoff. Each request is built in, and each reply read into, one
+/// buffer the client keeps (`protocol` module docs, "One read and one
+/// write per frame").
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    conn: Connection<TcpStream>,
     next_id: u64,
 }
 
@@ -71,30 +73,43 @@ impl Client {
         stream
             .set_nodelay(true)
             .map_err(|e| ServeError::Transport(format!("setting nodelay: {e}")))?;
-        Ok(Client { stream, next_id: 1 })
+        Ok(Client {
+            conn: Connection::new(stream),
+            next_id: 1,
+        })
     }
 
     fn call(&mut self, request: &Request) -> ServeResult<Reply> {
-        self.call_raw(request.opcode(), &request.encode(VERSION))
+        self.call_with(request.opcode(), |buf| request.encode_into(buf))
     }
 
-    /// One round trip from an already-encoded payload — lets the batch
-    /// hot path serialize straight from borrowed data.
-    fn call_raw(&mut self, opcode: Opcode, payload: &[u8]) -> ServeResult<Reply> {
+    /// One round trip whose payload `encode` appends straight into the
+    /// connection's buffer — the hot paths serialize from borrowed data.
+    fn call_with(
+        &mut self,
+        opcode: Opcode,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> ServeResult<Reply> {
         let id = self.next_id;
         self.next_id += 1;
-        write_frame(&mut self.stream, VERSION, opcode as u8, id, payload)
+        encode(self.conn.start_frame(opcode as u8, id));
+        self.conn
+            .send(&|| true)
             .map_err(|e| ServeError::Transport(format!("sending request: {e}")))?;
-        let frame = read_frame(&mut self.stream)?;
-        if frame.request_id != id || frame.opcode != opcode as u8 {
+        let (header, reply) = self
+            .conn
+            .read_frame(&|| true, |header, payload| {
+                Reply::decode(header.version, opcode, payload)
+            })?
+            // Unreachable with a constant `keep_going`.
+            .ok_or_else(|| ServeError::Transport("idle abort while awaiting a reply".into()))?;
+        if header.request_id != id || header.opcode != opcode as u8 {
             return Err(ServeError::Transport(format!(
                 "reply for request {} opcode {} does not match request {id} opcode {}",
-                frame.request_id, frame.opcode, opcode as u8
+                header.request_id, header.opcode, opcode as u8
             )));
         }
-        let reply = Reply::decode(frame.version, opcode, &frame.payload)
-            .map_err(|e| ServeError::Transport(e.to_string()))?;
-        match reply {
+        match reply.map_err(|e| ServeError::Transport(e.to_string()))? {
             Reply::Busy => Err(ServeError::Busy),
             Reply::CapacityFull { loaded } => Err(ServeError::Capacity { loaded }),
             Reply::Error(message) => Err(ServeError::Remote(message)),
@@ -161,11 +176,7 @@ impl Client {
 
     /// One product `o = aᵀV` against the loaded matrix `digest`.
     pub fn gemv(&mut self, digest: u64, vector: &[i32]) -> ServeResult<Vec<i64>> {
-        let request = Request::Gemv {
-            digest,
-            vector: vector.to_vec(),
-        };
-        match self.call(&request)? {
+        match self.call_with(Opcode::Gemv, |buf| put_gemv(buf, digest, vector))? {
             Reply::Output(o) => Ok(o),
             _ => self.protocol_breach("gemv"),
         }
@@ -175,8 +186,7 @@ impl Client {
     /// in, one [`RowBlock`] of output rows back, in request order. The
     /// frames are serialized straight from the borrow — no clone.
     pub fn gemv_block(&mut self, digest: u64, frames: &FrameBlock) -> ServeResult<RowBlock> {
-        let payload = Request::encode_gemv_batch(digest, frames);
-        match self.call_raw(Opcode::GemvBatch, &payload)? {
+        match self.call_with(Opcode::GemvBatch, |buf| put_gemv_batch(buf, digest, frames))? {
             Reply::Outputs(rows) => {
                 if rows.rows() != frames.frames() {
                     return Err(ServeError::Transport(format!(

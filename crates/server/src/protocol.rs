@@ -21,6 +21,20 @@
 //! ([`MAX_FRAME_PAYLOAD`]) so a hostile peer cannot drive unbounded
 //! allocation.
 //!
+//! ## One read and one write per frame
+//!
+//! The server's sessions and [`crate::Client`] both speak through one
+//! connection type. Reads go through a [`BufReader`] at its default
+//! capacity, so a small frame's header and payload arrive in one `read`.
+//! The payload lands in a buffer the connection recycles, and that
+//! buffer grows only with bytes that have arrived: a header that claims
+//! 64 MiB and then stalls costs what was sent, not what was claimed. The
+//! next frame out is built in the same buffer: header first, then
+//! [`Request::encode_into`] / [`Reply::encode_into`] append the payload,
+//! the length is patched in, and one `write` sends it. Between frames a
+//! connection keeps at most [`MAX_RETAINED_BUFFER`] of it. [`read_frame`]
+//! and [`write_frame`] are the same code over any `Read` / `Write`.
+//!
 //! ## One layout per message
 //!
 //! Every client of this protocol lives in this repository and writes
@@ -37,7 +51,7 @@ use smm_core::io::{matrix_from_bytes, matrix_to_bytes};
 use smm_core::matrix::IntMatrix;
 use smm_core::wire::{self, Cursor};
 use smm_telemetry::{Stage, StageStats, STAGES};
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 
 /// Frame preamble: the protocol's on-wire signature.
 pub const MAGIC: [u8; 4] = *b"SMM1";
@@ -48,6 +62,11 @@ pub const HEADER_LEN: usize = 18;
 /// Upper bound on a frame payload; larger length prefixes are rejected
 /// before any allocation.
 pub const MAX_FRAME_PAYLOAD: usize = wire::MAX_WIRE_LEN;
+/// Most frame-buffer capacity a connection keeps from one frame to the
+/// next (its [`BufReader`]'s 8 KiB aside). A larger frame is served from
+/// a buffer that is freed once the frame is done. The reply to a
+/// 64-frame batch over 1024 columns (524 KB) fits.
+pub const MAX_RETAINED_BUFFER: usize = 1 << 20;
 
 /// Reply status byte: request served.
 pub const STATUS_OK: u8 = 0;
@@ -237,33 +256,29 @@ impl Request {
     /// layout; `_version` selects nothing.
     pub fn encode(&self, _version: u8) -> Vec<u8> {
         let mut buf = Vec::new();
-        match self {
-            Request::Ping | Request::Stats => {}
-            Request::LoadMatrix { matrix, backend } => {
-                wire::put_bytes(&mut buf, &matrix_to_bytes(matrix));
-                wire::put_u8(&mut buf, BackendKind::option_to_u8(*backend));
-            }
-            Request::Gemv { digest, vector } => {
-                wire::put_u64(&mut buf, *digest);
-                wire::put_i32_vec(&mut buf, vector);
-            }
-            Request::GemvBatch { digest, frames } => {
-                return Self::encode_gemv_batch(*digest, frames);
-            }
-        }
+        self.encode_into(&mut buf);
         buf
     }
 
-    /// Encodes a `GemvBatch` payload straight from a borrowed block —
-    /// the client's batch hot path serializes without cloning the
-    /// frames into an owned [`Request`].
-    pub fn encode_gemv_batch(digest: u64, frames: &FrameBlock) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(12 + frames.frames() * (4 + frames.width() * 4));
-        wire::put_u64(&mut buf, digest);
-        wire::put_u32(&mut buf, frames.frames() as u32);
-        for frame in frames.iter() {
-            wire::put_i32_vec(&mut buf, frame);
+    /// Appends the request payload to `buf` — how a connection builds
+    /// a frame in its own buffer, behind the header.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        match self {
+            Request::Ping | Request::Stats => {}
+            Request::LoadMatrix { matrix, backend } => {
+                wire::put_bytes(buf, &matrix_to_bytes(matrix));
+                wire::put_u8(buf, BackendKind::option_to_u8(*backend));
+            }
+            Request::Gemv { digest, vector } => put_gemv(buf, *digest, vector),
+            Request::GemvBatch { digest, frames } => put_gemv_batch(buf, *digest, frames),
         }
+    }
+
+    /// Encodes a `GemvBatch` payload straight from a borrowed block,
+    /// without cloning the frames into an owned [`Request`].
+    pub fn encode_gemv_batch(digest: u64, frames: &FrameBlock) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_gemv_batch(&mut buf, digest, frames);
         buf
     }
 
@@ -316,6 +331,23 @@ impl Request {
         };
         c.expect_end("request payload")?;
         Ok(request)
+    }
+}
+
+/// Appends a `Gemv` payload from a borrowed vector: the one encoder of
+/// that layout, shared by [`Request::encode_into`] and the client.
+pub(crate) fn put_gemv(buf: &mut Vec<u8>, digest: u64, vector: &[i32]) {
+    wire::put_u64(buf, digest);
+    wire::put_i32_vec(buf, vector);
+}
+
+/// Appends a `GemvBatch` payload from a borrowed block.
+pub(crate) fn put_gemv_batch(buf: &mut Vec<u8>, digest: u64, frames: &FrameBlock) {
+    buf.reserve(12 + frames.frames() * (4 + frames.width() * 4));
+    wire::put_u64(buf, digest);
+    wire::put_u32(buf, frames.frames() as u32);
+    for frame in frames.iter() {
+        wire::put_i32_vec(buf, frame);
     }
 }
 
@@ -493,43 +525,49 @@ impl Reply {
     /// is one layout; `_version` selects nothing.
     pub fn encode(&self, _version: u8) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the reply payload to `buf` — how a session builds its
+    /// reply frame in the connection's own buffer, behind the header.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
-            Reply::Busy => wire::put_u8(&mut buf, STATUS_BUSY),
+            Reply::Busy => wire::put_u8(buf, STATUS_BUSY),
             Reply::Error(message) => {
-                wire::put_u8(&mut buf, STATUS_ERROR);
-                wire::put_str(&mut buf, message);
+                wire::put_u8(buf, STATUS_ERROR);
+                wire::put_str(buf, message);
             }
             Reply::CapacityFull { loaded } => {
-                wire::put_u8(&mut buf, STATUS_CAPACITY);
-                wire::put_u64(&mut buf, *loaded);
+                wire::put_u8(buf, STATUS_CAPACITY);
+                wire::put_u64(buf, *loaded);
             }
-            Reply::Pong => wire::put_u8(&mut buf, STATUS_OK),
+            Reply::Pong => wire::put_u8(buf, STATUS_OK),
             Reply::Loaded(info) => {
-                wire::put_u8(&mut buf, STATUS_OK);
-                wire::put_u64(&mut buf, info.digest);
-                wire::put_u64(&mut buf, info.rows);
-                wire::put_u64(&mut buf, info.cols);
-                wire::put_u8(&mut buf, u8::from(info.already_loaded));
-                wire::put_str(&mut buf, &info.engine);
+                wire::put_u8(buf, STATUS_OK);
+                wire::put_u64(buf, info.digest);
+                wire::put_u64(buf, info.rows);
+                wire::put_u64(buf, info.cols);
+                wire::put_u8(buf, u8::from(info.already_loaded));
+                wire::put_str(buf, &info.engine);
             }
             Reply::Output(o) => {
-                wire::put_u8(&mut buf, STATUS_OK);
-                wire::put_i64_vec(&mut buf, o);
+                wire::put_u8(buf, STATUS_OK);
+                wire::put_i64_vec(buf, o);
             }
             Reply::Outputs(rows) => {
-                buf.reserve(5 + rows.rows() * (4 + rows.width() * 8));
-                wire::put_u8(&mut buf, STATUS_OK);
-                wire::put_u32(&mut buf, rows.rows() as u32);
+                buf.reserve(batch_reply_len(rows.rows(), rows.width()));
+                wire::put_u8(buf, STATUS_OK);
+                wire::put_u32(buf, rows.rows() as u32);
                 for o in rows.iter() {
-                    wire::put_i64_vec(&mut buf, o);
+                    wire::put_i64_vec(buf, o);
                 }
             }
             Reply::Stats(s) => {
-                wire::put_u8(&mut buf, STATUS_OK);
-                s.encode(&mut buf);
+                wire::put_u8(buf, STATUS_OK);
+                s.encode(buf);
             }
         }
-        buf
     }
 
     /// Decodes a reply payload; the body shape is determined by the
@@ -591,6 +629,15 @@ impl Reply {
     }
 }
 
+/// Payload bytes of a `GemvBatch` reply of `frames` rows of `cols`
+/// outputs: status and count, then one length-prefixed `i64` row each.
+pub(crate) fn batch_reply_len(frames: usize, cols: usize) -> usize {
+    cols.saturating_mul(8)
+        .saturating_add(4)
+        .saturating_mul(frames)
+        .saturating_add(5)
+}
+
 /// A raw frame off the wire: version, opcode byte, request id, payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
@@ -632,8 +679,8 @@ impl std::error::Error for FrameError {}
 
 /// Writes one frame under the given protocol version, returning the
 /// bytes put on the wire. An oversized payload is an
-/// [`io::ErrorKind::InvalidInput`] error, not a panic — the client hits
-/// this path with user-supplied matrices and batches.
+/// [`io::ErrorKind::InvalidInput`] error, not a panic, and nothing is
+/// written.
 pub fn write_frame(
     w: &mut impl Write,
     version: u8,
@@ -641,31 +688,73 @@ pub fn write_frame(
     request_id: u64,
     payload: &[u8],
 ) -> io::Result<u64> {
-    if payload.len() > MAX_FRAME_PAYLOAD {
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    put_header(&mut frame, version, opcode, request_id);
+    frame.extend_from_slice(payload);
+    seal_and_send(w, &mut frame, &|| true)
+}
+
+/// Appends a frame header with a zero length field, which
+/// [`seal_and_send`] patches once the payload behind it is appended.
+fn put_header(buf: &mut Vec<u8>, version: u8, opcode: u8, request_id: u64) {
+    buf.extend_from_slice(&MAGIC);
+    buf.push(version);
+    buf.push(opcode);
+    buf.extend_from_slice(&request_id.to_le_bytes());
+    buf.extend_from_slice(&[0; 4]);
+}
+
+/// Whether a socket error is its read or write timeout expiring.
+fn timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// Sends a frame built behind [`put_header`]: patches the payload
+/// length in, then writes every byte and returns how many. A payload
+/// over [`MAX_FRAME_PAYLOAD`] is an [`io::ErrorKind::InvalidInput`]
+/// error and nothing is written — the client hits this with
+/// user-supplied matrices and batches. A write timeout polls `keep_going`:
+/// partial progress keeps writing, and the write gives up only once
+/// `keep_going` turns false, so a peer that stopped reading cannot hold
+/// a draining server forever.
+fn seal_and_send(
+    w: &mut impl Write,
+    frame: &mut [u8],
+    keep_going: &dyn Fn() -> bool,
+) -> io::Result<u64> {
+    let len = frame.len().saturating_sub(HEADER_LEN);
+    if len > MAX_FRAME_PAYLOAD {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             format!(
-                "frame payload of {} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte wire limit; \
-                 split the request",
-                payload.len()
+                "frame payload of {len} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte wire limit; \
+                 split the request"
             ),
         ));
     }
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-    frame.extend_from_slice(&MAGIC);
-    frame.push(version);
-    frame.push(opcode);
-    frame.extend_from_slice(&request_id.to_le_bytes());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
+    if let Some(field) = frame.get_mut(HEADER_LEN - 4..HEADER_LEN) {
+        field.copy_from_slice(&(len as u32).to_le_bytes());
+    }
+    let mut rest: &[u8] = frame;
+    while !rest.is_empty() {
+        match w.write(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => rest = rest.get(n..).unwrap_or_default(),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if timed_out(&e) && keep_going() => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()?;
     Ok(frame.len() as u64)
 }
 
-/// How a [`read_full`] attempt ended.
+/// How a [`read_header`] attempt ended.
 enum Fill {
-    /// The buffer was filled.
+    /// The header was read.
     Done,
     /// `keep_going` turned false while no frame bytes had arrived.
     IdleAbort,
@@ -673,46 +762,28 @@ enum Fill {
     CleanEof,
 }
 
-/// Reads exactly `buf.len()` bytes, treating read timeouts as polls of
-/// `keep_going`. `allow_idle` marks a legal stopping point (the start of
-/// a frame): only there can EOF or an abort end the read cleanly — once
-/// a frame has started, a timeout keeps waiting unless `keep_going`
-/// fails, which becomes a hard [`FrameError::Malformed`] (the stream is
-/// mid-frame and cannot be resynchronized).
-fn read_full(
+/// Reads a frame header, treating read timeouts as polls of
+/// `keep_going`. Only before its first byte — a frame boundary — can
+/// EOF or an abort end the read cleanly; once a frame has started, a
+/// timeout keeps waiting unless `keep_going` fails, which becomes a hard
+/// [`FrameError::Malformed`] (the stream is mid-frame and cannot be
+/// resynchronized).
+fn read_header(
     r: &mut impl Read,
-    buf: &mut [u8],
-    allow_idle: bool,
+    buf: &mut [u8; HEADER_LEN],
     keep_going: &dyn Fn() -> bool,
 ) -> std::result::Result<Fill, FrameError> {
     let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 && allow_idle {
-                    Ok(Fill::CleanEof)
-                } else {
-                    Err(FrameError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "peer closed mid-frame",
-                    )))
-                }
-            }
+    while let Some(rest) = buf.get_mut(filled..).filter(|rest| !rest.is_empty()) {
+        match r.read(rest) {
+            Ok(0) if filled == 0 => return Ok(Fill::CleanEof),
+            Ok(0) => return Err(closed_mid_frame()),
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if !keep_going() {
-                    return if filled == 0 && allow_idle {
-                        Ok(Fill::IdleAbort)
-                    } else {
-                        Err(FrameError::Malformed("aborted mid-frame".into()))
-                    };
-                }
+            Err(e) if timed_out(&e) && keep_going() => {}
+            Err(e) if timed_out(&e) && filled == 0 => return Ok(Fill::IdleAbort),
+            Err(e) if timed_out(&e) => {
+                return Err(FrameError::Malformed("aborted mid-frame".into()))
             }
             Err(e) => return Err(FrameError::Io(e)),
         }
@@ -720,18 +791,67 @@ fn read_full(
     Ok(Fill::Done)
 }
 
-/// Reads one frame, blocking until it arrives, the peer closes
+fn closed_mid_frame() -> FrameError {
+    FrameError::Io(io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        "peer closed mid-frame",
+    ))
+}
+
+/// Appends a `len`-byte payload to `payload`, which grows only with the
+/// bytes that have arrived: `read_to_end` under a `take` limit reads
+/// into spare capacity and reserves by doubling, so a header that
+/// claims 64 MiB and then stalls holds what was sent, not what was
+/// claimed. The frame has started, so EOF is an error and a timeout
+/// with `keep_going` false is [`FrameError::Malformed`].
+fn read_payload(
+    r: &mut impl Read,
+    payload: &mut Vec<u8>,
+    len: usize,
+    keep_going: &dyn Fn() -> bool,
+) -> std::result::Result<(), FrameError> {
+    while payload.len() < len {
+        let missing = (len - payload.len()) as u64;
+        match r.by_ref().take(missing).read_to_end(payload) {
+            Ok(0) => return Err(closed_mid_frame()),
+            Ok(_) => {}
+            Err(e) if timed_out(&e) && keep_going() => {}
+            Err(e) if timed_out(&e) => {
+                return Err(FrameError::Malformed("aborted mid-frame".into()))
+            }
+            Err(e) => return Err(FrameError::Io(e)),
+        }
+    }
+    Ok(())
+}
+
+/// The fixed fields of a frame header that [`read_frame_into`] accepted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Header {
+    /// Always [`VERSION`].
+    pub(crate) version: u8,
+    /// Raw opcode byte (validated by [`Opcode::from_u8`] at decode time).
+    pub(crate) opcode: u8,
+    /// Caller-chosen id, echoed verbatim in the reply frame.
+    pub(crate) request_id: u64,
+    /// Payload bytes behind the header.
+    pub(crate) len: usize,
+}
+
+/// Reads one frame: the header, then the payload into `payload`
+/// (cleared first). Blocks until the frame arrives, the peer closes
 /// ([`FrameError::Closed`]), or — only while *between* frames —
 /// `keep_going` returns false during a socket read-timeout poll, which
-/// yields `Ok(None)`. Servers pair this with a short
+/// yields `Ok(None)`. Sessions pair this with a short
 /// [`std::net::TcpStream::set_read_timeout`] so idle sessions notice a
 /// shutdown promptly.
-pub fn read_frame_idle_abort(
+fn read_frame_into(
     r: &mut impl Read,
+    payload: &mut Vec<u8>,
     keep_going: &dyn Fn() -> bool,
-) -> std::result::Result<Option<Frame>, FrameError> {
+) -> std::result::Result<Option<Header>, FrameError> {
     let mut header = [0u8; HEADER_LEN];
-    match read_full(r, &mut header, true, keep_going)? {
+    match read_header(r, &mut header, keep_going)? {
         Fill::CleanEof => return Err(FrameError::Closed),
         Fill::IdleAbort => return Ok(None),
         Fill::Done => {}
@@ -761,33 +881,92 @@ pub fn read_frame_idle_abort(
             "payload length {len} exceeds {MAX_FRAME_PAYLOAD}"
         )));
     }
-    let mut payload = vec![0u8; len];
-    match read_full(r, &mut payload, false, keep_going)? {
-        Fill::Done => {}
-        // `read_full` only yields these at a frame boundary
-        // (`allow_idle`); mid-payload they would mean a torn frame, so
-        // drop the connection with a typed error either way.
-        Fill::CleanEof | Fill::IdleAbort => {
-            return Err(FrameError::Malformed("connection ended mid-payload".into()))
-        }
-    }
-    Ok(Some(Frame {
+    payload.clear();
+    read_payload(r, payload, len, keep_going)?;
+    Ok(Some(Header {
         version,
         opcode,
         request_id,
-        payload,
+        len,
     }))
 }
 
 /// Reads one frame, blocking until it arrives or the connection fails.
 pub fn read_frame(r: &mut impl Read) -> std::result::Result<Frame, FrameError> {
-    match read_frame_idle_abort(r, &|| true)? {
-        Some(frame) => Ok(frame),
+    let mut payload = Vec::new();
+    match read_frame_into(r, &mut payload, &|| true)? {
+        Some(header) => Ok(Frame {
+            version: header.version,
+            opcode: header.opcode,
+            request_id: header.request_id,
+            payload,
+        }),
         // Unreachable with a constant `keep_going`, but a typed error
         // keeps this path panic-free if that contract ever changes.
         None => Err(FrameError::Malformed(
             "idle abort despite a constant keep_going".into(),
         )),
+    }
+}
+
+/// One end of a connection, framed. Reads go through a [`BufReader`],
+/// and one buffer, recycled from frame to frame, holds each payload
+/// read and each frame built to send (module docs, "One read and one
+/// write per frame").
+#[derive(Debug)]
+pub(crate) struct Connection<S> {
+    reader: BufReader<S>,
+    buf: Vec<u8>,
+}
+
+impl<S: Read> Connection<S> {
+    pub(crate) fn new(stream: S) -> Self {
+        Self {
+            reader: BufReader::new(stream),
+            buf: Vec::new(),
+        }
+    }
+
+    /// Reads the next frame (see [`read_frame_into`]) and lends its
+    /// payload to `decode`; the buffer is recycled once `decode`
+    /// returns. `Ok(None)`: `keep_going` turned false between frames.
+    pub(crate) fn read_frame<T>(
+        &mut self,
+        keep_going: &dyn Fn() -> bool,
+        decode: impl FnOnce(Header, &[u8]) -> T,
+    ) -> std::result::Result<Option<(Header, T)>, FrameError> {
+        let Some(header) = read_frame_into(&mut self.reader, &mut self.buf, keep_going)? else {
+            return Ok(None);
+        };
+        let decoded = decode(header, &self.buf);
+        self.recycle();
+        Ok(Some((header, decoded)))
+    }
+
+    /// Starts the next frame out under [`VERSION`]: the buffer now holds
+    /// its header, and the payload goes on the end of what this returns.
+    pub(crate) fn start_frame(&mut self, opcode: u8, request_id: u64) -> &mut Vec<u8> {
+        self.buf.clear();
+        put_header(&mut self.buf, VERSION, opcode, request_id);
+        &mut self.buf
+    }
+
+    /// Between frames: a buffer grown past [`MAX_RETAINED_BUFFER`] is
+    /// freed rather than kept.
+    fn recycle(&mut self) {
+        if self.buf.capacity() > MAX_RETAINED_BUFFER {
+            self.buf = Vec::new();
+        }
+    }
+}
+
+impl<S: Read + Write> Connection<S> {
+    /// Sends the frame built since [`Connection::start_frame`] with
+    /// [`seal_and_send`], then recycles the buffer.
+    pub(crate) fn send(&mut self, keep_going: &dyn Fn() -> bool) -> io::Result<u64> {
+        let sent = seal_and_send(self.reader.get_mut(), &mut self.buf, keep_going);
+        self.recycle();
+        sent
     }
 }
 
@@ -950,6 +1129,83 @@ mod tests {
         )
         .unwrap();
         assert_eq!(back, req);
+    }
+
+    /// Back-to-back small frames through the session's own read path: the
+    /// buffered reader takes all three in one call to the stream beneath
+    /// it, and hands each frame over whole and in order.
+    #[test]
+    fn buffered_reads_take_back_to_back_frames_in_one_inner_read() {
+        struct Counting<'a> {
+            bytes: &'a [u8],
+            reads: usize,
+        }
+        impl Read for Counting<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.reads += 1;
+                self.bytes.read(buf)
+            }
+        }
+        let requests = [
+            (11, Request::Ping),
+            (
+                12,
+                Request::Gemv {
+                    digest: 7,
+                    vector: vec![1, -2, 3],
+                },
+            ),
+            (13, Request::Stats),
+        ];
+        let mut wire_bytes = Vec::new();
+        for (id, request) in &requests {
+            let (opcode, payload) = (request.opcode() as u8, request.encode(VERSION));
+            write_frame(&mut wire_bytes, VERSION, opcode, *id, &payload).unwrap();
+        }
+        let mut conn = Connection::new(Counting {
+            bytes: &wire_bytes,
+            reads: 0,
+        });
+        for (id, request) in &requests {
+            let (header, back) = conn
+                .read_frame(&|| true, |header, payload| {
+                    let opcode = Opcode::from_u8(header.opcode).unwrap();
+                    Request::decode(header.version, opcode, payload).unwrap()
+                })
+                .unwrap()
+                .unwrap();
+            assert_eq!(header.request_id, *id);
+            assert_eq!(&back, request);
+        }
+        assert_eq!(conn.reader.get_ref().reads, 1);
+    }
+
+    /// A header that claims the largest payload and then stalls: the
+    /// payload buffer holds what arrived, not what was claimed.
+    #[test]
+    fn a_stalled_maximal_claim_grows_only_with_what_arrived() {
+        struct Stalls(Vec<u8>);
+        impl Read for Stalls {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                if self.0.is_empty() {
+                    return Err(io::ErrorKind::WouldBlock.into());
+                }
+                let n = self.0.as_slice().read(buf)?;
+                self.0.drain(..n);
+                Ok(n)
+            }
+        }
+        let mut header = Vec::new();
+        put_header(&mut header, VERSION, Opcode::LoadMatrix as u8, 1);
+        header[14..18].copy_from_slice(&(MAX_FRAME_PAYLOAD as u32).to_le_bytes());
+        let mut bytes = header;
+        bytes.extend_from_slice(&[0xAB; 100]);
+        let mut payload = Vec::new();
+        let err = read_frame_into(&mut Stalls(bytes), &mut payload, &|| false).unwrap_err();
+        assert!(matches!(err, FrameError::Malformed(_)), "{err}");
+        assert_eq!(payload, vec![0xAB; 100]);
+        let reserved = payload.capacity();
+        assert!(reserved <= 4096, "{reserved} bytes reserved");
     }
 
     #[test]

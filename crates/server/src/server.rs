@@ -13,14 +13,20 @@
 //!
 //! Shutdown is cooperative: [`ServerHandle::shutdown`] raises a flag,
 //! wakes the accept loop, and joins every session thread. Sessions poll
-//! the flag on a short socket read timeout, so an in-flight request is
-//! always answered before its connection drains — a request accepted is
-//! a request served.
+//! the flag on short socket read and write timeouts, so an in-flight
+//! request is always answered before its connection drains — a request
+//! accepted is a request served — while a peer that stopped reading its
+//! reply is dropped once the flag is up instead of holding the drain.
+//!
+//! Each connection reads through a buffered reader and builds every
+//! reply in one recycled buffer (`protocol` module docs, "One read and
+//! one write per frame"): a small frame costs one `read` and one
+//! `write`, and no frame buffer is allocated per frame.
 
 use crate::metrics::{self, ServerMetrics};
 use crate::protocol::{
-    read_frame_idle_abort, write_frame, BackendKind, FrameError, LoadedInfo, Opcode, Reply,
-    Request, StatsSnapshot, STATUS_CAPACITY, STATUS_ERROR, VERSION,
+    batch_reply_len, BackendKind, Connection, FrameError, LoadedInfo, Opcode, Reply, Request,
+    StatsSnapshot, HEADER_LEN, MAX_FRAME_PAYLOAD, STATUS_CAPACITY, STATUS_ERROR,
 };
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
@@ -262,8 +268,13 @@ impl Shared {
             }),
             // The batch arrives as a flat block straight off the wire
             // and the reply is encoded straight out of the output block.
-            // An empty batch is answered but is not served work.
+            // An empty batch is answered but is not served work, and
+            // neither is one whose reply could not fit in a frame: it
+            // is refused before it is computed.
             Request::GemvBatch { digest, frames } => self.serve_compute(digest, span, |session| {
+                if batch_reply_len(frames.frames(), session.cols()) > MAX_FRAME_PAYLOAD {
+                    return Ok(Reply::Error(REPLY_TOO_LARGE.into()));
+                }
                 let mut out = smm_runtime::RowBlock::new();
                 let served = session.run_block(frames, &mut out)?.batch as u64;
                 self.metrics.batches.fetch_add(u64::from(served > 0), Ordering::Relaxed);
@@ -435,9 +446,13 @@ impl Drop for ServerHandle {
     }
 }
 
-/// How long a session blocks on its socket before re-checking the
-/// shutdown flag. Bounds shutdown latency; invisible to throughput.
+/// How long a session blocks on its socket, reading or writing, before
+/// re-checking the shutdown flag. Bounds shutdown latency; invisible to
+/// throughput.
 const SESSION_POLL: Duration = Duration::from_millis(50);
+
+/// The refusal of a reply that would not fit in one frame.
+const REPLY_TOO_LARGE: &str = "reply exceeds frame capacity; split the batch";
 
 /// Starts the server and returns once it is accepting connections.
 pub fn start(config: ServerConfig) -> Result<ServerHandle> {
@@ -622,15 +637,31 @@ impl Drop for OpenConnection<'_> {
     }
 }
 
-fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
+fn session_loop(stream: TcpStream, shared: &Arc<Shared>) {
     shared.open_connections.fetch_add(1, Ordering::Relaxed);
     let _open = OpenConnection(&shared.open_connections);
-    if stream.set_read_timeout(Some(SESSION_POLL)).is_err() {
+    // Writes poll the shutdown flag as reads do: a peer that stopped
+    // reading a large reply must not hold the drain forever.
+    if stream.set_read_timeout(Some(SESSION_POLL)).is_err()
+        || stream.set_write_timeout(Some(SESSION_POLL)).is_err()
+    {
         return;
     }
+    let mut conn = Connection::new(stream);
     let keep_going = || !shared.shutdown.load(Ordering::SeqCst);
     loop {
-        let frame = match read_frame_idle_abort(&mut stream, &keep_going) {
+        let read = conn.read_frame(&keep_going, |header, payload| {
+            // The span clock starts once the frame is fully off the wire —
+            // blocking read time is client idle time, not pipeline latency.
+            let mut span = shared.metrics.stages.span();
+            let request = Opcode::from_u8(header.opcode)
+                .and_then(|op| Request::decode(header.version, op, payload));
+            if request.is_ok() {
+                span.mark(Stage::Decode);
+            }
+            (span, request)
+        });
+        let (header, (mut span, request)) = match read {
             Ok(Some(frame)) => frame,
             // Idle abort: shutdown requested between frames.
             Ok(None) => return,
@@ -643,24 +674,17 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
                 // There is no trustworthy request opcode to echo, so the
                 // frame goes out under Ping (Error replies decode under
                 // any opcode).
-                let reply = Reply::Error(format!("protocol violation: {context}")).encode(VERSION);
-                let _ = write_frame(&mut stream, VERSION, Opcode::Ping as u8, 0, &reply);
+                Reply::Error(format!("protocol violation: {context}"))
+                    .encode_into(conn.start_frame(Opcode::Ping as u8, 0));
+                let _ = conn.send(&keep_going);
                 return;
             }
         };
-        let frame_len = (crate::protocol::HEADER_LEN + frame.payload.len()) as u64;
+        let frame_len = (HEADER_LEN + header.len) as u64;
         shared.metrics.bytes_in.fetch_add(frame_len, Ordering::Relaxed);
         shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        // The span clock starts once the frame is fully off the wire —
-        // blocking read time is client idle time, not pipeline latency.
-        let mut span = shared.metrics.stages.span();
-        let reply = match Opcode::from_u8(frame.opcode)
-            .and_then(|op| Request::decode(frame.version, op, &frame.payload))
-        {
-            Ok(request) => {
-                span.mark(Stage::Decode);
-                shared.serve(request, &mut span)
-            }
+        let reply = match request {
+            Ok(request) => shared.serve(request, &mut span),
             // Undecodable payload: the frame boundary is intact, so
             // answer and keep the session.
             Err(e) => Reply::Error(e.to_string()),
@@ -668,22 +692,23 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
         // Reset the span clock: the compute stages were stamped by the
         // session, and `encode` must measure only encode + write.
         span.skip();
-        let mut payload = reply.encode(VERSION);
-        if payload.len() > crate::protocol::MAX_FRAME_PAYLOAD {
-            // A maximal batch of i32 inputs can widen into i64 outputs
-            // past the frame cap; refuse rather than ship an unreadable
-            // frame.
-            payload =
-                Reply::Error("reply exceeds frame capacity; split the batch".into()).encode(VERSION);
+        let frame = conn.start_frame(header.opcode, header.request_id);
+        reply.encode_into(frame);
+        if frame.len() - HEADER_LEN > MAX_FRAME_PAYLOAD {
+            // A batch is refused before it is computed; a single over
+            // millions of columns can still widen past the frame cap.
+            // Refuse rather than ship an unreadable frame.
+            frame.truncate(HEADER_LEN);
+            Reply::Error(REPLY_TOO_LARGE.into()).encode_into(frame);
         }
         if matches!(
-            payload.first(),
+            frame.get(HEADER_LEN),
             Some(&STATUS_ERROR) | Some(&STATUS_CAPACITY)
         ) {
             // Capacity refusals count as errors.
             shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
         }
-        match write_frame(&mut stream, VERSION, frame.opcode, frame.request_id, &payload) {
+        match conn.send(&keep_going) {
             Ok(n) => {
                 span.mark(Stage::Encode);
                 shared.metrics.bytes_out.fetch_add(n, Ordering::Relaxed);

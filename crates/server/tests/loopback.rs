@@ -6,8 +6,11 @@ use smm_core::generate::{element_sparse_matrix, random_vector};
 use smm_core::gemv::vecmat;
 use smm_core::matrix::IntMatrix;
 use smm_core::rng::seeded;
+use smm_server::protocol::{read_frame, write_frame, Opcode, Reply, Request, VERSION};
 use smm_server::{BackendKind, Client, LoadgenConfig, ServeError, ServerConfig};
-use std::time::Duration;
+use std::io::Write;
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Nested rows through [`Client::gemv_block`] and back.
 fn gemv_rows(client: &mut Client, digest: u64, batch: &[Vec<i32>]) -> Vec<Vec<i64>> {
@@ -429,4 +432,105 @@ fn stats_count_exactly_the_products_that_were_answered() {
     assert_eq!(served(&mut client), (41, 1012));
     let stats = server.shutdown();
     assert_eq!((stats.batches, stats.vectors), (41, 1012));
+}
+
+/// The server reads ahead through a buffer: two requests that arrive in
+/// one segment are both answered, in order, each under its own id.
+#[test]
+fn two_requests_in_one_write_are_answered_in_order() {
+    let server = smm_server::start(ServerConfig::default()).unwrap();
+    let matrix = test_matrix(5100, 6, 5);
+    let digest = Client::connect(server.local_addr())
+        .unwrap()
+        .load_matrix(&matrix)
+        .unwrap();
+    let a = vec![3, -1, 4, 1, -5, 9];
+    let mut both = Vec::new();
+    write_frame(&mut both, VERSION, Opcode::Ping as u8, 21, &[]).unwrap();
+    let gemv = Request::Gemv {
+        digest,
+        vector: a.clone(),
+    };
+    write_frame(
+        &mut both,
+        VERSION,
+        Opcode::Gemv as u8,
+        22,
+        &gemv.encode(VERSION),
+    )
+    .unwrap();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.write_all(&both).unwrap();
+    let first = read_frame(&mut raw).unwrap();
+    assert_eq!((first.request_id, first.opcode), (21, Opcode::Ping as u8));
+    assert_eq!(
+        Reply::decode(first.version, Opcode::Ping, &first.payload).unwrap(),
+        Reply::Pong
+    );
+    let second = read_frame(&mut raw).unwrap();
+    assert_eq!((second.request_id, second.opcode), (22, Opcode::Gemv as u8));
+    assert_eq!(
+        Reply::decode(second.version, Opcode::Gemv, &second.payload).unwrap(),
+        Reply::Output(vecmat(&a, &matrix).unwrap())
+    );
+}
+
+/// A 1×8192 all-ones matrix: a width-1 batch of `n` frames asks for an
+/// `n × 8192` reply of 65,540 bytes per frame.
+fn wide_server() -> (smm_server::ServerHandle, u64) {
+    let server = smm_server::start(ServerConfig::default()).unwrap();
+    let wide = IntMatrix::from_vec(1, 8192, vec![1; 8192]).unwrap();
+    let digest = Client::connect(server.local_addr())
+        .unwrap()
+        .load_matrix(&wide)
+        .unwrap();
+    (server, digest)
+}
+
+/// A peer sends a batch whose ~33.6 MB reply outgrows the socket
+/// buffers, then never reads: the session is stuck in its write, and
+/// shutdown must still return.
+#[test]
+fn shutdown_returns_while_a_peer_has_stopped_reading_its_reply() {
+    let (server, digest) = wide_server();
+    let frames = FrameBlock::from_vec(512, 1, vec![1; 512]).unwrap();
+    let payload = Request::encode_gemv_batch(digest, &frames);
+    let mut stalled = TcpStream::connect(server.local_addr()).unwrap();
+    write_frame(&mut stalled, VERSION, Opcode::GemvBatch as u8, 1, &payload).unwrap();
+    // The batch is counted once computed, just before its reply is
+    // written.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.stats().vectors < 512 {
+        assert!(Instant::now() < deadline, "the batch was never served");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let (done, finished) = std::sync::mpsc::channel();
+    let shutdown = std::thread::spawn(move || done.send(server.shutdown()).unwrap());
+    let stats = finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown hung behind a peer that stopped reading");
+    shutdown.join().unwrap();
+    assert_eq!(stats.vectors, 512);
+    drop(stalled);
+}
+
+/// A batch whose reply cannot fit in one frame (1024 × 65,540 bytes is
+/// past the 64 MiB cap) is refused before it is computed: nothing is
+/// counted as served, and the connection keeps working.
+#[test]
+fn an_over_cap_batch_is_refused_before_it_is_computed() {
+    let (server, digest) = wide_server();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let frames = FrameBlock::from_vec(1024, 1, vec![1; 1024]).unwrap();
+    let err = client.gemv_block(digest, &frames).unwrap_err();
+    assert_eq!(
+        err,
+        ServeError::Remote("reply exceeds frame capacity; split the batch".into())
+    );
+    let stats = client.stats().unwrap();
+    assert_eq!((stats.vectors, stats.batches, stats.errors), (0, 0, 1));
+    client.ping().unwrap();
+    // One frame fewer fits, and is served.
+    let fits = FrameBlock::from_vec(1023, 1, vec![1; 1023]).unwrap();
+    assert_eq!(client.gemv_block(digest, &fits).unwrap().rows(), 1023);
 }
