@@ -1,13 +1,16 @@
 //! Matrix file I/O: the MatrixMarket coordinate format (the lingua franca
 //! for sparse-matrix exchange) and a trivial dense text format.
 //!
+//! These are file formats only — what the CLI's `--input` reads and
+//! `export_artifacts` writes. A matrix crosses the wire in the binary
+//! layout of [`crate::wire::put_matrix`], never as text.
+//!
 //! Only the integer/pattern-free subset this project needs is implemented:
 //! `matrix coordinate integer general` (and `real`, rounded) for sparse
 //! files, plus `parse_dense`/`format_dense` for quick fixtures.
 
 use crate::error::{Error, Result};
 use crate::matrix::IntMatrix;
-use crate::wire::MAX_WIRE_LEN;
 use std::fmt::Write as _;
 
 fn malformed(context: impl Into<String>) -> Error {
@@ -22,12 +25,6 @@ fn malformed(context: impl Into<String>) -> Error {
 /// Real values are rounded to the nearest integer. One-based indices, as
 /// the format specifies. Duplicate entries are rejected.
 pub fn parse_matrix_market(text: &str) -> Result<IntMatrix> {
-    parse_coordinate(text, usize::MAX)
-}
-
-/// [`parse_matrix_market`], refusing a size line that declares more than
-/// `max_elements` dense elements before anything is allocated for it.
-fn parse_coordinate(text: &str, max_elements: usize) -> Result<IntMatrix> {
     let mut lines = text
         .lines()
         .map(str::trim)
@@ -61,18 +58,10 @@ fn parse_coordinate(text: &str, max_elements: usize) -> Result<IntMatrix> {
     let rows: usize = dims[0].parse().map_err(|_| malformed("bad row count"))?;
     let cols: usize = dims[1].parse().map_err(|_| malformed("bad col count"))?;
     let nnz: usize = dims[2].parse().map_err(|_| malformed("bad nnz count"))?;
-    // The dense result is `rows * cols` elements however few entries
-    // follow, so the size line alone decides the allocation.
-    if rows.checked_mul(cols).is_none_or(|n| n > max_elements) {
-        return Err(malformed(format!(
-            "{rows}x{cols} matrix exceeds {max_elements} elements"
-        )));
-    }
     let mut m = IntMatrix::zeros(rows, cols)?;
     let mut seen = 0usize;
     for line in data_lines {
-        // Exactly three fields, taken off the iterator: this loop is the
-        // whole cost of decoding a `LoadMatrix`, so no `Vec` per line.
+        // Exactly three fields, taken off the iterator: no `Vec` per line.
         let mut parts = line.split_ascii_whitespace();
         let (Some(r), Some(c), Some(value), None) =
             (parts.next(), parts.next(), parts.next(), parts.next())
@@ -122,27 +111,6 @@ pub fn format_matrix_market(m: &IntMatrix) -> String {
         let _ = writeln!(out, "{} {} {}", r + 1, c + 1, v);
     }
     out
-}
-
-/// Encodes a matrix for the binary wire.
-///
-/// The payload is MatrixMarket coordinate text ([`format_matrix_market`])
-/// as UTF-8 bytes: self-describing, sparse-friendly (zeros cost nothing),
-/// and decodable by every MatrixMarket consumer — a deliberately boring
-/// choice for a cross-process contract.
-pub fn matrix_to_bytes(m: &IntMatrix) -> Vec<u8> {
-    format_matrix_market(m).into_bytes()
-}
-
-/// Decodes a matrix from its [`matrix_to_bytes`] wire payload. Like
-/// every other length off the wire, the declared `rows * cols` is bounded
-/// by [`MAX_WIRE_LEN`]: a 70-byte payload must not size a terabyte
-/// allocation.
-pub fn matrix_from_bytes(bytes: &[u8]) -> Result<IntMatrix> {
-    let text = std::str::from_utf8(bytes).map_err(|_| Error::Wire {
-        context: "matrix payload is not valid UTF-8".into(),
-    })?;
-    parse_coordinate(text, MAX_WIRE_LEN)
 }
 
 /// Parses a dense whitespace matrix: one row per line.
@@ -243,25 +211,6 @@ mod tests {
             "%%MatrixMarket matrix coordinate integer symmetric\n2 2 1\n2 1 5"
         )
         .is_err());
-    }
-
-    #[test]
-    fn wire_bytes_round_trip() {
-        let mut rng = seeded(72);
-        let m = element_sparse_matrix(6, 5, 8, 0.4, true, &mut rng).unwrap();
-        assert_eq!(matrix_from_bytes(&matrix_to_bytes(&m)).unwrap(), m);
-        assert!(matrix_from_bytes(&[0xFF, 0xFE]).is_err());
-        assert!(matrix_from_bytes(b"not a matrix").is_err());
-        // Size lines that wrap `rows * cols`, ask for terabytes, or sit
-        // one row past the bound (8192²) are refused from the size line
-        // alone; a file is only held to the overflow check.
-        assert_eq!(MAX_WIRE_LEN, 8192 * 8192);
-        let header = "%%MatrixMarket matrix coordinate integer general\n";
-        for size in ["4294967296 4294967296 0", "3000000 3000000 0", "8193 8192 0"] {
-            let err = matrix_from_bytes(format!("{header}{size}\n").as_bytes()).unwrap_err();
-            assert!(err.to_string().contains("exceeds"), "{size}: {err}");
-        }
-        assert!(parse_matrix_market(&format!("{header}4294967296 4294967296 0\n")).is_err());
     }
 
     #[test]

@@ -1,15 +1,11 @@
 //! Property-based tests for `smm_core::io`: format/parse round trips
 //! over randomized matrices, plus malformed-input rejection. The matrix
-//! file formats are a cross-process contract (the serving stack ships
-//! MatrixMarket text over the wire), so round-trip fidelity is
-//! load-bearing, not cosmetic.
+//! file formats are how matrices enter and leave the CLI, so round-trip
+//! fidelity is load-bearing, not cosmetic.
 
 use proptest::prelude::*;
 use smm_core::generate::element_sparse_matrix;
-use smm_core::io::{
-    format_dense, format_matrix_market, matrix_from_bytes, matrix_to_bytes, parse_dense,
-    parse_matrix_market,
-};
+use smm_core::io::{format_dense, format_matrix_market, parse_dense, parse_matrix_market};
 use smm_core::rng::seeded;
 
 proptest! {
@@ -40,17 +36,6 @@ proptest! {
         let mut rng = seeded(seed);
         let m = element_sparse_matrix(rows, cols, 8, sparsity, true, &mut rng).unwrap();
         let back = parse_dense(&format_dense(&m)).unwrap();
-        prop_assert_eq!(back, m);
-    }
-
-    /// The wire-bytes helpers agree with the MatrixMarket text pair, and
-    /// the digest (the serving cache key) survives the round trip.
-    #[test]
-    fn wire_bytes_round_trip_preserves_digest(seed in any::<u64>(), sparsity in 0.0f64..=1.0) {
-        let mut rng = seeded(seed);
-        let m = element_sparse_matrix(11, 7, 8, sparsity, true, &mut rng).unwrap();
-        let back = matrix_from_bytes(&matrix_to_bytes(&m)).unwrap();
-        prop_assert_eq!(back.digest(), m.digest());
         prop_assert_eq!(back, m);
     }
 

@@ -1,8 +1,8 @@
 //! The blocking client side of the wire protocol.
 
 use crate::protocol::{
-    put_gemv, put_gemv_batch, BackendKind, Connection, FrameError, LoadedInfo, Opcode, Reply,
-    Request, StatsSnapshot,
+    put_gemv, put_gemv_batch, put_load_matrix, BackendKind, Connection, FrameError, LoadedInfo,
+    Opcode, Reply, Request, StatsSnapshot,
 };
 use smm_core::block::{FrameBlock, RowBlock};
 use smm_core::matrix::IntMatrix;
@@ -143,17 +143,15 @@ impl Client {
     /// default) and
     /// returns what the server now serves, including the engine it
     /// planned. Verifies the server and client agree on digest and shape
-    /// (same content hash on both ends of the wire).
+    /// (same content hash on both ends of the wire). The matrix is
+    /// serialized straight from the borrow — no clone.
     pub fn load_matrix_with(
         &mut self,
         matrix: &IntMatrix,
         backend: Option<BackendKind>,
     ) -> ServeResult<LoadedInfo> {
         let local = matrix.digest();
-        match self.call(&Request::LoadMatrix {
-            matrix: matrix.clone(),
-            backend,
-        })? {
+        match self.call_with(Opcode::LoadMatrix, |buf| put_load_matrix(buf, matrix, backend))? {
             Reply::Loaded(info) => {
                 if info.digest != local
                     || info.rows != matrix.rows() as u64

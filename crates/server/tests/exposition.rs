@@ -95,9 +95,10 @@ smm_vectors_served 0
 /// The sample lines that differ from [`FRESH`] once the script in
 /// `scripted_traffic_moves_exactly_the_lines_it_moved_before` has run
 /// and its connection has closed — latency quantiles aside, which are
-/// wall-clock readings.
+/// wall-clock readings. `smm_bytes_in_total` follows the wire layout:
+/// the script's load is a 68-byte `LoadMatrix` payload.
 const AFTER_SCRIPT: [&str; 13] = [
-    "smm_bytes_in_total 309",
+    "smm_bytes_in_total 254",
     "smm_bytes_out_total 286",
     "smm_errors_total 1",
     "smm_matrices_loaded 1",

@@ -277,6 +277,35 @@ fn auto_backend_plans_per_matrix_and_serves_verified() {
     assert!(stats.p50_latency_ns > 0, "{stats:?}");
 }
 
+/// A load travels at the narrowest value width that holds its matrix;
+/// at each of the three widths the server reports the digest the client
+/// computed and serves the matrix bit-identically.
+#[test]
+fn the_server_digest_matches_at_every_value_width() {
+    let server = smm_server::start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for (seed, bits, width) in [(4960, 8, 1u8), (4961, 16, 2), (4962, 31, 4)] {
+        let mut rng = seeded(seed);
+        let mut matrix = element_sparse_matrix(24, 17, bits, 0.7, true, &mut rng).unwrap();
+        // The value that forces the width; a random draw might miss it.
+        matrix.set(0, 0, -(1 << (bits - 1)));
+        let payload = Request::LoadMatrix {
+            matrix: matrix.clone(),
+            backend: None,
+        }
+        .encode(VERSION);
+        assert_eq!(payload[24], width, "{bits}-bit weights");
+        let loaded = client.load_matrix_with(&matrix, None).unwrap();
+        assert_eq!(loaded.digest, matrix.digest(), "{bits}-bit weights");
+        let a = random_vector(24, 8, true, &mut rng).unwrap();
+        assert_eq!(
+            client.gemv(loaded.digest, &a).unwrap(),
+            vecmat(&a, &matrix).unwrap()
+        );
+    }
+    server.shutdown();
+}
+
 #[test]
 fn per_request_backend_choice_overrides_the_server_default() {
     let server = smm_server::start(ServerConfig {

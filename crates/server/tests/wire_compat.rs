@@ -9,7 +9,7 @@
 //! not promised: the pins run through wildcard-free `match`es, and the
 //! constants are read out of `protocol.rs` itself. The loopback test then
 //! speaks raw frames under version bytes the server does not speak
-//! (0, 1–4, 6) and checks each gets one typed error frame and a closed
+//! (0, 1–5, 7) and checks each gets one typed error frame and a closed
 //! socket while a current client keeps being served.
 
 use smm_core::block::{FrameBlock, RowBlock};
@@ -72,7 +72,7 @@ fn pin_reply(reply: Reply, expect: &[u8]) {
 /// version "range" is exactly one value — every other byte is refused.
 #[test]
 fn status_bytes_and_version_range_are_pinned() {
-    assert_eq!(VERSION, 5);
+    assert_eq!(VERSION, 6);
     assert_eq!(STATUS_OK, 0);
     assert_eq!(STATUS_BUSY, 1);
     assert_eq!(STATUS_ERROR, 2);
@@ -80,7 +80,7 @@ fn status_bytes_and_version_range_are_pinned() {
     assert_eq!(HEADER_LEN, 18);
     let ping = Request::Ping.encode(VERSION);
     let pong = Reply::Pong.encode(VERSION);
-    for version in (0..=u8::MAX).filter(|&v| v != 5) {
+    for version in (0..=u8::MAX).filter(|&v| v != 6) {
         assert!(Request::decode(version, Opcode::Ping, &ping).is_err(), "v{version}");
         assert!(Reply::decode(version, Opcode::Ping, &pong).is_err(), "v{version}");
     }
@@ -95,7 +95,7 @@ fn frame_header_layout_is_pinned() {
         frame,
         cat(&[
             b"SMM1",
-            &[5],                                              // version
+            &[6],                                              // version
             &[2],                                              // opcode: Gemv
             &[0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01], // request id, LE
             &[2, 0, 0, 0],                                     // payload length, LE
@@ -121,24 +121,48 @@ fn request_body_layouts_are_pinned() {
     pin_request(Request::Ping, &[]);
     pin_request(Request::Stats, &[]);
 
-    // LoadMatrix: length-prefixed MatrixMarket text, then one backend
-    // choice byte (0 = server default, 1 auto, 2 dense, 3 csr,
-    // 4 bitserial, 5 sigma).
-    let matrix = IntMatrix::from_vec(2, 2, vec![1, 0, -3, 4]).unwrap();
-    let text = smm_core::io::matrix_to_bytes(&matrix);
-    for (backend, byte) in [
-        (None, 0u8),
-        (Some(BackendKind::Auto), 1),
-        (Some(BackendKind::Dense), 2),
-        (Some(BackendKind::Csr), 3),
-        (Some(BackendKind::BitSerial), 4),
-        (Some(BackendKind::Sigma), 5),
-    ] {
-        let request = Request::LoadMatrix {
-            matrix: matrix.clone(),
-            backend,
-        };
-        pin_request(request, &cat(&[&le32(text.len() as u32), &text, &[byte]]));
+    // LoadMatrix: rows, cols and nnz as u64, the value width byte, one
+    // u32 non-zero count per row, the non-zeros' u32 column indices, their
+    // values at that width, then one backend choice byte (0 = server
+    // default, 1 auto, 2 dense, 3 csr, 4 bitserial, 5 sigma). The width
+    // is the narrowest of i8, i16 and i32 that holds every value.
+    let body = |first: i32, width: u8, first_bytes: &[u8], rest: &[u8]| {
+        let matrix = IntMatrix::from_vec(2, 3, vec![first, 0, 0, 0, -3, 4]).unwrap();
+        let bytes = cat(&[
+            &le64(2),        // rows
+            &le64(3),        // cols
+            &le64(3),        // nnz
+            &[width],        // bytes per value
+            &le32(1),        // row 0: one non-zero
+            &le32(2),        // row 1: two
+            &le32(0),        // row 0, column 0
+            &le32(1),        // row 1, column 1
+            &le32(2),        // row 1, column 2
+            first_bytes,     // (0, 0)
+            rest,            // -3, 4
+        ]);
+        (matrix, bytes)
+    };
+    let widths = [
+        body(1, 1, &[1], &[0xFD, 4]),
+        body(-300, 2, &(-300i16).to_le_bytes(), &[0xFD, 0xFF, 4, 0]),
+        body(i32::MIN, 4, &i32::MIN.to_le_bytes(), &[0xFD, 0xFF, 0xFF, 0xFF, 4, 0, 0, 0]),
+    ];
+    for (matrix, bytes) in widths {
+        for (backend, byte) in [
+            (None, 0u8),
+            (Some(BackendKind::Auto), 1),
+            (Some(BackendKind::Dense), 2),
+            (Some(BackendKind::Csr), 3),
+            (Some(BackendKind::BitSerial), 4),
+            (Some(BackendKind::Sigma), 5),
+        ] {
+            let request = Request::LoadMatrix {
+                matrix: matrix.clone(),
+                backend,
+            };
+            pin_request(request, &cat(&[&bytes, &[byte]]));
+        }
     }
 
     // Gemv: digest, then a count-prefixed i32 vector.
@@ -288,9 +312,9 @@ fn every_version_and_status_constant_is_named_in_both_wire_test_files() {
     assert!(unpinned.is_empty(), "{unpinned:#?}");
 }
 
-/// Peers from another revision — v0, the retired v1–v4, a future v6 —
+/// Peers from another revision — v0, the retired v1–v5, a future v7 —
 /// each get exactly one `STATUS_ERROR` frame naming the unsupported
-/// version, then EOF; a v5 client on another connection to the same
+/// version, then EOF; a v6 client on another connection to the same
 /// server keeps being served, and the refusals are not request errors.
 #[test]
 fn other_versions_are_refused_while_a_current_client_keeps_being_served() {
@@ -301,14 +325,14 @@ fn other_versions_are_refused_while_a_current_client_keeps_being_served() {
     let digest = client.load_matrix(&matrix).unwrap();
     let errors_before = client.stats().unwrap().errors;
 
-    for version in [0u8, 1, 2, 3, 4, 6] {
+    for version in [0u8, 1, 2, 3, 4, 5, 7] {
         // A raw Ping frame under the foreign version byte.
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         let ping = cat(&[b"SMM1", &[version], &[0], &le64(9), &le32(0)]);
         stream.write_all(&ping).unwrap();
 
         let frame = read_frame(&mut stream).unwrap();
-        assert_eq!(frame.version, 5, "the refusal travels under the one version");
+        assert_eq!(frame.version, 6, "the refusal travels under the one version");
         let mut c = smm_core::wire::Cursor::new(&frame.payload);
         assert_eq!(c.take_u8("status").unwrap(), STATUS_ERROR, "v{version}");
         let message = c.take_str("message").unwrap();

@@ -2,8 +2,9 @@
 //! streams against the `Request`/`Reply` decoders and the frame reader
 //! must come back as `Err` — never a panic, never an allocation driven
 //! by a lying length prefix. The one protocol rev is covered whole —
-//! the per-stage `Stats` block, the `CapacityFull` status, the fleet
-//! tier counters — and so is the decoders' version argument: anything
+//! the binary `LoadMatrix` body, the per-stage `Stats` block, the
+//! `CapacityFull` status, the fleet tier counters — and so is the
+//! decoders' version argument: anything
 //! but `VERSION` is refused. The generator is the workspace's seeded
 //! ChaCha stream, so every run explores the same inputs and any failure
 //! reproduces exactly.
@@ -327,12 +328,68 @@ fn truncated_and_corrupted_frames_are_errors() {
     ));
 }
 
+/// A `LoadMatrix` payload from raw parts: the four header fields, the
+/// row counts, the column indices and the value bytes, then the
+/// server-default backend byte.
+fn load_payload(
+    [rows, cols, nnz]: [u64; 3],
+    width: u8,
+    counts: &[u32],
+    columns: &[u32],
+    values: &[u8],
+) -> Vec<u8> {
+    let mut payload = Vec::new();
+    for field in [rows, cols, nnz] {
+        wire::put_u64(&mut payload, field);
+    }
+    wire::put_u8(&mut payload, width);
+    for &x in counts.iter().chain(columns) {
+        wire::put_u32(&mut payload, x);
+    }
+    payload.extend_from_slice(values);
+    wire::put_u8(&mut payload, 0);
+    payload
+}
+
 #[test]
-fn hostile_matrix_size_lines_get_an_error_frame_and_a_live_server() {
-    // A `LoadMatrix` is sized by its payload's own size line, so ~70
-    // bytes can declare any shape: `rows * cols` wrapping `usize` to 0,
-    // or a 36 TB dense matrix with no entries behind it. Both must come
-    // back as a typed `Error` frame on a connection that keeps serving.
+fn hostile_matrix_bodies_get_an_error_frame_and_a_live_server() {
+    // A `LoadMatrix` body is sized by its own header, so a few bytes can
+    // declare any shape, any count of non-zeros and any width. Each lie
+    // must come back as a typed `Error` frame on a connection that keeps
+    // serving, and none may cost an allocation the bytes did not pay for.
+    let valid = load_payload([2, 3, 3], 1, &[1, 2], &[0, 1, 2], &[1, 0xFD, 4]);
+    assert!(Request::decode(VERSION, Opcode::LoadMatrix, &valid).is_ok());
+    // The matrix body one byte short (its last value byte and the
+    // backend byte cut), and one byte long (a stray byte before the
+    // backend byte).
+    let short = valid[..valid.len() - 2].to_vec();
+    let mut long = valid.clone();
+    long.insert(valid.len() - 1, 4);
+    let cases: Vec<(&str, Vec<u8>, &str)> = vec![
+        ("width 0", load_payload([2, 2, 0], 0, &[0, 0], &[], &[]), "width 0"),
+        ("width 3", load_payload([2, 2, 0], 3, &[0, 0], &[], &[]), "width 3"),
+        ("width 5", load_payload([2, 2, 0], 5, &[0, 0], &[], &[]), "width 5"),
+        ("width 255", load_payload([2, 2, 0], 255, &[0, 0], &[], &[]), "width 255"),
+        ("no rows", load_payload([0, 5, 0], 1, &[], &[], &[]), "no elements"),
+        ("no cols", load_payload([5, 0, 0], 1, &[0; 5], &[], &[]), "no elements"),
+        ("rows x cols wraps", load_payload([1 << 32, 1 << 32, 0], 1, &[], &[], &[]), "exceeds"),
+        ("36 TB", load_payload([3_000_000, 3_000_000, 0], 1, &[], &[], &[]), "exceeds"),
+        ("one row past the bound", load_payload([8193, 8192, 0], 1, &[], &[], &[]), "exceeds"),
+        ("nnz > rows x cols", load_payload([2, 2, 5], 1, &[2, 3], &[0; 5], &[1; 5]), "cannot hold"),
+        (
+            "64 Mi non-zeros promised, none sent",
+            load_payload([8192, 8192, 8192 * 8192], 4, &[], &[], &[]),
+            "truncated",
+        ),
+        ("row counts short of nnz", load_payload([2, 2, 2], 1, &[1, 0], &[0, 1], &[1, 1]), "sum to"),
+        ("row counts past nnz", load_payload([2, 2, 1], 1, &[1, 1], &[0], &[1]), "sum to"),
+        ("column = cols", load_payload([2, 2, 1], 1, &[1, 0], &[2], &[1]), "column 2"),
+        ("column repeats", load_payload([2, 2, 2], 1, &[2, 0], &[1, 1], &[1, 1]), "out of order"),
+        ("column descends", load_payload([2, 2, 2], 1, &[2, 0], &[1, 0], &[1, 1]), "out of order"),
+        ("zero value", load_payload([2, 2, 1], 2, &[0, 1], &[0], &[0, 0]), "zero"),
+        ("one byte short", short, "truncated matrix"),
+        ("one byte long", long, "trailing"),
+    ];
     let server = smm_server::start(smm_server::ServerConfig::default()).unwrap();
     let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
     let mut exchange = |opcode: Opcode, payload: &[u8], id: u64| {
@@ -341,21 +398,34 @@ fn hostile_matrix_size_lines_get_an_error_frame_and_a_live_server() {
         assert_eq!(frame.request_id, id);
         Reply::decode(frame.version, opcode, &frame.payload).unwrap()
     };
-    for (id, size) in ["4294967296 4294967296 0", "3000000 3000000 0"]
-        .into_iter()
-        .enumerate()
-    {
-        let text = format!("%%MatrixMarket matrix coordinate integer general\n{size}\n");
-        let mut payload = Vec::new();
-        wire::put_bytes(&mut payload, text.as_bytes());
-        wire::put_u8(&mut payload, 0); // server-default backend
+    for (id, (name, payload, expect)) in cases.iter().enumerate() {
         let id = id as u64 * 2;
-        let reply = exchange(Opcode::LoadMatrix, &payload, id);
+        let reply = exchange(Opcode::LoadMatrix, payload, id);
         assert!(
-            matches!(&reply, Reply::Error(m) if m.contains("exceeds")),
-            "{size}: {reply:?}"
+            matches!(&reply, Reply::Error(m) if m.contains(expect)),
+            "{name}: {reply:?}"
         );
-        assert!(matches!(exchange(Opcode::Ping, &[], id + 1), Reply::Pong));
+        assert!(matches!(exchange(Opcode::Ping, &[], id + 1), Reply::Pong), "{name}");
     }
-    assert_eq!(server.shutdown().errors, 2);
+    assert_eq!(server.shutdown().errors, cases.len() as u64);
+}
+
+/// Every single-byte corruption of a `LoadMatrix` payload decodes or is
+/// refused — never a panic, never an allocation past the frame's bound.
+#[test]
+fn corrupted_load_bodies_never_panic() {
+    let matrix = IntMatrix::from_vec(3, 4, vec![0, 7, -300, 0, 0, 0, 0, 0, 1, 0, 0, -1]).unwrap();
+    let full = Request::LoadMatrix {
+        matrix,
+        backend: None,
+    }
+    .encode(VERSION);
+    let mut rng = seeded(7104);
+    for pos in 0..full.len() {
+        for _ in 0..8 {
+            let mut bad = full.clone();
+            bad[pos] ^= 1 + (rng.next_u32() % 255) as u8;
+            let _ = Request::decode(VERSION, Opcode::LoadMatrix, &bad);
+        }
+    }
 }
