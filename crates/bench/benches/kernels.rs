@@ -25,7 +25,7 @@ use smm_core::rng::seeded;
 use smm_runtime::{EngineSpec, MultiplierCache, Session};
 use smm_sparse::{Coo, Csr};
 use smm_core::matrix::IntMatrix;
-use smm_core::wire::Cursor;
+use smm_core::wire::{Cursor, MatrixBody};
 use smm_store::artifact::{self, crc32, crc32_bitwise, Artifact};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -231,12 +231,13 @@ fn bench_bitserial_batch(c: &mut Criterion) {
 /// multiply per zero run, found through 16-element non-zero masks) vs
 /// the byte-serial one at 256² with 0, 50, 90, 99 and 100 % zeros —
 /// the mask walk must not cost the dense case, and 90 % is the
-/// benchmark's cold-read matrix — `artifact::decode` of a 256²/90 % matrix
-/// artifact — verified once, by its digest — vs the three passes a cold
-/// read used to make over the same bytes, and the direct CSR build vs
-/// the route through COO triples at 256² and 1024², 90 % sparse — both
-/// sides finish by deriving the accumulator bound and the column
-/// slices, so the race includes them.
+/// benchmark's cold-read matrix — `artifact::decode_body` of a
+/// 256²/90 % matrix artifact — the body checked and its digest taken
+/// over the non-zeros in one walk — vs decoding the same bytes to the
+/// dense matrix and digesting that, and the CSR build from a body and
+/// from the dense matrix vs the route through COO triples at 256² and
+/// 1024², 90 % sparse — every side finishes by deriving the accumulator
+/// bound and the column slices, so the race includes them.
 fn bench_store_checksums(c: &mut Criterion) {
     let mut rng = seeded(5000);
     let mut group = c.benchmark_group("store_checksums");
@@ -265,20 +266,25 @@ fn bench_store_checksums(c: &mut Criterion) {
 
     let m = element_sparse_matrix(256, 256, 8, 0.9, true, &mut rng).unwrap();
     let file = artifact::encode(m.digest(), &Artifact::Matrix(m.clone()));
-    let decoded = artifact::decode(&file).unwrap();
-    assert_eq!(decoded, (m.digest(), Artifact::Matrix(m)), "decode lost the matrix");
-    assert_eq!(decode_in_three_passes(&file), decoded, "cold decodes diverged");
-    group.bench_function("cold_decode/digest_only", |b| {
-        b.iter(|| artifact::decode(black_box(&file)).unwrap())
+    let (digest, body) = artifact::decode_body(&file).unwrap();
+    assert_eq!((digest, body.to_matrix().unwrap()), (m.digest(), m.clone()), "decode lost the matrix");
+    assert_eq!(decode_dense(&file), (digest, m), "cold decodes diverged");
+    group.bench_function("cold_decode/body_nonzero_digest", |b| {
+        b.iter(|| artifact::decode_body(black_box(&file)).unwrap())
     });
-    group.bench_function("cold_decode/crc_decode_digest", |b| {
-        b.iter(|| decode_in_three_passes(black_box(&file)))
+    group.bench_function("cold_decode/dense_digest", |b| {
+        b.iter(|| decode_dense(black_box(&file)))
     });
 
     for &dim in &[256usize, 1024] {
         let m = element_sparse_matrix(dim, dim, 8, 0.9, true, &mut rng).unwrap();
+        let body = MatrixBody::of(&m);
         let via_coo = |m| Csr::from_coo(&Coo::from_dense(m));
         assert_eq!(Csr::from_dense(&m), via_coo(&m), "CSR builds diverged at {dim}");
+        assert_eq!(Csr::from_body(&body), via_coo(&m), "CSR builds diverged at {dim}");
+        group.bench_with_input(BenchmarkId::new("csr_build/from_body", dim), &dim, |b, _| {
+            b.iter(|| Csr::from_body(black_box(&body)))
+        });
         group.bench_with_input(BenchmarkId::new("csr_build/direct", dim), &dim, |b, _| {
             b.iter(|| Csr::from_dense(black_box(&m)))
         });
@@ -289,24 +295,18 @@ fn bench_store_checksums(c: &mut Criterion) {
     group.finish();
 }
 
-/// A rev-1 matrix artifact read the way every cold read ran before the
-/// digest became the payload's only check: CRC-32 over the payload,
-/// element decode, content digest — the oracle `artifact::decode` is
-/// held to (same value out of the same bytes).
-fn decode_in_three_passes(file: &[u8]) -> (u64, Artifact) {
+/// A matrix artifact read to its dense form and digested there, the way
+/// cold reads ran before the digest was taken over the body's non-zeros:
+/// the oracle `artifact::decode_body` is held to (same digest out of the
+/// same bytes).
+fn decode_dense(file: &[u8]) -> (u64, IntMatrix) {
     // Past magic (4), format rev (4) and kind (1).
     let mut header = Cursor::new(&file[9..]);
     let digest = header.take_u64("digest").unwrap();
-    let crc = header.take_u32("crc").unwrap();
     let payload = header.take_bytes("payload").unwrap();
-    assert_eq!(crc32(payload), crc, "payload CRC");
-    let mut body = Cursor::new(payload);
-    let rows = body.take_u64("rows").unwrap() as usize;
-    let cols = body.take_u64("cols").unwrap() as usize;
-    let data = body.take_i32_vec("data").unwrap();
-    let m = IntMatrix::from_vec(rows, cols, data).unwrap();
+    let m = Cursor::new(payload).take_matrix().unwrap();
     assert_eq!(m.digest(), digest, "content digest");
-    (digest, Artifact::Matrix(m))
+    (digest, m)
 }
 
 /// The planner's regret: every engine's one-frame `run_rows` on one

@@ -80,28 +80,61 @@ fn zero_run_power(run: usize) -> u64 {
     power
 }
 
+/// [`IntMatrix::digest`] fed one non-zero at a time, in row-major order:
+/// each non-zero first multiplies in the power owed for the zeros since
+/// the one before it, then hashes its four bytes. Both the dense walk and
+/// a matrix body's non-zeros (`wire::MatrixBody`) run through it, so the
+/// two can only agree.
+pub(crate) struct NonzeroDigest {
+    hash: u64,
+    /// One past the last non-zero hashed: the zeros from here to the
+    /// next one are owed as a single multiply.
+    resume: usize,
+}
+
+impl NonzeroDigest {
+    /// The digest's prefix: FNV-1a over the two dimensions.
+    pub(crate) fn new(rows: usize, cols: usize) -> Self {
+        let hash = fnv1a(FNV_OFFSET_BASIS, &(rows as u64).to_le_bytes());
+        Self { hash: fnv1a(hash, &(cols as u64).to_le_bytes()), resume: 0 }
+    }
+
+    /// Hashes the non-zero `value` at row-major `index`, past every
+    /// index hashed so far.
+    #[inline(always)]
+    pub(crate) fn push(&mut self, index: usize, value: i32) {
+        self.hash = self.hash.wrapping_mul(zero_run_power(index - self.resume));
+        self.hash = fnv1a(self.hash, &value.to_le_bytes());
+        self.resume = index + 1;
+    }
+
+    /// The digest of a matrix of `len` elements whose non-zeros have all
+    /// been pushed: the zeros after the last one are one final multiply.
+    pub(crate) fn finish(self, len: usize) -> u64 {
+        self.hash.wrapping_mul(zero_run_power(len - self.resume))
+    }
+}
+
 /// Continues [`IntMatrix::digest`] over `chunk`, the elements from index
-/// `start` on; `resume` is one past the last non-zero hashed so far.
+/// `start` on.
 #[inline(always)]
-fn digest_chunk(mut hash: u64, resume: &mut usize, start: usize, chunk: &[i32]) -> u64 {
+fn digest_chunk(walk: &mut NonzeroDigest, start: usize, chunk: &[i32]) {
     let mut nonzero = chunk
         .iter()
         .enumerate()
         .fold(0u32, |mask, (i, &v)| mask | u32::from(v != 0) << i);
     if nonzero == (1 << chunk.len()) - 1 {
         // No zero inside: one power for the run before, then no more.
-        hash = hash.wrapping_mul(zero_run_power(start - *resume));
-        *resume = start + chunk.len();
-        return chunk.iter().fold(hash, |h, v| fnv1a(h, &v.to_le_bytes()));
+        let hash = walk.hash.wrapping_mul(zero_run_power(start - walk.resume));
+        walk.hash = chunk.iter().fold(hash, |h, v| fnv1a(h, &v.to_le_bytes()));
+        walk.resume = start + chunk.len();
+        return;
     }
     while nonzero != 0 {
         let i = nonzero.trailing_zeros() as usize;
         nonzero &= nonzero - 1;
-        hash = hash.wrapping_mul(zero_run_power(start + i - *resume));
-        hash = fnv1a(hash, &chunk[i].to_le_bytes());
-        *resume = start + i + 1;
+        walk.push(start + i, chunk[i]);
     }
-    hash
 }
 
 /// `rows * cols` for a matrix shape: a typed error, never a panic or a
@@ -336,23 +369,14 @@ impl IntMatrix {
     /// zero, and nothing in the byte order or the arithmetic changes:
     /// the value is [`IntMatrix::digest_bytewise`]'s for every matrix.
     pub fn digest(&self) -> u64 {
-        let mut hash = self.shape_digest();
-        // One past the last non-zero hashed: the zeros from here to the
-        // next one are owed as a single multiply.
-        let mut resume = 0;
+        let mut walk = NonzeroDigest::new(self.rows, self.cols);
         let mut chunks = self.data.chunks_exact(DIGEST_CHUNK);
         for (n, chunk) in (&mut chunks).enumerate() {
-            hash = digest_chunk(hash, &mut resume, n * DIGEST_CHUNK, chunk);
+            digest_chunk(&mut walk, n * DIGEST_CHUNK, chunk);
         }
         let tail = chunks.remainder();
-        hash = digest_chunk(hash, &mut resume, self.data.len() - tail.len(), tail);
-        hash.wrapping_mul(zero_run_power(self.data.len() - resume))
-    }
-
-    /// The digest's prefix: FNV-1a over the two dimensions.
-    fn shape_digest(&self) -> u64 {
-        let hash = fnv1a(FNV_OFFSET_BASIS, &(self.rows as u64).to_le_bytes());
-        fnv1a(hash, &(self.cols as u64).to_le_bytes())
+        digest_chunk(&mut walk, self.data.len() - tail.len(), tail);
+        walk.finish(self.data.len())
     }
 
     /// The byte-at-a-time FNV-1a digest — the reference
@@ -360,7 +384,7 @@ impl IntMatrix {
     /// (`store_checksums` in the `kernels` bench). Nothing serves
     /// through it.
     pub fn digest_bytewise(&self) -> u64 {
-        let mut hash = self.shape_digest();
+        let mut hash = NonzeroDigest::new(self.rows, self.cols).hash;
         for &v in &self.data {
             hash = fnv1a(hash, &v.to_le_bytes());
         }

@@ -24,11 +24,20 @@
 //! A 1024² matrix at 90 % sparsity with 8-bit weights is ~0.53 MB: 4 KiB
 //! of row counts and five bytes per non-zero. Decoding checks the shape
 //! against [`MAX_WIRE_LEN`] elements and the byte count against what is
-//! present before any per-element work, then scatters the non-zeros into
-//! one zeroed allocation.
+//! present before any per-element work, then checks each non-zero.
+//!
+//! **One matrix, one body.** The width must be the narrowest that holds
+//! the values: a body at a wider width is refused. With columns strictly
+//! ascending and no zero stored, every valid body is then exactly the
+//! bytes [`put_matrix`] writes for the matrix it decodes to, so equal
+//! matrices have equal bytes and a receiver may keep the bytes it got.
+//! [`MatrixBody`] is such a body kept whole — what the serving fleet
+//! holds in memory and files on disk — and computes from its non-zeros
+//! the values the dense matrix would give: [`IntMatrix::digest`] and the
+//! dense matrix itself.
 
 use crate::error::{Error, Result};
-use crate::matrix::IntMatrix;
+use crate::matrix::{IntMatrix, NonzeroDigest};
 
 /// Hard ceiling on any length prefix this module will accept, so a
 /// corrupt or malicious 4-byte length cannot drive a multi-gigabyte
@@ -94,12 +103,10 @@ pub fn put_i64_vec(buf: &mut Vec<u8>, v: &[i64]) {
     buf.extend(v.iter().flat_map(|x| x.to_le_bytes()));
 }
 
-/// Bytes per value in a matrix body: the narrowest of `i8`, `i16` and
-/// `i32` that holds every element (zeros fit any width).
-fn value_width(values: &[i32]) -> usize {
-    let (lo, hi) = values
-        .iter()
-        .fold((0, 0), |(lo, hi): (i32, i32), &v| (lo.min(v), hi.max(v)));
+/// Bytes per value in a matrix body whose values span `lo..=hi`: the
+/// narrowest of `i8`, `i16` and `i32` that holds both (zeros fit any
+/// width).
+fn width_for(lo: i32, hi: i32) -> usize {
     if i8::try_from(lo).is_ok() && i8::try_from(hi).is_ok() {
         1
     } else if i16::try_from(lo).is_ok() && i16::try_from(hi).is_ok() {
@@ -113,7 +120,8 @@ fn value_width(values: &[i32]) -> usize {
 /// wire"). Column indices are `u32`, so a matrix wider than that cannot
 /// travel; every matrix under [`MAX_WIRE_LEN`] elements is narrower.
 pub fn put_matrix(buf: &mut Vec<u8>, m: &IntMatrix) {
-    let width = value_width(m.as_slice());
+    let (lo, hi) = m.as_slice().iter().fold((0, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    let width = width_for(lo, hi);
     put_u64(buf, m.rows() as u64);
     put_u64(buf, m.cols() as u64);
     let nnz_at = buf.len();
@@ -176,37 +184,197 @@ fn widen<const W: usize>(bytes: &[u8; W]) -> i32 {
     i32::from_le_bytes(full)
 }
 
-/// Scatters a body's non-zeros into `data`, one row of `cols` at a time,
-/// refusing a column out of range, one that repeats or descends within
-/// its row, and a zero value. The row counts already sum to the number
-/// of non-zeros, so every row takes exactly its own.
-fn scatter_nonzeros<const W: usize>(
-    data: &mut [i32],
+/// Bytes of a body before its row counts: rows, cols and nnz as `u64`,
+/// then the width byte.
+const BODY_HEADER: usize = 25;
+
+/// A body's header and its three arrays, sized against each other and
+/// against the bytes present, the elements not yet read.
+struct RawBody<'a> {
+    rows: usize,
     cols: usize,
-    counts: &[[u8; 4]],
-    col_bytes: &[[u8; 4]],
-    value_bytes: &[u8],
-) -> Result<()> {
-    let mut nonzeros = col_bytes.iter().zip(value_bytes.as_chunks::<W>().0);
-    for (r, (row, count)) in data.chunks_exact_mut(cols).zip(counts).enumerate() {
-        // The smallest column the next non-zero of this row may take.
-        let mut next = 0usize;
-        for (col, value) in nonzeros.by_ref().take(u32::from_le_bytes(*count) as usize) {
-            let c = u32::from_le_bytes(*col) as usize;
-            if c < next || c >= cols {
-                return Err(wire_err(format!(
-                    "matrix row {r}: column {c} is out of order or past {cols} columns"
-                )));
+    nnz: usize,
+    width: usize,
+    counts: &'a [[u8; 4]],
+    columns: &'a [[u8; 4]],
+    values: &'a [u8],
+}
+
+impl RawBody<'_> {
+    /// Checks every element, handing each non-zero to `visit(row, col,
+    /// value)` in row-major order: the row counts must sum to the count
+    /// of non-zeros, a column must lie in range and ascend strictly
+    /// within its row, no value may be zero, and the width must be the
+    /// narrowest that holds the values.
+    fn check(&self, visit: impl FnMut(usize, usize, i32)) -> Result<()> {
+        let counted: u64 = self.counts.iter().map(|b| u64::from(u32::from_le_bytes(*b))).sum();
+        if counted != self.nnz as u64 {
+            return Err(wire_err(format!(
+                "matrix row counts sum to {counted}, not {} non-zeros",
+                self.nnz
+            )));
+        }
+        let (lo, hi) = match self.width {
+            1 => self.walk::<1>(visit),
+            2 => self.walk::<2>(visit),
+            _ => self.walk::<4>(visit),
+        }?;
+        let need = width_for(lo, hi);
+        if need != self.width {
+            return Err(wire_err(format!(
+                "matrix value width {} is wider than its values need ({need})",
+                self.width
+            )));
+        }
+        Ok(())
+    }
+
+    /// [`RawBody::check`]'s per-element walk at width `W`, returning the
+    /// least and greatest value seen (0 and 0 when there is none). The
+    /// row counts already sum to the number of non-zeros, so every row
+    /// takes exactly its own.
+    fn walk<const W: usize>(&self, mut visit: impl FnMut(usize, usize, i32)) -> Result<(i32, i32)> {
+        let (mut lo, mut hi) = (0, 0);
+        let mut nonzeros = self.columns.iter().zip(self.values.as_chunks::<W>().0);
+        for (r, count) in self.counts.iter().enumerate() {
+            // The smallest column the next non-zero of this row may take.
+            let mut next = 0usize;
+            for (col, value) in nonzeros.by_ref().take(u32::from_le_bytes(*count) as usize) {
+                let c = u32::from_le_bytes(*col) as usize;
+                if c < next || c >= self.cols {
+                    return Err(wire_err(format!(
+                        "matrix row {r}: column {c} is out of order or past {} columns",
+                        self.cols
+                    )));
+                }
+                let v = widen(value);
+                if v == 0 {
+                    return Err(wire_err(format!("matrix row {r}: column {c} carries a zero")));
+                }
+                (lo, hi) = (lo.min(v), hi.max(v));
+                visit(r, c, v);
+                next = c + 1;
             }
-            let v = widen(value);
-            if v == 0 {
-                return Err(wire_err(format!("matrix row {r}: column {c} carries a zero")));
-            }
-            row[c] = v;
-            next = c + 1;
+        }
+        Ok((lo, hi))
+    }
+}
+
+/// A matrix body (module docs, "A matrix on the wire") kept as its bytes:
+/// validated once, when it is read or written, and exactly what
+/// [`put_matrix`] writes for the matrix it stands for. Its content digest
+/// is computed from the non-zeros on the way in and kept.
+///
+/// This is the form a matrix takes at rest — a 256² matrix at 90 %
+/// sparsity with 8-bit weights is ~34 KB of it instead of 256 KB dense —
+/// and everything a consumer needs comes straight from it: the shape, the
+/// non-zeros ([`MatrixBody::row_counts`], [`MatrixBody::columns`],
+/// [`MatrixBody::values`]) and, for an engine that wants it, the dense
+/// matrix ([`MatrixBody::to_matrix`]).
+#[derive(Clone, PartialEq, Eq)]
+pub struct MatrixBody {
+    bytes: Vec<u8>,
+    rows: usize,
+    cols: usize,
+    nnz: usize,
+    width: usize,
+    digest: u64,
+}
+
+impl std::fmt::Debug for MatrixBody {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MatrixBody")
+            .field("shape", &(self.rows, self.cols))
+            .field("nnz", &self.nnz)
+            .field("width", &self.width)
+            .field("digest", &format_args!("{:#018x}", self.digest))
+            .finish()
+    }
+}
+
+impl MatrixBody {
+    /// The body of `m`: [`put_matrix`]'s bytes, with the digest of the
+    /// dense matrix in hand.
+    pub fn of(m: &IntMatrix) -> Self {
+        let mut bytes = Vec::new();
+        put_matrix(&mut bytes, m);
+        let width = usize::from(bytes[BODY_HEADER - 1]);
+        let nnz = (bytes.len() - BODY_HEADER - m.rows() * 4) / (4 + width);
+        Self { bytes, rows: m.rows(), cols: m.cols(), nnz, width, digest: m.digest() }
+    }
+
+    /// The body's bytes, exactly as [`put_matrix`] writes them.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Rows of the matrix.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Columns of the matrix.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Non-zero elements.
+    pub fn nnz(&self) -> usize {
+        self.nnz
+    }
+
+    /// Bytes per stored value: 1, 2 or 4.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// [`IntMatrix::digest`] of the matrix, computed from the non-zeros.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    fn columns_at(&self) -> usize {
+        BODY_HEADER + self.rows * 4
+    }
+
+    fn values_at(&self) -> usize {
+        self.columns_at() + self.nnz * 4
+    }
+
+    /// Non-zeros per row, top to bottom.
+    pub fn row_counts(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        let counts = &self.bytes[BODY_HEADER..self.columns_at()];
+        counts.as_chunks::<4>().0.iter().map(|b| u32::from_le_bytes(*b) as usize)
+    }
+
+    /// Every non-zero's column, row-major.
+    pub fn columns(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        let columns = &self.bytes[self.columns_at()..self.values_at()];
+        columns.as_chunks::<4>().0.iter().map(|b| u32::from_le_bytes(*b) as usize)
+    }
+
+    /// Every non-zero's value, row-major, widened to `i32`.
+    pub fn values(&self) -> Vec<i32> {
+        let values = &self.bytes[self.values_at()..];
+        match self.width {
+            1 => values.as_chunks::<1>().0.iter().map(widen).collect(),
+            2 => values.as_chunks::<2>().0.iter().map(widen).collect(),
+            _ => values.as_chunks::<4>().0.iter().map(widen).collect(),
         }
     }
-    Ok(())
+
+    /// The dense matrix: one zeroed allocation, the non-zeros scattered
+    /// into it.
+    pub fn to_matrix(&self) -> Result<IntMatrix> {
+        let mut data = vec![0; self.rows * self.cols];
+        let mut nonzeros = self.columns().zip(self.values());
+        for (row, count) in data.chunks_exact_mut(self.cols).zip(self.row_counts()) {
+            for (c, v) in nonzeros.by_ref().take(count) {
+                row[c] = v;
+            }
+        }
+        IntMatrix::from_vec(self.rows, self.cols, data)
+    }
 }
 
 /// A bounds-checked reader over a received byte slice.
@@ -343,12 +511,10 @@ impl<'a> Cursor<'a> {
         Ok(elems.len())
     }
 
-    /// Reads a matrix written by [`put_matrix`]. The shape, the count of
-    /// non-zeros and the bytes they need are all checked before anything
-    /// is allocated or any element is read; then the row counts must sum
-    /// to the count of non-zeros, and each non-zero is checked as it is
-    /// scattered.
-    pub fn take_matrix(&mut self) -> Result<IntMatrix> {
+    /// Reads a body's header and sizes its three arrays: the shape, the
+    /// count of non-zeros and the bytes they need are all checked before
+    /// anything is allocated or any element is read.
+    fn take_raw_body(&mut self) -> Result<RawBody<'a>> {
         let rows = self.take_u64("matrix rows")?;
         let cols = self.take_u64("matrix cols")?;
         let nnz = self.take_u64("matrix nnz")?;
@@ -380,23 +546,47 @@ impl<'a> Cursor<'a> {
                 self.remaining()
             )));
         }
-        let counts = self.take(rows * 4, "matrix row counts")?.as_chunks::<4>().0;
-        let col_bytes = self.take(nnz * 4, "matrix columns")?.as_chunks::<4>().0;
-        let value_bytes = self.take(nnz * width, "matrix values")?;
-        let counted: u64 = counts.iter().map(|b| u64::from(u32::from_le_bytes(*b))).sum();
-        if counted != nnz as u64 {
-            return Err(wire_err(format!(
-                "matrix row counts sum to {counted}, not {nnz} non-zeros"
-            )));
-        }
-        let scatter = match width {
-            1 => scatter_nonzeros::<1>,
-            2 => scatter_nonzeros::<2>,
-            _ => scatter_nonzeros::<4>,
-        };
-        let mut data = vec![0; rows * cols];
-        scatter(&mut data, cols, counts, col_bytes, value_bytes)?;
-        IntMatrix::from_vec(rows, cols, data)
+        Ok(RawBody {
+            rows,
+            cols,
+            nnz,
+            width,
+            counts: self.take(rows * 4, "matrix row counts")?.as_chunks::<4>().0,
+            columns: self.take(nnz * 4, "matrix columns")?.as_chunks::<4>().0,
+            values: self.take(nnz * width, "matrix values")?,
+        })
+    }
+
+    /// Reads a matrix written by [`put_matrix`] into its dense form,
+    /// scattering each non-zero as it is checked (see
+    /// [`Cursor::take_matrix_body`] for what is refused).
+    pub fn take_matrix(&mut self) -> Result<IntMatrix> {
+        let raw = self.take_raw_body()?;
+        let mut data = vec![0; raw.rows * raw.cols];
+        raw.check(|r, c, v| data[r * raw.cols + c] = v)?;
+        IntMatrix::from_vec(raw.rows, raw.cols, data)
+    }
+
+    /// Reads a matrix written by [`put_matrix`] and keeps it as its
+    /// bytes. The shape and byte count are checked first; then the row
+    /// counts must sum to the count of non-zeros, every column must lie in
+    /// range and ascend strictly within its row, no value may be zero,
+    /// and the width must be the narrowest that holds the values — so the
+    /// bytes kept are exactly what [`put_matrix`] writes for this matrix.
+    /// The same walk computes the content digest.
+    pub fn take_matrix_body(&mut self) -> Result<MatrixBody> {
+        let start = self.pos;
+        let raw = self.take_raw_body()?;
+        let mut walk = NonzeroDigest::new(raw.rows, raw.cols);
+        raw.check(|r, c, v| walk.push(r * raw.cols + c, v))?;
+        Ok(MatrixBody {
+            bytes: self.buf[start..self.pos].to_vec(),
+            rows: raw.rows,
+            cols: raw.cols,
+            nnz: raw.nnz,
+            width: raw.width,
+            digest: walk.finish(raw.rows * raw.cols),
+        })
     }
 
     /// Fails unless every byte has been consumed.

@@ -171,7 +171,7 @@ impl SparseCsr {
         Self::from_csr(Csr::from_dense(matrix))
     }
 
-    fn from_csr(csr: Csr) -> Self {
+    pub(crate) fn from_csr(csr: Csr) -> Self {
         Self {
             csr,
             narrow_groups: AtomicUsize::new(0),

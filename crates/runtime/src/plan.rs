@@ -35,6 +35,7 @@ use crate::spec::{unknown_kind, EngineSpec, BUILTIN_KINDS};
 use smm_bitserial::multiplier::WeightEncoding;
 use smm_core::error::Result;
 use smm_core::matrix::IntMatrix;
+use smm_core::wire::MatrixBody;
 
 /// The dense kernel, per multiply-accumulate: rung
 /// `core.gemv.dense_ns_per_mac.{256,1024}` (0.28 and 0.32).
@@ -156,6 +157,18 @@ pub struct EnginePlan {
 /// two. Fails when the policy names a kind that is not one of
 /// [`BUILTIN_KINDS`].
 pub fn plan(matrix: &IntMatrix, policy: &PlanPolicy) -> Result<EnginePlan> {
+    plan_counts(policy, || Counts { rows: matrix.rows(), cols: matrix.cols(), nnz: matrix.nnz() })
+}
+
+/// [`plan`] for a matrix kept as its body: the counts come from the
+/// body's header, so planning reads no element.
+pub(crate) fn plan_body(body: &MatrixBody, policy: &PlanPolicy) -> Result<EnginePlan> {
+    plan_counts(policy, || Counts { rows: body.rows(), cols: body.cols(), nnz: body.nnz() })
+}
+
+/// [`plan`] over the counts an auto policy prices; an explicit policy
+/// never asks for them.
+fn plan_counts(policy: &PlanPolicy, counts: impl FnOnce() -> Counts) -> Result<EnginePlan> {
     match policy {
         PlanPolicy::Explicit(spec) => {
             if !BUILTIN_KINDS.contains(&spec.kind()) {
@@ -175,16 +188,11 @@ pub fn plan(matrix: &IntMatrix, policy: &PlanPolicy) -> Result<EnginePlan> {
                 spec: spec.clone(),
             })
         }
-        PlanPolicy::Auto(options) => Ok(auto_plan(matrix, *options)),
+        PlanPolicy::Auto(options) => Ok(auto_plan(counts(), *options)),
     }
 }
 
-fn auto_plan(matrix: &IntMatrix, options: AutoOptions) -> EnginePlan {
-    let counts = Counts {
-        rows: matrix.rows(),
-        cols: matrix.cols(),
-        nnz: matrix.nnz(),
-    };
+fn auto_plan(counts: Counts, options: AutoOptions) -> EnginePlan {
     let candidates = AUTO_CANDIDATES.map(|c| {
         let work = (c.work)(&counts);
         PlanCandidate {
@@ -215,7 +223,7 @@ fn auto_plan(matrix: &IntMatrix, options: AutoOptions) -> EnginePlan {
         counts.rows,
         counts.cols,
         counts.nnz,
-        100.0 * (1.0 - counts.nnz as f64 / matrix.len() as f64),
+        100.0 * (1.0 - counts.nnz as f64 / (counts.rows * counts.cols) as f64),
         winner.kind,
         winner.cost_ns,
         winner.reason,

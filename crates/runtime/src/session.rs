@@ -46,6 +46,7 @@ use crate::spec::{self, EngineSpec};
 use smm_core::block::{FrameBlock, RowBlock};
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
+use smm_core::wire::MatrixBody;
 use smm_telemetry::{SpanRecorder, Stage};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
@@ -74,10 +75,18 @@ impl BatchStats {
     }
 }
 
+/// What a session's engine is built from: a dense matrix, or a matrix
+/// kept as its body (what the serving fleet holds).
+#[derive(Clone)]
+enum Weights {
+    Dense(IntMatrix),
+    Body(Arc<MatrixBody>),
+}
+
 /// Configures and builds a [`Session`].
 #[derive(Clone)]
 pub struct SessionBuilder {
-    matrix: IntMatrix,
+    weights: Weights,
     policy: PlanPolicy,
     engine: Option<Arc<dyn GemvBackend>>,
     cache: Option<Arc<MultiplierCache>>,
@@ -86,8 +95,12 @@ pub struct SessionBuilder {
 
 impl std::fmt::Debug for SessionBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let shape = match &self.weights {
+            Weights::Dense(m) => (m.rows(), m.cols()),
+            Weights::Body(body) => (body.rows(), body.cols()),
+        };
         f.debug_struct("SessionBuilder")
-            .field("matrix", &(self.matrix.rows(), self.matrix.cols()))
+            .field("matrix", &shape)
             .field("policy", &self.policy)
             .finish_non_exhaustive()
     }
@@ -138,10 +151,14 @@ impl SessionBuilder {
     /// submits.
     pub fn build(self) -> Result<Session> {
         let cache = self.cache.unwrap_or_default();
-        let plan = plan::plan(&self.matrix, &self.policy)?;
-        let engine = match self.engine {
-            Some(engine) => engine,
-            None => spec::build(self.matrix, &plan.spec, &cache)?,
+        let plan = match &self.weights {
+            Weights::Dense(m) => plan::plan(m, &self.policy)?,
+            Weights::Body(body) => plan::plan_body(body, &self.policy)?,
+        };
+        let engine = match (self.engine, self.weights) {
+            (Some(engine), _) => engine,
+            (None, Weights::Dense(m)) => spec::build(m, &plan.spec, &cache)?,
+            (None, Weights::Body(body)) => spec::build_body(&body, &plan.spec, &cache)?,
         };
         let threads = match plan.spec.threads {
             0 => pool::cores(),
@@ -188,8 +205,20 @@ impl std::fmt::Debug for Session {
 impl Session {
     /// Starts configuring a session over `matrix`.
     pub fn builder(matrix: IntMatrix) -> SessionBuilder {
+        Self::builder_over(Weights::Dense(matrix))
+    }
+
+    /// Starts configuring a session over a matrix kept as its body: the
+    /// plan reads the body's counts, a `csr` engine builds from its
+    /// non-zeros, and any other engine decodes the dense matrix once
+    /// ([`spec::build_body`]).
+    pub fn builder_body(body: Arc<MatrixBody>) -> SessionBuilder {
+        Self::builder_over(Weights::Body(body))
+    }
+
+    fn builder_over(weights: Weights) -> SessionBuilder {
         SessionBuilder {
-            matrix,
+            weights,
             policy: PlanPolicy::default(),
             engine: None,
             cache: None,

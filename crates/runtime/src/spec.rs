@@ -19,6 +19,8 @@ use crate::cache::MultiplierCache;
 use smm_bitserial::multiplier::WeightEncoding;
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
+use smm_core::wire::MatrixBody;
+use smm_sparse::Csr;
 use std::sync::Arc;
 
 /// The built-in engine kind names, in planning order.
@@ -147,6 +149,20 @@ pub fn build(
         "sigma" => Arc::new(SigmaEngine::new(&matrix)),
         other => return Err(unknown_kind(other)),
     })
+}
+
+/// [`build`] from a matrix kept as its body: `csr` builds straight from
+/// the non-zeros ([`Csr::from_body`]); every other kind decodes the
+/// dense matrix once and goes through [`build`].
+pub fn build_body(
+    body: &MatrixBody,
+    spec: &EngineSpec,
+    cache: &MultiplierCache,
+) -> Result<Arc<dyn GemvBackend>> {
+    match spec.kind() {
+        "csr" => Ok(Arc::new(SparseCsr::from_csr(Csr::from_body(body)))),
+        _ => build(body.to_matrix()?, spec, cache),
+    }
 }
 
 #[cfg(test)]

@@ -1,23 +1,34 @@
-//! The tiered matrix fleet: hot sessions, warm matrices, cold bytes.
+//! The tiered matrix fleet: hot sessions, warm non-zeros, cold bytes.
 //!
 //! [`TieredRegistry`] replaces a flat `digest → Session` map with the
 //! three-tier residency model of `smm-store` (see [`Tier`]):
 //!
 //! * **hot** — a live [`Session`] (plan + compiled engine; it owns no
 //!   threads, so residency costs the engine's memory and nothing else);
-//! * **warm** — the raw [`IntMatrix`] resident in memory, the engine
-//!   rebuilt on demand through the shared multiplier cache;
-//! * **cold** — artifact bytes in an attached [`Store`], verified on the
-//!   way back in by the content digest they are filed under.
+//! * **warm** — the matrix's non-zeros, resident in memory as its wire
+//!   body ([`MatrixBody`]: ~34 KB for a 256² matrix at 90 % sparsity with
+//!   8-bit weights, where the dense matrix is 256 KB), the engine rebuilt
+//!   from them on demand;
+//! * **cold** — the same body in an attached [`Store`], byte for byte,
+//!   verified on the way back in by the content digest computed from its
+//!   non-zeros.
+//!
+//! A matrix at rest is one form from load to disk and back: the body a
+//! `LoadMatrix` carried is what [`TieredRegistry::insert_body`] keeps warm
+//! and files, and what a promotion ([`TieredRegistry::acquire_body`])
+//! builds from — a `csr` engine straight from the non-zeros, any other
+//! engine from the dense matrix decoded once. The `IntMatrix` forms,
+//! [`TieredRegistry::acquire`] and [`TieredRegistry::insert`], are
+//! adapters over that path.
 //!
 //! Which tier an entry is in, who is demoted under pressure and when a
 //! load is refused are decided by the pure table in `tiers.rs`
-//! (`Tiers<Arc<Session>, Arc<IntMatrix>>`); this module is the shell
+//! (`Tiers<Arc<Session>, Arc<MatrixBody>>`); this module is the shell
 //! around it. Every call here takes the fleet lock, asks the table for
 //! one transition, and does what the answer needs *outside* the lock:
 //! the store read of a cold digest (counted as a *store hit*), the
-//! engine build of a promotion ([`TieredRegistry::acquire`]), the one
-//! `<digest>.matrix.smma` file a load writes ([`TieredRegistry::insert`]).
+//! engine build of a promotion, the one `<digest>.matrix.smma` file a
+//! load writes.
 //! A demoted session's `Arc` is simply dropped — a free, nothing to join.
 //! Without a store nothing can go cold, and a load that finds both
 //! in-memory tiers full is refused, typed: pressure, not failure.
@@ -26,7 +37,8 @@ use crate::session::Session;
 use crate::tiers::{Installation, Lookup, Promotion, Tiers};
 use smm_core::error::Result;
 use smm_core::matrix::IntMatrix;
-use smm_store::{Artifact, ArtifactKind, CircuitMeta, Store, Tier, TierCounts};
+use smm_core::wire::MatrixBody;
+use smm_store::{ArtifactKind, CircuitMeta, Store, Tier, TierCounts};
 use smm_telemetry::lock_or_recover;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -77,9 +89,9 @@ pub struct FleetSnapshot {
 
 /// The tiered, digest-addressed session registry (see module docs).
 pub struct TieredRegistry {
-    /// A matrix is shared, so a promotion takes a handle under the lock
-    /// and copies the elements outside it.
-    tiers: Mutex<Tiers<Arc<Session>, Arc<IntMatrix>>>,
+    /// A body is shared, so a promotion takes a handle under the lock
+    /// and builds from it outside.
+    tiers: Mutex<Tiers<Arc<Session>, Arc<MatrixBody>>>,
     store: Option<Store>,
     promotions: AtomicU64,
     demotions: AtomicU64,
@@ -115,7 +127,7 @@ impl TieredRegistry {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Tiers<Arc<Session>, Arc<IntMatrix>>> {
+    fn lock(&self) -> MutexGuard<'_, Tiers<Arc<Session>, Arc<MatrixBody>>> {
         lock_or_recover(&self.tiers)
     }
 
@@ -153,30 +165,29 @@ impl TieredRegistry {
 
     /// Looks up `digest`, promoting it to hot if it is resident in any
     /// tier: a hot hit returns the live session; a warm entry is
-    /// rebuilt through `build`; a cold entry is read from the store
-    /// (counted as a store hit), then rebuilt. Returns `Ok(None)` when
-    /// the digest is unknown — or when its cold bytes are corrupt, in
-    /// which case a warning is logged, the entry is dropped, and the
-    /// caller is free to rebuild from its own copy of the matrix.
-    pub fn acquire(
+    /// rebuilt through `build` from its body; a cold entry's body is read
+    /// from the store (counted as a store hit), then rebuilt. Returns
+    /// `Ok(None)` when the digest is unknown — or when its cold bytes are
+    /// corrupt, in which case a warning is logged, the entry is dropped,
+    /// and the caller is free to rebuild from its own copy of the matrix.
+    pub fn acquire_body(
         &self,
         digest: u64,
-        build: impl FnOnce(IntMatrix) -> Result<Session>,
+        build: impl FnOnce(Arc<MatrixBody>) -> Result<Session>,
     ) -> Result<Option<Arc<Session>>> {
         let warm = match self.lock().lookup(digest) {
             Lookup::Hit(session) => return Ok(Some(session)),
             Lookup::Unknown => return Ok(None),
             Lookup::Build { warm } => warm,
         };
-        // Warm or cold: resolve the matrix bytes outside the lock (disk
-        // reads, element copies and engine builds must not stall
-        // hot-path lookups). `build` consumes a matrix, so it gets the
-        // one copy; the entry keeps (warm) or receives (cold) the other.
-        let Some(matrix) = warm.or_else(|| self.read_cold_matrix(digest)) else {
+        // Warm or cold: resolve the body outside the lock (disk reads and
+        // engine builds must not stall hot-path lookups). The build and
+        // the entry share the one body.
+        let Some(body) = warm.or_else(|| self.read_cold_body(digest)) else {
             return Ok(None);
         };
-        let session = Arc::new(build(IntMatrix::clone(&matrix))?);
-        let promoted = self.lock().promote(digest, Arc::clone(&session), matrix);
+        let session = Arc::new(build(Arc::clone(&body))?);
+        let promoted = self.lock().promote(digest, Arc::clone(&session), body);
         Ok(Some(match promoted {
             Promotion::Installed { demoted } => {
                 self.promotions.fetch_add(1, Ordering::Relaxed);
@@ -190,18 +201,28 @@ impl TieredRegistry {
         }))
     }
 
-    /// Reads a cold digest's matrix artifact, counting the store hit.
-    /// The store hands back only content that hashes to `digest` — one
-    /// pass over the bytes, the only verification a promotion pays for.
+    /// [`TieredRegistry::acquire_body`] for a builder that takes the
+    /// dense matrix: the body is decoded for it.
+    pub fn acquire(
+        &self,
+        digest: u64,
+        build: impl FnOnce(IntMatrix) -> Result<Session>,
+    ) -> Result<Option<Arc<Session>>> {
+        self.acquire_body(digest, |body| build(body.to_matrix()?))
+    }
+
+    /// Reads a cold digest's body, counting the store hit. The store
+    /// hands back only a body whose non-zeros hash to `digest` — one walk
+    /// over them, the only verification a promotion pays for.
     /// Corruption warns and forgets the entry instead of failing.
-    fn read_cold_matrix(&self, digest: u64) -> Option<Arc<IntMatrix>> {
-        let read = self.store.as_ref()?.get(digest, ArtifactKind::Matrix);
-        if let Ok(Some(Artifact::Matrix(matrix))) = read {
+    fn read_cold_body(&self, digest: u64) -> Option<Arc<MatrixBody>> {
+        let read = self.store.as_ref()?.get_body(digest);
+        if let Ok(Some(body)) = read {
             self.store_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(Arc::new(matrix));
+            return Some(Arc::new(body));
         }
-        // Corrupt, vanished, or the wrong payload kind: the cold entry
-        // is stale either way. Forget first, then say why.
+        // Corrupt, vanished, or of another format revision: the cold
+        // entry is stale either way. Forget first, then say why.
         self.lock().forget(digest);
         if let Err(e) = read {
             warn(format_args!(
@@ -212,26 +233,18 @@ impl TieredRegistry {
         None
     }
 
-    /// Installs a freshly built session for `digest`, persisting the
-    /// matrix to the attached store and demoting under pressure.
-    /// First insert wins: if another loader raced this one, the
-    /// existing session is returned and the new one is dropped.
-    /// `_meta` is accepted and ignored (nothing ever read the artifact
-    /// it became); the parameter leaves with store rev 2.
-    pub fn insert(
-        &self,
-        matrix: IntMatrix,
-        session: Session,
-        _meta: Option<CircuitMeta>,
-    ) -> InsertOutcome {
-        let digest = matrix.digest();
+    /// Installs a freshly built session for the matrix `body` stands
+    /// for, filing the body in the attached store as it is and demoting
+    /// under pressure. First insert wins: if another loader raced this
+    /// one, the existing session is returned and the new one is dropped.
+    pub fn insert_body(&self, body: Arc<MatrixBody>, session: Session) -> InsertOutcome {
+        let digest = body.digest();
         // Persist outside the lock: disk writes must not stall lookups.
         // A write failure degrades to memory-only residency (warned,
         // not fatal — serving beats persistence).
-        let on_disk = self.persist(digest, &matrix);
+        let on_disk = self.persist(digest, &body);
         let session = Arc::new(session);
-        let installed =
-            self.lock().install(digest, Arc::clone(&session), Arc::new(matrix), on_disk);
+        let installed = self.lock().install(digest, Arc::clone(&session), body, on_disk);
         match installed {
             Installation::Installed { demoted } => {
                 self.demotions.fetch_add(demoted, Ordering::Relaxed);
@@ -242,12 +255,24 @@ impl TieredRegistry {
         }
     }
 
+    /// [`TieredRegistry::insert_body`] for a dense matrix: its body is
+    /// encoded for it. `_meta` is accepted and ignored (nothing ever read
+    /// the artifact it became).
+    pub fn insert(
+        &self,
+        matrix: IntMatrix,
+        session: Session,
+        _meta: Option<CircuitMeta>,
+    ) -> InsertOutcome {
+        self.insert_body(Arc::new(MatrixBody::of(&matrix)), session)
+    }
+
     /// Writes the one file a restart reads back for `digest`.
-    fn persist(&self, digest: u64, matrix: &IntMatrix) -> bool {
+    fn persist(&self, digest: u64, body: &MatrixBody) -> bool {
         let Some(store) = &self.store else {
             return false;
         };
-        let written = store.put(digest, &Artifact::Matrix(matrix.clone()));
+        let written = store.put_body(digest, body);
         if let Err(e) = &written {
             warn(format_args!(
                 "persisting matrix artifact for digest {digest:#018x} failed ({e}); \
@@ -282,6 +307,7 @@ fn warn(line: std::fmt::Arguments<'_>) {
 mod tests {
     use super::*;
     use crate::spec::EngineSpec;
+    use smm_store::Artifact;
     use std::sync::atomic::AtomicU64 as TestCounter;
 
     fn matrix(tag: i32) -> IntMatrix {
@@ -505,8 +531,8 @@ mod tests {
 
     #[test]
     fn corrupt_cold_entry_warns_and_degrades() {
-        // Each fault is caught by the digest pass or the structure
-        // around it — no CRC is consulted for a matrix.
+        // Each fault is caught by the digest walk or the structure
+        // around it — a matrix file has no CRC.
         type Fault = fn(&mut Vec<u8>);
         let faults: [(&str, Fault); 3] = [
             ("payload byte", |bytes| *bytes.last_mut().unwrap() ^= 0x80),

@@ -1,7 +1,8 @@
 //! The tier table: every residency decision of the fleet, as data.
 //!
 //! [`Tiers`] maps a digest to what is resident for it — a hot payload
-//! `H` (the live engine), a warm payload `W` (the raw matrix), whether
+//! `H` (the live engine), a warm payload `W` (the matrix's non-zeros),
+//! whether
 //! its bytes are on disk — plus an LRU stamp, under two bounds. It is
 //! generic over both payloads and touches nothing outside itself: no
 //! lock, no disk, no clock but its own counter. The registry in

@@ -12,7 +12,7 @@
 //! * [`server`] — a std-only threaded TCP server: per-connection
 //!   sessions resolving matrices by [`smm_core::matrix::IntMatrix::digest`]
 //!   through a tiered [`smm_runtime::TieredRegistry`] (hot sessions,
-//!   warm matrices, cold artifact bytes in an optional
+//!   warm non-zeros, cold artifact bytes in an optional
 //!   [`ServerConfig::store_dir`] store — a restarted server reloads its
 //!   fleet without recompiling), a bounded [`AdmissionQueue`] that
 //!   answers `Busy` instead of buffering under overload, per-matrix

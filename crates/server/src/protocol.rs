@@ -36,7 +36,10 @@
 //!
 //! The width is the narrowest of `i8`, `i16` and `i32` that holds every
 //! value, so a 1024² matrix at 90 % sparsity with 8-bit weights is a
-//! ~0.53 MB payload. The decoder checks the shape (at most
+//! ~0.53 MB payload. A body stored wider than its values need is
+//! refused, so a matrix has exactly one body and the server keeps the
+//! bytes it received ([`MatrixBody`]) as the form its fleet holds in
+//! memory and files on disk. The decoder checks the shape (at most
 //! [`wire::MAX_WIRE_LEN`] elements) and the byte count before any
 //! per-element work, and every hostile body is a typed [`Error::Wire`].
 //!
@@ -67,7 +70,7 @@
 use smm_core::block::{FrameBlock, RowBlock};
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
-use smm_core::wire::{self, Cursor};
+use smm_core::wire::{self, Cursor, MatrixBody};
 use smm_telemetry::{Stage, StageStats, STAGES};
 use std::io::{self, BufReader, Read, Write};
 
@@ -349,6 +352,22 @@ impl Request {
     }
 }
 
+/// Decodes a `LoadMatrix` payload with the matrix kept as the body it
+/// arrived as ([`Cursor::take_matrix_body`]): how the server reads a
+/// load, so the bytes it files are the bytes it received. Refuses what
+/// [`Request::decode`] refuses.
+pub(crate) fn decode_load(
+    version: u8,
+    payload: &[u8],
+) -> Result<(MatrixBody, Option<BackendKind>)> {
+    check_version(version)?;
+    let mut c = Cursor::new(payload);
+    let body = c.take_matrix_body()?;
+    let backend = BackendKind::option_from_u8(c.take_u8("backend choice")?)?;
+    c.expect_end("request payload")?;
+    Ok((body, backend))
+}
+
 /// Appends a `LoadMatrix` payload from a borrowed matrix: the one
 /// encoder of that layout, shared by [`Request::encode_into`] and the
 /// client, so a load never copies its matrix to encode it.
@@ -416,8 +435,8 @@ pub struct StatsSnapshot {
     pub stages: [StageStats; STAGES],
     /// Digests resident in the hot tier (compiled session in memory).
     pub tier_hot: u64,
-    /// Digests resident in the warm tier (raw matrix in memory,
-    /// compiled on demand).
+    /// Digests resident in the warm tier (the matrix's non-zeros in
+    /// memory, compiled on demand).
     pub tier_warm: u64,
     /// Digests resident only in the cold tier (serialized on disk).
     pub tier_cold: u64,

@@ -25,11 +25,11 @@
 
 use crate::metrics::{self, ServerMetrics};
 use crate::protocol::{
-    batch_reply_len, BackendKind, Connection, FrameError, LoadedInfo, Opcode, Reply, Request,
-    StatsSnapshot, HEADER_LEN, MAX_FRAME_PAYLOAD, STATUS_CAPACITY, STATUS_ERROR,
+    batch_reply_len, decode_load, BackendKind, Connection, FrameError, LoadedInfo, Opcode, Reply,
+    Request, StatsSnapshot, HEADER_LEN, MAX_FRAME_PAYLOAD, STATUS_CAPACITY, STATUS_ERROR,
 };
 use smm_core::error::{Error, Result};
-use smm_core::matrix::IntMatrix;
+use smm_core::wire::MatrixBody;
 use smm_runtime::{
     AutoOptions, EngineSpec, InsertOutcome, MultiplierCache, PlanPolicy, Session, TieredConfig,
     TieredRegistry,
@@ -235,10 +235,14 @@ impl Shared {
         }
     }
 
-    /// Builds the session serving `matrix` (compilations go through the
-    /// shared cache).
-    fn build_session(&self, matrix: IntMatrix, requested: Option<BackendKind>) -> Result<Session> {
-        Session::builder(matrix)
+    /// Builds the session serving the matrix `body` stands for
+    /// (compilations go through the shared cache).
+    fn build_session(
+        &self,
+        body: Arc<MatrixBody>,
+        requested: Option<BackendKind>,
+    ) -> Result<Session> {
+        Session::builder_body(body)
             .policy(self.policy_for(requested))
             .cache(Arc::clone(&self.cache))
             // Every session shares the server's stage histograms, so
@@ -252,11 +256,19 @@ impl Shared {
     /// here; frame-level failures are handled by the session loop. The
     /// span arrives with `decode` stamped; compute requests stamp
     /// `queue` and `plan` on their way into the session.
-    fn serve(&self, request: Request, span: &mut Span<'_>) -> Reply {
+    fn serve(&self, inbound: Inbound, span: &mut Span<'_>) -> Reply {
+        let request = match inbound {
+            Inbound::Load(body, backend) => return self.serve_load(body, backend, span),
+            Inbound::Other(request) => request,
+        };
         match request {
             Request::Ping => Reply::Pong,
             Request::Stats => Reply::Stats(Box::new(self.stats())),
-            Request::LoadMatrix { matrix, backend } => self.serve_load(matrix, backend, span),
+            // Loads off the wire arrive as `Inbound::Load`; a load decoded
+            // to its dense matrix is served as that matrix's body.
+            Request::LoadMatrix { matrix, backend } => {
+                self.serve_load(MatrixBody::of(&matrix), backend, span)
+            }
             // Served work is counted here, where it is served — after the
             // product succeeded, whatever happens to the session next. A
             // single rides the session's fast path (no pool round trip)
@@ -286,13 +298,13 @@ impl Shared {
 
     fn serve_load(
         &self,
-        matrix: IntMatrix,
+        body: MatrixBody,
         requested: Option<BackendKind>,
         span: &mut Span<'_>,
     ) -> Reply {
-        let digest = matrix.digest();
-        let rows = matrix.rows() as u64;
-        let cols = matrix.cols() as u64;
+        let digest = body.digest();
+        let rows = body.rows() as u64;
+        let cols = body.cols() as u64;
         let loaded = |session: &Session, already_loaded: bool| {
             Reply::Loaded(LoadedInfo {
                 digest,
@@ -311,7 +323,7 @@ impl Shared {
         // read) is stamped as the plan stage.
         match self
             .registry
-            .acquire(digest, |m| self.build_session(m, requested))
+            .acquire_body(digest, |b| self.build_session(b, requested))
         {
             Ok(Some(session)) => {
                 span.mark(Stage::Plan);
@@ -332,12 +344,14 @@ impl Shared {
         // not stall requests against already-loaded matrices. Two racing
         // loaders both build; the first insert wins and the loser's copy
         // is dropped (the compile itself is still shared via the cache).
-        let session = match self.build_session(matrix.clone(), requested) {
+        // The body received is the one the fleet keeps and files.
+        let body = Arc::new(body);
+        let session = match self.build_session(Arc::clone(&body), requested) {
             Ok(session) => session,
             Err(e) => return Reply::Error(format!("loading matrix: {e}")),
         };
         span.mark(Stage::Plan);
-        match self.registry.insert(matrix, session, None) {
+        match self.registry.insert_body(body, session) {
             InsertOutcome::Installed(session) => loaded(&session, false),
             InsertOutcome::AlreadyLoaded(session) => loaded(&session, true),
             InsertOutcome::Capacity { loaded: resident } => {
@@ -367,7 +381,7 @@ impl Shared {
         // hits), so traffic against a demoted matrix keeps working.
         let session = match self
             .registry
-            .acquire(digest, |m| self.build_session(m, None))
+            .acquire_body(digest, |b| self.build_session(b, None))
         {
             Ok(Some(session)) => session,
             Ok(None) => {
@@ -628,6 +642,25 @@ fn serve_scrape(mut stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.write_all(response.as_bytes());
 }
 
+/// A decoded request as the server serves it: a load keeps the matrix as
+/// the body it arrived as, so the bytes the fleet keeps and files are the
+/// bytes received, never a re-encoding.
+enum Inbound {
+    Load(MatrixBody, Option<BackendKind>),
+    Other(Request),
+}
+
+impl Inbound {
+    fn decode(version: u8, opcode: Opcode, payload: &[u8]) -> Result<Self> {
+        match opcode {
+            Opcode::LoadMatrix => {
+                decode_load(version, payload).map(|(body, backend)| Inbound::Load(body, backend))
+            }
+            _ => Request::decode(version, opcode, payload).map(Inbound::Other),
+        }
+    }
+}
+
 /// Counts one connection as open until its session ends, by return or panic.
 struct OpenConnection<'a>(&'a AtomicU64);
 
@@ -655,7 +688,7 @@ fn session_loop(stream: TcpStream, shared: &Arc<Shared>) {
             // blocking read time is client idle time, not pipeline latency.
             let mut span = shared.metrics.stages.span();
             let request = Opcode::from_u8(header.opcode)
-                .and_then(|op| Request::decode(header.version, op, payload));
+                .and_then(|op| Inbound::decode(header.version, op, payload));
             if request.is_ok() {
                 span.mark(Stage::Decode);
             }

@@ -3,15 +3,18 @@
 //! server over the same directory answers `LoadMatrix` from the store —
 //! store-hit counter up, compile counter still zero — with bit-identical
 //! serving. Corrupt artifacts degrade to recompilation with a logged
-//! warning; they never panic and never fail `start`.
+//! warning; they never panic and never fail `start`. A matrix at rest is
+//! its non-zeros at their own width, and every answer after a trip
+//! through the disk is bit-identical to the dense reference.
 
 use smm_core::generate::{element_sparse_matrix, random_vector};
 use smm_core::gemv::vecmat;
 use smm_core::rng::seeded;
 use smm_server::{BackendKind, Client, ServerConfig};
 use smm_sparse::Csr;
-use smm_store::{Artifact, ArtifactKind, Store};
+use smm_store::{artifact, Artifact, ArtifactKind, Store};
 use std::path::PathBuf;
+use std::process::Command;
 
 fn temp_store_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("smm-store-restart-{tag}-{}", std::process::id()))
@@ -126,7 +129,7 @@ fn corrupt_store_files_degrade_to_recompilation() {
 
     // Flip a payload byte in the matrix artifact: its content no longer
     // hashes to the digest it is stamped with and filed under (the one
-    // check a cold matrix gets; the CRC beside it is not consulted).
+    // check a cold matrix gets beside its structure; there is no CRC).
     let path = Store::open(&dir)
         .unwrap()
         .path_for(digest, ArtifactKind::Matrix);
@@ -299,5 +302,126 @@ fn served_work_is_counted_exactly_while_sessions_are_demoted_under_it() {
     assert_eq!((stats.vectors, stats.batches), (vectors, blocks), "{stats:?}");
     assert!(stats.store_demotions > 2, "the two digests never displaced each other: {stats:?}");
     assert!(stats.tier_hot <= 1 && stats.tier_warm <= 1, "{stats:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_engine_at_every_width_round_trips_through_the_disk() {
+    // A column of weight widths — one, two and four bytes per stored
+    // value — by every engine a load may ask for. One hot and one warm
+    // slot push all but the last two loads to cold in the first life;
+    // the second life boots with every one of them cold.
+    let dir = temp_store_dir("widths");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut rng = seeded(6006);
+    let kinds = [BackendKind::Dense, BackendKind::Csr, BackendKind::BitSerial, BackendKind::Sigma];
+    let members: Vec<_> = [(8, 1), (16, 2), (31, 4)]
+        .into_iter()
+        .flat_map(|(bits, width)| kinds.map(|kind| (bits, width, kind)))
+        .map(|(bits, width, kind)| {
+            let m = element_sparse_matrix(9, 7, bits, 0.5, true, &mut rng).unwrap();
+            let probes: Vec<_> = (0..3).map(|_| random_vector(9, 8, true, &mut rng).unwrap()).collect();
+            (m, width, kind, probes)
+        })
+        .collect();
+    let bounded = || ServerConfig { max_matrices: 1, max_warm: 1, ..config(&dir) };
+    let serve_every_member = |client: &mut Client| {
+        for (m, _, kind, probes) in &members {
+            for a in probes {
+                let got = client.gemv(m.digest(), a).unwrap();
+                assert_eq!(got, vecmat(a, m).unwrap(), "{kind:?}");
+            }
+        }
+    };
+    {
+        let server = smm_server::start(bounded()).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        for (m, _, kind, probes) in &members {
+            let info = client.load_matrix_with(m, Some(*kind)).unwrap();
+            assert_eq!(client.gemv(info.digest, &probes[0]).unwrap(), vecmat(&probes[0], m).unwrap());
+        }
+        let stats = client.stats().unwrap();
+        assert_eq!((stats.tier_hot, stats.tier_warm, stats.tier_cold), (1, 1, 10), "{stats:?}");
+        serve_every_member(&mut client);
+        assert!(client.stats().unwrap().store_hits >= 10);
+        server.shutdown();
+    }
+    // On disk each matrix is its body at the width its weights need.
+    let store = Store::open(&dir).unwrap();
+    for (m, width, kind, _) in &members {
+        let bytes = std::fs::read(store.path_for(m.digest(), ArtifactKind::Matrix)).unwrap();
+        let (digest, body) = artifact::decode_body(&bytes).unwrap();
+        assert_eq!((digest, body.width()), (m.digest(), *width), "{kind:?}");
+    }
+    let server = smm_server::start(bounded()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(client.stats().unwrap().tier_cold, members.len() as u64);
+    serve_every_member(&mut client);
+    let stats = server.shutdown();
+    assert!(stats.store_hits >= members.len() as u64, "{stats:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `<digest>.matrix.smma` for 2×3 `[1 0 −2; 3 0 4]` as store format rev 1
+/// wrote it (a dense `i32` payload behind a CRC).
+const REV1_MATRIX_ARTIFACT: [u8; 69] = [
+    0x53, 0x4d, 0x4d, 0x41, 0x01, 0x00, 0x00, 0x00, 0x01, 0x17, 0x3d, 0xdb, //
+    0x9c, 0xf4, 0xf8, 0x25, 0x83, 0xd3, 0x66, 0xdd, 0x72, 0x2c, 0x00, 0x00, //
+    0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, //
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, //
+    0x00, 0x00, 0x00, 0x00, 0x00, 0xfe, 0xff, 0xff, 0xff, 0x03, 0x00, 0x00, //
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+];
+const REV1_DIGEST: u64 = 0x8325_f8f4_9cdb_3d17;
+/// Names the store directory [`rev1_store_child`] serves over.
+const REV1_CHILD_ENV: &str = "SMM_STORE_RESTART_REV1_DIR";
+
+/// The server half of the test below, run in a child process of this
+/// test binary so that its stderr — where the fleet warns — can be read.
+/// Without the variable it has nothing to do.
+#[test]
+fn rev1_store_child() {
+    let Some(dir) = std::env::var_os(REV1_CHILD_ENV) else {
+        return;
+    };
+    let server = smm_server::start(config(std::path::Path::new(&dir))).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    // The boot lists file names only, so the digest is known, cold.
+    assert_eq!(client.stats().unwrap().tier_cold, 1);
+    // Asked for twice: the first request reads the file, is refused its
+    // bytes, warns and forgets the digest; the second finds nothing.
+    for _ in 0..2 {
+        let err = client.gemv(REV1_DIGEST, &[1, 1]).unwrap_err().to_string();
+        assert!(err.contains("no matrix loaded"), "{err}");
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.tier_cold, stats.store_hits), (0, 0), "{stats:?}");
+}
+
+#[test]
+fn a_rev1_matrix_file_is_forgotten_with_one_warning_and_collected() {
+    let dir = temp_store_dir("rev1");
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Store::open(&dir).unwrap();
+    let path = store.path_for(REV1_DIGEST, ArtifactKind::Matrix);
+    std::fs::write(&path, REV1_MATRIX_ARTIFACT).unwrap();
+
+    let child = Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "rev1_store_child", "--test-threads", "1"])
+        .env(REV1_CHILD_ENV, &dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&child.stderr);
+    assert!(child.status.success(), "{}\n{stderr}", String::from_utf8_lossy(&child.stdout));
+    let warnings: Vec<&str> = stderr.lines().filter(|l| l.starts_with("smm-store:")).collect();
+    assert_eq!(warnings.len(), 1, "{stderr}");
+    assert!(warnings[0].contains(&format!("{REV1_DIGEST:#018x}")), "{stderr}");
+    assert!(warnings[0].contains("unsupported artifact format rev 1"), "{stderr}");
+    // Serving never touched the file; collecting the store (what `smm
+    // store gc` runs) removes it.
+    assert!(path.is_file());
+    let report = store.gc().unwrap();
+    assert_eq!((report.kept, report.removed), (0, 1), "{report:?}");
+    assert!(!path.exists());
     let _ = std::fs::remove_dir_all(&dir);
 }

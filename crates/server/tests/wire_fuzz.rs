@@ -387,6 +387,11 @@ fn hostile_matrix_bodies_get_an_error_frame_and_a_live_server() {
         ("column repeats", load_payload([2, 2, 2], 1, &[2, 0], &[1, 1], &[1, 1]), "out of order"),
         ("column descends", load_payload([2, 2, 2], 1, &[2, 0], &[1, 0], &[1, 1]), "out of order"),
         ("zero value", load_payload([2, 2, 1], 2, &[0, 1], &[0], &[0, 0]), "zero"),
+        // One matrix, one body: a value stored wider than the values need
+        // is a second encoding of the same matrix, and is refused.
+        ("i8 values at width 2", load_payload([2, 2, 1], 2, &[1, 0], &[1], &[0x7F, 0]), "wider"),
+        ("i16 values at width 4", load_payload([1, 2, 1], 4, &[1], &[0], &[0x80, 0, 0, 0]), "wider"),
+        ("no values at width 2", load_payload([2, 2, 0], 2, &[0, 0], &[], &[]), "wider"),
         ("one byte short", short, "truncated matrix"),
         ("one byte long", long, "trailing"),
     ];

@@ -32,6 +32,7 @@ use crate::coo::Coo;
 use crate::slices::ColumnSlices;
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
+use smm_core::wire::MatrixBody;
 use std::ops::{AddAssign, Mul};
 
 /// Frames per weight-stationary group in [`Csr::vecmat_block_into`]:
@@ -256,6 +257,21 @@ impl Csr {
         col_idx.truncate(nnz);
         values.truncate(nnz);
         Self::finish(rows, cols, row_ptr, col_idx, values)
+    }
+
+    /// Converts a matrix body's non-zeros: the row counts become the
+    /// row pointers and the columns and values are copied out as they
+    /// are — the arrays [`Csr::from_dense`] builds for the body's matrix,
+    /// with no dense pass. A [`MatrixBody`] is validated when it is made,
+    /// so the arrays need no check here.
+    pub fn from_body(body: &MatrixBody) -> Self {
+        let mut row_ptr = Vec::with_capacity(body.rows() + 1);
+        row_ptr.push(0);
+        row_ptr.extend(body.row_counts().scan(0, |at, count| {
+            *at += count;
+            Some(*at)
+        }));
+        Self::finish(body.rows(), body.cols(), row_ptr, body.columns().collect(), body.values())
     }
 
     /// Reassembles a CSR from its raw arrays, validating every
@@ -971,6 +987,7 @@ mod tests {
         .unwrap();
         assert_eq!(decoded.slices, csr.slices);
         assert_eq!(Csr::from_coo(&Coo::from_dense(&d)).slices, csr.slices);
+        assert_eq!(Csr::from_body(&MatrixBody::of(&d)), csr);
     }
 
     #[test]

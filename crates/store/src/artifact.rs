@@ -1,59 +1,68 @@
-//! The on-disk artifact format: versioned, digest-stamped, checksummed
-//! where no digest covers the content.
+//! The on-disk artifact format: versioned, digest-stamped, and checked
+//! by the strongest test each kind has.
 //!
-//! One artifact file holds one serialized value — a dense [`IntMatrix`],
-//! the one a load persists, or a [`Csr`] or the [`CircuitMeta`]
-//! describing a compiled engine, which loads used to persist and which
-//! stay decodable for the directories that hold one — in a std-only
-//! little-endian layout:
+//! One artifact file holds one serialized value — a matrix, the one a
+//! load persists, or a [`Csr`] or the [`CircuitMeta`] describing a
+//! compiled engine, which loads used to persist and which stay
+//! decodable — in a std-only little-endian layout (format rev 2):
 //!
 //! ```text
-//! magic "SMMA" (4) · format rev u32 · kind u8 · digest u64
-//! · payload CRC-32 u32 · payload (length-prefixed bytes)
+//! magic "SMMA" (4) · format rev u32 (2) · kind u8 · digest u64
+//! · payload CRC-32 u32     (Csr and Circuit only)
+//! · payload                (length-prefixed bytes)
 //! ```
 //!
 //! The digest is the owning matrix's stable FNV content digest
 //! ([`IntMatrix::digest`]) and the name the store files the artifact
-//! under; the format revision gates layout changes.
+//! under; the format revision gates layout changes. A reader accepts
+//! rev 2 only: a rev-1 file is refused ("unsupported artifact format
+//! rev 1"), never decoded, and `Store::gc` removes it.
+//!
+//! # A matrix is its non-zeros
+//!
+//! A `Matrix` payload is the matrix's wire body, byte for byte: the
+//! layout `LoadMatrix` carries ([`smm_core::wire::put_matrix`]) —
+//!
+//! ```text
+//! rows u64 · cols u64 · nnz u64 · width u8 (1, 2 or 4)
+//! · row counts rows × u32 · columns nnz × u32 · values nnz × width
+//! ```
+//!
+//! — so a 256² matrix at 90 % sparsity with 8-bit weights is a ~33.8 KB
+//! file where rev 1's dense `i32` payload made it 262,189 bytes, and what
+//! the fleet keeps in memory ([`MatrixBody`]) is what it writes.
 //!
 //! # What makes a file valid
 //!
 //! Each payload is verified **once**, by the strongest check its kind
 //! has:
 //!
-//! * A `Matrix` artifact is valid iff its decoded content hashes to the
-//!   digest stamped in its header. The store is content-addressed, so
-//!   that check has to run anyway (it is what ties the bytes to the
-//!   file name, see `Store::get`), and it covers everything the CRC
-//!   did. [`encode`] still stamps the CRC-32 (IEEE) of the payload —
-//!   the field is *written for rev-1 readers, not read for `Matrix`*:
-//!   builds from before this rule verify it, so a directory moves
-//!   between the two in both directions, and store rev 2 drops it.
+//! * A `Matrix` artifact is valid iff its payload is a valid body — the
+//!   length exact, the row counts summing to the count of non-zeros,
+//!   columns in range and strictly ascending within each row, no value
+//!   zero, the width the narrowest that holds the values — and the
+//!   content digest computed from its non-zeros equals the digest
+//!   stamped in its header. The store is content-addressed, so that
+//!   check has to run anyway (it ties the bytes to the file name, see
+//!   `Store::get_body`), and there is no CRC field: the digest is the
+//!   payload's whole integrity check. The walk visits only the non-zeros
+//!   — a zero run costs one multiply by a power of `P⁴` — and makes no
+//!   dense pass; its value is [`IntMatrix::digest`]'s for every matrix.
 //! * `Csr` and `Circuit` payloads have no content address — the digest
 //!   in their header names the matrix they belong to, not their own
 //!   bytes — so the CRC-32 over the payload is their integrity check
 //!   and [`decode`] verifies it.
 //!
-//! Why the digest covers a matrix payload (`rows u64 · cols u64 ·
-//! count u32 · count × i32`): every payload byte is either hashed by
-//! [`IntMatrix::digest`] — both dimensions and every element, in the
-//! byte order they are stored in — or checked structurally: the element
-//! count must equal `rows × cols`, the outer length prefix must account
-//! for exactly the bytes present, and nothing may trail either. A
-//! corruption confined to one byte is caught with certainty: a
-//! structural byte fails its check, and for a hashed byte an FNV-1a
-//! step `h ← (h ^ b)·P` is a bijection of the state for a fixed byte
-//! and injective in the byte for a fixed state, so the states differ
-//! from that byte on. Any other corruption escapes with probability
-//! 2⁻⁶⁴, where the CRC offered 2⁻³² (what is given up is the CRC's
-//! guarantee for bursts of up to 32 bits that span bytes). The header
-//! outside the payload is checked field by field, as it always was.
-//!
-//! Neither check walks its input a bit or a zero byte at a time:
-//! [`crc32`] is slice-by-8 over compile-time tables and the digest
-//! multiplies each zero run in at once, each pinned to its serial reference
-//! ([`crc32_bitwise`], [`IntMatrix::digest_bytewise`]) — same bytes on
-//! disk, same values.
+//! Why the digest covers a matrix payload: every byte of a body is
+//! either hashed — both dimensions, and each non-zero's four bytes at
+//! the position its row and column give it — or checked structurally: the
+//! count of non-zeros and the width fix the length, the row counts must
+//! sum to the count, a column out of order or a zero value is refused, a
+//! value stored wider than it needs is refused, and nothing may trail. A
+//! corruption that survives the structure moves a non-zero, changes a
+//! value or changes the shape, and so changes the sequence the digest is
+//! taken over; it escapes with probability 2⁻⁶⁴. The header outside the
+//! payload is checked field by field.
 //!
 //! Decoding follows the same discipline as the network wire: bytes on
 //! disk are treated as hostile. Every malformed input — truncation, a
@@ -63,14 +72,17 @@
 
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
-use smm_core::wire::{put_bytes, put_i32_vec, put_i64_vec, put_str, put_u32, put_u64, put_u8, Cursor};
+use smm_core::wire::{
+    put_bytes, put_i32_vec, put_i64_vec, put_matrix, put_str, put_u32, put_u64, put_u8, Cursor,
+    MatrixBody,
+};
 use smm_sparse::Csr;
 
 /// File magic: `SMMA` ("spatial matrix multiplier artifact").
 pub const MAGIC: [u8; 4] = *b"SMMA";
 
 /// Current artifact format revision. Readers reject any other value.
-pub const FORMAT_REV: u32 = 1;
+pub const FORMAT_REV: u32 = 2;
 
 fn format_err(context: impl Into<String>) -> Error {
     Error::Wire {
@@ -113,14 +125,12 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 }
 
 /// CRC-32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`) over
-/// `bytes` — the checksum [`encode`] stamps on every payload and
-/// [`decode`] verifies for the kinds no digest covers (`Csr`,
-/// `Circuit`).
+/// `bytes` — the checksum [`encode`] stamps on the payloads no digest
+/// covers (`Csr`, `Circuit`) and [`decode`] verifies.
 ///
 /// Slice-by-8: eight bytes per step through eight 256-entry tables
 /// derived at compile time from the same polynomial, so the value is
-/// [`crc32_bitwise`]'s for every input and every artifact already on
-/// disk stays valid.
+/// [`crc32_bitwise`]'s for every input.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
@@ -160,7 +170,7 @@ pub fn crc32_bitwise(bytes: &[u8]) -> u32 {
 /// What kind of value an artifact file holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ArtifactKind {
-    /// A dense [`IntMatrix`].
+    /// A matrix, stored as its non-zeros ([`MatrixBody`]).
     Matrix,
     /// A [`Csr`] sparse structure. Read-only legacy: loads stopped
     /// writing it because no serving path ever read it back.
@@ -254,11 +264,7 @@ impl Artifact {
     fn encode_payload(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         match self {
-            Artifact::Matrix(m) => {
-                put_u64(&mut buf, m.rows() as u64);
-                put_u64(&mut buf, m.cols() as u64);
-                put_i32_vec(&mut buf, m.as_slice());
-            }
+            Artifact::Matrix(m) => put_matrix(&mut buf, m),
             Artifact::Csr(c) => {
                 put_u64(&mut buf, c.rows() as u64);
                 put_u64(&mut buf, c.cols() as u64);
@@ -288,20 +294,14 @@ impl Artifact {
         buf
     }
 
-    fn decode_payload(kind: ArtifactKind, payload: &[u8]) -> Result<Self> {
+    /// Decodes a payload of `kind` stamped with `digest`: a matrix is
+    /// read as its body and held to the digest ([`matrix_body`]), the
+    /// other kinds are parsed (their CRC was checked by [`unframe`]).
+    fn decode_payload(kind: ArtifactKind, digest: u64, payload: &[u8]) -> Result<Self> {
         let mut c = Cursor::new(payload);
         let artifact = match kind {
             ArtifactKind::Matrix => {
-                let rows = take_dim(&mut c, "matrix rows")?;
-                let cols = take_dim(&mut c, "matrix cols")?;
-                let data = c.take_i32_vec("matrix data")?;
-                if data.len() != rows.saturating_mul(cols) {
-                    return Err(format_err(format!(
-                        "matrix payload promises {rows}x{cols} but carries {} elements",
-                        data.len()
-                    )));
-                }
-                Artifact::Matrix(IntMatrix::from_vec(rows, cols, data)?)
+                return Ok(Artifact::Matrix(matrix_body(digest, payload)?.to_matrix()?));
             }
             ArtifactKind::Csr => {
                 let rows = take_dim(&mut c, "csr rows")?;
@@ -357,27 +357,42 @@ fn take_usize_vec(c: &mut Cursor<'_>, what: &str) -> Result<Vec<usize>> {
 }
 
 /// Serializes `artifact` under the matrix content `digest` into the
-/// versioned file layout. The payload CRC is stamped for every kind —
-/// rev-1 bytes do not depend on who will read them.
+/// versioned file layout. A matrix is written as its body, the bytes
+/// [`encode_body`] writes for it; the other kinds carry their payload's
+/// CRC-32.
 pub fn encode(digest: u64, artifact: &Artifact) -> Vec<u8> {
     let payload = artifact.encode_payload();
-    let mut buf = Vec::with_capacity(payload.len() + 32);
-    buf.extend_from_slice(&MAGIC);
-    put_u32(&mut buf, FORMAT_REV);
-    put_u8(&mut buf, artifact.kind().as_u8());
-    put_u64(&mut buf, digest);
-    put_u32(&mut buf, crc32(&payload));
+    let mut buf = header(digest, artifact.kind(), payload.len());
+    if artifact.kind() != ArtifactKind::Matrix {
+        put_u32(&mut buf, crc32(&payload));
+    }
     put_bytes(&mut buf, &payload);
     buf
 }
 
-/// Decodes one artifact file, returning the digest it was stamped with
-/// and the value. Every malformed input is an `Err`:
-/// truncation, wrong magic, unknown revision or kind, trailing bytes, an
-/// invalid decoded value, and a payload that fails its kind's integrity
-/// check — the content digest for `Matrix`, the CRC-32 for `Csr` and
-/// `Circuit` (see the module docs).
-pub fn decode(bytes: &[u8]) -> Result<(u64, Artifact)> {
+/// Serializes a matrix body under `digest`: the header, then the body's
+/// bytes as they are.
+pub fn encode_body(digest: u64, body: &MatrixBody) -> Vec<u8> {
+    let mut buf = header(digest, ArtifactKind::Matrix, body.as_bytes().len());
+    put_bytes(&mut buf, body.as_bytes());
+    buf
+}
+
+/// The fields every artifact starts with, in a buffer sized for a
+/// payload of `payload_len` bytes behind them.
+fn header(digest: u64, kind: ArtifactKind, payload_len: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(payload_len + 25);
+    buf.extend_from_slice(&MAGIC);
+    put_u32(&mut buf, FORMAT_REV);
+    put_u8(&mut buf, kind.as_u8());
+    put_u64(&mut buf, digest);
+    buf
+}
+
+/// One artifact file taken apart: the stamped digest, the kind and the
+/// payload, with the header checked field by field and, for the kinds
+/// that carry one, the payload held to its CRC.
+fn unframe(bytes: &[u8]) -> Result<(u64, ArtifactKind, &[u8])> {
     let mut c = Cursor::new(bytes);
     let mut magic = [0u8; 4];
     for b in &mut magic {
@@ -396,10 +411,13 @@ pub fn decode(bytes: &[u8]) -> Result<(u64, Artifact)> {
     let kind = ArtifactKind::from_u8(kind_byte)
         .ok_or_else(|| format_err(format!("unknown artifact kind {kind_byte}")))?;
     let digest = c.take_u64("artifact digest")?;
-    let crc = c.take_u32("artifact payload crc")?;
+    let crc = match kind {
+        ArtifactKind::Matrix => None,
+        ArtifactKind::Csr | ArtifactKind::Circuit => Some(c.take_u32("artifact payload crc")?),
+    };
     let payload = c.take_bytes("artifact payload")?;
     c.expect_end("artifact file")?;
-    if kind != ArtifactKind::Matrix {
+    if let Some(crc) = crc {
         let actual = crc32(payload);
         if actual != crc {
             return Err(format_err(format!(
@@ -407,19 +425,47 @@ pub fn decode(bytes: &[u8]) -> Result<(u64, Artifact)> {
             )));
         }
     }
-    let artifact = Artifact::decode_payload(kind, payload)?;
-    // A matrix artifact must actually hash to the digest it claims —
-    // the content address is the contract the whole store rests on, and
-    // the one pass that verifies these bytes.
-    if let Artifact::Matrix(m) = &artifact {
-        let actual = m.digest();
-        if actual != digest {
-            return Err(format_err(format!(
-                "matrix content digest {actual:#018x} does not match stamped digest {digest:#018x}"
-            )));
-        }
+    Ok((digest, kind, payload))
+}
+
+/// Reads a matrix payload as its body and holds the digest computed from
+/// its non-zeros to the one stamped in the header — the content address
+/// is the contract the whole store rests on, and the one pass that
+/// verifies these bytes.
+fn matrix_body(stamped: u64, payload: &[u8]) -> Result<MatrixBody> {
+    let mut c = Cursor::new(payload);
+    let body = c.take_matrix_body()?;
+    c.expect_end("artifact payload")?;
+    if body.digest() != stamped {
+        return Err(format_err(format!(
+            "matrix content digest {:#018x} does not match stamped digest {stamped:#018x}",
+            body.digest()
+        )));
     }
-    Ok((digest, artifact))
+    Ok(body)
+}
+
+/// Decodes a matrix artifact file as its body, returning the digest it
+/// was stamped with — which the body's own digest has been checked
+/// against — and the body. Any other kind, and every malformed input
+/// [`decode`] refuses, is an `Err`.
+pub fn decode_body(bytes: &[u8]) -> Result<(u64, MatrixBody)> {
+    let (digest, kind, payload) = unframe(bytes)?;
+    if kind != ArtifactKind::Matrix {
+        return Err(format_err(format!("artifact holds a {} payload, not a matrix", kind.ext())));
+    }
+    Ok((digest, matrix_body(digest, payload)?))
+}
+
+/// Decodes one artifact file, returning the digest it was stamped with
+/// and the value. Every malformed input is an `Err`: truncation, wrong
+/// magic, unknown revision or kind, trailing bytes, an invalid decoded
+/// value, and a payload that fails its kind's integrity check — the
+/// content digest for `Matrix`, the CRC-32 for `Csr` and `Circuit` (see
+/// the module docs).
+pub fn decode(bytes: &[u8]) -> Result<(u64, Artifact)> {
+    let (digest, kind, payload) = unframe(bytes)?;
+    Ok((digest, Artifact::decode_payload(kind, digest, payload)?))
 }
 
 #[cfg(test)]
@@ -451,22 +497,23 @@ mod tests {
         assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
     }
 
-    /// `encode(sample_matrix())` as the commit before the table-driven
-    /// CRC and the zero-folding digest wrote it (44 payload bytes: five
-    /// full CRC strides and a four-byte tail).
-    const PARENT_WRITTEN_MATRIX_ARTIFACT: [u8; 69] = [
-        0x53, 0x4d, 0x4d, 0x41, 0x01, 0x00, 0x00, 0x00, 0x01, 0x17, 0x3d, 0xdb, //
-        0x9c, 0xf4, 0xf8, 0x25, 0x83, 0xd3, 0x66, 0xdd, 0x72, 0x2c, 0x00, 0x00, //
-        0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, //
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, //
-        0x00, 0x00, 0x00, 0x00, 0x00, 0xfe, 0xff, 0xff, 0xff, 0x03, 0x00, 0x00, //
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+    /// `encode(sample_matrix())` in format rev 2: the header with no CRC
+    /// field, then the matrix body — two rows of two non-zeros, columns
+    /// 0 and 2, values `1, −2, 3, 4` one byte each.
+    const WRITTEN_MATRIX_ARTIFACT: [u8; 74] = [
+        0x53, 0x4d, 0x4d, 0x41, 0x02, 0x00, 0x00, 0x00, 0x01, 0x17, 0x3d, 0xdb, //
+        0x9c, 0xf4, 0xf8, 0x25, 0x83, 0x35, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x02, 0x00, //
+        0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0xfe, //
+        0x03, 0x04,
     ];
 
-    /// `encode(42, sample_meta())` as the commit before a matrix's
-    /// digest became its only payload check wrote it.
-    const PARENT_WRITTEN_CIRCUIT_ARTIFACT: [u8; 107] = [
-        0x53, 0x4d, 0x4d, 0x41, 0x01, 0x00, 0x00, 0x00, 0x03, 0x2a, 0x00, 0x00, //
+    /// `encode(42, sample_meta())` in format rev 2: rev 1's bytes with
+    /// the revision moved, CRC field included.
+    const WRITTEN_CIRCUIT_ARTIFACT: [u8; 107] = [
+        0x53, 0x4d, 0x4d, 0x41, 0x02, 0x00, 0x00, 0x00, 0x03, 0x2a, 0x00, 0x00, //
         0x00, 0x00, 0x00, 0x00, 0x00, 0xd1, 0xe4, 0x1d, 0xda, 0x52, 0x00, 0x00, //
         0x00, 0x09, 0x00, 0x00, 0x00, 0x62, 0x69, 0x74, 0x73, 0x65, 0x72, 0x69, //
         0x61, 0x6c, 0x08, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x63, 0x73, //
@@ -477,26 +524,32 @@ mod tests {
         0x6f, 0x75, 0x67, 0x68, 0x20, 0x74, 0x6f, 0x20, 0x66, 0x69, 0x74,
     ];
 
+    /// Between them the two pins fix every rev-2 byte of the kinds a
+    /// load has written, in both directions, until `FORMAT_REV` moves.
     #[test]
-    fn artifacts_written_before_the_table_driven_crc_still_decode() {
+    fn matrix_artifacts_are_the_same_rev2_bytes_in_both_directions() {
+        assert_eq!(FORMAT_REV, 2);
         let m = sample_matrix();
-        let (digest, artifact) = decode(&PARENT_WRITTEN_MATRIX_ARTIFACT).unwrap();
-        assert_eq!(digest, 0x8325_f8f4_9cdb_3d17);
-        assert_eq!(artifact, Artifact::Matrix(m.clone()));
-        // And the same bytes are still what gets written.
-        assert_eq!(encode(m.digest(), &Artifact::Matrix(m)), PARENT_WRITTEN_MATRIX_ARTIFACT);
+        assert_eq!(encode(m.digest(), &Artifact::Matrix(m.clone())), WRITTEN_MATRIX_ARTIFACT);
+        assert_eq!(encode_body(m.digest(), &MatrixBody::of(&m)), WRITTEN_MATRIX_ARTIFACT);
+        let (digest, body) = decode_body(&WRITTEN_MATRIX_ARTIFACT).unwrap();
+        assert_eq!((digest, body.to_matrix().unwrap()), (0x8325_f8f4_9cdb_3d17, m.clone()));
+        assert_eq!(decode(&WRITTEN_MATRIX_ARTIFACT).unwrap(), (digest, Artifact::Matrix(m)));
     }
 
-    /// The other kind a load writes, pinned the same way in both
-    /// directions, so between them the two tests fix every rev-1 byte —
-    /// the CRC field included, for the kind that no longer reads it —
-    /// until `FORMAT_REV` moves.
     #[test]
-    fn circuit_artifacts_are_the_same_rev1_bytes_in_both_directions() {
-        assert_eq!(FORMAT_REV, 1);
+    fn circuit_artifacts_are_the_same_rev2_bytes_in_both_directions() {
         let artifact = Artifact::Circuit(sample_meta());
-        assert_eq!(encode(42, &artifact), PARENT_WRITTEN_CIRCUIT_ARTIFACT);
-        assert_eq!(decode(&PARENT_WRITTEN_CIRCUIT_ARTIFACT).unwrap(), (42, artifact));
+        assert_eq!(encode(42, &artifact), WRITTEN_CIRCUIT_ARTIFACT);
+        assert_eq!(decode(&WRITTEN_CIRCUIT_ARTIFACT).unwrap(), (42, artifact));
+    }
+
+    #[test]
+    fn only_a_matrix_file_decodes_as_a_body() {
+        let mut bad = WRITTEN_MATRIX_ARTIFACT;
+        bad[73] ^= 0x40;
+        assert!(decode_body(&bad).is_err() && decode(&bad).is_err());
+        assert!(decode_body(&WRITTEN_CIRCUIT_ARTIFACT).is_err());
     }
 
     #[test]

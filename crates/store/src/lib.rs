@@ -12,20 +12,20 @@
 //! ```text
 //!        hot   compiled engine, in memory
 //!         ↑↓   promote on request / demote on pressure
-//!        warm  raw matrix, in memory, compile on demand
+//!        warm  the matrix's non-zeros, in memory, compile on demand
 //!         ↑↓   promote on request / demote on pressure
-//!        cold  versioned, digest-verified artifact bytes on disk
+//!        cold  the same non-zeros on disk, versioned, digest-verified
 //! ```
 //!
 //! * [`artifact`] — the std-only binary file format (magic + format
-//!   rev + FNV digest + payload CRC-32) with serializers for dense
-//!   matrices — the one artifact a load persists — and for CSR
+//!   rev 2 + FNV digest + payload) with serializers for matrices — the
+//!   one artifact a load persists, stored as its wire body: the
+//!   non-zeros at the narrowest width that holds them — and for CSR
 //!   structures and compiled-circuit metadata, which older store
-//!   directories hold and no load writes any more. A matrix is verified once, by
-//!   the content digest it is filed under (one multiply per zero run, so the pass
-//!   costs about what reading the file does); the CRC (table-driven,
-//!   slice-by-8) is still written for every kind and verified for the
-//!   kinds no digest covers.
+//!   directories hold and no load writes any more. A matrix is verified
+//!   once, by the content digest it is filed under, computed from its
+//!   non-zeros with no dense pass; the CRC-32 (table-driven, slice-by-8)
+//!   is written and verified only for the kinds no digest covers.
 //! * [`store`] — the [`Store`] directory API: `put` / `get` /
 //!   `contains` / `evict` / `scan` / `gc`, with atomic writes and
 //!   hostile-input decoding.

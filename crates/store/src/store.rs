@@ -6,12 +6,21 @@
 //! and an atomic rename, so a crash mid-`put` never leaves a partial
 //! artifact under a valid name. Reads verify the full format contract
 //! (magic, revision, and the payload against its kind's integrity check
-//! — a matrix against its content digest, the other kinds against their
-//! CRC; see [`artifact`]) before returning a value — a corrupt file is a
-//! recoverable [`Error`], never a panic.
+//! — a matrix body against the content digest computed from its
+//! non-zeros, the other kinds against their CRC; see [`artifact`])
+//! before returning a value — a corrupt file is a recoverable [`Error`],
+//! never a panic. A file of an older format revision is refused the
+//! same way, and [`Store::gc`] removes it.
+//!
+//! The fleet writes and reads a matrix as its body ([`Store::put_body`],
+//! [`Store::get_body`]): the bytes it received are the bytes it files,
+//! and a cold read never makes the matrix dense. [`Store::put`] /
+//! [`Store::get`] take and give the dense [`smm_core::matrix::IntMatrix`]
+//! over the same files.
 
 use crate::artifact::{self, Artifact, ArtifactKind};
 use smm_core::error::{Error, Result};
+use smm_core::wire::MatrixBody;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -72,8 +81,17 @@ impl Store {
     /// (temp file + rename). Overwrites any previous artifact of the
     /// same kind.
     pub fn put(&self, digest: u64, artifact: &Artifact) -> Result<()> {
-        let bytes = artifact::encode(digest, artifact);
-        let path = self.path_for(digest, artifact.kind());
+        self.write(self.path_for(digest, artifact.kind()), &artifact::encode(digest, artifact))
+    }
+
+    /// Persists a matrix body under `digest` as its `Matrix` artifact,
+    /// the body's bytes as they are; atomically, like [`Store::put`].
+    pub fn put_body(&self, digest: u64, body: &MatrixBody) -> Result<()> {
+        let bytes = artifact::encode_body(digest, body);
+        self.write(self.path_for(digest, ArtifactKind::Matrix), &bytes)
+    }
+
+    fn write(&self, path: PathBuf, bytes: &[u8]) -> Result<()> {
         // A temp name of this write's own: two writers of one artifact
         // (racing loaders of one matrix) must not truncate each other's
         // file. It still ends `.smma.tmp`, which is what `gc` sweeps.
@@ -82,7 +100,7 @@ impl Store {
         let tmp = path.with_extension(format!("{}-{nth}.smma.tmp", std::process::id()));
         let write = |tmp: &Path| -> std::io::Result<()> {
             let mut f = fs::File::create(tmp)?;
-            f.write_all(&bytes)?;
+            f.write_all(bytes)?;
             f.sync_all()?;
             fs::rename(tmp, &path)
         };
@@ -92,29 +110,66 @@ impl Store {
         })
     }
 
-    /// Loads the artifact of `kind` stored under `digest`.
-    ///
-    /// Returns `Ok(None)` when no such file exists; a file that exists
-    /// but fails any format check is an `Err`. A matrix is verified by
-    /// one pass over its bytes: [`artifact::decode`] holds the content
-    /// to the stamped digest and this holds the stamp to the requested
-    /// one, so the value returned is the matrix the name promises. The
-    /// other kinds are held to their payload CRC and to the same stamp.
-    pub fn get(&self, digest: u64, kind: ArtifactKind) -> Result<Option<Artifact>> {
-        let path = self.path_for(digest, kind);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(io_err(format!("reading artifact {}: {e}", path.display()))),
-        };
-        let (stamped, artifact) = artifact::decode(&bytes)
-            .map_err(|e| io_err(format!("artifact {}: {e}", path.display())))?;
+    /// The bytes of the artifact file at `path`; `None` when there is
+    /// none.
+    fn read(path: &Path) -> Result<Option<Vec<u8>>> {
+        match fs::read(path) {
+            Ok(bytes) => Ok(Some(bytes)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(io_err(format!("reading artifact {}: {e}", path.display()))),
+        }
+    }
+
+    /// The error for a file stamped with another digest than its name.
+    fn check_stamp(path: &Path, stamped: u64, digest: u64) -> Result<()> {
         if stamped != digest {
             return Err(io_err(format!(
                 "artifact {} is stamped for digest {stamped:#018x}",
                 path.display()
             )));
         }
+        Ok(())
+    }
+
+    /// Loads the matrix stored under `digest` as its body.
+    ///
+    /// Returns `Ok(None)` when no such file exists; a file that exists
+    /// but fails any format check is an `Err`. The body is verified by one
+    /// walk over its non-zeros: [`artifact::decode_body`] holds the digest
+    /// computed from them to the stamped one, and this holds the stamp
+    /// to the requested one, so the body returned is the matrix the name
+    /// promises.
+    pub fn get_body(&self, digest: u64) -> Result<Option<MatrixBody>> {
+        let path = self.path_for(digest, ArtifactKind::Matrix);
+        let Some(bytes) = Self::read(&path)? else {
+            return Ok(None);
+        };
+        let (stamped, body) = artifact::decode_body(&bytes)
+            .map_err(|e| io_err(format!("artifact {}: {e}", path.display())))?;
+        Self::check_stamp(&path, stamped, digest)?;
+        Ok(Some(body))
+    }
+
+    /// Loads the artifact of `kind` stored under `digest`.
+    ///
+    /// Returns `Ok(None)` when no such file exists; a file that exists
+    /// but fails any format check is an `Err`. A matrix is read through
+    /// [`Store::get_body`] and made dense; the other kinds are held to
+    /// their payload CRC and to the same stamp.
+    pub fn get(&self, digest: u64, kind: ArtifactKind) -> Result<Option<Artifact>> {
+        if kind == ArtifactKind::Matrix {
+            return match self.get_body(digest)? {
+                Some(body) => Ok(Some(Artifact::Matrix(body.to_matrix()?))),
+                None => Ok(None),
+            };
+        }
+        let path = self.path_for(digest, kind);
+        let Some(bytes) = Self::read(&path)? else {
+            return Ok(None);
+        };
+        let (stamped, artifact) = artifact::decode(&bytes)
+            .map_err(|e| io_err(format!("artifact {}: {e}", path.display())))?;
+        Self::check_stamp(&path, stamped, digest)?;
         if artifact.kind() != kind {
             return Err(io_err(format!(
                 "artifact {} holds a {} payload",
@@ -179,7 +234,7 @@ impl Store {
     /// [`artifact::decode`] and name checks as [`Store::get`], so the
     /// same rule decides what a cold read accepts and what a sweep
     /// keeps — and deletes the ones that fail: the recovery path after
-    /// a crash or disk corruption.
+    /// a crash, disk corruption, or a file of an older format revision.
     pub fn gc(&self) -> Result<GcReport> {
         let mut report = GcReport::default();
         let dir = fs::read_dir(&self.dir)

@@ -4,19 +4,20 @@
 //!
 //! * [`Tier::Hot`] — a compiled engine (bit-serial circuit, sigma tile
 //!   map, CSR kernel) behind a live session; answers immediately.
-//! * [`Tier::Warm`] — raw matrix resident in memory; serving it
-//!   costs one engine build (for the bit-serial engine, one compile
-//!   unless the circuit is still in the runtime's cache).
-//! * [`Tier::Cold`] — artifact bytes on disk only; serving it costs one
-//!   store read (verified by one pass of the content digest) plus the
-//!   warm cost.
+//! * [`Tier::Warm`] — the matrix's non-zeros resident in memory, as
+//!   its wire body; serving it costs one engine build (for the
+//!   bit-serial engine, one compile unless the circuit is still in the
+//!   runtime's cache).
+//! * [`Tier::Cold`] — the same body on disk only; serving it costs one
+//!   store read (verified by one walk over the non-zeros, which takes
+//!   the content digest) plus the warm cost.
 
 /// Where a digest currently resides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Tier {
     /// Compiled engine in memory.
     Hot,
-    /// Raw matrix in memory, engine built on demand.
+    /// The matrix's non-zeros in memory, engine built on demand.
     Warm,
     /// Serialized bytes on disk only.
     Cold,

@@ -2,20 +2,23 @@
 //! malformed bytes — truncations, flipped bits, lying prefixes — are
 //! always a recoverable `Err`, never a panic or an over-allocation.
 //! Same discipline as the server's `wire_fuzz.rs`: bytes on disk are
-//! hostile input.
+//! hostile input. A matrix artifact (format rev 2) is the header and the
+//! matrix's wire body with no CRC beside it, so the body's structure and
+//! the digest over its non-zeros have to refuse every corruption alone.
 
 use proptest::prelude::*;
 use smm_core::generate::element_sparse_matrix;
 use smm_core::matrix::IntMatrix;
 use smm_core::rng::seeded;
+use smm_core::error::Error;
 use smm_core::wire::put_u32;
 use smm_sparse::Csr;
 use smm_store::artifact::{self, Artifact, ArtifactKind, CircuitMeta, FORMAT_REV, MAGIC};
 
-/// Header offsets of the rev-1 layout: `magic (4) · rev (4) · kind (1)
-/// · digest (8) · payload CRC-32 (4) · payload length (4) · payload`.
+/// Header offsets of the rev-2 layout: `magic (4) · rev (4) · kind (1)
+/// · digest (8) · [payload CRC-32 (4), Csr and Circuit only] · payload
+/// length (4) · payload`.
 const DIGEST_FIELD: std::ops::Range<usize> = 9..17;
-const CRC_FIELD: std::ops::Range<usize> = 17..21;
 
 /// `bytes` with one bit flipped, for every bit of every byte in turn.
 fn single_bit_flips(bytes: &[u8]) -> impl Iterator<Item = (usize, Vec<u8>)> + '_ {
@@ -83,13 +86,10 @@ proptest! {
         prop_assert!(artifact::decode(&bytes[..len.min(bytes.len() - 1)]).is_err());
     }
 
-    /// A single flipped bit anywhere in the file is caught (by the
-    /// magic, revision, kind, digest or payload validation) or lands in
-    /// the one benign spot — the CRC field, which a matrix artifact
-    /// carries for rev-1 readers and does not read — and decode never
-    /// returns a value different from the original silently. Sampled
-    /// over random matrices; `every_single_bit_flip_*` below walks one
-    /// file exhaustively.
+    /// A single flipped bit anywhere in the file is caught — by the
+    /// magic, revision, kind, digest or body validation — so decode never
+    /// returns a value, let alone a different one. Sampled over random
+    /// matrices; `every_single_bit_flip_*` below walks files exhaustively.
     #[test]
     fn bit_flips_never_decode_to_a_different_value(seed in any::<u64>(),
                                                    pos in any::<u64>(),
@@ -99,14 +99,7 @@ proptest! {
         let mut bytes = artifact::encode(m.digest(), &Artifact::Matrix(m.clone()));
         let i = (pos % bytes.len() as u64) as usize;
         bytes[i] ^= 1 << bit;
-        match artifact::decode(&bytes) {
-            Err(_) => {}
-            Ok((digest, decoded)) => {
-                prop_assert!(CRC_FIELD.contains(&i), "flip at byte {} decoded", i);
-                prop_assert_eq!(digest, m.digest());
-                prop_assert_eq!(decoded, Artifact::Matrix(m));
-            }
-        }
+        prop_assert!(artifact::decode(&bytes).is_err(), "flip at byte {} decoded", i);
     }
 
     /// Arbitrary garbage never panics the decoder.
@@ -146,19 +139,20 @@ fn crc32_matches_the_bitwise_reference_on_a_mebibyte() {
 }
 
 /// The digest is a matrix payload's whole integrity check, so it has to
-/// hold alone: every single-bit corruption of the file is refused,
-/// except in the four CRC bytes no `Matrix` read looks at, where the
-/// file still decodes to exactly what was written.
+/// hold alone: every single-bit corruption of the file is refused with a
+/// typed error — there is no unread field left to land in harmlessly —
+/// at each value width a body can take.
 #[test]
 fn every_single_bit_flip_of_a_matrix_artifact_is_refused_or_harmless() {
-    // Zeros included: the digest folds them, and a flip may create or
-    // destroy one.
+    // One byte per value, zeros included: the digest folds them, and a
+    // flip may create or destroy one.
     let m = IntMatrix::from_vec(3, 4, vec![7, 0, -3, 0, 0, 0, 120, -128, 1, 0, 0, 5])
         .unwrap();
-    flips_are_refused_or_harmless(&m);
-    // A run of 75 zeros: longer than the digest's 64-entry power table
-    // and across four of its 16-element chunk boundaries. A flip inside
-    // it splits the run the digest multiplies in at once.
+    flips_are_refused(&m, 1);
+    // Two bytes per value, with a run of 75 zeros: longer than the
+    // digest's 64-entry power table and across four of its 16-element
+    // chunk boundaries. A flip of a column index moves a non-zero within
+    // or across the run the digest multiplies in at once.
     let m = IntMatrix::from_fn(1, 80, |_, c| match c {
         0 => -1,
         3 => 256,
@@ -166,23 +160,77 @@ fn every_single_bit_flip_of_a_matrix_artifact_is_refused_or_harmless() {
         _ => 0,
     })
     .unwrap();
-    flips_are_refused_or_harmless(&m);
+    flips_are_refused(&m, 2);
+    // Four bytes per value, the one `i32` with no negation among them.
+    let m = IntMatrix::from_vec(2, 3, vec![0, i32::MIN, 40_000, -1, 0, 0]).unwrap();
+    flips_are_refused(&m, 4);
 }
 
-/// Walks every single-bit flip of `m`'s matrix artifact: each is an
-/// `Err`, or lands in the unread CRC field and decodes to `m` unchanged.
-fn flips_are_refused_or_harmless(m: &IntMatrix) {
+/// Walks every single-bit flip of `m`'s matrix artifact, whose values
+/// must be `width` bytes each: every flip is an [`Error::Wire`].
+fn flips_are_refused(m: &IntMatrix, width: u8) {
     let good = artifact::encode(m.digest(), &Artifact::Matrix(m.clone()));
-    let original = (m.digest(), Artifact::Matrix(m.clone()));
+    // The body's width byte follows the header (21 bytes) and the three
+    // `u64` counts.
+    assert_eq!(good[21 + 24], width);
     for (byte, flipped) in single_bit_flips(&good) {
         match artifact::decode(&flipped) {
-            Ok(decoded) => {
-                assert!(CRC_FIELD.contains(&byte), "flip in byte {byte} decoded");
-                assert_eq!(decoded, original, "flip in byte {byte}");
-            }
-            Err(_) => assert!(!CRC_FIELD.contains(&byte), "the CRC field of a matrix is not read"),
+            Err(Error::Wire { .. }) => {}
+            other => panic!("width {width}: flip in byte {byte} gave {other:?}"),
         }
     }
+}
+
+/// Every prefix of a written artifact, the empty one included, is
+/// refused — never decoded to anything, never a panic — for a matrix at
+/// each width and for the kinds that keep their CRC.
+#[test]
+fn every_prefix_of_a_written_artifact_is_refused() {
+    let matrices = [
+        IntMatrix::from_vec(2, 3, vec![1, 0, -2, 3, 0, 4]).unwrap(),
+        IntMatrix::from_vec(2, 2, vec![0, 300, -1, 0]).unwrap(),
+        IntMatrix::from_vec(1, 3, vec![i32::MAX, 0, 7]).unwrap(),
+        IntMatrix::zeros(3, 2).unwrap(),
+    ];
+    let mut files: Vec<Vec<u8>> = matrices
+        .iter()
+        .map(|m| artifact::encode(m.digest(), &Artifact::Matrix(m.clone())))
+        .collect();
+    let csr = Csr::from_dense(&matrices[0]);
+    files.push(artifact::encode(matrices[0].digest(), &Artifact::Csr(csr)));
+    for file in &files {
+        assert!(artifact::decode(file).is_ok());
+        for len in 0..file.len() {
+            assert!(artifact::decode(&file[..len]).is_err(), "prefix of {len} bytes");
+            assert!(artifact::decode_body(&file[..len]).is_err(), "prefix of {len} bytes");
+        }
+    }
+}
+
+/// `encode(2×3 [1 0 −2; 3 0 4])` as format rev 1 wrote it: the header
+/// with its payload CRC, then `rows u64 · cols u64 · count u32 · count ×
+/// i32`. Rev 2 refuses the file outright; nothing in it is decoded.
+const REV1_MATRIX_ARTIFACT: [u8; 69] = [
+    0x53, 0x4d, 0x4d, 0x41, 0x01, 0x00, 0x00, 0x00, 0x01, 0x17, 0x3d, 0xdb, //
+    0x9c, 0xf4, 0xf8, 0x25, 0x83, 0xd3, 0x66, 0xdd, 0x72, 0x2c, 0x00, 0x00, //
+    0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, //
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, //
+    0x00, 0x00, 0x00, 0x00, 0x00, 0xfe, 0xff, 0xff, 0xff, 0x03, 0x00, 0x00, //
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+];
+
+#[test]
+fn a_rev1_matrix_file_is_refused_not_decoded() {
+    let expect = "unsupported artifact format rev 1";
+    let err = artifact::decode(&REV1_MATRIX_ARTIFACT).unwrap_err().to_string();
+    assert!(err.contains(expect), "{err}");
+    let err = artifact::decode_body(&REV1_MATRIX_ARTIFACT).unwrap_err().to_string();
+    assert!(err.contains(expect), "{err}");
+    // The matrix it held is still writable, as rev 2.
+    let m = IntMatrix::from_vec(2, 3, vec![1, 0, -2, 3, 0, 4]).unwrap();
+    let rev2 = artifact::encode(m.digest(), &Artifact::Matrix(m.clone()));
+    assert_eq!(rev2[4], 2);
+    assert_eq!(artifact::decode(&rev2).unwrap(), (m.digest(), Artifact::Matrix(m)));
 }
 
 /// The kinds with no content address still verify through the CRC: a
@@ -233,9 +281,9 @@ fn wrong_rev_and_wrong_kind_are_rejected() {
     kind[8] = 200;
     assert!(artifact::decode(&kind).is_err());
 
-    // A known-but-wrong kind byte: header says CSR, payload is a dense
-    // matrix. The CRC still matches (the kind byte is outside it), so
-    // the payload parse is the line of defense.
+    // A known-but-wrong kind byte: header says CSR, payload is a matrix
+    // body. The reader then takes the body's length prefix for a CRC and
+    // the body for a length-prefixed payload, and the framing refuses it.
     let mut cross = good;
     cross[8] = ArtifactKind::Csr.as_u8();
     assert!(artifact::decode(&cross).is_err());
@@ -250,28 +298,31 @@ fn lying_payload_length_is_rejected_without_allocating() {
     put_u32(&mut bytes, FORMAT_REV);
     bytes.push(ArtifactKind::Matrix.as_u8());
     bytes.extend_from_slice(&7u64.to_le_bytes());
-    put_u32(&mut bytes, 0); // crc
     put_u32(&mut bytes, u32::MAX); // payload length prefix
-    assert!(artifact::decode(&bytes).is_err());
+    let err = artifact::decode(&bytes).unwrap_err().to_string();
+    assert!(err.contains("exceeds"), "{err}");
 }
 
 #[test]
 fn huge_dimension_header_is_rejected_before_allocation() {
-    // A payload whose rows/cols imply a multi-terabyte dense matrix but
-    // whose data vector is tiny: the dimension cap and the element
-    // count check both fire before any rows*cols-sized allocation.
+    // A body whose rows/cols imply a multi-terabyte dense matrix but
+    // which carries one non-zero: the shape cap fires before any
+    // allocation at all, let alone a rows*cols-sized one.
     let mut payload = Vec::new();
     payload.extend_from_slice(&u64::MAX.to_le_bytes()); // rows
     payload.extend_from_slice(&u64::MAX.to_le_bytes()); // cols
+    payload.extend_from_slice(&1u64.to_le_bytes()); // nnz
+    payload.push(1); // width
     put_u32(&mut payload, 1);
-    payload.extend_from_slice(&1i32.to_le_bytes());
+    put_u32(&mut payload, 0);
+    payload.push(1);
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&MAGIC);
     put_u32(&mut bytes, FORMAT_REV);
     bytes.push(ArtifactKind::Matrix.as_u8());
     bytes.extend_from_slice(&7u64.to_le_bytes());
-    put_u32(&mut bytes, smm_store::artifact::crc32(&payload));
     put_u32(&mut bytes, payload.len() as u32);
     bytes.extend_from_slice(&payload);
-    assert!(artifact::decode(&bytes).is_err());
+    let err = artifact::decode(&bytes).unwrap_err().to_string();
+    assert!(err.contains("exceeds"), "{err}");
 }

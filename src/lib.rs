@@ -74,8 +74,8 @@
 //!    drain, and a self-checking load generator. One compiled circuit is
 //!    thereby amortized across many remote callers — the paper's
 //!    fixed-matrix economics at serving scale. The loaded fleet lives in
-//!    a [`runtime::TieredRegistry`] — hot compiled sessions, warm decoded
-//!    matrices, cold digest-verified [`store`] artifacts on disk — so
+//!    a [`runtime::TieredRegistry`] — hot compiled sessions, warm
+//!    non-zeros, cold digest-verified [`store`] artifacts on disk — so
 //!    capacity pressure demotes instead of refusing (when a
 //!    `store_dir` is configured) and a restarted server re-serves
 //!    yesterday's fleet without recompiling anything.
