@@ -174,7 +174,7 @@ pub fn ext4(quick: bool) -> Figure {
         ("csd_never", ChainPolicy::Never),
     ] {
         let mut coin = derived(SEED + 5, 1);
-        let (split, _) = csd_split(&m, policy, &mut coin).unwrap();
+        let split = csd_split(&m, policy, &mut coin).unwrap();
         let p = smm_core::sparsity::ones_in_signed_matrix(&split.pos);
         let n = smm_core::sparsity::ones_in_signed_matrix(&split.neg);
         let mul = FixedMatrixMultiplier::compile_split(
@@ -431,7 +431,7 @@ mod tests {
         let m = element_sparse_matrix(32, 32, 8, 0.5, false, &mut rng).unwrap();
         let split_of = |policy| {
             let mut coin = derived(SEED + 9, 1);
-            csd_split(&m, policy, &mut coin).unwrap().0
+            csd_split(&m, policy, &mut coin).unwrap()
         };
         let always = split_of(ChainPolicy::Always);
         let never = split_of(ChainPolicy::Never);

@@ -9,36 +9,9 @@
 /// Bit `index` of `value` as streamed by a sign-extending shift register:
 /// for `index < width` the actual bit, beyond that the sign bit repeated.
 #[inline]
-pub fn stream_bit(value: i64, width: u32, index: u32) -> bool {
+pub(crate) fn stream_bit(value: i64, width: u32, index: u32) -> bool {
     let idx = index.min(width.saturating_sub(1)).min(63);
     (value >> idx) & 1 == 1
-}
-
-/// Encodes `value` as `width` two's-complement bits, LSB first.
-///
-/// Panics if `width` is 0 or exceeds 64.
-pub fn to_bits_lsb(value: i64, width: u32) -> Vec<bool> {
-    assert!((1..=64).contains(&width), "width must be in 1..=64");
-    (0..width).map(|i| (value >> i.min(63)) & 1 == 1).collect()
-}
-
-/// Decodes an LSB-first two's-complement bit slice back to an integer.
-///
-/// The final bit is the sign bit. Panics on empty or >64-bit input.
-pub fn from_bits_lsb(bits: &[bool]) -> i64 {
-    assert!(!bits.is_empty() && bits.len() <= 64, "1..=64 bits required");
-    let mut value: i64 = 0;
-    for (i, &b) in bits.iter().enumerate() {
-        if b {
-            value |= 1i64 << i;
-        }
-    }
-    // Sign-extend from the top bit.
-    let w = bits.len();
-    if w < 64 && bits[w - 1] {
-        value |= !0i64 << w;
-    }
-    value
 }
 
 /// Minimum two's-complement width that can hold every partial result of a
@@ -47,19 +20,43 @@ pub fn from_bits_lsb(bits: &[bool]) -> i64 {
 /// `input_bits + weight_bits + ceil(log2(rows)) + 1` is a safe bound: each
 /// product needs `input_bits + weight_bits` bits, the sum of `rows` of them
 /// adds `ceil(log2 rows)`, and one extra guards the PN subtraction.
-pub fn result_width(input_bits: u32, weight_bits: u32, rows: usize) -> u32 {
+pub(crate) fn result_width(input_bits: u32, weight_bits: u32, rows: usize) -> u32 {
     let log2r = usize::BITS - rows.next_power_of_two().leading_zeros() - 1;
     (input_bits + weight_bits + log2r + 1).min(63)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Decodes an LSB-first two's-complement bit slice back to an integer.
+    ///
+    /// The final bit is the sign bit. Panics on empty or >64-bit input.
+    pub(crate) fn from_bits_lsb(bits: &[bool]) -> i64 {
+        assert!(!bits.is_empty() && bits.len() <= 64, "1..=64 bits required");
+        let mut value: i64 = 0;
+        for (i, &b) in bits.iter().enumerate() {
+            if b {
+                value |= 1i64 << i;
+            }
+        }
+        // Sign-extend from the top bit.
+        let w = bits.len();
+        if w < 64 && bits[w - 1] {
+            value |= !0i64 << w;
+        }
+        value
+    }
+
+    /// `value` as `width` bits, LSB first, through [`stream_bit`].
+    fn stream(value: i64, width: u32) -> Vec<bool> {
+        (0..width).map(|i| stream_bit(value, width, i)).collect()
+    }
 
     #[test]
     fn round_trip_all_8bit() {
         for v in -128i64..=127 {
-            let bits = to_bits_lsb(v, 8);
+            let bits = stream(v, 8);
             assert_eq!(from_bits_lsb(&bits), v, "value {v}");
         }
     }
@@ -68,7 +65,7 @@ mod tests {
     fn round_trip_with_extra_width() {
         // Decoding at wider width than needed must give the same value.
         for v in [-5i64, 0, 1, 100, -128] {
-            let bits = to_bits_lsb(v, 16);
+            let bits = stream(v, 16);
             assert_eq!(from_bits_lsb(&bits), v, "value {v}");
         }
     }
@@ -88,8 +85,8 @@ mod tests {
     #[test]
     fn known_encoding() {
         // 3 = 011, 7 = 111 (LSB first), the Table I operands.
-        assert_eq!(to_bits_lsb(3, 3), vec![true, true, false]);
-        assert_eq!(to_bits_lsb(7, 3), vec![true, true, true]);
+        assert_eq!(stream(3, 3), vec![true, true, false]);
+        assert_eq!(stream(7, 3), vec![true, true, true]);
         assert_eq!(from_bits_lsb(&[false, true, false, true, false]), 10);
     }
 
@@ -100,11 +97,5 @@ mod tests {
         assert_eq!(result_width(1, 1, 1), 3);
         // Caps at 63 to stay within i64.
         assert_eq!(result_width(31, 31, 1 << 20), 63);
-    }
-
-    #[test]
-    #[should_panic(expected = "width")]
-    fn zero_width_panics() {
-        to_bits_lsb(1, 0);
     }
 }

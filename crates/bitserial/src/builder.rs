@@ -81,12 +81,12 @@ pub struct BuiltCircuit {
     /// Cycle at which bit 0 of every live output becomes valid.
     pub output_anchor: u32,
     /// Unsigned bit width of the weight planes that were instantiated.
-    pub weight_bits: u32,
+    pub(crate) weight_bits: u32,
     /// Per-node anchor: cycle at which the node's logical bit 0 appears.
-    pub anchors: Vec<u32>,
+    pub(crate) anchors: Vec<u32>,
     /// Per-node flag: operand must be gated to zero during the node's
     /// start-of-frame cycle when streaming vectors back-to-back.
-    pub mask_at_start: Vec<bool>,
+    pub(crate) mask_at_start: Vec<bool>,
 }
 
 /// `ceil(log2 n)` for `n ≥ 1`.

@@ -35,7 +35,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bits;
+mod bits;
 pub mod builder;
 pub mod dot;
 pub mod latency;
@@ -45,8 +45,8 @@ pub mod primitive;
 pub mod sim;
 pub mod system;
 pub mod trace;
-pub mod verify;
+#[cfg(test)]
+mod verify;
 pub mod verilog;
 
-pub use multiplier::{FixedMatrixMultiplier, WeightEncoding};
-pub use netlist::{CircuitStats, Netlist, NodeId, NodeKind};
+pub use netlist::Netlist;

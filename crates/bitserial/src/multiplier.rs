@@ -69,7 +69,7 @@ impl FixedMatrixMultiplier {
             WeightEncoding::Pn => split_pn(matrix),
             WeightEncoding::Csd { policy, seed } => {
                 let mut rng = rng::seeded(seed);
-                csd_split(matrix, policy, &mut rng)?.0
+                csd_split(matrix, policy, &mut rng)?
             }
         };
         Self::compile_split(&split, input_bits, encoding)
@@ -271,7 +271,7 @@ impl FixedMatrixMultiplier {
 
     /// The serving batch kernel: simulates frames `start..end` of a
     /// [`FrameBlock`](smm_core::block::FrameBlock) through the lockstep
-    /// driver ([`crate::sim::run_lockstep_into_flat`]) — up to 64 frames
+    /// driver (`crate::sim::run_lockstep_into_flat`) — up to 64 frames
     /// packed one-per-bit into machine words so a single gate
     /// evaluation serves the whole shard — and decodes the results
     /// straight into a row-major `i64` slice of `(end - start) * cols()`

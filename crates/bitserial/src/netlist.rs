@@ -92,7 +92,7 @@ impl CircuitStats {
     /// Total flip-flops implied by the logic (2 per adder/subtractor —
     /// sum and carry — plus 1 per plain DFF). Shift-register storage is
     /// accounted separately by the FPGA resource model.
-    pub fn flip_flops(&self) -> usize {
+    pub(crate) fn flip_flops(&self) -> usize {
         2 * self.logic_elements() + self.dffs
     }
 }
@@ -124,7 +124,7 @@ impl Netlist {
 
     /// The id of the node at `index` in creation order (useful for tools
     /// that iterate [`Netlist::nodes`] and need to query values).
-    pub fn node_id(&self, index: usize) -> NodeId {
+    pub(crate) fn node_id(&self, index: usize) -> NodeId {
         assert!(index < self.nodes.len(), "node index out of range");
         NodeId(index as u32)
     }
@@ -136,12 +136,12 @@ impl Netlist {
     }
 
     /// Number of input rows.
-    pub fn num_rows(&self) -> usize {
+    pub(crate) fn num_rows(&self) -> usize {
         self.num_rows
     }
 
     /// Number of output columns (after [`Netlist::set_outputs`]).
-    pub fn num_outputs(&self) -> usize {
+    pub(crate) fn num_outputs(&self) -> usize {
         self.outputs.len()
     }
 
@@ -151,14 +151,8 @@ impl Netlist {
     }
 
     /// Number of nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// `true` if the netlist has no nodes (never true in practice: input
-    /// taps are pre-allocated).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// The per-column output taps.

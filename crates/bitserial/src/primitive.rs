@@ -8,7 +8,7 @@
 
 /// Combinational full adder: returns `(sum, carry_out)`.
 #[inline]
-pub fn full_adder(a: bool, b: bool, cin: bool) -> (bool, bool) {
+pub(crate) fn full_adder(a: bool, b: bool, cin: bool) -> (bool, bool) {
     let sum = a ^ b ^ cin;
     let cout = (a & b) | (a & cin) | (b & cin);
     (sum, cout)
@@ -20,26 +20,26 @@ pub fn full_adder(a: bool, b: bool, cin: bool) -> (bool, bool) {
 /// sum bits is the LSB-first sum. On the FPGA this maps to a single 6-input
 /// LUT and two registers (sum capture + carry).
 #[derive(Debug, Clone, Default)]
-pub struct BitSerialAdder {
+pub(crate) struct BitSerialAdder {
     carry: bool,
 }
 
 impl BitSerialAdder {
     /// A fresh adder with cleared carry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Advances one clock: consumes one bit of each operand, returns the sum
     /// bit, and latches the carry for the next cycle.
-    pub fn step(&mut self, a: bool, b: bool) -> bool {
+    pub(crate) fn step(&mut self, a: bool, b: bool) -> bool {
         let (sum, cout) = full_adder(a, b, self.carry);
         self.carry = cout;
         sum
     }
 
     /// Current carry register value (exposed for trace reproduction).
-    pub fn carry(&self) -> bool {
+    pub(crate) fn carry(&self) -> bool {
         self.carry
     }
 }
@@ -86,7 +86,7 @@ pub fn addition_trace(a: i64, b: i64, cycles: u32) -> Vec<AdditionTraceRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bits::from_bits_lsb;
+    use crate::bits::tests::from_bits_lsb;
 
     #[test]
     fn full_adder_truth_table() {

@@ -9,16 +9,16 @@
 //! Every gate is a *bitwise* function of its operands, so the
 //! [`Simulator`] holds each node as a `u64` lane word: bit `l` belongs to
 //! lane `l`, an independent copy of the circuit, and a full adder over
-//! words (three XORs, two ANDs, one OR) serves all [`LANES`] lanes in one
+//! words (three XORs, two ANDs, one OR) serves all `LANES` lanes in one
 //! evaluation. It has two clock schedules:
 //!
 //! - [`Simulator::step`], *lockstep*: every lane starts from power-on at
-//!   cycle 0 and computes one product. [`run_lockstep_into_flat`] packs up
-//!   to [`LANES`] frames per pass and finishes a pass in
+//!   cycle 0 and computes one product. `run_lockstep_into_flat` packs up
+//!   to `LANES` frames per pass and finishes a pass in
 //!   `output_anchor + out_width` cycles. It is the one way a product runs:
 //!   `mul`, `mul_batch`, `run_frames_block`, the SRAM wrapper and the VCD
 //!   trace all go through it.
-//! - [`Simulator::step_framed`], *framed*: vectors stream back-to-back,
+//! - `Simulator::step_framed`, *framed*: vectors stream back-to-back,
 //!   one every `interval` cycles, and each node resets exactly when a new
 //!   frame's bit 0 reaches it (the hardware's traveling start token).
 //!   [`run_stream_into_flat`] drives it in one lane: the
@@ -28,7 +28,7 @@ use crate::builder::BuiltCircuit;
 use crate::netlist::{Netlist, NodeId, NodeKind};
 
 /// Frames simulated per pass (one per bit of a `u64` lane word).
-pub const LANES: usize = u64::BITS as usize;
+pub(crate) const LANES: usize = u64::BITS as usize;
 
 /// Bitwise full adder over 64 lanes at once: `(sum, carry_out)`.
 #[inline]
@@ -37,7 +37,7 @@ fn word_full_adder(a: u64, b: u64, carry: u64) -> (u64, u64) {
     (axb ^ carry, (a & b) | (carry & axb))
 }
 
-/// A running simulation of one [`Netlist`] in [`LANES`] independent
+/// A running simulation of one [`Netlist`] in `LANES` independent
 /// lanes, one per bit of every register word.
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {
@@ -68,7 +68,7 @@ impl<'a> Simulator<'a> {
     }
 
     /// Returns every lane's registers to their power-on state.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.val.fill(0);
         self.next.fill(0);
         self.cycle = 0;
@@ -82,7 +82,7 @@ impl<'a> Simulator<'a> {
     }
 
     /// Number of clock edges simulated since the last reset.
-    pub fn cycle(&self) -> u64 {
+    pub(crate) fn cycle(&self) -> u64 {
         self.cycle
     }
 
@@ -134,7 +134,7 @@ impl<'a> Simulator<'a> {
     /// lane streams on the same frame boundaries.
     ///
     /// `anchors`/`mask_at_start` come from the [`BuiltCircuit`].
-    pub fn step_framed(
+    pub(crate) fn step_framed(
         &mut self,
         input_words: &[u64],
         anchors: &[u32],
@@ -206,7 +206,7 @@ fn bit_weight(k: u64, out_width: u32) -> i64 {
 /// starting at the circuit's output anchor cycle. `observe` sees the
 /// simulator after every clock edge: the VCD trace records its waveform
 /// there, and every other caller passes a no-op.
-pub fn run_lockstep_into_flat(
+pub(crate) fn run_lockstep_into_flat(
     circuit: &BuiltCircuit,
     inputs: &[i32],
     input_bits: u32,
@@ -298,7 +298,7 @@ pub fn run_lockstep_into_flat(
 /// column). This is the paper's batching mode ("we have to stream the
 /// columns of the input matrix in one-by-one"), simulated rather than
 /// modelled: the hardware-faithful reference
-/// [`run_lockstep_into_flat`] is checked against.
+/// `run_lockstep_into_flat` is checked against.
 ///
 /// Output words accumulate *in place* as the bits stream past the capture
 /// window (two's-complement, LSB first, the final bit weighted

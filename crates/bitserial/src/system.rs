@@ -25,20 +25,10 @@ pub struct Sram {
 
 impl Sram {
     /// A zeroed SRAM of `words` entries.
-    pub fn new(words: usize) -> Self {
+    pub(crate) fn new(words: usize) -> Self {
         Self {
             words: vec![0; words],
         }
-    }
-
-    /// Capacity in words.
-    pub fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// `true` when the SRAM has no words.
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
     }
 
     /// Reads one word.
@@ -47,7 +37,7 @@ impl Sram {
     }
 
     /// Writes one word.
-    pub fn write(&mut self, address: usize, value: i64) {
+    pub(crate) fn write(&mut self, address: usize, value: i64) {
         self.words[address] = value;
     }
 
@@ -160,7 +150,7 @@ impl SmmSystem {
     }
 
     /// Predicted memory-to-memory cycles for one product.
-    pub fn predicted_cycles(&self) -> SystemRun {
+    pub(crate) fn predicted_cycles(&self) -> SystemRun {
         let rows = self.circuit.netlist.num_rows() as u64;
         let cols = self.circuit.netlist.num_outputs() as u64;
         let ports = self.config.ports as u64;

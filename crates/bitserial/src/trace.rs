@@ -3,7 +3,7 @@
 //! the builder's timing (anchors, chain shifts, frame masks).
 //!
 //! A trace is the ordinary lockstep run of one frame
-//! ([`crate::sim::run_lockstep_into_flat`]) with an observer that writes
+//! (`crate::sim::run_lockstep_into_flat`) with an observer that writes
 //! lane 0's changed nodes after every clock edge.
 
 use crate::builder::BuiltCircuit;

@@ -1,5 +1,6 @@
 //! Structural verification of built circuits: the lint pass a production
-//! spatial compiler runs before handing a netlist to synthesis.
+//! spatial compiler runs before handing a netlist to synthesis. Only the
+//! tests run it, over every circuit the builder emits.
 //!
 //! Checks (beyond what construction already guarantees):
 //!
@@ -16,7 +17,7 @@ use crate::netlist::NodeKind;
 
 /// A structural problem found in a circuit.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Defect {
+enum Defect {
     /// A node unreachable from every output.
     DeadNode {
         /// Index of the dead node.
@@ -49,7 +50,7 @@ pub enum Defect {
 /// Runs all structural checks, returning every defect found (empty =
 /// clean). Input taps are exempt from dead-node analysis (an unused input
 /// row is legitimate: a fully-zero matrix row).
-pub fn verify(circuit: &BuiltCircuit) -> Vec<Defect> {
+fn verify(circuit: &BuiltCircuit) -> Vec<Defect> {
     let net = &circuit.netlist;
     let nodes = net.nodes();
     let anchors = &circuit.anchors;

@@ -3,7 +3,6 @@
 //! netlist still matched the reference, the equivalence tests upstream
 //! would be vacuous.
 
-use smm_bitserial::bits::{from_bits_lsb, stream_bit};
 use smm_bitserial::netlist::Netlist;
 use smm_bitserial::sim::Simulator;
 
@@ -40,23 +39,23 @@ fn build(fault: Fault) -> Netlist {
     net
 }
 
-/// Runs the hand-built circuit on inputs (a, b) in lane 0 and decodes 12
+/// Runs the hand-built circuit on 8-bit inputs (a, b) in lane 0,
+/// streamed LSB first and sign-extended, and decodes 12 two's-complement
 /// output bits.
 fn run(net: &Netlist, a: i64, b: i64) -> i64 {
     let mut sim = Simulator::new(net);
     let anchor = 3; // adder level + chain dff + output dff
     let width = 12u64;
-    let mut bits = Vec::new();
+    let mut value = 0i64;
     for t in 0..(anchor + width) {
-        sim.step(&[
-            u64::from(stream_bit(a, 8, t as u32)),
-            u64::from(stream_bit(b, 8, t as u32)),
-        ]);
+        let bit = |x: i64| (x >> t.min(7)) as u64 & 1;
+        sim.step(&[bit(a), bit(b)]);
         if t + 1 >= anchor && (t + 1) < anchor + width {
-            bits.push(sim.value(net.outputs()[0].unwrap()) & 1 == 1);
+            value |= (sim.value(net.outputs()[0].unwrap()) as i64 & 1) << (t + 1 - anchor);
         }
     }
-    from_bits_lsb(&bits)
+    // Sign-extend from the top output bit.
+    (value << (64 - width)) >> (64 - width)
 }
 
 #[test]

@@ -225,7 +225,7 @@ pub fn stream(args: &Args, out: &mut impl Write) -> CmdResult {
 /// `smm trace` — VCD waveform dump of one product.
 pub fn trace(args: &Args, out: &mut impl Write) -> CmdResult {
     let (matrix, mul) = compile(args)?;
-    if matrix.len() > 64 * 64 {
+    if matrix.rows() * matrix.cols() > 64 * 64 {
         return Err("trace is for small circuits; use --dim 64 or less".into());
     }
     let vector = vector_of(args, matrix.rows())?;

@@ -25,7 +25,7 @@ fn block_len(count: usize, width: usize, what: &str) -> Result<usize> {
 /// Frame `i` occupies `data[i*width .. (i+1)*width]`; [`FrameBlock::frame`]
 /// hands out the slice view. Build one with [`FrameBlock::from_rows`] /
 /// `TryFrom<Vec<Vec<i32>>>` (rejecting ragged batches), or incrementally
-/// with [`FrameBlock::new`] + [`FrameBlock::push_frame`].
+/// with [`FrameBlock::with_capacity`] + [`FrameBlock::push_frame`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FrameBlock {
     frames: usize,
@@ -34,16 +34,8 @@ pub struct FrameBlock {
 }
 
 impl FrameBlock {
-    /// An empty block whose future frames must all have length `width`.
-    pub fn new(width: usize) -> Self {
-        Self {
-            frames: 0,
-            width,
-            data: Vec::new(),
-        }
-    }
-
-    /// [`FrameBlock::new`] with capacity reserved for `frames` frames.
+    /// An empty block whose future frames must all have length `width`,
+    /// with capacity reserved for `frames` frames.
     pub fn with_capacity(width: usize, frames: usize) -> Self {
         Self {
             frames: 0,
@@ -113,11 +105,6 @@ impl FrameBlock {
         self.width
     }
 
-    /// `true` iff the block holds no frames.
-    pub fn is_empty(&self) -> bool {
-        self.frames == 0
-    }
-
     /// Frame `i` as a slice view.
     ///
     /// # Panics
@@ -169,8 +156,7 @@ impl From<FrameBlock> for Vec<Vec<i32>> {
 /// A batch of equal-length output rows in one row-major `i64` buffer.
 ///
 /// The serving counterpart of [`FrameBlock`]: engines and the dispatcher
-/// write product rows in place through [`RowBlock::row_mut`] /
-/// [`RowBlock::rows_mut`], and a caller that keeps the block alive across
+/// write product rows in place through [`RowBlock::rows_mut`], and a caller that keeps the block alive across
 /// batches reaches a steady state with no per-row allocation —
 /// [`RowBlock::reset`] reshapes the buffer while reusing its capacity.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -241,15 +227,6 @@ impl RowBlock {
     pub fn row(&self, i: usize) -> &[i64] {
         assert!(i < self.rows, "row {i} of {}", self.rows);
         &self.data[i * self.width..(i + 1) * self.width]
-    }
-
-    /// Row `i` as a mutable slice view.
-    ///
-    /// # Panics
-    /// If `i >= self.rows()`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [i64] {
-        assert!(i < self.rows, "row {i} of {}", self.rows);
-        &mut self.data[i * self.width..(i + 1) * self.width]
     }
 
     /// Rows `start..end` as one contiguous mutable slice — the shard
@@ -335,7 +312,7 @@ mod tests {
     fn ragged_batches_are_rejected() {
         let ragged = vec![vec![1, 2], vec![3]];
         assert!(FrameBlock::try_from(ragged).is_err());
-        let mut block = FrameBlock::new(2);
+        let mut block = FrameBlock::with_capacity(2, 0);
         assert!(block.push_frame(&[1, 2, 3]).is_err());
         assert_eq!(block.frames(), 0);
         block.push_frame(&[1, 2]).unwrap();
@@ -345,7 +322,6 @@ mod tests {
     #[test]
     fn empty_and_zero_width_blocks_are_representable() {
         let empty = FrameBlock::from_rows(&[]).unwrap();
-        assert!(empty.is_empty());
         assert_eq!((empty.frames(), empty.width()), (0, 0));
         assert_eq!(empty.iter().count(), 0);
         // Three zero-length frames: count is preserved, data is empty.
@@ -376,7 +352,7 @@ mod tests {
     #[test]
     fn row_block_views_and_reset_reuse() {
         let mut out = RowBlock::zeros(2, 3).unwrap();
-        out.row_mut(1).copy_from_slice(&[7, 8, 9]);
+        out.rows_mut(1, 2).copy_from_slice(&[7, 8, 9]);
         assert_eq!(out.row(0), &[0, 0, 0]);
         assert_eq!(out.row(1), &[7, 8, 9]);
         assert_eq!(out.rows_mut(0, 2).len(), 6);

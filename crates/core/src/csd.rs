@@ -16,7 +16,7 @@
 
 use crate::error::{Error, Result};
 use crate::matrix::IntMatrix;
-use crate::signsplit::{split_pn, SignSplit};
+use crate::signsplit::SignSplit;
 use rand::Rng;
 
 /// What to do with a run ("chain") of exactly two consecutive one bits,
@@ -38,32 +38,13 @@ pub enum ChainPolicy {
 /// `digits[i] ∈ {−1, 0, +1}` is the coefficient of `2^i`; there is one more
 /// digit than input bits because a run ending at the MSb carries out.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsdDigits {
+pub(crate) struct CsdDigits {
     digits: Vec<i8>,
 }
 
 impl CsdDigits {
-    /// The digit coefficients, least significant first.
-    pub fn as_slice(&self) -> &[i8] {
-        &self.digits
-    }
-
-    /// Reconstructs the numeric value `Σ digits[i]·2^i`.
-    pub fn value(&self) -> i64 {
-        self.digits
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| i64::from(d) << i)
-            .sum()
-    }
-
-    /// Number of non-zero digits (the hardware cost of this value).
-    pub fn ones(&self) -> u32 {
-        self.digits.iter().filter(|&&d| d != 0).count() as u32
-    }
-
     /// The positive part: `Σ_{digits[i]=+1} 2^i`.
-    pub fn positive(&self) -> u32 {
+    pub(crate) fn positive(&self) -> u32 {
         self.digits
             .iter()
             .enumerate()
@@ -73,7 +54,7 @@ impl CsdDigits {
     }
 
     /// The negative part magnitude: `Σ_{digits[i]=−1} 2^i`.
-    pub fn negative(&self) -> u32 {
+    pub(crate) fn negative(&self) -> u32 {
         self.digits
             .iter()
             .enumerate()
@@ -89,7 +70,7 @@ impl CsdDigits {
 /// Runs of a single 1 are kept; runs of length ≥ 3 are replaced by a `+1`
 /// one past the run's MSb and a `−1` at the run's LSb; runs of exactly 2
 /// follow `policy`. The output has `bits + 1` digits.
-pub fn csd_digits(
+pub(crate) fn csd_digits(
     value: u32,
     bits: u32,
     policy: ChainPolicy,
@@ -146,42 +127,13 @@ pub fn csd_digits(
     Ok(CsdDigits { digits })
 }
 
-/// Statistics of a CSD transformation over a whole matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CsdStats {
-    /// Set bits before the transform (PN split of the signed matrix).
-    pub ones_before: u64,
-    /// Non-zero digits after the transform.
-    pub ones_after: u64,
-}
-
-impl CsdStats {
-    /// Fractional reduction in set bits, `1 − after/before`.
-    pub fn reduction(&self) -> f64 {
-        if self.ones_before == 0 {
-            0.0
-        } else {
-            1.0 - self.ones_after as f64 / self.ones_before as f64
-        }
-    }
-}
-
 /// Applies CSD to a *signed* weight matrix, producing unsigned `P`/`N`
 /// halves with `V = P − N` (Equation 6 of the paper).
 ///
 /// Per Section V: the matrix is first PN-split; CSD is then applied to each
 /// unsigned half. Positive digits stay in their source half; negative digits
 /// transfer to the *opposite* half. Element width grows by one bit.
-pub fn csd_split(
-    matrix: &IntMatrix,
-    policy: ChainPolicy,
-    rng: &mut impl Rng,
-) -> Result<(SignSplit, CsdStats)> {
-    let base = split_pn(matrix);
-    let mut stats = CsdStats {
-        ones_before: base.ones(),
-        ones_after: 0,
-    };
+pub fn csd_split(matrix: &IntMatrix, policy: ChainPolicy, rng: &mut impl Rng) -> Result<SignSplit> {
     let mut pos = IntMatrix::zeros(matrix.rows(), matrix.cols())?;
     let mut neg = IntMatrix::zeros(matrix.rows(), matrix.cols())?;
     for (r, c, v) in matrix.iter() {
@@ -191,7 +143,6 @@ pub fn csd_split(
         let magnitude = i64::from(v).unsigned_abs() as u32;
         let bits = crate::matrix::unsigned_bits_for(magnitude);
         let d = csd_digits(magnitude, bits, policy, rng)?;
-        stats.ones_after += u64::from(d.ones());
         let (into_same, into_opposite) = (d.positive() as i32, d.negative() as i32);
         if v > 0 {
             pos.set(r, c, into_same);
@@ -201,7 +152,7 @@ pub fn csd_split(
             pos.set(r, c, into_opposite);
         }
     }
-    Ok((SignSplit { pos, neg }, stats))
+    Ok(SignSplit { pos, neg })
 }
 
 #[cfg(test)]
@@ -209,18 +160,33 @@ mod tests {
     use super::*;
     use crate::generate::element_sparse_matrix;
     use crate::rng::seeded;
+    use crate::signsplit::split_pn;
 
     fn digits_of(value: u32, bits: u32, policy: ChainPolicy) -> CsdDigits {
         csd_digits(value, bits, policy, &mut seeded(0)).unwrap()
+    }
+
+    /// Number of non-zero digits (the hardware cost of the value).
+    fn ones(d: &CsdDigits) -> u32 {
+        d.digits.iter().filter(|&&x| x != 0).count() as u32
+    }
+
+    /// The numeric value `Σ digits[i]·2^i`.
+    fn value(d: &CsdDigits) -> i64 {
+        d.digits
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| i64::from(x) << i)
+            .sum()
     }
 
     #[test]
     fn paper_example_fifteen() {
         // 15 = 0b1111 -> 16 - 1: digits [-1, 0, 0, 0, +1].
         let d = digits_of(15, 4, ChainPolicy::Always);
-        assert_eq!(d.as_slice(), &[-1, 0, 0, 0, 1]);
-        assert_eq!(d.value(), 15);
-        assert_eq!(d.ones(), 2);
+        assert_eq!(d.digits, [-1, 0, 0, 0, 1]);
+        assert_eq!(value(&d), 15);
+        assert_eq!(ones(&d), 2);
         assert_eq!(d.positive(), 16);
         assert_eq!(d.negative(), 1);
     }
@@ -229,8 +195,8 @@ mod tests {
     fn single_bits_left_alone() {
         for v in [0u32, 1, 2, 4, 8, 0b101, 0b1001] {
             let d = digits_of(v, 4, ChainPolicy::Always);
-            assert_eq!(d.value(), i64::from(v), "value {v}");
-            assert_eq!(d.ones(), v.count_ones(), "value {v}");
+            assert_eq!(value(&d), i64::from(v), "value {v}");
+            assert_eq!(ones(&d), v.count_ones(), "value {v}");
             assert_eq!(d.negative(), 0, "value {v}");
         }
     }
@@ -239,14 +205,14 @@ mod tests {
     fn length_two_chain_policies() {
         // 3 = 0b11: Always -> 4 - 1; Never -> 2 + 1.
         let a = digits_of(3, 2, ChainPolicy::Always);
-        assert_eq!(a.as_slice(), &[-1, 0, 1]);
-        assert_eq!(a.value(), 3);
+        assert_eq!(a.digits, [-1, 0, 1]);
+        assert_eq!(value(&a), 3);
         let n = digits_of(3, 2, ChainPolicy::Never);
-        assert_eq!(n.as_slice(), &[1, 1, 0]);
-        assert_eq!(n.value(), 3);
+        assert_eq!(n.digits, [1, 1, 0]);
+        assert_eq!(value(&n), 3);
         // Either way the cost is 2 digits.
-        assert_eq!(a.ones(), 2);
-        assert_eq!(n.ones(), 2);
+        assert_eq!(ones(&a), 2);
+        assert_eq!(ones(&n), 2);
     }
 
     #[test]
@@ -256,7 +222,7 @@ mod tests {
         const TRIALS: usize = 2000;
         for _ in 0..TRIALS {
             let d = csd_digits(3, 2, ChainPolicy::CoinFlip, &mut rng).unwrap();
-            assert_eq!(d.value(), 3);
+            assert_eq!(value(&d), 3);
             if d.negative() != 0 {
                 substituted += 1;
             }
@@ -271,11 +237,11 @@ mod tests {
         for v in 0u32..256 {
             for policy in [ChainPolicy::CoinFlip, ChainPolicy::Always, ChainPolicy::Never] {
                 let d = csd_digits(v, 8, policy, &mut rng).unwrap();
-                assert_eq!(d.value(), i64::from(v), "value {v}");
+                assert_eq!(value(&d), i64::from(v), "value {v}");
                 assert!(
-                    d.ones() <= v.count_ones().max(1),
+                    ones(&d) <= v.count_ones().max(1),
                     "value {v}: {} > {}",
-                    d.ones(),
+                    ones(&d),
                     v.count_ones()
                 );
                 // P and N never share a digit position.
@@ -289,17 +255,17 @@ mod tests {
     fn long_chain_brings_large_benefit() {
         // 0b111_1111 (127): 7 ones -> 2 digits (128 - 1).
         let d = digits_of(127, 7, ChainPolicy::Never);
-        assert_eq!(d.ones(), 2);
-        assert_eq!(d.value(), 127);
+        assert_eq!(ones(&d), 2);
+        assert_eq!(value(&d), 127);
     }
 
     #[test]
     fn interleaved_chains() {
         // 0b110111: chains of length 3 (LSbs) and 2 (MSbs).
         let d = digits_of(0b110111, 6, ChainPolicy::Never);
-        assert_eq!(d.value(), 0b110111);
+        assert_eq!(value(&d), 0b110111);
         let d = digits_of(0b110111, 6, ChainPolicy::Always);
-        assert_eq!(d.value(), 0b110111);
+        assert_eq!(value(&d), 0b110111);
     }
 
     #[test]
@@ -313,23 +279,20 @@ mod tests {
     fn matrix_split_reconstructs_and_reduces() {
         let mut rng = seeded(21);
         let m = element_sparse_matrix(48, 48, 8, 0.5, true, &mut rng).unwrap();
-        let (split, stats) = csd_split(&m, ChainPolicy::CoinFlip, &mut rng).unwrap();
+        let split = csd_split(&m, ChainPolicy::CoinFlip, &mut rng).unwrap();
         assert_eq!(split.reconstruct().unwrap(), m);
-        assert_eq!(stats.ones_after, split.ones());
-        assert!(stats.ones_after <= stats.ones_before);
+        let (before, after) = (split_pn(&m).ones(), split.ones());
+        assert!(after <= before);
         // Uniform 8-bit weights should see a material reduction (paper: ~17 %).
-        assert!(
-            stats.reduction() > 0.10,
-            "reduction only {:.3}",
-            stats.reduction()
-        );
+        let reduction = 1.0 - after as f64 / before as f64;
+        assert!(reduction > 0.10, "reduction only {reduction:.3}");
     }
 
     #[test]
     fn negative_elements_transfer_digits() {
         // -15 = -(16 - 1) -> P gets 1, N gets 16.
         let m = IntMatrix::from_vec(1, 1, vec![-15]).unwrap();
-        let (split, _) = csd_split(&m, ChainPolicy::Always, &mut seeded(2)).unwrap();
+        let split = csd_split(&m, ChainPolicy::Always, &mut seeded(2)).unwrap();
         assert_eq!(split.neg[(0, 0)], 16);
         assert_eq!(split.pos[(0, 0)], 1);
         assert_eq!(split.reconstruct().unwrap()[(0, 0)], -15);
@@ -338,9 +301,7 @@ mod tests {
     #[test]
     fn zero_matrix_stats() {
         let m = IntMatrix::zeros(4, 4).unwrap();
-        let (split, stats) = csd_split(&m, ChainPolicy::CoinFlip, &mut seeded(3)).unwrap();
+        let split = csd_split(&m, ChainPolicy::CoinFlip, &mut seeded(3)).unwrap();
         assert_eq!(split.ones(), 0);
-        assert_eq!(stats.ones_before, 0);
-        assert_eq!(stats.reduction(), 0.0);
     }
 }

@@ -18,7 +18,7 @@
 //!   time with four independent product terms per output lane and a
 //!   4-wide unrolled column loop (the shape of the CLIF matmul exemplar:
 //!   independent accumulators so the compiler can keep them in SIMD
-//!   registers), applied per cache-blocked column tile ([`COL_BLOCK`]
+//!   registers), applied per cache-blocked column tile (`COL_BLOCK`
 //!   wide) so the output tile and the four active row segments stay
 //!   L1-resident no matter how wide the matrix is. It runs branch-free
 //!   over every row: a zero input contributes exact zeros.
@@ -29,7 +29,7 @@ use crate::matrix::IntMatrix;
 /// Column-tile width of the blocked kernel. An `i64` output tile
 /// (8 KiB) plus four `i32` row segments (16 KiB) stay L1-resident while
 /// every matrix element streams through exactly once.
-pub const COL_BLOCK: usize = 1024;
+pub(crate) const COL_BLOCK: usize = 1024;
 
 /// Computes `o = aᵀV`: `o[j] = Σ_i a[i] · V[i][j]`.
 pub fn vecmat(a: &[i32], v: &IntMatrix) -> Result<Vec<i64>> {

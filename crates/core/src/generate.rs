@@ -139,7 +139,7 @@ mod tests {
         let m = bit_sparse_matrix(64, 64, 8, 0.8, &mut rng).unwrap();
         let bs = bit_sparsity_of(&m, 8).unwrap();
         assert!((bs - 0.8).abs() < 0.02, "measured {bs}");
-        assert!(m.fits_unsigned(8).unwrap());
+        assert!(m.as_slice().iter().all(|&v| (0..1 << 8).contains(&v)));
     }
 
     #[test]
@@ -165,7 +165,7 @@ mod tests {
     fn element_sparse_unsigned_range() {
         let mut rng = seeded(4);
         let m = element_sparse_matrix(16, 16, 4, 0.5, false, &mut rng).unwrap();
-        assert!(m.fits_unsigned(4).unwrap());
+        assert!(m.as_slice().iter().all(|&v| (0..1 << 4).contains(&v)));
         assert!(m.as_slice().iter().all(|&v| v >= 0));
     }
 
@@ -199,7 +199,7 @@ mod tests {
         let m = uniform_matrix(32, 32, 3, true, &mut rng).unwrap();
         assert!(m.fits_signed(3).unwrap());
         let u = uniform_matrix(32, 32, 3, false, &mut rng).unwrap();
-        assert!(u.fits_unsigned(3).unwrap());
+        assert!(u.as_slice().iter().all(|&v| (0..1 << 3).contains(&v)));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! Only the integer/pattern-free subset this project needs is implemented:
 //! `matrix coordinate integer general` (and `real`, rounded) for sparse
-//! files, plus `parse_dense`/`format_dense` for quick fixtures.
+//! files, plus `parse_dense` for quick fixtures.
 
 use crate::error::{Error, Result};
 use crate::matrix::IntMatrix;
@@ -135,16 +135,6 @@ pub fn parse_dense(text: &str) -> Result<IntMatrix> {
     IntMatrix::from_vec(rows.len(), cols, rows.concat())
 }
 
-/// Serializes a matrix as dense whitespace text.
-pub fn format_dense(m: &IntMatrix) -> String {
-    let mut out = String::new();
-    for r in 0..m.rows() {
-        let cells: Vec<String> = m.row(r).iter().map(|v| v.to_string()).collect();
-        let _ = writeln!(out, "{}", cells.join(" "));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,8 +206,7 @@ mod tests {
     #[test]
     fn dense_round_trip() {
         let m = IntMatrix::from_vec(2, 3, vec![1, -2, 0, 4, 5, -6]).unwrap();
-        let text = format_dense(&m);
-        assert_eq!(parse_dense(&text).unwrap(), m);
+        assert_eq!(parse_dense("1 -2 0\n4 5 -6\n").unwrap(), m);
     }
 
     #[test]

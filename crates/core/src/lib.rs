@@ -4,7 +4,7 @@
 //! Multipliers for Reservoir Computing* (HPCA 2022) reproduction: integer
 //! matrices, the paper's random-sparsity generators, positive/negative sign
 //! splitting, the canonical-signed-digit (CSD) transform of Listing 1,
-//! reference `aᵀV` products, and symmetric quantization.
+//! and reference `aᵀV` products.
 //!
 //! Everything downstream — the bit-serial netlist builder, the FPGA cost
 //! models, the GPU/SIGMA baselines, and the echo-state-network application —
@@ -55,13 +55,10 @@ pub mod generate;
 pub mod gemv;
 pub mod io;
 pub mod matrix;
-pub mod quant;
 pub mod rng;
 pub mod signsplit;
 pub mod sparsity;
 pub mod wire;
 
-pub use block::{FrameBlock, RowBlock};
-pub use error::{Error, Result};
 pub use matrix::IntMatrix;
 pub use signsplit::SignSplit;

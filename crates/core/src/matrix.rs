@@ -20,7 +20,7 @@ pub fn signed_range(bits: u32) -> Result<(i32, i32)> {
 }
 
 /// Inclusive value range of a `bits`-wide unsigned integer.
-pub fn unsigned_range(bits: u32) -> Result<(i32, i32)> {
+pub(crate) fn unsigned_range(bits: u32) -> Result<(i32, i32)> {
     if bits == 0 || bits > 31 {
         return Err(Error::InvalidBitWidth { bits });
     }
@@ -30,7 +30,7 @@ pub fn unsigned_range(bits: u32) -> Result<(i32, i32)> {
 /// Minimum number of bits needed to represent `value` as unsigned.
 ///
 /// Zero needs one bit by convention (a single always-zero plane).
-pub fn unsigned_bits_for(value: u32) -> u32 {
+pub(crate) fn unsigned_bits_for(value: u32) -> u32 {
     (32 - value.leading_zeros()).max(1)
 }
 
@@ -206,30 +206,15 @@ impl IntMatrix {
         self.cols
     }
 
-    /// Total number of elements (`rows * cols`).
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// `true` iff the matrix has no elements. Always `false` given the
-    /// non-empty-dimension invariant, but provided for API completeness.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Element at `(row, col)`, or `None` out of bounds.
-    pub fn get(&self, row: usize, col: usize) -> Option<i32> {
-        if row < self.rows && col < self.cols {
-            Some(self.data[row * self.cols + col])
-        } else {
-            None
-        }
-    }
-
     /// Sets the element at `(row, col)`. Panics out of bounds.
     pub fn set(&mut self, row: usize, col: usize, value: i32) {
         assert!(row < self.rows && col < self.cols, "index out of bounds");
         self.data[row * self.cols + col] = value;
+    }
+
+    /// Total number of elements (`rows * cols`).
+    pub(crate) fn len(&self) -> usize {
+        self.data.len()
     }
 
     /// A row as a slice.
@@ -250,13 +235,8 @@ impl IntMatrix {
     }
 
     /// Mutable row-major view of all elements.
-    pub fn as_mut_slice(&mut self) -> &mut [i32] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [i32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix and returns the row-major data.
-    pub fn into_vec(self) -> Vec<i32> {
-        self.data
     }
 
     /// Iterator over `(row, col, value)` triples in row-major order.
@@ -274,7 +254,7 @@ impl IntMatrix {
     }
 
     /// Applies `f` to every element, producing a new matrix of the same shape.
-    pub fn map(&self, mut f: impl FnMut(i32) -> i32) -> Self {
+    pub(crate) fn map(&self, mut f: impl FnMut(i32) -> i32) -> Self {
         Self {
             rows: self.rows,
             cols: self.cols,
@@ -312,7 +292,7 @@ impl IntMatrix {
     /// `i32::MIN` is handled by widening; the result saturates at
     /// `u32::MAX`-representable magnitudes, which covers every supported
     /// bit width.
-    pub fn max_abs(&self) -> u32 {
+    pub(crate) fn max_abs(&self) -> u32 {
         self.data
             .iter()
             .map(|&v| (i64::from(v)).unsigned_abs().min(u64::from(u32::MAX)) as u32)
@@ -324,26 +304,6 @@ impl IntMatrix {
     pub fn fits_signed(&self, bits: u32) -> Result<bool> {
         let (lo, hi) = signed_range(bits)?;
         Ok(self.data.iter().all(|&v| (lo..=hi).contains(&v)))
-    }
-
-    /// `true` iff every element is within the `bits`-wide unsigned range.
-    pub fn fits_unsigned(&self, bits: u32) -> Result<bool> {
-        let (lo, hi) = unsigned_range(bits)?;
-        Ok(self.data.iter().all(|&v| (lo..=hi).contains(&v)))
-    }
-
-    /// Minimum unsigned bit width that represents every element.
-    ///
-    /// Returns an error if any element is negative.
-    pub fn min_unsigned_bits(&self) -> Result<u32> {
-        if let Some(&v) = self.data.iter().find(|&&v| v < 0) {
-            return Err(Error::ValueOutOfRange {
-                value: v,
-                bits: 0,
-                signed: false,
-            });
-        }
-        Ok(unsigned_bits_for(self.max_abs()))
     }
 
     /// A stable 64-bit content digest of the matrix (shape and elements).
@@ -392,7 +352,7 @@ impl IntMatrix {
     }
 
     /// Element-wise difference `self - other`.
-    pub fn sub(&self, other: &Self) -> Result<Self> {
+    pub(crate) fn sub(&self, other: &Self) -> Result<Self> {
         if self.rows != other.rows || self.cols != other.cols {
             return Err(Error::DimensionMismatch {
                 context: format!(
@@ -465,8 +425,6 @@ mod tests {
         assert_eq!(m.cols(), 3);
         assert_eq!(m[(0, 0)], 1);
         assert_eq!(m[(1, 2)], 6);
-        assert_eq!(m.get(2, 0), None);
-        assert_eq!(m.get(0, 3), None);
         assert_eq!(m.row(1), &[4, 5, 6]);
         assert_eq!(m.col(1), vec![2, 5]);
     }
@@ -538,23 +496,6 @@ mod tests {
         let m = IntMatrix::from_vec(1, 3, vec![-128, 0, 127]).unwrap();
         assert!(m.fits_signed(8).unwrap());
         assert!(!m.fits_signed(7).unwrap());
-        assert!(!m.fits_unsigned(8).unwrap());
-        let u = IntMatrix::from_vec(1, 2, vec![0, 255]).unwrap();
-        assert!(u.fits_unsigned(8).unwrap());
-        assert!(!u.fits_unsigned(7).unwrap());
-        assert_eq!(u.min_unsigned_bits().unwrap(), 8);
-    }
-
-    #[test]
-    fn min_unsigned_bits_zero_matrix() {
-        let z = IntMatrix::zeros(2, 2).unwrap();
-        assert_eq!(z.min_unsigned_bits().unwrap(), 1);
-    }
-
-    #[test]
-    fn min_unsigned_bits_rejects_negative() {
-        let m = IntMatrix::from_vec(1, 1, vec![-1]).unwrap();
-        assert!(m.min_unsigned_bits().is_err());
     }
 
     #[test]

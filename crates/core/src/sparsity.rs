@@ -17,7 +17,7 @@ use crate::matrix::IntMatrix;
 
 /// Number of set bits in `value` when encoded as a `bits`-wide unsigned
 /// integer. Returns an error if `value` is negative or does not fit.
-pub fn ones_in_value(value: i32, bits: u32) -> Result<u32> {
+pub(crate) fn ones_in_value(value: i32, bits: u32) -> Result<u32> {
     if bits == 0 || bits > 31 {
         return Err(Error::InvalidBitWidth { bits });
     }
@@ -35,7 +35,7 @@ pub fn ones_in_value(value: i32, bits: u32) -> Result<u32> {
 ///
 /// This is the paper's "number of ones" — the quantity FPGA LUT cost tracks
 /// linearly (Figures 5 and 10).
-pub fn ones_in_matrix(matrix: &IntMatrix, bits: u32) -> Result<u64> {
+pub(crate) fn ones_in_matrix(matrix: &IntMatrix, bits: u32) -> Result<u64> {
     let mut total = 0u64;
     for (_, _, v) in matrix.iter() {
         total += u64::from(ones_in_value(v, bits)?);
@@ -63,29 +63,6 @@ pub fn bit_sparsity_of(matrix: &IntMatrix, bits: u32) -> Result<f64> {
     let ones = ones_in_matrix(matrix, bits)?;
     let total = (matrix.len() as u64) * u64::from(bits);
     Ok(1.0 - ones as f64 / total as f64)
-}
-
-/// Bit sparsity of a signed matrix counted through element magnitudes.
-pub fn bit_sparsity_signed(matrix: &IntMatrix, bits: u32) -> f64 {
-    let ones = ones_in_signed_matrix(matrix);
-    let total = (matrix.len() as u64) * u64::from(bits);
-    1.0 - ones as f64 / total as f64
-}
-
-/// Converts a measured element sparsity into the *expected* bit sparsity for
-/// elements whose non-zero values are uniform over the full `bits`-wide
-/// range (each bit of a non-zero element is ~50 % likely to be set).
-///
-/// This is the x-axis transformation used in Figure 6.
-pub fn expected_bit_sparsity(element_sparsity: f64, _bits: u32) -> Result<f64> {
-    if !(0.0..=1.0).contains(&element_sparsity) {
-        return Err(Error::InvalidProbability {
-            value: element_sparsity,
-        });
-    }
-    // A zero element contributes `bits` zero bits; a uniform non-zero element
-    // contributes on average bits/2 set bits.
-    Ok(element_sparsity + (1.0 - element_sparsity) * 0.5)
 }
 
 #[cfg(test)]
@@ -117,18 +94,5 @@ mod tests {
         let m = IntMatrix::from_vec(1, 3, vec![-3, 3, 0]).unwrap();
         // |−3| and |3| each have 2 set bits.
         assert_eq!(ones_in_signed_matrix(&m), 4);
-        let bs = bit_sparsity_signed(&m, 4);
-        assert!((bs - (1.0 - 4.0 / 12.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn expected_bit_sparsity_endpoints() {
-        // Fully dense uniform values -> 50 % bit sparsity.
-        assert!((expected_bit_sparsity(0.0, 8).unwrap() - 0.5).abs() < 1e-12);
-        // Fully element-sparse -> 100 % bit sparsity.
-        assert!((expected_bit_sparsity(1.0, 8).unwrap() - 1.0).abs() < 1e-12);
-        // Paper's canonical point: 75 % es -> 87.5 % bs.
-        assert!((expected_bit_sparsity(0.75, 8).unwrap() - 0.875).abs() < 1e-12);
-        assert!(expected_bit_sparsity(1.5, 8).is_err());
     }
 }

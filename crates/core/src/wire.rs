@@ -66,16 +66,6 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Appends an `i32` in little-endian order.
-pub fn put_i32(buf: &mut Vec<u8>, v: i32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends an `i64` in little-endian order.
-pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Appends a `u32` length prefix followed by the raw bytes.
 pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
     put_u32(buf, bytes.len() as u32);
@@ -395,7 +385,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -432,16 +422,6 @@ impl<'a> Cursor<'a> {
     /// Reads a little-endian `u64`.
     pub fn take_u64(&mut self, what: &str) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take_array(what)?))
-    }
-
-    /// Reads a little-endian `i32`.
-    pub fn take_i32(&mut self, what: &str) -> Result<i32> {
-        Ok(i32::from_le_bytes(self.take_array(what)?))
-    }
-
-    /// Reads a little-endian `i64`.
-    pub fn take_i64(&mut self, what: &str) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take_array(what)?))
     }
 
     /// Reads a length prefix, validated against both [`MAX_WIRE_LEN`] and
@@ -611,14 +591,10 @@ mod tests {
         put_u8(&mut buf, 7);
         put_u32(&mut buf, 0xDEAD_BEEF);
         put_u64(&mut buf, u64::MAX - 1);
-        put_i32(&mut buf, -123);
-        put_i64(&mut buf, i64::MIN);
         let mut c = Cursor::new(&buf);
         assert_eq!(c.take_u8("a").unwrap(), 7);
         assert_eq!(c.take_u32("b").unwrap(), 0xDEAD_BEEF);
         assert_eq!(c.take_u64("c").unwrap(), u64::MAX - 1);
-        assert_eq!(c.take_i32("d").unwrap(), -123);
-        assert_eq!(c.take_i64("e").unwrap(), i64::MIN);
         c.expect_end("frame").unwrap();
     }
 
@@ -660,7 +636,7 @@ mod tests {
     fn lying_vector_length_rejected_before_element_loop() {
         let mut buf = Vec::new();
         put_u32(&mut buf, 1000); // promises 1000 i32s
-        put_i32(&mut buf, 5); // delivers one
+        buf.extend_from_slice(&5i32.to_le_bytes()); // delivers one
         let mut c = Cursor::new(&buf);
         assert!(c.take_i32_vec("vector").is_err());
     }
@@ -684,7 +660,7 @@ mod tests {
         // A lying length prefix is rejected before any element is pushed.
         let mut lying = Vec::new();
         put_u32(&mut lying, 1000);
-        put_i32(&mut lying, 5);
+        lying.extend_from_slice(&5i32.to_le_bytes());
         let mut c = Cursor::new(&lying);
         let mut out = Vec::new();
         assert!(c.take_i32_extend(&mut out, "v").is_err());

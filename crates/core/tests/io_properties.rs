@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use smm_core::generate::element_sparse_matrix;
-use smm_core::io::{format_dense, format_matrix_market, parse_dense, parse_matrix_market};
+use smm_core::io::{format_matrix_market, parse_dense, parse_matrix_market};
 use smm_core::rng::seeded;
 
 proptest! {
@@ -35,7 +35,13 @@ proptest! {
     ) {
         let mut rng = seeded(seed);
         let m = element_sparse_matrix(rows, cols, 8, sparsity, true, &mut rng).unwrap();
-        let back = parse_dense(&format_dense(&m)).unwrap();
+        let text: String = (0..m.rows())
+            .map(|r| {
+                let cells: Vec<String> = m.row(r).iter().map(i32::to_string).collect();
+                cells.join(" ") + "\n"
+            })
+            .collect();
+        let back = parse_dense(&text).unwrap();
         prop_assert_eq!(back, m);
     }
 

@@ -6,7 +6,7 @@
 //! accumulation-order slip would show.
 
 use proptest::prelude::*;
-use smm_core::gemv::{matmat, matmat_into, vecmat, vecmat_into, vecmat_into_scalar, COL_BLOCK};
+use smm_core::gemv::{matmat, matmat_into, vecmat, vecmat_into, vecmat_into_scalar};
 use smm_core::matrix::IntMatrix;
 
 /// A deterministic pseudo-random value in `lo..=hi` mixed from `seed`.
@@ -102,7 +102,8 @@ fn extreme_accumulation_does_not_overflow() {
 #[test]
 fn shapes_straddling_the_column_tile() {
     // One under, exactly one, and one over the blocked kernel's tile
-    // width — the tile seam must be invisible.
+    // width (`gemv`'s 1024-column tile) — the tile seam must be invisible.
+    const COL_BLOCK: usize = 1024;
     for cols in [COL_BLOCK - 1, COL_BLOCK, COL_BLOCK + 5] {
         let v = IntMatrix::from_fn(3, cols, |r, c| mix(7, r * cols + c, -100, 100)).unwrap();
         let a = [3, -5, 9];

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rand::{Rng, RngCore};
-use smm_core::csd::{csd_digits, csd_split, ChainPolicy};
+use smm_core::csd::{csd_split, ChainPolicy};
 use smm_core::generate::{bit_sparse_matrix, element_sparse_matrix};
 use smm_core::gemv::{matvec, vecmat};
 use smm_core::matrix::IntMatrix;
@@ -12,16 +12,16 @@ use smm_core::sparsity::{bit_sparsity_of, element_sparsity_of, ones_in_signed_ma
 
 proptest! {
     /// CSD preserves the value and never increases the digit count, for any
-    /// value/width/policy.
+    /// value/policy: one element through `csd_split`.
     #[test]
-    fn csd_value_preserved(value in 0u32..(1 << 16), seed in any::<u64>()) {
-        let bits = 16;
+    fn csd_value_preserved(value in 0i32..(1 << 16), seed in any::<u64>()) {
         let mut rng = seeded(seed);
+        let m = IntMatrix::from_vec(1, 1, vec![value]).unwrap();
         for policy in [ChainPolicy::CoinFlip, ChainPolicy::Always, ChainPolicy::Never] {
-            let d = csd_digits(value, bits, policy, &mut rng).unwrap();
-            prop_assert_eq!(d.value(), i64::from(value));
-            prop_assert!(d.ones() <= value.count_ones().max(1));
-            prop_assert_eq!(d.positive() & d.negative(), 0);
+            let s = csd_split(&m, policy, &mut rng).unwrap();
+            prop_assert_eq!(s.reconstruct().unwrap(), m.clone());
+            prop_assert!(s.ones() <= u64::from(value.count_ones().max(1)));
+            prop_assert_eq!(s.pos[(0, 0)] & s.neg[(0, 0)], 0);
         }
     }
 
@@ -41,10 +41,9 @@ proptest! {
         let mut rng = seeded(seed);
         let m = element_sparse_matrix(10, 10, 8, sparsity, true, &mut rng).unwrap();
         let before = ones_in_signed_matrix(&m);
-        let (s, stats) = csd_split(&m, ChainPolicy::CoinFlip, &mut rng).unwrap();
+        let s = csd_split(&m, ChainPolicy::CoinFlip, &mut rng).unwrap();
         prop_assert_eq!(s.reconstruct().unwrap(), m);
         prop_assert!(s.ones() <= before);
-        prop_assert_eq!(s.ones(), stats.ones_after);
     }
 
     /// vecmat is linear: (a + b)ᵀV == aᵀV + bᵀV.

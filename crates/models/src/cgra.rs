@@ -15,20 +15,18 @@
 //!    matrices feasible.
 //!
 //! ```
-//! use smm_models::cgra::{estimate, CgraOptions};
+//! use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
+//! use smm_models::cgra::{estimate_compiled, CgraOptions};
 //! use smm_core::generate::element_sparse_matrix;
 //! use smm_core::rng::seeded;
 //!
 //! let mut rng = seeded(5);
 //! let v = element_sparse_matrix(64, 64, 8, 0.9, true, &mut rng).unwrap();
-//! let report = estimate(&v, 8, &CgraOptions::default()).unwrap();
+//! let mul = FixedMatrixMultiplier::compile(&v, 8, WeightEncoding::Pn).unwrap();
+//! let report = estimate_compiled(&mul, &CgraOptions::default());
 //! assert!(report.fabric.density_gain() > 2.0);
 //! assert!(report.swap.fpga_ns / report.swap.cgra_ns > 10_000.0);
 //! ```
 
-#[doc(inline)]
-pub use crate::{cost, estimate, reconfig};
-
-pub use cost::{FabricComparison, TransistorModel};
-pub use estimate::{estimate, estimate_compiled, CgraOptions, CgraReport};
-pub use reconfig::{run_dynamic, DynamicJob, DynamicOutcome, ReconfigModel, SwapCost};
+pub use crate::estimate::{estimate_compiled, CgraOptions};
+pub use crate::reconfig::{run_dynamic, DynamicJob, ReconfigModel};

@@ -8,19 +8,19 @@
 #[derive(Debug, Clone, PartialEq)]
 pub struct SigmaConfig {
     /// PE grid rows.
-    pub pe_rows: usize,
+    pub(crate) pe_rows: usize,
     /// PE grid columns.
-    pub pe_cols: usize,
+    pub(crate) pe_cols: usize,
     /// Clock frequency in GHz.
-    pub clock_ghz: f64,
+    pub(crate) clock_ghz: f64,
     /// Weight words loaded from SRAM per cycle during tile fills (the
     /// memory-bound bottleneck once tiling starts).
-    pub weight_load_words_per_cycle: usize,
+    pub(crate) weight_load_words_per_cycle: usize,
     /// Input words broadcast into the grid per cycle (Benes distribution).
-    pub input_stream_words_per_cycle: usize,
+    pub(crate) input_stream_words_per_cycle: usize,
     /// Fixed pipeline overhead per invocation: Benes setup plus the
     /// log-depth reduction drain, in cycles.
-    pub fixed_overhead_cycles: u64,
+    pub(crate) fixed_overhead_cycles: u64,
 }
 
 impl Default for SigmaConfig {
@@ -43,7 +43,7 @@ impl SigmaConfig {
     }
 
     /// Converts a cycle count to nanoseconds at the configured clock.
-    pub fn cycles_to_ns(&self, cycles: u64) -> f64 {
+    pub(crate) fn cycles_to_ns(&self, cycles: u64) -> f64 {
         assert!(self.clock_ghz > 0.0, "clock must be positive");
         cycles as f64 / self.clock_ghz
     }

@@ -12,19 +12,19 @@ use smm_bitserial::netlist::CircuitStats;
 
 /// Transistor-count model constants.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TransistorModel {
+pub(crate) struct TransistorModel {
     /// One 6-input LUT (64×6T SRAM + 64×2T mux gates).
-    pub lut: u64,
+    pub(crate) lut: u64,
     /// One flip-flop.
-    pub flip_flop: u64,
+    pub(crate) flip_flop: u64,
     /// One full adder (the paper cites ≤ 16).
-    pub full_adder: u64,
+    pub(crate) full_adder: u64,
     /// Configuration SRAM bits per CGRA cell (routing + mode select).
-    pub cgra_config_bits: u64,
+    pub(crate) cgra_config_bits: u64,
     /// Transistors per SRAM configuration bit.
-    pub sram_bit: u64,
+    pub(crate) sram_bit: u64,
     /// Interconnect mux share per CGRA cell (tree + broadcast taps).
-    pub cgra_interconnect: u64,
+    pub(crate) cgra_interconnect: u64,
 }
 
 impl Default for TransistorModel {
@@ -58,13 +58,13 @@ impl FabricComparison {
 
 impl TransistorModel {
     /// Transistors of one FPGA logic element (LUT + its two flip-flops).
-    pub fn fpga_cell(&self) -> u64 {
+    pub(crate) fn fpga_cell(&self) -> u64 {
         self.lut + 2 * self.flip_flop
     }
 
     /// Transistors of one CGRA cell (full adder + two flip-flops + its
     /// configuration SRAM + interconnect share).
-    pub fn cgra_cell(&self) -> u64 {
+    pub(crate) fn cgra_cell(&self) -> u64 {
         self.full_adder
             + 2 * self.flip_flop
             + self.cgra_config_bits * self.sram_bit
@@ -78,23 +78,13 @@ impl TransistorModel {
     /// either fabric: both implement long delays as depth-configurable
     /// shift structures (SRLs on the FPGA, shift chains on the CGRA), so
     /// per-stage configuration is negligible.
-    pub fn compare(&self, stats: &CircuitStats) -> FabricComparison {
+    pub(crate) fn compare(&self, stats: &CircuitStats) -> FabricComparison {
         let logic = stats.logic_elements() as u64;
         let dffs = stats.dffs as u64;
         FabricComparison {
             fpga_transistors: logic * self.fpga_cell() + dffs * self.flip_flop,
             cgra_transistors: logic * self.cgra_cell() + dffs * self.flip_flop,
         }
-    }
-
-    /// How many set weight bits ("ones") fit in a transistor budget on
-    /// each fabric — the capacity comparison behind "we are bound by the
-    /// number of 6-input LUTs".
-    pub fn capacity_ones(&self, transistor_budget: u64) -> (u64, u64) {
-        (
-            transistor_budget / self.fpga_cell(),
-            transistor_budget / self.cgra_cell(),
-        )
     }
 }
 
@@ -126,17 +116,6 @@ mod tests {
         assert!(gain > 2.5, "gain {gain}");
         assert!(gain < 32.0, "gain {gain}");
         assert!((m.fpga_cell() as f64 / m.cgra_cell() as f64) > 3.0);
-    }
-
-    #[test]
-    fn capacity_scales_with_budget() {
-        let m = TransistorModel::default();
-        let (fpga, cgra) = m.capacity_ones(1_000_000_000);
-        assert!(cgra > 3 * fpga, "fpga {fpga} cgra {cgra}");
-        let (f2, c2) = m.capacity_ones(2_000_000_000);
-        // Integer division: within one unit of exact doubling.
-        assert!(f2.abs_diff(2 * fpga) <= 1);
-        assert!(c2.abs_diff(2 * cgra) <= 1);
     }
 
     #[test]

@@ -8,18 +8,18 @@ pub struct Device {
     /// Total 6-input LUTs.
     pub luts: u64,
     /// Total logic flip-flops.
-    pub ffs: u64,
+    pub(crate) ffs: u64,
     /// LUTs that can be repurposed as LUTRAM/SRL (a subset of `luts`).
-    pub lutram_capable: u64,
+    pub(crate) lutram_capable: u64,
     /// Number of chiplets (Super Logic Regions).
-    pub slrs: u32,
+    pub(crate) slrs: u32,
     /// LUTs per SLR.
-    pub slr_luts: u64,
+    pub(crate) slr_luts: u64,
     /// Fraction of an SLR the place-and-route tools can reliably fill
     /// before timing closure degrades (the paper's 82 % threshold).
-    pub usable_fraction: f64,
+    pub(crate) usable_fraction: f64,
     /// Thermal design limit in watts under medium airflow/heatsink.
-    pub thermal_limit_w: f64,
+    pub(crate) thermal_limit_w: f64,
 }
 
 impl Device {
@@ -40,7 +40,7 @@ impl Device {
     }
 
     /// Usable LUTs in one SLR before the tools struggle.
-    pub fn usable_slr_luts(&self) -> f64 {
+    pub(crate) fn usable_slr_luts(&self) -> f64 {
         self.slr_luts as f64 * self.usable_fraction
     }
 

@@ -29,16 +29,16 @@ pub struct SigmaRun {
     /// Number of PE-grid tiles the non-zeros required.
     pub tiles: u64,
     /// Cycles spent filling weights from SRAM.
-    pub weight_fill_cycles: u64,
+    pub(crate) weight_fill_cycles: u64,
     /// Cycles spent streaming/broadcasting inputs (all batches).
-    pub input_stream_cycles: u64,
+    pub(crate) input_stream_cycles: u64,
     /// Fixed distribution/reduction pipeline cycles.
-    pub overhead_cycles: u64,
+    pub(crate) overhead_cycles: u64,
 }
 
 impl SigmaRun {
     /// Total cycles.
-    pub fn total_cycles(&self) -> u64 {
+    pub(crate) fn total_cycles(&self) -> u64 {
         self.weight_fill_cycles + self.input_stream_cycles + self.overhead_cycles
     }
 }
@@ -50,16 +50,6 @@ pub struct Sigma {
 }
 
 impl Sigma {
-    /// A model instance with the given configuration.
-    pub fn new(config: SigmaConfig) -> Self {
-        Self { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SigmaConfig {
-        &self.config
-    }
-
     /// Simulates one weight-stationary sparse `aᵀV` (gemv).
     pub fn run_gemv(&self, profile: &SparsityProfile) -> SigmaRun {
         self.run_gemm(profile, 1)
@@ -67,7 +57,7 @@ impl Sigma {
 
     /// Simulates a weight-stationary sparse–dense gemm with `batch` input
     /// vectors.
-    pub fn run_gemm(&self, profile: &SparsityProfile, batch: usize) -> SigmaRun {
+    pub(crate) fn run_gemm(&self, profile: &SparsityProfile, batch: usize) -> SigmaRun {
         assert!(batch > 0, "batch must be at least 1");
         let pes = self.config.pes();
         let nnz = profile.nnz;
@@ -100,12 +90,6 @@ impl Sigma {
         self.config
             .cycles_to_ns(self.run_gemm(profile, batch).total_cycles())
     }
-
-    /// Whether the whole computation fits a single tile (the nanosecond
-    /// regime).
-    pub fn fits_single_tile(&self, profile: &SparsityProfile) -> bool {
-        profile.nnz <= self.config.pes()
-    }
 }
 
 fn ceil_log2(n: usize) -> u32 {
@@ -130,7 +114,7 @@ mod tests {
         let sigma = Sigma::default();
         for dim in [64, 128, 256, 512] {
             let p = profile(dim, 0.98, 91);
-            assert!(sigma.fits_single_tile(&p), "dim {dim}");
+            assert_eq!(sigma.run_gemv(&p).tiles, 1, "dim {dim}");
             let ns = sigma.gemv_latency_ns(&p);
             assert!(ns < 200.0, "dim {dim}: {ns}");
         }
@@ -141,7 +125,6 @@ mod tests {
         let sigma = Sigma::default();
         // 1024² at 98 %: ~21k nnz > 16384 PEs -> first tiled point.
         let p1024 = profile(1024, 0.98, 92);
-        assert!(!sigma.fits_single_tile(&p1024));
         assert_eq!(sigma.run_gemv(&p1024).tiles, 2);
         // 4096² at 98 %: deep tiling, microsecond regime, linear scaling.
         let p4096 = profile(4096, 0.98, 92);

@@ -4,18 +4,16 @@ use crate::cost::{FabricComparison, TransistorModel};
 use crate::reconfig::{ReconfigModel, SwapCost};
 use smm_bitserial::builder::ceil_log2;
 use smm_bitserial::latency::equation5;
-use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
-use smm_core::error::Result;
-use smm_core::matrix::IntMatrix;
+use smm_bitserial::multiplier::FixedMatrixMultiplier;
 
 /// CGRA configuration: fabric size plus the cost and reconfiguration
 /// models.
 #[derive(Debug, Clone, Default)]
 pub struct CgraOptions {
     /// Transistor cost model.
-    pub transistors: TransistorModel,
+    pub(crate) transistors: TransistorModel,
     /// Reconfiguration model (also carries the clock).
-    pub reconfig: ReconfigModel,
+    pub(crate) reconfig: ReconfigModel,
 }
 
 /// The CGRA equivalent of a synthesis report.
@@ -35,16 +33,10 @@ pub struct CgraReport {
     pub swap: SwapCost,
 }
 
-/// Compiles the matrix (PN split) and produces the CGRA estimate.
+/// CGRA estimate for a compiled multiplier.
 ///
 /// Functional behaviour is identical to the FPGA circuit — the netlist is
 /// the same; only the physical mapping differs.
-pub fn estimate(matrix: &IntMatrix, input_bits: u32, options: &CgraOptions) -> Result<CgraReport> {
-    let mul = FixedMatrixMultiplier::compile(matrix, input_bits, WeightEncoding::Pn)?;
-    Ok(estimate_compiled(&mul, options))
-}
-
-/// CGRA estimate for an already-compiled multiplier.
 pub fn estimate_compiled(mul: &FixedMatrixMultiplier, options: &CgraOptions) -> CgraReport {
     let stats = mul.stats();
     let cells = stats.logic_elements() as u64;
@@ -63,14 +55,21 @@ pub fn estimate_compiled(mul: &FixedMatrixMultiplier, options: &CgraOptions) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smm_bitserial::multiplier::WeightEncoding;
     use smm_core::generate::element_sparse_matrix;
+    use smm_core::matrix::IntMatrix;
     use smm_core::rng::seeded;
+
+    fn estimate(matrix: &IntMatrix, input_bits: u32, options: &CgraOptions) -> CgraReport {
+        let mul = FixedMatrixMultiplier::compile(matrix, input_bits, WeightEncoding::Pn).unwrap();
+        estimate_compiled(&mul, options)
+    }
 
     #[test]
     fn report_on_a_reservoir_matrix() {
         let mut rng = seeded(1234);
         let m = element_sparse_matrix(128, 128, 8, 0.9, true, &mut rng).unwrap();
-        let report = estimate(&m, 8, &CgraOptions::default()).unwrap();
+        let report = estimate(&m, 8, &CgraOptions::default());
         assert!(report.cells > 0);
         // Density gain over the FPGA fabric (diluted below the pure-logic
         // 3.4x by this sparse circuit's many delay flip-flops).
@@ -86,7 +85,7 @@ mod tests {
     fn latency_matches_equation_five() {
         let mut rng = seeded(1235);
         let m = element_sparse_matrix(64, 64, 8, 0.5, true, &mut rng).unwrap();
-        let report = estimate(&m, 8, &CgraOptions::default()).unwrap();
+        let report = estimate(&m, 8, &CgraOptions::default());
         assert_eq!(report.latency_cycles, 8 + 8 + 6 + 2);
     }
 }

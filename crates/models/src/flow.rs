@@ -10,7 +10,6 @@ use crate::resources::{map_netlist, ResourceReport};
 use crate::timing::TimingModel;
 use smm_bitserial::latency::{cycles_to_ns, equation5};
 use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
-use smm_bitserial::netlist::CircuitStats;
 use smm_core::error::Result;
 use smm_core::matrix::IntMatrix;
 
@@ -53,8 +52,6 @@ pub struct SynthesisReport {
     pub resources: ResourceReport,
     /// Set bits in the (split) weight matrix — the cost driver.
     pub ones: u64,
-    /// Structural netlist statistics.
-    pub stats: CircuitStats,
     /// Achieved clock after place-and-route (MHz).
     pub fmax_mhz: f64,
     /// Power estimate at `fmax_mhz`.
@@ -116,7 +113,6 @@ pub fn report_for(multiplier: &FixedMatrixMultiplier, options: &FlowOptions) -> 
     SynthesisReport {
         resources,
         ones: multiplier.ones(),
-        stats,
         fmax_mhz,
         power,
         slrs_spanned: options.device.slrs_spanned(resources.lut),
@@ -169,7 +165,7 @@ mod tests {
             mul.mul(&a).unwrap(),
             smm_core::gemv::vecmat(&a, &m).unwrap()
         );
-        assert_eq!(report.stats.logic_elements(), mul.stats().logic_elements());
+        assert!(report.resources.lut > 0);
     }
 
     #[test]

@@ -20,6 +20,4 @@
 #[doc(inline)]
 pub use crate::{device, flow, power, resources, timing};
 
-pub use device::Device;
-pub use flow::{synthesize, FlowOptions, SynthesisReport};
 pub use resources::ResourceReport;

@@ -17,7 +17,4 @@
 //! assert!(ns > 1000.0); // the GPU cannot break the microsecond barrier
 //! ```
 
-#[doc(inline)]
-pub use crate::model;
-
-pub use model::GpuKernelModel;
+pub use crate::model::GpuKernelModel;

@@ -30,24 +30,18 @@ pub mod sigma;
 // So every part keeps its `crate::…` paths and its tests' names from when
 // each model was a crate of its own; the documented way in is the model
 // modules above.
-#[doc(hidden)]
-pub mod config;
-#[doc(hidden)]
-pub mod cost;
+mod config;
+mod cost;
 #[doc(hidden)]
 pub mod device;
-#[doc(hidden)]
-pub mod engine;
-#[doc(hidden)]
-pub mod estimate;
+mod engine;
+mod estimate;
 #[doc(hidden)]
 pub mod flow;
-#[doc(hidden)]
-pub mod model;
+mod model;
 #[doc(hidden)]
 pub mod power;
-#[doc(hidden)]
-pub mod reconfig;
+mod reconfig;
 #[doc(hidden)]
 pub mod resources;
 #[doc(hidden)]

@@ -24,16 +24,16 @@ use smm_sparse::SparsityProfile;
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuKernelModel {
     /// Library name for reports.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Fixed overhead per kernel invocation (launch + indexing floor), ns.
-    pub launch_overhead_ns: f64,
+    pub(crate) launch_overhead_ns: f64,
     /// Effective non-zeros per nanosecond at the 1024-row reference point.
-    pub base_rate_nnz_per_ns: f64,
+    pub(crate) base_rate_nnz_per_ns: f64,
     /// Utilization exponent: the effective rate scales as
     /// `(rows / 1024)^exponent` (more rows, more parallelism).
-    pub rate_rows_exponent: f64,
+    pub(crate) rate_rows_exponent: f64,
     /// Parallel MAC capacity governing batch saturation.
-    pub parallel_mac_slots: f64,
+    pub(crate) parallel_mac_slots: f64,
 }
 
 impl GpuKernelModel {

@@ -28,12 +28,12 @@ impl PowerBreakdown {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     /// Device static power (W).
-    pub static_w: f64,
+    pub(crate) static_w: f64,
     /// Dynamic energy coefficient: watts per (LUT·MHz·10⁻⁶) of toggling
     /// logic at the design's switching activity.
-    pub w_per_lut_mhz_e6: f64,
+    pub(crate) w_per_lut_mhz_e6: f64,
     /// Flip-flop contribution relative to a LUT.
-    pub ff_weight: f64,
+    pub(crate) ff_weight: f64,
 }
 
 impl Default for PowerModel {

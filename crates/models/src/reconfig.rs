@@ -16,14 +16,14 @@
 pub struct ReconfigModel {
     /// Clock of the CGRA in MHz (a custom device; the paper argues the
     /// pipelined broadcast removes the FPGA's fanout wall).
-    pub clock_mhz: f64,
+    pub(crate) clock_mhz: f64,
     /// Configuration bits per CGRA cell.
-    pub config_bits_per_cell: u64,
+    pub(crate) config_bits_per_cell: u64,
     /// Configuration bits deliverable per cycle (on-chip config store).
-    pub config_bits_per_cycle: u64,
+    pub(crate) config_bits_per_cycle: u64,
     /// FPGA full-fabric reconfiguration time in milliseconds (the paper's
     /// "on the order of 200ms").
-    pub fpga_reconfig_ms: f64,
+    pub(crate) fpga_reconfig_ms: f64,
 }
 
 impl Default for ReconfigModel {
@@ -41,7 +41,7 @@ impl Default for ReconfigModel {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwapCost {
     /// Dead cycles on the CGRA (pipeline-reconfiguration wave).
-    pub cgra_cycles: u64,
+    pub(crate) cgra_cycles: u64,
     /// Dead time on the CGRA in nanoseconds.
     pub cgra_ns: f64,
     /// Dead time on the FPGA in nanoseconds (full reconfiguration).
@@ -51,7 +51,7 @@ pub struct SwapCost {
 impl ReconfigModel {
     /// Cost of swapping in a new matrix whose circuit has `cells` occupied
     /// CGRA cells and `depth` pipeline levels.
-    pub fn swap_cost(&self, cells: u64, depth: u32) -> SwapCost {
+    pub(crate) fn swap_cost(&self, cells: u64, depth: u32) -> SwapCost {
         // The wave must touch every level once, and the config store must
         // push every cell's bits; whichever is slower bounds the dead time.
         let bandwidth_cycles = (cells * self.config_bits_per_cell)

@@ -24,17 +24,6 @@ pub struct ResourceReport {
     pub lutram: u64,
 }
 
-impl ResourceReport {
-    /// Element-wise sum.
-    pub fn plus(self, other: ResourceReport) -> ResourceReport {
-        ResourceReport {
-            lut: self.lut + other.lut,
-            ff: self.ff + other.ff,
-            lutram: self.lutram + other.lutram,
-        }
-    }
-}
-
 /// Depth (in bits) above which a flip-flop chain retimes into an SRL.
 const SRL_MIN_DEPTH: usize = 3;
 /// Stages one SRL LUTRAM absorbs (SRL32).
@@ -81,7 +70,7 @@ pub fn map_netlist(net: &Netlist, input_bits: u32, output_bits: u32) -> Resource
 ///
 /// A DFF extends a chain when its operand is itself a DFF consumed by no
 /// other node; each maximal run is reported once.
-pub fn dff_chain_lengths(net: &Netlist) -> Vec<usize> {
+pub(crate) fn dff_chain_lengths(net: &Netlist) -> Vec<usize> {
     let nodes = net.nodes();
     let mut fanout = vec![0u32; nodes.len()];
     for node in nodes {
@@ -121,18 +110,6 @@ pub fn dff_chain_lengths(net: &Netlist) -> Vec<usize> {
         .collect()
 }
 
-/// The paper's headline *quick* cost model (Section IV / Figure 10): LUTs
-/// equal the number of set weight bits, flip-flops are twice that, and the
-/// wrapper adds shift registers. Usable without compiling a netlist.
-pub fn quick_estimate(ones: u64, rows: usize, cols: usize, input_bits: u32, output_bits: u32) -> ResourceReport {
-    ResourceReport {
-        lut: ones + WRAPPER_LUTS,
-        ff: 2 * ones + WRAPPER_FFS,
-        lutram: rows as u64 * srl_cost(input_bits as usize)
-            + cols as u64 * srl_cost(output_bits as usize),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,9 +135,6 @@ mod tests {
         // always within 2 per column of the ones count.
         assert!(logic <= ones);
         assert!(ones - logic <= 2 * 48, "{logic} vs {ones}");
-        // And the quick model agrees with the netlist within the same band.
-        let quick = quick_estimate(ones, 48, 48, 8, 27);
-        assert!((quick.lut as i64 - report.lut as i64).unsigned_abs() <= 2 * 48);
     }
 
     #[test]

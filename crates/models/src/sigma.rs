@@ -8,7 +8,7 @@
 //! tile is nanoseconds; tiling is SRAM-bandwidth-bound microseconds.
 //!
 //! ```
-//! use smm_models::sigma::{Sigma, SigmaConfig};
+//! use smm_models::sigma::Sigma;
 //! use smm_sparse::{Csr, SparsityProfile};
 //! use smm_core::generate::element_sparse_matrix;
 //! use smm_core::rng::seeded;
@@ -16,13 +16,10 @@
 //! let mut rng = seeded(2);
 //! let v = element_sparse_matrix(256, 256, 8, 0.98, true, &mut rng).unwrap();
 //! let profile = SparsityProfile::of(&Csr::from_dense(&v));
-//! let sigma = Sigma::new(SigmaConfig::default());
-//! assert!(sigma.fits_single_tile(&profile));
+//! let sigma = Sigma::default();
+//! assert_eq!(sigma.run_gemv(&profile).tiles, 1);
 //! assert!(sigma.gemv_latency_ns(&profile) < 200.0);
 //! ```
 
-#[doc(inline)]
-pub use crate::{config, engine};
-
-pub use config::SigmaConfig;
-pub use engine::{Sigma, SigmaRun};
+pub use crate::config::SigmaConfig;
+pub use crate::engine::Sigma;

@@ -20,21 +20,21 @@ use crate::device::Device;
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimingModel {
     /// Frequency of a near-empty single-SLR design (MHz).
-    pub slr1_f0: f64,
+    pub(crate) slr1_f0: f64,
     /// Frequency drop across one full SLR (MHz).
-    pub slr1_droop: f64,
+    pub(crate) slr1_droop: f64,
     /// Frequency of a just-spilled two-SLR design (MHz).
-    pub slr2_f0: f64,
+    pub(crate) slr2_f0: f64,
     /// Drop across the second SLR (MHz).
-    pub slr2_droop: f64,
+    pub(crate) slr2_droop: f64,
     /// Frequency entering the 3–4 SLR regime (MHz).
-    pub slr34_f0: f64,
+    pub(crate) slr34_f0: f64,
     /// Drop across the remaining capacity (MHz).
-    pub slr34_droop: f64,
+    pub(crate) slr34_droop: f64,
     /// Fanout above which the broadcast net starts hurting.
-    pub fanout_knee: f64,
+    pub(crate) fanout_knee: f64,
     /// Fractional frequency loss per doubling of fanout past the knee.
-    pub fanout_penalty_per_octave: f64,
+    pub(crate) fanout_penalty_per_octave: f64,
 }
 
 impl Default for TimingModel {

@@ -17,7 +17,7 @@ use smm_core::rng;
 #[derive(Debug, Clone)]
 pub struct MemoryCapacity {
     /// `r²(k)` for each delay `k = 1..=max_delay`.
-    pub per_delay: Vec<f64>,
+    pub(crate) per_delay: Vec<f64>,
 }
 
 impl MemoryCapacity {

@@ -22,11 +22,11 @@ use smm_core::rng;
 #[derive(Debug, Clone)]
 pub struct Dataset {
     /// Sequences: `[sample][time][channel]`.
-    pub sequences: Vec<Vec<Vec<f64>>>,
+    pub(crate) sequences: Vec<Vec<Vec<f64>>>,
     /// Class label per sample.
-    pub labels: Vec<usize>,
+    pub(crate) labels: Vec<usize>,
     /// Number of classes.
-    pub num_classes: usize,
+    pub(crate) num_classes: usize,
 }
 
 /// Generates a synthetic multivariate classification dataset: `classes`
@@ -86,7 +86,6 @@ pub fn synthetic_dataset(
 #[derive(Debug, Clone)]
 pub struct ReservoirClassifier {
     readout: Readout,
-    num_classes: usize,
 }
 
 /// Sequence representation: the concatenation of the reservoir's mean
@@ -139,12 +138,11 @@ impl ReservoirClassifier {
         });
         Ok(Self {
             readout: Readout::train(&states, &targets, lambda, true)?,
-            num_classes: data.num_classes,
         })
     }
 
     /// Predicts the class of one sequence.
-    pub fn predict(&self, esn: &mut Esn, sequence: &[Vec<f64>]) -> Result<usize> {
+    pub(crate) fn predict(&self, esn: &mut Esn, sequence: &[Vec<f64>]) -> Result<usize> {
         let rep = represent(esn, sequence)?;
         let scores = self.readout.predict(&rep);
         Ok(scores
@@ -164,11 +162,6 @@ impl ReservoirClassifier {
             }
         }
         Ok(correct as f64 / data.sequences.len() as f64)
-    }
-
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
     }
 }
 
@@ -234,6 +227,5 @@ mod tests {
         let a = clf.predict(&mut reservoir, &data.sequences[0]).unwrap();
         let b = clf.predict(&mut reservoir, &data.sequences[0]).unwrap();
         assert_eq!(a, b);
-        assert_eq!(clf.num_classes(), 2);
     }
 }

@@ -107,23 +107,18 @@ impl Esn {
     }
 
     /// The configuration.
-    pub fn config(&self) -> &EsnConfig {
+    pub(crate) fn config(&self) -> &EsnConfig {
         &self.config
     }
 
     /// The fixed reservoir matrix (for quantization / circuit compilation).
-    pub fn reservoir_matrix(&self) -> &MatF64 {
+    pub(crate) fn reservoir_matrix(&self) -> &MatF64 {
         &self.w
     }
 
     /// The fixed input matrix.
-    pub fn input_matrix(&self) -> &MatF64 {
+    pub(crate) fn input_matrix(&self) -> &MatF64 {
         &self.w_in
-    }
-
-    /// Current reservoir state.
-    pub fn state(&self) -> &[f64] {
-        &self.state
     }
 
     /// Zeroes the state.
@@ -132,7 +127,7 @@ impl Esn {
     }
 
     /// One recurrent update; returns the new state.
-    pub fn update(&mut self, input: &[f64]) -> Result<&[f64]> {
+    pub(crate) fn update(&mut self, input: &[f64]) -> Result<&[f64]> {
         if input.len() != self.config.input_dim {
             return Err(Error::DimensionMismatch {
                 context: format!(
@@ -223,8 +218,8 @@ mod tests {
             let u = vec![(t as f64 * 0.1).sin()];
             esn.update(&u).unwrap();
         }
-        assert!(esn.state().iter().all(|v| v.abs() <= 1.0));
-        assert!(esn.state().iter().any(|v| v.abs() > 1e-6));
+        assert!(esn.state.iter().all(|v| v.abs() <= 1.0));
+        assert!(esn.state.iter().any(|v| v.abs() > 1e-6));
     }
 
     #[test]
@@ -242,9 +237,9 @@ mod tests {
             b.update(&u).unwrap();
         }
         let dist: f64 = a
-            .state()
+            .state
             .iter()
-            .zip(b.state())
+            .zip(&b.state)
             .map(|(x, y)| (x - y).powi(2))
             .sum::<f64>()
             .sqrt();

@@ -170,26 +170,11 @@ impl IntEsn {
         Ok(())
     }
 
-    /// Removes an attached backend, returning to the reference `matvec`.
-    pub fn detach_backend(&mut self) -> Option<Arc<dyn GemvBackend>> {
-        self.backend.take()
-    }
-
-    /// The attached backend's name, if any.
-    pub fn backend_name(&self) -> Option<&'static str> {
-        self.backend.as_ref().map(|b| b.name())
-    }
-
     /// The matrix a [`GemvBackend`] for this reservoir must be built
     /// over: `W_qᵀ`, so that the backend's `aᵀV` convention realizes the
     /// recurrence `W_q·x`.
     pub fn recurrence_matrix(&self) -> IntMatrix {
         self.w_q.transpose()
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &IntEsnConfig {
-        &self.config
     }
 
     /// The quantized reservoir matrix (e.g. for FPGA synthesis reports).
@@ -200,22 +185,6 @@ impl IntEsn {
     /// Fixed-point saturation bound of the state.
     fn qmax_state(&self) -> i32 {
         (1i32 << (self.config.state_bits - 1)) - 1
-    }
-
-    /// Current integer state.
-    pub fn state(&self) -> &[i32] {
-        &self.state
-    }
-
-    /// Current state dequantized to floats in `[−1, 1]`.
-    pub fn state_f64(&self) -> Vec<f64> {
-        let q = f64::from(self.qmax_state());
-        self.state.iter().map(|&v| f64::from(v) / q).collect()
-    }
-
-    /// Zeroes the state.
-    pub fn reset(&mut self) {
-        self.state.iter_mut().for_each(|v| *v = 0);
     }
 
     /// One recurrent update with a float input vector (quantized onto the
@@ -322,8 +291,8 @@ mod tests {
             esn.update(&[1.0]).unwrap();
         }
         let qmax = 127;
-        assert!(esn.state().iter().all(|&v| v.abs() <= qmax));
-        assert!(esn.state().iter().any(|&v| v != 0));
+        assert!(esn.state.iter().all(|&v| v.abs() <= qmax));
+        assert!(esn.state.iter().any(|&v| v != 0));
     }
 
     #[test]
@@ -344,7 +313,8 @@ mod tests {
             FixedMatrixMultiplier::compile(&circuit.recurrence_matrix(), cfg.state_bits, WeightEncoding::Pn)
                 .unwrap();
         circuit.attach_backend(Arc::new(smm_runtime::BitSerial::new(Arc::new(compiled)))).unwrap();
-        assert_eq!(circuit.backend_name(), Some("bitserial"));
+        let name = circuit.backend.as_ref().map(|b| b.name());
+        assert_eq!(name, Some("bitserial"));
         for t in 0..25 {
             let u = vec![(t as f64 * 0.37).sin() * 0.4];
             let a = reference.update(&u).unwrap().to_vec();
@@ -382,8 +352,8 @@ mod tests {
             let name = backend.name();
             let mut routed = IntEsn::new(cfg.clone()).unwrap();
             routed.attach_backend(backend).unwrap();
-            assert_eq!(routed.backend_name(), Some(name));
-            reference.reset();
+            assert_eq!(routed.backend.as_ref().map(|b| b.name()), Some(name));
+            reference.state.fill(0);
             for t in 0..20 {
                 let u = vec![(t as f64 * 0.29).sin() * 0.4];
                 assert_eq!(
@@ -392,8 +362,6 @@ mod tests {
                     "{name} step {t}"
                 );
             }
-            assert!(routed.detach_backend().is_some());
-            assert_eq!(routed.backend_name(), None);
         }
     }
 
@@ -427,10 +395,11 @@ mod tests {
     #[test]
     fn dequantized_state_in_unit_range() {
         let mut esn = IntEsn::new(small()).unwrap();
-        for t in 0..50 {
-            esn.update(&[(t as f64 * 0.2).cos() * 0.5]).unwrap();
-        }
-        assert!(esn.state_f64().iter().all(|v| v.abs() <= 1.0));
+        let inputs: Vec<Vec<f64>> = (0..50)
+            .map(|t| vec![(t as f64 * 0.2).cos() * 0.5])
+            .collect();
+        let states = esn.harvest_states(&inputs, 0).unwrap();
+        assert!((0..states.rows()).all(|r| states.row(r).iter().all(|v| v.abs() <= 1.0)));
     }
 
     #[test]
@@ -461,11 +430,12 @@ mod tests {
         let mut ni = 0.0;
         for t in 0..200 {
             let u = vec![(t as f64 * 0.17).sin() * 0.3];
-            float.update(&u).unwrap();
+            let fs = float.update(&u).unwrap().to_vec();
             int.update(&u).unwrap();
             if t >= 50 {
-                let fi = int.state_f64();
-                for (a, b) in float.state().iter().zip(&fi) {
+                let q = f64::from(int.qmax_state());
+                let fi: Vec<f64> = int.state.iter().map(|&v| f64::from(v) / q).collect();
+                for (a, b) in fs.iter().zip(&fi) {
                     dots += a * b;
                     nf += a * a;
                     ni += b * b;

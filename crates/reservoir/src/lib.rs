@@ -3,10 +3,10 @@
 //! The motivating application of the paper: echo state networks with large,
 //! sparse, *fixed* random reservoirs — float and integer-quantized — with
 //! ridge-regression readouts and the classic reservoir benchmark tasks
-//! (NARMA-10, Mackey–Glass, channel equalization, delayed memory).
+//! (NARMA-10, channel equalization).
 //!
 //! The integer reservoir can execute its recurrent `W·x` on any engine
-//! `smm-runtime` serves ([`IntEsn::attach_backend`]) — the compiled
+//! `smm-runtime` serves ([`int_esn::IntEsn::attach_backend`]) — the compiled
 //! bit-serial spatial circuit included, closing the loop from the
 //! paper's motivation to its hardware.
 //!
@@ -19,8 +19,9 @@
 //!     ..EsnConfig::default()
 //! })
 //! .unwrap();
-//! esn.update(&[0.5]).unwrap();
-//! assert_eq!(esn.state().len(), 64);
+//! let states = esn.harvest_states(&[vec![0.5]], 0).unwrap();
+//! assert_eq!(states.rows(), 1);
+//! assert!(states.get(0, 63).abs() <= 1.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -34,8 +35,3 @@ pub mod linalg;
 pub mod metrics;
 pub mod readout;
 pub mod tasks;
-
-pub use esn::{Esn, EsnConfig};
-pub use int_esn::{IntEsn, IntEsnConfig};
-pub use capacity::{memory_capacity, MemoryCapacity};
-pub use readout::Readout;

@@ -15,20 +15,13 @@ pub struct MatF64 {
 
 impl MatF64 {
     /// A matrix of zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "dimensions must be non-zero");
         Self {
             rows,
             cols,
             data: vec![0.0; rows * cols],
         }
-    }
-
-    /// From row-major data.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length mismatch");
-        assert!(rows > 0 && cols > 0, "dimensions must be non-zero");
-        Self { rows, cols, data }
     }
 
     /// By evaluating `f(row, col)`.
@@ -48,7 +41,7 @@ impl MatF64 {
     }
 
     /// Columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -58,42 +51,30 @@ impl MatF64 {
     }
 
     /// Element assignment.
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
+    pub(crate) fn set(&mut self, r: usize, c: usize, v: f64) {
         self.data[r * self.cols + c] = v;
     }
 
     /// One row as a slice.
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Raw row-major data.
-    pub fn as_slice(&self) -> &[f64] {
+    pub(crate) fn as_slice(&self) -> &[f64] {
         &self.data
     }
 
     /// `self · x`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         (0..self.rows)
             .map(|r| self.row(r).iter().zip(x).map(|(&a, &b)| a * b).sum())
             .collect()
     }
 
-    /// `selfᵀ · x`.
-    pub fn t_matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.rows, "t_matvec dimension mismatch");
-        let mut out = vec![0.0; self.cols];
-        for (r, &xr) in x.iter().enumerate() {
-            for (o, &a) in out.iter_mut().zip(self.row(r)) {
-                *o += a * xr;
-            }
-        }
-        out
-    }
-
     /// `self · other`.
-    pub fn matmul(&self, other: &MatF64) -> MatF64 {
+    pub(crate) fn matmul(&self, other: &MatF64) -> MatF64 {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         let mut out = MatF64::zeros(self.rows, other.cols);
         for r in 0..self.rows {
@@ -111,13 +92,13 @@ impl MatF64 {
     }
 
     /// The transpose.
-    pub fn transpose(&self) -> MatF64 {
+    pub(crate) fn transpose(&self) -> MatF64 {
         MatF64::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
     }
 
     /// Gram matrix `selfᵀ · self` (symmetric, size `cols × cols`).
     #[allow(clippy::needless_range_loop)] // triangular index arithmetic
-    pub fn gram(&self) -> MatF64 {
+    pub(crate) fn gram(&self) -> MatF64 {
         let mut g = MatF64::zeros(self.cols, self.cols);
         for r in 0..self.rows {
             let row = self.row(r);
@@ -142,7 +123,7 @@ impl MatF64 {
 
     /// Estimates the spectral radius (largest eigenvalue magnitude) by
     /// power iteration on a square matrix.
-    pub fn spectral_radius(&self, iterations: usize, seed: u64) -> f64 {
+    pub(crate) fn spectral_radius(&self, iterations: usize, seed: u64) -> f64 {
         assert_eq!(self.rows, self.cols, "spectral radius needs square");
         // Deterministic pseudo-random start vector to avoid orthogonal
         // degeneracy; xorshift is plenty here.
@@ -189,7 +170,7 @@ impl fmt::Debug for MatF64 {
 /// Cholesky factorization of a symmetric positive-definite matrix:
 /// returns lower-triangular `L` with `L·Lᵀ = A`, or `None` if `A` is not
 /// positive definite.
-pub fn cholesky(a: &MatF64) -> Option<MatF64> {
+pub(crate) fn cholesky(a: &MatF64) -> Option<MatF64> {
     assert_eq!(a.rows(), a.cols(), "cholesky needs square");
     let n = a.rows();
     let mut l = MatF64::zeros(n, n);
@@ -215,7 +196,7 @@ pub fn cholesky(a: &MatF64) -> Option<MatF64> {
 /// Solves `A·x = b` given the Cholesky factor `L` of `A` (forward then
 /// backward substitution).
 #[allow(clippy::needless_range_loop)] // triangular index arithmetic
-pub fn cholesky_solve(l: &MatF64, b: &[f64]) -> Vec<f64> {
+pub(crate) fn cholesky_solve(l: &MatF64, b: &[f64]) -> Vec<f64> {
     let n = l.rows();
     assert_eq!(b.len(), n, "rhs length mismatch");
     // Forward: L·y = b.
@@ -243,7 +224,7 @@ pub fn cholesky_solve(l: &MatF64, b: &[f64]) -> Vec<f64> {
 /// `‖X·W − Y‖² + λ‖W‖²`, via the normal equations and Cholesky.
 ///
 /// `x` is samples × features, `y` is samples × targets.
-pub fn ridge_regression(x: &MatF64, y: &MatF64, lambda: f64) -> MatF64 {
+pub(crate) fn ridge_regression(x: &MatF64, y: &MatF64, lambda: f64) -> MatF64 {
     assert_eq!(x.rows(), y.rows(), "sample count mismatch");
     assert!(lambda >= 0.0, "lambda must be non-negative");
     let mut gram = x.gram();
@@ -273,28 +254,34 @@ pub fn ridge_regression(x: &MatF64, y: &MatF64, lambda: f64) -> MatF64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A matrix from row-major data.
+    pub(crate) fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> MatF64 {
+        assert_eq!(data.len(), rows * cols, "data length mismatch");
+        MatF64 { rows, cols, data }
+    }
 
     #[test]
     fn matvec_and_transpose() {
-        let m = MatF64::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let m = from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(m.matvec(&[1.0, 0.0, -1.0]), vec![-2.0, -2.0]);
-        assert_eq!(m.t_matvec(&[1.0, 1.0]), vec![5.0, 7.0, 9.0]);
         let t = m.transpose();
+        assert_eq!(t.matvec(&[1.0, 1.0]), vec![5.0, 7.0, 9.0]);
         assert_eq!(t.get(2, 1), 6.0);
     }
 
     #[test]
     fn matmul_identity() {
-        let m = MatF64::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        let m = from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let id = MatF64::from_fn(2, 2, |r, c| f64::from(u8::from(r == c)));
         assert_eq!(m.matmul(&id), m);
     }
 
     #[test]
     fn gram_is_xtx() {
-        let x = MatF64::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let x = from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let g = x.gram();
         let g2 = x.transpose().matmul(&x);
         for i in 0..2 {
@@ -307,7 +294,7 @@ mod tests {
     #[test]
     fn cholesky_round_trip() {
         // A = LLᵀ for a known SPD matrix.
-        let a = MatF64::from_vec(3, 3, vec![4.0, 2.0, 2.0, 2.0, 5.0, 1.0, 2.0, 1.0, 6.0]);
+        let a = from_vec(3, 3, vec![4.0, 2.0, 2.0, 2.0, 5.0, 1.0, 2.0, 1.0, 6.0]);
         let l = cholesky(&a).unwrap();
         let rec = l.matmul(&l.transpose());
         for i in 0..3 {
@@ -326,7 +313,7 @@ mod tests {
 
     #[test]
     fn cholesky_rejects_indefinite() {
-        let a = MatF64::from_vec(2, 2, vec![1.0, 2.0, 2.0, 1.0]); // eigenvalues 3, -1
+        let a = from_vec(2, 2, vec![1.0, 2.0, 2.0, 1.0]); // eigenvalues 3, -1
         assert!(cholesky(&a).is_none());
     }
 
@@ -334,7 +321,7 @@ mod tests {
     fn ridge_recovers_exact_linear_map() {
         // y = X w with more samples than features: λ→0 recovers w.
         let x = MatF64::from_fn(20, 3, |r, c| ((r * 7 + c * 13) % 11) as f64 - 5.0);
-        let w_true = MatF64::from_vec(3, 1, vec![2.0, -1.0, 0.5]);
+        let w_true = from_vec(3, 1, vec![2.0, -1.0, 0.5]);
         let y = x.matmul(&w_true);
         let w = ridge_regression(&x, &y, 1e-10);
         for i in 0..3 {
@@ -345,7 +332,7 @@ mod tests {
     #[test]
     fn ridge_shrinks_with_lambda() {
         let x = MatF64::from_fn(30, 2, |r, c| ((r * 3 + c) % 7) as f64 - 3.0);
-        let w_true = MatF64::from_vec(2, 1, vec![1.0, 1.0]);
+        let w_true = from_vec(2, 1, vec![1.0, 1.0]);
         let y = x.matmul(&w_true);
         let w_small = ridge_regression(&x, &y, 1e-8);
         let w_big = ridge_regression(&x, &y, 1e4);

@@ -1,7 +1,7 @@
 //! Evaluation metrics for reservoir tasks.
 
 /// Mean squared error between two equal-length series.
-pub fn mse(predicted: &[f64], actual: &[f64]) -> f64 {
+pub(crate) fn mse(predicted: &[f64], actual: &[f64]) -> f64 {
     assert_eq!(predicted.len(), actual.len(), "length mismatch");
     assert!(!predicted.is_empty(), "empty series");
     predicted
@@ -27,7 +27,7 @@ pub fn nrmse(predicted: &[f64], actual: &[f64]) -> f64 {
 
 /// Squared Pearson correlation between prediction and target — the
 /// per-delay term of the memory-capacity measure.
-pub fn squared_correlation(predicted: &[f64], actual: &[f64]) -> f64 {
+pub(crate) fn squared_correlation(predicted: &[f64], actual: &[f64]) -> f64 {
     assert_eq!(predicted.len(), actual.len(), "length mismatch");
     let n = predicted.len() as f64;
     let mp = predicted.iter().sum::<f64>() / n;

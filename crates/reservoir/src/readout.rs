@@ -37,7 +37,7 @@ impl Readout {
     }
 
     /// Predicts targets for one state vector.
-    pub fn predict(&self, state: &[f64]) -> Vec<f64> {
+    pub(crate) fn predict(&self, state: &[f64]) -> Vec<f64> {
         let expect = self.weights.rows() - usize::from(self.bias);
         assert_eq!(state.len(), expect, "state length mismatch");
         let t = self.weights.cols();
@@ -67,11 +67,6 @@ impl Readout {
         }
         out
     }
-
-    /// The fitted weights (`features(+bias) × targets`).
-    pub fn weights(&self) -> &MatF64 {
-        &self.weights
-    }
 }
 
 fn with_bias(states: &MatF64) -> MatF64 {
@@ -91,7 +86,8 @@ mod tests {
     #[test]
     fn learns_exact_linear_map() {
         let states = MatF64::from_fn(40, 4, |r, c| ((r * 5 + c * 3) % 13) as f64 - 6.0);
-        let w = MatF64::from_vec(4, 2, vec![1.0, -2.0, 0.5, 0.0, -1.0, 3.0, 2.0, 1.0]);
+        let w =
+            crate::linalg::tests::from_vec(4, 2, vec![1.0, -2.0, 0.5, 0.0, -1.0, 3.0, 2.0, 1.0]);
         let targets = states.matmul(&w);
         let readout = Readout::train(&states, &targets, 1e-9, false).unwrap();
         let pred = readout.predict_batch(&states);

@@ -1,7 +1,6 @@
 //! Benchmark tasks from the reservoir-computing literature the paper builds
-//! on: NARMA-10, Mackey–Glass, the Lorenz attractor, nonlinear channel
-//! equalization (the task of the paper's reference \[3\]), delayed-memory
-//! reconstruction, and sine prediction.
+//! on: NARMA-10 and nonlinear channel equalization (the task of the
+//! paper's reference \[3\]).
 
 use rand::Rng;
 use smm_core::rng;
@@ -14,18 +13,13 @@ pub struct SequenceTask {
     /// One target vector per time step.
     pub targets: Vec<Vec<f64>>,
     /// Human-readable task name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
 }
 
 impl SequenceTask {
     /// Number of time steps.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inputs.len()
-    }
-
-    /// `true` if the task has no steps.
-    pub fn is_empty(&self) -> bool {
-        self.inputs.is_empty()
     }
 
     /// Splits into (train, test) at `at`.
@@ -63,47 +57,6 @@ pub fn narma10(len: usize, seed: u64) -> SequenceTask {
         inputs: u.iter().map(|&v| vec![v]).collect(),
         targets: y.iter().map(|&v| vec![v]).collect(),
         name: "narma10",
-    }
-}
-
-/// Mackey–Glass chaotic time series (delay differential equation
-/// `ẋ = β·x(t−τ)/(1 + x(t−τ)^n) − γ·x`), integrated with RK4 at `dt` and
-/// emitted every `subsample` steps. The task is one-step-ahead prediction.
-pub fn mackey_glass(len: usize, tau: f64, seed: u64) -> SequenceTask {
-    let dt = 0.1;
-    let subsample = 10; // emit at Δt = 1.0
-    let (beta, gamma, n) = (0.2, 0.1, 10.0);
-    let delay_steps = (tau / dt).round() as usize;
-    let total = (len + 1) * subsample + delay_steps;
-    let mut r = rng::derived(seed, 11);
-    let mut x = Vec::with_capacity(total);
-    // History initialized near the attractor with small jitter.
-    for _ in 0..=delay_steps {
-        x.push(1.2 + r.gen_range(-0.05..0.05));
-    }
-    let f = |x_now: f64, x_del: f64| beta * x_del / (1.0 + x_del.powf(n)) - gamma * x_now;
-    while x.len() < total {
-        let t = x.len();
-        let x_now = x[t - 1];
-        let x_del = x[t - 1 - delay_steps];
-        // RK4 with the delayed term held over the step (standard practice
-        // for dt ≪ τ).
-        let k1 = f(x_now, x_del);
-        let k2 = f(x_now + 0.5 * dt * k1, x_del);
-        let k3 = f(x_now + 0.5 * dt * k2, x_del);
-        let k4 = f(x_now + dt * k3, x_del);
-        x.push(x_now + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4));
-    }
-    let series: Vec<f64> = x[delay_steps..]
-        .iter()
-        .step_by(subsample)
-        .copied()
-        .take(len + 1)
-        .collect();
-    SequenceTask {
-        inputs: series[..len].iter().map(|&v| vec![v - 1.0]).collect(),
-        targets: series[1..=len].iter().map(|&v| vec![v - 1.0]).collect(),
-        name: "mackey_glass",
     }
 }
 
@@ -156,78 +109,6 @@ pub fn channel_equalization(len: usize, noise_amplitude: f64, seed: u64) -> Sequ
     }
 }
 
-/// Delayed-memory task: reconstruct `u(n−delay)` from the white-noise input
-/// `u ~ U[−0.8, 0.8]` — the building block of the memory-capacity measure.
-pub fn delayed_memory(len: usize, delay: usize, seed: u64) -> SequenceTask {
-    let mut r = rng::derived(seed, 13);
-    let u: Vec<f64> = (0..len + delay).map(|_| r.gen_range(-0.8..=0.8)).collect();
-    SequenceTask {
-        inputs: u[delay..].iter().map(|&v| vec![v]).collect(),
-        targets: u[..len].iter().map(|&v| vec![v]).collect(),
-        name: "delayed_memory",
-    }
-}
-
-/// Sine prediction: predict `sin(ω(t+1))` from `sin(ωt)` — the smoke-test
-/// task.
-pub fn sine_prediction(len: usize, omega: f64) -> SequenceTask {
-    let series: Vec<f64> = (0..=len).map(|t| (omega * t as f64).sin()).collect();
-    SequenceTask {
-        inputs: series[..len].iter().map(|&v| vec![v]).collect(),
-        targets: series[1..=len].iter().map(|&v| vec![v]).collect(),
-        name: "sine_prediction",
-    }
-}
-
-/// Lorenz attractor one-step prediction: the chaotic system
-/// `ẋ = σ(y−x), ẏ = x(ρ−z) − y, ż = xy − βz` integrated with RK4 at `dt`,
-/// normalized to roughly unit scale. Inputs are the 3-channel state,
-/// targets the next state — the multivariate companion to Mackey–Glass.
-pub fn lorenz(len: usize, dt: f64, seed: u64) -> SequenceTask {
-    let (sigma, rho, beta) = (10.0, 28.0, 8.0 / 3.0);
-    let mut r = rng::derived(seed, 14);
-    let mut state = [
-        1.0 + r.gen_range(-0.1..0.1),
-        1.0 + r.gen_range(-0.1..0.1),
-        20.0 + r.gen_range(-0.1..0.1),
-    ];
-    let f = |s: [f64; 3]| {
-        [
-            sigma * (s[1] - s[0]),
-            s[0] * (rho - s[2]) - s[1],
-            s[0] * s[1] - beta * s[2],
-        ]
-    };
-    let step = |s: [f64; 3]| {
-        let k1 = f(s);
-        let k2 = f([s[0] + 0.5 * dt * k1[0], s[1] + 0.5 * dt * k1[1], s[2] + 0.5 * dt * k1[2]]);
-        let k3 = f([s[0] + 0.5 * dt * k2[0], s[1] + 0.5 * dt * k2[1], s[2] + 0.5 * dt * k2[2]]);
-        let k4 = f([s[0] + dt * k3[0], s[1] + dt * k3[1], s[2] + dt * k3[2]]);
-        [
-            s[0] + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-            s[1] + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-            s[2] + dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-        ]
-    };
-    // Burn in onto the attractor.
-    for _ in 0..1000 {
-        state = step(state);
-    }
-    let normalize = |s: [f64; 3]| vec![s[0] / 20.0, s[1] / 25.0, (s[2] - 25.0) / 20.0];
-    let mut inputs = Vec::with_capacity(len);
-    let mut targets = Vec::with_capacity(len);
-    for _ in 0..len {
-        inputs.push(normalize(state));
-        state = step(state);
-        targets.push(normalize(state));
-    }
-    SequenceTask {
-        inputs,
-        targets,
-        name: "lorenz",
-    }
-}
-
 /// Maps equalizer outputs back to the nearest 4-ary symbol.
 pub fn nearest_symbol(y: f64) -> f64 {
     [-3.0, -1.0, 1.0, 3.0]
@@ -253,19 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn mackey_glass_is_bounded_oscillation() {
-        let t = mackey_glass(400, 17.0, 2);
-        assert_eq!(t.len(), 400);
-        let vals: Vec<f64> = t.inputs.iter().map(|v| v[0]).collect();
-        let max = vals.iter().cloned().fold(f64::MIN, f64::max);
-        let min = vals.iter().cloned().fold(f64::MAX, f64::min);
-        assert!(max < 1.0 && min > -1.0, "range [{min}, {max}]");
-        assert!(max - min > 0.3, "no oscillation: [{min}, {max}]");
-        // Target is input shifted by one step.
-        assert_eq!(t.inputs[1][0], t.targets[0][0]);
-    }
-
-    #[test]
     fn channel_symbols_and_interference() {
         let t = channel_equalization(300, 0.01, 3);
         assert_eq!(t.len(), 300);
@@ -283,48 +151,12 @@ mod tests {
     }
 
     #[test]
-    fn delayed_memory_alignment() {
-        let t = delayed_memory(100, 5, 4);
-        // target(n) = input(n - 5): check via the generating series.
-        assert_eq!(t.len(), 100);
-        for n in 5..100 {
-            assert_eq!(t.targets[n][0], t.inputs[n - 5][0]);
-        }
-    }
-
-    #[test]
-    fn sine_prediction_alignment() {
-        let t = sine_prediction(50, 0.3);
-        assert!((t.targets[0][0] - (0.3f64).sin()).abs() < 1e-12);
-    }
-
-    #[test]
     fn split_preserves_order() {
         let t = narma10(100, 5);
         let (train, test) = t.split(80);
         assert_eq!(train.len(), 80);
         assert_eq!(test.len(), 20);
         assert_eq!(test.inputs[0], t.inputs[80]);
-    }
-
-    #[test]
-    fn lorenz_is_bounded_chaos() {
-        let t = lorenz(800, 0.02, 7);
-        assert_eq!(t.len(), 800);
-        assert_eq!(t.inputs[0].len(), 3);
-        // Normalized channels stay within a few units.
-        for u in &t.inputs {
-            assert!(u.iter().all(|v| v.abs() < 3.0), "{u:?}");
-        }
-        // The x channel oscillates between lobes (sign changes).
-        let signs = t
-            .inputs
-            .windows(2)
-            .filter(|w| w[0][0].signum() != w[1][0].signum())
-            .count();
-        assert!(signs > 5, "only {signs} lobe switches");
-        // Target is the next input state.
-        assert_eq!(t.targets[0], t.inputs[1]);
     }
 
     #[test]

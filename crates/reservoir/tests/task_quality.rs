@@ -2,6 +2,7 @@
 //! reservoir → harvested states → ridge readout) actually solves the
 //! benchmark tasks, in float and in integer arithmetic.
 
+use smm_reservoir::capacity::memory_capacity;
 use smm_reservoir::esn::{Esn, EsnConfig};
 use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
 use smm_reservoir::int_esn::{IntEsn, IntEsnConfig};
@@ -46,22 +47,6 @@ fn float_esn_solves_narma10() {
 }
 
 #[test]
-fn float_esn_predicts_mackey_glass() {
-    let mut esn = Esn::new(EsnConfig {
-        reservoir_size: 150,
-        element_sparsity: 0.9,
-        spectral_radius: 0.95,
-        input_scaling: 0.8,
-        seed: 43,
-        ..EsnConfig::default()
-    })
-    .unwrap();
-    let task = tasks::mackey_glass(1200, 17.0, 8);
-    let score = run_float(&mut esn, &task, 100, 900);
-    assert!(score < 0.15, "Mackey-Glass NRMSE {score}");
-}
-
-#[test]
 fn float_esn_equalizes_channel() {
     let mut esn = Esn::new(EsnConfig {
         reservoir_size: 200,
@@ -90,37 +75,9 @@ fn float_esn_equalizes_channel() {
 }
 
 #[test]
-fn float_esn_predicts_lorenz() {
-    // Multivariate one-step prediction: all three channels at once.
-    let mut esn = Esn::new(EsnConfig {
-        reservoir_size: 150,
-        input_dim: 3,
-        element_sparsity: 0.9,
-        spectral_radius: 0.9,
-        input_scaling: 0.5,
-        seed: 47,
-        ..EsnConfig::default()
-    })
-    .unwrap();
-    let task = tasks::lorenz(1500, 0.02, 12);
-    let (train, test) = task.split(1100);
-    let washout = 100;
-    let train_states = esn.harvest_states(&train.inputs, washout).unwrap();
-    let train_targets = targets_matrix(&train.targets[washout..]);
-    let readout = Readout::train(&train_states, &train_targets, 1e-7, true).unwrap();
-    let test_states = esn.harvest_states(&test.inputs, 0).unwrap();
-    let pred = readout.predict_batch(&test_states);
-    for channel in 0..3 {
-        let predicted: Vec<f64> = (0..pred.rows()).map(|r| pred.get(r, channel)).collect();
-        let actual: Vec<f64> = test.targets.iter().map(|t| t[channel]).collect();
-        let score = nrmse(&predicted, &actual);
-        assert!(score < 0.1, "Lorenz channel {channel} NRMSE {score}");
-    }
-}
-
-#[test]
 fn reservoir_has_memory() {
-    // Squared correlation on a 10-step delayed-memory task should be high.
+    // The input ten steps back is still linearly recoverable: every
+    // delay up to 10 keeps Jaeger's r² at one half or more.
     let mut esn = Esn::new(EsnConfig {
         reservoir_size: 120,
         element_sparsity: 0.9,
@@ -130,9 +87,8 @@ fn reservoir_has_memory() {
         ..EsnConfig::default()
     })
     .unwrap();
-    let task = tasks::delayed_memory(1200, 10, 10);
-    let score = run_float(&mut esn, &task, 100, 900);
-    assert!(score < 0.6, "delay-10 NRMSE {score}");
+    let mc = memory_capacity(&mut esn, 10, 1200, 10).unwrap();
+    assert_eq!(mc.half_horizon(), 10, "{mc:?}");
 }
 
 #[test]

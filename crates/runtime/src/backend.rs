@@ -24,8 +24,7 @@ use smm_core::block::FrameBlock;
 use smm_core::error::{Error, Result};
 use smm_core::gemv::vecmat_into;
 use smm_core::matrix::IntMatrix;
-use smm_sparse::{BlockWidths, Csr};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use smm_sparse::Csr;
 use std::sync::Arc;
 
 /// Validates a shard call: `start..end` must lie inside `frames` and
@@ -154,15 +153,9 @@ impl GemvBackend for DenseRef {
 /// full group (so every single) one at a time through
 /// [`Csr::vecmat_into`], which gathers a dense frame through the column
 /// slices and scatters a sparse one through the rows.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SparseCsr {
     csr: Csr,
-    /// Statistics only — nothing is published through them, so every
-    /// access is `Relaxed`.
-    narrow_groups: AtomicUsize,
-    wide_groups: AtomicUsize,
-    gathered_frames: AtomicUsize,
-    scattered_frames: AtomicUsize,
 }
 
 impl SparseCsr {
@@ -172,36 +165,7 @@ impl SparseCsr {
     }
 
     pub(crate) fn from_csr(csr: Csr) -> Self {
-        Self {
-            csr,
-            narrow_groups: AtomicUsize::new(0),
-            wide_groups: AtomicUsize::new(0),
-            gathered_frames: AtomicUsize::new(0),
-            scattered_frames: AtomicUsize::new(0),
-        }
-    }
-
-    /// What every [`GemvBackend::run_rows`] call on this engine has run
-    /// so far: 16-frame groups by accumulator width (`i32` / `i64`), and
-    /// the frames that fell past a shard's last full group by the layout
-    /// that served them (gathered when dense, scattered when sparse).
-    pub fn block_counters(&self) -> BlockWidths {
-        let gathered_frames = self.gathered_frames.load(Ordering::Relaxed);
-        let scattered_frames = self.scattered_frames.load(Ordering::Relaxed);
-        BlockWidths {
-            narrow_groups: self.narrow_groups.load(Ordering::Relaxed),
-            wide_groups: self.wide_groups.load(Ordering::Relaxed),
-            leftover_frames: gathered_frames + scattered_frames,
-            gathered_frames,
-            scattered_frames,
-        }
-    }
-}
-
-impl Clone for SparseCsr {
-    /// A new engine over a copy of the matrix; its counters start at zero.
-    fn clone(&self) -> Self {
-        Self::from_csr(self.csr.clone())
+        Self { csr }
     }
 }
 
@@ -230,18 +194,7 @@ impl GemvBackend for SparseCsr {
         check_shard(frames, start, end, self.csr.cols(), out.len())?;
         let width = frames.width();
         let shard = &frames.as_slice()[start * width..end * width];
-        let ran = self.csr.vecmat_block_into(shard, end - start, out)?;
-        for (counter, ran) in [
-            (&self.narrow_groups, ran.narrow_groups),
-            (&self.wide_groups, ran.wide_groups),
-            (&self.gathered_frames, ran.gathered_frames),
-            (&self.scattered_frames, ran.scattered_frames),
-        ] {
-            // A single is one frame of one kind: one atomic, not four.
-            if ran != 0 {
-                counter.fetch_add(ran, Ordering::Relaxed);
-            }
-        }
+        self.csr.vecmat_block_into(shard, end - start, out)?;
         Ok(())
     }
 }
@@ -319,7 +272,7 @@ impl SigmaEngine {
 
     /// Keeps the matrix's non-zeros, row-major, for every product the
     /// engine ever serves.
-    pub fn new(matrix: &IntMatrix) -> Self {
+    pub(crate) fn new(matrix: &IntMatrix) -> Self {
         let mut nonzeros = Vec::with_capacity(matrix.nnz());
         nonzeros.extend(matrix.iter_nonzero());
         Self {
@@ -502,52 +455,5 @@ mod tests {
         for (i, frame) in (2..5).enumerate() {
             assert_eq!(&shard[i * 256..(i + 1) * 256], expect[frame].as_slice());
         }
-    }
-
-    #[test]
-    fn csr_block_counters_show_the_width_each_group_ran() {
-        // wire-batch's matrix shape: 1024², 90 % sparse, 8-bit weights.
-        let mut rng = seeded(2105);
-        let v = element_sparse_matrix(1024, 1024, 8, 0.9, true, &mut rng).unwrap();
-        let engine = SparseCsr::new(&v);
-        assert_eq!(engine.block_counters(), BlockWidths::default());
-        let mut block = |bits: u32, n: usize| {
-            let data = random_vector(n * 1024, bits, true, &mut rng).unwrap();
-            FrameBlock::from_vec(n, 1024, data).unwrap()
-        };
-        let mut out = RowBlock::new();
-        // 8-bit inputs: column sums of ~100 8-bit weights times 2^7 stay
-        // far inside i32.
-        // 35 frames are 2 groups and 3 leftovers, dense, so gathered.
-        run_block(&engine, &block(8, 35), &mut out).unwrap();
-        let mut expect = BlockWidths {
-            narrow_groups: 2,
-            wide_groups: 0,
-            leftover_frames: 3,
-            gathered_frames: 3,
-            scattered_frames: 0,
-        };
-        assert_eq!(engine.block_counters(), expect);
-        // 24-bit inputs: the same sums times 2^23 do not.
-        let wide = block(24, 16);
-        run_block(&engine, &wide, &mut out).unwrap();
-        expect.wide_groups = 1;
-        assert_eq!(engine.block_counters(), expect);
-        assert_eq!(out.row(15), vecmat(wide.frame(15), &v).unwrap().as_slice());
-        // A single is a one-frame shard: one leftover frame, gathered
-        // when dense and scattered when sparse (here one-hot).
-        engine.gemv(wide.frame(0)).unwrap();
-        expect.leftover_frames += 1;
-        expect.gathered_frames += 1;
-        assert_eq!(engine.block_counters(), expect);
-        let mut one_hot = vec![0i32; 1024];
-        one_hot[700] = -5;
-        let expect_out = vecmat(&one_hot, &v).unwrap();
-        assert_eq!(engine.gemv(&one_hot).unwrap(), expect_out);
-        expect.leftover_frames += 1;
-        expect.scattered_frames += 1;
-        assert_eq!(engine.block_counters(), expect);
-        // A clone counts from zero.
-        assert_eq!(engine.clone().block_counters(), BlockWidths::default());
     }
 }

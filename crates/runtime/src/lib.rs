@@ -9,21 +9,21 @@
 //! follows. This crate makes the amortization explicit end to end, and
 //! [`Session`] is the front door every consumer serves through:
 //!
-//! * [`EngineSpec`] / [`spec::build`] — engine descriptions and the
-//!   one `match` over [`BUILTIN_KINDS`] that builds them ([`spec`]);
-//! * [`plan::plan`] / [`PlanPolicy`] / [`EnginePlan`] — policy-driven
-//!   backend choice priced from the matrix's own counts ([`plan`]);
+//! * [`EngineSpec`] / `spec::build` — engine descriptions and the
+//!   one `match` over [`BUILTIN_KINDS`] that builds them (`spec`);
+//! * `plan::plan` / [`PlanPolicy`] / [`EnginePlan`] — policy-driven
+//!   backend choice priced from the matrix's own counts (`plan`);
 //! * [`Session`] — the plan + a handle to the built engine + the
 //!   shared [`MultiplierCache`] behind one submission surface, batches
 //!   sharded in submission order across the one worker pool of the
-//!   process ([`session`]; the pool itself is private);
+//!   process (`session`; the pool itself is private);
 //! * [`GemvBackend`] — the engine trait (one compute method,
 //!   `run_rows`) with the four built-ins: [`DenseRef`], [`SparseCsr`],
-//!   [`BitSerial`], and [`SigmaEngine`] ([`backend`]);
+//!   [`BitSerial`], and [`SigmaEngine`] (`backend`);
 //! * [`MultiplierCache`] — content-digest-keyed compile memoization with
-//!   an optional LRU bound ([`cache`]);
+//!   an optional LRU bound (`cache`);
 //! * [`TieredRegistry`] — the hot / warm / cold matrix fleet
-//!   ([`tiered`]): a lock, a store and three counters around the pure
+//!   (`tiered`): a lock, a store and three counters around the pure
 //!   tier table of the private `tiers` module, which decides every
 //!   promotion, demotion and refusal.
 //!
@@ -44,7 +44,7 @@
 //! use smm_runtime::{FrameBlock, RowBlock, Session};
 //!
 //! let v = IntMatrix::from_vec(2, 2, vec![1, -2, 3, 4]).unwrap();
-//! let session = Session::auto(v).unwrap();
+//! let session = Session::builder(v).build().unwrap();
 //! assert_eq!(session.run(&[5, 6]).unwrap(), vec![23, 14]);
 //! let frames = FrameBlock::try_from(vec![vec![5, 6], vec![1, 0]]).unwrap();
 //! let mut out = RowBlock::new();
@@ -56,7 +56,7 @@
 //! The session auto-planned an engine from the matrix (the cheapest
 //! kernel per frame on its rows, columns and non-zeros — see
 //! [`Session::plan`] for the rationale); pass an explicit [`EngineSpec`] via
-//! [`Session::with_spec`] to overrule it.
+//! [`SessionBuilder::spec`] to overrule it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -77,20 +77,20 @@
     )
 )]
 
-pub mod backend;
-pub mod cache;
-pub mod plan;
+mod backend;
+mod cache;
+mod plan;
 mod pool;
-pub mod session;
-pub mod spec;
-pub mod tiered;
+mod session;
+mod spec;
+mod tiered;
 mod tiers;
 
 pub use backend::{BitSerial, DenseRef, GemvBackend, SigmaEngine, SparseCsr};
-pub use cache::{CacheStats, MultiplierCache};
+pub use cache::MultiplierCache;
 pub use smm_core::block::{FrameBlock, RowBlock};
-pub use plan::{AutoOptions, EnginePlan, PlanCandidate, PlanPolicy};
-pub use session::{BatchStats, Session, SessionBuilder};
-pub use tiered::{FleetSnapshot, InsertOutcome, TieredConfig, TieredRegistry};
-pub use smm_telemetry::{SpanRecorder, Stage, StageStats};
+pub use plan::{AutoOptions, EnginePlan, PlanPolicy};
+pub use session::{Session, SessionBuilder};
+pub use tiered::{InsertOutcome, TieredConfig, TieredRegistry};
+pub use smm_telemetry::SpanRecorder;
 pub use spec::{EngineSpec, BUILTIN_KINDS};

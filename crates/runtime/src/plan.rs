@@ -110,7 +110,7 @@ impl Default for AutoOptions {
     }
 }
 
-/// How [`plan`] chooses the engine.
+/// How `plan` chooses the engine.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanPolicy {
     /// The caller picked; planning only validates the kind exists.
@@ -135,14 +135,14 @@ pub struct PlanCandidate {
     /// Modelled cost of one frame, in nanoseconds; lowest wins.
     pub cost_ns: f64,
     /// The work count and rate the cost is the product of.
-    pub reason: String,
+    pub(crate) reason: String,
 }
 
 /// The planner's verdict: the winning spec, its cost, the human-readable
 /// rationale, and every candidate considered.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnginePlan {
-    /// The spec the session will build through [`crate::spec::build`].
+    /// The spec the session will build through `crate::spec::build`.
     pub spec: EngineSpec,
     /// The winner's cost per frame in nanoseconds (0.0 for explicit
     /// policies, which price nothing).
@@ -156,7 +156,7 @@ pub struct EnginePlan {
 /// Plans an engine for `matrix` under `policy` — a pure function of the
 /// two. Fails when the policy names a kind that is not one of
 /// [`BUILTIN_KINDS`].
-pub fn plan(matrix: &IntMatrix, policy: &PlanPolicy) -> Result<EnginePlan> {
+pub(crate) fn plan(matrix: &IntMatrix, policy: &PlanPolicy) -> Result<EnginePlan> {
     plan_counts(policy, || Counts { rows: matrix.rows(), cols: matrix.cols(), nnz: matrix.nnz() })
 }
 

@@ -22,32 +22,32 @@ use std::time::{Duration, Instant};
 /// One shard of a batch: rows `start..end` of `frames` through `engine`.
 pub(crate) struct Job {
     /// The engine of the session that cut the batch.
-    pub engine: Arc<dyn GemvBackend>,
+    pub(crate) engine: Arc<dyn GemvBackend>,
     /// The whole batch (shared, immutable, flat).
-    pub frames: Arc<FrameBlock>,
+    pub(crate) frames: Arc<FrameBlock>,
     /// This shard's half-open range of batch indices.
-    pub start: usize,
-    pub end: usize,
+    pub(crate) start: usize,
+    pub(crate) end: usize,
     /// When the batch was submitted — the clock base for
     /// [`ShardReply::completed`].
-    pub submitted: Instant,
+    pub(crate) submitted: Instant,
     /// Where to deliver the reply.
-    pub reply: Sender<ShardReply>,
+    pub(crate) reply: Sender<ShardReply>,
 }
 
 /// A shard's reply.
 pub(crate) struct ShardReply {
     /// The shard's half-open row range.
-    pub start: usize,
-    pub end: usize,
+    pub(crate) start: usize,
+    pub(crate) end: usize,
     /// Worker-side completion timestamp, measured against the batch's
     /// submission *before* the reply enters the channel — so a shard
     /// that finishes early reports its true latency even when the
     /// reassembler is still busy copying earlier replies.
-    pub completed: Duration,
+    pub(crate) completed: Duration,
     /// The shard's rows, flat row-major (`(end - start) * cols`
     /// elements) — one buffer per shard, not one per row.
-    pub rows: Result<Vec<i64>>,
+    pub(crate) rows: Result<Vec<i64>>,
 }
 
 /// The machine's available parallelism (>= 1): the pool's size, and

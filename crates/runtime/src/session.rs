@@ -33,9 +33,10 @@
 //! use smm_runtime::Session;
 //!
 //! let v = IntMatrix::from_vec(2, 2, vec![1, -2, 3, 4]).unwrap();
-//! let session = Session::auto(v).unwrap();
+//! let session = Session::builder(v).build().unwrap();
 //! assert_eq!(session.run(&[5, 6]).unwrap(), vec![23, 14]);
-//! assert_eq!(session.plan().spec.kind(), session.engine().name());
+//! // The plan names the engine it chose, and why.
+//! assert!(session.plan().rationale.contains(session.engine().name()));
 //! ```
 
 use crate::backend::GemvBackend;
@@ -175,7 +176,7 @@ impl SessionBuilder {
 }
 
 /// One matrix behind one planned engine — the unified serving surface.
-/// See the [module docs](crate::session).
+/// See the [crate docs](crate).
 ///
 /// The matrix itself is not retained: the engine holds whatever
 /// representation it needs (dense copy, CSR, compiled circuit), so a
@@ -211,7 +212,7 @@ impl Session {
     /// Starts configuring a session over a matrix kept as its body: the
     /// plan reads the body's counts, a `csr` engine builds from its
     /// non-zeros, and any other engine decodes the dense matrix once
-    /// ([`spec::build_body`]).
+    /// (`spec::build_body`).
     pub fn builder_body(body: Arc<MatrixBody>) -> SessionBuilder {
         Self::builder_over(Weights::Body(body))
     }
@@ -224,16 +225,6 @@ impl Session {
             cache: None,
             recorder: None,
         }
-    }
-
-    /// An auto-planned session with all defaults.
-    pub fn auto(matrix: IntMatrix) -> Result<Session> {
-        Self::builder(matrix).build()
-    }
-
-    /// A session serving through exactly this engine spec.
-    pub fn with_spec(matrix: IntMatrix, spec: EngineSpec) -> Result<Session> {
-        Self::builder(matrix).spec(spec).build()
     }
 
     /// Matrix rows — the required input-vector length.
@@ -433,13 +424,16 @@ mod tests {
     /// inputs, cutting batches into at most `threads` shards.
     fn echo(dim: usize, threads: usize) -> Session {
         let v = IntMatrix::identity(dim).unwrap();
-        Session::with_spec(v, EngineSpec::dense().threads(threads)).unwrap()
+        Session::builder(v)
+            .spec(EngineSpec::dense().threads(threads))
+            .build()
+            .unwrap()
     }
 
     #[test]
     fn auto_session_serves_bit_identically() {
         let v = sparse(2900, 20, 0.9);
-        let session = Session::auto(v.clone()).unwrap();
+        let session = Session::builder(v.clone()).build().unwrap();
         assert_eq!(session.engine().name(), "csr");
         let mut rng = seeded(2901);
         let a = random_vector(20, 8, true, &mut rng).unwrap();
@@ -472,8 +466,15 @@ mod tests {
         let expect = reference(&batch, &v);
         let frames = Arc::new(FrameBlock::try_from(batch.as_slice()).unwrap());
         let mut out = RowBlock::new();
-        for spec in [EngineSpec::dense(), EngineSpec::csr(), EngineSpec::bitserial().threads(2)] {
-            let session = Session::with_spec(v.clone(), spec.clone()).unwrap();
+        for spec in [
+            EngineSpec::dense(),
+            EngineSpec::csr(),
+            EngineSpec::bitserial().threads(2),
+        ] {
+            let session = Session::builder(v.clone())
+                .spec(spec.clone())
+                .build()
+                .unwrap();
             // Two rounds into the same block: no stale rows.
             for _ in 0..2 {
                 let stats = session.run_block(Arc::clone(&frames), &mut out).unwrap();
@@ -493,7 +494,10 @@ mod tests {
             EngineSpec::csr(),
             EngineSpec::bitserial().threads(2),
         ] {
-            let session = Session::with_spec(v.clone(), spec.clone()).unwrap();
+            let session = Session::builder(v.clone())
+                .spec(spec.clone())
+                .build()
+                .unwrap();
             assert_eq!(session.engine().name(), spec.kind());
             assert_eq!(serve(&session, &batch).unwrap().0, expect, "{spec:?}");
         }
@@ -544,22 +548,21 @@ mod tests {
     #[test]
     fn build_failures_are_clean_errors() {
         // Unknown explicit kind.
-        assert!(Session::with_spec(
-            IntMatrix::identity(2).unwrap(),
-            EngineSpec::new("tpu")
-        )
-        .is_err());
+        let identity = || IntMatrix::identity(2).unwrap();
+        assert!(Session::builder(identity())
+            .spec(EngineSpec::new("tpu"))
+            .build()
+            .is_err());
         // A bit-serial compile that cannot succeed (0 operand bits).
-        assert!(Session::with_spec(
-            IntMatrix::identity(2).unwrap(),
-            EngineSpec::bitserial().input_bits(0)
-        )
-        .is_err());
+        let spec = EngineSpec::bitserial().input_bits(0);
+        assert!(Session::builder(identity()).spec(spec).build().is_err());
     }
 
     #[test]
     fn dimension_errors_propagate_through_run() {
-        let session = Session::auto(IntMatrix::identity(4).unwrap()).unwrap();
+        let session = Session::builder(IntMatrix::identity(4).unwrap())
+            .build()
+            .unwrap();
         assert!(session.run(&[1, 2]).is_err());
         assert!(serve(&session, &[vec![1; 3]]).is_err());
         // The session survives the error.
@@ -595,7 +598,10 @@ mod tests {
         for kind in crate::spec::BUILTIN_KINDS {
             for threads in [1usize, 2, 5] {
                 let spec = EngineSpec::new(kind).threads(threads);
-                let session = Session::with_spec(v.clone(), spec.clone()).unwrap();
+                let session = Session::builder(v.clone())
+                    .spec(spec.clone())
+                    .build()
+                    .unwrap();
                 let (outputs, stats) = serve(&session, &batch).unwrap();
                 assert_eq!(outputs, expect, "{spec:?}");
                 assert_eq!(stats.shards, threads, "{spec:?}");
@@ -618,7 +624,8 @@ mod tests {
     #[test]
     fn errors_surface_and_pool_survives() {
         let v = sparse(2302, 8, 0.5);
-        let session = Session::with_spec(v.clone(), EngineSpec::dense().threads(2)).unwrap();
+        let spec = EngineSpec::dense().threads(2);
+        let session = Session::builder(v.clone()).spec(spec).build().unwrap();
         // A batch of the wrong width fails...
         assert!(serve(&session, &random_batch(6, 3, 2303)).is_err());
         // ...but the session keeps serving afterwards.
@@ -630,7 +637,8 @@ mod tests {
     fn dispatch_block_reuses_the_output_block_across_batches() {
         let mut rng = seeded(2305);
         let v = element_sparse_matrix(12, 7, 8, 0.5, true, &mut rng).unwrap();
-        let session = Session::with_spec(v.clone(), EngineSpec::csr().threads(3)).unwrap();
+        let spec = EngineSpec::csr().threads(3);
+        let session = Session::builder(v.clone()).spec(spec).build().unwrap();
         let mut out = RowBlock::new();
         for batch_size in [11usize, 4, 0, 9] {
             let batch = random_batch(batch_size, 12, 2306 + batch_size as u64);

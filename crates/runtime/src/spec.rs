@@ -29,24 +29,29 @@ pub const BUILTIN_KINDS: [&str; 4] = ["dense", "csr", "bitserial", "sigma"];
 /// A serializable description of a compute engine: kind + options.
 ///
 /// ```
-/// use smm_runtime::EngineSpec;
+/// use smm_core::matrix::IntMatrix;
+/// use smm_runtime::{EngineSpec, Session};
 ///
-/// let spec = EngineSpec::bitserial().input_bits(12).threads(4);
-/// assert_eq!(spec.kind(), "bitserial");
-/// assert_eq!((spec.input_bits, spec.threads), (12, 4));
+/// let spec = EngineSpec::bitserial().threads(4);
+/// let session = Session::builder(IntMatrix::identity(3).unwrap())
+///     .spec(spec.clone())
+///     .build()
+///     .unwrap();
+/// assert_eq!(session.plan().spec, spec);
+/// assert_eq!(session.engine().name(), "bitserial");
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineSpec {
     /// The engine family, one of [`BUILTIN_KINDS`] if it is to build.
     kind: String,
     /// Signed input operand width in bits.
-    pub input_bits: u32,
+    pub(crate) input_bits: u32,
     /// Weight encoding compiled into circuit engines.
-    pub encoding: WeightEncoding,
+    pub(crate) encoding: WeightEncoding,
     /// Most shards one batch is cut into for the process's worker pool
     /// (0 = one per core). Spawns nothing: the pool's size is the
     /// machine's, not the spec's.
-    pub threads: usize,
+    pub(crate) threads: usize,
 }
 
 impl EngineSpec {
@@ -83,18 +88,18 @@ impl EngineSpec {
     }
 
     /// The engine family this spec names.
-    pub fn kind(&self) -> &str {
+    pub(crate) fn kind(&self) -> &str {
         &self.kind
     }
 
     /// Returns the spec with this input operand width.
-    pub fn input_bits(mut self, bits: u32) -> Self {
+    pub(crate) fn input_bits(mut self, bits: u32) -> Self {
         self.input_bits = bits;
         self
     }
 
     /// Returns the spec with this weight encoding.
-    pub fn encoding(mut self, encoding: WeightEncoding) -> Self {
+    pub(crate) fn encoding(mut self, encoding: WeightEncoding) -> Self {
         self.encoding = encoding;
         self
     }
@@ -123,17 +128,18 @@ pub(crate) fn unknown_kind(kind: &str) -> Error {
 /// Fails with [`Error::Runtime`] when the spec's kind is not one of
 /// [`BUILTIN_KINDS`].
 ///
+/// A session's explicit spec is built here:
+///
 /// ```
 /// use smm_core::matrix::IntMatrix;
-/// use smm_runtime::{spec, EngineSpec, MultiplierCache};
+/// use smm_runtime::{EngineSpec, Session};
 ///
 /// let v = IntMatrix::identity(3).unwrap();
-/// let cache = MultiplierCache::new();
-/// let engine = spec::build(v, &EngineSpec::csr(), &cache).unwrap();
-/// assert_eq!(engine.name(), "csr");
-/// assert_eq!(engine.gemv(&[1, 2, 3]).unwrap(), vec![1, 2, 3]);
+/// let session = Session::builder(v).spec(EngineSpec::csr()).build().unwrap();
+/// assert_eq!(session.engine().name(), "csr");
+/// assert_eq!(session.engine().gemv(&[1, 2, 3]).unwrap(), vec![1, 2, 3]);
 /// ```
-pub fn build(
+pub(crate) fn build(
     matrix: IntMatrix,
     spec: &EngineSpec,
     cache: &MultiplierCache,
@@ -154,7 +160,7 @@ pub fn build(
 /// [`build`] from a matrix kept as its body: `csr` builds straight from
 /// the non-zeros ([`Csr::from_body`]); every other kind decodes the
 /// dense matrix once and goes through [`build`].
-pub fn build_body(
+pub(crate) fn build_body(
     body: &MatrixBody,
     spec: &EngineSpec,
     cache: &MultiplierCache,

@@ -142,7 +142,7 @@ impl TieredRegistry {
     }
 
     /// Resident digests per tier.
-    pub fn tier_counts(&self) -> TierCounts {
+    pub(crate) fn tier_counts(&self) -> TierCounts {
         self.lock().counts()
     }
 
@@ -315,7 +315,10 @@ mod tests {
     }
 
     fn csr_session(m: IntMatrix) -> Session {
-        Session::with_spec(m, EngineSpec::new("csr").threads(1)).unwrap()
+        Session::builder(m)
+            .spec(EngineSpec::new("csr").threads(1))
+            .build()
+            .unwrap()
     }
 
     fn temp_store() -> Store {

@@ -26,7 +26,9 @@ fn serve_one_batch(session: &Session) {
 fn sessions_own_no_threads_and_share_one_pool() {
     let cores = std::thread::available_parallelism().unwrap().get();
     let session = |threads| {
-        Session::with_spec(IntMatrix::identity(3).unwrap(), EngineSpec::csr().threads(threads))
+        Session::builder(IntMatrix::identity(3).unwrap())
+            .spec(EngineSpec::csr().threads(threads))
+            .build()
             .unwrap()
     };
     let at_start = os_threads();

@@ -119,7 +119,12 @@ fn hammer(sessions: &[Arc<Session>]) {
 fn concurrent_submitters_lose_and_reorder_nothing() {
     let echo = || {
         let spec = EngineSpec::dense().threads(4);
-        Arc::new(Session::with_spec(IntMatrix::identity(8).unwrap(), spec).unwrap())
+        Arc::new(
+            Session::builder(IntMatrix::identity(8).unwrap())
+                .spec(spec)
+                .build()
+                .unwrap(),
+        )
     };
     // Four submitters over one session, then over four: both shapes
     // queue on the same workers.

@@ -49,7 +49,7 @@ impl From<FrameError> for ServeError {
 }
 
 /// Client-side result alias.
-pub type ServeResult<T> = std::result::Result<T, ServeError>;
+pub(crate) type ServeResult<T> = std::result::Result<T, ServeError>;
 
 /// A blocking connection to an `smm-server`.
 ///

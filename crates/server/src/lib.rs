@@ -9,22 +9,22 @@
 //!   (magic `SMM1`, opcodes `Ping`/`LoadMatrix`/`Gemv`/`GemvBatch`/
 //!   `Stats`), built on [`smm_core::wire`], with a matrix travelling as
 //!   its non-zeros at their own width ([`smm_core::wire::put_matrix`]);
-//! * [`server`] — a std-only threaded TCP server: per-connection
+//! * `server` — a std-only threaded TCP server: per-connection
 //!   sessions resolving matrices by [`smm_core::matrix::IntMatrix::digest`]
 //!   through a tiered [`smm_runtime::TieredRegistry`] (hot sessions,
 //!   warm non-zeros, cold artifact bytes in an optional
 //!   [`ServerConfig::store_dir`] store — a restarted server reloads its
-//!   fleet without recompiling), a bounded [`AdmissionQueue`] that
+//!   fleet without recompiling), a bounded `server::AdmissionQueue` that
 //!   answers `Busy` instead of buffering under overload, per-matrix
 //!   sessions over a shared [`smm_runtime::MultiplierCache`] (bounded
 //!   by the same two tier sizes) and the process's one worker pool, and
 //!   graceful shutdown with connection drain;
-//! * [`metrics`] — the five counters the hot path writes, the per-stage
+//! * `metrics` — the five counters the hot path writes, the per-stage
 //!   request spans (decode → queue → plan → compute → encode), and the
 //!   Prometheus text served on [`ServerConfig::metrics_addr`], rendered
 //!   by one function from the same [`StatsSnapshot`] the `Stats` opcode
 //!   returns;
-//! * [`client`] — the blocking [`Client`] used by tests, examples, and
+//! * `client` — the blocking [`Client`] used by tests, examples, and
 //!   the load generator;
 //! * [`loadgen`] — a multi-client load generator that verifies every
 //!   reply against the dense reference while measuring client-side
@@ -63,14 +63,13 @@
     )
 )]
 
-pub mod client;
+mod client;
 pub mod loadgen;
-pub mod metrics;
+mod metrics;
 pub mod protocol;
-pub mod server;
+mod server;
 
-pub use client::{Client, ServeError, ServeResult};
-pub use loadgen::{LoadgenConfig, LoadgenReport};
-pub use metrics::{LatencyHistogram, ServerMetrics};
-pub use protocol::{BackendKind, LoadedInfo, Opcode, Reply, Request, StatsSnapshot};
-pub use server::{start, AdmissionQueue, ServerConfig, ServerHandle};
+pub use client::{Client, ServeError};
+pub use loadgen::LoadgenConfig;
+pub use protocol::{BackendKind, LoadedInfo, StatsSnapshot};
+pub use server::{start, ServerConfig, ServerHandle};

@@ -6,12 +6,12 @@
 //! numbers from a server that returns wrong answers are worthless.
 
 use crate::client::{Client, ServeError, ServeResult};
-use crate::metrics::LatencyHistogram;
 use crate::protocol::BackendKind;
 use smm_core::block::FrameBlock;
 use smm_core::gemv::vecmat;
 use smm_core::matrix::IntMatrix;
 use smm_runtime::AutoOptions;
+use smm_telemetry::LatencyHistogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

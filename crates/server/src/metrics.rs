@@ -9,7 +9,7 @@
 //! snapshot, so the wire `Stats` opcode, `smm stats` and `GET /metrics`
 //! cannot disagree: there is no second copy to fall behind.
 
-pub use smm_telemetry::LatencyHistogram;
+use smm_telemetry::LatencyHistogram;
 
 use self::Samples::{Counter, Gauge};
 use crate::protocol::StatsSnapshot;
@@ -19,24 +19,24 @@ use std::sync::atomic::AtomicU64;
 
 /// What the serving hot path counts, one relaxed atomic per touch.
 #[derive(Debug, Default)]
-pub struct ServerMetrics {
+pub(crate) struct ServerMetrics {
     /// Frames decoded into requests.
-    pub requests: AtomicU64,
+    pub(crate) requests: AtomicU64,
     /// Compute requests refused with `Busy`.
-    pub rejected: AtomicU64,
+    pub(crate) rejected: AtomicU64,
     /// Requests answered with an error status.
-    pub errors: AtomicU64,
+    pub(crate) errors: AtomicU64,
     /// Bytes read off the wire.
-    pub bytes_in: AtomicU64,
+    pub(crate) bytes_in: AtomicU64,
     /// Bytes written to the wire.
-    pub bytes_out: AtomicU64,
+    pub(crate) bytes_out: AtomicU64,
     /// Products answered: one per `Gemv`, one per frame of a `GemvBatch`.
-    pub vectors: AtomicU64,
+    pub(crate) vectors: AtomicU64,
     /// Non-empty `GemvBatch` requests answered.
-    pub batches: AtomicU64,
+    pub(crate) batches: AtomicU64,
     /// Per-stage pipeline latencies (decode → … → encode), shared with
     /// every connection's request span and every session.
-    pub stages: SpanRecorder,
+    pub(crate) stages: SpanRecorder,
 }
 
 /// Where one metric family's samples come from.
@@ -95,7 +95,11 @@ const FAMILIES: [(&str, &str, Samples); 16] = [
 /// Renders the Prometheus text exposition of one [`StatsSnapshot`].
 /// Histograms render as constant-size *summaries*; their p90 is not in
 /// the snapshot, so quantiles are read straight off the stage histograms.
-pub fn render(stats: &StatsSnapshot, open_connections: u64, metrics: &ServerMetrics) -> String {
+pub(crate) fn render(
+    stats: &StatsSnapshot,
+    open_connections: u64,
+    metrics: &ServerMetrics,
+) -> String {
     let mut out = String::new();
     // Writing into a `String` cannot fail, hence the discarded results.
     for (name, help, samples) in &FAMILIES {

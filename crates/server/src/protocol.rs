@@ -52,9 +52,9 @@
 //! buffer grows only with bytes that have arrived: a header that claims
 //! 64 MiB and then stalls costs what was sent, not what was claimed. The
 //! next frame out is built in the same buffer: header first, then
-//! [`Request::encode_into`] / [`Reply::encode_into`] append the payload,
+//! `Request::encode_into` / `Reply::encode_into` append the payload,
 //! the length is patched in, and one `write` sends it. Between frames a
-//! connection keeps at most [`MAX_RETAINED_BUFFER`] of it. [`read_frame`]
+//! connection keeps at most `MAX_RETAINED_BUFFER` of it. [`read_frame`]
 //! and [`write_frame`] are the same code over any `Read` / `Write`.
 //!
 //! ## One layout per message
@@ -75,7 +75,7 @@ use smm_telemetry::{Stage, StageStats, STAGES};
 use std::io::{self, BufReader, Read, Write};
 
 /// Frame preamble: the protocol's on-wire signature.
-pub const MAGIC: [u8; 4] = *b"SMM1";
+pub(crate) const MAGIC: [u8; 4] = *b"SMM1";
 /// The one protocol version both ends speak.
 pub const VERSION: u8 = 6;
 /// Fixed frame header size in bytes.
@@ -87,7 +87,7 @@ pub const MAX_FRAME_PAYLOAD: usize = wire::MAX_WIRE_LEN;
 /// next (its [`BufReader`]'s 8 KiB aside). A larger frame is served from
 /// a buffer that is freed once the frame is done. The reply to a
 /// 64-frame batch over 1024 columns (524 KB) fits.
-pub const MAX_RETAINED_BUFFER: usize = 1 << 20;
+pub(crate) const MAX_RETAINED_BUFFER: usize = 1 << 20;
 
 /// Reply status byte: request served.
 pub const STATUS_OK: u8 = 0;
@@ -210,7 +210,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// Decodes a raw opcode byte.
-    pub fn from_u8(raw: u8) -> Result<Opcode> {
+    pub(crate) fn from_u8(raw: u8) -> Result<Opcode> {
         Ok(match raw {
             0 => Opcode::Ping,
             1 => Opcode::LoadMatrix,
@@ -263,7 +263,7 @@ pub enum Request {
 
 impl Request {
     /// The opcode this request travels under.
-    pub fn opcode(&self) -> Opcode {
+    pub(crate) fn opcode(&self) -> Opcode {
         match self {
             Request::Ping => Opcode::Ping,
             Request::LoadMatrix { .. } => Opcode::LoadMatrix,
@@ -283,7 +283,7 @@ impl Request {
 
     /// Appends the request payload to `buf` — how a connection builds
     /// a frame in its own buffer, behind the header.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Request::Ping | Request::Stats => {}
             Request::LoadMatrix { matrix, backend } => put_load_matrix(buf, matrix, *backend),
@@ -505,7 +505,7 @@ impl StatsSnapshot {
 
     /// Serializes the snapshot: 15 `u64`s, the per-stage summary block
     /// (three `u64`s per stage), then the six-`u64` fleet tier block.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
         let mut copy = *self;
         for v in copy.wire_fields() {
             wire::put_u64(buf, *v);
@@ -513,7 +513,7 @@ impl StatsSnapshot {
     }
 
     /// Decodes a snapshot.
-    pub fn decode(c: &mut Cursor<'_>) -> Result<StatsSnapshot> {
+    pub(crate) fn decode(c: &mut Cursor<'_>) -> Result<StatsSnapshot> {
         let mut s = StatsSnapshot::default();
         for f in s.wire_fields() {
             *f = c.take_u64("stats field")?;
@@ -577,7 +577,7 @@ impl Reply {
 
     /// Appends the reply payload to `buf` — how a session builds its
     /// reply frame in the connection's own buffer, behind the header.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Reply::Busy => wire::put_u8(buf, STATUS_BUSY),
             Reply::Error(message) => {
@@ -690,7 +690,7 @@ pub struct Frame {
     /// Protocol version the frame travelled under — always [`VERSION`]
     /// once [`read_frame`] has accepted it.
     pub version: u8,
-    /// Raw opcode byte (validated by [`Opcode::from_u8`] at decode time).
+    /// Raw opcode byte (validated by `Opcode::from_u8` at decode time).
     pub opcode: u8,
     /// Caller-chosen id, echoed verbatim in the reply frame.
     pub request_id: u64,

@@ -103,32 +103,22 @@ impl Default for ServerConfig {
 /// waiting queue — buffering under overload only moves the problem into
 /// server memory and adds latency to every queued caller.
 #[derive(Debug)]
-pub struct AdmissionQueue {
+pub(crate) struct AdmissionQueue {
     capacity: usize,
     in_flight: AtomicUsize,
 }
 
 impl AdmissionQueue {
     /// A budget of `capacity` concurrent permits (minimum 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
             in_flight: AtomicUsize::new(0),
         }
     }
 
-    /// The configured budget.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Permits currently held.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::Relaxed)
-    }
-
     /// Claims a permit, or `None` if the budget is spent.
-    pub fn try_enter(&self) -> Option<AdmissionPermit<'_>> {
+    pub(crate) fn try_enter(&self) -> Option<AdmissionPermit<'_>> {
         self.in_flight
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
                 (n < self.capacity).then_some(n + 1)
@@ -140,7 +130,7 @@ impl AdmissionQueue {
 
 /// An admission slot; returns to the budget on drop.
 #[derive(Debug)]
-pub struct AdmissionPermit<'a> {
+pub(crate) struct AdmissionPermit<'a> {
     queue: &'a AdmissionQueue,
 }
 
@@ -416,11 +406,6 @@ impl ServerHandle {
     /// one (with the real port when it said 0).
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
         self.metrics_addr
-    }
-
-    /// A stats snapshot taken in-process (no wire round trip).
-    pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats()
     }
 
     /// The Prometheus exposition the `/metrics` endpoint would serve,
@@ -758,23 +743,23 @@ mod tests {
     #[test]
     fn admission_queue_enforces_capacity() {
         let q = AdmissionQueue::new(2);
-        assert_eq!(q.capacity(), 2);
+        assert_eq!(q.capacity, 2);
         let a = q.try_enter().unwrap();
         let b = q.try_enter().unwrap();
-        assert_eq!(q.in_flight(), 2);
+        assert_eq!(q.in_flight.load(Ordering::Relaxed), 2);
         assert!(q.try_enter().is_none(), "third permit over a budget of 2");
         drop(a);
         let c = q.try_enter().unwrap();
         assert!(q.try_enter().is_none());
         drop(b);
         drop(c);
-        assert_eq!(q.in_flight(), 0);
+        assert_eq!(q.in_flight.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn admission_queue_zero_capacity_clamps_to_one() {
         let q = AdmissionQueue::new(0);
-        assert_eq!(q.capacity(), 1);
+        assert_eq!(q.capacity, 1);
         let _p = q.try_enter().unwrap();
         assert!(q.try_enter().is_none());
     }
@@ -792,7 +777,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for _ in 0..500 {
                         if let Some(_permit) = q.try_enter() {
-                            peak.fetch_max(q.in_flight(), Ordering::Relaxed);
+                            peak.fetch_max(q.in_flight.load(Ordering::Relaxed), Ordering::Relaxed);
                             std::hint::spin_loop();
                         }
                     }
@@ -803,7 +788,7 @@ mod tests {
             t.join().unwrap();
         }
         assert!(peak.load(Ordering::Relaxed) <= 3);
-        assert_eq!(q.in_flight(), 0);
+        assert_eq!(q.in_flight.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -529,7 +529,8 @@ fn shutdown_returns_while_a_peer_has_stopped_reading_its_reply() {
     // The batch is counted once computed, just before its reply is
     // written.
     let deadline = Instant::now() + Duration::from_secs(30);
-    while server.stats().vectors < 512 {
+    let served = || Client::connect(server.local_addr()).unwrap().stats().unwrap().vectors;
+    while served() < 512 {
         assert!(Instant::now() < deadline, "the batch was never served");
         std::thread::sleep(Duration::from_millis(10));
     }

@@ -1,6 +1,5 @@
 //! Coordinate-list (COO) sparse matrix format.
 
-use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
 
 /// A sparse matrix as `(row, col, value)` triples.
@@ -15,41 +14,6 @@ pub struct Coo {
 }
 
 impl Coo {
-    /// Builds a COO matrix from triples, validating bounds and rejecting
-    /// duplicates and explicit zeros.
-    pub fn from_triples(
-        rows: usize,
-        cols: usize,
-        mut entries: Vec<(usize, usize, i32)>,
-    ) -> Result<Self> {
-        if rows == 0 || cols == 0 {
-            return Err(Error::EmptyDimension);
-        }
-        for &(r, c, v) in &entries {
-            if r >= rows || c >= cols {
-                return Err(Error::DimensionMismatch {
-                    context: format!("entry ({r}, {c}) outside {rows}x{cols}"),
-                });
-            }
-            if v == 0 {
-                return Err(Error::DimensionMismatch {
-                    context: format!("explicit zero stored at ({r}, {c})"),
-                });
-            }
-        }
-        entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
-        if entries.windows(2).any(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1)) {
-            return Err(Error::DimensionMismatch {
-                context: "duplicate coordinate".to_string(),
-            });
-        }
-        Ok(Self {
-            rows,
-            cols,
-            entries,
-        })
-    }
-
     /// Extracts the non-zero entries of a dense matrix.
     pub fn from_dense(dense: &IntMatrix) -> Self {
         Self {
@@ -60,32 +24,23 @@ impl Coo {
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
+    pub(crate) fn nnz(&self) -> usize {
         self.entries.len()
     }
 
     /// The entries, sorted row-major.
-    pub fn entries(&self) -> &[(usize, usize, i32)] {
+    pub(crate) fn entries(&self) -> &[(usize, usize, i32)] {
         &self.entries
-    }
-
-    /// Converts back to a dense matrix.
-    pub fn to_dense(&self) -> Result<IntMatrix> {
-        let mut m = IntMatrix::zeros(self.rows, self.cols)?;
-        for &(r, c, v) in &self.entries {
-            m.set(r, c, v);
-        }
-        Ok(m)
     }
 }
 
@@ -98,23 +53,14 @@ mod tests {
         let d = IntMatrix::from_vec(2, 3, vec![0, 5, 0, -2, 0, 7]).unwrap();
         let coo = Coo::from_dense(&d);
         assert_eq!(coo.nnz(), 3);
-        assert_eq!(coo.to_dense().unwrap(), d);
-    }
-
-    #[test]
-    fn triples_sorted_and_validated() {
-        let coo = Coo::from_triples(2, 2, vec![(1, 1, 4), (0, 0, 1)]).unwrap();
-        assert_eq!(coo.entries(), &[(0, 0, 1), (1, 1, 4)]);
-        assert!(Coo::from_triples(2, 2, vec![(2, 0, 1)]).is_err());
-        assert!(Coo::from_triples(2, 2, vec![(0, 0, 0)]).is_err());
-        assert!(Coo::from_triples(2, 2, vec![(0, 0, 1), (0, 0, 2)]).is_err());
-        assert!(Coo::from_triples(0, 2, vec![]).is_err());
+        assert_eq!(coo.entries(), &[(0, 1, 5), (1, 0, -2), (1, 2, 7)]);
+        assert_eq!((coo.rows(), coo.cols()), (2, 3));
     }
 
     #[test]
     fn empty_matrix_ok() {
-        let coo = Coo::from_triples(3, 3, vec![]).unwrap();
+        let coo = Coo::from_dense(&IntMatrix::zeros(3, 3).unwrap());
         assert_eq!(coo.nnz(), 0);
-        assert_eq!(coo.to_dense().unwrap().nnz(), 0);
+        assert_eq!((coo.rows(), coo.cols()), (3, 3));
     }
 }

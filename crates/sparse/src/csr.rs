@@ -102,11 +102,11 @@ pub struct BlockWidths {
     /// Groups accumulated in `i64` lanes.
     pub wide_groups: usize,
     /// Frames run one at a time: `gathered_frames + scattered_frames`.
-    pub leftover_frames: usize,
+    pub(crate) leftover_frames: usize,
     /// Leftover frames gathered through the column slices.
-    pub gathered_frames: usize,
+    pub(crate) gathered_frames: usize,
     /// Leftover frames scattered through the rows.
-    pub scattered_frames: usize,
+    pub(crate) scattered_frames: usize,
 }
 
 /// The layout that served one frame of [`Csr::vecmat_into`].
@@ -343,11 +343,6 @@ impl Csr {
         self.cols
     }
 
-    /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
     /// The row-pointer array (`rows + 1` entries).
     pub fn row_ptr(&self) -> &[usize] {
         &self.row_ptr
@@ -372,15 +367,6 @@ impl Csr {
             }
         }
         Ok(m)
-    }
-
-    /// Length of the longest row (drives load balance in row-parallel
-    /// GPU kernels).
-    pub fn max_row_len(&self) -> usize {
-        (0..self.rows)
-            .map(|r| self.row_ptr[r + 1] - self.row_ptr[r])
-            .max()
-            .unwrap_or(0)
     }
 
     /// `o = aᵀV`, allocating the output: [`Csr::vecmat_into`] into a
@@ -539,7 +525,7 @@ impl Csr {
     /// turns the 16-bit form into `pmaddwd` (four products and their
     /// widening per instruction, on baseline SSE2) is codegen, not
     /// contract; the contract is the oracle tests. Which multiply ran is
-    /// not counted: [`BlockWidths::narrow_groups`] counts both.
+    /// not counted: `BlockWidths::narrow_groups` counts both.
     ///
     /// Mis-sized `frames` or `out` return [`Error::DimensionMismatch`].
     pub fn vecmat_block_into(
@@ -650,45 +636,13 @@ impl Csr {
         }
         transpose_out(acc, self.cols, out);
     }
-
-    /// Conventional `o = V·x` SpMV.
-    pub fn matvec(&self, x: &[i32]) -> Result<Vec<i64>> {
-        if x.len() != self.cols {
-            return Err(Error::DimensionMismatch {
-                context: format!("cols {} vs vector length {}", self.cols, x.len()),
-            });
-        }
-        Ok((0..self.rows)
-            .map(|r| {
-                self.row(r)
-                    .map(|(c, v)| i64::from(v) * i64::from(x[c]))
-                    .sum()
-            })
-            .collect())
-    }
-
-    /// Batched `O = A·V` where each row of `A` is an input vector
-    /// (SpMM with the sparse operand stationary) — the nested-`Vec`
-    /// bridge over [`Csr::vecmat_block_into`].
-    pub fn spmm(&self, a: &IntMatrix) -> Result<Vec<Vec<i64>>> {
-        if a.cols() != self.rows {
-            return Err(Error::DimensionMismatch {
-                context: format!("A cols {} vs V rows {}", a.cols(), self.rows),
-            });
-        }
-        let mut flat = vec![0i64; a.rows() * self.cols];
-        self.vecmat_block_into(a.as_slice(), a.rows(), &mut flat)?;
-        Ok((0..a.rows())
-            .map(|b| flat[b * self.cols..(b + 1) * self.cols].to_vec())
-            .collect())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use smm_core::gemv::{matvec, vecmat};
+    use smm_core::gemv::vecmat;
     use smm_core::generate::{element_sparse_matrix, random_vector};
     use smm_core::rng::{seeded, Rng};
 
@@ -697,8 +651,7 @@ mod tests {
         let d = IntMatrix::from_vec(3, 3, vec![1, 0, 2, 0, 0, 0, 3, 4, 0]).unwrap();
         let csr = Csr::from_dense(&d);
         assert_eq!(csr.row_ptr(), &[0, 2, 2, 4]);
-        assert_eq!(csr.nnz(), 4);
-        assert_eq!(csr.max_row_len(), 2);
+        assert_eq!(csr.values.len(), 4);
         assert_eq!(csr.to_dense().unwrap(), d);
     }
 
@@ -774,9 +727,7 @@ mod tests {
         let d = element_sparse_matrix(30, 25, 8, 0.8, true, &mut rng).unwrap();
         let csr = Csr::from_dense(&d);
         let a = random_vector(30, 8, true, &mut rng).unwrap();
-        let x = random_vector(25, 8, true, &mut rng).unwrap();
         assert_eq!(csr.vecmat(&a).unwrap(), vecmat(&a, &d).unwrap());
-        assert_eq!(csr.matvec(&x).unwrap(), matvec(&d, &x).unwrap());
     }
 
     #[test]
@@ -798,7 +749,10 @@ mod tests {
         let d = element_sparse_matrix(16, 12, 8, 0.7, true, &mut rng).unwrap();
         let a = element_sparse_matrix(5, 16, 8, 0.0, true, &mut rng).unwrap();
         let csr = Csr::from_dense(&d);
-        assert_eq!(csr.spmm(&a).unwrap(), smm_core::gemv::matmat(&a, &d).unwrap());
+        let mut flat = vec![0i64; 5 * 12];
+        csr.vecmat_block_into(a.as_slice(), 5, &mut flat).unwrap();
+        let rows: Vec<Vec<i64>> = flat.chunks(12).map(<[i64]>::to_vec).collect();
+        assert_eq!(rows, smm_core::gemv::matmat(&a, &d).unwrap());
     }
 
     #[test]
@@ -806,15 +760,13 @@ mod tests {
         let d = IntMatrix::zeros(3, 4).unwrap();
         let csr = Csr::from_dense(&d);
         assert!(csr.vecmat(&[1, 2]).is_err());
-        assert!(csr.matvec(&[1, 2, 3]).is_err());
     }
 
     #[test]
     fn empty_rows_handled() {
         let d = IntMatrix::zeros(4, 4).unwrap();
         let csr = Csr::from_dense(&d);
-        assert_eq!(csr.nnz(), 0);
-        assert_eq!(csr.max_row_len(), 0);
+        assert!(csr.values.is_empty());
         assert_eq!(csr.vecmat(&[1, 1, 1, 1]).unwrap(), vec![0; 4]);
     }
 
@@ -936,7 +888,7 @@ mod tests {
 
     /// Entries the column slices store beyond the non-zeros.
     fn padding(csr: &Csr) -> usize {
-        csr.slices.as_ref().unwrap().padded_len() - csr.nnz()
+        csr.slices.as_ref().unwrap().padded_len() - csr.values.len()
     }
 
     #[test]
@@ -949,10 +901,10 @@ mod tests {
         })
         .unwrap();
         let csr = Csr::from_dense(&lopsided);
-        assert_eq!(csr.nnz(), 80 + 8 * 2);
+        assert_eq!(csr.values.len(), 80 + 8 * 2);
         assert!(padding(&csr) <= 3 * 80, "{}", padding(&csr));
         // 4 lanes × 80 steps, then 4 × 2, then one column of 2 alone.
-        assert_eq!(padding(&csr) + csr.nnz(), 4 * 80 + 4 * 2 + 4 * 2);
+        assert_eq!(padding(&csr) + csr.values.len(), 4 * 80 + 4 * 2 + 4 * 2);
         let a: Vec<i32> = (0..80).map(|r| r % 7 - 3).collect();
         assert_gather_matches_scatter(&csr, &a);
 
@@ -960,7 +912,7 @@ mod tests {
         // padding at all.
         let banded = IntMatrix::from_fn(12, 8, |r, c| i32::from((r + c) % 4 == 0) * 3).unwrap();
         let csr = Csr::from_dense(&banded);
-        assert_eq!(csr.nnz(), 8 * 3);
+        assert_eq!(csr.values.len(), 8 * 3);
         assert_eq!(padding(&csr), 0);
         assert_gather_matches_scatter(&csr, &[5; 12]);
 

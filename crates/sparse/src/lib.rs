@@ -11,26 +11,26 @@
 //!
 //! [`Csr`] is also the serving stack's sparse engine, and keeps two
 //! layouts of the fixed matrix for it: rows for blocks and sparse
-//! frames, column slices for dense frames (see [`csr`]).
+//! frames, column slices for dense frames (see `csr`).
 //!
 //! ```
 //! use smm_core::matrix::IntMatrix;
-//! use smm_sparse::csr::Csr;
+//! use smm_sparse::Csr;
 //!
 //! let dense = IntMatrix::from_vec(2, 2, vec![0, 3, -1, 0]).unwrap();
 //! let csr = Csr::from_dense(&dense);
-//! assert_eq!(csr.nnz(), 2);
+//! assert_eq!(csr.row_ptr(), &[0, 1, 2]);
 //! assert_eq!(csr.vecmat(&[10, 100]).unwrap(), vec![-100, 30]);
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod coo;
-pub mod csr;
+mod coo;
+mod csr;
 mod slices;
-pub mod stats;
+mod stats;
 
 pub use coo::Coo;
-pub use csr::{BlockWidths, Csr};
+pub use csr::Csr;
 pub use stats::SparsityProfile;

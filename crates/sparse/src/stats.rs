@@ -10,17 +10,11 @@ pub struct SparsityProfile {
     /// Matrix rows.
     pub rows: usize,
     /// Matrix columns.
-    pub cols: usize,
+    pub(crate) cols: usize,
     /// Stored non-zeros.
     pub nnz: usize,
     /// Fraction of zero elements.
     pub element_sparsity: f64,
-    /// Mean non-zeros per row.
-    pub mean_row_len: f64,
-    /// Longest row (load-imbalance driver).
-    pub max_row_len: usize,
-    /// Coefficient of variation of row lengths (0 = perfectly balanced).
-    pub row_len_cv: f64,
 }
 
 impl SparsityProfile {
@@ -43,24 +37,11 @@ impl SparsityProfile {
     fn from_row_lens(cols: usize, lens: Vec<usize>) -> Self {
         let rows = lens.len();
         let nnz: usize = lens.iter().sum();
-        let mean = nnz as f64 / rows as f64;
-        let var = lens
-            .iter()
-            .map(|&l| {
-                let d = l as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / rows as f64;
-        let cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
         Self {
             rows,
             cols,
             nnz,
             element_sparsity: 1.0 - nnz as f64 / (rows * cols) as f64,
-            mean_row_len: mean,
-            max_row_len: lens.into_iter().max().unwrap_or(0),
-            row_len_cv: cv,
         }
     }
 }
@@ -77,19 +58,7 @@ mod tests {
         let d = IntMatrix::from_vec(2, 4, vec![1, 2, 3, 4, 0, 0, 0, 5]).unwrap();
         let p = SparsityProfile::of(&Csr::from_dense(&d));
         assert_eq!(p.nnz, 5);
-        assert_eq!(p.max_row_len, 4);
         assert!((p.element_sparsity - 3.0 / 8.0).abs() < 1e-12);
-        assert!((p.mean_row_len - 2.5).abs() < 1e-12);
-        assert!(p.row_len_cv > 0.0);
-    }
-
-    #[test]
-    fn uniform_rows_have_low_cv() {
-        let mut rng = seeded(51);
-        let d = element_sparse_matrix(64, 64, 8, 0.9, true, &mut rng).unwrap();
-        let p = SparsityProfile::of(&Csr::from_dense(&d));
-        assert_eq!(p.nnz, d.nnz());
-        assert!(p.row_len_cv < 1.5);
     }
 
     #[test]
@@ -98,7 +67,6 @@ mod tests {
         let p = SparsityProfile::of(&Csr::from_dense(&d));
         assert_eq!(p.nnz, 0);
         assert_eq!(p.element_sparsity, 1.0);
-        assert_eq!(p.row_len_cv, 0.0);
         assert_eq!(SparsityProfile::of_dense(&d), p);
     }
 

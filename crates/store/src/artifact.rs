@@ -79,10 +79,10 @@ use smm_core::wire::{
 use smm_sparse::Csr;
 
 /// File magic: `SMMA` ("spatial matrix multiplier artifact").
-pub const MAGIC: [u8; 4] = *b"SMMA";
+pub(crate) const MAGIC: [u8; 4] = *b"SMMA";
 
 /// Current artifact format revision. Readers reject any other value.
-pub const FORMAT_REV: u32 = 2;
+pub(crate) const FORMAT_REV: u32 = 2;
 
 fn format_err(context: impl Into<String>) -> Error {
     Error::Wire {
@@ -182,10 +182,10 @@ pub enum ArtifactKind {
 
 impl ArtifactKind {
     /// All kinds, in file-extension order.
-    pub const ALL: [ArtifactKind; 3] = [ArtifactKind::Matrix, ArtifactKind::Csr, ArtifactKind::Circuit];
+    pub(crate) const ALL: [ArtifactKind; 3] = [ArtifactKind::Matrix, ArtifactKind::Csr, ArtifactKind::Circuit];
 
     /// The kind byte written into the artifact header.
-    pub fn as_u8(self) -> u8 {
+    pub(crate) fn as_u8(self) -> u8 {
         match self {
             ArtifactKind::Matrix => 1,
             ArtifactKind::Csr => 2,
@@ -194,7 +194,7 @@ impl ArtifactKind {
     }
 
     /// Decodes a header kind byte.
-    pub fn from_u8(v: u8) -> Option<Self> {
+    pub(crate) fn from_u8(v: u8) -> Option<Self> {
         match v {
             1 => Some(ArtifactKind::Matrix),
             2 => Some(ArtifactKind::Csr),
@@ -213,7 +213,7 @@ impl ArtifactKind {
     }
 
     /// Parses a file-name component back to a kind.
-    pub fn from_ext(ext: &str) -> Option<Self> {
+    pub(crate) fn from_ext(ext: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|k| k.ext() == ext)
     }
 }
@@ -253,7 +253,7 @@ pub enum Artifact {
 
 impl Artifact {
     /// The kind tag this artifact serializes under.
-    pub fn kind(&self) -> ArtifactKind {
+    pub(crate) fn kind(&self) -> ArtifactKind {
         match self {
             Artifact::Matrix(_) => ArtifactKind::Matrix,
             Artifact::Csr(_) => ArtifactKind::Csr,
@@ -358,7 +358,7 @@ fn take_usize_vec(c: &mut Cursor<'_>, what: &str) -> Result<Vec<usize>> {
 
 /// Serializes `artifact` under the matrix content `digest` into the
 /// versioned file layout. A matrix is written as its body, the bytes
-/// [`encode_body`] writes for it; the other kinds carry their payload's
+/// `encode_body` writes for it; the other kinds carry their payload's
 /// CRC-32.
 pub fn encode(digest: u64, artifact: &Artifact) -> Vec<u8> {
     let payload = artifact.encode_payload();
@@ -372,7 +372,7 @@ pub fn encode(digest: u64, artifact: &Artifact) -> Vec<u8> {
 
 /// Serializes a matrix body under `digest`: the header, then the body's
 /// bytes as they are.
-pub fn encode_body(digest: u64, body: &MatrixBody) -> Vec<u8> {
+pub(crate) fn encode_body(digest: u64, body: &MatrixBody) -> Vec<u8> {
     let mut buf = header(digest, ArtifactKind::Matrix, body.as_bytes().len());
     put_bytes(&mut buf, body.as_bytes());
     buf

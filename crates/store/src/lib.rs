@@ -26,10 +26,10 @@
 //!   once, by the content digest it is filed under, computed from its
 //!   non-zeros with no dense pass; the CRC-32 (table-driven, slice-by-8)
 //!   is written and verified only for the kinds no digest covers.
-//! * [`store`] — the [`Store`] directory API: `put` / `get` /
+//! * `store` — the [`Store`] directory API: `put` / `get` /
 //!   `contains` / `evict` / `scan` / `gc`, with atomic writes and
 //!   hostile-input decoding.
-//! * [`tier`] — the [`Tier`] enum and per-tier occupancy counts.
+//! * `tier` — the [`Tier`] enum and per-tier occupancy counts.
 //!
 //! The in-memory side of the fleet — sessions, promotion, demotion, and
 //! the LRU stamp each entry carries to pick demotion victims — lives in
@@ -55,9 +55,9 @@
 )]
 
 pub mod artifact;
-pub mod store;
-pub mod tier;
+mod store;
+mod tier;
 
 pub use artifact::{Artifact, ArtifactKind, CircuitMeta};
-pub use store::{GcReport, Store, StoreEntry};
+pub use store::Store;
 pub use tier::{Tier, TierCounts};

@@ -12,6 +12,13 @@
 //! never a panic. A file of an older format revision is refused the
 //! same way, and [`Store::gc`] removes it.
 //!
+//! **What a write survives.** [`Store::put`] writes a temporary file,
+//! calls `sync_all` on it and renames it over the artifact's name before
+//! it returns, so a killed process loses nothing a `put` acknowledged.
+//! It does not fsync the directory after the rename, so a power cut may
+//! drop the last acknowledged load: its file either comes back whole
+//! under its name or is absent, never torn.
+//!
 //! The fleet writes and reads a matrix as its body ([`Store::put_body`],
 //! [`Store::get_body`]): the bytes it received are the bytes it files,
 //! and a cold read never makes the matrix dense. [`Store::put`] /

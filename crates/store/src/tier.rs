@@ -23,17 +23,6 @@ pub enum Tier {
     Cold,
 }
 
-impl Tier {
-    /// Lowercase tier name, as used in metric labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            Tier::Hot => "hot",
-            Tier::Warm => "warm",
-            Tier::Cold => "cold",
-        }
-    }
-}
-
 /// Resident-entry counts per tier, as exported by the
 /// `smm_store_tier_resident` gauges and the wire `Stats` reply.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,13 +45,6 @@ impl TierCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_match_metric_labels() {
-        assert_eq!(Tier::Hot.name(), "hot");
-        assert_eq!(Tier::Warm.name(), "warm");
-        assert_eq!(Tier::Cold.name(), "cold");
-    }
 
     #[test]
     fn counts_total() {

@@ -13,7 +13,11 @@ use smm_core::rng::seeded;
 use smm_core::error::Error;
 use smm_core::wire::put_u32;
 use smm_sparse::Csr;
-use smm_store::artifact::{self, Artifact, ArtifactKind, CircuitMeta, FORMAT_REV, MAGIC};
+use smm_store::artifact::{self, Artifact, CircuitMeta};
+
+/// The artifact header's magic and format revision, pinned as literals.
+const MAGIC: [u8; 4] = *b"SMMA";
+const FORMAT_REV: u32 = 2;
 
 /// Header offsets of the rev-2 layout: `magic (4) · rev (4) · kind (1)
 /// · digest (8) · [payload CRC-32 (4), Csr and Circuit only] · payload
@@ -285,7 +289,7 @@ fn wrong_rev_and_wrong_kind_are_rejected() {
     // body. The reader then takes the body's length prefix for a CRC and
     // the body for a length-prefixed payload, and the framing refuses it.
     let mut cross = good;
-    cross[8] = ArtifactKind::Csr.as_u8();
+    cross[8] = 2; // the CSR kind byte
     assert!(artifact::decode(&cross).is_err());
 }
 
@@ -296,7 +300,7 @@ fn lying_payload_length_is_rejected_without_allocating() {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&MAGIC);
     put_u32(&mut bytes, FORMAT_REV);
-    bytes.push(ArtifactKind::Matrix.as_u8());
+    bytes.push(1); // the matrix kind byte
     bytes.extend_from_slice(&7u64.to_le_bytes());
     put_u32(&mut bytes, u32::MAX); // payload length prefix
     let err = artifact::decode(&bytes).unwrap_err().to_string();
@@ -319,7 +323,7 @@ fn huge_dimension_header_is_rejected_before_allocation() {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&MAGIC);
     put_u32(&mut bytes, FORMAT_REV);
-    bytes.push(ArtifactKind::Matrix.as_u8());
+    bytes.push(1); // the matrix kind byte
     bytes.extend_from_slice(&7u64.to_le_bytes());
     put_u32(&mut bytes, payload.len() as u32);
     bytes.extend_from_slice(&payload);

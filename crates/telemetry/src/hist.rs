@@ -88,11 +88,6 @@ impl LatencyHistogram {
         // stays exact for every bucket, i = 63 included.
         (1u64 << i) + ((1u64 << i) >> 1)
     }
-
-    /// [`LatencyHistogram::quantile_ns`] as a [`Duration`].
-    pub fn quantile(&self, q: f64) -> Duration {
-        Duration::from_nanos(self.quantile_ns(q))
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +99,7 @@ mod tests {
         let h = LatencyHistogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile_ns(0.5), 0);
-        assert_eq!(h.quantile(0.99), Duration::ZERO);
+        assert_eq!(h.quantile_ns(0.99), 0);
     }
 
     #[test]

@@ -3,18 +3,17 @@
 //!
 //! Every latency number the workspace reports flows through this crate:
 //!
-//! - [`hist`] — the lock-free log-bucket [`LatencyHistogram`], so the
+//! - `hist` — the lock-free log-bucket [`LatencyHistogram`], so the
 //!   server, the runtime sessions and the load generator share one
 //!   quantile implementation and one set of regression tests.
-//! - [`span`] — per-request trace [`Span`]s over the fixed pipeline
+//! - `span` — per-request trace [`Span`]s over the fixed pipeline
 //!   [`Stage`]s (decode → queue → plan → shard → reassemble → compute →
 //!   encode), recorded through a cloneable [`SpanRecorder`] at one
 //!   `Instant::now()` per stage boundary, and the named per-stage
-//!   [`StageSummary`] rows behind every stage table.
-//! - [`sync`] — the poison-recovering [`lock_or_recover`] /
-//!   [`get_mut_or_recover`] helpers every crate takes its shared-state
-//!   guards through, so one panicking worker cannot cascade into every
-//!   thread that shares a mutex.
+//!   `span::StageSummary` rows behind every stage table.
+//! - `sync` — the poison-recovering [`lock_or_recover`] helper every
+//!   crate takes its shared-state guards through, so one panicking
+//!   worker cannot cascade into every thread that shares a mutex.
 //!
 //! There is no metric directory and no exposition here: a server's
 //! counters and its Prometheus text live with the state they describe
@@ -42,10 +41,10 @@
     )
 )]
 
-pub mod hist;
-pub mod span;
-pub mod sync;
+mod hist;
+mod span;
+mod sync;
 
 pub use hist::LatencyHistogram;
-pub use sync::{get_mut_or_recover, lock_or_recover};
-pub use span::{stage_summaries, Span, SpanRecorder, Stage, StageStats, StageSummary, STAGES};
+pub use sync::lock_or_recover;
+pub use span::{stage_summaries, Span, SpanRecorder, Stage, StageStats, STAGES};

@@ -73,11 +73,6 @@ impl Stage {
         self as usize
     }
 
-    /// The stage at index `i` of [`Stage::ALL`], if in range.
-    pub fn from_idx(i: usize) -> Option<Stage> {
-        Stage::ALL.get(i).copied()
-    }
-
     /// Lower-case stable name, used as the Prometheus `stage` label and
     /// in latency tables.
     pub fn name(self) -> &'static str {
@@ -230,11 +225,6 @@ impl Span<'_> {
     pub fn skip(&mut self) {
         self.last = Instant::now();
     }
-
-    /// The last stage marked on this span, if any.
-    pub fn last_stage(&self) -> Option<Stage> {
-        self.last_stage
-    }
 }
 
 #[cfg(test)]
@@ -250,9 +240,7 @@ mod tests {
         );
         for (i, s) in Stage::ALL.iter().enumerate() {
             assert_eq!(s.idx(), i);
-            assert_eq!(Stage::from_idx(i), Some(*s));
         }
-        assert_eq!(Stage::from_idx(STAGES), None);
         assert!(Stage::Decode < Stage::Queue && Stage::Compute < Stage::Encode);
     }
 
@@ -352,10 +340,10 @@ mod tests {
     fn last_stage_tracks_progress() {
         let rec = SpanRecorder::new();
         let mut span = rec.span();
-        assert_eq!(span.last_stage(), None);
+        assert_eq!(span.last_stage, None);
         span.mark(Stage::Decode);
-        assert_eq!(span.last_stage(), Some(Stage::Decode));
+        assert_eq!(span.last_stage, Some(Stage::Decode));
         span.skip();
-        assert_eq!(span.last_stage(), Some(Stage::Decode), "skip leaves the stage");
+        assert_eq!(span.last_stage, Some(Stage::Decode), "skip leaves the stage");
     }
 }

@@ -22,7 +22,7 @@ use std::sync::{Mutex, MutexGuard};
 /// Locks `mutex`, recovering the guard if a previous holder panicked.
 ///
 /// ```
-/// use smm_telemetry::sync::lock_or_recover;
+/// use smm_telemetry::lock_or_recover;
 /// use std::sync::Mutex;
 ///
 /// let shared = Mutex::new(vec![1, 2, 3]);
@@ -32,15 +32,6 @@ use std::sync::{Mutex, MutexGuard};
 pub fn lock_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     match mutex.lock() {
         Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// [`Mutex::get_mut`] with the same poison recovery — for owners with
-/// exclusive access (e.g. inside `Drop`), where no lock is needed.
-pub fn get_mut_or_recover<T>(mutex: &mut Mutex<T>) -> &mut T {
-    match mutex.get_mut() {
-        Ok(inner) => inner,
         Err(poisoned) => poisoned.into_inner(),
     }
 }
@@ -63,16 +54,5 @@ mod tests {
         assert_eq!(*lock_or_recover(&shared), 7);
         *lock_or_recover(&shared) = 8;
         assert_eq!(*lock_or_recover(&shared), 8);
-    }
-
-    #[test]
-    fn get_mut_recovers_too() {
-        let mut shared = Mutex::new(String::from("fleet"));
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = shared.lock().unwrap();
-            panic!("poison");
-        }));
-        get_mut_or_recover(&mut shared).push_str("-state");
-        assert_eq!(*lock_or_recover(&shared), "fleet-state");
     }
 }

@@ -49,7 +49,7 @@ fn main() {
     assert_eq!(circuit_out, reference);
     println!(
         "\nsimulated o = aᵀV across {} gate-level nodes: bit-exact vs reference ✓",
-        multiplier.circuit().netlist.len()
+        multiplier.circuit().netlist.nodes().len()
     );
     println!("first outputs: {:?}", &circuit_out[..8.min(circuit_out.len())]);
 }

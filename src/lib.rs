@@ -28,14 +28,14 @@
 //! The serving API's front door is [`Session`], re-exported here: give
 //! it a matrix and it plans an engine (the cheapest kernel per frame on
 //! the matrix's rows, columns and non-zeros — the rationale carries the
-//! numbers), builds it ([`runtime::spec::build`], one `match` over the
+//! numbers), builds it (the runtime's `spec::build`, one `match` over the
 //! built-in kinds), and serves through a sharding worker pool:
 //!
 //! ```
 //! use spatial_smm::{core::matrix::IntMatrix, Session};
 //!
 //! let v = IntMatrix::from_vec(2, 2, vec![1, -2, 3, 4]).unwrap();
-//! let session = Session::auto(v).unwrap();
+//! let session = Session::builder(v).build().unwrap();
 //! assert_eq!(session.run(&[5, 6]).unwrap(), vec![23, 14]);
 //! println!("{}", session.plan().rationale);
 //! ```
@@ -51,8 +51,8 @@
 //! 2. [`runtime`] is the in-process serving layer: [`Session`] over a
 //!    [`runtime::GemvBackend`] trait with dense-reference, CSR,
 //!    compiled bit-serial, and SIGMA tile-mapped engines built by
-//!    [`runtime::spec::build`] from an [`EngineSpec`] (a new engine
-//!    family is one more arm there); [`runtime::plan::plan`], which
+//!    the runtime's `spec::build` from an [`EngineSpec`] (a new engine
+//!    family is one more arm there); the runtime's `plan::plan`, which
 //!    prices the dense, CSR and sigma kernels per matrix under a
 //!    [`PlanPolicy`], in nanoseconds per frame at their measured rates
 //!    (the gpu, cgra and
