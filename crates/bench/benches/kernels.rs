@@ -25,7 +25,7 @@ use smm_core::rng::seeded;
 use smm_runtime::{EngineSpec, MultiplierCache, Session};
 use smm_sparse::{Coo, Csr};
 use smm_core::matrix::IntMatrix;
-use smm_core::wire::{Cursor, MatrixBody};
+use smm_core::wire::{xxh64, Cursor, MatrixBody};
 use smm_store::artifact::{self, crc32, crc32_bitwise, Artifact};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -227,13 +227,12 @@ fn bench_bitserial_batch(c: &mut Criterion) {
 
 /// What a cold promotion runs over a matrix's bytes, each against the
 /// body it replaced: the slice-by-8 CRC-32 vs the bit-at-a-time one on
-/// a 256² artifact payload (262 KB), the run-skipping digest (one
-/// multiply per zero run, found through 16-element non-zero masks) vs
-/// the byte-serial one at 256² with 0, 50, 90, 99 and 100 % zeros —
-/// the mask walk must not cost the dense case, and 90 % is the
-/// benchmark's cold-read matrix — `artifact::decode_body` of a
-/// 256²/90 % matrix artifact — the body checked and its digest taken
-/// over the non-zeros in one walk — vs decoding the same bytes to the
+/// a 256² artifact payload (262 KB), the content digest (`wire::xxh64`,
+/// four lanes over 32-byte stripes) vs the same algorithm fed one byte
+/// at a time over the bodies of 256² matrices with 0, 50, 90, 99 and
+/// 100 % zeros — 90 % is the benchmark's cold-read matrix —
+/// `artifact::decode_body` of a 256²/90 % matrix artifact — the body
+/// checked in one pass and hashed — vs decoding the same bytes to the
 /// dense matrix and digesting that, and the CSR build from a body and
 /// from the dense matrix vs the route through COO triples at 256² and
 /// 1024², 90 % sparse — every side finishes by deriving the accumulator
@@ -255,13 +254,24 @@ fn bench_store_checksums(c: &mut Criterion) {
 
     for &pct in &[0u32, 50, 90, 99, 100] {
         let m = element_sparse_matrix(256, 256, 8, f64::from(pct) / 100.0, true, &mut rng).unwrap();
-        assert_eq!(m.digest(), m.digest_bytewise(), "digests diverged at {pct}% zeros");
-        group.bench_with_input(BenchmarkId::new("digest/run_skipping", pct), &pct, |b, _| {
-            b.iter(|| black_box(&m).digest())
+        let body = MatrixBody::of(&m);
+        let bytes = body.as_bytes();
+        assert_eq!(xxh64(bytes), xxh64_bytewise(bytes), "digests diverged at {pct}% zeros");
+        group.bench_with_input(BenchmarkId::new("digest/four_lane", pct), &pct, |b, _| {
+            b.iter(|| xxh64(black_box(bytes)))
         });
         group.bench_with_input(BenchmarkId::new("digest/bytewise", pct), &pct, |b, _| {
-            b.iter(|| black_box(&m).digest_bytewise())
+            b.iter(|| xxh64_bytewise(black_box(bytes)))
         });
+    }
+
+    // One matrix, one digest, at each value width a body can take.
+    for (bits, width) in [(8, 1), (16, 2), (31, 4)] {
+        let m = element_sparse_matrix(64, 64, bits, 0.5, true, &mut rng).unwrap();
+        let written = MatrixBody::of(&m);
+        assert_eq!(written.width(), width, "{bits}-bit values");
+        let read = Cursor::new(written.as_bytes()).take_matrix_body().unwrap();
+        assert_eq!([m.digest(), written.digest()], [read.digest(); 2], "digests diverged at {bits} bits");
     }
 
     let m = element_sparse_matrix(256, 256, 8, 0.9, true, &mut rng).unwrap();
@@ -269,7 +279,7 @@ fn bench_store_checksums(c: &mut Criterion) {
     let (digest, body) = artifact::decode_body(&file).unwrap();
     assert_eq!((digest, body.to_matrix().unwrap()), (m.digest(), m.clone()), "decode lost the matrix");
     assert_eq!(decode_dense(&file), (digest, m), "cold decodes diverged");
-    group.bench_function("cold_decode/body_nonzero_digest", |b| {
+    group.bench_function("cold_decode/body", |b| {
         b.iter(|| artifact::decode_body(black_box(&file)).unwrap())
     });
     group.bench_function("cold_decode/dense_digest", |b| {
@@ -296,9 +306,9 @@ fn bench_store_checksums(c: &mut Criterion) {
 }
 
 /// A matrix artifact read to its dense form and digested there, the way
-/// cold reads ran before the digest was taken over the body's non-zeros:
-/// the oracle `artifact::decode_body` is held to (same digest out of the
-/// same bytes).
+/// cold reads ran before they kept the body: the oracle
+/// `artifact::decode_body` is held to (same digest out of the same
+/// bytes).
 fn decode_dense(file: &[u8]) -> (u64, IntMatrix) {
     // Past magic (4), format rev (4) and kind (1).
     let mut header = Cursor::new(&file[9..]);
@@ -307,6 +317,68 @@ fn decode_dense(file: &[u8]) -> (u64, IntMatrix) {
     let m = Cursor::new(payload).take_matrix().unwrap();
     assert_eq!(m.digest(), digest, "content digest");
     (digest, m)
+}
+
+/// XXH64 (seed 0) fed one byte at a time, the way a streaming hasher
+/// takes its input: each byte goes into a 32-byte stripe buffer, a full
+/// stripe is cut into the four lanes' words by shifts, and the tail left
+/// in the buffer is folded in 8-, 4- and 1-byte steps. Written from the
+/// published algorithm apart from `wire::xxh64`, it is the reference
+/// that function is raced against and held to.
+fn xxh64_bytewise(bytes: &[u8]) -> u64 {
+    const P1: u64 = 11_400_714_785_074_694_791;
+    const P2: u64 = 14_029_467_366_897_019_727;
+    const P3: u64 = 1_609_587_929_392_839_161;
+    const P4: u64 = 9_650_029_242_287_828_579;
+    const P5: u64 = 2_870_177_450_012_600_261;
+    let round = |acc: u64, word: u64| {
+        acc.wrapping_add(word.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+    };
+    let word_at = |buf: &[u8], at: usize, len: usize| {
+        (0..len).fold(0u64, |word, k| word | u64::from(buf[at + k]) << (8 * k))
+    };
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, 0u64.wrapping_sub(P1)];
+    let mut stripe = [0u8; 32];
+    let mut filled = 0;
+    for &byte in bytes {
+        stripe[filled] = byte;
+        filled += 1;
+        if filled == 32 {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane = round(*lane, word_at(&stripe, 8 * i, 8));
+            }
+            filled = 0;
+        }
+    }
+    let mut h = if bytes.len() < 32 {
+        P5
+    } else {
+        let mut h = lanes[0].rotate_left(1)
+            .wrapping_add(lanes[1].rotate_left(7))
+            .wrapping_add(lanes[2].rotate_left(12))
+            .wrapping_add(lanes[3].rotate_left(18));
+        for lane in lanes {
+            h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+        }
+        h
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut at = 0;
+    while at + 8 <= filled {
+        h = (h ^ round(0, word_at(&stripe, at, 8))).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+        at += 8;
+    }
+    if at + 4 <= filled {
+        h = (h ^ word_at(&stripe, at, 4).wrapping_mul(P1)).rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+        at += 4;
+    }
+    while at < filled {
+        h = (h ^ u64::from(stripe[at]).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
+        at += 1;
+    }
+    h = (h ^ h >> 33).wrapping_mul(P2);
+    h = (h ^ h >> 29).wrapping_mul(P3);
+    h ^ h >> 32
 }
 
 /// The planner's regret: every engine's one-frame `run_rows` on one

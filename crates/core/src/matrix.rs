@@ -34,109 +34,6 @@ pub(crate) fn unsigned_bits_for(value: u32) -> u32 {
     (32 - value.leading_zeros()).max(1)
 }
 
-const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// Continues a 64-bit FNV-1a hash over `bytes`.
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// Elements per non-zero bitmask in [`IntMatrix::digest`].
-const DIGEST_CHUNK: usize = 16;
-
-/// `P^(4k)` for `k < 64`: what a run of `k` zero elements multiplies
-/// the digest by.
-const ZERO_RUN_POWERS: [u64; 64] = {
-    let squared = FNV_PRIME.wrapping_mul(FNV_PRIME);
-    let pow4 = squared.wrapping_mul(squared);
-    let mut table = [1u64; 64];
-    let mut k = 1;
-    while k < table.len() {
-        table[k] = table[k - 1].wrapping_mul(pow4);
-        k += 1;
-    }
-    table
-};
-
-/// `P^(4·run)`: the table's entry for `run % 64` times `P^(256)` raised
-/// to `run / 64` by square-and-multiply. It reads only `run`, so none of
-/// it waits on the hash.
-fn zero_run_power(run: usize) -> u64 {
-    let len = ZERO_RUN_POWERS.len();
-    let mut power = ZERO_RUN_POWERS[run % len];
-    let mut stride = ZERO_RUN_POWERS[len - 1].wrapping_mul(ZERO_RUN_POWERS[1]);
-    let mut rest = run / len;
-    while rest != 0 {
-        if rest & 1 == 1 {
-            power = power.wrapping_mul(stride);
-        }
-        stride = stride.wrapping_mul(stride);
-        rest >>= 1;
-    }
-    power
-}
-
-/// [`IntMatrix::digest`] fed one non-zero at a time, in row-major order:
-/// each non-zero first multiplies in the power owed for the zeros since
-/// the one before it, then hashes its four bytes. Both the dense walk and
-/// a matrix body's non-zeros (`wire::MatrixBody`) run through it, so the
-/// two can only agree.
-pub(crate) struct NonzeroDigest {
-    hash: u64,
-    /// One past the last non-zero hashed: the zeros from here to the
-    /// next one are owed as a single multiply.
-    resume: usize,
-}
-
-impl NonzeroDigest {
-    /// The digest's prefix: FNV-1a over the two dimensions.
-    pub(crate) fn new(rows: usize, cols: usize) -> Self {
-        let hash = fnv1a(FNV_OFFSET_BASIS, &(rows as u64).to_le_bytes());
-        Self { hash: fnv1a(hash, &(cols as u64).to_le_bytes()), resume: 0 }
-    }
-
-    /// Hashes the non-zero `value` at row-major `index`, past every
-    /// index hashed so far.
-    #[inline(always)]
-    pub(crate) fn push(&mut self, index: usize, value: i32) {
-        self.hash = self.hash.wrapping_mul(zero_run_power(index - self.resume));
-        self.hash = fnv1a(self.hash, &value.to_le_bytes());
-        self.resume = index + 1;
-    }
-
-    /// The digest of a matrix of `len` elements whose non-zeros have all
-    /// been pushed: the zeros after the last one are one final multiply.
-    pub(crate) fn finish(self, len: usize) -> u64 {
-        self.hash.wrapping_mul(zero_run_power(len - self.resume))
-    }
-}
-
-/// Continues [`IntMatrix::digest`] over `chunk`, the elements from index
-/// `start` on.
-#[inline(always)]
-fn digest_chunk(walk: &mut NonzeroDigest, start: usize, chunk: &[i32]) {
-    let mut nonzero = chunk
-        .iter()
-        .enumerate()
-        .fold(0u32, |mask, (i, &v)| mask | u32::from(v != 0) << i);
-    if nonzero == (1 << chunk.len()) - 1 {
-        // No zero inside: one power for the run before, then no more.
-        let hash = walk.hash.wrapping_mul(zero_run_power(start - walk.resume));
-        walk.hash = chunk.iter().fold(hash, |h, v| fnv1a(h, &v.to_le_bytes()));
-        walk.resume = start + chunk.len();
-        return;
-    }
-    while nonzero != 0 {
-        let i = nonzero.trailing_zeros() as usize;
-        nonzero &= nonzero - 1;
-        walk.push(start + i, chunk[i]);
-    }
-}
-
 /// `rows * cols` for a matrix shape: a typed error, never a panic or a
 /// wrapped product, when a dimension is zero or the count overflows.
 fn element_count(rows: usize, cols: usize) -> Result<usize> {
@@ -308,47 +205,18 @@ impl IntMatrix {
 
     /// A stable 64-bit content digest of the matrix (shape and elements).
     ///
-    /// FNV-1a over the dimensions and the row-major elements in
-    /// little-endian byte order. The digest is part of the on-disk /
-    /// cross-process contract used by compiled-multiplier caches: it
-    /// depends only on the matrix content, never on pointer identity, and
-    /// will not change between runs or releases.
-    ///
-    /// Zero runs are skipped: FNV-1a's step is `h ← (h ^ b)·P` and
-    /// `h ^ 0 = h`, so a zero byte is a bare multiply by `P`, a zero
-    /// element (four zero bytes) is one by `P⁴`, and a run of `k` zero
-    /// elements is `h·P^(4k)` — multiplication mod 2⁶⁴ is associative, so
-    /// the product of the run's `4k` factors can be taken first. The walk
-    /// reads the elements 16 at a time as a non-zero bitmask and, for each
-    /// set bit, multiplies the hash once by the power owed for the zeros
-    /// since the previous non-zero, then hashes the element's four bytes
-    /// as before; the zeros after the last non-zero are one final
-    /// multiply (16 non-zeros in a row take no power between them). The
-    /// powers depend only on run lengths, never on the hash, so the
-    /// serial chain is at most five multiplies per non-zero and none per
-    /// zero, and nothing in the byte order or the arithmetic changes:
-    /// the value is [`IntMatrix::digest_bytewise`]'s for every matrix.
+    /// XXH64 with seed 0 ([`crate::wire::xxh64`]) over the matrix's body,
+    /// the bytes [`crate::wire::put_matrix`] writes for it: the shape, the
+    /// count of non-zeros, the value width, and each non-zero's column and
+    /// value. A matrix has exactly one body, so the digest depends only on
+    /// the content, never on pointer identity, and a receiver of a body
+    /// takes the same value over the bytes it received
+    /// ([`crate::wire::MatrixBody::digest`]). The digest is part of the
+    /// on-disk / cross-process contract: it names store files and keys
+    /// compiled-multiplier caches, and it will not change between runs or
+    /// releases without a store revision and a wire version.
     pub fn digest(&self) -> u64 {
-        let mut walk = NonzeroDigest::new(self.rows, self.cols);
-        let mut chunks = self.data.chunks_exact(DIGEST_CHUNK);
-        for (n, chunk) in (&mut chunks).enumerate() {
-            digest_chunk(&mut walk, n * DIGEST_CHUNK, chunk);
-        }
-        let tail = chunks.remainder();
-        digest_chunk(&mut walk, self.data.len() - tail.len(), tail);
-        walk.finish(self.data.len())
-    }
-
-    /// The byte-at-a-time FNV-1a digest — the reference
-    /// [`IntMatrix::digest`] is tested and raced against
-    /// (`store_checksums` in the `kernels` bench). Nothing serves
-    /// through it.
-    pub fn digest_bytewise(&self) -> u64 {
-        let mut hash = NonzeroDigest::new(self.rows, self.cols).hash;
-        for &v in &self.data {
-            hash = fnv1a(hash, &v.to_le_bytes());
-        }
-        hash
+        crate::wire::MatrixBody::of(self).digest()
     }
 
     /// Element-wise difference `self - other`.
@@ -527,19 +395,19 @@ mod tests {
     #[test]
     fn digest_is_stable_across_releases() {
         // Golden value: the digest is a persistent cache key, so its exact
-        // value is part of the contract. Recompute by hand (FNV-1a over
-        // rows, cols, data as little-endian bytes) if this ever needs to
-        // change, and bump any on-disk caches.
+        // value is part of the contract. It is XXH64 (seed 0) over
+        // `put_matrix`'s bytes; recompute with any XXH64 over those bytes
+        // if this ever needs to change, and bump the store revision and
+        // the wire version.
         let m = IntMatrix::from_vec(2, 2, vec![1, -2, 3, 4]).unwrap();
-        assert_eq!(m.digest(), 0x16b1_8a68_ab20_6b96);
+        assert_eq!(m.digest(), 0x6c16_740a_5a80_63ab);
     }
 
     #[test]
     fn digest_is_stable_across_a_long_zero_run() {
-        // Golden value taken from `digest_bytewise` before the digest
-        // skipped zero runs: a change made to both functions at once
-        // still fails here. 200 zeros between columns 50 and 251 (longer
-        // than the power table and across chunks), 48 after the last.
+        // Golden value as above, for a body longer than one 32-byte
+        // stripe: 200 zeros between columns 50 and 251, 48 after the last
+        // non-zero, values two bytes wide.
         let m = IntMatrix::from_fn(1, 300, |_, c| match c {
             0 => 7,
             50 => -1,
@@ -547,8 +415,7 @@ mod tests {
             _ => 0,
         })
         .unwrap();
-        assert_eq!(m.digest_bytewise(), 0x47b4_6bb6_cddf_4d2b);
-        assert_eq!(m.digest(), 0x47b4_6bb6_cddf_4d2b);
+        assert_eq!(m.digest(), 0x2918_abbc_e854_7a89);
     }
 
     #[test]

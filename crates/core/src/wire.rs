@@ -33,11 +33,27 @@
 //! matrices have equal bytes and a receiver may keep the bytes it got.
 //! [`MatrixBody`] is such a body kept whole — what the serving fleet
 //! holds in memory and files on disk — and computes from its non-zeros
-//! the values the dense matrix would give: [`IntMatrix::digest`] and the
-//! dense matrix itself.
+//! what the dense matrix would give, the dense matrix included.
+//!
+//! ## The content digest
+//!
+//! A matrix's content digest ([`IntMatrix::digest`],
+//! [`MatrixBody::digest`]) is [`xxh64`] with seed 0 over its body's
+//! bytes, header included. One matrix has one body, so the digest is a
+//! function of the matrix alone, and a receiver takes it over the bytes
+//! it received, at memory speed: four independent lanes each fold one
+//! 8-byte word of every 32-byte stripe, so no step waits on more than a
+//! quarter of the input.
+//!
+//! Reading a body checks its structure in one pass with no exit per
+//! element: per row, the columns must ascend strictly and the last one
+//! lie in range; over the values, one fold takes the least, the greatest
+//! and whether any is zero; the width rule is applied last. Only a body
+//! that pass refuses is walked again element by element, to name the
+//! first fault it finds.
 
 use crate::error::{Error, Result};
-use crate::matrix::{IntMatrix, NonzeroDigest};
+use crate::matrix::IntMatrix;
 
 /// Hard ceiling on any length prefix this module will accept, so a
 /// corrupt or malicious 4-byte length cannot drive a multi-gigabyte
@@ -91,6 +107,69 @@ pub fn put_i64_vec(buf: &mut Vec<u8>, v: &[i64]) {
     put_u32(buf, v.len() as u32);
     buf.reserve(v.len() * 8);
     buf.extend(v.iter().flat_map(|x| x.to_le_bytes()));
+}
+
+/// XXH64's five primes.
+const PRIME_1: u64 = 0x9E37_79B1_85EB_CA87;
+const PRIME_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const PRIME_3: u64 = 0x1656_67B1_9E37_79F9;
+const PRIME_4: u64 = 0x85EB_CA77_C2B2_AE63;
+const PRIME_5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// One lane's step: folds an 8-byte word into the lane.
+fn xxh64_round(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(PRIME_2)).rotate_left(31).wrapping_mul(PRIME_1)
+}
+
+/// XXH64 with seed 0 over `bytes` — the published algorithm, so a value
+/// can be checked outside this workspace (`xxhsum -H1`). Bytes in whole
+/// 32-byte stripes go to four lanes, one 8-byte little-endian word each,
+/// and the lanes are merged once at the end; the tail of fewer than 32
+/// bytes is folded in 8, then 4, then 1 bytes at a time, and a final
+/// avalanche mixes every bit into every other. It is the matrices'
+/// content digest (module docs, "The content digest"): not
+/// cryptographic, a `u64` key.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let (stripes, tail) = bytes.as_chunks::<32>();
+    let mut hash = if stripes.is_empty() {
+        PRIME_5
+    } else {
+        let mut lanes = [PRIME_1.wrapping_add(PRIME_2), PRIME_2, 0, PRIME_1.wrapping_neg()];
+        for stripe in stripes {
+            for (lane, word) in lanes.iter_mut().zip(stripe.as_chunks::<8>().0) {
+                *lane = xxh64_round(*lane, u64::from_le_bytes(*word));
+            }
+        }
+        let [a, b, c, d] = lanes;
+        let joined = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        lanes.iter().fold(joined, |hash, &lane| {
+            (hash ^ xxh64_round(0, lane)).wrapping_mul(PRIME_1).wrapping_add(PRIME_4)
+        })
+    };
+    hash = hash.wrapping_add(bytes.len() as u64);
+    let (words, tail) = tail.as_chunks::<8>();
+    for word in words {
+        hash ^= xxh64_round(0, u64::from_le_bytes(*word));
+        hash = hash.rotate_left(27).wrapping_mul(PRIME_1).wrapping_add(PRIME_4);
+    }
+    let (halves, tail) = tail.as_chunks::<4>();
+    for half in halves {
+        hash ^= u64::from(u32::from_le_bytes(*half)).wrapping_mul(PRIME_1);
+        hash = hash.rotate_left(23).wrapping_mul(PRIME_2).wrapping_add(PRIME_3);
+    }
+    for &byte in tail {
+        hash ^= u64::from(byte).wrapping_mul(PRIME_5);
+        hash = hash.rotate_left(11).wrapping_mul(PRIME_1);
+    }
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(PRIME_2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(PRIME_3);
+    hash ^ (hash >> 32)
 }
 
 /// Bytes per value in a matrix body whose values span `lo..=hi`: the
@@ -166,12 +245,12 @@ fn put_nonzeros<const W: usize>(m: &IntMatrix, cols: &mut [u8], values: &mut [u8
     }
 }
 
-/// Sign-extends a `W`-byte little-endian value to `i32`.
+/// Sign-extends a `W`-byte little-endian value to `i32`: the bytes go
+/// to the top of a word and an arithmetic shift brings them down.
 fn widen<const W: usize>(bytes: &[u8; W]) -> i32 {
-    let negative = bytes[W - 1] & 0x80 != 0;
-    let mut full = [if negative { 0xFF } else { 0 }; 4];
-    full[..W].copy_from_slice(bytes);
-    i32::from_le_bytes(full)
+    let mut full = [0; 4];
+    full[4 - W..].copy_from_slice(bytes);
+    i32::from_le_bytes(full) >> (32 - 8 * W)
 }
 
 /// Bytes of a body before its row counts: rows, cols and nnz as `u64`,
@@ -191,12 +270,28 @@ struct RawBody<'a> {
 }
 
 impl RawBody<'_> {
-    /// Checks every element, handing each non-zero to `visit(row, col,
-    /// value)` in row-major order: the row counts must sum to the count
-    /// of non-zeros, a column must lie in range and ascend strictly
-    /// within its row, no value may be zero, and the width must be the
-    /// narrowest that holds the values.
-    fn check(&self, visit: impl FnMut(usize, usize, i32)) -> Result<()> {
+    /// Checks every element: the row counts must sum to the count of
+    /// non-zeros, a column must lie in range and ascend strictly within
+    /// its row, no value may be zero, and the width must be the narrowest
+    /// that holds the values. One pass with no early exit decides
+    /// ([`RawBody::passes`]); only a body it refuses is walked again, so
+    /// the error names the first fault ([`RawBody::walk`]).
+    fn check(&self) -> Result<()> {
+        self.sums()?;
+        let passes = match self.width {
+            1 => self.passes::<1>(),
+            2 => self.passes::<2>(),
+            _ => self.passes::<4>(),
+        };
+        if passes {
+            Ok(())
+        } else {
+            self.walk()
+        }
+    }
+
+    /// Refuses row counts that do not sum to the count of non-zeros.
+    fn sums(&self) -> Result<()> {
         let counted: u64 = self.counts.iter().map(|b| u64::from(u32::from_le_bytes(*b))).sum();
         if counted != self.nnz as u64 {
             return Err(wire_err(format!(
@@ -204,10 +299,45 @@ impl RawBody<'_> {
                 self.nnz
             )));
         }
+        Ok(())
+    }
+
+    /// [`RawBody::check`]'s verdict at width `W`, for row counts that sum
+    /// to the count of non-zeros: per row, a fold over adjacent columns
+    /// for strict ascent and the last column against `cols`; over the
+    /// values, one fold for the least, the greatest and any zero; then
+    /// the width rule. Nothing exits early, so the loops carry no branch
+    /// per non-zero.
+    fn passes<const W: usize>(&self) -> bool {
+        let column = |c: &[u8; 4]| u32::from_le_bytes(*c);
+        let mut rest = self.columns;
+        let mut ordered = true;
+        for count in self.counts {
+            let (row, after) = rest.split_at(u32::from_le_bytes(*count) as usize);
+            rest = after;
+            ordered &= row
+                .windows(2)
+                .fold(true, |up, pair| up & (column(&pair[0]) < column(&pair[1])));
+            ordered &= row.last().is_none_or(|c| (column(c) as usize) < self.cols);
+        }
+        let (lo, hi, zero) = self.values.as_chunks::<W>().0.iter().fold(
+            (0, 0, false),
+            |(lo, hi, zero), value| {
+                let v = widen(value);
+                (lo.min(v), hi.max(v), zero | (v == 0))
+            },
+        );
+        ordered & !zero & (width_for(lo, hi) == W)
+    }
+
+    /// The exact check, element by element, stopping at the first fault
+    /// and naming it; row counts already sum to the count of non-zeros.
+    /// Its verdict is [`RawBody::passes`]'s for every body.
+    fn walk(&self) -> Result<()> {
         let (lo, hi) = match self.width {
-            1 => self.walk::<1>(visit),
-            2 => self.walk::<2>(visit),
-            _ => self.walk::<4>(visit),
+            1 => self.walk_at::<1>(),
+            2 => self.walk_at::<2>(),
+            _ => self.walk_at::<4>(),
         }?;
         let need = width_for(lo, hi);
         if need != self.width {
@@ -219,11 +349,10 @@ impl RawBody<'_> {
         Ok(())
     }
 
-    /// [`RawBody::check`]'s per-element walk at width `W`, returning the
-    /// least and greatest value seen (0 and 0 when there is none). The
-    /// row counts already sum to the number of non-zeros, so every row
-    /// takes exactly its own.
-    fn walk<const W: usize>(&self, mut visit: impl FnMut(usize, usize, i32)) -> Result<(i32, i32)> {
+    /// [`RawBody::walk`] over the non-zeros at width `W`, returning the
+    /// least and greatest value seen (0 and 0 when there is none). Every
+    /// row takes exactly its own count.
+    fn walk_at<const W: usize>(&self) -> Result<(i32, i32)> {
         let (mut lo, mut hi) = (0, 0);
         let mut nonzeros = self.columns.iter().zip(self.values.as_chunks::<W>().0);
         for (r, count) in self.counts.iter().enumerate() {
@@ -242,18 +371,52 @@ impl RawBody<'_> {
                     return Err(wire_err(format!("matrix row {r}: column {c} carries a zero")));
                 }
                 (lo, hi) = (lo.min(v), hi.max(v));
-                visit(r, c, v);
                 next = c + 1;
             }
         }
         Ok((lo, hi))
+    }
+
+}
+
+impl<'a> RawBody<'a> {
+    /// Non-zeros per row, top to bottom.
+    fn row_counts(&self) -> impl ExactSizeIterator<Item = usize> + 'a {
+        self.counts.iter().map(|b| u32::from_le_bytes(*b) as usize)
+    }
+
+    /// Every non-zero's column, row-major.
+    fn columns(&self) -> impl ExactSizeIterator<Item = usize> + 'a {
+        self.columns.iter().map(|b| u32::from_le_bytes(*b) as usize)
+    }
+
+    /// Every non-zero's value, row-major, widened to `i32`.
+    fn values(&self) -> Vec<i32> {
+        match self.width {
+            1 => self.values.as_chunks::<1>().0.iter().map(widen).collect(),
+            2 => self.values.as_chunks::<2>().0.iter().map(widen).collect(),
+            _ => self.values.as_chunks::<4>().0.iter().map(widen).collect(),
+        }
+    }
+
+    /// The dense matrix of a checked body: one zeroed allocation, the
+    /// non-zeros scattered into it.
+    fn to_matrix(&self) -> Result<IntMatrix> {
+        let mut data = vec![0; self.rows * self.cols];
+        let mut nonzeros = self.columns().zip(self.values());
+        for (row, count) in data.chunks_exact_mut(self.cols).zip(self.row_counts()) {
+            for (c, v) in nonzeros.by_ref().take(count) {
+                row[c] = v;
+            }
+        }
+        IntMatrix::from_vec(self.rows, self.cols, data)
     }
 }
 
 /// A matrix body (module docs, "A matrix on the wire") kept as its bytes:
 /// validated once, when it is read or written, and exactly what
 /// [`put_matrix`] writes for the matrix it stands for. Its content digest
-/// is computed from the non-zeros on the way in and kept.
+/// is taken over those bytes on the way in and kept.
 ///
 /// This is the form a matrix takes at rest — a 256² matrix at 90 %
 /// sparsity with 8-bit weights is ~34 KB of it instead of 256 KB dense —
@@ -283,14 +446,14 @@ impl std::fmt::Debug for MatrixBody {
 }
 
 impl MatrixBody {
-    /// The body of `m`: [`put_matrix`]'s bytes, with the digest of the
-    /// dense matrix in hand.
+    /// The body of `m`: [`put_matrix`]'s bytes and their digest.
     pub fn of(m: &IntMatrix) -> Self {
         let mut bytes = Vec::new();
         put_matrix(&mut bytes, m);
         let width = usize::from(bytes[BODY_HEADER - 1]);
         let nnz = (bytes.len() - BODY_HEADER - m.rows() * 4) / (4 + width);
-        Self { bytes, rows: m.rows(), cols: m.cols(), nnz, width, digest: m.digest() }
+        let digest = xxh64(&bytes);
+        Self { bytes, rows: m.rows(), cols: m.cols(), nnz, width, digest }
     }
 
     /// The body's bytes, exactly as [`put_matrix`] writes them.
@@ -318,52 +481,46 @@ impl MatrixBody {
         self.width
     }
 
-    /// [`IntMatrix::digest`] of the matrix, computed from the non-zeros.
+    /// The matrix's content digest: [`xxh64`] over the body's bytes,
+    /// [`IntMatrix::digest`]'s value.
     pub fn digest(&self) -> u64 {
         self.digest
     }
 
-    fn columns_at(&self) -> usize {
-        BODY_HEADER + self.rows * 4
-    }
-
-    fn values_at(&self) -> usize {
-        self.columns_at() + self.nnz * 4
+    /// The body's three arrays, over its own bytes.
+    fn raw(&self) -> RawBody<'_> {
+        let (counts, rest) = self.bytes[BODY_HEADER..].split_at(self.rows * 4);
+        let (columns, values) = rest.split_at(self.nnz * 4);
+        RawBody {
+            rows: self.rows,
+            cols: self.cols,
+            nnz: self.nnz,
+            width: self.width,
+            counts: counts.as_chunks().0,
+            columns: columns.as_chunks().0,
+            values,
+        }
     }
 
     /// Non-zeros per row, top to bottom.
     pub fn row_counts(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
-        let counts = &self.bytes[BODY_HEADER..self.columns_at()];
-        counts.as_chunks::<4>().0.iter().map(|b| u32::from_le_bytes(*b) as usize)
+        self.raw().row_counts()
     }
 
     /// Every non-zero's column, row-major.
     pub fn columns(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
-        let columns = &self.bytes[self.columns_at()..self.values_at()];
-        columns.as_chunks::<4>().0.iter().map(|b| u32::from_le_bytes(*b) as usize)
+        self.raw().columns()
     }
 
     /// Every non-zero's value, row-major, widened to `i32`.
     pub fn values(&self) -> Vec<i32> {
-        let values = &self.bytes[self.values_at()..];
-        match self.width {
-            1 => values.as_chunks::<1>().0.iter().map(widen).collect(),
-            2 => values.as_chunks::<2>().0.iter().map(widen).collect(),
-            _ => values.as_chunks::<4>().0.iter().map(widen).collect(),
-        }
+        self.raw().values()
     }
 
     /// The dense matrix: one zeroed allocation, the non-zeros scattered
     /// into it.
     pub fn to_matrix(&self) -> Result<IntMatrix> {
-        let mut data = vec![0; self.rows * self.cols];
-        let mut nonzeros = self.columns().zip(self.values());
-        for (row, count) in data.chunks_exact_mut(self.cols).zip(self.row_counts()) {
-            for (c, v) in nonzeros.by_ref().take(count) {
-                row[c] = v;
-            }
-        }
-        IntMatrix::from_vec(self.rows, self.cols, data)
+        self.raw().to_matrix()
     }
 }
 
@@ -537,14 +694,12 @@ impl<'a> Cursor<'a> {
         })
     }
 
-    /// Reads a matrix written by [`put_matrix`] into its dense form,
-    /// scattering each non-zero as it is checked (see
+    /// Reads a matrix written by [`put_matrix`] into its dense form (see
     /// [`Cursor::take_matrix_body`] for what is refused).
     pub fn take_matrix(&mut self) -> Result<IntMatrix> {
         let raw = self.take_raw_body()?;
-        let mut data = vec![0; raw.rows * raw.cols];
-        raw.check(|r, c, v| data[r * raw.cols + c] = v)?;
-        IntMatrix::from_vec(raw.rows, raw.cols, data)
+        raw.check()?;
+        raw.to_matrix()
     }
 
     /// Reads a matrix written by [`put_matrix`] and keeps it as its
@@ -553,19 +708,19 @@ impl<'a> Cursor<'a> {
     /// range and ascend strictly within its row, no value may be zero,
     /// and the width must be the narrowest that holds the values — so the
     /// bytes kept are exactly what [`put_matrix`] writes for this matrix.
-    /// The same walk computes the content digest.
+    /// The content digest is [`xxh64`] over the bytes read.
     pub fn take_matrix_body(&mut self) -> Result<MatrixBody> {
         let start = self.pos;
         let raw = self.take_raw_body()?;
-        let mut walk = NonzeroDigest::new(raw.rows, raw.cols);
-        raw.check(|r, c, v| walk.push(r * raw.cols + c, v))?;
+        raw.check()?;
+        let bytes = &self.buf[start..self.pos];
         Ok(MatrixBody {
-            bytes: self.buf[start..self.pos].to_vec(),
+            bytes: bytes.to_vec(),
             rows: raw.rows,
             cols: raw.cols,
             nnz: raw.nnz,
             width: raw.width,
-            digest: walk.finish(raw.rows * raw.cols),
+            digest: xxh64(bytes),
         })
     }
 
@@ -699,6 +854,126 @@ mod tests {
             let mut c = Cursor::new(&body);
             assert_eq!(c.take_matrix().unwrap(), m, "{value}");
             c.expect_end("matrix body").unwrap();
+        }
+    }
+
+    /// XXH64's published answers at seed 0 over `xxhsum`'s sanity
+    /// buffer (byte `i` is the top byte of `2654435761 · P^i` mod 2⁶⁴ for
+    /// `P = 0x9E37_79B1_85EB_CA8D`): the empty input, 1 and 14 bytes
+    /// (`xxhsum`'s own self-test), and the lengths either side of one and
+    /// two 32-byte stripes, where the lanes, the 8-byte words, the 4-byte
+    /// half-word and the single bytes of the tail take over from each
+    /// other. The low 32 bits of each are what `zstd --check` stamps on a
+    /// frame of the same bytes.
+    #[test]
+    fn xxh64_gives_the_published_answers() {
+        let mut state = 2_654_435_761u64;
+        let sanity: Vec<u8> = (0..65)
+            .map(|_| {
+                let byte = (state >> 56) as u8;
+                state = state.wrapping_mul(0x9E37_79B1_85EB_CA8D);
+                byte
+            })
+            .collect();
+        for (len, expect) in [
+            (0, 0xEF46_DB37_51D8_E999),
+            (1, 0xE934_A84A_DB05_2768),
+            (14, 0x8282_DCC4_994E_35C8),
+            (31, 0x299B_39A2_90E6_D783),
+            (32, 0x18B2_1649_2BB4_4B70),
+            (33, 0x55C8_DC3E_578F_5B59),
+            (63, 0xA9EF_BE0F_A0F3_F4E7),
+            (64, 0xEF55_8F8A_CAC2_B5CD),
+            (65, 0xDE0F_20DC_2631_AF7A),
+        ] {
+            assert_eq!(xxh64(&sanity[..len]), expect, "{len} bytes");
+        }
+    }
+
+    /// A body's arrays written as they are, at `width` bytes per value,
+    /// whether or not they make a valid body; the count of non-zeros is
+    /// the number of columns.
+    fn raw_bytes(cols: usize, counts: &[u32], columns: &[u32], values: &[i32], width: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_u64(&mut buf, counts.len() as u64);
+        put_u64(&mut buf, cols as u64);
+        put_u64(&mut buf, columns.len() as u64);
+        put_u8(&mut buf, width as u8);
+        counts.iter().for_each(|&n| put_u32(&mut buf, n));
+        columns.iter().for_each(|&c| put_u32(&mut buf, c));
+        values.iter().for_each(|v| buf.extend_from_slice(&v.to_le_bytes()[..width]));
+        buf
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The one-pass check and the walk agree on every body: valid ones
+        /// at each width, and each with one fault planted — two columns of
+        /// a row swapped, a column equal to `cols`, a zero value, a width
+        /// wider than the values need, a row count off by one (the sum
+        /// broken, or kept by taking the one from the next row). The pass
+        /// accepts exactly what the walk accepts, and a refusal is worded
+        /// by the walk.
+        #[test]
+        fn the_one_pass_check_refuses_exactly_what_the_walk_refuses(
+            seed in proptest::prelude::any::<u64>(),
+            fault in 0usize..7,
+            width in 0usize..3,
+        ) {
+            use rand::Rng;
+            let mut rng = crate::rng::seeded(seed);
+            let (rows, cols) = (rng.gen_range(1..=9), rng.gen_range(1..=9));
+            let bound = [i32::from(i8::MAX), i32::from(i16::MAX), i32::MAX][width];
+            let density = rng.gen_range(0.0..=1.0);
+            let m = IntMatrix::from_fn(rows, cols, |_, _| {
+                if rng.gen_bool(density) { rng.gen_range(-bound..=bound) } else { 0 }
+            })
+            .unwrap();
+            let body = MatrixBody::of(&m);
+            let mut counts: Vec<u32> = body.row_counts().map(|n| n as u32).collect();
+            let mut columns: Vec<u32> = body.columns().map(|c| c as u32).collect();
+            let mut values = body.values();
+            let mut width = body.width();
+            let nnz = columns.len();
+            match fault {
+                1 => {
+                    // The first row with two non-zeros, its first two swapped.
+                    let mut at = 0;
+                    if let Some(&n) = counts.iter().find(|&&n| { at += n as usize; n >= 2 }) {
+                        let start = at - n as usize;
+                        columns.swap(start, start + 1);
+                    }
+                }
+                2 if nnz > 0 => columns[rng.gen_range(0..nnz)] = cols as u32,
+                3 if nnz > 0 => values[rng.gen_range(0..nnz)] = 0,
+                4 if width < 4 => width *= 2,
+                5 => counts[rng.gen_range(0..rows)] += 1,
+                6 if rows > 1 => {
+                    let r = rng.gen_range(0..rows - 1);
+                    if counts[r + 1] > 0 {
+                        counts[r] += 1;
+                        counts[r + 1] -= 1;
+                    }
+                }
+                _ => {}
+            }
+            let bytes = raw_bytes(cols, &counts, &columns, &values, width);
+            let raw = Cursor::new(&bytes).take_raw_body().unwrap();
+            let walked = raw.sums().and_then(|()| raw.walk());
+            if raw.sums().is_ok() {
+                let passes = match width {
+                    1 => raw.passes::<1>(),
+                    2 => raw.passes::<2>(),
+                    _ => raw.passes::<4>(),
+                };
+                proptest::prop_assert_eq!(passes, walked.is_ok(), "fault {}: {:?}", fault, walked);
+            }
+            let words = |r: Result<()>| r.map_err(|e| e.to_string());
+            proptest::prop_assert_eq!(words(raw.check()), words(walked));
+            if fault == 0 {
+                proptest::prop_assert!(raw.check().is_ok());
+            }
         }
     }
 

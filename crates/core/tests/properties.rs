@@ -1,7 +1,7 @@
 //! Property-based tests for the smm-core invariants.
 
 use proptest::prelude::*;
-use rand::{Rng, RngCore};
+use rand::Rng;
 use smm_core::csd::{csd_split, ChainPolicy};
 use smm_core::generate::{bit_sparse_matrix, element_sparse_matrix};
 use smm_core::gemv::{matvec, vecmat};
@@ -9,6 +9,7 @@ use smm_core::matrix::IntMatrix;
 use smm_core::rng::seeded;
 use smm_core::signsplit::split_pn;
 use smm_core::sparsity::{bit_sparsity_of, element_sparsity_of, ones_in_signed_matrix};
+use smm_core::wire::{Cursor, MatrixBody};
 
 proptest! {
     /// CSD preserves the value and never increases the digit count, for any
@@ -104,38 +105,54 @@ proptest! {
         prop_assert_eq!(m.transpose().nnz(), m.nnz());
     }
 
-    /// The run-skipping digest is the byte-at-a-time FNV-1a digest: every
-    /// shape up to 40×40, from no zeros to all zeros, elements over the
-    /// whole `i32` range (negative values carry 0xFF bytes, small ones
-    /// carry zero bytes inside a non-zero element).
+    /// One matrix, one digest: [`IntMatrix::digest`], the digest of the
+    /// body written for the matrix and the digest of that body read back
+    /// are one value, for every shape up to 40×40, from no zeros to all
+    /// zeros, with values 1, 2 and 4 bytes wide (each width's own ends
+    /// included).
     #[test]
-    fn digest_matches_the_bytewise_reference(
+    fn every_route_to_a_digest_agrees(
         seed in any::<u64>(),
         rows in 1usize..=40,
         cols in 1usize..=40,
         sparsity in 0.0f64..=1.0,
+        width in 0usize..3,
     ) {
         let mut rng = seeded(seed);
+        let (lo, hi) = [
+            (i32::from(i8::MIN), i32::from(i8::MAX)),
+            (i32::from(i16::MIN), i32::from(i16::MAX)),
+            (i32::MIN, i32::MAX),
+        ][width];
         let m = IntMatrix::from_fn(rows, cols, |_, _| {
             if rng.gen_bool(sparsity) {
                 return 0;
             }
             match rng.gen_range(0..4) {
-                0 => rng.gen_range(-128..=127),
-                1 => i32::MIN,
-                _ => rng.next_u32() as i32,
+                0 => lo,
+                1 => hi,
+                _ => rng.gen_range(lo..=hi),
             }
         })
         .unwrap();
-        prop_assert_eq!(m.digest(), m.digest_bytewise());
+        agree(&m);
     }
 }
 
+/// Holds [`IntMatrix::digest`] to the digest of the matrix's body, as
+/// written and as read back.
+fn agree(m: &IntMatrix) {
+    let written = MatrixBody::of(m);
+    let mut c = Cursor::new(written.as_bytes());
+    let read = c.take_matrix_body().unwrap();
+    c.expect_end("matrix body").unwrap();
+    assert_eq!(m.digest(), written.digest(), "{m:?}");
+    assert_eq!(m.digest(), read.digest(), "{m:?}");
+}
+
 #[test]
-fn digest_matches_the_bytewise_reference_at_the_edges() {
-    let agree = |m: &IntMatrix| assert_eq!(m.digest(), m.digest_bytewise(), "{m:?}");
-    // All zeros, in one long run (longer than any table of powers a
-    // run-skipping digest could reasonably hold).
+fn every_route_to_a_digest_agrees_at_the_edges() {
+    // All zeros: a body of row counts alone.
     agree(&IntMatrix::zeros(40, 40).unwrap());
     agree(&IntMatrix::zeros(1, 100_000).unwrap());
     // A zero only at the very start, only at the very end, and the
@@ -145,13 +162,13 @@ fn digest_matches_the_bytewise_reference_at_the_edges() {
         agree(&IntMatrix::from_fn(1, n, |_, c| if c == zero_at { 0 } else { -1 }).unwrap());
         agree(&IntMatrix::from_fn(n, 1, |r, _| if r == zero_at { i32::MIN } else { 0 }).unwrap());
     }
-    // Zero *bytes* that are not zero elements fold nowhere.
+    // Zero *bytes* that are not zero elements are stored, not skipped.
     agree(&IntMatrix::from_vec(2, 2, vec![0x0100_0000, 0x0000_0100, 0x00FF_0000, 1]).unwrap());
-    // The digest reads 16-element non-zero masks and owes each run one
-    // power (a table up to 63, square-and-multiply past it): runs on
-    // either side of a chunk and table boundary, starting at every
-    // offset inside a chunk, between non-zeros whose bytes look like
-    // zeros or like all-ones.
+    // `put_matrix` finds the non-zeros through 16-element masks: zero
+    // runs on either side of a mask boundary, starting at every offset
+    // inside a mask, between non-zeros whose bytes look like zeros or
+    // like all-ones; the bodies' lengths cross the hash's 32-byte
+    // stripes at every tail length.
     let neighbours = [-1, 255, 256, i32::MIN];
     for run in [15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129] {
         for offset in 0..16 {
@@ -167,7 +184,7 @@ fn digest_matches_the_bytewise_reference_at_the_edges() {
             agree(&IntMatrix::from_vec(1, data.len(), data).unwrap());
         }
     }
-    // Dense and half-zero matrices at lengths around the chunk size,
+    // Dense and half-zero matrices at lengths around the mask size,
     // so every tail length is covered with and without a zero in it.
     for len in (1..=50).chain([255, 257]) {
         agree(&IntMatrix::from_fn(1, len, |_, c| neighbours[c % 4]).unwrap());

@@ -10,8 +10,8 @@
 //!   8-bit weights, where the dense matrix is 256 KB), the engine rebuilt
 //!   from them on demand;
 //! * **cold** — the same body in an attached [`Store`], byte for byte,
-//!   verified on the way back in by the content digest computed from its
-//!   non-zeros.
+//!   verified on the way back in by the content digest, a hash of its
+//!   bytes.
 //!
 //! A matrix at rest is one form from load to disk and back: the body a
 //! `LoadMatrix` carried is what [`TieredRegistry::insert_body`] keeps warm
@@ -212,8 +212,9 @@ impl TieredRegistry {
     }
 
     /// Reads a cold digest's body, counting the store hit. The store
-    /// hands back only a body whose non-zeros hash to `digest` — one walk
-    /// over them, the only verification a promotion pays for.
+    /// hands back only a body whose bytes hash to `digest` — one
+    /// structural pass and one hash over them, the only verification a
+    /// promotion pays for.
     /// Corruption warns and forgets the entry instead of failing.
     fn read_cold_body(&self, digest: u64) -> Option<Arc<MatrixBody>> {
         let read = self.store.as_ref()?.get_body(digest);
@@ -534,8 +535,8 @@ mod tests {
 
     #[test]
     fn corrupt_cold_entry_warns_and_degrades() {
-        // Each fault is caught by the digest walk or the structure
-        // around it — a matrix file has no CRC.
+        // Each fault is caught by the digest or the structure around
+        // it — a matrix file has no CRC.
         type Fault = fn(&mut Vec<u8>);
         let faults: [(&str, Fault); 3] = [
             ("payload byte", |bytes| *bytes.last_mut().unwrap() ^= 0x80),

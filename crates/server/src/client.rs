@@ -143,15 +143,19 @@ impl Client {
     /// default) and
     /// returns what the server now serves, including the engine it
     /// planned. Verifies the server and client agree on digest and shape
-    /// (same content hash on both ends of the wire). The matrix is
-    /// serialized straight from the borrow — no clone.
+    /// (same content hash on both ends of the wire: each takes it over
+    /// the body bytes it wrote or read). The matrix is serialized straight
+    /// from the borrow — no clone.
     pub fn load_matrix_with(
         &mut self,
         matrix: &IntMatrix,
         backend: Option<BackendKind>,
     ) -> ServeResult<LoadedInfo> {
-        let local = matrix.digest();
-        match self.call_with(Opcode::LoadMatrix, |buf| put_load_matrix(buf, matrix, backend))? {
+        let mut local = 0;
+        let reply = self.call_with(Opcode::LoadMatrix, |buf| {
+            local = put_load_matrix(buf, matrix, backend);
+        })?;
+        match reply {
             Reply::Loaded(info) => {
                 if info.digest != local
                     || info.rows != matrix.rows() as u64

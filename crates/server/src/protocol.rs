@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic  "SMM1"      4 bytes
-//! version            1 byte   (6, nothing else)
+//! version            1 byte   (7, nothing else)
 //! opcode             1 byte
 //! request id         8 bytes  little-endian
 //! payload length     4 bytes  little-endian
@@ -43,6 +43,13 @@
 //! [`wire::MAX_WIRE_LEN`] elements) and the byte count before any
 //! per-element work, and every hostile body is a typed [`Error::Wire`].
 //!
+//! The digest a `Loaded` reply names, and every `Gemv` after it, is the
+//! matrix's content digest: [`wire::xxh64`] over those body bytes. The
+//! client takes it over the bytes it wrote and the server over the bytes
+//! it read, so the two can compare without another pass. Version 6 named
+//! matrices by a hash of their dense elements; its digests mean
+//! something else, so a version-6 peer is refused at the version byte.
+//!
 //! ## One read and one write per frame
 //!
 //! The server's sessions and [`crate::Client`] both speak through one
@@ -77,7 +84,7 @@ use std::io::{self, BufReader, Read, Write};
 /// Frame preamble: the protocol's on-wire signature.
 pub(crate) const MAGIC: [u8; 4] = *b"SMM1";
 /// The one protocol version both ends speak.
-pub const VERSION: u8 = 6;
+pub const VERSION: u8 = 7;
 /// Fixed frame header size in bytes.
 pub const HEADER_LEN: usize = 18;
 /// Upper bound on a frame payload; larger length prefixes are rejected
@@ -286,7 +293,9 @@ impl Request {
     pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Request::Ping | Request::Stats => {}
-            Request::LoadMatrix { matrix, backend } => put_load_matrix(buf, matrix, *backend),
+            Request::LoadMatrix { matrix, backend } => {
+                put_load_matrix(buf, matrix, *backend);
+            }
             Request::Gemv { digest, vector } => put_gemv(buf, *digest, vector),
             Request::GemvBatch { digest, frames } => put_gemv_batch(buf, *digest, frames),
         }
@@ -370,14 +379,18 @@ pub(crate) fn decode_load(
 
 /// Appends a `LoadMatrix` payload from a borrowed matrix: the one
 /// encoder of that layout, shared by [`Request::encode_into`] and the
-/// client, so a load never copies its matrix to encode it.
+/// client, so a load never copies its matrix to encode it. Returns the
+/// matrix's content digest, taken over the body just written.
 pub(crate) fn put_load_matrix(
     buf: &mut Vec<u8>,
     matrix: &IntMatrix,
     backend: Option<BackendKind>,
-) {
+) -> u64 {
+    let start = buf.len();
     wire::put_matrix(buf, matrix);
+    let digest = wire::xxh64(&buf[start..]);
     wire::put_u8(buf, BackendKind::option_to_u8(backend));
+    digest
 }
 
 /// Appends a `Gemv` payload from a borrowed vector: the one encoder of

@@ -372,16 +372,31 @@ const REV1_MATRIX_ARTIFACT: [u8; 69] = [
     0x00, 0x00, 0x00, 0x00, 0x00, 0xfe, 0xff, 0xff, 0xff, 0x03, 0x00, 0x00, //
     0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
 ];
-const REV1_DIGEST: u64 = 0x8325_f8f4_9cdb_3d17;
-/// Names the store directory [`rev1_store_child`] serves over.
+/// The same matrix as store format rev 2 wrote it: the body behind a
+/// header with no CRC, stamped with the digest rev 2 took over the dense
+/// elements — the same value rev 1 stamped, so the same file name.
+const REV2_MATRIX_ARTIFACT: [u8; 74] = [
+    0x53, 0x4d, 0x4d, 0x41, 0x02, 0x00, 0x00, 0x00, 0x01, 0x17, 0x3d, 0xdb, //
+    0x9c, 0xf4, 0xf8, 0x25, 0x83, 0x35, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, //
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x02, 0x00, //
+    0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, //
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0xfe, //
+    0x03, 0x04,
+];
+/// The digest both old files are named and stamped by.
+const OLD_DIGEST: u64 = 0x8325_f8f4_9cdb_3d17;
+/// Name the store directories [`rev1_store_child`] and
+/// [`rev2_store_child`] serve over.
 const REV1_CHILD_ENV: &str = "SMM_STORE_RESTART_REV1_DIR";
+const REV2_CHILD_ENV: &str = "SMM_STORE_RESTART_REV2_DIR";
 
-/// The server half of the test below, run in a child process of this
-/// test binary so that its stderr — where the fleet warns — can be read.
-/// Without the variable it has nothing to do.
-#[test]
-fn rev1_store_child() {
-    let Some(dir) = std::env::var_os(REV1_CHILD_ENV) else {
+/// The server half of the tests below, run in a child process of this
+/// test binary so that its stderr — where the fleet warns — can be read:
+/// serves the store directory `env` names, which holds one matrix file
+/// of an older revision. Without the variable it has nothing to do.
+fn serve_an_old_store(env: &str) {
+    let Some(dir) = std::env::var_os(env) else {
         return;
     };
     let server = smm_server::start(config(std::path::Path::new(&dir))).unwrap();
@@ -391,7 +406,7 @@ fn rev1_store_child() {
     // Asked for twice: the first request reads the file, is refused its
     // bytes, warns and forgets the digest; the second finds nothing.
     for _ in 0..2 {
-        let err = client.gemv(REV1_DIGEST, &[1, 1]).unwrap_err().to_string();
+        let err = client.gemv(OLD_DIGEST, &[1, 1]).unwrap_err().to_string();
         assert!(err.contains("no matrix loaded"), "{err}");
     }
     let stats = server.shutdown();
@@ -399,24 +414,37 @@ fn rev1_store_child() {
 }
 
 #[test]
-fn a_rev1_matrix_file_is_forgotten_with_one_warning_and_collected() {
-    let dir = temp_store_dir("rev1");
+fn rev1_store_child() {
+    serve_an_old_store(REV1_CHILD_ENV);
+}
+
+#[test]
+fn rev2_store_child() {
+    serve_an_old_store(REV2_CHILD_ENV);
+}
+
+/// Files `file`, a matrix artifact of format `rev`, in a fresh store and
+/// serves it from the child test `child`: one warning naming the digest
+/// and the revision, and the file left for `gc` to remove.
+fn an_old_matrix_file_is_forgotten(file: &[u8], rev: u32, child: &str, env: &str) {
+    let dir = temp_store_dir(&format!("rev{rev}"));
     let _ = std::fs::remove_dir_all(&dir);
     let store = Store::open(&dir).unwrap();
-    let path = store.path_for(REV1_DIGEST, ArtifactKind::Matrix);
-    std::fs::write(&path, REV1_MATRIX_ARTIFACT).unwrap();
+    let path = store.path_for(OLD_DIGEST, ArtifactKind::Matrix);
+    std::fs::write(&path, file).unwrap();
 
     let child = Command::new(std::env::current_exe().unwrap())
-        .args(["--exact", "rev1_store_child", "--test-threads", "1"])
-        .env(REV1_CHILD_ENV, &dir)
+        .args(["--exact", child, "--test-threads", "1"])
+        .env(env, &dir)
         .output()
         .unwrap();
     let stderr = String::from_utf8_lossy(&child.stderr);
     assert!(child.status.success(), "{}\n{stderr}", String::from_utf8_lossy(&child.stdout));
     let warnings: Vec<&str> = stderr.lines().filter(|l| l.starts_with("smm-store:")).collect();
     assert_eq!(warnings.len(), 1, "{stderr}");
-    assert!(warnings[0].contains(&format!("{REV1_DIGEST:#018x}")), "{stderr}");
-    assert!(warnings[0].contains("unsupported artifact format rev 1"), "{stderr}");
+    assert!(warnings[0].contains(&format!("{OLD_DIGEST:#018x}")), "{stderr}");
+    let refused = format!("unsupported artifact format rev {rev}");
+    assert!(warnings[0].contains(&refused), "{stderr}");
     // Serving never touched the file; collecting the store (what `smm
     // store gc` runs) removes it.
     assert!(path.is_file());
@@ -424,4 +452,14 @@ fn a_rev1_matrix_file_is_forgotten_with_one_warning_and_collected() {
     assert_eq!((report.kept, report.removed), (0, 1), "{report:?}");
     assert!(!path.exists());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_rev1_matrix_file_is_forgotten_with_one_warning_and_collected() {
+    an_old_matrix_file_is_forgotten(&REV1_MATRIX_ARTIFACT, 1, "rev1_store_child", REV1_CHILD_ENV);
+}
+
+#[test]
+fn a_rev2_matrix_file_is_forgotten_with_one_warning_and_collected() {
+    an_old_matrix_file_is_forgotten(&REV2_MATRIX_ARTIFACT, 2, "rev2_store_child", REV2_CHILD_ENV);
 }

@@ -72,7 +72,7 @@ fn pin_reply(reply: Reply, expect: &[u8]) {
 /// version "range" is exactly one value — every other byte is refused.
 #[test]
 fn status_bytes_and_version_range_are_pinned() {
-    assert_eq!(VERSION, 6);
+    assert_eq!(VERSION, 7);
     assert_eq!(STATUS_OK, 0);
     assert_eq!(STATUS_BUSY, 1);
     assert_eq!(STATUS_ERROR, 2);
@@ -80,7 +80,7 @@ fn status_bytes_and_version_range_are_pinned() {
     assert_eq!(HEADER_LEN, 18);
     let ping = Request::Ping.encode(VERSION);
     let pong = Reply::Pong.encode(VERSION);
-    for version in (0..=u8::MAX).filter(|&v| v != 6) {
+    for version in (0..=u8::MAX).filter(|&v| v != 7) {
         assert!(Request::decode(version, Opcode::Ping, &ping).is_err(), "v{version}");
         assert!(Reply::decode(version, Opcode::Ping, &pong).is_err(), "v{version}");
     }
@@ -95,7 +95,7 @@ fn frame_header_layout_is_pinned() {
         frame,
         cat(&[
             b"SMM1",
-            &[6],                                              // version
+            &[7],                                              // version
             &[2],                                              // opcode: Gemv
             &[0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01], // request id, LE
             &[2, 0, 0, 0],                                     // payload length, LE
@@ -312,9 +312,9 @@ fn every_version_and_status_constant_is_named_in_both_wire_test_files() {
     assert!(unpinned.is_empty(), "{unpinned:#?}");
 }
 
-/// Peers from another revision — v0, the retired v1–v5, a future v7 —
+/// Peers from another revision — v0, the retired v1–v6, a future v8 —
 /// each get exactly one `STATUS_ERROR` frame naming the unsupported
-/// version, then EOF; a v6 client on another connection to the same
+/// version, then EOF; a v7 client on another connection to the same
 /// server keeps being served, and the refusals are not request errors.
 #[test]
 fn other_versions_are_refused_while_a_current_client_keeps_being_served() {
@@ -325,14 +325,14 @@ fn other_versions_are_refused_while_a_current_client_keeps_being_served() {
     let digest = client.load_matrix(&matrix).unwrap();
     let errors_before = client.stats().unwrap().errors;
 
-    for version in [0u8, 1, 2, 3, 4, 5, 7] {
+    for version in [0u8, 1, 2, 3, 4, 5, 6, 8] {
         // A raw Ping frame under the foreign version byte.
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         let ping = cat(&[b"SMM1", &[version], &[0], &le64(9), &le32(0)]);
         stream.write_all(&ping).unwrap();
 
         let frame = read_frame(&mut stream).unwrap();
-        assert_eq!(frame.version, 6, "the refusal travels under the one version");
+        assert_eq!(frame.version, 7, "the refusal travels under the one version");
         let mut c = smm_core::wire::Cursor::new(&frame.payload);
         assert_eq!(c.take_u8("status").unwrap(), STATUS_ERROR, "v{version}");
         let message = c.take_str("message").unwrap();

@@ -4,7 +4,7 @@
 //! One artifact file holds one serialized value — a matrix, the one a
 //! load persists, or a [`Csr`] or the [`CircuitMeta`] describing a
 //! compiled engine, which loads used to persist and which stay
-//! decodable — in a std-only little-endian layout (format rev 2):
+//! decodable — in a std-only little-endian layout (format rev 3):
 //!
 //! ```text
 //! magic "SMMA" (4) · format rev u32 (2) · kind u8 · digest u64
@@ -12,11 +12,13 @@
 //! · payload                (length-prefixed bytes)
 //! ```
 //!
-//! The digest is the owning matrix's stable FNV content digest
-//! ([`IntMatrix::digest`]) and the name the store files the artifact
-//! under; the format revision gates layout changes. A reader accepts
-//! rev 2 only: a rev-1 file is refused ("unsupported artifact format
-//! rev 1"), never decoded, and `Store::gc` removes it.
+//! The digest is the owning matrix's stable content digest
+//! ([`IntMatrix::digest`]: XXH64 over the matrix's body) and the name the
+//! store files the artifact under; the format revision gates layout and
+//! digest changes. A reader accepts rev 3 only: a file of an older
+//! revision — rev 1's dense payload, rev 2's digest over the dense
+//! elements — is refused ("unsupported artifact format rev 2"), never
+//! decoded, and `Store::gc` removes it.
 //!
 //! # A matrix is its non-zeros
 //!
@@ -41,27 +43,29 @@
 //!   length exact, the row counts summing to the count of non-zeros,
 //!   columns in range and strictly ascending within each row, no value
 //!   zero, the width the narrowest that holds the values — and the
-//!   content digest computed from its non-zeros equals the digest
+//!   content digest, XXH64 over the payload's bytes, equals the digest
 //!   stamped in its header. The store is content-addressed, so that
 //!   check has to run anyway (it ties the bytes to the file name, see
 //!   `Store::get_body`), and there is no CRC field: the digest is the
-//!   payload's whole integrity check. The walk visits only the non-zeros
-//!   — a zero run costs one multiply by a power of `P⁴` — and makes no
-//!   dense pass; its value is [`IntMatrix::digest`]'s for every matrix.
+//!   payload's whole integrity check. The structure is checked in one
+//!   pass with no exit per element and the hash runs four lanes over
+//!   32-byte stripes, so a cold read costs about what reading the file
+//!   does, and makes no dense pass.
 //! * `Csr` and `Circuit` payloads have no content address — the digest
 //!   in their header names the matrix they belong to, not their own
 //!   bytes — so the CRC-32 over the payload is their integrity check
 //!   and [`decode`] verifies it.
 //!
-//! Why the digest covers a matrix payload: every byte of a body is
-//! either hashed — both dimensions, and each non-zero's four bytes at
-//! the position its row and column give it — or checked structurally: the
-//! count of non-zeros and the width fix the length, the row counts must
-//! sum to the count, a column out of order or a zero value is refused, a
-//! value stored wider than it needs is refused, and nothing may trail. A
-//! corruption that survives the structure moves a non-zero, changes a
-//! value or changes the shape, and so changes the sequence the digest is
-//! taken over; it escapes with probability 2⁻⁶⁴. The header outside the
+//! Why the digest covers a matrix payload: every byte of it is hashed,
+//! and the length is fixed by the count of non-zeros and the width, with
+//! nothing allowed to trail. A corruption inside the payload therefore
+//! changes the bytes the digest is taken over — most are refused by the
+//! structure first: a column out of order, a zero value, a value stored
+//! wider than it needs, row counts that do not sum. What survives the
+//! structure is another valid body, and XXH64 maps it to a digest other
+//! than the stamp's but with probability about 2⁻⁶⁴ (it is a mixing
+//! hash, not a cryptographic one: it answers corruption, not an
+//! adversary who writes the store directory). The header outside the
 //! payload is checked field by field.
 //!
 //! Decoding follows the same discipline as the network wire: bytes on
@@ -82,7 +86,7 @@ use smm_sparse::Csr;
 pub(crate) const MAGIC: [u8; 4] = *b"SMMA";
 
 /// Current artifact format revision. Readers reject any other value.
-pub(crate) const FORMAT_REV: u32 = 2;
+pub(crate) const FORMAT_REV: u32 = 3;
 
 fn format_err(context: impl Into<String>) -> Error {
     Error::Wire {
@@ -428,9 +432,9 @@ fn unframe(bytes: &[u8]) -> Result<(u64, ArtifactKind, &[u8])> {
     Ok((digest, kind, payload))
 }
 
-/// Reads a matrix payload as its body and holds the digest computed from
-/// its non-zeros to the one stamped in the header — the content address
-/// is the contract the whole store rests on, and the one pass that
+/// Reads a matrix payload as its body and holds the digest taken over
+/// its bytes to the one stamped in the header — the content address is
+/// the contract the whole store rests on, and the one check that
 /// verifies these bytes.
 fn matrix_body(stamped: u64, payload: &[u8]) -> Result<MatrixBody> {
     let mut c = Cursor::new(payload);
@@ -497,12 +501,14 @@ mod tests {
         assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
     }
 
-    /// `encode(sample_matrix())` in format rev 2: the header with no CRC
-    /// field, then the matrix body — two rows of two non-zeros, columns
-    /// 0 and 2, values `1, −2, 3, 4` one byte each.
+    /// `encode(sample_matrix())` in format rev 3: the header with no CRC
+    /// field, its digest XXH64 over the body (`zstd --check` stamps the
+    /// low half, `0x56582972`, on a frame of those 53 bytes), then the
+    /// matrix body — two rows of two non-zeros, columns 0 and 2, values
+    /// `1, −2, 3, 4` one byte each.
     const WRITTEN_MATRIX_ARTIFACT: [u8; 74] = [
-        0x53, 0x4d, 0x4d, 0x41, 0x02, 0x00, 0x00, 0x00, 0x01, 0x17, 0x3d, 0xdb, //
-        0x9c, 0xf4, 0xf8, 0x25, 0x83, 0x35, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, //
+        0x53, 0x4d, 0x4d, 0x41, 0x03, 0x00, 0x00, 0x00, 0x01, 0x72, 0x29, 0x58, //
+        0x56, 0x1e, 0xdb, 0xdc, 0x5b, 0x35, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, //
         0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
         0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x02, 0x00, //
         0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, //
@@ -510,10 +516,10 @@ mod tests {
         0x03, 0x04,
     ];
 
-    /// `encode(42, sample_meta())` in format rev 2: rev 1's bytes with
+    /// `encode(42, sample_meta())` in format rev 3: rev 1's bytes with
     /// the revision moved, CRC field included.
     const WRITTEN_CIRCUIT_ARTIFACT: [u8; 107] = [
-        0x53, 0x4d, 0x4d, 0x41, 0x02, 0x00, 0x00, 0x00, 0x03, 0x2a, 0x00, 0x00, //
+        0x53, 0x4d, 0x4d, 0x41, 0x03, 0x00, 0x00, 0x00, 0x03, 0x2a, 0x00, 0x00, //
         0x00, 0x00, 0x00, 0x00, 0x00, 0xd1, 0xe4, 0x1d, 0xda, 0x52, 0x00, 0x00, //
         0x00, 0x09, 0x00, 0x00, 0x00, 0x62, 0x69, 0x74, 0x73, 0x65, 0x72, 0x69, //
         0x61, 0x6c, 0x08, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x63, 0x73, //
@@ -524,21 +530,21 @@ mod tests {
         0x6f, 0x75, 0x67, 0x68, 0x20, 0x74, 0x6f, 0x20, 0x66, 0x69, 0x74,
     ];
 
-    /// Between them the two pins fix every rev-2 byte of the kinds a
+    /// Between them the two pins fix every rev-3 byte of the kinds a
     /// load has written, in both directions, until `FORMAT_REV` moves.
     #[test]
-    fn matrix_artifacts_are_the_same_rev2_bytes_in_both_directions() {
-        assert_eq!(FORMAT_REV, 2);
+    fn matrix_artifacts_are_the_pinned_bytes_in_both_directions() {
+        assert_eq!(FORMAT_REV, 3);
         let m = sample_matrix();
         assert_eq!(encode(m.digest(), &Artifact::Matrix(m.clone())), WRITTEN_MATRIX_ARTIFACT);
         assert_eq!(encode_body(m.digest(), &MatrixBody::of(&m)), WRITTEN_MATRIX_ARTIFACT);
         let (digest, body) = decode_body(&WRITTEN_MATRIX_ARTIFACT).unwrap();
-        assert_eq!((digest, body.to_matrix().unwrap()), (0x8325_f8f4_9cdb_3d17, m.clone()));
+        assert_eq!((digest, body.to_matrix().unwrap()), (0x5bdc_db1e_5658_2972, m.clone()));
         assert_eq!(decode(&WRITTEN_MATRIX_ARTIFACT).unwrap(), (digest, Artifact::Matrix(m)));
     }
 
     #[test]
-    fn circuit_artifacts_are_the_same_rev2_bytes_in_both_directions() {
+    fn circuit_artifacts_are_the_pinned_bytes_in_both_directions() {
         let artifact = Artifact::Circuit(sample_meta());
         assert_eq!(encode(42, &artifact), WRITTEN_CIRCUIT_ARTIFACT);
         assert_eq!(decode(&WRITTEN_CIRCUIT_ARTIFACT).unwrap(), (42, artifact));

@@ -5,9 +5,9 @@
 //!
 //! The serving runtime compiles each loaded matrix into an engine (a
 //! spatial bit-serial circuit, a sigma tile map, a CSR kernel) keyed by
-//! the matrix's stable FNV content digest. This crate makes that fleet
-//! survive process restarts and grow past memory, with three residency
-//! tiers (see [`Tier`]):
+//! the matrix's stable content digest (XXH64 over its wire body). This
+//! crate makes that fleet survive process restarts and grow past memory,
+//! with three residency tiers (see [`Tier`]):
 //!
 //! ```text
 //!        hot   compiled engine, in memory
@@ -18,14 +18,15 @@
 //! ```
 //!
 //! * [`artifact`] — the std-only binary file format (magic + format
-//!   rev 2 + FNV digest + payload) with serializers for matrices — the
-//!   one artifact a load persists, stored as its wire body: the
+//!   rev 3 + content digest + payload) with serializers for matrices —
+//!   the one artifact a load persists, stored as its wire body: the
 //!   non-zeros at the narrowest width that holds them — and for CSR
 //!   structures and compiled-circuit metadata, which older store
 //!   directories hold and no load writes any more. A matrix is verified
-//!   once, by the content digest it is filed under, computed from its
-//!   non-zeros with no dense pass; the CRC-32 (table-driven, slice-by-8)
-//!   is written and verified only for the kinds no digest covers.
+//!   once, by the content digest it is filed under, taken over the
+//!   body's bytes with no dense pass; the CRC-32 (table-driven,
+//!   slice-by-8) is written and verified only for the kinds no digest
+//!   covers.
 //! * `store` — the [`Store`] directory API: `put` / `get` /
 //!   `contains` / `evict` / `scan` / `gc`, with atomic writes and
 //!   hostile-input decoding.

@@ -6,8 +6,8 @@
 //! and an atomic rename, so a crash mid-`put` never leaves a partial
 //! artifact under a valid name. Reads verify the full format contract
 //! (magic, revision, and the payload against its kind's integrity check
-//! — a matrix body against the content digest computed from its
-//! non-zeros, the other kinds against their CRC; see [`artifact`])
+//! — a matrix body against the content digest taken over its bytes,
+//! the other kinds against their CRC; see [`artifact`])
 //! before returning a value — a corrupt file is a recoverable [`Error`],
 //! never a panic. A file of an older format revision is refused the
 //! same way, and [`Store::gc`] removes it.
@@ -142,10 +142,10 @@ impl Store {
     ///
     /// Returns `Ok(None)` when no such file exists; a file that exists
     /// but fails any format check is an `Err`. The body is verified by one
-    /// walk over its non-zeros: [`artifact::decode_body`] holds the digest
-    /// computed from them to the stamped one, and this holds the stamp
-    /// to the requested one, so the body returned is the matrix the name
-    /// promises.
+    /// structural pass and one hash over its bytes:
+    /// [`artifact::decode_body`] holds the digest taken over them to the
+    /// stamped one, and this holds the stamp to the requested one, so the
+    /// body returned is the matrix the name promises.
     pub fn get_body(&self, digest: u64) -> Result<Option<MatrixBody>> {
         let path = self.path_for(digest, ArtifactKind::Matrix);
         let Some(bytes) = Self::read(&path)? else {

@@ -2,9 +2,9 @@
 //! malformed bytes — truncations, flipped bits, lying prefixes — are
 //! always a recoverable `Err`, never a panic or an over-allocation.
 //! Same discipline as the server's `wire_fuzz.rs`: bytes on disk are
-//! hostile input. A matrix artifact (format rev 2) is the header and the
+//! hostile input. A matrix artifact (format rev 3) is the header and the
 //! matrix's wire body with no CRC beside it, so the body's structure and
-//! the digest over its non-zeros have to refuse every corruption alone.
+//! the digest over its bytes have to refuse every corruption alone.
 
 use proptest::prelude::*;
 use smm_core::generate::element_sparse_matrix;
@@ -17,9 +17,9 @@ use smm_store::artifact::{self, Artifact, CircuitMeta};
 
 /// The artifact header's magic and format revision, pinned as literals.
 const MAGIC: [u8; 4] = *b"SMMA";
-const FORMAT_REV: u32 = 2;
+const FORMAT_REV: u32 = 3;
 
-/// Header offsets of the rev-2 layout: `magic (4) · rev (4) · kind (1)
+/// Header offsets of the rev-3 layout (rev 2's): `magic (4) · rev (4) · kind (1)
 /// · digest (8) · [payload CRC-32 (4), Csr and Circuit only] · payload
 /// length (4) · payload`.
 const DIGEST_FIELD: std::ops::Range<usize> = 9..17;
@@ -148,15 +148,14 @@ fn crc32_matches_the_bitwise_reference_on_a_mebibyte() {
 /// at each value width a body can take.
 #[test]
 fn every_single_bit_flip_of_a_matrix_artifact_is_refused_or_harmless() {
-    // One byte per value, zeros included: the digest folds them, and a
-    // flip may create or destroy one.
+    // One byte per value, zeros included: a flip may create or destroy
+    // one.
     let m = IntMatrix::from_vec(3, 4, vec![7, 0, -3, 0, 0, 0, 120, -128, 1, 0, 0, 5])
         .unwrap();
     flips_are_refused(&m, 1);
-    // Two bytes per value, with a run of 75 zeros: longer than the
-    // digest's 64-entry power table and across four of its 16-element
-    // chunk boundaries. A flip of a column index moves a non-zero within
-    // or across the run the digest multiplies in at once.
+    // Two bytes per value, with a run of 75 zeros: a flip of a column
+    // index moves a non-zero within or across the run, to a position
+    // that may still ascend.
     let m = IntMatrix::from_fn(1, 80, |_, c| match c {
         0 => -1,
         3 => 256,
@@ -213,7 +212,7 @@ fn every_prefix_of_a_written_artifact_is_refused() {
 
 /// `encode(2×3 [1 0 −2; 3 0 4])` as format rev 1 wrote it: the header
 /// with its payload CRC, then `rows u64 · cols u64 · count u32 · count ×
-/// i32`. Rev 2 refuses the file outright; nothing in it is decoded.
+/// i32`. Rev 3 refuses the file outright; nothing in it is decoded.
 const REV1_MATRIX_ARTIFACT: [u8; 69] = [
     0x53, 0x4d, 0x4d, 0x41, 0x01, 0x00, 0x00, 0x00, 0x01, 0x17, 0x3d, 0xdb, //
     0x9c, 0xf4, 0xf8, 0x25, 0x83, 0xd3, 0x66, 0xdd, 0x72, 0x2c, 0x00, 0x00, //
@@ -223,18 +222,48 @@ const REV1_MATRIX_ARTIFACT: [u8; 69] = [
     0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
 ];
 
+/// The same matrix as format rev 2 wrote it: rev 3's layout — the header
+/// with no CRC, then the body — but stamped with the digest rev 2 took
+/// over the dense elements. Rev 3 refuses it at the revision field, not
+/// at a digest mismatch.
+const REV2_MATRIX_ARTIFACT: [u8; 74] = [
+    0x53, 0x4d, 0x4d, 0x41, 0x02, 0x00, 0x00, 0x00, 0x01, 0x17, 0x3d, 0xdb, //
+    0x9c, 0xf4, 0xf8, 0x25, 0x83, 0x35, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, //
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x02, 0x00, //
+    0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, //
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0xfe, //
+    0x03, 0x04,
+];
+
+/// Both older revisions are refused by number, and nothing in them is
+/// decoded; the matrix they held is still writable, as rev 3.
+fn an_old_matrix_file_is_refused(file: &[u8], rev: u32) {
+    let expect = format!("unsupported artifact format rev {rev}");
+    let err = artifact::decode(file).unwrap_err().to_string();
+    assert!(err.contains(&expect), "{err}");
+    let err = artifact::decode_body(file).unwrap_err().to_string();
+    assert!(err.contains(&expect), "{err}");
+    let m = IntMatrix::from_vec(2, 3, vec![1, 0, -2, 3, 0, 4]).unwrap();
+    let current = artifact::encode(m.digest(), &Artifact::Matrix(m.clone()));
+    assert_eq!(current[4..8], FORMAT_REV.to_le_bytes());
+    assert_eq!(artifact::decode(&current).unwrap(), (m.digest(), Artifact::Matrix(m)));
+}
+
 #[test]
 fn a_rev1_matrix_file_is_refused_not_decoded() {
-    let expect = "unsupported artifact format rev 1";
-    let err = artifact::decode(&REV1_MATRIX_ARTIFACT).unwrap_err().to_string();
-    assert!(err.contains(expect), "{err}");
-    let err = artifact::decode_body(&REV1_MATRIX_ARTIFACT).unwrap_err().to_string();
-    assert!(err.contains(expect), "{err}");
-    // The matrix it held is still writable, as rev 2.
+    an_old_matrix_file_is_refused(&REV1_MATRIX_ARTIFACT, 1);
+}
+
+#[test]
+fn a_rev2_matrix_file_is_refused_not_decoded() {
+    an_old_matrix_file_is_refused(&REV2_MATRIX_ARTIFACT, 2);
+    // Its layout is rev 3's: only the revision and the digest stamp moved.
     let m = IntMatrix::from_vec(2, 3, vec![1, 0, -2, 3, 0, 4]).unwrap();
-    let rev2 = artifact::encode(m.digest(), &Artifact::Matrix(m.clone()));
-    assert_eq!(rev2[4], 2);
-    assert_eq!(artifact::decode(&rev2).unwrap(), (m.digest(), Artifact::Matrix(m)));
+    let mut current = artifact::encode(m.digest(), &Artifact::Matrix(m));
+    current[4] = 2;
+    current[DIGEST_FIELD].copy_from_slice(&REV2_MATRIX_ARTIFACT[DIGEST_FIELD]);
+    assert_eq!(current, REV2_MATRIX_ARTIFACT);
 }
 
 /// The kinds with no content address still verify through the CRC: a

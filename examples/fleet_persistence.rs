@@ -6,9 +6,9 @@
 //!
 //! 1. Start a server with a store directory; load a matrix and serve a
 //!    product. The load persisted one file under the directory — the
-//!    matrix, what a restart reads back — digest-addressed (FNV-1a,
-//!    one multiply per zero run): the digest a matrix is filed under is also the check its
-//!    bytes must pass on the way back in.
+//!    matrix, what a restart reads back — digest-addressed (XXH64 over
+//!    the matrix's body): the digest a matrix is filed under is also the
+//!    check its bytes must pass on the way back in.
 //! 2. Shut the server down and start a *new* one on the same directory.
 //!    The scan rediscovers the fleet as cold entries.
 //! 3. Serve the same digest without any client re-uploading it: the
