@@ -411,20 +411,18 @@ fn bench_plan_regret(c: &mut Criterion) {
                 _ => &["dense", "csr", "sigma"],
             };
             let cache = Arc::new(MultiplierCache::new());
-            let session = |spec: Option<&str>| {
-                let builder = Session::builder(m.clone()).cache(Arc::clone(&cache));
-                match spec {
-                    Some(kind) => builder.spec(EngineSpec::new(kind)),
-                    None => builder,
-                }
-                .build()
-                .unwrap()
+            let session = |kind: &str| {
+                Session::builder(m.clone())
+                    .cache(Arc::clone(&cache))
+                    .spec(EngineSpec::new(kind))
+                    .build()
+                    .unwrap()
             };
             let tag = format!("{dim}@{pct}%");
             let mut out = vec![0i64; dim];
             let mut times = Vec::with_capacity(kinds.len());
             for &kind in kinds {
-                let engine = Arc::clone(session(Some(kind)).engine());
+                let engine = Arc::clone(session(kind).engine());
                 engine.run_rows(&frame, 0, 1, &mut out).unwrap();
                 assert_eq!(out, expect, "{kind} diverged from the dense reference on {tag}");
                 let mut best = f64::INFINITY;
@@ -440,7 +438,7 @@ fn bench_plan_regret(c: &mut Criterion) {
                 times.push((kind, best));
             }
             // Planned last, so at 32² the compiled circuit is resident.
-            let picked = session(None).engine().name();
+            let picked = session("auto").engine().name();
             let (_, auto_s) = *times.iter().find(|(kind, _)| *kind == picked).unwrap();
             let (fastest, fastest_s) = *times.iter().min_by(|x, y| x.1.total_cmp(&y.1)).unwrap();
             if timed {

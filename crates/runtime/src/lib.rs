@@ -9,10 +9,11 @@
 //! follows. This crate makes the amortization explicit end to end, and
 //! [`Session`] is the front door every consumer serves through:
 //!
-//! * [`EngineSpec`] / `spec::build` — engine descriptions and the
-//!   one `match` over [`BUILTIN_KINDS`] that builds them (`spec`);
-//! * `plan::plan` / [`PlanPolicy`] / [`EnginePlan`] — policy-driven
-//!   backend choice priced from the matrix's own counts (`plan`);
+//! * [`EngineSpec`] / `spec::build` — engine descriptions (a kind of
+//!   [`BUILTIN_KINDS`], or `auto`) and the one `match` over
+//!   [`BUILTIN_KINDS`] that builds them (`spec`);
+//! * `plan::plan` / [`EnginePlan`] — an `auto` spec resolved to the
+//!   engine its matrix's own counts price cheapest (`plan`);
 //! * [`Session`] — the plan + a handle to the built engine + the
 //!   shared [`MultiplierCache`] behind one submission surface, batches
 //!   sharded in submission order across the one worker pool of the
@@ -55,8 +56,8 @@
 //!
 //! The session auto-planned an engine from the matrix (the cheapest
 //! kernel per frame on its rows, columns and non-zeros — see
-//! [`Session::plan`] for the rationale); pass an explicit [`EngineSpec`] via
-//! [`SessionBuilder::spec`] to overrule it.
+//! [`Session::plan`] for the rationale); pass an [`EngineSpec`] naming a
+//! kind via [`SessionBuilder::spec`] to overrule it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -93,4 +94,4 @@ pub use plan::{AutoOptions, EnginePlan, PlanPolicy};
 pub use session::{Session, SessionBuilder};
 pub use tiered::{InsertOutcome, TieredConfig, TieredRegistry};
 pub use smm_telemetry::SpanRecorder;
-pub use spec::{EngineSpec, BUILTIN_KINDS};
+pub use spec::{EngineSpec, BUILTIN_KINDS, INPUT_BITS};

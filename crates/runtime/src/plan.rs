@@ -7,9 +7,9 @@
 //! [`EnginePlan`] naming the cheapest [`EngineSpec`] with a
 //! human-readable rationale that carries the numbers.
 //!
-//! Callers that know better say so with [`PlanPolicy::Explicit`], which
-//! always wins: [`plan`] checks the requested kind against
-//! [`BUILTIN_KINDS`] and prices nothing.
+//! Only an `auto` spec ([`EngineSpec::auto`]) is priced. A spec that
+//! names one of [`BUILTIN_KINDS`] always wins: [`plan`] passes it
+//! through and prices nothing.
 //!
 //! The costs describe the kernels that will run, at the rates the
 //! committed benchmark report measured them (`BENCH_18.json`; each
@@ -31,8 +31,7 @@
 //! [`BUILTIN_KINDS`] order and ties keep the earliest, so planning is a
 //! pure, reproducible function of the matrix.
 
-use crate::spec::{unknown_kind, EngineSpec, BUILTIN_KINDS};
-use smm_bitserial::multiplier::WeightEncoding;
+use crate::spec::{EngineSpec, BUILTIN_KINDS};
 use smm_core::error::Result;
 use smm_core::matrix::IntMatrix;
 use smm_core::wire::MatrixBody;
@@ -88,42 +87,34 @@ const AUTO_CANDIDATES: [AutoCandidate; 3] = [
     },
 ];
 
-/// Options the auto-planner stamps into whichever spec wins.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The shard count of a [`PlanPolicy::Auto`].
+///
+/// Kept, with [`PlanPolicy`] and `SessionBuilder::policy`, only as the
+/// serving benchmark's adapter, which names them; everything else says
+/// [`EngineSpec::auto`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AutoOptions {
-    /// Signed input operand width for the planned engine.
-    pub input_bits: u32,
-    /// Weight encoding stamped into the spec; only circuit engines
-    /// read it.
-    pub encoding: WeightEncoding,
     /// Most shards one batch is cut into (0 = one per core).
     pub threads: usize,
 }
 
-impl Default for AutoOptions {
-    fn default() -> Self {
-        Self {
-            input_bits: 8,
-            encoding: WeightEncoding::Pn,
-            threads: 0,
-        }
-    }
-}
-
-/// How `plan` chooses the engine.
+/// An older spelling of an [`EngineSpec`], kept only as the serving
+/// benchmark's adapter (see [`AutoOptions`]): it means exactly the spec
+/// it converts into.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanPolicy {
-    /// The caller picked; planning only validates the kind exists.
+    /// This spec.
     Explicit(EngineSpec),
-    /// Price the auto candidates on the matrix's counts and pick the
-    /// cheapest.
+    /// [`EngineSpec::auto`] with these options.
     Auto(AutoOptions),
 }
 
-impl Default for PlanPolicy {
-    /// Auto planning with default options.
-    fn default() -> Self {
-        PlanPolicy::Auto(AutoOptions::default())
+impl From<PlanPolicy> for EngineSpec {
+    fn from(policy: PlanPolicy) -> Self {
+        match policy {
+            PlanPolicy::Explicit(spec) => spec,
+            PlanPolicy::Auto(options) => EngineSpec::auto().threads(options.threads),
+        }
     }
 }
 
@@ -144,8 +135,8 @@ pub struct PlanCandidate {
 pub struct EnginePlan {
     /// The spec the session will build through `crate::spec::build`.
     pub spec: EngineSpec,
-    /// The winner's cost per frame in nanoseconds (0.0 for explicit
-    /// policies, which price nothing).
+    /// The winner's cost per frame in nanoseconds (0.0 for a spec that
+    /// names its kind, which prices nothing).
     pub cost_ns: f64,
     /// One sentence a human can read in a log and believe.
     pub rationale: String,
@@ -153,46 +144,38 @@ pub struct EnginePlan {
     pub candidates: Vec<PlanCandidate>,
 }
 
-/// Plans an engine for `matrix` under `policy` — a pure function of the
-/// two. Fails when the policy names a kind that is not one of
+/// Plans an engine for `matrix` under `spec` — a pure function of the
+/// two. Fails when the spec's kind is neither `auto` nor one of
 /// [`BUILTIN_KINDS`].
-pub(crate) fn plan(matrix: &IntMatrix, policy: &PlanPolicy) -> Result<EnginePlan> {
-    plan_counts(policy, || Counts { rows: matrix.rows(), cols: matrix.cols(), nnz: matrix.nnz() })
+pub(crate) fn plan(matrix: &IntMatrix, spec: &EngineSpec) -> Result<EnginePlan> {
+    plan_counts(spec, || Counts { rows: matrix.rows(), cols: matrix.cols(), nnz: matrix.nnz() })
 }
 
 /// [`plan`] for a matrix kept as its body: the counts come from the
 /// body's header, so planning reads no element.
-pub(crate) fn plan_body(body: &MatrixBody, policy: &PlanPolicy) -> Result<EnginePlan> {
-    plan_counts(policy, || Counts { rows: body.rows(), cols: body.cols(), nnz: body.nnz() })
+pub(crate) fn plan_body(body: &MatrixBody, spec: &EngineSpec) -> Result<EnginePlan> {
+    plan_counts(spec, || Counts { rows: body.rows(), cols: body.cols(), nnz: body.nnz() })
 }
 
-/// [`plan`] over the counts an auto policy prices; an explicit policy
-/// never asks for them.
-fn plan_counts(policy: &PlanPolicy, counts: impl FnOnce() -> Counts) -> Result<EnginePlan> {
-    match policy {
-        PlanPolicy::Explicit(spec) => {
-            if !BUILTIN_KINDS.contains(&spec.kind()) {
-                return Err(unknown_kind(spec.kind()));
-            }
-            Ok(EnginePlan {
-                candidates: vec![PlanCandidate {
-                    kind: spec.kind().to_string(),
-                    cost_ns: 0.0,
-                    reason: "explicitly requested".into(),
-                }],
-                rationale: format!(
-                    "explicit policy: {} requested, planning skipped",
-                    spec.kind()
-                ),
-                cost_ns: 0.0,
-                spec: spec.clone(),
-            })
-        }
-        PlanPolicy::Auto(options) => Ok(auto_plan(counts(), *options)),
+/// [`plan`] over the counts an `auto` spec prices; a spec that names its
+/// kind never asks for them.
+fn plan_counts(spec: &EngineSpec, counts: impl FnOnce() -> Counts) -> Result<EnginePlan> {
+    if spec.is_auto()? {
+        return Ok(auto_plan(counts(), spec.threads));
     }
+    Ok(EnginePlan {
+        candidates: vec![PlanCandidate {
+            kind: spec.kind().to_string(),
+            cost_ns: 0.0,
+            reason: "explicitly requested".into(),
+        }],
+        rationale: format!("explicit policy: {} requested, planning skipped", spec.kind()),
+        cost_ns: 0.0,
+        spec: spec.clone(),
+    })
 }
 
-fn auto_plan(counts: Counts, options: AutoOptions) -> EnginePlan {
+fn auto_plan(counts: Counts, threads: usize) -> EnginePlan {
     let candidates = AUTO_CANDIDATES.map(|c| {
         let work = (c.work)(&counts);
         PlanCandidate {
@@ -231,10 +214,7 @@ fn auto_plan(counts: Counts, options: AutoOptions) -> EnginePlan {
         explicit_only.join(", "),
     );
     EnginePlan {
-        spec: EngineSpec::new(winner.kind.clone())
-            .input_bits(options.input_bits)
-            .encoding(options.encoding)
-            .threads(options.threads),
+        spec: EngineSpec::new(winner.kind.clone()).threads(threads),
         cost_ns: winner.cost_ns,
         rationale,
         candidates: candidates.into(),
@@ -246,13 +226,15 @@ mod tests {
     use super::*;
     use crate::cache::MultiplierCache;
     use crate::session::Session;
+    use crate::spec::INPUT_BITS;
     use proptest::prelude::*;
+    use smm_bitserial::multiplier::WeightEncoding;
     use smm_core::generate::element_sparse_matrix;
     use smm_core::rng::seeded;
     use std::sync::Arc;
 
-    fn plan(matrix: &IntMatrix, policy: &PlanPolicy) -> EnginePlan {
-        super::plan(matrix, policy).unwrap()
+    fn plan(matrix: &IntMatrix, spec: &EngineSpec) -> EnginePlan {
+        super::plan(matrix, spec).unwrap()
     }
 
     /// 4x5 with exactly 4 zeros: 20% sparse, so dense must win.
@@ -265,9 +247,19 @@ mod tests {
         .unwrap()
     }
 
+    /// 4x5 with 5 non-zeros: 75% sparse, so csr must win.
+    fn mostly_sparse() -> IntMatrix {
+        IntMatrix::from_vec(
+            4,
+            5,
+            vec![0, 2, 0, 0, 0, 0, 0, -7, 0, 0, 9, 0, 0, 0, 12, 0, 0, 0, 15, 0],
+        )
+        .unwrap()
+    }
+
     #[test]
     fn dense_matrix_plans_dense() {
-        let plan = plan(&mostly_dense(), &PlanPolicy::default());
+        let plan = plan(&mostly_dense(), &EngineSpec::auto());
         assert_eq!(plan.spec.kind(), "dense");
         assert_eq!(plan.cost_ns, 20.0 * DENSE_NS_PER_MAC);
         assert_eq!(plan.candidates.len(), AUTO_CANDIDATES.len());
@@ -280,7 +272,7 @@ mod tests {
         // dense kernel 0.30 ns for all of them, sigma twice the gather.
         let mut rng = seeded(2804);
         let v = element_sparse_matrix(24, 24, 8, 0.5, true, &mut rng).unwrap();
-        let plan = plan(&v, &PlanPolicy::default());
+        let plan = plan(&v, &EngineSpec::auto());
         assert_eq!(plan.spec.kind(), "csr", "{}", plan.rationale);
         assert!(plan.rationale.contains("nnz × 0.40 ns"), "{}", plan.rationale);
     }
@@ -289,7 +281,7 @@ mod tests {
     fn high_sparsity_plans_csr() {
         let mut rng = seeded(2800);
         let v = element_sparse_matrix(40, 40, 8, 0.95, true, &mut rng).unwrap();
-        let plan = plan(&v, &PlanPolicy::default());
+        let plan = plan(&v, &EngineSpec::auto());
         assert_eq!(plan.spec.kind(), "csr", "{}", plan.rationale);
     }
 
@@ -310,9 +302,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// For any `(rows, cols, nnz)` the winner is the arg-min of the
-        /// table with ties to the earliest row, the options ride through
-        /// untouched, and a compiled circuit in the session's cache
-        /// changes nothing.
+        /// table with ties to the earliest row, the shard count rides
+        /// through untouched, and a compiled circuit in the session's
+        /// cache changes nothing.
         #[test]
         fn auto_plan_is_the_arg_min_of_the_table(
             seed in any::<u64>(),
@@ -320,7 +312,7 @@ mod tests {
             cols in 1usize..14,
             sparsity in 0.0f64..=1.0,
             edge in 0u32..4,
-            input_bits in 2u32..12,
+            threads in 0usize..5,
         ) {
             // A quarter of the cases each sit on the fully dense and the
             // all-zero edge, where the exact tie lives.
@@ -337,8 +329,8 @@ mod tests {
                 nnz * CSR_NS_PER_NNZ,
                 nnz * SIGMA_NS_PER_NNZ,
             ];
-            let policy = PlanPolicy::Auto(AutoOptions { input_bits, ..AutoOptions::default() });
-            let planned = plan(&v, &policy);
+            let spec = EngineSpec::auto().threads(threads);
+            let planned = plan(&v, &spec);
             prop_assert_eq!(
                 planned.candidates.iter().map(|c| c.cost_ns).collect::<Vec<_>>(),
                 costs.to_vec()
@@ -347,7 +339,7 @@ mod tests {
             let first = costs.iter().position(|&c| c == cheapest).unwrap();
             prop_assert_eq!(planned.spec.kind(), AUTO_CANDIDATES[first].kind);
             prop_assert_eq!(planned.cost_ns, cheapest);
-            prop_assert_eq!(planned.spec.input_bits, input_bits);
+            prop_assert_eq!(planned.spec.threads, threads);
             // An all-zero matrix is the one exact tie: csr and sigma
             // both cost nothing, and the earlier row keeps it.
             if nnz == 0.0 {
@@ -356,13 +348,46 @@ mod tests {
 
             let cache = Arc::new(MultiplierCache::new());
             let session = |cache: &Arc<MultiplierCache>| {
-                Session::builder(v.clone()).policy(policy.clone()).cache(Arc::clone(cache)).build()
+                Session::builder(v.clone()).spec(spec.clone()).cache(Arc::clone(cache)).build()
             };
             let before = session(&cache).unwrap();
-            cache.get_or_compile(&v, input_bits, WeightEncoding::Pn).unwrap();
+            cache.get_or_compile(&v, INPUT_BITS, WeightEncoding::Pn).unwrap();
             let after = session(&cache).unwrap();
             prop_assert_eq!(before.plan(), &planned);
             prop_assert_eq!(after.plan(), &planned);
+        }
+    }
+
+    #[test]
+    fn the_benchmark_adapter_means_the_spec_it_converts_into() {
+        // `PlanPolicy` and `AutoOptions` survive only for the serving
+        // benchmark's session rungs: each must build the very session its
+        // spec does, on a matrix where dense, csr, and the csr-sigma tie
+        // win the auto plan.
+        let zero = IntMatrix::from_vec(3, 4, vec![0; 12]).unwrap();
+        for (v, auto_kind) in [(mostly_dense(), "dense"), (mostly_sparse(), "csr"), (zero, "csr")] {
+            for threads in [0, 1, 3] {
+                let mut pairs = vec![(
+                    PlanPolicy::Auto(AutoOptions { threads }),
+                    EngineSpec::auto().threads(threads),
+                )];
+                for kind in BUILTIN_KINDS {
+                    let spec = EngineSpec::new(kind).threads(threads);
+                    pairs.push((PlanPolicy::Explicit(spec.clone()), spec));
+                }
+                for (policy, spec) in pairs {
+                    let adapted =
+                        Session::builder(v.clone()).policy(policy.clone()).build().unwrap();
+                    let direct = Session::builder(v.clone()).spec(spec).build().unwrap();
+                    assert_eq!(adapted.plan(), direct.plan(), "{policy:?}");
+                    assert_eq!(adapted.threads(), direct.threads(), "{policy:?}");
+                }
+                let auto = Session::builder(v.clone())
+                    .spec(EngineSpec::auto().threads(threads))
+                    .build()
+                    .unwrap();
+                assert_eq!(auto.engine().name(), auto_kind, "{}", auto.plan().rationale);
+            }
         }
     }
 
@@ -372,7 +397,7 @@ mod tests {
         // A 95%-sparse matrix auto-plans csr; explicit dense overrides.
         let v = element_sparse_matrix(30, 30, 8, 0.95, true, &mut rng).unwrap();
         let spec = EngineSpec::dense().threads(2);
-        let plan = plan(&v, &PlanPolicy::Explicit(spec.clone()));
+        let plan = plan(&v, &spec);
         assert_eq!(plan.spec, spec);
         assert_eq!(plan.cost_ns, 0.0);
         assert_eq!(
@@ -385,7 +410,7 @@ mod tests {
     fn explicit_unknown_kind_fails_cleanly() {
         let err = super::plan(
             &IntMatrix::identity(2).unwrap(),
-            &PlanPolicy::Explicit(EngineSpec::new("tpu")),
+            &EngineSpec::new("tpu"),
         )
         .unwrap_err();
         assert!(err.to_string().contains("tpu"), "{err}");
@@ -396,7 +421,7 @@ mod tests {
         // The rationale is part of the operator-facing surface (logs, the
         // CLI, the serve reply); pin it exactly so drift is deliberate.
         // Every number in it is a count of the matrix times a named rate.
-        let plan = plan(&mostly_dense(), &PlanPolicy::default());
+        let plan = plan(&mostly_dense(), &EngineSpec::auto());
         assert_eq!(
             plan.rationale,
             "auto plan for 4x5 (16 nnz, 20.0% sparse): dense costs 6.0 ns/frame — \
@@ -410,13 +435,7 @@ mod tests {
     fn golden_sparse_rationale_is_pinned() {
         // The same pin on the other side of the crossover (75 % sparse),
         // where the winner is not the first row of the table.
-        let v = IntMatrix::from_vec(
-            4,
-            5,
-            vec![0, 2, 0, 0, 0, 0, 0, -7, 0, 0, 9, 0, 0, 0, 12, 0, 0, 0, 15, 0],
-        )
-        .unwrap();
-        let plan = plan(&v, &PlanPolicy::default());
+        let plan = plan(&mostly_sparse(), &EngineSpec::auto());
         assert_eq!(
             plan.rationale,
             "auto plan for 4x5 (5 nnz, 75.0% sparse): csr costs 2.0 ns/frame — \

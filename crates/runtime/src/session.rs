@@ -22,10 +22,10 @@
 //! the blocks, reuse them). Both reach the same engine kernel
 //! ([`GemvBackend::run_rows`]).
 //!
-//! Construction is a builder ([`Session::builder`]): pick a
-//! [`PlanPolicy`] (default: auto-plan from the matrix itself), optionally
-//! share a cache, and `build()`. The plan that chose the engine stays
-//! attached ([`Session::plan`]) so operators can always
+//! Construction is a builder ([`Session::builder`]): pick an
+//! [`EngineSpec`] (default: [`EngineSpec::auto`], planned from the matrix
+//! itself), optionally share a cache, and `build()`. The plan that chose
+//! the engine stays attached ([`Session::plan`]) so operators can always
 //! ask *why* this engine is serving.
 //!
 //! ```
@@ -88,7 +88,7 @@ enum Weights {
 #[derive(Clone)]
 pub struct SessionBuilder {
     weights: Weights,
-    policy: PlanPolicy,
+    spec: EngineSpec,
     engine: Option<Arc<dyn GemvBackend>>,
     cache: Option<Arc<MultiplierCache>>,
     recorder: Option<SpanRecorder>,
@@ -102,25 +102,27 @@ impl std::fmt::Debug for SessionBuilder {
         };
         f.debug_struct("SessionBuilder")
             .field("matrix", &shape)
-            .field("policy", &self.policy)
+            .field("spec", &self.spec)
             .finish_non_exhaustive()
     }
 }
 
 impl SessionBuilder {
-    /// How the engine is chosen (default: auto-plan from the matrix).
-    pub fn policy(mut self, policy: PlanPolicy) -> Self {
-        self.policy = policy;
+    /// The engine to build (default: [`EngineSpec::auto`], planned from
+    /// the matrix).
+    pub fn spec(mut self, spec: EngineSpec) -> Self {
+        self.spec = spec;
         self
     }
 
-    /// Shorthand for an explicit-spec policy.
-    pub fn spec(self, spec: EngineSpec) -> Self {
-        self.policy(PlanPolicy::Explicit(spec))
+    /// [`SessionBuilder::spec`] for the spec `policy` converts into —
+    /// the serving benchmark's adapter (see [`PlanPolicy`]).
+    pub fn policy(self, policy: PlanPolicy) -> Self {
+        self.spec(policy.into())
     }
 
     /// Serves through this engine instead of building the planned one —
-    /// the seam for a test's fake. The policy still plans (and supplies
+    /// the seam for a test's fake. The spec still plans (and supplies
     /// `threads`); the matrix is not consulted again.
     pub fn engine(mut self, engine: Arc<dyn GemvBackend>) -> Self {
         self.engine = Some(engine);
@@ -153,8 +155,8 @@ impl SessionBuilder {
     pub fn build(self) -> Result<Session> {
         let cache = self.cache.unwrap_or_default();
         let plan = match &self.weights {
-            Weights::Dense(m) => plan::plan(m, &self.policy)?,
-            Weights::Body(body) => plan::plan_body(body, &self.policy)?,
+            Weights::Dense(m) => plan::plan(m, &self.spec)?,
+            Weights::Body(body) => plan::plan_body(body, &self.spec)?,
         };
         let engine = match (self.engine, self.weights) {
             (Some(engine), _) => engine,
@@ -220,7 +222,7 @@ impl Session {
     fn builder_over(weights: Weights) -> SessionBuilder {
         SessionBuilder {
             weights,
-            policy: PlanPolicy::default(),
+            spec: EngineSpec::auto(),
             engine: None,
             cache: None,
             recorder: None,
@@ -547,15 +549,12 @@ mod tests {
 
     #[test]
     fn build_failures_are_clean_errors() {
-        // Unknown explicit kind.
-        let identity = || IntMatrix::identity(2).unwrap();
-        assert!(Session::builder(identity())
+        // Unknown explicit kind. (A compile that cannot succeed is
+        // refused by the cache: `errors_are_not_cached`.)
+        assert!(Session::builder(IntMatrix::identity(2).unwrap())
             .spec(EngineSpec::new("tpu"))
             .build()
             .is_err());
-        // A bit-serial compile that cannot succeed (0 operand bits).
-        let spec = EngineSpec::bitserial().input_bits(0);
-        assert!(Session::builder(identity()).spec(spec).build().is_err());
     }
 
     #[test]

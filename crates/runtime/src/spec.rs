@@ -1,11 +1,12 @@
 //! Engine descriptions ([`EngineSpec`]) and the one function that turns
 //! them into live engines ([`build`]).
 //!
-//! An [`EngineSpec`] is a plain *description* of a compute engine: which
-//! kind (one of [`BUILTIN_KINDS`]) plus the options every engine family
-//! understands — operand width, weight encoding, and batch shard count.
-//! Specs are cheap values: they can be compared, stored, or passed
-//! around long before any matrix exists.
+//! An [`EngineSpec`] is a plain *description* of an engine choice: a
+//! kind — one of [`BUILTIN_KINDS`], or `auto` to let the planner pick
+//! from the matrix — plus the batch shard count. Specs are cheap values:
+//! they can be compared, stored, or passed around long before any matrix
+//! exists. This module alone decides which kinds exist
+//! ([`EngineSpec::is_auto`]).
 //!
 //! [`build`] is the **only** place the serving stack constructs a
 //! [`GemvBackend`] — the CLI, the TCP server, the examples, and the
@@ -26,7 +27,18 @@ use std::sync::Arc;
 /// The built-in engine kind names, in planning order.
 pub const BUILTIN_KINDS: [&str; 4] = ["dense", "csr", "bitserial", "sigma"];
 
-/// A serializable description of a compute engine: kind + options.
+/// The kind that names no engine: the planner chooses one of
+/// [`BUILTIN_KINDS`] from the matrix.
+const AUTO: &str = "auto";
+
+/// Signed operand width every engine serves: the bit-serial circuit is
+/// compiled for it, and a client's frames must fit it.
+pub const INPUT_BITS: u32 = 8;
+
+/// Weight encoding every bit-serial circuit is compiled with.
+const ENCODING: WeightEncoding = WeightEncoding::Pn;
+
+/// A serializable description of an engine choice: kind + shard count.
 ///
 /// ```
 /// use smm_core::matrix::IntMatrix;
@@ -42,12 +54,9 @@ pub const BUILTIN_KINDS: [&str; 4] = ["dense", "csr", "bitserial", "sigma"];
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineSpec {
-    /// The engine family, one of [`BUILTIN_KINDS`] if it is to build.
+    /// The engine family, one of [`BUILTIN_KINDS`] if it is to build,
+    /// or `auto`.
     kind: String,
-    /// Signed input operand width in bits.
-    pub(crate) input_bits: u32,
-    /// Weight encoding compiled into circuit engines.
-    pub(crate) encoding: WeightEncoding,
     /// Most shards one batch is cut into for the process's worker pool
     /// (0 = one per core). Spawns nothing: the pool's size is the
     /// machine's, not the spec's.
@@ -55,15 +64,30 @@ pub struct EngineSpec {
 }
 
 impl EngineSpec {
-    /// A spec for the named engine family with default options
-    /// (8-bit operands, plain `Pn` weights, all cores).
+    /// A spec for the named kind, cutting batches one shard per core.
     pub fn new(kind: impl Into<String>) -> Self {
         Self {
             kind: kind.into(),
-            input_bits: 8,
-            encoding: WeightEncoding::Pn,
             threads: 0,
         }
+    }
+
+    /// The planner's choice: the cheapest auto candidate for the matrix
+    /// (`plan` module docs), carrying this spec's shard count.
+    ///
+    /// ```
+    /// use smm_core::matrix::IntMatrix;
+    /// use smm_runtime::{EngineSpec, Session};
+    ///
+    /// assert_eq!(EngineSpec::new("auto"), EngineSpec::auto());
+    /// let session = Session::builder(IntMatrix::identity(3).unwrap())
+    ///     .spec(EngineSpec::auto().threads(2))
+    ///     .build()
+    ///     .unwrap();
+    /// assert_eq!(session.plan().spec, EngineSpec::csr().threads(2));
+    /// ```
+    pub fn auto() -> Self {
+        Self::new(AUTO)
     }
 
     /// The dense reference engine.
@@ -92,16 +116,15 @@ impl EngineSpec {
         &self.kind
     }
 
-    /// Returns the spec with this input operand width.
-    pub(crate) fn input_bits(mut self, bits: u32) -> Self {
-        self.input_bits = bits;
-        self
-    }
-
-    /// Returns the spec with this weight encoding.
-    pub(crate) fn encoding(mut self, encoding: WeightEncoding) -> Self {
-        self.encoding = encoding;
-        self
+    /// Whether the planner must choose the engine: `true` for `auto`,
+    /// `false` for one of [`BUILTIN_KINDS`], and the unknown-kind error
+    /// for anything else.
+    pub(crate) fn is_auto(&self) -> Result<bool> {
+        match self.kind() {
+            AUTO => Ok(true),
+            kind if BUILTIN_KINDS.contains(&kind) => Ok(false),
+            other => Err(unknown_kind(other)),
+        }
     }
 
     /// Returns the spec with this many shards per batch at most (0 =
@@ -112,11 +135,12 @@ impl EngineSpec {
     }
 }
 
-/// The error for a kind that is not one of [`BUILTIN_KINDS`].
-pub(crate) fn unknown_kind(kind: &str) -> Error {
+/// The error for a kind that is neither `auto` nor one of
+/// [`BUILTIN_KINDS`].
+fn unknown_kind(kind: &str) -> Error {
     Error::Runtime {
         context: format!(
-            "no engine of kind '{kind}' (have: {})",
+            "no engine of kind '{kind}' (have: {AUTO}, {})",
             BUILTIN_KINDS.join(", ")
         ),
     }
@@ -126,7 +150,7 @@ pub(crate) fn unknown_kind(kind: &str) -> Error {
 /// keeps the matrix; the others derive their own representation from it.
 /// Circuits compile through `cache`, so repeat loads never recompile.
 /// Fails with [`Error::Runtime`] when the spec's kind is not one of
-/// [`BUILTIN_KINDS`].
+/// [`BUILTIN_KINDS`] (an `auto` spec is planned first).
 ///
 /// A session's explicit spec is built here:
 ///
@@ -149,8 +173,8 @@ pub(crate) fn build(
         "csr" => Arc::new(SparseCsr::new(&matrix)),
         "bitserial" => Arc::new(BitSerial::new(cache.get_or_compile(
             &matrix,
-            spec.input_bits,
-            spec.encoding,
+            INPUT_BITS,
+            ENCODING,
         )?)),
         "sigma" => Arc::new(SigmaEngine::new(&matrix)),
         other => return Err(unknown_kind(other)),
@@ -174,7 +198,7 @@ pub(crate) fn build_body(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{plan, PlanPolicy};
+    use crate::plan::plan;
     use smm_core::generate::element_sparse_matrix;
     use smm_core::rng::seeded;
 
@@ -203,11 +227,11 @@ mod tests {
         };
         // Planning refuses the kind with the same typed error, so a
         // session never gets as far as the build.
-        let planned = plan(&v, &PlanPolicy::Explicit(spec)).unwrap_err();
+        let planned = plan(&v, &spec).unwrap_err();
         assert_eq!(built, planned);
         assert!(matches!(built, Error::Runtime { .. }), "{built:?}");
         let text = built.to_string();
-        for name in ["tpu"].into_iter().chain(BUILTIN_KINDS) {
+        for name in ["tpu", AUTO].into_iter().chain(BUILTIN_KINDS) {
             assert!(text.contains(name), "{text}");
         }
     }

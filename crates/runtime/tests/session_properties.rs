@@ -10,7 +10,7 @@ use smm_core::generate::{element_sparse_matrix, random_vector};
 use smm_core::gemv::vecmat;
 use smm_core::matrix::IntMatrix;
 use smm_core::rng::seeded;
-use smm_runtime::{EngineSpec, FrameBlock, MultiplierCache, PlanPolicy, RowBlock, Session};
+use smm_runtime::{EngineSpec, FrameBlock, MultiplierCache, RowBlock, Session};
 use std::sync::Arc;
 
 proptest! {
@@ -73,14 +73,14 @@ proptest! {
     // (`tests/engine_conformance.rs`), which drives every registered
     // engine kind through one table.
 
-    /// Explicit policy always beats the planner's own preference.
+    /// A spec naming its kind always beats the planner's own preference.
     #[test]
     fn explicit_policy_always_wins(seed in any::<u64>(), sparsity in 0.0f64..=1.0) {
         let mut rng = seeded(seed);
         let v = element_sparse_matrix(10, 10, 8, sparsity, true, &mut rng).unwrap();
         for kind in ["dense", "csr", "bitserial"] {
             let session = Session::builder(v.clone())
-                .policy(PlanPolicy::Explicit(EngineSpec::new(kind)))
+                .spec(EngineSpec::new(kind))
                 .build()
                 .unwrap();
             prop_assert_eq!(session.engine().name(), kind);

@@ -10,7 +10,7 @@ use crate::protocol::BackendKind;
 use smm_core::block::FrameBlock;
 use smm_core::gemv::vecmat;
 use smm_core::matrix::IntMatrix;
-use smm_runtime::AutoOptions;
+use smm_runtime::INPUT_BITS;
 use smm_telemetry::LatencyHistogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -164,16 +164,15 @@ fn client_loop(
         }
     };
     let mut rng = smm_core::rng::derived(seed, stream_id.wrapping_add(1));
-    // Frames at the engines' default operand width, which every engine
-    // the server builds is compiled for.
-    let input_bits = AutoOptions::default().input_bits;
-    // One flat request block, refilled in place every round.
+    // One flat request block of frames at the operand width every
+    // engine serves, refilled in place every round.
     let mut frames = FrameBlock::with_capacity(matrix.rows(), batch);
     while Instant::now() < deadline {
         frames.clear();
         for _ in 0..batch {
-            let filled = smm_core::generate::random_vector(matrix.rows(), input_bits, true, &mut rng)
-                .and_then(|v| frames.push_frame(&v));
+            let filled =
+                smm_core::generate::random_vector(matrix.rows(), INPUT_BITS, true, &mut rng)
+                    .and_then(|v| frames.push_frame(&v));
             if filled.is_err() {
                 tally.errors.fetch_add(1, Ordering::Relaxed);
                 return;

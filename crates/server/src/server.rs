@@ -31,8 +31,7 @@ use crate::protocol::{
 use smm_core::error::{Error, Result};
 use smm_core::wire::MatrixBody;
 use smm_runtime::{
-    AutoOptions, EngineSpec, InsertOutcome, MultiplierCache, PlanPolicy, Session, TieredConfig,
-    TieredRegistry,
+    EngineSpec, InsertOutcome, MultiplierCache, Session, TieredConfig, TieredRegistry,
 };
 use smm_store::Store;
 use smm_telemetry::{Span, Stage};
@@ -49,7 +48,8 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (see
     /// [`ServerHandle::local_addr`]).
     pub addr: String,
-    /// Engine built for each loaded matrix.
+    /// Engine built for each loaded matrix whose load names none: the
+    /// [`EngineSpec`] kind of that name, `auto` planned per matrix.
     pub backend: BackendKind,
     /// Most shards one batch is cut into for the process-wide worker
     /// pool (0 = one per core). Loading a matrix spawns no thread.
@@ -210,30 +210,18 @@ impl Shared {
         metrics::render(&self.stats(), open, &self.metrics)
     }
 
-    /// The plan policy for one load: the request's backend choice when
-    /// given, else the server-wide default. Operand width and weight
-    /// encoding are the engine defaults (8-bit, `Pn`); only the shard
-    /// count is the server's.
-    fn policy_for(&self, requested: Option<BackendKind>) -> PlanPolicy {
-        let threads = self.config.threads;
-        match requested.unwrap_or(self.config.backend) {
-            BackendKind::Auto => PlanPolicy::Auto(AutoOptions {
-                threads,
-                ..AutoOptions::default()
-            }),
-            explicit => PlanPolicy::Explicit(EngineSpec::new(explicit.name()).threads(threads)),
-        }
-    }
-
-    /// Builds the session serving the matrix `body` stands for
-    /// (compilations go through the shared cache).
+    /// Builds the session serving the matrix `body` stands for, under
+    /// the request's backend choice when given, else the server-wide
+    /// default, cut into the server's shard count (compilations go
+    /// through the shared cache).
     fn build_session(
         &self,
         body: Arc<MatrixBody>,
         requested: Option<BackendKind>,
     ) -> Result<Session> {
+        let kind = requested.unwrap_or(self.config.backend).name();
         Session::builder_body(body)
-            .policy(self.policy_for(requested))
+            .spec(EngineSpec::new(kind).threads(self.config.threads))
             .cache(Arc::clone(&self.cache))
             // Every session shares the server's stage histograms, so
             // shard/reassemble/compute timings from any matrix land in
@@ -739,6 +727,7 @@ fn session_loop(stream: TcpStream, shared: &Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smm_core::matrix::IntMatrix;
 
     #[test]
     fn admission_queue_enforces_capacity() {
@@ -793,11 +782,11 @@ mod tests {
 
     #[test]
     fn policy_for_maps_backend_choices() {
-        let shared = Shared {
+        let shared = |backend| Shared {
             cache: Arc::new(MultiplierCache::new()),
             admission: AdmissionQueue::new(1),
             config: ServerConfig {
-                backend: BackendKind::Csr,
+                backend,
                 threads: 3,
                 ..ServerConfig::default()
             },
@@ -807,24 +796,32 @@ mod tests {
             connections: AtomicU64::new(0),
             open_connections: AtomicU64::new(0),
         };
-        // No request choice: the server default, as an explicit spec
-        // with the engine defaults and the server's shard count.
-        assert_eq!(
-            shared.policy_for(None),
-            PlanPolicy::Explicit(EngineSpec::new("csr").threads(3))
-        );
+        // Fully dense, so `auto` plans dense and no row below can pass
+        // for another.
+        let v = IntMatrix::from_vec(2, 2, vec![1, 2, 3, 4]).unwrap();
+        let served = |backend, requested| {
+            let body = Arc::new(MatrixBody::of(&v));
+            let session = shared(backend).build_session(body, requested).unwrap();
+            session.plan().clone()
+        };
+        // What a session over the same matrix plans from `spec`.
+        let planned = |spec| {
+            let session = Session::builder(v.clone()).spec(spec).build().unwrap();
+            session.plan().clone()
+        };
+        // No request choice: the server default, with the server's
+        // shard count.
+        assert_eq!(served(BackendKind::Csr, None), planned(EngineSpec::csr().threads(3)));
+        assert_eq!(served(BackendKind::Auto, None), planned(EngineSpec::auto().threads(3)));
         // A request choice overrides the default.
         assert_eq!(
-            shared.policy_for(Some(BackendKind::BitSerial)),
-            PlanPolicy::Explicit(EngineSpec::new("bitserial").threads(3))
+            served(BackendKind::Csr, Some(BackendKind::BitSerial)),
+            planned(EngineSpec::bitserial().threads(3))
         );
-        assert_eq!(
-            shared.policy_for(Some(BackendKind::Auto)),
-            PlanPolicy::Auto(AutoOptions {
-                threads: 3,
-                ..AutoOptions::default()
-            })
-        );
+        let auto = served(BackendKind::Csr, Some(BackendKind::Auto));
+        assert_eq!(auto, planned(EngineSpec::auto().threads(3)));
+        assert!(auto.rationale.starts_with("auto plan"), "{}", auto.rationale);
+        assert_eq!(auto.spec, EngineSpec::dense().threads(3));
     }
 
     #[test]

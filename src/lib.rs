@@ -53,9 +53,9 @@
 //!    compiled bit-serial, and SIGMA tile-mapped engines built by
 //!    the runtime's `spec::build` from an [`EngineSpec`] (a new engine
 //!    family is one more arm there); the runtime's `plan::plan`, which
-//!    prices the dense, CSR and sigma kernels per matrix under a
-//!    [`PlanPolicy`], in nanoseconds per frame at their measured rates
-//!    (the gpu, cgra and
+//!    resolves an `auto` spec ([`EngineSpec::auto`]) by pricing the
+//!    dense, CSR and sigma kernels per matrix, in nanoseconds per frame
+//!    at their measured rates (the gpu, cgra and
 //!    sigma timing models are evaluation models, not planner inputs); a
 //!    [`runtime::MultiplierCache`]
 //!    that memoizes spatial compilation by matrix content digest (with
@@ -103,4 +103,4 @@ pub use smm_telemetry as telemetry;
 
 // The serving API, re-exported at the crate root as the documented
 // entry point.
-pub use smm_runtime::{EnginePlan, EngineSpec, PlanPolicy, Session, SessionBuilder};
+pub use smm_runtime::{EnginePlan, EngineSpec, Session, SessionBuilder};

@@ -23,12 +23,13 @@ use spatial_smm::core::generate::{element_sparse_matrix, random_vector};
 use spatial_smm::core::gemv::vecmat;
 use spatial_smm::core::matrix::IntMatrix;
 use spatial_smm::core::rng::seeded;
-use spatial_smm::runtime::{AutoOptions, MultiplierCache, BUILTIN_KINDS};
+use spatial_smm::runtime::{MultiplierCache, BUILTIN_KINDS};
 use spatial_smm::server::{BackendKind, Client, ServerConfig, ServerHandle};
-use spatial_smm::{EnginePlan, EngineSpec, PlanPolicy, Session};
+use spatial_smm::{EnginePlan, EngineSpec, Session};
 use std::sync::Arc;
 
-/// The conformance table's `auto` column, beside the built-in kinds.
+/// The conformance table's `auto` column, beside the built-in kinds:
+/// an [`EngineSpec`] kind like them, which the planner resolves.
 const AUTO: &str = "auto";
 
 /// The cheapest candidate of an auto plan, ties to the earliest: what
@@ -96,16 +97,8 @@ fn assert_conformance(
     let (start, end) = (batch_size.min(1), batch_size);
     let mut shard = vec![0i64; (end - start) * cols];
     for kind in BUILTIN_KINDS.into_iter().chain([AUTO]) {
-        let policy = if kind == AUTO {
-            PlanPolicy::Auto(AutoOptions {
-                threads,
-                ..AutoOptions::default()
-            })
-        } else {
-            PlanPolicy::Explicit(EngineSpec::new(kind).threads(threads))
-        };
         let session = Session::builder(v.clone())
-            .policy(policy)
+            .spec(EngineSpec::new(kind).threads(threads))
             .cache(Arc::clone(&cache))
             .build()
             .unwrap();
