@@ -47,11 +47,13 @@ use std::sync::{Arc, Mutex, MutexGuard};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TieredConfig {
     /// Hot sessions resident at once (minimum 1). Exceeding this
-    /// demotes the LRU session to warm instead of refusing the load.
+    /// demotes the least used session, then the least recent, to warm
+    /// instead of refusing the load.
     pub max_hot: usize,
-    /// Warm entries resident at once. Exceeding this spills the LRU
-    /// warm entry to cold when a store is attached; without a store the
-    /// registry reports capacity once hot + warm are both full.
+    /// Warm entries resident at once. Exceeding this spills the least
+    /// used warm entry, then the least recent, to cold when a store is
+    /// attached; without a store the registry reports capacity once hot
+    /// + warm are both full.
     pub max_warm: usize,
 }
 
@@ -287,8 +289,9 @@ impl TieredRegistry {
     /// new tier. `None` when the digest is unknown or cannot move down
     /// (already cold, or warm with no store to spill to). The tier it
     /// lands in is held to its bound like after any install, so a full
-    /// warm tier spills its LRU member — which may be `digest` itself,
-    /// and then the tier returned is cold.
+    /// warm tier spills its least used member, then least recent —
+    /// `digest` itself only when nothing else there can spill, and then
+    /// the tier returned is cold.
     pub fn demote(&self, digest: u64) -> Option<Tier> {
         let (tier, moved) = self.lock().demote(digest)?;
         self.demotions.fetch_add(moved, Ordering::Relaxed);
@@ -361,12 +364,13 @@ mod tests {
         let (da, db) = (a.digest(), b.digest());
         registry.insert(a, csr_session(matrix(1)), None);
         registry.insert(b, csr_session(matrix(5)), None);
-        // b displaced a: a is warm, b hot; nothing was refused.
+        // b displaced a (each used once, and a the less recently): a is
+        // warm, b hot; nothing was refused.
         assert_eq!(registry.tier_of(da), Some(Tier::Warm));
         assert_eq!(registry.tier_of(db), Some(Tier::Hot));
         assert_eq!(registry.snapshot().demotions, 1);
         // Asking for a promotes it back (rebuilding via the closure)
-        // and demotes b.
+        // and demotes b, now the less used.
         let built = TestCounter::new(0);
         let got = registry
             .acquire(da, |m| {
@@ -431,8 +435,9 @@ mod tests {
         assert_eq!(snap.counts.hot, 1);
         assert_eq!(snap.counts.warm, 1);
         assert_eq!(snap.counts.cold, 1);
-        // The cold digest (LRU = first inserted) promotes back via the
-        // store — a store hit, not a reload from the caller.
+        // The cold digest (each was used once, so the first inserted)
+        // promotes back via the store — a store hit, not a reload from
+        // the caller.
         assert_eq!(registry.tier_of(digests[0]), Some(Tier::Cold));
         let got = registry
             .acquire(digests[0], |m| Ok(csr_session(m)))
@@ -594,8 +599,9 @@ mod tests {
         registry.insert(a.clone(), csr_session(a.clone()), None);
         registry.insert(b.clone(), csr_session(b.clone()), None);
         assert_eq!(registry.tier_of(a.digest()), Some(Tier::Warm));
-        // b joins a full warm tier, and the tier's LRU member spills in
-        // the same call — not at whatever install comes next.
+        // b joins a full warm tier, and the tier's other member spills
+        // in the same call — not at whatever install comes next. (The
+        // digest a demote moves is its new tier's last choice.)
         assert_eq!(registry.demote(b.digest()), Some(Tier::Warm));
         let counts = registry.tier_counts();
         assert_eq!((counts.hot, counts.warm, counts.cold), (0, 1, 1));
@@ -620,8 +626,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         registry.insert(c.clone(), csr_session(c.clone()), None);
         registry.insert(d.clone(), csr_session(d.clone()), None);
-        // b is the warm tier's LRU member and stays (memory-only, over
-        // nothing); c, behind it and on disk, is the one that spills.
+        // b is the warm tier's first choice (as used as c, and older)
+        // and stays (memory-only, over nothing); c, behind it and on
+        // disk, is the one that spills.
         let counts = registry.tier_counts();
         assert_eq!((counts.hot, counts.warm, counts.cold), (1, 1, 1), "{counts:?}");
         assert_eq!(registry.tier_of(b.digest()), Some(Tier::Warm));
@@ -638,8 +645,8 @@ mod tests {
         let known = m.digest();
         registry.insert(m.clone(), csr_session(m), None);
         // A peer sending frames with made-up digests: each is refused
-        // and none of them is remembered. (That the LRU clock does not
-        // move either is pinned on the table itself, in `tiers.rs`.)
+        // and none of them is remembered. (That the recency clock does
+        // not move either is pinned on the table itself, in `tiers.rs`.)
         for d in (0..1000u64).map(|i| 0xdead_0000 + i).filter(|&d| d != known) {
             assert!(registry.acquire(d, |_| panic!("unknown digest")).unwrap().is_none());
             assert_eq!(registry.tier_of(d), None);
@@ -649,24 +656,83 @@ mod tests {
         registry.acquire(known, |_| panic!("hot hit")).unwrap().unwrap();
     }
 
+    /// The victim is the least used hot session, and among equally
+    /// used ones the least recent. Rebuilding an engine costs far more
+    /// than serving from it, so the one asked for most stays built.
     #[test]
-    fn coldest_is_lru_not_lfu() {
+    fn coldest_is_least_used_then_least_recent() {
         let registry = TieredRegistry::new(TieredConfig { max_hot: 2, max_warm: 8 });
         let (early, late, newcomer) = (matrix(1), matrix(5), matrix(9));
         registry.insert(early.clone(), csr_session(early.clone()), None);
         // `early` is asked for ten times, then `late` arrives and is
-        // asked for once: more requests, but the older stamp.
+        // asked for once: the more recent, but the less used.
         for _ in 0..10 {
             registry.acquire(early.digest(), |_| panic!("hot hit")).unwrap().unwrap();
         }
         registry.insert(late.clone(), csr_session(late.clone()), None);
         registry.acquire(late.digest(), |_| panic!("hot hit")).unwrap().unwrap();
-        registry.insert(newcomer.clone(), csr_session(newcomer), None);
-        assert_eq!(registry.tier_of(early.digest()), Some(Tier::Warm));
-        assert_eq!(registry.tier_of(late.digest()), Some(Tier::Hot));
-        // Promoting `early` back makes `late` the stalest of three.
-        registry.acquire(early.digest(), |m| Ok(csr_session(m))).unwrap().unwrap();
+        registry.insert(newcomer.clone(), csr_session(newcomer.clone()), None);
+        assert_eq!(registry.tier_of(early.digest()), Some(Tier::Hot));
         assert_eq!(registry.tier_of(late.digest()), Some(Tier::Warm));
+        assert_eq!(registry.tier_of(newcomer.digest()), Some(Tier::Hot));
+        // Equal counts fall back to recency: `late` and `newcomer` are
+        // each loaded and asked for once, `late` first, and when a third
+        // digest arrives `late` is the one that goes.
+        let registry = TieredRegistry::new(TieredConfig { max_hot: 2, max_warm: 8 });
+        for m in [&late, &newcomer] {
+            registry.insert(m.clone(), csr_session(m.clone()), None);
+            registry.acquire(m.digest(), |_| panic!("hot hit")).unwrap().unwrap();
+        }
+        registry.insert(early.clone(), csr_session(early.clone()), None);
+        assert_eq!(registry.tier_of(late.digest()), Some(Tier::Warm));
+        assert_eq!(registry.tier_of(newcomer.digest()), Some(Tier::Hot));
+    }
+
+    /// Counts age: a touch that finds its count at the top halves every
+    /// count first. So a digest that was busy and went quiet does not
+    /// hold its slot for ever: once another is busier it leaves hot
+    /// within 2 × 256 requests (each of two rivals taking turns at the
+    /// other slot counts once per two requests, and no count exceeds
+    /// 255).
+    #[test]
+    fn a_quiet_digest_leaves_hot_once_another_is_busier() {
+        let registry = TieredRegistry::new(TieredConfig { max_hot: 2, max_warm: 8 });
+        let [stale, a, b] = [1, 5, 9].map(matrix);
+        registry.insert(stale.clone(), csr_session(stale.clone()), None);
+        for _ in 0..1000 {
+            registry.acquire(stale.digest(), |_| panic!("hot hit")).unwrap().unwrap();
+        }
+        registry.insert(a.clone(), csr_session(a.clone()), None);
+        registry.insert(b.clone(), csr_session(b.clone()), None);
+        // `stale` is never asked for again; `a` and `b` take turns.
+        let mut requests = 0;
+        while registry.tier_of(stale.digest()) == Some(Tier::Hot) {
+            let m = [&a, &b][requests % 2];
+            registry.acquire(m.digest(), |m| Ok(csr_session(m))).unwrap().unwrap();
+            requests += 1;
+            assert!(requests <= 2 * 256, "a quiet digest held its slot past the bound");
+        }
+        assert_eq!(registry.tier_of(stale.digest()), Some(Tier::Warm));
+    }
+
+    /// A burst of one-off digests does not flush a busy one: each
+    /// newcomer is used less than it, so the newcomers take turns at
+    /// the other slot. (A least-recent rule loses it after two.)
+    #[test]
+    fn a_burst_of_one_off_digests_does_not_flush_a_busy_one() {
+        let registry = TieredRegistry::new(TieredConfig { max_hot: 2, max_warm: 64 });
+        let busy = matrix(1);
+        registry.insert(busy.clone(), csr_session(busy.clone()), None);
+        for _ in 0..10 {
+            registry.acquire(busy.digest(), |_| panic!("hot hit")).unwrap().unwrap();
+        }
+        for m in (2..34).map(matrix) {
+            registry.insert(m.clone(), csr_session(m.clone()), None);
+            registry.acquire(m.digest(), |_| panic!("hot hit")).unwrap().unwrap();
+            assert_eq!(registry.tier_of(busy.digest()), Some(Tier::Hot));
+        }
+        registry.acquire(busy.digest(), |_| panic!("the busy digest was rebuilt")).unwrap().unwrap();
+        assert_eq!(registry.snapshot().promotions, 0);
     }
 
     #[test]

@@ -2,20 +2,32 @@
 //!
 //! [`Tiers`] maps a digest to what is resident for it — a hot payload
 //! `H` (the live engine), a warm payload `W` (the matrix's non-zeros),
-//! whether
-//! its bytes are on disk — plus an LRU stamp, under two bounds. It is
-//! generic over both payloads and touches nothing outside itself: no
-//! lock, no disk, no clock but its own counter. The registry in
-//! [`crate::tiered`] takes its lock, calls one transition, and does the
-//! reads, writes and engine builds the answer asks for outside it.
+//! whether its bytes are on disk — plus a use count and a recency
+//! stamp, under two bounds. It is generic over both payloads and
+//! touches nothing outside itself: no lock, no disk, no clock but its
+//! own counter. The registry in [`crate::tiered`] takes its lock, calls
+//! one transition, and does the reads, writes and engine builds the
+//! answer asks for outside it.
 //!
 //! The transitions are the ones production takes, one call each, so
 //! their interleavings can be enumerated: `lookup` then (outside the
 //! lock) a build then `promote`; `install`; `demote`; `forget`;
 //! `register_cold`. Each leaves both bounds enforced before it returns
-//! and reports the downward moves that took: the LRU hot entry gives up
-//! `H`, the LRU warm entry *whose bytes are on disk* gives up `W`. The
-//! tests below walk every reachable state of a three-digest fleet.
+//! and reports the downward moves that took. A tier's victim is its
+//! least used entry, then its least recent: the hot one gives up `H`,
+//! the warm one *whose bytes are on disk* gives up `W`. The digest the
+//! call itself installed, promoted or demoted is its tier's last choice.
+//!
+//! Every touch (a `lookup` of a known digest, an `install`) counts one
+//! use in a `u8`. A touch that finds its count already at `u8::MAX`
+//! halves every entry's count first. That halving is the only aging: a
+//! digest that was busy and went quiet keeps its slot only until others
+//! have caught up with its halved count. Rebuilding an engine costs far
+//! more than a hit, and a skewed fleet keeps asking for the same few
+//! matrices, so keeping the most used ones built pays for fewer builds
+//! than keeping the most recent ones, and a burst of one-off digests
+//! cannot flush them. The tests below walk every reachable state of a
+//! three-digest fleet and replay a skewed request cycle.
 
 use smm_store::{Tier, TierCounts};
 use std::collections::HashMap;
@@ -26,14 +38,26 @@ struct Entry<H, W> {
     /// Kept while hot too, so a demotion is a drop, not a copy.
     warm: Option<W>,
     on_disk: bool,
-    /// [`Tiers::clock`] at the last lookup or install; 0 = never, which
-    /// sorts before every touched entry when a tier picks its victim.
+    /// Lookups and installs, halved each time the table ages
+    /// ([`Tiers::age`]); a tier's victim is its entry with the fewest.
+    uses: u8,
+    /// [`Tiers::clock`] at the last lookup or install; 0 = never. Among
+    /// equally used entries the one with the oldest stamp is the victim.
     last_used: u64,
 }
 
 impl<H, W> Entry<H, W> {
     /// Nothing resident, never used.
-    const COLD: Self = Self { hot: None, warm: None, on_disk: false, last_used: 0 };
+    const COLD: Self = Self { hot: None, warm: None, on_disk: false, uses: 0, last_used: 0 };
+
+    /// Counts a use stamped `clock`; `false` when the count is already
+    /// at `cap` and the table must age before it counts ([`Tiers::age`]).
+    fn touch(&mut self, clock: u64, cap: u8) -> bool {
+        self.last_used = clock;
+        let counted = self.uses < cap;
+        self.uses += u8::from(counted);
+        counted
+    }
 
     fn tier(&self) -> Tier {
         match (&self.hot, &self.warm) {
@@ -80,8 +104,12 @@ pub(crate) enum Installation<H> {
 /// The table (see the module docs).
 pub(crate) struct Tiers<H, W> {
     entries: HashMap<u64, Entry<H, W>>,
-    /// Logical LRU clock: one tick per touch, so stamps are unique.
+    /// Logical recency clock: one tick per touch, so stamps are unique
+    /// and break every tie between equal use counts.
     clock: u64,
+    /// The use count at which a touch ages the table: `u8::MAX`, lower
+    /// only where the tests below need a finite state space.
+    cap: u8,
     max_hot: usize,
     max_warm: usize,
     /// Whether entries can go cold at all (a disk is attached); without
@@ -92,20 +120,23 @@ pub(crate) struct Tiers<H, W> {
 impl<H: Clone, W: Clone> Tiers<H, W> {
     /// An empty table; a hot bound of 0 is raised to 1.
     pub(crate) fn new(max_hot: usize, max_warm: usize, has_cold: bool) -> Self {
-        Self { entries: HashMap::new(), clock: 0, max_hot: max_hot.max(1), max_warm, has_cold }
+        Self { entries: HashMap::new(), clock: 0, cap: u8::MAX, max_hot: max_hot.max(1), max_warm, has_cold }
     }
 
-    /// Finds `digest`, stamping it most recently used if it is known.
+    /// Finds `digest`, counting a use of it if it is known.
     pub(crate) fn lookup(&mut self, digest: u64) -> Lookup<H, W> {
         let Some(entry) = self.entries.get_mut(&digest) else {
             return Lookup::Unknown;
         };
-        self.clock += 1;
-        entry.last_used = self.clock;
-        match &entry.hot {
+        let found = match &entry.hot {
             Some(hot) => Lookup::Hit(hot.clone()),
             None => Lookup::Build { warm: entry.warm.clone() },
+        };
+        self.clock += 1;
+        if !entry.touch(self.clock, self.cap) {
+            self.age(digest);
         }
+        found
     }
 
     /// Makes `digest` hot with the payload a [`Lookup::Build`] led to;
@@ -119,7 +150,7 @@ impl<H: Clone, W: Clone> Tiers<H, W> {
         }
         entry.hot = Some(hot);
         entry.warm.get_or_insert(warm);
-        Promotion::Installed { demoted: self.enforce() }
+        Promotion::Installed { demoted: self.enforce(digest) }
     }
 
     /// Makes a freshly loaded `digest` hot. First install wins; a new
@@ -138,8 +169,10 @@ impl<H: Clone, W: Clone> Tiers<H, W> {
         entry.warm = Some(warm);
         // Bytes once written stay written, whatever this persist did.
         entry.on_disk |= on_disk;
-        entry.last_used = self.clock;
-        Installation::Installed { demoted: self.enforce() }
+        if !entry.touch(self.clock, self.cap) {
+            self.age(digest);
+        }
+        Installation::Installed { demoted: self.enforce(digest) }
     }
 
     /// Moves `digest` one tier down, then holds the tier it lands in to
@@ -148,7 +181,7 @@ impl<H: Clone, W: Clone> Tiers<H, W> {
     /// move (cold already, or warm with nothing on disk behind it).
     pub(crate) fn demote(&mut self, digest: u64) -> Option<(Tier, u64)> {
         self.step_down(digest)?;
-        let moved = 1 + self.enforce();
+        let moved = 1 + self.enforce(digest);
         Some((self.tier_of(digest)?, moved))
     }
 
@@ -202,21 +235,34 @@ impl<H: Clone, W: Clone> Tiers<H, W> {
         Some(())
     }
 
+    /// The touch of `digest` that found its count at the cap: every
+    /// count halves, then that touch counts.
+    fn age(&mut self, digest: u64) {
+        for (&d, e) in &mut self.entries {
+            e.uses = e.uses / 2 + u8::from(d == digest);
+        }
+    }
+
     /// Holds both tiers to their bounds, hot first (what hot gives up
-    /// lands in warm); returns the downward moves made.
-    fn enforce(&mut self) -> u64 {
+    /// lands in warm); returns the downward moves made. `last`, the
+    /// digest this call installed, promoted or demoted, is its tier's
+    /// last choice: never the hot victim (it would be the least used
+    /// whenever it is new), and the warm one only when nothing else
+    /// there can spill.
+    fn enforce(&mut self, last: u64) -> u64 {
         let mut moved = 0;
         for (tier, bound) in [(Tier::Hot, self.max_hot), (Tier::Warm, self.max_warm)] {
             loop {
                 // One pass: the tier's occupancy and its coldest member
                 // that can move down — a warm entry with nothing on disk
                 // cannot, and must not shield the ones behind it.
-                let (mut count, mut coldest) = (0, None::<(u64, u64)>);
+                let (mut count, mut coldest) = (0, None::<(u64, (bool, u8, u64))>);
                 for (&digest, e) in self.entries.iter().filter(|(_, e)| e.tier() == tier) {
                     count += 1;
                     let movable = tier == Tier::Hot || e.on_disk;
-                    if movable && coldest.is_none_or(|(_, stamp)| e.last_used < stamp) {
-                        coldest = Some((digest, e.last_used));
+                    let rank = (digest == last, e.uses, e.last_used);
+                    if movable && coldest.is_none_or(|(_, least)| rank < least) {
+                        coldest = Some((digest, rank));
                     }
                 }
                 // Within bound, or nothing can move (warm over its bound
@@ -237,17 +283,20 @@ impl<H: Clone, W: Clone> Tiers<H, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{BTreeSet, VecDeque};
+    use std::collections::{HashSet, VecDeque};
 
     type Table = Tiers<(), ()>;
-    /// One entry with its LRU stamp replaced by its rank (0 = never
-    /// used): `(digest, hot, warm payload held, on_disk, rank)`.
-    type Row = (u64, bool, bool, bool, u64);
+    /// One entry with its recency stamp replaced by its rank (0 = never
+    /// used): `(digest, hot, warm payload held, on_disk, uses, rank)`.
+    type Row = (u64, bool, bool, bool, u8, u64);
     /// The table's rows plus, per digest, the promotions in flight: a
     /// `lookup` answered `Build` and its `promote` has yet to land.
     type State = (Vec<Row>, [u8; 3]);
 
     const DIGESTS: [u64; 3] = [0, 1, 2];
+    /// The walk's saturation cap: counts stay in `0..=2`, so the state
+    /// space is finite and aging is met within a few touches.
+    const CAP: u8 = 2;
 
     #[derive(Debug, Clone, Copy)]
     enum Event {
@@ -259,8 +308,9 @@ mod tests {
         RegisterCold(u64),
     }
 
-    /// Stamps matter only by their order, so ranking them makes the
-    /// state space finite and the walk end by itself.
+    /// Stamps matter only by their order, so ranking them (and capping
+    /// the counts) makes the state space finite and the walk end by
+    /// itself.
     fn rows(table: &Table) -> Vec<Row> {
         // Touched stamps are unique, so a rank is a count of them.
         let stamps: Vec<u64> = table.entries.values().map(|e| e.last_used).collect();
@@ -268,7 +318,7 @@ mod tests {
         let mut rows: Vec<Row> = table
             .entries
             .iter()
-            .map(|(&d, e)| (d, e.hot.is_some(), e.warm.is_some(), e.on_disk, rank(e.last_used)))
+            .map(|(&d, e)| (d, e.hot.is_some(), e.warm.is_some(), e.on_disk, e.uses, rank(e.last_used)))
             .collect();
         rows.sort_unstable();
         rows
@@ -276,8 +326,9 @@ mod tests {
 
     fn table(rows: &[Row], has_cold: bool) -> Table {
         let mut table = Table::new(1, 1, has_cold);
-        for &(d, hot, warm, on_disk, rank) in rows {
-            let entry = Entry { hot: hot.then_some(()), warm: warm.then_some(()), on_disk, last_used: rank };
+        table.cap = CAP;
+        for &(d, hot, warm, on_disk, uses, rank) in rows {
+            let entry = Entry { hot: hot.then_some(()), warm: warm.then_some(()), on_disk, uses, last_used: rank };
             table.entries.insert(d, entry);
             table.clock = table.clock.max(rank);
         }
@@ -305,22 +356,27 @@ mod tests {
         let mut t = table(b, has_cold);
         let mut building = *building;
         let was = |d| tier(b, d);
-        // Payloads handed in, payloads the event says it let go of, and
-        // the digest an explicit `demote` moved (pressure did not pick it).
-        let (mut handed, mut released, mut stepped) = (0, 0, None);
+        // Payloads handed in, payloads the event says it let go of, the
+        // digest an explicit `demote` moved (pressure did not pick it),
+        // and the digest whose use the event counted.
+        let (mut handed, mut released, mut stepped, mut touched) = (0, 0, None, None);
         let mut fork = None;
         match event {
-            Event::Lookup(d) => match t.lookup(d) {
-                Lookup::Hit(()) => assert_eq!(was(d), Some(Tier::Hot)),
-                Lookup::Unknown => assert_eq!((was(d), rows(&t)), (None, b.clone())),
-                Lookup::Build { warm } => {
-                    assert_eq!(was(d), Some(if warm.is_some() { Tier::Warm } else { Tier::Cold }));
-                    // The build may fail (no promote follows) or go on.
-                    if building[d as usize] < 2 {
-                        fork = Some(d);
+            Event::Lookup(d) => {
+                // A known digest's lookup counts, whatever it answers.
+                touched = was(d).map(|_| d);
+                match t.lookup(d) {
+                    Lookup::Hit(()) => assert_eq!(was(d), Some(Tier::Hot)),
+                    Lookup::Unknown => assert_eq!((was(d), rows(&t)), (None, b.clone())),
+                    Lookup::Build { warm } => {
+                        assert_eq!(was(d), Some(if warm.is_some() { Tier::Warm } else { Tier::Cold }));
+                        // The build may fail (no promote follows) or go on.
+                        if building[d as usize] < 2 {
+                            fork = Some(d);
+                        }
                     }
                 }
-            },
+            }
             Event::Promote(d) => {
                 building[d as usize] -= 1;
                 match t.promote(d, (), ()) {
@@ -330,6 +386,7 @@ mod tests {
                     Promotion::LostTo(()) => assert_eq!((was(d), rows(&t)), (Some(Tier::Hot), b.clone())),
                     Promotion::Installed { demoted } => {
                         assert!(matches!(was(d), Some(Tier::Warm | Tier::Cold)), "{before:?}");
+                        assert_eq!(t.tier_of(d), Some(Tier::Hot), "the promoted digest is no victim");
                         handed = 1 + usize::from(was(d) == Some(Tier::Cold));
                         released = demoted;
                     }
@@ -343,8 +400,8 @@ mod tests {
                 }
                 Installation::Installed { demoted } => {
                     assert!(has_cold || was(d).is_some() || b.len() < 2, "{before:?}");
-                    assert_eq!(t.tier_of(d), Some(Tier::Hot), "the newest stamp is no victim");
-                    handed = 2;
+                    assert_eq!(t.tier_of(d), Some(Tier::Hot), "the installed digest is no victim");
+                    (handed, touched) = (2, Some(d));
                     // The warm payload it replaced, if there was one.
                     released = demoted + u64::from(was(d) == Some(Tier::Warm));
                 }
@@ -374,11 +431,26 @@ mod tests {
         assert!(count(&a, Tier::Warm) <= 1 || !spillable, "{}", context());
         assert!(has_cold || a.len() <= 2, "{}", context());
         // No entry that can neither serve nor be read back; hot keeps `W`.
-        assert!(a.iter().all(|&(_, hot, warm, on_disk, _)| warm || on_disk && !hot), "{}", context());
+        assert!(a.iter().all(|&(_, hot, warm, on_disk, ..)| warm || on_disk && !hot), "{}", context());
         // The books: what was handed in is resident or was let go of.
         assert_eq!(payloads(b) + handed, payloads(&a) + released as usize, "{}", context());
-        // Pressure picks the least recently used: whoever it pushed out
-        // of a tier is older than whoever (movable) it left there.
+        // A count moves only by a touch: a known digest's lookup or an
+        // install counts one more (or, at the cap, ages every count
+        // first); nothing else changes one, and a new entry starts at 0.
+        let uses = |rows: &[Row], d| rows.iter().find(|r| r.0 == d).map_or(0, |r| r.4);
+        let aged = touched.is_some_and(|d| uses(b, d) == CAP);
+        for r in &a {
+            let counted = (uses(b, r.0) >> u8::from(aged)) + u8::from(touched == Some(r.0));
+            assert_eq!(r.4, counted, "{}", context());
+        }
+        // Pressure picks the least used, then the least recent, with the
+        // digest the event moved as the last choice: whoever it pushed
+        // out of a tier ranks below whoever (movable) it left there.
+        let moved = match event {
+            Event::Install(d, _) | Event::Promote(d) | Event::Demote(d) => Some(d),
+            _ => None,
+        };
+        let rank = |r: &Row| (moved == Some(r.0), r.4, r.5);
         for (t, movable) in [(Tier::Hot, false), (Tier::Warm, true)] {
             let pushed = a.iter().filter(|r| {
                 let before = if matches!(event, Event::Install(d, _) | Event::Promote(d) if d == r.0) {
@@ -391,7 +463,7 @@ mod tests {
             });
             for out in pushed {
                 let left = a.iter().filter(|r| tier(&a, r.0) == Some(t) && (r.3 || !movable));
-                assert!(left.clone().all(|stays| out.4 < stays.4), "{}", context());
+                assert!(left.clone().all(|stays| rank(out) < rank(stays)), "{}", context());
             }
         }
         let mut next = vec![(a.clone(), building)];
@@ -402,9 +474,36 @@ mod tests {
         next
     }
 
-    /// Breadth-first over every state reachable from the empty table.
-    fn walk(has_cold: bool, persists: &[bool]) -> BTreeSet<State> {
-        let mut seen = BTreeSet::from([(Vec::new(), [0u8; 3])]);
+    /// `state` with its digests relabeled in the order of what the
+    /// table holds for them. The table never reads a digest's value
+    /// (victims go by count, stamp and which digest the call moved), so
+    /// relabeled states behave alike and the walk visits one of each;
+    /// two digests that sort equal hold the same, so either order does.
+    fn canonical((rows, building): State) -> State {
+        let held = |d: u64| {
+            let row = rows.iter().find(|r| r.0 == d).map(|&(_, hot, warm, on_disk, uses, rank)| {
+                (hot, warm, on_disk, uses, rank)
+            });
+            (row, building[d as usize])
+        };
+        let mut order = DIGESTS;
+        order.sort_by_key(|&d| held(d));
+        let (mut label, mut relabeled) = ([0; 3], [0; 3]);
+        for (new, old) in (0..).zip(order) {
+            label[old as usize] = new;
+            relabeled[new as usize] = building[old as usize];
+        }
+        let mut rows: Vec<Row> = rows.into_iter().map(|(d, hot, warm, on_disk, uses, rank)| {
+            (label[d as usize], hot, warm, on_disk, uses, rank)
+        }).collect();
+        rows.sort_unstable();
+        (rows, relabeled)
+    }
+
+    /// Breadth-first over every state reachable from the empty table,
+    /// one per relabeling ([`canonical`]).
+    fn walk(has_cold: bool, persists: &[bool]) -> HashSet<State> {
+        let mut seen = HashSet::from([(Vec::new(), [0u8; 3])]);
         let mut queue: VecDeque<State> = seen.iter().cloned().collect();
         while let Some(state) = queue.pop_front() {
             for d in DIGESTS {
@@ -412,10 +511,10 @@ mod tests {
                 events.extend(persists.iter().map(|&on_disk| Event::Install(d, on_disk)));
                 events.extend((state.1[d as usize] > 0).then_some(Event::Promote(d)));
                 // The boot listing runs before the registry is shared.
-                let booting = has_cold && state.0.iter().all(|r| r.4 == 0) && state.1 == [0; 3];
+                let booting = has_cold && state.0.iter().all(|r| r.5 == 0) && state.1 == [0; 3];
                 events.extend(booting.then_some(Event::RegisterCold(d)));
                 for event in events {
-                    for next in step(&state, event, has_cold) {
+                    for next in step(&state, event, has_cold).into_iter().map(canonical) {
                         if seen.insert(next.clone()) {
                             queue.push_back(next);
                         }
@@ -424,6 +523,82 @@ mod tests {
             }
         }
         seen
+    }
+
+    /// The request cycle of the `fleet-churn` benchmark workload, rebuilt
+    /// here: 24 digests at the `⌊24·u⁴⌋` quotas of 128 requests (45 %
+    /// for digest 0, 1 % for each of the last four), in the order the
+    /// workload's LCG stream 42 shuffles them with `seed`. Seed 0 is the
+    /// workload's own order.
+    fn skewed_cycle(seed: u64) -> Vec<u64> {
+        const QUOTAS: [usize; 24] = [58, 11, 7, 6, 5, 4, 4, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1];
+        let mut lcg = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(42u64.wrapping_mul(0xD1B5_4A32_D192_ED03));
+        let mut below = |n: usize| {
+            lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (((lcg >> 33) * n as u64) >> 31) as usize
+        };
+        let mut cycle: Vec<u64> = (0..).zip(QUOTAS).flat_map(|(d, quota)| std::iter::repeat_n(d, quota)).collect();
+        // Four draws to start the stream, then one per request for its
+        // vector, which the table never sees.
+        for _ in 0..4 + cycle.len() {
+            below(1);
+        }
+        for i in (1..cycle.len()).rev() {
+            cycle.swap(i, below(i + 1));
+        }
+        cycle
+    }
+
+    /// Replays `cycle` against an 8-hot / 8-warm table with a disk
+    /// behind it, set up as the workload sets up its server: every
+    /// digest installed in turn, then one request for the last. One
+    /// round warms up; the next `rounds` are counted. Returns the
+    /// promotions and, of those, the store hits (cold reads).
+    fn replay(cycle: &[u64], rounds: usize) -> (usize, usize) {
+        let mut t = Table::new(8, 8, true);
+        for d in 0..24 {
+            t.install(d, (), (), true);
+        }
+        t.lookup(23);
+        let (mut promotions, mut store_hits) = (0, 0);
+        for round in 0..=rounds {
+            for &d in cycle {
+                let Lookup::Build { warm } = t.lookup(d) else {
+                    continue;
+                };
+                assert!(matches!(t.promote(d, (), ()), Promotion::Installed { .. }));
+                if round > 0 {
+                    promotions += 1;
+                    store_hits += usize::from(warm.is_none());
+                }
+            }
+        }
+        (promotions, store_hits)
+    }
+
+    /// A skewed fleet pays a rebuild on far fewer requests than it did
+    /// when the least recent entry was the victim. The counts are exact:
+    /// the table is deterministic. Under that rule every round of these
+    /// orders did the same work, and the per-request figures were (the
+    /// workload's own order first, as its reports show them):
+    ///
+    /// | seed | promotions | store hits |
+    /// |---|---|---|
+    /// | 0 | 0.3828 | 0.1875 |
+    /// | 1 | 0.3281 | 0.1641 |
+    /// | 2 | 0.3906 | 0.1719 |
+    #[test]
+    fn a_skewed_fleet_keeps_its_busiest_digests_hot() {
+        const ROUNDS: usize = 49;
+        // Per request, to the four places the reports print.
+        let per_request = |n: usize| (n as f64 / (ROUNDS * 128) as f64 * 1e4).round() / 1e4;
+        for (seed, promotions, store_hits, least_recent) in
+            [(0, 0.2626, 0.1405, 0.3828), (1, 0.2430, 0.1390, 0.3281), (2, 0.2600, 0.1379, 0.3906)]
+        {
+            let (promoted, read) = replay(&skewed_cycle(seed), ROUNDS);
+            assert_eq!((per_request(promoted), per_request(read)), (promotions, store_hits), "seed {seed}");
+            assert!(per_request(promoted) <= 0.8 * least_recent, "seed {seed}");
+        }
     }
 
     #[test]
@@ -437,7 +612,7 @@ mod tests {
         // The walks reached the corners the invariants are about: all
         // three tiers occupied at once; warm over its bound with no disk
         // to spill to; and an unspillable warm entry beside a spilled one.
-        let reached = |states: &BTreeSet<State>, hot, warm, cold| {
+        let reached = |states: &HashSet<State>, hot, warm, cold| {
             states.iter().any(|(rows, _)| {
                 (count(rows, Tier::Hot), count(rows, Tier::Warm), count(rows, Tier::Cold)) == (hot, warm, cold)
             })
@@ -446,6 +621,14 @@ mod tests {
         assert!(reached(&memory_only, 0, 2, 0) && !reached(&memory_only, 0, 0, 1));
         assert!(reached(&flaky_store, 1, 2, 0) && reached(&flaky_store, 0, 3, 0));
         assert!(with_store.is_subset(&flaky_store));
+        // And every count the cap allows, so touches at the cap aged the
+        // table; a hot entry used less than a warm one, so the victim
+        // order was not recency's.
+        let counts: HashSet<u8> = memory_only.iter().flat_map(|(rows, _)| rows.iter().map(|r| r.4)).collect();
+        assert_eq!(counts, (0..=CAP).collect());
+        assert!(with_store.iter().any(|(rows, _)| {
+            rows.iter().any(|h| h.1 && rows.iter().any(|w| !w.1 && w.2 && w.4 > h.4))
+        }));
     }
 
     /// The bugs PRs 19, 21 and 22 left as found, each as the sequence

@@ -58,9 +58,9 @@ pub struct ServerConfig {
     /// before the server answers `Busy`. Minimum 1.
     pub queue_depth: usize,
     /// Hot-tier bound: sessions (plan + compiled engine) resident at
-    /// once. Pressure past the bound demotes the
-    /// least-recently-used session to the warm tier instead of
-    /// refusing the load.
+    /// once. Pressure past the bound demotes the least used session,
+    /// then the least recent, to the warm tier instead of refusing the
+    /// load.
     pub max_matrices: usize,
     /// Warm-tier bound: raw matrices resident in memory awaiting
     /// recompile-on-demand. Pressure past the bound spills to the
@@ -152,8 +152,9 @@ struct Shared {
     /// One compiled-multiplier cache shared by every session, bounded to
     /// as many circuits as the in-memory tiers hold matrices
     /// (`max_matrices + max_warm`), so the tier bounds bound bit-serial
-    /// memory too. A hot session keeps its own `Arc`, so an LRU miss
-    /// costs a warm promotion the one compile the tier docs promise.
+    /// memory too. A hot session keeps its own `Arc`, so a cache miss
+    /// (the cache evicts its least recently used circuit) costs a warm
+    /// promotion the one compile the tier docs promise.
     /// Interim: ROADMAP "Collapse the surface" (d) folds the cache into
     /// the fleet entry, and this second residency bound goes with it.
     cache: Arc<MultiplierCache>,

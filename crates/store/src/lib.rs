@@ -33,8 +33,9 @@
 //! * `tier` — the [`Tier`] enum and per-tier occupancy counts.
 //!
 //! The in-memory side of the fleet — sessions, promotion, demotion, and
-//! the LRU stamp each entry carries to pick demotion victims — lives in
-//! `smm-runtime`'s `TieredRegistry`, which drives this crate.
+//! the use count and recency stamp each entry carries to pick demotion
+//! victims (least used, then least recent) — lives in `smm-runtime`'s
+//! `TieredRegistry`, which drives this crate.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
