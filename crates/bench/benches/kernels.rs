@@ -22,7 +22,7 @@ use smm_core::block::FrameBlock;
 use smm_core::generate::{element_sparse_matrix, random_vector};
 use smm_core::gemv::{matmat, matmat_into, vecmat, vecmat_into, vecmat_into_scalar};
 use smm_core::rng::seeded;
-use smm_runtime::{EngineSpec, MultiplierCache, Session};
+use smm_runtime::{EngineSpec, Session};
 use smm_sparse::{Coo, Csr};
 use smm_core::matrix::IntMatrix;
 use smm_core::wire::{xxh64, Cursor, MatrixBody};
@@ -410,10 +410,8 @@ fn bench_plan_regret(c: &mut Criterion) {
                 32 => &["dense", "csr", "sigma", "bitserial"],
                 _ => &["dense", "csr", "sigma"],
             };
-            let cache = Arc::new(MultiplierCache::new());
             let session = |kind: &str| {
                 Session::builder(m.clone())
-                    .cache(Arc::clone(&cache))
                     .spec(EngineSpec::new(kind))
                     .build()
                     .unwrap()
@@ -437,7 +435,7 @@ fn bench_plan_regret(c: &mut Criterion) {
                 });
                 times.push((kind, best));
             }
-            // Planned last, so at 32² the compiled circuit is resident.
+            // Planned last: the plan reads the matrix's counts alone.
             let picked = session("auto").engine().name();
             let (_, auto_s) = *times.iter().find(|(kind, _)| *kind == picked).unwrap();
             let (fastest, fastest_s) = *times.iter().min_by(|x, y| x.1.total_cmp(&y.1)).unwrap();

@@ -227,9 +227,10 @@ mod tests {
         assert!(text.contains("MATCHES"), "{text}");
         assert!(text.contains("p50"), "{text}");
         // The loadgen prints its own numbers; the server's are `stats`.
-        assert!(!text.contains("cache"), "{text}");
+        assert!(!text.contains("fleet:"), "{text}");
         let seen = run_cmd(&["stats", "--addr", &server.local_addr().to_string()]).unwrap();
-        assert!(seen.contains("cache: 0 entries"), "{seen}");
+        assert!(seen.contains("fleet: 1 hot / 0 warm / 0 cold = 1 matrix(es)"), "{seen}");
+        assert!(!seen.contains("cache"), "{seen}");
         let stats = server.shutdown();
         assert!(stats.requests > 0);
         assert_eq!(stats.matrices, 1);

@@ -20,13 +20,6 @@ fn print_stats(out: &mut impl Write, s: &StatsSnapshot) -> CmdResult {
         s.requests, s.rejected, s.errors, s.vectors, s.batches, s.bytes_in, s.bytes_out
     ))?;
     w(format!(
-        "cache: {} entries, {:.0}% hit rate ({} compile(s)), {} evictions",
-        s.cache_entries,
-        100.0 * s.cache_hit_rate(),
-        s.cache_misses,
-        s.cache_evictions
-    ))?;
-    w(format!(
         "fleet: {} hot / {} warm / {} cold = {} matrix(es); {} promotions, {} demotions, \
          {} store hits",
         s.tier_hot,

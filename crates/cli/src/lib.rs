@@ -86,10 +86,11 @@ command-specific:
                               (default: no metrics listener; port 0 = auto)
             --store-dir DIR   persist loaded matrices as digest-addressed
                               artifacts; a restart on the same DIR serves
-                              the fleet without recompiling
-            --max-matrices N  hot-tier bound (compiled sessions, default 64)
-            --max-warm N      warm-tier bound (decoded matrices, default 256);
-                              the two together also bound cached circuits
+                              the fleet without a re-upload
+            --max-matrices N  hot-tier bound (built sessions, default 64);
+                              the only engines kept built
+            --max-warm N      warm-tier bound (matrix bodies, default 256);
+                              a promotion rebuilds its engine
   loadgen:  --addr A          (default 127.0.0.1:7878)
             --backend auto|dense|csr|bitserial|sigma  requested in
                               LoadMatrix (default: the server's own default)
@@ -100,7 +101,7 @@ command-specific:
             frames, and verifies every reply against the dense reference;
             it exits non-zero on a mismatch, an error or no reply at all
   stats:    --addr A          (default 127.0.0.1:7878); prints request totals,
-                              cache, fleet, and the per-stage latency table
+                              fleet, and the per-stage latency table
                               (serve prints the same at shutdown)
   store:    ls (default)      list resident digests, kinds, and bytes
             gc                remove files that fail digest/CRC validation

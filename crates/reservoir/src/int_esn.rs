@@ -325,7 +325,7 @@ mod tests {
 
     #[test]
     fn runtime_backends_are_bit_exact_with_reference() {
-        use smm_runtime::{BitSerial, DenseRef, MultiplierCache, SparseCsr};
+        use smm_runtime::{BitSerial, DenseRef, SparseCsr};
 
         let cfg = IntEsnConfig {
             esn: EsnConfig {
@@ -339,14 +339,11 @@ mod tests {
         };
         let mut reference = IntEsn::new(cfg.clone()).unwrap();
         let wt = reference.recurrence_matrix();
-        let cache = MultiplierCache::new();
-        let circuit = cache
-            .get_or_compile(&wt, cfg.state_bits, WeightEncoding::Pn)
-            .unwrap();
+        let circuit = FixedMatrixMultiplier::compile(&wt, cfg.state_bits, WeightEncoding::Pn).unwrap();
         let backends: Vec<Arc<dyn GemvBackend>> = vec![
             Arc::new(DenseRef::new(wt.clone())),
             Arc::new(SparseCsr::new(&wt)),
-            Arc::new(BitSerial::new(circuit)),
+            Arc::new(BitSerial::new(Arc::new(circuit))),
         ];
         for backend in backends {
             let name = backend.name();

@@ -209,8 +209,8 @@ pub struct BitSerial {
 }
 
 impl BitSerial {
-    /// Wraps a compiled multiplier (typically obtained from the
-    /// [`crate::MultiplierCache`]).
+    /// Wraps a compiled multiplier ([`FixedMatrixMultiplier::compile`]:
+    /// a bit-serial session compiles its own).
     pub fn new(mul: Arc<FixedMatrixMultiplier>) -> Self {
         Self { mul }
     }

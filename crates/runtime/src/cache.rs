@@ -1,25 +1,22 @@
 //! The compiled-multiplier cache.
 //!
 //! Spatial compilation (sign split / CSD, constant propagation, reduction
-//! tree construction) costs orders of magnitude more than a cache lookup,
-//! and reservoir serving hits the *same* weight matrix for every request.
+//! tree construction) costs orders of magnitude more than a cache lookup.
 //! [`MultiplierCache`] memoizes [`FixedMatrixMultiplier::compile`] keyed
 //! by a stable content digest of the matrix plus the compilation
-//! parameters, so repeated requests reuse the compiled netlist.
+//! parameters, so a caller that compiles the same matrix again gets the
+//! circuit it already has.
 //!
-//! A long-running server cannot let the table grow with every distinct
-//! matrix it has ever seen, so the cache is optionally bounded: give it a
-//! capacity ([`MultiplierCache::with_capacity`]) and the least-recently
-//! *used* entry is evicted when a new compile would exceed it. Evicted
-//! circuits stay alive for as long as any backend still holds their
-//! [`Arc`]; only the cache's reference is dropped.
+//! The cache is not on the serving path: the server's tier table alone
+//! decides which matrices stay built. It is reached only through
+//! [`crate::SessionBuilder::cache`], the serving benchmark's adapter,
+//! and it is unbounded — it holds every circuit it has compiled.
 
 use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
 use smm_core::error::Result;
 use smm_core::matrix::IntMatrix;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use smm_telemetry::lock_or_recover;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// The full compilation identity: matrix content + operand width +
@@ -34,20 +31,7 @@ struct CacheKey {
     encoding: WeightEncoding,
 }
 
-/// Hit/miss counters of a [`MultiplierCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to compile.
-    pub misses: u64,
-    /// Compiled circuits currently held.
-    pub entries: usize,
-    /// Entries dropped to stay within the configured capacity.
-    pub evictions: u64,
-}
-
-/// One cached circuit plus its LRU bookkeeping.
+/// One cached circuit.
 #[derive(Debug)]
 struct CacheEntry {
     /// The matrix the circuit was compiled from, kept so a hit can be
@@ -56,29 +40,12 @@ struct CacheEntry {
     /// weights.
     matrix: IntMatrix,
     circuit: Arc<FixedMatrixMultiplier>,
-    /// Logical timestamp of the last hit or insert; the minimum across
-    /// the table is the eviction victim.
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct Table {
-    entries: HashMap<CacheKey, CacheEntry>,
-    /// Monotone logical clock for `last_used` stamps.
-    clock: u64,
-}
-
-impl Table {
-    fn touch(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
 }
 
 /// A thread-safe memo table from matrix content to compiled circuits.
 ///
-/// Entries are shared as [`Arc`]s: a cached circuit stays alive for as
-/// long as any backend uses it, even across an eviction.
+/// Entries are shared as [`Arc`]s, so every caller of one key holds the
+/// same circuit.
 ///
 /// ```
 /// use smm_core::matrix::IntMatrix;
@@ -90,44 +57,27 @@ impl Table {
 /// let first = cache.get_or_compile(&v, 8, WeightEncoding::Pn).unwrap();
 /// let second = cache.get_or_compile(&v, 8, WeightEncoding::Pn).unwrap();
 /// assert!(std::sync::Arc::ptr_eq(&first, &second));
-/// assert_eq!(cache.stats().hits, 1);
 /// ```
 #[derive(Debug, Default)]
 pub struct MultiplierCache {
-    table: Mutex<Table>,
-    /// `None` = unbounded.
-    capacity: Option<usize>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    table: Mutex<HashMap<CacheKey, CacheEntry>>,
 }
 
 impl MultiplierCache {
-    /// An empty, unbounded cache.
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty cache bounded to at most `capacity` compiled circuits,
-    /// evicting the least-recently-used entry on overflow. A capacity of
-    /// `0` means unbounded (same as [`MultiplierCache::new`]).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            capacity: (capacity > 0).then_some(capacity),
-            ..Self::default()
-        }
     }
 
     /// Returns the compiled circuit for `(matrix, input_bits, encoding)`,
     /// compiling at most once per distinct key.
     ///
     /// A hit is confirmed by comparing the full matrix content, so a
-    /// 64-bit digest collision degrades to a (counted) miss and a
-    /// correct uncached compile rather than silently serving the wrong
-    /// circuit. Compilation runs *outside* the table lock, so a slow
-    /// compile never blocks hits on other matrices; if two threads race
-    /// to compile the same key, the loser's circuit is dropped and the
-    /// winner's is returned to both.
+    /// 64-bit digest collision degrades to a correct uncached compile
+    /// rather than silently serving the wrong circuit. Compilation runs
+    /// *outside* the table lock, so a slow compile never blocks hits on
+    /// other matrices; if two threads race to compile the same key, the
+    /// loser's circuit is dropped and the winner's is returned to both.
     pub fn get_or_compile(
         &self,
         matrix: &IntMatrix,
@@ -141,85 +91,32 @@ impl MultiplierCache {
             input_bits,
             encoding,
         };
-        let mut collided = false;
-        {
-            let mut table = lock_or_recover(&self.table);
-            let stamp = table.touch();
-            if let Some(entry) = table.entries.get_mut(&key) {
-                if entry.matrix == *matrix {
-                    entry.last_used = stamp;
-                    let circuit = Arc::clone(&entry.circuit);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(circuit);
-                }
-                collided = true;
-            }
+        let cached = |entry: &CacheEntry| {
+            (entry.matrix == *matrix).then(|| Arc::clone(&entry.circuit))
+        };
+        if let Some(circuit) = lock_or_recover(&self.table).get(&key).and_then(cached) {
+            return Ok(circuit);
         }
         let compiled = Arc::new(FixedMatrixMultiplier::compile(matrix, input_bits, encoding)?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if collided {
-            // Astronomically rare: equal digests, different content. The
-            // first occupant keeps the slot; this circuit is correct but
-            // uncached.
-            return Ok(compiled);
-        }
-        let mut table = lock_or_recover(&self.table);
-        let stamp = table.touch();
         // First inserter wins so every caller observes one circuit — but
-        // only when the occupant was compiled from the same content.
-        match table.entries.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut existing) => {
-                if existing.get().matrix == *matrix {
-                    existing.get_mut().last_used = stamp;
-                    Ok(Arc::clone(&existing.get().circuit))
-                } else {
-                    Ok(compiled)
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(CacheEntry {
-                    matrix: matrix.clone(),
-                    circuit: Arc::clone(&compiled),
-                    last_used: stamp,
-                });
-                if let Some(cap) = self.capacity {
-                    let evicted = evict_to_capacity(&mut table.entries, cap);
-                    self.evictions.fetch_add(evicted, Ordering::Relaxed);
-                }
+        // only when the occupant was compiled from the same content. On
+        // a collision the first occupant keeps the slot and this circuit
+        // is correct but uncached.
+        let mut table = lock_or_recover(&self.table);
+        match table.get(&key) {
+            Some(existing) => Ok(cached(existing).unwrap_or(compiled)),
+            None => {
+                table.insert(
+                    key,
+                    CacheEntry {
+                        matrix: matrix.clone(),
+                        circuit: Arc::clone(&compiled),
+                    },
+                );
                 Ok(compiled)
             }
         }
     }
-
-    /// Current counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: lock_or_recover(&self.table).entries.len(),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Evicts least-recently-used entries until `entries` fits `cap`,
-/// returning how many were dropped. Linear scans per eviction: the cache
-/// holds at most a few hundred compiled circuits and evicts rarely, so a
-/// heap would be bookkeeping without benefit.
-fn evict_to_capacity(entries: &mut HashMap<CacheKey, CacheEntry>, cap: usize) -> u64 {
-    let mut evicted = 0;
-    while entries.len() > cap {
-        let Some(victim) = entries
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| *k)
-        else {
-            break;
-        };
-        entries.remove(&victim);
-        evicted += 1;
-    }
-    evicted
 }
 
 #[cfg(test)]
@@ -239,8 +136,8 @@ mod tests {
         let a = cache.get_or_compile(&v, 8, WeightEncoding::Pn).unwrap();
         let b = cache.get_or_compile(&copy, 8, WeightEncoding::Pn).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+        // The table's reference and the two handed out.
+        assert_eq!(Arc::strong_count(&a), 3);
     }
 
     #[test]
@@ -267,8 +164,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&base, &other));
         assert!(!Arc::ptr_eq(&base, &wide));
         assert!(!Arc::ptr_eq(&base, &csd));
-        assert_eq!(cache.stats().entries, 4);
-        assert_eq!(cache.stats().hits, 0);
+        assert_eq!(lock_or_recover(&cache.table).len(), 4);
     }
 
     #[test]
@@ -276,85 +172,16 @@ mod tests {
         let cache = MultiplierCache::new();
         let v = IntMatrix::identity(4).unwrap();
         assert!(cache.get_or_compile(&v, 0, WeightEncoding::Pn).is_err());
-        assert_eq!(cache.stats().entries, 0);
-    }
-
-    #[test]
-    fn lru_eviction_respects_capacity_and_recency() {
-        let cache = MultiplierCache::with_capacity(2);
-        let matrices: Vec<IntMatrix> = (0..3)
-            .map(|i| {
-                let mut rng = seeded(2400 + i);
-                element_sparse_matrix(8, 8, 8, 0.5, true, &mut rng).unwrap()
-            })
-            .collect();
-        let a = cache.get_or_compile(&matrices[0], 8, WeightEncoding::Pn).unwrap();
-        cache.get_or_compile(&matrices[1], 8, WeightEncoding::Pn).unwrap();
-        // Touch `a` so `b` becomes the LRU victim when `c` arrives.
-        cache.get_or_compile(&matrices[0], 8, WeightEncoding::Pn).unwrap();
-        cache.get_or_compile(&matrices[2], 8, WeightEncoding::Pn).unwrap();
-        let s = cache.stats();
-        assert_eq!((s.entries, s.evictions), (2, 1));
-        // `a` survived (hit), `b` was evicted (fresh miss recompiles).
-        let a2 = cache.get_or_compile(&matrices[0], 8, WeightEncoding::Pn).unwrap();
-        assert!(Arc::ptr_eq(&a, &a2));
-        let before = cache.stats().misses;
-        cache.get_or_compile(&matrices[1], 8, WeightEncoding::Pn).unwrap();
-        assert_eq!(cache.stats().misses, before + 1);
-    }
-
-    #[test]
-    fn eviction_keeps_counters_consistent() {
-        // Cycle through more matrices than the capacity twice over and
-        // check the books balance: every lookup is exactly one hit or one
-        // miss, entries never exceed capacity, and evictions account for
-        // every insert beyond it.
-        let cache = MultiplierCache::with_capacity(3);
-        let matrices: Vec<IntMatrix> = (0..5)
-            .map(|i| {
-                let mut rng = seeded(2500 + i);
-                element_sparse_matrix(6, 6, 8, 0.5, true, &mut rng).unwrap()
-            })
-            .collect();
-        let mut lookups = 0u64;
-        for round in 0..2 {
-            for m in &matrices {
-                let got = cache.get_or_compile(m, 8, WeightEncoding::Pn).unwrap();
-                // Whatever the cache state, the circuit must be correct.
-                assert_eq!(got.rows(), 6, "round {round}");
-                lookups += 1;
-                let s = cache.stats();
-                assert!(s.entries <= 3);
-                assert_eq!(s.hits + s.misses, lookups);
-                assert_eq!(s.evictions, s.misses - s.entries as u64);
-            }
-        }
-        // 5 distinct matrices through a 3-slot cache in round-robin is
-        // the LRU worst case: every lookup misses.
-        assert_eq!(cache.stats().misses, 10);
-    }
-
-    #[test]
-    fn zero_capacity_means_unbounded() {
-        let cache = MultiplierCache::with_capacity(0);
-        for i in 0..4 {
-            let mut rng = seeded(2600 + i);
-            let m = element_sparse_matrix(4, 4, 8, 0.5, true, &mut rng).unwrap();
-            cache.get_or_compile(&m, 8, WeightEncoding::Pn).unwrap();
-        }
-        assert_eq!(cache.stats().entries, 4);
-        assert_eq!(cache.stats().evictions, 0);
+        assert!(lock_or_recover(&cache.table).is_empty());
     }
 
     #[test]
     fn cached_fetch_is_at_least_10x_faster_than_recompiling() {
-        // The acceptance bar for the serving runtime: amortized setup.
-        // Compare the *minimum* of several timed recompiles against the
-        // minimum of several timed cache hits on a realistic matrix —
-        // min-of-N is robust to descheduling noise on oversubscribed CI
-        // runners (every sample would have to be inflated to flake).
-        // The compile_cache criterion bench measures the same property
-        // with proper statistics.
+        // The acceptance bar for the cache: amortized setup. Compare the
+        // *minimum* of several timed recompiles against the minimum of
+        // several timed cache hits on a realistic matrix — min-of-N is
+        // robust to descheduling noise on oversubscribed CI runners
+        // (every sample would have to be inflated to flake).
         let cache = MultiplierCache::new();
         let mut rng = seeded(2202);
         let v = element_sparse_matrix(64, 64, 8, 0.9, true, &mut rng).unwrap();

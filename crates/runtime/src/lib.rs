@@ -14,19 +14,21 @@
 //!   [`BUILTIN_KINDS`] that builds them (`spec`);
 //! * `plan::plan` / [`EnginePlan`] — an `auto` spec resolved to the
 //!   engine its matrix's own counts price cheapest (`plan`);
-//! * [`Session`] — the plan + a handle to the built engine + the
-//!   shared [`MultiplierCache`] behind one submission surface, batches
-//!   sharded in submission order across the one worker pool of the
-//!   process (`session`; the pool itself is private);
+//! * [`Session`] — the plan + a handle to the built engine behind one
+//!   submission surface, batches sharded in submission order across the
+//!   one worker pool of the process (`session`; the pool itself is
+//!   private);
 //! * [`GemvBackend`] — the engine trait (one compute method,
 //!   `run_rows`) with the four built-ins: [`DenseRef`], [`SparseCsr`],
 //!   [`BitSerial`], and [`SigmaEngine`] (`backend`);
-//! * [`MultiplierCache`] — content-digest-keyed compile memoization with
-//!   an optional LRU bound (`cache`);
 //! * [`TieredRegistry`] — the hot / warm / cold matrix fleet
 //!   (`tiered`): a lock, a store and three counters around the pure
 //!   tier table of the private `tiers` module, which decides every
-//!   promotion, demotion and refusal.
+//!   promotion, demotion and refusal — the one residency policy: what
+//!   stays built is what its hot tier holds;
+//! * [`MultiplierCache`] — content-digest-keyed compile memoization,
+//!   off the serving path: only the serving benchmark reaches it,
+//!   through [`SessionBuilder::cache`] (`cache`).
 //!
 //! Sessions optionally carry a [`SpanRecorder`] (from
 //! `smm-telemetry`, re-exported here) so every served batch stamps its

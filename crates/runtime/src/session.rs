@@ -2,11 +2,10 @@
 //!
 //! A [`Session`] is the unit every entry point in the repo serves
 //! through — the TCP server's per-matrix state (and so the CLI's
-//! `serve`), the examples, the benchmark, and the tests. It is a value: the
-//! plan, a handle to the engine [`spec::build`] made for it, and the
-//! shared [`MultiplierCache`]. It counts nothing — whoever serves
-//! through it counts what it served, as the TCP server does in its
-//! `Stats`. It owns no threads — batches are cut into row-range shards
+//! `serve`), the examples, the benchmark, and the tests. It is a value:
+//! the plan and a handle to the engine [`spec::build`] made for it. It
+//! counts nothing — whoever serves through it counts what it served, as
+//! the TCP server does in its `Stats`. It owns no threads — batches are cut into row-range shards
 //! and served by the one worker pool of the process, which every session
 //! shares — so building one spawns nothing and dropping one joins
 //! nothing. One submission surface:
@@ -24,9 +23,9 @@
 //!
 //! Construction is a builder ([`Session::builder`]): pick an
 //! [`EngineSpec`] (default: [`EngineSpec::auto`], planned from the matrix
-//! itself), optionally share a cache, and `build()`. The plan that chose
-//! the engine stays attached ([`Session::plan`]) so operators can always
-//! ask *why* this engine is serving.
+//! itself) and `build()`. The plan that chose the engine stays attached
+//! ([`Session::plan`]) so operators can always ask *why* this engine is
+//! serving.
 //!
 //! ```
 //! use smm_core::matrix::IntMatrix;
@@ -39,7 +38,7 @@
 //! assert!(session.plan().rationale.contains(session.engine().name()));
 //! ```
 
-use crate::backend::GemvBackend;
+use crate::backend::{BitSerial, GemvBackend};
 use crate::cache::MultiplierCache;
 use crate::plan::{self, EnginePlan, PlanPolicy};
 use crate::pool::{self, Job};
@@ -129,9 +128,10 @@ impl SessionBuilder {
         self
     }
 
-    /// A shared compiled-multiplier cache. Long-lived callers serving
-    /// many matrices (the TCP server) share one cache across every
-    /// session; the default is a fresh unbounded cache per session.
+    /// Compiles a `bitserial` engine through `cache` instead of afresh —
+    /// the serving benchmark's adapter (see [`MultiplierCache`]). Every
+    /// other engine ignores it, and the session keeps no reference to
+    /// it.
     pub fn cache(mut self, cache: Arc<MultiplierCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -153,15 +153,22 @@ impl SessionBuilder {
     /// process's worker pool starts with the first batch any session
     /// submits.
     pub fn build(self) -> Result<Session> {
-        let cache = self.cache.unwrap_or_default();
         let plan = match &self.weights {
             Weights::Dense(m) => plan::plan(m, &self.spec)?,
             Weights::Body(body) => plan::plan_body(body, &self.spec)?,
         };
-        let engine = match (self.engine, self.weights) {
-            (Some(engine), _) => engine,
-            (None, Weights::Dense(m)) => spec::build(m, &plan.spec, &cache)?,
-            (None, Weights::Body(body)) => spec::build_body(&body, &plan.spec, &cache)?,
+        let engine = match (self.engine, self.cache, self.weights) {
+            (Some(engine), _, _) => engine,
+            (None, Some(cache), weights) if plan.spec.kind() == "bitserial" => {
+                let matrix = match weights {
+                    Weights::Dense(m) => m,
+                    Weights::Body(body) => body.to_matrix()?,
+                };
+                let circuit = cache.get_or_compile(&matrix, spec::INPUT_BITS, spec::ENCODING)?;
+                Arc::new(BitSerial::new(circuit))
+            }
+            (None, _, Weights::Dense(m)) => spec::build(m, &plan.spec)?,
+            (None, _, Weights::Body(body)) => spec::build_body(&body, &plan.spec)?,
         };
         let threads = match plan.spec.threads {
             0 => pool::cores(),
@@ -169,7 +176,6 @@ impl SessionBuilder {
         };
         Ok(Session {
             plan,
-            cache,
             engine,
             threads,
             recorder: self.recorder,
@@ -186,7 +192,6 @@ impl SessionBuilder {
 /// not two. Shape is available via [`Session::rows`]/[`Session::cols`].
 pub struct Session {
     plan: EnginePlan,
-    cache: Arc<MultiplierCache>,
     engine: Arc<dyn GemvBackend>,
     /// The plan's `threads`, resolved (0 = one per core): the most
     /// shards one batch is cut into.
@@ -249,11 +254,6 @@ impl Session {
     /// The plan that chose the engine, rationale included.
     pub fn plan(&self) -> &EnginePlan {
         &self.plan
-    }
-
-    /// The compiled-multiplier cache this session compiles through.
-    pub fn cache(&self) -> &Arc<MultiplierCache> {
-        &self.cache
     }
 
     /// The most shards one batch is cut into (the spec's `threads`,
@@ -509,24 +509,39 @@ mod tests {
     fn shared_cache_compiles_once_across_sessions() {
         let v = sparse(2906, 12, 0.8);
         let cache = Arc::new(MultiplierCache::new());
-        for _ in 0..3 {
-            let session = Session::builder(v.clone())
-                .spec(EngineSpec::bitserial())
-                .cache(Arc::clone(&cache))
-                .build()
-                .unwrap();
-            assert_eq!(session.engine().name(), "bitserial");
-        }
-        let stats = cache.stats();
-        assert_eq!((stats.misses, stats.hits), (1, 2));
+        let circuit = || {
+            cache
+                .get_or_compile(&v, spec::INPUT_BITS, spec::ENCODING)
+                .unwrap()
+        };
+        let sessions: Vec<Session> = (0..3)
+            .map(|_| {
+                Session::builder(v.clone())
+                    .spec(EngineSpec::bitserial())
+                    .cache(Arc::clone(&cache))
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        assert!(sessions.iter().all(|s| s.engine().name() == "bitserial"));
+        // One circuit: the table's reference, one per session, this one.
+        assert_eq!(Arc::strong_count(&circuit()), 5);
         // A fresh auto session over the same cache plans from the matrix
-        // alone: the resident circuit is neither chosen nor looked up.
-        let session = Session::builder(v)
+        // alone: the resident circuit is neither chosen nor held; and a
+        // bit-serial session without the cache compiles its own.
+        let auto = Session::builder(v.clone())
             .cache(Arc::clone(&cache))
             .build()
             .unwrap();
-        assert_eq!(session.engine().name(), "csr");
-        assert_eq!(session.cache().stats(), stats);
+        assert_eq!(auto.engine().name(), "csr");
+        let own = Session::builder(v.clone())
+            .spec(EngineSpec::bitserial())
+            .build()
+            .unwrap();
+        assert_eq!(own.engine().name(), "bitserial");
+        assert_eq!(Arc::strong_count(&circuit()), 5);
+        drop(sessions);
+        assert_eq!(Arc::strong_count(&circuit()), 2);
     }
 
     #[test]
@@ -549,8 +564,9 @@ mod tests {
 
     #[test]
     fn build_failures_are_clean_errors() {
-        // Unknown explicit kind. (A compile that cannot succeed is
-        // refused by the cache: `errors_are_not_cached`.)
+        // Unknown explicit kind. (A compile that cannot succeed — a zero
+        // operand width — is refused by `FixedMatrixMultiplier::compile`
+        // and by the cache in front of it: `errors_are_not_cached`.)
         assert!(Session::builder(IntMatrix::identity(2).unwrap())
             .spec(EngineSpec::new("tpu"))
             .build()

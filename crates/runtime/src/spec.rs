@@ -16,8 +16,7 @@
 //! and one more [`BUILTIN_KINDS`] entry.
 
 use crate::backend::{BitSerial, DenseRef, GemvBackend, SigmaEngine, SparseCsr};
-use crate::cache::MultiplierCache;
-use smm_bitserial::multiplier::WeightEncoding;
+use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
 use smm_core::wire::MatrixBody;
@@ -36,7 +35,7 @@ const AUTO: &str = "auto";
 pub const INPUT_BITS: u32 = 8;
 
 /// Weight encoding every bit-serial circuit is compiled with.
-const ENCODING: WeightEncoding = WeightEncoding::Pn;
+pub(crate) const ENCODING: WeightEncoding = WeightEncoding::Pn;
 
 /// A serializable description of an engine choice: kind + shard count.
 ///
@@ -147,8 +146,8 @@ fn unknown_kind(kind: &str) -> Error {
 }
 
 /// Resolves a spec into a live engine over `matrix`. The dense engine
-/// keeps the matrix; the others derive their own representation from it.
-/// Circuits compile through `cache`, so repeat loads never recompile.
+/// keeps the matrix; the others derive their own representation from it,
+/// and a `bitserial` build compiles its circuit here, every time.
 /// Fails with [`Error::Runtime`] when the spec's kind is not one of
 /// [`BUILTIN_KINDS`] (an `auto` spec is planned first).
 ///
@@ -163,19 +162,15 @@ fn unknown_kind(kind: &str) -> Error {
 /// assert_eq!(session.engine().name(), "csr");
 /// assert_eq!(session.engine().gemv(&[1, 2, 3]).unwrap(), vec![1, 2, 3]);
 /// ```
-pub(crate) fn build(
-    matrix: IntMatrix,
-    spec: &EngineSpec,
-    cache: &MultiplierCache,
-) -> Result<Arc<dyn GemvBackend>> {
+pub(crate) fn build(matrix: IntMatrix, spec: &EngineSpec) -> Result<Arc<dyn GemvBackend>> {
     Ok(match spec.kind() {
         "dense" => Arc::new(DenseRef::new(matrix)),
         "csr" => Arc::new(SparseCsr::new(&matrix)),
-        "bitserial" => Arc::new(BitSerial::new(cache.get_or_compile(
+        "bitserial" => Arc::new(BitSerial::new(Arc::new(FixedMatrixMultiplier::compile(
             &matrix,
             INPUT_BITS,
             ENCODING,
-        )?)),
+        )?))),
         "sigma" => Arc::new(SigmaEngine::new(&matrix)),
         other => return Err(unknown_kind(other)),
     })
@@ -184,14 +179,10 @@ pub(crate) fn build(
 /// [`build`] from a matrix kept as its body: `csr` builds straight from
 /// the non-zeros ([`Csr::from_body`]); every other kind decodes the
 /// dense matrix once and goes through [`build`].
-pub(crate) fn build_body(
-    body: &MatrixBody,
-    spec: &EngineSpec,
-    cache: &MultiplierCache,
-) -> Result<Arc<dyn GemvBackend>> {
+pub(crate) fn build_body(body: &MatrixBody, spec: &EngineSpec) -> Result<Arc<dyn GemvBackend>> {
     match spec.kind() {
         "csr" => Ok(Arc::new(SparseCsr::from_csr(Csr::from_body(body)))),
-        _ => build(body.to_matrix()?, spec, cache),
+        _ => build(body.to_matrix()?, spec),
     }
 }
 
@@ -206,23 +197,20 @@ mod tests {
     fn builtin_registry_builds_bit_identical_engines() {
         let mut rng = seeded(2700);
         let v = element_sparse_matrix(10, 8, 8, 0.5, true, &mut rng).unwrap();
-        let cache = MultiplierCache::new();
         let a: Vec<i32> = (0..10).map(|i| i - 5).collect();
         let expect = smm_core::gemv::vecmat(&a, &v).unwrap();
         for kind in BUILTIN_KINDS {
-            let engine = build(v.clone(), &EngineSpec::new(kind), &cache).unwrap();
+            let engine = build(v.clone(), &EngineSpec::new(kind)).unwrap();
             assert_eq!(engine.name(), kind);
             assert_eq!(engine.gemv(&a).unwrap(), expect, "{kind}");
         }
-        // The bit-serial build went through the shared cache.
-        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]
     fn unknown_kind_is_a_clean_error() {
         let v = IntMatrix::identity(2).unwrap();
         let spec = EngineSpec::new("tpu");
-        let Err(built) = build(v.clone(), &spec, &MultiplierCache::new()) else {
+        let Err(built) = build(v.clone(), &spec) else {
             panic!("unknown kind must not build");
         };
         // Planning refuses the kind with the same typed error, so a

@@ -10,7 +10,7 @@ use smm_core::generate::{element_sparse_matrix, random_vector};
 use smm_core::gemv::vecmat;
 use smm_core::matrix::IntMatrix;
 use smm_core::rng::seeded;
-use smm_runtime::{EngineSpec, FrameBlock, MultiplierCache, RowBlock, Session};
+use smm_runtime::{EngineSpec, FrameBlock, RowBlock, Session};
 use std::sync::Arc;
 
 proptest! {
@@ -38,7 +38,6 @@ proptest! {
         let frames = Arc::new(FrameBlock::from_rows(&batch).unwrap());
         let mut out = RowBlock::new();
 
-        let cache = Arc::new(MultiplierCache::new());
         let mut specs = vec![
             EngineSpec::dense().threads(threads),
             EngineSpec::csr().threads(threads),
@@ -46,10 +45,7 @@ proptest! {
             EngineSpec::sigma().threads(threads),
         ];
         // Exercise the planner too: whatever engine it picks must agree.
-        let auto = Session::builder(v.clone())
-            .cache(Arc::clone(&cache))
-            .build()
-            .unwrap();
+        let auto = Session::builder(v.clone()).build().unwrap();
         specs.push(auto.plan().spec.clone());
         auto.run_block(Arc::clone(&frames), &mut out).unwrap();
         prop_assert_eq!(Vec::<Vec<i64>>::from(&out), expect.clone());
@@ -57,15 +53,12 @@ proptest! {
         for spec in specs {
             let session = Session::builder(v.clone())
                 .spec(spec.clone())
-                .cache(Arc::clone(&cache))
                 .build()
                 .unwrap();
             let stats = session.run_block(Arc::clone(&frames), &mut out).unwrap();
             prop_assert_eq!(&Vec::<Vec<i64>>::from(&out), &expect, "spec {:?}", spec);
             prop_assert_eq!(stats.batch, batch_size);
         }
-        // One matrix, one compile: every bit-serial session shared it.
-        prop_assert!(cache.stats().misses <= 1);
     }
 
     // The run == run_block == run_rows == wire cross-engine identity

@@ -16,9 +16,9 @@
 //!   [`ServerConfig::store_dir`] store — a restarted server reloads its
 //!   fleet without recompiling), a bounded `server::AdmissionQueue` that
 //!   answers `Busy` instead of buffering under overload, per-matrix
-//!   sessions over a shared [`smm_runtime::MultiplierCache`] (bounded
-//!   by the same two tier sizes) and the process's one worker pool, and
-//!   graceful shutdown with connection drain;
+//!   sessions over the process's one worker pool (the fleet's hot tier
+//!   is the only thing that keeps an engine built), and graceful
+//!   shutdown with connection drain;
 //! * `metrics` — the five counters the hot path writes, the per-stage
 //!   request spans (decode → queue → plan → compute → encode), and the
 //!   Prometheus text served on [`ServerConfig::metrics_addr`], rendered

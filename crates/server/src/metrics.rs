@@ -3,9 +3,9 @@
 //! [`ServerMetrics`] holds only what the serving hot path writes: seven
 //! relaxed-atomic counters — the served `vectors` and `batches` among
 //! them, bumped where a product is answered — and the per-stage
-//! [`SpanRecorder`]. Every other exported number — fleet occupancy,
-//! cache and store counters — has its owner elsewhere, and [`StatsSnapshot`] reads
-//! them all in one place. [`render`] is a pure function of that
+//! [`SpanRecorder`]. Every other exported number — fleet occupancy and
+//! the store counters — has its owner in the fleet, and [`StatsSnapshot`]
+//! reads them all in one place. [`render`] is a pure function of that
 //! snapshot, so the wire `Stats` opcode, `smm stats` and `GET /metrics`
 //! cannot disagree: there is no second copy to fall behind.
 
@@ -56,12 +56,11 @@ enum Samples {
 }
 
 /// Every exported family — name, HELP text, samples — in exposition
-/// (byte-sorted) order. Dashboards address these names; none changes.
-const FAMILIES: [(&str, &str, Samples); 16] = [
+/// (byte-sorted) order. Dashboards address these names: none is ever
+/// renamed, and a family leaves only with the number it exports.
+const FAMILIES: [(&str, &str, Samples); 14] = [
     ("smm_bytes_in_total", "Bytes read off the wire.", Counter(|s, _| s.bytes_in)),
     ("smm_bytes_out_total", "Bytes written to the wire.", Counter(|s, _| s.bytes_out)),
-    ("smm_cache_hits", "Compile-cache hits so far.", Gauge(|s, _| s.cache_hits)),
-    ("smm_cache_misses", "Compile-cache misses (compiles) so far.", Gauge(|s, _| s.cache_misses)),
     ("smm_connections", "Open client connections.", Gauge(|_, open| open)),
     ("smm_errors_total", "Requests answered with an error status.", Counter(|s, _| s.errors)),
     ("smm_matrices_loaded", "Matrices resident in the registry.", Gauge(|s, _| s.matrices)),

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic  "SMM1"      4 bytes
-//! version            1 byte   (7, nothing else)
+//! version            1 byte   (8, nothing else)
 //! opcode             1 byte
 //! request id         8 bytes  little-endian
 //! payload length     4 bytes  little-endian
@@ -50,6 +50,14 @@
 //! matrices by a hash of their dense elements; its digests mean
 //! something else, so a version-6 peer is refused at the version byte.
 //!
+//! ## A `Stats` reply has no compile-cache block
+//!
+//! The server keeps no circuit cache beside its fleet, so a `Stats`
+//! reply opens with 11 request counters where version 7 had 15 (hits,
+//! misses, entries and evictions of that cache are gone). A version-7
+//! peer would misread every field after them, so it is refused at the
+//! version byte too.
+//!
 //! ## One read and one write per frame
 //!
 //! The server's sessions and [`crate::Client`] both speak through one
@@ -84,7 +92,7 @@ use std::io::{self, BufReader, Read, Write};
 /// Frame preamble: the protocol's on-wire signature.
 pub(crate) const MAGIC: [u8; 4] = *b"SMM1";
 /// The one protocol version both ends speak.
-pub const VERSION: u8 = 7;
+pub const VERSION: u8 = 8;
 /// Fixed frame header size in bytes.
 pub const HEADER_LEN: usize = 18;
 /// Upper bound on a frame payload; larger length prefixes are rejected
@@ -131,8 +139,8 @@ pub enum BackendKind {
     #[default]
     Csr,
     /// The compiled spatial circuit, simulated cycle-accurately. Slowest
-    /// and most faithful; compilations go through the shared
-    /// [`smm_runtime::MultiplierCache`].
+    /// and most faithful; every build of it (a load, a promotion)
+    /// compiles the circuit.
     BitSerial,
     /// The SIGMA accelerator baseline executed through its PE-grid tile
     /// mapping.
@@ -429,14 +437,6 @@ pub struct StatsSnapshot {
     pub batches: u64,
     /// Matrices currently loaded.
     pub matrices: u64,
-    /// Compiled-multiplier cache hits.
-    pub cache_hits: u64,
-    /// Compiled-multiplier cache misses.
-    pub cache_misses: u64,
-    /// Compiled circuits currently cached.
-    pub cache_entries: u64,
-    /// Circuits evicted to stay within the cache capacity.
-    pub cache_evictions: u64,
     /// Compute requests recorded in the latency histogram.
     pub latency_count: u64,
     /// Median compute-request latency, in nanoseconds (bucketed).
@@ -463,18 +463,8 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Cache hit fraction in `[0, 1]` (0 when the cache is untouched).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Every `u64` of the snapshot in wire order: the 15 request and
-    /// cache counters, three per stage, then the six fleet counters. The
+    /// Every `u64` of the snapshot in wire order: the 11 request
+    /// counters, three per stage, then the six fleet counters. The
     /// one listing of the fields: `decode` fills it, `encode` reads it
     /// off a copy.
     fn wire_fields(&mut self) -> impl Iterator<Item = &mut u64> + '_ {
@@ -487,10 +477,6 @@ impl StatsSnapshot {
             &mut self.vectors,
             &mut self.batches,
             &mut self.matrices,
-            &mut self.cache_hits,
-            &mut self.cache_misses,
-            &mut self.cache_entries,
-            &mut self.cache_evictions,
             &mut self.latency_count,
             &mut self.p50_latency_ns,
             &mut self.p99_latency_ns,
@@ -516,7 +502,7 @@ impl StatsSnapshot {
         self.stages[stage.idx()]
     }
 
-    /// Serializes the snapshot: 15 `u64`s, the per-stage summary block
+    /// Serializes the snapshot: 11 `u64`s, the per-stage summary block
     /// (three `u64`s per stage), then the six-`u64` fleet tier block.
     pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
         let mut copy = *self;
@@ -1112,7 +1098,7 @@ mod tests {
         let mut stats = StatsSnapshot {
             requests: 11,
             p99_latency_ns: 12345,
-            cache_hits: 3,
+            batches: 3,
             tier_hot: 4,
             tier_warm: 2,
             tier_cold: 17,
@@ -1315,6 +1301,16 @@ mod tests {
             let err = Reply::decode(version, Opcode::Ping, &pong).unwrap_err();
             assert!(matches!(err, Error::Wire { .. }), "v{version}: {err}");
         }
+        // A version-7 `Stats` reply (15 leading counters, four of them
+        // the retired compile cache's) is refused by its version, not
+        // misread field by field.
+        let v7_stats = vec![0u8; 1 + (15 + 3 * STAGES + 6) * 8];
+        let err = Reply::decode(7, Opcode::Stats, &v7_stats).unwrap_err();
+        let refused = "unsupported protocol version 7";
+        assert!(
+            matches!(&err, Error::Wire { context } if context.starts_with(refused)),
+            "{err}"
+        );
     }
 
     #[test]

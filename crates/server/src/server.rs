@@ -30,9 +30,7 @@ use crate::protocol::{
 };
 use smm_core::error::{Error, Result};
 use smm_core::wire::MatrixBody;
-use smm_runtime::{
-    EngineSpec, InsertOutcome, MultiplierCache, Session, TieredConfig, TieredRegistry,
-};
+use smm_runtime::{EngineSpec, InsertOutcome, Session, TieredConfig, TieredRegistry};
 use smm_store::Store;
 use smm_telemetry::{Span, Stage};
 use std::io::{Read, Write};
@@ -147,17 +145,10 @@ impl Drop for AdmissionPermit<'_> {
 struct Shared {
     config: ServerConfig,
     /// The tiered matrix fleet: hot sessions, warm matrices, cold
-    /// artifact bytes in the optional store.
+    /// artifact bytes in the optional store. The one residency policy:
+    /// an engine stays built exactly as long as its session is hot, and
+    /// a promotion builds it again (a bit-serial one recompiles).
     registry: TieredRegistry,
-    /// One compiled-multiplier cache shared by every session, bounded to
-    /// as many circuits as the in-memory tiers hold matrices
-    /// (`max_matrices + max_warm`), so the tier bounds bound bit-serial
-    /// memory too. A hot session keeps its own `Arc`, so a cache miss
-    /// (the cache evicts its least recently used circuit) costs a warm
-    /// promotion the one compile the tier docs promise.
-    /// Interim: ROADMAP "Collapse the surface" (d) folds the cache into
-    /// the fleet entry, and this second residency bound goes with it.
-    cache: Arc<MultiplierCache>,
     admission: AdmissionQueue,
     metrics: ServerMetrics,
     shutdown: AtomicBool,
@@ -170,9 +161,8 @@ struct Shared {
 impl Shared {
     fn stats(&self) -> StatsSnapshot {
         // One fleet lock per snapshot (the tier counts); every other
-        // number here is an atomic or the cache's own counters.
+        // number here is an atomic.
         let fleet = self.registry.snapshot();
-        let cache = self.cache.stats();
         let stages = self.metrics.stages.stage_stats();
         // A compute request's latency is the interval the session times
         // as the compute stage; one clock serves both.
@@ -187,10 +177,6 @@ impl Shared {
             vectors: counter(&self.metrics.vectors),
             batches: counter(&self.metrics.batches),
             matrices: fleet.counts.total(),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_entries: cache.entries as u64,
-            cache_evictions: cache.evictions,
             latency_count: compute.count,
             p50_latency_ns: compute.p50_ns,
             p99_latency_ns: compute.p99_ns,
@@ -213,8 +199,7 @@ impl Shared {
 
     /// Builds the session serving the matrix `body` stands for, under
     /// the request's backend choice when given, else the server-wide
-    /// default, cut into the server's shard count (compilations go
-    /// through the shared cache).
+    /// default, cut into the server's shard count.
     fn build_session(
         &self,
         body: Arc<MatrixBody>,
@@ -223,7 +208,6 @@ impl Shared {
         let kind = requested.unwrap_or(self.config.backend).name();
         Session::builder_body(body)
             .spec(EngineSpec::new(kind).threads(self.config.threads))
-            .cache(Arc::clone(&self.cache))
             // Every session shares the server's stage histograms, so
             // shard/reassemble/compute timings from any matrix land in
             // one exposition.
@@ -294,12 +278,12 @@ impl Shared {
             })
         };
         // Any-tier hit answers from the fleet: a hot digest returns its
-        // live session, a warm one rebuilds through the shared cache,
-        // and a cold one is read back from the store — a store hit, not
-        // a recompile of the uploaded bytes. First load wins: a repeat
-        // load with a different backend choice reports the engine that
-        // is actually serving. The fleet lookup (including any store
-        // read) is stamped as the plan stage.
+        // live session, a warm one rebuilds from its body, and a cold one
+        // is read back from the store — a store hit, not a rebuild from
+        // the uploaded bytes. First load wins: a repeat load with a
+        // different backend choice reports the engine that is actually
+        // serving. The fleet lookup (including any store read) is
+        // stamped as the plan stage.
         match self
             .registry
             .acquire_body(digest, |b| self.build_session(b, requested))
@@ -315,14 +299,14 @@ impl Shared {
             Err(e) => return Reply::Error(format!("loading matrix: {e}")),
         }
         // Refuse *before* building: a rejected load must not burn a
-        // compile or grow the shared cache.
+        // compile.
         if let Some(resident) = self.registry.full_capacity() {
             return Reply::CapacityFull { loaded: resident };
         }
         // Build outside the registry lock: a slow bit-serial compile must
         // not stall requests against already-loaded matrices. Two racing
-        // loaders both build; the first insert wins and the loser's copy
-        // is dropped (the compile itself is still shared via the cache).
+        // loaders both build (a bit-serial one compiles twice); the first
+        // insert wins and the loser's session is dropped.
         // The body received is the one the fleet keeps and files.
         let body = Arc::new(body);
         let session = match self.build_session(Arc::clone(&body), requested) {
@@ -467,11 +451,7 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle> {
         }
         None => TieredRegistry::new(tiers),
     };
-    // As many circuits as the in-memory tiers hold matrices (the
-    // registry raises a hot bound of 0 to 1 the same way).
-    let circuits = tiers.max_hot.max(1).saturating_add(tiers.max_warm);
     let shared = Arc::new(Shared {
-        cache: Arc::new(MultiplierCache::with_capacity(circuits)),
         admission: AdmissionQueue::new(config.queue_depth),
         config,
         registry,
@@ -784,7 +764,6 @@ mod tests {
     #[test]
     fn policy_for_maps_backend_choices() {
         let shared = |backend| Shared {
-            cache: Arc::new(MultiplierCache::new()),
             admission: AdmissionQueue::new(1),
             config: ServerConfig {
                 backend,

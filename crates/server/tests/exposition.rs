@@ -2,7 +2,9 @@
 //! text, TYPE, order and label spelling are pinned byte for byte against
 //! what the server rendered before the exposition became a pure function
 //! of the `Stats` snapshot (the goldens below were captured from that
-//! binary, commit 4c84400).
+//! binary, commit 4c84400). The two `smm_cache_*` families have since
+//! left with the server's circuit cache; every other line is as
+//! captured.
 
 use smm_core::matrix::IntMatrix;
 use smm_server::{Client, ServerConfig};
@@ -16,12 +18,6 @@ smm_bytes_in_total 0
 # HELP smm_bytes_out_total Bytes written to the wire.
 # TYPE smm_bytes_out_total counter
 smm_bytes_out_total 0
-# HELP smm_cache_hits Compile-cache hits so far.
-# TYPE smm_cache_hits gauge
-smm_cache_hits 0
-# HELP smm_cache_misses Compile-cache misses (compiles) so far.
-# TYPE smm_cache_misses gauge
-smm_cache_misses 0
 # HELP smm_connections Open client connections.
 # TYPE smm_connections gauge
 smm_connections 0

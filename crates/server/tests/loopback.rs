@@ -144,7 +144,7 @@ fn busy_does_not_kill_the_session() {
 }
 
 #[test]
-fn bitserial_backend_serves_through_the_shared_cache() {
+fn bitserial_backend_serves_a_repeat_load_from_its_hot_session() {
     let server = smm_server::start(ServerConfig {
         backend: BackendKind::BitSerial,
         threads: 2,
@@ -153,10 +153,16 @@ fn bitserial_backend_serves_through_the_shared_cache() {
     .unwrap();
     let matrix = test_matrix(4500, 12, 10);
     let mut client = Client::connect(server.local_addr()).unwrap();
-    let digest = client.load_matrix(&matrix).unwrap();
-    // Loading the same matrix again is idempotent and does not recompile.
-    let again = client.load_matrix(&matrix).unwrap();
-    assert_eq!(digest, again);
+    let first = client.load_matrix_with(&matrix, None).unwrap();
+    assert!(!first.already_loaded);
+    assert_eq!(first.engine, "bitserial");
+    let digest = first.digest;
+    // Loading the same matrix again is idempotent: the hot session
+    // answers, and nothing is rebuilt (no promotion, so no compile).
+    let again = client.load_matrix_with(&matrix, None).unwrap();
+    assert_eq!(again.digest, digest);
+    assert!(again.already_loaded);
+    assert_eq!(again.engine, "bitserial");
     let mut rng = seeded(4501);
     let batch: Vec<Vec<i32>> = (0..5)
         .map(|_| random_vector(12, 8, true, &mut rng).unwrap())
@@ -165,8 +171,8 @@ fn bitserial_backend_serves_through_the_shared_cache() {
     let expect: Vec<Vec<i64>> = batch.iter().map(|a| vecmat(a, &matrix).unwrap()).collect();
     assert_eq!(served, expect);
     let stats = client.stats().unwrap();
-    assert_eq!(stats.cache_misses, 1, "{stats:?}");
-    assert_eq!(stats.cache_entries, 1);
+    assert_eq!((stats.matrices, stats.tier_hot), (1, 1), "{stats:?}");
+    assert_eq!(stats.store_promotions, 0, "{stats:?}");
 }
 
 #[test]
@@ -333,8 +339,11 @@ fn per_request_backend_choice_overrides_the_server_default() {
         client.gemv(loaded.digest, &a).unwrap(),
         vecmat(&a, &matrix).unwrap()
     );
+    // The repeat load and the product were answered by the one hot
+    // session: nothing was promoted, so nothing was rebuilt.
     let stats = server.shutdown();
-    assert_eq!(stats.cache_misses, 1, "{stats:?}");
+    assert_eq!((stats.matrices, stats.tier_hot), (1, 1), "{stats:?}");
+    assert_eq!(stats.store_promotions, 0, "{stats:?}");
 }
 
 #[test]

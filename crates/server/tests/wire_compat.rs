@@ -9,7 +9,7 @@
 //! not promised: the pins run through wildcard-free `match`es, and the
 //! constants are read out of `protocol.rs` itself. The loopback test then
 //! speaks raw frames under version bytes the server does not speak
-//! (0, 1–5, 7) and checks each gets one typed error frame and a closed
+//! (0, the retired 1–7, a future 9) and checks each gets one typed error frame and a closed
 //! socket while a current client keeps being served.
 
 use smm_core::block::{FrameBlock, RowBlock};
@@ -72,7 +72,7 @@ fn pin_reply(reply: Reply, expect: &[u8]) {
 /// version "range" is exactly one value — every other byte is refused.
 #[test]
 fn status_bytes_and_version_range_are_pinned() {
-    assert_eq!(VERSION, 7);
+    assert_eq!(VERSION, 8);
     assert_eq!(STATUS_OK, 0);
     assert_eq!(STATUS_BUSY, 1);
     assert_eq!(STATUS_ERROR, 2);
@@ -80,7 +80,7 @@ fn status_bytes_and_version_range_are_pinned() {
     assert_eq!(HEADER_LEN, 18);
     let ping = Request::Ping.encode(VERSION);
     let pong = Reply::Pong.encode(VERSION);
-    for version in (0..=u8::MAX).filter(|&v| v != 7) {
+    for version in (0..=u8::MAX).filter(|&v| v != 8) {
         assert!(Request::decode(version, Opcode::Ping, &ping).is_err(), "v{version}");
         assert!(Reply::decode(version, Opcode::Ping, &pong).is_err(), "v{version}");
     }
@@ -95,7 +95,7 @@ fn frame_header_layout_is_pinned() {
         frame,
         cat(&[
             b"SMM1",
-            &[7],                                              // version
+            &[8],                                              // version
             &[2],                                              // opcode: Gemv
             &[0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01], // request id, LE
             &[2, 0, 0, 0],                                     // payload length, LE
@@ -240,8 +240,8 @@ fn reply_body_layouts_are_pinned() {
     );
 }
 
-/// The `Stats` reply: status byte, fifteen `u64` counters, seven stages
-/// of (count, p50 ns, p99 ns), six fleet tier counters — 42 `u64`s in
+/// The `Stats` reply: status byte, eleven `u64` counters, seven stages
+/// of (count, p50 ns, p99 ns), six fleet tier counters — 38 `u64`s in
 /// this order and nothing else.
 #[test]
 fn stats_reply_bytes_are_pinned() {
@@ -254,32 +254,28 @@ fn stats_reply_bytes_are_pinned() {
         vectors: 6,
         batches: 7,
         matrices: 8,
-        cache_hits: 9,
-        cache_misses: 10,
-        cache_entries: 11,
-        cache_evictions: 12,
-        latency_count: 13,
-        p50_latency_ns: 14,
-        p99_latency_ns: 15,
-        tier_hot: 37,
-        tier_warm: 38,
-        tier_cold: 39,
-        store_promotions: 40,
-        store_demotions: 41,
-        store_hits: 42,
+        latency_count: 9,
+        p50_latency_ns: 10,
+        p99_latency_ns: 11,
+        tier_hot: 33,
+        tier_warm: 34,
+        tier_cold: 35,
+        store_promotions: 36,
+        store_demotions: 37,
+        store_hits: 38,
         ..Default::default()
     };
     assert_eq!(snapshot.stages.len(), 7);
     for (i, stage) in snapshot.stages.iter_mut().enumerate() {
-        stage.count = 16 + 3 * i as u64;
-        stage.p50_ns = 17 + 3 * i as u64;
-        stage.p99_ns = 18 + 3 * i as u64;
+        stage.count = 12 + 3 * i as u64;
+        stage.p50_ns = 13 + 3 * i as u64;
+        stage.p99_ns = 14 + 3 * i as u64;
     }
     let mut expect = vec![0u8];
-    for field in 1..=42u64 {
+    for field in 1..=38u64 {
         expect.extend_from_slice(&le64(field));
     }
-    assert_eq!(expect.len(), 1 + 15 * 8 + 7 * 3 * 8 + 6 * 8);
+    assert_eq!(expect.len(), 1 + 11 * 8 + 7 * 3 * 8 + 6 * 8);
     pin_reply(Reply::Stats(Box::new(snapshot)), &expect);
 }
 
@@ -312,9 +308,9 @@ fn every_version_and_status_constant_is_named_in_both_wire_test_files() {
     assert!(unpinned.is_empty(), "{unpinned:#?}");
 }
 
-/// Peers from another revision — v0, the retired v1–v6, a future v8 —
+/// Peers from another revision — v0, the retired v1–v7, a future v9 —
 /// each get exactly one `STATUS_ERROR` frame naming the unsupported
-/// version, then EOF; a v7 client on another connection to the same
+/// version, then EOF; a v8 client on another connection to the same
 /// server keeps being served, and the refusals are not request errors.
 #[test]
 fn other_versions_are_refused_while_a_current_client_keeps_being_served() {
@@ -325,14 +321,14 @@ fn other_versions_are_refused_while_a_current_client_keeps_being_served() {
     let digest = client.load_matrix(&matrix).unwrap();
     let errors_before = client.stats().unwrap().errors;
 
-    for version in [0u8, 1, 2, 3, 4, 5, 6, 8] {
+    for version in [0u8, 1, 2, 3, 4, 5, 6, 7, 9] {
         // A raw Ping frame under the foreign version byte.
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         let ping = cat(&[b"SMM1", &[version], &[0], &le64(9), &le32(0)]);
         stream.write_all(&ping).unwrap();
 
         let frame = read_frame(&mut stream).unwrap();
-        assert_eq!(frame.version, 7, "the refusal travels under the one version");
+        assert_eq!(frame.version, 8, "the refusal travels under the one version");
         let mut c = smm_core::wire::Cursor::new(&frame.payload);
         assert_eq!(c.take_u8("status").unwrap(), STATUS_ERROR, "v{version}");
         let message = c.take_str("message").unwrap();

@@ -225,7 +225,7 @@ impl ArtifactKind {
 /// Metadata describing the engine compiled for a matrix: enough to
 /// report what a restarted server would rebuild (and why) without
 /// serializing the netlist itself — the compile is reproduced from the
-/// matrix bytes through the shared multiplier cache.
+/// matrix bytes when the matrix is next promoted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CircuitMeta {
     /// Engine kind that served the matrix (`csr`, `bitserial`, ...).

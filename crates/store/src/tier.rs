@@ -6,8 +6,8 @@
 //!   map, CSR kernel) behind a live session; answers immediately.
 //! * [`Tier::Warm`] — the matrix's non-zeros resident in memory, as
 //!   its wire body; serving it costs one engine build (for the
-//!   bit-serial engine, one compile unless the circuit is still in the
-//!   runtime's cache).
+//!   bit-serial engine, one circuit compile: no circuit outlives its
+//!   hot session).
 //! * [`Tier::Cold`] — the same body on disk only; serving it costs one
 //!   store read (verified by one walk over the non-zeros, which takes
 //!   the content digest) plus the warm cost.

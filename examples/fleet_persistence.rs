@@ -1,4 +1,4 @@
-//! Fleet persistence walkthrough: restart a server without recompiling.
+//! Fleet persistence walkthrough: restart a server without a re-upload.
 //!
 //! The paper's economics rest on compiling a circuit *once* for a
 //! long-lived matrix and amortizing it over many products. A server
@@ -12,8 +12,9 @@
 //! 2. Shut the server down and start a *new* one on the same directory.
 //!    The scan rediscovers the fleet as cold entries.
 //! 3. Serve the same digest without any client re-uploading it: the
-//!    cold entry promotes from disk (a store hit), nothing recompiles
-//!    (`cache_misses` stays zero), and the product is bit-identical.
+//!    cold entry promotes from disk (one store hit, one promotion), its
+//!    `csr` engine is built from the body read back, and the product is
+//!    bit-identical.
 //! 4. Bound the tiers so a third matrix overflows: capacity pressure
 //!    demotes to disk instead of refusing the load.
 //! 5. Inspect the directory with the `Store` API directly — the same
@@ -48,6 +49,7 @@ fn main() {
         assert!(!loaded.already_loaded, "first life compiles fresh");
         assert_eq!(client.gemv(loaded.digest, &a).expect("serving"), expect);
         let stats = server.shutdown();
+        assert_eq!((stats.store_promotions, stats.store_hits), (0, 0), "{stats:?}");
         println!(
             "first life: loaded {:#018x}, served {} request(s), fleet {} hot",
             loaded.digest, stats.requests, stats.tier_hot
@@ -55,7 +57,7 @@ fn main() {
         loaded.digest
     };
 
-    // -- 2+3. Second life: the store answers, nothing recompiles ---------
+    // -- 2+3. Second life: the store answers, no upload ------------------
     {
         let server = spatial_smm::server::start(config()).expect("starting second life");
         let mut client = Client::connect(server.local_addr()).expect("connecting");
@@ -67,10 +69,14 @@ fn main() {
         // Straight to the product — no upload. The cold entry promotes.
         assert_eq!(client.gemv(digest, &a).expect("serving from store"), expect);
         let stats = server.shutdown();
-        assert!(stats.store_hits >= 1, "the store answered");
-        assert_eq!(stats.cache_misses, 0, "restart must not recompile");
+        assert_eq!(
+            (stats.store_promotions, stats.store_hits),
+            (1, 1),
+            "the one request promotes the cold digest from its one store read: {stats:?}"
+        );
         println!(
-            "second life: {} store hit(s), {} promotion(s), 0 compiles — bit-identical product",
+            "second life: {} store hit(s), {} promotion(s) building a csr engine from the \
+             stored body — bit-identical product",
             stats.store_hits, stats.store_promotions
         );
     }

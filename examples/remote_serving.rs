@@ -2,8 +2,8 @@
 //! over a real (loopback) TCP connection.
 //!
 //! 1. Start an `smm-server` with `--backend auto` semantics — each
-//!    loaded matrix gets its own planned `Session` (bit-serial compiles
-//!    go through the shared `MultiplierCache`).
+//!    loaded matrix gets its own planned `Session`, whose engine stays
+//!    built as long as the fleet keeps it hot.
 //! 2. Upload a weight matrix, requesting the bit-serial engine
 //!    explicitly in the `LoadMatrix`; the reply names the engine.
 //! 3. Serve single products and batches, verifying against the dense
@@ -125,11 +125,10 @@ fn main() {
     // -- 6. Server-side metrics over the wire, then drain ----------------
     let stats = client.stats().expect("stats");
     println!(
-        "server saw {} requests, {} vectors, cache {:.0}% hits ({} compile(s)), p99 {:.1} µs",
+        "server saw {} requests, {} vectors, {} matrices hot, p99 {:.1} µs",
         stats.requests,
         stats.vectors,
-        100.0 * stats.cache_hit_rate(),
-        stats.cache_misses,
+        stats.tier_hot,
         stats.p99_latency_ns as f64 / 1e3,
     );
     // The same reply breaks the latency down by pipeline stage (decode

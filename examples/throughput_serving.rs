@@ -1,20 +1,20 @@
 //! Throughput serving through the `Session` front door: let the planner
 //! pick an engine for a fixed sparse matrix, compare it against every
 //! explicit engine spec, and see that the plan is a function of the
-//! matrix alone — a compiled circuit in the cache does not change it.
+//! matrix alone — a circuit compiled for it meanwhile does not change it.
 //!
 //! This is the serving-side counterpart of `quickstart.rs`: where that
 //! example synthesizes one circuit and checks one product, this one runs
 //! the production path — [`spatial_smm::runtime::Session`] holding the
-//! planned engine and the shared [`spatial_smm::runtime::MultiplierCache`],
-//! its batches sharded across the process's one worker pool.
+//! planned engine, its batches sharded across the process's one worker
+//! pool.
 //!
 //! Run with: `cargo run --release --example throughput_serving`
 
 use spatial_smm::core::generate::{element_sparse_matrix, random_vector};
 use spatial_smm::core::gemv::vecmat;
 use spatial_smm::core::rng::seeded;
-use spatial_smm::runtime::{EngineSpec, FrameBlock, MultiplierCache, RowBlock, Session};
+use spatial_smm::runtime::{EngineSpec, FrameBlock, RowBlock, Session};
 use std::sync::Arc;
 
 fn main() {
@@ -35,18 +35,13 @@ fn main() {
     };
     let reference: Vec<Vec<i64>> = batch.iter().map(|a| vecmat(a, &v).unwrap()).collect();
 
-    // One shared compile cache for every session over these weights,
-    // and one output block reused by every dispatch: the steady state
+    // One output block reused by every dispatch: the steady state
     // performs no per-row allocation.
-    let cache = Arc::new(MultiplierCache::new());
     let mut outputs = RowBlock::new();
 
     // Let the planner choose: at 90% sparsity the CSR gather is the
     // cheapest kernel per frame — and the rationale says by how much.
-    let auto = Session::builder(v.clone())
-        .cache(Arc::clone(&cache))
-        .build()
-        .unwrap();
+    let auto = Session::builder(v.clone()).build().unwrap();
     println!("{}", auto.plan().rationale);
 
     // Serve the same traffic through every explicit engine spec too:
@@ -59,11 +54,7 @@ fn main() {
         EngineSpec::bitserial(),
         EngineSpec::sigma(),
     ] {
-        let session = Session::builder(v.clone())
-            .spec(spec)
-            .cache(Arc::clone(&cache))
-            .build()
-            .unwrap();
+        let session = Session::builder(v.clone()).spec(spec).build().unwrap();
         let stats = session.run_block(Arc::clone(&batch), &mut outputs).unwrap();
         assert_eq!(
             Vec::<Vec<i64>>::from(&outputs),
@@ -81,14 +72,13 @@ fn main() {
         );
     }
 
-    // The bit-serial session above compiled through the shared cache.
+    // The bit-serial session above compiled a circuit for these weights.
     // A *replan* does not care: the plan prices the kernels on the
     // matrix's own counts, so it is the plan from before the compile.
     // This session also carries a telemetry recorder — each batch stamps
     // shard/reassemble/compute durations into per-stage histograms.
     let recorder = spatial_smm::runtime::SpanRecorder::new();
     let replanned = Session::builder(v.clone())
-        .cache(Arc::clone(&cache))
         .recorder(recorder.clone())
         .build()
         .unwrap();
@@ -100,10 +90,10 @@ fn main() {
         reference,
         "replanned session diverged"
     );
-    let compiles = replanned.cache().stats();
     println!(
-        "replanned session served {} vectors; cache: {} compile(s), {} hit(s)",
-        served.batch, compiles.misses, compiles.hits
+        "replanned session served {} vectors on '{}'",
+        served.batch,
+        replanned.engine().name()
     );
     for s in spatial_smm::telemetry::stage_summaries(&recorder.stage_stats()) {
         println!(

@@ -56,10 +56,8 @@
 //!    resolves an `auto` spec ([`EngineSpec::auto`]) by pricing the
 //!    dense, CSR and sigma kernels per matrix, in nanoseconds per frame
 //!    at their measured rates (the gpu, cgra and
-//!    sigma timing models are evaluation models, not planner inputs); a
-//!    [`runtime::MultiplierCache`]
-//!    that memoizes spatial compilation by matrix content digest (with
-//!    an optional LRU bound); and one process-wide worker pool, shared
+//!    sigma timing models are evaluation models, not planner inputs);
+//!    and one process-wide worker pool, shared
 //!    by every session, across which [`Session::run_block`] shards flat
 //!    batch blocks by row range into one preallocated output block, in
 //!    submission order, each shard's completion stamped by its worker —

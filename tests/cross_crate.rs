@@ -9,7 +9,7 @@ use spatial_smm::core::gemv::vecmat;
 use spatial_smm::core::rng::seeded;
 use spatial_smm::fpga::flow::{synthesize, FlowOptions};
 use spatial_smm::gpu::GpuKernelModel;
-use spatial_smm::runtime::{EngineSpec, FrameBlock, MultiplierCache, RowBlock, Session};
+use spatial_smm::runtime::{EngineSpec, FrameBlock, RowBlock, Session};
 use spatial_smm::sigma::Sigma;
 use spatial_smm::sparse::{Csr, SparsityProfile};
 use std::sync::Arc;
@@ -42,11 +42,9 @@ fn all_kernels_agree() {
 /// The serving runtime agrees with the reference kernel for **every**
 /// engine spec, thread count and batch size (including the 0 and 1 edge
 /// cases), on seeded random sparse matrices — all constructed through
-/// the `Session` front door, with one shared multiplier cache handing
-/// every bit-serial session the same compiled circuit.
+/// the `Session` front door.
 #[test]
 fn runtime_backends_agree_for_all_shapes() {
-    let cache = Arc::new(MultiplierCache::new());
     for (seed, dim, sparsity) in [(910u64, 1usize, 0.0), (911, 9, 0.5), (912, 26, 0.92)] {
         let mut rng = seeded(seed);
         let v = element_sparse_matrix(dim, dim, 8, sparsity, true, &mut rng).unwrap();
@@ -56,7 +54,6 @@ fn runtime_backends_agree_for_all_shapes() {
                 [1usize, 2, 4].map(|threads| {
                     Session::builder(v.clone())
                         .spec(EngineSpec::new(*kind).threads(threads))
-                        .cache(Arc::clone(&cache))
                         .build()
                         .unwrap()
                 })
@@ -88,11 +85,6 @@ fn runtime_backends_agree_for_all_shapes() {
             }
         }
     }
-    // One compile per matrix; every later session build was a hit.
-    let stats = cache.stats();
-    assert_eq!(stats.misses, 3);
-    assert_eq!(stats.entries, 3);
-    assert_eq!(stats.hits, 6, "two extra bit-serial sessions per matrix");
 }
 
 /// The flow's functional circuit and physical report are mutually

@@ -23,7 +23,7 @@ use spatial_smm::core::generate::{element_sparse_matrix, random_vector};
 use spatial_smm::core::gemv::vecmat;
 use spatial_smm::core::matrix::IntMatrix;
 use spatial_smm::core::rng::seeded;
-use spatial_smm::runtime::{MultiplierCache, BUILTIN_KINDS};
+use spatial_smm::runtime::BUILTIN_KINDS;
 use spatial_smm::server::{BackendKind, Client, ServerConfig, ServerHandle};
 use spatial_smm::{EnginePlan, EngineSpec, Session};
 use std::sync::Arc;
@@ -90,7 +90,6 @@ fn assert_conformance(
     let expect_single = vecmat(&single, &v).unwrap();
     let frames = Arc::new(FrameBlock::try_from(batch.as_slice()).unwrap());
 
-    let cache = Arc::new(MultiplierCache::new());
     let mut out = RowBlock::new();
     // The interior shard: every frame but the first, so it starts off
     // the block's origin and is one short of the session's shards.
@@ -99,7 +98,6 @@ fn assert_conformance(
     for kind in BUILTIN_KINDS.into_iter().chain([AUTO]) {
         let session = Session::builder(v.clone())
             .spec(EngineSpec::new(kind).threads(threads))
-            .cache(Arc::clone(&cache))
             .build()
             .unwrap();
         let engine = if kind == AUTO {
@@ -132,10 +130,6 @@ fn assert_conformance(
         assert_eq!(Vec::<Vec<i64>>::from(&served), expect, "gemv_block, {kind}");
         server.shutdown();
     }
-    // One spatial compile in-process, shared: only the bitserial kind
-    // touches the cache (each server compiles through its own), and the
-    // auto column plans the same with that circuit resident.
-    assert_eq!(cache.stats().misses, 1);
 }
 
 /// The auto column on the planner's own grid: fully dense, the middle
