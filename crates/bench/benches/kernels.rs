@@ -2,11 +2,10 @@
 //! scalar-reference vs cache-blocked dense `vecmat_into` at several dims
 //! and densities, CSR SpMV, the CSR single-vector kernel (column-slice
 //! gather vs the row scatter it is held to), the per-frame vs
-//! weight-stationary CSR batch, the flat `matmat_into` batch against the
-//! nested bridge, the bit-sliced vs framed-streamed bit-serial batch
-//! engines, the loops of a cold promotion (CRC-32, content digest,
-//! artifact decode, CSR build), and the planner's regret (the auto-planned
-//! engine's one-frame time over the fastest engine's). Each race between
+//! weight-stationary CSR batch, the bit-sliced vs framed-streamed
+//! bit-serial batch engines, the loops of a cold promotion (CRC-32,
+//! content digest, artifact decode, CSR build), and the planner's regret
+//! (the auto-planned engine's one-frame time over the fastest engine's). Each race between
 //! a production kernel and its oracle checks the two outputs equal
 //! before either side is timed.
 //!
@@ -20,7 +19,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
 use smm_core::block::FrameBlock;
 use smm_core::generate::{element_sparse_matrix, random_vector};
-use smm_core::gemv::{matmat, matmat_into, vecmat, vecmat_into, vecmat_into_scalar};
+use smm_core::gemv::{vecmat, vecmat_into, vecmat_into_scalar};
 use smm_core::rng::seeded;
 use smm_runtime::{EngineSpec, Session};
 use smm_sparse::{Coo, Csr};
@@ -163,24 +162,6 @@ fn bench_csr_batch64(c: &mut Criterion) {
             })
         });
     }
-    group.finish();
-}
-
-/// The batch path: nested `matmat` (per-row `Vec`s split out of the
-/// flat compute) vs `matmat_into` into one reused flat buffer — the
-/// per-row allocation the flat API removes.
-fn bench_matmat_flat(c: &mut Criterion) {
-    let mut rng = seeded(3000);
-    let v = element_sparse_matrix(128, 128, 8, 0.5, true, &mut rng).unwrap();
-    let a = element_sparse_matrix(64, 128, 8, 0.0, true, &mut rng).unwrap();
-    let mut flat = vec![0i64; 64 * 128];
-    let mut group = c.benchmark_group("matmat_batch");
-    group.bench_function("nested", |b| {
-        b.iter(|| matmat(black_box(&a), black_box(&v)).unwrap())
-    });
-    group.bench_function("flat", |b| {
-        b.iter(|| matmat_into(black_box(&a), black_box(&v), &mut flat).unwrap())
-    });
     group.finish();
 }
 
@@ -456,7 +437,7 @@ fn bench_plan_regret(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_dense_variants, bench_csr, bench_csr_single, bench_csr_batch64, bench_matmat_flat,
+    targets = bench_dense_variants, bench_csr, bench_csr_single, bench_csr_batch64,
         bench_bitserial_batch, bench_store_checksums, bench_plan_regret
 }
 criterion_main!(benches);

@@ -2,6 +2,7 @@
 
 use crate::builder::{build_circuit, BuiltCircuit};
 use crate::netlist::CircuitStats;
+use smm_core::block::{FrameBlock, RowBlock};
 use smm_core::csd::{csd_split, ChainPolicy};
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
@@ -197,14 +198,31 @@ impl FixedMatrixMultiplier {
         }
     }
 
-    /// Refuses a batch whose rows are not input vectors of this circuit.
-    fn check_batch(&self, a: &IntMatrix) -> Result<()> {
-        if a.cols() != self.rows {
+    /// Frames `start..end` of `frames` as one validated row-major input
+    /// slice: the range lies inside the block, each frame is an input
+    /// vector of this circuit, and every element fits `input_bits`.
+    fn shard<'f>(&self, frames: &'f FrameBlock, start: usize, end: usize) -> Result<&'f [i32]> {
+        if start > end || end > frames.frames() {
             return Err(Error::DimensionMismatch {
-                context: format!("batch cols {} vs matrix rows {}", a.cols(), self.rows),
+                context: format!(
+                    "frame range {start}..{end} outside block of {} frames",
+                    frames.frames()
+                ),
             });
         }
-        self.check_range(a.as_slice())
+        if start < end && frames.width() != self.rows {
+            return Err(Error::DimensionMismatch {
+                context: format!(
+                    "frame width {} vs matrix rows {}",
+                    frames.width(),
+                    self.rows
+                ),
+            });
+        }
+        let width = frames.width();
+        let inputs = &frames.as_slice()[start * width..end * width];
+        self.check_range(inputs)?;
+        Ok(inputs)
     }
 
     /// Runs validated row-major input frames through the lockstep driver
@@ -234,48 +252,36 @@ impl FixedMatrixMultiplier {
         Ok(out)
     }
 
-    /// Computes a batch product: each row of `a` (shape `batch × R`) is one
-    /// input vector; returns one output row per input row.
-    ///
-    /// The vectors run as one block, 64 independent lanes per pass; see
-    /// [`FixedMatrixMultiplier::mul_batch_streamed`] for the pipelined
-    /// back-to-back mode the batching latency model assumes.
-    pub fn mul_batch(&self, a: &IntMatrix) -> Result<Vec<Vec<i64>>> {
-        self.check_batch(a)?;
-        let mut flat = vec![0i64; a.rows() * self.cols];
-        self.run_lockstep(a.as_slice(), &mut flat);
-        Ok(flat.chunks_exact(self.cols).map(<[i64]>::to_vec).collect())
-    }
-
-    /// Computes a batch product by streaming the vectors **back-to-back
-    /// through one continuous simulation**, one new vector every
+    /// Computes a batch product by streaming the frames **back-to-back
+    /// through one continuous simulation**, one new frame every
     /// [`FixedMatrixMultiplier::batch_interval_cycles`] cycles — the
     /// hardware batching mode whose latency
     /// [`FixedMatrixMultiplier::batch_latency_cycles`] models
     /// ([`crate::sim::run_stream_into_flat`]). Results are identical to
-    /// [`FixedMatrixMultiplier::mul_batch`]; the total cycle count is
-    /// what differs.
-    pub fn mul_batch_streamed(&self, a: &IntMatrix) -> Result<Vec<Vec<i64>>> {
-        self.check_batch(a)?;
-        let mut flat = vec![0i64; a.rows() * self.cols];
+    /// [`FixedMatrixMultiplier::run_frames_block`]'s, one output row per
+    /// frame; the total cycle count is what differs.
+    pub fn mul_batch_streamed(&self, frames: &FrameBlock) -> Result<RowBlock> {
+        let inputs = self.shard(frames, 0, frames.frames())?;
+        let mut out = RowBlock::new();
+        out.reset(frames.frames(), self.cols)?;
         crate::sim::run_stream_into_flat(
             &self.circuit,
-            a.as_slice(),
+            inputs,
             self.input_bits,
             self.out_width,
             self.batch_interval_cycles(),
-            &mut flat,
+            out.as_mut_slice(),
         );
-        Ok(flat.chunks_exact(self.cols).map(<[i64]>::to_vec).collect())
+        Ok(out)
     }
 
-    /// The serving batch kernel: simulates frames `start..end` of a
-    /// [`FrameBlock`](smm_core::block::FrameBlock) through the lockstep
-    /// driver (`crate::sim::run_lockstep_into_flat`) — up to 64 frames
-    /// packed one-per-bit into machine words so a single gate
-    /// evaluation serves the whole shard — and decodes the results
-    /// straight into a row-major `i64` slice of `(end - start) * cols()`
-    /// elements. No per-frame or per-row allocation at all.
+    /// The batch kernel: simulates frames `start..end` of a [`FrameBlock`]
+    /// through the lockstep driver (`crate::sim::run_lockstep_into_flat`)
+    /// — up to 64 frames packed one-per-bit into machine words so a
+    /// single gate evaluation serves the whole shard — and decodes the
+    /// results straight into a row-major `i64` slice of
+    /// `(end - start) * cols()` elements. No per-frame or per-row
+    /// allocation at all.
     ///
     /// Results are bit-identical to the framed streaming path behind
     /// [`FixedMatrixMultiplier::mul_batch_streamed`]; only the schedule
@@ -283,37 +289,18 @@ impl FixedMatrixMultiplier {
     /// pipeline depth instead of one streaming interval per frame.
     pub fn run_frames_block(
         &self,
-        frames: &smm_core::block::FrameBlock,
+        frames: &FrameBlock,
         start: usize,
         end: usize,
         out: &mut [i64],
     ) -> Result<()> {
-        if start > end || end > frames.frames() {
-            return Err(Error::DimensionMismatch {
-                context: format!(
-                    "frame range {start}..{end} outside block of {} frames",
-                    frames.frames()
-                ),
-            });
-        }
+        let inputs = self.shard(frames, start, end)?;
         let expected = (end - start) * self.cols();
         if out.len() != expected {
             return Err(Error::DimensionMismatch {
                 context: format!("output length {} vs {expected} block elements", out.len()),
             });
         }
-        if start < end && frames.width() != self.rows {
-            return Err(Error::DimensionMismatch {
-                context: format!(
-                    "frame width {} vs matrix rows {}",
-                    frames.width(),
-                    self.rows
-                ),
-            });
-        }
-        let width = frames.width();
-        let inputs = &frames.as_slice()[start * width..end * width];
-        self.check_range(inputs)?;
         self.run_lockstep(inputs, out);
         Ok(())
     }
@@ -395,6 +382,8 @@ mod tests {
         for (dim, sparsity) in [(8usize, 0.3), (16, 0.7), (21, 0.9)] {
             let v = element_sparse_matrix(dim, dim, 8, sparsity, true, &mut rng).unwrap();
             let a = element_sparse_matrix(5, dim, 8, 0.0, true, &mut rng).unwrap();
+            let frames = FrameBlock::from_vec(5, dim, a.as_slice().to_vec()).unwrap();
+            let expect: Vec<Vec<i64>> = (0..5).map(|b| vecmat(a.row(b), &v).unwrap()).collect();
             for encoding in [
                 WeightEncoding::Pn,
                 WeightEncoding::Csd {
@@ -403,9 +392,8 @@ mod tests {
                 },
             ] {
                 let mul = FixedMatrixMultiplier::compile(&v, 8, encoding).unwrap();
-                let streamed = mul.mul_batch_streamed(&a).unwrap();
-                let expect = smm_core::gemv::matmat(&a, &v).unwrap();
-                assert_eq!(streamed, expect, "dim {dim} s {sparsity}");
+                let streamed = mul.mul_batch_streamed(&frames).unwrap();
+                assert_eq!(Vec::<Vec<i64>>::from(streamed), expect, "dim {dim} s {sparsity}");
             }
         }
     }
@@ -414,15 +402,16 @@ mod tests {
     fn streamed_batch_rejects_bad_input() {
         let v = IntMatrix::identity(4).unwrap();
         let mul = FixedMatrixMultiplier::compile(&v, 4, WeightEncoding::Pn).unwrap();
-        let wrong_shape = IntMatrix::zeros(2, 3).unwrap();
+        let wrong_shape = FrameBlock::from_vec(2, 3, vec![0; 6]).unwrap();
         assert!(mul.mul_batch_streamed(&wrong_shape).is_err());
-        let out_of_range = IntMatrix::from_vec(1, 4, vec![0, 0, 0, 99]).unwrap();
+        let out_of_range = FrameBlock::from_rows(&[vec![0, 0, 0, 99]]).unwrap();
         assert!(mul.mul_batch_streamed(&out_of_range).is_err());
+        let empty = mul.mul_batch_streamed(&FrameBlock::new()).unwrap();
+        assert_eq!((empty.frames(), empty.width()), (0, 4));
     }
 
     #[test]
     fn run_frames_block_matches_single_shot_over_any_range() {
-        use smm_core::block::FrameBlock;
         let mut rng = seeded(109);
         let v = element_sparse_matrix(11, 7, 8, 0.5, true, &mut rng).unwrap();
         let mul = FixedMatrixMultiplier::compile(&v, 8, WeightEncoding::Pn).unwrap();
@@ -446,7 +435,6 @@ mod tests {
 
     #[test]
     fn run_frames_block_rejects_bad_input() {
-        use smm_core::block::FrameBlock;
         let v = IntMatrix::identity(4).unwrap();
         let mul = FixedMatrixMultiplier::compile(&v, 4, WeightEncoding::Pn).unwrap();
         let frames = FrameBlock::from_rows(&[vec![1, 2, 3, 0]]).unwrap();
@@ -457,17 +445,6 @@ mod tests {
         assert!(mul.run_frames_block(&thin, 0, 1, &mut [0; 4]).is_err());
         let hot = FrameBlock::from_rows(&[vec![0, 0, 0, 99]]).unwrap();
         assert!(mul.run_frames_block(&hot, 0, 1, &mut [0; 4]).is_err());
-    }
-
-    #[test]
-    fn mul_batch_matches_reference() {
-        let mut rng = seeded(104);
-        let v = element_sparse_matrix(12, 10, 8, 0.4, true, &mut rng).unwrap();
-        let a = element_sparse_matrix(3, 12, 8, 0.0, true, &mut rng).unwrap();
-        let mul = FixedMatrixMultiplier::compile(&v, 8, WeightEncoding::Pn).unwrap();
-        let got = mul.mul_batch(&a).unwrap();
-        let expect = smm_core::gemv::matmat(&a, &v).unwrap();
-        assert_eq!(got, expect);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   cycle 0 and computes one product. `run_lockstep_into_flat` packs up
 //!   to `LANES` frames per pass and finishes a pass in
 //!   `output_anchor + out_width` cycles. It is the one way a product runs:
-//!   `mul`, `mul_batch`, `run_frames_block`, the SRAM wrapper and the VCD
-//!   trace all go through it.
+//!   `mul`, `run_frames_block`, the SRAM wrapper and the VCD trace all go
+//!   through it.
 //! - `Simulator::step_framed`, *framed*: vectors stream back-to-back,
 //!   one every `interval` cycles, and each node resets exactly when a new
 //!   frame's bit 0 reaches it (the hardware's traveling start token).

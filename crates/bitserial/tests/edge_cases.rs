@@ -122,6 +122,7 @@ fn zero_matrix_zero_vector() {
 fn paper_running_example_density() {
     // The paper's canonical configuration knobs exercised together:
     // CSD + streamed batch + wide result on one matrix.
+    use smm_core::block::FrameBlock;
     use smm_core::csd::ChainPolicy;
     use smm_core::generate::element_sparse_matrix;
     use smm_core::rng::seeded;
@@ -138,6 +139,9 @@ fn paper_running_example_density() {
     )
     .unwrap();
     let batch = element_sparse_matrix(3, 40, 8, 0.0, true, &mut rng).unwrap();
-    let streamed = mul.mul_batch_streamed(&batch).unwrap();
-    assert_eq!(streamed, smm_core::gemv::matmat(&batch, &m).unwrap());
+    let frames = FrameBlock::from_vec(3, 40, batch.as_slice().to_vec()).unwrap();
+    let streamed = mul.mul_batch_streamed(&frames).unwrap();
+    for (b, row) in streamed.iter().enumerate() {
+        assert_eq!(row, vecmat(batch.row(b), &m).unwrap().as_slice());
+    }
 }

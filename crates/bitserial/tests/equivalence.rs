@@ -7,7 +7,6 @@ use smm_core::block::FrameBlock;
 use smm_core::csd::ChainPolicy;
 use smm_core::gemv::vecmat;
 use smm_core::generate::{bit_sparse_matrix, element_sparse_matrix, random_vector};
-use smm_core::matrix::IntMatrix;
 use smm_core::rng::seeded;
 use smm_core::signsplit::split_pn;
 
@@ -38,20 +37,18 @@ proptest! {
         let data: Vec<i32> = (0..frames)
             .flat_map(|_| random_vector(rows, input_bits, true, &mut rng).unwrap())
             .collect();
-        let batch = IntMatrix::from_vec(frames, rows, data.clone()).unwrap();
         let block = FrameBlock::from_vec(frames, rows, data).unwrap();
-        let expect: Vec<Vec<i64>> =
-            (0..frames).map(|f| vecmat(batch.row(f), &v).unwrap()).collect();
+        let expect: Vec<Vec<i64>> = block.iter().map(|a| vecmat(a, &v).unwrap()).collect();
         for encoding in [WeightEncoding::Pn, WeightEncoding::Csd { policy: ChainPolicy::CoinFlip, seed }] {
             let mul = FixedMatrixMultiplier::compile(&v, input_bits, encoding).unwrap();
-            prop_assert_eq!(&mul.mul(batch.row(0)).unwrap(), &expect[0], "{:?}", encoding);
+            prop_assert_eq!(&mul.mul(block.frame(0)).unwrap(), &expect[0], "{:?}", encoding);
             let mut lockstep = vec![-1; frames * cols];
             mul.run_frames_block(&block, 0, frames, &mut lockstep).unwrap();
-            let streamed = mul.mul_batch_streamed(&batch).unwrap();
+            let streamed = mul.mul_batch_streamed(&block).unwrap();
             for (f, want) in expect.iter().enumerate() {
                 prop_assert_eq!(&lockstep[f * cols..(f + 1) * cols], want.as_slice(),
                     "lockstep frame {} of {}, {:?}", f, frames, encoding);
-                prop_assert_eq!(&streamed[f], want, "streamed frame {} of {}, {:?}", f, frames, encoding);
+                prop_assert_eq!(streamed.frame(f), want.as_slice(), "streamed frame {} of {}, {:?}", f, frames, encoding);
             }
         }
     }

@@ -6,6 +6,7 @@ use super::CmdResult;
 use crate::args::Args;
 use crate::matrix_source::resolve;
 use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
+use smm_core::block::FrameBlock;
 use smm_core::csd::ChainPolicy;
 use smm_models::cgra::{estimate_compiled, CgraOptions};
 use smm_models::fpga::flow::{report_for, FlowOptions};
@@ -199,11 +200,16 @@ pub fn stream(args: &Args, out: &mut impl Write) -> CmdResult {
         &mut rng,
     )
     .map_err(|e| format!("generating batch: {e}"))?;
+    let frames = FrameBlock::from_vec(batch, matrix.rows(), inputs.as_slice().to_vec())
+        .map_err(|e| format!("generating batch: {e}"))?;
     let streamed = mul
-        .mul_batch_streamed(&inputs)
+        .mul_batch_streamed(&frames)
         .map_err(|e| format!("streaming: {e}"))?;
-    let independent = mul.mul_batch(&inputs).map_err(|e| format!("simulating: {e}"))?;
-    let verdict = if streamed == independent { "MATCHES" } else { "MISMATCH" };
+    let mut independent = vec![0; streamed.as_slice().len()];
+    mul.run_frames_block(&frames, 0, batch, &mut independent)
+        .map_err(|e| format!("simulating: {e}"))?;
+    let matches = streamed.as_slice() == independent;
+    let verdict = if matches { "MATCHES" } else { "MISMATCH" };
     writeln!(
         out,
         "streamed {batch} vectors back-to-back: one new vector every {} cycles,",
@@ -216,7 +222,7 @@ pub fn stream(args: &Args, out: &mut impl Write) -> CmdResult {
         mul.batch_latency_cycles(batch)
     )
     .map_err(|e| e.to_string())?;
-    if streamed != independent {
+    if !matches {
         return Err("streamed results diverged".into());
     }
     Ok(())

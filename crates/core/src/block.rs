@@ -1,39 +1,67 @@
-//! Flat, contiguous batch containers for the serving hot path.
+//! The one batch container of the serving path.
 //!
-//! The serving stack moves request batches as [`FrameBlock`]s (row-major
-//! `i32` input frames, one allocation for the whole batch) and produces
-//! [`RowBlock`]s (row-major `i64` output rows) instead of `Vec<Vec<_>>`:
-//! a thousand-frame batch is one contiguous buffer with cheap per-row
-//! slice views, not a thousand heap allocations scattered across the
-//! allocator. `From`/`TryFrom` bridges to and from `Vec<Vec<_>>` keep the
-//! nested representation available at the edges.
+//! A batch is a [`Block`]: `frames` equal-length frames in one row-major
+//! buffer, so a thousand-frame batch is one allocation with cheap
+//! per-frame slice views, not a thousand `Vec`s scattered across the
+//! allocator. Requests travel as [`FrameBlock`]s (`i32` input frames) and
+//! answers as [`RowBlock`]s (`i64` output rows); both are this one type,
+//! and the wire carries a block the same way — its frame count, then its
+//! elements as one vector. `From`/`TryFrom` bridges to and from
+//! `Vec<Vec<_>>` keep the nested form available at the edges.
 //!
-//! Both types are plain owned buffers with the invariant
-//! `data.len() == count * width`; zero frames and zero-width frames are
-//! both representable (an empty batch round-trips).
+//! The invariant is `data.len() == frames * width`; zero frames and
+//! zero-width frames are both representable (an empty batch
+//! round-trips).
 
 use crate::error::{Error, Result};
 
-fn block_len(count: usize, width: usize, what: &str) -> Result<usize> {
-    count.checked_mul(width).ok_or_else(|| Error::DimensionMismatch {
-        context: format!("{what} {count} x {width} overflows"),
-    })
-}
+/// A batch of input frames: row-major `i32` elements.
+pub type FrameBlock = Block<i32>;
+/// A batch of output rows: row-major `i64` elements.
+pub type RowBlock = Block<i64>;
 
-/// A batch of equal-length input frames in one row-major `i32` buffer.
+/// A batch of equal-length frames in one row-major buffer.
 ///
-/// Frame `i` occupies `data[i*width .. (i+1)*width]`; [`FrameBlock::frame`]
-/// hands out the slice view. Build one with [`FrameBlock::from_rows`] /
-/// `TryFrom<Vec<Vec<i32>>>` (rejecting ragged batches), or incrementally
-/// with [`FrameBlock::with_capacity`] + [`FrameBlock::push_frame`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FrameBlock {
+/// Frame `i` occupies `data[i*width .. (i+1)*width]`; [`Block::frame`]
+/// hands out the slice view. Build one with [`Block::from_vec`],
+/// [`Block::from_rows`] / `TryFrom<Vec<Vec<T>>>` (rejecting ragged
+/// batches), or incrementally with [`Block::with_capacity`] +
+/// [`Block::push_frame`]. An output block kept alive across batches
+/// reaches a steady state with no per-row allocation: [`Block::reset`]
+/// reshapes it while reusing its capacity, and [`Block::frames_mut`] is
+/// the window a shard writes into.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Block<T> {
     frames: usize,
     width: usize,
-    data: Vec<i32>,
+    data: Vec<T>,
 }
 
-impl FrameBlock {
+impl<T> Default for Block<T> {
+    fn default() -> Self {
+        Self {
+            frames: 0,
+            width: 0,
+            data: Vec::new(),
+        }
+    }
+}
+
+/// `frames * width`, or a typed error where it overflows.
+fn block_len(frames: usize, width: usize) -> Result<usize> {
+    frames
+        .checked_mul(width)
+        .ok_or_else(|| Error::DimensionMismatch {
+            context: format!("block {frames} x {width} overflows"),
+        })
+}
+
+impl<T> Block<T> {
+    /// An empty block; [`Block::reset`] or [`Block::push_frame`] fills it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// An empty block whose future frames must all have length `width`,
     /// with capacity reserved for `frames` frames.
     pub fn with_capacity(width: usize, frames: usize) -> Self {
@@ -45,8 +73,8 @@ impl FrameBlock {
     }
 
     /// Wraps a row-major buffer of `frames` frames of `width` elements.
-    pub fn from_vec(frames: usize, width: usize, data: Vec<i32>) -> Result<Self> {
-        let expected = block_len(frames, width, "frame block")?;
+    pub fn from_vec(frames: usize, width: usize, data: Vec<T>) -> Result<Self> {
+        let expected = block_len(frames, width)?;
         if data.len() != expected {
             return Err(Error::DataLength {
                 expected,
@@ -58,35 +86,6 @@ impl FrameBlock {
             width,
             data,
         })
-    }
-
-    /// Copies a nested batch into one flat block. Fails on ragged input
-    /// (every row must have the first row's length); an empty batch
-    /// yields an empty zero-width block.
-    pub fn from_rows(rows: &[Vec<i32>]) -> Result<Self> {
-        let width = rows.first().map_or(0, Vec::len);
-        let mut block = Self::with_capacity(width, rows.len());
-        for row in rows {
-            block.push_frame(row)?;
-        }
-        Ok(block)
-    }
-
-    /// Appends one frame. Fails unless `frame.len()` matches the block's
-    /// width.
-    pub fn push_frame(&mut self, frame: &[i32]) -> Result<()> {
-        if frame.len() != self.width {
-            return Err(Error::DimensionMismatch {
-                context: format!(
-                    "frame length {} vs block width {}",
-                    frame.len(),
-                    self.width
-                ),
-            });
-        }
-        self.data.extend_from_slice(frame);
-        self.frames += 1;
-        Ok(())
     }
 
     /// Removes every frame, keeping the width and the allocation.
@@ -109,186 +108,106 @@ impl FrameBlock {
     ///
     /// # Panics
     /// If `i >= self.frames()`.
-    pub fn frame(&self, i: usize) -> &[i32] {
+    pub fn frame(&self, i: usize) -> &[T] {
         assert!(i < self.frames, "frame {i} of {}", self.frames);
         &self.data[i * self.width..(i + 1) * self.width]
     }
 
+    /// Frames `start..end` as one contiguous mutable slice — the shard
+    /// write window the dispatcher reassembles into.
+    ///
+    /// # Panics
+    /// If `start > end` or `end > self.frames()`.
+    pub fn frames_mut(&mut self, start: usize, end: usize) -> &mut [T] {
+        assert!(
+            start <= end && end <= self.frames,
+            "frames {start}..{end} of {}",
+            self.frames
+        );
+        &mut self.data[start * self.width..end * self.width]
+    }
+
     /// Iterates the frames as slice views, in order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[i32]> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[T]> {
         (0..self.frames).map(move |i| self.frame(i))
     }
 
     /// The whole row-major buffer.
-    pub fn as_slice(&self) -> &[i32] {
-        &self.data
-    }
-}
-
-impl TryFrom<&[Vec<i32>]> for FrameBlock {
-    type Error = Error;
-
-    fn try_from(rows: &[Vec<i32>]) -> Result<Self> {
-        Self::from_rows(rows)
-    }
-}
-
-impl TryFrom<Vec<Vec<i32>>> for FrameBlock {
-    type Error = Error;
-
-    fn try_from(rows: Vec<Vec<i32>>) -> Result<Self> {
-        Self::from_rows(&rows)
-    }
-}
-
-impl From<&FrameBlock> for Vec<Vec<i32>> {
-    fn from(block: &FrameBlock) -> Self {
-        block.iter().map(<[i32]>::to_vec).collect()
-    }
-}
-
-impl From<FrameBlock> for Vec<Vec<i32>> {
-    fn from(block: FrameBlock) -> Self {
-        Vec::from(&block)
-    }
-}
-
-/// A batch of equal-length output rows in one row-major `i64` buffer.
-///
-/// The serving counterpart of [`FrameBlock`]: engines and the dispatcher
-/// write product rows in place through [`RowBlock::rows_mut`], and a caller that keeps the block alive across
-/// batches reaches a steady state with no per-row allocation —
-/// [`RowBlock::reset`] reshapes the buffer while reusing its capacity.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RowBlock {
-    rows: usize,
-    width: usize,
-    data: Vec<i64>,
-}
-
-impl RowBlock {
-    /// An empty block; [`RowBlock::reset`] gives it a shape.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A zero-filled block of `rows` rows of `width` elements.
-    pub fn zeros(rows: usize, width: usize) -> Result<Self> {
-        let len = block_len(rows, width, "row block")?;
-        Ok(Self {
-            rows,
-            width,
-            data: vec![0; len],
-        })
-    }
-
-    /// Wraps a row-major buffer of `rows` rows of `width` elements.
-    pub fn from_vec(rows: usize, width: usize, data: Vec<i64>) -> Result<Self> {
-        let expected = block_len(rows, width, "row block")?;
-        if data.len() != expected {
-            return Err(Error::DataLength {
-                expected,
-                actual: data.len(),
-            });
-        }
-        Ok(Self { rows, width, data })
-    }
-
-    /// Reshapes to `rows x width`, zero-filled, reusing the existing
-    /// allocation when it is large enough.
-    pub fn reset(&mut self, rows: usize, width: usize) -> Result<()> {
-        let len = block_len(rows, width, "row block")?;
-        self.rows = rows;
-        self.width = width;
-        self.data.clear();
-        self.data.resize(len, 0);
-        Ok(())
-    }
-
-    /// Rows in the block.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Elements per row.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// `true` iff the block holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// Row `i` as a slice view.
-    ///
-    /// # Panics
-    /// If `i >= self.rows()`.
-    pub fn row(&self, i: usize) -> &[i64] {
-        assert!(i < self.rows, "row {i} of {}", self.rows);
-        &self.data[i * self.width..(i + 1) * self.width]
-    }
-
-    /// Rows `start..end` as one contiguous mutable slice — the shard
-    /// write window the dispatcher reassembles into.
-    ///
-    /// # Panics
-    /// If `start > end` or `end > self.rows()`.
-    pub fn rows_mut(&mut self, start: usize, end: usize) -> &mut [i64] {
-        assert!(start <= end && end <= self.rows, "rows {start}..{end} of {}", self.rows);
-        &mut self.data[start * self.width..end * self.width]
-    }
-
-    /// Iterates the rows as slice views, in order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[i64]> {
-        (0..self.rows).map(move |i| self.row(i))
-    }
-
-    /// The whole row-major buffer.
-    pub fn as_slice(&self) -> &[i64] {
+    pub fn as_slice(&self) -> &[T] {
         &self.data
     }
 
     /// The whole row-major buffer, mutably.
-    pub fn as_mut_slice(&mut self) -> &mut [i64] {
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
     }
 }
 
-impl TryFrom<&[Vec<i64>]> for RowBlock {
-    type Error = Error;
+impl<T: Copy + Default> Block<T> {
+    /// Reshapes to `frames x width`, filled with `T::default()` (zero),
+    /// reusing the existing allocation when it is large enough. On error
+    /// the block is left as it was.
+    pub fn reset(&mut self, frames: usize, width: usize) -> Result<()> {
+        let len = block_len(frames, width)?;
+        self.frames = frames;
+        self.width = width;
+        self.data.clear();
+        self.data.resize(len, T::default());
+        Ok(())
+    }
+}
 
-    fn try_from(rows: &[Vec<i64>]) -> Result<Self> {
+impl<T: Copy> Block<T> {
+    /// Copies a nested batch into one flat block. Fails on ragged input
+    /// (every row must have the first row's length); an empty batch
+    /// yields an empty zero-width block.
+    pub fn from_rows(rows: &[Vec<T>]) -> Result<Self> {
         let width = rows.first().map_or(0, Vec::len);
-        let mut data = Vec::with_capacity(rows.len().saturating_mul(width));
+        let mut block = Self::with_capacity(width, rows.len());
         for row in rows {
-            if row.len() != width {
-                return Err(Error::DimensionMismatch {
-                    context: format!("row length {} vs block width {width}", row.len()),
-                });
-            }
-            data.extend_from_slice(row);
+            block.push_frame(row)?;
         }
-        Self::from_vec(rows.len(), width, data)
+        Ok(block)
+    }
+
+    /// Appends one frame. Fails unless `frame.len()` matches the block's
+    /// width.
+    pub fn push_frame(&mut self, frame: &[T]) -> Result<()> {
+        if frame.len() != self.width {
+            return Err(Error::DimensionMismatch {
+                context: format!("frame length {} vs block width {}", frame.len(), self.width),
+            });
+        }
+        self.data.extend_from_slice(frame);
+        self.frames += 1;
+        Ok(())
     }
 }
 
-impl TryFrom<Vec<Vec<i64>>> for RowBlock {
+impl<T: Copy> TryFrom<&[Vec<T>]> for Block<T> {
     type Error = Error;
 
-    fn try_from(rows: Vec<Vec<i64>>) -> Result<Self> {
-        Self::try_from(rows.as_slice())
+    fn try_from(rows: &[Vec<T>]) -> Result<Self> {
+        Self::from_rows(rows)
     }
 }
 
-impl From<&RowBlock> for Vec<Vec<i64>> {
-    fn from(block: &RowBlock) -> Self {
-        block.iter().map(<[i64]>::to_vec).collect()
+impl<T: Copy> TryFrom<Vec<Vec<T>>> for Block<T> {
+    type Error = Error;
+
+    fn try_from(rows: Vec<Vec<T>>) -> Result<Self> {
+        Self::from_rows(&rows)
     }
 }
 
-impl From<RowBlock> for Vec<Vec<i64>> {
-    fn from(block: RowBlock) -> Self {
+impl<T: Copy> From<&Block<T>> for Vec<Vec<T>> {
+    fn from(block: &Block<T>) -> Self {
+        block.iter().map(<[T]>::to_vec).collect()
+    }
+}
+
+impl<T: Copy> From<Block<T>> for Vec<Vec<T>> {
+    fn from(block: Block<T>) -> Self {
         Vec::from(&block)
     }
 }
@@ -351,17 +270,21 @@ mod tests {
 
     #[test]
     fn row_block_views_and_reset_reuse() {
-        let mut out = RowBlock::zeros(2, 3).unwrap();
-        out.rows_mut(1, 2).copy_from_slice(&[7, 8, 9]);
-        assert_eq!(out.row(0), &[0, 0, 0]);
-        assert_eq!(out.row(1), &[7, 8, 9]);
-        assert_eq!(out.rows_mut(0, 2).len(), 6);
+        let mut out = RowBlock::new();
+        out.reset(2, 3).unwrap();
+        out.frames_mut(1, 2).copy_from_slice(&[7, 8, 9]);
+        assert_eq!(out.frame(0), &[0, 0, 0]);
+        assert_eq!(out.frame(1), &[7, 8, 9]);
+        assert_eq!(out.frames_mut(0, 2).len(), 6);
         let capacity = out.data.capacity();
         out.reset(3, 2).unwrap();
-        assert_eq!((out.rows(), out.width()), (3, 2));
+        assert_eq!((out.frames(), out.width()), (3, 2));
         assert_eq!(out.as_slice(), &[0; 6], "reset zero-fills");
         assert_eq!(out.data.capacity(), capacity, "allocation reused");
         assert_eq!(Vec::<Vec<i64>>::from(&out), vec![vec![0, 0]; 3]);
+        // An overflowing shape is refused and leaves the block as it was.
+        assert!(out.reset(usize::MAX, 2).is_err());
+        assert_eq!((out.frames(), out.width(), out.as_slice().len()), (3, 2, 6));
     }
 
     #[test]

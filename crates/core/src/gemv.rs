@@ -22,6 +22,11 @@
 //!   wide) so the output tile and the four active row segments stay
 //!   L1-resident no matter how wide the matrix is. It runs branch-free
 //!   over every row: a zero input contributes exact zeros.
+//!
+//! There is no batch kernel here. A batch is a
+//! [`Block`](crate::block::Block) of frames, and the dense engine serves
+//! it one [`vecmat_into`] per frame, straight into its output rows; the
+//! tests of every batch path use per-row [`vecmat`] as the reference.
 
 use crate::error::{Error, Result};
 use crate::matrix::IntMatrix;
@@ -40,7 +45,7 @@ pub fn vecmat(a: &[i32], v: &IntMatrix) -> Result<Vec<i64>> {
 }
 
 /// [`vecmat`] into a caller-owned output slice of exactly `v.cols()`
-/// elements — the allocation-free kernel behind the flat batch path.
+/// elements — the allocation-free kernel the dense engine runs per frame.
 /// The slice is zeroed first, so stale contents are overwritten.
 ///
 /// This is the production kernel: cache-blocked column tiles with the
@@ -213,44 +218,6 @@ pub fn matvec(v: &IntMatrix, x: &[i32]) -> Result<Vec<i64>> {
     Ok(out)
 }
 
-/// Batched `O = A·V` where each *row* of `A` is one input vector
-/// (`A: batch×R`, `V: R×C`, `O: batch×C`). This is the paper's
-/// "batching" workload, with the batch dimension borrowed from DNN
-/// terminology.
-///
-/// Computes through [`matmat_into`] over one flat buffer — the kernel
-/// performs a single allocation for the whole batch; the nested return
-/// rows are split out of it at the end. Callers on a hot path should
-/// use [`matmat_into`] directly with a reused buffer.
-pub fn matmat(a: &IntMatrix, v: &IntMatrix) -> Result<Vec<Vec<i64>>> {
-    let mut flat = vec![0i64; a.rows() * v.cols()];
-    matmat_into(a, v, &mut flat)?;
-    Ok(flat.chunks_exact(v.cols()).map(<[i64]>::to_vec).collect())
-}
-
-/// [`matmat`] into one caller-owned row-major slice of exactly
-/// `a.rows() * v.cols()` elements — the allocation-free batch kernel:
-/// each batch row lands via [`vecmat_into`], so the whole batch runs
-/// the blocked unrolled kernel with zero allocations.
-pub fn matmat_into(a: &IntMatrix, v: &IntMatrix, out: &mut [i64]) -> Result<()> {
-    if a.cols() != v.rows() {
-        return Err(Error::DimensionMismatch {
-            context: format!("A cols {} vs V rows {}", a.cols(), v.rows()),
-        });
-    }
-    let cols = v.cols();
-    let expected = a.rows() * cols;
-    if out.len() != expected {
-        return Err(Error::DimensionMismatch {
-            context: format!("output length {} vs batch elements {expected}", out.len()),
-        });
-    }
-    for (b, row_out) in out.chunks_exact_mut(cols).enumerate() {
-        vecmat_into(a.row(b), v, row_out)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,8 +251,6 @@ mod tests {
         let v = IntMatrix::zeros(3, 4).unwrap();
         assert!(vecmat(&[1, 2], &v).is_err());
         assert!(matvec(&v, &[1, 2, 3]).is_err());
-        let a = IntMatrix::zeros(2, 5).unwrap();
-        assert!(matmat(&a, &v).is_err());
         assert!(vecmat_into(&[1, 2, 3], &v, &mut [0; 3]).is_err());
     }
 
@@ -310,34 +275,6 @@ mod tests {
             let mut got = vec![-1i64; cols];
             vecmat_into(&a, &v, &mut got).unwrap();
             assert_eq!(got, reference, "blocked {rows}x{cols}");
-        }
-    }
-
-    #[test]
-    fn matmat_into_fills_flat_buffer() {
-        let mut rng = seeded(35);
-        let v = element_sparse_matrix(16, 9, 8, 0.4, true, &mut rng).unwrap();
-        let a = element_sparse_matrix(5, 16, 8, 0.0, true, &mut rng).unwrap();
-        let mut flat = vec![-1i64; 5 * 9];
-        matmat_into(&a, &v, &mut flat).unwrap();
-        for b in 0..5 {
-            assert_eq!(&flat[b * 9..(b + 1) * 9], vecmat(a.row(b), &v).unwrap().as_slice());
-        }
-        // Mis-sized buffers and mismatched dims are rejected.
-        assert!(matmat_into(&a, &v, &mut flat[..8]).is_err());
-        let wrong = IntMatrix::zeros(5, 7).unwrap();
-        assert!(matmat_into(&wrong, &v, &mut flat).is_err());
-    }
-
-    #[test]
-    fn matmat_batches_rows() {
-        let mut rng = seeded(32);
-        let v = element_sparse_matrix(16, 8, 8, 0.4, true, &mut rng).unwrap();
-        let a = element_sparse_matrix(4, 16, 8, 0.0, true, &mut rng).unwrap();
-        let o = matmat(&a, &v).unwrap();
-        assert_eq!(o.len(), 4);
-        for (b, row) in o.iter().enumerate() {
-            assert_eq!(row, &vecmat(a.row(b), &v).unwrap());
         }
     }
 

@@ -603,23 +603,9 @@ impl<'a> Cursor<'a> {
             .map_err(|_| wire_err(format!("{what} is not valid UTF-8")))
     }
 
-    /// Reads a length-prefixed `i32` vector.
-    pub fn take_i32_vec(&mut self, what: &str) -> Result<Vec<i32>> {
-        let mut out = Vec::new();
-        self.take_i32_extend(&mut out, what)?;
-        Ok(out)
-    }
-
-    /// Reads a length-prefixed `i64` vector.
-    pub fn take_i64_vec(&mut self, what: &str) -> Result<Vec<i64>> {
-        let mut out = Vec::new();
-        self.take_i64_extend(&mut out, what)?;
-        Ok(out)
-    }
-
     /// Reads a length prefix and the `len * N` payload bytes behind it,
     /// as `N`-byte elements. The promised length is checked against the
-    /// bytes actually present before the caller reserves anything.
+    /// bytes actually present before the caller allocates anything.
     fn take_elems<const N: usize>(&mut self, what: &str) -> Result<&'a [[u8; N]]> {
         let len = self.take_len(what)?;
         if self.remaining() < len.saturating_mul(N) {
@@ -630,22 +616,22 @@ impl<'a> Cursor<'a> {
         Ok(self.take(len * N, what)?.as_chunks().0)
     }
 
-    /// Reads a length-prefixed `i32` vector by appending its elements to
-    /// `out`, returning the element count. The flat-batch decode path:
-    /// many wire vectors land in one caller-owned buffer instead of one
-    /// `Vec` each.
-    pub fn take_i32_extend(&mut self, out: &mut Vec<i32>, what: &str) -> Result<usize> {
-        let elems = self.take_elems::<4>(what)?;
-        out.extend(elems.iter().map(|b| i32::from_le_bytes(*b)));
-        Ok(elems.len())
+    /// Reads a length-prefixed `i32` vector.
+    pub fn take_i32_vec(&mut self, what: &str) -> Result<Vec<i32>> {
+        Ok(self
+            .take_elems::<4>(what)?
+            .iter()
+            .map(|b| i32::from_le_bytes(*b))
+            .collect())
     }
 
-    /// Reads a length-prefixed `i64` vector by appending its elements to
-    /// `out`, returning the element count.
-    pub fn take_i64_extend(&mut self, out: &mut Vec<i64>, what: &str) -> Result<usize> {
-        let elems = self.take_elems::<8>(what)?;
-        out.extend(elems.iter().map(|b| i64::from_le_bytes(*b)));
-        Ok(elems.len())
+    /// Reads a length-prefixed `i64` vector.
+    pub fn take_i64_vec(&mut self, what: &str) -> Result<Vec<i64>> {
+        Ok(self
+            .take_elems::<8>(what)?
+            .iter()
+            .map(|b| i64::from_le_bytes(*b))
+            .collect())
     }
 
     /// Reads a body's header and sizes its three arrays: the shape, the
@@ -794,32 +780,6 @@ mod tests {
         buf.extend_from_slice(&5i32.to_le_bytes()); // delivers one
         let mut c = Cursor::new(&buf);
         assert!(c.take_i32_vec("vector").is_err());
-    }
-
-    #[test]
-    fn extend_variants_append_and_report_counts() {
-        let mut buf = Vec::new();
-        put_i32_vec(&mut buf, &[1, -2]);
-        put_i32_vec(&mut buf, &[3, 4]);
-        put_i64_vec(&mut buf, &[i64::MIN, 7]);
-        let mut c = Cursor::new(&buf);
-        let mut flat32 = Vec::new();
-        assert_eq!(c.take_i32_extend(&mut flat32, "a").unwrap(), 2);
-        assert_eq!(c.take_i32_extend(&mut flat32, "b").unwrap(), 2);
-        assert_eq!(flat32, vec![1, -2, 3, 4]);
-        let mut flat64 = vec![99i64];
-        assert_eq!(c.take_i64_extend(&mut flat64, "c").unwrap(), 2);
-        assert_eq!(flat64, vec![99, i64::MIN, 7]);
-        c.expect_end("frame").unwrap();
-
-        // A lying length prefix is rejected before any element is pushed.
-        let mut lying = Vec::new();
-        put_u32(&mut lying, 1000);
-        lying.extend_from_slice(&5i32.to_le_bytes());
-        let mut c = Cursor::new(&lying);
-        let mut out = Vec::new();
-        assert!(c.take_i32_extend(&mut out, "v").is_err());
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -1,43 +1,53 @@
-//! Property-based tests for `smm_core::block`: the flat batch containers
-//! must round-trip `Vec<Vec<_>>` losslessly (the serving stack bridges
-//! between both representations at its edges), reject ragged input, and
-//! keep their per-row slice views consistent with the nested form.
+//! Property-based tests for `smm_core::block`: the one batch container,
+//! at both element types the serving stack uses (`i32` frames, `i64`
+//! rows), must round-trip `Vec<Vec<_>>` losslessly (the stack bridges
+//! between both representations at its edges), reject ragged input,
+//! keep its per-frame slice views consistent with the nested form, and
+//! reshape in place.
 
 use proptest::prelude::*;
-use smm_core::block::{FrameBlock, RowBlock};
+use smm_core::block::{Block, FrameBlock, RowBlock};
+use std::fmt::Debug;
 
 /// A random uniform batch: `frames` rows of `width` small values.
-fn batch(frames: usize, width: usize, seed: u64) -> Vec<Vec<i32>> {
+fn batch<T: From<i32>>(frames: usize, width: usize, seed: u64) -> Vec<Vec<T>> {
     (0..frames)
         .map(|i| {
             (0..width)
                 .map(|j| {
-                    let mixed = seed.wrapping_add(((i * width + j) as u64).wrapping_mul(2_654_435_761));
-                    (mixed % 255) as i32 - 127
+                    let mixed =
+                        seed.wrapping_add(((i * width + j) as u64).wrapping_mul(2_654_435_761));
+                    T::from((mixed % 255) as i32 - 127)
                 })
                 .collect()
         })
         .collect()
 }
 
+/// `Vec<Vec<T>>` → `Block<T>` → `Vec<Vec<T>>` is the identity, and the
+/// slice views agree with the nested rows.
+fn round_trip<T: Copy + PartialEq + Debug + From<i32>>(frames: usize, width: usize, seed: u64) {
+    let rows: Vec<Vec<T>> = batch(frames, width, seed);
+    let block = Block::try_from(rows.clone()).unwrap();
+    assert_eq!(block.frames(), frames);
+    assert_eq!(block.width(), if frames == 0 { 0 } else { width });
+    for (i, row) in rows.iter().enumerate() {
+        assert_eq!(block.frame(i), row.as_slice());
+    }
+    assert_eq!(Vec::<Vec<T>>::from(&block), rows);
+}
+
 proptest! {
-    /// `Vec<Vec<i32>>` → `FrameBlock` → `Vec<Vec<i32>>` is the identity
-    /// for any uniform batch, including empty and zero-width ones, and
-    /// the slice views agree with the nested rows.
+    /// The round trip holds for any uniform batch of either element
+    /// type, including empty and zero-width ones.
     #[test]
-    fn frame_block_round_trip(
+    fn block_round_trip(
         frames in 0usize..24,
         width in 0usize..24,
         seed in any::<u64>(),
     ) {
-        let rows = batch(frames, width, seed);
-        let block = FrameBlock::try_from(rows.clone()).unwrap();
-        prop_assert_eq!(block.frames(), frames);
-        prop_assert_eq!(block.width(), if frames == 0 { 0 } else { width });
-        for (i, row) in rows.iter().enumerate() {
-            prop_assert_eq!(block.frame(i), row.as_slice());
-        }
-        prop_assert_eq!(Vec::<Vec<i32>>::from(&block), rows);
+        round_trip::<i32>(frames, width, seed);
+        round_trip::<i64>(frames, width, seed);
     }
 
     /// Incremental construction (`push_frame`) produces the same block
@@ -49,7 +59,7 @@ proptest! {
         width in 0usize..16,
         seed in any::<u64>(),
     ) {
-        let rows = batch(frames, width, seed);
+        let rows: Vec<Vec<i32>> = batch(frames, width, seed);
         let bulk = FrameBlock::try_from(rows.as_slice()).unwrap();
         let mut incremental = FrameBlock::with_capacity(width, frames);
         for row in &rows {
@@ -70,7 +80,7 @@ proptest! {
         shrink in 1usize..12,
         seed in any::<u64>(),
     ) {
-        let mut rows = batch(frames, width, seed);
+        let mut rows: Vec<Vec<i32>> = batch(frames, width, seed);
         let victim = victim % frames;
         rows[victim].truncate(width.saturating_sub(shrink.min(width)));
         if rows.iter().any(|r| r.len() != rows[0].len()) {
@@ -78,22 +88,17 @@ proptest! {
         }
     }
 
-    /// `Vec<Vec<i64>>` → `RowBlock` → `Vec<Vec<i64>>` is the identity,
-    /// and `reset` reshapes to a zero-filled block of the new shape.
+    /// `reset` reshapes any block to a zero-filled block of the new
+    /// shape.
     #[test]
-    fn row_block_round_trip_and_reset(
-        rows in 0usize..16,
+    fn reset_reshapes_to_a_zero_filled_block(
+        frames in 0usize..16,
         width in 0usize..16,
         seed in any::<u64>(),
     ) {
-        let nested: Vec<Vec<i64>> = batch(rows, width, seed)
-            .into_iter()
-            .map(|r| r.into_iter().map(i64::from).collect())
-            .collect();
-        let mut block = RowBlock::try_from(nested.clone()).unwrap();
-        prop_assert_eq!(Vec::<Vec<i64>>::from(&block), nested);
-        block.reset(width, rows).unwrap();
-        prop_assert_eq!((block.rows(), block.width()), (width, rows));
+        let mut block = RowBlock::try_from(batch::<i64>(frames, width, seed)).unwrap();
+        block.reset(width, frames).unwrap();
+        prop_assert_eq!((block.frames(), block.width()), (width, frames));
         prop_assert!(block.as_slice().iter().all(|&x| x == 0));
     }
 }

@@ -6,7 +6,7 @@
 //! accumulation-order slip would show.
 
 use proptest::prelude::*;
-use smm_core::gemv::{matmat, matmat_into, vecmat, vecmat_into, vecmat_into_scalar};
+use smm_core::gemv::{vecmat, vecmat_into, vecmat_into_scalar};
 use smm_core::matrix::IntMatrix;
 
 /// A deterministic pseudo-random value in `lo..=hi` mixed from `seed`.
@@ -118,20 +118,4 @@ fn one_by_one_and_single_column() {
     let tall = IntMatrix::from_fn(9, 1, |r, _| r as i32 - 4).unwrap();
     let a: Vec<i32> = (0..9).map(|i| i - 2).collect();
     assert_all_variants_match(&a, &tall);
-}
-
-#[test]
-fn matmat_flat_and_nested_agree_with_per_row_vecmat() {
-    // The regression pin for routing `matmat` through one flat buffer:
-    // identical results to the per-row reference, nested and flat.
-    let v = IntMatrix::from_fn(13, 6, |r, c| mix(11, r * 6 + c, -128, 127)).unwrap();
-    let a = IntMatrix::from_fn(5, 13, |r, c| mix(12, r * 13 + c, -128, 127)).unwrap();
-    let nested = matmat(&a, &v).unwrap();
-    let mut flat = vec![i64::MIN; 5 * 6];
-    matmat_into(&a, &v, &mut flat).unwrap();
-    for b in 0..5 {
-        let reference = vecmat(a.row(b), &v).unwrap();
-        assert_eq!(nested[b], reference, "row {b} nested");
-        assert_eq!(&flat[b * 6..(b + 1) * 6], reference.as_slice(), "row {b} flat");
-    }
 }

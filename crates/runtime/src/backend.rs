@@ -379,11 +379,11 @@ mod tests {
             run_block(b.as_ref(), &frames, &mut out).unwrap();
             for (i, a) in batch.iter().enumerate() {
                 // A single is a one-frame block through the same kernel.
-                assert_eq!(out.row(i), b.gemv(a).unwrap(), "{}", b.name());
-                assert_eq!(out.row(i), vecmat(a, &v).unwrap(), "{}", b.name());
+                assert_eq!(out.frame(i), b.gemv(a).unwrap(), "{}", b.name());
+                assert_eq!(out.frame(i), vecmat(a, &v).unwrap(), "{}", b.name());
             }
             run_block(b.as_ref(), &FrameBlock::default(), &mut out).unwrap();
-            assert!(out.is_empty(), "{}", b.name());
+            assert_eq!(out.frames(), 0, "{}", b.name());
         }
     }
 
@@ -409,7 +409,7 @@ mod tests {
         let expect: Vec<Vec<i64>> = batch.iter().map(|a| vecmat(a, &v).unwrap()).collect();
         for b in backends(&v) {
             // Whole block, into a stale reused buffer.
-            let mut out = RowBlock::zeros(1, 1).unwrap();
+            let mut out = RowBlock::from_vec(1, 1, vec![-9]).unwrap();
             run_block(b.as_ref(), &frames, &mut out).unwrap();
             assert_eq!(Vec::<Vec<i64>>::from(&out), expect, "{}", b.name());
             // An interior shard lands rows 2..5 exactly.

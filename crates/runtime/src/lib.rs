@@ -35,10 +35,10 @@
 //! per-shard, reassembly, and whole-compute stage latencies —
 //! [`SessionBuilder::recorder`] attaches one.
 //!
-//! Batches travel flat: [`FrameBlock`] (row-major input frames, one
-//! allocation per batch) in, [`RowBlock`] (row-major output rows,
-//! caller-owned and reused) out — [`Session::run_block`] is the one
-//! batch path, [`Session::run`] the one single-vector path.
+//! A batch is one `smm_core::block::Block`: [`FrameBlock`] (row-major
+//! input frames, one allocation per batch) in, [`RowBlock`] (row-major
+//! output rows, caller-owned and reused) out — [`Session::run_block`] is
+//! the one batch path, [`Session::run`] the one single-vector path.
 //!
 //! ## Serving in a few lines
 //!
@@ -52,8 +52,8 @@
 //! let frames = FrameBlock::try_from(vec![vec![5, 6], vec![1, 0]]).unwrap();
 //! let mut out = RowBlock::new();
 //! session.run_block(frames, &mut out).unwrap();
-//! assert_eq!(out.row(0), &[23, 14]);
-//! assert_eq!(out.row(1), &[1, -2]);
+//! assert_eq!(out.frame(0), &[23, 14]);
+//! assert_eq!(out.frame(1), &[1, -2]);
 //! ```
 //!
 //! The session auto-planned an engine from the matrix (the cheapest

@@ -18,14 +18,15 @@
 //! * `dense` costs `rows · cols × DENSE_NS_PER_MAC` — the reference
 //!   kernel pays for every element, zero or not;
 //! * `csr` costs `nnz × CSR_NS_PER_NNZ` — the gather touches each
-//!   non-zero once;
-//! * `sigma` costs `nnz × SIGMA_NS_PER_NNZ` — the tile-mapped
-//!   dataflow also touches each non-zero once, at twice the price, so
-//!   as priced it only ever ties `csr` (on an all-zero matrix).
+//!   non-zero once.
 //!
-//! `bitserial` is explicit-only: it is a cycle-accurate simulation of
-//! the spatial circuit, hundreds of times slower than any kernel above
-//! on the same matrix whether or not its circuit is already compiled.
+//! `bitserial` and `sigma` are explicit-only. `bitserial` is a
+//! cycle-accurate simulation of the spatial circuit, hundreds of times
+//! slower than any kernel above on the same matrix whether or not its
+//! circuit is already compiled. `sigma`'s tile-mapped dataflow touches
+//! each non-zero once, like `csr`, at twice the price (rung
+//! `runtime.backend.run_rows_us.sigma`), so it could only ever tie `csr`
+//! on an all-zero matrix, where `csr` comes first.
 //!
 //! The cheapest candidate wins. Candidates are priced in
 //! [`BUILTIN_KINDS`] order and ties keep the earliest, so planning is a
@@ -42,10 +43,6 @@ const DENSE_NS_PER_MAC: f64 = 0.30;
 /// The CSR gather, per non-zero: rung `sparse.csr.ns_per_nnz_single`
 /// (0.40).
 const CSR_NS_PER_NNZ: f64 = 0.40;
-/// The sigma tile walk, per non-zero: rung
-/// `runtime.backend.run_rows_us.sigma`, 5.15 µs over the 6.5k non-zeros
-/// of its 256² / 90 %-sparse matrix.
-const SIGMA_NS_PER_NNZ: f64 = 0.80;
 
 /// Everything a cost is computed from.
 struct Counts {
@@ -66,7 +63,7 @@ struct AutoCandidate {
 /// The auto candidates, a subsequence of [`BUILTIN_KINDS`] in its order.
 /// A kind is a candidate exactly when it has a row here, so none can be
 /// planned without a cost.
-const AUTO_CANDIDATES: [AutoCandidate; 3] = [
+const AUTO_CANDIDATES: [AutoCandidate; 2] = [
     AutoCandidate {
         kind: "dense",
         work: |m| m.rows * m.cols,
@@ -78,12 +75,6 @@ const AUTO_CANDIDATES: [AutoCandidate; 3] = [
         work: |m| m.nnz,
         unit: "nnz",
         ns_per_unit: CSR_NS_PER_NNZ,
-    },
-    AutoCandidate {
-        kind: "sigma",
-        work: |m| m.nnz,
-        unit: "nnz",
-        ns_per_unit: SIGMA_NS_PER_NNZ,
     },
 ];
 
@@ -265,7 +256,7 @@ mod tests {
     fn half_sparse_plans_csr() {
         // The band the accelerator models used to hand to `sigma`: at
         // 50 % sparse the gather pays 0.40 ns for half the elements, the
-        // dense kernel 0.30 ns for all of them, sigma twice the gather.
+        // dense kernel 0.30 ns for all of them.
         let mut rng = seeded(2804);
         let v = element_sparse_matrix(24, 24, 8, 0.5, true, &mut rng).unwrap();
         let plan = plan(&v, &EngineSpec::auto());
@@ -291,7 +282,9 @@ mod tests {
                 candidate.kind
             );
         }
-        assert!(AUTO_CANDIDATES.iter().all(|c| c.kind != "bitserial"));
+        assert!(AUTO_CANDIDATES
+            .iter()
+            .all(|c| c.kind != "bitserial" && c.kind != "sigma"));
     }
 
     proptest! {
@@ -320,11 +313,7 @@ mod tests {
             let mut rng = seeded(seed);
             let v = element_sparse_matrix(rows, cols, 8, sparsity, true, &mut rng).unwrap();
             let nnz = v.nnz() as f64;
-            let costs = [
-                (rows * cols) as f64 * DENSE_NS_PER_MAC,
-                nnz * CSR_NS_PER_NNZ,
-                nnz * SIGMA_NS_PER_NNZ,
-            ];
+            let costs = [(rows * cols) as f64 * DENSE_NS_PER_MAC, nnz * CSR_NS_PER_NNZ];
             let spec = EngineSpec::auto().threads(threads);
             let planned = plan(&v, &spec);
             prop_assert_eq!(
@@ -336,8 +325,7 @@ mod tests {
             prop_assert_eq!(planned.spec.kind(), AUTO_CANDIDATES[first].kind);
             prop_assert_eq!(planned.cost_ns, cheapest);
             prop_assert_eq!(planned.spec.threads, threads);
-            // An all-zero matrix is the one exact tie: csr and sigma
-            // both cost nothing, and the earlier row keeps it.
+            // An all-zero matrix costs `csr` nothing.
             if nnz == 0.0 {
                 prop_assert_eq!(planned.spec.kind(), "csr");
             }
@@ -351,7 +339,7 @@ mod tests {
     fn the_benchmark_adapter_means_the_spec_it_converts_into() {
         // `PlanPolicy` and `AutoOptions` survive only for the serving
         // benchmark's session rungs: each must build the very session its
-        // spec does, on a matrix where dense, csr, and the csr-sigma tie
+        // spec does, on a matrix where dense, csr, and csr at no cost
         // win the auto plan.
         let zero = IntMatrix::from_vec(3, 4, vec![0; 12]).unwrap();
         for (v, auto_kind) in [(mostly_dense(), "dense"), (mostly_sparse(), "csr"), (zero, "csr")] {
@@ -415,8 +403,7 @@ mod tests {
             plan.rationale,
             "auto plan for 4x5 (16 nnz, 20.0% sparse): dense costs 6.0 ns/frame — \
              20 MACs × 0.30 ns; runners-up: \
-             csr 6.4 ns (16 nnz × 0.40 ns), \
-             sigma 12.8 ns (16 nnz × 0.80 ns); explicit-only: bitserial"
+             csr 6.4 ns (16 nnz × 0.40 ns); explicit-only: bitserial, sigma"
         );
     }
 
@@ -429,8 +416,7 @@ mod tests {
             plan.rationale,
             "auto plan for 4x5 (5 nnz, 75.0% sparse): csr costs 2.0 ns/frame — \
              5 nnz × 0.40 ns; runners-up: \
-             dense 6.0 ns (20 MACs × 0.30 ns), \
-             sigma 4.0 ns (5 nnz × 0.80 ns); explicit-only: bitserial"
+             dense 6.0 ns (20 MACs × 0.30 ns); explicit-only: bitserial, sigma"
         );
     }
 }

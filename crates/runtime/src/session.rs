@@ -293,10 +293,11 @@ impl Session {
     /// size.
     ///
     /// The batch is split into [`Session::threads`] balanced shards
-    /// (fewer for small batches). The first shard error, if any, is
-    /// returned after all shards settle; `out` holds unspecified
-    /// contents on error. An empty batch is valid and produces an empty
-    /// block.
+    /// (fewer for small batches). A batch whose frames do not fit the
+    /// matrix is refused before `out` is touched. The first shard error,
+    /// if any, is returned after all shards settle; `out` then holds
+    /// unspecified contents. An empty batch is valid and produces an
+    /// empty block.
     pub fn run_block(
         &self,
         frames: impl Into<Arc<FrameBlock>>,
@@ -305,23 +306,25 @@ impl Session {
         let start = Instant::now();
         let frames: Arc<FrameBlock> = frames.into();
         let n = frames.frames();
-        out.reset(n, self.cols())?;
-        if n == 0 {
-            return Ok(BatchStats {
-                batch: 0,
-                shards: 0,
-                elapsed: start.elapsed(),
-            });
-        }
         // One uniform width makes the whole-batch shape check O(1); the
-        // engines still validate value ranges shard-side.
-        if frames.width() != self.rows() {
+        // engines still validate value ranges shard-side. It comes before
+        // `out` is shaped: zero-width frames cost a peer no bytes, so a
+        // refused batch must not cost the server its reply block.
+        if n > 0 && frames.width() != self.rows() {
             return Err(Error::DimensionMismatch {
                 context: format!(
                     "frame width {} vs matrix rows {}",
                     frames.width(),
                     self.rows()
                 ),
+            });
+        }
+        out.reset(n, self.cols())?;
+        if n == 0 {
+            return Ok(BatchStats {
+                batch: 0,
+                shards: 0,
+                elapsed: start.elapsed(),
             });
         }
         let queue = pool::queue()?;
@@ -356,7 +359,9 @@ impl Session {
             let reply = reply_rx.recv().map_err(|_| pool_gone())?;
             completed.push(reply.completed);
             match reply.rows {
-                Ok(rows) => out.rows_mut(reply.start, reply.end).copy_from_slice(&rows),
+                Ok(rows) => out
+                    .frames_mut(reply.start, reply.end)
+                    .copy_from_slice(&rows),
                 Err(e) => first_error = first_error.or(Some(e)),
             }
         }
@@ -445,7 +450,7 @@ mod tests {
     }
 
     #[test]
-    fn single_vector_fast_path_skips_the_dispatcher() {
+    fn a_single_is_one_compute_and_cuts_no_shard() {
         let rec = SpanRecorder::new();
         let session = Session::builder(IntMatrix::identity(4).unwrap())
             .recorder(rec.clone())
@@ -660,14 +665,36 @@ mod tests {
             let frames = Arc::new(FrameBlock::try_from(batch.as_slice()).unwrap());
             let stats = session.run_block(Arc::clone(&frames), &mut out).unwrap();
             assert_eq!(stats.batch, batch_size);
-            assert_eq!((out.rows(), out.width()), (batch_size, 7));
+            assert_eq!((out.frames(), out.width()), (batch_size, 7));
             for (i, a) in batch.iter().enumerate() {
-                assert_eq!(out.row(i), vecmat(a, &v).unwrap(), "row {i} of {batch_size}");
+                assert_eq!(out.frame(i), vecmat(a, &v).unwrap(), "row {i} of {batch_size}");
             }
         }
         // A width mismatch is refused before any shard is submitted.
         let wrong = FrameBlock::from_rows(&[vec![1; 5]]).unwrap();
         assert!(session.run_block(wrong, &mut out).is_err());
+    }
+
+    #[test]
+    fn a_refused_batch_leaves_the_output_block_as_it_was() {
+        // Zero-width frames cost a peer no bytes, so the width is checked
+        // before `out` is shaped: 8M of them against a one-column matrix
+        // must not cost a 64 MB reply block before they are refused.
+        let session = Session::builder(IntMatrix::identity(1).unwrap())
+            .build()
+            .unwrap();
+        let mut out = RowBlock::new();
+        let two = FrameBlock::from_rows(&[vec![3], vec![4]]).unwrap();
+        session.run_block(two, &mut out).unwrap();
+        let (before, buffer) = (out.clone(), out.as_slice().as_ptr());
+        let thin = FrameBlock::from_vec(8 << 20, 0, Vec::new()).unwrap();
+        let err = session.run_block(thin, &mut out).unwrap_err();
+        assert!(
+            err.to_string().contains("frame width 0 vs matrix rows 1"),
+            "{err}"
+        );
+        assert_eq!(out, before, "shape and contents unchanged");
+        assert_eq!(out.as_slice().as_ptr(), buffer, "the same allocation");
     }
 
     #[test]

@@ -99,10 +99,10 @@ fn frames(dim: usize, n: usize) -> Arc<FrameBlock> {
 
 /// `out` holds exactly `batch` echoed, in order.
 fn assert_echoed(batch: &FrameBlock, out: &RowBlock) {
-    assert_eq!(out.rows(), batch.frames());
+    assert_eq!(out.frames(), batch.frames());
     for (i, frame) in batch.iter().enumerate() {
         let expect: Vec<i64> = frame.iter().map(|&x| i64::from(x)).collect();
-        assert_eq!(out.row(i), expect.as_slice(), "row {i}");
+        assert_eq!(out.frame(i), expect.as_slice(), "row {i}");
     }
 }
 

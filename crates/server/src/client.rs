@@ -190,10 +190,10 @@ impl Client {
     pub fn gemv_block(&mut self, digest: u64, frames: &FrameBlock) -> ServeResult<RowBlock> {
         match self.call_with(Opcode::GemvBatch, |buf| put_gemv_batch(buf, digest, frames))? {
             Reply::Outputs(rows) => {
-                if rows.rows() != frames.frames() {
+                if rows.frames() != frames.frames() {
                     return Err(ServeError::Transport(format!(
                         "server returned {} output rows for {} input frames",
-                        rows.rows(),
+                        rows.frames(),
                         frames.frames()
                     )));
                 }

@@ -8,7 +8,9 @@
 //! * [`protocol`] — a versioned, length-prefixed binary wire protocol
 //!   (magic `SMM1`, opcodes `Ping`/`LoadMatrix`/`Gemv`/`GemvBatch`/
 //!   `Stats`), built on [`smm_core::wire`], with a matrix travelling as
-//!   its non-zeros at their own width ([`smm_core::wire::put_matrix`]);
+//!   its non-zeros at their own width ([`smm_core::wire::put_matrix`])
+//!   and a batch as its [`smm_core::block::Block`]: a frame count and
+//!   one element vector;
 //! * `server` — a std-only threaded TCP server: per-connection
 //!   sessions resolving matrices by [`smm_core::matrix::IntMatrix::digest`]
 //!   through a tiered [`smm_runtime::TieredRegistry`] (hot sessions,

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic  "SMM1"      4 bytes
-//! version            1 byte   (8, nothing else)
+//! version            1 byte   (9, nothing else)
 //! opcode             1 byte
 //! request id         8 bytes  little-endian
 //! payload length     4 bytes  little-endian
@@ -58,6 +58,23 @@
 //! peer would misread every field after them, so it is refused at the
 //! version byte too.
 //!
+//! ## A batch is its block
+//!
+//! A batch travels the way it sits in memory, as one [`Block`]:
+//!
+//! ```text
+//! GemvBatch   digest u64 · count u32 · elements: one length-prefixed i32 vector
+//! Outputs     status u8  · count u32 · elements: one length-prefixed i64 vector
+//! ```
+//!
+//! The frame width is the element count over `count`. A count above the
+//! frame's capacity is refused before anything else is read, and an
+//! element count that is not a multiple of `count` is refused too, so a
+//! batch cannot be ragged. Version 8 put a length in front of every frame; a version-8
+//! batch would be misread, so a version-8 peer is refused at the version
+//! byte too. Zero-width frames cost no bytes here, so the server checks
+//! a batch's width against its matrix before it shapes the reply block.
+//!
 //! ## One read and one write per frame
 //!
 //! The server's sessions and [`crate::Client`] both speak through one
@@ -82,7 +99,7 @@
 //! frame and closes the socket, and [`Request::decode`] /
 //! [`Reply::decode`] refuse a foreign version with [`Error::Wire`].
 
-use smm_core::block::{FrameBlock, RowBlock};
+use smm_core::block::{Block, FrameBlock, RowBlock};
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
 use smm_core::wire::{self, Cursor, MatrixBody};
@@ -92,7 +109,7 @@ use std::io::{self, BufReader, Read, Write};
 /// Frame preamble: the protocol's on-wire signature.
 pub(crate) const MAGIC: [u8; 4] = *b"SMM1";
 /// The one protocol version both ends speak.
-pub const VERSION: u8 = 8;
+pub const VERSION: u8 = 9;
 /// Fixed frame header size in bytes.
 pub const HEADER_LEN: usize = 18;
 /// Upper bound on a frame payload; larger length prefixes are rejected
@@ -147,62 +164,56 @@ pub enum BackendKind {
     Sigma,
 }
 
+/// Every kind with its name and its wire choice byte, in declaration
+/// order: the one listing that [`BackendKind::name`], the `LoadMatrix`
+/// choice byte and `FromStr` all read. Byte 0 is no choice (take the
+/// server default).
+const BACKEND_KINDS: [(BackendKind, &str, u8); 5] = [
+    (BackendKind::Auto, "auto", 1),
+    (BackendKind::Dense, "dense", 2),
+    (BackendKind::Csr, "csr", 3),
+    (BackendKind::BitSerial, "bitserial", 4),
+    (BackendKind::Sigma, "sigma", 5),
+];
+
 impl BackendKind {
     /// Stable name, matching the CLI's `--backend` values.
     pub fn name(&self) -> &'static str {
-        match self {
-            BackendKind::Auto => "auto",
-            BackendKind::Dense => "dense",
-            BackendKind::Csr => "csr",
-            BackendKind::BitSerial => "bitserial",
-            BackendKind::Sigma => "sigma",
-        }
+        BACKEND_KINDS[*self as usize].1
     }
 
     /// Wire byte for `Option<BackendKind>`: 0 = unspecified (take the
     /// server default).
     fn option_to_u8(kind: Option<BackendKind>) -> u8 {
-        match kind {
-            None => 0,
-            Some(BackendKind::Auto) => 1,
-            Some(BackendKind::Dense) => 2,
-            Some(BackendKind::Csr) => 3,
-            Some(BackendKind::BitSerial) => 4,
-            Some(BackendKind::Sigma) => 5,
-        }
+        kind.map_or(0, |kind| BACKEND_KINDS[kind as usize].2)
     }
 
     /// Decodes a choice byte.
     fn option_from_u8(raw: u8) -> Result<Option<BackendKind>> {
-        Ok(match raw {
-            0 => None,
-            1 => Some(BackendKind::Auto),
-            2 => Some(BackendKind::Dense),
-            3 => Some(BackendKind::Csr),
-            4 => Some(BackendKind::BitSerial),
-            5 => Some(BackendKind::Sigma),
-            other => {
-                return Err(Error::Wire {
-                    context: format!("unknown backend choice byte {other}"),
-                })
-            }
-        })
+        if raw == 0 {
+            return Ok(None);
+        }
+        match BACKEND_KINDS.iter().find(|&&(_, _, byte)| byte == raw) {
+            Some(&(kind, ..)) => Ok(Some(kind)),
+            None => Err(Error::Wire {
+                context: format!("unknown backend choice byte {raw}"),
+            }),
+        }
     }
 }
 
 impl std::str::FromStr for BackendKind {
     type Err = String;
 
+    /// A kind's [`BackendKind::name`]; `sparse` is also `csr`.
     fn from_str(s: &str) -> std::result::Result<Self, String> {
-        match s {
-            "auto" => Ok(BackendKind::Auto),
-            "dense" => Ok(BackendKind::Dense),
-            "csr" | "sparse" => Ok(BackendKind::Csr),
-            "bitserial" => Ok(BackendKind::BitSerial),
-            "sigma" => Ok(BackendKind::Sigma),
-            other => Err(format!(
-                "unknown backend '{other}' (auto|dense|csr|bitserial|sigma)"
-            )),
+        let s = if s == "sparse" { "csr" } else { s };
+        match BACKEND_KINDS.iter().find(|&&(_, name, _)| name == s) {
+            Some(&(kind, ..)) => Ok(kind),
+            None => {
+                let names: Vec<&str> = BACKEND_KINDS.iter().map(|&(_, name, _)| name).collect();
+                Err(format!("unknown backend '{s}' ({})", names.join("|")))
+            }
         }
     }
 }
@@ -266,10 +277,8 @@ pub enum Request {
     GemvBatch {
         /// [`IntMatrix::digest`] of the loaded matrix.
         digest: u64,
-        /// The input frames, served in order. Decoded straight off the
-        /// wire into one flat block; the wire layout (count, then
-        /// per-vector length-prefixed `i32`s) requires every vector of a
-        /// batch to have the same length.
+        /// The input frames, served in order: on the wire, the frame
+        /// count and then the block's elements as one `i32` vector.
         frames: FrameBlock,
     },
     /// Server-wide metrics snapshot.
@@ -333,36 +342,10 @@ impl Request {
                 digest: c.take_u64("matrix digest")?,
                 vector: c.take_i32_vec("input vector")?,
             },
-            Opcode::GemvBatch => {
-                let digest = c.take_u64("matrix digest")?;
-                let count = c.take_u32("batch count")? as usize;
-                if count > MAX_FRAME_PAYLOAD / 4 {
-                    return Err(Error::Wire {
-                        context: format!("batch count {count} exceeds frame capacity"),
-                    });
-                }
-                // All vectors land in one flat buffer — no allocation
-                // per vector on the server's hottest decode path.
-                let mut data = Vec::new();
-                let mut width = 0usize;
-                for i in 0..count {
-                    let len = c.take_i32_extend(&mut data, "batch vector")?;
-                    if i == 0 {
-                        width = len;
-                        data.reserve(width.saturating_mul(count - 1));
-                    } else if len != width {
-                        return Err(Error::Wire {
-                            context: format!(
-                                "ragged batch: vector {i} has length {len}, expected {width}"
-                            ),
-                        });
-                    }
-                }
-                Request::GemvBatch {
-                    digest,
-                    frames: FrameBlock::from_vec(count, width, data)?,
-                }
-            }
+            Opcode::GemvBatch => Request::GemvBatch {
+                digest: c.take_u64("matrix digest")?,
+                frames: take_block(&mut c, MAX_FRAME_PAYLOAD / 4, Cursor::take_i32_vec)?,
+            },
         };
         c.expect_end("request payload")?;
         Ok(request)
@@ -408,14 +391,13 @@ pub(crate) fn put_gemv(buf: &mut Vec<u8>, digest: u64, vector: &[i32]) {
     wire::put_i32_vec(buf, vector);
 }
 
-/// Appends a `GemvBatch` payload from a borrowed block.
+/// Appends a `GemvBatch` payload from a borrowed block: digest, frame
+/// count, then the block's elements as one vector.
 pub(crate) fn put_gemv_batch(buf: &mut Vec<u8>, digest: u64, frames: &FrameBlock) {
-    buf.reserve(12 + frames.frames() * (4 + frames.width() * 4));
+    buf.reserve(16 + frames.as_slice().len() * 4);
     wire::put_u64(buf, digest);
     wire::put_u32(buf, frames.frames() as u32);
-    for frame in frames.iter() {
-        wire::put_i32_vec(buf, frame);
-    }
+    wire::put_i32_vec(buf, frames.as_slice());
 }
 
 /// Server-wide metrics, as reported by [`Request::Stats`].
@@ -546,9 +528,8 @@ pub enum Reply {
     Loaded(LoadedInfo),
     /// [`Request::Gemv`] result.
     Output(Vec<i64>),
-    /// [`Request::GemvBatch`] results, in request order — one flat
-    /// block, encoded straight onto the wire (count, then per-row
-    /// length-prefixed `i64`s).
+    /// [`Request::GemvBatch`] results, in request order: on the wire,
+    /// the row count and then the block's elements as one `i64` vector.
     Outputs(RowBlock),
     /// [`Request::Stats`] snapshot (boxed: the per-stage latency block
     /// would otherwise dominate every `Reply`'s size).
@@ -601,12 +582,10 @@ impl Reply {
                 wire::put_i64_vec(buf, o);
             }
             Reply::Outputs(rows) => {
-                buf.reserve(batch_reply_len(rows.rows(), rows.width()));
+                buf.reserve(batch_reply_len(rows.frames(), rows.width()));
                 wire::put_u8(buf, STATUS_OK);
-                wire::put_u32(buf, rows.rows() as u32);
-                for o in rows.iter() {
-                    wire::put_i64_vec(buf, o);
-                }
+                wire::put_u32(buf, rows.frames() as u32);
+                wire::put_i64_vec(buf, rows.as_slice());
             }
             Reply::Stats(s) => {
                 wire::put_u8(buf, STATUS_OK);
@@ -637,30 +616,11 @@ impl Reply {
                     engine: c.take_str("engine name")?.to_string(),
                 }),
                 Opcode::Gemv => Reply::Output(c.take_i64_vec("output vector")?),
-                Opcode::GemvBatch => {
-                    let count = c.take_u32("output count")? as usize;
-                    if count > MAX_FRAME_PAYLOAD / 8 {
-                        return Err(Error::Wire {
-                            context: format!("output count {count} exceeds frame capacity"),
-                        });
-                    }
-                    let mut data = Vec::new();
-                    let mut width = 0usize;
-                    for i in 0..count {
-                        let len = c.take_i64_extend(&mut data, "output vector")?;
-                        if i == 0 {
-                            width = len;
-                            data.reserve(width.saturating_mul(count - 1));
-                        } else if len != width {
-                            return Err(Error::Wire {
-                                context: format!(
-                                    "ragged reply: row {i} has length {len}, expected {width}"
-                                ),
-                            });
-                        }
-                    }
-                    Reply::Outputs(RowBlock::from_vec(count, width, data)?)
-                }
+                Opcode::GemvBatch => Reply::Outputs(take_block(
+                    &mut c,
+                    MAX_FRAME_PAYLOAD / 8,
+                    Cursor::take_i64_vec,
+                )?),
                 Opcode::Stats => Reply::Stats(Box::new(StatsSnapshot::decode(&mut c)?)),
             },
             other => {
@@ -675,12 +635,36 @@ impl Reply {
 }
 
 /// Payload bytes of a `GemvBatch` reply of `frames` rows of `cols`
-/// outputs: status and count, then one length-prefixed `i64` row each.
+/// outputs: status, count and one length-prefixed `i64` vector.
 pub(crate) fn batch_reply_len(frames: usize, cols: usize) -> usize {
-    cols.saturating_mul(8)
-        .saturating_add(4)
-        .saturating_mul(frames)
-        .saturating_add(5)
+    frames
+        .saturating_mul(cols)
+        .saturating_mul(8)
+        .saturating_add(9)
+}
+
+/// Reads a batch in its one layout: `count u32`, then the block's
+/// elements as one length-prefixed vector, read by `take_vec`. The
+/// width is `len / count`. A count above `max_count` is refused before
+/// any element is read; a length that is not a multiple of the count (or
+/// any element behind a zero count) is refused too.
+fn take_block<'a, T>(
+    c: &mut Cursor<'a>,
+    max_count: usize,
+    take_vec: fn(&mut Cursor<'a>, &str) -> Result<Vec<T>>,
+) -> Result<Block<T>> {
+    let count = c.take_u32("batch count")? as usize;
+    if count > max_count {
+        return Err(Error::Wire {
+            context: format!("batch count {count} exceeds frame capacity"),
+        });
+    }
+    let data = take_vec(c, "batch elements")?;
+    let len = data.len();
+    let width = len.checked_div(count).unwrap_or(0);
+    Block::from_vec(count, width, data).map_err(|_| Error::Wire {
+        context: format!("{len} batch elements do not split into {count} equal frames"),
+    })
 }
 
 /// A raw frame off the wire: version, opcode byte, request id, payload.
@@ -1064,19 +1048,6 @@ mod tests {
     }
 
     #[test]
-    fn ragged_batch_payloads_are_rejected_at_decode() {
-        // Hand-rolled wire bytes a flat block cannot represent: two
-        // vectors of different lengths.
-        let mut buf = Vec::new();
-        wire::put_u64(&mut buf, 9); // digest
-        wire::put_u32(&mut buf, 2); // count
-        wire::put_i32_vec(&mut buf, &[1, 2, 3]);
-        wire::put_i32_vec(&mut buf, &[4]);
-        let err = Request::decode(VERSION, Opcode::GemvBatch, &buf).unwrap_err();
-        assert!(err.to_string().contains("ragged"), "{err}");
-    }
-
-    #[test]
     fn replies_round_trip() {
         round_trip_reply(Opcode::Ping, Reply::Pong);
         round_trip_reply(
@@ -1090,11 +1061,13 @@ mod tests {
             }),
         );
         round_trip_reply(Opcode::Gemv, Reply::Output(vec![i64::MIN, 0, i64::MAX]));
-        round_trip_reply(
-            Opcode::GemvBatch,
-            Reply::Outputs(RowBlock::try_from(vec![vec![1, 2], vec![-3, -4]]).unwrap()),
-        );
-        round_trip_reply(Opcode::GemvBatch, Reply::Outputs(RowBlock::default()));
+        for (frames, cols) in [(2, 3), (0, 0), (4, 0)] {
+            let rows = RowBlock::from_vec(frames, cols, (0..frames as i64 * cols as i64).collect());
+            let reply = Reply::Outputs(rows.unwrap());
+            // The server's reply-size guard prices exactly these bytes.
+            assert_eq!(reply.encode(VERSION).len(), batch_reply_len(frames, cols));
+            round_trip_reply(Opcode::GemvBatch, reply);
+        }
         let mut stats = StatsSnapshot {
             requests: 11,
             p99_latency_ns: 12345,
@@ -1130,10 +1103,18 @@ mod tests {
         ] {
             assert_eq!(text.parse::<BackendKind>().unwrap(), kind);
         }
-        assert!("tpu".parse::<BackendKind>().is_err());
+        assert_eq!(
+            "tpu".parse::<BackendKind>().unwrap_err(),
+            "unknown backend 'tpu' (auto|dense|csr|bitserial|sigma)"
+        );
         assert_eq!(BackendKind::Csr.name(), "csr");
         assert_eq!(BackendKind::Auto.name(), "auto");
         assert_eq!(BackendKind::Sigma.name(), "sigma");
+        for (i, &(kind, name, byte)) in BACKEND_KINDS.iter().enumerate() {
+            assert_eq!(kind as usize, i, "the table is in declaration order");
+            assert_eq!((kind.name(), name.parse::<BackendKind>()), (name, Ok(kind)));
+            assert_eq!(BackendKind::option_to_u8(Some(kind)), byte);
+        }
         for kind in [
             None,
             Some(BackendKind::Auto),
@@ -1307,6 +1288,20 @@ mod tests {
         let v7_stats = vec![0u8; 1 + (15 + 3 * STAGES + 6) * 8];
         let err = Reply::decode(7, Opcode::Stats, &v7_stats).unwrap_err();
         let refused = "unsupported protocol version 7";
+        assert!(
+            matches!(&err, Error::Wire { context } if context.starts_with(refused)),
+            "{err}"
+        );
+        // A version-8 batch (a length in front of every frame) is refused
+        // by its version too; read as version 9, its first frame's length
+        // would pass for the whole block's.
+        let mut v8_batch = Vec::new();
+        wire::put_u64(&mut v8_batch, 7);
+        wire::put_u32(&mut v8_batch, 2);
+        wire::put_i32_vec(&mut v8_batch, &[1, 2]);
+        wire::put_i32_vec(&mut v8_batch, &[3, 4]);
+        let err = Request::decode(8, Opcode::GemvBatch, &v8_batch).unwrap_err();
+        let refused = "unsupported protocol version 8";
         assert!(
             matches!(&err, Error::Wire { context } if context.starts_with(refused)),
             "{err}"

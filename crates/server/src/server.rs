@@ -762,7 +762,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_for_maps_backend_choices() {
+    fn build_session_maps_backend_choices_to_specs() {
         let shared = |backend| Shared {
             admission: AdmissionQueue::new(1),
             config: ServerConfig {

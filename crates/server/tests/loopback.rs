@@ -6,7 +6,9 @@ use smm_core::generate::{element_sparse_matrix, random_vector};
 use smm_core::gemv::vecmat;
 use smm_core::matrix::IntMatrix;
 use smm_core::rng::seeded;
-use smm_server::protocol::{read_frame, write_frame, Opcode, Reply, Request, VERSION};
+use smm_server::protocol::{
+    read_frame, write_frame, Opcode, Reply, Request, MAX_FRAME_PAYLOAD, VERSION,
+};
 use smm_server::{BackendKind, Client, LoadgenConfig, ServeError, ServerConfig};
 use std::io::Write;
 use std::net::TcpStream;
@@ -439,7 +441,7 @@ fn stats_count_exactly_the_products_that_were_answered() {
     assert!(client.gemv(digest, &[1]).is_err());
     assert!(client.gemv(0xDEAD_BEEF, &[1; 8]).is_err());
     let empty = FrameBlock::from_rows(&[]).unwrap();
-    assert_eq!(client.gemv_block(digest, &empty).unwrap().rows(), 0);
+    assert_eq!(client.gemv_block(digest, &empty).unwrap().frames(), 0);
     assert_eq!(served(&mut client), (0, 0));
     // Singles count as vectors and move no batch; a batch counts once.
     for round in 1..=3 {
@@ -553,8 +555,8 @@ fn shutdown_returns_while_a_peer_has_stopped_reading_its_reply() {
     drop(stalled);
 }
 
-/// A batch whose reply cannot fit in one frame (1024 × 65,540 bytes is
-/// past the 64 MiB cap) is refused before it is computed: nothing is
+/// A batch whose reply cannot fit in one frame (1024 × 65,536 bytes and
+/// the 9-byte head are past the 64 MiB cap) is refused before it is computed: nothing is
 /// counted as served, and the connection keeps working.
 #[test]
 fn an_over_cap_batch_is_refused_before_it_is_computed() {
@@ -571,5 +573,52 @@ fn an_over_cap_batch_is_refused_before_it_is_computed() {
     client.ping().unwrap();
     // One frame fewer fits, and is served.
     let fits = FrameBlock::from_vec(1023, 1, vec![1; 1023]).unwrap();
-    assert_eq!(client.gemv_block(digest, &fits).unwrap().rows(), 1023);
+    assert_eq!(client.gemv_block(digest, &fits).unwrap().frames(), 1023);
+}
+
+/// Zero-width frames cost a sender no bytes: a 16-byte `GemvBatch`
+/// claims ~8M of them, and against a one-column matrix their reply would
+/// still fit in a frame. The width is checked before the reply block is
+/// shaped, so the batch is refused without the server zeroing ~64 MB,
+/// and the connection keeps serving.
+#[test]
+fn a_zero_width_batch_is_refused_before_its_reply_block_is_shaped() {
+    let server = smm_server::start(ServerConfig::default()).unwrap();
+    let column = IntMatrix::from_vec(4, 1, vec![1, 2, 3, 4]).unwrap();
+    let digest = Client::connect(server.local_addr())
+        .unwrap()
+        .load_matrix(&column)
+        .unwrap();
+    let count = (MAX_FRAME_PAYLOAD - 9) / 8;
+    assert!(
+        count > 8_000_000 && count * 8 + 9 <= MAX_FRAME_PAYLOAD,
+        "passes the reply guard"
+    );
+    let payload = [
+        &digest.to_le_bytes()[..],
+        &(count as u32).to_le_bytes(),
+        &[0; 4],
+    ]
+    .concat();
+    assert_eq!(payload.len(), 16);
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    let mut exchange = |opcode: Opcode, payload: &[u8], id: u64| {
+        write_frame(&mut raw, VERSION, opcode as u8, id, payload).unwrap();
+        let frame = read_frame(&mut raw).expect("the connection survives");
+        assert_eq!(frame.request_id, id);
+        Reply::decode(frame.version, opcode, &frame.payload).unwrap()
+    };
+    let reply = exchange(Opcode::GemvBatch, &payload, 1);
+    assert!(
+        matches!(&reply, Reply::Error(m) if m.contains("frame width 0 vs matrix rows 4")),
+        "{reply:?}"
+    );
+    let gemv = Request::Gemv {
+        digest,
+        vector: vec![1; 4],
+    }
+    .encode(VERSION);
+    assert_eq!(exchange(Opcode::Gemv, &gemv, 2), Reply::Output(vec![10]));
+    let stats = server.shutdown();
+    assert_eq!((stats.vectors, stats.batches, stats.errors), (1, 0, 1));
 }

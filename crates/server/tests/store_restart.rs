@@ -292,7 +292,7 @@ fn served_work_is_counted_exactly_while_sessions_are_demoted_under_it() {
                         let frames = smm_core::block::FrameBlock::from_rows(&rows).unwrap();
                         let out = client.gemv_block(m.digest(), &frames).unwrap();
                         for (i, a) in rows.iter().enumerate() {
-                            assert_eq!(out.row(i), vecmat(a, &m).unwrap());
+                            assert_eq!(out.frame(i), vecmat(a, &m).unwrap());
                         }
                         (vectors, blocks) = (vectors + 4, blocks + 1);
                     } else {

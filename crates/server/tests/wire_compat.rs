@@ -9,8 +9,9 @@
 //! not promised: the pins run through wildcard-free `match`es, and the
 //! constants are read out of `protocol.rs` itself. The loopback test then
 //! speaks raw frames under version bytes the server does not speak
-//! (0, the retired 1–7, a future 9) and checks each gets one typed error frame and a closed
-//! socket while a current client keeps being served.
+//! (0, the retired 1–8, a future 10) and checks each gets one typed
+//! error frame and a closed socket while a current client keeps being
+//! served.
 
 use smm_core::block::{FrameBlock, RowBlock};
 use smm_core::generate::{element_sparse_matrix, random_vector};
@@ -72,7 +73,7 @@ fn pin_reply(reply: Reply, expect: &[u8]) {
 /// version "range" is exactly one value — every other byte is refused.
 #[test]
 fn status_bytes_and_version_range_are_pinned() {
-    assert_eq!(VERSION, 8);
+    assert_eq!(VERSION, 9);
     assert_eq!(STATUS_OK, 0);
     assert_eq!(STATUS_BUSY, 1);
     assert_eq!(STATUS_ERROR, 2);
@@ -80,7 +81,7 @@ fn status_bytes_and_version_range_are_pinned() {
     assert_eq!(HEADER_LEN, 18);
     let ping = Request::Ping.encode(VERSION);
     let pong = Reply::Pong.encode(VERSION);
-    for version in (0..=u8::MAX).filter(|&v| v != 8) {
+    for version in (0..=u8::MAX).filter(|&v| v != 9) {
         assert!(Request::decode(version, Opcode::Ping, &ping).is_err(), "v{version}");
         assert!(Reply::decode(version, Opcode::Ping, &pong).is_err(), "v{version}");
     }
@@ -95,7 +96,7 @@ fn frame_header_layout_is_pinned() {
         frame,
         cat(&[
             b"SMM1",
-            &[8],                                              // version
+            &[9],                                              // version
             &[2],                                              // opcode: Gemv
             &[0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01], // request id, LE
             &[2, 0, 0, 0],                                     // payload length, LE
@@ -178,19 +179,25 @@ fn request_body_layouts_are_pinned() {
     ]);
     pin_request(gemv, &expect);
 
-    // GemvBatch: digest, frame count, then one count-prefixed i32
-    // vector per frame.
+    // GemvBatch: digest, frame count, then the block's elements as one
+    // count-prefixed i32 vector; the width is elements / frames.
     let frames = FrameBlock::from_vec(2, 2, vec![1, 2, 3, -1]).unwrap();
     let expect = cat(&[
         &le64(7),
         &le32(2),
-        &le32(2),
+        &le32(4),
         &[1, 0, 0, 0, 2, 0, 0, 0],
-        &le32(2),
         &[3, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF],
     ]);
     assert_eq!(Request::encode_gemv_batch(7, &frames), expect);
     pin_request(Request::GemvBatch { digest: 7, frames }, &expect);
+    // An empty batch is the digest and two zeros; three zero-width
+    // frames are a count and no elements.
+    for (frames, count) in [(0, 0u32), (3, 3)] {
+        let frames = FrameBlock::from_vec(frames, 0, Vec::new()).unwrap();
+        let expect = cat(&[&le64(7), &le32(count), &le32(0)]);
+        pin_request(Request::GemvBatch { digest: 7, frames }, &expect);
+    }
 }
 
 /// Every `Reply` variant's payload, byte for byte.
@@ -223,20 +230,24 @@ fn reply_body_layouts_are_pinned() {
         &cat(&[&[0], &le32(2), &[0xFF; 8], &le64(2)]),
     );
 
-    // Outputs: status + row count + one count-prefixed i64 vector per row.
+    // Outputs: status + row count + the block's elements as one
+    // count-prefixed i64 vector.
     let rows = RowBlock::from_vec(2, 2, vec![1, 2, 3, 4]).unwrap();
     pin_reply(
         Reply::Outputs(rows),
         &cat(&[
             &[0],
             &le32(2),
-            &le32(2),
+            &le32(4),
             &le64(1),
             &le64(2),
-            &le32(2),
             &le64(3),
             &le64(4),
         ]),
+    );
+    pin_reply(
+        Reply::Outputs(RowBlock::new()),
+        &cat(&[&[0], &le32(0), &le32(0)]),
     );
 }
 
@@ -308,9 +319,9 @@ fn every_version_and_status_constant_is_named_in_both_wire_test_files() {
     assert!(unpinned.is_empty(), "{unpinned:#?}");
 }
 
-/// Peers from another revision — v0, the retired v1–v7, a future v9 —
+/// Peers from another revision — v0, the retired v1–v8, a future v10 —
 /// each get exactly one `STATUS_ERROR` frame naming the unsupported
-/// version, then EOF; a v8 client on another connection to the same
+/// version, then EOF; a v9 client on another connection to the same
 /// server keeps being served, and the refusals are not request errors.
 #[test]
 fn other_versions_are_refused_while_a_current_client_keeps_being_served() {
@@ -321,14 +332,14 @@ fn other_versions_are_refused_while_a_current_client_keeps_being_served() {
     let digest = client.load_matrix(&matrix).unwrap();
     let errors_before = client.stats().unwrap().errors;
 
-    for version in [0u8, 1, 2, 3, 4, 5, 6, 7, 9] {
+    for version in [0u8, 1, 2, 3, 4, 5, 6, 7, 8, 10] {
         // A raw Ping frame under the foreign version byte.
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         let ping = cat(&[b"SMM1", &[version], &[0], &le64(9), &le32(0)]);
         stream.write_all(&ping).unwrap();
 
         let frame = read_frame(&mut stream).unwrap();
-        assert_eq!(frame.version, 8, "the refusal travels under the one version");
+        assert_eq!(frame.version, 9, "the refusal travels under the one version");
         let mut c = smm_core::wire::Cursor::new(&frame.payload);
         assert_eq!(c.take_u8("status").unwrap(), STATUS_ERROR, "v{version}");
         let message = c.take_str("message").unwrap();

@@ -2,21 +2,21 @@
 //! streams against the `Request`/`Reply` decoders and the frame reader
 //! must come back as `Err` — never a panic, never an allocation driven
 //! by a lying length prefix. The one protocol rev is covered whole —
-//! the binary `LoadMatrix` body, the per-stage `Stats` block, the
-//! `CapacityFull` status, the fleet tier counters — and so is the
-//! decoders' version argument: anything
-//! but `VERSION` is refused. The generator is the workspace's seeded
+//! the binary `LoadMatrix` body, the batch block, the per-stage `Stats`
+//! block, the `CapacityFull` status, the fleet tier counters — and so is
+//! the decoders' version argument: anything but `VERSION` is refused. The generator is the workspace's seeded
 //! ChaCha stream, so every run explores the same inputs and any failure
 //! reproduces exactly.
 
 use rand::RngCore;
 use smm_core::block::{FrameBlock, RowBlock};
+use smm_core::error::Error;
 use smm_core::matrix::IntMatrix;
 use smm_core::rng::seeded;
 use smm_core::wire;
 use smm_server::protocol::{
     read_frame, write_frame, FrameError, LoadedInfo, Opcode, Reply, Request, StatsSnapshot,
-    MAX_FRAME_PAYLOAD, STATUS_BUSY, STATUS_CAPACITY, STATUS_ERROR, VERSION,
+    MAX_FRAME_PAYLOAD, STATUS_BUSY, STATUS_CAPACITY, STATUS_ERROR, STATUS_OK, VERSION,
 };
 
 const OPCODES: [Opcode; 5] = [
@@ -248,23 +248,23 @@ fn capacity_status_fuzzes_clean_and_stays_v5_only() {
 
 #[test]
 fn lying_length_prefixes_fail_without_allocating() {
-    // A batch whose count passes the count cap but whose first vector
-    // claims 16M elements with no data behind it: `take_i32_extend`
-    // checks the promise against the bytes actually remaining *before*
-    // reserving, so the decode fails fast instead of allocating 64 MiB
+    // A batch whose count passes the count cap but whose element vector
+    // claims 16M elements with no data behind it: the length is checked
+    // against the bytes actually remaining *before* anything is
+    // allocated, so the decode fails fast instead of allocating 64 MiB
     // on a hostile frame.
     let mut buf = Vec::new();
     wire::put_u64(&mut buf, 1); // digest
     wire::put_u32(&mut buf, 3); // plausible count
-    wire::put_u32(&mut buf, (MAX_FRAME_PAYLOAD / 4) as u32); // lying vector length
+    wire::put_u32(&mut buf, (MAX_FRAME_PAYLOAD / 4) as u32); // lying element count
     let err = Request::decode(VERSION, Opcode::GemvBatch, &buf).unwrap_err();
     assert!(err.to_string().contains("truncated"), "{err}");
 
-    // Same lie on the reply side (`take_i64_extend`).
+    // Same lie on the reply side.
     let mut reply = Vec::new();
     wire::put_u8(&mut reply, 0); // STATUS_OK
     wire::put_u32(&mut reply, 2); // output count
-    wire::put_u32(&mut reply, (MAX_FRAME_PAYLOAD / 8) as u32); // lying row length
+    wire::put_u32(&mut reply, (MAX_FRAME_PAYLOAD / 8) as u32); // lying element count
     let err = Reply::decode(VERSION, Opcode::GemvBatch, &reply).unwrap_err();
     assert!(err.to_string().contains("truncated"), "{err}");
 
@@ -274,6 +274,70 @@ fn lying_length_prefixes_fail_without_allocating() {
     wire::put_u32(&mut absurd, u32::MAX);
     let err = Request::decode(VERSION, Opcode::GemvBatch, &absurd).unwrap_err();
     assert!(err.to_string().contains("exceeds"), "{err}");
+}
+
+/// A batch is a frame count and one element vector, so the only shapes
+/// left to lie about are the two numbers: elements that do not split
+/// into `count` equal frames, and a count past the cap with no elements
+/// behind it (zero-width frames cost no bytes). Each is a typed wire
+/// error on both sides.
+#[test]
+fn hostile_batch_shapes_are_wire_errors() {
+    let request = |count: u32, elements: &[i32]| {
+        let mut buf = Vec::new();
+        wire::put_u64(&mut buf, 1);
+        wire::put_u32(&mut buf, count);
+        wire::put_i32_vec(&mut buf, elements);
+        Request::decode(VERSION, Opcode::GemvBatch, &buf)
+    };
+    let reply = |count: u32, elements: &[i64]| {
+        let mut buf = vec![STATUS_OK];
+        wire::put_u32(&mut buf, count);
+        wire::put_i64_vec(&mut buf, elements);
+        Reply::decode(VERSION, Opcode::GemvBatch, &buf)
+    };
+    let request_cap = (MAX_FRAME_PAYLOAD / 4) as u32;
+    let reply_cap = (MAX_FRAME_PAYLOAD / 8) as u32;
+    let cases = [
+        (
+            "5 elements over 2 frames",
+            request(2, &[1; 5]).err(),
+            reply(2, &[1; 5]).err(),
+            "split",
+        ),
+        (
+            "1 element over 2 frames",
+            request(2, &[1]).err(),
+            reply(2, &[1]).err(),
+            "split",
+        ),
+        (
+            "elements behind no frames",
+            request(0, &[1; 3]).err(),
+            reply(0, &[1; 3]).err(),
+            "split",
+        ),
+        (
+            "zero-width frames past the cap",
+            request(request_cap + 1, &[]).err(),
+            reply(reply_cap + 1, &[]).err(),
+            "exceeds",
+        ),
+    ];
+    for (name, request, reply, expect) in cases {
+        for err in [request, reply] {
+            assert!(
+                matches!(&err, Some(Error::Wire { context }) if context.contains(expect)),
+                "{name}: {err:?}"
+            );
+        }
+    }
+    // At the cap, zero-width frames are a well-formed (if useless) batch:
+    // refusing them is the server's job, against its matrix's width.
+    let Request::GemvBatch { frames, .. } = request(request_cap, &[]).unwrap() else {
+        panic!("a batch decodes as a batch");
+    };
+    assert_eq!((frames.frames(), frames.width()), (request_cap as usize, 0));
 }
 
 #[test]

@@ -89,7 +89,8 @@ impl Stage {
 }
 
 /// A per-stage latency summary: sample count and nearest-rank p50/p99
-/// in nanoseconds, as carried in the v4 `Stats` wire reply.
+/// in nanoseconds, as carried in the `Stats` wire reply (three `u64`s
+/// per stage).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct StageStats {
     /// Samples recorded for this stage.

@@ -1,6 +1,6 @@
 //! Poison-recovering lock helpers shared across the serving stack.
 //!
-//! The dispatcher's `catch_unwind` fault containment proved that
+//! The pool worker's `catch_unwind` fault containment proved that
 //! worker threads *can* panic (a buggy engine, a fault-injection
 //! test); a panic while holding a [`Mutex`] poisons it, and the
 //! default `.lock().unwrap()` idiom then cascades that one fault into
