@@ -21,8 +21,7 @@ pub(crate) fn stream_bit(value: i64, width: u32, index: u32) -> bool {
 /// product needs `input_bits + weight_bits` bits, the sum of `rows` of them
 /// adds `ceil(log2 rows)`, and one extra guards the PN subtraction.
 pub(crate) fn result_width(input_bits: u32, weight_bits: u32, rows: usize) -> u32 {
-    let log2r = usize::BITS - rows.next_power_of_two().leading_zeros() - 1;
-    (input_bits + weight_bits + log2r + 1).min(63)
+    (input_bits + weight_bits + crate::builder::ceil_log2(rows) + 1).min(63)
 }
 
 #[cfg(test)]

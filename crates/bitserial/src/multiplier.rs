@@ -153,7 +153,7 @@ impl FixedMatrixMultiplier {
     /// Latency in cycles by the paper's Equation 5:
     /// `BWi + BWw + ceil(log2 R) + 2`.
     pub fn paper_latency_cycles(&self) -> u32 {
-        self.input_bits + self.circuit.weight_bits + crate::builder::ceil_log2(self.rows) + 2
+        crate::latency::equation5(self.input_bits, self.circuit.weight_bits, self.rows)
     }
 
     /// Exact cycles until the *full-precision* result has streamed out of

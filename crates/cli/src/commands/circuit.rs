@@ -4,7 +4,7 @@
 
 use super::CmdResult;
 use crate::args::Args;
-use crate::matrix_source::resolve;
+use crate::matrix_source::{resolve, DEFAULT_SEED};
 use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
 use smm_core::block::FrameBlock;
 use smm_core::csd::ChainPolicy;
@@ -25,13 +25,13 @@ fn encoding_of(args: &Args) -> Result<WeightEncoding, String> {
         "never" => ChainPolicy::Never,
         other => return Err(format!("unknown CSD policy: {other}")),
     };
-    let seed = args.get_or("seed", 42u64).map_err(|e| e.0)?;
+    let seed = args.get_or("seed", DEFAULT_SEED).map_err(|e| e.0)?;
     Ok(WeightEncoding::Csd { policy, seed })
 }
 
 fn compile(args: &Args) -> Result<(smm_core::IntMatrix, FixedMatrixMultiplier), String> {
     let matrix = resolve(args)?;
-    let input_bits: u32 = args.get_or("input-bits", 8).map_err(|e| e.0)?;
+    let input_bits = args.get_or("input-bits", FlowOptions::default().input_bits).map_err(|e| e.0)?;
     let encoding = encoding_of(args)?;
     let mul = FixedMatrixMultiplier::compile(&matrix, input_bits, encoding)
         .map_err(|e| format!("compiling circuit: {e}"))?;
@@ -189,7 +189,7 @@ pub fn stream(args: &Args, out: &mut impl Write) -> CmdResult {
         return Err("--batch must be at least 1".into());
     }
     // Deterministic batch inputs derived from the matrix seed.
-    let seed: u64 = args.get_or("seed", 42u64).map_err(|e| e.0)?;
+    let seed = args.get_or("seed", DEFAULT_SEED).map_err(|e| e.0)?;
     let mut rng = smm_core::rng::derived(seed, 1);
     let inputs = smm_core::generate::element_sparse_matrix(
         batch,
@@ -254,11 +254,7 @@ pub fn system(args: &Args, out: &mut impl Write) -> CmdResult {
         mul.circuit().clone(),
         mul.input_bits(),
         mul.output_bits(),
-        WrapperConfig {
-            ports: 64,
-            input_base: 0,
-            output_base: rows,
-        },
+        WrapperConfig { output_base: rows, ..WrapperConfig::default() },
         rows + cols,
     )
     .map_err(|e| format!("building system: {e}"))?;

@@ -126,6 +126,28 @@ mod tests {
     }
 
     #[test]
+    fn bare_serve_runs_on_the_server_config_defaults() {
+        // No option but a free port and a duration: the backend and the
+        // queue depth come from `ServerConfig::default()`, and the usage
+        // text names the same defaults.
+        let defaults = smm_server::ServerConfig::default();
+        let text = run_cmd(&["serve", "--addr", "127.0.0.1:0", "--duration", "0.1"]).unwrap();
+        let (backend, depth) = (defaults.backend.name(), defaults.queue_depth);
+        assert!(text.contains(&format!("(backend {backend}, queue depth {depth})")), "{text}");
+        for named in [
+            format!("(default {backend}; auto"),
+            format!("before Busy (default {depth})"),
+            format!("(default {} = one per core)", defaults.threads),
+            format!("(built sessions, default {})", defaults.max_matrices),
+            format!("(matrix bodies, default {})", defaults.max_warm),
+        ] {
+            assert!(crate::USAGE.contains(&named), "usage lacks `{named}`");
+        }
+        let addr = format!("(default {}", serving::DEFAULT_ADDR);
+        assert_eq!(crate::USAGE.matches(&addr).count(), 3, "serve, loadgen and stats");
+    }
+
+    #[test]
     fn serve_rejects_bad_flags() {
         assert!(run_cmd(&["serve", "--backend", "tpu"]).is_err());
         // Negative, non-finite or past `Duration::MAX`: refused before
@@ -233,7 +255,7 @@ mod tests {
         assert!(!seen.contains("cache"), "{seen}");
         let stats = server.shutdown();
         assert!(stats.requests > 0);
-        assert_eq!(stats.matrices, 1);
+        assert_eq!(stats.tier_hot + stats.tier_warm + stats.tier_cold, 1);
     }
 
     #[test]

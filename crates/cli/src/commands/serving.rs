@@ -4,11 +4,14 @@
 
 use super::CmdResult;
 use crate::args::Args;
-use crate::matrix_source::resolve;
+use crate::matrix_source::{resolve, DEFAULT_SEED};
 use smm_server::{BackendKind, Client, LoadgenConfig, ServerConfig, StatsSnapshot};
-use smm_store::{Artifact, Store};
+use smm_store::Store;
 use smm_telemetry::Stage;
 use std::io::Write;
+
+/// Where `serve` listens, and `loadgen` and `stats` dial, without `--addr`.
+pub(crate) const DEFAULT_ADDR: &str = "127.0.0.1:7878";
 
 /// Prints a server's whole [`StatsSnapshot`]: `smm stats` prints it over
 /// the wire, `smm serve` at shutdown.
@@ -25,16 +28,17 @@ fn print_stats(out: &mut impl Write, s: &StatsSnapshot) -> CmdResult {
         s.tier_hot,
         s.tier_warm,
         s.tier_cold,
-        s.matrices,
+        s.tier_hot + s.tier_warm + s.tier_cold,
         s.store_promotions,
         s.store_demotions,
         s.store_hits,
     ))?;
+    let compute = s.stage(Stage::Compute);
     w(format!(
         "compute latency: p50 {:.1} µs, p99 {:.1} µs over {} request(s)",
-        s.p50_latency_ns as f64 / 1e3,
-        s.p99_latency_ns as f64 / 1e3,
-        s.latency_count
+        compute.p50_ns as f64 / 1e3,
+        compute.p99_ns as f64 / 1e3,
+        compute.count
     ))?;
     w(format!("{:<12} {:>9}  {:>12}  {:>12}", "stage", "count", "p50", "p99"))?;
     for stage in Stage::ALL {
@@ -53,42 +57,39 @@ fn print_stats(out: &mut impl Write, s: &StatsSnapshot) -> CmdResult {
 /// `smm serve` — run the networked serving frontend until the duration
 /// elapses (or forever with `--duration 0`).
 pub fn serve(args: &Args, out: &mut impl Write) -> CmdResult {
-    let addr = args.get("addr").unwrap_or("127.0.0.1:7878");
-    let backend: BackendKind = args.get("backend").unwrap_or("csr").parse()?;
-    let threads: usize = args.get_or("threads", 0).map_err(|e| e.0)?;
-    let queue_depth: usize = args.get_or("queue-depth", 64).map_err(|e| e.0)?;
+    let defaults = ServerConfig::default();
+    let config = ServerConfig {
+        addr: args.get("addr").unwrap_or(DEFAULT_ADDR).to_string(),
+        backend: args.get("backend").map_or(Ok(defaults.backend), str::parse)?,
+        threads: args.get_or("threads", defaults.threads).map_err(|e| e.0)?,
+        queue_depth: args.get_or("queue-depth", defaults.queue_depth).map_err(|e| e.0)?,
+        metrics_addr: args.get("metrics-addr").map(str::to_string),
+        store_dir: args.get("store-dir").map(str::to_string),
+        max_matrices: args
+            .get_or("max-matrices", defaults.max_matrices)
+            .map_err(|e| e.0)?,
+        max_warm: args.get_or("max-warm", defaults.max_warm).map_err(|e| e.0)?,
+    };
     let duration: f64 = args.get_or("duration", 0.0).map_err(|e| e.0)?;
     // Also refuses NaN, infinities and spans past `Duration::MAX`, before
     // the listener is up rather than by a panic after it.
     let Ok(run_for) = std::time::Duration::try_from_secs_f64(duration) else {
         return Err("--duration must be >= 0".into());
     };
-    let defaults = ServerConfig::default();
-    let store_dir = args.get("store-dir").map(str::to_string);
-    let handle = smm_server::start(ServerConfig {
-        addr: addr.to_string(),
-        backend,
-        threads,
-        queue_depth,
-        metrics_addr: args.get("metrics-addr").map(str::to_string),
-        store_dir: store_dir.clone(),
-        max_matrices: args
-            .get_or("max-matrices", defaults.max_matrices)
-            .map_err(|e| e.0)?,
-        max_warm: args.get_or("max-warm", defaults.max_warm).map_err(|e| e.0)?,
-    })
-    .map_err(|e| format!("starting server: {e}"))?;
+    let handle =
+        smm_server::start(config.clone()).map_err(|e| format!("starting server: {e}"))?;
     writeln!(
         out,
-        "listening on {} (backend {}, queue depth {queue_depth})",
+        "listening on {} (backend {}, queue depth {})",
         handle.local_addr(),
-        backend.name(),
+        config.backend.name(),
+        config.queue_depth,
     )
     .map_err(|e| e.to_string())?;
     if let Some(metrics) = handle.metrics_addr() {
         writeln!(out, "metrics on http://{metrics}/metrics").map_err(|e| e.to_string())?;
     }
-    if let Some(dir) = &store_dir {
+    if let Some(dir) = &config.store_dir {
         writeln!(out, "persistent matrix store in {dir}").map_err(|e| e.to_string())?;
     }
     // A backgrounded `serve` (the CI smoke job) needs the address line
@@ -142,18 +143,17 @@ pub fn store(args: &Args, out: &mut impl Write) -> CmdResult {
             .map_err(|e| e.to_string())
         }
         "warm" => {
-            let matrix = resolve(args)?;
-            let digest = matrix.digest();
+            let body = smm_core::wire::MatrixBody::of(&resolve(args)?);
             store
-                .put(digest, &Artifact::Matrix(matrix.clone()))
+                .put_body(body.digest(), &body)
                 .map_err(|e| format!("persisting into {dir}: {e}"))?;
             writeln!(
                 out,
                 "warmed {:#018x} ({}x{}, nnz {}) into {dir}",
-                digest,
-                matrix.rows(),
-                matrix.cols(),
-                matrix.nnz()
+                body.digest(),
+                body.rows(),
+                body.cols(),
+                body.nnz()
             )
             .map_err(|e| e.to_string())
         }
@@ -166,11 +166,11 @@ pub fn store(args: &Args, out: &mut impl Write) -> CmdResult {
 /// server's own view is `smm stats`.
 pub fn loadgen(args: &Args, out: &mut impl Write) -> CmdResult {
     let matrix = resolve(args)?;
-    let addr = args.get("addr").unwrap_or("127.0.0.1:7878");
+    let addr = args.get("addr").unwrap_or(DEFAULT_ADDR);
     let clients: usize = args.get_or("clients", 4).map_err(|e| e.0)?;
     let batch: usize = args.get_or("batch", 16).map_err(|e| e.0)?;
     let duration: f64 = args.get_or("duration", 2.0).map_err(|e| e.0)?;
-    let seed: u64 = args.get_or("seed", 42u64).map_err(|e| e.0)?;
+    let seed = args.get_or("seed", DEFAULT_SEED).map_err(|e| e.0)?;
     let backend: Option<BackendKind> = match args.get("backend") {
         None => None,
         Some(text) => Some(text.parse()?),
@@ -238,10 +238,52 @@ pub fn loadgen(args: &Args, out: &mut impl Write) -> CmdResult {
 /// `smm stats` — fetch a running server's stats snapshot over the wire
 /// and print all of it, the stage-by-stage latency table included.
 pub fn stats(args: &Args, out: &mut impl Write) -> CmdResult {
-    let addr = args.get("addr").unwrap_or("127.0.0.1:7878");
+    let addr = args.get("addr").unwrap_or(DEFAULT_ADDR);
     let mut client =
         Client::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
     let snapshot = client.stats().map_err(|e| format!("fetching stats: {e}"))?;
     writeln!(out, "server {addr}:").map_err(|e| e.to_string())?;
     print_stats(out, &snapshot)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smm_telemetry::StageStats;
+
+    #[test]
+    fn the_fleet_and_compute_lines_read_the_tiers_and_the_compute_stage() {
+        let mut s = StatsSnapshot {
+            requests: 11,
+            rejected: 1,
+            errors: 2,
+            bytes_in: 1000,
+            bytes_out: 2000,
+            vectors: 40,
+            batches: 3,
+            tier_hot: 2,
+            tier_warm: 3,
+            tier_cold: 4,
+            store_promotions: 5,
+            store_demotions: 6,
+            store_hits: 7,
+            ..StatsSnapshot::default()
+        };
+        s.stages[Stage::Compute.idx()] = StageStats { count: 9, p50_ns: 3072, p99_ns: 6144 };
+        let mut out = Vec::new();
+        print_stats(&mut out, &s).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines[..3],
+            [
+                "served 11 requests (1 rejected busy, 2 errors): 40 vectors in 3 batches; \
+                 1000 bytes in, 2000 bytes out",
+                "fleet: 2 hot / 3 warm / 4 cold = 9 matrix(es); 5 promotions, 6 demotions, \
+                 7 store hits",
+                "compute latency: p50 3.1 µs, p99 6.1 µs over 9 request(s)",
+            ]
+        );
+        assert!(lines.contains(&"compute              9        3.1 µs        6.1 µs"), "{text}");
+    }
 }

@@ -8,6 +8,10 @@ use smm_core::io::{parse_dense, parse_matrix_market};
 use smm_core::matrix::IntMatrix;
 use smm_core::rng::seeded;
 
+/// `--seed` when not given: the generated matrix's, and the seed of
+/// everything a command derives from it.
+pub(crate) const DEFAULT_SEED: u64 = 42;
+
 /// Loads or generates the matrix described by the common options.
 pub fn resolve(args: &Args) -> Result<IntMatrix, String> {
     if let Some(path) = args.get("input") {
@@ -24,7 +28,7 @@ pub fn resolve(args: &Args) -> Result<IntMatrix, String> {
     let cols: usize = args.get_or("cols", dim).map_err(err)?;
     let sparsity: f64 = args.get_or("sparsity", 0.9).map_err(err)?;
     let bits: u32 = args.get_or("bits", 8).map_err(err)?;
-    let seed: u64 = args.get_or("seed", 42).map_err(err)?;
+    let seed = args.get_or("seed", DEFAULT_SEED).map_err(err)?;
     let mut rng = seeded(seed);
     element_sparse_matrix(rows, cols, bits, sparsity, true, &mut rng)
         .map_err(|e| format!("generating matrix: {e}"))

@@ -21,6 +21,7 @@
 //! outer and frames inner.
 
 use crate::config::SigmaConfig;
+use smm_bitserial::builder::ceil_log2;
 use smm_sparse::SparsityProfile;
 
 /// Breakdown of one SIGMA invocation.
@@ -90,10 +91,6 @@ impl Sigma {
         self.config
             .cycles_to_ns(self.run_gemm(profile, batch).total_cycles())
     }
-}
-
-fn ceil_log2(n: usize) -> u32 {
-    n.next_power_of_two().trailing_zeros()
 }
 
 #[cfg(test)]

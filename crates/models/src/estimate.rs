@@ -3,7 +3,6 @@
 use crate::cost::{FabricComparison, TransistorModel};
 use crate::reconfig::{ReconfigModel, SwapCost};
 use smm_bitserial::builder::ceil_log2;
-use smm_bitserial::latency::equation5;
 use smm_bitserial::multiplier::FixedMatrixMultiplier;
 
 /// CGRA configuration: fabric size plus the cost and reconfiguration
@@ -41,7 +40,7 @@ pub fn estimate_compiled(mul: &FixedMatrixMultiplier, options: &CgraOptions) -> 
     let stats = mul.stats();
     let cells = stats.logic_elements() as u64;
     let depth = ceil_log2(mul.rows()) + mul.weight_bits() + 2;
-    let latency_cycles = equation5(mul.input_bits(), mul.weight_bits(), mul.rows());
+    let latency_cycles = mul.paper_latency_cycles();
     CgraReport {
         cells,
         dffs: stats.dffs as u64,

@@ -8,7 +8,7 @@ use crate::device::Device;
 use crate::power::{PowerBreakdown, PowerModel};
 use crate::resources::{map_netlist, ResourceReport};
 use crate::timing::TimingModel;
-use smm_bitserial::latency::{cycles_to_ns, equation5};
+use smm_bitserial::latency::cycles_to_ns;
 use smm_bitserial::multiplier::{FixedMatrixMultiplier, WeightEncoding};
 use smm_core::error::Result;
 use smm_core::matrix::IntMatrix;
@@ -91,11 +91,7 @@ pub fn report_for(multiplier: &FixedMatrixMultiplier, options: &FlowOptions) -> 
         multiplier.input_bits(),
         multiplier.output_bits(),
     );
-    let mut latency_cycles = equation5(
-        multiplier.input_bits(),
-        multiplier.weight_bits(),
-        multiplier.rows(),
-    );
+    let mut latency_cycles = multiplier.paper_latency_cycles();
     if options.fanout_pipelining {
         // One registered broadcast stage per 512 loads of the widest net,
         // costing a FF per row per stage and one cycle each.

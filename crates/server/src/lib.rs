@@ -21,7 +21,7 @@
 //!   sessions over the process's one worker pool (the fleet's hot tier
 //!   is the only thing that keeps an engine built), and graceful
 //!   shutdown with connection drain;
-//! * `metrics` — the five counters the hot path writes, the per-stage
+//! * `metrics` — the seven counters the hot path writes, the per-stage
 //!   request spans (decode → queue → plan → compute → encode), and the
 //!   Prometheus text served on [`ServerConfig::metrics_addr`], rendered
 //!   by one function from the same [`StatsSnapshot`] the `Stats` opcode

@@ -63,7 +63,11 @@ const FAMILIES: [(&str, &str, Samples); 14] = [
     ("smm_bytes_out_total", "Bytes written to the wire.", Counter(|s, _| s.bytes_out)),
     ("smm_connections", "Open client connections.", Gauge(|_, open| open)),
     ("smm_errors_total", "Requests answered with an error status.", Counter(|s, _| s.errors)),
-    ("smm_matrices_loaded", "Matrices resident in the registry.", Gauge(|s, _| s.matrices)),
+    (
+        "smm_matrices_loaded",
+        "Matrices resident in the registry.",
+        Gauge(|s, _| s.tier_hot + s.tier_warm + s.tier_cold),
+    ),
     ("smm_rejected_total", "Compute requests refused with Busy.", Counter(|s, _| s.rejected)),
     ("smm_request_latency_ns", "End-to-end compute request latency.", Samples::RequestLatency),
     ("smm_requests_total", "Frames decoded into requests.", Counter(|s, _| s.requests)),

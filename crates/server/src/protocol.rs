@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic  "SMM1"      4 bytes
-//! version            1 byte   (9, nothing else)
+//! version            1 byte   (10, nothing else)
 //! opcode             1 byte
 //! request id         8 bytes  little-endian
 //! payload length     4 bytes  little-endian
@@ -53,10 +53,10 @@
 //! ## A `Stats` reply has no compile-cache block
 //!
 //! The server keeps no circuit cache beside its fleet, so a `Stats`
-//! reply opens with 11 request counters where version 7 had 15 (hits,
-//! misses, entries and evictions of that cache are gone). A version-7
-//! peer would misread every field after them, so it is refused at the
-//! version byte too.
+//! reply carries no hits, misses, entries or evictions of one; version
+//! 7 opened with 15 request counters, those four among them. A
+//! version-7 peer would misread every field after them, so it is
+//! refused at the version byte too.
 //!
 //! ## A batch is its block
 //!
@@ -74,6 +74,16 @@
 //! batch would be misread, so a version-8 peer is refused at the version
 //! byte too. Zero-width frames cost no bytes here, so the server checks
 //! a batch's width against its matrix before it shapes the reply block.
+//!
+//! ## A `Stats` reply says each number once
+//!
+//! A `Stats` reply is the status byte and 34 `u64`s: 7 request counters
+//! (requests, rejected, errors, bytes in, bytes out, vectors, batches),
+//! three per stage (count, p50, p99) and the six fleet counters. Version
+//! 9 also sent the resident matrix count, which is the sum of the tier
+//! counts, and a request-latency count, p50 and p99, which were the
+//! compute stage's; those four are gone. A version-9 peer would misread
+//! every field after them, so it is refused at the version byte.
 //!
 //! ## One read and one write per frame
 //!
@@ -109,7 +119,7 @@ use std::io::{self, BufReader, Read, Write};
 /// Frame preamble: the protocol's on-wire signature.
 pub(crate) const MAGIC: [u8; 4] = *b"SMM1";
 /// The one protocol version both ends speak.
-pub const VERSION: u8 = 9;
+pub const VERSION: u8 = 10;
 /// Fixed frame header size in bytes.
 pub const HEADER_LEN: usize = 18;
 /// Upper bound on a frame payload; larger length prefixes are rejected
@@ -205,9 +215,8 @@ impl BackendKind {
 impl std::str::FromStr for BackendKind {
     type Err = String;
 
-    /// A kind's [`BackendKind::name`]; `sparse` is also `csr`.
+    /// A kind's [`BackendKind::name`].
     fn from_str(s: &str) -> std::result::Result<Self, String> {
-        let s = if s == "sparse" { "csr" } else { s };
         match BACKEND_KINDS.iter().find(|&&(_, name, _)| name == s) {
             Some(&(kind, ..)) => Ok(kind),
             None => {
@@ -417,18 +426,12 @@ pub struct StatsSnapshot {
     pub vectors: u64,
     /// Batches served through the worker pool.
     pub batches: u64,
-    /// Matrices currently loaded.
-    pub matrices: u64,
-    /// Compute requests recorded in the latency histogram.
-    pub latency_count: u64,
-    /// Median compute-request latency, in nanoseconds (bucketed).
-    pub p50_latency_ns: u64,
-    /// 99th-percentile compute-request latency, in nanoseconds (bucketed).
-    pub p99_latency_ns: u64,
     /// Per-stage latency summaries in [`Stage::ALL`] order (decode,
-    /// queue, plan, shard, reassemble, compute, encode).
+    /// queue, plan, shard, reassemble, compute, encode). A compute
+    /// request's latency is its [`Stage::Compute`] summary.
     pub stages: [StageStats; STAGES],
     /// Digests resident in the hot tier (compiled session in memory).
+    /// The three tier counts sum to the matrices the fleet holds.
     pub tier_hot: u64,
     /// Digests resident in the warm tier (the matrix's non-zeros in
     /// memory, compiled on demand).
@@ -445,7 +448,7 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Every `u64` of the snapshot in wire order: the 11 request
+    /// Every `u64` of the snapshot in wire order: the 7 request
     /// counters, three per stage, then the six fleet counters. The
     /// one listing of the fields: `decode` fills it, `encode` reads it
     /// off a copy.
@@ -458,10 +461,6 @@ impl StatsSnapshot {
             &mut self.bytes_out,
             &mut self.vectors,
             &mut self.batches,
-            &mut self.matrices,
-            &mut self.latency_count,
-            &mut self.p50_latency_ns,
-            &mut self.p99_latency_ns,
         ]
         .into_iter()
         .chain(
@@ -484,7 +483,7 @@ impl StatsSnapshot {
         self.stages[stage.idx()]
     }
 
-    /// Serializes the snapshot: 11 `u64`s, the per-stage summary block
+    /// Serializes the snapshot: 7 `u64`s, the per-stage summary block
     /// (three `u64`s per stage), then the six-`u64` fleet tier block.
     pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
         let mut copy = *self;
@@ -1070,7 +1069,6 @@ mod tests {
         }
         let mut stats = StatsSnapshot {
             requests: 11,
-            p99_latency_ns: 12345,
             batches: 3,
             tier_hot: 4,
             tier_warm: 2,
@@ -1097,12 +1095,15 @@ mod tests {
             ("auto", BackendKind::Auto),
             ("dense", BackendKind::Dense),
             ("csr", BackendKind::Csr),
-            ("sparse", BackendKind::Csr),
             ("bitserial", BackendKind::BitSerial),
             ("sigma", BackendKind::Sigma),
         ] {
             assert_eq!(text.parse::<BackendKind>().unwrap(), kind);
         }
+        assert_eq!(
+            "sparse".parse::<BackendKind>().unwrap_err(),
+            "unknown backend 'sparse' (auto|dense|csr|bitserial|sigma)"
+        );
         assert_eq!(
             "tpu".parse::<BackendKind>().unwrap_err(),
             "unknown backend 'tpu' (auto|dense|csr|bitserial|sigma)"
@@ -1293,8 +1294,8 @@ mod tests {
             "{err}"
         );
         // A version-8 batch (a length in front of every frame) is refused
-        // by its version too; read as version 9, its first frame's length
-        // would pass for the whole block's.
+        // by its version too; read as the current version, its first
+        // frame's length would pass for the whole block's.
         let mut v8_batch = Vec::new();
         wire::put_u64(&mut v8_batch, 7);
         wire::put_u32(&mut v8_batch, 2);
@@ -1302,6 +1303,15 @@ mod tests {
         wire::put_i32_vec(&mut v8_batch, &[3, 4]);
         let err = Request::decode(8, Opcode::GemvBatch, &v8_batch).unwrap_err();
         let refused = "unsupported protocol version 8";
+        assert!(
+            matches!(&err, Error::Wire { context } if context.starts_with(refused)),
+            "{err}"
+        );
+        // A version-9 `Stats` reply (38 `u64`s: the resident count and a
+        // copy of the compute stage among them) is refused by its version.
+        let v9_stats = vec![0u8; 1 + 38 * 8];
+        let err = Reply::decode(9, Opcode::Stats, &v9_stats).unwrap_err();
+        let refused = "unsupported protocol version 9";
         assert!(
             matches!(&err, Error::Wire { context } if context.starts_with(refused)),
             "{err}"

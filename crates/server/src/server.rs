@@ -80,13 +80,14 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> Self {
+        let tiers = TieredConfig::default();
         Self {
             addr: "127.0.0.1:0".into(),
             backend: BackendKind::default(),
             threads: 0,
             queue_depth: 64,
-            max_matrices: 64,
-            max_warm: 256,
+            max_matrices: tiers.max_hot,
+            max_warm: tiers.max_warm,
             metrics_addr: None,
             store_dir: None,
         }
@@ -163,10 +164,6 @@ impl Shared {
         // One fleet lock per snapshot (the tier counts); every other
         // number here is an atomic.
         let fleet = self.registry.snapshot();
-        let stages = self.metrics.stages.stage_stats();
-        // A compute request's latency is the interval the session times
-        // as the compute stage; one clock serves both.
-        let compute = stages[Stage::Compute.idx()];
         let counter = |c: &AtomicU64| c.load(Ordering::Relaxed);
         StatsSnapshot {
             requests: counter(&self.metrics.requests),
@@ -176,11 +173,7 @@ impl Shared {
             bytes_out: counter(&self.metrics.bytes_out),
             vectors: counter(&self.metrics.vectors),
             batches: counter(&self.metrics.batches),
-            matrices: fleet.counts.total(),
-            latency_count: compute.count,
-            p50_latency_ns: compute.p50_ns,
-            p99_latency_ns: compute.p99_ns,
-            stages,
+            stages: self.metrics.stages.stage_stats(),
             tier_hot: fleet.counts.hot,
             tier_warm: fleet.counts.warm,
             tier_cold: fleet.counts.cold,

@@ -10,6 +10,7 @@ use smm_server::protocol::{
     read_frame, write_frame, Opcode, Reply, Request, MAX_FRAME_PAYLOAD, VERSION,
 };
 use smm_server::{BackendKind, Client, LoadgenConfig, ServeError, ServerConfig};
+use smm_telemetry::Stage;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -67,20 +68,21 @@ fn four_concurrent_clients_are_bit_identical_to_the_reference() {
     }
 
     let stats = Client::connect(addr).unwrap().stats().unwrap();
-    assert_eq!(stats.matrices, 1);
+    assert_eq!(stats.tier_hot + stats.tier_warm + stats.tier_cold, 1);
     // 4 clients x 10 requests, plus the load and this stats request.
     assert!(stats.requests >= 42, "{stats:?}");
     // Per client: 5 batches x 9 vectors + 5 singles = 50 vectors; the
     // singles ride the fast path but are still counted.
     assert_eq!(stats.vectors, 200);
     assert_eq!(stats.batches, 20, "singles do not enter the pool");
-    assert!(stats.latency_count >= 40);
-    assert!(stats.p50_latency_ns > 0);
-    assert!(stats.p50_latency_ns <= stats.p99_latency_ns);
+    let compute = stats.stage(Stage::Compute);
+    assert!(compute.count >= 40);
+    assert!(compute.p50_ns > 0);
+    assert!(compute.p50_ns <= compute.p99_ns);
     assert!(stats.bytes_in > 0 && stats.bytes_out > 0);
 
     let final_stats = server.shutdown();
-    assert_eq!(final_stats.matrices, 1);
+    assert_eq!(final_stats.tier_hot + final_stats.tier_warm + final_stats.tier_cold, 1);
 }
 
 #[test]
@@ -173,7 +175,7 @@ fn bitserial_backend_serves_a_repeat_load_from_its_hot_session() {
     let expect: Vec<Vec<i64>> = batch.iter().map(|a| vecmat(a, &matrix).unwrap()).collect();
     assert_eq!(served, expect);
     let stats = client.stats().unwrap();
-    assert_eq!((stats.matrices, stats.tier_hot), (1, 1), "{stats:?}");
+    assert_eq!((stats.tier_hot, stats.tier_warm, stats.tier_cold), (1, 0, 0), "{stats:?}");
     assert_eq!(stats.store_promotions, 0, "{stats:?}");
 }
 
@@ -282,7 +284,7 @@ fn auto_backend_plans_per_matrix_and_serves_verified() {
     // The server's own view of the same run, over the wire.
     let stats = client.stats().unwrap();
     assert!(stats.requests > report.requests, "{stats:?}");
-    assert!(stats.p50_latency_ns > 0, "{stats:?}");
+    assert!(stats.stage(Stage::Compute).p50_ns > 0, "{stats:?}");
 }
 
 /// A load travels at the narrowest value width that holds its matrix;
@@ -344,7 +346,7 @@ fn per_request_backend_choice_overrides_the_server_default() {
     // The repeat load and the product were answered by the one hot
     // session: nothing was promoted, so nothing was rebuilt.
     let stats = server.shutdown();
-    assert_eq!((stats.matrices, stats.tier_hot), (1, 1), "{stats:?}");
+    assert_eq!((stats.tier_hot, stats.tier_warm, stats.tier_cold), (1, 0, 0), "{stats:?}");
     assert_eq!(stats.store_promotions, 0, "{stats:?}");
 }
 

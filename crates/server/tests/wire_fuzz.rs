@@ -157,12 +157,12 @@ fn truncated_replies_are_errors() {
     }
 }
 
-/// The `Stats` body — 11 counters, the stage block, the fleet tier
+/// The `Stats` body — 7 counters, the stage block, the fleet tier
 /// counters — survives the same truncation and corruption discipline as
 /// the other shapes. The retired v4-shaped body (no tier block) is one
 /// of those truncations: it must be rejected, not read with zeroed
-/// tiers; and a v7-length body (four more counters) is rejected too,
-/// not read with shifted fields.
+/// tiers; and a v9-length body (four more counters) and a v7-length one
+/// (eight more) are rejected too, not read with shifted fields.
 #[test]
 fn v4_and_v5_stats_bodies_fuzz_clean() {
     let mut snapshot = StatsSnapshot {
@@ -182,7 +182,7 @@ fn v4_and_v5_stats_bodies_fuzz_clean() {
         stage.p99_ns = 9_000;
     }
     let full = Reply::Stats(Box::new(snapshot)).encode(VERSION);
-    assert_eq!(full.len(), 1 + 11 * 8 + 7 * 3 * 8 + 6 * 8);
+    assert_eq!(full.len(), 1 + 7 * 8 + 7 * 3 * 8 + 6 * 8);
     let Reply::Stats(back) = Reply::decode(VERSION, Opcode::Stats, &full).unwrap() else {
         panic!("stats reply decodes as stats");
     };
@@ -198,8 +198,10 @@ fn v4_and_v5_stats_bodies_fuzz_clean() {
     }
     let v4_shaped = &full[..full.len() - 6 * 8];
     assert!(Reply::decode(VERSION, Opcode::Stats, v4_shaped).is_err());
-    let v7_length = [full.as_slice(), &[0u8; 4 * 8]].concat();
-    assert!(Reply::decode(VERSION, Opcode::Stats, &v7_length).is_err());
+    for retired in [4, 8] {
+        let longer = [full.as_slice(), &vec![0u8; retired * 8]].concat();
+        assert!(Reply::decode(VERSION, Opcode::Stats, &longer).is_err());
+    }
 
     // Random corruption of the numeric fields never panics (the body is
     // all fixed-width integers, so most flips still decode — the only

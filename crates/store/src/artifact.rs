@@ -77,8 +77,7 @@
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
 use smm_core::wire::{
-    put_bytes, put_i32_vec, put_i64_vec, put_matrix, put_str, put_u32, put_u64, put_u8, Cursor,
-    MatrixBody,
+    put_bytes, put_i32_vec, put_i64_vec, put_str, put_u32, put_u64, put_u8, Cursor, MatrixBody,
 };
 use smm_sparse::Csr;
 
@@ -265,39 +264,6 @@ impl Artifact {
         }
     }
 
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        match self {
-            Artifact::Matrix(m) => put_matrix(&mut buf, m),
-            Artifact::Csr(c) => {
-                put_u64(&mut buf, c.rows() as u64);
-                put_u64(&mut buf, c.cols() as u64);
-                let row_ptr: Vec<i64> = c.row_ptr().iter().map(|&p| p as i64).collect();
-                put_i64_vec(&mut buf, &row_ptr);
-                let mut col_idx = Vec::new();
-                let mut values = Vec::new();
-                for r in 0..c.rows() {
-                    for (col, v) in c.row(r) {
-                        col_idx.push(col as i64);
-                        values.push(v);
-                    }
-                }
-                put_i64_vec(&mut buf, &col_idx);
-                put_i32_vec(&mut buf, &values);
-            }
-            Artifact::Circuit(meta) => {
-                put_str(&mut buf, &meta.engine);
-                put_u32(&mut buf, meta.input_bits);
-                put_str(&mut buf, &meta.encoding);
-                put_u64(&mut buf, meta.rows);
-                put_u64(&mut buf, meta.cols);
-                put_u64(&mut buf, meta.nnz);
-                put_str(&mut buf, &meta.rationale);
-            }
-        }
-        buf
-    }
-
     /// Decodes a payload of `kind` stamped with `digest`: a matrix is
     /// read as its body and held to the digest ([`matrix_body`]), the
     /// other kinds are parsed (their CRC was checked by [`unframe`]).
@@ -361,15 +327,40 @@ fn take_usize_vec(c: &mut Cursor<'_>, what: &str) -> Result<Vec<usize>> {
 }
 
 /// Serializes `artifact` under the matrix content `digest` into the
-/// versioned file layout. A matrix is written as its body, the bytes
-/// `encode_body` writes for it; the other kinds carry their payload's
-/// CRC-32.
+/// versioned file layout. A matrix is written as its body, by
+/// `encode_body`; the other kinds carry their payload's CRC-32.
 pub fn encode(digest: u64, artifact: &Artifact) -> Vec<u8> {
-    let payload = artifact.encode_payload();
-    let mut buf = header(digest, artifact.kind(), payload.len());
-    if artifact.kind() != ArtifactKind::Matrix {
-        put_u32(&mut buf, crc32(&payload));
+    let mut payload = Vec::new();
+    match artifact {
+        Artifact::Matrix(m) => return encode_body(digest, &MatrixBody::of(m)),
+        Artifact::Csr(c) => {
+            put_u64(&mut payload, c.rows() as u64);
+            put_u64(&mut payload, c.cols() as u64);
+            let row_ptr: Vec<i64> = c.row_ptr().iter().map(|&p| p as i64).collect();
+            put_i64_vec(&mut payload, &row_ptr);
+            let mut col_idx = Vec::new();
+            let mut values = Vec::new();
+            for r in 0..c.rows() {
+                for (col, v) in c.row(r) {
+                    col_idx.push(col as i64);
+                    values.push(v);
+                }
+            }
+            put_i64_vec(&mut payload, &col_idx);
+            put_i32_vec(&mut payload, &values);
+        }
+        Artifact::Circuit(meta) => {
+            put_str(&mut payload, &meta.engine);
+            put_u32(&mut payload, meta.input_bits);
+            put_str(&mut payload, &meta.encoding);
+            put_u64(&mut payload, meta.rows);
+            put_u64(&mut payload, meta.cols);
+            put_u64(&mut payload, meta.nnz);
+            put_str(&mut payload, &meta.rationale);
+        }
     }
+    let mut buf = header(digest, artifact.kind(), payload.len());
+    put_u32(&mut buf, crc32(&payload));
     put_bytes(&mut buf, &payload);
     buf
 }

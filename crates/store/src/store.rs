@@ -237,11 +237,13 @@ impl Store {
         Ok(entries)
     }
 
-    /// Validates every artifact file end to end — the same
-    /// [`artifact::decode`] and name checks as [`Store::get`], so the
-    /// same rule decides what a cold read accepts and what a sweep
-    /// keeps — and deletes the ones that fail: the recovery path after
-    /// a crash, disk corruption, or a file of an older format revision.
+    /// Validates every artifact file end to end — the same decode and
+    /// name checks as [`Store::get_body`] for a matrix file and as
+    /// [`Store::get`] for the other kinds, so the same rule decides what
+    /// a cold read accepts and what a sweep keeps — and deletes the ones
+    /// that fail: the recovery path after a crash, disk corruption, or a
+    /// file of an older format revision. A matrix is checked as its body,
+    /// never made dense.
     pub fn gc(&self) -> Result<GcReport> {
         let mut report = GcReport::default();
         let dir = fs::read_dir(&self.dir)
@@ -258,12 +260,14 @@ impl Store {
                 continue;
             }
             let valid = parsed.is_some_and(|(digest, kind)| {
-                fs::read(&path)
-                    .ok()
-                    .and_then(|bytes| artifact::decode(&bytes).ok())
-                    .is_some_and(|(stamped, artifact)| {
-                        stamped == digest && artifact.kind() == kind
-                    })
+                let Ok(bytes) = fs::read(&path) else {
+                    return false;
+                };
+                let stamp = match kind {
+                    ArtifactKind::Matrix => artifact::decode_body(&bytes).map(|(s, _)| (s, kind)),
+                    _ => artifact::decode(&bytes).map(|(s, a)| (s, a.kind())),
+                };
+                stamp.is_ok_and(|stamp| stamp == (digest, kind))
             });
             if valid {
                 report.kept += 1;

@@ -129,7 +129,7 @@ fn main() {
         stats.requests,
         stats.vectors,
         stats.tier_hot,
-        stats.p99_latency_ns as f64 / 1e3,
+        stats.stage(spatial_smm::telemetry::Stage::Compute).p99_ns as f64 / 1e3,
     );
     // The same reply breaks the latency down by pipeline stage (decode
     // through encode) — the request-span telemetry, read remotely.
