@@ -24,7 +24,7 @@ fn print_stats(out: &mut impl Write, s: &StatsSnapshot) -> CmdResult {
     ))?;
     w(format!(
         "fleet: {} hot / {} warm / {} cold = {} matrix(es); {} promotions, {} demotions, \
-         {} store hits",
+         {} store hits, {} body singles",
         s.tier_hot,
         s.tier_warm,
         s.tier_cold,
@@ -32,6 +32,7 @@ fn print_stats(out: &mut impl Write, s: &StatsSnapshot) -> CmdResult {
         s.store_promotions,
         s.store_demotions,
         s.store_hits,
+        s.body_singles,
     ))?;
     let compute = s.stage(Stage::Compute);
     w(format!(
@@ -267,6 +268,7 @@ mod tests {
             store_promotions: 5,
             store_demotions: 6,
             store_hits: 7,
+            body_singles: 8,
             ..StatsSnapshot::default()
         };
         s.stages[Stage::Compute.idx()] = StageStats { count: 9, p50_ns: 3072, p99_ns: 6144 };
@@ -280,7 +282,7 @@ mod tests {
                 "served 11 requests (1 rejected busy, 2 errors): 40 vectors in 3 batches; \
                  1000 bytes in, 2000 bytes out",
                 "fleet: 2 hot / 3 warm / 4 cold = 9 matrix(es); 5 promotions, 6 demotions, \
-                 7 store hits",
+                 7 store hits, 8 body singles",
                 "compute latency: p50 3.1 µs, p99 6.1 µs over 9 request(s)",
             ]
         );

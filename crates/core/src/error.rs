@@ -32,6 +32,13 @@ pub enum Error {
         /// Whether the width was interpreted as signed.
         signed: bool,
     },
+    /// A weight outside the domain every engine serves alike,
+    /// `±(2^31 − 1)`: only `i32::MIN`, whose magnitude has no `i32`, so
+    /// the sign-split circuit cannot hold it.
+    WeightOutOfDomain {
+        /// The refused weight.
+        value: i32,
+    },
     /// A probability or sparsity parameter was outside `[0, 1]`.
     InvalidProbability {
         /// The rejected parameter value.
@@ -81,6 +88,10 @@ impl fmt::Display for Error {
                 let kind = if *signed { "signed" } else { "unsigned" };
                 write!(f, "value {value} does not fit in {bits}-bit {kind} range")
             }
+            Error::WeightOutOfDomain { value } => write!(
+                f,
+                "weight {value} is outside the served domain ±(2^31 − 1): its magnitude has no i32"
+            ),
             Error::InvalidProbability { value } => {
                 write!(f, "probability/sparsity {value} is outside [0, 1]")
             }

@@ -33,7 +33,9 @@
 //! matrices have equal bytes and a receiver may keep the bytes it got.
 //! [`MatrixBody`] is such a body kept whole — what the serving fleet
 //! holds in memory and files on disk — and computes from its non-zeros
-//! what the dense matrix would give, the dense matrix included.
+//! what the dense matrix would give, the dense matrix included, and the
+//! product `aᵀV` itself ([`MatrixBody::vecmat_into`]) for a matrix the
+//! fleet serves without building an engine.
 //!
 //! ## The content digest
 //!
@@ -399,6 +401,29 @@ impl<'a> RawBody<'a> {
         }
     }
 
+    /// `out = aᵀV` over a checked body at width `W`, `out` already
+    /// zeroed and both sized: per row of a non-zero input, each of its
+    /// non-zeros adds `a[row] · value` to its column's `i64`.
+    fn scatter<const W: usize>(&self, a: &[i32], out: &mut [i64]) {
+        let (mut columns, mut values) = (self.columns, self.values.as_chunks::<W>().0);
+        for (count, &ar) in self.counts.iter().zip(a) {
+            let n = u32::from_le_bytes(*count) as usize;
+            let (row_columns, rest) = columns.split_at(n);
+            let (row_values, rest_values) = values.split_at(n);
+            (columns, values) = (rest, rest_values);
+            if ar == 0 {
+                continue;
+            }
+            let ar = i64::from(ar);
+            for (c, v) in row_columns.iter().zip(row_values) {
+                // A checked body's columns are all in range.
+                if let Some(o) = out.get_mut(u32::from_le_bytes(*c) as usize) {
+                    *o += ar * i64::from(widen(v));
+                }
+            }
+        }
+    }
+
     /// The dense matrix of a checked body: one zeroed allocation, the
     /// non-zeros scattered into it.
     fn to_matrix(&self) -> Result<IntMatrix> {
@@ -521,6 +546,36 @@ impl MatrixBody {
     /// into it.
     pub fn to_matrix(&self) -> Result<IntMatrix> {
         self.raw().to_matrix()
+    }
+
+    /// `out = aᵀV` straight off the body's bytes, into a caller-owned
+    /// slice of exactly [`MatrixBody::cols`] elements (stale contents
+    /// are overwritten): a product with no engine built. Rows are walked
+    /// in order and a zero input's row is skipped, each non-zero adding
+    /// `a[row] · value` to its column in `i64` — the additions, in the
+    /// order and arithmetic, of the `csr` engine's row-major scatter, so
+    /// the bits are the engines'. Mis-sized `a` or `out` return
+    /// [`Error::DimensionMismatch`].
+    pub fn vecmat_into(&self, a: &[i32], out: &mut [i64]) -> Result<()> {
+        if a.len() != self.rows || out.len() != self.cols {
+            return Err(Error::DimensionMismatch {
+                context: format!(
+                    "vector length {} and output length {} vs a {}x{} matrix",
+                    a.len(),
+                    out.len(),
+                    self.rows,
+                    self.cols
+                ),
+            });
+        }
+        out.fill(0);
+        let raw = self.raw();
+        match self.width {
+            1 => raw.scatter::<1>(a, out),
+            2 => raw.scatter::<2>(a, out),
+            _ => raw.scatter::<4>(a, out),
+        }
+        Ok(())
     }
 }
 

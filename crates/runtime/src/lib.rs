@@ -24,8 +24,9 @@
 //! * [`TieredRegistry`] — the hot / warm / cold matrix fleet
 //!   (`tiered`): a lock, a store and three counters around the pure
 //!   tier table of the private `tiers` module, which decides every
-//!   promotion, demotion and refusal — the one residency policy: what
-//!   stays built is what its hot tier holds;
+//!   promotion, demotion, admission and refusal — the one residency
+//!   policy: what stays built is what its hot tier holds, and a single
+//!   on a matrix the tier does not admit is served from its body;
 //! * [`MultiplierCache`] — content-digest-keyed compile memoization,
 //!   off the serving path: only the serving benchmark reaches it,
 //!   through [`SessionBuilder::cache`] (`cache`).
@@ -94,6 +95,6 @@ pub use cache::MultiplierCache;
 pub use smm_core::block::{FrameBlock, RowBlock};
 pub use plan::{AutoOptions, EnginePlan, PlanPolicy};
 pub use session::{Session, SessionBuilder};
-pub use tiered::{InsertOutcome, TieredConfig, TieredRegistry};
+pub use tiered::{InsertOutcome, Resident, TieredConfig, TieredRegistry};
 pub use smm_telemetry::SpanRecorder;
 pub use spec::{EngineSpec, BUILTIN_KINDS, INPUT_BITS};

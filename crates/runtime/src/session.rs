@@ -164,6 +164,7 @@ impl SessionBuilder {
                     Weights::Dense(m) => m,
                     Weights::Body(body) => body.to_matrix()?,
                 };
+                spec::check_domain(matrix.as_slice())?;
                 let circuit = cache.get_or_compile(&matrix, spec::INPUT_BITS, spec::ENCODING)?;
                 Arc::new(BitSerial::new(circuit))
             }

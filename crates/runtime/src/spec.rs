@@ -145,11 +145,25 @@ fn unknown_kind(kind: &str) -> Error {
     }
 }
 
+/// Refuses weights holding `i32::MIN`, which no engine serves alike:
+/// the sign-split circuit would clamp its magnitude to `i32::MAX` while
+/// every other engine multiplies it as it is, so its answer would depend
+/// on the engine — and, with singles served from a body, on the tier.
+/// Every engine serves the weights `±(2^31 − 1)`.
+pub(crate) fn check_domain(weights: &[i32]) -> Result<()> {
+    if weights.contains(&i32::MIN) {
+        return Err(Error::WeightOutOfDomain { value: i32::MIN });
+    }
+    Ok(())
+}
+
 /// Resolves a spec into a live engine over `matrix`. The dense engine
 /// keeps the matrix; the others derive their own representation from it,
 /// and a `bitserial` build compiles its circuit here, every time.
 /// Fails with [`Error::Runtime`] when the spec's kind is not one of
-/// [`BUILTIN_KINDS`] (an `auto` spec is planned first).
+/// [`BUILTIN_KINDS`] (an `auto` spec is planned first), and with
+/// [`Error::WeightOutOfDomain`] when the matrix holds `i32::MIN`
+/// ([`check_domain`]).
 ///
 /// A session's explicit spec is built here:
 ///
@@ -163,6 +177,12 @@ fn unknown_kind(kind: &str) -> Error {
 /// assert_eq!(session.engine().gemv(&[1, 2, 3]).unwrap(), vec![1, 2, 3]);
 /// ```
 pub(crate) fn build(matrix: IntMatrix, spec: &EngineSpec) -> Result<Arc<dyn GemvBackend>> {
+    check_domain(matrix.as_slice())?;
+    build_in_domain(matrix, spec)
+}
+
+/// [`build`] for a matrix [`check_domain`] has passed.
+fn build_in_domain(matrix: IntMatrix, spec: &EngineSpec) -> Result<Arc<dyn GemvBackend>> {
     Ok(match spec.kind() {
         "dense" => Arc::new(DenseRef::new(matrix)),
         "csr" => Arc::new(SparseCsr::new(&matrix)),
@@ -178,11 +198,16 @@ pub(crate) fn build(matrix: IntMatrix, spec: &EngineSpec) -> Result<Arc<dyn Gemv
 
 /// [`build`] from a matrix kept as its body: `csr` builds straight from
 /// the non-zeros ([`Csr::from_body`]); every other kind decodes the
-/// dense matrix once and goes through [`build`].
+/// dense matrix once and is built as [`build`] builds it. Only a body at
+/// 4 bytes per value can hold `i32::MIN`, so only such a body's values
+/// are read for [`check_domain`].
 pub(crate) fn build_body(body: &MatrixBody, spec: &EngineSpec) -> Result<Arc<dyn GemvBackend>> {
+    if body.width() == 4 {
+        check_domain(&body.values())?;
+    }
     match spec.kind() {
         "csr" => Ok(Arc::new(SparseCsr::from_csr(Csr::from_body(body)))),
-        _ => build(body.to_matrix()?, spec),
+        _ => build_in_domain(body.to_matrix()?, spec),
     }
 }
 

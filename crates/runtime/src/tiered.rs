@@ -21,14 +21,26 @@
 //! [`TieredRegistry::acquire`] and [`TieredRegistry::insert`], are
 //! adapters over that path.
 //!
-//! Which tier an entry is in, who is demoted under pressure and when a
-//! load is refused are decided by the pure table in `tiers.rs`
-//! (`Tiers<Arc<Session>, Arc<MatrixBody>>`); this module is the shell
-//! around it. Every call here takes the fleet lock, asks the table for
-//! one transition, and does what the answer needs *outside* the lock:
-//! the store read of a cold digest (counted as a *store hit*), the
-//! engine build of a promotion, the one `<digest>.matrix.smma` file a
-//! load writes.
+//! Which tier an entry is in, who is demoted under pressure, which miss
+//! is worth a build and when a load is refused are decided by the pure
+//! table in `tiers.rs` (`Tiers<Arc<Session>, Arc<MatrixBody>>`); this
+//! module is the shell around it. Every call here takes the fleet lock,
+//! asks the table for one transition, and does what the answer needs
+//! *outside* the lock: the store read of a cold digest (counted as a
+//! *store hit*), the engine build of a promotion, the one
+//! `<digest>.matrix.smma` file a load writes.
+//!
+//! **Admission.** A build is worth paying only for a matrix the fleet
+//! will reuse. [`TieredRegistry::acquire_single`], the path of one
+//! product, builds a digest that is not hot only when the hot tier has
+//! a free slot or the digest, this request counted, has been asked for
+//! more often than the least used hot session, the one its promotion
+//! would evict. Otherwise it hands back the body ([`Resident::Body`]) to
+//! compute from ([`MatrixBody::vecmat_into`]), nothing built, and keeps
+//! warm a body it had to read from disk. Loads
+//! ([`TieredRegistry::insert_body`]) and batches
+//! ([`TieredRegistry::acquire_body`]) always build: a load is hot by
+//! definition, and a batch amortises the build over its frames.
 //! A demoted session's `Arc` is simply dropped — a free, nothing to join.
 //! Without a store nothing can go cold, and a load that finds both
 //! in-memory tiers full is refused, typed: pressure, not failure.
@@ -74,6 +86,14 @@ pub enum InsertOutcome {
         /// Digests resident when the insert was refused.
         loaded: u64,
     },
+}
+
+/// What [`TieredRegistry::acquire_single`] serves one product from.
+pub enum Resident {
+    /// A live session: the digest was hot, or admitted and built.
+    Session(Arc<Session>),
+    /// The matrix's body, the digest not admitted: nothing was built.
+    Body(Arc<MatrixBody>),
 }
 
 /// Point-in-time fleet state: occupancy and transition counters.
@@ -166,12 +186,13 @@ impl TieredRegistry {
     }
 
     /// Looks up `digest`, promoting it to hot if it is resident in any
-    /// tier: a hot hit returns the live session; a warm entry is
-    /// rebuilt through `build` from its body; a cold entry's body is read
-    /// from the store (counted as a store hit), then rebuilt. Returns
-    /// `Ok(None)` when the digest is unknown — or when its cold bytes are
-    /// corrupt, in which case a warning is logged, the entry is dropped,
-    /// and the caller is free to rebuild from its own copy of the matrix.
+    /// tier, whatever the admission verdict: a hot hit returns the live
+    /// session; a warm entry is rebuilt through `build` from its body; a
+    /// cold entry's body is read from the store (counted as a store hit),
+    /// then rebuilt. Returns `Ok(None)` when the digest is unknown — or
+    /// when its cold bytes are corrupt, in which case a warning is
+    /// logged, the entry is dropped, and the caller is free to rebuild
+    /// from its own copy of the matrix. Loads and batches take this path.
     pub fn acquire_body(
         &self,
         digest: u64,
@@ -180,17 +201,57 @@ impl TieredRegistry {
         let warm = match self.lock().lookup(digest) {
             Lookup::Hit(session) => return Ok(Some(session)),
             Lookup::Unknown => return Ok(None),
-            Lookup::Build { warm } => warm,
+            Lookup::Miss { warm, .. } => warm,
         };
         // Warm or cold: resolve the body outside the lock (disk reads and
-        // engine builds must not stall hot-path lookups). The build and
-        // the entry share the one body.
+        // engine builds must not stall hot-path lookups).
+        match warm.or_else(|| self.read_cold_body(digest)) {
+            Some(body) => self.promote(digest, body, build).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// [`TieredRegistry::acquire_body`] for one product: a digest the
+    /// tier table does not admit (`tiers` module docs, "Admission") is
+    /// answered with its body and nothing is built. A warm body is handed
+    /// out as it is; a cold one is read from the store (a store hit) and
+    /// kept warm, so its next request reads nothing. A hot or admitted
+    /// digest is served by its session, as from `acquire_body`.
+    pub fn acquire_single(
+        &self,
+        digest: u64,
+        build: impl FnOnce(Arc<MatrixBody>) -> Result<Session>,
+    ) -> Result<Option<Resident>> {
+        let (warm, admitted) = match self.lock().lookup(digest) {
+            Lookup::Hit(session) => return Ok(Some(Resident::Session(session))),
+            Lookup::Unknown => return Ok(None),
+            Lookup::Miss { warm, admitted } => (warm, admitted),
+        };
+        let cold = warm.is_none();
         let Some(body) = warm.or_else(|| self.read_cold_body(digest)) else {
             return Ok(None);
         };
+        if admitted {
+            return self.promote(digest, body, build).map(|s| Some(Resident::Session(s)));
+        }
+        if cold {
+            let kept = self.lock().keep(digest, Arc::clone(&body));
+            self.demotions.fetch_add(kept.unwrap_or(0), Ordering::Relaxed);
+        }
+        Ok(Some(Resident::Body(body)))
+    }
+
+    /// Builds the session for `digest` from `body` outside the lock and
+    /// makes it hot; the build and the entry share the one body.
+    fn promote(
+        &self,
+        digest: u64,
+        body: Arc<MatrixBody>,
+        build: impl FnOnce(Arc<MatrixBody>) -> Result<Session>,
+    ) -> Result<Arc<Session>> {
         let session = Arc::new(build(Arc::clone(&body))?);
         let promoted = self.lock().promote(digest, Arc::clone(&session), body);
-        Ok(Some(match promoted {
+        Ok(match promoted {
             Promotion::Installed { demoted } => {
                 self.promotions.fetch_add(1, Ordering::Relaxed);
                 self.demotions.fetch_add(demoted, Ordering::Relaxed);
@@ -200,7 +261,7 @@ impl TieredRegistry {
             // Forgotten while this promotion was building: the request
             // in hand is served and the digest stays gone.
             Promotion::Gone => session,
-        }))
+        })
     }
 
     /// [`TieredRegistry::acquire_body`] for a builder that takes the
@@ -733,6 +794,40 @@ mod tests {
         }
         registry.acquire(busy.digest(), |_| panic!("the busy digest was rebuilt")).unwrap().unwrap();
         assert_eq!(registry.snapshot().promotions, 0);
+    }
+
+    /// A single builds a digest only once it is asked for more often
+    /// than the hot one it would evict; until then its body answers and
+    /// nothing is built. `acquire` builds whatever the verdict.
+    #[test]
+    fn a_single_builds_only_what_the_fleet_admits() {
+        let registry = TieredRegistry::new(TieredConfig { max_hot: 1, max_warm: 8 });
+        let (quiet, busy) = (matrix(2), matrix(8));
+        registry.insert(quiet.clone(), csr_session(quiet.clone()), None);
+        registry.insert(busy.clone(), csr_session(busy.clone()), None);
+        for _ in 0..2 {
+            registry.acquire(busy.digest(), |_| panic!("hot hit")).unwrap().unwrap();
+        }
+        // `busy` has 3 uses; `quiet`'s 2nd and 3rd are no more.
+        for _ in 0..2 {
+            let served = registry.acquire_single(quiet.digest(), |_| panic!("not admitted")).unwrap();
+            let Some(Resident::Body(body)) = served else {
+                panic!("a digest the fleet does not admit is served from its body");
+            };
+            let mut out = vec![0; 2];
+            body.vecmat_into(&[1, 1], &mut out).unwrap();
+            assert_eq!(out, smm_core::gemv::vecmat(&[1, 1], &quiet).unwrap());
+            assert_eq!(registry.tier_of(quiet.digest()), Some(Tier::Warm));
+        }
+        assert_eq!(registry.snapshot().promotions, 0);
+        // The 4th outranks `busy`: built, promoted, and `busy` demoted.
+        let served = registry.acquire_single(quiet.digest(), |b| Ok(csr_session(b.to_matrix()?))).unwrap();
+        assert!(matches!(served, Some(Resident::Session(_))));
+        assert_eq!(registry.tier_of(quiet.digest()), Some(Tier::Hot));
+        assert_eq!(registry.tier_of(busy.digest()), Some(Tier::Warm));
+        // `acquire`, the batch path, builds `busy` back at its next use.
+        registry.acquire(busy.digest(), |m| Ok(csr_session(m))).unwrap().unwrap();
+        assert_eq!((registry.tier_of(busy.digest()), registry.snapshot().promotions), (Some(Tier::Hot), 2));
     }
 
     #[test]

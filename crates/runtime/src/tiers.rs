@@ -11,12 +11,27 @@
 //!
 //! The transitions are the ones production takes, one call each, so
 //! their interleavings can be enumerated: `lookup` then (outside the
-//! lock) a build then `promote`; `install`; `demote`; `forget`;
-//! `register_cold`. Each leaves both bounds enforced before it returns
-//! and reports the downward moves that took. A tier's victim is its
-//! least used entry, then its least recent: the hot one gives up `H`,
-//! the warm one *whose bytes are on disk* gives up `W`. The digest the
-//! call itself installed, promoted or demoted is its tier's last choice.
+//! lock) a build then `promote`, or a cold read then `keep`; `install`;
+//! `demote`; `forget`; `register_cold`. Each leaves both bounds enforced
+//! before it returns and reports the downward moves that took. A tier's
+//! victim is its least used entry, then its least recent: the hot one
+//! gives up `H`, the warm one *whose bytes are on disk* gives up `W`.
+//! The digest the call itself installed, promoted, kept or demoted is
+//! its tier's last choice.
+//!
+//! **Admission.** A `lookup` that misses hot says whether the digest is
+//! *admitted*: whether building it would pay. It is when the hot tier
+//! has a free slot, or when the digest's use count, this touch counted,
+//! exceeds that of the hot tier's least used entry — the entry a
+//! promotion would evict, by the same ranking [`Tiers::promote`]
+//! enforces. An admitted digest is built and promoted. One that is not
+//! is served from its non-zeros with no build, and a cold one's bytes,
+//! once read, are kept warm ([`Tiers::keep`]) so its next request reads
+//! nothing. Loads and batches build whatever the verdict: a load is
+//! hot by definition, and a batch amortises its build over its frames.
+//! So a digest seen once costs one product over its body, not a build
+//! a busier digest undoes at once, and the hot tier turns over only
+//! when a digest has been asked for more often than one it holds.
 //!
 //! Every touch (a `lookup` of a known digest, an `install`) counts one
 //! use in a `u8`. A touch that finds its count already at `u8::MAX`
@@ -68,13 +83,15 @@ impl<H, W> Entry<H, W> {
     }
 }
 
-/// [`Tiers::lookup`]: a hit, a promotion to run, or nothing.
+/// [`Tiers::lookup`]: a hit, a miss to serve, or nothing.
 pub(crate) enum Lookup<H, W> {
     /// The digest is hot; this is its payload.
     Hit(H),
-    /// Known but not hot: build from `warm`, or from disk when it is
-    /// `None`, then [`Tiers::promote`].
-    Build { warm: Option<W> },
+    /// Known but not hot: its body is `warm`, or on disk when that is
+    /// `None`. When `admitted` (module docs, "Admission"), build from
+    /// the body, then [`Tiers::promote`]; otherwise serve from the body,
+    /// and [`Tiers::keep`] one read from disk.
+    Miss { warm: Option<W>, admitted: bool },
     /// Not in the table (and not remembered: unknown digests arrive
     /// straight off the wire).
     Unknown,
@@ -128,18 +145,37 @@ impl<H: Clone, W: Clone> Tiers<H, W> {
         let Some(entry) = self.entries.get_mut(&digest) else {
             return Lookup::Unknown;
         };
-        let found = match &entry.hot {
-            Some(hot) => Lookup::Hit(hot.clone()),
-            None => Lookup::Build { warm: entry.warm.clone() },
-        };
         self.clock += 1;
-        if !entry.touch(self.clock, self.cap) {
+        let counted = entry.touch(self.clock, self.cap);
+        let found = entry.hot.clone().ok_or_else(|| entry.warm.clone());
+        if !counted {
             self.age(digest);
         }
-        found
+        match found {
+            Ok(hot) => Lookup::Hit(hot),
+            // Only a miss pays for the admission check.
+            Err(warm) => Lookup::Miss { warm, admitted: self.admits(digest) },
+        }
     }
 
-    /// Makes `digest` hot with the payload a [`Lookup::Build`] led to;
+    /// Whether `digest`, not hot, is worth a build (module docs,
+    /// "Admission"): the hot tier has a free slot, or its least used
+    /// entry, the one a promotion would evict, is used less than it.
+    fn admits(&self, digest: u64) -> bool {
+        let (mut hot, mut least, mut uses) = (0, u8::MAX, 0);
+        for (&d, e) in &self.entries {
+            if d == digest {
+                uses = e.uses;
+            }
+            if e.hot.is_some() {
+                hot += 1;
+                least = least.min(e.uses);
+            }
+        }
+        hot < self.max_hot || uses > least
+    }
+
+    /// Makes `digest` hot with the payload a [`Lookup::Miss`] led to;
     /// `warm` fills the entry's warm slot if it was read from disk.
     pub(crate) fn promote(&mut self, digest: u64, hot: H, warm: W) -> Promotion<H> {
         let Some(entry) = self.entries.get_mut(&digest) else {
@@ -151,6 +187,19 @@ impl<H: Clone, W: Clone> Tiers<H, W> {
         entry.hot = Some(hot);
         entry.warm.get_or_insert(warm);
         Promotion::Installed { demoted: self.enforce(digest) }
+    }
+
+    /// Keeps warm the body of a cold `digest` that was served without a
+    /// build, holding the warm tier to its bound with `digest` its last
+    /// choice. `None` when nothing changed: the digest was forgotten
+    /// meanwhile, or a racing request already brought its body in.
+    pub(crate) fn keep(&mut self, digest: u64, warm: W) -> Option<u64> {
+        let entry = self.entries.get_mut(&digest)?;
+        if entry.tier() != Tier::Cold {
+            return None;
+        }
+        entry.warm = Some(warm);
+        Some(self.enforce(digest))
     }
 
     /// Makes a freshly loaded `digest` hot. First install wins; a new
@@ -289,9 +338,11 @@ mod tests {
     /// One entry with its recency stamp replaced by its rank (0 = never
     /// used): `(digest, hot, warm payload held, on_disk, uses, rank)`.
     type Row = (u64, bool, bool, bool, u8, u64);
-    /// The table's rows plus, per digest, the promotions in flight: a
-    /// `lookup` answered `Build` and its `promote` has yet to land.
-    type State = (Vec<Row>, [u8; 3]);
+    /// The table's rows plus, per digest, the promotions in flight (a
+    /// `lookup` missed and its `promote` has yet to land) and the keeps
+    /// in flight (a `lookup` missed a cold digest it did not admit, and
+    /// the `keep` of the body read has yet to land).
+    type State = (Vec<Row>, [u8; 3], [u8; 3]);
 
     const DIGESTS: [u64; 3] = [0, 1, 2];
     /// The walk's saturation cap: counts stay in `0..=2`, so the state
@@ -302,6 +353,7 @@ mod tests {
     enum Event {
         Lookup(u64),
         Promote(u64),
+        Keep(u64),
         Install(u64, bool),
         Demote(u64),
         Forget(u64),
@@ -352,15 +404,15 @@ mod tests {
     /// Applies `event` to `before`, checks everything that must hold of
     /// one transition, and returns the states it can lead to.
     fn step(before: &State, event: Event, has_cold: bool) -> Vec<State> {
-        let (b, building) = before;
+        let (b, building, keeping) = before;
         let mut t = table(b, has_cold);
-        let mut building = *building;
+        let (mut building, mut keeping) = (*building, *keeping);
         let was = |d| tier(b, d);
         // Payloads handed in, payloads the event says it let go of, the
         // digest an explicit `demote` moved (pressure did not pick it),
         // and the digest whose use the event counted.
         let (mut handed, mut released, mut stepped, mut touched) = (0, 0, None, None);
-        let mut fork = None;
+        let (mut build, mut keep) = (None, None);
         match event {
             Event::Lookup(d) => {
                 // A known digest's lookup counts, whatever it answers.
@@ -368,11 +420,26 @@ mod tests {
                 match t.lookup(d) {
                     Lookup::Hit(()) => assert_eq!(was(d), Some(Tier::Hot)),
                     Lookup::Unknown => assert_eq!((was(d), rows(&t)), (None, b.clone())),
-                    Lookup::Build { warm } => {
+                    Lookup::Miss { warm, admitted } => {
                         assert_eq!(was(d), Some(if warm.is_some() { Tier::Warm } else { Tier::Cold }));
-                        // The build may fail (no promote follows) or go on.
+                        // Admitted iff hot has room or its least used
+                        // entry is used less than `d`, this use counted.
+                        let a = rows(&t);
+                        let uses = a.iter().find(|r| r.0 == d).map(|r| r.4);
+                        let hot: Vec<u8> = a.iter().filter(|r| r.1).map(|r| r.4).collect();
+                        let worth = hot.is_empty() || hot.iter().all(|&h| uses > Some(h));
+                        assert_eq!(admitted, worth, "{event:?}: {before:?} -> {a:?}");
+                        // Whatever the verdict, a batch builds (its build
+                        // may fail, and no promote follows), and a single
+                        // on a cold digest not admitted reads its body to
+                        // keep it (the read may fail too). One read in
+                        // flight at a time meets every race a keep can
+                        // lose, in a walk a quarter the size of two.
                         if building[d as usize] < 2 {
-                            fork = Some(d);
+                            build = Some(d);
+                        }
+                        if !admitted && warm.is_none() && keeping == [0; 3] {
+                            keep = Some(d);
                         }
                     }
                 }
@@ -388,6 +455,25 @@ mod tests {
                         assert!(matches!(was(d), Some(Tier::Warm | Tier::Cold)), "{before:?}");
                         assert_eq!(t.tier_of(d), Some(Tier::Hot), "the promoted digest is no victim");
                         handed = 1 + usize::from(was(d) == Some(Tier::Cold));
+                        released = demoted;
+                    }
+                }
+            }
+            Event::Keep(d) => {
+                keeping[d as usize] -= 1;
+                handed = 1;
+                match t.keep(d, ()) {
+                    // Forgotten, or warm or hot by another path since the
+                    // read: the body read is dropped.
+                    None => {
+                        assert!(was(d) != Some(Tier::Cold), "{before:?}");
+                        assert_eq!(rows(&t), b.clone());
+                        released = 1;
+                    }
+                    // Warm, unless nothing else there could spill.
+                    Some(demoted) => {
+                        assert_eq!(was(d), Some(Tier::Cold), "{before:?}");
+                        assert!(t.tier_of(d) == Some(Tier::Warm) || demoted > 0, "{before:?}");
                         released = demoted;
                     }
                 }
@@ -447,16 +533,16 @@ mod tests {
         // digest the event moved as the last choice: whoever it pushed
         // out of a tier ranks below whoever (movable) it left there.
         let moved = match event {
-            Event::Install(d, _) | Event::Promote(d) | Event::Demote(d) => Some(d),
+            Event::Install(d, _) | Event::Promote(d) | Event::Keep(d) | Event::Demote(d) => Some(d),
             _ => None,
         };
         let rank = |r: &Row| (moved == Some(r.0), r.4, r.5);
         for (t, movable) in [(Tier::Hot, false), (Tier::Warm, true)] {
             let pushed = a.iter().filter(|r| {
-                let before = if matches!(event, Event::Install(d, _) | Event::Promote(d) if d == r.0) {
-                    Some(Tier::Hot)
-                } else {
-                    was(r.0)
+                let before = match event {
+                    Event::Install(d, _) | Event::Promote(d) if d == r.0 => Some(Tier::Hot),
+                    Event::Keep(d) if d == r.0 && was(d) == Some(Tier::Cold) => Some(Tier::Warm),
+                    _ => was(r.0),
                 };
                 before.is_some_and(|tier| tier <= t) && tier(&a, r.0) > Some(t)
                     && !(stepped == Some(r.0) && before == Some(t))
@@ -466,10 +552,15 @@ mod tests {
                 assert!(left.clone().all(|stays| rank(out) < rank(stays)), "{}", context());
             }
         }
-        let mut next = vec![(a.clone(), building)];
-        if let Some(d) = fork {
+        let mut next = vec![(a.clone(), building, keeping)];
+        if let Some(d) = build {
+            let mut building = building;
             building[d as usize] += 1;
-            next.push((a, building));
+            next.push((a.clone(), building, keeping));
+        }
+        if let Some(d) = keep {
+            keeping[d as usize] += 1;
+            next.push((a, building, keeping));
         }
         next
     }
@@ -479,39 +570,41 @@ mod tests {
     /// (victims go by count, stamp and which digest the call moved), so
     /// relabeled states behave alike and the walk visits one of each;
     /// two digests that sort equal hold the same, so either order does.
-    fn canonical((rows, building): State) -> State {
+    fn canonical((rows, building, keeping): State) -> State {
         let held = |d: u64| {
             let row = rows.iter().find(|r| r.0 == d).map(|&(_, hot, warm, on_disk, uses, rank)| {
                 (hot, warm, on_disk, uses, rank)
             });
-            (row, building[d as usize])
+            (row, building[d as usize], keeping[d as usize])
         };
         let mut order = DIGESTS;
         order.sort_by_key(|&d| held(d));
-        let (mut label, mut relabeled) = ([0; 3], [0; 3]);
+        let (mut label, mut built, mut kept) = ([0; 3], [0; 3], [0; 3]);
         for (new, old) in (0..).zip(order) {
             label[old as usize] = new;
-            relabeled[new as usize] = building[old as usize];
+            built[new as usize] = building[old as usize];
+            kept[new as usize] = keeping[old as usize];
         }
         let mut rows: Vec<Row> = rows.into_iter().map(|(d, hot, warm, on_disk, uses, rank)| {
             (label[d as usize], hot, warm, on_disk, uses, rank)
         }).collect();
         rows.sort_unstable();
-        (rows, relabeled)
+        (rows, built, kept)
     }
 
     /// Breadth-first over every state reachable from the empty table,
     /// one per relabeling ([`canonical`]).
     fn walk(has_cold: bool, persists: &[bool]) -> HashSet<State> {
-        let mut seen = HashSet::from([(Vec::new(), [0u8; 3])]);
+        let mut seen = HashSet::from([(Vec::new(), [0u8; 3], [0u8; 3])]);
         let mut queue: VecDeque<State> = seen.iter().cloned().collect();
         while let Some(state) = queue.pop_front() {
             for d in DIGESTS {
                 let mut events = vec![Event::Lookup(d), Event::Demote(d), Event::Forget(d)];
                 events.extend(persists.iter().map(|&on_disk| Event::Install(d, on_disk)));
                 events.extend((state.1[d as usize] > 0).then_some(Event::Promote(d)));
+                events.extend((state.2[d as usize] > 0).then_some(Event::Keep(d)));
                 // The boot listing runs before the registry is shared.
-                let booting = has_cold && state.0.iter().all(|r| r.5 == 0) && state.1 == [0; 3];
+                let booting = has_cold && state.0.iter().all(|r| r.5 == 0) && state.1 == [0; 3] && state.2 == [0; 3];
                 events.extend(booting.then_some(Event::RegisterCold(d)));
                 for event in events {
                     for next in step(&state, event, has_cold).into_iter().map(canonical) {
@@ -549,55 +642,91 @@ mod tests {
         cycle
     }
 
+    /// What a replay of a request cycle paid, over its counted rounds.
+    #[derive(Debug, PartialEq)]
+    struct Paid {
+        /// Engine builds: promotions.
+        builds: usize,
+        /// Misses served from the body with no build.
+        bodies: usize,
+        /// Bodies read from disk.
+        store_hits: usize,
+    }
+
     /// Replays `cycle` against an 8-hot / 8-warm table with a disk
     /// behind it, set up as the workload sets up its server: every
     /// digest installed in turn, then one request for the last. One
-    /// round warms up; the next `rounds` are counted. Returns the
-    /// promotions and, of those, the store hits (cold reads).
-    fn replay(cycle: &[u64], rounds: usize) -> (usize, usize) {
+    /// round warms up; the next `rounds` are counted. With `singles`,
+    /// each request is a single: a miss the table admits is built and
+    /// promoted, any other is served from its body, and a cold body read
+    /// is kept warm. Without, each is a batch, which builds on every
+    /// miss — every request did before admission.
+    fn replay(cycle: &[u64], rounds: usize, singles: bool) -> Paid {
         let mut t = Table::new(8, 8, true);
         for d in 0..24 {
             t.install(d, (), (), true);
         }
         t.lookup(23);
-        let (mut promotions, mut store_hits) = (0, 0);
+        let mut paid = Paid { builds: 0, bodies: 0, store_hits: 0 };
         for round in 0..=rounds {
             for &d in cycle {
-                let Lookup::Build { warm } = t.lookup(d) else {
+                let Lookup::Miss { warm, admitted } = t.lookup(d) else {
                     continue;
                 };
-                assert!(matches!(t.promote(d, (), ()), Promotion::Installed { .. }));
+                let built = admitted || !singles;
+                if built {
+                    assert!(matches!(t.promote(d, (), ()), Promotion::Installed { .. }));
+                } else if warm.is_none() {
+                    assert!(t.keep(d, ()).is_some());
+                }
                 if round > 0 {
-                    promotions += 1;
-                    store_hits += usize::from(warm.is_none());
+                    paid.builds += usize::from(built);
+                    paid.bodies += usize::from(!built);
+                    paid.store_hits += usize::from(warm.is_none());
                 }
             }
         }
-        (promotions, store_hits)
+        paid
     }
 
     /// A skewed fleet pays a rebuild on far fewer requests than it did
-    /// when the least recent entry was the victim. The counts are exact:
-    /// the table is deterministic. Under that rule every round of these
-    /// orders did the same work, and the per-request figures were (the
-    /// workload's own order first, as its reports show them):
+    /// when the least recent entry was the victim, and far fewer again
+    /// once a single builds only what the table admits. The counts are
+    /// exact: the table is deterministic. Under the least-recent rule
+    /// every round of these orders did the same work, and the
+    /// per-request figures were (the workload's own order first, as its
+    /// reports show them):
     ///
     /// | seed | promotions | store hits |
     /// |---|---|---|
     /// | 0 | 0.3828 | 0.1875 |
     /// | 1 | 0.3281 | 0.1641 |
     /// | 2 | 0.3906 | 0.1719 |
+    ///
+    /// Below, `promotions` and `store_hits` are what the least-used rule
+    /// pays when every miss builds, as every request did before
+    /// admission and a batch still does; `builds` and `bodies` are what
+    /// singles build and serve from the body under admission, reading
+    /// the disk exactly as often.
     #[test]
     fn a_skewed_fleet_keeps_its_busiest_digests_hot() {
         const ROUNDS: usize = 49;
         // Per request, to the four places the reports print.
         let per_request = |n: usize| (n as f64 / (ROUNDS * 128) as f64 * 1e4).round() / 1e4;
-        for (seed, promotions, store_hits, least_recent) in
-            [(0, 0.2626, 0.1405, 0.3828), (1, 0.2430, 0.1390, 0.3281), (2, 0.2600, 0.1379, 0.3906)]
-        {
-            let (promoted, read) = replay(&skewed_cycle(seed), ROUNDS);
-            assert_eq!((per_request(promoted), per_request(read)), (promotions, store_hits), "seed {seed}");
-            assert!(per_request(promoted) <= 0.8 * least_recent, "seed {seed}");
+        for (seed, promotions, store_hits, least_recent, builds, bodies) in [
+            (0, 0.2626, 0.1405, 0.3828, 0.0115, 0.2331),
+            (1, 0.2430, 0.1390, 0.3281, 0.0123, 0.2336),
+            (2, 0.2600, 0.1379, 0.3906, 0.0123, 0.2329),
+        ] {
+            let cycle = skewed_cycle(seed);
+            let batches = replay(&cycle, ROUNDS, false);
+            assert_eq!(batches.bodies, 0, "seed {seed}");
+            assert_eq!((per_request(batches.builds), per_request(batches.store_hits)), (promotions, store_hits), "seed {seed}");
+            assert!(per_request(batches.builds) <= 0.8 * least_recent, "seed {seed}");
+            let singles = replay(&cycle, ROUNDS, true);
+            assert_eq!((per_request(singles.builds), per_request(singles.bodies)), (builds, bodies), "seed {seed}");
+            assert_eq!(singles.store_hits, batches.store_hits, "seed {seed}");
+            assert!(per_request(singles.builds) <= promotions / 10.0, "seed {seed}");
         }
     }
 
@@ -613,7 +742,7 @@ mod tests {
         // three tiers occupied at once; warm over its bound with no disk
         // to spill to; and an unspillable warm entry beside a spilled one.
         let reached = |states: &HashSet<State>, hot, warm, cold| {
-            states.iter().any(|(rows, _)| {
+            states.iter().any(|(rows, ..)| {
                 (count(rows, Tier::Hot), count(rows, Tier::Warm), count(rows, Tier::Cold)) == (hot, warm, cold)
             })
         };
@@ -624,11 +753,15 @@ mod tests {
         // And every count the cap allows, so touches at the cap aged the
         // table; a hot entry used less than a warm one, so the victim
         // order was not recency's.
-        let counts: HashSet<u8> = memory_only.iter().flat_map(|(rows, _)| rows.iter().map(|r| r.4)).collect();
+        let counts: HashSet<u8> = memory_only.iter().flat_map(|(rows, ..)| rows.iter().map(|r| r.4)).collect();
         assert_eq!(counts, (0..=CAP).collect());
-        assert!(with_store.iter().any(|(rows, _)| {
+        assert!(with_store.iter().any(|(rows, ..)| {
             rows.iter().any(|h| h.1 && rows.iter().any(|w| !w.1 && w.2 && w.4 > h.4))
         }));
+        // Admission refused a cold digest, so a keep was in flight; only
+        // a disk can make a digest cold.
+        assert!(with_store.iter().any(|(.., keeping)| keeping.iter().any(|&k| k > 0)));
+        assert!(memory_only.iter().all(|(.., keeping)| *keeping == [0; 3]));
     }
 
     /// The bugs PRs 19, 21 and 22 left as found, each as the sequence
@@ -642,7 +775,7 @@ mod tests {
         let mut t = Table::new(1, 1, true);
         t.install(0, (), (), true);
         t.demote(0);
-        assert!(matches!(t.lookup(0), Lookup::Build { warm: Some(()) }));
+        assert!(matches!(t.lookup(0), Lookup::Miss { warm: Some(()), admitted: true }));
         assert_eq!(t.forget(0), Some(Warm));
         assert!(matches!(t.promote(0, (), ()), Promotion::Gone));
         assert_eq!(tiers(&t), [None; 3]);

@@ -1,9 +1,9 @@
 //! The server's hot-path metrics and its Prometheus exposition.
 //!
-//! [`ServerMetrics`] holds only what the serving hot path writes: seven
-//! relaxed-atomic counters — the served `vectors` and `batches` among
-//! them, bumped where a product is answered — and the per-stage
-//! [`SpanRecorder`]. Every other exported number — fleet occupancy and
+//! [`ServerMetrics`] holds only what the serving hot path writes: eight
+//! relaxed-atomic counters — the served `vectors`, `batches` and
+//! `body_singles` among them, bumped where a product is answered — and
+//! the per-stage [`SpanRecorder`]. Every other exported number — fleet occupancy and
 //! the store counters — has its owner in the fleet, and [`StatsSnapshot`]
 //! reads them all in one place. [`render`] is a pure function of that
 //! snapshot, so the wire `Stats` opcode, `smm stats` and `GET /metrics`
@@ -34,6 +34,8 @@ pub(crate) struct ServerMetrics {
     pub(crate) vectors: AtomicU64,
     /// Non-empty `GemvBatch` requests answered.
     pub(crate) batches: AtomicU64,
+    /// `Gemv` requests answered from a matrix body, with no engine built.
+    pub(crate) body_singles: AtomicU64,
     /// Per-stage pipeline latencies (decode → … → encode), shared with
     /// every connection's request span and every session.
     pub(crate) stages: SpanRecorder,
@@ -58,7 +60,12 @@ enum Samples {
 /// Every exported family — name, HELP text, samples — in exposition
 /// (byte-sorted) order. Dashboards address these names: none is ever
 /// renamed, and a family leaves only with the number it exports.
-const FAMILIES: [(&str, &str, Samples); 14] = [
+const FAMILIES: [(&str, &str, Samples); 15] = [
+    (
+        "smm_body_singles_total",
+        "Single products answered from a matrix body with no engine built.",
+        Counter(|s, _| s.body_singles),
+    ),
     ("smm_bytes_in_total", "Bytes read off the wire.", Counter(|s, _| s.bytes_in)),
     ("smm_bytes_out_total", "Bytes written to the wire.", Counter(|s, _| s.bytes_out)),
     ("smm_connections", "Open client connections.", Gauge(|_, open| open)),

@@ -77,13 +77,15 @@
 //!
 //! ## A `Stats` reply says each number once
 //!
-//! A `Stats` reply is the status byte and 34 `u64`s: 7 request counters
-//! (requests, rejected, errors, bytes in, bytes out, vectors, batches),
-//! three per stage (count, p50, p99) and the six fleet counters. Version
-//! 9 also sent the resident matrix count, which is the sum of the tier
-//! counts, and a request-latency count, p50 and p99, which were the
-//! compute stage's; those four are gone. A version-9 peer would misread
-//! every field after them, so it is refused at the version byte.
+//! A `Stats` reply is the status byte and 35 `u64`s: 8 request counters
+//! (requests, rejected, errors, bytes in, bytes out, vectors, batches,
+//! body singles), three per stage (count, p50, p99) and the six fleet
+//! counters. Version 9 also sent the resident matrix count, which is the
+//! sum of the tier counts, and a request-latency count, p50 and p99,
+//! which were the compute stage's; those four are gone. Version 11 added
+//! the body singles, the `Gemv`s answered from a matrix body with no
+//! engine built. A peer of any other version would misread every field
+//! after a change, so it is refused at the version byte.
 //!
 //! ## One read and one write per frame
 //!
@@ -119,7 +121,7 @@ use std::io::{self, BufReader, Read, Write};
 /// Frame preamble: the protocol's on-wire signature.
 pub(crate) const MAGIC: [u8; 4] = *b"SMM1";
 /// The one protocol version both ends speak.
-pub const VERSION: u8 = 10;
+pub const VERSION: u8 = 11;
 /// Fixed frame header size in bytes.
 pub const HEADER_LEN: usize = 18;
 /// Upper bound on a frame payload; larger length prefixes are rejected
@@ -426,6 +428,9 @@ pub struct StatsSnapshot {
     pub vectors: u64,
     /// Batches served through the worker pool.
     pub batches: u64,
+    /// Singles (`Gemv`) answered from the matrix's body, with no engine
+    /// built: the fleet did not admit the digest to its hot tier.
+    pub body_singles: u64,
     /// Per-stage latency summaries in [`Stage::ALL`] order (decode,
     /// queue, plan, shard, reassemble, compute, encode). A compute
     /// request's latency is its [`Stage::Compute`] summary.
@@ -448,7 +453,7 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Every `u64` of the snapshot in wire order: the 7 request
+    /// Every `u64` of the snapshot in wire order: the 8 request
     /// counters, three per stage, then the six fleet counters. The
     /// one listing of the fields: `decode` fills it, `encode` reads it
     /// off a copy.
@@ -461,6 +466,7 @@ impl StatsSnapshot {
             &mut self.bytes_out,
             &mut self.vectors,
             &mut self.batches,
+            &mut self.body_singles,
         ]
         .into_iter()
         .chain(
@@ -483,7 +489,7 @@ impl StatsSnapshot {
         self.stages[stage.idx()]
     }
 
-    /// Serializes the snapshot: 7 `u64`s, the per-stage summary block
+    /// Serializes the snapshot: 8 `u64`s, the per-stage summary block
     /// (three `u64`s per stage), then the six-`u64` fleet tier block.
     pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
         let mut copy = *self;

@@ -30,7 +30,7 @@ use crate::protocol::{
 };
 use smm_core::error::{Error, Result};
 use smm_core::wire::MatrixBody;
-use smm_runtime::{EngineSpec, InsertOutcome, Session, TieredConfig, TieredRegistry};
+use smm_runtime::{EngineSpec, InsertOutcome, Resident, Session, TieredConfig, TieredRegistry};
 use smm_store::Store;
 use smm_telemetry::{Span, Stage};
 use std::io::{Read, Write};
@@ -38,7 +38,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Server configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,8 +147,11 @@ struct Shared {
     config: ServerConfig,
     /// The tiered matrix fleet: hot sessions, warm matrices, cold
     /// artifact bytes in the optional store. The one residency policy:
-    /// an engine stays built exactly as long as its session is hot, and
-    /// a promotion builds it again (a bit-serial one recompiles).
+    /// an engine stays built exactly as long as its session is hot. A
+    /// load and a batch always build (a bit-serial one recompiles); a
+    /// single builds only a digest the fleet admits — one asked for
+    /// more often than the least used hot one, or with a hot slot free —
+    /// and is otherwise answered from the matrix's body, nothing built.
     registry: TieredRegistry,
     admission: AdmissionQueue,
     metrics: ServerMetrics,
@@ -173,6 +176,7 @@ impl Shared {
             bytes_out: counter(&self.metrics.bytes_out),
             vectors: counter(&self.metrics.vectors),
             batches: counter(&self.metrics.batches),
+            body_singles: counter(&self.metrics.body_singles),
             stages: self.metrics.stages.stage_stats(),
             tier_hot: fleet.counts.hot,
             tier_warm: fleet.counts.warm,
@@ -227,29 +231,57 @@ impl Shared {
             }
             // Served work is counted here, where it is served — after the
             // product succeeded, whatever happens to the session next. A
-            // single rides the session's fast path (no pool round trip)
-            // and counts as one vector.
-            Request::Gemv { digest, vector } => self.serve_compute(digest, span, |session| {
-                let out = session.run(&vector)?;
-                self.metrics.vectors.fetch_add(1, Ordering::Relaxed);
-                Ok(Reply::Output(out))
-            }),
+            // single rides the session's fast path (no pool round trip),
+            // or is answered from the body of a digest the fleet did not
+            // admit, and counts as one vector.
+            Request::Gemv { digest, vector } => self.serve_compute(
+                digest,
+                span,
+                || self.registry.acquire_single(digest, |b| self.build_session(b, None)),
+                |resident| {
+                    let out = match resident {
+                        Resident::Session(session) => session.run(&vector)?,
+                        Resident::Body(body) => self.run_body(&body, &vector)?,
+                    };
+                    self.metrics.vectors.fetch_add(1, Ordering::Relaxed);
+                    Ok(Reply::Output(out))
+                },
+            ),
             // The batch arrives as a flat block straight off the wire
             // and the reply is encoded straight out of the output block.
             // An empty batch is answered but is not served work, and
             // neither is one whose reply could not fit in a frame: it
             // is refused before it is computed.
-            Request::GemvBatch { digest, frames } => self.serve_compute(digest, span, |session| {
-                if batch_reply_len(frames.frames(), session.cols()) > MAX_FRAME_PAYLOAD {
-                    return Ok(Reply::Error(REPLY_TOO_LARGE.into()));
-                }
-                let mut out = smm_runtime::RowBlock::new();
-                let served = session.run_block(frames, &mut out)?.batch as u64;
-                self.metrics.batches.fetch_add(u64::from(served > 0), Ordering::Relaxed);
-                self.metrics.vectors.fetch_add(served, Ordering::Relaxed);
-                Ok(Reply::Outputs(out))
-            }),
+            // A batch builds whatever the fleet's admission says: its
+            // frames repay the build.
+            Request::GemvBatch { digest, frames } => self.serve_compute(
+                digest,
+                span,
+                || self.registry.acquire_body(digest, |b| self.build_session(b, None)),
+                |session| {
+                    if batch_reply_len(frames.frames(), session.cols()) > MAX_FRAME_PAYLOAD {
+                        return Ok(Reply::Error(REPLY_TOO_LARGE.into()));
+                    }
+                    let mut out = smm_runtime::RowBlock::new();
+                    let served = session.run_block(frames, &mut out)?.batch as u64;
+                    self.metrics.batches.fetch_add(u64::from(served > 0), Ordering::Relaxed);
+                    self.metrics.vectors.fetch_add(served, Ordering::Relaxed);
+                    Ok(Reply::Outputs(out))
+                },
+            ),
         }
+    }
+
+    /// One product straight off a body the fleet did not admit, timed
+    /// as the compute stage as `Session::run` times its engine call, and
+    /// counted as a body-served single.
+    fn run_body(&self, body: &MatrixBody, vector: &[i32]) -> Result<Vec<i64>> {
+        let started = Instant::now();
+        let mut out = vec![0; body.cols()];
+        body.vecmat_into(vector, &mut out)?;
+        self.metrics.stages.record(Stage::Compute, started.elapsed());
+        self.metrics.body_singles.fetch_add(1, Ordering::Relaxed);
+        Ok(out)
     }
 
     fn serve_load(
@@ -316,11 +348,14 @@ impl Shared {
         }
     }
 
-    fn serve_compute(
+    /// Admits a compute request, finds what serves it through `acquire`
+    /// (`None` when no matrix has the digest) and runs `compute` on it.
+    fn serve_compute<R>(
         &self,
         digest: u64,
         span: &mut Span<'_>,
-        compute: impl FnOnce(&Session) -> Result<Reply>,
+        acquire: impl FnOnce() -> Result<Option<R>>,
+        compute: impl FnOnce(R) -> Result<Reply>,
     ) -> Reply {
         // Admission runs before the registry lookup so the stamped
         // stages match the pipeline order (queue wait, then plan
@@ -333,22 +368,19 @@ impl Shared {
         };
         span.mark(Stage::Queue);
         // The fleet lookup promotes on demand: a warm or cold digest is
-        // rebuilt into a session right here (cold reads count as store
-        // hits), so traffic against a demoted matrix keeps working.
-        let session = match self
-            .registry
-            .acquire_body(digest, |b| self.build_session(b, None))
-        {
-            Ok(Some(session)) => session,
-            Ok(None) => {
-                return Reply::Error(format!("no matrix loaded with digest {digest:#018x}"))
-            }
+        // rebuilt into a session right here, or its body read (cold reads
+        // count as store hits), so traffic against a demoted matrix
+        // keeps working.
+        let resident = match acquire() {
+            Ok(Some(resident)) => resident,
+            Ok(None) => return Reply::Error(format!("no matrix loaded with digest {digest:#018x}")),
             Err(e) => return Reply::Error(format!("promoting matrix: {e}")),
         };
         span.mark(Stage::Plan);
         // The compute stages (shard / reassemble / compute) are stamped
-        // inside the session, which shares this span's recorder.
-        compute(&session).unwrap_or_else(|e| Reply::Error(format!("computing: {e}")))
+        // inside the session, which shares this span's recorder, or
+        // around the body's product.
+        compute(resident).unwrap_or_else(|e| Reply::Error(format!("computing: {e}")))
     }
 }
 

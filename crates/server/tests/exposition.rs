@@ -3,8 +3,10 @@
 //! what the server rendered before the exposition became a pure function
 //! of the `Stats` snapshot (the goldens below were captured from that
 //! binary, commit 4c84400). The two `smm_cache_*` families have since
-//! left with the server's circuit cache; every other line is as
-//! captured.
+//! left with the server's circuit cache, and `smm_body_singles_total`
+//! joined with the singles served from a matrix body (its three lines
+//! recaptured from the server that first rendered them); every other
+//! line is as captured.
 
 use smm_core::matrix::IntMatrix;
 use smm_server::{Client, ServerConfig};
@@ -12,6 +14,9 @@ use std::time::{Duration, Instant};
 
 /// A fresh `ServerConfig::default()` server, whole.
 const FRESH: &str = "\
+# HELP smm_body_singles_total Single products answered from a matrix body with no engine built.
+# TYPE smm_body_singles_total counter
+smm_body_singles_total 0
 # HELP smm_bytes_in_total Bytes read off the wire.
 # TYPE smm_bytes_in_total counter
 smm_bytes_in_total 0

@@ -73,7 +73,7 @@ fn pin_reply(reply: Reply, expect: &[u8]) {
 /// version "range" is exactly one value — every other byte is refused.
 #[test]
 fn status_bytes_and_version_range_are_pinned() {
-    assert_eq!(VERSION, 10);
+    assert_eq!(VERSION, 11);
     assert_eq!(STATUS_OK, 0);
     assert_eq!(STATUS_BUSY, 1);
     assert_eq!(STATUS_ERROR, 2);
@@ -81,7 +81,7 @@ fn status_bytes_and_version_range_are_pinned() {
     assert_eq!(HEADER_LEN, 18);
     let ping = Request::Ping.encode(VERSION);
     let pong = Reply::Pong.encode(VERSION);
-    for version in (0..=u8::MAX).filter(|&v| v != 10) {
+    for version in (0..=u8::MAX).filter(|&v| v != 11) {
         assert!(Request::decode(version, Opcode::Ping, &ping).is_err(), "v{version}");
         assert!(Reply::decode(version, Opcode::Ping, &pong).is_err(), "v{version}");
     }
@@ -96,7 +96,7 @@ fn frame_header_layout_is_pinned() {
         frame,
         cat(&[
             b"SMM1",
-            &[10],                                             // version
+            &[11],                                             // version
             &[2],                                              // opcode: Gemv
             &[0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01], // request id, LE
             &[2, 0, 0, 0],                                     // payload length, LE
@@ -251,11 +251,12 @@ fn reply_body_layouts_are_pinned() {
     );
 }
 
-/// The `Stats` reply: status byte, seven `u64` counters, seven stages
-/// of (count, p50 ns, p99 ns), six fleet tier counters — 34 `u64`s in
-/// this order and nothing else, 273 bytes. The resident count and the
+/// The `Stats` reply: status byte, eight `u64` counters, seven stages
+/// of (count, p50 ns, p99 ns), six fleet tier counters — 35 `u64`s in
+/// this order and nothing else, 281 bytes. The resident count and the
 /// request-latency triple that version 9 sent are gone: they were the
-/// tier sum and the compute stage.
+/// tier sum and the compute stage. Version 11 added the body singles
+/// after the batches.
 #[test]
 fn stats_reply_bytes_are_pinned() {
     let mut snapshot = StatsSnapshot {
@@ -266,25 +267,26 @@ fn stats_reply_bytes_are_pinned() {
         bytes_out: 5,
         vectors: 6,
         batches: 7,
-        tier_hot: 29,
-        tier_warm: 30,
-        tier_cold: 31,
-        store_promotions: 32,
-        store_demotions: 33,
-        store_hits: 34,
+        body_singles: 8,
+        tier_hot: 30,
+        tier_warm: 31,
+        tier_cold: 32,
+        store_promotions: 33,
+        store_demotions: 34,
+        store_hits: 35,
         ..Default::default()
     };
     assert_eq!(snapshot.stages.len(), 7);
     for (i, stage) in snapshot.stages.iter_mut().enumerate() {
-        stage.count = 8 + 3 * i as u64;
-        stage.p50_ns = 9 + 3 * i as u64;
-        stage.p99_ns = 10 + 3 * i as u64;
+        stage.count = 9 + 3 * i as u64;
+        stage.p50_ns = 10 + 3 * i as u64;
+        stage.p99_ns = 11 + 3 * i as u64;
     }
     let mut expect = vec![0u8];
-    for field in 1..=34u64 {
+    for field in 1..=35u64 {
         expect.extend_from_slice(&le64(field));
     }
-    assert_eq!(expect.len(), 273);
+    assert_eq!(expect.len(), 281);
     pin_reply(Reply::Stats(Box::new(snapshot)), &expect);
 }
 
@@ -317,9 +319,9 @@ fn every_version_and_status_constant_is_named_in_both_wire_test_files() {
     assert!(unpinned.is_empty(), "{unpinned:#?}");
 }
 
-/// Peers from another revision — v0, the retired v1–v9, a future v11 —
+/// Peers from another revision — v0, the retired v1–v10, a future v12 —
 /// each get exactly one `STATUS_ERROR` frame naming the unsupported
-/// version, then EOF; a v10 client on another connection to the same
+/// version, then EOF; a v11 client on another connection to the same
 /// server keeps being served, and the refusals are not request errors.
 #[test]
 fn other_versions_are_refused_while_a_current_client_keeps_being_served() {
@@ -330,14 +332,14 @@ fn other_versions_are_refused_while_a_current_client_keeps_being_served() {
     let digest = client.load_matrix(&matrix).unwrap();
     let errors_before = client.stats().unwrap().errors;
 
-    for version in [0u8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11] {
+    for version in [0u8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12] {
         // A raw Ping frame under the foreign version byte.
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         let ping = cat(&[b"SMM1", &[version], &[0], &le64(9), &le32(0)]);
         stream.write_all(&ping).unwrap();
 
         let frame = read_frame(&mut stream).unwrap();
-        assert_eq!(frame.version, 10, "the refusal travels under the one version");
+        assert_eq!(frame.version, 11, "the refusal travels under the one version");
         let mut c = smm_core::wire::Cursor::new(&frame.payload);
         assert_eq!(c.take_u8("status").unwrap(), STATUS_ERROR, "v{version}");
         let message = c.take_str("message").unwrap();

@@ -182,7 +182,7 @@ fn v4_and_v5_stats_bodies_fuzz_clean() {
         stage.p99_ns = 9_000;
     }
     let full = Reply::Stats(Box::new(snapshot)).encode(VERSION);
-    assert_eq!(full.len(), 1 + 7 * 8 + 7 * 3 * 8 + 6 * 8);
+    assert_eq!(full.len(), 1 + 8 * 8 + 7 * 3 * 8 + 6 * 8);
     let Reply::Stats(back) = Reply::decode(VERSION, Opcode::Stats, &full).unwrap() else {
         panic!("stats reply decodes as stats");
     };

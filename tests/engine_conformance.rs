@@ -211,3 +211,40 @@ proptest! {
         }
     }
 }
+
+/// `i32::MIN` is the one `i32` weight with no `i32` magnitude: the
+/// sign-split circuit would clamp it and answer off by one where every
+/// other engine multiplies it as it is. So no engine is built over a
+/// matrix that holds it — every kind and `auto` refuse it with the same
+/// typed error, from the dense matrix and from its body, and a loopback
+/// `LoadMatrix` answers that error and leaves nothing loaded. Its
+/// neighbour `−(2^31 − 1)` is served by every engine alike.
+#[test]
+fn a_matrix_holding_i32_min_is_refused_by_every_engine() {
+    use spatial_smm::core::error::Error;
+    use spatial_smm::core::wire::MatrixBody;
+    let refused = IntMatrix::from_vec(1, 2, vec![i32::MIN, 3]).unwrap();
+    let body = Arc::new(MatrixBody::of(&refused));
+    let expect = Error::WeightOutOfDomain { value: i32::MIN };
+    for kind in BUILTIN_KINDS.into_iter().chain([AUTO]) {
+        let spec = EngineSpec::new(kind);
+        let dense = Session::builder(refused.clone()).spec(spec.clone()).build();
+        assert_eq!(dense.unwrap_err(), expect, "{kind}, from the matrix");
+        let from_body = Session::builder_body(Arc::clone(&body)).spec(spec).build();
+        assert_eq!(from_body.unwrap_err(), expect, "{kind}, from the body");
+        let server = spatial_smm::server::start(ServerConfig::default()).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let backend: BackendKind = kind.parse().unwrap();
+        let answer = client.load_matrix_with(&refused, Some(backend)).unwrap_err().to_string();
+        assert!(answer.contains(&expect.to_string()), "{kind}: {answer}");
+        assert!(client.gemv(body.digest(), &[1]).is_err(), "{kind}: nothing was loaded");
+        assert_eq!(client.stats().unwrap().tier_hot, 0, "{kind}");
+        server.shutdown();
+    }
+    let served = IntMatrix::from_vec(1, 2, vec![-i32::MAX, 3]).unwrap();
+    for kind in BUILTIN_KINDS {
+        let session = Session::builder(served.clone()).spec(EngineSpec::new(kind)).build().unwrap();
+        assert_eq!(session.run(&[1]).unwrap(), vec![-i64::from(i32::MAX), 3], "{kind}");
+        assert_eq!(session.run(&[-2]).unwrap(), vec![2 * i64::from(i32::MAX), -6], "{kind}");
+    }
+}
