@@ -79,31 +79,44 @@ fn bench_csr(c: &mut Criterion) {
 /// The CSR single-vector kernel against its oracle: `vecmat_into`
 /// (a dense frame gathered through the column slices, a sparse one
 /// scattered through the rows) vs `vecmat_scatter_into` (the scatter
-/// alone), on `reservoir-step`'s matrix (1024², 95 % sparse, 4-bit) with
-/// a dense 8-bit frame and with a one-hot frame — where the dispatch
-/// must make the two equal — and on `wire-single`'s (256², 90 %, 8-bit)
-/// with a dense frame. Outputs are checked equal before either side is
-/// timed.
+/// alone), on `reservoir-step`'s matrix (1024², 95 % sparse, 4-bit) and
+/// on `wire-single`'s (256², 90 %, 8-bit). Each gets a dense frame in
+/// every lane the gather picks from — 8-bit inputs (`f32` lanes), 17-bit
+/// (`i32`) and 24-bit (`i64`), each checked to fall in its lane's band of
+/// `max_col_abs_sum × max|a|` — and `reservoir-step`'s also a one-hot
+/// frame, where the dispatch must make the two equal. Outputs are checked
+/// equal before either side is timed.
 fn bench_csr_single(c: &mut Criterion) {
     let mut rng = seeded(2300);
     let mut group = c.benchmark_group("csr_single");
     let cases: [(usize, f64, u32, &[&str]); 2] = [
-        (1024, 0.95, 4, &["dense", "one_hot"]),
-        (256, 0.9, 8, &["dense"]),
+        (1024, 0.95, 4, &["dense8", "dense17", "dense24", "one_hot"]),
+        (256, 0.9, 8, &["dense8", "dense17", "dense24"]),
     ];
     for (dim, sparsity, weight_bits, frames) in cases {
         let m = element_sparse_matrix(dim, dim, weight_bits, sparsity, true, &mut rng).unwrap();
         let csr = Csr::from_dense(&m);
+        let max_col_abs_sum = (0..dim)
+            .map(|c| m.col(c).iter().map(|w| u64::from(w.unsigned_abs())).sum::<u64>())
+            .max()
+            .unwrap();
         for &frame in frames {
-            let mut a = vec![0i32; dim];
-            match frame {
-                "one_hot" => a[dim / 3] = -77,
-                _ => a = random_vector(dim, 8, true, &mut rng).unwrap(),
-            }
+            let (a, lane) = match frame {
+                "one_hot" => {
+                    let mut a = vec![0i32; dim];
+                    a[dim / 3] = -77;
+                    (a, 0..=u64::MAX)
+                }
+                "dense8" => (random_vector(dim, 8, true, &mut rng).unwrap(), 0..=1 << 24),
+                "dense17" => (random_vector(dim, 17, true, &mut rng).unwrap(), (1 << 24) + 1..=i32::MAX as u64),
+                _ => (random_vector(dim, 24, true, &mut rng).unwrap(), i32::MAX as u64 + 1..=u64::MAX),
+            };
+            let tag = format!("{dim}/{frame}");
+            let max_a = a.iter().map(|x| u64::from(x.unsigned_abs())).max().unwrap();
+            assert!(lane.contains(&(max_col_abs_sum * max_a)), "{tag} is outside its lane");
             let (mut out, mut oracle) = (vec![0i64; dim], vec![0i64; dim]);
             csr.vecmat_into(&a, &mut out).unwrap();
             csr.vecmat_scatter_into(&a, &mut oracle).unwrap();
-            let tag = format!("{dim}/{frame}");
             assert_eq!(out, oracle, "single-vector kernels diverged on {tag}");
             group.bench_with_input(BenchmarkId::new("gather", &tag), &dim, |b, _| {
                 b.iter(|| csr.vecmat_into(black_box(&a), &mut out).unwrap())

@@ -41,7 +41,10 @@ use smm_core::wire::MatrixBody;
 /// `core.gemv.dense_ns_per_mac.{256,1024}` (0.28 and 0.32).
 const DENSE_NS_PER_MAC: f64 = 0.30;
 /// The CSR gather, per non-zero: rung `sparse.csr.ns_per_nnz_single`
-/// (0.40).
+/// (0.40 in `BENCH_18.json`). `BENCH_42.json`, whose 8-bit frame takes
+/// the gather's `f32` lanes, reads 0.41 beside dense rungs of 0.40 and
+/// 0.42: both moved with the host, and 0.41 changes no plan on the
+/// `plan_regret` grid, so the constant stays.
 const CSR_NS_PER_NNZ: f64 = 0.40;
 
 /// Everything a cost is computed from.

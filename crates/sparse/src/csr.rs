@@ -27,6 +27,16 @@
 //! codegen, seen in the `kernels` bench; the contract is the oracle
 //! tests, which hold every kernel to the per-frame one and the scatter on
 //! both sides of every rule.
+//!
+//! **Lane width.** The gather of one dense frame accumulates in the
+//! narrowest lane the frame's bound allows, `max_col_abs_sum × max|a|`
+//! from the same two numbers: `f32` up to `2^24` (every integer that
+//! large is exactly an `f32`, and four lanes convert, multiply and add as
+//! one SSE vector each, where integer lanes take four scalar multiplies),
+//! then `i32` up to `i32::MAX`, then `i64`. The bits are equal because
+//! every value an `f32` lane holds is an integer it represents exactly;
+//! the argument is in [`Csr::vecmat_into`]. The blocked kernel keeps its
+//! integer lanes.
 
 use crate::coo::Coo;
 use crate::slices::ColumnSlices;
@@ -42,6 +52,9 @@ const G: usize = 16;
 /// The 16-bit multiply's input offset: an input `|x| < BIAS` becomes
 /// `x + BIAS` in `1..2^15`, a non-negative `i16`.
 const BIAS: i32 = 1 << 14;
+
+/// Every integer of magnitude at most `2^24` is exactly an `f32`.
+const F32_EXACT: u128 = 1 << 24;
 
 /// A CSR sparse matrix: `row_ptr` (length `rows + 1`), column indices and
 /// values sorted within each row.
@@ -109,9 +122,13 @@ pub struct BlockWidths {
     pub(crate) scattered_frames: usize,
 }
 
-/// The layout that served one frame of [`Csr::vecmat_into`].
+/// The layout, and for a gather the lane type, that served one frame of
+/// [`Csr::vecmat_into`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Single {
-    Gathered,
+    GatheredF32,
+    GatheredI32,
+    GatheredI64,
     Scattered,
 }
 
@@ -137,7 +154,8 @@ fn mostly_zero(a: &[i32]) -> bool {
     2 * zeros > a.len()
 }
 
-/// An accumulator lane of the group and gather kernels: `i32` or `i64`.
+/// An accumulator lane of the group and gather kernels: `i32` or `i64`,
+/// and for the gather also `f32`.
 pub(crate) trait Lane: Copy + Default + AddAssign + Mul<Output = Self> {
     fn from_i32(v: i32) -> Self;
     fn widen(self) -> i64;
@@ -158,6 +176,18 @@ impl Lane for i64 {
     }
     fn widen(self) -> i64 {
         self
+    }
+}
+
+/// Exact only where the *Lane width* rule of [`Csr::vecmat_into`] puts
+/// it: there every value it holds is an integer of magnitude at most
+/// [`F32_EXACT`], so both conversions are exact.
+impl Lane for f32 {
+    fn from_i32(v: i32) -> Self {
+        v as f32
+    }
+    fn widen(self) -> i64 {
+        self as i64
     }
 }
 
@@ -399,11 +429,27 @@ impl Csr {
     /// for every zero input and every padding entry — the same bits,
     /// including wherever an `i64` sum would wrap.
     ///
-    /// *Accumulator width.* By the bound of [`Csr::vecmat_block_into`],
-    /// applied to this one frame: the lanes are `i32` iff
-    /// `max_col_abs_sum × max|a| ≤ i32::MAX`, and `i64` otherwise.
+    /// *Lane width.* By the bound of [`Csr::vecmat_block_into`], applied
+    /// to this one frame, every partial sum of every output is at most
+    /// `B = max_col_abs_sum × max|a|` in magnitude. A gather runs in `f32`
+    /// lanes when `B ≤ 2^24`, else in `i32` lanes when `B ≤ i32::MAX`, else
+    /// in `i64` lanes. The `f32` lanes give the same bits as the `i64`
+    /// scatter:
+    /// - with `max|a| ≥ 1`, every stored weight is at most
+    ///   `max_col_abs_sum ≤ B`, every input is at most `max|a| ≤ B` unless
+    ///   the matrix stores no non-zero (and then nothing is multiplied),
+    ///   and every product and partial sum is an integer of magnitude at
+    ///   most `B ≤ 2^24`;
+    /// - an all-zero frame makes every product 0, whatever the weights
+    ///   round to;
+    /// - so each conversion, multiply and add is exact in `f32` (Rust
+    ///   never contracts a multiply and an add into an FMA), and each
+    ///   output converts back to the integer the `i64` sum reaches;
+    /// - padding and zero inputs add `±0`, which changes no sum.
+    ///
+    /// The `i32` lanes are exact for the reason the blocked kernel's are.
     pub fn vecmat_into(&self, a: &[i32], out: &mut [i64]) -> Result<()> {
-        self.single_into(a, out, &mut Vec::new()).map(drop)
+        self.single_into(a, out).map(drop)
     }
 
     /// [`Csr::vecmat_into`] by the row-major scatter alone,
@@ -430,30 +476,37 @@ impl Csr {
         Ok(())
     }
 
-    /// One frame through the layout its density picks; `padded` is the
-    /// gather's scratch, reused across the leftovers of a block.
-    fn single_into(&self, a: &[i32], out: &mut [i64], padded: &mut Vec<i32>) -> Result<Single> {
+    /// One frame through the layout its density picks, gathered in the
+    /// lanes its bound picks.
+    fn single_into(&self, a: &[i32], out: &mut [i64]) -> Result<Single> {
         self.check_single(a, out)?;
         let Some(slices) = self.slices.as_ref().filter(|_| !mostly_zero(a)) else {
             self.scatter(a, out);
             return Ok(Single::Scattered);
         };
-        padded.clear();
-        padded.extend_from_slice(a);
-        padded.resize(a.len().next_power_of_two(), 0);
         let max_a = a.iter().fold(0, |max, v| v.unsigned_abs().max(max));
-        if self.fits_i32(max_a) {
-            slices.gather::<i32>(padded, out);
+        Ok(if self.bound(max_a) <= F32_EXACT {
+            slices.gather::<f32>(a, out);
+            Single::GatheredF32
+        } else if self.fits_i32(max_a) {
+            slices.gather::<i32>(a, out);
+            Single::GatheredI32
         } else {
-            slices.gather::<i64>(padded, out);
-        }
-        Ok(Single::Gathered)
+            slices.gather::<i64>(a, out);
+            Single::GatheredI64
+        })
+    }
+
+    /// The most any partial sum of any output can reach in magnitude when
+    /// every input is at most `max_x` in absolute value.
+    fn bound(&self, max_x: u32) -> u128 {
+        u128::from(self.max_col_abs_sum) * u128::from(max_x)
     }
 
     /// Whether no partial sum of any output can leave `i32` when every
     /// input is at most `max_x` in absolute value.
     fn fits_i32(&self, max_x: u32) -> bool {
-        u128::from(self.max_col_abs_sum) * u128::from(max_x) <= i32::MAX as u128
+        self.bound(max_x) <= i32::MAX as u128
     }
 
     /// Zeroes `out` (`cols` elements) and accumulates `aᵀV` into it row
@@ -567,13 +620,12 @@ impl Csr {
                 widths.narrow_groups += 1;
             }
         }
-        let mut padded = Vec::new();
         for f in full..n {
             let a = &frames[f * rows..(f + 1) * rows];
             let o = &mut out[f * cols..(f + 1) * cols];
-            match self.single_into(a, o, &mut padded)? {
-                Single::Gathered => widths.gathered_frames += 1,
+            match self.single_into(a, o)? {
                 Single::Scattered => widths.scattered_frames += 1,
+                _ => widths.gathered_frames += 1,
             }
         }
         Ok(widths)
@@ -773,14 +825,15 @@ mod tests {
 
     /// One frame through both single-vector kernels, each into a stale
     /// buffer: the outputs must be the same bits, and the layout that
-    /// served `vecmat_into` the one the density rule picks.
-    fn assert_gather_matches_scatter(csr: &Csr, a: &[i32]) -> BlockWidths {
+    /// served `vecmat_into` the one the density rule picks. Returns the
+    /// layout and lane that ran.
+    fn assert_gather_matches_scatter(csr: &Csr, a: &[i32]) -> Single {
         let mut oracle = vec![-77i64; csr.cols()];
         csr.vecmat_scatter_into(a, &mut oracle).unwrap();
         let mut got = vec![77i64; csr.cols()];
-        csr.vecmat_into(a, &mut got).unwrap();
-        assert_eq!(got, oracle, "{csr:?} × {a:?}");
-        // The same frame as a one-frame block, to see which layout ran.
+        let single = csr.single_into(a, &mut got).unwrap();
+        assert_eq!(got, oracle, "{csr:?} × {a:?} in {single:?}");
+        // The same frame as a one-frame block, which counts the layout.
         got.fill(-1);
         let ran = csr.vecmat_block_into(a, 1, &mut got).unwrap();
         assert_eq!(got, oracle);
@@ -792,7 +845,28 @@ mod tests {
             ..BlockWidths::default()
         };
         assert_eq!(ran, expect, "{a:?}");
-        ran
+        single
+    }
+
+    /// `max_c Σ_r |w_rc|`, worked out from the dense matrix.
+    fn max_col_abs_sum(d: &IntMatrix) -> u128 {
+        let col_sum =
+            |c: usize| -> u128 { d.col(c).iter().map(|w| u128::from(w.unsigned_abs())).sum() };
+        (0..d.cols()).map(col_sum).max().unwrap_or(0)
+    }
+
+    /// The layout and lane the rustdoc's rules prescribe for one frame,
+    /// worked out from the dense matrix and the frame.
+    fn expected_single(d: &IntMatrix, a: &[i32]) -> Single {
+        if 2 * a.iter().filter(|&&x| x != 0).count() < d.rows() {
+            return Single::Scattered;
+        }
+        let max_a = a.iter().map(|x| u128::from(x.unsigned_abs())).max().unwrap_or(0);
+        match max_col_abs_sum(d) * max_a {
+            b if b <= 1 << 24 => Single::GatheredF32,
+            b if b <= i32::MAX as u128 => Single::GatheredI32,
+            _ => Single::GatheredI64,
+        }
     }
 
     /// A frame of `len` inputs with exactly `nonzero` of them non-zero,
@@ -820,9 +894,12 @@ mod tests {
 
         /// The gather is the scatter, bit for bit: every `cols mod 4`,
         /// fewer than four columns, a single row, matrices from empty to
-        /// full, operands on both sides of the `i32` rule, and frames on
-        /// both sides of the density rule — all-zero, one-hot, one short
-        /// of half, exactly half (rounded up), all but one, and full.
+        /// full, frames on both sides of the density rule — all-zero,
+        /// one-hot, one short of half, exactly half (rounded up), all but
+        /// one, and full — and operands on both sides of each lane rule:
+        /// drawn widths, or the frame's largest input set to the most the
+        /// `f32` or the `i32` lane admits for this matrix, or one more.
+        /// The lane that ran is the rule's.
         #[test]
         fn gather_matches_scatter(
             seed in any::<u64>(),
@@ -832,6 +909,7 @@ mod tests {
             weight_bits in 2u32..=31,
             input_bits in 2u32..=31,
             density in 0usize..6,
+            edge in 0usize..5,
         ) {
             // 40 products of a `w`-bit weight and an `x`-bit input stay
             // inside `i64` (no overflow panic in a debug build) while
@@ -841,8 +919,28 @@ mod tests {
             let d = element_sparse_matrix(rows, cols, weight_bits, sparsity, true, &mut rng).unwrap();
             let csr = Csr::from_dense(&d);
             let nonzero = [0, 1, (rows - 1) / 2, rows.div_ceil(2), rows - 1, rows][density];
-            let a = frame_with_nonzeros(rows, nonzero, seed as usize % rows, input_bits, &mut rng);
-            assert_gather_matches_scatter(&csr, &a);
+            let first = seed as usize % rows;
+            let mut a = frame_with_nonzeros(rows, nonzero, first, input_bits, &mut rng);
+            // Edges 1 and 2 put `max|a|` at the most the `f32` lane admits
+            // for this matrix and at one more, edges 3 and 4 the same for
+            // the `i32` lane; `2^31` is reached only as `i32::MIN`.
+            let limit = match edge {
+                1 | 2 => F32_EXACT,
+                3 | 4 => i32::MAX as u128,
+                _ => 0,
+            };
+            if limit > 0 && csr.max_col_abs_sum > 0 && nonzero > 0 {
+                let over = u128::from(edge % 2 == 0);
+                let m = (limit / u128::from(csr.max_col_abs_sum) + over).min(1 << 31);
+                for x in &mut a {
+                    if u128::from(x.unsigned_abs()) > m {
+                        *x = x.signum() * m as i32;
+                    }
+                }
+                a[first] = if m == 1 << 31 { i32::MIN } else { m as i32 * a[first].signum() };
+            }
+            let ran = assert_gather_matches_scatter(&csr, &a);
+            prop_assert_eq!(ran, expected_single(&d, &a), "{:?} × {:?}", d, a);
             prop_assert_eq!(csr.vecmat(&a).unwrap(), vecmat(&a, &d).unwrap());
         }
 
@@ -871,10 +969,9 @@ mod tests {
         let at = Csr::from_dense(&IntMatrix::from_vec(2, 1, vec![i32::MAX - 5, 5]).unwrap());
         let over = Csr::from_dense(&IntMatrix::from_vec(2, 1, vec![i32::MAX - 5, 6]).unwrap());
         assert!(at.fits_i32(1) && !over.fits_i32(1));
-        for csr in [&at, &over] {
-            let ran = assert_gather_matches_scatter(csr, &[1, 1]);
-            assert_eq!(ran.gathered_frames, 1);
-            assert_gather_matches_scatter(csr, &[-1, -1]);
+        for (csr, lane) in [(&at, Single::GatheredI32), (&over, Single::GatheredI64)] {
+            assert_eq!(assert_gather_matches_scatter(csr, &[1, 1]), lane);
+            assert_eq!(assert_gather_matches_scatter(csr, &[-1, -1]), lane);
         }
         let unit = Csr::from_dense(&IntMatrix::from_vec(1, 1, vec![1]).unwrap());
         assert!(unit.fits_i32(i32::MAX.unsigned_abs()) && !unit.fits_i32(i32::MIN.unsigned_abs()));
@@ -885,6 +982,34 @@ mod tests {
         for a in [[i32::MIN, 1], [1, -1], [0, i32::MIN], [0, 0]] {
             assert_gather_matches_scatter(&min, &a);
         }
+    }
+
+    #[test]
+    fn single_f32_boundary_is_exact() {
+        // A column of 257 ones against inputs of 65,281: the bound is
+        // 257 × 65,281 = 2^24 + 1, and so is the true sum, which is odd
+        // and not an `f32` (an `f32` lane would round it to 2^24). It must
+        // take the `i32` lane.
+        let over = Csr::from_dense(&IntMatrix::from_vec(257, 1, vec![1; 257]).unwrap());
+        assert_eq!(over.bound(65_281), F32_EXACT + 1);
+        let a = vec![65_281; 257];
+        assert_eq!(assert_gather_matches_scatter(&over, &a), Single::GatheredI32);
+        assert_eq!(over.vecmat(&a).unwrap(), vec![16_777_217]);
+        // 256 ones against 65,536: a bound of exactly 2^24 takes `f32`,
+        // and every partial sum, 2^24 included, is exact.
+        let at = Csr::from_dense(&IntMatrix::from_vec(256, 1, vec![1; 256]).unwrap());
+        for x in [65_536, -65_536] {
+            let a = vec![x; 256];
+            assert_eq!(assert_gather_matches_scatter(&at, &a), Single::GatheredF32);
+            assert_eq!(at.vecmat(&a).unwrap(), vec![256 * i64::from(x)]);
+        }
+        // An empty matrix bounds any frame by 0, so inputs past 2^24 take
+        // `f32` too: the slices store no entry, nothing multiplies them,
+        // and every output is still written.
+        let empty = Csr::from_dense(&IntMatrix::zeros(3, 2).unwrap());
+        let a = [i32::MAX, i32::MIN, (1 << 24) + 1];
+        assert_eq!(assert_gather_matches_scatter(&empty, &a), Single::GatheredF32);
+        assert_eq!(empty.vecmat(&a).unwrap(), vec![0, 0]);
     }
 
     /// Entries the column slices store beyond the non-zeros.
@@ -983,9 +1108,7 @@ mod tests {
     /// layout per leftover frame — worked out from the dense matrix and
     /// the frames rather than from the kernel's own fields.
     fn expected_widths(d: &IntMatrix, frames: &[i32], n: usize) -> BlockWidths {
-        let col_sum =
-            |c: usize| -> u128 { d.col(c).iter().map(|w| u128::from(w.unsigned_abs())).sum() };
-        let bound = (0..d.cols()).map(col_sum).max().unwrap_or(0);
+        let bound = max_col_abs_sum(d);
         let mut expect = BlockWidths {
             leftover_frames: n % G,
             ..BlockWidths::default()

@@ -12,30 +12,15 @@
 //! Because the order is a full sort, a slice's longest column is no
 //! longer than the shortest of the slice before it, and the padding sums
 //! to at most `(LANES − 1) ×` the longest column of the matrix.
+//!
+//! The entries are two parallel arrays, `rows` (`u32`) and `weights`
+//! (`i32`), 8 bytes per entry: one step's four weights are one 16-byte
+//! load, which the `f32` lane converts and multiplies as one vector.
 
 use crate::csr::Lane;
 
 /// Columns per slice, one accumulator each.
 pub(crate) const LANES: usize = 4;
-
-/// One stored entry, `row | weight << 32`: the index and the weight
-/// arrive in one load and leave the build in one store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct Entry(u64);
-
-impl Entry {
-    fn new(row: u32, weight: i32) -> Self {
-        Self(u64::from(row) | u64::from(weight as u32) << 32)
-    }
-
-    fn row(self) -> u32 {
-        self.0 as u32
-    }
-
-    fn weight(self) -> i32 {
-        (self.0 >> 32) as i32
-    }
-}
 
 /// The sliced copy of one CSR's non-zeros. Built once from the CSR
 /// arrays, never serialised.
@@ -45,11 +30,13 @@ pub(crate) struct ColumnSlices {
     /// computes; a permutation of `0..cols`, so the last slice may hold
     /// fewer than `LANES` columns.
     perm: Vec<u32>,
-    /// Slice `s` owns `entries[slice_ptr[s]..slice_ptr[s + 1]]` (both
-    /// multiples of `LANES`).
+    /// Slice `s` owns entries `slice_ptr[s]..slice_ptr[s + 1]` of `rows`
+    /// and `weights` (both multiples of `LANES`).
     slice_ptr: Vec<u32>,
-    /// The default entry, `(row 0, weight 0)`, is padding.
-    entries: Vec<Entry>,
+    /// Each entry's input row; `0` for padding.
+    rows: Vec<u32>,
+    /// Each entry's weight; `0` for padding.
+    weights: Vec<i32>,
 }
 
 impl ColumnSlices {
@@ -92,46 +79,55 @@ impl ColumnSlices {
             slice_ptr.push(end);
         }
 
-        let mut entries = vec![Entry::default(); end as usize];
+        let mut rows = vec![0u32; end as usize];
+        let mut weights = vec![0i32; end as usize];
         for (r, span) in (0..).zip(row_ptr.windows(2)) {
             let (lo, hi) = (span[0], span[1]);
             for (&c, &v) in col_idx[lo..hi].iter().zip(&values[lo..hi]) {
                 let at = &mut cursor[c];
-                entries[*at as usize] = Entry::new(r, v);
+                rows[*at as usize] = r;
+                weights[*at as usize] = v;
                 *at += LANES as u32;
             }
         }
         Some(Self {
             perm,
             slice_ptr,
-            entries,
+            rows,
+            weights,
         })
     }
 
     /// Entries stored, padding included.
     #[cfg(test)]
     pub(crate) fn padded_len(&self) -> usize {
-        self.entries.len()
+        self.rows.len()
     }
 
     /// `out[c] = Σ_r w_rc · a[r]` for every column, in lane type `A`.
     ///
-    /// `padded` is the input frame followed by zeros up to a power-of-two
-    /// length, so a row index masked by `len − 1` is provably in bounds
-    /// and — every stored row being below the frame length — unchanged.
-    /// Every element of `out` (`cols` long) is written exactly once.
-    pub(crate) fn gather<A: Lane>(&self, padded: &[i32], out: &mut [i64]) {
-        assert!(padded.len().is_power_of_two(), "padded frame length");
-        let mask = u32::try_from(padded.len() - 1).expect("stored rows fit u32");
+    /// The frame is converted to `A` in the one pass that pads it with
+    /// zeros to a power-of-two length, so a row index masked by
+    /// `len − 1` is provably in bounds and — every stored row being below
+    /// the frame length — unchanged. Every element of `out` (`cols`
+    /// long) is written exactly once.
+    pub(crate) fn gather<A: Lane>(&self, a: &[i32], out: &mut [i64]) {
+        let len = a.len().next_power_of_two();
+        let mut padded = Vec::with_capacity(len);
+        padded.extend(a.iter().map(|&v| A::from_i32(v)));
+        padded.resize(len, A::default());
+        let mask = u32::try_from(len - 1).expect("stored rows fit u32");
         // The whole slice again, with its length restated in terms of
         // `mask`: what lets the compiler drop the check on `x & mask`.
         let padded = &padded[..=mask as usize];
         for (perm, span) in self.perm.chunks(LANES).zip(self.slice_ptr.windows(2)) {
+            let span = span[0] as usize..span[1] as usize;
+            let (rows, _) = self.rows[span.clone()].as_chunks::<LANES>();
+            let (weights, _) = self.weights[span].as_chunks::<LANES>();
             let mut acc = [A::default(); LANES];
-            for step in self.entries[span[0] as usize..span[1] as usize].chunks_exact(LANES) {
-                for (acc, entry) in acc.iter_mut().zip(step) {
-                    let a = padded[(entry.row() & mask) as usize];
-                    *acc += A::from_i32(entry.weight()) * A::from_i32(a);
+            for (rows, weights) in rows.iter().zip(weights) {
+                for ((acc, &row), &w) in acc.iter_mut().zip(rows).zip(weights) {
+                    *acc += A::from_i32(w) * padded[(row & mask) as usize];
                 }
             }
             for (&c, acc) in perm.iter().zip(acc) {
