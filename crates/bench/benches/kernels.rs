@@ -2,7 +2,9 @@
 //! scalar-reference vs cache-blocked dense `vecmat_into` at several dims
 //! and densities, CSR SpMV, the CSR single-vector kernel (column-slice
 //! gather vs the row scatter it is held to), the per-frame vs
-//! weight-stationary CSR batch, the bit-sliced vs framed-streamed
+//! weight-stationary CSR batch, the blocked batch's fixed cost (its
+//! tiled transposes, timed on a matrix with no non-zeros beside
+//! `wire-batch`'s), the bit-sliced vs framed-streamed
 //! bit-serial batch engines, the loops of a cold promotion (CRC-32,
 //! content digest, artifact decode, CSR build), and the planner's regret
 //! (the auto-planned engine's one-frame time over the fastest engine's). Each race between
@@ -169,6 +171,38 @@ fn bench_csr_batch64(c: &mut Criterion) {
             b.iter(|| run_per_frame(&mut per_frame))
         });
         group.bench_with_input(BenchmarkId::new("blocked", bits), &bits, |b, _| {
+            b.iter(|| {
+                csr.vecmat_block_into(black_box(&frames), n, &mut blocked)
+                    .unwrap()
+            })
+        });
+    }
+    group.finish();
+}
+
+/// The blocked kernel at `wire-batch`'s shape (1024², 90 % sparse,
+/// 8-bit weights and inputs, 64 frames) beside the same call on a 1024²
+/// matrix with no non-zeros, where the walk is empty and what is left is
+/// the group's fixed cost: the 16 × 16-tiled transposes in and out and
+/// the zeroed lanes. Each block is checked equal to the per-frame kernel
+/// before it is timed.
+fn bench_csr_block_transposes(c: &mut Criterion) {
+    let (dim, n) = (1024usize, 64usize);
+    let mut rng = seeded(4300);
+    let served = element_sparse_matrix(dim, dim, 8, 0.9, true, &mut rng).unwrap();
+    let frames = random_vector(n * dim, 8, true, &mut rng).unwrap();
+    let mut group = c.benchmark_group("csr_block_transposes");
+    for (name, m) in [("wire_batch", served), ("empty", IntMatrix::zeros(dim, dim).unwrap())] {
+        let csr = Csr::from_dense(&m);
+        let mut per_frame = vec![0i64; n * dim];
+        for (a, o) in frames.chunks_exact(dim).zip(per_frame.chunks_exact_mut(dim)) {
+            csr.vecmat_into(a, o).unwrap();
+        }
+        let mut blocked = vec![0i64; n * dim];
+        let ran = csr.vecmat_block_into(&frames, n, &mut blocked).unwrap();
+        assert_eq!(per_frame, blocked, "the blocked kernel diverged on {name}");
+        assert_eq!((ran.narrow_groups, ran.wide_groups), (4, 0), "{name}");
+        group.bench_with_input(BenchmarkId::new("blocked", name), &name, |b, _| {
             b.iter(|| {
                 csr.vecmat_block_into(black_box(&frames), n, &mut blocked)
                     .unwrap()
@@ -451,6 +485,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_dense_variants, bench_csr, bench_csr_single, bench_csr_batch64,
-        bench_bitserial_batch, bench_store_checksums, bench_plan_regret
+        bench_csr_block_transposes, bench_bitserial_batch, bench_store_checksums, bench_plan_regret
 }
 criterion_main!(benches);

@@ -10,7 +10,8 @@
 //!   `Stats`), built on [`smm_core::wire`], with a matrix travelling as
 //!   its non-zeros at their own width ([`smm_core::wire::put_matrix`])
 //!   and a batch as its [`smm_core::block::Block`]: a frame count and
-//!   one element vector;
+//!   one element vector, every element vector at the width its values
+//!   need ([`smm_core::wire::put_i32_narrow`]);
 //! * `server` — a std-only threaded TCP server: per-connection
 //!   sessions resolving matrices by [`smm_core::matrix::IntMatrix::digest`]
 //!   through a tiered [`smm_runtime::TieredRegistry`] (hot sessions,

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic  "SMM1"      4 bytes
-//! version            1 byte   (10, nothing else)
+//! version            1 byte   (12, nothing else)
 //! opcode             1 byte
 //! request id         8 bytes  little-endian
 //! payload length     4 bytes  little-endian
@@ -63,8 +63,8 @@
 //! A batch travels the way it sits in memory, as one [`Block`]:
 //!
 //! ```text
-//! GemvBatch   digest u64 · count u32 · elements: one length-prefixed i32 vector
-//! Outputs     status u8  · count u32 · elements: one length-prefixed i64 vector
+//! GemvBatch   digest u64 · count u32 · elements: one i32 element vector
+//! Outputs     status u8  · count u32 · elements: one i64 element vector
 //! ```
 //!
 //! The frame width is the element count over `count`. A count above the
@@ -73,7 +73,36 @@
 //! batch cannot be ragged. Version 8 put a length in front of every frame; a version-8
 //! batch would be misread, so a version-8 peer is refused at the version
 //! byte too. Zero-width frames cost no bytes here, so the server checks
-//! a batch's width against its matrix before it shapes the reply block.
+//! a batch's width against its matrix before it shapes the reply block,
+//! and prices the reply at its widest (8 bytes per output) before it
+//! computes it.
+//!
+//! ## An element vector travels at its width
+//!
+//! Every element vector — a `Gemv`'s input, a `GemvBatch`'s block, an
+//! `Output` and an `Outputs` block — is a count, one width byte and the
+//! elements at that width ([`wire::put_i32_narrow`] /
+//! [`wire::put_i64_narrow`]):
+//!
+//! ```text
+//! count u32 · width u8 · elements  count × width bytes, little-endian
+//! ```
+//!
+//! The width is the narrowest that holds every element of the vector,
+//! by the rule a matrix body's values follow: 1, 2 or 4 bytes for an
+//! `i32` input, 1, 2, 4 or 8 for an `i64` output, and 1 for an empty
+//! vector. The reader widens the elements back and refuses any other
+//! width byte — 0, 3, one past the type's own width, or one wider than
+//! the elements need — so each message still has one layout. An 8-bit
+//! input travels in 1 byte instead of 4, and a sum that fits 31 bits in
+//! 4 instead of 8: a 64-frame batch over 1024 rows and columns is
+//! 64 KiB up instead of 256 KiB and 256 KiB down instead of 512 KiB.
+//! The element count is capped at what [`MAX_FRAME_PAYLOAD`] bytes of
+//! the element type hold, the cap the fixed widths implied, so a frame of
+//! 1-byte elements decodes into no more memory than before. Version 11
+//! wrote every input in 4 bytes and every output in 8 with no width
+//! byte; a version-11 element vector would be misread, so a version-11
+//! peer is refused at the version byte.
 //!
 //! ## A `Stats` reply says each number once
 //!
@@ -121,7 +150,7 @@ use std::io::{self, BufReader, Read, Write};
 /// Frame preamble: the protocol's on-wire signature.
 pub(crate) const MAGIC: [u8; 4] = *b"SMM1";
 /// The one protocol version both ends speak.
-pub const VERSION: u8 = 11;
+pub const VERSION: u8 = 12;
 /// Fixed frame header size in bytes.
 pub const HEADER_LEN: usize = 18;
 /// Upper bound on a frame payload; larger length prefixes are rejected
@@ -130,7 +159,8 @@ pub const MAX_FRAME_PAYLOAD: usize = wire::MAX_WIRE_LEN;
 /// Most frame-buffer capacity a connection keeps from one frame to the
 /// next (its [`BufReader`]'s 8 KiB aside). A larger frame is served from
 /// a buffer that is freed once the frame is done. The reply to a
-/// 64-frame batch over 1024 columns (524 KB) fits.
+/// 64-frame batch over 1024 columns fits even at 8 bytes per output
+/// (524 KB).
 pub(crate) const MAX_RETAINED_BUFFER: usize = 1 << 20;
 
 /// Reply status byte: request served.
@@ -289,7 +319,8 @@ pub enum Request {
         /// [`IntMatrix::digest`] of the loaded matrix.
         digest: u64,
         /// The input frames, served in order: on the wire, the frame
-        /// count and then the block's elements as one `i32` vector.
+        /// count and then the block's elements as one `i32` element
+        /// vector.
         frames: FrameBlock,
     },
     /// Server-wide metrics snapshot.
@@ -351,11 +382,11 @@ impl Request {
             },
             Opcode::Gemv => Request::Gemv {
                 digest: c.take_u64("matrix digest")?,
-                vector: c.take_i32_vec("input vector")?,
+                vector: c.take_i32_narrow("input vector")?,
             },
             Opcode::GemvBatch => Request::GemvBatch {
                 digest: c.take_u64("matrix digest")?,
-                frames: take_block(&mut c, MAX_FRAME_PAYLOAD / 4, Cursor::take_i32_vec)?,
+                frames: take_block(&mut c, MAX_FRAME_PAYLOAD / 4, Cursor::take_i32_narrow)?,
             },
         };
         c.expect_end("request payload")?;
@@ -399,16 +430,15 @@ pub(crate) fn put_load_matrix(
 /// that layout, shared by [`Request::encode_into`] and the client.
 pub(crate) fn put_gemv(buf: &mut Vec<u8>, digest: u64, vector: &[i32]) {
     wire::put_u64(buf, digest);
-    wire::put_i32_vec(buf, vector);
+    wire::put_i32_narrow(buf, vector);
 }
 
 /// Appends a `GemvBatch` payload from a borrowed block: digest, frame
 /// count, then the block's elements as one vector.
 pub(crate) fn put_gemv_batch(buf: &mut Vec<u8>, digest: u64, frames: &FrameBlock) {
-    buf.reserve(16 + frames.as_slice().len() * 4);
     wire::put_u64(buf, digest);
     wire::put_u32(buf, frames.frames() as u32);
-    wire::put_i32_vec(buf, frames.as_slice());
+    wire::put_i32_narrow(buf, frames.as_slice());
 }
 
 /// Server-wide metrics, as reported by [`Request::Stats`].
@@ -534,7 +564,8 @@ pub enum Reply {
     /// [`Request::Gemv`] result.
     Output(Vec<i64>),
     /// [`Request::GemvBatch`] results, in request order: on the wire,
-    /// the row count and then the block's elements as one `i64` vector.
+    /// the row count and then the block's elements as one `i64` element
+    /// vector.
     Outputs(RowBlock),
     /// [`Request::Stats`] snapshot (boxed: the per-stage latency block
     /// would otherwise dominate every `Reply`'s size).
@@ -584,13 +615,12 @@ impl Reply {
             }
             Reply::Output(o) => {
                 wire::put_u8(buf, STATUS_OK);
-                wire::put_i64_vec(buf, o);
+                wire::put_i64_narrow(buf, o);
             }
             Reply::Outputs(rows) => {
-                buf.reserve(batch_reply_len(rows.frames(), rows.width()));
                 wire::put_u8(buf, STATUS_OK);
                 wire::put_u32(buf, rows.frames() as u32);
-                wire::put_i64_vec(buf, rows.as_slice());
+                wire::put_i64_narrow(buf, rows.as_slice());
             }
             Reply::Stats(s) => {
                 wire::put_u8(buf, STATUS_OK);
@@ -620,11 +650,11 @@ impl Reply {
                     already_loaded: c.take_u8("already-loaded flag")? != 0,
                     engine: c.take_str("engine name")?.to_string(),
                 }),
-                Opcode::Gemv => Reply::Output(c.take_i64_vec("output vector")?),
+                Opcode::Gemv => Reply::Output(c.take_i64_narrow("output vector")?),
                 Opcode::GemvBatch => Reply::Outputs(take_block(
                     &mut c,
                     MAX_FRAME_PAYLOAD / 8,
-                    Cursor::take_i64_vec,
+                    Cursor::take_i64_narrow,
                 )?),
                 Opcode::Stats => Reply::Stats(Box::new(StatsSnapshot::decode(&mut c)?)),
             },
@@ -640,16 +670,20 @@ impl Reply {
 }
 
 /// Payload bytes of a `GemvBatch` reply of `frames` rows of `cols`
-/// outputs: status, count and one length-prefixed `i64` vector.
+/// outputs at its widest: status, count and one `i64` element vector
+/// whose outputs each take 8 bytes. An `Outputs` reply is never longer,
+/// and the server refuses a batch whose reply this prices past
+/// [`MAX_FRAME_PAYLOAD`] before computing it: priced at its widest, the
+/// answer does not depend on the values the batch would produce.
 pub(crate) fn batch_reply_len(frames: usize, cols: usize) -> usize {
     frames
         .saturating_mul(cols)
         .saturating_mul(8)
-        .saturating_add(9)
+        .saturating_add(10)
 }
 
 /// Reads a batch in its one layout: `count u32`, then the block's
-/// elements as one length-prefixed vector, read by `take_vec`. The
+/// elements as one element vector, read by `take_vec`. The
 /// width is `len / count`. A count above `max_count` is refused before
 /// any element is read; a length that is not a multiple of the count (or
 /// any element behind a zero count) is refused too.
@@ -1067,11 +1101,17 @@ mod tests {
         );
         round_trip_reply(Opcode::Gemv, Reply::Output(vec![i64::MIN, 0, i64::MAX]));
         for (frames, cols) in [(2, 3), (0, 0), (4, 0)] {
-            let rows = RowBlock::from_vec(frames, cols, (0..frames as i64 * cols as i64).collect());
-            let reply = Reply::Outputs(rows.unwrap());
-            // The server's reply-size guard prices exactly these bytes.
-            assert_eq!(reply.encode(VERSION).len(), batch_reply_len(frames, cols));
-            round_trip_reply(Opcode::GemvBatch, reply);
+            let n = frames as i64 * cols as i64;
+            // The server's reply-size guard prices every output at 8
+            // bytes: exactly the bytes of outputs that need them, and at
+            // least those of any narrower reply.
+            let wide = RowBlock::from_vec(frames, cols, (0..n).map(|i| i64::MIN + i).collect());
+            let wide = Reply::Outputs(wide.unwrap());
+            assert_eq!(wide.encode(VERSION).len(), batch_reply_len(frames, cols));
+            round_trip_reply(Opcode::GemvBatch, wide);
+            let narrow = Reply::Outputs(RowBlock::from_vec(frames, cols, (0..n).collect()).unwrap());
+            assert!(narrow.encode(VERSION).len() <= batch_reply_len(frames, cols));
+            round_trip_reply(Opcode::GemvBatch, narrow);
         }
         let mut stats = StatsSnapshot {
             requests: 11,
@@ -1322,6 +1362,26 @@ mod tests {
             matches!(&err, Error::Wire { context } if context.starts_with(refused)),
             "{err}"
         );
+        // Version-11 element vectors (every input at 4 bytes and every
+        // output at 8, no width byte) are refused by their version too;
+        // read as the current version, a count's low byte would pass for
+        // a width.
+        let mut v11_gemv = Vec::new();
+        wire::put_u64(&mut v11_gemv, 7);
+        wire::put_i32_vec(&mut v11_gemv, &[1, -2]);
+        let mut v11_output = vec![STATUS_OK];
+        wire::put_i64_vec(&mut v11_output, &[3, -4]);
+        let refused = "unsupported protocol version 11";
+        let errs = [
+            Request::decode(11, Opcode::Gemv, &v11_gemv).unwrap_err(),
+            Reply::decode(11, Opcode::Gemv, &v11_output).unwrap_err(),
+        ];
+        for err in errs {
+            assert!(
+                matches!(&err, Error::Wire { context } if context.starts_with(refused)),
+                "{err}"
+            );
+        }
     }
 
     #[test]

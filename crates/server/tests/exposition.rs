@@ -96,11 +96,14 @@ smm_vectors_served 0
 /// The sample lines that differ from [`FRESH`] once the script in
 /// `scripted_traffic_moves_exactly_the_lines_it_moved_before` has run
 /// and its connection has closed — latency quantiles aside, which are
-/// wall-clock readings. `smm_bytes_in_total` follows the wire layout:
-/// the script's load is a 68-byte `LoadMatrix` payload.
+/// wall-clock readings. `smm_bytes_in_total` and `smm_bytes_out_total`
+/// follow the wire layout: the script's load is a 68-byte `LoadMatrix`
+/// payload, and each of its four `Gemv`s (three inputs of 1 byte each)
+/// and three `Output`s (four outputs of 1 byte each) carries its vector
+/// at the narrowest width behind one width byte.
 const AFTER_SCRIPT: [&str; 13] = [
-    "smm_bytes_in_total 254",
-    "smm_bytes_out_total 286",
+    "smm_bytes_in_total 222",
+    "smm_bytes_out_total 205",
     "smm_errors_total 1",
     "smm_matrices_loaded 1",
     "smm_request_latency_ns_count 3",

@@ -519,9 +519,9 @@ fn two_requests_in_one_write_are_answered_in_order() {
 
 /// A 1×8192 all-ones matrix: a width-1 batch of `n` frames asks for an
 /// `n × 8192` reply of 65,540 bytes per frame.
-fn wide_server() -> (smm_server::ServerHandle, u64) {
+fn wide_server(weight: i32) -> (smm_server::ServerHandle, u64) {
     let server = smm_server::start(ServerConfig::default()).unwrap();
-    let wide = IntMatrix::from_vec(1, 8192, vec![1; 8192]).unwrap();
+    let wide = IntMatrix::from_vec(1, 8192, vec![weight; 8192]).unwrap();
     let digest = Client::connect(server.local_addr())
         .unwrap()
         .load_matrix(&wide)
@@ -531,11 +531,12 @@ fn wide_server() -> (smm_server::ServerHandle, u64) {
 
 /// A peer sends a batch whose ~33.6 MB reply outgrows the socket
 /// buffers, then never reads: the session is stuck in its write, and
-/// shutdown must still return.
+/// shutdown must still return. Every output, 2 · (2^31 − 1), takes all
+/// 8 of its bytes on the wire.
 #[test]
 fn shutdown_returns_while_a_peer_has_stopped_reading_its_reply() {
-    let (server, digest) = wide_server();
-    let frames = FrameBlock::from_vec(512, 1, vec![1; 512]).unwrap();
+    let (server, digest) = wide_server(i32::MAX);
+    let frames = FrameBlock::from_vec(512, 1, vec![2; 512]).unwrap();
     let payload = Request::encode_gemv_batch(digest, &frames);
     let mut stalled = TcpStream::connect(server.local_addr()).unwrap();
     write_frame(&mut stalled, VERSION, Opcode::GemvBatch as u8, 1, &payload).unwrap();
@@ -558,11 +559,13 @@ fn shutdown_returns_while_a_peer_has_stopped_reading_its_reply() {
 }
 
 /// A batch whose reply cannot fit in one frame (1024 × 65,536 bytes and
-/// the 9-byte head are past the 64 MiB cap) is refused before it is computed: nothing is
-/// counted as served, and the connection keeps working.
+/// the 10-byte head are past the 64 MiB cap) is refused before it is computed: nothing is
+/// counted as served, and the connection keeps working. The reply is
+/// priced at 8 bytes per output, the most an output can take, though
+/// these outputs would travel in 1.
 #[test]
 fn an_over_cap_batch_is_refused_before_it_is_computed() {
-    let (server, digest) = wide_server();
+    let (server, digest) = wide_server(1);
     let mut client = Client::connect(server.local_addr()).unwrap();
     let frames = FrameBlock::from_vec(1024, 1, vec![1; 1024]).unwrap();
     let err = client.gemv_block(digest, &frames).unwrap_err();
@@ -578,7 +581,7 @@ fn an_over_cap_batch_is_refused_before_it_is_computed() {
     assert_eq!(client.gemv_block(digest, &fits).unwrap().frames(), 1023);
 }
 
-/// Zero-width frames cost a sender no bytes: a 16-byte `GemvBatch`
+/// Zero-width frames cost a sender no bytes: a 17-byte `GemvBatch`
 /// claims ~8M of them, and against a one-column matrix their reply would
 /// still fit in a frame. The width is checked before the reply block is
 /// shaped, so the batch is refused without the server zeroing ~64 MB,
@@ -591,18 +594,19 @@ fn a_zero_width_batch_is_refused_before_its_reply_block_is_shaped() {
         .unwrap()
         .load_matrix(&column)
         .unwrap();
-    let count = (MAX_FRAME_PAYLOAD - 9) / 8;
+    let count = (MAX_FRAME_PAYLOAD - 10) / 8;
     assert!(
-        count > 8_000_000 && count * 8 + 9 <= MAX_FRAME_PAYLOAD,
+        count > 8_000_000 && count * 8 + 10 <= MAX_FRAME_PAYLOAD,
         "passes the reply guard"
     );
     let payload = [
         &digest.to_le_bytes()[..],
         &(count as u32).to_le_bytes(),
         &[0; 4],
+        &[1],
     ]
     .concat();
-    assert_eq!(payload.len(), 16);
+    assert_eq!(payload.len(), 17);
     let mut raw = TcpStream::connect(server.local_addr()).unwrap();
     let mut exchange = |opcode: Opcode, payload: &[u8], id: u64| {
         write_frame(&mut raw, VERSION, opcode as u8, id, payload).unwrap();

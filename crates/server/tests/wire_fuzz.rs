@@ -2,8 +2,9 @@
 //! streams against the `Request`/`Reply` decoders and the frame reader
 //! must come back as `Err` — never a panic, never an allocation driven
 //! by a lying length prefix. The one protocol rev is covered whole —
-//! the binary `LoadMatrix` body, the batch block, the per-stage `Stats`
-//! block, the `CapacityFull` status, the fleet tier counters — and so is
+//! the binary `LoadMatrix` body, the batch block, the element vectors at
+//! their widths, the per-stage `Stats` block, the `CapacityFull` status,
+//! the fleet tier counters — and so is
 //! the decoders' version argument: anything but `VERSION` is refused. The generator is the workspace's seeded
 //! ChaCha stream, so every run explores the same inputs and any failure
 //! reproduces exactly.
@@ -259,6 +260,7 @@ fn lying_length_prefixes_fail_without_allocating() {
     wire::put_u64(&mut buf, 1); // digest
     wire::put_u32(&mut buf, 3); // plausible count
     wire::put_u32(&mut buf, (MAX_FRAME_PAYLOAD / 4) as u32); // lying element count
+    wire::put_u8(&mut buf, 4); // element width
     let err = Request::decode(VERSION, Opcode::GemvBatch, &buf).unwrap_err();
     assert!(err.to_string().contains("truncated"), "{err}");
 
@@ -267,6 +269,7 @@ fn lying_length_prefixes_fail_without_allocating() {
     wire::put_u8(&mut reply, 0); // STATUS_OK
     wire::put_u32(&mut reply, 2); // output count
     wire::put_u32(&mut reply, (MAX_FRAME_PAYLOAD / 8) as u32); // lying element count
+    wire::put_u8(&mut reply, 8); // element width
     let err = Reply::decode(VERSION, Opcode::GemvBatch, &reply).unwrap_err();
     assert!(err.to_string().contains("truncated"), "{err}");
 
@@ -289,13 +292,13 @@ fn hostile_batch_shapes_are_wire_errors() {
         let mut buf = Vec::new();
         wire::put_u64(&mut buf, 1);
         wire::put_u32(&mut buf, count);
-        wire::put_i32_vec(&mut buf, elements);
+        wire::put_i32_narrow(&mut buf, elements);
         Request::decode(VERSION, Opcode::GemvBatch, &buf)
     };
     let reply = |count: u32, elements: &[i64]| {
         let mut buf = vec![STATUS_OK];
         wire::put_u32(&mut buf, count);
-        wire::put_i64_vec(&mut buf, elements);
+        wire::put_i64_narrow(&mut buf, elements);
         Reply::decode(VERSION, Opcode::GemvBatch, &buf)
     };
     let request_cap = (MAX_FRAME_PAYLOAD / 4) as u32;
@@ -340,6 +343,71 @@ fn hostile_batch_shapes_are_wire_errors() {
         panic!("a batch decodes as a batch");
     };
     assert_eq!((frames.frames(), frames.width()), (request_cap as usize, 0));
+}
+
+/// A narrow width must not let a frame decode into more memory than a
+/// fixed-width frame of its size could: an `i32` vector holds at most
+/// `MAX_FRAME_PAYLOAD / 4` elements and an `i64` vector at most
+/// `MAX_FRAME_PAYLOAD / 8`, whatever their width. At the cap a vector is
+/// refused only for its missing bytes; one past it is refused for its
+/// count, even with every 1-byte element present. A count whose
+/// elements at the claimed width are not all there is refused too. Each
+/// is a typed wire error from checks made before the elements are
+/// widened into memory.
+#[test]
+fn narrow_vectors_decode_into_no_more_memory_than_their_fixed_widths() {
+    let i32_cap = (MAX_FRAME_PAYLOAD / 4) as u32;
+    let i64_cap = (MAX_FRAME_PAYLOAD / 8) as u32;
+    // The vector's prefix under each message that carries one, then the
+    // bytes that follow it.
+    type Decode = fn(&[u8]) -> Result<(), Error>;
+    let messages: [(&str, u32, Vec<u8>, Decode); 4] = [
+        ("Gemv", i32_cap, wire_bytes(|b| wire::put_u64(b, 1)), |p| {
+            Request::decode(VERSION, Opcode::Gemv, p).map(drop)
+        }),
+        ("GemvBatch", i32_cap, wire_bytes(|b| {
+            wire::put_u64(b, 1);
+            wire::put_u32(b, 1);
+        }), |p| Request::decode(VERSION, Opcode::GemvBatch, p).map(drop)),
+        ("Output", i64_cap, vec![STATUS_OK], |p| {
+            Reply::decode(VERSION, Opcode::Gemv, p).map(drop)
+        }),
+        ("Outputs", i64_cap, wire_bytes(|b| {
+            wire::put_u8(b, STATUS_OK);
+            wire::put_u32(b, 1);
+        }), |p| Reply::decode(VERSION, Opcode::GemvBatch, p).map(drop)),
+    ];
+    for (name, cap, prefix, decode) in messages {
+        let vector = |count: u32, width: u8, present: usize| {
+            let mut payload = prefix.clone();
+            wire::put_u32(&mut payload, count);
+            wire::put_u8(&mut payload, width);
+            payload.resize(payload.len() + present, 0x7F);
+            payload
+        };
+        let refused = |payload: Vec<u8>, expect: &str| {
+            let err = decode(&payload).unwrap_err();
+            assert!(
+                matches!(&err, Error::Wire { context } if context.contains(expect)),
+                "{name}, {expect}: {err}"
+            );
+        };
+        refused(vector(cap, 1, 0), "truncated");
+        refused(vector(cap + 1, 1, 0), "exceeds");
+        refused(vector(cap + 1, 1, cap as usize + 1), "exceeds");
+        refused(vector(u32::MAX, 1, 0), "exceeds");
+        // A lying count × width: enough bytes for the count at width 1,
+        // not at the width claimed.
+        refused(vector(1000, 4, 1000), "truncated");
+        refused(vector(cap, 2, cap as usize), "truncated");
+    }
+}
+
+/// The bytes `fill` appends to an empty buffer.
+fn wire_bytes(fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut buf = Vec::new();
+    fill(&mut buf);
+    buf
 }
 
 #[test]

@@ -81,26 +81,36 @@ pub struct Csr {
 }
 
 /// Transposes `G` row-major frames of `rows` elements into frame-minor
-/// `xt[row * G + frame]`, returning `max|x|` over the group.
+/// `xt[row * G + frame]`, returning `max|x|` over the group. `max|x|` is
+/// one contiguous pass over the group; the transpose then goes one
+/// `G × G` tile at a time (the last one `rows mod G` rows short), so each
+/// frame's run of `G` inputs lands in a 1 KiB tile that stays in L1,
+/// where a full-length pass per frame would stride through the whole
+/// `rows × G` buffer `G` times.
 fn transpose_in(x: &[i32], rows: usize, xt: &mut Vec<i32>) -> u32 {
+    let max_x = x.iter().fold(0, |max, &v| max.max(v.unsigned_abs()));
     xt.resize(rows * G, 0);
-    let mut max_x = 0u32;
-    for f in 0..G {
-        let frame = &x[f * rows..(f + 1) * rows];
-        for (&v, lanes) in frame.iter().zip(xt.chunks_exact_mut(G)) {
-            lanes[f] = v;
-            max_x = max_x.max(v.unsigned_abs());
+    for (r0, tile) in (0..).step_by(G).zip(xt.chunks_mut(G * G)) {
+        let tile_rows = tile.len() / G;
+        for f in 0..G {
+            let run = &x[f * rows + r0..f * rows + r0 + tile_rows];
+            for (&v, lanes) in run.iter().zip(tile.chunks_exact_mut(G)) {
+                lanes[f] = v;
+            }
         }
     }
     max_x
 }
 
 /// Writes the `G` output rows of `cols` elements each from frame-minor
-/// accumulators `acc[col * G + frame]`.
+/// accumulators `acc[col * G + frame]`, one `G × G` tile of columns at a
+/// time, as [`transpose_in`] reads.
 fn transpose_out<A: Lane>(acc: &[A], cols: usize, out: &mut [i64]) {
-    for (f, row) in out.chunks_exact_mut(cols.max(1)).enumerate() {
-        for (o, lanes) in row.iter_mut().zip(acc.chunks_exact(G)) {
-            *o = lanes[f].widen();
+    for (c0, tile) in (0..).step_by(G).zip(acc.chunks(G * G)) {
+        for (f, row) in out.chunks_exact_mut(cols).enumerate() {
+            for (o, lanes) in row[c0..].iter_mut().zip(tile.chunks_exact(G)) {
+                *o = lanes[f].widen();
+            }
         }
     }
 }
@@ -1165,6 +1175,49 @@ mod tests {
             let ran = assert_block_matches(&csr, &frames, n);
             prop_assert_eq!(ran, expected_widths(&d, &frames, n));
         }
+    }
+
+    /// The tiled transposes at every tile tail: rows and columns short
+    /// of, at and past one and two tiles, and at the serving shape, in
+    /// blocks of one to three groups with and without frames left over,
+    /// through the 16-bit multiply, the `i32 × i32` one and `i64` lanes.
+    /// Every row is the per-frame kernel's, bit for bit.
+    #[test]
+    fn block_kernel_matches_per_frame_kernel_at_tile_tails() {
+        let dims = [1, G - 1, G, G + 1, 2 * G + 1, 1024];
+        let mut rng = seeded(4300);
+        // Groups run by the 16-bit multiply, by the `i32 × i32` one, and
+        // in `i64` lanes.
+        let mut ran = [0usize; 3];
+        for rows in dims {
+            for cols in dims {
+                let d = element_sparse_matrix(rows, cols, 8, 0.9, true, &mut rng).unwrap();
+                let csr = Csr::from_dense(&d);
+                for n in [G, G + 1, 2 * G, 3 * G] {
+                    // 8-bit inputs take the 16-bit multiply; 17-bit ones
+                    // are past it, in `i32` lanes while the matrix's
+                    // column sums allow and in `i64` past them; one 31-bit
+                    // input puts its group in `i64` lanes.
+                    for input_bits in [8, 17, 31] {
+                        let mut frames = random_vector(n * rows, input_bits, true, &mut rng).unwrap();
+                        if input_bits == 31 {
+                            frames.iter_mut().skip(1).for_each(|x| *x %= 128);
+                        }
+                        let widths = assert_block_matches(&csr, &frames, n);
+                        assert_eq!(widths, expected_widths(&d, &frames, n), "{rows}x{cols}, {n}");
+                        for group in frames[..(n - n % G) * rows].chunks(G * rows) {
+                            let max_x = group.iter().map(|x| x.unsigned_abs()).max().unwrap_or(0);
+                            ran[match (csr.fits_i32(max_x), csr.i16_start(max_x)) {
+                                (true, Some(_)) => 0,
+                                (true, None) => 1,
+                                (false, _) => 2,
+                            }] += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(ran.iter().all(|&groups| groups > 0), "{ran:?}");
     }
 
     #[test]
