@@ -2,10 +2,9 @@
 //! scalar-reference vs cache-blocked dense `vecmat_into` at several dims
 //! and densities, CSR SpMV, the CSR single-vector kernel (column-slice
 //! gather vs the row scatter it is held to), the per-frame vs
-//! weight-stationary CSR batch, the blocked batch's fixed cost (its
-//! tiled transposes, timed on a matrix with no non-zeros beside
-//! `wire-batch`'s), the bit-sliced vs framed-streamed
-//! bit-serial batch engines, the loops of a cold promotion (CRC-32,
+//! weight-stationary CSR batch (and the blocked batch's fixed cost, its
+//! tiled transposes, on a matrix with no non-zeros), the bit-sliced vs
+//! framed-streamed bit-serial batch engines, the loops of a cold promotion (CRC-32,
 //! content digest, artifact decode, CSR build), and the planner's regret
 //! (the auto-planned engine's one-frame time over the fastest engine's). Each race between
 //! a production kernel and its oracle checks the two outputs equal
@@ -136,8 +135,11 @@ fn bench_csr_single(c: &mut Criterion) {
 /// vs the weight-stationary `vecmat_block_into`, with 8-bit inputs (the
 /// groups multiply in 16 bits and accumulate in `i32`), 17-bit inputs
 /// (`i32 × i32` into `i32`: `blocked/8` against `blocked/17` is the
-/// multiply form alone) and 24-bit inputs (`i64`). Outputs are checked
-/// equal to both single-frame kernels before anything is timed.
+/// multiply form alone) and 24-bit inputs (`i64`). `blocked/empty` is
+/// the same call with 8-bit inputs on a 1024² matrix with no non-zeros:
+/// the walk is empty, so what it times is the group's fixed cost, the
+/// 16 × 16-tiled transposes in and out and the zeroed lanes. Outputs are
+/// checked equal to the single-frame kernels before anything is timed.
 fn bench_csr_batch64(c: &mut Criterion) {
     let (dim, n) = (1024usize, 64usize);
     let mut rng = seeded(2500);
@@ -177,38 +179,23 @@ fn bench_csr_batch64(c: &mut Criterion) {
             })
         });
     }
-    group.finish();
-}
-
-/// The blocked kernel at `wire-batch`'s shape (1024², 90 % sparse,
-/// 8-bit weights and inputs, 64 frames) beside the same call on a 1024²
-/// matrix with no non-zeros, where the walk is empty and what is left is
-/// the group's fixed cost: the 16 × 16-tiled transposes in and out and
-/// the zeroed lanes. Each block is checked equal to the per-frame kernel
-/// before it is timed.
-fn bench_csr_block_transposes(c: &mut Criterion) {
-    let (dim, n) = (1024usize, 64usize);
-    let mut rng = seeded(4300);
-    let served = element_sparse_matrix(dim, dim, 8, 0.9, true, &mut rng).unwrap();
+    let empty = Csr::from_dense(&IntMatrix::zeros(dim, dim).unwrap());
     let frames = random_vector(n * dim, 8, true, &mut rng).unwrap();
-    let mut group = c.benchmark_group("csr_block_transposes");
-    for (name, m) in [("wire_batch", served), ("empty", IntMatrix::zeros(dim, dim).unwrap())] {
-        let csr = Csr::from_dense(&m);
-        let mut per_frame = vec![0i64; n * dim];
-        for (a, o) in frames.chunks_exact(dim).zip(per_frame.chunks_exact_mut(dim)) {
-            csr.vecmat_into(a, o).unwrap();
-        }
-        let mut blocked = vec![0i64; n * dim];
-        let ran = csr.vecmat_block_into(&frames, n, &mut blocked).unwrap();
-        assert_eq!(per_frame, blocked, "the blocked kernel diverged on {name}");
-        assert_eq!((ran.narrow_groups, ran.wide_groups), (4, 0), "{name}");
-        group.bench_with_input(BenchmarkId::new("blocked", name), &name, |b, _| {
-            b.iter(|| {
-                csr.vecmat_block_into(black_box(&frames), n, &mut blocked)
-                    .unwrap()
-            })
-        });
+    let mut per_frame = vec![0i64; n * dim];
+    for (a, o) in frames.chunks_exact(dim).zip(per_frame.chunks_exact_mut(dim)) {
+        empty.vecmat_into(a, o).unwrap();
     }
+    let mut blocked = vec![0i64; n * dim];
+    let ran = empty.vecmat_block_into(&frames, n, &mut blocked).unwrap();
+    assert_eq!(per_frame, blocked, "kernels diverged on the empty matrix");
+    assert_eq!((ran.narrow_groups, ran.wide_groups), (4, 0), "empty");
+    group.bench_function(BenchmarkId::new("blocked", "empty"), |b| {
+        b.iter(|| {
+            empty
+                .vecmat_block_into(black_box(&frames), n, &mut blocked)
+                .unwrap()
+        })
+    });
     group.finish();
 }
 
@@ -485,6 +472,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_dense_variants, bench_csr, bench_csr_single, bench_csr_batch64,
-        bench_csr_block_transposes, bench_bitserial_batch, bench_store_checksums, bench_plan_regret
+        bench_bitserial_batch, bench_store_checksums, bench_plan_regret
 }
 criterion_main!(benches);

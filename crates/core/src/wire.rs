@@ -144,34 +144,14 @@ pub fn put_i64_narrow(buf: &mut Vec<u8>, v: &[i64]) {
     put_narrow(buf, v);
 }
 
-/// Elements per step of [`put_narrow`]: 2 KiB of `i64`s, read twice
-/// while they are in L1.
-const NARROW_STEP: usize = 256;
-
-/// [`put_i32_narrow`] and [`put_i64_narrow`] in one pass over `v`: each
-/// step of [`NARROW_STEP`] elements is folded for the width it needs and
-/// then written at the widest width seen so far. A step that needs a
-/// wider width than its predecessors rewrites those from `v` first,
-/// which happens at most three times (1 → 2 → 4 → 8) and, for a vector
-/// whose width shows in its first step, never.
+/// [`put_i32_narrow`] and [`put_i64_narrow`]: one pass over `v` for
+/// its width, then one that writes every element at it.
 fn put_narrow<T: Narrow>(buf: &mut Vec<u8>, v: &[T]) {
+    let width = width_for(T::span(v));
     put_u32(buf, v.len() as u32);
-    let width_at = buf.len();
-    put_u8(buf, 1);
-    let start = buf.len();
-    buf.reserve(v.len());
-    let mut width = 1;
-    for (done, step) in (0..).step_by(NARROW_STEP).zip(v.chunks(NARROW_STEP)) {
-        let need = width_for(T::span(step));
-        if need > width {
-            width = need;
-            buf.truncate(start);
-            buf.reserve(v.len() * width);
-            put_at(buf, &v[..done], width);
-        }
-        put_at(buf, step, width);
-    }
-    buf[width_at] = width as u8;
+    put_u8(buf, width as u8);
+    buf.reserve(v.len() * width);
+    put_at(buf, v, width);
 }
 
 /// Appends each element of `v` at `width` bytes, all of which hold it.
@@ -325,7 +305,8 @@ fn width_for(bits: u64) -> usize {
 /// wire"). Column indices are `u32`, so a matrix wider than that cannot
 /// travel; every matrix under [`MAX_WIRE_LEN`] elements is narrower.
 pub fn put_matrix(buf: &mut Vec<u8>, m: &IntMatrix) {
-    let width = width_for(i32::span(m.as_slice()));
+    let (lo, hi) = m.as_slice().iter().fold((0, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    let width = width_between(lo, hi);
     put_u64(buf, m.rows() as u64);
     put_u64(buf, m.cols() as u64);
     let nnz_at = buf.len();
@@ -380,12 +361,12 @@ fn put_nonzeros<const W: usize>(m: &IntMatrix, cols: &mut [u8], values: &mut [u8
     }
 }
 
-/// [`width_for`] of matrix values spanning `lo..=hi`, where the folds
-/// that find them start at 0, so `lo ≤ 0 ≤ hi`: their folded magnitudes
-/// are `!lo` and `hi`, and the larger decides. (Written with `max`, the
-/// body check's fold keeps the speed it had before the rule took folded
-/// magnitudes; an OR of the two folded magnitudes made the whole check
-/// of a 256² body ~50 % slower on a 2-vCPU x86-64 host.)
+/// [`width_for`] of matrix values spanning `lo..=hi`, the one way a
+/// matrix's width is found ([`put_matrix`] and the body check). The
+/// min/max folds that find `lo` and `hi` start at 0, so `lo ≤ 0 ≤ hi`:
+/// their folded magnitudes are `!lo` and `hi`, and the larger decides.
+/// (An OR of folded magnitudes in the body check's fold made the whole
+/// check of a 256² body ~50 % slower on a 2-vCPU x86-64 host.)
 fn width_between(lo: i32, hi: i32) -> usize {
     width_for(u64::from((!lo).max(hi) as u32))
 }
@@ -850,9 +831,9 @@ impl<'a> Cursor<'a> {
     /// Reads a vector at its width. A count past [`MAX_WIRE_LEN`] bytes'
     /// worth of `T` (the cap a fixed width implied: 16 Mi `i32`s, 8 Mi
     /// `i64`s), a width `T` cannot take, and a count whose bytes are not
-    /// all present are refused before anything is allocated, and so is a
-    /// width wider than the elements need, so every vector has one
-    /// layout.
+    /// all present are refused before anything is allocated. A width
+    /// wider than the elements need is refused once they are read, so
+    /// every vector has one layout.
     fn take_narrow<T: Narrow>(&mut self, what: &str) -> Result<Vec<T>> {
         let len = self.take_u32(what)? as usize;
         let cap = MAX_WIRE_LEN / T::BYTES;
@@ -873,36 +854,34 @@ impl<'a> Cursor<'a> {
             )));
         }
         let bytes = self.take(len * width, what)?;
-        // The width is the narrowest when some element needs more than
-        // half of it. The first such element shows it, so the check
-        // usually stops at once (a 1-byte vector needs none), and a
-        // vector that fails it is refused before it is widened. Then one
-        // plain sign-extending loop per width.
-        let wider = || wire_err(format!("{what} width {width} is wider than its elements need"));
-        let v = match width {
-            1 => bytes.iter().map(|&b| T::from_i64((b as i8).into())).collect(),
+        // Per width, one pass ORs the elements' folded magnitudes
+        // (`Narrow::span`'s fold, in the width's own lanes) for the width
+        // rule, at the same cost wherever the element that needs the
+        // width sits, and one sign-extends them.
+        let (bits, v) = match width {
+            1 => (0, bytes.iter().map(|&b| T::from_i64((b as i8).into())).collect()),
             2 => {
                 let e = bytes.as_chunks().0.iter().map(|b| i16::from_le_bytes(*b));
-                if e.clone().all(|x| i8::try_from(x).is_ok()) {
-                    return Err(wider());
-                }
-                e.map(|x| T::from_i64(x.into())).collect()
+                let bits = e.clone().fold(0, |bits, x| bits | (x ^ (x >> 15)) as u16);
+                (u64::from(bits), e.map(|x| T::from_i64(x.into())).collect())
             }
             4 => {
                 let e = bytes.as_chunks().0.iter().map(|b| i32::from_le_bytes(*b));
-                if e.clone().all(|x| i16::try_from(x).is_ok()) {
-                    return Err(wider());
-                }
-                e.map(|x| T::from_i64(x.into())).collect()
+                let bits = e.clone().fold(0, |bits, x| bits | (x ^ (x >> 31)) as u32);
+                (u64::from(bits), e.map(|x| T::from_i64(x.into())).collect())
             }
             _ => {
                 let e = bytes.as_chunks().0.iter().map(|b| i64::from_le_bytes(*b));
-                if e.clone().all(|x| i32::try_from(x).is_ok()) {
-                    return Err(wider());
-                }
-                e.map(T::from_i64).collect()
+                let bits = e.clone().fold(0, |bits, x| bits | (x ^ (x >> 63)) as u64);
+                (bits, e.map(T::from_i64).collect())
             }
         };
+        let need = width_for(bits);
+        if need != width {
+            return Err(wire_err(format!(
+                "{what} width {width} is wider than its elements need ({need})"
+            )));
+        }
         Ok(v)
     }
 
@@ -1067,12 +1046,11 @@ mod tests {
             assert_eq!(c.take_i64_narrow("v").unwrap(), v);
             c.expect_end("v").unwrap();
         }
-        // The encoder writes a step at a time: an element past the width
-        // of every step before it, in any step and at any position,
+        // One element past the width of all the others, at any position,
         // widens the whole vector, behind whatever else is in the buffer.
-        let n = 3 * NARROW_STEP + 5;
+        let n = 3 * 256 + 5;
         for (wide, width) in [(300, 2), (70_000, 4), (1 << 40, 8), (i64::MIN, 8)] {
-            for at in [0, 1, NARROW_STEP - 1, NARROW_STEP, 2 * NARROW_STEP + 7, n - 1] {
+            for at in [0, 1, 255, 256, 519, n - 1] {
                 let mut v: Vec<i64> = (0..n as i64).map(|i| i % 200 - 100).collect();
                 v[at] = wide;
                 if at > 0 {

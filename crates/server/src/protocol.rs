@@ -97,6 +97,12 @@
 //! input travels in 1 byte instead of 4, and a sum that fits 31 bits in
 //! 4 instead of 8: a 64-frame batch over 1024 rows and columns is
 //! 64 KiB up instead of 256 KiB and 256 KiB down instead of 512 KiB.
+//! What shrinks a vector is that every one of its elements fits a
+//! narrower width; one element that does not sets the width of all of
+//! them. A vector that needs its type's own width travels one byte
+//! longer than at version 11, and each side pays one more pass over it
+//! for the width (the fold that finds it, the check that it is the
+//! narrowest).
 //! The element count is capped at what [`MAX_FRAME_PAYLOAD`] bytes of
 //! the element type hold, the cap the fixed widths implied, so a frame of
 //! 1-byte elements decodes into no more memory than before. Version 11
