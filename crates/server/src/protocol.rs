@@ -46,17 +46,7 @@
 //! The digest a `Loaded` reply names, and every `Gemv` after it, is the
 //! matrix's content digest: [`wire::xxh64`] over those body bytes. The
 //! client takes it over the bytes it wrote and the server over the bytes
-//! it read, so the two can compare without another pass. Version 6 named
-//! matrices by a hash of their dense elements; its digests mean
-//! something else, so a version-6 peer is refused at the version byte.
-//!
-//! ## A `Stats` reply has no compile-cache block
-//!
-//! The server keeps no circuit cache beside its fleet, so a `Stats`
-//! reply carries no hits, misses, entries or evictions of one; version
-//! 7 opened with 15 request counters, those four among them. A
-//! version-7 peer would misread every field after them, so it is
-//! refused at the version byte too.
+//! it read, so the two can compare without another pass.
 //!
 //! ## A batch is its block
 //!
@@ -70,12 +60,10 @@
 //! The frame width is the element count over `count`. A count above the
 //! frame's capacity is refused before anything else is read, and an
 //! element count that is not a multiple of `count` is refused too, so a
-//! batch cannot be ragged. Version 8 put a length in front of every frame; a version-8
-//! batch would be misread, so a version-8 peer is refused at the version
-//! byte too. Zero-width frames cost no bytes here, so the server checks
-//! a batch's width against its matrix before it shapes the reply block,
-//! and prices the reply at its widest (8 bytes per output) before it
-//! computes it.
+//! batch cannot be ragged. Zero-width frames cost no bytes here, so the
+//! server checks a batch's width against its matrix before it shapes the
+//! reply block, and prices the reply at its widest (8 bytes per output)
+//! before it computes it.
 //!
 //! ## An element vector travels at its width
 //!
@@ -99,28 +87,21 @@
 //! 64 KiB up instead of 256 KiB and 256 KiB down instead of 512 KiB.
 //! What shrinks a vector is that every one of its elements fits a
 //! narrower width; one element that does not sets the width of all of
-//! them. A vector that needs its type's own width travels one byte
-//! longer than at version 11, and each side pays one more pass over it
-//! for the width (the fold that finds it, the check that it is the
-//! narrowest).
+//! them. A vector that needs its type's own width pays its width byte,
+//! and each side pays one pass over it for the width (the fold that
+//! finds it, the check that it is the narrowest).
 //! The element count is capped at what [`MAX_FRAME_PAYLOAD`] bytes of
-//! the element type hold, the cap the fixed widths implied, so a frame of
-//! 1-byte elements decodes into no more memory than before. Version 11
-//! wrote every input in 4 bytes and every output in 8 with no width
-//! byte; a version-11 element vector would be misread, so a version-11
-//! peer is refused at the version byte.
+//! the element type hold, so a frame of 1-byte elements decodes into no
+//! more memory than a frame at the type's own width.
 //!
 //! ## A `Stats` reply says each number once
 //!
 //! A `Stats` reply is the status byte and 35 `u64`s: 8 request counters
 //! (requests, rejected, errors, bytes in, bytes out, vectors, batches,
-//! body singles), three per stage (count, p50, p99) and the six fleet
-//! counters. Version 9 also sent the resident matrix count, which is the
-//! sum of the tier counts, and a request-latency count, p50 and p99,
-//! which were the compute stage's; those four are gone. Version 11 added
-//! the body singles, the `Gemv`s answered from a matrix body with no
-//! engine built. A peer of any other version would misread every field
-//! after a change, so it is refused at the version byte.
+//! body singles: the `Gemv`s answered from a matrix body with no engine
+//! built), three per stage (count, p50, p99) and the six fleet counters.
+//! The resident matrix count is the sum of the tier counts, and a
+//! request's latency is the compute stage's, so neither is sent.
 //!
 //! ## One read and one write per frame
 //!
@@ -1257,6 +1238,41 @@ mod tests {
             assert_eq!(&back, request);
         }
         assert_eq!(conn.reader.get_ref().reads, 1);
+    }
+
+    /// Between frames a connection frees a buffer that grew past
+    /// `MAX_RETAINED_BUFFER` and keeps a smaller one, after a frame read
+    /// and after a frame sent.
+    #[test]
+    fn a_connection_frees_a_grown_buffer_and_keeps_a_small_one() {
+        let big = vec![7u8; MAX_RETAINED_BUFFER + 1];
+        let small = [5u8; 100];
+        let opcode = Opcode::Ping as u8;
+        let mut wire_bytes = Vec::new();
+        for payload in [&big[..], &small, &small[..3]] {
+            write_frame(&mut wire_bytes, VERSION, opcode, 1, payload).unwrap();
+        }
+        let mut conn = Connection::new(std::io::Cursor::new(wire_bytes));
+        let mut read_len = || {
+            let (_, len) = conn.read_frame(&|| true, |_, payload| payload.len()).unwrap().unwrap();
+            (len, conn.buf.capacity())
+        };
+        assert_eq!(read_len(), (big.len(), 0), "a grown buffer is freed");
+        let (len, kept) = read_len();
+        assert!(len == small.len() && kept >= small.len(), "{len}, {kept}");
+        assert_eq!(read_len(), (3, kept), "a small buffer is kept");
+
+        let mut conn = Connection::new(std::io::Cursor::new(Vec::new()));
+        conn.start_frame(opcode, 2).extend_from_slice(&big);
+        conn.send(&|| true).unwrap();
+        assert_eq!(conn.buf.capacity(), 0, "a grown buffer is freed");
+        conn.start_frame(opcode, 3).extend_from_slice(&small);
+        conn.send(&|| true).unwrap();
+        assert!(conn.buf.capacity() >= HEADER_LEN + small.len());
+        let sent = conn.reader.into_inner().into_inner();
+        let mut sent = sent.as_slice();
+        assert_eq!(read_frame(&mut sent).unwrap().payload, big);
+        assert_eq!(read_frame(&mut sent).unwrap().payload, small);
     }
 
     /// A header that claims the largest payload and then stalls: the

@@ -3,40 +3,41 @@
 //! spatial approach eliminates.
 //!
 //! A [`Csr`] holds its non-zeros twice, both layouts derived from the
-//! fixed matrix at construction: **rows for blocks and sparse frames,
-//! column slices for dense frames.** The row-major arrays are the format
-//! itself; the 16-frame group kernel of [`Csr::vecmat_block_into`] walks
-//! them once per group with the weights stationary, and
-//! [`Csr::vecmat_scatter_into`] walks only the rows of a frame's non-zero
-//! inputs. The column slices (`slices.rs`) are the same non-zeros cut
-//! into four-column slices for the output-stationary gather.
-//! [`Csr::vecmat_into`] chooses between scatter and gather per frame,
-//! from the frame.
+//! fixed matrix at construction: **rows for blocks, column slices for
+//! single frames.** The row-major arrays are the format itself; the
+//! 16-frame group kernel of [`Csr::vecmat_block_into`] walks them once per
+//! group with the weights stationary, and [`Csr::vecmat_scatter_into`],
+//! the oracle every other kernel is held to, walks only the rows of a
+//! frame's non-zero inputs. The column slices (`slices.rs`) are the same
+//! non-zeros cut into four-column slices for the output-stationary gather
+//! that serves every single frame through [`Csr::vecmat_into`]; only a
+//! matrix too large for the slices scatters its frames instead.
 //!
-//! **Multiply width.** The operands take the width they need, decided
-//! per 16-frame group from two numbers: a group whose inputs are `|x| <
-//! 2^14`, against a matrix whose weights are all `|w| ≤ i16::MAX`,
-//! multiplies 16 × 16 → 32 bits (four products per SSE2 `pmaddwd`
-//! instead of an emulated 32-bit multiply per lane); any other group
-//! multiplies at its accumulator's width. The bits are equal because the
-//! 16-bit form is exact: its inputs are offset into non-negative `i16`s,
-//! the offset is cancelled by where each column's lanes start, and
-//! wrapping `i32` addition is exact for sums the accumulator rule already
-//! keeps inside `i32` (the rule and the argument are in
-//! [`Csr::vecmat_block_into`]). Which instruction the compiler picks is
-//! codegen, seen in the `kernels` bench; the contract is the oracle
-//! tests, which hold every kernel to the per-frame one and the scatter on
-//! both sides of every rule.
+//! Each kernel has two rungs, decided per group or per frame from two
+//! numbers, `max_col_abs_sum` of the matrix and `max|x|` of the operands:
+//! a narrow rung that the serving traffic takes, and `i64` lanes, which
+//! are exact for everything else.
 //!
-//! **Lane width.** The gather of one dense frame accumulates in the
-//! narrowest lane the frame's bound allows, `max_col_abs_sum × max|a|`
-//! from the same two numbers: `f32` up to `2^24` (every integer that
-//! large is exactly an `f32`, and four lanes convert, multiply and add as
-//! one SSE vector each, where integer lanes take four scalar multiplies),
-//! then `i32` up to `i32::MAX`, then `i64`. The bits are equal because
+//! **Multiply width.** A 16-frame group whose inputs are `|x| < 2^14`,
+//! against a matrix whose weights are all `|w| ≤ i16::MAX`, and whose
+//! sums cannot leave `i32`, multiplies 16 × 16 → 32 bits (four products
+//! per SSE2 `pmaddwd` instead of an emulated 32-bit multiply per lane)
+//! into `i32` lanes; any other group runs in `i64` lanes. The bits are
+//! equal because the 16-bit form is exact: its inputs are offset into
+//! non-negative `i16`s, the offset is cancelled by where each column's
+//! lanes start, and wrapping `i32` addition is exact for sums that fit
+//! `i32` (the rule and the argument are in [`Csr::vecmat_block_into`]).
+//! Which instruction the compiler picks is codegen, seen in the `kernels`
+//! bench; the contract is the oracle tests, which hold every kernel to
+//! the scatter on both sides of every rule.
+//!
+//! **Lane width.** The gather of one frame accumulates in `f32` lanes
+//! when the frame's bound `max_col_abs_sum × max|a|` is at most `2^24`
+//! (every integer that large is exactly an `f32`, and four lanes convert,
+//! multiply and add as one SSE vector each, where integer lanes take four
+//! scalar multiplies), else in `i64` lanes. The bits are equal because
 //! every value an `f32` lane holds is an integer it represents exactly;
-//! the argument is in [`Csr::vecmat_into`]. The blocked kernel keeps its
-//! integer lanes.
+//! the argument is in [`Csr::vecmat_into`].
 
 use crate::coo::Coo;
 use crate::slices::ColumnSlices;
@@ -105,31 +106,25 @@ fn transpose_in(x: &[i32], rows: usize, xt: &mut Vec<i32>) -> u32 {
 /// Writes the `G` output rows of `cols` elements each from frame-minor
 /// accumulators `acc[col * G + frame]`, one `G × G` tile of columns at a
 /// time, as [`transpose_in`] reads.
-fn transpose_out<A: Lane>(acc: &[A], cols: usize, out: &mut [i64]) {
+fn transpose_out<A: Copy + Into<i64>>(acc: &[A], cols: usize, out: &mut [i64]) {
     for (c0, tile) in (0..).step_by(G).zip(acc.chunks(G * G)) {
         for (f, row) in out.chunks_exact_mut(cols).enumerate() {
             for (o, lanes) in row[c0..].iter_mut().zip(tile.chunks_exact(G)) {
-                *o = lanes[f].widen();
+                *o = lanes[f].into();
             }
         }
     }
 }
 
 /// What one [`Csr::vecmat_block_into`] call ran: full groups by
-/// accumulator width, and the frames past the last full group that went
-/// through [`Csr::vecmat_into`], by the layout that served them.
+/// accumulator width. The frames past the last full group go through
+/// [`Csr::vecmat_into`] and are not counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BlockWidths {
-    /// Groups accumulated in `i32` lanes.
+    /// Groups multiplied in 16 bits into `i32` lanes.
     pub narrow_groups: usize,
     /// Groups accumulated in `i64` lanes.
     pub wide_groups: usize,
-    /// Frames run one at a time: `gathered_frames + scattered_frames`.
-    pub(crate) leftover_frames: usize,
-    /// Leftover frames gathered through the column slices.
-    pub(crate) gathered_frames: usize,
-    /// Leftover frames scattered through the rows.
-    pub(crate) scattered_frames: usize,
 }
 
 /// The layout, and for a gather the lane type, that served one frame of
@@ -137,47 +132,14 @@ pub struct BlockWidths {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Single {
     GatheredF32,
-    GatheredI32,
     GatheredI64,
     Scattered,
 }
 
-/// Whether fewer than half the inputs of a frame are non-zero
-/// (`2 · nonzero(a) < len`, counted as `2 · zeros > len`), read block by
-/// block and stopping as soon as the rest of the frame cannot change the
-/// answer — halfway through a one-hot frame, and halfway through a full
-/// one.
-fn mostly_zero(a: &[i32]) -> bool {
-    let (blocks, tail) = a.as_chunks::<64>();
-    let (mut zeros, mut unread) = (0, a.len());
-    for block in blocks {
-        zeros += block.iter().map(|&v| u32::from(v == 0)).sum::<u32>() as usize;
-        unread -= block.len();
-        if 2 * zeros > a.len() {
-            return true;
-        }
-        if 2 * (zeros + unread) <= a.len() {
-            return false;
-        }
-    }
-    zeros += tail.iter().filter(|&&v| v == 0).count();
-    2 * zeros > a.len()
-}
-
-/// An accumulator lane of the group and gather kernels: `i32` or `i64`,
-/// and for the gather also `f32`.
+/// An accumulator lane of the gather: `f32` or `i64`.
 pub(crate) trait Lane: Copy + Default + AddAssign + Mul<Output = Self> {
     fn from_i32(v: i32) -> Self;
     fn widen(self) -> i64;
-}
-
-impl Lane for i32 {
-    fn from_i32(v: i32) -> Self {
-        v
-    }
-    fn widen(self) -> i64 {
-        i64::from(self)
-    }
 }
 
 impl Lane for i64 {
@@ -423,15 +385,13 @@ impl Csr {
     /// [`Csr::vecmat_block_into`]. Stale contents of `out` are
     /// overwritten.
     ///
-    /// *Two layouts, chosen per frame from the frame.* A frame at least
-    /// half of whose inputs are non-zero is **gathered** through the
-    /// column slices: four output columns at a time, one register
-    /// accumulator each, `acc[l] += w · a[row]` down the slice and one
-    /// store per column at the end. A sparser frame
-    /// (`2 · nonzero(a) < rows`: a one-hot probe, a sparse drive) is
-    /// **scattered** by [`Csr::vecmat_scatter_into`], which skips a zero
-    /// input's whole row where the gather would still walk every
-    /// non-zero.
+    /// *One layout.* The frame is **gathered** through the column slices:
+    /// four output columns at a time, one register accumulator each,
+    /// `acc[l] += w · a[row]` down the slice and one store per column at
+    /// the end. A gather walks every non-zero whatever the frame holds, so
+    /// a one-hot frame costs what a full one does. Only a matrix too large
+    /// for the slices' `u32` indices has none, and its frames are
+    /// **scattered** by [`Csr::vecmat_scatter_into`].
     ///
     /// *Addition order.* A lane of the gather is one output column with
     /// its terms added in ascending row order, so each output receives
@@ -442,8 +402,8 @@ impl Csr {
     /// *Lane width.* By the bound of [`Csr::vecmat_block_into`], applied
     /// to this one frame, every partial sum of every output is at most
     /// `B = max_col_abs_sum × max|a|` in magnitude. A gather runs in `f32`
-    /// lanes when `B ≤ 2^24`, else in `i32` lanes when `B ≤ i32::MAX`, else
-    /// in `i64` lanes. The `f32` lanes give the same bits as the `i64`
+    /// lanes when `B ≤ 2^24`, else in `i64` lanes, which are the scatter's
+    /// arithmetic. The `f32` lanes give the same bits as the `i64`
     /// scatter:
     /// - with `max|a| ≥ 1`, every stored weight is at most
     ///   `max_col_abs_sum ≤ B`, every input is at most `max|a| ≤ B` unless
@@ -456,16 +416,14 @@ impl Csr {
     ///   never contracts a multiply and an add into an FMA), and each
     ///   output converts back to the integer the `i64` sum reaches;
     /// - padding and zero inputs add `±0`, which changes no sum.
-    ///
-    /// The `i32` lanes are exact for the reason the blocked kernel's are.
     pub fn vecmat_into(&self, a: &[i32], out: &mut [i64]) -> Result<()> {
         self.single_into(a, out).map(drop)
     }
 
     /// [`Csr::vecmat_into`] by the row-major scatter alone,
     /// `out[col] += v · a[row]` over the rows of the non-zero inputs:
-    /// the reference the gather is held to, and the kernel a sparse frame
-    /// runs.
+    /// the reference every other kernel is held to, and the kernel of a
+    /// matrix without column slices.
     pub fn vecmat_scatter_into(&self, a: &[i32], out: &mut [i64]) -> Result<()> {
         self.check_single(a, out)?;
         self.scatter(a, out);
@@ -486,11 +444,11 @@ impl Csr {
         Ok(())
     }
 
-    /// One frame through the layout its density picks, gathered in the
-    /// lanes its bound picks.
+    /// One frame through the column slices, in the lanes its bound picks,
+    /// or through the scatter when the matrix has no slices.
     fn single_into(&self, a: &[i32], out: &mut [i64]) -> Result<Single> {
         self.check_single(a, out)?;
-        let Some(slices) = self.slices.as_ref().filter(|_| !mostly_zero(a)) else {
+        let Some(slices) = &self.slices else {
             self.scatter(a, out);
             return Ok(Single::Scattered);
         };
@@ -498,9 +456,6 @@ impl Csr {
         Ok(if self.bound(max_a) <= F32_EXACT {
             slices.gather::<f32>(a, out);
             Single::GatheredF32
-        } else if self.fits_i32(max_a) {
-            slices.gather::<i32>(a, out);
-            Single::GatheredI32
         } else {
             slices.gather::<i64>(a, out);
             Single::GatheredI64
@@ -561,34 +516,29 @@ impl Csr {
     /// a zero input contributes an explicit `+ 0` instead of being
     /// skipped.
     ///
-    /// *Accumulator width.* Every partial sum of output column `c` over
-    /// any prefix of the rows satisfies
+    /// *Width.* Every partial sum of output column `c` over any prefix of
+    /// the rows satisfies
     /// `|Σ w_rc · x_r| ≤ Σ_r |w_rc| · max|x| ≤ max_c Σ_r |w_rc| · max|x|`.
     /// The first factor is a constant of the fixed matrix, computed once
     /// at construction; the second is read off the group while it is
-    /// transposed. When the product is at most `i32::MAX`, no product and
-    /// no partial sum can leave `i32`, so the group accumulates in `i32`
-    /// lanes and widens on the way out — the same bits as the `i64` sum.
-    /// Any other group accumulates in `i64`, exactly as
+    /// transposed. A group multiplies in 16 bits into `i32` lanes when
+    /// three rules hold: the product is at most `i32::MAX`; every weight
+    /// of the matrix fits `|w| ≤ i16::MAX` (checked once, at
+    /// construction); and every input of the group fits `|x| < 2^14` (read
+    /// off the same `max|x|`; the rule is on `|x|`, so `−2^14` is out).
+    /// Any other group accumulates in `i64` lanes, exactly as
     /// [`Csr::vecmat_scatter_into`] does.
     ///
-    /// *Multiply width.* An `i32` group whose operands are narrow also
-    /// multiplies in 16 bits: when every weight of the matrix fits
-    /// `|w| ≤ i16::MAX` (checked once, at construction) and every input
-    /// of the group fits `|x| < 2^14` (read off the same `max|x|`; the
-    /// rule is on `|x|`, so `−2^14` is out), each input is offset to
-    /// `x + 2^14`, a non-negative `i16`, so each product is a 16 × 16 →
-    /// 32-bit multiply, and the lanes of column `c` start at
-    /// `−2^14 · Σ_r w_rc` instead of 0. The offset terms cancel that start
-    /// exactly: the lanes add in
+    /// *The 16-bit multiply.* Each input is offset to `x + 2^14`, a
+    /// non-negative `i16`, so each product is a 16 × 16 → 32-bit multiply,
+    /// and the lanes of column `c` start at `−2^14 · Σ_r w_rc` instead of
+    /// 0. The offset terms cancel that start exactly: the lanes add in
     /// wrapping `i32`, which is exact modulo 2^32, and the true sum of
-    /// every output fits `i32` by the accumulator rule above, so the same
-    /// bits come out as from the `i32 × i32` kernel — which every other
-    /// `i32` group runs, and which stays the oracle. That the compiler
-    /// turns the 16-bit form into `pmaddwd` (four products and their
-    /// widening per instruction, on baseline SSE2) is codegen, not
-    /// contract; the contract is the oracle tests. Which multiply ran is
-    /// not counted: `BlockWidths::narrow_groups` counts both.
+    /// every output fits `i32` by the first rule, so each lane widens to
+    /// the `i64` sum. That the compiler turns the 16-bit form into
+    /// `pmaddwd` (four products and their widening per instruction, on
+    /// baseline SSE2) is codegen, not contract; the contract is the oracle
+    /// tests.
     ///
     /// Mis-sized `frames` or `out` return [`Error::DimensionMismatch`].
     pub fn vecmat_block_into(
@@ -609,52 +559,43 @@ impl Csr {
             });
         }
         let full = n - n % G;
-        let mut widths = BlockWidths {
-            leftover_frames: n - full,
-            ..BlockWidths::default()
-        };
+        let mut widths = BlockWidths::default();
         // Scratch for the whole call, sized by the first group that uses it.
-        let (mut xt, mut narrow, mut wide) = (Vec::new(), Vec::<i32>::new(), Vec::<i64>::new());
+        let (mut xt, mut narrow, mut wide) = (Vec::new(), Vec::new(), Vec::new());
         for g in (0..full).step_by(G) {
             let x = &frames[g * rows..(g + G) * rows];
             let o = &mut out[g * cols..(g + G) * cols];
             let max_x = transpose_in(x, rows, &mut xt);
-            if !self.fits_i32(max_x) {
-                self.run_group(&xt, &mut wide, o);
-                widths.wide_groups += 1;
-            } else if let Some(start) = self.i16_start(max_x) {
+            if let Some(start) = self.i16_start(max_x) {
                 self.run_group_i16(&xt, start, &mut narrow, o);
                 widths.narrow_groups += 1;
             } else {
-                self.run_group(&xt, &mut narrow, o);
-                widths.narrow_groups += 1;
+                self.run_group(&xt, &mut wide, o);
+                widths.wide_groups += 1;
             }
         }
         for f in full..n {
             let a = &frames[f * rows..(f + 1) * rows];
             let o = &mut out[f * cols..(f + 1) * cols];
-            match self.single_into(a, o)? {
-                Single::Scattered => widths.scattered_frames += 1,
-                _ => widths.gathered_frames += 1,
-            }
+            self.single_into(a, o)?;
         }
         Ok(widths)
     }
 
-    /// One group through the blocked kernel in lane type `A`: zeroes
-    /// `acc` (`cols × G`, frame-minor), walks the non-zeros once against
-    /// the transposed inputs `xt` (`rows × G`), and writes the `G` output
+    /// One group through the blocked kernel in `i64` lanes: zeroes `acc`
+    /// (`cols × G`, frame-minor), walks the non-zeros once against the
+    /// transposed inputs `xt` (`rows × G`), and writes the `G` output
     /// rows.
-    fn run_group<A: Lane>(&self, xt: &[i32], acc: &mut Vec<A>, out: &mut [i64]) {
+    fn run_group(&self, xt: &[i32], acc: &mut Vec<i64>, out: &mut [i64]) {
         acc.clear();
-        acc.resize(self.cols * G, A::default());
+        acc.resize(self.cols * G, 0);
         for (r, x) in xt.chunks_exact(G).enumerate() {
-            let x: [A; G] = std::array::from_fn(|f| A::from_i32(x[f]));
+            let x: [i64; G] = std::array::from_fn(|f| i64::from(x[f]));
             let lo = self.row_ptr[r];
             let hi = self.row_ptr[r + 1];
             for (&c, &v) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
                 debug_assert!(c < self.cols, "CSR column invariant violated");
-                let v = A::from_i32(v);
+                let v = i64::from(v);
                 if let Some(o) = acc.get_mut(c * G..(c + 1) * G) {
                     for (o, &x) in o.iter_mut().zip(&x) {
                         *o += v * x;
@@ -666,11 +607,12 @@ impl Csr {
     }
 
     /// The starting lanes of the 16-bit multiply, if a group whose inputs
-    /// are at most `max_x` in absolute value may take it (the *Multiply
-    /// width* rule of [`Csr::vecmat_block_into`]; the caller has already
-    /// checked the `i32` rule).
+    /// are at most `max_x` in absolute value may take it (the *Width*
+    /// rules of [`Csr::vecmat_block_into`]).
     fn i16_start(&self, max_x: u32) -> Option<&[i32]> {
-        self.i16_start.as_deref().filter(|_| max_x < BIAS as u32)
+        self.i16_start
+            .as_deref()
+            .filter(|_| max_x < BIAS as u32 && self.fits_i32(max_x))
     }
 
     /// [`Csr::run_group`] in `i32` lanes with the 16-bit multiply: lanes
@@ -834,27 +776,18 @@ mod tests {
     }
 
     /// One frame through both single-vector kernels, each into a stale
-    /// buffer: the outputs must be the same bits, and the layout that
-    /// served `vecmat_into` the one the density rule picks. Returns the
-    /// layout and lane that ran.
+    /// buffer, and as a one-frame block: the outputs must be the same
+    /// bits. Returns the layout and lane that ran.
     fn assert_gather_matches_scatter(csr: &Csr, a: &[i32]) -> Single {
         let mut oracle = vec![-77i64; csr.cols()];
         csr.vecmat_scatter_into(a, &mut oracle).unwrap();
         let mut got = vec![77i64; csr.cols()];
         let single = csr.single_into(a, &mut got).unwrap();
         assert_eq!(got, oracle, "{csr:?} × {a:?} in {single:?}");
-        // The same frame as a one-frame block, which counts the layout.
         got.fill(-1);
         let ran = csr.vecmat_block_into(a, 1, &mut got).unwrap();
         assert_eq!(got, oracle);
-        let sparse = 2 * a.iter().filter(|&&x| x != 0).count() < csr.rows();
-        let expect = BlockWidths {
-            leftover_frames: 1,
-            gathered_frames: usize::from(!sparse),
-            scattered_frames: usize::from(sparse),
-            ..BlockWidths::default()
-        };
-        assert_eq!(ran, expect, "{a:?}");
+        assert_eq!(ran, BlockWidths::default(), "{a:?}");
         single
     }
 
@@ -865,17 +798,14 @@ mod tests {
         (0..d.cols()).map(col_sum).max().unwrap_or(0)
     }
 
-    /// The layout and lane the rustdoc's rules prescribe for one frame,
+    /// The lane the rustdoc's rule prescribes for one gathered frame,
     /// worked out from the dense matrix and the frame.
     fn expected_single(d: &IntMatrix, a: &[i32]) -> Single {
-        if 2 * a.iter().filter(|&&x| x != 0).count() < d.rows() {
-            return Single::Scattered;
-        }
         let max_a = a.iter().map(|x| u128::from(x.unsigned_abs())).max().unwrap_or(0);
-        match max_col_abs_sum(d) * max_a {
-            b if b <= 1 << 24 => Single::GatheredF32,
-            b if b <= i32::MAX as u128 => Single::GatheredI32,
-            _ => Single::GatheredI64,
+        if max_col_abs_sum(d) * max_a <= 1 << 24 {
+            Single::GatheredF32
+        } else {
+            Single::GatheredI64
         }
     }
 
@@ -904,12 +834,11 @@ mod tests {
 
         /// The gather is the scatter, bit for bit: every `cols mod 4`,
         /// fewer than four columns, a single row, matrices from empty to
-        /// full, frames on both sides of the density rule — all-zero,
-        /// one-hot, one short of half, exactly half (rounded up), all but
-        /// one, and full — and operands on both sides of each lane rule:
-        /// drawn widths, or the frame's largest input set to the most the
-        /// `f32` or the `i32` lane admits for this matrix, or one more.
-        /// The lane that ran is the rule's.
+        /// full, frames from all-zero through one-hot, one short of half,
+        /// exactly half (rounded up) and all but one to full, and operands
+        /// on both sides of the `f32` rule: drawn widths, or the frame's
+        /// largest input set to the most the `f32` lane admits for this
+        /// matrix, or one more. The lane that ran is the rule's.
         #[test]
         fn gather_matches_scatter(
             seed in any::<u64>(),
@@ -919,7 +848,7 @@ mod tests {
             weight_bits in 2u32..=31,
             input_bits in 2u32..=31,
             density in 0usize..6,
-            edge in 0usize..5,
+            edge in 0usize..3,
         ) {
             // 40 products of a `w`-bit weight and an `x`-bit input stay
             // inside `i64` (no overflow panic in a debug build) while
@@ -932,16 +861,10 @@ mod tests {
             let first = seed as usize % rows;
             let mut a = frame_with_nonzeros(rows, nonzero, first, input_bits, &mut rng);
             // Edges 1 and 2 put `max|a|` at the most the `f32` lane admits
-            // for this matrix and at one more, edges 3 and 4 the same for
-            // the `i32` lane; `2^31` is reached only as `i32::MIN`.
-            let limit = match edge {
-                1 | 2 => F32_EXACT,
-                3 | 4 => i32::MAX as u128,
-                _ => 0,
-            };
-            if limit > 0 && csr.max_col_abs_sum > 0 && nonzero > 0 {
-                let over = u128::from(edge % 2 == 0);
-                let m = (limit / u128::from(csr.max_col_abs_sum) + over).min(1 << 31);
+            // for this matrix and at one more.
+            if edge > 0 && csr.max_col_abs_sum > 0 && nonzero > 0 {
+                let over = u128::from(edge == 2);
+                let m = (F32_EXACT / u128::from(csr.max_col_abs_sum) + over).min(1 << 31);
                 for x in &mut a {
                     if u128::from(x.unsigned_abs()) > m {
                         *x = x.signum() * m as i32;
@@ -953,41 +876,24 @@ mod tests {
             prop_assert_eq!(ran, expected_single(&d, &a), "{:?} × {:?}", d, a);
             prop_assert_eq!(csr.vecmat(&a).unwrap(), vecmat(&a, &d).unwrap());
         }
-
-        #[test]
-        fn mostly_zero_is_the_majority_rule(
-            seed in any::<u64>(),
-            len in 0usize..300,
-            zero_share in 0.0f64..=1.0,
-        ) {
-            let mut rng = seeded(seed);
-            let coins = random_vector(len, 8, false, &mut rng).unwrap();
-            let a: Vec<i32> = coins
-                .iter()
-                .map(|&coin| i32::from(f64::from(coin) >= 256.0 * zero_share))
-                .collect();
-            let nonzero = a.iter().filter(|&&x| x != 0).count();
-            prop_assert_eq!(mostly_zero(&a), 2 * nonzero < len, "{:?}", a);
-        }
     }
 
     #[test]
     fn single_width_boundary_is_exact() {
-        // The matrices and inputs of `block_width_boundary_is_exact`, one
-        // frame at a time: a lane that chose `i32` one step too far would
-        // overflow (a panic in a debug build, wrong bits in release).
+        // The extremes of `i32` one frame at a time, all past the `f32`
+        // rule and so in `i64` lanes: a column summing to exactly
+        // `i32::MAX` and one to one more, `±i32::MAX` and `i32::MIN` as
+        // inputs, and `i32::MIN` as a weight against `i32::MIN`.
         let at = Csr::from_dense(&IntMatrix::from_vec(2, 1, vec![i32::MAX - 5, 5]).unwrap());
         let over = Csr::from_dense(&IntMatrix::from_vec(2, 1, vec![i32::MAX - 5, 6]).unwrap());
-        assert!(at.fits_i32(1) && !over.fits_i32(1));
-        for (csr, lane) in [(&at, Single::GatheredI32), (&over, Single::GatheredI64)] {
-            assert_eq!(assert_gather_matches_scatter(csr, &[1, 1]), lane);
-            assert_eq!(assert_gather_matches_scatter(csr, &[-1, -1]), lane);
+        for csr in [&at, &over] {
+            assert_eq!(assert_gather_matches_scatter(csr, &[1, 1]), Single::GatheredI64);
+            assert_eq!(assert_gather_matches_scatter(csr, &[-1, -1]), Single::GatheredI64);
         }
+        assert_eq!(over.vecmat(&[1, 1]).unwrap(), vec![i64::from(i32::MAX) + 1]);
         let unit = Csr::from_dense(&IntMatrix::from_vec(1, 1, vec![1]).unwrap());
-        assert!(unit.fits_i32(i32::MAX.unsigned_abs()) && !unit.fits_i32(i32::MIN.unsigned_abs()));
         assert_gather_matches_scatter(&unit, &[i32::MAX]);
         assert_gather_matches_scatter(&unit, &[i32::MIN]);
-        // `i32::MIN` as a weight, against `i32::MIN` as an input.
         let min = Csr::from_dense(&IntMatrix::from_vec(2, 2, vec![i32::MIN, 1, 1, 0]).unwrap());
         for a in [[i32::MIN, 1], [1, -1], [0, i32::MIN], [0, 0]] {
             assert_gather_matches_scatter(&min, &a);
@@ -999,11 +905,11 @@ mod tests {
         // A column of 257 ones against inputs of 65,281: the bound is
         // 257 × 65,281 = 2^24 + 1, and so is the true sum, which is odd
         // and not an `f32` (an `f32` lane would round it to 2^24). It must
-        // take the `i32` lane.
+        // take the `i64` lane.
         let over = Csr::from_dense(&IntMatrix::from_vec(257, 1, vec![1; 257]).unwrap());
         assert_eq!(over.bound(65_281), F32_EXACT + 1);
         let a = vec![65_281; 257];
-        assert_eq!(assert_gather_matches_scatter(&over, &a), Single::GatheredI32);
+        assert_eq!(assert_gather_matches_scatter(&over, &a), Single::GatheredI64);
         assert_eq!(over.vecmat(&a).unwrap(), vec![16_777_217]);
         // 256 ones against 65,536: a bound of exactly 2^24 takes `f32`,
         // and every partial sum, 2^24 included, is exact.
@@ -1085,10 +991,8 @@ mod tests {
         let mut csr = Csr::from_dense(&d);
         csr.slices = None;
         let a = frame_with_nonzeros(12, 12, 0, 8, &mut rng);
-        let mut out = vec![-77i64; 9];
-        let ran = csr.vecmat_block_into(&a, 1, &mut out).unwrap();
-        assert_eq!(out, vecmat(&a, &d).unwrap());
-        assert_eq!((ran.gathered_frames, ran.scattered_frames), (0, 1));
+        assert_eq!(assert_gather_matches_scatter(&csr, &a), Single::Scattered);
+        assert_eq!(csr.vecmat(&a).unwrap(), vecmat(&a, &d).unwrap());
     }
 
     /// Runs `n` frames through the blocked kernel into a stale buffer and
@@ -1109,34 +1013,22 @@ mod tests {
         let ran = csr.vecmat_block_into(frames, n, &mut got).unwrap();
         assert_eq!(got, expect);
         assert_eq!(ran.narrow_groups + ran.wide_groups, n / G);
-        assert_eq!(ran.leftover_frames, n % G);
-        assert_eq!(ran.gathered_frames + ran.scattered_frames, n % G);
         ran
     }
 
-    /// What the rules in the rustdoc prescribe — a width per group, a
-    /// layout per leftover frame — worked out from the dense matrix and
-    /// the frames rather than from the kernel's own fields.
+    /// The width the rules in the rustdoc prescribe for each group, worked
+    /// out from the dense matrix and the frames rather than from the
+    /// kernel's own fields.
     fn expected_widths(d: &IntMatrix, frames: &[i32], n: usize) -> BlockWidths {
         let bound = max_col_abs_sum(d);
-        let mut expect = BlockWidths {
-            leftover_frames: n % G,
-            ..BlockWidths::default()
-        };
-        let (groups, leftovers) = frames.split_at((n - n % G) * d.rows());
-        for group in groups.chunks(G * d.rows()) {
+        let weights_fit_i16 = d.as_slice().iter().all(|w| w.unsigned_abs() <= i16::MAX as u32);
+        let mut expect = BlockWidths::default();
+        for group in frames[..(n - n % G) * d.rows()].chunks(G * d.rows()) {
             let max_x = group.iter().map(|x| x.unsigned_abs()).max().unwrap_or(0);
-            if bound * u128::from(max_x) <= i32::MAX as u128 {
+            if weights_fit_i16 && max_x < 1 << 14 && bound * u128::from(max_x) <= i32::MAX as u128 {
                 expect.narrow_groups += 1;
             } else {
                 expect.wide_groups += 1;
-            }
-        }
-        for frame in leftovers.chunks(d.rows()) {
-            if 2 * frame.iter().filter(|&&x| x != 0).count() < d.rows() {
-                expect.scattered_frames += 1;
-            } else {
-                expect.gathered_frames += 1;
             }
         }
         expect
@@ -1147,12 +1039,11 @@ mod tests {
     proptest! {
         /// The blocked kernel is the per-frame kernel, bit for bit, at
         /// every group boundary, over shapes from 1×1 up, densities from
-        /// empty to full (so empty rows and columns occur), operand widths
-        /// on both sides of the `i32` rule, and with an all-zero frame in
-        /// the block; the width each group ran at is the rule's. The 2- to
-        /// 24-bit operands fall on both sides of the 16-bit multiply's
-        /// rule too (weights at 16 bits, inputs at 15), so both `i32`
-        /// kernels are held to the per-frame one here.
+        /// empty to full (so empty rows and columns occur), 2- to 24-bit
+        /// operands on both sides of each rule of the 16-bit multiply (the
+        /// `i32` bound, weights at 16 bits, inputs at 15), and with an
+        /// all-zero frame in the block; the width each group ran at is the
+        /// rules'.
         #[test]
         fn block_kernel_matches_per_frame_kernel(
             seed in any::<u64>(),
@@ -1180,39 +1071,27 @@ mod tests {
     /// The tiled transposes at every tile tail: rows and columns short
     /// of, at and past one and two tiles, and at the serving shape, in
     /// blocks of one to three groups with and without frames left over,
-    /// through the 16-bit multiply, the `i32 × i32` one and `i64` lanes.
-    /// Every row is the per-frame kernel's, bit for bit.
+    /// through the 16-bit multiply and `i64` lanes. Every row is the
+    /// per-frame kernel's, bit for bit.
     #[test]
     fn block_kernel_matches_per_frame_kernel_at_tile_tails() {
         let dims = [1, G - 1, G, G + 1, 2 * G + 1, 1024];
         let mut rng = seeded(4300);
-        // Groups run by the 16-bit multiply, by the `i32 × i32` one, and
-        // in `i64` lanes.
-        let mut ran = [0usize; 3];
+        // Groups run by the 16-bit multiply, and in `i64` lanes.
+        let mut ran = [0usize; 2];
         for rows in dims {
             for cols in dims {
                 let d = element_sparse_matrix(rows, cols, 8, 0.9, true, &mut rng).unwrap();
                 let csr = Csr::from_dense(&d);
                 for n in [G, G + 1, 2 * G, 3 * G] {
                     // 8-bit inputs take the 16-bit multiply; 17-bit ones
-                    // are past it, in `i32` lanes while the matrix's
-                    // column sums allow and in `i64` past them; one 31-bit
-                    // input puts its group in `i64` lanes.
-                    for input_bits in [8, 17, 31] {
-                        let mut frames = random_vector(n * rows, input_bits, true, &mut rng).unwrap();
-                        if input_bits == 31 {
-                            frames.iter_mut().skip(1).for_each(|x| *x %= 128);
-                        }
+                    // are past it, in `i64` lanes.
+                    for input_bits in [8, 17] {
+                        let frames = random_vector(n * rows, input_bits, true, &mut rng).unwrap();
                         let widths = assert_block_matches(&csr, &frames, n);
                         assert_eq!(widths, expected_widths(&d, &frames, n), "{rows}x{cols}, {n}");
-                        for group in frames[..(n - n % G) * rows].chunks(G * rows) {
-                            let max_x = group.iter().map(|x| x.unsigned_abs()).max().unwrap_or(0);
-                            ran[match (csr.fits_i32(max_x), csr.i16_start(max_x)) {
-                                (true, Some(_)) => 0,
-                                (true, None) => 1,
-                                (false, _) => 2,
-                            }] += 1;
-                        }
+                        ran[0] += widths.narrow_groups;
+                        ran[1] += widths.wide_groups;
                     }
                 }
             }
@@ -1236,24 +1115,38 @@ mod tests {
 
     #[test]
     fn block_width_boundary_is_exact() {
-        // One column summing to exactly i32::MAX in absolute value, and one
-        // summing to one more; with every input 1 those are the true sums.
-        let at = IntMatrix::from_vec(2, 1, vec![i32::MAX - 5, 5]).unwrap();
-        let over = IntMatrix::from_vec(2, 1, vec![i32::MAX - 5, 6]).unwrap();
-        let ones = vec![1i32; G * 2];
-        let ran = assert_block_matches(&Csr::from_dense(&at), &ones, G);
-        assert_eq!((ran.narrow_groups, ran.wide_groups), (1, 0));
-        let ran = assert_block_matches(&Csr::from_dense(&over), &ones, G);
-        assert_eq!((ran.narrow_groups, ran.wide_groups), (0, 1));
-        // The same boundary from the input side: |x| = i32::MAX against a
-        // unit column is in, i32::MIN (|x| = 2^31, no `abs()` overflow) is out.
+        // The `i32` rule, with weights and inputs inside the 16-bit ones:
+        // one column of 65,538 weights of i16::MAX and a last one of 1
+        // sums to exactly i32::MAX, and with a last one of 2 to one more;
+        // with every input ±1 those are the true sums. One past i32::MAX
+        // would wrap to i32::MIN in `i32` lanes.
+        let max = i32::from(i16::MAX);
+        let column = |last: i32| {
+            let mut weights = vec![max; 65_539];
+            weights[65_538] = last;
+            Csr::from_dense(&IntMatrix::from_vec(65_539, 1, weights).unwrap())
+        };
+        let (at, over) = (column(1), column(2));
+        assert!(at.fits_i32(1) && !over.fits_i32(1));
+        for (csr, widths, sum) in [(&at, (1, 0), i64::from(i32::MAX)), (&over, (0, 1), 1 << 31)] {
+            for x in [1, -1] {
+                let frames = vec![x; G * 65_539];
+                let ran = assert_block_matches(csr, &frames, G);
+                assert_eq!((ran.narrow_groups, ran.wide_groups), widths);
+                let mut out = vec![0i64; G];
+                csr.vecmat_block_into(&frames, G, &mut out).unwrap();
+                assert_eq!(out, vec![sum * i64::from(x); G]);
+            }
+        }
+        // The extremes of `i32`, all in `i64` lanes: |x| = i32::MAX and
+        // i32::MIN (|x| = 2^31, no `abs()` overflow) against a unit column,
+        // and i32::MIN as a weight.
         let unit = Csr::from_dense(&IntMatrix::from_vec(1, 1, vec![1]).unwrap());
         let mut x = vec![3i32; G];
         x[G - 1] = i32::MAX;
-        assert_eq!(assert_block_matches(&unit, &x, G).narrow_groups, 1);
+        assert_eq!(assert_block_matches(&unit, &x, G).wide_groups, 1);
         x[0] = i32::MIN;
         assert_eq!(assert_block_matches(&unit, &x, G).wide_groups, 1);
-        // i32::MIN as a weight: wide for any non-zero input.
         let min = Csr::from_dense(&IntMatrix::from_vec(2, 2, vec![i32::MIN, 1, 1, 0]).unwrap());
         let x: Vec<i32> = (0..2 * G as i32).map(|i| i % 3 - 1).collect();
         assert_eq!(assert_block_matches(&min, &x, G).wide_groups, 1);
@@ -1276,10 +1169,11 @@ mod tests {
             let csr = Csr::from_dense(&IntMatrix::from_vec(2, 2, vec![w, 1, -1, w]).unwrap());
             assert_eq!(csr.i16_start(3).is_some(), in_i16, "weight {w}");
             let ran = assert_block_matches(&csr, &x, G);
-            assert_eq!(ran.narrow_groups, 1, "weight {w}");
+            assert_eq!(ran.narrow_groups, usize::from(in_i16), "weight {w}");
         }
         // Inputs: |x| ≤ 2^14 − 1 are in; −2^14 is out too, and so are 2^14
-        // and −2^14 − 1.
+        // and −2^14 − 1. An input of 2^14 would offset to 2^15, which is
+        // not an `i16`.
         let d = IntMatrix::from_vec(2, 3, vec![max, -5, 0, -max, 0, 7]).unwrap();
         let csr = Csr::from_dense(&d);
         let inputs = [
@@ -1296,7 +1190,7 @@ mod tests {
             assert_eq!(took_i16, in_i16, "input {edge}");
             let ran = assert_block_matches(&csr, &x, G);
             assert_eq!(ran, expected_widths(&d, &x, G), "input {edge}");
-            assert_eq!(ran.narrow_groups, 1, "input {edge}");
+            assert_eq!(ran.narrow_groups, usize::from(in_i16), "input {edge}");
         }
         // Where the lanes wrap: 64 weights of i16::MAX in one column under
         // inputs of ±1024, the largest the `i32` rule admits here. The true
@@ -1304,8 +1198,7 @@ mod tests {
         // −2^14 · 64 · 32767 ≈ −3.4 · 10^10, wraps eight times, and the
         // outputs are still exact.
         let tall = Csr::from_dense(&IntMatrix::from_vec(64, 1, vec![max; 64]).unwrap());
-        assert!(tall.fits_i32(1024) && !tall.fits_i32(1025));
-        assert!(tall.i16_start(1024).is_some());
+        assert!(tall.i16_start(1024).is_some() && tall.i16_start(1025).is_none());
         for edge in [1024, -1024] {
             let x = vec![edge; 64 * G];
             assert_eq!(assert_block_matches(&tall, &x, G).narrow_groups, 1);
@@ -1314,14 +1207,11 @@ mod tests {
             assert_eq!(out, vec![64 * i64::from(max) * i64::from(edge); G]);
         }
         // One block, the first group inside the 16-bit rule and the second
-        // (one input of 2^14) outside it: both `i32`, both exact.
+        // (one input of 2^14) outside it: each at its own width, both exact.
         let mut frames: Vec<i32> = (0..2 * G as i32 * 2).map(|i| i % 5 - 2).collect();
         frames[(G + 1) * 2] = BIAS;
-        let (first, second) = frames.split_at(G * 2);
-        let max_of = |g: &[i32]| g.iter().map(|v| v.unsigned_abs()).max().unwrap();
-        assert!(csr.i16_start(max_of(first)).is_some() && csr.i16_start(max_of(second)).is_none());
         let ran = assert_block_matches(&csr, &frames, 2 * G);
-        assert_eq!((ran.narrow_groups, ran.wide_groups), (2, 0));
+        assert_eq!((ran.narrow_groups, ran.wide_groups), (1, 1));
     }
 
     #[test]
@@ -1337,9 +1227,6 @@ mod tests {
         let mixed = BlockWidths {
             narrow_groups: 1,
             wide_groups: 1,
-            leftover_frames: 3,
-            gathered_frames: 3,
-            scattered_frames: 0,
         };
         assert_eq!(ran, mixed);
     }

@@ -1,5 +1,6 @@
 //! Column slices: the output-stationary layout behind
-//! [`Csr::vecmat_into`](crate::csr::Csr::vecmat_into) on dense frames.
+//! [`Csr::vecmat_into`](crate::csr::Csr::vecmat_into), which gathers every
+//! single frame through them.
 //!
 //! The matrix's columns are ordered by descending non-zero count (ties by
 //! ascending column) and cut into slices of [`LANES`]. A slice stores its

@@ -9,8 +9,8 @@
 //! - `span` — per-request trace [`Span`]s over the fixed pipeline
 //!   [`Stage`]s (decode → queue → plan → shard → reassemble → compute →
 //!   encode), recorded through a cloneable [`SpanRecorder`] at one
-//!   `Instant::now()` per stage boundary, and the named per-stage
-//!   `span::StageSummary` rows behind every stage table.
+//!   `Instant::now()` per stage boundary; a stage table zips
+//!   [`Stage::ALL`] with [`SpanRecorder::stage_stats`].
 //! - `sync` — the poison-recovering [`lock_or_recover`] helper every
 //!   crate takes its shared-state guards through, so one panicking
 //!   worker cannot cascade into every thread that shares a mutex.
@@ -47,4 +47,4 @@ mod sync;
 
 pub use hist::LatencyHistogram;
 pub use sync::lock_or_recover;
-pub use span::{stage_summaries, Span, SpanRecorder, Stage, StageStats, STAGES};
+pub use span::{Span, SpanRecorder, Stage, StageStats, STAGES};

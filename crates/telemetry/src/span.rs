@@ -102,36 +102,6 @@ pub struct StageStats {
     pub p99_ns: u64,
 }
 
-/// One recorded stage's latency summary under its stable name, as
-/// printed in stage tables.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageSummary {
-    /// Stage name (one of the [`Stage::name`] values).
-    pub stage: String,
-    /// Samples recorded for the stage.
-    pub count: u64,
-    /// Median latency, nanoseconds.
-    pub p50_ns: u64,
-    /// 99th-percentile latency, nanoseconds.
-    pub p99_ns: u64,
-}
-
-/// Converts a recorder's per-stage stats into named summaries, keeping
-/// only stages that recorded at least one sample.
-pub fn stage_summaries(stats: &[StageStats; STAGES]) -> Vec<StageSummary> {
-    Stage::ALL
-        .iter()
-        .zip(stats.iter())
-        .filter(|(_, s)| s.count > 0)
-        .map(|(stage, s)| StageSummary {
-            stage: stage.name().to_string(),
-            count: s.count,
-            p50_ns: s.p50_ns,
-            p99_ns: s.p99_ns,
-        })
-        .collect()
-}
-
 /// A cloneable handle over one [`LatencyHistogram`] per [`Stage`].
 ///
 /// Cloning is cheap (seven `Arc` bumps) and every clone records into
@@ -305,18 +275,6 @@ mod tests {
         assert!((500..2_000).contains(&s.p99_ns), "{}", s.p99_ns);
         // Empty stages stay all-zero.
         assert_eq!(rec.stage_stats()[Stage::Decode.idx()], StageStats::default());
-    }
-
-    #[test]
-    fn stage_summaries_keep_only_recorded_stages() {
-        let mut stats = [StageStats::default(); STAGES];
-        stats[Stage::Compute.idx()] = StageStats { count: 5, p50_ns: 100, p99_ns: 200 };
-        stats[Stage::Decode.idx()] = StageStats { count: 5, p50_ns: 10, p99_ns: 20 };
-        let summaries = stage_summaries(&stats);
-        assert_eq!(summaries.len(), 2);
-        assert_eq!(summaries[0].stage, "decode");
-        assert_eq!(summaries[1].stage, "compute");
-        assert_eq!(summaries[1].p99_ns, 200);
     }
 
     #[test]

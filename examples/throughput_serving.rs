@@ -15,6 +15,7 @@ use spatial_smm::core::generate::{element_sparse_matrix, random_vector};
 use spatial_smm::core::gemv::vecmat;
 use spatial_smm::core::rng::seeded;
 use spatial_smm::runtime::{EngineSpec, FrameBlock, RowBlock, Session};
+use spatial_smm::telemetry::Stage;
 use std::sync::Arc;
 
 fn main() {
@@ -95,10 +96,11 @@ fn main() {
         served.batch,
         replanned.engine().name()
     );
-    for s in spatial_smm::telemetry::stage_summaries(&recorder.stage_stats()) {
+    let stats = recorder.stage_stats();
+    for (stage, s) in Stage::ALL.iter().zip(&stats).filter(|(_, s)| s.count > 0) {
         println!(
             "  stage {:<12} {:>4} sample(s), p50 {:>8.1} µs, p99 {:>8.1} µs",
-            s.stage,
+            stage.name(),
             s.count,
             s.p50_ns as f64 / 1e3,
             s.p99_ns as f64 / 1e3,

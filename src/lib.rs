@@ -54,9 +54,10 @@
 //!    the runtime's `spec::build` from an [`EngineSpec`] (a new engine
 //!    family is one more arm there); the runtime's `plan::plan`, which
 //!    resolves an `auto` spec ([`EngineSpec::auto`]) by pricing the
-//!    dense, CSR and sigma kernels per matrix, in nanoseconds per frame
-//!    at their measured rates (the gpu, cgra and
-//!    sigma timing models are evaluation models, not planner inputs);
+//!    dense and CSR kernels per matrix, in nanoseconds per frame at
+//!    their measured rates (the `sigma` engine is chosen only by name;
+//!    the gpu, cgra and sigma timing models are evaluation models, not
+//!    planner inputs);
 //!    and one process-wide worker pool, shared
 //!    by every session, across which [`Session::run_block`] shards flat
 //!    batch blocks by row range into one preallocated output block, in
