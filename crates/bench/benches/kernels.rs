@@ -77,17 +77,17 @@ fn bench_csr(c: &mut Criterion) {
     group.finish();
 }
 
-/// The CSR single-vector kernel against its oracle: `vecmat_into` (the
-/// frame gathered through the column slices) vs `vecmat_scatter_into`
-/// (the row scatter), on `reservoir-step`'s matrix (1024², 95 % sparse,
-/// 4-bit) and on `wire-single`'s (256², 90 %, 8-bit). Each gets a dense
-/// frame in each lane the gather picks from — 8-bit inputs (`f32` lanes)
-/// and 24-bit (`i64`), each checked to fall in its lane's band of
-/// `max_col_abs_sum × max|a|` — and `reservoir-step`'s also a one-hot
-/// frame, which the scatter skips through and the gather walks in full.
-/// No workload sends the 24-bit or the one-hot frame; they show what
-/// such traffic would pay. Outputs are checked equal before either side
-/// is timed.
+/// The CSR single-vector kernel against its oracle: `vecmat_into` vs
+/// `vecmat_scatter_into` (the row scatter), on `reservoir-step`'s matrix
+/// (1024², 95 % sparse, 4-bit) and on `wire-single`'s (256², 90 %,
+/// 8-bit). Each gets a dense frame on each path `vecmat_into` takes —
+/// 8-bit inputs, inside the `f32` rule and so gathered through the column
+/// slices, and 24-bit, past it and so scattered — each checked to fall in
+/// its path's band of `max_col_abs_sum × max|a|` and labelled by that
+/// path; `reservoir-step`'s also gets a one-hot frame, which the scatter
+/// skips through and the gather walks in full. No workload sends the
+/// 24-bit or the one-hot frame; they show what such traffic would pay.
+/// Outputs are checked equal before either side is timed.
 fn bench_csr_single(c: &mut Criterion) {
     let mut rng = seeded(2300);
     let mut group = c.benchmark_group("csr_single");
@@ -103,23 +103,26 @@ fn bench_csr_single(c: &mut Criterion) {
             .max()
             .unwrap();
         for &frame in frames {
-            let (a, lane) = match frame {
+            let (a, path, band) = match frame {
                 "one_hot" => {
                     let mut a = vec![0i32; dim];
                     a[dim / 3] = -77;
-                    (a, 0..=1 << 24)
+                    (a, "gather", 0..=1 << 24)
                 }
-                "dense8" => (random_vector(dim, 8, true, &mut rng).unwrap(), 0..=1 << 24),
-                _ => (random_vector(dim, 24, true, &mut rng).unwrap(), (1 << 24) + 1..=u64::MAX),
+                "dense8" => (random_vector(dim, 8, true, &mut rng).unwrap(), "gather", 0..=1 << 24),
+                _ => {
+                    let a = random_vector(dim, 24, true, &mut rng).unwrap();
+                    (a, "scatter", (1 << 24) + 1..=u64::MAX)
+                }
             };
             let tag = format!("{dim}/{frame}");
             let max_a = a.iter().map(|x| u64::from(x.unsigned_abs())).max().unwrap();
-            assert!(lane.contains(&(max_col_abs_sum * max_a)), "{tag} is outside its lane");
+            assert!(band.contains(&(max_col_abs_sum * max_a)), "{tag} is outside its {path} band");
             let (mut out, mut oracle) = (vec![0i64; dim], vec![0i64; dim]);
             csr.vecmat_into(&a, &mut out).unwrap();
             csr.vecmat_scatter_into(&a, &mut oracle).unwrap();
             assert_eq!(out, oracle, "single-vector kernels diverged on {tag}");
-            group.bench_with_input(BenchmarkId::new("gather", &tag), &dim, |b, _| {
+            group.bench_with_input(BenchmarkId::new(path, &tag), &dim, |b, _| {
                 b.iter(|| csr.vecmat_into(black_box(&a), &mut out).unwrap())
             });
             group.bench_with_input(BenchmarkId::new("scatter_oracle", &tag), &dim, |b, _| {

@@ -151,8 +151,9 @@ impl GemvBackend for DenseRef {
 /// [`Csr::vecmat_block_into`] — full groups of 16 frames through the
 /// weight-stationary kernel over the rows, and the frames past the last
 /// full group (so every single) one at a time through
-/// [`Csr::vecmat_into`], which gathers a dense frame through the column
-/// slices and scatters a sparse one through the rows.
+/// [`Csr::vecmat_into`], which gathers a frame through the column slices
+/// when its values are inside the `f32` rule and scatters any other
+/// through the rows.
 #[derive(Debug, Clone)]
 pub struct SparseCsr {
     csr: Csr,

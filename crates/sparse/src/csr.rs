@@ -10,13 +10,13 @@
 //! the oracle every other kernel is held to, walks only the rows of a
 //! frame's non-zero inputs. The column slices (`slices.rs`) are the same
 //! non-zeros cut into four-column slices for the output-stationary gather
-//! that serves every single frame through [`Csr::vecmat_into`]; only a
-//! matrix too large for the slices scatters its frames instead.
+//! that serves single frames through [`Csr::vecmat_into`].
 //!
 //! Each kernel has two rungs, decided per group or per frame from two
 //! numbers, `max_col_abs_sum` of the matrix and `max|x|` of the operands:
-//! a narrow rung that the serving traffic takes, and `i64` lanes, which
-//! are exact for everything else.
+//! a narrow rung that the serving traffic takes, and one that is exact
+//! for everything else — `i64` lanes for a group, the scatter for a
+//! single frame.
 //!
 //! **Multiply width.** A 16-frame group whose inputs are `|x| < 2^14`,
 //! against a matrix whose weights are all `|w| ≤ i16::MAX`, and whose
@@ -31,20 +31,22 @@
 //! bench; the contract is the oracle tests, which hold every kernel to
 //! the scatter on both sides of every rule.
 //!
-//! **Lane width.** The gather of one frame accumulates in `f32` lanes
-//! when the frame's bound `max_col_abs_sum × max|a|` is at most `2^24`
-//! (every integer that large is exactly an `f32`, and four lanes convert,
+//! **Lane width.** A single frame is gathered, in `f32` lanes, when the
+//! frame's bound `max_col_abs_sum × max|a|` is at most `2^24`: every
+//! integer that large is exactly an `f32`, and four lanes convert,
 //! multiply and add as one SSE vector each, where integer lanes take four
-//! scalar multiplies), else in `i64` lanes. The bits are equal because
-//! every value an `f32` lane holds is an integer it represents exactly;
-//! the argument is in [`Csr::vecmat_into`].
+//! scalar multiplies. Any other frame is scattered. The bits are equal
+//! because every value an `f32` lane holds is an integer it represents
+//! exactly; the argument is in [`Csr::vecmat_into`]. So the column slices
+//! are built only for a matrix whose `max_col_abs_sum` is at most `2^24`
+//! (the only kind a non-zero frame can be gathered against) and whose
+//! rows fit the slices' `u16` row indices: at most `2^16` of them.
 
 use crate::coo::Coo;
 use crate::slices::ColumnSlices;
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
 use smm_core::wire::MatrixBody;
-use std::ops::{AddAssign, Mul};
 
 /// Frames per weight-stationary group in [`Csr::vecmat_block_into`]:
 /// one cache line of `i32` lanes per matrix row and per output column.
@@ -76,8 +78,9 @@ pub struct Csr {
     /// `|w| ≤ i16::MAX`.
     i16_start: Option<Vec<i32>>,
     /// The same non-zeros as column slices, derived with the bound; `None`
-    /// when the matrix is too large for the slices' `u32` indices, and
-    /// every frame then takes the scatter.
+    /// unless the matrix has at most `2^16` rows (the slices' `u16` row
+    /// indices) and a `max_col_abs_sum` of at most `2^24` (the *Lane
+    /// width* rule), and every frame then takes the scatter.
     slices: Option<ColumnSlices>,
 }
 
@@ -127,40 +130,11 @@ pub struct BlockWidths {
     pub wide_groups: usize,
 }
 
-/// The layout, and for a gather the lane type, that served one frame of
-/// [`Csr::vecmat_into`].
+/// The layout that served one frame of [`Csr::vecmat_into`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Single {
-    GatheredF32,
-    GatheredI64,
+    Gathered,
     Scattered,
-}
-
-/// An accumulator lane of the gather: `f32` or `i64`.
-pub(crate) trait Lane: Copy + Default + AddAssign + Mul<Output = Self> {
-    fn from_i32(v: i32) -> Self;
-    fn widen(self) -> i64;
-}
-
-impl Lane for i64 {
-    fn from_i32(v: i32) -> Self {
-        i64::from(v)
-    }
-    fn widen(self) -> i64 {
-        self
-    }
-}
-
-/// Exact only where the *Lane width* rule of [`Csr::vecmat_into`] puts
-/// it: there every value it holds is an integer of magnitude at most
-/// [`F32_EXACT`], so both conversions are exact.
-impl Lane for f32 {
-    fn from_i32(v: i32) -> Self {
-        v as f32
-    }
-    fn widen(self) -> i64 {
-        self as i64
-    }
 }
 
 impl Csr {
@@ -203,12 +177,16 @@ impl Csr {
             start[c] = start[c].wrapping_sub(BIAS.wrapping_mul(v));
             weights_fit_i16 &= v.unsigned_abs() <= i16::MAX as u32;
         }
+        let max_col_abs_sum = col_abs_sum.into_iter().max().unwrap_or(0);
+        let slices = (u128::from(max_col_abs_sum) <= F32_EXACT)
+            .then(|| ColumnSlices::build(&col_len, &row_ptr, &col_idx, &values))
+            .flatten();
         Self {
             rows,
             cols,
-            max_col_abs_sum: col_abs_sum.into_iter().max().unwrap_or(0),
+            max_col_abs_sum,
             i16_start: weights_fit_i16.then_some(start),
-            slices: ColumnSlices::build(&col_len, &row_ptr, &col_idx, &values),
+            slices,
             row_ptr,
             col_idx,
             values,
@@ -385,36 +363,34 @@ impl Csr {
     /// [`Csr::vecmat_block_into`]. Stale contents of `out` are
     /// overwritten.
     ///
-    /// *One layout.* The frame is **gathered** through the column slices:
-    /// four output columns at a time, one register accumulator each,
-    /// `acc[l] += w · a[row]` down the slice and one store per column at
-    /// the end. A gather walks every non-zero whatever the frame holds, so
-    /// a one-hot frame costs what a full one does. Only a matrix too large
-    /// for the slices' `u32` indices has none, and its frames are
+    /// *Two layouts.* A frame is **gathered** through the column slices:
+    /// four output columns at a time, two register accumulators each (one
+    /// for the slice's even steps, one for its odd), `acc[l] += w · a[row]`
+    /// down the slice, and one add and one store per column at the end. A
+    /// gather walks every non-zero whatever the frame holds, so a one-hot
+    /// frame costs what a full one does. A frame the *Lane width* rule
+    /// keeps out of `f32`, and every frame of a matrix without slices, is
     /// **scattered** by [`Csr::vecmat_scatter_into`].
     ///
-    /// *Addition order.* A lane of the gather is one output column with
-    /// its terms added in ascending row order, so each output receives
-    /// exactly the additions the scatter gives it, plus an explicit `+ 0`
-    /// for every zero input and every padding entry — the same bits,
-    /// including wherever an `i64` sum would wrap.
-    ///
     /// *Lane width.* By the bound of [`Csr::vecmat_block_into`], applied
-    /// to this one frame, every partial sum of every output is at most
-    /// `B = max_col_abs_sum × max|a|` in magnitude. A gather runs in `f32`
-    /// lanes when `B ≤ 2^24`, else in `i64` lanes, which are the scatter's
-    /// arithmetic. The `f32` lanes give the same bits as the `i64`
-    /// scatter:
-    /// - with `max|a| ≥ 1`, every stored weight is at most
-    ///   `max_col_abs_sum ≤ B`, every input is at most `max|a| ≤ B` unless
-    ///   the matrix stores no non-zero (and then nothing is multiplied),
-    ///   and every product and partial sum is an integer of magnitude at
-    ///   most `B ≤ 2^24`;
-    /// - an all-zero frame makes every product 0, whatever the weights
-    ///   round to;
+    /// to this one frame, the sum of any subset of an output's terms is at
+    /// most `B = max_col_abs_sum × max|a|` in magnitude. A frame is
+    /// gathered, in `f32` lanes, when the matrix has slices and
+    /// `B ≤ 2^24`; slices exist only where `max_col_abs_sum ≤ 2^24`. The
+    /// gather gives the same bits as the `i64` scatter:
+    /// - every stored weight is at most `max_col_abs_sum ≤ 2^24`; with
+    ///   `max|a| ≥ 1`, every input is at most `max|a| ≤ B` unless the
+    ///   matrix stores no non-zero (and then nothing is multiplied);
+    /// - an all-zero frame makes every product 0;
+    /// - *addition order*: each accumulator set holds the sum of a subset
+    ///   of each output's terms (its even or its odd steps, rows ascending
+    ///   within each), and the final add is the sum of all of them, so
+    ///   every product, partial sum and total is an integer of magnitude
+    ///   at most `B ≤ 2^24`, whatever the order;
     /// - so each conversion, multiply and add is exact in `f32` (Rust
     ///   never contracts a multiply and an add into an FMA), and each
-    ///   output converts back to the integer the `i64` sum reaches;
+    ///   output converts back to the integer the scatter's `i64` sum
+    ///   reaches, which for `|sum| ≤ 2^24` does not wrap;
     /// - padding and zero inputs add `±0`, which changes no sum.
     pub fn vecmat_into(&self, a: &[i32], out: &mut [i64]) -> Result<()> {
         self.single_into(a, out).map(drop)
@@ -444,21 +420,20 @@ impl Csr {
         Ok(())
     }
 
-    /// One frame through the column slices, in the lanes its bound picks,
-    /// or through the scatter when the matrix has no slices.
+    /// One frame through the column slices when its bound is inside the
+    /// `f32` rule, else through the scatter.
     fn single_into(&self, a: &[i32], out: &mut [i64]) -> Result<Single> {
         self.check_single(a, out)?;
-        let Some(slices) = &self.slices else {
-            self.scatter(a, out);
-            return Ok(Single::Scattered);
-        };
         let max_a = a.iter().fold(0, |max, v| v.unsigned_abs().max(max));
-        Ok(if self.bound(max_a) <= F32_EXACT {
-            slices.gather::<f32>(a, out);
-            Single::GatheredF32
-        } else {
-            slices.gather::<i64>(a, out);
-            Single::GatheredI64
+        Ok(match &self.slices {
+            Some(slices) if self.bound(max_a) <= F32_EXACT => {
+                slices.gather(a, out);
+                Single::Gathered
+            }
+            _ => {
+                self.scatter(a, out);
+                Single::Scattered
+            }
         })
     }
 
@@ -645,6 +620,7 @@ impl Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slices::MAX_ROWS;
     use proptest::prelude::*;
     use smm_core::gemv::vecmat;
     use smm_core::generate::{element_sparse_matrix, random_vector};
@@ -777,7 +753,7 @@ mod tests {
 
     /// One frame through both single-vector kernels, each into a stale
     /// buffer, and as a one-frame block: the outputs must be the same
-    /// bits. Returns the layout and lane that ran.
+    /// bits. Returns the layout that ran.
     fn assert_gather_matches_scatter(csr: &Csr, a: &[i32]) -> Single {
         let mut oracle = vec![-77i64; csr.cols()];
         csr.vecmat_scatter_into(a, &mut oracle).unwrap();
@@ -798,14 +774,15 @@ mod tests {
         (0..d.cols()).map(col_sum).max().unwrap_or(0)
     }
 
-    /// The lane the rustdoc's rule prescribes for one gathered frame,
-    /// worked out from the dense matrix and the frame.
+    /// The layout the rustdoc's rule prescribes for one frame, worked out
+    /// from the dense matrix and the frame.
     fn expected_single(d: &IntMatrix, a: &[i32]) -> Single {
         let max_a = a.iter().map(|x| u128::from(x.unsigned_abs())).max().unwrap_or(0);
-        if max_col_abs_sum(d) * max_a <= 1 << 24 {
-            Single::GatheredF32
+        let sum = max_col_abs_sum(d);
+        if d.rows() <= 1 << 16 && sum <= 1 << 24 && sum * max_a <= 1 << 24 {
+            Single::Gathered
         } else {
-            Single::GatheredI64
+            Single::Scattered
         }
     }
 
@@ -838,7 +815,8 @@ mod tests {
         /// exactly half (rounded up) and all but one to full, and operands
         /// on both sides of the `f32` rule: drawn widths, or the frame's
         /// largest input set to the most the `f32` lane admits for this
-        /// matrix, or one more. The lane that ran is the rule's.
+        /// matrix, or one more, which is scattered. The layout that ran is
+        /// the rule's.
         #[test]
         fn gather_matches_scatter(
             seed in any::<u64>(),
@@ -881,22 +859,23 @@ mod tests {
     #[test]
     fn single_width_boundary_is_exact() {
         // The extremes of `i32` one frame at a time, all past the `f32`
-        // rule and so in `i64` lanes: a column summing to exactly
-        // `i32::MAX` and one to one more, `±i32::MAX` and `i32::MIN` as
-        // inputs, and `i32::MIN` as a weight against `i32::MIN`.
+        // rule and so scattered: a column summing to exactly `i32::MAX`
+        // and one to one more (neither has slices), `±i32::MAX` and
+        // `i32::MIN` as inputs, and `i32::MIN` as a weight against
+        // `i32::MIN`.
         let at = Csr::from_dense(&IntMatrix::from_vec(2, 1, vec![i32::MAX - 5, 5]).unwrap());
         let over = Csr::from_dense(&IntMatrix::from_vec(2, 1, vec![i32::MAX - 5, 6]).unwrap());
         for csr in [&at, &over] {
-            assert_eq!(assert_gather_matches_scatter(csr, &[1, 1]), Single::GatheredI64);
-            assert_eq!(assert_gather_matches_scatter(csr, &[-1, -1]), Single::GatheredI64);
+            assert_eq!(assert_gather_matches_scatter(csr, &[1, 1]), Single::Scattered);
+            assert_eq!(assert_gather_matches_scatter(csr, &[-1, -1]), Single::Scattered);
         }
         assert_eq!(over.vecmat(&[1, 1]).unwrap(), vec![i64::from(i32::MAX) + 1]);
         let unit = Csr::from_dense(&IntMatrix::from_vec(1, 1, vec![1]).unwrap());
-        assert_gather_matches_scatter(&unit, &[i32::MAX]);
-        assert_gather_matches_scatter(&unit, &[i32::MIN]);
+        assert_eq!(assert_gather_matches_scatter(&unit, &[i32::MAX]), Single::Scattered);
+        assert_eq!(assert_gather_matches_scatter(&unit, &[i32::MIN]), Single::Scattered);
         let min = Csr::from_dense(&IntMatrix::from_vec(2, 2, vec![i32::MIN, 1, 1, 0]).unwrap());
         for a in [[i32::MIN, 1], [1, -1], [0, i32::MIN], [0, 0]] {
-            assert_gather_matches_scatter(&min, &a);
+            assert_eq!(assert_gather_matches_scatter(&min, &a), Single::Scattered);
         }
     }
 
@@ -905,18 +884,18 @@ mod tests {
         // A column of 257 ones against inputs of 65,281: the bound is
         // 257 × 65,281 = 2^24 + 1, and so is the true sum, which is odd
         // and not an `f32` (an `f32` lane would round it to 2^24). It must
-        // take the `i64` lane.
+        // be scattered.
         let over = Csr::from_dense(&IntMatrix::from_vec(257, 1, vec![1; 257]).unwrap());
         assert_eq!(over.bound(65_281), F32_EXACT + 1);
         let a = vec![65_281; 257];
-        assert_eq!(assert_gather_matches_scatter(&over, &a), Single::GatheredI64);
+        assert_eq!(assert_gather_matches_scatter(&over, &a), Single::Scattered);
         assert_eq!(over.vecmat(&a).unwrap(), vec![16_777_217]);
         // 256 ones against 65,536: a bound of exactly 2^24 takes `f32`,
         // and every partial sum, 2^24 included, is exact.
         let at = Csr::from_dense(&IntMatrix::from_vec(256, 1, vec![1; 256]).unwrap());
         for x in [65_536, -65_536] {
             let a = vec![x; 256];
-            assert_eq!(assert_gather_matches_scatter(&at, &a), Single::GatheredF32);
+            assert_eq!(assert_gather_matches_scatter(&at, &a), Single::Gathered);
             assert_eq!(at.vecmat(&a).unwrap(), vec![256 * i64::from(x)]);
         }
         // An empty matrix bounds any frame by 0, so inputs past 2^24 take
@@ -924,8 +903,98 @@ mod tests {
         // and every output is still written.
         let empty = Csr::from_dense(&IntMatrix::zeros(3, 2).unwrap());
         let a = [i32::MAX, i32::MIN, (1 << 24) + 1];
-        assert_eq!(assert_gather_matches_scatter(&empty, &a), Single::GatheredF32);
+        assert_eq!(assert_gather_matches_scatter(&empty, &a), Single::Gathered);
         assert_eq!(empty.vecmat(&a).unwrap(), vec![0, 0]);
+    }
+
+    /// A `rows × 2` matrix with a few small weights, one in the last row,
+    /// and an 8-bit frame whose first and last inputs differ.
+    fn tall(rows: usize, rng: &mut Rng) -> (Csr, Vec<i32>) {
+        let d = IntMatrix::from_fn(rows, 2, |r, c| {
+            let hit = r % 509 == c || r == rows - 1;
+            i32::from(hit) * (1 + (r % 5) as i32) * if c == 0 { 1 } else { -1 }
+        })
+        .unwrap();
+        let mut a = random_vector(rows, 8, true, rng).unwrap();
+        (a[0], a[rows - 1]) = (3, -100);
+        (Csr::from_dense(&d), a)
+    }
+
+    #[test]
+    fn slices_hold_exactly_u16_rows() {
+        let mut rng = seeded(4600);
+        // The most rows a `u16` names is gathered; one more is scattered,
+        // its last row not truncated onto row 0.
+        let (at, a) = tall(MAX_ROWS, &mut rng);
+        assert_eq!(assert_gather_matches_scatter(&at, &a), Single::Gathered);
+        let (over, a) = tall(MAX_ROWS + 1, &mut rng);
+        assert_eq!(assert_gather_matches_scatter(&over, &a), Single::Scattered);
+        assert!(over.slices.is_none());
+    }
+
+    #[test]
+    fn slices_need_a_column_sum_inside_f32() {
+        // A column summing to exactly 2^24 has slices; one more has none,
+        // so even an all-zero frame, bounded by 0, is scattered.
+        let top = 1 << 24;
+        let at = Csr::from_dense(&IntMatrix::from_vec(2, 2, vec![top - 7, 3, 7, -4]).unwrap());
+        assert!(at.slices.is_some());
+        let over = Csr::from_dense(&IntMatrix::from_vec(2, 2, vec![top - 7, 3, 8, -4]).unwrap());
+        assert!(over.slices.is_none());
+        assert_eq!(assert_gather_matches_scatter(&at, &[1, -1]), Single::Gathered);
+        assert_eq!(assert_gather_matches_scatter(&at, &[0, 0]), Single::Gathered);
+        assert_eq!(assert_gather_matches_scatter(&over, &[0, 0]), Single::Scattered);
+        assert_eq!(assert_gather_matches_scatter(&over, &[1, -1]), Single::Scattered);
+        assert_eq!(over.vecmat(&[1, 1]).unwrap(), vec![i64::from(top) + 1, -1]);
+    }
+
+    #[test]
+    fn a_stale_frame_changes_no_bit() {
+        // One thread's frame first holds 1024 inputs of up to 21 bits,
+        // then a 3-row frame on top of them, then the first again.
+        let mut rng = seeded(4601);
+        let d = element_sparse_matrix(1024, 4, 2, 0.995, true, &mut rng).unwrap();
+        let big = Csr::from_dense(&d);
+        let large = random_vector(1024, 21, true, &mut rng).unwrap();
+        assert!(big.bound(1 << 20) <= F32_EXACT, "{}", big.max_col_abs_sum);
+        let small = Csr::from_dense(&IntMatrix::from_vec(3, 2, vec![5, -1, 0, 2, -3, 4]).unwrap());
+        for _ in 0..2 {
+            assert_eq!(assert_gather_matches_scatter(&big, &large), Single::Gathered);
+            for a in [[1, 2, 3], [-7, 0, 9], [0, 0, 0]] {
+                assert_eq!(assert_gather_matches_scatter(&small, &a), Single::Gathered);
+            }
+        }
+    }
+
+    #[test]
+    fn threads_gather_through_their_own_frames() {
+        let mut rng = seeded(4602);
+        let d = element_sparse_matrix(256, 64, 8, 0.9, true, &mut rng).unwrap();
+        let csr = Csr::from_dense(&d);
+        let frames: Vec<Vec<Vec<i32>>> = (0..2)
+            .map(|_| (0..3).map(|_| random_vector(256, 8, true, &mut rng).unwrap()).collect())
+            .collect();
+        std::thread::scope(|scope| {
+            for own in &frames {
+                let csr = &csr;
+                scope.spawn(move || {
+                    let expect: Vec<Vec<i64>> = own
+                        .iter()
+                        .map(|a| {
+                            let mut o = vec![0i64; 64];
+                            csr.vecmat_scatter_into(a, &mut o).unwrap();
+                            o
+                        })
+                        .collect();
+                    let mut out = vec![0i64; 64];
+                    for i in 0..300 {
+                        let k = i % own.len();
+                        assert_eq!(csr.single_into(&own[k], &mut out).unwrap(), Single::Gathered);
+                        assert_eq!(out, expect[k], "frame {k}, pass {i}");
+                    }
+                });
+            }
+        });
     }
 
     /// Entries the column slices store beyond the non-zeros.

@@ -6,7 +6,7 @@
 //! ascending column) and cut into slices of [`LANES`]. A slice stores its
 //! columns interleaved — entry `j` of lane `l` at `j · LANES + l`, rows
 //! ascending within a column — and padded to its longest column with
-//! `(row 0, weight 0)`, so the kernel keeps one register accumulator per
+//! `(row 0, weight 0)`, so the kernel keeps register accumulators per
 //! column and stores nothing until the slice is done. This is sliced
 //! ELLPACK with a full length sort (SELL-C-σ, Kreutzer et al., SIAM J.
 //! Sci. Comput. 2014) at `C = 4`: what scalar x86-64 has registers for.
@@ -14,14 +14,35 @@
 //! longer than the shortest of the slice before it, and the padding sums
 //! to at most `(LANES − 1) ×` the longest column of the matrix.
 //!
-//! The entries are two parallel arrays, `rows` (`u32`) and `weights`
-//! (`i32`), 8 bytes per entry: one step's four weights are one 16-byte
-//! load, which the `f32` lane converts and multiplies as one vector.
+//! The entries are two parallel arrays, `rows` (`u16`) and `weights`
+//! (`i32`), 6 bytes per entry: one step's four weights are one 16-byte
+//! load, which the `f32` lanes convert and multiply as one vector. A
+//! `u16` row is why only a matrix of at most [`MAX_ROWS`] rows has
+//! slices: it indexes a frame of exactly that many `f32`s with no mask
+//! and no bounds check.
+//!
+//! That frame is per thread, allocated on the thread's first gather and
+//! kept until the thread exits: 256 KiB of address space, of which a
+//! gather touches the pages under its matrix's rows (4 KiB at 1024 rows),
+//! though a heap block the allocator reuses is zero-filled in full. Each
+//! gather overwrites the first `rows` elements; the rest hold an earlier
+//! frame's values, finite and never read, since every stored row, the
+//! padding's row 0 included, is below the matrix's row count.
 
-use crate::csr::Lane;
+use std::cell::RefCell;
 
-/// Columns per slice, one accumulator each.
+/// Columns per slice; each has two accumulators.
 pub(crate) const LANES: usize = 4;
+
+/// The most rows a matrix with slices may have: every `u16` is a row.
+pub(crate) const MAX_ROWS: usize = 1 << 16;
+
+thread_local! {
+    /// This thread's frame, converted to `f32` and indexed by a `u16` row.
+    static FRAME: RefCell<Box<[f32; MAX_ROWS]>> = RefCell::new(
+        vec![0.0; MAX_ROWS].into_boxed_slice().try_into().expect("MAX_ROWS elements"),
+    );
+}
 
 /// The sliced copy of one CSR's non-zeros. Built once from the CSR
 /// arrays, never serialised.
@@ -35,7 +56,7 @@ pub(crate) struct ColumnSlices {
     /// and `weights` (both multiples of `LANES`).
     slice_ptr: Vec<u32>,
     /// Each entry's input row; `0` for padding.
-    rows: Vec<u32>,
+    rows: Vec<u16>,
     /// Each entry's weight; `0` for padding.
     weights: Vec<i32>,
 }
@@ -43,8 +64,9 @@ pub(crate) struct ColumnSlices {
 impl ColumnSlices {
     /// Slices a validated CSR (`col_idx[k] < col_len.len()`, rows
     /// ascending) whose per-column non-zero counts are `col_len`, in work
-    /// proportional to the non-zeros. `None` when the row count, the
-    /// column count or the padded entry count does not fit `u32`.
+    /// proportional to the non-zeros. `None` when it has more than
+    /// [`MAX_ROWS`] rows, or when the column count or the padded entry
+    /// count does not fit `u32`.
     pub(crate) fn build(
         col_len: &[usize],
         row_ptr: &[usize],
@@ -52,8 +74,9 @@ impl ColumnSlices {
         values: &[i32],
     ) -> Option<Self> {
         let cols = u32::try_from(col_len.len()).ok()?;
-        // No column is longer than the row count, so lengths fit too.
-        u32::try_from(row_ptr.len()).ok()?;
+        if row_ptr.len() > MAX_ROWS + 1 {
+            return None;
+        }
         // Longest first, ties by ascending column: one integer key per
         // column, the length complemented in the high half.
         let mut keys: Vec<u64> = (0..cols)
@@ -80,9 +103,9 @@ impl ColumnSlices {
             slice_ptr.push(end);
         }
 
-        let mut rows = vec![0u32; end as usize];
+        let mut rows = vec![0u16; end as usize];
         let mut weights = vec![0i32; end as usize];
-        for (r, span) in (0..).zip(row_ptr.windows(2)) {
+        for (r, span) in (0..=u16::MAX).zip(row_ptr.windows(2)) {
             let (lo, hi) = (span[0], span[1]);
             for (&c, &v) in col_idx[lo..hi].iter().zip(&values[lo..hi]) {
                 let at = &mut cursor[c];
@@ -105,37 +128,53 @@ impl ColumnSlices {
         self.rows.len()
     }
 
-    /// `out[c] = Σ_r w_rc · a[r]` for every column, in lane type `A`.
+    /// `out[c] = Σ_r w_rc · a[r]` for every column, in `f32` lanes: exact
+    /// only where the *Lane width* rule of
+    /// [`Csr::vecmat_into`](crate::csr::Csr::vecmat_into) puts it.
     ///
-    /// The frame is converted to `A` in the one pass that pads it with
-    /// zeros to a power-of-two length, so a row index masked by
-    /// `len − 1` is provably in bounds and — every stored row being below
-    /// the frame length — unchanged. Every element of `out` (`cols`
+    /// `a` (the matrix's rows long) is converted into this thread's
+    /// frame, which a `u16` row indexes directly. Each slice runs two
+    /// accumulator sets, one for its even steps and one for its odd, and
+    /// adds them when the slice is done. Every element of `out` (`cols`
     /// long) is written exactly once.
-    pub(crate) fn gather<A: Lane>(&self, a: &[i32], out: &mut [i64]) {
-        let len = a.len().next_power_of_two();
-        let mut padded = Vec::with_capacity(len);
-        padded.extend(a.iter().map(|&v| A::from_i32(v)));
-        padded.resize(len, A::default());
-        let mask = u32::try_from(len - 1).expect("stored rows fit u32");
-        // The whole slice again, with its length restated in terms of
-        // `mask`: what lets the compiler drop the check on `x & mask`.
-        let padded = &padded[..=mask as usize];
-        for (perm, span) in self.perm.chunks(LANES).zip(self.slice_ptr.windows(2)) {
-            let span = span[0] as usize..span[1] as usize;
-            let (rows, _) = self.rows[span.clone()].as_chunks::<LANES>();
-            let (weights, _) = self.weights[span].as_chunks::<LANES>();
-            let mut acc = [A::default(); LANES];
-            for (rows, weights) in rows.iter().zip(weights) {
-                for ((acc, &row), &w) in acc.iter_mut().zip(rows).zip(weights) {
-                    *acc += A::from_i32(w) * padded[(row & mask) as usize];
+    pub(crate) fn gather(&self, a: &[i32], out: &mut [i64]) {
+        FRAME.with_borrow_mut(|frame| {
+            for (x, &v) in frame.iter_mut().zip(a) {
+                *x = v as f32;
+            }
+            for (perm, span) in self.perm.chunks(LANES).zip(self.slice_ptr.windows(2)) {
+                let span = span[0] as usize..span[1] as usize;
+                let (rows, _) = self.rows[span.clone()].as_chunks::<LANES>();
+                let (weights, _) = self.weights[span].as_chunks::<LANES>();
+                let (row_pairs, last_rows) = rows.as_chunks::<2>();
+                let (weight_pairs, last_weights) = weights.as_chunks::<2>();
+                let (mut even, mut odd) = ([0f32; LANES], [0f32; LANES]);
+                for ([r0, r1], [w0, w1]) in row_pairs.iter().zip(weight_pairs) {
+                    step(&mut even, r0, w0, frame);
+                    step(&mut odd, r1, w1, frame);
+                }
+                for (rows, weights) in last_rows.iter().zip(last_weights) {
+                    step(&mut even, rows, weights, frame);
+                }
+                for ((&c, even), odd) in perm.iter().zip(even).zip(odd) {
+                    if let Some(o) = out.get_mut(c as usize) {
+                        *o = (even + odd) as i64;
+                    }
                 }
             }
-            for (&c, acc) in perm.iter().zip(acc) {
-                if let Some(o) = out.get_mut(c as usize) {
-                    *o = acc.widen();
-                }
-            }
-        }
+        });
+    }
+}
+
+/// One step of a slice: `acc[l] += w[l] · frame[row[l]]` for each lane.
+#[inline(always)]
+fn step(
+    acc: &mut [f32; LANES],
+    rows: &[u16; LANES],
+    weights: &[i32; LANES],
+    frame: &[f32; MAX_ROWS],
+) {
+    for ((acc, &row), &w) in acc.iter_mut().zip(rows).zip(weights) {
+        *acc += w as f32 * frame[usize::from(row)];
     }
 }
