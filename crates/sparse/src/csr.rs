@@ -974,9 +974,11 @@ mod tests {
         let frames: Vec<Vec<Vec<i32>>> = (0..2)
             .map(|_| (0..3).map(|_| random_vector(256, 8, true, &mut rng).unwrap()).collect())
             .collect();
+        // Each pass starts on both threads at once.
+        let barrier = std::sync::Barrier::new(frames.len());
         std::thread::scope(|scope| {
             for own in &frames {
-                let csr = &csr;
+                let (csr, barrier) = (&csr, &barrier);
                 scope.spawn(move || {
                     let expect: Vec<Vec<i64>> = own
                         .iter()
@@ -989,6 +991,7 @@ mod tests {
                     let mut out = vec![0i64; 64];
                     for i in 0..300 {
                         let k = i % own.len();
+                        barrier.wait();
                         assert_eq!(csr.single_into(&own[k], &mut out).unwrap(), Single::Gathered);
                         assert_eq!(out, expect[k], "frame {k}, pass {i}");
                     }
