@@ -1,14 +1,18 @@
 //! The one worker pool of the process.
 //!
 //! A loaded matrix is data; the compute resource exists once. Every
-//! [`Session`](crate::Session) cuts its batches into [`Job`]s — an engine
-//! handle plus a row range of one shared [`FrameBlock`] — and the same
-//! `available_parallelism()` workers serve all of them from one queue,
-//! so a fleet of a thousand matrices holds as many OS threads as a fleet
-//! of one. The workers start with the first batch that needs them (a
-//! process that only serves singles never spawns any) and live as long
-//! as the process: they park on the job channel between batches and own
-//! nothing but the job in hand.
+//! [`Session`](crate::Session) cuts its batches into shards, sends every
+//! shard but the last as a [`Job`] — an engine handle plus a row range of
+//! one shared [`FrameBlock`] — and computes the last one itself, straight
+//! into its output block, while the same `available_parallelism()`
+//! workers serve the jobs of all sessions from one queue. So a fleet of a
+//! thousand matrices holds as many OS threads as a fleet of one, and the
+//! submitting thread works instead of sleeping on the replies. Both sides
+//! compute a shard through [`run_shard`], which contains a panic. The
+//! workers start with the first batch cut into more than one shard (a
+//! process that only serves singles and one-shard batches never spawns
+//! any) and live as long as the process: they park on the job channel
+//! between batches and own nothing but the job in hand.
 //!
 //! Plain `std` threads and channels, no unsafe.
 
@@ -105,26 +109,8 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>) {
         };
         // One flat buffer for the whole shard; the engine writes rows in
         // place.
-        //
-        // A panicking engine is contained here: if the worker thread
-        // died instead, shards queued behind it — any matrix's — would
-        // never be served and their sessions would wait forever on
-        // replies that cannot arrive. Catching the unwind turns the
-        // fault into an ordinary shard error — the batch fails, sibling
-        // batches and this worker keep going.
-        let rows = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut rows = vec![0i64; (end - start) * engine.cols()];
-            engine.run_rows(&frames, start, end, &mut rows).map(|()| rows)
-        }))
-        .unwrap_or_else(|panic| {
-            Err(Error::Runtime {
-                context: format!(
-                    "backend '{}' panicked serving shard {start}..{end}: {}",
-                    engine.name(),
-                    panic_message(&*panic)
-                ),
-            })
-        });
+        let mut rows = vec![0i64; (end - start) * engine.cols()];
+        let rows = run_shard(&*engine, &frames, start, end, &mut rows).map(|()| rows);
         // The completion timestamp is taken before the send so the
         // reassembler's copy work cannot inflate it, and the handles are
         // released before it too: once a batch has its replies, no
@@ -135,6 +121,37 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>) {
         // serving later batches.
         let _ = reply.send(ShardReply { start, end, completed, rows });
     }
+}
+
+/// Rows `start..end` of `frames` through `engine` into `out`, with a
+/// panic contained as an ordinary shard error — how every shard is
+/// computed, by a worker or by the thread that submitted the batch.
+///
+/// If a worker thread died instead, shards queued behind it — any
+/// matrix's — would never be served and their sessions would wait
+/// forever on replies that cannot arrive; if the submitting thread
+/// unwound, it would take its caller (a server connection) with it.
+/// Catching the unwind turns the fault into an error for this batch
+/// alone: sibling batches, the workers and the caller keep going.
+pub(crate) fn run_shard(
+    engine: &dyn GemvBackend,
+    frames: &FrameBlock,
+    start: usize,
+    end: usize,
+    out: &mut [i64],
+) -> Result<()> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        engine.run_rows(frames, start, end, out)
+    }))
+    .unwrap_or_else(|panic| {
+        Err(Error::Runtime {
+            context: format!(
+                "backend '{}' panicked serving shard {start}..{end}: {}",
+                engine.name(),
+                panic_message(&*panic)
+            ),
+        })
+    })
 }
 
 /// Best-effort extraction of a panic payload's message (`panic!` with a

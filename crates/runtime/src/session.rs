@@ -7,15 +7,16 @@
 //! counts nothing — whoever serves through it counts what it served, as
 //! the TCP server does in its `Stats`. It owns no threads — batches are cut into row-range shards
 //! and served by the one worker pool of the process, which every session
-//! shares — so building one spawns nothing and dropping one joins
+//! shares, and by the thread that submitted them, which computes the last
+//! shard — so building one spawns nothing and dropping one joins
 //! nothing. One submission surface:
 //!
 //! * [`Session::run`] — one product `o = aᵀV`, computed directly on the
 //!   engine (no pool round trip: a single vector should not pay batch
 //!   overhead);
 //! * [`Session::run_block`] — a batch: a flat [`FrameBlock`] sharded
-//!   across the pool into a caller-owned [`RowBlock`], with per-batch
-//!   timing and no per-row allocation.
+//!   across the pool and the calling thread into a caller-owned
+//!   [`RowBlock`], with per-batch timing and no per-row allocation.
 //!
 //! Rule of thumb: `run` for one vector, `run_block` for batches (hold
 //! the blocks, reuse them). Both reach the same engine kernel
@@ -281,24 +282,29 @@ impl Session {
         }
     }
 
-    /// Executes one flat batch, sharded by contiguous row ranges across
-    /// the process's worker pool, writing the outputs in submission
-    /// order into the caller-owned `out` block (reshaped to
-    /// `frames x cols`, reusing its allocation) — the serving hot path.
+    /// Executes one flat batch, sharded by contiguous row ranges, writing
+    /// the outputs in submission order into the caller-owned `out` block
+    /// (reshaped to `frames x cols`, reusing its allocation) — the
+    /// serving hot path.
     ///
     /// Accepts a [`FrameBlock`] or an `Arc<FrameBlock>` — callers that
     /// re-submit the same batch should pass `Arc::clone(&frames)` so no
     /// request data is copied per call. Excluding the caller-owned
     /// blocks, the whole call performs a constant number of heap
-    /// allocations (one flat row buffer per shard), independent of batch
-    /// size.
+    /// allocations (one flat row buffer per pooled shard), independent
+    /// of batch size.
     ///
     /// The batch is split into [`Session::threads`] balanced shards
-    /// (fewer for small batches). A batch whose frames do not fit the
-    /// matrix is refused before `out` is touched. The first shard error,
-    /// if any, is returned after all shards settle; `out` then holds
-    /// unspecified contents. An empty batch is valid and produces an
-    /// empty block.
+    /// (fewer for small batches). Every shard but the last is sent to
+    /// the process's worker pool, and the calling thread computes the
+    /// last one itself, straight into its rows of `out`, with no shard
+    /// buffer and no copy; a one-shard batch never reaches the pool. A
+    /// panic in the engine is contained the same way on either side and
+    /// fails the batch with [`Error::Runtime`]. A batch whose frames do
+    /// not fit the matrix is refused before `out` is touched. The first
+    /// shard error, if any, is returned after all shards settle; `out`
+    /// then holds unspecified contents. An empty batch is valid and
+    /// produces an empty block.
     pub fn run_block(
         &self,
         frames: impl Into<Arc<FrameBlock>>,
@@ -328,35 +334,43 @@ impl Session {
                 elapsed: start.elapsed(),
             });
         }
-        let queue = pool::queue()?;
         let shards = self.threads.min(n);
-        let (reply_tx, reply_rx) = channel();
         // Balanced contiguous shards: the first `n % shards` get one
-        // extra vector.
+        // extra vector. Every shard but the last goes to the pool; the
+        // last is this thread's.
         let base = n / shards;
         let extra = n % shards;
-        let mut cursor = 0usize;
-        for s in 0..shards {
-            let len = base + usize::from(s < extra);
-            let job = Job {
-                engine: Arc::clone(&self.engine),
-                frames: Arc::clone(&frames),
-                start: cursor,
-                end: cursor + len,
-                submitted: start,
-                reply: reply_tx.clone(),
-            };
-            cursor += len;
-            queue.send(job).map_err(|_| pool_gone())?;
+        let mine = n - base;
+        let (reply_tx, reply_rx) = channel();
+        if shards > 1 {
+            let queue = pool::queue()?;
+            let mut cursor = 0usize;
+            for s in 0..shards - 1 {
+                let len = base + usize::from(s < extra);
+                let job = Job {
+                    engine: Arc::clone(&self.engine),
+                    frames: Arc::clone(&frames),
+                    start: cursor,
+                    end: cursor + len,
+                    submitted: start,
+                    reply: reply_tx.clone(),
+                };
+                cursor += len;
+                queue.send(job).map_err(|_| pool_gone())?;
+            }
         }
         drop(reply_tx);
 
-        let mut first_error: Option<Error> = None;
-        // A shard's completion latency is stamped by its worker, so one
-        // that finishes while the reassembler is copying another reply
-        // still reports its true latency.
+        // The last shard is computed here, straight into its rows of
+        // `out`, while the workers serve the others.
+        let mut first_error =
+            pool::run_shard(&*self.engine, &frames, mine, n, out.frames_mut(mine, n)).err();
+        // A shard's completion latency is stamped where it was computed,
+        // so one that finishes while the reassembler is copying another
+        // reply still reports its true latency.
         let mut completed: Vec<Duration> = Vec::with_capacity(shards);
-        for _ in 0..shards {
+        completed.push(start.elapsed());
+        for _ in 1..shards {
             let reply = reply_rx.recv().map_err(|_| pool_gone())?;
             completed.push(reply.completed);
             match reply.rows {
@@ -700,11 +714,9 @@ mod tests {
 
     #[test]
     fn shard_latency_is_stamped_at_worker_completion() {
-        /// Sleeps only for the shard holding the batch's last row, so
-        /// every earlier shard finishes at once while the batch as a
-        /// whole waits. (The last, not the first: the workers are shared
-        /// and may be one, and a fast shard queued behind the sleeper
-        /// would measure the queue, not the stamp.)
+        /// Sleeps only for the shard holding the batch's last row, the
+        /// one the submitting thread computes, so the pooled shard
+        /// finishes at once while the batch as a whole waits.
         struct SlowLastShard;
         impl GemvBackend for SlowLastShard {
             fn name(&self) -> &'static str {

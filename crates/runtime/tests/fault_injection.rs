@@ -130,6 +130,34 @@ fn panicking_shard_surfaces_an_error_without_deadlock() {
 }
 
 #[test]
+fn a_panic_in_the_callers_shard_is_contained_like_a_workers() {
+    quiet_panics();
+    // The thread that submits a batch computes its last shard itself:
+    // with three shards of 9 frames that is 6..9, and with one shard it
+    // is the whole batch, which never reaches the pool. A panic there
+    // must come back as the same typed error a worker's does, and must
+    // not take the caller down.
+    for (threads, poison, shard) in [(3, 7, "6..9"), (1, 4, "0..9")] {
+        let engine = Arc::new(PanicOnShard::new(4, poison));
+        let session = session_over(&engine, threads);
+        let batch = frames(4, 9);
+        let mut out = RowBlock::new();
+        let err = session.run_block(Arc::clone(&batch), &mut out).unwrap_err();
+        assert!(matches!(err, Error::Runtime { .. }), "{err:?}");
+        let message = err.to_string();
+        assert!(message.contains("panicked"), "{message}");
+        assert!(message.contains(&format!("shard {shard}")), "{message}");
+
+        // Disarmed, the same session serves the batch completely and in
+        // order, its last shard still computed by this thread.
+        engine.armed.store(false, Ordering::SeqCst);
+        let stats = session.run_block(Arc::clone(&batch), &mut out).unwrap();
+        assert_eq!((stats.batch, stats.shards), (9, threads));
+        assert_echoed(&batch, &out);
+    }
+}
+
+#[test]
 fn sibling_requests_survive_a_panicking_batch() {
     quiet_panics();
     // One session, one poisoned batch racing many healthy ones: the

@@ -40,8 +40,14 @@ fn sessions_own_no_threads_and_share_one_pool() {
     }
     assert_eq!(os_threads(), at_start, "building or running a single spawned a thread");
 
-    // The first batch starts the pool: one worker per core, once.
-    serve_one_batch(&singles[0]);
+    // Nor does a one-shard batch: the submitting thread computes a
+    // batch's last shard itself.
+    serve_one_batch(&session(1));
+    assert_eq!(os_threads(), at_start, "a one-shard batch started the pool");
+
+    // A batch cut into two shards starts the pool: one worker per core,
+    // once.
+    serve_one_batch(&session(2));
     let with_pool = os_threads();
     assert!(with_pool > at_start, "a batch is served by pool workers");
     assert!(with_pool <= at_start + cores, "{at_start} -> {with_pool} on {cores} cores");

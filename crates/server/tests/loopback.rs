@@ -89,10 +89,14 @@ fn four_concurrent_clients_are_bit_identical_to_the_reference() {
 fn saturating_a_depth_one_queue_returns_busy_and_loses_nothing() {
     // queue_depth 1 with 6 concurrent hammering clients: overlapping
     // requests are guaranteed, so the server must answer Busy — and
-    // every *accepted* request must still verify bit-for-bit.
+    // every *accepted* request must still verify bit-for-bit. Two shards
+    // per batch, so that the admitted request waits on a pool worker
+    // with its permit held even on one CPU: a one-shard batch is
+    // computed on its connection thread, which then yields the CPU to
+    // its rivals only if it is preempted.
     let server = smm_server::start(ServerConfig {
         backend: BackendKind::Dense,
-        threads: 1,
+        threads: 2,
         queue_depth: 1,
         ..ServerConfig::default()
     })

@@ -27,9 +27,12 @@
 //! non-negative `i16`s, the offset is cancelled by where each column's
 //! lanes start, and wrapping `i32` addition is exact for sums that fit
 //! `i32` (the rule and the argument are in [`Csr::vecmat_block_into`]).
-//! Which instruction the compiler picks is codegen, seen in the `kernels`
-//! bench; the contract is the oracle tests, which hold every kernel to
-//! the scatter on both sides of every rule.
+//! The walk over one row's non-zeros is a function of its own, never
+//! inlined, so that its loop keeps everything in registers (*The row
+//! loop* in [`Csr::vecmat_block_into`]). Which instruction the compiler
+//! picks is codegen, seen in the `kernels` bench; the contract is the
+//! oracle tests, which hold every kernel to the scatter on both sides of
+//! every rule.
 //!
 //! **Lane width.** A single frame is gathered, in `f32` lanes, when the
 //! frame's bound `max_col_abs_sum × max|a|` is at most `2^24`: every
@@ -515,6 +518,17 @@ impl Csr {
     /// baseline SSE2) is codegen, not contract; the contract is the oracle
     /// tests.
     ///
+    /// *The row loop.* A 16-bit group walks each row's non-zeros in a
+    /// function of its own, marked `#[inline(never)]`, two non-zeros per
+    /// step and the odd one after. Compiled alone, its per-non-zero loop
+    /// touches no stack slot. Inlined here, the loop runs out of
+    /// registers, reloads the accumulator and weight pointers and the
+    /// accumulator length from the stack at every non-zero, and its
+    /// speed moves with the layout of the code around it. Each column
+    /// still receives its terms in row order. The call costs a few
+    /// nanoseconds per row, which an empty matrix shows. The `i64` rung
+    /// keeps its inlined loop: the serving traffic never takes it.
+    ///
     /// Mis-sized `frames` or `out` return [`Error::DimensionMismatch`].
     pub fn vecmat_block_into(
         &self,
@@ -592,28 +606,48 @@ impl Csr {
 
     /// [`Csr::run_group`] in `i32` lanes with the 16-bit multiply: lanes
     /// start at `start` (one value per column) and every input is offset
-    /// by `BIAS`; the walk, the order and the output are the same.
-    fn run_group_i16(&self, xt: &[i32], start: &[i32], acc: &mut Vec<i32>, out: &mut [i64]) {
+    /// by `BIAS`; the walk, the order and the output are the same. Each
+    /// row's non-zeros are walked by [`row_i16`].
+    fn run_group_i16(&self, xt: &[i32], start: &[i32], acc: &mut Vec<[i32; G]>, out: &mut [i64]) {
         acc.clear();
-        acc.extend(start.iter().flat_map(|&s| [s; G]));
-        for (r, x) in xt.chunks_exact(G).enumerate() {
-            // The mask changes no bit of an offset input; it shows the
-            // compiler a non-negative `i16`, which is what lets it use
-            // `pmaddwd`.
-            let x: [i32; G] = std::array::from_fn(|f| (x[f] + BIAS) & 0x7FFF);
+        acc.extend(start.iter().map(|&s| [s; G]));
+        for (r, x) in xt.as_chunks::<G>().0.iter().enumerate() {
             let lo = self.row_ptr[r];
             let hi = self.row_ptr[r + 1];
-            for (&c, &v) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
-                debug_assert!(c < self.cols, "CSR column invariant violated");
-                let v = i32::from(v as i16);
-                if let Some(o) = acc.get_mut(c * G..(c + 1) * G) {
-                    for (o, &x) in o.iter_mut().zip(&x) {
-                        *o = o.wrapping_add(v * x);
-                    }
-                }
+            let x = x.map(|x| x + BIAS);
+            row_i16(&self.col_idx[lo..hi], &self.values[lo..hi], &x, acc);
+        }
+        transpose_out(acc.as_flattened(), self.cols, out);
+    }
+}
+
+/// One matrix row of a 16-bit group: `acc[c][f] += w · x[f]` (wrapping)
+/// for each of the row's non-zeros `(c, w)` in turn, two per step, where
+/// `x` holds the row's `G` offset inputs. Never inlined, so that its loop
+/// keeps everything in registers (*The row loop* in
+/// [`Csr::vecmat_block_into`]).
+#[inline(never)]
+fn row_i16(cols: &[usize], weights: &[i32], x: &[i32; G], acc: &mut [[i32; G]]) {
+    // The mask changes no bit of an offset input; it shows the compiler a
+    // non-negative `i16`, which is what lets it use `pmaddwd`.
+    let x = x.map(|x| x & 0x7FFF);
+    let add = |acc: &mut [[i32; G]], c: usize, w: i32| {
+        debug_assert!(c < acc.len(), "CSR column invariant violated");
+        let w = i32::from(w as i16);
+        if let Some(lanes) = acc.get_mut(c) {
+            for (o, &x) in lanes.iter_mut().zip(&x) {
+                *o = o.wrapping_add(w * x);
             }
         }
-        transpose_out(acc, self.cols, out);
+    };
+    let (col_pairs, col_tail) = cols.as_chunks::<2>();
+    let (weight_pairs, weight_tail) = weights.as_chunks::<2>();
+    for (&[c0, c1], &[w0, w1]) in col_pairs.iter().zip(weight_pairs) {
+        add(acc, c0, w0);
+        add(acc, c1, w1);
+    }
+    for (&c, &w) in col_tail.iter().zip(weight_tail) {
+        add(acc, c, w);
     }
 }
 
@@ -759,12 +793,29 @@ mod tests {
         csr.vecmat_scatter_into(a, &mut oracle).unwrap();
         let mut got = vec![77i64; csr.cols()];
         let single = csr.single_into(a, &mut got).unwrap();
-        assert_eq!(got, oracle, "{csr:?} × {a:?} in {single:?}");
+        assert_same_columns(csr, a, &got, &oracle, &format!("{single:?}"));
         got.fill(-1);
         let ran = csr.vecmat_block_into(a, 1, &mut got).unwrap();
-        assert_eq!(got, oracle);
-        assert_eq!(ran, BlockWidths::default(), "{a:?}");
+        assert_same_columns(csr, a, &got, &oracle, "as a one-frame block");
+        assert_eq!(ran, BlockWidths::default());
         single
+    }
+
+    /// Fails at the first column where `got` is not `oracle`, naming the
+    /// shape, the non-zeros and `max|a|` rather than printing the matrix
+    /// and the frame, which for a 65,537-row matrix run to megabytes.
+    fn assert_same_columns(csr: &Csr, a: &[i32], got: &[i64], oracle: &[i64], path: &str) {
+        if let Some(c) = (0..oracle.len()).find(|&c| got[c] != oracle[c]) {
+            let max_a = a.iter().map(|x| x.unsigned_abs()).max().unwrap_or(0);
+            panic!(
+                "{}x{} with {} non-zeros, max|a| {max_a}, {path}: column {c} is {}, not {}",
+                csr.rows(),
+                csr.cols(),
+                csr.values.len(),
+                got[c],
+                oracle[c]
+            );
+        }
     }
 
     /// `max_c Σ_r |w_rc|`, worked out from the dense matrix.
@@ -1169,6 +1220,44 @@ mod tests {
             }
         }
         assert!(ran.iter().all(|&groups| groups > 0), "{ran:?}");
+    }
+
+    #[test]
+    fn row_loop_walks_every_tail() {
+        // Rows of 0 to 5 non-zeros, so the two-at-a-time walk ends with an
+        // odd non-zero left over and without; every non-empty row reaches
+        // the last column, and the weights include ±i16::MAX.
+        let max = i32::from(i16::MAX);
+        let rows: [&[(usize, i32)]; 6] = [
+            &[],
+            &[(6, max)],
+            &[(0, -max), (6, 3)],
+            &[(2, max), (4, -1), (6, -max)],
+            &[(0, 7), (1, -max), (5, max), (6, 2)],
+            &[(1, 5), (2, -max), (3, max), (4, -6), (6, max)],
+        ];
+        let mut d = IntMatrix::zeros(rows.len(), 7).unwrap();
+        for (r, row) in rows.iter().enumerate() {
+            for &(c, w) in *row {
+                d.set(r, c, w);
+            }
+        }
+        let csr = Csr::from_dense(&d);
+        assert_eq!(csr.values.len(), 15);
+        // A group of 8-bit inputs, then one of inputs up to ±(2^14 − 1),
+        // the widest the 16-bit multiply takes, then three frames past
+        // the last group.
+        let mut rng = seeded(4800);
+        let n = 2 * G + 3;
+        let mut frames = random_vector(n * 6, 8, true, &mut rng).unwrap();
+        let wide = random_vector(G * 6, 15, true, &mut rng).unwrap();
+        for (x, &v) in frames[G * 6..2 * G * 6].iter_mut().zip(&wide) {
+            *x = v.clamp(1 - BIAS, BIAS - 1);
+        }
+        frames[G * 6 + 5] = BIAS - 1;
+        frames[G * 6 + 7] = 1 - BIAS;
+        let ran = assert_block_matches(&csr, &frames, n);
+        assert_eq!((ran.narrow_groups, ran.wide_groups), (2, 0));
     }
 
     #[test]
