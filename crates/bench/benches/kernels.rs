@@ -136,11 +136,12 @@ fn bench_csr_single(c: &mut Criterion) {
 /// The CSR batch path on the serving benchmark's batch shape (1024²,
 /// 90 % sparse, 8-bit weights, 64 frames): one `vecmat_into` per frame
 /// vs the weight-stationary `vecmat_block_into`, with 8-bit inputs (the
-/// groups multiply in 16 bits into `i32` lanes, as `wire-batch` does) and
-/// 24-bit inputs (`i64` lanes, which no workload sends). `blocked/empty`
-/// is the same call with 8-bit inputs on a 1024² matrix with no
-/// non-zeros: the walk is empty, so what it times is the group's fixed
-/// cost, the 16 × 16-tiled transposes in and out and the zeroed lanes.
+/// groups accumulate in `f32` lanes, as `wire-batch` does) and 24-bit
+/// inputs (past the `f32` rule, in `i64` lanes, which no workload sends).
+/// `blocked/empty` is the same call with 8-bit inputs on a 1024² matrix
+/// with no non-zeros: the walk is empty, so what it times is the group's
+/// fixed cost, the 16 × 16-tiled transposes in and out, the zeroed lanes
+/// and the call per row.
 /// Outputs are checked equal to the single-frame kernels before anything
 /// is timed.
 fn bench_csr_batch64(c: &mut Criterion) {

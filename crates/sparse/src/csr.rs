@@ -12,38 +12,23 @@
 //! non-zeros cut into four-column slices for the output-stationary gather
 //! that serves single frames through [`Csr::vecmat_into`].
 //!
-//! Each kernel has two rungs, decided per group or per frame from two
-//! numbers, `max_col_abs_sum` of the matrix and `max|x|` of the operands:
-//! a narrow rung that the serving traffic takes, and one that is exact
-//! for everything else — `i64` lanes for a group, the scatter for a
-//! single frame.
-//!
-//! **Multiply width.** A 16-frame group whose inputs are `|x| < 2^14`,
-//! against a matrix whose weights are all `|w| ≤ i16::MAX`, and whose
-//! sums cannot leave `i32`, multiplies 16 × 16 → 32 bits (four products
-//! per SSE2 `pmaddwd` instead of an emulated 32-bit multiply per lane)
-//! into `i32` lanes; any other group runs in `i64` lanes. The bits are
-//! equal because the 16-bit form is exact: its inputs are offset into
-//! non-negative `i16`s, the offset is cancelled by where each column's
-//! lanes start, and wrapping `i32` addition is exact for sums that fit
-//! `i32` (the rule and the argument are in [`Csr::vecmat_block_into`]).
-//! The walk over one row's non-zeros is a function of its own, never
-//! inlined, so that its loop keeps everything in registers (*The row
-//! loop* in [`Csr::vecmat_block_into`]). Which instruction the compiler
-//! picks is codegen, seen in the `kernels` bench; the contract is the
-//! oracle tests, which hold every kernel to the scatter on both sides of
-//! every rule.
-//!
-//! **Lane width.** A single frame is gathered, in `f32` lanes, when the
-//! frame's bound `max_col_abs_sum × max|a|` is at most `2^24`: every
-//! integer that large is exactly an `f32`, and four lanes convert,
-//! multiply and add as one SSE vector each, where integer lanes take four
-//! scalar multiplies. Any other frame is scattered. The bits are equal
-//! because every value an `f32` lane holds is an integer it represents
-//! exactly; the argument is in [`Csr::vecmat_into`]. So the column slices
-//! are built only for a matrix whose `max_col_abs_sum` is at most `2^24`
-//! (the only kind a non-zero frame can be gathered against) and whose
-//! rows fit the slices' `u16` row indices: at most `2^16` of them.
+//! **Lane width.** Both kernels size their sums by one rule, read off two
+//! numbers: `max_col_abs_sum` of the matrix, settled at construction, and
+//! `max|x|` of the operands. When their product, the bound, is at most
+//! `2^24`, every value a sum can hold is an integer an `f32` represents
+//! exactly, so a single frame is gathered and a 16-frame group is
+//! accumulated in `f32` lanes, which convert, multiply and add four to a
+//! vector on baseline SSE2, where integer lanes take a scalar multiply
+//! each. Past the bound a group runs in `i64` lanes and a frame is
+//! scattered. The bits are equal on both sides: the argument is in
+//! [`Csr::vecmat_into`], and [`Csr::vecmat_block_into`] adds what differs
+//! for a group. So the column slices are built only for a matrix whose
+//! `max_col_abs_sum` is at most `2^24` (the only kind a non-zero frame
+//! can be gathered against) and whose rows fit the slices' `u16` row
+//! indices: at most `2^16` of them. Which instructions the compiler picks
+//! is codegen, seen in the `kernels` bench; the contract is the oracle
+//! tests, which hold every kernel to the scatter on both sides of the
+//! rule.
 
 use crate::coo::Coo;
 use crate::slices::ColumnSlices;
@@ -52,12 +37,8 @@ use smm_core::matrix::IntMatrix;
 use smm_core::wire::MatrixBody;
 
 /// Frames per weight-stationary group in [`Csr::vecmat_block_into`]:
-/// one cache line of `i32` lanes per matrix row and per output column.
+/// one cache line of 4-byte lanes per matrix row and per output column.
 const G: usize = 16;
-
-/// The 16-bit multiply's input offset: an input `|x| < BIAS` becomes
-/// `x + BIAS` in `1..2^15`, a non-negative `i16`.
-const BIAS: i32 = 1 << 14;
 
 /// Every integer of magnitude at most `2^24` is exactly an `f32`.
 const F32_EXACT: u128 = 1 << 24;
@@ -75,11 +56,6 @@ pub struct Csr {
     /// and never serialised: the bound both kernels size their
     /// accumulators from.
     max_col_abs_sum: u64,
-    /// Where the 16-bit multiply of [`Csr::vecmat_block_into`] starts the
-    /// lanes of each column, `−BIAS · Σ_r w_rc` (wrapping), derived with
-    /// the bound and never serialised; `None` unless every weight fits
-    /// `|w| ≤ i16::MAX`.
-    i16_start: Option<Vec<i32>>,
     /// The same non-zeros as column slices, derived with the bound; `None`
     /// unless the matrix has at most `2^16` rows (the slices' `u16` row
     /// indices) and a `max_col_abs_sum` of at most `2^24` (the *Lane
@@ -111,15 +87,28 @@ fn transpose_in(x: &[i32], rows: usize, xt: &mut Vec<i32>) -> u32 {
 
 /// Writes the `G` output rows of `cols` elements each from frame-minor
 /// accumulators `acc[col * G + frame]`, one `G × G` tile of columns at a
-/// time, as [`transpose_in`] reads.
-fn transpose_out<A: Copy + Into<i64>>(acc: &[A], cols: usize, out: &mut [i64]) {
+/// time, as [`transpose_in`] reads, converting each lane by `to_i64`.
+/// The conversion is a parameter because the obvious ones are slow: Rust's
+/// float-to-integer casts saturate, and the clamps of `as i64` (or of
+/// `as i32 as i64`) cost an `f32` group ~34 µs per 64 frames on a 1024²
+/// matrix, while [`exact_i64`] vectorises.
+fn transpose_out<A: Copy>(acc: &[A], cols: usize, out: &mut [i64], to_i64: impl Fn(A) -> i64) {
     for (c0, tile) in (0..).step_by(G).zip(acc.chunks(G * G)) {
         for (f, row) in out.chunks_exact_mut(cols).enumerate() {
             for (o, lanes) in row[c0..].iter_mut().zip(tile.chunks_exact(G)) {
-                *o = lanes[f].into();
+                *o = to_i64(lanes[f]);
             }
         }
     }
+}
+
+/// An integer-valued `f32` of magnitude below `2^51` as an `i64`, with no
+/// clamp: added to `1.5 · 2^52` in `f64`, where the spacing is exactly 1,
+/// the integer lands in the low mantissa bits, and subtracting the bits
+/// of `1.5 · 2^52` leaves it. `−0.0` becomes 0.
+fn exact_i64(v: f32) -> i64 {
+    const MAGIC: f64 = (3u64 << 51) as f64;
+    (f64::from(v) + MAGIC).to_bits() as i64 - MAGIC.to_bits() as i64
 }
 
 /// What one [`Csr::vecmat_block_into`] call ran: full groups by
@@ -127,7 +116,7 @@ fn transpose_out<A: Copy + Into<i64>>(acc: &[A], cols: usize, out: &mut [i64]) {
 /// [`Csr::vecmat_into`] and are not counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BlockWidths {
-    /// Groups multiplied in 16 bits into `i32` lanes.
+    /// Groups accumulated in `f32` lanes.
     pub narrow_groups: usize,
     /// Groups accumulated in `i64` lanes.
     pub wide_groups: usize,
@@ -157,10 +146,9 @@ impl Csr {
         Self::finish(coo.rows(), coo.cols(), row_ptr, col_idx, values)
     }
 
-    /// The one exit of every constructor: derives the accumulator bound,
-    /// the 16-bit multiply's starting lanes and the column slices from
-    /// validated arrays (every column index `< cols`, rows ascending), in
-    /// work proportional to the non-zeros.
+    /// The one exit of every constructor: derives the accumulator bound
+    /// and the column slices from validated arrays (every column index
+    /// `< cols`, rows ascending), in work proportional to the non-zeros.
     fn finish(
         rows: usize,
         cols: usize,
@@ -172,13 +160,9 @@ impl Csr {
         // Saturating instead of wrapping, which only ever selects the
         // wide accumulator.
         let mut col_abs_sum = vec![0u64; cols];
-        let mut start = vec![0i32; cols];
-        let mut weights_fit_i16 = true;
         for (&c, &v) in col_idx.iter().zip(&values) {
             col_len[c] += 1;
             col_abs_sum[c] = col_abs_sum[c].saturating_add(u64::from(v.unsigned_abs()));
-            start[c] = start[c].wrapping_sub(BIAS.wrapping_mul(v));
-            weights_fit_i16 &= v.unsigned_abs() <= i16::MAX as u32;
         }
         let max_col_abs_sum = col_abs_sum.into_iter().max().unwrap_or(0);
         let slices = (u128::from(max_col_abs_sum) <= F32_EXACT)
@@ -188,7 +172,6 @@ impl Csr {
             rows,
             cols,
             max_col_abs_sum,
-            i16_start: weights_fit_i16.then_some(start),
             slices,
             row_ptr,
             col_idx,
@@ -375,9 +358,10 @@ impl Csr {
     /// keeps out of `f32`, and every frame of a matrix without slices, is
     /// **scattered** by [`Csr::vecmat_scatter_into`].
     ///
-    /// *Lane width.* By the bound of [`Csr::vecmat_block_into`], applied
-    /// to this one frame, the sum of any subset of an output's terms is at
-    /// most `B = max_col_abs_sum × max|a|` in magnitude. A frame is
+    /// *Lane width.* The sum of any subset of an output's terms satisfies
+    /// `|Σ w_rc · a_r| ≤ Σ_r |w_rc| · max|a| ≤ B = max_col_abs_sum × max|a|`:
+    /// the first factor is a constant of the fixed matrix, computed once at
+    /// construction, the second is read off the frame. A frame is
     /// gathered, in `f32` lanes, when the matrix has slices and
     /// `B ≤ 2^24`; slices exist only where `max_col_abs_sum ≤ 2^24`. The
     /// gather gives the same bits as the `i64` scatter:
@@ -429,7 +413,7 @@ impl Csr {
         self.check_single(a, out)?;
         let max_a = a.iter().fold(0, |max, v| v.unsigned_abs().max(max));
         Ok(match &self.slices {
-            Some(slices) if self.bound(max_a) <= F32_EXACT => {
+            Some(slices) if self.in_f32(max_a) => {
                 slices.gather(a, out);
                 Single::Gathered
             }
@@ -446,10 +430,10 @@ impl Csr {
         u128::from(self.max_col_abs_sum) * u128::from(max_x)
     }
 
-    /// Whether no partial sum of any output can leave `i32` when every
-    /// input is at most `max_x` in absolute value.
-    fn fits_i32(&self, max_x: u32) -> bool {
-        self.bound(max_x) <= i32::MAX as u128
+    /// The *Lane width* rule of both kernels: whether operands at most
+    /// `max_x` in absolute value may run in `f32` lanes.
+    fn in_f32(&self, max_x: u32) -> bool {
+        self.bound(max_x) <= F32_EXACT
     }
 
     /// Zeroes `out` (`cols` elements) and accumulates `aᵀV` into it row
@@ -494,31 +478,18 @@ impl Csr {
     /// a zero input contributes an explicit `+ 0` instead of being
     /// skipped.
     ///
-    /// *Width.* Every partial sum of output column `c` over any prefix of
-    /// the rows satisfies
-    /// `|Σ w_rc · x_r| ≤ Σ_r |w_rc| · max|x| ≤ max_c Σ_r |w_rc| · max|x|`.
-    /// The first factor is a constant of the fixed matrix, computed once
-    /// at construction; the second is read off the group while it is
-    /// transposed. A group multiplies in 16 bits into `i32` lanes when
-    /// three rules hold: the product is at most `i32::MAX`; every weight
-    /// of the matrix fits `|w| ≤ i16::MAX` (checked once, at
-    /// construction); and every input of the group fits `|x| < 2^14` (read
-    /// off the same `max|x|`; the rule is on `|x|`, so `−2^14` is out).
-    /// Any other group accumulates in `i64` lanes, exactly as
-    /// [`Csr::vecmat_scatter_into`] does.
+    /// *Width.* A group's `max|x|` is read off while it is transposed, and
+    /// the *Lane width* rule, the one [`Csr::vecmat_into`] applies to a
+    /// frame, is applied to it. A group inside the rule accumulates in
+    /// `f32` lanes. The argument of [`Csr::vecmat_into`] holds for every
+    /// frame of the group, whose inputs are all at most `max|x|`; each
+    /// lane's partial sums are sums of a subset of its output's terms
+    /// (the rows so far), so every value a lane holds is an integer of
+    /// magnitude at most `2^24`. Each lane is written out by an exact
+    /// conversion (`−0.0` becomes 0). Any other group accumulates in `i64`
+    /// lanes, exactly as [`Csr::vecmat_scatter_into`] does.
     ///
-    /// *The 16-bit multiply.* Each input is offset to `x + 2^14`, a
-    /// non-negative `i16`, so each product is a 16 × 16 → 32-bit multiply,
-    /// and the lanes of column `c` start at `−2^14 · Σ_r w_rc` instead of
-    /// 0. The offset terms cancel that start exactly: the lanes add in
-    /// wrapping `i32`, which is exact modulo 2^32, and the true sum of
-    /// every output fits `i32` by the first rule, so each lane widens to
-    /// the `i64` sum. That the compiler turns the 16-bit form into
-    /// `pmaddwd` (four products and their widening per instruction, on
-    /// baseline SSE2) is codegen, not contract; the contract is the oracle
-    /// tests.
-    ///
-    /// *The row loop.* A 16-bit group walks each row's non-zeros in a
+    /// *The row loop.* An `f32` group walks each row's non-zeros in a
     /// function of its own, marked `#[inline(never)]`, two non-zeros per
     /// step and the odd one after. Compiled alone, its per-non-zero loop
     /// touches no stack slot. Inlined here, the loop runs out of
@@ -555,8 +526,8 @@ impl Csr {
             let x = &frames[g * rows..(g + G) * rows];
             let o = &mut out[g * cols..(g + G) * cols];
             let max_x = transpose_in(x, rows, &mut xt);
-            if let Some(start) = self.i16_start(max_x) {
-                self.run_group_i16(&xt, start, &mut narrow, o);
+            if self.in_f32(max_x) {
+                self.run_group_f32(&xt, &mut narrow, o);
                 widths.narrow_groups += 1;
             } else {
                 self.run_group(&xt, &mut wide, o);
@@ -592,51 +563,36 @@ impl Csr {
                 }
             }
         }
-        transpose_out(acc, self.cols, out);
+        transpose_out(acc, self.cols, out, |v| v);
     }
 
-    /// The starting lanes of the 16-bit multiply, if a group whose inputs
-    /// are at most `max_x` in absolute value may take it (the *Width*
-    /// rules of [`Csr::vecmat_block_into`]).
-    fn i16_start(&self, max_x: u32) -> Option<&[i32]> {
-        self.i16_start
-            .as_deref()
-            .filter(|_| max_x < BIAS as u32 && self.fits_i32(max_x))
-    }
-
-    /// [`Csr::run_group`] in `i32` lanes with the 16-bit multiply: lanes
-    /// start at `start` (one value per column) and every input is offset
-    /// by `BIAS`; the walk, the order and the output are the same. Each
-    /// row's non-zeros are walked by [`row_i16`].
-    fn run_group_i16(&self, xt: &[i32], start: &[i32], acc: &mut Vec<[i32; G]>, out: &mut [i64]) {
+    /// [`Csr::run_group`] in `f32` lanes: the walk, the order and the
+    /// output are the same, and each row's non-zeros are walked by
+    /// [`row_f32`].
+    fn run_group_f32(&self, xt: &[i32], acc: &mut Vec<[f32; G]>, out: &mut [i64]) {
         acc.clear();
-        acc.extend(start.iter().map(|&s| [s; G]));
+        acc.resize(self.cols, [0.0; G]);
         for (r, x) in xt.as_chunks::<G>().0.iter().enumerate() {
             let lo = self.row_ptr[r];
             let hi = self.row_ptr[r + 1];
-            let x = x.map(|x| x + BIAS);
-            row_i16(&self.col_idx[lo..hi], &self.values[lo..hi], &x, acc);
+            row_f32(&self.col_idx[lo..hi], &self.values[lo..hi], &x.map(|x| x as f32), acc);
         }
-        transpose_out(acc.as_flattened(), self.cols, out);
+        transpose_out(acc.as_flattened(), self.cols, out, exact_i64);
     }
 }
 
-/// One matrix row of a 16-bit group: `acc[c][f] += w · x[f]` (wrapping)
-/// for each of the row's non-zeros `(c, w)` in turn, two per step, where
-/// `x` holds the row's `G` offset inputs. Never inlined, so that its loop
-/// keeps everything in registers (*The row loop* in
-/// [`Csr::vecmat_block_into`]).
+/// One matrix row of an `f32` group: `acc[c][f] += w · x[f]` for each of
+/// the row's non-zeros `(c, w)` in turn, two per step, where `x` holds
+/// the row's `G` inputs. Never inlined, so that its loop keeps everything
+/// in registers (*The row loop* in [`Csr::vecmat_block_into`]).
 #[inline(never)]
-fn row_i16(cols: &[usize], weights: &[i32], x: &[i32; G], acc: &mut [[i32; G]]) {
-    // The mask changes no bit of an offset input; it shows the compiler a
-    // non-negative `i16`, which is what lets it use `pmaddwd`.
-    let x = x.map(|x| x & 0x7FFF);
-    let add = |acc: &mut [[i32; G]], c: usize, w: i32| {
+fn row_f32(cols: &[usize], weights: &[i32], x: &[f32; G], acc: &mut [[f32; G]]) {
+    let add = |acc: &mut [[f32; G]], c: usize, w: i32| {
         debug_assert!(c < acc.len(), "CSR column invariant violated");
-        let w = i32::from(w as i16);
+        let w = w as f32;
         if let Some(lanes) = acc.get_mut(c) {
-            for (o, &x) in lanes.iter_mut().zip(&x) {
-                *o = o.wrapping_add(w * x);
+            for (o, &x) in lanes.iter_mut().zip(x) {
+                *o += w * x;
             }
         }
     };
@@ -1139,16 +1095,15 @@ mod tests {
         ran
     }
 
-    /// The width the rules in the rustdoc prescribe for each group, worked
+    /// The width the rule in the rustdoc prescribes for each group, worked
     /// out from the dense matrix and the frames rather than from the
     /// kernel's own fields.
     fn expected_widths(d: &IntMatrix, frames: &[i32], n: usize) -> BlockWidths {
-        let bound = max_col_abs_sum(d);
-        let weights_fit_i16 = d.as_slice().iter().all(|w| w.unsigned_abs() <= i16::MAX as u32);
+        let sum = max_col_abs_sum(d);
         let mut expect = BlockWidths::default();
         for group in frames[..(n - n % G) * d.rows()].chunks(G * d.rows()) {
             let max_x = group.iter().map(|x| x.unsigned_abs()).max().unwrap_or(0);
-            if weights_fit_i16 && max_x < 1 << 14 && bound * u128::from(max_x) <= i32::MAX as u128 {
+            if sum * u128::from(max_x) <= 1 << 24 {
                 expect.narrow_groups += 1;
             } else {
                 expect.wide_groups += 1;
@@ -1163,10 +1118,8 @@ mod tests {
         /// The blocked kernel is the per-frame kernel, bit for bit, at
         /// every group boundary, over shapes from 1×1 up, densities from
         /// empty to full (so empty rows and columns occur), 2- to 24-bit
-        /// operands on both sides of each rule of the 16-bit multiply (the
-        /// `i32` bound, weights at 16 bits, inputs at 15), and with an
-        /// all-zero frame in the block; the width each group ran at is the
-        /// rules'.
+        /// operands on both sides of the `f32` rule, and with an all-zero
+        /// frame in the block; the width each group ran at is the rule's.
         #[test]
         fn block_kernel_matches_per_frame_kernel(
             seed in any::<u64>(),
@@ -1194,21 +1147,22 @@ mod tests {
     /// The tiled transposes at every tile tail: rows and columns short
     /// of, at and past one and two tiles, and at the serving shape, in
     /// blocks of one to three groups with and without frames left over,
-    /// through the 16-bit multiply and `i64` lanes. Every row is the
-    /// per-frame kernel's, bit for bit.
+    /// through `f32` and `i64` lanes. Every row is the per-frame kernel's,
+    /// bit for bit.
     #[test]
     fn block_kernel_matches_per_frame_kernel_at_tile_tails() {
         let dims = [1, G - 1, G, G + 1, 2 * G + 1, 1024];
         let mut rng = seeded(4300);
-        // Groups run by the 16-bit multiply, and in `i64` lanes.
+        // Groups run in `f32` lanes, and in `i64` lanes.
         let mut ran = [0usize; 2];
         for rows in dims {
             for cols in dims {
                 let d = element_sparse_matrix(rows, cols, 8, 0.9, true, &mut rng).unwrap();
                 let csr = Csr::from_dense(&d);
                 for n in [G, G + 1, 2 * G, 3 * G] {
-                    // 8-bit inputs take the 16-bit multiply; 17-bit ones
-                    // are past it, in `i64` lanes.
+                    // 8-bit inputs take `f32` lanes; 17-bit ones are past
+                    // the rule, in `i64` lanes, but for the smallest
+                    // matrices.
                     for input_bits in [8, 17] {
                         let frames = random_vector(n * rows, input_bits, true, &mut rng).unwrap();
                         let widths = assert_block_matches(&csr, &frames, n);
@@ -1226,15 +1180,15 @@ mod tests {
     fn row_loop_walks_every_tail() {
         // Rows of 0 to 5 non-zeros, so the two-at-a-time walk ends with an
         // odd non-zero left over and without; every non-empty row reaches
-        // the last column, and the weights include ±i16::MAX.
-        let max = i32::from(i16::MAX);
+        // the last column, whose weights sum to 2^12 in magnitude, the
+        // matrix's `max_col_abs_sum`.
         let rows: [&[(usize, i32)]; 6] = [
             &[],
-            &[(6, max)],
-            &[(0, -max), (6, 3)],
-            &[(2, max), (4, -1), (6, -max)],
-            &[(0, 7), (1, -max), (5, max), (6, 2)],
-            &[(1, 5), (2, -max), (3, max), (4, -6), (6, max)],
+            &[(6, 2048)],
+            &[(0, -2048), (6, 3)],
+            &[(2, 2048), (4, -1), (6, -1024)],
+            &[(0, 7), (1, -2048), (5, 2048), (6, 2)],
+            &[(1, 5), (2, -2048), (3, 2048), (4, -6), (6, 1019)],
         ];
         let mut d = IntMatrix::zeros(rows.len(), 7).unwrap();
         for (r, row) in rows.iter().enumerate() {
@@ -1243,21 +1197,24 @@ mod tests {
             }
         }
         let csr = Csr::from_dense(&d);
-        assert_eq!(csr.values.len(), 15);
-        // A group of 8-bit inputs, then one of inputs up to ±(2^14 − 1),
-        // the widest the 16-bit multiply takes, then three frames past
-        // the last group.
+        assert_eq!((csr.values.len(), csr.max_col_abs_sum), (15, 1 << 12));
+        // A group of 8-bit inputs, then one of 13-bit inputs whose first
+        // frame is ±2^12 with the last column's signs, so the group's
+        // bound and that frame's last output are both exactly 2^24, then
+        // three frames past the last group.
         let mut rng = seeded(4800);
         let n = 2 * G + 3;
         let mut frames = random_vector(n * 6, 8, true, &mut rng).unwrap();
-        let wide = random_vector(G * 6, 15, true, &mut rng).unwrap();
-        for (x, &v) in frames[G * 6..2 * G * 6].iter_mut().zip(&wide) {
-            *x = v.clamp(1 - BIAS, BIAS - 1);
+        let wide = random_vector(G * 6, 13, true, &mut rng).unwrap();
+        frames[G * 6..2 * G * 6].copy_from_slice(&wide);
+        for (x, w) in frames[G * 6..G * 6 + 6].iter_mut().zip(d.col(6)) {
+            *x = w.signum() << 12;
         }
-        frames[G * 6 + 5] = BIAS - 1;
-        frames[G * 6 + 7] = 1 - BIAS;
         let ran = assert_block_matches(&csr, &frames, n);
         assert_eq!((ran.narrow_groups, ran.wide_groups), (2, 0));
+        let mut out = vec![0i64; n * 7];
+        csr.vecmat_block_into(&frames, n, &mut out).unwrap();
+        assert_eq!(out[G * 7 + 6], 1 << 24);
     }
 
     #[test]
@@ -1275,28 +1232,31 @@ mod tests {
     }
 
     #[test]
-    fn block_width_boundary_is_exact() {
-        // The `i32` rule, with weights and inputs inside the 16-bit ones:
-        // one column of 65,538 weights of i16::MAX and a last one of 1
-        // sums to exactly i32::MAX, and with a last one of 2 to one more;
-        // with every input ±1 those are the true sums. One past i32::MAX
-        // would wrap to i32::MIN in `i32` lanes.
-        let max = i32::from(i16::MAX);
-        let column = |last: i32| {
-            let mut weights = vec![max; 65_539];
-            weights[65_538] = last;
-            Csr::from_dense(&IntMatrix::from_vec(65_539, 1, weights).unwrap())
-        };
-        let (at, over) = (column(1), column(2));
-        assert!(at.fits_i32(1) && !over.fits_i32(1));
-        for (csr, widths, sum) in [(&at, (1, 0), i64::from(i32::MAX)), (&over, (0, 1), 1 << 31)] {
-            for x in [1, -1] {
-                let frames = vec![x; G * 65_539];
+    fn block_f32_boundary_is_exact() {
+        // The `f32` rule's edge, as for a single frame. 256 ones under
+        // inputs of ±65,536 bound every sum by exactly 2^24 and take `f32`;
+        // 257 ones under 65,281 bound it by 2^24 + 1, which is also the
+        // true sum, odd and not an `f32`, and take `i64`. So do weights of
+        // 2^24 and 1 under ±1, where `f32` lanes would round the second
+        // term away; 2^24 − 1 and 1 sum to 2^24 and take `f32`. All the
+        // weights are positive, so each output is `max_col_abs_sum × x`.
+        let column = |w: Vec<i32>| Csr::from_dense(&IntMatrix::from_vec(w.len(), 1, w).unwrap());
+        let top = 1 << 24;
+        let cases = [
+            (column(vec![1; 256]), 65_536, (1, 0)),
+            (column(vec![1; 257]), 65_281, (0, 1)),
+            (column(vec![top - 1, 1]), 1, (1, 0)),
+            (column(vec![top, 1]), 1, (0, 1)),
+        ];
+        for (csr, x, widths) in &cases {
+            for x in [*x, -x] {
+                let frames = vec![x; G * csr.rows()];
                 let ran = assert_block_matches(csr, &frames, G);
-                assert_eq!((ran.narrow_groups, ran.wide_groups), widths);
+                let name = format!("{} rows, x = {x}", csr.rows());
+                assert_eq!((ran.narrow_groups, ran.wide_groups), *widths, "{name}");
                 let mut out = vec![0i64; G];
                 csr.vecmat_block_into(&frames, G, &mut out).unwrap();
-                assert_eq!(out, vec![sum * i64::from(x); G]);
+                assert_eq!(out, vec![csr.max_col_abs_sum as i64 * i64::from(x); G], "{name}");
             }
         }
         // The extremes of `i32`, all in `i64` lanes: |x| = i32::MAX and
@@ -1311,68 +1271,16 @@ mod tests {
         let min = Csr::from_dense(&IntMatrix::from_vec(2, 2, vec![i32::MIN, 1, 1, 0]).unwrap());
         let x: Vec<i32> = (0..2 * G as i32).map(|i| i % 3 - 1).collect();
         assert_eq!(assert_block_matches(&min, &x, G).wide_groups, 1);
-    }
-
-    #[test]
-    fn block_multiply_width_boundary_is_exact() {
-        // Weights: ±i16::MAX are in; i16::MIN is out too, because the rule
-        // is on |w|, and so are 32768 and −32769.
-        let x: Vec<i32> = (0..2 * G as i32).map(|i| i % 7 - 3).collect();
-        let max = i32::from(i16::MAX);
-        let weights = [
-            (max, true),
-            (-max, true),
-            (-max - 1, false),
-            (max + 1, false),
-            (-max - 2, false),
-        ];
-        for (w, in_i16) in weights {
-            let csr = Csr::from_dense(&IntMatrix::from_vec(2, 2, vec![w, 1, -1, w]).unwrap());
-            assert_eq!(csr.i16_start(3).is_some(), in_i16, "weight {w}");
-            let ran = assert_block_matches(&csr, &x, G);
-            assert_eq!(ran.narrow_groups, usize::from(in_i16), "weight {w}");
+        // A zero bound takes `f32` whatever the operands: an all-zero group
+        // against that i32::MIN weight, whose products include `−0.0`, and an
+        // empty matrix against i32::MIN inputs. Every output is 0.
+        let zeros = assert_block_matches(&min, &[0; 2 * G], G);
+        let empty = Csr::from_dense(&IntMatrix::zeros(3, 2).unwrap());
+        let nothing = assert_block_matches(&empty, &[i32::MIN; 3 * G], G);
+        assert_eq!((zeros.narrow_groups, nothing.narrow_groups), (1, 1));
+        for v in [0.0, -0.0, 1.0, -1.0, 16_777_216.0, -16_777_216.0] {
+            assert_eq!(exact_i64(v), v as i64, "{v}");
         }
-        // Inputs: |x| ≤ 2^14 − 1 are in; −2^14 is out too, and so are 2^14
-        // and −2^14 − 1. An input of 2^14 would offset to 2^15, which is
-        // not an `i16`.
-        let d = IntMatrix::from_vec(2, 3, vec![max, -5, 0, -max, 0, 7]).unwrap();
-        let csr = Csr::from_dense(&d);
-        let inputs = [
-            (BIAS - 1, true),
-            (1 - BIAS, true),
-            (-BIAS, false),
-            (BIAS, false),
-            (-BIAS - 1, false),
-        ];
-        for (edge, in_i16) in inputs {
-            let mut x = x.clone();
-            x[G + 3] = edge;
-            let took_i16 = csr.i16_start(edge.unsigned_abs()).is_some();
-            assert_eq!(took_i16, in_i16, "input {edge}");
-            let ran = assert_block_matches(&csr, &x, G);
-            assert_eq!(ran, expected_widths(&d, &x, G), "input {edge}");
-            assert_eq!(ran.narrow_groups, usize::from(in_i16), "input {edge}");
-        }
-        // Where the lanes wrap: 64 weights of i16::MAX in one column under
-        // inputs of ±1024, the largest the `i32` rule admits here. The true
-        // sums, ±2,147,418,112, are inside `i32`; the start,
-        // −2^14 · 64 · 32767 ≈ −3.4 · 10^10, wraps eight times, and the
-        // outputs are still exact.
-        let tall = Csr::from_dense(&IntMatrix::from_vec(64, 1, vec![max; 64]).unwrap());
-        assert!(tall.i16_start(1024).is_some() && tall.i16_start(1025).is_none());
-        for edge in [1024, -1024] {
-            let x = vec![edge; 64 * G];
-            assert_eq!(assert_block_matches(&tall, &x, G).narrow_groups, 1);
-            let mut out = vec![0i64; G];
-            tall.vecmat_block_into(&x, G, &mut out).unwrap();
-            assert_eq!(out, vec![64 * i64::from(max) * i64::from(edge); G]);
-        }
-        // One block, the first group inside the 16-bit rule and the second
-        // (one input of 2^14) outside it: each at its own width, both exact.
-        let mut frames: Vec<i32> = (0..2 * G as i32 * 2).map(|i| i % 5 - 2).collect();
-        frames[(G + 1) * 2] = BIAS;
-        let ran = assert_block_matches(&csr, &frames, 2 * G);
-        assert_eq!((ran.narrow_groups, ran.wide_groups), (1, 1));
     }
 
     #[test]
