@@ -1232,7 +1232,7 @@ mod tests {
     }
 
     #[test]
-    fn block_f32_boundary_is_exact() {
+    fn block_width_boundary_is_exact() {
         // The `f32` rule's edge, as for a single frame. 256 ones under
         // inputs of ±65,536 bound every sum by exactly 2^24 and take `f32`;
         // 257 ones under 65,281 bound it by 2^24 + 1, which is also the
@@ -1281,6 +1281,65 @@ mod tests {
         for v in [0.0, -0.0, 1.0, -1.0, 16_777_216.0, -16_777_216.0] {
             assert_eq!(exact_i64(v), v as i64, "{v}");
         }
+    }
+
+    #[test]
+    fn block_multiply_width_boundary_is_exact() {
+        // The operands at the edges of 16-bit multiplies now meet only the
+        // `f32` rule, on `max_col_abs_sum × max|x|`. Weights: ±i16::MAX,
+        // i16::MIN, 32768 and −32769 under inputs of at most 3 all bound
+        // the group well inside 2^24.
+        let x: Vec<i32> = (0..2 * G as i32).map(|i| i % 7 - 3).collect();
+        let max = i32::from(i16::MAX);
+        for w in [max, -max, -max - 1, max + 1, -max - 2] {
+            let csr = Csr::from_dense(&IntMatrix::from_vec(2, 2, vec![w, 1, -1, w]).unwrap());
+            assert!(csr.in_f32(3), "weight {w}");
+            let ran = assert_block_matches(&csr, &x, G);
+            assert_eq!((ran.narrow_groups, ran.wide_groups), (1, 0), "weight {w}");
+        }
+        // Inputs: with `max_col_abs_sum` = 65,534, |x| ≤ 256 is in and 257
+        // is out, and so are ±2^14 − 1, −2^14, 2^14 and −2^14 − 1.
+        let d = IntMatrix::from_vec(2, 3, vec![max, -5, 0, -max, 0, 7]).unwrap();
+        let csr = Csr::from_dense(&d);
+        let inputs = [
+            (256, true),
+            (-256, true),
+            (257, false),
+            (-257, false),
+            (16_383, false),
+            (-16_383, false),
+            (-16_384, false),
+            (16_384, false),
+            (-16_385, false),
+        ];
+        for (edge, in_f32) in inputs {
+            let mut x = x.clone();
+            x[G + 3] = edge;
+            assert_eq!(csr.in_f32(edge.unsigned_abs()), in_f32, "input {edge}");
+            let ran = assert_block_matches(&csr, &x, G);
+            assert_eq!(ran, expected_widths(&d, &x, G), "input {edge}");
+            assert_eq!(ran.narrow_groups, usize::from(in_f32), "input {edge}");
+        }
+        // 64 weights of i16::MAX in one column: inputs of ±8 bound the sums
+        // by 16,776,704 and take `f32`, ±9 and ±1024 do not. The true sums
+        // under ±1024, ±2,147,418,112, are not all `f32`s, and the outputs
+        // are still exact.
+        let tall = Csr::from_dense(&IntMatrix::from_vec(64, 1, vec![max; 64]).unwrap());
+        assert!(tall.in_f32(8) && !tall.in_f32(9));
+        for (edge, narrow) in [(8, 1), (-8, 1), (9, 0), (-9, 0), (1024, 0), (-1024, 0)] {
+            let x = vec![edge; 64 * G];
+            let ran = assert_block_matches(&tall, &x, G);
+            assert_eq!(ran.narrow_groups, narrow, "input {edge}");
+            let mut out = vec![0i64; G];
+            tall.vecmat_block_into(&x, G, &mut out).unwrap();
+            assert_eq!(out, vec![64 * i64::from(max) * i64::from(edge); G]);
+        }
+        // One block, the first group inside the `f32` rule and the second
+        // (one input of 2^14) outside it: each at its own width, both exact.
+        let mut frames: Vec<i32> = (0..2 * G as i32 * 2).map(|i| i % 5 - 2).collect();
+        frames[(G + 1) * 2] = 1 << 14;
+        let ran = assert_block_matches(&csr, &frames, 2 * G);
+        assert_eq!((ran.narrow_groups, ran.wide_groups), (1, 1));
     }
 
     #[test]
