@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the compute kernels themselves: the
 //! scalar-reference vs cache-blocked dense `vecmat_into` at several dims
 //! and densities, CSR SpMV, the CSR single-vector kernel (column-slice
-//! gather vs the row scatter it is held to), the per-frame vs
-//! weight-stationary CSR batch (and the blocked batch's fixed cost, its
+//! gather vs the row scatter it is held to), the per-frame vs blocked
+//! CSR batch (and the blocked batch's fixed cost, its
 //! tiled transposes, on a matrix with no non-zeros), the bit-sliced vs
 //! framed-streamed bit-serial batch engines, the loops of a cold promotion (CRC-32,
 //! content digest, artifact decode, CSR build), and the planner's regret
@@ -135,13 +135,14 @@ fn bench_csr_single(c: &mut Criterion) {
 
 /// The CSR batch path on the serving benchmark's batch shape (1024²,
 /// 90 % sparse, 8-bit weights, 64 frames): one `vecmat_into` per frame
-/// vs the weight-stationary `vecmat_block_into`, with 8-bit inputs (the
-/// groups accumulate in `f32` lanes, as `wire-batch` does) and 24-bit
-/// inputs (past the `f32` rule, in `i64` lanes, which no workload sends).
-/// `blocked/empty` is the same call with 8-bit inputs on a 1024² matrix
-/// with no non-zeros: the walk is empty, so what it times is the group's
-/// fixed cost, the 16 × 16-tiled transposes in and out, the zeroed lanes
-/// and the call per row.
+/// vs `vecmat_block_into`, with 8-bit inputs (each 16-frame group is
+/// gathered through the column slices in `f32` lanes, two columns × 16
+/// frames in registers per pass, as `wire-batch`'s are) and 24-bit
+/// inputs (past the `f32` rule, in `i64` lanes over the rows, which no
+/// workload sends). `blocked/empty` is the same call with 8-bit inputs
+/// on a 1024² matrix with no non-zeros: its slices hold no entries, so
+/// what it times is the group's fixed cost, the 16 × 16-tiled
+/// transposes in and out and one store per column.
 /// Outputs are checked equal to the single-frame kernels before anything
 /// is timed.
 fn bench_csr_batch64(c: &mut Criterion) {

@@ -148,12 +148,12 @@ impl GemvBackend for DenseRef {
 }
 
 /// The executed CSR SpMV kernel: every shard runs
-/// [`Csr::vecmat_block_into`] — full groups of 16 frames through the
-/// weight-stationary kernel over the rows, and the frames past the last
-/// full group (so every single) one at a time through
+/// [`Csr::vecmat_block_into`] — full groups of 16 frames gathered
+/// through the column slices when their values are inside the `f32` rule
+/// (any other group walks the rows in `i64` lanes), and the frames past
+/// the last full group (so every single) one at a time through
 /// [`Csr::vecmat_into`], which gathers a frame through the column slices
-/// when its values are inside the `f32` rule and scatters any other
-/// through the rows.
+/// under the same rule and scatters any other through the rows.
 #[derive(Debug, Clone)]
 pub struct SparseCsr {
     csr: Csr,

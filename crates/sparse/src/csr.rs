@@ -3,32 +3,34 @@
 //! spatial approach eliminates.
 //!
 //! A [`Csr`] holds its non-zeros twice, both layouts derived from the
-//! fixed matrix at construction: **rows for blocks, column slices for
-//! single frames.** The row-major arrays are the format itself; the
-//! 16-frame group kernel of [`Csr::vecmat_block_into`] walks them once per
-//! group with the weights stationary, and [`Csr::vecmat_scatter_into`],
-//! the oracle every other kernel is held to, walks only the rows of a
-//! frame's non-zero inputs. The column slices (`slices.rs`) are the same
-//! non-zeros cut into four-column slices for the output-stationary gather
-//! that serves single frames through [`Csr::vecmat_into`].
+//! fixed matrix at construction: **column slices for `f32` lanes, rows
+//! for `i64` lanes.** The column slices (`slices.rs`) are the non-zeros
+//! cut into four-column slices, each walked output-stationary: a single
+//! frame is gathered through them by [`Csr::vecmat_into`], and a 16-frame
+//! group by [`Csr::vecmat_block_into`], each column's sums kept in
+//! registers until its slice is done, as the paper's spatial multiplier
+//! keeps each output's adder tree to its own column. The row-major arrays
+//! are the format itself: [`Csr::vecmat_scatter_into`], the oracle every
+//! other kernel is held to, walks only the rows of a frame's non-zero
+//! inputs, and a group in `i64` lanes walks every row once.
 //!
 //! **Lane width.** Both kernels size their sums by one rule, read off two
 //! numbers: `max_col_abs_sum` of the matrix, settled at construction, and
 //! `max|x|` of the operands. When their product, the bound, is at most
-//! `2^24`, every value a sum can hold is an integer an `f32` represents
-//! exactly, so a single frame is gathered and a 16-frame group is
-//! accumulated in `f32` lanes, which convert, multiply and add four to a
-//! vector on baseline SSE2, where integer lanes take a scalar multiply
-//! each. Past the bound a group runs in `i64` lanes and a frame is
-//! scattered. The bits are equal on both sides: the argument is in
-//! [`Csr::vecmat_into`], and [`Csr::vecmat_block_into`] adds what differs
-//! for a group. So the column slices are built only for a matrix whose
-//! `max_col_abs_sum` is at most `2^24` (the only kind a non-zero frame
-//! can be gathered against) and whose rows fit the slices' `u16` row
-//! indices: at most `2^16` of them. Which instructions the compiler picks
-//! is codegen, seen in the `kernels` bench; the contract is the oracle
-//! tests, which hold every kernel to the scatter on both sides of the
-//! rule.
+//! `2^24` and the matrix has column slices, every value a sum can hold is
+//! an integer an `f32` represents exactly, so a single frame and a
+//! 16-frame group are gathered through the slices in `f32` lanes, which
+//! convert, multiply and add four to a vector on baseline SSE2, where
+//! integer lanes take a scalar multiply each. Otherwise a frame is
+//! scattered and a group runs over the rows in `i64` lanes. The bits are
+//! equal on both sides: the argument is in [`Csr::vecmat_into`], and
+//! [`Csr::vecmat_block_into`] adds what differs for a group. The column
+//! slices are built only for a matrix whose `max_col_abs_sum` is at most
+//! `2^24` (the only kind a non-zero frame can be gathered against) and
+//! whose rows fit the slices' `u16` row indices: at most `2^16` of them.
+//! Which instructions the compiler picks is codegen, seen in the
+//! `kernels` bench; the contract is the oracle tests, which hold every
+//! kernel to the scatter on both sides of the rule.
 
 use crate::coo::Coo;
 use crate::slices::ColumnSlices;
@@ -36,9 +38,9 @@ use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
 use smm_core::wire::MatrixBody;
 
-/// Frames per weight-stationary group in [`Csr::vecmat_block_into`]:
+/// Frames per group in [`Csr::vecmat_block_into`]:
 /// one cache line of 4-byte lanes per matrix row and per output column.
-const G: usize = 16;
+pub(crate) const G: usize = 16;
 
 /// Every integer of magnitude at most `2^24` is exactly an `f32`.
 const F32_EXACT: u128 = 1 << 24;
@@ -59,43 +61,45 @@ pub struct Csr {
     /// The same non-zeros as column slices, derived with the bound; `None`
     /// unless the matrix has at most `2^16` rows (the slices' `u16` row
     /// indices) and a `max_col_abs_sum` of at most `2^24` (the *Lane
-    /// width* rule), and every frame then takes the scatter.
+    /// width* rule), and every frame then takes the scatter and every
+    /// group `i64` lanes.
     slices: Option<ColumnSlices>,
 }
 
 /// Transposes `G` row-major frames of `rows` elements into frame-minor
-/// `xt[row * G + frame]`, returning `max|x|` over the group. `max|x|` is
-/// one contiguous pass over the group; the transpose then goes one
+/// rows, `xt[row][frame]`, converting each element by `to`. It goes one
 /// `G × G` tile at a time (the last one `rows mod G` rows short), so each
-/// frame's run of `G` inputs lands in a 1 KiB tile that stays in L1,
-/// where a full-length pass per frame would stride through the whole
-/// `rows × G` buffer `G` times.
-fn transpose_in(x: &[i32], rows: usize, xt: &mut Vec<i32>) -> u32 {
-    let max_x = x.iter().fold(0, |max, &v| max.max(v.unsigned_abs()));
-    xt.resize(rows * G, 0);
-    for (r0, tile) in (0..).step_by(G).zip(xt.chunks_mut(G * G)) {
-        let tile_rows = tile.len() / G;
+/// frame's run of `G` inputs lands in a tile that stays in L1 (1 KiB of
+/// `f32`s), where a full-length pass per frame would stride through the
+/// whole `rows × G` buffer `G` times.
+fn transpose_in<T: Copy + Default>(
+    x: &[i32],
+    rows: usize,
+    xt: &mut Vec<[T; G]>,
+    to: impl Fn(i32) -> T,
+) {
+    xt.resize(rows, [T::default(); G]);
+    for (r0, tile) in (0..).step_by(G).zip(xt.chunks_mut(G)) {
         for f in 0..G {
-            let run = &x[f * rows + r0..f * rows + r0 + tile_rows];
-            for (&v, lanes) in run.iter().zip(tile.chunks_exact_mut(G)) {
-                lanes[f] = v;
+            let run = &x[f * rows + r0..f * rows + r0 + tile.len()];
+            for (&v, lanes) in run.iter().zip(tile.iter_mut()) {
+                lanes[f] = to(v);
             }
         }
     }
-    max_x
 }
 
 /// Writes the `G` output rows of `cols` elements each from frame-minor
-/// accumulators `acc[col * G + frame]`, one `G × G` tile of columns at a
-/// time, as [`transpose_in`] reads, converting each lane by `to_i64`.
-/// The conversion is a parameter because the obvious ones are slow: Rust's
+/// accumulators `acc[col][frame]`, one `G × G` tile of columns at a time,
+/// as [`transpose_in`] reads, converting each lane by `to_i64`. The
+/// conversion is a parameter because the obvious ones are slow: Rust's
 /// float-to-integer casts saturate, and the clamps of `as i64` (or of
 /// `as i32 as i64`) cost an `f32` group ~34 µs per 64 frames on a 1024²
 /// matrix, while [`exact_i64`] vectorises.
-fn transpose_out<A: Copy>(acc: &[A], cols: usize, out: &mut [i64], to_i64: impl Fn(A) -> i64) {
-    for (c0, tile) in (0..).step_by(G).zip(acc.chunks(G * G)) {
+fn transpose_out<A: Copy>(acc: &[[A; G]], cols: usize, out: &mut [i64], to_i64: impl Fn(A) -> i64) {
+    for (c0, tile) in (0..).step_by(G).zip(acc.chunks(G)) {
         for (f, row) in out.chunks_exact_mut(cols).enumerate() {
-            for (o, lanes) in row[c0..].iter_mut().zip(tile.chunks_exact(G)) {
+            for (o, lanes) in row[c0..].iter_mut().zip(tile) {
                 *o = to_i64(lanes[f]);
             }
         }
@@ -116,9 +120,9 @@ fn exact_i64(v: f32) -> i64 {
 /// [`Csr::vecmat_into`] and are not counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BlockWidths {
-    /// Groups accumulated in `f32` lanes.
+    /// Groups gathered through the column slices in `f32` lanes.
     pub narrow_groups: usize,
-    /// Groups accumulated in `i64` lanes.
+    /// Groups accumulated over the rows in `i64` lanes.
     pub wide_groups: usize,
 }
 
@@ -466,39 +470,42 @@ impl Csr {
     /// [`Csr::cols`] elements (stale contents are overwritten), each
     /// bit-identical to [`Csr::vecmat_into`] on that frame.
     ///
-    /// Frames run in groups of 16 with the matrix stationary: a group is
-    /// transposed to frame-minor order, the non-zeros are walked **once**
-    /// doing `acc[col][0..16] += v · x[row][0..16]`, and the accumulators
-    /// are transposed back into the caller's rows. The `n mod 16` frames
-    /// past the last full group go through [`Csr::vecmat_into`].
-    ///
-    /// *Addition order.* Rows are walked in ascending order, so each
-    /// output element receives its terms in the order
-    /// [`Csr::vecmat_scatter_into`] adds them; the only difference is that
-    /// a zero input contributes an explicit `+ 0` instead of being
-    /// skipped.
-    ///
-    /// *Width.* A group's `max|x|` is read off while it is transposed, and
+    /// Frames run in groups of 16. A group's `max|x|` is read first, and
     /// the *Lane width* rule, the one [`Csr::vecmat_into`] applies to a
-    /// frame, is applied to it. A group inside the rule accumulates in
-    /// `f32` lanes. The argument of [`Csr::vecmat_into`] holds for every
-    /// frame of the group, whose inputs are all at most `max|x|`; each
-    /// lane's partial sums are sums of a subset of its output's terms
-    /// (the rows so far), so every value a lane holds is an integer of
-    /// magnitude at most `2^24`. Each lane is written out by an exact
-    /// conversion (`−0.0` becomes 0). Any other group accumulates in `i64`
-    /// lanes, exactly as [`Csr::vecmat_scatter_into`] does.
+    /// frame, picks the group's lanes and layout:
+    /// - inside the rule, on a matrix with column slices, the group is
+    ///   transposed to frame-minor `f32` rows and **gathered**: each slice
+    ///   runs two lane-pair passes, `acc[col][0..16] += w · x[row][0..16]`
+    ///   down its entries, and each column's sums are stored once;
+    /// - otherwise it is transposed to `i64` rows and the non-zeros are
+    ///   walked **once** by row, doing the same in `i64` lanes.
     ///
-    /// *The row loop.* An `f32` group walks each row's non-zeros in a
-    /// function of its own, marked `#[inline(never)]`, two non-zeros per
-    /// step and the odd one after. Compiled alone, its per-non-zero loop
-    /// touches no stack slot. Inlined here, the loop runs out of
-    /// registers, reloads the accumulator and weight pointers and the
-    /// accumulator length from the stack at every non-zero, and its
-    /// speed moves with the layout of the code around it. Each column
-    /// still receives its terms in row order. The call costs a few
-    /// nanoseconds per row, which an empty matrix shows. The `i64` rung
-    /// keeps its inlined loop: the serving traffic never takes it.
+    /// Either way the accumulators are transposed back into the caller's
+    /// rows. The `n mod 16` frames past the last full group go through
+    /// [`Csr::vecmat_into`].
+    ///
+    /// *Width.* A gathered group gives the `i64` scatter's bits. The
+    /// argument of [`Csr::vecmat_into`] holds for every frame of the
+    /// group, whose inputs are all at most `max|x|`. What differs is the
+    /// accumulators:
+    /// - *the lane-pair pass*: a slice's lanes 0–1 run first, then lanes
+    ///   2–3 (a last slice of one or two columns runs one pass). A pass
+    ///   holds `2 × 16` `f32` sums, one per column and frame, in eight SSE
+    ///   registers, and nothing is stored per non-zero;
+    /// - each sum receives its column's terms in ascending row order, one
+    ///   at a time, so every value it holds is a sum of a subset of its
+    ///   output's terms, an integer of magnitude at most `B ≤ 2^24`;
+    /// - a lane padded past its column's length adds `0 · x[0] = ±0`,
+    ///   which changes no sum;
+    /// - each column's sums are written out once, by an exact conversion
+    ///   (`−0.0` becomes 0).
+    ///
+    /// An `i64` group walks rows in ascending order, so each output
+    /// receives its terms in the order [`Csr::vecmat_scatter_into`] adds
+    /// them; a zero input contributes an explicit `+ 0` instead of being
+    /// skipped. A matrix without slices (more than `2^16` rows, or a
+    /// column summing past `2^24`) runs every group this way, as it
+    /// scatters every frame.
     ///
     /// Mis-sized `frames` or `out` return [`Error::DimensionMismatch`].
     pub fn vecmat_block_into(
@@ -521,17 +528,25 @@ impl Csr {
         let full = n - n % G;
         let mut widths = BlockWidths::default();
         // Scratch for the whole call, sized by the first group that uses it.
-        let (mut xt, mut narrow, mut wide) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut xt, mut narrow) = (Vec::new(), Vec::new());
+        let (mut xt_wide, mut wide) = (Vec::new(), Vec::new());
         for g in (0..full).step_by(G) {
             let x = &frames[g * rows..(g + G) * rows];
             let o = &mut out[g * cols..(g + G) * cols];
-            let max_x = transpose_in(x, rows, &mut xt);
-            if self.in_f32(max_x) {
-                self.run_group_f32(&xt, &mut narrow, o);
-                widths.narrow_groups += 1;
-            } else {
-                self.run_group(&xt, &mut wide, o);
-                widths.wide_groups += 1;
+            let max_x = x.iter().fold(0, |max, &v| max.max(v.unsigned_abs()));
+            match &self.slices {
+                Some(slices) if self.in_f32(max_x) => {
+                    transpose_in(x, rows, &mut xt, |v| v as f32);
+                    slices.gather_group(&xt, &mut narrow);
+                    transpose_out(&narrow, cols, o, exact_i64);
+                    widths.narrow_groups += 1;
+                }
+                _ => {
+                    transpose_in(x, rows, &mut xt_wide, i64::from);
+                    self.run_group(&xt_wide, &mut wide);
+                    transpose_out(&wide, cols, o, |v| v);
+                    widths.wide_groups += 1;
+                }
             }
         }
         for f in full..n {
@@ -542,68 +557,25 @@ impl Csr {
         Ok(widths)
     }
 
-    /// One group through the blocked kernel in `i64` lanes: zeroes `acc`
-    /// (`cols × G`, frame-minor), walks the non-zeros once against the
-    /// transposed inputs `xt` (`rows × G`), and writes the `G` output
-    /// rows.
-    fn run_group(&self, xt: &[i32], acc: &mut Vec<i64>, out: &mut [i64]) {
+    /// One group in `i64` lanes: zeroes `acc` (`cols` long, frame-minor)
+    /// and walks the non-zeros once, row by row, against the transposed
+    /// inputs `xt` (`rows` long).
+    fn run_group(&self, xt: &[[i64; G]], acc: &mut Vec<[i64; G]>) {
         acc.clear();
-        acc.resize(self.cols * G, 0);
-        for (r, x) in xt.chunks_exact(G).enumerate() {
-            let x: [i64; G] = std::array::from_fn(|f| i64::from(x[f]));
+        acc.resize(self.cols, [0; G]);
+        for (r, x) in xt.iter().enumerate() {
             let lo = self.row_ptr[r];
             let hi = self.row_ptr[r + 1];
             for (&c, &v) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
                 debug_assert!(c < self.cols, "CSR column invariant violated");
                 let v = i64::from(v);
-                if let Some(o) = acc.get_mut(c * G..(c + 1) * G) {
-                    for (o, &x) in o.iter_mut().zip(&x) {
+                if let Some(o) = acc.get_mut(c) {
+                    for (o, &x) in o.iter_mut().zip(x) {
                         *o += v * x;
                     }
                 }
             }
         }
-        transpose_out(acc, self.cols, out, |v| v);
-    }
-
-    /// [`Csr::run_group`] in `f32` lanes: the walk, the order and the
-    /// output are the same, and each row's non-zeros are walked by
-    /// [`row_f32`].
-    fn run_group_f32(&self, xt: &[i32], acc: &mut Vec<[f32; G]>, out: &mut [i64]) {
-        acc.clear();
-        acc.resize(self.cols, [0.0; G]);
-        for (r, x) in xt.as_chunks::<G>().0.iter().enumerate() {
-            let lo = self.row_ptr[r];
-            let hi = self.row_ptr[r + 1];
-            row_f32(&self.col_idx[lo..hi], &self.values[lo..hi], &x.map(|x| x as f32), acc);
-        }
-        transpose_out(acc.as_flattened(), self.cols, out, exact_i64);
-    }
-}
-
-/// One matrix row of an `f32` group: `acc[c][f] += w · x[f]` for each of
-/// the row's non-zeros `(c, w)` in turn, two per step, where `x` holds
-/// the row's `G` inputs. Never inlined, so that its loop keeps everything
-/// in registers (*The row loop* in [`Csr::vecmat_block_into`]).
-#[inline(never)]
-fn row_f32(cols: &[usize], weights: &[i32], x: &[f32; G], acc: &mut [[f32; G]]) {
-    let add = |acc: &mut [[f32; G]], c: usize, w: i32| {
-        debug_assert!(c < acc.len(), "CSR column invariant violated");
-        let w = w as f32;
-        if let Some(lanes) = acc.get_mut(c) {
-            for (o, &x) in lanes.iter_mut().zip(x) {
-                *o += w * x;
-            }
-        }
-    };
-    let (col_pairs, col_tail) = cols.as_chunks::<2>();
-    let (weight_pairs, weight_tail) = weights.as_chunks::<2>();
-    for (&[c0, c1], &[w0, w1]) in col_pairs.iter().zip(weight_pairs) {
-        add(acc, c0, w0);
-        add(acc, c1, w1);
-    }
-    for (&c, &w) in col_tail.iter().zip(weight_tail) {
-        add(acc, c, w);
     }
 }
 
@@ -930,13 +902,22 @@ mod tests {
     #[test]
     fn slices_hold_exactly_u16_rows() {
         let mut rng = seeded(4600);
-        // The most rows a `u16` names is gathered; one more is scattered,
-        // its last row not truncated onto row 0.
-        let (at, a) = tall(MAX_ROWS, &mut rng);
-        assert_eq!(assert_gather_matches_scatter(&at, &a), Single::Gathered);
-        let (over, a) = tall(MAX_ROWS + 1, &mut rng);
-        assert_eq!(assert_gather_matches_scatter(&over, &a), Single::Scattered);
-        assert!(over.slices.is_none());
+        // The most rows a `u16` names is gathered, and a group of them runs
+        // through the slices in `f32`; one more row is scattered, and a
+        // group in `i64`, its last row not truncated onto row 0.
+        for (rows, single, widths) in [
+            (MAX_ROWS, Single::Gathered, (1, 0)),
+            (MAX_ROWS + 1, Single::Scattered, (0, 1)),
+        ] {
+            let (csr, a) = tall(rows, &mut rng);
+            assert_eq!(csr.slices.is_some(), rows == MAX_ROWS);
+            assert_eq!(assert_gather_matches_scatter(&csr, &a), single);
+            // The frame `G` times, the last copy's last input changed.
+            let mut frames = a.repeat(G);
+            frames[G * rows - 1] = 77;
+            let ran = assert_block_matches(&csr, &frames, G);
+            assert_eq!((ran.narrow_groups, ran.wide_groups), widths, "{rows} rows");
+        }
     }
 
     #[test]
@@ -1097,13 +1078,15 @@ mod tests {
 
     /// The width the rule in the rustdoc prescribes for each group, worked
     /// out from the dense matrix and the frames rather than from the
-    /// kernel's own fields.
+    /// kernel's own fields: `f32` lanes where the matrix has slices and the
+    /// group's bound is inside the rule.
     fn expected_widths(d: &IntMatrix, frames: &[i32], n: usize) -> BlockWidths {
         let sum = max_col_abs_sum(d);
+        let has_slices = d.rows() <= 1 << 16 && sum <= 1 << 24;
         let mut expect = BlockWidths::default();
         for group in frames[..(n - n % G) * d.rows()].chunks(G * d.rows()) {
             let max_x = group.iter().map(|x| x.unsigned_abs()).max().unwrap_or(0);
-            if sum * u128::from(max_x) <= 1 << 24 {
+            if has_slices && sum * u128::from(max_x) <= 1 << 24 {
                 expect.narrow_groups += 1;
             } else {
                 expect.wide_groups += 1;
@@ -1147,16 +1130,20 @@ mod tests {
     /// The tiled transposes at every tile tail: rows and columns short
     /// of, at and past one and two tiles, and at the serving shape, in
     /// blocks of one to three groups with and without frames left over,
-    /// through `f32` and `i64` lanes. Every row is the per-frame kernel's,
-    /// bit for bit.
+    /// through `f32` and `i64` lanes. Columns also come two past a
+    /// multiple of four, so the last column slice holds 1 (1, `G + 1`,
+    /// `2G + 1` columns), 2 (2, `G + 2`), 3 (`G − 1`) and 4 (`G`, 1024)
+    /// columns, and its second lane pair runs with none, one and two of
+    /// them. Every row is the per-frame kernel's, bit for bit.
     #[test]
     fn block_kernel_matches_per_frame_kernel_at_tile_tails() {
         let dims = [1, G - 1, G, G + 1, 2 * G + 1, 1024];
+        let col_dims = [1, 2, G - 1, G, G + 1, G + 2, 2 * G + 1, 1024];
         let mut rng = seeded(4300);
         // Groups run in `f32` lanes, and in `i64` lanes.
         let mut ran = [0usize; 2];
         for rows in dims {
-            for cols in dims {
+            for cols in col_dims {
                 let d = element_sparse_matrix(rows, cols, 8, 0.9, true, &mut rng).unwrap();
                 let csr = Csr::from_dense(&d);
                 for n in [G, G + 1, 2 * G, 3 * G] {
@@ -1177,44 +1164,48 @@ mod tests {
     }
 
     #[test]
-    fn row_loop_walks_every_tail() {
-        // Rows of 0 to 5 non-zeros, so the two-at-a-time walk ends with an
-        // odd non-zero left over and without; every non-empty row reaches
-        // the last column, whose weights sum to 2^12 in magnitude, the
-        // matrix's `max_col_abs_sum`.
-        let rows: [&[(usize, i32)]; 6] = [
+    fn lane_pairs_walk_every_slice_padding() {
+        // Columns of 0 to 5 non-zeros and one more of 1. The first slice
+        // (columns 5, 4, 3, 2) pads its lanes by 0, 1, 2 and 3 entries; the
+        // last (6, 1, 0) holds three columns, so its second pair runs the
+        // empty column beside a missing lane. Column 5's weights sum to
+        // 2^12 in magnitude, the matrix's `max_col_abs_sum`.
+        let cols: [&[(usize, i32)]; 7] = [
             &[],
-            &[(6, 2048)],
-            &[(0, -2048), (6, 3)],
-            &[(2, 2048), (4, -1), (6, -1024)],
-            &[(0, 7), (1, -2048), (5, 2048), (6, 2)],
-            &[(1, 5), (2, -2048), (3, 2048), (4, -6), (6, 1019)],
+            &[(5, 2048)],
+            &[(0, -2048), (4, 3)],
+            &[(1, 2048), (3, -1), (5, -1024)],
+            &[(0, 7), (2, -2048), (3, 2038), (5, 2)],
+            &[(0, 1), (1, -2048), (2, 1024), (3, -1000), (4, 23)],
+            &[(3, 1019)],
         ];
-        let mut d = IntMatrix::zeros(rows.len(), 7).unwrap();
-        for (r, row) in rows.iter().enumerate() {
-            for &(c, w) in *row {
+        let mut d = IntMatrix::zeros(6, cols.len()).unwrap();
+        for (c, col) in cols.iter().enumerate() {
+            for &(r, w) in *col {
                 d.set(r, c, w);
             }
         }
         let csr = Csr::from_dense(&d);
-        assert_eq!((csr.values.len(), csr.max_col_abs_sum), (15, 1 << 12));
+        assert_eq!((csr.values.len(), csr.max_col_abs_sum), (16, 1 << 12));
+        // Five steps of four lanes, then one.
+        assert_eq!(padding(&csr), 4 * 5 + 4 - 16);
         // A group of 8-bit inputs, then one of 13-bit inputs whose first
-        // frame is ±2^12 with the last column's signs, so the group's
-        // bound and that frame's last output are both exactly 2^24, then
-        // three frames past the last group.
+        // frame is ±2^12 with column 5's signs, so the group's bound and
+        // that frame's column-5 output are both exactly 2^24, then three
+        // frames past the last group.
         let mut rng = seeded(4800);
         let n = 2 * G + 3;
         let mut frames = random_vector(n * 6, 8, true, &mut rng).unwrap();
         let wide = random_vector(G * 6, 13, true, &mut rng).unwrap();
         frames[G * 6..2 * G * 6].copy_from_slice(&wide);
-        for (x, w) in frames[G * 6..G * 6 + 6].iter_mut().zip(d.col(6)) {
+        for (x, w) in frames[G * 6..G * 6 + 6].iter_mut().zip(d.col(5)) {
             *x = w.signum() << 12;
         }
         let ran = assert_block_matches(&csr, &frames, n);
         assert_eq!((ran.narrow_groups, ran.wide_groups), (2, 0));
         let mut out = vec![0i64; n * 7];
         csr.vecmat_block_into(&frames, n, &mut out).unwrap();
-        assert_eq!(out[G * 7 + 6], 1 << 24);
+        assert_eq!(out[G * 7 + 5], 1 << 24);
     }
 
     #[test]
@@ -1271,13 +1262,21 @@ mod tests {
         let min = Csr::from_dense(&IntMatrix::from_vec(2, 2, vec![i32::MIN, 1, 1, 0]).unwrap());
         let x: Vec<i32> = (0..2 * G as i32).map(|i| i % 3 - 1).collect();
         assert_eq!(assert_block_matches(&min, &x, G).wide_groups, 1);
-        // A zero bound takes `f32` whatever the operands: an all-zero group
-        // against that i32::MIN weight, whose products include `−0.0`, and an
-        // empty matrix against i32::MIN inputs. Every output is 0.
+        // A zero bound takes `f32` whatever the operands on a matrix with
+        // slices: an empty matrix against i32::MIN inputs. The i32::MIN
+        // weight leaves its matrix without slices, so an all-zero group
+        // against it runs in `i64`. Every output is 0.
         let zeros = assert_block_matches(&min, &[0; 2 * G], G);
         let empty = Csr::from_dense(&IntMatrix::zeros(3, 2).unwrap());
         let nothing = assert_block_matches(&empty, &[i32::MIN; 3 * G], G);
-        assert_eq!((zeros.narrow_groups, nothing.narrow_groups), (1, 1));
+        assert!(min.slices.is_none());
+        assert_eq!((zeros.narrow_groups, zeros.wide_groups), (0, 1));
+        assert_eq!((nothing.narrow_groups, nothing.wide_groups), (1, 0));
+        for (csr, frames) in [(&min, vec![0; 2 * G]), (&empty, vec![i32::MIN; 3 * G])] {
+            let mut out = vec![-1i64; G * csr.cols()];
+            csr.vecmat_block_into(&frames, G, &mut out).unwrap();
+            assert!(out.iter().all(|&o| o == 0), "{out:?}");
+        }
         for v in [0.0, -0.0, 1.0, -1.0, 16_777_216.0, -16_777_216.0] {
             assert_eq!(exact_i64(v), v as i64, "{v}");
         }

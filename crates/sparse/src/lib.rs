@@ -10,8 +10,9 @@
 //! model consumes.
 //!
 //! [`Csr`] is also the serving stack's sparse engine, and keeps two
-//! layouts of the fixed matrix for it: rows for blocks and sparse
-//! frames, column slices for dense frames (see `csr`).
+//! layouts of the fixed matrix for it: column slices for single frames
+//! and 16-frame groups in `f32` lanes, rows for the `i64` scatter and
+//! groups (see `csr`).
 //!
 //! ```
 //! use smm_core::matrix::IntMatrix;
