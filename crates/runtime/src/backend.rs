@@ -149,9 +149,9 @@ impl GemvBackend for DenseRef {
 
 /// The executed CSR SpMV kernel: every shard runs
 /// [`Csr::vecmat_block_into`] — full groups of 16 frames gathered
-/// through the column slices when their values are inside the `f32` rule
-/// (any other group walks the rows in `i64` lanes), and the frames past
-/// the last full group (so every single) one at a time through
+/// through the column slices, in one pass when their values are inside
+/// the `f32` rule and in one pass per digit plane past it, and the frames
+/// past the last full group (so every single) one at a time through
 /// [`Csr::vecmat_into`], which gathers a frame through the column slices
 /// under the same rule and scatters any other through the rows.
 #[derive(Debug, Clone)]

@@ -3,16 +3,15 @@
 //! spatial approach eliminates.
 //!
 //! A [`Csr`] holds its non-zeros twice, both layouts derived from the
-//! fixed matrix at construction: **column slices for `f32` lanes, rows
-//! for `i64` lanes.** The column slices (`slices.rs`) are the non-zeros
-//! cut into four-column slices, each walked output-stationary: a single
-//! frame is gathered through them by [`Csr::vecmat_into`], and a 16-frame
-//! group by [`Csr::vecmat_block_into`], each column's sums kept in
-//! registers until its slice is done, as the paper's spatial multiplier
-//! keeps each output's adder tree to its own column. The row-major arrays
-//! are the format itself: [`Csr::vecmat_scatter_into`], the oracle every
-//! other kernel is held to, walks only the rows of a frame's non-zero
-//! inputs, and a group in `i64` lanes walks every row once.
+//! fixed matrix at construction. The column slices (`slices.rs`) are the
+//! non-zeros cut into four-column slices, each walked output-stationary:
+//! a single frame is gathered through them by [`Csr::vecmat_into`], and a
+//! 16-frame group by [`Csr::vecmat_block_into`], each column's sums kept
+//! in registers until its slice is done, as the paper's spatial
+//! multiplier keeps each output's adder tree to its own column. The
+//! row-major arrays are the format itself: [`Csr::vecmat_scatter_into`],
+//! the oracle every other kernel is held to, walks only the rows of a
+//! frame's non-zero inputs.
 //!
 //! **Lane width.** Both kernels size their sums by one rule, read off two
 //! numbers: `max_col_abs_sum` of the matrix, settled at construction, and
@@ -22,12 +21,15 @@
 //! 16-frame group are gathered through the slices in `f32` lanes, which
 //! convert, multiply and add four to a vector on baseline SSE2, where
 //! integer lanes take a scalar multiply each. Otherwise a frame is
-//! scattered and a group runs over the rows in `i64` lanes. The bits are
-//! equal on both sides: the argument is in [`Csr::vecmat_into`], and
-//! [`Csr::vecmat_block_into`] adds what differs for a group. The column
-//! slices are built only for a matrix whose `max_col_abs_sum` is at most
-//! `2^24` (the only kind a non-zero frame can be gathered against) and
-//! whose rows fit the slices' `u16` row indices: at most `2^16` of them.
+//! scattered, and a group is cut into **digit planes** narrow enough for
+//! the rule, as the paper's multiplier takes its input one bit-plane at a
+//! time, and each plane is gathered in `f32` lanes; a group no digit
+//! split fits runs frame by frame. The bits are equal on every path: the
+//! argument is in [`Csr::vecmat_into`], and [`Csr::vecmat_block_into`]
+//! adds what differs for a group and its digits. The column slices are
+//! built only for a matrix whose `max_col_abs_sum` is at most `2^24` (the
+//! only kind a non-zero frame can be gathered against) and whose rows fit
+//! the slices' `u16` row indices: at most `2^16` of them.
 //! Which instructions the compiler picks is codegen, seen in the
 //! `kernels` bench; the contract is the oracle tests, which hold every
 //! kernel to the scatter on both sides of the rule.
@@ -37,6 +39,7 @@ use crate::slices::ColumnSlices;
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
 use smm_core::wire::MatrixBody;
+use std::ops::Range;
 
 /// Frames per group in [`Csr::vecmat_block_into`]:
 /// one cache line of 4-byte lanes per matrix row and per output column.
@@ -62,45 +65,42 @@ pub struct Csr {
     /// unless the matrix has at most `2^16` rows (the slices' `u16` row
     /// indices) and a `max_col_abs_sum` of at most `2^24` (the *Lane
     /// width* rule), and every frame then takes the scatter and every
-    /// group `i64` lanes.
+    /// group runs frame by frame.
     slices: Option<ColumnSlices>,
 }
 
-/// Transposes `G` row-major frames of `rows` elements into frame-minor
-/// rows, `xt[row][frame]`, converting each element by `to`. It goes one
-/// `G × G` tile at a time (the last one `rows mod G` rows short), so each
-/// frame's run of `G` inputs lands in a tile that stays in L1 (1 KiB of
-/// `f32`s), where a full-length pass per frame would stride through the
-/// whole `rows × G` buffer `G` times.
-fn transpose_in<T: Copy + Default>(
-    x: &[i32],
-    rows: usize,
-    xt: &mut Vec<[T; G]>,
-    to: impl Fn(i32) -> T,
-) {
-    xt.resize(rows, [T::default(); G]);
+/// Transposes digit `(x >> shift) & mask` of `G` row-major frames of
+/// `rows` elements into frame-minor `f32` rows, `xt[row][frame]`. It goes
+/// one `G × G` tile at a time (the last one `rows mod G` rows short), so
+/// each frame's run of `G` inputs lands in a tile that stays in L1 (1 KiB
+/// of `f32`s), where a full-length pass per frame would stride through
+/// the whole `rows × G` buffer `G` times.
+fn transpose_in(x: &[i32], rows: usize, xt: &mut Vec<[f32; G]>, shift: u32, mask: i32) {
+    xt.resize(rows, [0.0; G]);
     for (r0, tile) in (0..).step_by(G).zip(xt.chunks_mut(G)) {
         for f in 0..G {
             let run = &x[f * rows + r0..f * rows + r0 + tile.len()];
             for (&v, lanes) in run.iter().zip(tile.iter_mut()) {
-                lanes[f] = to(v);
+                lanes[f] = ((v >> shift) & mask) as f32;
             }
         }
     }
 }
 
-/// Writes the `G` output rows of `cols` elements each from frame-minor
-/// accumulators `acc[col][frame]`, one `G × G` tile of columns at a time,
-/// as [`transpose_in`] reads, converting each lane by `to_i64`. The
-/// conversion is a parameter because the obvious ones are slow: Rust's
-/// float-to-integer casts saturate, and the clamps of `as i64` (or of
-/// `as i32 as i64`) cost an `f32` group ~34 µs per 64 frames on a 1024²
-/// matrix, while [`exact_i64`] vectorises.
-fn transpose_out<A: Copy>(acc: &[[A; G]], cols: usize, out: &mut [i64], to_i64: impl Fn(A) -> i64) {
+/// Combines a digit plane's frame-minor sums `acc[col][frame]` into the
+/// `G` output rows of `cols` elements each, one `G × G` tile of columns
+/// at a time, as [`transpose_in`] reads: the plane at shift 0, the first,
+/// stores `exact_i64(sum)`, and every later one adds `exact_i64(sum) <<
+/// shift`. [`exact_i64`] is there because the obvious conversions are
+/// slow: Rust's float-to-integer casts saturate, and the clamps of `as
+/// i64` (or of `as i32 as i64`) cost a group ~34 µs per 64 frames on a
+/// 1024² matrix, while [`exact_i64`] vectorises.
+fn transpose_out(acc: &[[f32; G]], cols: usize, out: &mut [i64], shift: u32) {
     for (c0, tile) in (0..).step_by(G).zip(acc.chunks(G)) {
         for (f, row) in out.chunks_exact_mut(cols).enumerate() {
             for (o, lanes) in row[c0..].iter_mut().zip(tile) {
-                *o = to_i64(lanes[f]);
+                let plane = exact_i64(lanes[f]) << shift;
+                *o = if shift == 0 { plane } else { *o + plane };
             }
         }
     }
@@ -115,14 +115,17 @@ fn exact_i64(v: f32) -> i64 {
     (f64::from(v) + MAGIC).to_bits() as i64 - MAGIC.to_bits() as i64
 }
 
-/// What one [`Csr::vecmat_block_into`] call ran: full groups by
-/// accumulator width. The frames past the last full group go through
-/// [`Csr::vecmat_into`] and are not counted.
+/// What one [`Csr::vecmat_block_into`] call ran: full groups on each side
+/// of the *Lane width* rule. The frames past the last full group go
+/// through [`Csr::vecmat_into`] and are not counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BlockWidths {
-    /// Groups gathered through the column slices in `f32` lanes.
+    /// Groups inside the rule, gathered through the column slices in one
+    /// pass.
     pub narrow_groups: usize,
-    /// Groups accumulated over the rows in `i64` lanes.
+    /// Groups past the rule, or on a matrix without column slices: cut
+    /// into digit planes, each gathered in its own pass, or, where no
+    /// digit split exists, run frame by frame.
     pub wide_groups: usize,
 }
 
@@ -280,10 +283,12 @@ impl Csr {
                 row_ptr[rows]
             )));
         }
+        // Monotone from 0 to `values.len()`, so every row's range below is
+        // in bounds.
+        if let Some(r) = row_ptr.windows(2).position(|span| span[0] > span[1]) {
+            return Err(invalid(format!("row_ptr not monotone at row {r}")));
+        }
         for r in 0..rows {
-            if row_ptr[r] > row_ptr[r + 1] {
-                return Err(invalid(format!("row_ptr not monotone at row {r}")));
-            }
             let mut prev: Option<usize> = None;
             for &c in &col_idx[row_ptr[r]..row_ptr[r + 1]] {
                 if c >= cols {
@@ -472,22 +477,42 @@ impl Csr {
     ///
     /// Frames run in groups of 16. A group's `max|x|` is read first, and
     /// the *Lane width* rule, the one [`Csr::vecmat_into`] applies to a
-    /// frame, picks the group's lanes and layout:
-    /// - inside the rule, on a matrix with column slices, the group is
-    ///   transposed to frame-minor `f32` rows and **gathered**: each slice
-    ///   runs two lane-pair passes, `acc[col][0..16] += w · x[row][0..16]`
-    ///   down its entries, and each column's sums are stored once;
-    /// - otherwise it is transposed to `i64` rows and the non-zeros are
-    ///   walked **once** by row, doing the same in `i64` lanes.
+    /// frame, picks how the group runs. On a matrix with column slices it
+    /// is cut into digit planes, `x = Σ_j d_j · 2^(b·j)`, and each plane is
+    /// transposed to frame-minor `f32` rows and **gathered**: each slice
+    /// runs two lane-pair passes, `acc[col][0..16] += w · d[row][0..16]`
+    /// down its entries, and each column's sums are stored once, then
+    /// combined into the caller's rows. A group inside the rule is one
+    /// plane, the inputs themselves. The `n mod 16` frames past the last
+    /// full group, and every frame of a group that no digit split fits,
+    /// go through [`Csr::vecmat_into`].
     ///
-    /// Either way the accumulators are transposed back into the caller's
-    /// rows. The `n mod 16` frames past the last full group go through
-    /// [`Csr::vecmat_into`].
+    /// *Digits.* Past the rule, `b = 24 − ⌈log2 max_col_abs_sum⌉` and `k`
+    /// is the fewest digits with `max|x| < 2^(b·k)`:
+    /// - each low digit `j < k − 1` is `(x >> b·j) & (2^b − 1)`, in
+    ///   `[0, 2^b)`;
+    /// - the top digit is `x >> b·(k − 1)`, signed: `|x| < 2^(b·k)` puts
+    ///   it in `[−2^b, 2^b)`, so `x = −2^(b·k) + 1` has a top digit of
+    ///   `−2^b`;
+    /// - so every plane's bound is at most `max_col_abs_sum · 2^b ≤
+    ///   2^⌈log2 max_col_abs_sum⌉ · 2^b = 2^24`, inside the rule;
+    /// - the first plane's sums are stored and each later plane's are added
+    ///   shifted left by `b·j`, in `i64`. Each is exact. After plane `j < k
+    ///   − 1` the combine holds the products of the inputs' low `b·(j + 1)`
+    ///   bits, below `2^(b·(k − 1)) ≤ max|x| ≤ 2^31`, and after the top
+    ///   plane the output, so every value it holds is at most `2^23 · 2^31
+    ///   = 2^54` in magnitude, and no build profile can overflow it.
     ///
-    /// *Width.* A gathered group gives the `i64` scatter's bits. The
-    /// argument of [`Csr::vecmat_into`] holds for every frame of the
-    /// group, whose inputs are all at most `max|x|`. What differs is the
-    /// accumulators:
+    /// A matrix with `max_col_abs_sum > 2^23` has no `b` of one bit or
+    /// more: a top digit of `−2` would take a plane past `2^24`. Its groups
+    /// past the rule run frame by frame, and so does every group of a
+    /// matrix without slices (more than `2^16` rows, or a column summing
+    /// past `2^24`), as it scatters every frame.
+    ///
+    /// *Width.* Each gathered plane gives the `i64` scatter's bits for its
+    /// digits. The argument of [`Csr::vecmat_into`] holds for every frame
+    /// of the group, whose digits are within the plane's bound. What
+    /// differs is the accumulators:
     /// - *the lane-pair pass*: a slice's lanes 0–1 run first, then lanes
     ///   2–3 (a last slice of one or two columns runs one pass). A pass
     ///   holds `2 × 16` `f32` sums, one per column and frame, in eight SSE
@@ -495,17 +520,10 @@ impl Csr {
     /// - each sum receives its column's terms in ascending row order, one
     ///   at a time, so every value it holds is a sum of a subset of its
     ///   output's terms, an integer of magnitude at most `B ≤ 2^24`;
-    /// - a lane padded past its column's length adds `0 · x[0] = ±0`,
+    /// - a lane padded past its column's length adds `0 · d[0] = ±0`,
     ///   which changes no sum;
-    /// - each column's sums are written out once, by an exact conversion
-    ///   (`−0.0` becomes 0).
-    ///
-    /// An `i64` group walks rows in ascending order, so each output
-    /// receives its terms in the order [`Csr::vecmat_scatter_into`] adds
-    /// them; a zero input contributes an explicit `+ 0` instead of being
-    /// skipped. A matrix without slices (more than `2^16` rows, or a
-    /// column summing past `2^24`) runs every group this way, as it
-    /// scatters every frame.
+    /// - each column's sums are written out once per plane, by an exact
+    ///   conversion (`−0.0` becomes 0).
     ///
     /// Mis-sized `frames` or `out` return [`Error::DimensionMismatch`].
     pub fn vecmat_block_into(
@@ -528,54 +546,56 @@ impl Csr {
         let full = n - n % G;
         let mut widths = BlockWidths::default();
         // Scratch for the whole call, sized by the first group that uses it.
-        let (mut xt, mut narrow) = (Vec::new(), Vec::new());
-        let (mut xt_wide, mut wide) = (Vec::new(), Vec::new());
+        let (mut xt, mut acc) = (Vec::new(), Vec::new());
         for g in (0..full).step_by(G) {
             let x = &frames[g * rows..(g + G) * rows];
-            let o = &mut out[g * cols..(g + G) * cols];
             let max_x = x.iter().fold(0, |max, &v| max.max(v.unsigned_abs()));
-            match &self.slices {
-                Some(slices) if self.in_f32(max_x) => {
-                    transpose_in(x, rows, &mut xt, |v| v as f32);
-                    slices.gather_group(&xt, &mut narrow);
-                    transpose_out(&narrow, cols, o, exact_i64);
-                    widths.narrow_groups += 1;
-                }
-                _ => {
-                    transpose_in(x, rows, &mut xt_wide, i64::from);
-                    self.run_group(&xt_wide, &mut wide);
-                    transpose_out(&wide, cols, o, |v| v);
-                    widths.wide_groups += 1;
-                }
+            let Some((slices, (b, k))) = self.slices.as_ref().zip(self.digits(max_x)) else {
+                self.frames_into(frames, g..g + G, out)?;
+                widths.wide_groups += 1;
+                continue;
+            };
+            let o = &mut out[g * cols..(g + G) * cols];
+            for j in 0..k {
+                let mask = if j + 1 < k { (1 << b) - 1 } else { -1 };
+                transpose_in(x, rows, &mut xt, b * j, mask);
+                slices.gather_group(&xt, &mut acc);
+                transpose_out(&acc, cols, o, b * j);
+            }
+            if k == 1 {
+                widths.narrow_groups += 1;
+            } else {
+                widths.wide_groups += 1;
             }
         }
-        for f in full..n {
-            let a = &frames[f * rows..(f + 1) * rows];
-            let o = &mut out[f * cols..(f + 1) * cols];
-            self.single_into(a, o)?;
-        }
+        self.frames_into(frames, full..n, out)?;
         Ok(widths)
     }
 
-    /// One group in `i64` lanes: zeroes `acc` (`cols` long, frame-minor)
-    /// and walks the non-zeros once, row by row, against the transposed
-    /// inputs `xt` (`rows` long).
-    fn run_group(&self, xt: &[[i64; G]], acc: &mut Vec<[i64; G]>) {
-        acc.clear();
-        acc.resize(self.cols, [0; G]);
-        for (r, x) in xt.iter().enumerate() {
-            let lo = self.row_ptr[r];
-            let hi = self.row_ptr[r + 1];
-            for (&c, &v) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
-                debug_assert!(c < self.cols, "CSR column invariant violated");
-                let v = i64::from(v);
-                if let Some(o) = acc.get_mut(c) {
-                    for (o, &x) in o.iter_mut().zip(x) {
-                        *o += v * x;
-                    }
-                }
-            }
+    /// Frames `range` of a block, one at a time through
+    /// [`Csr::vecmat_into`].
+    fn frames_into(&self, frames: &[i32], range: Range<usize>, out: &mut [i64]) -> Result<()> {
+        let (rows, cols) = (self.rows, self.cols);
+        for f in range {
+            let a = &frames[f * rows..(f + 1) * rows];
+            self.single_into(a, &mut out[f * cols..(f + 1) * cols])?;
         }
+        Ok(())
+    }
+
+    /// The digit split of a group whose inputs are at most `max_x` in
+    /// absolute value, as `(b, k)`: one digit, the input itself, inside
+    /// the *Lane width* rule, else `k` digits of `b` bits as
+    /// [`Csr::vecmat_block_into`] sets out. `None` past the rule when
+    /// `max_col_abs_sum > 2^23`, where `b` would be under one bit.
+    fn digits(&self, max_x: u32) -> Option<(u32, u32)> {
+        if self.in_f32(max_x) {
+            return Some((0, 1));
+        }
+        // Past the rule, `max_col_abs_sum ≥ 1`.
+        let log2 = u64::BITS - (self.max_col_abs_sum - 1).leading_zeros();
+        let b = 24u32.checked_sub(log2).filter(|&b| b > 0)?;
+        Some((b, (u32::BITS - max_x.leading_zeros()).div_ceil(b)))
     }
 }
 
@@ -661,6 +681,7 @@ mod tests {
         assert!(Csr::from_raw_parts(3, 3, ok_ptr.clone(), vec![0, 3, 0, 1], vec![1, 2, 3, 4]).is_err(), "col out of bounds");
         assert!(Csr::from_raw_parts(3, 3, ok_ptr.clone(), vec![2, 0, 0, 1], vec![1, 2, 3, 4]).is_err(), "unsorted row");
         assert!(Csr::from_raw_parts(3, 3, ok_ptr, vec![0, 2, 0, 1], vec![1, 0, 3, 4]).is_err(), "explicit zero");
+        assert!(Csr::from_raw_parts(2, 3, vec![0, 100, 5], vec![0, 1, 2, 0, 1], vec![1; 5]).is_err(), "pointer past the end");
     }
 
     #[test]
@@ -904,7 +925,7 @@ mod tests {
         let mut rng = seeded(4600);
         // The most rows a `u16` names is gathered, and a group of them runs
         // through the slices in `f32`; one more row is scattered, and a
-        // group in `i64`, its last row not truncated onto row 0.
+        // group frame by frame, its last row not truncated onto row 0.
         for (rows, single, widths) in [
             (MAX_ROWS, Single::Gathered, (1, 0)),
             (MAX_ROWS + 1, Single::Scattered, (0, 1)),
@@ -1101,7 +1122,9 @@ mod tests {
         /// The blocked kernel is the per-frame kernel, bit for bit, at
         /// every group boundary, over shapes from 1×1 up, densities from
         /// empty to full (so empty rows and columns occur), 2- to 24-bit
-        /// operands on both sides of the `f32` rule, and with an all-zero
+        /// weights and 2- to 31-bit inputs on both sides of the `f32` rule
+        /// (so groups of one to many digit planes, and groups run frame by
+        /// frame on columns summing past `2^23`), and with an all-zero
         /// frame in the block; the width each group ran at is the rule's.
         #[test]
         fn block_kernel_matches_per_frame_kernel(
@@ -1110,7 +1133,7 @@ mod tests {
             cols in 1usize..24,
             sparsity in 0.0f64..=1.0,
             weight_bits in 2u32..=24,
-            input_bits in 2u32..=24,
+            input_bits in 2u32..=31,
             size in 0usize..BLOCK_SIZES.len(),
         ) {
             let n = BLOCK_SIZES[size];
@@ -1130,7 +1153,7 @@ mod tests {
     /// The tiled transposes at every tile tail: rows and columns short
     /// of, at and past one and two tiles, and at the serving shape, in
     /// blocks of one to three groups with and without frames left over,
-    /// through `f32` and `i64` lanes. Columns also come two past a
+    /// in one digit plane and in several. Columns also come two past a
     /// multiple of four, so the last column slice holds 1 (1, `G + 1`,
     /// `2G + 1` columns), 2 (2, `G + 2`), 3 (`G − 1`) and 4 (`G`, 1024)
     /// columns, and its second lane pair runs with none, one and two of
@@ -1140,16 +1163,16 @@ mod tests {
         let dims = [1, G - 1, G, G + 1, 2 * G + 1, 1024];
         let col_dims = [1, 2, G - 1, G, G + 1, G + 2, 2 * G + 1, 1024];
         let mut rng = seeded(4300);
-        // Groups run in `f32` lanes, and in `i64` lanes.
+        // Groups run in one digit plane, and in several.
         let mut ran = [0usize; 2];
         for rows in dims {
             for cols in col_dims {
                 let d = element_sparse_matrix(rows, cols, 8, 0.9, true, &mut rng).unwrap();
                 let csr = Csr::from_dense(&d);
                 for n in [G, G + 1, 2 * G, 3 * G] {
-                    // 8-bit inputs take `f32` lanes; 17-bit ones are past
-                    // the rule, in `i64` lanes, but for the smallest
-                    // matrices.
+                    // 8-bit inputs are inside the rule, one plane; 17-bit
+                    // ones are past it, in digit planes, but for the
+                    // smallest matrices.
                     for input_bits in [8, 17] {
                         let frames = random_vector(n * rows, input_bits, true, &mut rng).unwrap();
                         let widths = assert_block_matches(&csr, &frames, n);
@@ -1227,9 +1250,10 @@ mod tests {
         // The `f32` rule's edge, as for a single frame. 256 ones under
         // inputs of ±65,536 bound every sum by exactly 2^24 and take `f32`;
         // 257 ones under 65,281 bound it by 2^24 + 1, which is also the
-        // true sum, odd and not an `f32`, and take `i64`. So do weights of
-        // 2^24 and 1 under ±1, where `f32` lanes would round the second
-        // term away; 2^24 − 1 and 1 sum to 2^24 and take `f32`. All the
+        // true sum, odd and not an `f32`, and take digit planes. So do
+        // weights of 2^24 and 1 under ±1, where `f32` lanes would round the
+        // second term away (no slices, so frame by frame); 2^24 − 1 and 1
+        // sum to 2^24 and take `f32`. All the
         // weights are positive, so each output is `max_col_abs_sum × x`.
         let column = |w: Vec<i32>| Csr::from_dense(&IntMatrix::from_vec(w.len(), 1, w).unwrap());
         let top = 1 << 24;
@@ -1250,7 +1274,7 @@ mod tests {
                 assert_eq!(out, vec![csr.max_col_abs_sum as i64 * i64::from(x); G], "{name}");
             }
         }
-        // The extremes of `i32`, all in `i64` lanes: |x| = i32::MAX and
+        // The extremes of `i32`, all past the rule: |x| = i32::MAX and
         // i32::MIN (|x| = 2^31, no `abs()` overflow) against a unit column,
         // and i32::MIN as a weight.
         let unit = Csr::from_dense(&IntMatrix::from_vec(1, 1, vec![1]).unwrap());
@@ -1265,7 +1289,7 @@ mod tests {
         // A zero bound takes `f32` whatever the operands on a matrix with
         // slices: an empty matrix against i32::MIN inputs. The i32::MIN
         // weight leaves its matrix without slices, so an all-zero group
-        // against it runs in `i64`. Every output is 0.
+        // against it runs frame by frame. Every output is 0.
         let zeros = assert_block_matches(&min, &[0; 2 * G], G);
         let empty = Csr::from_dense(&IntMatrix::zeros(3, 2).unwrap());
         let nothing = assert_block_matches(&empty, &[i32::MIN; 3 * G], G);
@@ -1280,6 +1304,63 @@ mod tests {
         for v in [0.0, -0.0, 1.0, -1.0, 16_777_216.0, -16_777_216.0] {
             assert_eq!(exact_i64(v), v as i64, "{v}");
         }
+    }
+
+    #[test]
+    fn block_digit_split_is_exact() {
+        // Two columns of the same `max_col_abs_sum`, the second the first
+        // reversed with alternate signs, against one group whose frame `f`
+        // holds `xs` rotated by `f`: every row is the scatter's, and the
+        // split is `b = 24 − ⌈log2 max_col_abs_sum⌉` bits by the fewest
+        // digits `k` with `max|x| < 2^(b·k)`.
+        let run = |weights: &[i32], xs: &[i32], digits: Option<(u32, u32)>| {
+            let rows = weights.len();
+            let sign = |r: usize| if r.is_multiple_of(2) { 1 } else { -1 };
+            let d = IntMatrix::from_fn(rows, 2, |r, c| match c {
+                0 => weights[r],
+                _ => weights[rows - 1 - r] * sign(r),
+            })
+            .unwrap();
+            let csr = Csr::from_dense(&d);
+            let frames: Vec<i32> =
+                (0..G).flat_map(|f| (0..rows).map(move |r| xs[(f + r) % xs.len()])).collect();
+            let max_x = xs.iter().map(|x| x.unsigned_abs()).max().unwrap();
+            let name = format!("max_col_abs_sum {}, max|x| {max_x}", csr.max_col_abs_sum);
+            assert!(csr.slices.is_some(), "{name}");
+            assert_eq!(csr.digits(max_x), digits, "{name}");
+            let ran = assert_block_matches(&csr, &frames, G);
+            assert_eq!((ran.narrow_groups, ran.wide_groups), (0, 1), "{name}");
+        };
+        let top = 1 << 24;
+        // `max_col_abs_sum` 2^12, so 12-bit digits: `max|x|` at
+        // 2^24 − 1 takes two, at 2^24 three. −2^24 + 1 has a top digit of
+        // −2^12, whose plane is bounded by exactly 2^24.
+        let pow = [2047, -1365, 683, 1];
+        run(&pow, &[top - 1, 1 - top, 12_345, -1, 0, (top >> 1) + 7], Some((12, 2)));
+        run(&pow, &[1 - top, 4095, -4096, 1], Some((12, 2)));
+        run(&pow, &[top, 1 - top, -77, 3], Some((12, 3)));
+        run(&pow, &[-top, top - 1, 5], Some((12, 3)));
+        // `i32::MIN` and `i32::MAX`: three digits, the top one 7 bits.
+        run(&pow, &[i32::MIN, i32::MAX, -1, 1], Some((12, 3)));
+        run(&pow, &[i32::MAX, -3, 0], Some((12, 3)));
+        // One more: `⌈log2⌉` is 13, so 11-bit digits.
+        let over = [2047, -1365, 683, 2];
+        run(&over, &[(1 << 22) - 1, 1 - (1 << 22), 99], Some((11, 2)));
+        run(&over, &[1 << 22, -5], Some((11, 3)));
+        run(&over, &[i32::MIN, 1 << 30], Some((11, 3)));
+        // `max_col_abs_sum` 2^23: one-bit digits, a top digit of −2
+        // bounded by exactly 2^24, and up to 32 planes.
+        let bits = [(1 << 23) - 1, 1];
+        run(&bits, &[-3, -1], Some((1, 2)));
+        run(&bits, &[3, -4, 2], Some((1, 3)));
+        run(&bits, &[i32::MIN, i32::MAX], Some((1, 32)));
+        run(&bits, &[i32::MAX, -1], Some((1, 31)));
+        // 2^23 + 1: no digit of one bit or more fits, so the group runs
+        // frame by frame. One-bit digits would put −2^24 − 1, odd and not
+        // an `f32`, in the top plane of `[−3, −1]`.
+        let none = [1 << 23, 1];
+        run(&none, &[-3, -1], None);
+        run(&none, &[i32::MIN, i32::MAX], None);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! [`Csr`] is also the serving stack's sparse engine, and keeps two
 //! layouts of the fixed matrix for it: column slices for single frames
-//! and 16-frame groups in `f32` lanes, rows for the `i64` scatter and
-//! groups (see `csr`).
+//! and 16-frame groups in `f32` lanes (a wide group one digit plane at a
+//! time), rows for the `i64` scatter (see `csr`).
 //!
 //! ```
 //! use smm_core::matrix::IntMatrix;

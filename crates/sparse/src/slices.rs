@@ -1,7 +1,8 @@
 //! Column slices: the output-stationary layout behind every `f32` kernel
 //! of [`Csr`](crate::csr::Csr). A single frame is gathered through them
 //! by [`Csr::vecmat_into`](crate::csr::Csr::vecmat_into), and a 16-frame
-//! group by [`Csr::vecmat_block_into`](crate::csr::Csr::vecmat_block_into).
+//! group, one digit plane at a time, by
+//! [`Csr::vecmat_block_into`](crate::csr::Csr::vecmat_block_into).
 //!
 //! The matrix's columns are ordered by descending non-zero count (ties by
 //! ascending column) and cut into slices of [`LANES`]. A slice stores its
@@ -185,10 +186,12 @@ impl ColumnSlices {
     /// a group's `G` frames `f`, in `f32` lanes: exact only where the
     /// *Lane width* rule of
     /// [`Csr::vecmat_block_into`](crate::csr::Csr::vecmat_block_into)
-    /// puts it.
+    /// puts it. A group past the rule calls it once per digit plane, and
+    /// each plane's digits are narrow enough to be inside it.
     ///
-    /// `xt` is the group transposed to frame-minor rows, one per matrix
-    /// row. Each slice runs in two passes, lanes 0–1 and then 2–3 (none
+    /// `xt` is one digit plane of the group (the inputs themselves inside
+    /// the rule), transposed to frame-minor rows, one per matrix row. Each
+    /// slice runs in two passes, lanes 0–1 and then 2–3 (none
     /// for a last slice of at most two columns), and a pass keeps its two
     /// columns' `2 × G` sums in registers down the slice's entries. Each
     /// column's sum is written to `acc` once; `acc` ends up `cols` long,
