@@ -23,7 +23,7 @@ use smm_core::generate::{element_sparse_matrix, random_vector};
 use smm_core::gemv::{vecmat, vecmat_into, vecmat_into_scalar};
 use smm_core::rng::seeded;
 use smm_runtime::{EngineSpec, Session};
-use smm_sparse::{Coo, Csr};
+use smm_sparse::Csr;
 use smm_core::matrix::IntMatrix;
 use smm_core::wire::{xxh64, Cursor, MatrixBody};
 use smm_store::artifact::{self, crc32, crc32_bitwise, Artifact};
@@ -251,10 +251,12 @@ fn bench_bitserial_batch(c: &mut Criterion) {
 /// 100 % zeros — 90 % is the benchmark's cold-read matrix —
 /// `artifact::decode_body` of a 256²/90 % matrix artifact — the body
 /// checked in one pass and hashed — vs decoding the same bytes to the
-/// dense matrix and digesting that, and the CSR build from a body and
-/// from the dense matrix vs the route through COO triples at 256² and
-/// 1024², 90 % sparse — every side finishes by deriving the accumulator
-/// bound and the column slices, so the race includes them.
+/// dense matrix and digesting that, and at 256² and 1024², 90 % sparse,
+/// the body of a dense matrix (`MatrixBody::of`, the one scan of its
+/// elements) and the CSR build from a body and from the dense matrix
+/// (that body, then the same build) — both CSR builds finish by deriving
+/// the accumulator bound and the column slices, so the race includes
+/// them.
 fn bench_store_checksums(c: &mut Criterion) {
     let mut rng = seeded(5000);
     let mut group = c.benchmark_group("store_checksums");
@@ -306,18 +308,17 @@ fn bench_store_checksums(c: &mut Criterion) {
 
     for &dim in &[256usize, 1024] {
         let m = element_sparse_matrix(dim, dim, 8, 0.9, true, &mut rng).unwrap();
-        let body = MatrixBody::of(&m);
-        let via_coo = |m| Csr::from_coo(&Coo::from_dense(m));
-        assert_eq!(Csr::from_dense(&m), via_coo(&m), "CSR builds diverged at {dim}");
-        assert_eq!(Csr::from_body(&body), via_coo(&m), "CSR builds diverged at {dim}");
+        let body = Arc::new(MatrixBody::of(&m));
+        assert_eq!(body.to_matrix().unwrap(), m, "the body lost the matrix at {dim}");
+        assert_eq!(Csr::from_dense(&m), Csr::from_body(Arc::clone(&body)), "CSR builds diverged at {dim}");
+        group.bench_with_input(BenchmarkId::new("csr_build/body_of", dim), &dim, |b, _| {
+            b.iter(|| MatrixBody::of(black_box(&m)))
+        });
         group.bench_with_input(BenchmarkId::new("csr_build/from_body", dim), &dim, |b, _| {
-            b.iter(|| Csr::from_body(black_box(&body)))
+            b.iter(|| Csr::from_body(Arc::clone(black_box(&body))))
         });
         group.bench_with_input(BenchmarkId::new("csr_build/direct", dim), &dim, |b, _| {
             b.iter(|| Csr::from_dense(black_box(&m)))
-        });
-        group.bench_with_input(BenchmarkId::new("csr_build/via_coo", dim), &dim, |b, _| {
-            b.iter(|| via_coo(black_box(&m)))
         });
     }
     group.finish();

@@ -54,8 +54,9 @@
 //! [`MatrixBody`] is such a body kept whole — what the serving fleet
 //! holds in memory and files on disk — and computes from its non-zeros
 //! what the dense matrix would give, the dense matrix included, and the
-//! product `aᵀV` itself ([`MatrixBody::vecmat_into`]) for a matrix the
-//! fleet serves without building an engine.
+//! product `aᵀV` itself ([`MatrixBody::vecmat_into`]), for a matrix the
+//! fleet serves without building an engine and as the `csr` engine's
+//! scatter: a CSR is a shared body plus column slices derived from it.
 //!
 //! ## The content digest
 //!
@@ -302,67 +303,109 @@ fn width_for(bits: u64) -> usize {
 }
 
 /// Appends a matrix in its binary layout (module docs, "A matrix on the
-/// wire"). Column indices are `u32`, so a matrix wider than that cannot
-/// travel; every matrix under [`MAX_WIRE_LEN`] elements is narrower.
+/// wire"), from one scan of its dense elements. Column indices are `u32`,
+/// so a matrix wider than that cannot travel; every matrix under
+/// [`MAX_WIRE_LEN`] elements is narrower.
+///
+/// The scan reads each row eight elements at a time: an all-zero group
+/// costs one OR-reduction, and each element of a live group is written
+/// at a cursor that only a non-zero advances (a zero is overwritten by
+/// whatever comes next), so neither loop has a data-dependent branch.
+/// Columns go straight into `buf` and values into a scratch vector, each
+/// grown before a row to hold the whole row and one slot of slack for
+/// the zeros after its last non-zero; the count of non-zeros is the
+/// cursor at the end, so nothing else reads the dense elements.
 pub fn put_matrix(buf: &mut Vec<u8>, m: &IntMatrix) {
-    let (lo, hi) = m.as_slice().iter().fold((0, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-    let width = width_between(lo, hi);
-    put_u64(buf, m.rows() as u64);
-    put_u64(buf, m.cols() as u64);
-    let nnz_at = buf.len();
-    put_u64(buf, 0); // patched once the row counts are in
-    put_u8(buf, width as u8);
-    buf.reserve(m.rows() * 4);
-    let mut nnz = 0usize;
-    for row in m.as_slice().chunks_exact(m.cols()) {
-        let count = row.iter().map(|&v| u32::from(v != 0)).sum::<u32>();
-        put_u32(buf, count);
-        nnz += count as usize;
-    }
-    buf[nnz_at..nnz_at + 8].copy_from_slice(&(nnz as u64).to_le_bytes());
-    let cols_at = buf.len();
-    buf.resize(cols_at + nnz * (4 + width), 0);
-    let (cols, values) = buf[cols_at..].split_at_mut(nnz * 4);
-    match width {
-        1 => put_nonzeros::<1>(m, cols, values),
-        2 => put_nonzeros::<2>(m, cols, values),
-        _ => put_nonzeros::<4>(m, cols, values),
-    }
-}
-
-/// Elements per non-zero bitmask in [`put_nonzeros`].
-const NONZERO_CHUNK: usize = 16;
-
-/// Writes each non-zero's column index into `cols` and its low `W`
-/// bytes into `values`, both sized for exactly the non-zeros. A row is
-/// read 16 elements at a time as a non-zero bitmask and only the set
-/// bits are visited, so a sparse row costs no branch per zero.
-fn put_nonzeros<const W: usize>(m: &IntMatrix, cols: &mut [u8], values: &mut [u8]) {
-    let mut slots = cols
-        .as_chunks_mut::<4>()
-        .0
-        .iter_mut()
-        .zip(values.as_chunks_mut::<W>().0);
-    for row in m.as_slice().chunks_exact(m.cols()) {
-        for (start, chunk) in (0..).step_by(NONZERO_CHUNK).zip(row.chunks(NONZERO_CHUNK)) {
-            let mut nonzero = chunk
-                .iter()
-                .enumerate()
-                .fold(0u32, |mask, (i, &v)| mask | u32::from(v != 0) << i);
-            while nonzero != 0 {
-                let i = nonzero.trailing_zeros() as usize;
-                nonzero &= nonzero - 1;
-                if let Some((col, value)) = slots.next() {
-                    *col = ((start + i) as u32).to_le_bytes();
-                    value.copy_from_slice(&chunk[i].to_le_bytes()[..W]);
-                }
+    /// Elements per group.
+    const GROUP: usize = 8;
+    let (rows, cols) = (m.rows(), m.cols());
+    let start = put_header(buf, rows, cols);
+    let counts_at = buf.len();
+    let columns_at = counts_at + rows * 4;
+    let mut values = Vec::new();
+    let mut at = 0;
+    let mut live = vec![0usize; cols / GROUP + 1];
+    for (r, row) in m.as_slice().chunks_exact(cols).enumerate() {
+        buf.resize(columns_at + (at + cols + 1) * 4, 0);
+        values.resize(at + cols + 1, 0);
+        let first = at;
+        let (groups, tail) = row.as_chunks::<GROUP>();
+        let mut n_live = 0;
+        for (g, group) in groups.iter().enumerate() {
+            live[n_live] = g * GROUP;
+            n_live += usize::from(group.iter().fold(0, |any, &v| any | v) != 0);
+        }
+        let (counts, columns) = buf[counts_at..].split_at_mut(rows * 4);
+        let columns = columns.as_chunks_mut::<4>().0;
+        let mut keep = |c: usize, v: i32| {
+            columns[at] = (c as u32).to_le_bytes();
+            values[at] = v;
+            at += usize::from(v != 0);
+        };
+        for &c0 in &live[..n_live] {
+            for (c, &v) in (c0..).zip(&row[c0..c0 + GROUP]) {
+                keep(c, v);
             }
         }
+        for (c, &v) in (cols - tail.len()..).zip(tail) {
+            keep(c, v);
+        }
+        counts[r * 4..r * 4 + 4].copy_from_slice(&((at - first) as u32).to_le_bytes());
     }
+    buf.truncate(columns_at + at * 4);
+    put_values(buf, start, &values[..at]);
 }
 
-/// [`width_for`] of matrix values spanning `lo..=hi`, the one way a
-/// matrix's width is found ([`put_matrix`] and the body check). The
+/// Appends a matrix body from its non-zeros: `counts[r]` of them in row
+/// `r`, and each one's column and value, row-major, the values at the
+/// narrowest width that holds them all, as [`put_matrix`] writes them.
+/// Nothing else is checked: a body written from untrusted parts is
+/// valid only once [`Cursor::take_matrix_body`] has read it back.
+pub fn put_body(
+    buf: &mut Vec<u8>,
+    rows: usize,
+    cols: usize,
+    counts: &[u32],
+    columns: &[u32],
+    values: &[i32],
+) {
+    let start = put_header(buf, rows, cols);
+    for words in [counts, columns] {
+        let at = buf.len();
+        buf.resize(at + words.len() * 4, 0);
+        for (bytes, word) in buf[at..].as_chunks_mut::<4>().0.iter_mut().zip(words) {
+            *bytes = word.to_le_bytes();
+        }
+    }
+    put_values(buf, start, values);
+}
+
+/// Appends a body's header with the count of non-zeros and the width
+/// left for [`put_values`] to fill in, and returns where it starts.
+fn put_header(buf: &mut Vec<u8>, rows: usize, cols: usize) -> usize {
+    let start = buf.len();
+    put_u64(buf, rows as u64);
+    put_u64(buf, cols as u64);
+    put_u64(buf, 0);
+    put_u8(buf, 0);
+    start
+}
+
+/// Appends a body's values at the narrowest width that holds them all,
+/// found from the values alone (their folded magnitudes OR'd,
+/// [`Narrow::span`]), and fills in the count of non-zeros and the width
+/// of the header at `start`.
+fn put_values(buf: &mut Vec<u8>, start: usize, values: &[i32]) {
+    let width = width_for(i32::span(values));
+    buf[start + 16..start + 24].copy_from_slice(&(values.len() as u64).to_le_bytes());
+    buf[start + BODY_HEADER - 1] = width as u8;
+    buf.reserve(values.len() * width);
+    put_at(buf, values, width);
+}
+
+/// [`width_for`] of matrix values spanning `lo..=hi`, the way the body
+/// check finds the width a body's values need ([`put_body`] ORs their
+/// folded magnitudes, [`Narrow::span`], to the same width). The
 /// min/max folds that find `lo` and `hi` start at 0, so `lo ≤ 0 ≤ hi`:
 /// their folded magnitudes are `!lo` and `hi`, and the larger decides.
 /// (An OR of folded magnitudes in the body check's fold made the whole
@@ -674,11 +717,11 @@ impl MatrixBody {
 
     /// `out = aᵀV` straight off the body's bytes, into a caller-owned
     /// slice of exactly [`MatrixBody::cols`] elements (stale contents
-    /// are overwritten): a product with no engine built. Rows are walked
-    /// in order and a zero input's row is skipped, each non-zero adding
-    /// `a[row] · value` to its column in `i64` — the additions, in the
-    /// order and arithmetic, of the `csr` engine's row-major scatter, so
-    /// the bits are the engines'. Mis-sized `a` or `out` return
+    /// are overwritten): a product with no engine built, and the `csr`
+    /// engine's row-major scatter, the oracle its gathers are held to.
+    /// Rows are walked in order and a zero input's row is skipped, each
+    /// non-zero adding `a[row] · value` to its column in `i64`, so the
+    /// bits are the engines'. Mis-sized `a` or `out` return
     /// [`Error::DimensionMismatch`].
     pub fn vecmat_into(&self, a: &[i32], out: &mut [i64]) -> Result<()> {
         if a.len() != self.rows || out.len() != self.cols {

@@ -1,6 +1,6 @@
-//! The product straight off a matrix body, `MatrixBody::vecmat_into`,
-//! held to the dense reference (`gemv::vecmat`) and to the `csr`
-//! engine's row-major scatter (`Csr::vecmat_scatter_into`) bit for bit:
+//! The product straight off a matrix body, `MatrixBody::vecmat_into` —
+//! the `csr` engine's row-major scatter, the oracle its gathers are held
+//! to — held to the dense reference (`gemv::vecmat`) bit for bit:
 //! at each value width a body can take, on zero inputs, empty rows and
 //! all-zero matrices, on 1-row and 1-column shapes, and on `±i32::MAX`
 //! weights against inputs up to the full `i32` range. A shape with no rows or no columns
@@ -13,7 +13,6 @@ use smm_core::gemv::vecmat;
 use smm_core::matrix::IntMatrix;
 use smm_core::rng::seeded;
 use smm_core::wire::{put_u32, put_u64, put_u8, Cursor, MatrixBody};
-use smm_sparse::Csr;
 
 /// `body`'s product on `a`, into an output first filled with garbage so
 /// that stale contents would show.
@@ -23,14 +22,11 @@ fn body_product(body: &MatrixBody, a: &[i32]) -> Vec<i64> {
     out
 }
 
-/// Asserts the body's product equals both oracles and returns it.
+/// Asserts the body's product equals the dense reference and returns it.
 fn assert_agrees(m: &IntMatrix, a: &[i32]) -> Vec<i64> {
     let body = MatrixBody::of(m);
     let got = body_product(&body, a);
     assert_eq!(got, vecmat(a, m).unwrap(), "dense reference, {}x{}", m.rows(), m.cols());
-    let mut scattered = vec![-1i64; m.cols()];
-    Csr::from_dense(m).vecmat_scatter_into(a, &mut scattered).unwrap();
-    assert_eq!(got, scattered, "csr scatter, {}x{}", m.rows(), m.cols());
     got
 }
 

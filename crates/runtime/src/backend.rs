@@ -153,7 +153,7 @@ impl GemvBackend for DenseRef {
 /// the `f32` rule and in one pass per digit plane past it, and the frames
 /// past the last full group (so every single) one at a time through
 /// [`Csr::vecmat_into`], which gathers a frame through the column slices
-/// under the same rule and scatters any other through the rows.
+/// under the same rule and scatters any other through the body's rows.
 #[derive(Debug, Clone)]
 pub struct SparseCsr {
     csr: Csr,

@@ -196,17 +196,18 @@ fn build_in_domain(matrix: IntMatrix, spec: &EngineSpec) -> Result<Arc<dyn GemvB
     })
 }
 
-/// [`build`] from a matrix kept as its body: `csr` builds straight from
-/// the non-zeros ([`Csr::from_body`]); every other kind decodes the
-/// dense matrix once and is built as [`build`] builds it. Only a body at
-/// 4 bytes per value can hold `i32::MIN`, so only such a body's values
-/// are read for [`check_domain`].
-pub(crate) fn build_body(body: &MatrixBody, spec: &EngineSpec) -> Result<Arc<dyn GemvBackend>> {
+/// [`build`] from a matrix kept as its body: `csr` keeps the body itself,
+/// shared, and derives its column slices from the non-zeros
+/// ([`Csr::from_body`]); every other kind decodes the dense matrix once
+/// and is built as [`build`] builds it. Only a body at 4 bytes per value
+/// can hold `i32::MIN`, so only such a body's values are read for
+/// [`check_domain`].
+pub(crate) fn build_body(body: &Arc<MatrixBody>, spec: &EngineSpec) -> Result<Arc<dyn GemvBackend>> {
     if body.width() == 4 {
         check_domain(&body.values())?;
     }
     match spec.kind() {
-        "csr" => Ok(Arc::new(SparseCsr::from_csr(Csr::from_body(body)))),
+        "csr" => Ok(Arc::new(SparseCsr::from_csr(Csr::from_body(Arc::clone(body))))),
         _ => build_in_domain(body.to_matrix()?, spec),
     }
 }
@@ -247,5 +248,19 @@ mod tests {
         for name in ["tpu", AUTO].into_iter().chain(BUILTIN_KINDS) {
             assert!(text.contains(name), "{text}");
         }
+    }
+
+    #[test]
+    fn a_csr_built_from_a_body_shares_it() {
+        let mut rng = seeded(2701);
+        let v = element_sparse_matrix(12, 9, 8, 0.5, true, &mut rng).unwrap();
+        let body = Arc::new(MatrixBody::of(&v));
+        let engine = build_body(&body, &EngineSpec::new("csr")).unwrap();
+        // The engine holds the body itself, not a copy of it.
+        assert_eq!(Arc::strong_count(&body), 2);
+        let a: Vec<i32> = (0..12).map(|i| i - 6).collect();
+        assert_eq!(engine.gemv(&a).unwrap(), smm_core::gemv::vecmat(&a, &v).unwrap());
+        drop(engine);
+        assert_eq!(Arc::strong_count(&body), 1);
     }
 }

@@ -2,16 +2,18 @@
 //! kernels operate on, and the source of the indexing overhead the paper's
 //! spatial approach eliminates.
 //!
-//! A [`Csr`] holds its non-zeros twice, both layouts derived from the
-//! fixed matrix at construction. The column slices (`slices.rs`) are the
-//! non-zeros cut into four-column slices, each walked output-stationary:
-//! a single frame is gathered through them by [`Csr::vecmat_into`], and a
-//! 16-frame group by [`Csr::vecmat_block_into`], each column's sums kept
-//! in registers until its slice is done, as the paper's spatial
-//! multiplier keeps each output's adder tree to its own column. The
-//! row-major arrays are the format itself: [`Csr::vecmat_scatter_into`],
-//! the oracle every other kernel is held to, walks only the rows of a
-//! frame's non-zero inputs.
+//! A [`Csr`] is the fixed matrix's body plus its column slices. The body
+//! ([`MatrixBody`], shared with whoever else holds the matrix) is the
+//! row-major format itself, at four bytes of column and one to four of
+//! value per non-zero: its scatter, [`Csr::vecmat_scatter_into`], the
+//! oracle every other kernel is held to, walks only the rows of a frame's
+//! non-zero inputs. The column slices (`slices.rs`) are the same non-zeros
+//! cut into four-column slices, derived at construction, each walked
+//! output-stationary: a single frame is gathered through them by
+//! [`Csr::vecmat_into`], and a 16-frame group by
+//! [`Csr::vecmat_block_into`], each column's sums kept in registers until
+//! its slice is done, as the paper's spatial multiplier keeps each
+//! output's adder tree to its own column.
 //!
 //! **Lane width.** Both kernels size their sums by one rule, read off two
 //! numbers: `max_col_abs_sum` of the matrix, settled at construction, and
@@ -34,12 +36,12 @@
 //! `kernels` bench; the contract is the oracle tests, which hold every
 //! kernel to the scatter on both sides of the rule.
 
-use crate::coo::Coo;
 use crate::slices::ColumnSlices;
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
-use smm_core::wire::MatrixBody;
+use smm_core::wire::{put_body, Cursor, MatrixBody};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Frames per group in [`Csr::vecmat_block_into`]:
 /// one cache line of 4-byte lanes per matrix row and per output column.
@@ -48,18 +50,17 @@ pub(crate) const G: usize = 16;
 /// Every integer of magnitude at most `2^24` is exactly an `f32`.
 const F32_EXACT: u128 = 1 << 24;
 
-/// A CSR sparse matrix: `row_ptr` (length `rows + 1`), column indices and
-/// values sorted within each row.
+/// A CSR sparse matrix: the matrix's body, whose row counts, column
+/// indices (sorted within each row) and values are the format, and what
+/// the kernels derive from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
-    rows: usize,
-    cols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-    values: Vec<i32>,
-    /// `max_c Σ_r |w_rc|`, derived from the arrays above at construction
-    /// and never serialised: the bound both kernels size their
-    /// accumulators from.
+    /// The non-zeros, row-major. Shared rather than copied: a serving
+    /// fleet's engine holds the same allocation as the fleet's tier.
+    body: Arc<MatrixBody>,
+    /// `max_c Σ_r |w_rc|`, derived from the body at construction and
+    /// never serialised: the bound both kernels size their accumulators
+    /// from.
     max_col_abs_sum: u64,
     /// The same non-zeros as column slices, derived with the bound; `None`
     /// unless the matrix has at most `2^16` rows (the slices' `u16` row
@@ -137,122 +138,48 @@ enum Single {
 }
 
 impl Csr {
-    /// Converts from COO (already sorted and deduplicated).
-    pub fn from_coo(coo: &Coo) -> Self {
-        let mut row_ptr = vec![0usize; coo.rows() + 1];
-        let mut col_idx = Vec::with_capacity(coo.nnz());
-        let mut values = Vec::with_capacity(coo.nnz());
-        for &(r, c, v) in coo.entries() {
-            row_ptr[r + 1] += 1;
-            col_idx.push(c);
-            values.push(v);
-        }
-        for i in 0..coo.rows() {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        Self::finish(coo.rows(), coo.cols(), row_ptr, col_idx, values)
+    /// Converts the non-zeros of a dense matrix: the matrix's body
+    /// ([`MatrixBody::of`], one scan of the dense elements), then
+    /// [`Csr::from_body`].
+    pub fn from_dense(dense: &IntMatrix) -> Self {
+        Self::from_body(Arc::new(MatrixBody::of(dense)))
     }
 
-    /// The one exit of every constructor: derives the accumulator bound
-    /// and the column slices from validated arrays (every column index
-    /// `< cols`, rows ascending), in work proportional to the non-zeros.
-    fn finish(
-        rows: usize,
-        cols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<usize>,
-        values: Vec<i32>,
-    ) -> Self {
-        let mut col_len = vec![0usize; cols];
+    /// The CSR over a matrix body, which it keeps, shared: the one exit
+    /// of every constructor. The accumulator bound and the column slices
+    /// are derived from the body's non-zeros, in work proportional to
+    /// them. A [`MatrixBody`] is validated when it is made, so nothing
+    /// is checked here.
+    pub fn from_body(body: Arc<MatrixBody>) -> Self {
+        let values = body.values();
+        let mut col_len = vec![0usize; body.cols()];
         // Saturating instead of wrapping, which only ever selects the
         // wide accumulator.
-        let mut col_abs_sum = vec![0u64; cols];
-        for (&c, &v) in col_idx.iter().zip(&values) {
+        let mut col_abs_sum = vec![0u64; body.cols()];
+        for (c, &v) in body.columns().zip(&values) {
             col_len[c] += 1;
             col_abs_sum[c] = col_abs_sum[c].saturating_add(u64::from(v.unsigned_abs()));
         }
         let max_col_abs_sum = col_abs_sum.into_iter().max().unwrap_or(0);
         let slices = (u128::from(max_col_abs_sum) <= F32_EXACT)
-            .then(|| ColumnSlices::build(&col_len, &row_ptr, &col_idx, &values))
+            .then(|| ColumnSlices::build(&body, &col_len, &values))
             .flatten();
         Self {
-            rows,
-            cols,
+            body,
             max_col_abs_sum,
             slices,
-            row_ptr,
-            col_idx,
-            values,
         }
     }
 
-    /// Converts the non-zeros of a dense matrix: the three arrays are
-    /// written directly, at their exact size — the arrays
-    /// [`Csr::from_coo`] builds from [`Coo::from_dense`], without the
-    /// triples in between.
-    pub fn from_dense(dense: &IntMatrix) -> Self {
-        /// Elements per group; an all-zero group costs one OR-reduction.
-        const GROUP: usize = 8;
-        let (rows, cols) = (dense.rows(), dense.cols());
-        let nnz = dense.nnz();
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        row_ptr.push(0);
-        // Both loops write at a cursor that only a hit advances (a miss
-        // is overwritten by whatever comes next), so neither has a
-        // data-dependent branch; the one slot of slack takes the misses
-        // after the last hit.
-        let mut col_idx = vec![0usize; nnz + 1];
-        let mut values = vec![0i32; nnz + 1];
-        let mut at = 0;
-        let mut live = vec![0usize; cols / GROUP + 1];
-        for row in dense.as_slice().chunks_exact(cols) {
-            let (groups, tail) = row.as_chunks::<GROUP>();
-            let mut n_live = 0;
-            for (g, group) in groups.iter().enumerate() {
-                live[n_live] = g * GROUP;
-                n_live += usize::from(group.iter().fold(0, |any, &v| any | v) != 0);
-            }
-            let mut keep = |c: usize, v: i32| {
-                col_idx[at] = c;
-                values[at] = v;
-                at += usize::from(v != 0);
-            };
-            for &c0 in &live[..n_live] {
-                for (c, &v) in (c0..).zip(&row[c0..c0 + GROUP]) {
-                    keep(c, v);
-                }
-            }
-            for (c, &v) in (cols - tail.len()..).zip(tail) {
-                keep(c, v);
-            }
-            row_ptr.push(at);
-        }
-        col_idx.truncate(nnz);
-        values.truncate(nnz);
-        Self::finish(rows, cols, row_ptr, col_idx, values)
-    }
-
-    /// Converts a matrix body's non-zeros: the row counts become the
-    /// row pointers and the columns and values are copied out as they
-    /// are — the arrays [`Csr::from_dense`] builds for the body's matrix,
-    /// with no dense pass. A [`MatrixBody`] is validated when it is made,
-    /// so the arrays need no check here.
-    pub fn from_body(body: &MatrixBody) -> Self {
-        let mut row_ptr = Vec::with_capacity(body.rows() + 1);
-        row_ptr.push(0);
-        row_ptr.extend(body.row_counts().scan(0, |at, count| {
-            *at += count;
-            Some(*at)
-        }));
-        Self::finish(body.rows(), body.cols(), row_ptr, body.columns().collect(), body.values())
-    }
-
-    /// Reassembles a CSR from its raw arrays, validating every
-    /// structural invariant — the deserialization entry point, so the
-    /// arrays are treated as untrusted: `row_ptr` must be a monotone
-    /// `rows + 1`-length prefix sum ending at `values.len()`, column
-    /// indices must be in bounds and strictly increasing within each
-    /// row, and stored values must be non-zero.
+    /// Reassembles a CSR from raw row-major arrays — the deserialization
+    /// entry point, so the arrays are treated as untrusted. Both
+    /// dimensions must be non-zero, `row_ptr` must be a monotone
+    /// `rows + 1`-length prefix sum ending at `values.len()`, and every
+    /// column index must fit the body's `u32`; then the arrays are
+    /// written as a body and read back through the body's own check
+    /// ([`Cursor::take_matrix_body`]), which refuses a column out of
+    /// bounds or not strictly increasing within its row, and a stored
+    /// zero.
     pub fn from_raw_parts(
         rows: usize,
         cols: usize,
@@ -261,12 +188,11 @@ impl Csr {
         values: Vec<i32>,
     ) -> Result<Self> {
         let invalid = |context: String| Error::DimensionMismatch { context };
-        if row_ptr.len() != rows + 1 {
-            return Err(invalid(format!(
-                "row_ptr length {} vs rows + 1 = {}",
-                row_ptr.len(),
-                rows + 1
-            )));
+        if rows == 0 || cols == 0 {
+            return Err(Error::EmptyDimension);
+        }
+        if rows.checked_add(1) != Some(row_ptr.len()) {
+            return Err(invalid(format!("row_ptr length {} vs rows {rows} + 1", row_ptr.len())));
         }
         if col_idx.len() != values.len() {
             return Err(invalid(format!(
@@ -283,71 +209,44 @@ impl Csr {
                 row_ptr[rows]
             )));
         }
-        // Monotone from 0 to `values.len()`, so every row's range below is
-        // in bounds.
         if let Some(r) = row_ptr.windows(2).position(|span| span[0] > span[1]) {
             return Err(invalid(format!("row_ptr not monotone at row {r}")));
         }
-        for r in 0..rows {
-            let mut prev: Option<usize> = None;
-            for &c in &col_idx[row_ptr[r]..row_ptr[r + 1]] {
-                if c >= cols {
-                    return Err(invalid(format!("column index {c} vs cols {cols} in row {r}")));
-                }
-                if prev.is_some_and(|p| p >= c) {
-                    return Err(invalid(format!(
-                        "column indices not strictly increasing in row {r}"
-                    )));
-                }
-                prev = Some(c);
-            }
-        }
-        if values.contains(&0) {
-            return Err(invalid("explicit zero stored in CSR values".into()));
-        }
-        Ok(Self::finish(rows, cols, row_ptr, col_idx, values))
+        let column = |c: usize| {
+            u32::try_from(c).map_err(|_| invalid(format!("column index {c} past u32")))
+        };
+        let columns = col_idx.into_iter().map(column).collect::<Result<Vec<u32>>>()?;
+        // A row count past `u32` needs more non-zeros than the body's
+        // check admits, which it refuses from the header.
+        let counts: Vec<u32> = row_ptr.windows(2).map(|span| (span[1] - span[0]) as u32).collect();
+        let mut bytes = Vec::new();
+        put_body(&mut bytes, rows, cols, &counts, &columns, &values);
+        let body = Cursor::new(&bytes).take_matrix_body()?;
+        Ok(Self::from_body(Arc::new(body)))
     }
 
     /// Number of rows.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.body.rows()
     }
 
     /// Number of columns.
     pub fn cols(&self) -> usize {
-        self.cols
+        self.body.cols()
     }
 
-    /// The row-pointer array (`rows + 1` entries).
-    pub fn row_ptr(&self) -> &[usize] {
-        &self.row_ptr
-    }
-
-    /// Column index and value pairs of one row.
-    pub fn row(&self, r: usize) -> impl Iterator<Item = (usize, i32)> + '_ {
-        let lo = self.row_ptr[r];
-        let hi = self.row_ptr[r + 1];
-        self.col_idx[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.values[lo..hi].iter().copied())
-    }
-
-    /// Converts back to dense.
-    pub fn to_dense(&self) -> Result<IntMatrix> {
-        let mut m = IntMatrix::zeros(self.rows, self.cols)?;
-        for r in 0..self.rows {
-            for (c, v) in self.row(r) {
-                m.set(r, c, v);
-            }
-        }
-        Ok(m)
+    /// The matrix's body: its shape and its non-zeros, row-major
+    /// ([`MatrixBody::row_counts`], [`MatrixBody::columns`],
+    /// [`MatrixBody::values`]), and the dense matrix
+    /// ([`MatrixBody::to_matrix`]).
+    pub fn body(&self) -> &MatrixBody {
+        &self.body
     }
 
     /// `o = aᵀV`, allocating the output: [`Csr::vecmat_into`] into a
     /// fresh vector.
     pub fn vecmat(&self, a: &[i32]) -> Result<Vec<i64>> {
-        let mut out = vec![0i64; self.cols];
+        let mut out = vec![0i64; self.cols()];
         self.vecmat_into(a, &mut out)?;
         Ok(out)
     }
@@ -393,24 +292,23 @@ impl Csr {
     }
 
     /// [`Csr::vecmat_into`] by the row-major scatter alone,
-    /// `out[col] += v · a[row]` over the rows of the non-zero inputs:
-    /// the reference every other kernel is held to, and the kernel of a
-    /// matrix without column slices.
+    /// `out[col] += v · a[row]` over the rows of the non-zero inputs
+    /// ([`MatrixBody::vecmat_into`]): the reference every other kernel is
+    /// held to, and the kernel of a matrix without column slices.
     pub fn vecmat_scatter_into(&self, a: &[i32], out: &mut [i64]) -> Result<()> {
         self.check_single(a, out)?;
-        self.scatter(a, out);
-        Ok(())
+        self.body.vecmat_into(a, out)
     }
 
     fn check_single(&self, a: &[i32], out: &[i64]) -> Result<()> {
-        if a.len() != self.rows {
+        if a.len() != self.rows() {
             return Err(Error::DimensionMismatch {
-                context: format!("vector length {} vs rows {}", a.len(), self.rows),
+                context: format!("vector length {} vs rows {}", a.len(), self.rows()),
             });
         }
-        if out.len() != self.cols {
+        if out.len() != self.cols() {
             return Err(Error::DimensionMismatch {
-                context: format!("output length {} vs cols {}", out.len(), self.cols),
+                context: format!("output length {} vs cols {}", out.len(), self.cols()),
             });
         }
         Ok(())
@@ -427,7 +325,7 @@ impl Csr {
                 Single::Gathered
             }
             _ => {
-                self.scatter(a, out);
+                self.body.vecmat_into(a, out)?;
                 Single::Scattered
             }
         })
@@ -443,31 +341,6 @@ impl Csr {
     /// `max_x` in absolute value may run in `f32` lanes.
     fn in_f32(&self, max_x: u32) -> bool {
         self.bound(max_x) <= F32_EXACT
-    }
-
-    /// Zeroes `out` (`cols` elements) and accumulates `aᵀV` into it row
-    /// by row, skipping zero inputs.
-    ///
-    /// Every constructor guarantees `col < self.cols`, so with
-    /// `out.len() == self.cols` asserted once up front the per-element
-    /// `get_mut` never misses; it is there so the loop has no panic path.
-    fn scatter(&self, a: &[i32], out: &mut [i64]) {
-        assert_eq!(out.len(), self.cols, "output length vs cols");
-        out.fill(0);
-        for (r, &ar) in a.iter().enumerate() {
-            if ar == 0 {
-                continue;
-            }
-            let ar = i64::from(ar);
-            let lo = self.row_ptr[r];
-            let hi = self.row_ptr[r + 1];
-            for (&c, &v) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
-                debug_assert!(c < out.len(), "CSR column invariant violated");
-                if let Some(o) = out.get_mut(c) {
-                    *o += ar * i64::from(v);
-                }
-            }
-        }
     }
 
     /// `n` products at once: `frames` is `n` row-major input vectors of
@@ -532,7 +405,7 @@ impl Csr {
         n: usize,
         out: &mut [i64],
     ) -> Result<BlockWidths> {
-        let (rows, cols) = (self.rows, self.cols);
+        let (rows, cols) = (self.rows(), self.cols());
         if n.checked_mul(rows) != Some(frames.len()) {
             return Err(Error::DimensionMismatch {
                 context: format!("{} input elements vs {n} frames of {rows}", frames.len()),
@@ -575,7 +448,7 @@ impl Csr {
     /// Frames `range` of a block, one at a time through
     /// [`Csr::vecmat_into`].
     fn frames_into(&self, frames: &[i32], range: Range<usize>, out: &mut [i64]) -> Result<()> {
-        let (rows, cols) = (self.rows, self.cols);
+        let (rows, cols) = (self.rows(), self.cols());
         for f in range {
             let a = &frames[f * rows..(f + 1) * rows];
             self.single_into(a, &mut out[f * cols..(f + 1) * cols])?;
@@ -612,22 +485,25 @@ mod tests {
     fn csr_structure_small() {
         let d = IntMatrix::from_vec(3, 3, vec![1, 0, 2, 0, 0, 0, 3, 4, 0]).unwrap();
         let csr = Csr::from_dense(&d);
-        assert_eq!(csr.row_ptr(), &[0, 2, 2, 4]);
-        assert_eq!(csr.values.len(), 4);
-        assert_eq!(csr.to_dense().unwrap(), d);
+        assert_eq!(csr.body.row_counts().collect::<Vec<_>>(), [2, 0, 2]);
+        assert_eq!(csr.body.nnz(), 4);
+        assert_eq!(csr.body.to_matrix().unwrap(), d);
     }
 
-    /// The direct build against the route it replaced: same three
-    /// arrays, same derived bound.
-    fn assert_direct_build_matches_coo_route(d: &IntMatrix) {
+    /// The direct build against its body read back through the body's
+    /// own check: the same body and derived fields, a bound that is the
+    /// dense matrix's, and the dense matrix back.
+    fn assert_direct_build_matches_body_route(d: &IntMatrix) {
         let direct = Csr::from_dense(d);
-        let via_coo = Csr::from_coo(&Coo::from_dense(d));
-        assert_eq!(direct.max_col_abs_sum, via_coo.max_col_abs_sum, "{d:?}");
-        assert_eq!(direct, via_coo, "{d:?}");
+        let read = Cursor::new(MatrixBody::of(d).as_bytes()).take_matrix_body().unwrap();
+        let via_body = Csr::from_body(Arc::new(read));
+        assert_eq!(u128::from(direct.max_col_abs_sum), max_col_abs_sum(d), "{d:?}");
+        assert_eq!(direct, via_body, "{d:?}");
+        assert_eq!(direct.body.to_matrix().unwrap(), *d);
     }
 
     #[test]
-    fn from_dense_matches_the_coo_route_on_edge_shapes() {
+    fn from_dense_matches_the_body_route_on_edge_shapes() {
         let cases = [
             // Empty rows at the top, in the middle and at the bottom.
             IntMatrix::from_vec(5, 3, vec![0, 0, 0, 1, 0, -2, 0, 0, 0, 0, 3, 0, 0, 0, 0]).unwrap(),
@@ -640,13 +516,13 @@ mod tests {
             IntMatrix::from_vec(1, 1, vec![9]).unwrap(),
         ];
         for d in &cases {
-            assert_direct_build_matches_coo_route(d);
+            assert_direct_build_matches_body_route(d);
         }
     }
 
     proptest! {
         #[test]
-        fn from_dense_matches_the_coo_route(
+        fn from_dense_matches_the_body_route(
             seed in any::<u64>(),
             rows in 1usize..24,
             cols in 1usize..24,
@@ -655,7 +531,7 @@ mod tests {
         ) {
             let mut rng = seeded(seed);
             let d = element_sparse_matrix(rows, cols, weight_bits, sparsity, true, &mut rng).unwrap();
-            assert_direct_build_matches_coo_route(&d);
+            assert_direct_build_matches_body_route(&d);
         }
     }
 
@@ -663,14 +539,8 @@ mod tests {
     fn from_raw_parts_round_trips_and_validates() {
         let d = IntMatrix::from_vec(3, 3, vec![1, 0, 2, 0, 0, 0, 3, 4, 0]).unwrap();
         let csr = Csr::from_dense(&d);
-        let rebuilt = Csr::from_raw_parts(
-            3,
-            3,
-            csr.row_ptr().to_vec(),
-            (0..3).flat_map(|r| csr.row(r).map(|(c, _)| c)).collect(),
-            (0..3).flat_map(|r| csr.row(r).map(|(_, v)| v)).collect(),
-        )
-        .unwrap();
+        let (row_ptr, col_idx, values) = raw_parts(&csr);
+        let rebuilt = Csr::from_raw_parts(3, 3, row_ptr, col_idx, values).unwrap();
         assert_eq!(rebuilt, csr);
         // Every structural lie is rejected.
         let ok_ptr = vec![0usize, 2, 2, 4];
@@ -682,6 +552,27 @@ mod tests {
         assert!(Csr::from_raw_parts(3, 3, ok_ptr.clone(), vec![2, 0, 0, 1], vec![1, 2, 3, 4]).is_err(), "unsorted row");
         assert!(Csr::from_raw_parts(3, 3, ok_ptr, vec![0, 2, 0, 1], vec![1, 0, 3, 4]).is_err(), "explicit zero");
         assert!(Csr::from_raw_parts(2, 3, vec![0, 100, 5], vec![0, 1, 2, 0, 1], vec![1; 5]).is_err(), "pointer past the end");
+        // A column past `u32` is refused, not truncated: 2^32 + 1 would
+        // alias column 1 and pass as the row `[0, 1]`.
+        let wide = Csr::from_raw_parts(3, 3, vec![0, 2, 2, 4], vec![0, (1 << 32) + 1, 0, 1], vec![1, 2, 3, 4]);
+        assert!(matches!(wide, Err(Error::DimensionMismatch { .. })), "column past u32: {wide:?}");
+        // No rows, or no columns: no body holds either.
+        let no_rows = Csr::from_raw_parts(0, 3, vec![0], vec![], vec![]);
+        assert!(matches!(no_rows, Err(Error::EmptyDimension)), "no rows: {no_rows:?}");
+        let no_cols = Csr::from_raw_parts(3, 0, vec![0; 4], vec![], vec![]);
+        assert!(matches!(no_cols, Err(Error::EmptyDimension)), "no columns: {no_cols:?}");
+        // A row count with no `rows + 1` is refused, not overflowed.
+        assert!(Csr::from_raw_parts(usize::MAX, 3, vec![0], vec![], vec![]).is_err(), "rows + 1 past usize");
+    }
+
+    /// `csr`'s non-zeros as the raw arrays [`Csr::from_raw_parts`] takes.
+    fn raw_parts(csr: &Csr) -> (Vec<usize>, Vec<usize>, Vec<i32>) {
+        let ends = csr.body.row_counts().scan(0, |at, count| {
+            *at += count;
+            Some(*at)
+        });
+        let row_ptr = std::iter::once(0).chain(ends).collect();
+        (row_ptr, csr.body.columns().collect(), csr.body.values())
     }
 
     #[test]
@@ -730,7 +621,7 @@ mod tests {
     fn empty_rows_handled() {
         let d = IntMatrix::zeros(4, 4).unwrap();
         let csr = Csr::from_dense(&d);
-        assert!(csr.values.is_empty());
+        assert_eq!(csr.body.nnz(), 0);
         assert_eq!(csr.vecmat(&[1, 1, 1, 1]).unwrap(), vec![0; 4]);
     }
 
@@ -760,7 +651,7 @@ mod tests {
                 "{}x{} with {} non-zeros, max|a| {max_a}, {path}: column {c} is {}, not {}",
                 csr.rows(),
                 csr.cols(),
-                csr.values.len(),
+                csr.body.nnz(),
                 got[c],
                 oracle[c]
             );
@@ -1011,7 +902,7 @@ mod tests {
 
     /// Entries the column slices store beyond the non-zeros.
     fn padding(csr: &Csr) -> usize {
-        csr.slices.as_ref().unwrap().padded_len() - csr.values.len()
+        csr.slices.as_ref().unwrap().padded_len() - csr.body.nnz()
     }
 
     #[test]
@@ -1024,10 +915,10 @@ mod tests {
         })
         .unwrap();
         let csr = Csr::from_dense(&lopsided);
-        assert_eq!(csr.values.len(), 80 + 8 * 2);
+        assert_eq!(csr.body.nnz(), 80 + 8 * 2);
         assert!(padding(&csr) <= 3 * 80, "{}", padding(&csr));
         // 4 lanes × 80 steps, then 4 × 2, then one column of 2 alone.
-        assert_eq!(padding(&csr) + csr.values.len(), 4 * 80 + 4 * 2 + 4 * 2);
+        assert_eq!(padding(&csr) + csr.body.nnz(), 4 * 80 + 4 * 2 + 4 * 2);
         let a: Vec<i32> = (0..80).map(|r| r % 7 - 3).collect();
         assert_gather_matches_scatter(&csr, &a);
 
@@ -1035,7 +926,7 @@ mod tests {
         // padding at all.
         let banded = IntMatrix::from_fn(12, 8, |r, c| i32::from((r + c) % 4 == 0) * 3).unwrap();
         let csr = Csr::from_dense(&banded);
-        assert_eq!(csr.values.len(), 8 * 3);
+        assert_eq!(csr.body.nnz(), 8 * 3);
         assert_eq!(padding(&csr), 0);
         assert_gather_matches_scatter(&csr, &[5; 12]);
 
@@ -1052,17 +943,10 @@ mod tests {
         let csr = Csr::from_dense(&d);
         assert!(csr.slices.is_some());
         // The artifact decode path.
-        let decoded = Csr::from_raw_parts(
-            30,
-            25,
-            csr.row_ptr().to_vec(),
-            (0..30).flat_map(|r| csr.row(r).map(|(c, _)| c)).collect(),
-            (0..30).flat_map(|r| csr.row(r).map(|(_, v)| v)).collect(),
-        )
-        .unwrap();
+        let (row_ptr, col_idx, values) = raw_parts(&csr);
+        let decoded = Csr::from_raw_parts(30, 25, row_ptr, col_idx, values).unwrap();
         assert_eq!(decoded.slices, csr.slices);
-        assert_eq!(Csr::from_coo(&Coo::from_dense(&d)).slices, csr.slices);
-        assert_eq!(Csr::from_body(&MatrixBody::of(&d)), csr);
+        assert_eq!(Csr::from_body(Arc::new(MatrixBody::of(&d))), csr);
     }
 
     #[test]
@@ -1209,7 +1093,7 @@ mod tests {
             }
         }
         let csr = Csr::from_dense(&d);
-        assert_eq!((csr.values.len(), csr.max_col_abs_sum), (16, 1 << 12));
+        assert_eq!((csr.body.nnz(), csr.max_col_abs_sum), (16, 1 << 12));
         // Five steps of four lanes, then one.
         assert_eq!(padding(&csr), 4 * 5 + 4 - 16);
         // A group of 8-bit inputs, then one of 13-bit inputs whose first

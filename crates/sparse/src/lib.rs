@@ -1,6 +1,6 @@
 //! # smm-sparse
 //!
-//! Sparse matrix formats (COO, CSR) with executed SpMV/SpMM kernels.
+//! The CSR sparse matrix format with executed SpMV/SpMM kernels.
 //!
 //! This is the *functional* content of the GPU sparse libraries the paper
 //! benchmarks against (cuSPARSE and the optimized Sputnik-style kernel):
@@ -9,10 +9,11 @@
 //! `gpu`; this crate provides the math and the structural statistics that
 //! model consumes.
 //!
-//! [`Csr`] is also the serving stack's sparse engine, and keeps two
-//! layouts of the fixed matrix for it: column slices for single frames
-//! and 16-frame groups in `f32` lanes (a wide group one digit plane at a
-//! time), rows for the `i64` scatter (see `csr`).
+//! [`Csr`] is also the serving stack's sparse engine. It is the fixed
+//! matrix's body (`smm_core::wire::MatrixBody`, the rows, which the `i64`
+//! scatter walks) plus one layout derived from it: column slices for
+//! single frames and 16-frame groups in `f32` lanes, a wide group one
+//! digit plane at a time (see `csr`).
 //!
 //! ```
 //! use smm_core::matrix::IntMatrix;
@@ -20,18 +21,16 @@
 //!
 //! let dense = IntMatrix::from_vec(2, 2, vec![0, 3, -1, 0]).unwrap();
 //! let csr = Csr::from_dense(&dense);
-//! assert_eq!(csr.row_ptr(), &[0, 1, 2]);
+//! assert_eq!(csr.body().row_counts().collect::<Vec<_>>(), [1, 1]);
 //! assert_eq!(csr.vecmat(&[10, 100]).unwrap(), vec![-100, 30]);
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod coo;
 mod csr;
 mod slices;
 mod stats;
 
-pub use coo::Coo;
 pub use csr::Csr;
 pub use stats::SparsityProfile;

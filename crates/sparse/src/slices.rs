@@ -37,6 +37,7 @@
 //! is below the matrix's row count.
 
 use crate::csr::G;
+use smm_core::wire::MatrixBody;
 use std::cell::RefCell;
 
 /// Columns per slice; each has two accumulators in a single frame's
@@ -53,8 +54,8 @@ thread_local! {
     );
 }
 
-/// The sliced copy of one CSR's non-zeros. Built once from the CSR
-/// arrays, never serialised.
+/// The sliced copy of one CSR's non-zeros. Built once from the matrix
+/// body, never serialised.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ColumnSlices {
     /// `perm[s · LANES + l]` is the output column lane `l` of slice `s`
@@ -71,19 +72,14 @@ pub(crate) struct ColumnSlices {
 }
 
 impl ColumnSlices {
-    /// Slices a validated CSR (`col_idx[k] < col_len.len()`, rows
-    /// ascending) whose per-column non-zero counts are `col_len`, in work
+    /// Slices a matrix body whose per-column non-zero counts are
+    /// `col_len` and whose values, widened, are `values`, in work
     /// proportional to the non-zeros. `None` when it has more than
     /// [`MAX_ROWS`] rows, or when the column count or the padded entry
     /// count does not fit `u32`.
-    pub(crate) fn build(
-        col_len: &[usize],
-        row_ptr: &[usize],
-        col_idx: &[usize],
-        values: &[i32],
-    ) -> Option<Self> {
+    pub(crate) fn build(body: &MatrixBody, col_len: &[usize], values: &[i32]) -> Option<Self> {
         let cols = u32::try_from(col_len.len()).ok()?;
-        if row_ptr.len() > MAX_ROWS + 1 {
+        if body.rows() > MAX_ROWS {
             return None;
         }
         // Longest first, ties by ascending column: one integer key per
@@ -114,9 +110,9 @@ impl ColumnSlices {
 
         let mut rows = vec![0u16; end as usize];
         let mut weights = vec![0i32; end as usize];
-        for (r, span) in (0..=u16::MAX).zip(row_ptr.windows(2)) {
-            let (lo, hi) = (span[0], span[1]);
-            for (&c, &v) in col_idx[lo..hi].iter().zip(&values[lo..hi]) {
+        let mut nonzeros = body.columns().zip(values);
+        for (r, count) in (0..=u16::MAX).zip(body.row_counts()) {
+            for (c, &v) in nonzeros.by_ref().take(count) {
                 let at = &mut cursor[c];
                 rows[*at as usize] = r;
                 weights[*at as usize] = v;

@@ -20,8 +20,7 @@ pub struct SparsityProfile {
 impl SparsityProfile {
     /// Profiles a CSR matrix.
     pub fn of(csr: &Csr) -> Self {
-        let lens = csr.row_ptr().windows(2).map(|span| span[1] - span[0]);
-        Self::from_row_lens(csr.cols(), lens.collect())
+        Self::from_row_lens(csr.cols(), csr.body().row_counts().collect())
     }
 
     /// Profiles a dense matrix: the profile [`SparsityProfile::of`] gives

@@ -6,7 +6,8 @@ use smm_core::gemv::vecmat;
 use smm_core::matrix::IntMatrix;
 use smm_core::rng::seeded;
 use smm_core::wire::{Cursor, MatrixBody};
-use smm_sparse::{Coo, Csr, SparsityProfile};
+use smm_sparse::{Csr, SparsityProfile};
+use std::sync::Arc;
 
 /// Values planted by [`body_pins`]: `i32`'s ends and both sides of every
 /// width boundary of a matrix body (0 plants nothing).
@@ -23,19 +24,19 @@ fn body_pins(m: &IntMatrix) {
     c.expect_end("matrix body").unwrap();
     assert_eq!(written.digest(), m.digest());
     assert_eq!(read.digest(), m.digest());
-    assert_eq!(Csr::from_body(&read), Csr::from_dense(m));
+    assert_eq!(Csr::from_body(Arc::new(read.clone())), Csr::from_dense(m));
     assert_eq!(read.to_matrix().unwrap(), m.clone());
 }
 
 proptest! {
-    /// Dense -> COO -> CSR -> dense round-trips exactly.
+    /// Dense -> CSR -> dense round-trips exactly.
     #[test]
     fn format_round_trip(seed in any::<u64>(), sparsity in 0.0f64..1.0,
                          rows in 1usize..24, cols in 1usize..24) {
         let mut rng = seeded(seed);
         let m = element_sparse_matrix(rows, cols, 8, sparsity, true, &mut rng).unwrap();
-        let csr = Csr::from_coo(&Coo::from_dense(&m));
-        prop_assert_eq!(csr.to_dense().unwrap(), m.clone());
+        let csr = Csr::from_dense(&m);
+        prop_assert_eq!(csr.body().to_matrix().unwrap(), m.clone());
     }
 
     /// CSR kernels match the dense reference on both orientations.

@@ -334,20 +334,18 @@ pub fn encode(digest: u64, artifact: &Artifact) -> Vec<u8> {
     match artifact {
         Artifact::Matrix(m) => return encode_body(digest, &MatrixBody::of(m)),
         Artifact::Csr(c) => {
-            put_u64(&mut payload, c.rows() as u64);
-            put_u64(&mut payload, c.cols() as u64);
-            let row_ptr: Vec<i64> = c.row_ptr().iter().map(|&p| p as i64).collect();
+            let body = c.body();
+            put_u64(&mut payload, body.rows() as u64);
+            put_u64(&mut payload, body.cols() as u64);
+            let ends = body.row_counts().scan(0, |at, count| {
+                *at += count as i64;
+                Some(*at)
+            });
+            let row_ptr: Vec<i64> = std::iter::once(0).chain(ends).collect();
             put_i64_vec(&mut payload, &row_ptr);
-            let mut col_idx = Vec::new();
-            let mut values = Vec::new();
-            for r in 0..c.rows() {
-                for (col, v) in c.row(r) {
-                    col_idx.push(col as i64);
-                    values.push(v);
-                }
-            }
+            let col_idx: Vec<i64> = body.columns().map(|col| col as i64).collect();
             put_i64_vec(&mut payload, &col_idx);
-            put_i32_vec(&mut payload, &values);
+            put_i32_vec(&mut payload, &body.values());
         }
         Artifact::Circuit(meta) => {
             put_str(&mut payload, &meta.engine);

@@ -6,7 +6,7 @@
 //! users need a single dependency.
 //!
 //! * [`core`] — integer matrices, sparsity generators, CSD, reference gemv
-//! * [`sparse`] — COO/CSR formats and executed SpMV kernels
+//! * [`sparse`] — the CSR format over the matrix body and executed SpMV kernels
 //! * [`bitserial`] — the spatial bit-serial multiplier (netlist + simulator)
 //! * the evaluation models, one module each of `smm-models`:
 //!   * [`fpga`] — area/frequency/power models and the synthesis flow
