@@ -36,7 +36,7 @@
 //! `kernels` bench; the contract is the oracle tests, which hold every
 //! kernel to the scatter on both sides of the rule.
 
-use crate::slices::ColumnSlices;
+use crate::slices::{ColumnSlices, Group, GROUP, MAX_ROWS};
 use smm_core::error::{Error, Result};
 use smm_core::matrix::IntMatrix;
 use smm_core::wire::{put_body, Cursor, MatrixBody};
@@ -53,7 +53,7 @@ const F32_EXACT: u128 = 1 << 24;
 /// A CSR sparse matrix: the matrix's body, whose row counts, column
 /// indices (sorted within each row) and values are the format, and what
 /// the kernels derive from it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
     /// The non-zeros, row-major. Shared rather than copied: a serving
     /// fleet's engine holds the same allocation as the fleet's tier.
@@ -70,15 +70,19 @@ pub struct Csr {
     slices: Option<ColumnSlices>,
 }
 
+/// `==` is an equivalence: the body and the bound are integers, and the
+/// column slices are `Eq` (every weight an integer-valued `f32`).
+impl Eq for Csr {}
+
 /// Transposes digit `(x >> shift) & mask` of `G` row-major frames of
-/// `rows` elements into frame-minor `f32` rows, `xt[row][frame]`. It goes
-/// one `G × G` tile at a time (the last one `rows mod G` rows short), so
-/// each frame's run of `G` inputs lands in a tile that stays in L1 (1 KiB
-/// of `f32`s), where a full-length pass per frame would stride through
-/// the whole `rows × G` buffer `G` times.
-fn transpose_in(x: &[i32], rows: usize, xt: &mut Vec<[f32; G]>, shift: u32, mask: i32) {
-    xt.resize(rows, [0.0; G]);
-    for (r0, tile) in (0..).step_by(G).zip(xt.chunks_mut(G)) {
+/// `rows` elements into the first `rows` frame-minor `f32` rows of
+/// `plane`, `plane[row][frame]`; the rows past them keep what they held.
+/// It goes one `G × G` tile at a time (the last one `rows mod G` rows
+/// short), so each frame's run of `G` inputs lands in a tile that stays
+/// in L1 (1 KiB of `f32`s), where a full-length pass per frame would
+/// stride through the whole `rows × G` plane `G` times.
+fn transpose_in(x: &[i32], rows: usize, plane: &mut [[f32; G]; MAX_ROWS], shift: u32, mask: i32) {
+    for (r0, tile) in (0..).step_by(G).zip(plane[..rows].chunks_mut(G)) {
         for f in 0..G {
             let run = &x[f * rows + r0..f * rows + r0 + tile.len()];
             for (&v, lanes) in run.iter().zip(tile.iter_mut()) {
@@ -358,7 +362,9 @@ impl Csr {
     /// combined into the caller's rows. A group inside the rule is one
     /// plane, the inputs themselves. The `n mod 16` frames past the last
     /// full group, and every frame of a group that no digit split fits,
-    /// go through [`Csr::vecmat_into`].
+    /// go through [`Csr::vecmat_into`]. A plane and its sums live in a
+    /// buffer per thread, kept from call to call, so a call allocates
+    /// nothing once its thread has run a group as wide.
     ///
     /// *Digits.* Past the rule, `b = 24 − ⌈log2 max_col_abs_sum⌉` and `k`
     /// is the fewest digits with `max|x| < 2^(b·k)`:
@@ -389,7 +395,11 @@ impl Csr {
     /// - *the lane-pair pass*: a slice's lanes 0–1 run first, then lanes
     ///   2–3 (a last slice of one or two columns runs one pass). A pass
     ///   holds `2 × 16` `f32` sums, one per column and frame, in eight SSE
-    ///   registers, and nothing is stored per non-zero;
+    ///   registers, and nothing is stored per non-zero. A step is only its
+    ///   multiply-adds: the weight is stored as the `f32` it is (exactly,
+    ///   as slices exist only where every weight is at most `2^24`), and
+    ///   its `u16` row indexes the thread's plane of `2^16` rows with no
+    ///   check, reading one of the `rows` the transpose wrote;
     /// - each sum receives its column's terms in ascending row order, one
     ///   at a time, so every value it holds is a sum of a subset of its
     ///   output's terms, an integer of magnitude at most `B ≤ 2^24`;
@@ -418,8 +428,6 @@ impl Csr {
         }
         let full = n - n % G;
         let mut widths = BlockWidths::default();
-        // Scratch for the whole call, sized by the first group that uses it.
-        let (mut xt, mut acc) = (Vec::new(), Vec::new());
         for g in (0..full).step_by(G) {
             let x = &frames[g * rows..(g + G) * rows];
             let max_x = x.iter().fold(0, |max, &v| max.max(v.unsigned_abs()));
@@ -429,12 +437,14 @@ impl Csr {
                 continue;
             };
             let o = &mut out[g * cols..(g + G) * cols];
-            for j in 0..k {
-                let mask = if j + 1 < k { (1 << b) - 1 } else { -1 };
-                transpose_in(x, rows, &mut xt, b * j, mask);
-                slices.gather_group(&xt, &mut acc);
-                transpose_out(&acc, cols, o, b * j);
-            }
+            GROUP.with_borrow_mut(|Group { plane, acc }| {
+                for j in 0..k {
+                    let mask = if j + 1 < k { (1 << b) - 1 } else { -1 };
+                    transpose_in(x, rows, plane, b * j, mask);
+                    slices.gather_group(plane, rows, acc);
+                    transpose_out(acc, cols, o, b * j);
+                }
+            });
             if k == 1 {
                 widths.narrow_groups += 1;
             } else {
@@ -846,6 +856,29 @@ mod tests {
         assert_eq!(assert_gather_matches_scatter(&over, &[0, 0]), Single::Scattered);
         assert_eq!(assert_gather_matches_scatter(&over, &[1, -1]), Single::Scattered);
         assert_eq!(over.vecmat(&[1, 1]).unwrap(), vec![i64::from(top) + 1, -1]);
+        // The weights the slices store as `f32`s at their edge: a lone
+        // ±(2^24 − 1) or ±2^24 is stored exactly, and a frame and a
+        // 16-frame group of ±1 inputs through it give the scatter's bits;
+        // ±(2^24 + 1) leaves the matrix without slices.
+        let lone = |w| Csr::from_dense(&IntMatrix::from_vec(3, 2, vec![0, 0, 0, w, 0, 0]).unwrap());
+        let frames: Vec<i32> = (0..3 * G as i32).map(|i| i % 3 - 1).collect();
+        for w in [top - 1, top, 1 - top, -top] {
+            let csr = lone(w);
+            assert!(csr.slices.is_some(), "weight {w}");
+            for a in [[1, 1, -1], [0, -1, 0], [-1, 0, 1]] {
+                assert_eq!(assert_gather_matches_scatter(&csr, &a), Single::Gathered, "weight {w}");
+            }
+            assert_eq!(csr.vecmat(&[0, -1, 0]).unwrap(), vec![0, -i64::from(w)]);
+            let ran = assert_block_matches(&csr, &frames, G);
+            assert_eq!((ran.narrow_groups, ran.wide_groups), (1, 0), "weight {w}");
+        }
+        for w in [top + 1, -top - 1] {
+            let csr = lone(w);
+            assert!(csr.slices.is_none(), "weight {w}");
+            assert_eq!(assert_gather_matches_scatter(&csr, &[0, -1, 0]), Single::Scattered);
+            let ran = assert_block_matches(&csr, &frames, G);
+            assert_eq!((ran.narrow_groups, ran.wide_groups), (0, 1), "weight {w}");
+        }
     }
 
     #[test]
@@ -894,6 +927,81 @@ mod tests {
                         barrier.wait();
                         assert_eq!(csr.single_into(&own[k], &mut out).unwrap(), Single::Gathered);
                         assert_eq!(out, expect[k], "frame {k}, pass {i}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn a_stale_plane_changes_no_bit() {
+        // One thread's plane first holds a 1024-row group, then 3-row
+        // groups on top of it, then the first matrix's rows again, now
+        // two or more digit planes of them.
+        let mut rng = seeded(4603);
+        let d = element_sparse_matrix(1024, 8, 8, 0.99, true, &mut rng).unwrap();
+        let big = Csr::from_dense(&d);
+        let narrow = random_vector(G * 1024, 8, true, &mut rng).unwrap();
+        let wide = random_vector(G * 1024, 20, true, &mut rng).unwrap();
+        let max_wide = wide.iter().map(|x| x.unsigned_abs()).max().unwrap();
+        let digits = big.digits(max_wide);
+        assert!(digits.is_some_and(|(_, k)| k >= 2), "{digits:?}");
+        let s = IntMatrix::from_vec(3, 2, vec![5, -1, 0, 2, -3, 4]).unwrap();
+        let small = Csr::from_dense(&s);
+        let smalls: Vec<Vec<i32>> = [2, 8, 24]
+            .iter()
+            .map(|&bits| random_vector(G * 3, bits, true, &mut rng).unwrap())
+            .collect();
+        for _ in 0..2 {
+            let ran = assert_block_matches(&big, &narrow, G);
+            assert_eq!((ran.narrow_groups, ran.wide_groups), (1, 0));
+            for frames in &smalls {
+                let ran = assert_block_matches(&small, frames, G);
+                assert_eq!(ran, expected_widths(&s, frames, G));
+            }
+            let ran = assert_block_matches(&big, &wide, G);
+            assert_eq!((ran.narrow_groups, ran.wide_groups), (0, 1));
+        }
+    }
+
+    #[test]
+    fn threads_gather_groups_through_their_own_planes() {
+        let mut rng = seeded(4604);
+        let d = element_sparse_matrix(256, 64, 8, 0.9, true, &mut rng).unwrap();
+        let csr = Csr::from_dense(&d);
+        // Each thread's own blocks: one group inside the rule, one in
+        // digit planes.
+        let blocks: Vec<Vec<Vec<i32>>> = (0..2)
+            .map(|_| {
+                [8, 20]
+                    .iter()
+                    .map(|&bits| random_vector(G * 256, bits, true, &mut rng).unwrap())
+                    .collect()
+            })
+            .collect();
+        // Each pass starts on both threads at once.
+        let barrier = std::sync::Barrier::new(blocks.len());
+        std::thread::scope(|scope| {
+            for own in &blocks {
+                let (csr, barrier) = (&csr, &barrier);
+                scope.spawn(move || {
+                    let expect: Vec<Vec<i64>> = own
+                        .iter()
+                        .map(|frames| {
+                            let mut o = vec![0i64; G * 64];
+                            for (a, o) in frames.chunks(256).zip(o.chunks_mut(64)) {
+                                csr.vecmat_scatter_into(a, o).unwrap();
+                            }
+                            o
+                        })
+                        .collect();
+                    let mut out = vec![0i64; G * 64];
+                    for i in 0..300 {
+                        let k = i % own.len();
+                        barrier.wait();
+                        let ran = csr.vecmat_block_into(&own[k], G, &mut out).unwrap();
+                        assert_eq!(ran.narrow_groups, usize::from(k == 0), "pass {i}");
+                        assert_eq!(out, expect[k], "block {k}, pass {i}");
                     }
                 });
             }

@@ -19,22 +19,28 @@
 //! to at most `(LANES − 1) ×` the longest column of the matrix.
 //!
 //! The entries are two parallel arrays, `rows` (`u16`) and `weights`
-//! (`i32`), 6 bytes per entry: one step's four weights are one 16-byte
-//! load, which a frame's `f32` lanes convert and multiply as one vector;
-//! a group broadcasts each weight over its 16 frames. A `u16` row is why
-//! only a matrix of at most [`MAX_ROWS`] rows has slices: it indexes a
-//! frame of exactly that many `f32`s with no mask and no bounds check. A
-//! group's transposed rows are only as many as the matrix's, so there
-//! each row is checked against them, a compare the loop predicts.
+//! (`f32`), 6 bytes per entry: one step's four weights are one 16-byte
+//! load, which a frame's `f32` lanes multiply as one vector; a group
+//! broadcasts each weight over its 16 frames. A weight is stored as the
+//! `f32` it is, so no kernel converts one: slices exist only where
+//! `max_col_abs_sum ≤ 2^24`, so every weight is at most `2^24` in
+//! magnitude, an integer an `f32` holds exactly. A `u16` row is why only
+//! a matrix of at most [`MAX_ROWS`] rows has slices: it indexes a buffer
+//! of exactly that many rows with no mask and no bounds check.
 //!
-//! The single frame is first converted into a frame that is per thread,
-//! allocated on the thread's first gather and kept until the thread
-//! exits: 256 KiB of address space, of which a gather touches the pages
-//! under its matrix's rows (4 KiB at 1024 rows), though a heap block the
-//! allocator reuses is zero-filled in full. Each gather overwrites the
-//! first `rows` elements; the rest hold an earlier frame's values, finite
-//! and never read, since every stored row, the padding's row 0 included,
-//! is below the matrix's row count.
+//! Both gathers read their operands from buffers that are per thread,
+//! allocated on the thread's first use and kept until it exits. A single
+//! frame is converted into [`FRAME`]: 256 KiB of address space. A group's
+//! digit plane is transposed into [`GROUP`]'s plane, `MAX_ROWS`
+//! frame-minor rows of `G` `f32`s: 4 MiB of address space, beside the
+//! plane's column sums (64 bytes per column of the widest matrix the
+//! thread has run). Each is allocated zeroed in one call, so a gather
+//! touches only the pages under its matrix's rows (4 KiB of frame or
+//! 64 KiB of plane at 1024 rows), though a heap block the allocator
+//! reuses is zero-filled in full. Each gather overwrites the first `rows`
+//! rows; the rest hold an earlier matrix's values, finite and never read,
+//! since every stored row, the padding's row 0 included, is below the
+//! matrix's row count.
 
 use crate::csr::G;
 use smm_core::wire::MatrixBody;
@@ -52,11 +58,29 @@ thread_local! {
     static FRAME: RefCell<Box<[f32; MAX_ROWS]>> = RefCell::new(
         vec![0.0; MAX_ROWS].into_boxed_slice().try_into().expect("MAX_ROWS elements"),
     );
+
+    /// This thread's group scratch: [`Group`].
+    pub(crate) static GROUP: RefCell<Group> = RefCell::new(Group {
+        plane: vec![[0.0; G]; MAX_ROWS].into_boxed_slice().try_into().expect("MAX_ROWS rows"),
+        acc: Vec::new(),
+    });
+}
+
+/// What a 16-frame group is gathered through, one per thread.
+pub(crate) struct Group {
+    /// One digit plane of the group, transposed to frame-minor rows,
+    /// `plane[row][frame]`, and indexed by a `u16` row. Allocated zeroed
+    /// (`vec!` of zeros takes the allocator's zeroed path), so only the
+    /// rows a gather writes are ever touched; a row type of its own, say
+    /// one aligned to 64 bytes, would lose that path and write all 4 MiB.
+    pub(crate) plane: Box<[[f32; G]; MAX_ROWS]>,
+    /// The plane's sums, `acc[col][frame]`, one row per output column.
+    pub(crate) acc: Vec<[f32; G]>,
 }
 
 /// The sliced copy of one CSR's non-zeros. Built once from the matrix
 /// body, never serialised.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ColumnSlices {
     /// `perm[s · LANES + l]` is the output column lane `l` of slice `s`
     /// computes; a permutation of `0..cols`, so the last slice may hold
@@ -67,14 +91,20 @@ pub(crate) struct ColumnSlices {
     slice_ptr: Vec<u32>,
     /// Each entry's input row; `0` for padding.
     rows: Vec<u16>,
-    /// Each entry's weight; `0` for padding.
-    weights: Vec<i32>,
+    /// Each entry's weight, exactly; `0` for padding.
+    weights: Vec<f32>,
 }
+
+/// `==` is an equivalence: every weight is an integer-valued `f32`, never
+/// NaN.
+impl Eq for ColumnSlices {}
 
 impl ColumnSlices {
     /// Slices a matrix body whose per-column non-zero counts are
     /// `col_len` and whose values, widened, are `values`, in work
-    /// proportional to the non-zeros. `None` when it has more than
+    /// proportional to the non-zeros. Each value is stored as an `f32`,
+    /// exact where the caller builds slices: at most `2^24` in
+    /// magnitude. `None` when it has more than
     /// [`MAX_ROWS`] rows, or when the column count or the padded entry
     /// count does not fit `u32`.
     pub(crate) fn build(body: &MatrixBody, col_len: &[usize], values: &[i32]) -> Option<Self> {
@@ -109,13 +139,13 @@ impl ColumnSlices {
         }
 
         let mut rows = vec![0u16; end as usize];
-        let mut weights = vec![0i32; end as usize];
+        let mut weights = vec![0f32; end as usize];
         let mut nonzeros = body.columns().zip(values);
         for (r, count) in (0..=u16::MAX).zip(body.row_counts()) {
             for (c, &v) in nonzeros.by_ref().take(count) {
                 let at = &mut cursor[c];
                 rows[*at as usize] = r;
-                weights[*at as usize] = v;
+                weights[*at as usize] = v as f32;
                 *at += LANES as u32;
             }
         }
@@ -178,24 +208,35 @@ impl ColumnSlices {
         }
     }
 
-    /// `acc[c][f] = Σ_r w_rc · xt[r][f]` for every column `c` and each of
-    /// a group's `G` frames `f`, in `f32` lanes: exact only where the
+    /// `acc[c][f] = Σ_r w_rc · plane[r][f]` for every column `c` and each
+    /// of a group's `G` frames `f`, in `f32` lanes: exact only where the
     /// *Lane width* rule of
     /// [`Csr::vecmat_block_into`](crate::csr::Csr::vecmat_block_into)
     /// puts it. A group past the rule calls it once per digit plane, and
     /// each plane's digits are narrow enough to be inside it.
     ///
-    /// `xt` is one digit plane of the group (the inputs themselves inside
-    /// the rule), transposed to frame-minor rows, one per matrix row. Each
-    /// slice runs in two passes, lanes 0–1 and then 2–3 (none
-    /// for a last slice of at most two columns), and a pass keeps its two
+    /// `plane` is one digit plane of the group (the inputs themselves
+    /// inside the rule), transposed to frame-minor rows, of which the
+    /// first `rows`, one per matrix row, are this group's; a `u16` row
+    /// indexes it with no check, and every stored row is below `rows`.
+    /// Each slice runs in two passes, lanes 0–1 and then 2–3 (none for a
+    /// last slice of at most two columns), and a pass keeps its two
     /// columns' `2 × G` sums in registers down the slice's entries. Each
     /// column's sum is written to `acc` once; `acc` ends up `cols` long,
     /// every element overwritten. Never inlined, like
     /// [`ColumnSlices::gather_through`], so that the passes compile the
     /// same whatever surrounds the call.
     #[inline(never)]
-    pub(crate) fn gather_group(&self, xt: &[[f32; G]], acc: &mut Vec<[f32; G]>) {
+    pub(crate) fn gather_group(
+        &self,
+        plane: &[[f32; G]; MAX_ROWS],
+        rows: usize,
+        acc: &mut Vec<[f32; G]>,
+    ) {
+        debug_assert!(
+            self.rows.iter().all(|&row| usize::from(row) < rows),
+            "slice row past the group"
+        );
         acc.resize(self.perm.len(), [0.0; G]);
         for (perm, span) in self.perm.chunks(LANES).zip(self.slice_ptr.windows(2)) {
             let span = span[0] as usize..span[1] as usize;
@@ -203,8 +244,8 @@ impl ColumnSlices {
             let (weights, _) = self.weights[span].as_chunks::<LANES>();
             for (pass, cols) in perm.chunks(2).enumerate() {
                 let sums = match pass {
-                    0 => lane_pair::<0>(rows, weights, xt),
-                    _ => lane_pair::<2>(rows, weights, xt),
+                    0 => lane_pair::<0>(rows, weights, plane),
+                    _ => lane_pair::<2>(rows, weights, plane),
                 };
                 for (&c, sum) in cols.iter().zip(sums) {
                     if let Some(lanes) = acc.get_mut(c as usize) {
@@ -217,30 +258,28 @@ impl ColumnSlices {
 }
 
 /// Lanes `L` and `L + 1` of one slice over a group: for each, the sum of
-/// `w · xt[row]` down its entries, rows ascending, in `G` lanes.
+/// `w · plane[row]` down its entries, rows ascending, in `G` lanes.
 #[inline(always)]
 fn lane_pair<const L: usize>(
     rows: &[[u16; LANES]],
-    weights: &[[i32; LANES]],
-    xt: &[[f32; G]],
+    weights: &[[f32; LANES]],
+    plane: &[[f32; G]; MAX_ROWS],
 ) -> [[f32; G]; 2] {
     let mut sums = [[0f32; G]; 2];
     for (rows, weights) in rows.iter().zip(weights) {
-        add(&mut sums[0], rows[L], weights[L], xt);
-        add(&mut sums[1], rows[L + 1], weights[L + 1], xt);
+        add(&mut sums[0], rows[L], weights[L], plane);
+        add(&mut sums[1], rows[L + 1], weights[L + 1], plane);
     }
     sums
 }
 
-/// `acc[f] += w · xt[row][f]` for each of a group's frames.
+/// `acc[f] += w · plane[row][f]` for each of a group's frames: no more
+/// than the multiply-adds, as a `u16` row into a plane of `2^16` rows
+/// needs no check and an `f32` weight no conversion.
 #[inline(always)]
-fn add(acc: &mut [f32; G], row: u16, w: i32, xt: &[[f32; G]]) {
-    debug_assert!(usize::from(row) < xt.len(), "slice row past the group");
-    if let Some(x) = xt.get(usize::from(row)) {
-        let w = w as f32;
-        for (acc, &x) in acc.iter_mut().zip(x) {
-            *acc += w * x;
-        }
+fn add(acc: &mut [f32; G], row: u16, w: f32, plane: &[[f32; G]; MAX_ROWS]) {
+    for (acc, &x) in acc.iter_mut().zip(&plane[usize::from(row)]) {
+        *acc += w * x;
     }
 }
 
@@ -249,10 +288,10 @@ fn add(acc: &mut [f32; G], row: u16, w: i32, xt: &[[f32; G]]) {
 fn step(
     acc: &mut [f32; LANES],
     rows: &[u16; LANES],
-    weights: &[i32; LANES],
+    weights: &[f32; LANES],
     frame: &[f32; MAX_ROWS],
 ) {
     for ((acc, &row), &w) in acc.iter_mut().zip(rows).zip(weights) {
-        *acc += w as f32 * frame[usize::from(row)];
+        *acc += w * frame[usize::from(row)];
     }
 }
